@@ -332,43 +332,78 @@ func BenchmarkKernelModes(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelQueues compares the kernel's two event-queue
-// implementations under sustained depth: N outstanding timers, each
-// rescheduling itself at a random offset. Queue depth is where the
-// calendar queue's O(1) push/pop beats the heap's O(log n).
+// BenchmarkKernelQueues drives the kernel's event queue in the shapes
+// whole runs put it in. depth=N: N outstanding timers, each re-arming
+// itself at a random offset when it fires — the pipe model's steady
+// state. resched: every live timer moved many times before it fires —
+// the flow solver's pattern, where each solve moves the completion
+// event of every re-rated flow; one op is one Reschedule. bimodal: the
+// depth=1024 churn in front of a standing far-future tail (idle
+// timeouts, horizon events) that the dense head must not pay for.
 func BenchmarkKernelQueues(b *testing.B) {
-	kinds := []struct {
-		name string
-		kind sim.QueueKind
-	}{
-		{"heap", sim.QueueHeap},
-		{"calendar", sim.QueueCalendar},
-	}
-	for _, q := range kinds {
-		for _, depth := range []int{1024, 32768} {
-			b.Run(fmt.Sprintf("%s/depth=%d", q.name, depth), func(b *testing.B) {
-				k := sim.NewWithQueue(1, q.kind)
-				rng := rand.New(rand.NewSource(1))
-				fired := 0
-				for i := 0; i < depth; i++ {
-					var fn func()
-					fn = func() {
-						fired++
-						if fired+depth <= b.N {
-							k.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
-						}
-					}
+	// churn runs `near` self-renewing timers on k until b.N have fired.
+	churn := func(b *testing.B, k *sim.Kernel, near int) {
+		rng := rand.New(rand.NewSource(1))
+		fired := 0
+		for i := 0; i < near; i++ {
+			var fn func()
+			fn = func() {
+				fired++
+				if fired+near <= b.N {
 					k.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
 				}
-				if err := k.Run(); err != nil {
-					b.Fatal(err)
-				}
-				if fired < b.N && fired != depth {
-					b.Fatalf("fired %d events, want >= %d", fired, b.N)
-				}
-			})
+			}
+			k.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if fired < b.N && fired != near {
+			b.Fatalf("fired %d events, want >= %d", fired, b.N)
 		}
 	}
+	for _, depth := range []int{1024, 32768} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			churn(b, sim.New(1), depth)
+		})
+	}
+	b.Run("resched/live=1000/moves=100", func(b *testing.B) {
+		const live, moves = 1000, 100
+		k := sim.New(1)
+		rng := rand.New(rand.NewSource(1))
+		evs := make([]*sim.Event, live)
+		k.Go("solver", func(p *sim.Proc) {
+			for done := 0; done < b.N; {
+				for i := range evs {
+					evs[i] = k.At(p.Now().Add(time.Hour), func() {})
+				}
+				// Rounds are 1 ms apart and no move lands nearer than
+				// 200 ms, so nothing fires until the moves are done.
+				for m := 0; m < moves && done < b.N; m++ {
+					p.Sleep(time.Millisecond)
+					for _, ev := range evs {
+						if !ev.Reschedule(p.Now().Add(time.Duration(200+rng.Intn(800)) * time.Millisecond)) {
+							b.Error("timer fired before its moves were done")
+							return
+						}
+						done++
+					}
+				}
+				p.Sleep(2 * time.Second)
+			}
+		})
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("bimodal", func(b *testing.B) {
+		k := sim.New(1)
+		rng := rand.New(rand.NewSource(2))
+		for i := 0; i < 32768-1024; i++ {
+			k.After(time.Hour+time.Duration(rng.Intn(int(100*time.Hour))), func() {})
+		}
+		churn(b, k, 1024)
+	})
 }
 
 // BenchmarkSweep runs a 4-cell scheduler sweep through the worker

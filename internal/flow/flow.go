@@ -19,8 +19,8 @@
 //     flow arriving or finishing can only change the rates inside its
 //     connected component of that graph. Only that component is
 //     re-solved, and only the flows whose rate actually changed have
-//     their completion events rescheduled (via sim.Event.Reschedule on
-//     the calendar queue).
+//     their completion events rescheduled (sim.Event.Reschedule moves
+//     the queued event in place).
 //   - Re-leveling scoping (batched mode): within a component, the
 //     solver starts from the links whose residual/active ratio moved
 //     (the dirty seeds), keeps the frozen allocations of flows whose

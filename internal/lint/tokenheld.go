@@ -133,7 +133,8 @@ func (tc *tokenChecker) collect() {
 				}
 				tc.setMarkers(fn, bits)
 			case *ast.GenDecl:
-				// Interface methods may be annotated too (timerQueue).
+				// Interface methods may be annotated too (a seam whose
+				// every implementation requires the token).
 				for _, spec := range d.Specs {
 					ts, ok := spec.(*ast.TypeSpec)
 					if !ok {

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // goldenCompatFile pins every corpus scenario's trace digest to the
@@ -45,7 +43,7 @@ func TestGoldenTraceCompat(t *testing.T) {
 	digests := make(map[string]string)
 	for _, sp := range Corpus() {
 		sp := sp
-		d, _, _ := traceDigest(t, sp, sim.QueueCalendar)
+		d, _, _ := traceDigest(t, sp)
 		digests[sp.Name] = d
 	}
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -16,10 +15,10 @@ import (
 // SHA-256 of the rendered event stream plus the headline counters —
 // one short string that pins the entire observable behavior of the
 // run.
-func traceDigest(t *testing.T, sp Spec, queue sim.QueueKind) (string, *Result, *trace.Log) {
+func traceDigest(t *testing.T, sp Spec) (string, *Result, *trace.Log) {
 	t.Helper()
 	lg := trace.New(0)
-	res, err := Run(&sp, Options{Queue: queue, Trace: lg})
+	res, err := Run(&sp, Options{Trace: lg})
 	if err != nil {
 		t.Fatalf("%s: %v", sp.Name, err)
 	}
@@ -35,23 +34,17 @@ func traceDigest(t *testing.T, sp Spec, queue sim.QueueKind) (string, *Result, *
 
 // TestGoldenTraces is the corpus-wide determinism property: every
 // committed scenario, run with its fixed seed, must produce a
-// byte-identical trace stream (a) run over run and (b) under
-// sim.QueueHeap versus the calendar queue — the queue-swap determinism
-// property of internal/sim extended to full scenario runs, timeline
-// reconfiguration included.
+// byte-identical trace stream run over run, timeline reconfiguration
+// included.
 func TestGoldenTraces(t *testing.T) {
 	for _, sp := range Corpus() {
 		sp := sp
 		t.Run(sp.Name, func(t *testing.T) {
 			t.Parallel()
-			first, res, lg := traceDigest(t, sp, sim.QueueCalendar)
-			again, _, _ := traceDigest(t, sp, sim.QueueCalendar)
+			first, res, lg := traceDigest(t, sp)
+			again, _, _ := traceDigest(t, sp)
 			if first != again {
-				t.Errorf("calendar-queue runs diverged: %s vs %s", first, again)
-			}
-			heap, _, _ := traceDigest(t, sp, sim.QueueHeap)
-			if first != heap {
-				t.Errorf("queue kinds diverged: calendar %s, heap %s", first, heap)
+				t.Errorf("runs diverged: %s vs %s", first, again)
 			}
 			if len(sp.Timeline) > 0 && lg.Count("scenario.event") == 0 {
 				t.Errorf("timeline scenario recorded no scenario.event")
@@ -79,14 +72,10 @@ func TestGoldenTracesWindowed(t *testing.T) {
 			if err := sp.WithDefaults().Validate(); err != nil {
 				t.Fatal(err)
 			}
-			first, res, _ := traceDigest(t, sp, sim.QueueCalendar)
-			again, _, _ := traceDigest(t, sp, sim.QueueCalendar)
+			first, res, _ := traceDigest(t, sp)
+			again, _, _ := traceDigest(t, sp)
 			if first != again {
 				t.Errorf("windowed runs diverged: %s vs %s", first, again)
-			}
-			heap, _, _ := traceDigest(t, sp, sim.QueueHeap)
-			if first != heap {
-				t.Errorf("windowed queue kinds diverged: calendar %s, heap %s", first, heap)
 			}
 			if res.Done == 0 {
 				t.Errorf("windowed run completed nothing: %d/%d", res.Done, res.Total)

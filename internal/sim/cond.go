@@ -65,8 +65,7 @@ func (c *Cond) wait(p *Proc, d Duration) bool {
 				k.wake(w.t)
 			}
 		}
-		ev := k.alloc(k.now.Add(d), w.timeoutFn)
-		k.events.push(ev)
+		ev := k.push(k.now.Add(d), w.timeoutFn)
 		w.timerEv, w.timerGen = ev, ev.gen
 	}
 	p.park()
@@ -97,10 +96,11 @@ func (c *Cond) Signal() {
 			continue
 		}
 		w.fired = true
-		// A live pending timer (gen still matches) must not fire for a
-		// waiter that has been signalled — and possibly reused since.
-		if w.timerEv != nil && w.timerEv.gen == w.timerGen {
-			w.timerEv.dead = true
+		// A still-pending timer must not fire for a waiter that has been
+		// signalled — and possibly reused since; the gen check keeps a
+		// stale waiter off a recycled struct's new occupant.
+		if w.timerEv != nil {
+			c.k.cancel(w.timerEv, w.timerGen)
 		}
 		c.k.wake(w.t)
 		return

@@ -56,21 +56,17 @@ func (t Time) String() string { return Duration(t).String() }
 // event is a scheduled callback. Callbacks run inside the kernel loop and
 // must not block; they typically wake parked tasks or schedule more events.
 //
-// event structs are pooled on a per-kernel free list: after dispatch (or
-// a cancelled event's lazy removal) the struct is recycled for the next
-// schedule. gen distinguishes incarnations so a stale Event handle held
-// across recycling can no longer cancel or reschedule the new occupant.
+// event structs are pooled on a per-kernel free list: on dispatch or
+// cancellation the struct leaves the queue and is recycled for the next
+// schedule. gen distinguishes incarnations, so a handle whose gen still
+// matches refers to a queued event, and a stale one held across
+// recycling can no longer cancel or reschedule the new occupant. The
+// dispatch key (at, seq) lives in the event's queue slot.
 type event struct {
-	at      Time
-	seq     uint64 // FIFO tie-break for events at the same instant
-	fn      func()
-	next    *event // calendar-queue slot chain / free-list link
-	tie     *event // calendar queue: next event at the same instant
-	tieTail *event // calendar queue: last event of a slot head's tie run
-	idx     int    // heap index (QueueHeap only)
-	gen     uint64 // incarnation counter, bumped on recycle
-	dead    bool   // cancelled; skipped (and recycled) at dispatch
-	queued  bool   // currently in the timer queue
+	fn   func()
+	next *event // free-list link
+	idx  int    // position in the queue, maintained by its sifts
+	gen  uint64 // incarnation counter, bumped on recycle
 }
 
 // task is the kernel-side state of one simulated goroutine.
@@ -105,7 +101,7 @@ type killedPanic struct{}
 // mu still guards the cold boundary where true concurrency can exist:
 // the running/cond handshake itself, spawn (Go), Stop, the cancellable
 // At/After/Event handles, and the external observers Now/Snapshot/
-// QueueResizes (meaningful when the kernel is idle). Helpers suffixed
+// QueueLen (meaningful when the kernel is idle). Helpers suffixed
 // "Locked" require mu; everything else requires the token.
 type Kernel struct {
 	mu   sync.Mutex
@@ -113,7 +109,7 @@ type Kernel struct {
 
 	now     Time
 	seq     uint64
-	events  timerQueue
+	events  eventQueue
 	free    *event  // recycled event structs
 	ready   []*task // runnable tasks, FIFO
 	running bool    // a task currently holds the execution token
@@ -138,21 +134,10 @@ type Stats struct {
 
 // New returns a kernel whose random source is seeded with seed.
 // The same seed and workload reproduce the same run exactly.
-func New(seed int64) *Kernel { return NewWithQueue(seed, QueueCalendar) }
-
-// NewWithQueue returns a kernel using the given event-queue
-// implementation. Both kinds dispatch in identical order; QueueHeap
-// exists for differential tests and benchmarks against QueueCalendar.
-func NewWithQueue(seed int64, kind QueueKind) *Kernel {
+func New(seed int64) *Kernel {
 	k := &Kernel{
 		rng:     rand.New(rand.NewSource(seed)),
 		blocked: make(map[*task]struct{}),
-	}
-	switch kind {
-	case QueueHeap:
-		k.events = &heapQueue{}
-	default:
-		k.events = newCalQueue()
 	}
 	k.cond = sync.NewCond(&k.mu)
 	return k
@@ -184,14 +169,13 @@ func (k *Kernel) Snapshot() Stats {
 	return k.stats
 }
 
-// QueueResizes returns how many times the event queue restructured
-// itself (calendar-queue rebuilds; always 0 under QueueHeap). Kept out
-// of Stats on purpose: golden-trace digests include Stats and must be
-// identical across queue kinds, while this counter is queue-specific.
-func (k *Kernel) QueueResizes() uint64 {
+// QueueLen returns the number of pending events, which is the number
+// of live timers: cancelled events leave the queue at once. A gauge,
+// so not part of Stats.
+func (k *Kernel) QueueLen() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.events.resizes()
+	return len(k.events)
 }
 
 // Rand returns the kernel's deterministic random source. Because simulated
@@ -308,23 +292,12 @@ func (k *Kernel) sched(self *task) {
 			<-self.wake
 			return
 		}
-		if k.events.len() > 0 {
-			ev := k.events.pop()
-			if ev.dead {
-				k.recycle(ev)
-				continue
-			}
-			if k.limit > 0 && ev.at > k.limit {
-				k.now = k.limit
-				k.recycle(ev)
-				k.drain()
+		if len(k.events) > 0 {
+			fn, ok := k.next()
+			if !ok {
 				k.halted = true
 				break
 			}
-			k.now = ev.at
-			k.stats.Events++
-			fn := ev.fn
-			k.recycle(ev)
 			fn()
 			continue
 		}
@@ -375,28 +348,24 @@ func (k *Kernel) After(d Duration, fn func()) *Event {
 //p2p:token
 //p2p:tokenarg
 func (k *Kernel) Schedule(at Time, fn func()) {
-	k.events.push(k.alloc(at, fn))
+	k.push(at, fn)
 }
 
 // scheduleLocked is the common body of At and After.
 //
 //p2p:tokenentry callers hold k.mu, which serializes the cold scheduling boundary
 func (k *Kernel) scheduleLocked(at Time, fn func()) *Event {
-	ev := k.alloc(at, fn)
-	k.events.push(ev)
+	ev := k.push(at, fn)
 	return &Event{k: k, ev: ev, gen: ev.gen}
 }
 
-// alloc takes an event struct off the free list (or allocates one)
-// and initializes it for scheduling. Callers hold the execution token
-// (or k.mu on the cold At/After paths — both serialize against every
-// other queue access).
+// push queues fn at instant at on an event struct taken off the free
+// list (or a new one). Callers hold the execution token (or k.mu on the
+// cold At/After paths — both serialize against every other queue
+// access).
 //
 //p2p:token
-func (k *Kernel) alloc(at Time, fn func()) *event {
-	if at < k.now {
-		at = k.now
-	}
+func (k *Kernel) push(at Time, fn func()) *event {
 	ev := k.free
 	if ev != nil {
 		k.free = ev.next
@@ -404,13 +373,65 @@ func (k *Kernel) alloc(at Time, fn func()) *event {
 	} else {
 		ev = &event{}
 	}
-	ev.at, ev.seq, ev.fn, ev.dead = at, k.seq, fn, false
-	k.seq++
+	ev.fn = fn
+	k.events.push(k.slotAt(at, ev))
 	return ev
 }
 
+// slotAt keys ev for instant at (clamped to now if in the past), at the
+// back of that instant's FIFO order. Same serialization contract as
+// push.
+//
+//p2p:token
+func (k *Kernel) slotAt(at Time, ev *event) slot {
+	if at < k.now {
+		at = k.now
+	}
+	s := slot{at: at, seq: k.seq, ev: ev}
+	k.seq++
+	return s
+}
+
+// next takes the earliest event off the queue, advances the clock to it
+// and returns its callback for the caller to run. If that event lies
+// past the horizon it instead discards every pending event, leaves the
+// clock at the horizon and reports false. The queue must not be empty;
+// same serialization contract as push.
+//
+//p2p:token
+func (k *Kernel) next() (fn func(), ok bool) {
+	if k.limit > 0 && k.events[0].at > k.limit {
+		k.now = k.limit
+		for _, s := range k.events {
+			k.recycle(s.ev)
+		}
+		k.events = k.events[:0]
+		return nil, false
+	}
+	s := k.events.pop()
+	k.now = s.at
+	k.stats.Events++
+	fn = s.ev.fn
+	k.recycle(s.ev)
+	return fn, true
+}
+
+// cancel removes the pending event that the handle (ev, gen) refers to
+// and recycles its struct; it reports false, touching nothing, when the
+// handle is stale. Same serialization contract as push.
+//
+//p2p:token
+func (k *Kernel) cancel(ev *event, gen uint64) bool {
+	if ev.gen != gen {
+		return false
+	}
+	k.events.remove(ev.idx)
+	k.recycle(ev)
+	return true
+}
+
 // recycle returns a dispatched or cancelled event struct to the free
-// list. Same serialization contract as alloc; ev must no longer be
+// list. Same serialization contract as push; ev must no longer be
 // queued.
 //
 //p2p:token
@@ -428,25 +449,17 @@ type Event struct {
 	gen uint64 // incarnation the handle refers to
 }
 
-// live reports whether the handle still refers to a pending event.
-// Callers hold e.k.mu.
-func (e *Event) liveLocked() bool {
-	return e.ev.gen == e.gen && e.ev.queued && !e.ev.dead
-}
-
 // Cancel prevents the callback from running if it has not fired yet.
 // It reports whether the cancellation took effect.
+//
+//p2p:tokenentry holds e.k.mu for the whole removal, same contract as At
 func (e *Event) Cancel() bool {
 	if e == nil || e.ev == nil {
 		return false
 	}
 	e.k.mu.Lock()
 	defer e.k.mu.Unlock()
-	if !e.liveLocked() {
-		return false
-	}
-	e.ev.dead = true
-	return true
+	return e.k.cancel(e.ev, e.gen)
 }
 
 // Reschedule moves a still-pending callback to instant at (clamped to
@@ -455,21 +468,18 @@ func (e *Event) Cancel() bool {
 // been cancelled and scheduled anew. It reports whether the move took
 // effect; a fired or cancelled event is not revived.
 //
-//p2p:tokenentry holds e.k.mu for the whole splice, same contract as At
+//p2p:tokenentry holds e.k.mu for the whole move, same contract as At
 func (e *Event) Reschedule(at Time) bool {
 	if e == nil || e.ev == nil {
 		return false
 	}
-	e.k.mu.Lock()
-	defer e.k.mu.Unlock()
-	if !e.liveLocked() {
+	k := e.k
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if e.ev.gen != e.gen {
 		return false
 	}
-	fn := e.ev.fn
-	e.ev.dead = true // lazily removed by the queue
-	ev := e.k.alloc(at, fn)
-	e.k.events.push(ev)
-	e.ev, e.gen = ev, ev.gen
+	k.events.fix(e.ev.idx, k.slotAt(at, e.ev))
 	return true
 }
 
@@ -521,24 +531,12 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		// 2. Advance the clock to the next event batch.
-		if k.events.len() > 0 {
-			ev := k.events.pop()
-			if ev.dead {
-				k.recycle(ev)
-				continue
-			}
-			if k.limit > 0 && ev.at > k.limit {
-				// Past the horizon: drop remaining events and stop.
-				k.now = k.limit
-				k.recycle(ev)
-				k.drain()
+		if len(k.events) > 0 {
+			fn, ok := k.next()
+			if !ok {
 				k.killAllLocked()
 				return nil
 			}
-			k.now = ev.at
-			k.stats.Events++
-			fn := ev.fn
-			k.recycle(ev)
 			// Callbacks run without the kernel lock: no simulated
 			// goroutine is executing at this point (ready is empty and
 			// running is false), so callbacks may freely use the public
@@ -618,16 +616,6 @@ func (k *Kernel) RunUntil(limit Time) error {
 		return nil
 	}
 	return err
-}
-
-// drain discards all pending events. Same serialization contract as
-// alloc.
-//
-//p2p:token
-func (k *Kernel) drain() {
-	for k.events.len() > 0 {
-		k.recycle(k.events.pop())
-	}
 }
 
 // Stop aborts the run loop at the next scheduling point. Safe to call

@@ -1,352 +1,110 @@
 package sim
 
-import "container/heap"
-
-// timerQueue is the kernel's pending-event store. Both implementations
-// dequeue in strict (at, seq) order, so the kernel's dispatch order —
-// and therefore every run — is identical whichever one is plugged in.
-type timerQueue interface {
-	push(*event)
-	pop() *event // minimum by (at, seq); nil when empty
-	len() int
-	// resizes counts internal restructurings (calendar-queue rebuilds);
-	// the heap reports 0. Diagnostic only — deliberately NOT part of
-	// sim.Stats, which golden-trace digests compare across queue kinds.
-	resizes() uint64
+// slot is one pending event in the queue: its dispatch key and the
+// pooled struct carrying its callback. The key lives in the slot, not
+// behind the pointer, so the comparisons of a sift touch only the heap
+// array; keyed through the pointer, each comparison is a dependent load
+// and a 3 000-peer swarm spends half again as long popping (DESIGN.md
+// decision 3).
+type slot struct {
+	at  Time
+	seq uint64 // FIFO tie-break for events at the same instant
+	ev  *event
 }
 
-// QueueKind selects the kernel's event-queue implementation.
-type QueueKind int
-
-const (
-	// QueueCalendar is the default: a bucketed calendar queue with O(1)
-	// amortized push/pop for the clustered-in-time event distributions
-	// simulations produce.
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the reference container/heap implementation
-	// (O(log n) per operation). Kept for differential testing and
-	// benchmarking against the calendar queue.
-	QueueHeap
-)
-
-// --- heap queue (reference implementation) ---
-
-type eventHeap []*event
-
-func (q eventHeap) Len() int { return len(q) }
-func (q eventHeap) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventHeap) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventHeap) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*q = old[:n-1]
-	return ev
+func (a slot) before(b slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-type heapQueue struct{ h eventHeap }
+// eventQueue is the kernel's pending-event store: a 4-ary min-heap
+// ordered by (at, seq). Every event records its own position
+// (event.idx), so a cancelled timer is removed and a rescheduled one
+// moved in place: the queue never holds a dead event and its length is
+// the number of live timers.
+type eventQueue []slot
 
-func (q *heapQueue) push(ev *event) {
-	ev.queued = true
-	heap.Push(&q.h, ev)
-}
-
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	ev := heap.Pop(&q.h).(*event)
-	ev.queued = false
-	return ev
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
-
-func (q *heapQueue) resizes() uint64 { return 0 }
-
-// --- calendar queue ---
-
-// calQueue is a calendar queue (R. Brown, CACM 1988): an array of
-// buckets, each covering a window of `width` virtual nanoseconds; an
-// event at time t lives in bucket (t/width) mod nb, kept sorted by
-// (at, seq). Dequeue sweeps buckets in time order within the current
-// "year" (one rotation of the calendar), so for event populations
-// whose density matches the bucket width — the steady state the
-// resize policy maintains — both operations are O(1) amortized,
-// versus O(log n) for the binary heap.
+// push adds s to the queue.
 //
-// Correctness leans on one kernel invariant: events are never pushed
-// before the at of the last popped event (the kernel clamps schedule
-// times to now). A defensive scan reset handles the general case
-// anyway.
-type calQueue struct {
-	buckets []*event // sorted singly-linked lists (chained via event.next)
-	mask    int      // len(buckets)-1; len is a power of two
-	width   Time     // virtual-ns window per bucket
-	n       int
-
-	// Dequeue scan state: cur is the bucket whose current-year window
-	// is [top-width, top); lastAt is the priority of the last pop.
-	cur    int
-	top    Time
-	lastAt Time
-
-	// avgGap is an EWMA of nonzero separations between successive pops:
-	// the density of the *head* of the queue, which is what bucket width
-	// must match. (Sizing from the full occupied span alone collapses
-	// under skew — one far-future straggler inflates the width until the
-	// near-now cluster piles into a single bucket and sorted insertion
-	// goes quadratic — so tuneWidth takes the smaller of the two
-	// signals.)
-	avgGap Time
-
-	// maxAt is the largest instant ever pushed; with lastAt it bounds
-	// the pending span without walking the buckets.
-	maxAt Time
-
-	// Insert-cost watchdog: when the average bucket-chain scan per push
-	// grows past a few steps AND retuning would materially change the
-	// width, the calendar rebuilds itself at the same size. (Long scans
-	// caused by many events at the very same instant are inherent —
-	// equal instants must share a bucket — and rebuilding cannot help,
-	// so the width check gates the rebuild.)
-	scanSteps int
-	scanOps   int
-
-	nResizes uint64 // rebuilds performed (growth, shrink, watchdog)
+//p2p:token
+func (q *eventQueue) push(s slot) {
+	*q = append(*q, s)
+	q.up(len(*q)-1, s)
 }
 
-const (
-	calMinBuckets = 32
-	calMaxBuckets = 1 << 20
-	calInitWidth  = Time(1 << 16) // ~65 µs; retuned on every resize
-)
-
-func newCalQueue() *calQueue {
-	q := &calQueue{}
-	q.init(calMinBuckets, calInitWidth, 0)
-	return q
+// pop removes and returns the minimum; the queue must not be empty.
+//
+//p2p:token
+func (q *eventQueue) pop() slot {
+	top := (*q)[0]
+	q.remove(0)
+	return top
 }
 
-func (q *calQueue) init(nb int, width Time, startAt Time) {
-	q.buckets = make([]*event, nb)
-	q.mask = nb - 1
-	q.width = width
-	q.n = 0
-	q.lastAt = startAt
-	q.cur = int((startAt / width)) & q.mask
-	q.top = (startAt/width + 1) * width
-}
-
-func (q *calQueue) len() int { return q.n }
-
-func (q *calQueue) resizes() uint64 { return q.nResizes }
-
-func (q *calQueue) push(ev *event) {
-	ev.queued = true
-	if ev.at > q.maxAt {
-		q.maxAt = ev.at
+// remove deletes the slot at index i, refilling the hole with the last
+// slot.
+//
+//p2p:token
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	last := h[n]
+	*q = h[:n]
+	if i < n {
+		h[:n].fix(i, last)
 	}
-	q.scanSteps += q.insert(ev)
-	q.scanOps++
-	q.n++
-	switch {
-	case q.n > len(q.buckets) && len(q.buckets) < calMaxBuckets:
-		q.resize(len(q.buckets) * 2)
-	case q.scanOps >= 256:
-		// Width watchdog: long insert scans mean overcrowded buckets —
-		// unless the crowding is same-instant ties, which no width can
-		// spread; rebuild only when retuning would actually move it.
-		if q.scanSteps/q.scanOps > 2 {
-			if w := q.tuneWidth(); w < q.width/2 || w > 2*q.width {
-				q.resize(len(q.buckets))
+}
+
+// fix stores s at index i, whose previous occupant is gone or being
+// re-keyed, and sifts it whichever way restores heap order.
+//
+//p2p:token
+func (q eventQueue) fix(i int, s slot) {
+	if i > 0 && s.before(q[(i-1)/4]) {
+		q.up(i, s)
+	} else {
+		q.down(i, s)
+	}
+}
+
+// up sifts s from the hole at i towards the root.
+//
+//p2p:token
+func (q eventQueue) up(i int, s slot) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.idx = i
+		i = p
+	}
+	q[i] = s
+	s.ev.idx = i
+}
+
+// down sifts s from the hole at i towards the leaves.
+//
+//p2p:token
+func (q eventQueue) down(i int, s slot) {
+	for {
+		c := 4*i + 1
+		if c >= len(q) {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, len(q)); j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
 			}
 		}
-		q.scanSteps, q.scanOps = 0, 0
-	}
-}
-
-// insert links ev into its bucket and returns the number of chain
-// links scanned. Buckets are chains of "slots" — one per distinct
-// instant, in at order — and each slot is a FIFO run of same-instant
-// events chained via tie. Appending to a run is O(1) and is correct
-// because the kernel's seq counter is globally monotone: a new event
-// always orders after every already-queued event at the same instant.
-func (q *calQueue) insert(ev *event) int {
-	i := int(ev.at/q.width) & q.mask
-	steps := 0
-	head := q.buckets[i]
-	switch {
-	case head == nil || ev.at < head.at:
-		ev.next = head
-		q.buckets[i] = ev
-	case ev.at == head.at:
-		appendTie(head, ev)
-	default:
-		p := head
-		for p.next != nil && p.next.at < ev.at {
-			p = p.next
-			steps++
+		if !q[m].before(s) {
+			break
 		}
-		if p.next != nil && p.next.at == ev.at {
-			appendTie(p.next, ev)
-		} else {
-			ev.next = p.next
-			p.next = ev
-		}
+		q[i] = q[m]
+		q[i].ev.idx = i
+		i = m
 	}
-	// Defensive: an event scheduled before the scan's floor rewinds the
-	// scan so it cannot be skipped. Unreachable under the kernel's
-	// monotone-clamp invariant.
-	if ev.at < q.lastAt {
-		q.lastAt = ev.at
-		q.cur = i
-		q.top = (ev.at/q.width + 1) * q.width
-	}
-	return steps
-}
-
-// appendTie adds ev to slot head h's same-instant FIFO run.
-func appendTie(h, ev *event) {
-	if h.tie == nil {
-		h.tie = ev
-	} else {
-		h.tieTail.tie = ev
-	}
-	h.tieTail = ev
-}
-
-func (q *calQueue) pop() *event {
-	if q.n == 0 {
-		return nil
-	}
-	// Sweep at most one full year from the current bucket. Bucket
-	// windows are disjoint and visited in increasing time order, so the
-	// first in-window head is the global minimum; within a bucket the
-	// sorted chain already breaks at-ties by seq, and equal instants
-	// always share a bucket.
-	for i := 0; i <= q.mask; i++ {
-		if head := q.buckets[q.cur]; head != nil && head.at < q.top {
-			return q.unlink(q.cur)
-		}
-		q.cur = (q.cur + 1) & q.mask
-		q.top += q.width
-	}
-	// Sparse queue: every pending event is at least a year ahead of the
-	// scan. Find the minimum head directly (equal instants share a
-	// bucket, so comparing heads is sufficient) and restart the scan at
-	// its window.
-	best := -1
-	for i, h := range q.buckets {
-		if h == nil {
-			continue
-		}
-		if best < 0 || h.at < q.buckets[best].at ||
-			(h.at == q.buckets[best].at && h.seq < q.buckets[best].seq) {
-			best = i
-		}
-	}
-	h := q.buckets[best]
-	q.cur = best
-	q.top = (h.at/q.width + 1) * q.width
-	return q.unlink(best)
-}
-
-// unlink removes and returns the head of bucket i (its minimum): the
-// first event of the first slot's tie run, whose successor — if any —
-// is promoted to slot head.
-func (q *calQueue) unlink(i int) *event {
-	ev := q.buckets[i]
-	if t := ev.tie; t != nil {
-		t.next = ev.next
-		if ev.tieTail != t {
-			t.tieTail = ev.tieTail
-		}
-		q.buckets[i] = t
-	} else {
-		q.buckets[i] = ev.next
-	}
-	ev.next, ev.tie, ev.tieTail = nil, nil, nil
-	ev.queued = false
-	q.n--
-	if gap := ev.at - q.lastAt; gap > 0 {
-		q.avgGap += (gap - q.avgGap) / 8
-	}
-	q.lastAt = ev.at
-	if q.n < len(q.buckets)/8 && len(q.buckets) > calMinBuckets {
-		q.resize(len(q.buckets) / 2)
-	}
-	return ev
-}
-
-// resize rebuilds the calendar with nb buckets and a retuned width,
-// reinserting every pending event. Amortized against the pushes/pops
-// that triggered it.
-func (q *calQueue) resize(nb int) {
-	q.nResizes++
-	events := make([]*event, 0, q.n)
-	for i, h := range q.buckets {
-		for h != nil {
-			nextSlot := h.next
-			// Flatten the slot's tie run in order: reinsertion preserves
-			// seq order within each instant, which appendTie relies on.
-			for m := h; m != nil; {
-				nextTie := m.tie
-				m.next, m.tie, m.tieTail = nil, nil, nil
-				events = append(events, m)
-				m = nextTie
-			}
-			h = nextSlot
-		}
-		q.buckets[i] = nil
-	}
-	q.init(nb, q.tuneWidth(), q.lastAt)
-	for _, ev := range events {
-		q.insert(ev)
-	}
-	q.n = len(events)
-	q.scanSteps, q.scanOps = 0, 0
-}
-
-// tuneWidth picks a bucket width from two density signals: the EWMA of
-// pop gaps (head density — meaningless before the first pops) and the
-// pending span [lastAt, maxAt] (misleading under skew, when stragglers
-// stretch it). Taking the smaller keeps buckets short in both regimes;
-// the ×4 slack keeps same-window neighbors together so the year sweep
-// rarely advances. Both inputs are tracked incrementally, so the
-// watchdog can evaluate the retune cheaply before committing to a
-// rebuild.
-func (q *calQueue) tuneWidth() Time {
-	var w Time
-	if q.avgGap > 0 {
-		w = 4 * q.avgGap
-	}
-	if q.n > 1 && q.maxAt > q.lastAt {
-		if spanW := (q.maxAt - q.lastAt) * 4 / Time(q.n); w == 0 || spanW < w {
-			w = spanW
-		}
-	}
-	if w == 0 {
-		w = q.width
-	}
-	if w < 16 {
-		w = 16
-	}
-	return w
+	q[i] = s
+	s.ev.idx = i
 }

@@ -2,134 +2,220 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
 
-// popOrderKey compares two events in dispatch order.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// checkHeap asserts the two structural invariants of the queue: every
+// slot orders no earlier than its parent, and every queued event knows
+// its own index.
+func checkHeap(t *testing.T, q eventQueue) {
+	t.Helper()
+	for i, s := range q {
+		if s.ev.idx != i {
+			t.Fatalf("slot %d (at=%v seq=%d): event records idx %d", i, s.at, s.seq, s.ev.idx)
+		}
+		if i > 0 && s.before(q[(i-1)/4]) {
+			t.Fatalf("slot %d (at=%v seq=%d) orders before its parent %d", i, s.at, s.seq, (i-1)/4)
+		}
 	}
-	return a.seq < b.seq
 }
 
-// TestCalQueueMatchesHeap drives a calendar queue and the reference heap
-// through the same randomized kernel-shaped push/pop schedule (pushes
-// never go below the last popped instant, mirroring the kernel's clamp)
-// and asserts every pop agrees.
-func TestCalQueueMatchesHeap(t *testing.T) {
+// sortedModel is the reference the heap is checked against: a plain
+// slice, re-sorted by (at, seq) whenever the minimum is needed.
+type sortedModel []slot
+
+func (m *sortedModel) popMin() slot {
+	sort.Slice(*m, func(i, j int) bool { return (*m)[i].before((*m)[j]) })
+	s := (*m)[0]
+	*m = (*m)[1:]
+	return s
+}
+
+func (m *sortedModel) drop(ev *event) {
+	for i, s := range *m {
+		if s.ev == ev {
+			*m = append((*m)[:i], (*m)[i+1:]...)
+			return
+		}
+	}
+}
+
+// TestQueueMatchesSortedModel drives the heap and the sorted-slice
+// model through the same randomized kernel-shaped script — pushes
+// never go below the last popped instant, mirroring the kernel's clamp
+// — with in-place removals and re-keyings mixed in, and asserts every
+// pop agrees and the structure holds after every operation.
+func TestQueueMatchesSortedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	cal := newCalQueue()
-	ref := &heapQueue{}
+	var q eventQueue
+	var ref sortedModel
 	var seq uint64
 	now := Time(0)
 
-	mk := func(at Time) (*event, *event) {
-		a := &event{at: at, seq: seq}
-		b := &event{at: at, seq: seq}
-		seq++
-		return a, b
-	}
-	for step := 0; step < 200000; step++ {
-		if cal.len() == 0 || rng.Intn(3) != 0 {
-			var at Time
-			switch rng.Intn(10) {
-			case 0: // same instant: FIFO tie-break territory
-				at = now
-			case 1: // far future: exercises the sparse direct-search path
-				at = now + Time(time.Hour)*Time(1+rng.Intn(100))
-			default: // clustered near now, the common case
-				at = now + Time(rng.Intn(int(50*time.Microsecond)))
-			}
-			a, b := mk(at)
-			cal.push(a)
-			ref.push(b)
-		} else {
-			a := cal.pop()
-			b := ref.pop()
-			if a.at != b.at || a.seq != b.seq {
-				t.Fatalf("step %d: calendar popped (at=%v seq=%d), heap popped (at=%v seq=%d)",
-					step, a.at, a.seq, b.at, b.seq)
-			}
-			now = a.at
+	randomAt := func() Time {
+		switch rng.Intn(10) {
+		case 0: // same instant: FIFO tie-break territory
+			return now
+		case 1: // far future: a sparse tail behind the dense head
+			return now + Time(time.Hour)*Time(1+rng.Intn(100))
+		default: // clustered near now, the common case
+			return now + Time(rng.Intn(int(50*time.Microsecond)))
 		}
 	}
-	for cal.len() > 0 {
-		a := cal.pop()
-		b := ref.pop()
-		if a.at != b.at || a.seq != b.seq {
-			t.Fatalf("drain: calendar popped (at=%v seq=%d), heap popped (at=%v seq=%d)",
-				a.at, a.seq, b.at, b.seq)
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(8); {
+		case len(q) == 0 || op < 4:
+			s := slot{at: randomAt(), seq: seq, ev: &event{}}
+			seq++
+			q.push(s)
+			ref = append(ref, s)
+		case op < 6:
+			got, want := q.pop(), ref.popMin()
+			if got != want {
+				t.Fatalf("step %d: heap popped (at=%v seq=%d), model (at=%v seq=%d)",
+					step, got.at, got.seq, want.at, want.seq)
+			}
+			now = got.at
+		case op == 6:
+			ev := q[rng.Intn(len(q))].ev
+			q.remove(ev.idx)
+			ref.drop(ev)
+		default:
+			ev := q[rng.Intn(len(q))].ev
+			s := slot{at: randomAt(), seq: seq, ev: ev}
+			seq++
+			q.fix(ev.idx, s)
+			ref.drop(ev)
+			ref = append(ref, s)
 		}
+		if len(q) != len(ref) {
+			t.Fatalf("step %d: heap holds %d, model %d", step, len(q), len(ref))
+		}
+		checkHeap(t, q)
 	}
-	if ref.len() != 0 {
-		t.Fatalf("heap retains %d events after calendar drained", ref.len())
+	for len(q) > 0 {
+		if got, want := q.pop(), ref.popMin(); got != want {
+			t.Fatalf("drain: heap popped (at=%v seq=%d), model (at=%v seq=%d)",
+				got.at, got.seq, want.at, want.seq)
+		}
 	}
 }
 
-// TestCalQueueSameInstantFIFO checks that a burst at one instant comes
+// filled returns a queue holding n events at instants 10, 20, … pushed
+// in that order, and the events by push order.
+func filled(n int) (eventQueue, []*event) {
+	var q eventQueue
+	evs := make([]*event, n)
+	for i := range evs {
+		evs[i] = &event{}
+		q.push(slot{at: Time(10 * (i + 1)), seq: uint64(i), ev: evs[i]})
+	}
+	return q, evs
+}
+
+// drainSeqs pops everything and returns the seqs in pop order.
+func drainSeqs(q eventQueue) []uint64 {
+	var out []uint64
+	for len(q) > 0 {
+		out = append(out, q.pop().seq)
+	}
+	return out
+}
+
+// TestQueueRemoveAnywhere removes the root, an interior slot, a leaf
+// and the last slot of a three-level heap and checks what is left
+// still pops in order.
+func TestQueueRemoveAnywhere(t *testing.T) {
+	const n = 30 // levels of 1, 4, 16 and a partial fourth
+	for _, tc := range []struct {
+		name string
+		pick func(q eventQueue) int
+	}{
+		{"root", func(eventQueue) int { return 0 }},
+		{"middle", func(eventQueue) int { return 2 }},
+		{"leaf", func(eventQueue) int { return 25 }},
+		{"last", func(q eventQueue) int { return len(q) - 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, _ := filled(n)
+			i := tc.pick(q)
+			gone := q[i].seq
+			q.remove(i)
+			checkHeap(t, q)
+			got := drainSeqs(q)
+			if len(got) != n-1 {
+				t.Fatalf("popped %d events, want %d", len(got), n-1)
+			}
+			for j, s := range got {
+				if s == gone {
+					t.Fatalf("removed event seq %d was popped", gone)
+				}
+				if j > 0 && got[j-1] > s {
+					t.Fatalf("out of order: %v", got)
+				}
+			}
+		})
+	}
+}
+
+// TestQueueFixMovesBothWays re-keys a leaf to the earliest instant and
+// the root to the latest, and checks each lands where its new key says.
+func TestQueueFixMovesBothWays(t *testing.T) {
+	q, evs := filled(30)
+	leaf := evs[29]
+	q.fix(leaf.idx, slot{at: 1, seq: 100, ev: leaf})
+	checkHeap(t, q)
+	if q[0].ev != leaf {
+		t.Fatalf("leaf re-keyed to the minimum sits at %d, not the root", leaf.idx)
+	}
+	root := evs[0]
+	q.fix(root.idx, slot{at: 1000, seq: 101, ev: root})
+	checkHeap(t, q)
+	got := drainSeqs(q)
+	if got[0] != 100 || got[len(got)-1] != 101 {
+		t.Fatalf("pop order %v: want seq 100 first and 101 last", got)
+	}
+}
+
+// TestQueueSameInstantFIFO checks that a burst at one instant comes
 // back in schedule order.
-func TestCalQueueSameInstantFIFO(t *testing.T) {
-	q := newCalQueue()
+func TestQueueSameInstantFIFO(t *testing.T) {
+	var q eventQueue
 	for i := 0; i < 1000; i++ {
-		q.push(&event{at: 12345, seq: uint64(i)})
+		q.push(slot{at: 12345, seq: uint64(i), ev: &event{}})
 	}
-	for i := 0; i < 1000; i++ {
-		ev := q.pop()
-		if ev.seq != uint64(i) {
-			t.Fatalf("pop %d: got seq %d", i, ev.seq)
+	for i, s := range drainSeqs(q) {
+		if s != uint64(i) {
+			t.Fatalf("pop %d: got seq %d", i, s)
 		}
 	}
 }
 
-// TestCalQueueResize pushes enough events to force growth, drains to
-// force shrink, and checks global ordering throughout.
-func TestCalQueueResize(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	q := newCalQueue()
-	const n = 50000
-	for i := 0; i < n; i++ {
-		q.push(&event{at: Time(rng.Intn(int(time.Second))), seq: uint64(i)})
+// TestHorizonDrainsQueue checks that reaching the horizon empties the
+// queue and leaves the handles of the discarded events stale.
+func TestHorizonDrainsQueue(t *testing.T) {
+	k := New(1)
+	fired := 0
+	k.At(Time(time.Second), func() { fired++ })
+	var late []*Event
+	for i := 0; i < 10; i++ {
+		late = append(late, k.At(Time(time.Hour)+Time(i), func() { fired++ }))
 	}
-	if len(q.buckets) <= calMinBuckets {
-		t.Fatalf("expected bucket growth, still %d buckets for %d events", len(q.buckets), n)
+	if err := k.RunUntil(Time(time.Minute)); err != nil {
+		t.Fatal(err)
 	}
-	var prev *event
-	for q.len() > 0 {
-		ev := q.pop()
-		if prev != nil && !eventLess(prev, ev) {
-			t.Fatalf("out of order: (at=%v seq=%d) after (at=%v seq=%d)", ev.at, ev.seq, prev.at, prev.seq)
+	if fired != 1 {
+		t.Fatalf("fired %d callbacks inside the horizon, want 1", fired)
+	}
+	if n := k.QueueLen(); n != 0 {
+		t.Fatalf("QueueLen() = %d after the horizon, want 0", n)
+	}
+	for i, ev := range late {
+		if ev.Cancel() || ev.Reschedule(0) {
+			t.Fatalf("handle %d of a discarded event still live", i)
 		}
-		prev = ev
-	}
-	if len(q.buckets) != calMinBuckets {
-		t.Fatalf("expected shrink back to %d buckets, have %d", calMinBuckets, len(q.buckets))
-	}
-}
-
-// TestCalQueueSparseFarFuture exercises the direct-search path: a
-// handful of events separated by enormous gaps.
-func TestCalQueueSparseFarFuture(t *testing.T) {
-	q := newCalQueue()
-	ats := []Time{
-		Time(365 * 24 * time.Hour),
-		Time(time.Nanosecond),
-		Time(100 * 365 * 24 * time.Hour),
-		Time(time.Hour),
-	}
-	for i, at := range ats {
-		q.push(&event{at: at, seq: uint64(i)})
-	}
-	want := []Time{ats[1], ats[3], ats[0], ats[2]}
-	for i, w := range want {
-		ev := q.pop()
-		if ev.at != w {
-			t.Fatalf("pop %d: got at=%v, want %v", i, ev.at, w)
-		}
-	}
-	if q.pop() != nil {
-		t.Fatal("pop on empty queue should return nil")
 	}
 }
 
@@ -195,8 +281,8 @@ func TestEventReschedule(t *testing.T) {
 	}
 }
 
-// TestCancelledEventRecycled checks cancelled events are lazily removed
-// and their structs reused without disturbing later events.
+// TestCancelledEventRecycled checks cancelled events leave the queue at
+// once and their structs are reused without disturbing later events.
 func TestCancelledEventRecycled(t *testing.T) {
 	k := New(1)
 	n := 0
@@ -209,6 +295,9 @@ func TestCancelledEventRecycled(t *testing.T) {
 			t.Fatalf("cancel %d failed", i)
 		}
 	}
+	if got := k.QueueLen(); got != 50 {
+		t.Fatalf("QueueLen() = %d after cancelling 50 of 100, want 50", got)
+	}
 	for i := 0; i < 50; i++ {
 		k.After(time.Duration(i+1)*time.Microsecond, func() { n++ })
 	}
@@ -217,5 +306,76 @@ func TestCancelledEventRecycled(t *testing.T) {
 	}
 	if n != 100 {
 		t.Fatalf("fired %d callbacks, want 100", n)
+	}
+	for i, ev := range evs {
+		if ev.Cancel() {
+			t.Fatalf("second cancel of handle %d reported success", i)
+		}
+	}
+}
+
+// TestCondSignalRemovesTimeoutTimer checks that signalling a waiter
+// parked with a timeout takes its timer out of the queue.
+func TestCondSignalRemovesTimeoutTimer(t *testing.T) {
+	k := New(1)
+	c := NewCond(k)
+	const waiters = 50
+	signalled := 0
+	for i := 0; i < waiters; i++ {
+		k.Go("waiter", func(p *Proc) {
+			if c.WaitTimeout(p, time.Hour) {
+				signalled++
+			}
+		})
+	}
+	k.At(Time(time.Second), func() {
+		if got := k.QueueLen(); got != waiters {
+			t.Errorf("QueueLen() = %d with %d timed waiters parked, want %d", got, waiters, waiters)
+		}
+		c.Broadcast()
+		if got := k.QueueLen(); got != 0 {
+			t.Errorf("QueueLen() = %d after Broadcast, want 0", got)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if signalled != waiters {
+		t.Fatalf("%d of %d waiters saw the signal", signalled, waiters)
+	}
+	if now := k.Now(); now != Time(time.Second) {
+		t.Fatalf("run ended at %v: a cancelled timeout still advanced the clock", now)
+	}
+}
+
+// TestCondSignalSparesRecycledTimer checks the gen guard on Signal's
+// timer teardown: the (event, gen) pair a waiter keeps after its
+// timeout fired must not remove the event that reuses the struct.
+func TestCondSignalSparesRecycledTimer(t *testing.T) {
+	k := New(1)
+	c := NewCond(k)
+	bystander := false
+	k.Go("timed-out", func(p *Proc) {
+		if c.WaitTimeout(p, time.Second) {
+			t.Error("waiter reported a signal, want a timeout")
+		}
+		// The free list is LIFO: this event takes over the timer's struct.
+		k.Schedule(p.Now().Add(time.Second), func() { bystander = true })
+		w := &p.t.cw
+		if w.timerEv.gen == w.timerGen {
+			t.Fatal("timer struct was not recycled")
+		}
+		w.fired = false
+		c.waiters = append(c.waiters, w) // re-register the stale waiter
+		c.Signal()
+		if got := k.QueueLen(); got != 1 {
+			t.Errorf("QueueLen() = %d after a stale Signal, want 1", got)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !bystander {
+		t.Fatal("stale Signal cancelled an unrelated event")
 	}
 }

@@ -4,8 +4,9 @@
 #   scripts/bench_baseline.sh               # rewrite BENCH_baseline.json
 #   scripts/bench_baseline.sh check         # run now and diff against it
 #
-# The recorded set covers the kernel hot path (event dispatch under the
-# two queue implementations), the figure-level scheduler workload, the
+# The recorded set covers the kernel hot path (event dispatch at two
+# queue depths, in-place reschedule, a far-future tail), the
+# figure-level scheduler workload, the
 # flow-solver churn path (incremental component re-solve), the
 # firewall classifier (linear scan vs hash index over a 50k-rule
 # table), the obs-registry update paid on instrumented transmit
