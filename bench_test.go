@@ -19,15 +19,11 @@ import (
 	"repro/internal/ip"
 	"repro/internal/netem"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
-
-// lanClass returns an unconstrained-ish link for protocol benchmarks.
-func lanClass() topo.LinkClass {
-	return topo.LinkClass{Name: "lan", Down: netem.Gbps, Up: netem.Gbps, Latency: time.Millisecond}
-}
 
 // BenchmarkFig1SchedulerScaling runs the Fig 1 workload (1000
 // concurrent CPU-bound processes) under each scheduler model.
@@ -268,17 +264,26 @@ func BenchmarkDHTScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkChurnSwarm runs the churn experiment (extension E3).
+// BenchmarkChurnSwarm runs the churn experiment (extension E3): 12 DSL
+// clients, half of them churning, pull 1 MiB from 2 seeders.
 func BenchmarkChurnSwarm(b *testing.B) {
+	sp := scenario.Spec{
+		Name:    "bench-churn",
+		Horizon: scenario.Duration(6 * time.Hour),
+		Groups:  []scenario.GroupSpec{{Name: "peers", Class: "dsl", Nodes: 14}},
+		Workload: scenario.WorkloadSpec{
+			Kind:          scenario.WorkloadChurnSwarm,
+			FileSize:      1 << 20,
+			Seeders:       2,
+			StartInterval: scenario.Duration(2 * time.Second),
+		},
+	}
 	for i := 0; i < b.N; i++ {
-		cp := exp.DefaultChurnSwarmParams()
-		cp.Clients = 12
-		cp.FileSize = 1 << 20
-		out, err := exp.RunChurnSwarm(cp)
+		res, err := scenario.Run(&sp, scenario.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if out.StableDone == 0 {
+		if res.Snapshot.Values["stable-done"] == 0 {
 			b.Fatal("no completions")
 		}
 	}
@@ -288,7 +293,7 @@ func BenchmarkChurnSwarm(b *testing.B) {
 // (extension E6) on a 64-node population.
 func BenchmarkGossipSpread(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pt, err := exp.GossipSpread(64, 3, lanClass(), 1)
+		pt, err := exp.GossipSpread(64, 3, topo.LAN, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -699,42 +704,43 @@ func BenchmarkSwarmScale(b *testing.B) {
 // reported virtual-s/s tracks the cost of the rate-limiter pumps and
 // the web-seed request path on top of the swarm machinery.
 func BenchmarkSnapshotSync(b *testing.B) {
-	base := exp.SnapshotSyncParams{
-		Clients:       4,
-		Seeders:       1,
-		WebSeeds:      1,
-		FileSize:      32 << 20,
-		PieceLength:   2 << 20,
-		ConnCap:       5,
-		StartInterval: time.Second,
-		Class:         topo.FastDSL,
-		Model:         netem.ModelFlow,
-		Window:        250 * time.Millisecond,
-		Seed:          1,
-		Horizon:       time.Hour,
+	base := scenario.Spec{
+		Name:       "bench-snapshot",
+		Model:      "flow",
+		FlowWindow: scenario.Duration(250 * time.Millisecond),
+		Horizon:    scenario.Duration(time.Hour),
+		Workload: scenario.WorkloadSpec{
+			Kind:        scenario.WorkloadSnapshot,
+			FileSize:    32 << 20,
+			Seeders:     1,
+			WebSeeds:    1,
+			PieceLength: 2 << 20,
+			ConnCap:     5,
+		},
 	}
 	variants := []struct {
 		name string
-		mut  func(*exp.SnapshotSyncParams)
+		mut  func(*scenario.WorkloadSpec)
 	}{
-		{"uncapped", func(*exp.SnapshotSyncParams) {}},
-		{"capped", func(p *exp.SnapshotSyncParams) { p.UpRate, p.DownRate = 256<<10, 256<<10 }},
-		{"coldfill", func(p *exp.SnapshotSyncParams) { p.Seeders = 0 }},
+		{"uncapped", func(*scenario.WorkloadSpec) {}},
+		{"capped", func(w *scenario.WorkloadSpec) { w.UpRate, w.DownRate = 256<<10, 256<<10 }},
+		{"coldfill", func(w *scenario.WorkloadSpec) { w.Seeders = 0 }},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			params := base
-			v.mut(&params)
+			sp := base
+			v.mut(&sp.Workload)
+			sp.Groups = []scenario.GroupSpec{{Name: "peers", Class: "fast-dsl", Nodes: sp.Workload.Seeders + 4}}
 			var virtual time.Duration
 			for i := 0; i < b.N; i++ {
-				out, err := exp.RunSnapshotSync(params)
+				res, err := scenario.Run(&sp, scenario.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !out.AllDone {
+				if res.Done != res.Total {
 					b.Fatal("snapshot sync incomplete")
 				}
-				virtual += time.Duration(out.EndedAt)
+				virtual += time.Duration(res.EndedAt)
 			}
 			b.ReportMetric(virtual.Seconds()/b.Elapsed().Seconds(), "virtual-s/s")
 		})

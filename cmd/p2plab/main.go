@@ -366,23 +366,31 @@ func run(id, out string, scale int, seed int64, model netem.ModelKind, rules int
 		}
 		return writeDat(out, "dht.dat", exp.DHTScalingSeries(points))
 	case "churn":
-		cp := exp.DefaultChurnSwarmParams()
-		cp.Seed = seed
-		cp.Model = model
-		cp.Rules = rules
-		cp.Classifier = classifier
-		outcome, err := exp.RunChurnSwarm(cp)
+		// E3: 24 DSL clients, half of them churning, pull 4 MiB — one
+		// cell of the churn sweep family.
+		g := exp.Grid{Experiment: exp.ExpChurn, Peers: []int{24}, FileSize: 4 << 20,
+			Models: []netem.ModelKind{model}, Seeds: []int64{seed}}
+		if rules > 0 {
+			g.Rules, g.Classifiers = []int{rules}, []netem.Classifier{classifier}
+		}
+		cells, err := g.Cells()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("   stable clients: %d/%d done; churners: %d/%d done; %d arrivals, %d departures\n",
-			outcome.StableDone, outcome.StableTotal, outcome.ChurnDone, outcome.ChurnTotal,
-			outcome.Arrivals, outcome.Departures)
+		c := cells[0]
+		snap, err := exp.RunCell(c)
+		if err != nil {
+			return err
+		}
+		churners := int(float64(c.Peers) * c.Churn)
+		stableDone, churnDone := snap.Values["stable-done"], snap.Values["churn-done"]
+		arrivals, departures := snap.Counters["arrivals"], snap.Counters["departures"]
+		fmt.Printf("   stable clients: %.0f/%d done; churners: %.0f/%d done; %d arrivals, %d departures\n",
+			stableDone, c.Peers-churners, churnDone, churners, arrivals, departures)
 		cid, _ := figVariant("churn", rules, classifier)
 		return os.WriteFile(filepath.Join(out, cid+".txt"),
-			[]byte(fmt.Sprintf("stable %d/%d\nchurners %d/%d\narrivals %d\ndepartures %d\n",
-				outcome.StableDone, outcome.StableTotal, outcome.ChurnDone, outcome.ChurnTotal,
-				outcome.Arrivals, outcome.Departures)), 0o644)
+			[]byte(fmt.Sprintf("stable %.0f/%d\nchurners %.0f/%d\narrivals %d\ndepartures %d\n",
+				stableDone, c.Peers-churners, churnDone, churners, arrivals, departures)), 0o644)
 	case "gossip":
 		points, err := exp.GossipFanoutSweep(64, nil, seed)
 		if err != nil {

@@ -19,8 +19,7 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/exp"
-	"repro/internal/netem"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -40,49 +39,49 @@ func main() {
 	horizon := flag.Duration("horizon", 2*time.Hour, "virtual-time horizon for the run")
 	flag.Parse()
 
-	m, err := netem.ParseModel(*model)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapshotsync:", err)
+	if *seeders < 1 && *webseeds < 1 {
+		fmt.Fprintln(os.Stderr, "snapshotsync: need a seeder or a web seed")
 		os.Exit(1)
 	}
-	params := exp.SnapshotSyncParams{
-		Clients:       *clients,
-		Seeders:       *seeders,
-		WebSeeds:      *webseeds,
-		FileSize:      *fileMB << 20,
-		PieceLength:   *pieceMB << 20,
-		ConnCap:       *connCap,
-		UpRate:        *up,
-		DownRate:      *down,
-		StartInterval: time.Second,
-		Class:         topo.FastDSL,
-		Model:         m,
-		Window:        *window,
-		Seed:          *seed,
-		Horizon:       *horizon,
+	sp := scenario.Spec{
+		Name:    "snapshotsync",
+		Model:   *model,
+		Seed:    *seed,
+		Horizon: scenario.Duration(*horizon),
+		Groups: []scenario.GroupSpec{
+			{Name: "peers", Class: topo.FastDSL.Name, Nodes: *seeders + *clients},
+		},
+		Workload: scenario.WorkloadSpec{
+			Kind:        scenario.WorkloadSnapshot,
+			FileSize:    *fileMB << 20,
+			Seeders:     *seeders,
+			WebSeeds:    *webseeds,
+			PieceLength: *pieceMB << 20,
+			ConnCap:     *connCap,
+			UpRate:      *up,
+			DownRate:    *down,
+		},
 	}
-	if m != netem.ModelFlow {
-		params.Window = 0
+	if *model == "flow" { // the pipe model has no solver to batch
+		sp.FlowWindow = scenario.Duration(*window)
 	}
 
 	fmt.Printf("snapshotsync: %d clients, %d seeders, %d web seeds; %d MiB in %d MiB pieces, %d conns/client\n",
-		params.Clients, params.Seeders, params.WebSeeds, *fileMB, *pieceMB, params.ConnCap)
-	if params.UpRate > 0 || params.DownRate > 0 {
-		fmt.Printf("rate caps: up %d B/s, down %d B/s\n", params.UpRate, params.DownRate)
+		*clients, *seeders, *webseeds, *fileMB, *pieceMB, *connCap)
+	if *up > 0 || *down > 0 {
+		fmt.Printf("rate caps: up %d B/s, down %d B/s\n", *up, *down)
 	}
 	start := time.Now()
-	out, err := exp.RunSnapshotSync(params)
+	res, err := scenario.Run(&sp, scenario.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snapshotsync:", err)
 		os.Exit(1)
 	}
 	wall := time.Since(start)
 
-	done := 0
 	var last sim.Time
-	for i, c := range out.Completions {
+	for i, c := range res.Completions {
 		if c > 0 {
-			done++
 			if c > last {
 				last = c
 			}
@@ -91,19 +90,20 @@ func main() {
 			fmt.Printf("client %d DID NOT FINISH inside the horizon\n", i)
 		}
 	}
-	total := uint64(params.FileSize) * uint64(done)
+	wsBytes := res.Snapshot.Counters["webseed-bytes"]
+	total := uint64(sp.Workload.FileSize) * uint64(res.Done)
 	share := 0.0
 	if total > 0 {
-		share = 100 * float64(out.WebSeedBytes) / float64(total)
+		share = 100 * float64(wsBytes) / float64(total)
 	}
 	fmt.Printf("wall time        %v\n", wall.Round(time.Millisecond))
-	fmt.Printf("virtual time     %v (last completion %v)\n", time.Duration(out.EndedAt), time.Duration(last))
-	fmt.Printf("completed        %d/%d clients\n", done, params.Clients)
-	fmt.Printf("web seed bytes   %d (%.1f%% of delivered payload)\n", out.WebSeedBytes, share)
-	fmt.Printf("kernel events    %d dispatched, %d task spawns\n", out.Kernel.Events, out.Kernel.Spawns)
+	fmt.Printf("virtual time     %v (last completion %v)\n", time.Duration(res.EndedAt), time.Duration(last))
+	fmt.Printf("completed        %d/%d clients\n", res.Done, res.Total)
+	fmt.Printf("web seed bytes   %d (%.1f%% of delivered payload)\n", wsBytes, share)
+	fmt.Printf("kernel events    %d dispatched, %d task spawns\n", res.Kernel.Events, res.Kernel.Spawns)
 	fmt.Printf("net messages     %d delivered, %d dropped, %d retransmits\n",
-		out.Net.MessagesDelivered, out.Net.MessagesDropped, out.Net.Retransmits)
-	if done == 0 {
+		res.Net.MessagesDelivered, res.Net.MessagesDropped, res.Net.Retransmits)
+	if res.Done == 0 {
 		os.Exit(1)
 	}
 }

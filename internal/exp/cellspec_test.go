@@ -1,0 +1,177 @@
+package exp
+
+import (
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/netem"
+	"repro/internal/scenario"
+	"repro/internal/topo"
+)
+
+// TestCellSpecMatchesParent pins the fabric-free families to the
+// values exp's own dht and gossip builders produced before cells
+// compiled to scenario specs (commit b1209b2): moving onto the one
+// assembler must not move a single digit of either.
+func TestCellSpecMatchesParent(t *testing.T) {
+	dsl := []topo.LinkClass{topo.DSL}
+	dht, err := runOne(Grid{Experiment: ExpDHT, Peers: []int{64}, Classes: dsl, Seeds: []int64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dht.AvgHops != 3.14 || dht.AvgLatency != 825273606*time.Nanosecond ||
+		dht.P90Latency != 1058085914*time.Nanosecond ||
+		dht.Snapshot.Counters["timeouts"] != 3 || dht.Kernel.Events != 379592 {
+		t.Errorf("dht cell moved: %.2f hops, %v avg, %v p90, %d timeouts, %d kernel events; want 3.14, 825.273606ms, 1.058085914s, 3, 379592",
+			dht.AvgHops, dht.AvgLatency, dht.P90Latency, dht.Snapshot.Counters["timeouts"], dht.Kernel.Events)
+	}
+	gos, err := runOne(Grid{Experiment: ExpGossip, Peers: []int{256}, Classes: dsl, Seeds: []int64{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gos.Coverage != 1 || gos.T50 != 4250*time.Millisecond || gos.T100 != 7250*time.Millisecond ||
+		gos.Snapshot.Counters["pushes"] != 1940 {
+		t.Errorf("gossip cell moved: coverage %v, t50 %v, t100 %v, %d pushes; want 1, 4.25s, 7.25s, 1940",
+			gos.Coverage, gos.T50, gos.T100, gos.Snapshot.Counters["pushes"])
+	}
+}
+
+// familyGrids is one small non-default cell per family that compiles
+// to a spec, every axis the family reads set off its default.
+var familyGrids = []Grid{
+	{Experiment: ExpSwarm, Peers: []int{4}, Classes: []topo.LinkClass{topo.FastDSL},
+		Models: []netem.ModelKind{netem.ModelFlow}, Windows: []time.Duration{50 * time.Millisecond},
+		Rules: []int{100}, Classifiers: []netem.Classifier{netem.ClassifierIndexed},
+		Seeds: []int64{3}, FileSize: 512 << 10, Horizon: time.Hour},
+	{Experiment: ExpChurn, Peers: []int{6}, Churn: []float64{0.4}, Seeds: []int64{2},
+		FileSize: 512 << 10, Horizon: 2 * time.Hour},
+	{Experiment: ExpSnapshotSync, Peers: []int{2}, PieceSizes: []int{256 << 10}, ConnCaps: []int{2},
+		Rates: []int64{128 << 10}, Seeds: []int64{4}, FileSize: 1 << 20, Horizon: time.Hour},
+	{Experiment: ExpDHT, Peers: []int{6}, Classes: []topo.LinkClass{topo.Campus}, Seeds: []int64{5}, Lookups: 12},
+	{Experiment: ExpGossip, Peers: []int{12}, Classes: []topo.LinkClass{topo.LAN}, Seeds: []int64{6}, Fanout: 2},
+	{Experiment: ExpScenario, Scenarios: []string{"gossip-partition"}, Seeds: []int64{7}},
+}
+
+// TestCellSpecSurvivesJSON: every knob a cell sets is reachable from
+// JSON — the compiled spec, marshalled and loaded back, runs to the
+// identical snapshot.
+func TestCellSpecSurvivesJSON(t *testing.T) {
+	for _, g := range familyGrids {
+		g := g
+		t.Run(string(g.Experiment), func(t *testing.T) {
+			t.Parallel()
+			cells, err := g.Cells()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, err := cells[0].Spec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := scenario.Run(&sp, scenario.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := json.Marshal(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := scenario.Load(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaJSON, err := scenario.Run(loaded, scenario.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(direct.Snapshot, viaJSON.Snapshot) {
+				t.Errorf("spec changed across JSON %s:\ndirect %+v\nloaded %+v", blob, direct.Snapshot, viaJSON.Snapshot)
+			}
+			if direct.Done == 0 {
+				t.Errorf("cell did nothing: %+v", direct.Snapshot)
+			}
+		})
+	}
+}
+
+// TestCellSpecShape pins what a cell compiles to: one group on the
+// named class from 10.0.0.1 up, seeders in front of the peers, the
+// firewall only when the rules axis asks for it.
+func TestCellSpecShape(t *testing.T) {
+	cells, err := familyGrids[0].Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := cells[0].Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scenario.GroupSpec{Name: "peers", Class: "fast-dsl", Nodes: 2 + 4, Prefix: "10.0.0.0/16"}
+	if len(sp.Groups) != 1 || sp.Groups[0] != want {
+		t.Errorf("groups = %+v, want one %+v", sp.Groups, want)
+	}
+	if sp.Model != "flow" || sp.FlowWindow.D() != 50*time.Millisecond || sp.Seed != 3 || sp.Horizon.D() != time.Hour {
+		t.Errorf("run knobs not copied: %+v", sp)
+	}
+	if sp.FillerRules != 100 || sp.Classifier != "indexed" || !sp.FirewallEnabled() {
+		t.Errorf("rules axis not compiled: filler_rules %d classifier %q", sp.FillerRules, sp.Classifier)
+	}
+	bare := cells[0]
+	bare.Rules = 0
+	if sp, _ := bare.Spec(); sp.FirewallEnabled() {
+		t.Error("a rules=0 cell compiled to a firewalled spec")
+	}
+	for _, e := range []Experiment{ExpSched, ExpPing} {
+		if _, err := (Cell{Experiment: e, Class: topo.DSL}).Spec(); err == nil {
+			t.Errorf("%s cell compiled to a spec", e)
+		}
+	}
+}
+
+// TestSpecFamiliesRejectSeedZero: a spec reads seed 0 as seed 1, so a
+// `-seeds 0,1` sweep of any family that compiles to a spec would run
+// one cell twice.
+func TestSpecFamiliesRejectSeedZero(t *testing.T) {
+	for _, e := range Experiments {
+		_, err := Grid{Experiment: e, Seeds: []int64{0, 1}}.Cells()
+		if e.runsAsSpec() && err == nil {
+			t.Errorf("%s accepted seed 0", e)
+		}
+		if !e.runsAsSpec() && err != nil {
+			t.Errorf("%s has its own kernel seed and must accept 0: %v", e, err)
+		}
+	}
+}
+
+// TestCellBoundsFailTheCell: a class that is not a topo.Classes entry
+// and a population past the scenario group bound are that cell's
+// error — siblings still run.
+func TestCellBoundsFailTheCell(t *testing.T) {
+	bespoke := topo.DSL
+	bespoke.Up *= 2 // same name, other rates: a spec could not say it
+	res, err := RunSweep(Grid{Experiment: ExpGossip, Peers: []int{4},
+		Classes: []topo.LinkClass{bespoke, topo.LAN}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 1 || res.Cells[0].Err == nil || res.Cells[1].Err != nil {
+		t.Fatalf("want exactly the bespoke-class cell failed: %v", res.Errs())
+	}
+	if !strings.Contains(res.Cells[0].Err.Error(), "topo.Classes") {
+		t.Errorf("class error does not say why: %v", res.Cells[0].Err)
+	}
+
+	res, err = RunSweep(Grid{Experiment: ExpGossip, Peers: []int{8193, 4}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 1 || res.Cells[0].Err == nil || res.Cells[1].Err != nil {
+		t.Fatalf("want exactly the oversized cell failed: %v", res.Errs())
+	}
+	if !strings.Contains(res.Cells[0].Err.Error(), "8192") {
+		t.Errorf("size error does not name the bound: %v", res.Cells[0].Err)
+	}
+}

@@ -73,21 +73,23 @@ func TestSweepModelAxisCells(t *testing.T) {
 	}
 }
 
-// TestDHTGossipModelVariants: the model-aware runners accept the flow
+// TestDHTGossipModelVariants: dht and gossip cells accept the flow
 // model and still measure sane aggregates.
 func TestDHTGossipModelVariants(t *testing.T) {
-	pt, err := DHTRingModel(8, 20, topo.LAN, netem.ModelFlow, 1)
+	flow := []netem.ModelKind{netem.ModelFlow}
+	lan := []topo.LinkClass{topo.LAN}
+	res, err := runOne(Grid{Experiment: ExpDHT, Peers: []int{8}, Classes: lan, Models: flow, Lookups: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.AvgHops <= 0 {
-		t.Errorf("no hops measured under flow model: %+v", pt)
+	if res.Model != netem.ModelFlow || res.AvgHops <= 0 {
+		t.Errorf("no hops measured under flow model: %s, %v hops", res.Model, res.AvgHops)
 	}
-	gp, err := GossipSpreadModel(16, 3, topo.LAN, netem.ModelFlow, 1)
+	res, err = runOne(Grid{Experiment: ExpGossip, Peers: []int{16}, Classes: lan, Models: flow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gp.Coverage < 1 {
-		t.Errorf("gossip coverage %v under flow model, want 1", gp.Coverage)
+	if res.Model != netem.ModelFlow || res.Coverage < 1 {
+		t.Errorf("gossip coverage %v under %s model, want 1 under flow", res.Coverage, res.Model)
 	}
 }

@@ -8,12 +8,6 @@ import (
 	"repro/internal/topo"
 )
 
-// lanTestClass is an unconstrained-ish access link so the swarm tests
-// below are dominated by the firewall cost, not serialization.
-func lanTestClass() topo.LinkClass {
-	return topo.LinkClass{Name: "lan", Down: netem.Gbps, Up: netem.Gbps, Latency: time.Millisecond}
-}
-
 // TestRunPingFig6Shape: the network-level Fig 6 driver — linear RTT
 // growth under the linear classifier, a near-flat curve under the
 // indexed one, identical base.
@@ -129,10 +123,47 @@ func TestSweepPingCells(t *testing.T) {
 // every message — with a large linear table the download measurably
 // slows; the indexed classifier removes the overhead.
 func TestSwarmRulesSlowCompletion(t *testing.T) {
+	res, err := RunSweep(Grid{
+		Experiment:  ExpSwarm,
+		Peers:       []int{4},
+		Classes:     []topo.LinkClass{topo.LAN}, // firewall cost, not serialization, dominates
+		Rules:       []int{0, 50000},
+		Classifiers: []netem.Classifier{netem.ClassifierLinear, netem.ClassifierIndexed},
+		FileSize:    256 << 10,
+		Horizon:     time.Hour,
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 0 {
+		t.Fatal(res.Errs())
+	}
+	ended := map[string]float64{}
+	for _, c := range res.Cells {
+		if c.Snapshot.Values["done-fraction"] != 1 {
+			t.Fatalf("%s: swarm incomplete", c.Cell)
+		}
+		ended[c.Snapshot.Labels["rules"]+"/"+c.Snapshot.Labels["classifier"]] = c.Snapshot.Values["ended-s"]
+	}
+	base, heavy, light := ended["0/"], ended["50000/linear"], ended["50000/indexed"]
+	if heavy <= base {
+		t.Errorf("50k-rule linear swarm ended at %vs, want later than %vs", heavy, base)
+	}
+	if light >= heavy {
+		t.Errorf("indexed swarm ended at %vs, want earlier than linear %vs", light, heavy)
+	}
+	if v := res.Cells[1].Snapshot.Counters["fw-visited"]; v == 0 {
+		t.Error("linear 50k-rule cell visited no rules: filler_rules did not reach the firewall")
+	}
+}
+
+// TestRunSwarmRulesSlowCompletion is the same property on the Figs 8–11
+// runner, which still pads its own table (`p2plab -fig 8 -rules`).
+func TestRunSwarmRulesSlowCompletion(t *testing.T) {
 	run := func(rules int, cf netem.Classifier) *SwarmOutcome {
 		out, err := RunSwarm(SwarmParams{
 			Clients: 4, Seeders: 1, FileSize: 256 << 10,
-			StartInterval: time.Second, Class: lanTestClass(),
+			StartInterval: time.Second, Class: topo.LAN,
 			Rules: rules, Classifier: cf, Seed: 1, Horizon: time.Hour,
 		})
 		if err != nil {

@@ -2,7 +2,9 @@
 // evaluation. Each driver builds the experiment from the substrate
 // packages, runs it on a fresh kernel and returns typed series ready
 // for rendering (metrics.WriteDat) and for assertions in tests and
-// benchmarks.
+// benchmarks. The extension experiments and the sweep engine build
+// nothing themselves: a sweep cell compiles to a scenario.Spec
+// (Cell.Spec) and runs through scenario.Run.
 //
 // The index figure → driver lives in DESIGN.md; paper-vs-measured
 // numbers live in EXPERIMENTS.md.

@@ -131,6 +131,11 @@ func (c Cell) String() string {
 		c.Experiment, c.Peers, c.Churn, c.Class.Name, c.Model, win, c.Seed)
 }
 
+// runsAsSpec reports whether the experiment's cells compile to a
+// scenario.Spec and run through scenario.Run (Cell.Spec): every vnet
+// family. sched has no network; ping measures a bare host pair.
+func (e Experiment) runsAsSpec() bool { return e != ExpSched && e != ExpPing }
+
 // usesChurnAxis reports whether the experiment reads the churn axis.
 func (e Experiment) usesChurnAxis() bool { return e == ExpSwarm || e == ExpChurn }
 
@@ -152,9 +157,9 @@ func (e Experiment) usesModelAxis() bool { return e != ExpSched && e != ExpScena
 func (e Experiment) usesRulesAxis() bool { return e == ExpPing || e == ExpSwarm || e == ExpChurn }
 
 // usesWindowAxis reports whether the experiment reads the flow-model
-// batch-window axis: the vnet families whose runners take a network
-// config (a scenario spec owns its own flow_window knob; the DHT and
-// gossip models keep their fixed signatures; sched has no network).
+// batch-window axis: the swarm families and ping (a scenario spec owns
+// its own flow_window knob; dht and gossip sweeps hold it at 0; sched
+// has no network).
 func (e Experiment) usesWindowAxis() bool {
 	return e == ExpSwarm || e == ExpChurn || e == ExpPing || e == ExpSnapshotSync
 }
@@ -213,13 +218,6 @@ func (g Grid) Cells() ([]Cell, error) {
 		if len(scenarios) == 0 {
 			scenarios = scenario.Names() // default: the whole corpus
 		}
-		for _, s := range seeds {
-			// Seed 0 means "use the spec's own seed" (scenario.Options),
-			// so it would silently duplicate that seed's cell.
-			if s == 0 {
-				return nil, fmt.Errorf("exp: scenario sweeps need nonzero seeds (0 falls back to the spec's seed)")
-			}
-		}
 		seenScenario := map[string]bool{}
 		for _, name := range scenarios {
 			if _, ok := scenario.ByName(name); !ok {
@@ -235,6 +233,16 @@ func (g Grid) Cells() ([]Cell, error) {
 			return nil, fmt.Errorf("exp: %s ignores the scenario axis; %d values would duplicate cells", exp, len(scenarios))
 		}
 		scenarios = []string{""}
+	}
+
+	if exp.runsAsSpec() {
+		for _, s := range seeds {
+			// A spec's seed 0 means "the default seed" (Spec.WithDefaults
+			// maps it to 1), so it would silently duplicate seed 1's cell.
+			if s == 0 {
+				return nil, fmt.Errorf("exp: %s sweeps need nonzero seeds (a scenario spec reads seed 0 as seed 1)", exp)
+			}
+		}
 	}
 
 	windows := g.Windows
@@ -685,7 +693,7 @@ func RunCell(c Cell) (*metrics.Snapshot, error) {
 	if c.Experiment.usesRulesAxis() {
 		snap.Label("rules", fmt.Sprintf("%d", c.Rules))
 		// The swarm families run with no firewall at all when Rules ==
-		// 0 (fillerRules returns nil), so a classifier label there
+		// 0 (Cell.Spec leaves it disabled), so a classifier label there
 		// would claim a classifier that never ran; ping always installs
 		// the table, empty or not.
 		if c.Rules > 0 || c.Experiment == ExpPing {
@@ -695,27 +703,13 @@ func RunCell(c Cell) (*metrics.Snapshot, error) {
 	snap.Label("seed", fmt.Sprintf("%d", c.Seed))
 
 	var err error
-	switch c.Experiment {
-	case ExpSwarm, ExpChurn:
-		if c.Churn > 0 {
-			err = runChurnCell(c, snap)
-		} else {
-			err = runSwarmCell(c, snap)
-		}
-	case ExpDHT:
-		err = runDHTCell(c, snap)
-	case ExpGossip:
-		err = runGossipCell(c, snap)
-	case ExpSched:
+	switch {
+	case c.Experiment.runsAsSpec():
+		err = runSpecCell(c, snap)
+	case c.Experiment == ExpSched:
 		err = runSchedCell(c, snap)
-	case ExpScenario:
-		err = runScenarioCell(c, snap)
-	case ExpPing:
-		err = runPingCell(c, snap)
-	case ExpSnapshotSync:
-		err = runSnapshotCell(c, snap)
 	default:
-		err = fmt.Errorf("unknown experiment %q", c.Experiment)
+		err = runPingCell(c, snap)
 	}
 	if err != nil {
 		return nil, err
@@ -745,165 +739,103 @@ func runPingCell(c Cell, snap *metrics.Snapshot) error {
 	return nil
 }
 
-func runSwarmCell(c Cell, snap *metrics.Snapshot) error {
-	seeders := 2
-	if c.Peers >= 40 {
-		seeders = 4
-	}
-	out, err := RunSwarm(SwarmParams{
-		Clients:       c.Peers,
-		Seeders:       seeders,
-		FileSize:      int64(c.fileSize),
-		StartInterval: 2 * time.Second,
-		Class:         c.Class,
-		Model:         c.Model,
-		Window:        c.Window,
-		Rules:         c.Rules,
-		Classifier:    c.Classifier,
-		Seed:          c.Seed,
-		Horizon:       c.horizon,
-	})
-	if err != nil {
-		return err
-	}
-	done := 0
-	var last float64
-	for _, t := range out.Completions {
-		if t > 0 {
-			done++
-			if t.Seconds() > last {
-				last = t.Seconds()
-			}
+// Spec compiles the cell to the scenario it runs — the one description
+// every vnet family is assembled from. A scenario cell is its corpus
+// spec under the cell's seed; every other family is a single group of
+// seeders+peers nodes on the cell's class, addressed from 10.0.0.1 up,
+// driving the family's workload with the cell's knobs.
+func (c Cell) Spec() (scenario.Spec, error) {
+	if c.Experiment == ExpScenario {
+		sp, ok := scenario.ByName(c.Scenario)
+		if !ok {
+			return sp, fmt.Errorf("unknown scenario %q", c.Scenario)
 		}
+		sp.Seed = c.Seed
+		return sp, nil
 	}
-	snap.Set("clients-done", float64(done))
-	snap.Set("done-fraction", float64(done)/float64(len(out.Completions)))
-	snap.Set("last-completion-s", last)
-	snap.Set("ended-s", out.EndedAt.Seconds())
-	addKernelNetCounters(snap, out.Kernel.Events, out.Kernel.Switches, out.Kernel.Spawns,
-		out.Net.MessagesSent, out.Net.MessagesDelivered, out.Net.MessagesDropped,
-		out.Net.Retransmits, out.Net.BytesDelivered)
-	return nil
-}
-
-// runSnapshotCell sweeps the snapshot-sync workload: completion time
-// of a few rate-capped clients pulling a huge file in large pieces
-// from a seeder plus a web seed.
-func runSnapshotCell(c Cell, snap *metrics.Snapshot) error {
-	out, err := RunSnapshotSync(SnapshotSyncParams{
-		Clients:       c.Peers,
-		Seeders:       1,
-		WebSeeds:      1,
-		FileSize:      int64(c.fileSize),
-		PieceLength:   c.PieceSize,
-		ConnCap:       c.ConnCap,
-		UpRate:        c.Rate,
-		DownRate:      c.Rate,
-		StartInterval: time.Second,
-		Class:         c.Class,
-		Model:         c.Model,
-		Window:        c.Window,
-		Seed:          c.Seed,
-		Horizon:       c.horizon,
-	})
-	if err != nil {
-		return err
+	// A spec names its class, so the cell's must be the predefined one
+	// of that name, not a look-alike with other rates.
+	if known, ok := topo.ClassByName(c.Class.Name); !ok || known != c.Class {
+		return scenario.Spec{}, fmt.Errorf("link class %+v is not one of topo.Classes", c.Class)
 	}
-	done := 0
-	var last, sum float64
-	for _, t := range out.Completions {
-		if t > 0 {
-			done++
-			sum += t.Seconds()
-			if t.Seconds() > last {
-				last = t.Seconds()
-			}
+	var w scenario.WorkloadSpec
+	switch c.Experiment {
+	case ExpSwarm, ExpChurn:
+		w = scenario.WorkloadSpec{
+			Kind:          scenario.WorkloadSwarm,
+			FileSize:      int64(c.fileSize),
+			Seeders:       2,
+			StartInterval: scenario.Duration(2 * time.Second),
 		}
+		if c.Churn > 0 {
+			w.Kind, w.ChurnFraction = scenario.WorkloadChurnSwarm, c.Churn
+		} else if c.Peers >= 40 {
+			w.Seeders = 4
+		}
+	case ExpSnapshotSync:
+		w = scenario.WorkloadSpec{
+			Kind:          scenario.WorkloadSnapshot,
+			FileSize:      int64(c.fileSize),
+			Seeders:       1,
+			WebSeeds:      1,
+			StartInterval: scenario.Duration(time.Second),
+			PieceLength:   c.PieceSize,
+			ConnCap:       c.ConnCap,
+			UpRate:        c.Rate,
+			DownRate:      c.Rate,
+		}
+	case ExpDHT:
+		w = scenario.WorkloadSpec{Kind: scenario.WorkloadDHT, Lookups: c.lookups}
+	case ExpGossip:
+		w = scenario.WorkloadSpec{Kind: scenario.WorkloadGossip, Fanout: c.fanout}
+	default:
+		return scenario.Spec{}, fmt.Errorf("%s cells have no scenario form", c.Experiment)
 	}
-	snap.Set("clients-done", float64(done))
-	snap.Set("done-fraction", float64(done)/float64(len(out.Completions)))
-	snap.Set("last-completion-s", last)
-	if done > 0 {
-		snap.Set("mean-completion-s", sum/float64(done))
-		// Per-client goodput over the slowest completion: the figure of
-		// merit the piece-size × conn-cap × rate grid is swept for.
-		snap.Set("goodput-mbps", float64(c.fileSize)*8/(last*1e6))
+	sp := scenario.Spec{
+		Name:        "sweep-" + string(c.Experiment),
+		Model:       c.Model.String(),
+		Seed:        c.Seed,
+		Horizon:     scenario.Duration(c.horizon),
+		FlowWindow:  scenario.Duration(c.Window),
+		FillerRules: c.Rules,
+		Groups: []scenario.GroupSpec{{
+			Name: "peers", Class: c.Class.Name, Nodes: w.Seeders + c.Peers, Prefix: "10.0.0.0/16",
+		}},
+		Workload: w,
 	}
-	snap.Set("ended-s", out.EndedAt.Seconds())
-	snap.Count("webseed-bytes", out.WebSeedBytes)
-	addKernelNetCounters(snap, out.Kernel.Events, out.Kernel.Switches, out.Kernel.Spawns,
-		out.Net.MessagesSent, out.Net.MessagesDelivered, out.Net.MessagesDropped,
-		out.Net.Retransmits, out.Net.BytesDelivered)
-	return nil
+	if c.Rules > 0 {
+		sp.Classifier = c.Classifier.String()
+	}
+	return sp, nil
 }
 
-func runChurnCell(c Cell, snap *metrics.Snapshot) error {
-	out, err := RunChurnSwarm(ChurnSwarmParams{
-		Clients:       c.Peers,
-		Seeders:       2,
-		FileSize:      int64(c.fileSize),
-		Class:         c.Class,
-		StartInterval: 2 * time.Second,
-		ChurnFraction: c.Churn,
-		Session:       DefaultChurnSwarmParams().Session,
-		Downtime:      DefaultChurnSwarmParams().Downtime,
-		Model:         c.Model,
-		Window:        c.Window,
-		Rules:         c.Rules,
-		Classifier:    c.Classifier,
-		Seed:          c.Seed,
-		Horizon:       c.horizon,
-	})
+// run executes the scenario the cell compiles to.
+func (c Cell) run() (*scenario.Result, error) {
+	sp, err := c.Spec()
+	if err != nil {
+		return nil, err
+	}
+	return scenario.Run(&sp, scenario.Options{})
+}
+
+// runOne runs the single cell of a one-point grid: how the figure
+// drivers (DHTRing, GossipSpread) say one experiment.
+func runOne(g Grid) (*scenario.Result, error) {
+	cells, err := g.Cells()
+	if err != nil {
+		return nil, err
+	}
+	return cells[0].run()
+}
+
+// runSpecCell runs the cell's scenario and copies its workload metrics
+// into the cell snapshot.
+func runSpecCell(c Cell, snap *metrics.Snapshot) error {
+	res, err := c.run()
 	if err != nil {
 		return err
 	}
-	total := out.StableTotal + out.ChurnTotal
-	snap.Set("clients-done", float64(out.StableDone+out.ChurnDone))
-	snap.Set("done-fraction", float64(out.StableDone+out.ChurnDone)/float64(total))
-	snap.Set("stable-done", float64(out.StableDone))
-	snap.Set("churn-done", float64(out.ChurnDone))
-	snap.Set("ended-s", out.EndedAt.Seconds())
-	snap.Count("arrivals", uint64(out.Arrivals))
-	snap.Count("departures", uint64(out.Departures))
-	return nil
-}
-
-func runDHTCell(c Cell, snap *metrics.Snapshot) error {
-	pt, err := DHTRingModel(c.Peers, c.lookups, c.Class, c.Model, c.Seed)
-	if err != nil {
-		return err
-	}
-	snap.Set("avg-hops", pt.AvgHops)
-	snap.Set("avg-latency-ms", pt.AvgLatency.Seconds()*1000)
-	snap.Set("p90-latency-ms", pt.P90Latency.Seconds()*1000)
-	snap.Count("timeouts", pt.Timeouts)
-	return nil
-}
-
-func runGossipCell(c Cell, snap *metrics.Snapshot) error {
-	pt, err := GossipSpreadModel(c.Peers, c.fanout, c.Class, c.Model, c.Seed)
-	if err != nil {
-		return err
-	}
-	snap.Set("coverage", pt.Coverage)
-	snap.Set("t50-s", pt.T50.Seconds())
-	snap.Set("t100-s", pt.T100.Seconds())
-	snap.Count("pushes", pt.Pushes)
-	return nil
-}
-
-// runScenarioCell runs one corpus scenario under the cell's seed and
-// copies its workload metrics into the cell snapshot.
-func runScenarioCell(c Cell, snap *metrics.Snapshot) error {
-	sp, ok := scenario.ByName(c.Scenario)
-	if !ok {
-		return fmt.Errorf("unknown scenario %q", c.Scenario)
-	}
-	res, err := scenario.Run(&sp, scenario.Options{Seed: c.Seed})
-	if err != nil {
-		return err
-	}
-	snap.Label("workload", sp.Workload.Kind)
+	snap.Label("workload", res.Spec.Workload.Kind)
 	snap.Label("model", res.Model.String())
 	for k, v := range res.Snapshot.Values {
 		snap.Set(k, v)
@@ -923,16 +855,4 @@ func runSchedCell(c Cell, snap *metrics.Snapshot) error {
 		snap.Set("makespan-s/"+kind.String(), res.Makespan.Seconds())
 	}
 	return nil
-}
-
-func addKernelNetCounters(snap *metrics.Snapshot, events, switches, spawns,
-	sent, delivered, dropped, retrans, bytes uint64) {
-	snap.Count("kernel-events", events)
-	snap.Count("kernel-switches", switches)
-	snap.Count("kernel-spawns", spawns)
-	snap.Count("net-sent", sent)
-	snap.Count("net-delivered", delivered)
-	snap.Count("net-dropped", dropped)
-	snap.Count("net-retransmits", retrans)
-	snap.Count("net-bytes", bytes)
 }

@@ -76,9 +76,9 @@ func TestObsTraceNeutral(t *testing.T) {
 	}
 }
 
-// TestObsFinalCountersMirrorStats pins the hot-path counters to the
-// NetworkStats they shadow: after any scenario run the registry's
-// counters must equal the struct the vnet layer already keeps.
+// TestObsFinalCountersMirrorStats pins the registry's network series
+// to the NetworkStats they are views of: after any scenario run the
+// registry's counters must equal the struct the vnet layer keeps.
 func TestObsFinalCountersMirrorStats(t *testing.T) {
 	sp, ok := ByName("flash-crowd")
 	if !ok {

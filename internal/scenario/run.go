@@ -67,9 +67,11 @@ type Result struct {
 	// DHT.
 	AvgHops    float64
 	AvgLatency time.Duration
+	P90Latency time.Duration
 
 	// Gossip.
 	Coverage float64
+	T50      time.Duration // time to half coverage
 	T100     time.Duration
 }
 
@@ -174,8 +176,7 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 		if sp.Classifier != "" {
 			classifier, _ = netem.ParseClassifier(sp.Classifier)
 		}
-		r.rules = netem.NewRuleSet()
-		r.rules.SetClassifier(classifier)
+		r.rules = netem.NewFillerTable(sp.FillerRules, classifier)
 		ncfg.Rules = r.rules
 	}
 	r.net = vnet.NewNetwork(r.k, &vnet.TopoFabric{Topo: t}, ncfg)
@@ -226,6 +227,10 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	res.Snapshot.Count("net-delivered", res.Net.MessagesDelivered)
 	res.Snapshot.Count("net-dropped", res.Net.MessagesDropped)
 	res.Snapshot.Count("net-retransmits", res.Net.Retransmits)
+	res.Snapshot.Count("net-bytes", res.Net.BytesDelivered)
+	res.Snapshot.Count("kernel-events", res.Kernel.Events)
+	res.Snapshot.Count("kernel-switches", res.Kernel.Switches)
+	res.Snapshot.Count("kernel-spawns", res.Kernel.Spawns)
 	if r.rules != nil {
 		evals, visited := r.rules.EvalStats()
 		res.Snapshot.Label("classifier", r.rules.Classifier().String())
@@ -565,21 +570,18 @@ func (r *runner) startSwarm(churned bool) error {
 	})
 
 	r.finish = func(res *Result) {
-		res.Completions = swarm.CompletionTimes()
 		res.Total = len(stable) + len(churners)
-		var last float64
-		for _, t := range res.Completions {
-			if t > 0 {
-				res.Done++
-				if t.Seconds() > last {
-					last = t.Seconds()
+		res.completions(swarm.CompletionTimes(), w.FileSize)
+		if churned {
+			res.Snapshot.Set("stable-done", float64(res.Done))
+			churnDone := 0
+			for _, cc := range churners {
+				if cc.Done() {
+					churnDone++
 				}
 			}
-		}
-		for _, cc := range churners {
-			if cc.Done() {
-				res.Done++
-			}
+			res.Done += churnDone
+			res.Snapshot.Set("churn-done", float64(churnDone))
 		}
 		if driver != nil {
 			st := driver.Stats()
@@ -589,9 +591,31 @@ func (r *runner) startSwarm(churned bool) error {
 		}
 		res.Snapshot.Set("clients-done", float64(res.Done))
 		res.Snapshot.Set("done-fraction", float64(res.Done)/float64(res.Total))
-		res.Snapshot.Set("last-completion-s", last)
 	}
 	return nil
+}
+
+// completions records the swarm's per-client completion times and the
+// figures derived from them: how many finished, when the last and the
+// average one did, and the per-client goodput over the slowest
+// completion — what a piece-size × conn-cap × rate grid is swept for.
+func (res *Result) completions(times []sim.Time, fileSize int64) {
+	res.Completions = times
+	var last, sum float64
+	for _, t := range times {
+		if t > 0 {
+			res.Done++
+			sum += t.Seconds()
+			if t.Seconds() > last {
+				last = t.Seconds()
+			}
+		}
+	}
+	res.Snapshot.Set("last-completion-s", last)
+	if res.Done > 0 {
+		res.Snapshot.Set("mean-completion-s", sum/float64(res.Done))
+		res.Snapshot.Set("goodput-mbps", float64(fileSize)*8/(last*1e6))
+	}
 }
 
 func (r *runner) startDHT() error {
@@ -609,6 +633,7 @@ func (r *runner) startDHT() error {
 
 	var avgHops float64
 	var avgLat time.Duration
+	var latencies []float64 // per successful lookup, ms
 	var done int
 	r.k.Go("scenario-measure", func(p *sim.Proc) {
 		p.Sleep(warm)
@@ -622,6 +647,7 @@ func (r *runner) startDHT() error {
 			done++
 			totalHops += res.Hops
 			totalLat += res.Latency
+			latencies = append(latencies, res.Latency.Seconds()*1000)
 		}
 		if done > 0 {
 			avgHops = float64(totalHops) / float64(done)
@@ -633,6 +659,9 @@ func (r *runner) startDHT() error {
 	r.finish = func(res *Result) {
 		res.AvgHops = avgHops
 		res.AvgLatency = avgLat
+		if done > 0 {
+			res.P90Latency = time.Duration(metrics.Summarize(latencies).P90 * float64(time.Millisecond))
+		}
 		res.Done, res.Total = done, w.Lookups
 		var timeouts uint64
 		for _, nd := range nodes {
@@ -640,6 +669,7 @@ func (r *runner) startDHT() error {
 		}
 		res.Snapshot.Set("avg-hops", avgHops)
 		res.Snapshot.Set("avg-latency-ms", avgLat.Seconds()*1000)
+		res.Snapshot.Set("p90-latency-ms", res.P90Latency.Seconds()*1000)
 		res.Snapshot.Set("lookups-done", float64(done))
 		res.Snapshot.Count("timeouts", timeouts)
 	}
@@ -663,7 +693,7 @@ func (r *runner) startGossip() error {
 
 	var coveredFinal int
 	var coverage float64
-	var t100 time.Duration
+	var t50, t100 time.Duration
 	var pushes uint64
 	r.k.Go("scenario-driver", func(p *sim.Proc) {
 		p.Sleep(time.Second)
@@ -684,6 +714,9 @@ func (r *runner) startGossip() error {
 					covered++
 				}
 			}
+			if t50 == 0 && covered*2 >= n {
+				t50 = p.Now().Sub(start)
+			}
 			if covered == n {
 				t100 = p.Now().Sub(start)
 				break
@@ -703,10 +736,11 @@ func (r *runner) startGossip() error {
 
 	r.finish = func(res *Result) {
 		res.Coverage = coverage
-		res.T100 = t100
+		res.T50, res.T100 = t50, t100
 		res.Done = coveredFinal
 		res.Total = len(nodes)
 		res.Snapshot.Set("coverage", coverage)
+		res.Snapshot.Set("t50-s", t50.Seconds())
 		res.Snapshot.Set("t100-s", t100.Seconds())
 		res.Snapshot.Count("pushes", pushes)
 	}

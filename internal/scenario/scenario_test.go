@@ -126,6 +126,8 @@ func TestValidationRejects(t *testing.T) {
 		{"path separator in name", func(s *Spec) { s.Name = "a/b" }, "only letters"},
 		{"traversal in name", func(s *Spec) { s.Name = "../x" }, "only letters"},
 		{"bad classifier", func(s *Spec) { s.Classifier = "hash" }, "unknown classifier"},
+		{"negative filler rules", func(s *Spec) { s.FillerRules = -1 }, "filler rules outside"},
+		{"too many filler rules", func(s *Spec) { s.FillerRules = maxRuleCopies + 1 }, "filler rules outside"},
 		{"add-rule bad body", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionAddRule, Rule: "fwd"}}
 		}, "unknown rule body"},

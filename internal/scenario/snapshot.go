@@ -105,24 +105,14 @@ func (r *runner) startSnapshot() error {
 	})
 
 	r.finish = func(res *Result) {
-		res.Completions = swarm.CompletionTimes()
 		res.Total = len(clients)
-		var last float64
-		for _, t := range res.Completions {
-			if t > 0 {
-				res.Done++
-				if t.Seconds() > last {
-					last = t.Seconds()
-				}
-			}
-		}
+		res.completions(swarm.CompletionTimes(), w.FileSize)
 		var wsBytes uint64
 		for _, ws := range webseeds {
 			wsBytes += ws.Stats().BytesServed
 		}
 		res.Snapshot.Set("clients-done", float64(res.Done))
 		res.Snapshot.Set("done-fraction", float64(res.Done)/float64(res.Total))
-		res.Snapshot.Set("last-completion-s", last)
 		res.Snapshot.Count("webseed-bytes", wsBytes)
 	}
 	return nil

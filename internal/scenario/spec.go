@@ -146,7 +146,8 @@ var actions = []string{ActionPartition, ActionHeal, ActionSetClass, ActionLoss,
 // ruleActions lists the rule bodies an add-rule event may install.
 var ruleActions = []string{"count", "deny", "allow"}
 
-// maxRuleCopies caps one add-rule event's filler batch.
+// maxRuleCopies caps one add-rule event's filler batch, and the table
+// padding a spec's filler_rules asks for.
 const maxRuleCopies = 100000
 
 // EventSpec is one scheduled network event on the scenario timeline.
@@ -213,17 +214,23 @@ type Spec struct {
 	// event on the timeline — gives the network a firewall table;
 	// otherwise the run has none (vnet.Config.Rules == nil) and its
 	// trace is byte-identical to pre-firewall builds.
-	Classifier string        `json:"classifier,omitempty"`
-	Groups     []GroupSpec   `json:"groups"`
-	Latencies  []LatencySpec `json:"latencies,omitempty"`
-	Workload   WorkloadSpec  `json:"workload"`
-	Timeline   []EventSpec   `json:"timeline,omitempty"`
+	Classifier string `json:"classifier,omitempty"`
+	// FillerRules pads the firewall table at assembly with this many
+	// never-matching rules (netem.PadFiller): every message then pays
+	// the classification cost, the Fig 6 artifact applied to a whole
+	// workload. A positive count enables the firewall.
+	FillerRules int           `json:"filler_rules,omitempty"`
+	Groups      []GroupSpec   `json:"groups"`
+	Latencies   []LatencySpec `json:"latencies,omitempty"`
+	Workload    WorkloadSpec  `json:"workload"`
+	Timeline    []EventSpec   `json:"timeline,omitempty"`
 }
 
 // FirewallEnabled reports whether the run carries a firewall table: an
-// explicit classifier or any rule event on the timeline enables it.
+// explicit classifier, filler rules or any rule event on the timeline
+// enables it.
 func (s *Spec) FirewallEnabled() bool {
-	if s.Classifier != "" {
+	if s.Classifier != "" || s.FillerRules > 0 {
 		return true
 	}
 	for _, ev := range s.Timeline {
@@ -352,6 +359,9 @@ func (s *Spec) Validate() error {
 		if _, err := netem.ParseClassifier(s.Classifier); err != nil {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
+	}
+	if s.FillerRules < 0 || s.FillerRules > maxRuleCopies {
+		return fmt.Errorf("scenario %s: %d filler rules outside [0,%d]", s.Name, s.FillerRules, maxRuleCopies)
 	}
 	if s.Horizon <= 0 {
 		return fmt.Errorf("scenario %s: horizon %v not positive", s.Name, s.Horizon)

@@ -54,6 +54,9 @@ type SweepRequest struct {
 	Scenarios   []string            `json:"scenarios,omitempty"`
 	Rules       []int               `json:"rules,omitempty"`
 	Classifiers []string            `json:"classifiers,omitempty"`
+	PieceSizes  []int               `json:"piece_sizes,omitempty"`
+	ConnCaps    []int               `json:"conn_caps,omitempty"`
+	Rates       []int64             `json:"rates,omitempty"`
 	Seeds       []int64             `json:"seeds,omitempty"`
 	FileSize    int                 `json:"file_size,omitempty"`
 	Lookups     int                 `json:"lookups,omitempty"`

@@ -218,6 +218,9 @@ func buildGrid(req *SweepRequest) (exp.Grid, error) {
 		Churn:      req.Churn,
 		Scenarios:  req.Scenarios,
 		Rules:      req.Rules,
+		PieceSizes: req.PieceSizes,
+		ConnCaps:   req.ConnCaps,
+		Rates:      req.Rates,
 		Seeds:      req.Seeds,
 		FileSize:   req.FileSize,
 		Lookups:    req.Lookups,

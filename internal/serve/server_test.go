@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -390,4 +391,36 @@ func getText(t *testing.T, url string) string {
 	var b bytes.Buffer
 	_, _ = b.ReadFrom(resp.Body)
 	return b.String()
+}
+
+// TestBuildGridReachesEveryAxis: a sweep submitted over HTTP must be
+// able to say everything `p2plab sweep` can. Every exported exp.Grid
+// field has to come out of buildGrid set, so an axis added to the grid
+// and forgotten here fails this test instead of silently running
+// defaults.
+func TestBuildGridReachesEveryAxis(t *testing.T) {
+	var req SweepRequest
+	err := json.Unmarshal([]byte(`{
+		"experiment": "snapshot-sync", "peers": [2], "churn": [0.1], "classes": ["dsl"],
+		"models": ["flow"], "windows": ["50ms"], "scenarios": ["flash-crowd"],
+		"rules": [10], "classifiers": ["indexed"], "piece_sizes": [262144],
+		"conn_caps": [3], "rates": [65536], "seeds": [7],
+		"file_size": 1048576, "lookups": 5, "fanout": 2, "horizon": "10m"
+	}`), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := buildGrid(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := reflect.ValueOf(g)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() && v.Field(i).IsZero() {
+			t.Errorf("exp.Grid.%s is not reachable from a SweepRequest", f.Name)
+		}
+	}
+	if g.PieceSizes[0] != 262144 || g.ConnCaps[0] != 3 || g.Rates[0] != 65536 {
+		t.Errorf("snapshot axes mistranslated: %+v", g)
+	}
 }

@@ -184,6 +184,9 @@ func (t *Topology) Locate(a ip.Addr) *Group {
 // (src-group, dst-group) ancestor pair. Nodes under the same leaf group
 // with no declared pair get zero (they only pay their access links).
 func (t *Topology) GroupLatency(src, dst ip.Addr) time.Duration {
+	if len(t.latency) == 0 {
+		return 0 // asked once per transmitted message: no chains, no allocation
+	}
 	sc := t.chain(src)
 	dc := t.chain(dst)
 	for _, sg := range sc {

@@ -113,11 +113,10 @@ type Config struct {
 	// byte-identical to a network without this field.
 	Rules *netem.RuleSet
 	// Obs, when non-nil, attaches the deterministic metric registry:
-	// hot-path counters mirror NetworkStats with zero allocation, and
-	// pull-style collectors expose connection, pipe and flow-solver
-	// state at snapshot time. nil (the default) skips instrumentation;
-	// either way traces are byte-identical (obs updates never touch
-	// the RNG, the trace or the event queue).
+	// pull-style collectors expose NetworkStats and connection, pipe
+	// and flow-solver state at snapshot time. nil (the default) skips
+	// instrumentation; either way traces are byte-identical (obs never
+	// touches the RNG, the trace or the event queue).
 	Obs *obs.Registry
 }
 
@@ -147,7 +146,6 @@ type Network struct {
 	nextPartID int
 
 	stats  NetworkStats
-	om     netMetrics // hot-path obs counters; all-nil when Obs is unset
 	tracer *trace.Log
 
 	// pm is set when model is the store-and-forward pipe model, enabling
@@ -155,15 +153,6 @@ type Network struct {
 	// the callback-based path (the solver retains path slices).
 	pm       *netem.PipeModel
 	freeXfer *xfer
-}
-
-// netMetrics holds the pre-created obs counter handles the transmit
-// path bumps alongside NetworkStats. With observability off every
-// field is nil and each bump is one nil-check branch (see obs.Counter).
-type netMetrics struct {
-	sent, delivered, dropped *obs.Counter
-	retransmits, ruleDenied  *obs.Counter
-	bytesDelivered           *obs.Counter
 }
 
 // partition is one active administrative split: traffic between the a
@@ -494,7 +483,6 @@ func (n *Network) transmit(src *Host, m message, reliable bool) bool {
 	dst := n.hosts[m.dst.Addr]
 	if dst == nil {
 		n.stats.MessagesDropped++
-		n.om.dropped.Inc()
 		return false
 	}
 	var route Route
@@ -503,11 +491,9 @@ func (n *Network) transmit(src *Host, m message, reliable bool) bool {
 	}
 	if route.Drop {
 		n.stats.MessagesDropped++
-		n.om.dropped.Inc()
 		return false
 	}
 	n.stats.MessagesSent++
-	n.om.sent.Inc()
 	if n.tracer != nil {
 		n.tracer.Add(n.k.Now(), "net.send", m.src.Addr.String(),
 			"%d B to %v (kind %d)", m.wireSize(&n.cfg), m.dst, m.kind)
@@ -598,7 +584,6 @@ func (x *xfer) attempt() {
 		x.start = x.start.Add(v.Cost)
 		if v.Deny {
 			n.stats.RuleDenied++
-			n.om.ruleDenied.Inc()
 			if n.tracer != nil {
 				n.tracer.Add(n.k.Now(), "net.deny", x.m.src.Addr.String(),
 					"%d B to %v denied by firewall", x.size, x.m.dst)
@@ -663,8 +648,6 @@ func (x *xfer) deliver() {
 	n := x.n
 	n.stats.MessagesDelivered++
 	n.stats.BytesDelivered += uint64(x.size)
-	n.om.delivered.Inc()
-	n.om.bytesDelivered.Add(uint64(x.size))
 	if n.tracer != nil {
 		n.tracer.Add(n.k.Now(), "net.deliver", x.m.dst.Addr.String(),
 			"%d B from %v", x.size, x.m.src)
@@ -692,12 +675,10 @@ func (x *xfer) failed() {
 	n := x.n
 	if x.reliable && x.tries < n.cfg.MaxRetransmits {
 		n.stats.Retransmits++
-		n.om.retransmits.Inc()
 		n.k.Schedule(x.start.Add(n.cfg.RTO*(1<<uint(x.tries))), x.retryFn)
 		return
 	}
 	n.stats.MessagesDropped++
-	n.om.dropped.Inc()
 	if n.tracer != nil {
 		n.tracer.Add(n.k.Now(), "net.drop", x.m.src.Addr.String(),
 			"%d B to %v lost after %d attempt(s)", x.size, x.m.dst, x.tries+1)
@@ -721,7 +702,6 @@ func (n *Network) attempt(src, dst *Host, m message, route Route, tries int, sta
 	failed := func() {
 		if reliable && tries < n.cfg.MaxRetransmits {
 			n.stats.Retransmits++
-			n.om.retransmits.Inc()
 			retryAt := start.Add(n.cfg.RTO * (1 << uint(tries)))
 			n.k.At(retryAt, func() {
 				n.attempt(src, dst, m, route, tries+1, n.k.LoopNow(), reliable)
@@ -729,7 +709,6 @@ func (n *Network) attempt(src, dst *Host, m message, route Route, tries int, sta
 			return
 		}
 		n.stats.MessagesDropped++
-		n.om.dropped.Inc()
 		if n.tracer != nil {
 			n.tracer.Add(n.k.Now(), "net.drop", m.src.Addr.String(),
 				"%d B to %v lost after %d attempt(s)", size, m.dst, tries+1)
@@ -758,7 +737,6 @@ func (n *Network) attempt(src, dst *Host, m message, route Route, tries int, sta
 		start = start.Add(v.Cost)
 		if v.Deny {
 			n.stats.RuleDenied++
-			n.om.ruleDenied.Inc()
 			if n.tracer != nil {
 				n.tracer.Add(n.k.Now(), "net.deny", m.src.Addr.String(),
 					"%d B to %v denied by firewall", size, m.dst)
@@ -782,8 +760,6 @@ func (n *Network) attempt(src, dst *Host, m message, route Route, tries int, sta
 		n.k.At(exit.Add(route.Latency), func() {
 			n.stats.MessagesDelivered++
 			n.stats.BytesDelivered += uint64(size)
-			n.om.delivered.Inc()
-			n.om.bytesDelivered.Add(uint64(size))
 			if n.tracer != nil {
 				n.tracer.Add(n.k.Now(), "net.deliver", m.dst.Addr.String(),
 					"%d B from %v", size, m.src)

@@ -5,11 +5,10 @@ import (
 	"repro/internal/netem"
 )
 
-// initObs registers the network's instruments on cfg.Obs: the hot-path
-// counter handles the transmit path bumps (zero-allocation mirrors of
-// NetworkStats) and pull-style collectors for state that subsystems
-// already keep — connection tables, netem pipe stats and, under the
-// flow model, the solver's counters. Collectors are evaluated only at
+// initObs registers the network's instruments on cfg.Obs: pull-style
+// collectors for state that subsystems already keep — NetworkStats,
+// connection tables, netem pipe stats and, under the flow model, the
+// solver's counters. Collectors are evaluated only at
 // snapshot time, in kernel context, and all of them reduce by
 // order-independent sums, so host-map iteration order cannot leak into
 // the exposed values.
@@ -19,14 +18,13 @@ func (n *Network) initObs() {
 		return
 	}
 
-	n.om = netMetrics{
-		sent:           reg.Counter("p2plab_net_messages_sent_total", "Messages handed to the transmit path."),
-		delivered:      reg.Counter("p2plab_net_messages_delivered_total", "Messages delivered to a destination host."),
-		dropped:        reg.Counter("p2plab_net_messages_dropped_total", "Messages dropped (loss, overflow, partition, retransmit exhaustion)."),
-		retransmits:    reg.Counter("p2plab_net_retransmits_total", "Retransmission attempts of reliable messages."),
-		ruleDenied:     reg.Counter("p2plab_net_rule_denied_total", "Transmission attempts dropped by a firewall deny rule."),
-		bytesDelivered: reg.Counter("p2plab_net_bytes_delivered_total", "Wire bytes delivered (payload plus header overhead)."),
-	}
+	st := &n.stats
+	reg.CounterFunc("p2plab_net_messages_sent_total", "Messages handed to the transmit path.", func() uint64 { return st.MessagesSent })
+	reg.CounterFunc("p2plab_net_messages_delivered_total", "Messages delivered to a destination host.", func() uint64 { return st.MessagesDelivered })
+	reg.CounterFunc("p2plab_net_messages_dropped_total", "Messages dropped (loss, overflow, partition, retransmit exhaustion).", func() uint64 { return st.MessagesDropped })
+	reg.CounterFunc("p2plab_net_retransmits_total", "Retransmission attempts of reliable messages.", func() uint64 { return st.Retransmits })
+	reg.CounterFunc("p2plab_net_rule_denied_total", "Transmission attempts dropped by a firewall deny rule.", func() uint64 { return st.RuleDenied })
+	reg.CounterFunc("p2plab_net_bytes_delivered_total", "Wire bytes delivered (payload plus header overhead).", func() uint64 { return st.BytesDelivered })
 
 	// Connection table: established vs half-open (a conn a handshake or
 	// a one-sided reset has left without the established flag).

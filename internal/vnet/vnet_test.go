@@ -536,6 +536,22 @@ func TestPingRTTWithTopoFabric(t *testing.T) {
 	}
 }
 
+// TestTopoFabricRouteNoLatencyAllocs: Route runs once per transmitted
+// message, and every sweep cell's one-group topology declares no
+// latency pair — that lookup must not allocate.
+func TestTopoFabricRouteNoLatencyAllocs(t *testing.T) {
+	f := &TopoFabric{Topo: topo.Uniform(64, topo.DSL)}
+	src, dst := ip.MustParseAddr("10.0.0.1"), ip.MustParseAddr("10.0.0.2")
+	allocs := testing.AllocsPerRun(100, func() {
+		if r := f.Route(src, dst, 1500); r.Latency != 0 {
+			t.Fatalf("latency %v on a topology that declares none", r.Latency)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("no-latency route allocates %v times per message, want 0", allocs)
+	}
+}
+
 func TestPingTimeoutOnDeniedPath(t *testing.T) {
 	e := newEnv()
 	a, _ := e.twoHosts(t)
