@@ -189,18 +189,18 @@ func BenchmarkFig7Topology(b *testing.B) {
 
 // benchSwarm runs one scaled swarm per iteration and reports virtual
 // seconds simulated per wall second.
-func benchSwarm(b *testing.B, sp exp.SwarmParams) {
+func benchSwarm(b *testing.B, sp scenario.Spec) {
 	b.Helper()
 	var virtual time.Duration
 	for i := 0; i < b.N; i++ {
-		out, err := exp.RunSwarm(sp)
+		res, err := scenario.Run(&sp, scenario.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !out.AllDone {
+		if res.Done != res.Total {
 			b.Fatal("swarm incomplete")
 		}
-		virtual += time.Duration(out.EndedAt)
+		virtual += time.Duration(res.EndedAt)
 	}
 	b.ReportMetric(virtual.Seconds()/b.Elapsed().Seconds(), "virtual-s/s")
 }
@@ -208,8 +208,8 @@ func benchSwarm(b *testing.B, sp exp.SwarmParams) {
 // BenchmarkFig8Swarm runs the Fig 8 experiment at 1/4 scale (40
 // clients, 4 MiB file, same DSL links and protocol parameters).
 func BenchmarkFig8Swarm(b *testing.B) {
-	sp := exp.Fig8Params().Scale(4)
-	sp.StartInterval = 4 * time.Second
+	sp := exp.ScaleSpec(exp.Fig8Spec(), 4)
+	sp.Workload.StartInterval = scenario.Duration(4 * time.Second)
 	benchSwarm(b, sp)
 }
 
@@ -218,8 +218,8 @@ func BenchmarkFig8Swarm(b *testing.B) {
 func BenchmarkFig9Folding(b *testing.B) {
 	for _, folding := range []int{1, 10} {
 		b.Run(fmt.Sprintf("folding=%d", folding), func(b *testing.B) {
-			sp := exp.Fig8Params().Scale(4)
-			sp.StartInterval = 4 * time.Second
+			sp := exp.ScaleSpec(exp.Fig8Spec(), 4)
+			sp.Workload.StartInterval = scenario.Duration(4 * time.Second)
 			sp.Folding = folding
 			benchSwarm(b, sp)
 		})
@@ -229,21 +229,20 @@ func BenchmarkFig9Folding(b *testing.B) {
 // BenchmarkFig10Scale runs the scalability experiment (Figs 10 and 11)
 // at 1/16 scale: 359 clients folded 32-per-physical-node.
 func BenchmarkFig10Scale(b *testing.B) {
-	sp := exp.Fig10Params().Scale(16)
-	benchSwarm(b, sp)
+	benchSwarm(b, exp.ScaleSpec(exp.Fig10Spec(), 16))
 }
 
 // BenchmarkFig11Completions measures building the completion-count
 // series from a finished swarm (the Fig 11 post-processing).
 func BenchmarkFig11Completions(b *testing.B) {
-	sp := exp.Fig10Params().Scale(32)
-	out, err := exp.RunSwarm(sp)
+	sp := exp.ScaleSpec(exp.Fig10Spec(), 32)
+	res, err := scenario.Run(&sp, scenario.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := exp.CompletionSeries(out.Completions)
+		s := exp.CompletionSeries(res.Completions)
 		if s.Len() == 0 {
 			b.Fatal("no completions")
 		}
@@ -635,26 +634,6 @@ func BenchmarkPickerRarestFirst(b *testing.B) {
 	}
 }
 
-// SwarmScaleParams is the configuration the swarm-scale family runs: a
-// flash crowd of n campus-link leechers on an 8 MB sparse torrent,
-// horizon-bounded so an iteration measures the join + transfer
-// machinery per wall second rather than waiting out the virtual tail.
-func swarmScaleParams(n int) exp.SwarmParams {
-	seeders := n / 200
-	if seeders < 4 {
-		seeders = 4
-	}
-	return exp.SwarmParams{
-		Clients:       n,
-		Seeders:       seeders,
-		FileSize:      8 * 1024 * 1024,
-		StartInterval: time.Millisecond,
-		Class:         topo.Campus,
-		Seed:          1,
-		Horizon:       2 * time.Minute,
-	}
-}
-
 // BenchmarkSwarmScale runs a horizon-bounded megaswarm and reports
 // peers/sec (emulated peers per wall-clock second — the paper's
 // headline "how many clients fit on this hardware" number, ROADMAP
@@ -673,17 +652,19 @@ func BenchmarkSwarmScale(b *testing.B) {
 	defer debug.SetGCPercent(old)
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("peers=%d", n), func(b *testing.B) {
-			params := swarmScaleParams(n)
+			sp := exp.MegaswarmSpec(n)
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				out, err := exp.RunSwarm(params)
+				res, err := scenario.Run(&sp, scenario.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				elapsed := time.Since(start).Seconds()
 				var bytes int64
-				for _, e := range out.Pieces {
-					bytes += e.Bytes
+				for _, prog := range res.Progress {
+					if len(prog) > 0 {
+						bytes += prog[len(prog)-1].Bytes
+					}
 				}
 				if bytes == 0 {
 					b.Fatal("swarm moved no data")

@@ -31,6 +31,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/netem"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -86,10 +87,11 @@ func main() {
 	if err := validateFirewallFlags(ids, *rules, classifier); err != nil {
 		fatal(err)
 	}
+	f := figures{out: *out, scale: *scale, seed: *seed, model: model, rules: *rules, classifier: classifier}
 	for _, id := range ids {
 		start := time.Now()
 		fmt.Printf("== figure %s ==\n", id)
-		if err := run(id, *out, *scale, *seed, model, *rules, classifier); err != nil {
+		if err := f.run(id); err != nil {
 			fatal(fmt.Errorf("figure %s: %w", id, err))
 		}
 		fmt.Printf("   done in %v\n", time.Since(start).Round(time.Millisecond))
@@ -186,35 +188,71 @@ func writePlot(dir, figID, datName, title, xlabel, ylabel string, curves []strin
 	return os.WriteFile(filepath.Join(dir, "fig"+figID+".gp"), []byte(b.String()), 0o644)
 }
 
-func run(id, out string, scale int, seed int64, model netem.ModelKind, rules int, classifier netem.Classifier) error {
+// figures is one invocation's flags plus what its figure runs share.
+type figures struct {
+	out        string
+	scale      int
+	seed       int64
+	model      netem.ModelKind
+	rules      int
+	classifier netem.Classifier
+
+	fig10 *scenario.Result // Figs 10 and 11 are two views of this one run
+}
+
+// swarmSpec applies the command's flags to a swarm figure's spec.
+func (f *figures) swarmSpec(sp scenario.Spec) scenario.Spec {
+	sp = exp.ScaleSpec(sp, f.scale)
+	sp.Seed = f.seed
+	sp.Model = f.model.String()
+	sp.FillerRules = f.rules
+	if f.rules > 0 {
+		sp.Classifier = f.classifier.String()
+	}
+	return sp
+}
+
+// runSwarm runs a swarm figure's spec under the command's flags and
+// prints its summary.
+func (f *figures) runSwarm(sp scenario.Spec) (*scenario.Result, error) {
+	sp = f.swarmSpec(sp)
+	res, err := scenario.Run(&sp, scenario.Options{})
+	if err != nil {
+		return nil, err
+	}
+	reportScenario(res)
+	return res, nil
+}
+
+func (f *figures) run(id string) error {
 	switch id {
 	case "1":
-		series := exp.Fig1(nil, seed)
-		if err := writePlot(out, "1", "fig1.dat",
+		series := exp.Fig1(nil, f.seed)
+		if err := writePlot(f.out, "1", "fig1.dat",
 			"Average per-process execution time (CPU-bound)",
 			"number of concurrent processes", "seconds",
 			seriesNames(series), true); err != nil {
 			return err
 		}
-		return writeDat(out, "fig1.dat", series...)
+		return writeDat(f.out, "fig1.dat", series...)
 	case "2":
-		series := exp.Fig2(nil, seed)
-		if err := writePlot(out, "2", "fig2.dat",
+		series := exp.Fig2(nil, f.seed)
+		if err := writePlot(f.out, "2", "fig2.dat",
 			"Average per-process execution time (memory-bound)",
 			"number of concurrent processes", "seconds",
 			seriesNames(series), true); err != nil {
 			return err
 		}
-		return writeDat(out, "fig2.dat", series...)
+		return writeDat(f.out, "fig2.dat", series...)
 	case "3":
-		series := exp.Fig3(100, seed)
-		if err := writePlot(out, "3", "fig3.dat",
+		series := exp.Fig3(100, f.seed)
+		if err := writePlot(f.out, "3", "fig3.dat",
 			"CDF of completion times, 100 concurrent 5s processes",
 			"process execution time (s)", "F(x)",
 			seriesNames(series), true); err != nil {
 			return err
 		}
-		return writeDat(out, "fig3.dat", series...)
+		return writeDat(f.out, "fig3.dat", series...)
 	case "bind":
 		res, err := exp.BindOverhead()
 		if err != nil {
@@ -222,11 +260,11 @@ func run(id, out string, scale int, seed int64, model netem.ModelKind, rules int
 		}
 		fmt.Printf("   connect/close cycle: %v plain, %v intercepted (+%v)\n",
 			res.Plain, res.Intercepted, res.Overhead())
-		return os.WriteFile(filepath.Join(out, "bind.txt"),
+		return os.WriteFile(filepath.Join(f.out, "bind.txt"),
 			[]byte(fmt.Sprintf("plain %v\nintercepted %v\noverhead %v\n",
 				res.Plain, res.Intercepted, res.Overhead())), 0o644)
 	case "6":
-		points, err := exp.Fig6(nil, 10, seed, classifier)
+		points, err := exp.Fig6(nil, 10, f.seed, f.classifier)
 		if err != nil {
 			return err
 		}
@@ -235,119 +273,105 @@ func run(id, out string, scale int, seed int64, model netem.ModelKind, rules int
 				pt.Rules, pt.Stats.Avg, pt.Stats.Min, pt.Stats.Max)
 		}
 		fig6series := exp.Fig6Series(points)
-		vid, note := figVariant("6", 0, classifier)
-		if err := writePlot(out, vid, "fig"+vid+".dat",
+		vid, note := figVariant("6", 0, f.classifier)
+		if err := writePlot(f.out, vid, "fig"+vid+".dat",
 			"Round-trip time vs number of firewall rules"+note,
 			"number of rules to evaluate", "time (ms)",
 			seriesNames(fig6series), true); err != nil {
 			return err
 		}
-		return writeDat(out, "fig"+vid+".dat", fig6series...)
+		return writeDat(f.out, "fig"+vid+".dat", fig6series...)
 	case "6x":
 		series := exp.Fig6Indexed(nil)
-		return writeDat(out, "fig6_indexed.dat", series...)
+		return writeDat(f.out, "fig6_indexed.dat", series...)
 	case "7":
-		res, err := exp.Fig7(14, seed)
+		res, err := exp.Fig7(14, f.seed)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("   measured RTT %v (model %v, overhead %v) over %d hosts\n",
 			res.RTT, res.ModelRTT, res.Overhead, res.Hosts)
-		return os.WriteFile(filepath.Join(out, "fig7.txt"),
+		return os.WriteFile(filepath.Join(f.out, "fig7.txt"),
 			[]byte(fmt.Sprintf("rtt %v\nmodel %v\noverhead %v\nhosts %d\n",
 				res.RTT, res.ModelRTT, res.Overhead, res.Hosts)), 0o644)
 	case "8":
-		sp := exp.Fig8Params().Scale(scale)
-		sp.Seed = seed
-		sp.Model = model
-		sp.Rules = rules
-		sp.Classifier = classifier
-		outcome, err := exp.RunSwarm(sp)
+		res, err := f.runSwarm(exp.Fig8Spec())
 		if err != nil {
 			return err
 		}
-		report(outcome)
 		var series []*metrics.Series
-		for i, prog := range outcome.PerClient {
-			s := exp.ProgressSeries(fmt.Sprintf("client-%d", i), prog, outcome.Meta.Length)
+		for i, prog := range res.Progress {
+			s := exp.ProgressSeries(fmt.Sprintf("client-%d", i), prog, res.Spec.Workload.FileSize)
 			series = append(series, metrics.Downsample(s, 200))
 		}
-		vid, note := figVariant("8", rules, classifier)
-		if err := writePlot(out, vid, "fig"+vid+".dat",
+		vid, note := figVariant("8", f.rules, f.classifier)
+		if err := writePlot(f.out, vid, "fig"+vid+".dat",
 			"Evolution of the download on each client"+note,
 			"time (s)", "percentage of the file transferred",
 			[]string{"clients"}, false); err != nil {
 			return err
 		}
-		return writeDat(out, "fig"+vid+".dat", series...)
+		return writeDat(f.out, "fig"+vid+".dat", series...)
 	case "9":
-		sp := exp.Fig8Params().Scale(scale)
-		sp.Seed = seed
-		sp.Model = model
-		sp.Rules = rules
-		sp.Classifier = classifier
 		foldings := exp.Fig9Foldings
-		if scale > 1 {
+		if f.scale > 1 {
 			foldings = []int{1, 4, 8}
 		}
-		series, outcomes, err := exp.Fig9(sp, foldings)
+		series, results, err := exp.Fig9(f.swarmSpec(exp.Fig8Spec()), foldings)
 		if err != nil {
 			return err
 		}
-		for i, o := range outcomes {
-			fmt.Printf("   folding %d: ", foldings[i])
-			report(o)
+		for i, res := range results {
+			fmt.Printf("   folding %d:\n", foldings[i])
+			reportScenario(res)
 		}
 		ds := make([]*metrics.Series, len(series))
 		for i, s := range series {
 			ds[i] = metrics.Downsample(s, 400)
 		}
-		vid, note := figVariant("9", rules, classifier)
-		if err := writePlot(out, vid, "fig"+vid+".dat",
+		vid, note := figVariant("9", f.rules, f.classifier)
+		if err := writePlot(f.out, vid, "fig"+vid+".dat",
 			"Total amount of data received by the nodes"+note,
 			"time (s)", "data received (MB)",
 			seriesNames(ds), true); err != nil {
 			return err
 		}
-		return writeDat(out, "fig"+vid+".dat", ds...)
+		return writeDat(f.out, "fig"+vid+".dat", ds...)
 	case "10", "11":
-		sp := exp.Fig10Params().Scale(scale)
-		sp.Seed = seed
-		sp.Model = model
-		sp.Rules = rules
-		sp.Classifier = classifier
-		outcome, err := exp.RunSwarm(sp)
-		if err != nil {
-			return err
+		if f.fig10 == nil {
+			res, err := f.runSwarm(exp.Fig10Spec())
+			if err != nil {
+				return err
+			}
+			f.fig10 = res
 		}
-		report(outcome)
+		res := f.fig10
 		if id == "10" {
 			// The paper plots every 50th client.
+			fileSize := res.Spec.Workload.FileSize
 			var series []*metrics.Series
-			for i := 49; i < len(outcome.PerClient); i += 50 {
-				s := exp.ProgressSeries(fmt.Sprintf("client-%d", i+1),
-					outcome.PerClient[i], outcome.Meta.Length)
+			for i := 49; i < len(res.Progress); i += 50 {
+				s := exp.ProgressSeries(fmt.Sprintf("client-%d", i+1), res.Progress[i], fileSize)
 				series = append(series, metrics.Downsample(s, 200))
 			}
 			if len(series) == 0 { // tiny scaled runs
-				for i, prog := range outcome.PerClient {
-					series = append(series, exp.ProgressSeries(
-						fmt.Sprintf("client-%d", i+1), prog, outcome.Meta.Length))
+				for i, prog := range res.Progress {
+					series = append(series, exp.ProgressSeries(fmt.Sprintf("client-%d", i+1), prog, fileSize))
 				}
 			}
-			vid, _ := figVariant("10", rules, classifier)
-			return writeDat(out, "fig"+vid+".dat", series...)
+			vid, _ := figVariant("10", f.rules, f.classifier)
+			return writeDat(f.out, "fig"+vid+".dat", series...)
 		}
-		vid, note := figVariant("11", rules, classifier)
-		if err := writePlot(out, vid, "fig"+vid+".dat",
+		vid, note := figVariant("11", f.rules, f.classifier)
+		if err := writePlot(f.out, vid, "fig"+vid+".dat",
 			"Clients having completed the download"+note,
 			"time (s)", "number of clients",
 			[]string{"number of clients"}, true); err != nil {
 			return err
 		}
-		return writeDat(out, "fig"+vid+".dat", exp.CompletionSeries(outcome.Completions))
+		return writeDat(f.out, "fig"+vid+".dat", exp.CompletionSeries(res.Completions))
 	case "dht":
-		points, err := exp.DHTScaling(nil, 200, seed)
+		points, err := exp.DHTScaling(nil, 200, f.seed)
 		if err != nil {
 			return err
 		}
@@ -355,7 +379,7 @@ func run(id, out string, scale int, seed int64, model netem.ModelKind, rules int
 			fmt.Printf("   %4d nodes: %.2f avg hops, %v avg latency\n",
 				pt.Nodes, pt.AvgHops, pt.AvgLatency)
 		}
-		byClass, err := exp.DHTLocality(seed)
+		byClass, err := exp.DHTLocality(f.seed)
 		if err != nil {
 			return err
 		}
@@ -364,14 +388,14 @@ func run(id, out string, scale int, seed int64, model netem.ModelKind, rules int
 			fmt.Printf("   32 nodes on %-7s %.2f hops, %v avg latency\n",
 				name, pt.AvgHops, pt.AvgLatency)
 		}
-		return writeDat(out, "dht.dat", exp.DHTScalingSeries(points))
+		return writeDat(f.out, "dht.dat", exp.DHTScalingSeries(points))
 	case "churn":
 		// E3: 24 DSL clients, half of them churning, pull 4 MiB — one
 		// cell of the churn sweep family.
 		g := exp.Grid{Experiment: exp.ExpChurn, Peers: []int{24}, FileSize: 4 << 20,
-			Models: []netem.ModelKind{model}, Seeds: []int64{seed}}
-		if rules > 0 {
-			g.Rules, g.Classifiers = []int{rules}, []netem.Classifier{classifier}
+			Models: []netem.ModelKind{f.model}, Seeds: []int64{f.seed}}
+		if f.rules > 0 {
+			g.Rules, g.Classifiers = []int{f.rules}, []netem.Classifier{f.classifier}
 		}
 		cells, err := g.Cells()
 		if err != nil {
@@ -387,35 +411,20 @@ func run(id, out string, scale int, seed int64, model netem.ModelKind, rules int
 		arrivals, departures := snap.Counters["arrivals"], snap.Counters["departures"]
 		fmt.Printf("   stable clients: %.0f/%d done; churners: %.0f/%d done; %d arrivals, %d departures\n",
 			stableDone, c.Peers-churners, churnDone, churners, arrivals, departures)
-		cid, _ := figVariant("churn", rules, classifier)
-		return os.WriteFile(filepath.Join(out, cid+".txt"),
+		cid, _ := figVariant("churn", f.rules, f.classifier)
+		return os.WriteFile(filepath.Join(f.out, cid+".txt"),
 			[]byte(fmt.Sprintf("stable %.0f/%d\nchurners %.0f/%d\narrivals %d\ndepartures %d\n",
 				stableDone, c.Peers-churners, churnDone, churners, arrivals, departures)), 0o644)
 	case "gossip":
-		points, err := exp.GossipFanoutSweep(64, nil, seed)
+		points, err := exp.GossipFanoutSweep(64, nil, f.seed)
 		if err != nil {
 			return err
 		}
 		for _, pt := range points {
 			fmt.Printf("   %v\n", pt)
 		}
-		return writeDat(out, "gossip.dat", exp.GossipSweepSeries(points)...)
+		return writeDat(f.out, "gossip.dat", exp.GossipSweepSeries(points)...)
 	default:
 		return fmt.Errorf("unknown figure id %q", id)
 	}
-}
-
-func report(o *exp.SwarmOutcome) {
-	done := 0
-	var last float64
-	for _, c := range o.Completions {
-		if c > 0 {
-			done++
-			if c.Seconds() > last {
-				last = c.Seconds()
-			}
-		}
-	}
-	fmt.Printf("   %d/%d clients done, last at %.0fs (kernel: %d events, %d switches)\n",
-		done, len(o.Completions), last, o.Kernel.Events, o.Kernel.Switches)
 }

@@ -127,13 +127,8 @@ func reportScenario(res *scenario.Result) {
 		sp.Workload.Kind, res.Model, sp.Seed, res.EndedAt)
 	switch sp.Workload.Kind {
 	case scenario.WorkloadSwarm, scenario.WorkloadChurnSwarm:
-		var last float64
-		for _, c := range res.Completions {
-			if c > 0 && c.Seconds() > last {
-				last = c.Seconds()
-			}
-		}
-		fmt.Printf("   %d/%d clients done, last stable completion at %.0fs\n", res.Done, res.Total, last)
+		fmt.Printf("   %d/%d clients done, last stable completion at %.0fs\n",
+			res.Done, res.Total, res.Snapshot.Values["last-completion-s"])
 		if res.Arrivals > 0 {
 			fmt.Printf("   churn: %d arrivals, %d departures\n", res.Arrivals, res.Departures)
 		}

@@ -20,23 +20,23 @@ func main() {
 	sizeMB := flag.Int64("size", 2, "file size in MiB")
 	flag.Parse()
 
-	base := repro.Fig8Params()
-	base.Clients = *clients
-	base.Seeders = 2
-	base.FileSize = *sizeMB << 20
-	base.StartInterval = 2 * time.Second
+	base := repro.Fig8Spec()
+	base.Workload.Seeders = 2
+	base.Groups[0].Nodes = base.Workload.Seeders + *clients
+	base.Workload.FileSize = *sizeMB << 20
+	base.Workload.StartInterval = repro.Duration(2 * time.Second)
 
 	foldings := []int{1, 8, 16}
 	fmt.Printf("swarm: %d clients, %d MiB file, foldings %v\n", *clients, *sizeMB, foldings)
 
-	series, outcomes, err := repro.Fig9(base, foldings)
+	series, results, err := repro.Fig9(base, foldings)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nfolding  last-completion  total-received  half-time")
 	for i, s := range series {
 		var last float64
-		for _, c := range outcomes[i].Completions {
+		for _, c := range results[i].Completions {
 			if c.Seconds() > last {
 				last = c.Seconds()
 			}

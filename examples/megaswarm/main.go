@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/topo"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -41,38 +41,27 @@ func main() {
 	// BenchmarkSwarmScale, which applies the same setting).
 	debug.SetGCPercent(400)
 
-	seeders := *peers / 200
-	if seeders < 4 {
-		seeders = 4
-	}
-	params := exp.SwarmParams{
-		Clients:       *peers,
-		Seeders:       seeders,
-		FileSize:      *fileMB << 20,
-		StartInterval: time.Millisecond,
-		Class:         topo.Campus,
-		Seed:          *seed,
-		Horizon:       *horizon,
-	}
+	sp := exp.MegaswarmSpec(*peers)
+	sp.Seed = *seed
+	sp.Horizon = scenario.Duration(*horizon)
+	sp.Workload.FileSize = *fileMB << 20
 
 	fmt.Printf("megaswarm: %d leechers + %d seeders, %d MiB torrent, %s horizon\n",
-		params.Clients, params.Seeders, *fileMB, *horizon)
+		*peers, sp.Workload.Seeders, *fileMB, *horizon)
 	start := time.Now()
-	out, err := exp.RunSwarm(params)
+	out, err := scenario.Run(&sp, scenario.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "megaswarm:", err)
 		os.Exit(1)
 	}
 	wall := time.Since(start)
 
+	var pieces int
 	var bytes int64
-	for _, e := range out.Pieces {
-		bytes += e.Bytes
-	}
-	done := 0
-	for _, c := range out.Completions {
-		if c > 0 {
-			done++
+	for _, prog := range out.Progress {
+		if len(prog) > 0 {
+			pieces += len(prog)
+			bytes += prog[len(prog)-1].Bytes
 		}
 	}
 	if bytes == 0 {
@@ -81,11 +70,11 @@ func main() {
 	}
 
 	fmt.Printf("wall time        %v\n", wall.Round(time.Millisecond))
-	fmt.Printf("peers/sec        %.2f\n", float64(params.Clients)/wall.Seconds())
+	fmt.Printf("peers/sec        %.2f\n", float64(*peers)/wall.Seconds())
 	fmt.Printf("virtual time     %v\n", time.Duration(out.EndedAt))
 	fmt.Printf("pieces verified  %d (%.1f MiB, %.0f bytes/peer)\n",
-		len(out.Pieces), float64(bytes)/(1<<20), float64(bytes)/float64(params.Clients))
-	fmt.Printf("completed peers  %d/%d inside horizon\n", done, params.Clients)
+		pieces, float64(bytes)/(1<<20), float64(bytes)/float64(*peers))
+	fmt.Printf("completed peers  %d/%d inside horizon\n", out.Done, out.Total)
 	fmt.Printf("kernel events    %d dispatched, %d task spawns\n", out.Kernel.Events, out.Kernel.Spawns)
 	fmt.Printf("net messages     %d delivered, %d dropped, %d retransmits\n",
 		out.Net.MessagesDelivered, out.Net.MessagesDropped, out.Net.Retransmits)

@@ -17,15 +17,15 @@ func main() {
 	sizeMB := flag.Int64("size", 4, "file size in MiB")
 	flag.Parse()
 
-	params := repro.Fig8Params()
-	params.Clients = *clients
-	params.FileSize = *sizeMB << 20
-	params.StartInterval = 5 * time.Second
+	sp := repro.Fig8Spec()
+	sp.Groups[0].Nodes = sp.Workload.Seeders + *clients
+	sp.Workload.FileSize = *sizeMB << 20
+	sp.Workload.StartInterval = repro.Duration(5 * time.Second)
 
 	fmt.Printf("running %d-client swarm of a %d MiB file on emulated DSL...\n",
-		params.Clients, *sizeMB)
+		*clients, *sizeMB)
 	wall := time.Now()
-	out, err := repro.RunSwarm(params)
+	out, err := repro.RunScenario(&sp, repro.ScenarioOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,24 +44,19 @@ func main() {
 			last = c
 		}
 	}
-	fmt.Printf("completed: %d/%d clients\n", done, params.Clients)
+	fmt.Printf("completed: %d/%d clients\n", done, *clients)
 	fmt.Printf("first completion at %v, last at %v (virtual)\n", first, last)
 	fmt.Printf("simulated %v of swarm activity in %v of wall time\n",
 		time.Duration(out.EndedAt).Round(time.Second), time.Since(wall).Round(time.Millisecond))
 
 	// The three phases of Fig 8, read off the aggregate curve.
-	total := repro.Series{Name: "total"}
-	var cum float64
-	for _, e := range out.Pieces {
-		cum += float64(e.Bytes)
-		total.Add(e.At.Seconds(), cum)
-	}
-	totalBytes := float64(params.FileSize) * float64(params.Clients)
-	phase1 := total.At(first.Seconds()/3) / totalBytes
+	total := repro.TotalReceivedSeries("total", out.Progress)
+	totalMB := float64(*sizeMB) * float64(*clients)
+	phase1 := total.At(first.Seconds()/3) / totalMB
 	fmt.Printf("early phase (seeders only): %.1f%% of all data moved by t=%.0fs\n",
 		100*phase1, first.Seconds()/3)
-	fmt.Printf("swarm phase: 50%% of all data moved by t=%.0fs\n", findFrac(&total, totalBytes, 0.5))
-	fmt.Printf("endgame: 95%% of all data moved by t=%.0fs\n", findFrac(&total, totalBytes, 0.95))
+	fmt.Printf("swarm phase: 50%% of all data moved by t=%.0fs\n", findFrac(total, totalMB, 0.5))
+	fmt.Printf("endgame: 95%% of all data moved by t=%.0fs\n", findFrac(total, totalMB, 0.95))
 }
 
 func findFrac(s *repro.Series, total, frac float64) float64 {

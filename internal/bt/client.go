@@ -211,9 +211,6 @@ type Client struct {
 
 	// OnComplete, if set, fires once when the download finishes.
 	OnComplete func(c *Client, at sim.Time)
-	// OnPiece, if set, fires at every piece completion (progress
-	// collection for the figures).
-	OnPiece func(c *Client, at sim.Time, piece int, bytesDone int64)
 }
 
 // NewClient creates a client on host h for the given torrent and
@@ -908,11 +905,7 @@ func (c *Client) partialsRemove(pi int) {
 func (c *Client) onPieceDone(p *sim.Proc, piece int) {
 	now := p.Now()
 	c.om.pieces.Inc()
-	bytesDone := c.BytesDone()
-	c.progress = append(c.progress, Progress{At: now, Bytes: bytesDone, Pieces: c.store.Bitfield().Count()})
-	if c.OnPiece != nil {
-		c.OnPiece(c, now, piece, bytesDone)
-	}
+	c.progress = append(c.progress, Progress{At: now, Bytes: c.BytesDone(), Pieces: c.store.Bitfield().Count()})
 	c.picker.MarkHave(piece)
 	for _, pr := range c.peers {
 		if pr.bits.Has(piece) {

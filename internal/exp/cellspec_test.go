@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/netem"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -39,6 +40,37 @@ func TestCellSpecMatchesParent(t *testing.T) {
 	}
 }
 
+// TestFigSpecMatchesParent pins the swarm figures to what exp's own
+// swarm builder (deleted after commit 43f8602) measured for the same
+// experiments: folded or not, pipe or windowed flow, the one assembler
+// dispatches the same events to the same instant.
+func TestFigSpecMatchesParent(t *testing.T) {
+	fig8by8 := ScaleSpec(Fig8Spec(), 8)
+	fig8by8.Folding = 4
+	flow := fig8by8
+	flow.Model, flow.FlowWindow = "flow", scenario.Duration(250*time.Millisecond)
+	for _, c := range []struct {
+		name    string
+		sp      scenario.Spec
+		kernel  sim.Stats
+		endedAt time.Duration
+	}{
+		{"fig8/20", ScaleSpec(Fig8Spec(), 20), sim.Stats{Events: 9973, Switches: 5855, Spawns: 215}, 96485271220},
+		{"fig8/8 folding 4", fig8by8, sim.Stats{Events: 107566, Switches: 33512, Spawns: 795}, 280368866988},
+		{"fig8/8 folding 4 flow 250ms", flow, sim.Stats{Events: 48815, Switches: 29191, Spawns: 827}, 287152497322},
+		{"fig10/32", ScaleSpec(Fig10Spec(), 32), sim.Stats{Events: 527954, Switches: 209249, Spawns: 12085}, 280168961757},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			res := runSwarm(t, c.sp)
+			if res.Kernel != c.kernel || time.Duration(res.EndedAt) != c.endedAt {
+				t.Errorf("moved: kernel %+v ended %v; want %+v ended %v", res.Kernel, time.Duration(res.EndedAt), c.kernel, c.endedAt)
+			}
+		})
+	}
+}
+
 // familyGrids is one small non-default cell per family that compiles
 // to a spec, every axis the family reads set off its default.
 var familyGrids = []Grid{
@@ -55,22 +87,29 @@ var familyGrids = []Grid{
 	{Experiment: ExpScenario, Scenarios: []string{"gossip-partition"}, Seeds: []int64{7}},
 }
 
-// TestCellSpecSurvivesJSON: every knob a cell sets is reachable from
-// JSON — the compiled spec, marshalled and loaded back, runs to the
-// identical snapshot.
+// TestCellSpecSurvivesJSON: every knob a cell or a swarm figure sets
+// is reachable from JSON — the spec, marshalled and loaded back, runs
+// to the identical result.
 func TestCellSpecSurvivesJSON(t *testing.T) {
+	specs := map[string]scenario.Spec{
+		"fig8":  ScaleSpec(Fig8Spec(), 20),
+		"fig10": ScaleSpec(Fig10Spec(), 64),
+	}
 	for _, g := range familyGrids {
-		g := g
-		t.Run(string(g.Experiment), func(t *testing.T) {
+		cells, err := g.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := cells[0].Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[string(g.Experiment)] = sp
+	}
+	for name, sp := range specs {
+		sp := sp
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cells, err := g.Cells()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp, err := cells[0].Spec()
-			if err != nil {
-				t.Fatal(err)
-			}
 			direct, err := scenario.Run(&sp, scenario.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -87,8 +126,8 @@ func TestCellSpecSurvivesJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(direct.Snapshot, viaJSON.Snapshot) {
-				t.Errorf("spec changed across JSON %s:\ndirect %+v\nloaded %+v", blob, direct.Snapshot, viaJSON.Snapshot)
+			if !reflect.DeepEqual(direct, viaJSON) {
+				t.Errorf("spec changed across JSON %s:\ndirect %+v\nloaded %+v", blob, direct, viaJSON)
 			}
 			if direct.Done == 0 {
 				t.Errorf("cell did nothing: %+v", direct.Snapshot)

@@ -1,10 +1,14 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/bt"
+	"repro/internal/metrics"
 	"repro/internal/netem"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -163,46 +167,50 @@ func TestFig7WorkedExample(t *testing.T) {
 }
 
 // smallSwarm returns a fast, scaled-down Fig 8 configuration.
-func smallSwarm() SwarmParams {
-	sp := Fig8Params()
-	sp.Clients = 16
-	sp.Seeders = 2
-	sp.FileSize = 2 * 1024 * 1024
-	sp.StartInterval = 2 * time.Second
-	sp.Horizon = 2 * time.Hour
+func smallSwarm(clients int) scenario.Spec {
+	sp := Fig8Spec()
+	sp.Workload.Seeders = 2
+	sp.Groups[0].Nodes = 2 + clients
+	sp.Workload.FileSize = 2 * 1024 * 1024
+	sp.Workload.StartInterval = scenario.Duration(2 * time.Second)
+	sp.Horizon = scenario.Duration(2 * time.Hour)
 	return sp
 }
 
-func TestRunSwarmCompletes(t *testing.T) {
-	out, err := RunSwarm(smallSwarm())
+// runSwarm runs a swarm spec that must complete.
+func runSwarm(t *testing.T, sp scenario.Spec) *scenario.Result {
+	t.Helper()
+	res, err := scenario.Run(&sp, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.AllDone {
-		t.Fatalf("swarm incomplete: %v", out.Completions)
+	if res.Done != res.Total {
+		t.Fatalf("swarm incomplete: %d/%d, completions %v", res.Done, res.Total, res.Completions)
 	}
-	if len(out.Completions) != 16 {
-		t.Fatalf("completions = %d", len(out.Completions))
+	return res
+}
+
+func TestRunSwarmCompletes(t *testing.T) {
+	res := runSwarm(t, smallSwarm(16))
+	if len(res.Completions) != 16 || len(res.Progress) != 16 {
+		t.Fatalf("completions = %d, trajectories = %d, want 16", len(res.Completions), len(res.Progress))
 	}
-	for i, c := range out.Completions {
+	for i, c := range res.Completions {
 		if c == 0 {
 			t.Errorf("client %d unfinished", i)
 		}
 	}
-	if len(out.Pieces) != 16*out.Meta.NumPieces() {
-		t.Errorf("piece events = %d, want %d", len(out.Pieces), 16*out.Meta.NumPieces())
-	}
 }
 
 func TestRunSwarmWithFolding(t *testing.T) {
-	sp := smallSwarm()
+	sp := smallSwarm(16)
 	sp.Folding = 8
-	out, err := RunSwarm(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.AllDone {
-		t.Fatal("folded swarm incomplete")
+	folded := runSwarm(t, sp)
+	// The cluster layer is really there: every message between the 3
+	// machines pays NIC, CPU and firewall-scan time the bare topology
+	// does not charge.
+	if bare := runSwarm(t, smallSwarm(16)); folded.EndedAt <= bare.EndedAt {
+		t.Errorf("folded run ended at %v, want later than the unfolded %v", folded.EndedAt, bare.EndedAt)
 	}
 }
 
@@ -212,14 +220,12 @@ func TestFig9FoldingInvariance(t *testing.T) {
 	// BitTorrent dynamics are chaotic per client (a different optimistic
 	// unchoke shifts individual completions), so the comparison is on
 	// the aggregate cumulative curve, like the paper's Fig 9.
-	sp := smallSwarm()
-	sp.Clients = 32
-	series, outcomes, err := Fig9(sp, []int{1, 8})
+	series, results, err := Fig9(smallSwarm(32), []int{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("series = %d", len(series))
+	if len(series) != 2 || len(results) != 2 {
+		t.Fatalf("series = %d, results = %d", len(series), len(results))
 	}
 	totalWant := float64(32) * 2 // 32 clients × 2 MB, in MB
 	for _, s := range series {
@@ -242,7 +248,6 @@ func TestFig9FoldingInvariance(t *testing.T) {
 				x, a, b, 100*diff)
 		}
 	}
-	_ = outcomes
 }
 
 func lastCompletion(cs []sim.Time) sim.Time {
@@ -256,49 +261,89 @@ func lastCompletion(cs []sim.Time) sim.Time {
 }
 
 func TestProgressAndCompletionSeries(t *testing.T) {
-	out, err := RunSwarm(smallSwarm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := ProgressSeries("c0", out.PerClient[0], out.Meta.Length)
+	res := runSwarm(t, smallSwarm(16))
+	fileSize := res.Spec.Workload.FileSize
+	ps := ProgressSeries("c0", res.Progress[0], fileSize)
 	if ps.LastY() != 100 {
 		t.Fatalf("final percent = %v", ps.LastY())
 	}
-	cs := CompletionSeries(out.Completions)
+	cs := CompletionSeries(res.Completions)
 	if cs.LastY() != 16 {
 		t.Fatalf("final completions = %v, want 16", cs.LastY())
 	}
-	ts := TotalReceivedSeries("total", out.Pieces)
-	if ts.LastY() < 31.9 || ts.LastY() > 32.1 {
-		t.Fatalf("total received = %v MB, want 32", ts.LastY())
+	// The merged piece stream: one point per piece per client, in time
+	// order, summing to clients × file size.
+	ts := TotalReceivedSeries("total", res.Progress)
+	pieces := int(fileSize / bt.DefaultPieceLength)
+	if ts.Len() != 16*pieces {
+		t.Errorf("piece stream has %d events, want %d", ts.Len(), 16*pieces)
+	}
+	for i := 1; i < ts.Len(); i++ {
+		if ts.Points[i].X < ts.Points[i-1].X {
+			t.Fatalf("piece stream goes back in time at %d: %v after %v", i, ts.Points[i].X, ts.Points[i-1].X)
+		}
+	}
+	if ts.LastY() != 32 {
+		t.Errorf("total received = %v MB, want 32", ts.LastY())
+	}
+}
+
+// TestTotalReceivedMergeTies: pieces completed at the same instant
+// merge in client order, whatever the clients' later timing.
+func TestTotalReceivedMergeTies(t *testing.T) {
+	const mb = 1 << 20
+	s := func(sec int) sim.Time { return sim.Time(time.Duration(sec) * time.Second) }
+	ts := TotalReceivedSeries("total", [][]bt.Progress{
+		{{At: s(2), Bytes: 1 * mb}, {At: s(5), Bytes: 2 * mb}},
+		{{At: s(1), Bytes: 4 * mb}, {At: s(2), Bytes: 6 * mb}},
+	})
+	want := []metrics.Point{{X: 1, Y: 4}, {X: 2, Y: 5}, {X: 2, Y: 7}, {X: 5, Y: 8}}
+	if !reflect.DeepEqual(ts.Points, want) {
+		t.Errorf("merged stream = %v, want %v", ts.Points, want)
 	}
 }
 
 func TestScaleParams(t *testing.T) {
-	sp := Fig10Params().Scale(100)
-	if sp.Clients != 57 {
-		t.Fatalf("clients = %d", sp.Clients)
+	sp := ScaleSpec(Fig10Spec(), 100)
+	if got := sp.Groups[0].Nodes - sp.Workload.Seeders; got != 57 {
+		t.Fatalf("clients = %d", got)
 	}
-	if sp.FileSize != 512*1024 {
-		t.Fatalf("file size = %d", sp.FileSize)
+	if sp.Workload.FileSize != 512*1024 {
+		t.Fatalf("file size = %d", sp.Workload.FileSize)
 	}
-	if sp.PhysNodes == 0 {
-		t.Fatal("phys nodes should be recomputed")
+	if sp.Folding != 32 || sp.Workload.Seeders != 4 {
+		t.Fatalf("folding %d, seeders %d not preserved", sp.Folding, sp.Workload.Seeders)
 	}
-	if sp.Folding != 32 {
-		t.Fatal("folding preserved")
+	if full := Fig10Spec(); full.Groups[0].Nodes != 5758 {
+		t.Fatalf("scaling mutated the spec it was given a copy of: %d nodes", full.Groups[0].Nodes)
 	}
 }
 
 func TestFig8ParamsMatchPaper(t *testing.T) {
-	sp := Fig8Params()
-	if sp.Clients != 160 || sp.Seeders != 4 || sp.FileSize != 16*1024*1024 ||
-		sp.StartInterval != 10*time.Second || sp.Class != topo.DSL {
-		t.Fatalf("Fig8 parameters drifted: %+v", sp)
+	sp := Fig8Spec()
+	w := sp.Workload
+	if sp.TotalNodes() != 160+4 || w.Seeders != 4 || w.FileSize != 16*1024*1024 ||
+		w.StartInterval.D() != 10*time.Second || sp.Groups[0].Class != topo.DSL.Name || sp.Folding != 0 {
+		t.Fatalf("Fig8 spec drifted: %+v", sp)
 	}
-	sp10 := Fig10Params()
-	if sp10.Clients != 5754 || sp10.Folding != 32 || sp10.PhysNodes != 180 ||
-		sp10.StartInterval != 250*time.Millisecond {
-		t.Fatalf("Fig10 parameters drifted: %+v", sp10)
+	sp10 := Fig10Spec()
+	// 5758 nodes at 32 per machine are the paper's 180 physical nodes.
+	if sp10.TotalNodes() != 5754+4 || sp10.Folding != 32 || (sp10.TotalNodes()+31)/32 != 180 ||
+		sp10.Workload.StartInterval.D() != 250*time.Millisecond {
+		t.Fatalf("Fig10 spec drifted: %+v", sp10)
+	}
+}
+
+// TestFig10SpecPlacesAtEveryScale: the machine count is derived from
+// the spec's total nodes, so every scaled Fig 10 assembles and places
+// (a 1 ns horizon ends the run right after). Sizing it from the
+// clients alone left no room for the seeders at 18 of these factors.
+func TestFig10SpecPlacesAtEveryScale(t *testing.T) {
+	for factor := 1; factor <= 64; factor++ {
+		sp := ScaleSpec(Fig10Spec(), factor)
+		sp.Horizon = 1
+		if _, err := scenario.Run(&sp, scenario.Options{}); err != nil {
+			t.Errorf("scale %d: %v", factor, err)
+		}
 	}
 }

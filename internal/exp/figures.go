@@ -7,6 +7,7 @@ import (
 	"repro/internal/ip"
 	"repro/internal/metrics"
 	"repro/internal/netem"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -325,23 +326,19 @@ var Fig9Foldings = []int{1, 10, 20, 40, 80}
 // cumulative-data series per folding. The paper's result: the curves
 // coincide ("results are nearly identical ... even with 80 virtual
 // nodes on each physical node").
-func Fig9(base SwarmParams, foldings []int) ([]*metrics.Series, []*SwarmOutcome, error) {
-	if foldings == nil {
-		foldings = Fig9Foldings
-	}
+func Fig9(base scenario.Spec, foldings []int) ([]*metrics.Series, []*scenario.Result, error) {
 	var series []*metrics.Series
-	var outcomes []*SwarmOutcome
+	var results []*scenario.Result
 	for _, f := range foldings {
 		sp := base
 		sp.Folding = f
-		sp.PhysNodes = 0
-		out, err := RunSwarm(sp)
+		res, err := scenario.Run(&sp, scenario.Options{})
 		if err != nil {
 			return nil, nil, err
 		}
 		name := fmt.Sprintf("%d client(s) per physical node", f)
-		series = append(series, TotalReceivedSeries(name, out.Pieces))
-		outcomes = append(outcomes, out)
+		series = append(series, TotalReceivedSeries(name, res.Progress))
+		results = append(results, res)
 	}
-	return series, outcomes, nil
+	return series, results, nil
 }

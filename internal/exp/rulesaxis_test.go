@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -157,26 +159,23 @@ func TestSwarmRulesSlowCompletion(t *testing.T) {
 	}
 }
 
-// TestRunSwarmRulesSlowCompletion is the same property on the Figs 8–11
-// runner, which still pads its own table (`p2plab -fig 8 -rules`).
+// TestRunSwarmRulesSlowCompletion is the same property on a folded
+// figure spec (`p2plab -fig 10 -rules`): the network firewall's scan
+// cost adds to what the cluster's per-machine tables already charge.
 func TestRunSwarmRulesSlowCompletion(t *testing.T) {
-	run := func(rules int, cf netem.Classifier) *SwarmOutcome {
-		out, err := RunSwarm(SwarmParams{
-			Clients: 4, Seeders: 1, FileSize: 256 << 10,
-			StartInterval: time.Second, Class: topo.LAN,
-			Rules: rules, Classifier: cf, Seed: 1, Horizon: time.Hour,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.AllDone {
-			t.Fatal("swarm incomplete")
-		}
-		return out
+	run := func(rules int, classifier string) sim.Time {
+		return runSwarm(t, scenario.Spec{
+			Name:        "folded-rules",
+			Folding:     2,
+			FillerRules: rules,
+			Classifier:  classifier,
+			Groups:      []scenario.GroupSpec{{Name: "peers", Class: topo.LAN.Name, Nodes: 1 + 4}},
+			Workload:    scenario.WorkloadSpec{Kind: scenario.WorkloadSwarm, Seeders: 1, FileSize: 256 << 10},
+		}).EndedAt
 	}
-	base := run(0, netem.ClassifierLinear).EndedAt
-	heavy := run(50000, netem.ClassifierLinear).EndedAt
-	light := run(50000, netem.ClassifierIndexed).EndedAt
+	base := run(0, "")
+	heavy := run(50000, "linear")
+	light := run(50000, "indexed")
 	if heavy <= base {
 		t.Errorf("50k-rule linear swarm ended at %v, want later than %v", heavy, base)
 	}

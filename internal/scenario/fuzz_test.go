@@ -24,6 +24,8 @@ func FuzzLoadSpec(f *testing.F) {
 	f.Add([]byte(`{"name":"x","horizon":"-5s"}`))
 	f.Add([]byte(`{"name":"x","timeline":[{"at":"1s","action":"partition"}]}`))
 	f.Add([]byte(`{"name":"x","workload":{"kind":"swarm","seeders":999}}`))
+	f.Add([]byte(`{"name":"x","folding":32,"groups":[{"name":"g","class":"dsl","nodes":70}],"workload":{"kind":"swarm"}}`))
+	f.Add([]byte(`{"name":"x","folding":-1,"groups":[{"name":"g","class":"dsl","nodes":4}],"workload":{"kind":"gossip"}}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(``))

@@ -17,6 +17,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
+	"repro/internal/virt"
 	"repro/internal/vnet"
 )
 
@@ -63,6 +64,10 @@ type Result struct {
 	Done, Total int        // clients completed / total clients
 	Arrivals    int        // churn-swarm: sessions started
 	Departures  int
+	// Progress holds each client's piece-completion trajectory, in
+	// Completions order — the curves of Figs 8 and 10. The slices are
+	// the clients' own records, not copies.
+	Progress [][]bt.Progress
 
 	// DHT.
 	AvgHops    float64
@@ -92,6 +97,12 @@ type runner struct {
 	rules   *netem.RuleSet            // firewall table; nil unless enabled
 	finish  func(*Result)             // workload result collection
 }
+
+// clusterAdmin is the administration block of a folded run's physical
+// nodes: large enough for one machine per node of the largest legal
+// spec, and clear of the 10/8 group blocks and the 192.168.0.0/24
+// tracker and web-seed addresses.
+var clusterAdmin = ip.MustParsePrefix("172.16.0.0/12")
 
 // Run executes a scenario to completion (or its horizon) on a fresh
 // kernel and returns the measured result. The spec is defaulted and
@@ -132,6 +143,10 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 		pfx, err := ip.ParsePrefix(prefix)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: group %q: %w", sp.Name, g.Name, err)
+		}
+		if sp.Folding > 0 && pfx.Overlaps(clusterAdmin) {
+			return nil, fmt.Errorf("scenario %s: group %q: prefix %v overlaps the cluster's admin block %v",
+				sp.Name, g.Name, pfx, clusterAdmin)
 		}
 		class, _ := topo.ClassByName(g.Class)
 		if _, err := t.AddGroup(topo.Group{Name: g.Name, Prefix: pfx, Class: class, Nodes: g.Nodes}); err != nil {
@@ -179,7 +194,20 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 		r.rules = netem.NewFillerTable(sp.FillerRules, classifier)
 		ncfg.Rules = r.rules
 	}
-	r.net = vnet.NewNetwork(r.k, &vnet.TopoFabric{Topo: t}, ncfg)
+	// A folded run routes through the physical cluster, which charges
+	// the topology's group latencies itself.
+	var fabric vnet.Fabric = &vnet.TopoFabric{Topo: t}
+	var cluster *virt.Cluster
+	if sp.Folding > 0 {
+		ccfg := virt.DefaultConfig(t)
+		ccfg.AdminSubnet = clusterAdmin
+		cluster, err = virt.NewCluster(r.k, (sp.TotalNodes()-1)/sp.Folding+1, ccfg)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
+		}
+		fabric = cluster
+	}
+	r.net = vnet.NewNetwork(r.k, fabric, ncfg)
 	if opt.Trace != nil {
 		r.net.SetTrace(opt.Trace)
 	}
@@ -195,6 +223,11 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 			}
 			r.groups[g.Name] = append(r.groups[g.Name], h)
 			r.hosts = append(r.hosts, h)
+		}
+	}
+	if cluster != nil {
+		if err := cluster.PlaceSuccessive(r.hosts, sp.Folding); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 		}
 	}
 
@@ -506,7 +539,7 @@ func (r *runner) startSwarm(churned bool) error {
 	}
 	var clients []*vnet.Host
 	for _, h := range r.hosts {
-		h.SetBindEnv(h.Addr()) // P2PLab's BINDIP interception, as in exp
+		h.SetBindEnv(h.Addr()) // P2PLab's BINDIP interception is active
 		if !isSeed[h] {
 			clients = append(clients, h)
 		}
@@ -571,7 +604,7 @@ func (r *runner) startSwarm(churned bool) error {
 
 	r.finish = func(res *Result) {
 		res.Total = len(stable) + len(churners)
-		res.completions(swarm.CompletionTimes(), w.FileSize)
+		res.completions(swarm, w.FileSize)
 		if churned {
 			res.Snapshot.Set("stable-done", float64(res.Done))
 			churnDone := 0
@@ -595,14 +628,19 @@ func (r *runner) startSwarm(churned bool) error {
 	return nil
 }
 
-// completions records the swarm's per-client completion times and the
-// figures derived from them: how many finished, when the last and the
-// average one did, and the per-client goodput over the slowest
-// completion — what a piece-size × conn-cap × rate grid is swept for.
-func (res *Result) completions(times []sim.Time, fileSize int64) {
-	res.Completions = times
+// completions records the swarm's per-client completion times and
+// trajectories and the figures derived from them: how many finished,
+// when the last and the average one did, and the per-client goodput
+// over the slowest completion — what a piece-size × conn-cap × rate
+// grid is swept for.
+func (res *Result) completions(swarm *bt.Swarm, fileSize int64) {
+	res.Completions = swarm.CompletionTimes()
+	res.Progress = make([][]bt.Progress, len(swarm.Clients))
+	for i, c := range swarm.Clients {
+		res.Progress[i] = c.Progress()
+	}
 	var last, sum float64
-	for _, t := range times {
+	for _, t := range res.Completions {
 		if t > 0 {
 			res.Done++
 			sum += t.Seconds()

@@ -128,6 +128,7 @@ func TestValidationRejects(t *testing.T) {
 		{"bad classifier", func(s *Spec) { s.Classifier = "hash" }, "unknown classifier"},
 		{"negative filler rules", func(s *Spec) { s.FillerRules = -1 }, "filler rules outside"},
 		{"too many filler rules", func(s *Spec) { s.FillerRules = maxRuleCopies + 1 }, "filler rules outside"},
+		{"negative folding", func(s *Spec) { s.Folding = -1 }, "negative folding"},
 		{"add-rule bad body", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionAddRule, Rule: "fwd"}}
 		}, "unknown rule body"},
@@ -333,6 +334,57 @@ func TestPartitionChangesCompletion(t *testing.T) {
 	}
 	t.Logf("baseline %d/%d last=%.1fs; partitioned %d/%d last=%.1fs",
 		baseline.Done, baseline.Total, lastOf(baseline), cut.Done, cut.Total, lastOf(cut))
+}
+
+// TestFoldingComposes: folding is one more field of a spec, not a
+// separate experiment — groups, a declared latency and a timed
+// partition behave on the cluster fabric as they do on the bare
+// topology.
+func TestFoldingComposes(t *testing.T) {
+	folded := func() *Spec {
+		sp := testSwarmSpec()
+		sp.Folding = 4
+		sp.Latencies = []LatencySpec{{A: "left", B: "right", OneWay: Duration(100 * time.Millisecond)}}
+		return sp
+	}
+	run := func(sp *Spec) *Result {
+		t.Helper()
+		res, err := Run(sp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Done != res.Total {
+			t.Fatalf("folded swarm incomplete: %d/%d", res.Done, res.Total)
+		}
+		return res
+	}
+	whole := run(folded())
+	parted := folded()
+	parted.Timeline = []EventSpec{{
+		At: Duration(10 * time.Second), Action: ActionPartition,
+		A: []string{"left"}, B: []string{"right"}, For: Duration(120 * time.Second),
+	}}
+	if cut := run(parted); cut.EndedAt <= whole.EndedAt {
+		t.Errorf("partition did not slow the folded swarm: ended %v, unpartitioned %v", cut.EndedAt, whole.EndedAt)
+	}
+	flat := folded()
+	flat.Latencies = nil
+	if near := run(flat); near.EndedAt >= whole.EndedAt {
+		t.Errorf("declared latency not charged on the cluster: ended %v with it, %v without", whole.EndedAt, near.EndedAt)
+	}
+
+	// The machines' admin block is the one address range a folded spec
+	// may not pin a group into; the error names the group.
+	clash := folded()
+	clash.Groups[1].Prefix = "172.20.0.0/16"
+	if _, err := Run(clash, Options{}); err == nil ||
+		!strings.Contains(err.Error(), `group "right"`) || !strings.Contains(err.Error(), "admin block") {
+		t.Errorf("pinned prefix inside the admin block: got %v", err)
+	}
+	clash.Folding = 0
+	if _, err := Run(clash, Options{}); err != nil {
+		t.Errorf("the same prefix without folding: %v", err)
+	}
 }
 
 // TestTimelineFires: timeline actions must appear on the trace (the

@@ -106,7 +106,7 @@ func (r *runner) startSnapshot() error {
 
 	r.finish = func(res *Result) {
 		res.Total = len(clients)
-		res.completions(swarm.CompletionTimes(), w.FileSize)
+		res.completions(swarm, w.FileSize)
 		var wsBytes uint64
 		for _, ws := range webseeds {
 			wsBytes += ws.Stats().BytesServed

@@ -215,6 +215,12 @@ type Spec struct {
 	// otherwise the run has none (vnet.Config.Rules == nil) and its
 	// trace is byte-identical to pre-firewall builds.
 	Classifier string `json:"classifier,omitempty"`
+	// Folding hosts the scenario on a physical cluster (virt.Cluster)
+	// at this many virtual nodes per physical node, placed in host
+	// creation order — the paper's folding ratio (Figs 9–11). The
+	// machine count is derived: ceil(total nodes / folding). 0 runs on
+	// the bare topology, without the cluster layer.
+	Folding int `json:"folding,omitempty"`
 	// FillerRules pads the firewall table at assembly with this many
 	// never-matching rules (netem.PadFiller): every message then pays
 	// the classification cost, the Fig 6 artifact applied to a whole
@@ -246,8 +252,10 @@ func (s *Spec) FirewallEnabled() bool {
 // deployments; the caps keep a malformed (or fuzzed) spec from
 // requesting an absurd build.
 const (
-	maxGroups        = 64
-	maxNodesPerGroup = 8192
+	maxGroups = 64
+	// MaxNodesPerGroup is exported for builders that split a large
+	// population across same-class groups (exp.MegaswarmSpec).
+	MaxNodesPerGroup = 8192
 	maxTimeline      = 1024
 )
 
@@ -363,6 +371,9 @@ func (s *Spec) Validate() error {
 	if s.FillerRules < 0 || s.FillerRules > maxRuleCopies {
 		return fmt.Errorf("scenario %s: %d filler rules outside [0,%d]", s.Name, s.FillerRules, maxRuleCopies)
 	}
+	if s.Folding < 0 {
+		return fmt.Errorf("scenario %s: negative folding %d", s.Name, s.Folding)
+	}
 	if s.Horizon <= 0 {
 		return fmt.Errorf("scenario %s: horizon %v not positive", s.Name, s.Horizon)
 	}
@@ -387,8 +398,8 @@ func (s *Spec) Validate() error {
 		if _, ok := topo.ClassByName(g.Class); !ok {
 			return fmt.Errorf("scenario %s: group %q: unknown class %q", s.Name, g.Name, g.Class)
 		}
-		if g.Nodes < 1 || g.Nodes > maxNodesPerGroup {
-			return fmt.Errorf("scenario %s: group %q: %d nodes outside [1,%d]", s.Name, g.Name, g.Nodes, maxNodesPerGroup)
+		if g.Nodes < 1 || g.Nodes > MaxNodesPerGroup {
+			return fmt.Errorf("scenario %s: group %q: %d nodes outside [1,%d]", s.Name, g.Name, g.Nodes, MaxNodesPerGroup)
 		}
 		if g.Prefix != "" {
 			if _, err := ip.ParsePrefix(g.Prefix); err != nil {

@@ -16,6 +16,8 @@
 //   - OS scheduler simulators for the paper's FreeBSD-vs-Linux study
 //     (internal/sched);
 //   - a full BitTorrent implementation (internal/bt);
+//   - declarative scenarios — topology, workload, folding, timeline —
+//     and their one runner (internal/scenario);
 //   - one driver per paper figure (internal/exp).
 //
 // The quickest way in is Lab:
@@ -39,6 +41,7 @@ import (
 	"repro/internal/ip"
 	"repro/internal/metrics"
 	"repro/internal/netem"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -111,10 +114,17 @@ type (
 	// Summary holds order statistics of a sample.
 	Summary = metrics.Summary
 
-	// SwarmParams configures a figure-8/9/10/11 style experiment.
-	SwarmParams = exp.SwarmParams
-	// SwarmOutcome is the measured result of a swarm run.
-	SwarmOutcome = exp.SwarmOutcome
+	// Scenario is a declarative experiment: groups, link model,
+	// workload, folding and a timeline of network events. The swarm
+	// figures (8–11) are Scenario values.
+	Scenario = scenario.Spec
+	// ScenarioOptions tunes how a Scenario is executed.
+	ScenarioOptions = scenario.Options
+	// ScenarioResult is the measured result of a scenario run.
+	ScenarioResult = scenario.Result
+	// Duration is a JSON-friendly time.Duration, the type of a
+	// Scenario's time-valued fields.
+	Duration = scenario.Duration
 
 	// ChordNode is one Chord DHT participant (extension system).
 	ChordNode = chord.Node
@@ -175,8 +185,9 @@ var (
 	FairnessJobs = sched.FairnessJobs
 	// BuildSwarm assembles a BitTorrent swarm on prepared hosts.
 	BuildSwarm = bt.BuildSwarm
-	// RunSwarm executes a full swarm experiment (Figs 8–11).
-	RunSwarm = exp.RunSwarm
+	// RunScenario executes a Scenario on a fresh kernel — how every
+	// workload experiment, the swarm figures (8–11) included, runs.
+	RunScenario = scenario.Run
 	// WriteDat renders series as gnuplot-compatible data.
 	WriteDat = metrics.WriteDat
 )
@@ -191,9 +202,14 @@ var (
 	Fig6Series   = exp.Fig6Series
 	Fig6Indexed  = exp.Fig6Indexed
 	Fig7         = exp.Fig7
-	Fig8Params   = exp.Fig8Params
+	Fig8Spec     = exp.Fig8Spec
 	Fig9         = exp.Fig9
-	Fig10Params  = exp.Fig10Params
+	Fig10Spec    = exp.Fig10Spec
+	// ScaleSpec shrinks a swarm figure's scenario by an integer factor.
+	ScaleSpec = exp.ScaleSpec
+	// TotalReceivedSeries merges per-client trajectories into the
+	// swarm-wide cumulative curve of Fig 9.
+	TotalReceivedSeries = exp.TotalReceivedSeries
 )
 
 // Extension experiments: Chord DHT studies and churn.

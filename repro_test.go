@@ -102,14 +102,14 @@ func TestFacadeSchedulerRun(t *testing.T) {
 }
 
 func TestFacadeSwarmRun(t *testing.T) {
-	sp := Fig8Params().Scale(20)
-	sp.StartInterval = 2 * time.Second
-	out, err := RunSwarm(sp)
+	sp := ScaleSpec(Fig8Spec(), 20)
+	sp.Workload.StartInterval = Duration(2 * time.Second)
+	res, err := RunScenario(&sp, ScenarioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.AllDone {
-		t.Fatal("swarm incomplete")
+	if res.Done != res.Total {
+		t.Fatalf("swarm incomplete: %d/%d", res.Done, res.Total)
 	}
 }
 
