@@ -31,6 +31,16 @@ type LinkModel interface {
 	// the instant the message exits the last pipe (serialization,
 	// queueing and per-pipe propagation included) and ok=true, or with
 	// ok=false when the message is dropped by loss or queue admission.
+	//
+	// The contract vnet's pooled caller relies on: Transfer is called,
+	// and done must be called, with the kernel's execution token held
+	// (a simulated goroutine or an event callback). path belongs to the
+	// caller: it stays valid and unmodified until done is called, and
+	// the model must not retain it afterwards — the caller reuses the
+	// backing array for its next message. done may re-enter Transfer
+	// (a give-up resets the sender's connection, and the application's
+	// close handler may send), so the model must be consistent before
+	// it calls done and touch nothing of this transfer after.
 	Transfer(at sim.Time, size int, path []*Pipe, rng *rand.Rand, done func(exit sim.Time, ok bool))
 }
 

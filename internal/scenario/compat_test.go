@@ -43,8 +43,13 @@ func TestGoldenTraceCompat(t *testing.T) {
 	digests := make(map[string]string)
 	for _, sp := range Corpus() {
 		sp := sp
-		d, _, _ := traceDigest(t, sp)
+		d, res, _ := traceDigest(t, sp)
 		digests[sp.Name] = d
+		// Conservation (vnet.Network.transmit): whatever is not yet
+		// delivered or dropped at the horizon is still in flight.
+		if n := res.Net; n.MessagesSent < n.MessagesDelivered+n.MessagesDropped {
+			t.Errorf("%s: messages not conserved: %+v", sp.Name, n)
+		}
 	}
 
 	if os.Getenv("GOLDEN_UPDATE") != "" {

@@ -148,10 +148,10 @@ type Network struct {
 	stats  NetworkStats
 	tracer *trace.Log
 
-	// pm is set when model is the store-and-forward pipe model, enabling
-	// the pooled zero-allocation transmit path; flow-model networks keep
-	// the callback-based path (the solver retains path slices).
-	pm       *netem.PipeModel
+	// pipeWalk is set when model is the store-and-forward pipe model:
+	// xfer.attempt then walks the hops inline (xfer.step) instead of
+	// calling model.Transfer.
+	pipeWalk bool
 	freeXfer *xfer
 }
 
@@ -315,8 +315,8 @@ func (n *Network) SetLinkUp(h *Host, up bool) {
 }
 
 // SetTrace attaches an event log: every transmitted and delivered
-// message is recorded ("net.send", "net.deliver", "net.drop"), and a
-// flow-model network additionally records rate changes ("net.flow").
+// message is recorded (net.send, net.deliver, net.drop), and a
+// flow-model network additionally records rate changes (net.flow).
 // Tracing large swarms is expensive; prefer a bounded log.
 func (n *Network) SetTrace(l *trace.Log) {
 	n.tracer = l
@@ -354,7 +354,7 @@ func NewNetwork(k *sim.Kernel, fabric Fabric, cfg Config) *Network {
 		model:  model,
 		hosts:  make(map[ip.Addr]*Host),
 	}
-	n.pm, _ = model.(*netem.PipeModel)
+	_, n.pipeWalk = model.(*netem.PipeModel)
 	n.initObs()
 	return n
 }
@@ -476,10 +476,13 @@ func (m *message) wireSize(cfg *Config) int { return m.size + cfg.HeaderBytes }
 // transmit schedules a message from src through every pipe on the path
 // and delivers it at the destination host. reliable messages are
 // retransmitted on loss up to MaxRetransmits. It returns false if the
-// path is administratively denied or the destination is unknown.
+// path is administratively denied or the destination is unknown; either
+// way the message counts as sent, so MessagesSent = MessagesDelivered +
+// MessagesDropped + messages in flight at every instant.
 //
 //p2p:token transmit runs on the sender's simulated goroutine or an event callback
 func (n *Network) transmit(src *Host, m message, reliable bool) bool {
+	n.stats.MessagesSent++
 	dst := n.hosts[m.dst.Addr]
 	if dst == nil {
 		n.stats.MessagesDropped++
@@ -493,31 +496,25 @@ func (n *Network) transmit(src *Host, m message, reliable bool) bool {
 		n.stats.MessagesDropped++
 		return false
 	}
-	n.stats.MessagesSent++
 	if n.tracer != nil {
 		n.tracer.Add(n.k.Now(), "net.send", m.src.Addr.String(),
 			"%d B to %v (kind %d)", m.wireSize(&n.cfg), m.dst, m.kind)
 	}
-	if n.pm != nil {
-		x := n.acquireXfer()
-		x.src, x.dst, x.m, x.route = src, dst, m, route
-		x.reliable, x.tries = reliable, 0
-		x.start = n.k.LoopNow().Add(route.Cost)
-		x.size = m.wireSize(&n.cfg)
-		x.attempt()
-		return true
-	}
-	n.attempt(src, dst, m, route, 0, n.k.LoopNow().Add(route.Cost), reliable)
+	x := n.acquireXfer()
+	x.src, x.dst, x.m, x.route = src, dst, m, route
+	x.reliable, x.tries = reliable, 0
+	x.start = n.k.LoopNow().Add(route.Cost)
+	x.size = m.wireSize(&n.cfg)
+	x.attempt()
 	return true
 }
 
-// xfer is the pooled state of one message's journey through the network
-// under the pipe model: the path, the current hop, the retransmission
-// count. Its callbacks (step through a constrained pipe, deliver, retry)
-// are method values bound once at pool entry, so the per-message
-// transmit path — previously three closures, a path slice and two Event
-// handles per attempt, the largest allocation source in 10k-peer swarms
-// — schedules with zero allocations in steady state.
+// xfer is the pooled state of one message's journey through the network:
+// the path, the current hop, the retransmission count. Its callbacks
+// (step through a constrained pipe, link-model completion, deliver,
+// retry) are method values bound once at pool entry, so vnet's share of
+// the per-message transmit path schedules with zero allocations in
+// steady state under either link model.
 type xfer struct {
 	n        *Network
 	src, dst *Host
@@ -530,14 +527,14 @@ type xfer struct {
 
 	path    []*netem.Pipe
 	pathBuf [4]*netem.Pipe // inline storage for the common 2-hop path
-	hop     int            // next pipe to charge
-	t       sim.Time       // arrival instant at path[hop]
-	exit    sim.Time       // exit instant of the last pipe
+	hop     int            // next pipe to charge (pipe model)
+	t       sim.Time       // arrival instant at path[hop] (pipe model)
 
-	stepFn    func() // bound x.step
-	deliverFn func() // bound x.deliver
-	retryFn   func() // bound x.retry
-	next      *xfer  // free list
+	stepFn    func()               // bound x.step
+	doneFn    func(sim.Time, bool) // bound x.done
+	deliverFn func()               // bound x.deliver
+	retryFn   func()               // bound x.retry
+	next      *xfer                // free list
 }
 
 // acquireXfer takes an xfer off the pool or builds one, binding its
@@ -551,6 +548,7 @@ func (n *Network) acquireXfer() *xfer {
 	}
 	x = &xfer{n: n}
 	x.stepFn = x.step
+	x.doneFn = x.done
 	x.deliverFn = x.deliver
 	x.retryFn = x.retry
 	return x
@@ -566,21 +564,33 @@ func (n *Network) releaseXfer(x *xfer) {
 	n.freeXfer = x
 }
 
-// attempt mirrors Network.attempt for the pooled path: block check, rule
-// evaluation, path construction, then the hop walk. The order of checks,
-// stat bumps, trace records and event scheduling is identical, so traces
-// are byte-for-byte those of the closure-based path.
+// attempt runs one transmission attempt starting at x.start: the link
+// model carries the message over the path (sender up-link, fabric pipes,
+// firewall pipes, receiver down-link), then the fixed route latency
+// applies and the message is delivered. A dropped attempt of a reliable
+// message retries with exponential backoff from the attempt's start
+// instant (failed).
 //
 //p2p:token
 func (x *xfer) attempt() {
 	n := x.n
+	// A blocked path (partition or downed interface) drops the attempt
+	// before any pipe is charged: partitions drop rather than queue
+	// (DESIGN.md decision 6), and retransmission is what heals.
 	if n.pathBlocked(x.src, x.dst) {
 		x.failed()
 		return
 	}
+	// Firewall classification (DESIGN.md decision 7). Every attempt is
+	// classified — each packet traversal pays the rule-evaluation cost,
+	// as in ipfw — so a deny rule added or removed mid-run takes effect
+	// on the next retransmission, exactly like a partition.
 	var ruled []*netem.Pipe
 	if n.cfg.Rules != nil {
 		v := n.cfg.Rules.Eval(x.m.src.Addr, x.m.dst.Addr)
+		// The scan is paid before the verdict applies (as in ipfw, and
+		// as virt.Cluster.Route orders it): a denied attempt still
+		// advances its retransmission schedule by the evaluation cost.
 		x.start = x.start.Add(v.Cost)
 		if v.Deny {
 			n.stats.RuleDenied++
@@ -606,22 +616,28 @@ func (x *xfer) attempt() {
 	x.path = append(x.path, x.route.Pipes...)
 	x.path = append(x.path, ruled...)
 	x.path = append(x.path, x.dst.down)
-	x.hop, x.t = 0, x.start
-	x.step()
+	if n.pipeWalk {
+		x.hop, x.t = 0, x.start
+		x.step()
+		return
+	}
+	n.model.Transfer(x.start, x.size, x.path, n.k.Rand(), x.doneFn)
 }
 
-// step charges pipes from x.hop onward, continuing inline through
-// unconstrained pipes and parking on an event at each constrained pipe's
-// exit instant — the pooled equivalent of PipeModel.Transfer's hop
-// recursion.
+// step is the pipe model's walk: it charges pipes from x.hop onward,
+// continuing inline through unconstrained pipes and parking on an event
+// at each constrained pipe's exit instant — the pooled twin of
+// netem.PipeModel.Transfer's hop recursion (the reference walk;
+// TestPipeWalkMatchesPipeModel pins the two together), kept here because
+// a pooled walker behind LinkModel costs a second pooled object per
+// parked hop (DESIGN.md decision 5).
 //
 //p2p:token
 func (x *xfer) step() {
 	n := x.n
 	for {
 		if x.hop == len(x.path) {
-			x.exit = x.t
-			n.k.Schedule(x.exit.Add(x.route.Latency), x.deliverFn)
+			x.done(x.t, true)
 			return
 		}
 		exit, ok := x.path[x.hop].ScheduleAt(x.t, x.size, n.k.Rand())
@@ -637,6 +653,18 @@ func (x *xfer) step() {
 		n.k.Schedule(exit, x.stepFn)
 		return
 	}
+}
+
+// done is the link model's completion callback (netem.LinkModel.Transfer):
+// the message left the last pipe at exit, or the attempt was dropped.
+//
+//p2p:token
+func (x *xfer) done(exit sim.Time, ok bool) {
+	if !ok {
+		x.failed()
+		return
+	}
+	x.n.k.Schedule(exit.Add(x.route.Latency), x.deliverFn)
 }
 
 // deliver lands the message on the destination host and recycles the
@@ -687,84 +715,4 @@ func (x *xfer) failed() {
 		n.resetConn(x.src, x.m)
 	}
 	n.releaseXfer(x)
-}
-
-// attempt runs one transmission attempt starting at instant start: the
-// configured link model carries the message over the path (sender
-// up-link, fabric pipes, receiver down-link), then the fixed route
-// latency applies and the message is delivered. A dropped attempt of a
-// reliable message retries with exponential backoff from the attempt's
-// start instant.
-//
-//p2p:token
-func (n *Network) attempt(src, dst *Host, m message, route Route, tries int, start sim.Time, reliable bool) {
-	size := m.wireSize(&n.cfg)
-	failed := func() {
-		if reliable && tries < n.cfg.MaxRetransmits {
-			n.stats.Retransmits++
-			retryAt := start.Add(n.cfg.RTO * (1 << uint(tries)))
-			n.k.At(retryAt, func() {
-				n.attempt(src, dst, m, route, tries+1, n.k.LoopNow(), reliable)
-			})
-			return
-		}
-		n.stats.MessagesDropped++
-		if n.tracer != nil {
-			n.tracer.Add(n.k.Now(), "net.drop", m.src.Addr.String(),
-				"%d B to %v lost after %d attempt(s)", size, m.dst, tries+1)
-		}
-		if reliable {
-			n.resetConn(src, m)
-		}
-	}
-	// A blocked path (partition or downed interface) drops the attempt
-	// before any pipe is charged: partitions drop rather than queue
-	// (DESIGN.md decision 6), and retransmission is what heals.
-	if n.pathBlocked(src, dst) {
-		failed()
-		return
-	}
-	// Firewall classification (DESIGN.md decision 7). Every attempt is
-	// classified — each packet traversal pays the rule-evaluation cost,
-	// as in ipfw — so a deny rule added or removed mid-run takes effect
-	// on the next retransmission, exactly like a partition.
-	var ruled []*netem.Pipe
-	if n.cfg.Rules != nil {
-		v := n.cfg.Rules.Eval(m.src.Addr, m.dst.Addr)
-		// The scan is paid before the verdict applies (as in ipfw, and
-		// as virt.Cluster.Route orders it): a denied attempt still
-		// advances its retransmission schedule by the evaluation cost.
-		start = start.Add(v.Cost)
-		if v.Deny {
-			n.stats.RuleDenied++
-			if n.tracer != nil {
-				n.tracer.Add(n.k.Now(), "net.deny", m.src.Addr.String(),
-					"%d B to %v denied by firewall", size, m.dst)
-			}
-			failed()
-			return
-		}
-		ruled = v.Pipes
-	}
-	pipes := make([]*netem.Pipe, 0, 2+len(route.Pipes)+len(ruled))
-	pipes = append(pipes, src.up)
-	pipes = append(pipes, route.Pipes...)
-	pipes = append(pipes, ruled...)
-	pipes = append(pipes, dst.down)
-
-	n.model.Transfer(start, size, pipes, n.k.Rand(), func(exit sim.Time, ok bool) {
-		if !ok {
-			failed()
-			return
-		}
-		n.k.At(exit.Add(route.Latency), func() {
-			n.stats.MessagesDelivered++
-			n.stats.BytesDelivered += uint64(size)
-			if n.tracer != nil {
-				n.tracer.Add(n.k.Now(), "net.deliver", m.dst.Addr.String(),
-					"%d B from %v", size, m.src)
-			}
-			dst.deliver(m)
-		})
-	})
 }
