@@ -136,7 +136,7 @@ func BenchmarkFig6RuleScalingIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkRuleEval is the baseline-tracked classifier comparison: one
+// BenchmarkRuleEval is the classifier comparison: one
 // packet classification against a 50k-rule table through the unified
 // RuleSet API, under the linear scan and under the incrementally
 // maintained hash index. The ~1000× gap is what Config.Rules'

@@ -108,6 +108,19 @@ func TestSweepRejectsBadFlags(t *testing.T) {
 	if err := sweepMain([]string{"-exp", "ping", "-classifier", "hash"}); err == nil {
 		t.Error("unknown classifier accepted")
 	}
+	// A single value on an axis the family does not read used to run and
+	// label every row with it; the error names the family and the axis.
+	for _, c := range []struct{ family, axis, args string }{
+		{"dht", "churn", "-exp dht -peers 8 -churn 0.3"},
+		{"sched", "churn", "-exp sched -class modem -model flow -churn 0.4"},
+		{"ping", "peers", "-exp ping -peers 50"},
+		{"scenario", "class", "-exp scenario -class modem -model flow"},
+	} {
+		err := sweepMain(strings.Fields(c.args))
+		if err == nil || !strings.Contains(err.Error(), c.family+" ignores the "+c.axis+" axis") {
+			t.Errorf("sweep %s: got %v, want %s to refuse the %s axis", c.args, err, c.family, c.axis)
+		}
+	}
 }
 
 func TestRunSmoke(t *testing.T) {

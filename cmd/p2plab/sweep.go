@@ -5,14 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/exp"
 	"repro/internal/metrics"
-	"repro/internal/netem"
-	"repro/internal/topo"
 )
 
 // sweepMain implements the `p2plab sweep` subcommand: expand a
@@ -21,18 +17,11 @@ import (
 func sweepMain(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	expName := fs.String("exp", "swarm", "experiment family (swarm, churn, dht, gossip, sched, scenario, ping, snapshot-sync)")
-	peers := fs.String("peers", "", "comma-separated population sizes (default: experiment-specific)")
-	churn := fs.String("churn", "", "comma-separated churn fractions in [0,1)")
-	classes := fs.String("class", "", "comma-separated link classes (dsl, modem, slow-dsl, fast-dsl, campus, office, lan)")
-	models := fs.String("model", "", "comma-separated link models (pipe, flow)")
-	windows := fs.String("window", "", "comma-separated flow-model batch windows (e.g. 0,50ms,250ms; needs -model flow)")
-	scenarios := fs.String("scenario", "", "comma-separated corpus scenario names (scenario experiment; default: all)")
-	rules := fs.String("rules", "", "comma-separated firewall rule-table sizes (ping and swarm families)")
-	pieces := fs.String("pieces", "", "comma-separated piece sizes in bytes (snapshot-sync; default 2097152)")
-	connCaps := fs.String("conncap", "", "comma-separated per-client connection caps (snapshot-sync; default 5)")
-	rates := fs.String("rate", "", "comma-separated symmetric rate caps in bytes/s, 0 = unlimited (snapshot-sync)")
-	classifiers := fs.String("classifier", "", "comma-separated firewall classifiers (linear, indexed)")
-	seeds := fs.String("seeds", "", "comma-separated random seeds")
+	axes := exp.Axes()
+	lists := make([]*string, len(axes))
+	for i, a := range axes {
+		lists[i] = fs.String(a.Flag, "", a.Help)
+	}
 	workers := fs.Int("workers", 0, "worker pool size (default: one per CPU)")
 	fileSize := fs.Int("file-size", 0, "swarm file size in bytes (default 2 MiB)")
 	lookups := fs.Int("lookups", 0, "DHT lookups per cell (default 100)")
@@ -50,41 +39,11 @@ func sweepMain(args []string) error {
 		Fanout:     *fanout,
 		Horizon:    *horizon,
 	}
-	var err error
-	if g.Peers, err = parseInts(*peers); err != nil {
-		return fmt.Errorf("-peers: %w", err)
+	for i, a := range axes {
+		if err := a.Parse(&g, *lists[i]); err != nil {
+			return err
+		}
 	}
-	if g.Churn, err = parseFloats(*churn); err != nil {
-		return fmt.Errorf("-churn: %w", err)
-	}
-	if g.Seeds, err = parseInt64s(*seeds); err != nil {
-		return fmt.Errorf("-seeds: %w", err)
-	}
-	if g.Classes, err = parseClasses(*classes); err != nil {
-		return fmt.Errorf("-class: %w", err)
-	}
-	if g.Models, err = parseModels(*models); err != nil {
-		return fmt.Errorf("-model: %w", err)
-	}
-	if g.Windows, err = parseDurations(*windows); err != nil {
-		return fmt.Errorf("-window: %w", err)
-	}
-	if g.Rules, err = parseInts(*rules); err != nil {
-		return fmt.Errorf("-rules: %w", err)
-	}
-	if g.PieceSizes, err = parseInts(*pieces); err != nil {
-		return fmt.Errorf("-pieces: %w", err)
-	}
-	if g.ConnCaps, err = parseInts(*connCaps); err != nil {
-		return fmt.Errorf("-conncap: %w", err)
-	}
-	if g.Rates, err = parseInt64s(*rates); err != nil {
-		return fmt.Errorf("-rate: %w", err)
-	}
-	if g.Classifiers, err = parseClassifiers(*classifiers); err != nil {
-		return fmt.Errorf("-classifier: %w", err)
-	}
-	g.Scenarios = splitList(*scenarios)
 
 	cells, err := g.Cells()
 	if err != nil {
@@ -125,104 +84,4 @@ func sweepMain(args []string) error {
 		return fmt.Errorf("%d cell(s) failed", res.Failed)
 	}
 	return nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInt64s(s string) ([]int64, error) {
-	var out []int64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseDurations(s string) ([]time.Duration, error) {
-	var out []time.Duration
-	for _, f := range splitList(s) {
-		// "0" reads naturally in a window list; ParseDuration demands a
-		// unit, so accept the bare zero explicitly.
-		if f == "0" {
-			out = append(out, 0)
-			continue
-		}
-		v, err := time.ParseDuration(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseClasses(s string) ([]topo.LinkClass, error) {
-	var out []topo.LinkClass
-	for _, f := range splitList(s) {
-		c, ok := topo.ClassByName(f)
-		if !ok {
-			return nil, fmt.Errorf("unknown link class %q", f)
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-func parseModels(s string) ([]netem.ModelKind, error) {
-	var out []netem.ModelKind
-	for _, f := range splitList(s) {
-		m, err := netem.ParseModel(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-func parseClassifiers(s string) ([]netem.Classifier, error) {
-	var out []netem.Classifier
-	for _, f := range splitList(s) {
-		c, err := netem.ParseClassifier(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

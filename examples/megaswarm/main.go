@@ -13,8 +13,7 @@
 // hot-loop refactor (per-event O(pieces)/O(peers) scans) the 10k point
 // sustained ~20 peers/sec; the incremental hot paths, the cross-layer
 // pooling and the kernel lock-discipline work together hold it around
-// ~59 (and ~102 at the 1k point) on the reference container —
-// BENCH_baseline.json records the exact numbers for this hardware.
+// ~59 (and ~102 at the 1k point) on the reference container.
 package main
 
 import (

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,6 +27,7 @@ import (
 // Experiment names a sweepable scenario family.
 type Experiment string
 
+// The families; which axes each reads is the axis table's (axes.go).
 const (
 	// ExpSwarm is the BitTorrent swarm download (Figs 8-11). Cells with
 	// a nonzero churn rate run the churn variant (extension E3).
@@ -37,24 +39,17 @@ const (
 	ExpDHT Experiment = "dht"
 	// ExpGossip is the epidemic dissemination experiment (E6).
 	ExpGossip Experiment = "gossip"
-	// ExpSched is the scheduler-suitability workload (Figs 1-3); it
-	// uses only the population and seed axes.
+	// ExpSched is the scheduler-suitability workload (Figs 1-3).
 	ExpSched Experiment = "sched"
 	// ExpScenario runs named scenarios from the committed corpus
-	// (repro/internal/scenario): the scenario axis replaces the
-	// peers/churn/class/model axes (the spec owns those), leaving the
-	// seed axis for replication.
+	// (repro/internal/scenario); the seed axis replicates them.
 	ExpScenario Experiment = "scenario"
 	// ExpPing is the firewall rule-scaling measurement (Fig 6): ping
-	// RTT against the rule-table size, under either classifier. It
-	// ignores the peers and churn axes and reads the rules and
-	// classifier axes.
+	// RTT against the rule-table size, under either classifier.
 	ExpPing Experiment = "ping"
 	// ExpSnapshotSync is the few-peers/huge-file regime of Erigon's
 	// snapshot downloader: large pieces, capped connections, token-
-	// bucket rate limiters and web seeds. It reads the piece-size,
-	// conn-cap and rate axes on top of peers/class/model/window and
-	// measures completion time.
+	// bucket rate limiters and web seeds, measured by completion time.
 	ExpSnapshotSync Experiment = "snapshot-sync"
 )
 
@@ -63,21 +58,23 @@ var Experiments = []Experiment{ExpSwarm, ExpChurn, ExpDHT, ExpGossip, ExpSched, 
 
 // Grid is a parameter grid. Cells() expands the cross product of the
 // axes; nil axes get a single experiment-appropriate default, so a
-// zero-ish Grid is one cell. Axis values must be distinct: the
-// expansion is guaranteed exhaustive and duplicate-free.
+// zero-ish Grid is one cell. Axis values must be distinct, and an axis
+// the experiment does not read (the axis table says which) must stay
+// nil: the expansion is exhaustive, duplicate-free and honestly
+// labelled.
 type Grid struct {
 	Experiment  Experiment
 	Peers       []int              // population sizes (clients / ring size / processes)
-	Churn       []float64          // churn fractions in [0,1); swarm-family only
+	Churn       []float64          // churn fractions in [0,1)
 	Classes     []topo.LinkClass   // access-link classes
 	Models      []netem.ModelKind  // link-emulation models (pipe, flow)
 	Windows     []time.Duration    // flow-model batch windows; needs the flow model on the models axis
-	Scenarios   []string           // corpus scenario names; scenario experiment only
-	Rules       []int              // firewall rule-table sizes; ping and swarm families
+	Scenarios   []string           // corpus scenario names
+	Rules       []int              // firewall rule-table sizes
 	Classifiers []netem.Classifier // firewall classifiers (linear, indexed)
-	PieceSizes  []int              // torrent piece lengths in bytes; snapshot-sync only
-	ConnCaps    []int              // per-client connection caps; snapshot-sync only
-	Rates       []int64            // symmetric up/down rate caps in bytes/s (0 = unlimited); snapshot-sync only
+	PieceSizes  []int              // torrent piece lengths in bytes
+	ConnCaps    []int              // per-client connection caps
+	Rates       []int64            // symmetric up/down rate caps in bytes/s (0 = unlimited)
 	Seeds       []int64
 
 	// Knobs held constant across the grid.
@@ -96,12 +93,12 @@ type Cell struct {
 	Class      topo.LinkClass
 	Model      netem.ModelKind
 	Window     time.Duration // flow-model batch window; always 0 for pipe cells
-	Scenario   string        // scenario experiment only
-	Rules      int           // firewall rule-table size; ping and swarm families
-	Classifier netem.Classifier
-	PieceSize  int   // piece length in bytes; snapshot-sync only
-	ConnCap    int   // per-client connection cap; snapshot-sync only
-	Rate       int64 // symmetric rate cap in bytes/s; snapshot-sync only
+	Scenario   string
+	Rules      int              // firewall rule-table size
+	Classifier netem.Classifier // the first on the axis when Rules is 0
+	PieceSize  int              // piece length in bytes
+	ConnCap    int              // per-client connection cap
+	Rate       int64            // symmetric rate cap in bytes/s
 	Seed       int64
 
 	fileSize int
@@ -123,7 +120,8 @@ func (c Cell) String() string {
 		return fmt.Sprintf("%s[peers=%d class=%s model=%s%s piece=%d conncap=%d rate=%d seed=%d]",
 			c.Experiment, c.Peers, c.Class.Name, c.Model, win, c.PieceSize, c.ConnCap, c.Rate, c.Seed)
 	}
-	if c.Experiment == ExpPing || (c.Experiment.usesRulesAxis() && c.Rules > 0) {
+	// Only a family that reads the rules axis can carry a nonzero Rules.
+	if c.Experiment == ExpPing || c.Rules > 0 {
 		return fmt.Sprintf("%s[peers=%d churn=%g class=%s model=%s%s rules=%d classifier=%s seed=%d]",
 			c.Experiment, c.Peers, c.Churn, c.Class.Name, c.Model, win, c.Rules, c.Classifier, c.Seed)
 	}
@@ -136,400 +134,116 @@ func (c Cell) String() string {
 // family. sched has no network; ping measures a bare host pair.
 func (e Experiment) runsAsSpec() bool { return e != ExpSched && e != ExpPing }
 
-// usesChurnAxis reports whether the experiment reads the churn axis.
-func (e Experiment) usesChurnAxis() bool { return e == ExpSwarm || e == ExpChurn }
+// maxCells bounds one grid's expansion. The product of the axis lengths
+// is held against it before anything is allocated, so a small request
+// cannot ask for more cells than a sweep could ever run.
+const maxCells = 100_000
 
-// usesPeersAxis reports whether the experiment reads the peers axis
-// (a scenario spec owns its own populations; ping is a fixed pair).
-func (e Experiment) usesPeersAxis() bool { return e != ExpScenario && e != ExpPing }
-
-// usesClassAxis reports whether the experiment reads the class axis.
-func (e Experiment) usesClassAxis() bool { return e != ExpSched && e != ExpScenario }
-
-// usesModelAxis reports whether the experiment reads the link-model
-// axis (every vnet-based family does; sched has no network and a
-// scenario spec picks its own model).
-func (e Experiment) usesModelAxis() bool { return e != ExpSched && e != ExpScenario }
-
-// usesRulesAxis reports whether the experiment reads the firewall
-// rules and classifier axes: the Fig 6 ping sweep and the swarm
-// families (every message of a firewalled swarm pays the scan).
-func (e Experiment) usesRulesAxis() bool { return e == ExpPing || e == ExpSwarm || e == ExpChurn }
-
-// usesWindowAxis reports whether the experiment reads the flow-model
-// batch-window axis: the swarm families and ping (a scenario spec owns
-// its own flow_window knob; dht and gossip sweeps hold it at 0; sched
-// has no network).
-func (e Experiment) usesWindowAxis() bool {
-	return e == ExpSwarm || e == ExpChurn || e == ExpPing || e == ExpSnapshotSync
-}
-
-// usesSnapshotAxes reports whether the experiment reads the
-// piece-size, conn-cap and rate axes (the snapshot-sync workload
-// knobs; everything else has fixed piece geometry and no limiter).
-func (e Experiment) usesSnapshotAxes() bool { return e == ExpSnapshotSync }
-
-// Cells expands the grid into its cells, in row-major grid order
-// (peers, then churn, then class, then model, then scenario, then
-// rules, then classifier, then seed). It rejects repeated axis values
-// and multi-valued axes the experiment ignores — both would produce
-// duplicate cells, and a sweep must be exhaustive and duplicate-free.
+// Cells expands the grid into its cells, in row-major order over the
+// axis table (peers slowest, seed fastest). A sweep must be exhaustive,
+// duplicate-free and honestly labelled, so it rejects repeated and
+// out-of-range axis values and any value on an axis the experiment
+// does not read.
 func (g Grid) Cells() ([]Cell, error) {
 	exp := g.Experiment
 	if exp == "" {
 		exp = ExpSwarm
 	}
-	known := false
-	for _, e := range Experiments {
-		if e == exp {
-			known = true
-		}
-	}
-	if !known {
+	if !slices.Contains(Experiments, exp) {
 		return nil, fmt.Errorf("exp: unknown experiment %q", exp)
 	}
 
-	peers := g.Peers
-	if len(peers) == 0 {
-		peers = []int{defaultPeers(exp)}
-	}
-	churns := g.Churn
-	if len(churns) == 0 {
-		if exp == ExpChurn {
-			churns = []float64{0.5}
-		} else {
-			churns = []float64{0}
+	asked := g // the caller's columns; g's empty ones take their defaults below
+	lens := make([]int, len(axes))
+	product := 1
+	for i := range axes {
+		a := &axes[i]
+		n, explicit := a.col.fill(&g, exp)
+		if explicit && !slices.Contains(a.reads, exp) {
+			return nil, fmt.Errorf("exp: %s ignores the %s axis", exp, a.Label)
 		}
-	}
-	classes := g.Classes
-	if len(classes) == 0 {
-		classes = []topo.LinkClass{topo.DSL}
-	}
-	models := g.Models
-	if len(models) == 0 {
-		models = []netem.ModelKind{netem.ModelPipe}
-	}
-	seeds := g.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
-	scenarios := g.Scenarios
-	if exp == ExpScenario {
-		if len(scenarios) == 0 {
-			scenarios = scenario.Names() // default: the whole corpus
+		if product *= n; product > maxCells {
+			return nil, fmt.Errorf("exp: the grid asks for more than %d cells", maxCells)
 		}
-		seenScenario := map[string]bool{}
-		for _, name := range scenarios {
-			if _, ok := scenario.ByName(name); !ok {
-				return nil, fmt.Errorf("exp: unknown scenario %q (have %v)", name, scenario.Names())
+		if explicit {
+			if err := a.col.check(&g, a.Label); err != nil {
+				return nil, err
 			}
-			if seenScenario[name] {
-				return nil, fmt.Errorf("exp: duplicate scenario axis value %q", name)
-			}
-			seenScenario[name] = true
 		}
-	} else {
-		if len(scenarios) > 0 {
-			return nil, fmt.Errorf("exp: %s ignores the scenario axis; %d values would duplicate cells", exp, len(scenarios))
-		}
-		scenarios = []string{""}
+		lens[i] = n
 	}
 
-	if exp.runsAsSpec() {
-		for _, s := range seeds {
-			// A spec's seed 0 means "the default seed" (Spec.WithDefaults
-			// maps it to 1), so it would silently duplicate seed 1's cell.
-			if s == 0 {
-				return nil, fmt.Errorf("exp: %s sweeps need nonzero seeds (a scenario spec reads seed 0 as seed 1)", exp)
-			}
+	// The rules that span two axes, or an axis and the family.
+	positive := func(w time.Duration) bool { return w > 0 }
+	if slices.ContainsFunc(asked.Windows, positive) && !slices.Contains(asked.Models, netem.ModelFlow) {
+		// The window only exists inside the flow solver; a pipe-only
+		// sweep would silently run every window value identically.
+		return nil, fmt.Errorf("exp: the window axis needs the flow model on the models axis (the pipe model has no solver to batch)")
+	}
+	if len(asked.Classifiers) > 0 && !slices.ContainsFunc(asked.Rules, func(n int) bool { return n > 0 }) {
+		// An empty table behaves identically under every classifier (the
+		// swarm families do not even install one), so the axis would be
+		// silently ignored.
+		return nil, fmt.Errorf("exp: the classifier axis needs a nonzero rules axis value (an empty table is classifier-independent)")
+	}
+	if exp.runsAsSpec() && slices.Contains(asked.Seeds, 0) {
+		// A spec's seed 0 means "the default seed" (Spec.WithDefaults
+		// maps it to 1), so it would silently duplicate seed 1's cell.
+		return nil, fmt.Errorf("exp: %s sweeps need nonzero seeds (a scenario spec reads seed 0 as seed 1)", exp)
+	}
+	for _, name := range asked.Scenarios {
+		if _, ok := scenario.ByName(name); !ok {
+			return nil, fmt.Errorf("exp: unknown scenario %q (have %v)", name, scenario.Names())
 		}
 	}
 
-	windows := g.Windows
-	if len(windows) == 0 {
-		windows = []time.Duration{0}
-	}
-
-	ruleCounts := g.Rules
-	if len(ruleCounts) == 0 {
-		ruleCounts = []int{0}
-	}
-	classifiers := g.Classifiers
-	if len(classifiers) == 0 {
-		classifiers = []netem.Classifier{netem.ClassifierLinear}
-	}
-
-	pieceSizes := g.PieceSizes
-	connCaps := g.ConnCaps
-	rates := g.Rates
-	if exp.usesSnapshotAxes() {
-		if len(pieceSizes) == 0 {
-			pieceSizes = []int{2 << 20}
-		}
-		if len(connCaps) == 0 {
-			connCaps = []int{5}
-		}
-		if len(rates) == 0 {
-			rates = []int64{0}
-		}
-		if err := distinctInts("piece-size", pieceSizes); err != nil {
-			return nil, err
-		}
-		for _, ps := range pieceSizes {
-			if ps <= 0 {
-				return nil, fmt.Errorf("exp: non-positive piece size %d", ps)
-			}
-		}
-		if err := distinctInts("conn-cap", connCaps); err != nil {
-			return nil, err
-		}
-		for _, cc := range connCaps {
-			if cc <= 0 {
-				return nil, fmt.Errorf("exp: non-positive conn cap %d", cc)
-			}
-		}
-		seenRate := map[int64]bool{}
-		for _, r := range rates {
-			if r < 0 {
-				return nil, fmt.Errorf("exp: negative rate cap %d", r)
-			}
-			if seenRate[r] {
-				return nil, fmt.Errorf("exp: duplicate rate axis value %d", r)
-			}
-			seenRate[r] = true
-		}
-	} else {
-		if len(g.PieceSizes) > 0 || len(g.ConnCaps) > 0 || len(g.Rates) > 0 {
-			// Even a single explicit value is rejected: these axes select
-			// the snapshot workload's knobs, and silently dropping them
-			// would misrepresent every cell of the sweep.
-			return nil, fmt.Errorf("exp: %s ignores the piece-size, conn-cap and rate axes", exp)
-		}
-		pieceSizes, connCaps, rates = []int{0}, []int{0}, []int64{0}
-	}
-
-	if !exp.usesPeersAxis() && len(peers) > 1 {
-		return nil, fmt.Errorf("exp: %s ignores the peers axis; %d values would duplicate cells", exp, len(peers))
-	}
-	if !exp.usesChurnAxis() && len(churns) > 1 {
-		return nil, fmt.Errorf("exp: %s ignores the churn axis; %d values would duplicate cells", exp, len(churns))
-	}
-	if !exp.usesClassAxis() && len(classes) > 1 {
-		return nil, fmt.Errorf("exp: %s ignores the class axis; %d values would duplicate cells", exp, len(classes))
-	}
-	if !exp.usesModelAxis() && len(models) > 1 {
-		return nil, fmt.Errorf("exp: %s ignores the model axis; %d values would duplicate cells", exp, len(models))
-	}
-	if !exp.usesWindowAxis() && len(g.Windows) > 0 {
-		return nil, fmt.Errorf("exp: %s ignores the flow-window axis", exp)
-	}
-	if len(g.Windows) > 0 {
-		seenWindow := map[time.Duration]bool{}
-		anyPositive := false
-		for _, w := range g.Windows {
-			if w < 0 {
-				return nil, fmt.Errorf("exp: negative flow window %v", w)
-			}
-			if seenWindow[w] {
-				return nil, fmt.Errorf("exp: duplicate window axis value %v", w)
-			}
-			seenWindow[w] = true
-			if w > 0 {
-				anyPositive = true
-			}
-		}
-		if anyPositive {
-			// The window only exists inside the flow solver; a pipe-only
-			// sweep would silently run every window value identically.
-			anyFlow := false
-			for _, mdl := range models {
-				if mdl == netem.ModelFlow {
-					anyFlow = true
-				}
-			}
-			if !anyFlow {
-				return nil, fmt.Errorf("exp: the window axis needs the flow model on the models axis (the pipe model has no solver to batch)")
-			}
-		}
-	}
-	if !exp.usesRulesAxis() && (len(g.Rules) > 0 || len(g.Classifiers) > 0) {
-		// Even a single explicit value is rejected: these axes request a
-		// firewall, and silently running without one would misrepresent
-		// every cell of the sweep.
-		return nil, fmt.Errorf("exp: %s ignores the rules and classifier axes", exp)
-	}
-	if err := distinctInts("rules", ruleCounts); err != nil {
-		return nil, err
-	}
-	for _, rc := range ruleCounts {
-		if rc < 0 {
-			return nil, fmt.Errorf("exp: negative rule count %d", rc)
-		}
-	}
-	seenClassifier := map[netem.Classifier]bool{}
-	for _, cl := range classifiers {
-		if seenClassifier[cl] {
-			return nil, fmt.Errorf("exp: duplicate classifier axis value %q", cl)
-		}
-		seenClassifier[cl] = true
-	}
-	if len(g.Classifiers) > 0 {
-		// An empty table behaves identically under every classifier
-		// (the swarm families do not even install one), so an explicit
-		// classifier axis without a nonzero rules value would be
-		// silently ignored — error loudly instead, like every other
-		// ignored-axis misuse.
-		anyRules := false
-		for _, rc := range ruleCounts {
-			if rc > 0 {
-				anyRules = true
-			}
-		}
-		if !anyRules {
-			return nil, fmt.Errorf("exp: the classifier axis needs a nonzero rules axis value (an empty table is classifier-independent)")
-		}
-	}
-	seenModel := map[netem.ModelKind]bool{}
-	for _, mdl := range models {
-		if seenModel[mdl] {
-			return nil, fmt.Errorf("exp: duplicate model axis value %q", mdl)
-		}
-		seenModel[mdl] = true
-	}
-	if err := distinctInts("peers", peers); err != nil {
-		return nil, err
-	}
-	if err := distinctFloats("churn", churns); err != nil {
-		return nil, err
-	}
-	for _, ch := range churns {
-		if ch < 0 || ch >= 1 {
-			return nil, fmt.Errorf("exp: churn fraction %g outside [0,1)", ch)
-		}
-	}
-	seen := map[string]bool{}
-	for _, c := range classes {
-		if seen[c.Name] {
-			return nil, fmt.Errorf("exp: duplicate class axis value %q", c.Name)
-		}
-		seen[c.Name] = true
-	}
-	seenSeed := map[int64]bool{}
-	for _, s := range seeds {
-		if seenSeed[s] {
-			return nil, fmt.Errorf("exp: duplicate seed axis value %d", s)
-		}
-		seenSeed[s] = true
-	}
-
-	fileSize := g.FileSize
-	if fileSize <= 0 {
-		fileSize = 2 << 20
+	base := Cell{Experiment: exp, fileSize: g.FileSize, lookups: g.Lookups, fanout: g.Fanout, horizon: g.Horizon}
+	if base.fileSize <= 0 {
+		base.fileSize = 2 << 20
 		if exp == ExpSnapshotSync {
 			// The snapshot regime is defined by big transfers; a 2 MiB
 			// default would be a single piece.
-			fileSize = 16 << 20
+			base.fileSize = 16 << 20
 		}
 	}
-	lookups := g.Lookups
-	if lookups <= 0 {
-		lookups = 100
+	if base.lookups <= 0 {
+		base.lookups = 100
 	}
-	fanout := g.Fanout
-	if fanout <= 0 {
-		fanout = 3
+	if base.fanout <= 0 {
+		base.fanout = 3
 	}
-	horizon := g.Horizon
-	if horizon <= 0 {
-		horizon = 6 * time.Hour
+	if base.horizon <= 0 {
+		base.horizon = 6 * time.Hour
 	}
 
-	var cells []Cell
-	for _, p := range peers {
-		for _, ch := range churns {
-			for _, cl := range classes {
-				for _, mdl := range models {
-					for wIdx, win := range windows {
-						// The batch window lives inside the flow solver, so
-						// pipe cells collapse to a single window=0 cell —
-						// the expansion stays duplicate-free.
-						if mdl != netem.ModelFlow {
-							if wIdx > 0 {
-								continue
-							}
-							win = 0
-						}
-						for _, sc := range scenarios {
-							for _, rc := range ruleCounts {
-								for cfIdx, cf := range classifiers {
-									// An empty table behaves identically under
-									// every classifier (the swarm families do
-									// not even install one), so rules=0 emits
-									// a single baseline cell — the expansion
-									// stays duplicate-free.
-									if rc == 0 && cfIdx > 0 {
-										continue
-									}
-									for _, ps := range pieceSizes {
-										for _, cc := range connCaps {
-											for _, rt := range rates {
-												for _, s := range seeds {
-													cells = append(cells, Cell{
-														Index: len(cells), Experiment: exp,
-														Peers: p, Churn: ch, Class: cl, Model: mdl, Window: win,
-														Scenario: sc, Rules: rc, Classifier: cf,
-														PieceSize: ps, ConnCap: cc, Rate: rt, Seed: s,
-														fileSize: fileSize, lookups: lookups,
-														fanout: fanout, horizon: horizon,
-													})
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
+	// One odometer over the rows: cell n's place on each axis is a digit
+	// of n, the last axis the least significant. Two values mean nothing
+	// in some cells — the batch window outside the flow solver, the
+	// classifier of an empty table — so each cell is put in canonical
+	// form and emitted the first time that form comes up: pipe cells
+	// collapse to one window=0 cell and rules=0 cells to one baseline
+	// cell, in the place row-major order first reaches them.
+	cells := make([]Cell, 0, product)
+	seen := make(map[Cell]bool, product)
+	for n := 0; n < product; n++ {
+		c := base
+		for i, rest := len(axes)-1, n; i >= 0; i-- {
+			axes[i].col.set(&c, &g, rest%lens[i])
+			rest /= lens[i]
+		}
+		if c.Model != netem.ModelFlow {
+			c.Window = 0
+		}
+		if c.Rules == 0 {
+			c.Classifier = g.Classifiers[0]
+		}
+		if !seen[c] {
+			seen[c] = true
+			c.Index = len(cells)
+			cells = append(cells, c)
 		}
 	}
 	return cells, nil
-}
-
-func defaultPeers(e Experiment) int {
-	switch e {
-	case ExpSched:
-		return 100
-	case ExpPing:
-		return 2
-	case ExpSnapshotSync:
-		return 4 // few peers moving a huge file is the whole point
-	default:
-		return 16
-	}
-}
-
-func distinctInts(axis string, vs []int) error {
-	seen := map[int]bool{}
-	for _, v := range vs {
-		if seen[v] {
-			return fmt.Errorf("exp: duplicate %s axis value %d", axis, v)
-		}
-		seen[v] = true
-	}
-	return nil
-}
-
-func distinctFloats(axis string, vs []float64) error {
-	seen := map[float64]bool{}
-	for _, v := range vs {
-		if seen[v] {
-			return fmt.Errorf("exp: duplicate %s axis value %g", axis, v)
-		}
-		seen[v] = true
-	}
-	return nil
 }
 
 // CellResult is one cell's outcome. Exactly one of Snapshot and Err is
@@ -670,37 +384,11 @@ func RunCell(c Cell) (*metrics.Snapshot, error) {
 	}
 	snap := metrics.NewSnapshot()
 	snap.Label("experiment", string(c.Experiment))
-	if c.Experiment == ExpScenario {
-		snap.Label("scenario", c.Scenario)
-	} else {
-		snap.Label("peers", fmt.Sprintf("%d", c.Peers))
-		snap.Label("churn", fmt.Sprintf("%g", c.Churn))
-		snap.Label("class", c.Class.Name)
-		snap.Label("model", c.Model.String())
-		// Only the flow model has a solver to batch, so a window label
-		// on a pipe cell would claim a knob that never ran; window=0
-		// flow cells are the legacy per-event behavior and stay
-		// label-compatible with older sweeps.
-		if c.Window > 0 {
-			snap.Label("window", c.Window.String())
+	for i := range axes {
+		if a := &axes[i]; a.labelled(c) {
+			snap.Label(a.Label, a.col.label(&c))
 		}
 	}
-	if c.Experiment.usesSnapshotAxes() {
-		snap.Label("piece", fmt.Sprintf("%d", c.PieceSize))
-		snap.Label("conncap", fmt.Sprintf("%d", c.ConnCap))
-		snap.Label("rate", fmt.Sprintf("%d", c.Rate))
-	}
-	if c.Experiment.usesRulesAxis() {
-		snap.Label("rules", fmt.Sprintf("%d", c.Rules))
-		// The swarm families run with no firewall at all when Rules ==
-		// 0 (Cell.Spec leaves it disabled), so a classifier label there
-		// would claim a classifier that never ran; ping always installs
-		// the table, empty or not.
-		if c.Rules > 0 || c.Experiment == ExpPing {
-			snap.Label("classifier", c.Classifier.String())
-		}
-	}
-	snap.Label("seed", fmt.Sprintf("%d", c.Seed))
 
 	var err error
 	switch {

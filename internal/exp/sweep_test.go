@@ -85,6 +85,10 @@ func TestGridDefaults(t *testing.T) {
 // multi-valued ignored axes are rejected rather than silently
 // producing duplicate cells.
 func TestGridRejectsDuplicates(t *testing.T) {
+	ints47, seeds47 := make([]int, 47), make([]int64, 47)
+	for i := range ints47 {
+		ints47[i], seeds47[i] = i+2, int64(i+1)
+	}
 	cases := []Grid{
 		{Experiment: ExpDHT, Peers: []int{8, 8}},
 		{Experiment: ExpDHT, Seeds: []int64{1, 1}},
@@ -103,6 +107,16 @@ func TestGridRejectsDuplicates(t *testing.T) {
 		{Experiment: ExpSwarm, Windows: []time.Duration{50 * time.Millisecond}},
 		{Experiment: ExpSwarm, Windows: []time.Duration{50 * time.Millisecond},
 			Models: []netem.ModelKind{netem.ModelPipe}},
+		// One value on an axis the family does not read is enough to
+		// mislabel every row: nothing churns in a ring, sched has no
+		// network, ping is a fixed pair, a scenario spec owns its links.
+		{Experiment: ExpDHT, Peers: []int{8}, Churn: []float64{0.3}},
+		{Experiment: ExpSched, Classes: []topo.LinkClass{topo.Modem}},
+		{Experiment: ExpSched, Models: []netem.ModelKind{netem.ModelFlow}},
+		{Experiment: ExpPing, Peers: []int{50}},
+		{Experiment: ExpScenario, Classes: []topo.LinkClass{topo.Modem}, Models: []netem.ModelKind{netem.ModelFlow}},
+		// 47^3 = 103 823 honest cells are past the cap.
+		{Experiment: ExpSwarm, Peers: ints47, Rules: ints47, Seeds: seeds47},
 	}
 	for i, g := range cases {
 		if _, err := g.Cells(); err == nil {

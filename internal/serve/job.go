@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -43,26 +46,48 @@ type JobRequest struct {
 	Sweep *SweepRequest `json:"sweep,omitempty"`
 }
 
-// SweepRequest mirrors the `p2plab sweep` flags as JSON.
+// SweepRequest is a sweep job's grid as JSON: the constants below, plus
+// one list per sweep axis under the key its exp.Axes() row names. The
+// axes are decoded through the rows, so every axis `p2plab sweep` has a
+// flag for is reachable here by construction.
 type SweepRequest struct {
-	Experiment  string              `json:"experiment"`
-	Peers       []int               `json:"peers,omitempty"`
-	Churn       []float64           `json:"churn,omitempty"`
-	Classes     []string            `json:"classes,omitempty"`
-	Models      []string            `json:"models,omitempty"`
-	Windows     []scenario.Duration `json:"windows,omitempty"`
-	Scenarios   []string            `json:"scenarios,omitempty"`
-	Rules       []int               `json:"rules,omitempty"`
-	Classifiers []string            `json:"classifiers,omitempty"`
-	PieceSizes  []int               `json:"piece_sizes,omitempty"`
-	ConnCaps    []int               `json:"conn_caps,omitempty"`
-	Rates       []int64             `json:"rates,omitempty"`
-	Seeds       []int64             `json:"seeds,omitempty"`
-	FileSize    int                 `json:"file_size,omitempty"`
-	Lookups     int                 `json:"lookups,omitempty"`
-	Fanout      int                 `json:"fanout,omitempty"`
-	Horizon     scenario.Duration   `json:"horizon,omitempty"`
-	Workers     int                 `json:"workers,omitempty"`
+	Experiment string            `json:"experiment"`
+	FileSize   int               `json:"file_size,omitempty"`
+	Lookups    int               `json:"lookups,omitempty"`
+	Fanout     int               `json:"fanout,omitempty"`
+	Horizon    scenario.Duration `json:"horizon,omitempty"`
+	Workers    int               `json:"workers,omitempty"`
+
+	axes exp.Grid // the axis columns only
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (r *SweepRequest) UnmarshalJSON(b []byte) error {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(b, &fields); err != nil {
+		return err
+	}
+	for _, a := range exp.Axes() {
+		raw, ok := fields[a.Key]
+		if !ok {
+			continue
+		}
+		if err := a.Decode(&r.axes, raw); err != nil {
+			return err
+		}
+		delete(fields, a.Key)
+	}
+	// What is left must be constants. A misspelt axis key would
+	// otherwise sweep defaults without a word; re-encoding sorts the
+	// keys, so which bad key is named does not depend on map order.
+	rest, err := json.Marshal(fields)
+	if err != nil {
+		return err
+	}
+	type constants SweepRequest // the fields, without this method
+	dec := json.NewDecoder(bytes.NewReader(rest))
+	dec.DisallowUnknownFields()
+	return dec.Decode((*constants)(r))
 }
 
 // Event is one frame of a job's progress stream.

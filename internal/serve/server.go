@@ -20,11 +20,9 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // Config tunes the service. Zero values take the documented defaults.
@@ -205,58 +203,25 @@ func resolveSpec(req JobRequest) (*scenario.Spec, error) {
 	return &sp, nil
 }
 
-// buildGrid translates a sweep request into an exp.Grid, mirroring the
-// `p2plab sweep` flag parsing.
+// buildGrid is the request's grid: the decoded axis columns under the
+// request's constants.
 func buildGrid(req *SweepRequest) (exp.Grid, error) {
-	var g exp.Grid
 	if req == nil {
-		return g, fmt.Errorf("sweep job needs a \"sweep\" object")
+		return exp.Grid{}, fmt.Errorf("sweep job needs a \"sweep\" object")
 	}
-	g = exp.Grid{
-		Experiment: exp.Experiment(req.Experiment),
-		Peers:      req.Peers,
-		Churn:      req.Churn,
-		Scenarios:  req.Scenarios,
-		Rules:      req.Rules,
-		PieceSizes: req.PieceSizes,
-		ConnCaps:   req.ConnCaps,
-		Rates:      req.Rates,
-		Seeds:      req.Seeds,
-		FileSize:   req.FileSize,
-		Lookups:    req.Lookups,
-		Fanout:     req.Fanout,
-		Horizon:    req.Horizon.D(),
-	}
-	for _, c := range req.Classes {
-		cls, ok := topo.ClassByName(c)
-		if !ok {
-			return g, fmt.Errorf("unknown link class %q", c)
-		}
-		g.Classes = append(g.Classes, cls)
-	}
-	for _, m := range req.Models {
-		mk, err := netem.ParseModel(m)
-		if err != nil {
-			return g, err
-		}
-		g.Models = append(g.Models, mk)
-	}
-	for _, w := range req.Windows {
-		g.Windows = append(g.Windows, w.D())
-	}
-	for _, c := range req.Classifiers {
-		cl, err := netem.ParseClassifier(c)
-		if err != nil {
-			return g, err
-		}
-		g.Classifiers = append(g.Classifiers, cl)
-	}
+	g := req.axes
+	g.Experiment = exp.Experiment(req.Experiment)
+	g.FileSize, g.Lookups, g.Fanout, g.Horizon = req.FileSize, req.Lookups, req.Fanout, req.Horizon.D()
 	return g, nil
 }
 
+// maxBodyBytes bounds a submission body; the largest legitimate one,
+// an inline spec with a long timeline, is a few kilobytes.
+const maxBodyBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

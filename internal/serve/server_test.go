@@ -7,10 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/exp"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -333,6 +336,11 @@ func TestServeSweepJob(t *testing.T) {
 // TestServeValidation covers the submission-time error paths.
 func TestServeValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
+	var list []string
+	for i := 2; i < 102; i++ {
+		list = append(list, strconv.Itoa(i))
+	}
+	hundred := "[" + strings.Join(list, ",") + "]"
 	cases := []struct {
 		body string
 		want int
@@ -343,6 +351,15 @@ func TestServeValidation(t *testing.T) {
 		{`{"kind": "sweep"}`, http.StatusBadRequest},                // sweep without grid
 		{`{"kind": "sweep", "sweep": {"experiment": "bogus"}}`, http.StatusBadRequest},
 		{`{"kind": "teleport"}`, http.StatusBadRequest},
+		// Nothing churns in a ring: one value on an unread axis is refused.
+		{`{"kind": "sweep", "sweep": {"experiment": "dht", "peers": [8], "churn": [0.3]}}`, http.StatusBadRequest},
+		// Four 100-value axes ask for 10^8 cells in 2 kB.
+		{`{"kind": "sweep", "sweep": {"experiment": "swarm", "peers": ` + hundred + `, "rules": ` + hundred +
+			`, "windows": ` + hundred + `, "seeds": ` + hundred + `, "models": ["flow"]}}`, http.StatusBadRequest},
+		// A misspelt axis key would sweep defaults.
+		{`{"kind": "sweep", "sweep": {"experiment": "snapshot-sync", "piece_size": [262144]}}`, http.StatusBadRequest},
+		// A body past the 1 MiB bound, however well-formed.
+		{`{"scenario": "flash-crowd", "pad": "` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if code, _ := postJob(t, ts.URL, c.body); code != c.want {
@@ -394,10 +411,10 @@ func getText(t *testing.T, url string) string {
 }
 
 // TestBuildGridReachesEveryAxis: a sweep submitted over HTTP must be
-// able to say everything `p2plab sweep` can. Every exported exp.Grid
-// field has to come out of buildGrid set, so an axis added to the grid
-// and forgotten here fails this test instead of silently running
-// defaults.
+// able to say everything `p2plab sweep` can. The request decodes its
+// axes through exp.Axes(), so each row set through its request key has
+// to give the grid column the same row's flag gives, and the literal
+// body below pins the wire names.
 func TestBuildGridReachesEveryAxis(t *testing.T) {
 	var req SweepRequest
 	err := json.Unmarshal([]byte(`{
@@ -410,17 +427,51 @@ func TestBuildGridReachesEveryAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := buildGrid(&req)
+	whole, err := buildGrid(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := reflect.ValueOf(g)
+	v := reflect.ValueOf(whole)
 	for i := 0; i < v.NumField(); i++ {
 		if f := v.Type().Field(i); f.IsExported() && v.Field(i).IsZero() {
 			t.Errorf("exp.Grid.%s is not reachable from a SweepRequest", f.Name)
 		}
 	}
-	if g.PieceSizes[0] != 262144 || g.ConnCaps[0] != 3 || g.Rates[0] != 65536 {
-		t.Errorf("snapshot axes mistranslated: %+v", g)
+
+	// One value per row: as the flag takes it, and as a JSON element.
+	samples := map[string][2]string{
+		"peers": {"2", `2`}, "churn": {"0.1", `0.1`}, "class": {"dsl", `"dsl"`}, "model": {"flow", `"flow"`},
+		"window": {"50ms", `50000000`}, "scenario": {"flash-crowd", `"flash-crowd"`}, "rules": {"10", `10`},
+		"classifier": {"indexed", `"indexed"`}, "piece": {"262144", `262144`}, "conncap": {"3", `3`},
+		"rate": {"65536", `65536`}, "seed": {"7", `7`},
+	}
+	var byFlags exp.Grid
+	for _, a := range exp.Axes() {
+		sample, ok := samples[a.Label]
+		if !ok {
+			t.Fatalf("no sample value for axis %s: add one", a.Label)
+		}
+		var byFlag exp.Grid
+		for _, g := range []*exp.Grid{&byFlag, &byFlags} {
+			if err := a.Parse(g, sample[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reflect.DeepEqual(byFlag, exp.Grid{}) {
+			t.Errorf("-%s %s set no grid column", a.Flag, sample[0])
+		}
+		var req SweepRequest
+		if err := json.Unmarshal([]byte(`{"`+a.Key+`": [`+sample[1]+`]}`), &req); err != nil {
+			t.Fatal(err)
+		}
+		if byKey, _ := buildGrid(&req); !reflect.DeepEqual(byKey, byFlag) {
+			t.Errorf("%q: [%s] decodes to %+v, -%s %s parses to %+v", a.Key, sample[1], byKey, a.Flag, sample[0], byFlag)
+		}
+	}
+	// The rows, between them, are the body's axes.
+	byFlags.Experiment, byFlags.FileSize, byFlags.Lookups, byFlags.Fanout, byFlags.Horizon =
+		whole.Experiment, whole.FileSize, whole.Lookups, whole.Fanout, whole.Horizon
+	if !reflect.DeepEqual(byFlags, whole) {
+		t.Errorf("the literal body decodes to %+v, the rows' flags parse to %+v", whole, byFlags)
 	}
 }
