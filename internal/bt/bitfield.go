@@ -70,9 +70,6 @@ func (b *Bitfield) Complete() bool { return b.set == b.n }
 // must not mutate it.
 func (b *Bitfield) Bytes() []byte { return b.bits }
 
-// ByteLen returns the wire length in bytes.
-func (b *Bitfield) ByteLen() int { return len(b.bits) }
-
 // Clone returns an independent copy.
 func (b *Bitfield) Clone() *Bitfield {
 	nb := NewBitfield(b.n)

@@ -268,9 +268,6 @@ func (c *Client) Done() bool { return c.done }
 // report zero).
 func (c *Client) FinishedAt() sim.Time { return c.finished }
 
-// StartedAt returns the instant Start ran.
-func (c *Client) StartedAt() sim.Time { return c.started }
-
 // Progress returns the piece-completion trajectory.
 func (c *Client) Progress() []Progress { return c.progress }
 

@@ -51,11 +51,6 @@ type TrackerConfig struct {
 	ExpireAfter int
 }
 
-// DefaultTrackerConfig returns the standard announce lifecycle.
-func DefaultTrackerConfig() TrackerConfig {
-	return TrackerConfig{Interval: DefaultAnnounceInterval, ExpireAfter: 2}
-}
-
 // TrackerStats counts tracker activity.
 type TrackerStats struct {
 	Announces int

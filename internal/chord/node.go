@@ -121,10 +121,6 @@ func (n *Node) ID() ID { return n.id }
 // Successor returns the current successor pointer.
 func (n *Node) Successor() NodeRef { return n.successors[0] }
 
-// Predecessor returns the current predecessor pointer (zero if
-// unknown).
-func (n *Node) Predecessor() NodeRef { return n.predecessor }
-
 // Alive reports whether the node is running.
 func (n *Node) Alive() bool { return n.alive }
 

@@ -17,12 +17,11 @@ import (
 // The sweep engine turns every experiment in this package into a
 // grid-runnable scenario: a Grid is the cross product of parameter
 // axes (population × churn rate × access-link class × seed), each cell
-// runs as an independent deterministic sim.Kernel on its own OS thread
-// via a bounded worker pool, and per-cell metrics.Snapshot results
-// merge into an aggregate table and CSV. Determinism is per-kernel
-// (see repro/internal/sim), so parallelism across cells cannot perturb
-// any cell's result: the merged output is identical for any worker
-// count.
+// runs as an independent deterministic sim.Kernel on a bounded worker
+// pool, and per-cell metrics.Snapshot results merge into an aggregate
+// table and CSV. Determinism is per-kernel (see repro/internal/sim), so
+// parallelism across cells cannot perturb any cell's result: the merged
+// output is identical for any worker count.
 
 // Experiment names a sweepable scenario family.
 type Experiment string
@@ -287,9 +286,9 @@ func (r *SweepResult) Errs() []error {
 }
 
 // RunSweep executes every cell of the grid on a bounded pool of
-// workers (default: one per CPU). Each worker locks an OS thread and
-// runs one kernel at a time; cells are deterministic in isolation, so
-// the merged result is byte-identical for any worker count. A failing
+// workers (default: one per CPU). Each worker runs one kernel at a
+// time; cells are deterministic in isolation, so the merged result is
+// byte-identical for any worker count. A failing
 // or panicking cell records its error and leaves every other cell
 // untouched.
 func RunSweep(g Grid, workers int) (*SweepResult, error) {
@@ -324,11 +323,6 @@ func RunSweepProgress(g Grid, workers int, onCell func(completed, total int, res
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One kernel run loop per OS thread: cheap context switches
-			// between the loop and its simulated goroutines, and no
-			// scheduler migration mid-cell.
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
 			for i := range work {
 				results[i] = runCellGuarded(cells[i])
 				if onCell != nil {

@@ -11,8 +11,9 @@
 package gossip
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/ip"
@@ -29,6 +30,12 @@ type Update struct {
 	Origin  ip.Addr
 	Payload string
 }
+
+// byID orders updates by ID. The sorts here go through package slices:
+// sort.Slice's reflection-built swapper was the deepest call a node's
+// rounds task makes, and on top of the frames every coroutine starts
+// with it took that task's stack from 2 to 4 KiB for good.
+func byID(a, b Update) int { return cmp.Compare(a.ID, b.ID) }
 
 // wire message kinds.
 type msgKind int
@@ -116,9 +123,6 @@ func (n *Node) Knows(id uint64) bool {
 	_, ok := n.known[id]
 	return ok
 }
-
-// KnownCount returns how many updates the node has.
-func (n *Node) KnownCount() int { return len(n.known) }
 
 // Start launches the server and the gossip/anti-entropy loops.
 func (n *Node) Start() {
@@ -214,7 +218,7 @@ func (n *Node) collectHot() []Update {
 			n.hot[id] = rounds - 1
 		}
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].ID < batch[j].ID })
+	slices.SortFunc(batch, byID)
 	return batch
 }
 
@@ -227,7 +231,7 @@ func (n *Node) digestIDs() []uint64 {
 	for id := range n.known {
 		have = append(have, id)
 	}
-	sort.Slice(have, func(i, j int) bool { return have[i] < have[j] })
+	slices.Sort(have)
 	return have
 }
 
@@ -245,7 +249,7 @@ func (n *Node) missingFor(have []uint64) []Update {
 			missing = append(missing, u)
 		}
 	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i].ID < missing[j].ID })
+	slices.SortFunc(missing, byID)
 	return missing
 }
 

@@ -16,10 +16,10 @@ import (
 // and keep the schedule deterministic. Native primitives would race
 // the wall clock against the virtual one.
 //
-// The legal exceptions are the documented boundary where true
-// cross-goroutine concurrency exists — the sim kernel's own
-// run-loop/park/wake machinery and the flow solver's worker pool —
-// each carrying an explicit //lint:allow kernelgo <reason>.
+// The one legal exception is the flow solver's worker pool, carrying
+// an explicit //lint:allow kernelgo <reason>. The sim kernel itself
+// needs none: it switches between Run and its tasks with iter.Pull and
+// holds no go statement, channel or lock.
 var KernelGo = &analysis.Analyzer{
 	Name: "kernelgo",
 	Doc:  "forbid native go/chan/select/sync in kernel-context code; sim.Kernel primitives are the only legal concurrency",

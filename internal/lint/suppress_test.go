@@ -109,7 +109,7 @@ func TestTokenMarkerGrammar(t *testing.T) {
 		{"//p2p:token", markToken, ""},
 		{"//p2p:token hot-path clock read", markToken, ""},
 		{"//p2p:tokenarg", markArg, ""},
-		{"//p2p:tokenentry k.mu serializes the boundary", markEntry, ""},
+		{"//p2p:tokenentry the kernel is idle at the boundary", markEntry, ""},
 		{"//p2p:tokenentry", markEntry, "needs a written reason"},
 		{"//p2p:frob", 0, "unknown annotation"},
 		{"//p2p:", 0, "empty"},

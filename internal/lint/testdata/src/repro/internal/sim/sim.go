@@ -23,20 +23,20 @@ func (k *Kernel) LoopNow() Time { return 0 }
 //p2p:tokenarg
 func (k *Kernel) Schedule(at Time, fn func()) {}
 
-// At is the locked cold-boundary scheduler.
+// At is the cold-boundary scheduler.
 //
-//p2p:tokenentry the real kernel takes k.mu here, serializing against the run loop
+//p2p:tokenentry callers hold the token or the kernel is idle
 //p2p:tokenarg
 func (k *Kernel) At(at Time, fn func()) {}
 
 // Go spawns a simulated goroutine; fn runs once the scheduler grants
 // the token.
 //
-//p2p:tokenentry the spawn handshake hands the token to fn via wake
+//p2p:tokenentry spawning is bookkeeping; fn runs once Run resumes the task
 //p2p:tokenarg
 func (k *Kernel) Go(name string, fn func(p *Proc)) {}
 
-// Now is the locked clock read, callable from anywhere.
+// Now is the clock read that carries no requirement.
 func (k *Kernel) Now() Time { return 0 }
 
 // Proc is a simulated goroutine's handle; one only ever exists inside

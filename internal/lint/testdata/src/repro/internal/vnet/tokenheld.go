@@ -21,7 +21,7 @@ func (e *endpoint) hostPoll() {
 	e.k.Go("worker", func(p *sim.Proc) {
 		_ = e.k.LoopNow() // fine: the literal takes a *sim.Proc
 	})
-	_ = e.k.Now() // fine: the locked API carries no requirement
+	_ = e.k.Now() // fine: the idle-kernel API carries no requirement
 }
 
 // transmit runs inside the kernel loop.

@@ -21,9 +21,10 @@ import (
 //	    The function requires the execution token. Its body is a
 //	    token context; its callers must be token contexts.
 //	//p2p:tokenentry <reason>
-//	    The function establishes serialization by other means (the
-//	    Run-loop handshake, k.mu on the cold boundary) and is a token
-//	    context without requiring it of callers. The reason is
+//	    The function is a token context without requiring the token
+//	    of its callers: Run, which lends the token out, and the cold
+//	    API that set-up code also calls while the kernel is idle
+//	    (At, After, Go, Event.Cancel). The reason is
 //	    mandatory — entries are the audited boundary of the contract.
 //	//p2p:tokenarg
 //	    Function-typed arguments passed to this function are invoked
@@ -208,12 +209,15 @@ func signatureTakesProc(sig *types.Signature) bool {
 	return false
 }
 
+// isProcPtr reports whether t is *sim.Proc. From go 1.23 the checker
+// keeps an alias (repro.Proc = sim.Proc) as its own type node, so both
+// levels are unaliased first.
 func isProcPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
+	ptr, ok := types.Unalias(t).(*types.Pointer)
 	if !ok {
 		return false
 	}
-	named, ok := ptr.Elem().(*types.Named)
+	named, ok := types.Unalias(ptr.Elem()).(*types.Named)
 	if !ok {
 		return false
 	}
@@ -290,7 +294,7 @@ func (tc *tokenChecker) checkCall(call *ast.CallExpr, ctx bool) {
 			short = recvTypeName(recv.Type()) + "." + short
 		}
 		tc.pass.Reportf(call.Pos(),
-			"tokenheld: call to %s requires the execution token (//p2p:token) but the caller is not a token context; annotate the caller //p2p:token, mark an audited boundary //p2p:tokenentry <reason>, or use the locked API (Kernel.At/After/Now)",
+			"tokenheld: call to %s requires the execution token (//p2p:token) but the caller is not a token context; annotate the caller //p2p:token, mark an audited boundary //p2p:tokenentry <reason>, or use the idle-kernel API (Kernel.At/After/Now)",
 			short)
 	}
 }

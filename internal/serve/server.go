@@ -143,7 +143,7 @@ func (s *Server) worker() {
 			return
 		case j := <-s.queue:
 			j.setRunning()
-			s.run(j)
+			s.runGuarded(j)
 			s.mu.Lock()
 			if j.stateNow() == JobFailed {
 				s.failed.Inc()
@@ -153,6 +153,19 @@ func (s *Server) worker() {
 			s.mu.Unlock()
 		}
 	}
+}
+
+// runGuarded runs one job, converting a panic into that job's failure
+// so one bad job cannot take down the server, as exp.RunSweep does per
+// cell. A panic in a simulated task arrives here too: the kernel
+// passes it on to Run's caller.
+func (s *Server) runGuarded(j *Job) {
+	defer func() {
+		if r := recover(); r != nil {
+			j.finish(nil, fmt.Errorf("job panicked: %v", r))
+		}
+	}()
+	s.run(j)
 }
 
 func (s *Server) routes() {

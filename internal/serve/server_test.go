@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/sim"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -396,6 +397,39 @@ func TestServeResultConflict(t *testing.T) {
 		t.Fatalf("state = %v, want done", h["state"])
 	}
 	getJSON(t, ts.URL+"/api/v1/jobs/"+id+"/result", http.StatusOK)
+}
+
+// TestServePanickingJobFails checks that a job whose simulated task
+// panics ends as a failed job carrying the panic value, and that the
+// worker it ran on takes the next job.
+func TestServePanickingJobFails(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	s.run = func(j *Job) {
+		k := sim.New(1)
+		k.Go("bad", func(*sim.Proc) { panic("boom") })
+		k.Run()
+	}
+	waitDone := func(id string) {
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		<-j.done
+	}
+	_, sub := postJob(t, ts.URL, `{"scenario": "flash-crowd"}`)
+	id := sub["id"].(string)
+	waitDone(id)
+	h := getJSON(t, ts.URL+"/api/v1/jobs/"+id, http.StatusOK)
+	if msg, _ := h["error"].(string); h["state"] != string(JobFailed) || !strings.Contains(msg, "boom") {
+		t.Fatalf("panicking job: state %v, error %q; want failed with the panic value", h["state"], msg)
+	}
+
+	s.run = func(j *Job) { j.finish(&JobResult{Kind: j.kind}, nil) }
+	_, sub = postJob(t, ts.URL, `{"scenario": "flash-crowd"}`)
+	id = sub["id"].(string)
+	waitDone(id)
+	if h := getJSON(t, ts.URL+"/api/v1/jobs/"+id, http.StatusOK); h["state"] != string(JobDone) {
+		t.Fatalf("job after the panic: state %v, want done", h["state"])
+	}
 }
 
 func getText(t *testing.T, url string) string {

@@ -17,11 +17,9 @@ var ErrClosed = errors.New("sim: channel closed")
 // in large swarm runs.
 //
 // All operations require the execution token (they are only meaningful
-// from simulated goroutines or event callbacks), so the ring and flags
-// are accessed without locking — Send/Recv are the per-message hot
-// path, and the former mutex round-trips were a measurable share of
-// event cost at swarm scale. On unbounded channels (cap == 0) nothing
-// ever waits on notFull, so those signals are skipped entirely.
+// from simulated goroutines or event callbacks), which is all that
+// orders access to the ring and flags. On unbounded channels (cap == 0)
+// nothing ever waits on notFull, so those signals are skipped entirely.
 type Chan[T any] struct {
 	k      *Kernel
 	buf    []T // ring storage; element i is buf[(head+i)%len(buf)]

@@ -2,14 +2,13 @@ package sim
 
 // Cond is a virtual-time condition variable: processes park on it with
 // Wait and are released in FIFO order by Signal or all at once by
-// Broadcast. Unlike sync.Cond there is no associated mutex — simulated
-// goroutines already execute one at a time, so state guarded by a Cond
-// can be read and written without further locking.
+// Broadcast. Unlike package sync's Cond there is no associated mutex —
+// simulated goroutines already execute one at a time, so state guarded
+// by a Cond can be read and written without further locking.
 //
 // Every Cond operation requires the execution token (a simulated
 // goroutine or an event callback); the waiter list is kernel state
-// under the serialization discipline documented on Kernel, so no
-// operation here touches k.mu.
+// under the serialization discipline documented on Kernel.
 type Cond struct {
 	k       *Kernel
 	waiters []*condWaiter
@@ -53,8 +52,8 @@ func (c *Cond) wait(p *Proc, d Duration) bool {
 	c.waiters = append(c.waiters, w)
 	if d > 0 {
 		if w.timeoutFn == nil {
-			// Timer callbacks run holding the execution token, so the
-			// waiter bookkeeping needs no lock either.
+			// Timer callbacks run holding the execution token, like
+			// every other access to the waiter.
 			w.timeoutFn = func() {
 				if w.fired {
 					return

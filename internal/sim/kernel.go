@@ -1,11 +1,10 @@
-//lint:allow kernelgo this file IS the concurrency boundary: the run-loop/park/wake machinery that native go/chan/sync exist to implement; everything above it uses sim primitives
-
 // Package sim implements a deterministic virtual-time simulation kernel.
 //
-// The kernel multiplexes many simulated processes (real goroutines) onto a
-// single logical timeline. Exactly one simulated goroutine executes at any
-// real instant; the virtual clock advances only when every simulated
-// goroutine is parked. This yields bit-for-bit reproducible runs for a
+// The kernel multiplexes many simulated processes onto a single logical
+// timeline. Each process is a coroutine that Kernel.Run resumes and that
+// switches straight back to Run when it parks, so exactly one of them
+// executes at any real instant; the virtual clock advances only when
+// every one is parked. This yields bit-for-bit reproducible runs for a
 // fixed seed, which is the property the P2PLab paper calls "allowing
 // reproduction of experiments".
 //
@@ -21,16 +20,16 @@
 // Determinism is a per-kernel property: one kernel is one serialized
 // timeline, and nothing inside it may run concurrently. Experiment
 // sweeps therefore parallelize across kernels — many independent
-// Kernel instances on separate OS threads (see repro/internal/exp's
-// sweep engine) — never within one.
+// Kernel instances, one per worker (see repro/internal/exp's sweep
+// engine) — never within one.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -72,54 +71,67 @@ type event struct {
 // task is the kernel-side state of one simulated goroutine.
 type task struct {
 	name    string
-	id      uint64        // spawn order; fixes the unwind order at kill time
-	wake    chan struct{} // capacity 1; token grant
-	blocked bool          // parked, waiting for a wake
-	exited  bool
+	fn      func(p *Proc)
+	proc    Proc       // the handle fn receives; proc.t points back here
+	co      *coro      // carries the task from its first activation to its return
+	blocked bool       // parked, waiting for a wake
 	killed  bool       // task should unwind instead of resuming
 	cw      condWaiter // reusable Cond registration (one park at a time)
+
+	prev, next *task // Kernel.live ring, in spawn order
 }
 
 // killedPanic is the sentinel used to unwind tasks that are still parked
-// when a run ends (horizon reached, Stop called, or deadlock reported).
+// when a run ends (horizon reached, Stop called, deadlock reported, or
+// another task panicked).
 type killedPanic struct{}
+
+// coro is a coroutine that runs tasks, one after another: Run switches
+// to it with next, and the task it carries switches back with yield
+// when it parks or returns. Both are direct switches between two
+// goroutines (iter.Pull), not a trip through the Go scheduler.
+type coro struct {
+	t     *task
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// maxIdleCoros bounds the coroutines kept for reuse between tasks.
+// Measured with `go run ./bench -workload sweep-overlay`, parent 571.5 MB
+// alloc_mb (bound 3 %) and 110 MB peak_rss_mb (bound 10 %): without
+// reuse every spawn pays iter.Pull's ≈ 350 B of closures, 632 MB and
+// 115–116 MB; with an unbounded list the stacks of every spawn burst
+// stay resident until Run returns, 537 MB and 125 MB; at 32, 559 MB and
+// 105–121 MB. DESIGN decision 11 has the pairs.
+const maxIdleCoros = 32
 
 // Kernel is a deterministic discrete-event simulation kernel.
 // Create one with New, spawn the root process with Go, then call Run.
 //
 // # Serialization discipline
 //
-// All kernel state below mu is owned by whoever holds the execution
-// token: the one running simulated goroutine, the event callback the
-// scheduler is dispatching, or the Run goroutine while no task runs.
-// Token handoffs (wake-channel sends, the running/cond handshake with
-// Run) each establish a happens-before edge, so token holders read and
-// write this state without touching mu at all — on the per-message hot
-// paths (Schedule, Chan, Cond, park/wake) the elided lock round-trips
-// are a measurable share of event cost at 10k-peer scale.
-//
-// mu still guards the cold boundary where true concurrency can exist:
-// the running/cond handshake itself, spawn (Go), Stop, the cancellable
-// At/After/Event handles, and the external observers Now/Snapshot/
-// QueueLen (meaningful when the kernel is idle). Helpers suffixed
-// "Locked" require mu; everything else requires the token.
+// All kernel state is owned by whoever holds the execution token: the
+// one running simulated goroutine, the event callback being dispatched,
+// or Run itself between the two. Run is the only dispatcher — it
+// switches to a task and the task switches back — so the token never
+// passes between two parties that could run at once, and nothing here
+// takes a lock. Functions marked //p2p:token require the token. The
+// rest of the API (At, After, Go, Stop, Event.Cancel, Event.Reschedule,
+// Now, Snapshot, QueueLen) may also be used while the kernel is idle:
+// before Run is called and after it has returned. No goroutine may
+// touch a kernel while another is inside its Run.
 type Kernel struct {
-	mu   sync.Mutex
-	cond *sync.Cond // signalled when the running task yields
-
-	now     Time
-	seq     uint64
-	events  eventQueue
-	free    *event  // recycled event structs
-	ready   []*task // runnable tasks, FIFO
-	running bool    // a task currently holds the execution token
-	nLive   int     // spawned and not yet exited
-	nBlock  int     // parked tasks
-	blocked map[*task]struct{}
+	now    Time
+	seq    uint64
+	events eventQueue
+	free   *event  // recycled event structs
+	ready  []*task // runnable tasks, FIFO
+	live   task    // sentinel of the ring of unfinished tasks, in spawn order
+	idle   []*coro // coroutines whose task returned, at most maxIdleCoros
 
 	rng     *rand.Rand
 	stopped bool
-	halted  bool // a task-side scheduler hit the horizon; Run tears down
 	limit   Time // 0 = no limit
 	stats   Stats
 }
@@ -135,48 +147,29 @@ type Stats struct {
 // New returns a kernel whose random source is seeded with seed.
 // The same seed and workload reproduce the same run exactly.
 func New(seed int64) *Kernel {
-	k := &Kernel{
-		rng:     rand.New(rand.NewSource(seed)),
-		blocked: make(map[*task]struct{}),
-	}
-	k.cond = sync.NewCond(&k.mu)
+	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
+	k.live.prev, k.live.next = &k.live, &k.live
 	return k
 }
 
-// Now returns the current virtual time. Safe from any goroutine.
-func (k *Kernel) Now() Time {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.now
-}
+// Now returns the current virtual time. Like every observer here it
+// needs the token or an idle kernel.
+func (k *Kernel) Now() Time { return k.now }
 
-// LoopNow returns the current virtual time without synchronization.
-// It is safe only from code holding the execution token — a running
+// LoopNow is Now for code that holds the execution token — a running
 // simulated goroutine or an event callback dispatched by the loop —
-// because the clock is only written by the token holder and every
-// prior write happened-before the token grant. Goroutines outside the
-// simulation (observers, HTTP handlers) must use Now. On the
-// per-message fast paths the mutex round-trip this elides is a
-// measurable share of event cost.
+// and says so to p2pvet.
 //
 //p2p:token
 func (k *Kernel) LoopNow() Time { return k.now }
 
-// Stats returns a snapshot of kernel activity counters.
-func (k *Kernel) Snapshot() Stats {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.stats
-}
+// Snapshot returns a copy of the kernel activity counters.
+func (k *Kernel) Snapshot() Stats { return k.stats }
 
 // QueueLen returns the number of pending events, which is the number
 // of live timers: cancelled events leave the queue at once. A gauge,
 // so not part of Stats.
-func (k *Kernel) QueueLen() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.events)
-}
+func (k *Kernel) QueueLen() int { return len(k.events) }
 
 // Rand returns the kernel's deterministic random source. Because simulated
 // goroutines execute one at a time, sharing one source is race-free and
@@ -188,148 +181,97 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Go spawns a new simulated goroutine executing fn. It may be called
 // before Run (to create the initial population) or from a running
 // simulated goroutine. The child starts at the current virtual time,
-// after the caller next yields.
+// after the caller next yields. Spawning is bookkeeping only: the task
+// gets a coroutine when Run first activates it, so a kernel that is
+// never run starts nothing.
 //
-//p2p:tokenentry spawn bookkeeping is under k.mu; the wrapper goroutine runs fn only after the scheduler grants the token via t.wake
+//p2p:tokenentry callers hold the token or the kernel is idle; fn runs only once Run resumes the task
 //p2p:tokenarg
 func (k *Kernel) Go(name string, fn func(p *Proc)) {
-	t := &task{name: name, wake: make(chan struct{}, 1)}
-	p := &Proc{k: k, t: t}
-	k.mu.Lock()
-	k.nLive++
+	t := &task{name: name, fn: fn}
+	t.proc = Proc{k: k, t: t}
+	t.prev, t.next = k.live.prev, &k.live
+	t.prev.next, k.live.prev = t, t
 	k.stats.Spawns++
-	t.id = k.stats.Spawns
 	k.ready = append(k.ready, t)
-	k.mu.Unlock()
-	go func() {
-		<-t.wake // wait for the scheduler to grant the token
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedPanic); !ok {
-					panic(r) // real panic from user code: propagate
-				}
-			}
-			k.exit(t)
-		}()
-		if t.killed {
-			return
+}
+
+// resume switches to t and returns when t parks or returns. A task's
+// first activation gives it a coroutine, an idle one if there is one;
+// when the task returns, its coroutine goes back on the idle list, or
+// ends if the list is full. Coroutines are made here, under Run, and
+// not in Go: the runtime requires a coroutine's creator and its resumer
+// to agree on LockOSThread state, and Run is the only resumer.
+//
+//p2p:token
+func (k *Kernel) resume(t *task) {
+	c := t.co
+	if c == nil {
+		if n := len(k.idle); n > 0 {
+			c, k.idle = k.idle[n-1], k.idle[:n-1]
+		} else {
+			c = newCoro()
 		}
-		fn(p)
-	}()
-}
-
-// exit releases the execution token when a task's function returns.
-// The dying task holds the token, so the bookkeeping is lock-free; the
-// handback to Run (inside yield) takes mu.
-//
-//p2p:token
-func (k *Kernel) exit(t *task) {
-	t.exited = true
-	k.nLive--
-	k.yield()
-}
-
-// yield releases the execution token: if another task is ready (and
-// the run is not stopping), the baton passes to it directly — the
-// departing goroutine wakes the next one without a round-trip through
-// the kernel goroutine, which halves the real context switches per
-// activation. Otherwise control returns to the run loop via the
-// running/cond handshake. Callers hold the execution token. The ready
-// pop, FIFO order and Switches count are identical to the run loop's
-// own grant, so the execution schedule — and therefore every trace —
-// is unchanged.
-//
-//p2p:token
-func (k *Kernel) yield() {
-	if len(k.ready) > 0 && !k.stopped && !k.halted {
-		t := k.ready[0]
-		copy(k.ready, k.ready[1:])
-		k.ready = k.ready[:len(k.ready)-1]
-		k.stats.Switches++
-		t.wake <- struct{}{}
-		return
+		c.t, t.co = t, c
 	}
-	k.mu.Lock()
-	k.running = false
-	k.cond.Signal()
-	k.mu.Unlock()
+	c.next()
+	if c.t != nil {
+		return // parked
+	}
+	// A Proc someone kept, or a Cond's spent waiter slot, can outlive the
+	// task; neither may pin what the task's closure captured.
+	t.fn, t.co = nil, nil
+	t.prev.next, t.next.prev = t.next, t.prev
+	t.prev, t.next = nil, nil
+	if len(k.idle) < maxIdleCoros {
+		k.idle = append(k.idle, c)
+	} else {
+		c.stop()
+	}
 }
 
-// sched advances the simulation on the calling (parking) task's own
-// goroutine: it dispatches events and grants ready tasks exactly as
-// the Run loop would, returning once self has been granted execution
-// again. When the grant goes to another task — or the run must end
-// (stop, horizon, deadlock, completion) and the Run goroutine has to
-// take over — it blocks on self's wake token instead.
-//
-// This is a pure execution-mechanics optimization: the event pops,
-// ready-queue order, Events/Switches counts and callback sequence are
-// byte-for-byte those of the Run loop, so traces are unchanged. What
-// changes is only which OS goroutine turns the crank — the common
-// park→event→wake cycle costs one real context switch (zero when the
-// dispatched event wakes the parker itself) instead of two round
-// trips through the Run goroutine.
-//
-// Called by the parking task, which holds the execution token — the
-// whole loop is mutex-free; only the teardown handback to Run takes
-// mu (see the serialization-discipline note on Kernel).
+// newCoro returns a coroutine that runs the task it is handed to its
+// end, clears c.t to say so, and waits to be handed the next. A panic
+// in task code — a killed task's sentinel included — ends the coroutine
+// and leaves through next. Every frame under a task's own comes out of
+// the 1 120 usable bytes of its first 2 KiB stack, so the body does
+// nothing else and keeps only c live (a 24-byte frame): with the
+// recover and the idle-list push in here, two thirds of the tasks of a
+// 1 024-node gossip cell ended up on 4 KiB stacks (DESIGN decision 11).
 //
 //p2p:token
-func (k *Kernel) sched(self *task) {
-	for {
-		if k.stopped || k.halted {
-			break // Run tears down
-		}
-		if len(k.ready) > 0 {
-			t := k.ready[0]
-			copy(k.ready, k.ready[1:])
-			k.ready = k.ready[:len(k.ready)-1]
-			k.stats.Switches++
-			if t == self {
-				return // resumed: the execution token is ours again
+func newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			c.t.fn(&c.t.proc)
+			c.t = nil
+			if !c.yield(struct{}{}) {
+				return
 			}
-			t.wake <- struct{}{}
-			<-self.wake
-			return
 		}
-		if len(k.events) > 0 {
-			fn, ok := k.next()
-			if !ok {
-				k.halted = true
-				break
-			}
-			fn()
-			continue
-		}
-		break // no work: completion or deadlock — Run decides which
-	}
-	k.mu.Lock()
-	k.running = false
-	k.cond.Signal()
-	k.mu.Unlock()
-	<-self.wake
+	})
+	return c
 }
 
 // At schedules fn to run at instant at (clamped to now if in the past).
 // fn executes inside the kernel loop and must not block. It returns a
 // handle that can cancel the event before it fires.
 //
-//p2p:tokenentry k.mu serializes the cold scheduling boundary against the run loop
+//p2p:tokenentry callers hold the token or the kernel is idle
 //p2p:tokenarg
 func (k *Kernel) At(at Time, fn func()) *Event {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.scheduleLocked(at, fn)
+	ev := k.push(at, fn)
+	return &Event{k: k, ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d after the current virtual time.
 //
-//p2p:tokenentry k.mu serializes the cold scheduling boundary against the run loop
+//p2p:tokenentry callers hold the token or the kernel is idle
 //p2p:tokenarg
 func (k *Kernel) After(d Duration, fn func()) *Event {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.scheduleLocked(k.now.Add(d), fn)
+	return k.At(k.now.Add(d), fn)
 }
 
 // Schedule is At without the cancellable handle. The event struct itself
@@ -337,13 +279,9 @@ func (k *Kernel) After(d Duration, fn func()) *Event {
 // delivery events of the network layer — this path schedules with zero
 // allocations, where At allocates one Event handle per call.
 //
-// Schedule elides the kernel mutex: it may only be called from code
-// holding the execution token (a running simulated goroutine or an
-// event callback), where pushes are serialized with every other queue
-// access by the token's happens-before chain — the same contract as
-// LoopNow. It is the highest-frequency kernel entry point (several
-// calls per emulated message), so the two elided atomics are a
-// measurable share of per-event cost. External goroutines must use At.
+// Schedule may only be called from code holding the execution token (a
+// running simulated goroutine or an event callback) and says so to
+// p2pvet; set-up code that runs before Run uses At.
 //
 //p2p:token
 //p2p:tokenarg
@@ -351,18 +289,9 @@ func (k *Kernel) Schedule(at Time, fn func()) {
 	k.push(at, fn)
 }
 
-// scheduleLocked is the common body of At and After.
-//
-//p2p:tokenentry callers hold k.mu, which serializes the cold scheduling boundary
-func (k *Kernel) scheduleLocked(at Time, fn func()) *Event {
-	ev := k.push(at, fn)
-	return &Event{k: k, ev: ev, gen: ev.gen}
-}
-
 // push queues fn at instant at on an event struct taken off the free
-// list (or a new one). Callers hold the execution token (or k.mu on the
-// cold At/After paths — both serialize against every other queue
-// access).
+// list (or a new one). Callers hold the execution token, or the kernel
+// is idle (At and After before Run).
 //
 //p2p:token
 func (k *Kernel) push(at Time, fn func()) *event {
@@ -452,13 +381,11 @@ type Event struct {
 // Cancel prevents the callback from running if it has not fired yet.
 // It reports whether the cancellation took effect.
 //
-//p2p:tokenentry holds e.k.mu for the whole removal, same contract as At
+//p2p:tokenentry same contract as At
 func (e *Event) Cancel() bool {
 	if e == nil || e.ev == nil {
 		return false
 	}
-	e.k.mu.Lock()
-	defer e.k.mu.Unlock()
 	return e.k.cancel(e.ev, e.gen)
 }
 
@@ -468,14 +395,12 @@ func (e *Event) Cancel() bool {
 // been cancelled and scheduled anew. It reports whether the move took
 // effect; a fired or cancelled event is not revived.
 //
-//p2p:tokenentry holds e.k.mu for the whole move, same contract as At
+//p2p:tokenentry same contract as At
 func (e *Event) Reschedule(at Time) bool {
 	if e == nil || e.ev == nil {
 		return false
 	}
 	k := e.k
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if e.ev.gen != e.gen {
 		return false
 	}
@@ -499,132 +424,117 @@ func (e *DeadlockError) Error() string {
 // exited and the event queue is empty (events scheduled beyond RunUntil's
 // limit are discarded). It returns a *DeadlockError if tasks are parked
 // with no pending events, and nil otherwise. Run must be called from a
-// non-simulated goroutine, exactly once.
+// non-simulated goroutine. However it ends — completion, Stop, the
+// horizon, a deadlock, or a panic in task code, which reaches Run's
+// caller — every unfinished task has been unwound and no goroutine is
+// left behind.
 //
-//p2p:tokenentry the Run goroutine owns the token whenever no task is running (running/cond handshake)
+// This loop is the scheduling policy's one statement: the head of the
+// ready FIFO, else the earliest (time, seq) event, else done.
+//
+//p2p:tokenentry Run holds the token whenever no task does: it lends it to a task in resume and has it back when resume returns
 func (k *Kernel) Run() error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	for {
-		if k.stopped {
-			k.killAllLocked()
-			return nil
-		}
-		if k.halted {
-			// A task-side scheduler (sched) crossed the horizon: events
-			// are already drained, only the teardown is left.
-			k.halted = false
-			k.killAllLocked()
-			return nil
-		}
+	defer k.teardown()
+	for !k.stopped {
 		// 1. Run every ready task to its next park point, in FIFO order.
 		if len(k.ready) > 0 {
 			t := k.ready[0]
 			copy(k.ready, k.ready[1:])
 			k.ready = k.ready[:len(k.ready)-1]
-			k.running = true
 			k.stats.Switches++
-			t.wake <- struct{}{}
-			for k.running {
-				k.cond.Wait()
-			}
+			k.resume(t)
 			continue
 		}
-		// 2. Advance the clock to the next event batch.
+		// 2. Advance the clock to the next event.
 		if len(k.events) > 0 {
 			fn, ok := k.next()
 			if !ok {
-				k.killAllLocked()
 				return nil
 			}
-			// Callbacks run without the kernel lock: no simulated
-			// goroutine is executing at this point (ready is empty and
-			// running is false), so callbacks may freely use the public
-			// blocking-free API (Cond.Signal, Kernel.At, ...).
-			k.mu.Unlock()
 			fn()
-			k.mu.Lock()
 			continue
 		}
 		// 3. Nothing runnable, nothing scheduled.
-		if k.nBlock > 0 {
-			names := make([]string, 0, len(k.blocked))
-			//lint:allow maporder collected names are sorted below before use
-			for t := range k.blocked {
+		var names []string
+		for t := k.live.next; t != &k.live; t = t.next {
+			if t.blocked {
 				names = append(names, t.name)
 			}
+		}
+		if names != nil {
 			sort.Strings(names)
-			err := &DeadlockError{Now: k.now, Blocked: names}
-			k.killAllLocked()
-			return err
+			return &DeadlockError{Now: k.now, Blocked: names}
 		}
 		return nil
 	}
+	return nil
 }
 
-// killAllLocked unwinds every remaining task (parked or ready) so a
-// finished run leaks no goroutines. Unwound tasks panic with a sentinel
-// that the Go wrapper recovers; deferred cleanups (conn.Close and the
-// like) run during that unwind, so tasks are unwound strictly one at a
-// time — ready tasks in FIFO order, then parked tasks in spawn order —
-// keeping the one-goroutine-at-a-time invariant (and therefore
-// determinism and race-freedom) through teardown. Callers hold k.mu;
-// on return nLive is zero.
+// teardown unwinds every remaining task (parked or ready) and ends the
+// idle coroutines, so a finished run leaves no goroutine behind.
+// Deferred cleanups (conn.Close and the like) run while a killed task
+// unwinds, so tasks are unwound strictly one at a time — ready tasks in
+// FIFO order, then parked tasks in spawn order — and a wake or a spawn
+// made by an unwinding task has no effect.
 //
-//p2p:tokenentry callers hold k.mu and no task is running during teardown
-func (k *Kernel) killAllLocked() {
-	victims := append([]*task(nil), k.ready...)
+//p2p:token
+func (k *Kernel) teardown() {
+	victims := k.ready
 	k.ready = nil
-	parked := make([]*task, 0, len(k.blocked))
-	//lint:allow maporder collected tasks are sorted by spawn id below before unwinding
-	for t := range k.blocked {
-		t.blocked = false
-		delete(k.blocked, t)
-		k.nBlock--
-		parked = append(parked, t)
-	}
-	sort.Slice(parked, func(i, j int) bool { return parked[i].id < parked[j].id })
-	victims = append(victims, parked...)
-	for _, t := range victims {
-		t.killed = true
-		k.running = true
-		t.wake <- struct{}{}
-		for k.running {
-			k.cond.Wait()
+	for t := k.live.next; t != &k.live; t = t.next {
+		if t.blocked {
+			t.blocked = false
+			victims = append(victims, t)
 		}
 	}
-	for k.nLive > 0 {
-		k.cond.Wait()
+	for _, t := range victims {
+		if t.co != nil { // else never activated: there is nothing to unwind
+			k.kill(t)
+		}
 	}
+	k.ready = nil
+	k.live.prev, k.live.next = &k.live, &k.live
+	for _, c := range k.idle {
+		c.stop()
+	}
+	k.idle = nil
+}
+
+// kill resumes t with its killed flag set: park panics with a sentinel
+// instead of returning, the task's deferred calls run, and the sentinel
+// arrives here. Anything else that arrives is a real panic from a
+// deferred cleanup and goes on to Run's caller.
+//
+//p2p:token
+func (k *Kernel) kill(t *task) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killedPanic); !ok {
+				panic(r)
+			}
+		}
+	}()
+	t.killed = true
+	k.resume(t)
 }
 
 // RunUntil executes the simulation like Run but stops once virtual time
 // would pass limit. Tasks still parked at the horizon are abandoned (the
 // usual way to end an open-ended experiment such as a swarm download).
 func (k *Kernel) RunUntil(limit Time) error {
-	k.mu.Lock()
 	k.limit = limit
-	k.mu.Unlock()
 	err := k.Run()
-	var dl *DeadlockError
-	if e, ok := err.(*DeadlockError); ok {
-		dl = e
-	}
 	// A horizon-limited run treats parked-forever tasks as "experiment
 	// over", not an error, as long as the horizon was actually reached.
-	if dl != nil && k.Now() >= limit {
+	if _, ok := err.(*DeadlockError); ok && k.now >= limit {
 		return nil
 	}
 	return err
 }
 
-// Stop aborts the run loop at the next scheduling point. Safe to call
-// from event callbacks or simulated goroutines.
-func (k *Kernel) Stop() {
-	k.mu.Lock()
-	k.stopped = true
-	k.mu.Unlock()
-}
+// Stop aborts the run loop at the next scheduling point. Call it from
+// event callbacks or simulated goroutines.
+func (k *Kernel) Stop() { k.stopped = true }
 
 // wake moves a parked task to the ready queue. Callers hold the
 // execution token (wakes are triggered by running tasks and event
@@ -632,11 +542,9 @@ func (k *Kernel) Stop() {
 //
 //p2p:token
 func (k *Kernel) wake(t *task) {
-	if !t.blocked || t.exited {
+	if !t.blocked {
 		return
 	}
 	t.blocked = false
-	k.nBlock--
-	delete(k.blocked, t)
 	k.ready = append(k.ready, t)
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -117,14 +119,35 @@ func TestDeadlockDetected(t *testing.T) {
 func TestRunUntilHorizon(t *testing.T) {
 	k := New(1)
 	var last Time
+	var unwound []string
+	orphanRan := false
 	k.Go("ticker", func(p *Proc) {
+		// Killed at the horizon: a cleanup that blocks (the shape of
+		// defer conn.Close(p)) must unwind at once, and a task spawned
+		// while unwinding must never run.
+		defer func() { unwound = append(unwound, p.Name()) }()
+		defer p.Sleep(time.Hour)
+		defer p.Go("orphan", func(*Proc) { orphanRan = true })
 		for {
 			p.Sleep(time.Second)
 			last = p.Now()
 		}
 	})
+	full := NewChan[int](k, 1)
+	k.Go("sender", func(p *Proc) {
+		defer func() { unwound = append(unwound, p.Name()) }()
+		defer full.Send(p, 3) // blocks on the full channel when not killed
+		full.Send(p, 1)
+		full.Send(p, 2)
+	})
 	if err := k.RunUntil(Time(10*time.Second) + 1); err != nil {
 		t.Fatal(err)
+	}
+	if want := []string{"ticker", "sender"}; !slices.Equal(unwound, want) {
+		t.Fatalf("unwound %v, want %v (spawn order, blocking cleanups cut short)", unwound, want)
+	}
+	if orphanRan {
+		t.Fatal("a task spawned by an unwinding task ran its body")
 	}
 	if last != Time(10*time.Second) {
 		t.Fatalf("last tick at %v, want 10s", last)
@@ -148,12 +171,29 @@ func TestRunUntilStillReportsEarlyDeadlock(t *testing.T) {
 func TestStopEndsRun(t *testing.T) {
 	k := New(1)
 	n := 0
+	// Unwind order at Stop: tasks that were ready first, in the order
+	// they were woken, then parked tasks in spawn order.
+	var unwound []string
+	waitOn := func(c *Cond) func(*Proc) {
+		return func(p *Proc) {
+			defer func() { unwound = append(unwound, p.Name()) }()
+			c.Wait(p)
+			t.Errorf("%s resumed after Stop", p.Name())
+		}
+	}
+	never, ca, cb := NewCond(k), NewCond(k), NewCond(k)
+	k.Go("parked", waitOn(never))
+	k.Go("a", waitOn(ca))
+	k.Go("b", waitOn(cb))
 	k.Go("worker", func(p *Proc) {
+		defer func() { unwound = append(unwound, p.Name()) }()
 		for {
 			p.Sleep(time.Second)
 			n++
 			if n == 5 {
 				k.Stop()
+				cb.Signal()
+				ca.Signal()
 			}
 		}
 	})
@@ -162,6 +202,95 @@ func TestStopEndsRun(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("iterations = %d, want 5", n)
+	}
+	if want := []string{"b", "a", "parked", "worker"}; !slices.Equal(unwound, want) {
+		t.Fatalf("unwound %v, want %v", unwound, want)
+	}
+}
+
+// goroutinesSettleAt waits for the goroutine count to come back to base.
+func goroutinesSettleAt(t *testing.T, base int, when string) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() != base; i++ {
+		if i == 1000 {
+			t.Fatalf("%s: %d goroutines, %d before", when, runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+func TestTaskPanicReachesRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New(1)
+	var unwound []string
+	for _, name := range []string{"a", "b"} {
+		k.Go(name, func(p *Proc) {
+			defer func() { unwound = append(unwound, p.Name()) }()
+			p.Sleep(time.Hour)
+		})
+	}
+	k.Go("bad", func(p *Proc) {
+		p.Sleep(time.Second)
+		panic("boom")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		return k.Run()
+	}()
+	if got != "boom" {
+		t.Fatalf("Run's caller recovered %v, want the task's panic value", got)
+	}
+	if want := []string{"a", "b"}; !slices.Equal(unwound, want) {
+		t.Fatalf("unwound %v, want %v", unwound, want)
+	}
+	goroutinesSettleAt(t, base, "after a task panic")
+}
+
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	sleepers := func(k *Kernel, n int, d Duration) {
+		for i := 0; i < n; i++ {
+			k.Go("sleeper", func(p *Proc) { p.Sleep(d) })
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(k *Kernel) error
+	}{
+		// More tasks than the idle list holds, so coroutines end both ways.
+		{"completion", func(k *Kernel) error {
+			sleepers(k, 4*maxIdleCoros, time.Second)
+			return k.Run()
+		}},
+		{"Stop", func(k *Kernel) error {
+			sleepers(k, 10, time.Hour)
+			k.After(time.Second, k.Stop)
+			return k.Run()
+		}},
+		{"horizon", func(k *Kernel) error {
+			sleepers(k, 10, time.Hour)
+			return k.RunUntil(Time(time.Minute))
+		}},
+		{"deadlock", func(k *Kernel) error {
+			sleepers(k, 10, time.Second)
+			c := NewCond(k)
+			k.Go("stuck", func(p *Proc) { c.Wait(p) })
+			var dl *DeadlockError
+			if err := k.Run(); !errors.As(err, &dl) {
+				return fmt.Errorf("Run = %v, want DeadlockError", err)
+			}
+			return nil
+		}},
+		{"never run", func(k *Kernel) error {
+			sleepers(k, 10, time.Second)
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		base := runtime.NumGoroutine()
+		if err := tc.run(New(1)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		goroutinesSettleAt(t, base, tc.name)
 	}
 }
 

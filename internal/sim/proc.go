@@ -21,12 +21,8 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.t.name }
 
-// Now returns the current virtual time. The read is unsynchronized but
-// race-free: a Proc is only used by the goroutine it was granted to,
-// which holds the execution token (see Kernel.LoopNow).
-func (p *Proc) Now() Time {
-	return p.k.now
-}
+// Now returns the current virtual time.
+func (p *Proc) Now() Time { return p.k.now }
 
 // Rand returns the kernel's deterministic random source.
 func (p *Proc) Rand() *rand.Rand { return p.k.rng }
@@ -36,24 +32,22 @@ func (p *Proc) Rand() *rand.Rand { return p.k.rng }
 func (p *Proc) Go(name string, fn func(p *Proc)) { p.k.Go(name, fn) }
 
 // park blocks the calling task until another component wakes it via
-// kernel.wake. The caller holds the execution token, so the blocked
-// bookkeeping is mutex-free; sched hands the token on (or back to Run)
-// and returns once this task is granted again.
+// kernel.wake: it marks the task blocked and switches back to Run,
+// which switches here again once the task is at the head of the ready
+// queue.
 //
 // A task that has been killed (run ended at a horizon, Stop, or after a
 // deadlock report) re-panics instead of blocking: this lets deferred
 // cleanups that use blocking primitives (defer conn.Close(p)) unwind
 // instantly rather than hang on a wake that will never come.
 func (p *Proc) park() {
-	k := p.k
-	if p.t.killed {
+	t := p.t
+	if t.killed {
 		panic(killedPanic{})
 	}
-	p.t.blocked = true
-	k.nBlock++
-	k.blocked[p.t] = struct{}{}
-	k.sched(p.t)
-	if p.t.killed {
+	t.blocked = true
+	t.co.yield(struct{}{})
+	if t.killed {
 		panic(killedPanic{})
 	}
 }
@@ -67,8 +61,6 @@ func (p *Proc) Sleep(d Duration) {
 		t := p.t
 		p.wakeFn = func() { k.wake(t) }
 	}
-	// The timer push is mutex-free: the calling task holds the execution
-	// token, which serializes every queue access (see Kernel.Schedule).
 	at := k.now
 	if d > 0 {
 		at = at.Add(d)

@@ -39,9 +39,8 @@ func (h *Host) Addr() ip.Addr { return h.addr }
 // Network returns the network the host belongs to.
 func (h *Host) Network() *Network { return h.net }
 
-// UpPipe and DownPipe expose the access-link pipes for inspection.
-func (h *Host) UpPipe() *netem.Pipe   { return h.up }
-func (h *Host) DownPipe() *netem.Pipe { return h.down }
+// UpPipe exposes the uplink's access pipe for inspection.
+func (h *Host) UpPipe() *netem.Pipe { return h.up }
 
 // LinkModel returns the link model carrying this host's traffic — the
 // network-wide model chosen by Config.Model.
@@ -56,9 +55,6 @@ func (h *Host) Meter() *SyscallMeter { return &h.meter }
 // paper's "naive approach" in the Virtualization section. A zero
 // address disables interception.
 func (h *Host) SetBindEnv(addr ip.Addr) { h.bindEnv = addr }
-
-// BindEnv returns the interception address (zero when disabled).
-func (h *Host) BindEnv() ip.Addr { return h.bindEnv }
 
 // syscall charges one emulated system call to the calling process.
 func (h *Host) syscall(p *sim.Proc, s Syscall) {
