@@ -423,7 +423,7 @@ func (m *Model) complete(f *xfer) {
 	}
 	m.stats.Completed++
 	if m.tracer != nil {
-		m.tracer.Add(now, "net.flow", f.links[0].pipe.Name(), "flow %d done", f.id)
+		m.tracer.FlowDone(now, f.links[0].pipe.Name(), f.id)
 	}
 	if m.cfg.Window > 0 {
 		m.stats.Batched++
@@ -843,11 +843,9 @@ func (m *Model) apply(now sim.Time, flows []*xfer) {
 		m.stats.Rerates++
 		if m.tracer != nil {
 			if old < 0 {
-				m.tracer.Add(now, "net.flow", f.links[0].pipe.Name(),
-					"flow %d start %.0f bps over %d link(s)", f.id, f.rate, len(f.links))
+				m.tracer.FlowStart(now, f.links[0].pipe.Name(), f.id, f.rate, len(f.links))
 			} else {
-				m.tracer.Add(now, "net.flow", f.links[0].pipe.Name(),
-					"flow %d rerate %.0f -> %.0f bps", f.id, old, f.rate)
+				m.tracer.FlowRerate(now, f.links[0].pipe.Name(), f.id, old, f.rate)
 			}
 		}
 	}

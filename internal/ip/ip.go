@@ -44,7 +44,22 @@ func MustParseAddr(s string) Addr {
 
 // String formats the address as a dotted quad.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [len("255.255.255.255")]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the dotted quad to b and returns the extended
+// buffer, in the shape of net/netip's AppendTo: the one formatter both
+// String methods and the trace renderer use, so an address costs no
+// fmt call and, into a buffer with room, no allocation.
+func (a Addr) AppendTo(b []byte) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(a>>shift)), 10)
+		if shift > 0 {
+			b = append(b, '.')
+		}
+	}
+	return b
 }
 
 // Add returns the address n positions after a.
@@ -150,4 +165,13 @@ type Endpoint struct {
 }
 
 // String formats the endpoint as "addr:port".
-func (e Endpoint) String() string { return fmt.Sprintf("%v:%d", e.Addr, e.Port) }
+func (e Endpoint) String() string {
+	var buf [len("255.255.255.255:65535")]byte
+	return string(e.AppendTo(buf[:0]))
+}
+
+// AppendTo appends "addr:port" to b and returns the extended buffer.
+func (e Endpoint) AppendTo(b []byte) []byte {
+	b = append(e.Addr.AppendTo(b), ':')
+	return strconv.AppendUint(b, uint64(e.Port), 10)
+}

@@ -1,6 +1,7 @@
 package ip
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -165,6 +166,36 @@ func TestEndpointString(t *testing.T) {
 	e := Endpoint{Addr: MustParseAddr("10.0.0.1"), Port: 6881}
 	if e.String() != "10.0.0.1:6881" {
 		t.Fatalf("String = %q", e.String())
+	}
+}
+
+// TestFormatMatchesSprintf pins AppendTo, and the String methods built
+// on it, to the fmt.Sprintf forms they replaced: golden traces and
+// every %v of an endpoint in a protocol log carry these bytes.
+func TestFormatMatchesSprintf(t *testing.T) {
+	for _, e := range []Endpoint{
+		{0, 0},
+		{0, 65535},
+		{0xffffffff, 0},
+		{0xffffffff, 65535},
+		{MustParseAddr("10.1.3.207"), 6881},
+		{MustParseAddr("100.20.3.0"), 9},
+	} {
+		a := e.Addr
+		wantAddr := fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+		wantEnd := fmt.Sprintf("%s:%d", wantAddr, e.Port)
+		if got := a.String(); got != wantAddr {
+			t.Errorf("Addr(%#x).String() = %q, want %q", uint32(a), got, wantAddr)
+		}
+		if got := e.String(); got != wantEnd {
+			t.Errorf("Endpoint.String() = %q, want %q", got, wantEnd)
+		}
+		if got := string(e.AppendTo([]byte("to "))); got != "to "+wantEnd {
+			t.Errorf("Endpoint.AppendTo = %q, want %q", got, "to "+wantEnd)
+		}
+		if got := fmt.Sprintf("%v %v", a, e); got != wantAddr+" "+wantEnd {
+			t.Errorf("%%v = %q, want %q", got, wantAddr+" "+wantEnd)
+		}
 	}
 }
 

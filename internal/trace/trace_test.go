@@ -46,6 +46,47 @@ func TestBounded(t *testing.T) {
 	if events[len(events)-1].Msg != "e99" {
 		t.Fatalf("newest lost: %+v", events[len(events)-1])
 	}
+
+	// The contract `p2plab run -trace N` and examples/contention rely
+	// on, at every step and for typed and text records alike: a bounded
+	// log drops whole chunks, so max = 1, a max below, at and off a
+	// multiple of the chunk size all have to hold it.
+	for _, max := range []int{1, 2, 3, 10, 31, chunkSize, 2*chunkSize + 1, 3*chunkSize - 7} {
+		l := New(max)
+		total := 3*max + chunkSize
+		for i := 0; i < total; i++ {
+			if i%2 == 0 {
+				l.Add(sim.Time(i), "c", "n", "e%d", i)
+			} else {
+				l.FlowDone(sim.Time(i), "pipe", uint64(i))
+			}
+			if l.Len() > max {
+				t.Fatalf("max %d: len = %d after %d adds", max, l.Len(), i+1)
+			}
+			if i+1 >= max && l.Len() < max/2 {
+				t.Fatalf("max %d: only %d retained after %d adds, want ≥ %d", max, l.Len(), i+1, max/2)
+			}
+			if i+1 < max && l.Len() != i+1 {
+				t.Fatalf("max %d: len = %d after %d adds, nothing should be dropped yet", max, l.Len(), i+1)
+			}
+		}
+		events := l.Events()
+		if len(events) != l.Len() {
+			t.Fatalf("max %d: Events has %d, Len says %d", max, len(events), l.Len())
+		}
+		// What is retained is the newest run, in order, ending at the last add.
+		for j, e := range events {
+			if want := sim.Time(total - len(events) + j); e.At != want {
+				t.Fatalf("max %d: events[%d].At = %d, want %d", max, j, e.At, want)
+			}
+		}
+		if got := l.Count("c") + l.Count("net.flow"); got != uint64(total) {
+			t.Fatalf("max %d: counted %d, want %d despite truncation", max, got, total)
+		}
+		if l.Count("net.flow") != uint64(total/2) {
+			t.Fatalf("max %d: net.flow count = %d, want %d", max, l.Count("net.flow"), total/2)
+		}
+	}
 }
 
 func TestBetween(t *testing.T) {

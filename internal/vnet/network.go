@@ -497,8 +497,7 @@ func (n *Network) transmit(src *Host, m message, reliable bool) bool {
 		return false
 	}
 	if n.tracer != nil {
-		n.tracer.Add(n.k.Now(), "net.send", m.src.Addr.String(),
-			"%d B to %v (kind %d)", m.wireSize(&n.cfg), m.dst, m.kind)
+		n.tracer.NetSend(n.k.Now(), m.src.Addr, m.wireSize(&n.cfg), m.dst, int(m.kind))
 	}
 	x := n.acquireXfer()
 	x.src, x.dst, x.m, x.route = src, dst, m, route
@@ -677,8 +676,7 @@ func (x *xfer) deliver() {
 	n.stats.MessagesDelivered++
 	n.stats.BytesDelivered += uint64(x.size)
 	if n.tracer != nil {
-		n.tracer.Add(n.k.Now(), "net.deliver", x.m.dst.Addr.String(),
-			"%d B from %v", x.size, x.m.src)
+		n.tracer.NetDeliver(n.k.Now(), x.m.dst.Addr, x.size, x.m.src)
 	}
 	m, dst := x.m, x.dst
 	n.releaseXfer(x)
