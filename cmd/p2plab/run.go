@@ -137,6 +137,10 @@ func reportScenario(res *scenario.Result) {
 			res.Done, res.Total, res.AvgHops, res.AvgLatency)
 	case scenario.WorkloadGossip:
 		fmt.Printf("   coverage %.0f%%, full coverage at %v\n", 100*res.Coverage, res.T100)
+	case scenario.WorkloadPing:
+		v := res.Snapshot.Values
+		fmt.Printf("   %d/%d pings answered, rtt avg %gms (min %gms, max %gms)\n",
+			res.Done, res.Total, v["rtt-avg-ms"], v["rtt-min-ms"], v["rtt-max-ms"])
 	}
 	fmt.Printf("   kernel: %d events; net: %d sent, %d delivered, %d dropped, %d retransmits\n",
 		res.Kernel.Events, res.Net.MessagesSent, res.Net.MessagesDelivered,

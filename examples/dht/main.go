@@ -9,12 +9,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/exp"
 )
 
 func main() {
 	fmt.Println("Chord ring scaling (LAN links): avg lookup hops vs ring size")
-	points, err := repro.DHTScaling([]int{8, 16, 32, 64}, 200, 1)
+	points, err := exp.DHTScaling([]int{8, 16, 32, 64}, 200, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func main() {
 	}
 
 	fmt.Println("\nSame 32-node ring, different access links (the platform's point):")
-	byClass, err := repro.DHTLocality(1)
+	byClass, err := exp.DHTLocality(1)
 	if err != nil {
 		log.Fatal(err)
 	}

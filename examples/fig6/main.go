@@ -2,7 +2,9 @@
 // against the number of firewall rules — through the emulation path:
 // every packet is classified src→dst by the network's IPFW-style rule
 // table (vnet.Config.Rules) and the evaluation cost is charged to
-// virtual time before serialization.
+// virtual time before serialization. Each measurement is one cell of
+// the `ping` sweep family on the `lan` class: ten pings from the first
+// of two hosts to the second.
 //
 // Under the linear classifier (faithful to IPFW) the RTT rises
 // linearly with the table size: at ~48 ns per rule visited and two
@@ -14,10 +16,15 @@
 // filler buckets away, and the curve stays flat — the firewall IPFW
 // could not be.
 //
+// The base RTT is topo.LAN's: a 1 ms link each way, so about 4 ms
+// before any rule is scanned. The slope and the visited columns do not
+// depend on the link and are the same as on the paper's 50 µs
+// measurement network (`p2plab -fig 6`).
+//
 // Run it:
 //
 //	go run ./examples/fig6
-//	go run ./examples/fig6 -step 5000 -pings 20
+//	go run ./examples/fig6 -step 5000
 //
 // The equivalent figure-grade sweeps:
 //
@@ -28,45 +35,66 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"strconv"
+	"time"
 
 	"repro/internal/exp"
 	"repro/internal/netem"
+	"repro/internal/topo"
 )
 
 func main() {
 	max := flag.Int("max", 50000, "maximum rule-table size")
 	step := flag.Int("step", 10000, "rule-count step")
-	pings := flag.Int("pings", 10, "pings per measurement")
-	seed := flag.Int64("seed", 1, "deterministic random seed")
+	seed := flag.Int64("seed", 1, "deterministic random seed (nonzero)")
 	flag.Parse()
 	if *step < 1 || *max < 0 {
 		fmt.Fprintln(os.Stderr, "fig6: -step must be at least 1 and -max non-negative")
 		os.Exit(2)
 	}
 
+	g := exp.Grid{
+		Experiment:  exp.ExpPing,
+		Classes:     []topo.LinkClass{topo.LAN},
+		Classifiers: []netem.Classifier{netem.ClassifierLinear, netem.ClassifierIndexed},
+		Seeds:       []int64{*seed},
+	}
+	for rules := 0; rules <= *max; rules += *step {
+		g.Rules = append(g.Rules, rules)
+	}
+	res, err := exp.RunSweep(g, 0)
+	if err == nil && res.Failed > 0 {
+		err = res.Errs()[0]
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fig6:", err)
+		os.Exit(1)
+	}
+	type point struct {
+		rtt     time.Duration
+		visited uint64
+	}
+	byCell := map[string]point{}
+	for _, c := range res.Cells {
+		s := c.Snapshot
+		pt := point{rtt: time.Duration(math.Round(s.Values["rtt-avg-ms"] * 1e6))}
+		if evals := s.Counters["fw-evals"]; evals > 0 {
+			pt.visited = s.Counters["fw-visited"] / evals
+		}
+		byCell[s.Labels["rules"]+"/"+s.Labels["classifier"]] = pt
+	}
+
 	fmt.Println("ping RTT vs firewall rules (vnet.Config.Rules, both classifiers)")
 	fmt.Printf("%8s  %14s  %14s  %16s\n", "rules", "linear rtt", "indexed rtt", "visited lin/idx")
-	for rules := 0; rules <= *max; rules += *step {
-		var rtt [2]string
-		var visited [2]uint64
-		for i, classifier := range []netem.Classifier{netem.ClassifierLinear, netem.ClassifierIndexed} {
-			out, err := exp.RunPing(exp.PingParams{
-				Rules:      rules,
-				Classifier: classifier,
-				Pings:      *pings,
-				Seed:       *seed,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fig6:", err)
-				os.Exit(1)
-			}
-			rtt[i] = out.Stats.Avg.String()
-			if out.Evals > 0 {
-				visited[i] = out.Visited / out.Evals
-			}
+	for _, rules := range g.Rules {
+		lin := byCell[strconv.Itoa(rules)+"/linear"]
+		idx, ok := byCell[strconv.Itoa(rules)+"/indexed"]
+		if !ok {
+			idx = lin // an empty table runs once: it is classifier-independent
 		}
-		fmt.Printf("%8d  %14s  %14s  %8d /%7d\n", rules, rtt[0], rtt[1], visited[0], visited[1])
+		fmt.Printf("%8d  %14s  %14s  %8d /%7d\n", rules, lin.rtt, idx.rtt, lin.visited, idx.visited)
 	}
 	fmt.Println()
 	fmt.Println("the linear column is the paper's Fig 6 slope (≈48 ns/rule × 2 traversals);")

@@ -12,7 +12,9 @@ import (
 	"log"
 	"time"
 
-	"repro"
+	"repro/internal/exp"
+	"repro/internal/metrics"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -20,16 +22,16 @@ func main() {
 	sizeMB := flag.Int64("size", 2, "file size in MiB")
 	flag.Parse()
 
-	base := repro.Fig8Spec()
+	base := exp.Fig8Spec()
 	base.Workload.Seeders = 2
 	base.Groups[0].Nodes = base.Workload.Seeders + *clients
 	base.Workload.FileSize = *sizeMB << 20
-	base.Workload.StartInterval = repro.Duration(2 * time.Second)
+	base.Workload.StartInterval = scenario.Duration(2 * time.Second)
 
 	foldings := []int{1, 8, 16}
 	fmt.Printf("swarm: %d clients, %d MiB file, foldings %v\n", *clients, *sizeMB, foldings)
 
-	series, results, err := repro.Fig9(base, foldings)
+	series, results, err := exp.Fig9(base, foldings)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func main() {
 }
 
 // halfTime returns when the cumulative curve crosses half its total.
-func halfTime(s *repro.Series) float64 {
+func halfTime(s *metrics.Series) float64 {
 	half := s.LastY() / 2
 	for _, p := range s.Points {
 		if p.Y >= half {

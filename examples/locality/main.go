@@ -10,13 +10,16 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/ip"
+	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func main() {
 	lab, err := repro.NewLab(repro.LabConfig{
-		Seed:      1,
-		Topology:  repro.Fig7Topology(),
-		PhysNodes: 14, // fold 2750 virtual nodes onto 14 machines
+		Seed:     1,
+		Topology: topo.Fig7(),
+		Folding:  197, // fold 2750 virtual nodes onto 14 machines
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -24,7 +27,7 @@ func main() {
 	fmt.Printf("topology: %d virtual nodes on %d physical nodes (folding %.0f)\n",
 		len(lab.Hosts), len(lab.Cluster.Nodes()), lab.Cluster.FoldingRatio())
 
-	src := lab.Net.Host(repro.MustParseAddr("10.1.3.207"))
+	src := lab.Net.Host(ip.MustParseAddr("10.1.3.207"))
 	targets := []struct {
 		addr  string
 		label string
@@ -35,9 +38,9 @@ func main() {
 		{"10.3.0.9", "office, region 3 (+2×600ms)"},
 	}
 
-	lab.Go("pinger", func(p *repro.Proc) {
+	lab.Go("pinger", func(p *sim.Proc) {
 		for _, tgt := range targets {
-			rtt, ok := src.Ping(p, repro.MustParseAddr(tgt.addr), 56, 10*time.Second)
+			rtt, ok := src.Ping(p, ip.MustParseAddr(tgt.addr), 56, 10*time.Second)
 			if !ok {
 				fmt.Printf("  %-12s lost\n", tgt.addr)
 				continue

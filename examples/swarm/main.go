@@ -9,7 +9,10 @@ import (
 	"log"
 	"time"
 
-	"repro"
+	"repro/internal/exp"
+	"repro/internal/metrics"
+	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -17,20 +20,20 @@ func main() {
 	sizeMB := flag.Int64("size", 4, "file size in MiB")
 	flag.Parse()
 
-	sp := repro.Fig8Spec()
+	sp := exp.Fig8Spec()
 	sp.Groups[0].Nodes = sp.Workload.Seeders + *clients
 	sp.Workload.FileSize = *sizeMB << 20
-	sp.Workload.StartInterval = repro.Duration(5 * time.Second)
+	sp.Workload.StartInterval = scenario.Duration(5 * time.Second)
 
 	fmt.Printf("running %d-client swarm of a %d MiB file on emulated DSL...\n",
 		*clients, *sizeMB)
 	wall := time.Now()
-	out, err := repro.RunScenario(&sp, repro.ScenarioOptions{})
+	out, err := scenario.Run(&sp, scenario.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	var first, last repro.Time
+	var first, last sim.Time
 	done := 0
 	for _, c := range out.Completions {
 		if c == 0 {
@@ -50,7 +53,7 @@ func main() {
 		time.Duration(out.EndedAt).Round(time.Second), time.Since(wall).Round(time.Millisecond))
 
 	// The three phases of Fig 8, read off the aggregate curve.
-	total := repro.TotalReceivedSeries("total", out.Progress)
+	total := exp.TotalReceivedSeries("total", out.Progress)
 	totalMB := float64(*sizeMB) * float64(*clients)
 	phase1 := total.At(first.Seconds()/3) / totalMB
 	fmt.Printf("early phase (seeders only): %.1f%% of all data moved by t=%.0fs\n",
@@ -59,7 +62,7 @@ func main() {
 	fmt.Printf("endgame: 95%% of all data moved by t=%.0fs\n", findFrac(total, totalMB, 0.95))
 }
 
-func findFrac(s *repro.Series, total, frac float64) float64 {
+func findFrac(s *metrics.Series, total, frac float64) float64 {
 	for _, p := range s.Points {
 		if p.Y >= total*frac {
 			return p.X

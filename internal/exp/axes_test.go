@@ -170,7 +170,7 @@ func checkExpansion(t *testing.T, g, pristine Grid, vals [][]string) {
 		}
 		prev = pos
 
-		if !g.Experiment.runsAsSpec() {
+		if g.Experiment == ExpSched {
 			continue
 		}
 		sp, err := c.Spec()

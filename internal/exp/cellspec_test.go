@@ -163,23 +163,25 @@ func TestCellSpecShape(t *testing.T) {
 	if sp, _ := bare.Spec(); sp.FirewallEnabled() {
 		t.Error("a rules=0 cell compiled to a firewalled spec")
 	}
-	for _, e := range []Experiment{ExpSched, ExpPing} {
-		if _, err := (Cell{Experiment: e, Class: topo.DSL}).Spec(); err == nil {
-			t.Errorf("%s cell compiled to a spec", e)
-		}
+	if _, err := (Cell{Experiment: ExpSched, Class: topo.DSL}).Spec(); err == nil {
+		t.Error("sched cell compiled to a spec")
+	}
+	if sp, err := (Cell{Experiment: ExpPing, Class: topo.DSL, Peers: 2}).Spec(); err != nil ||
+		sp.Workload.Kind != scenario.WorkloadPing || sp.Classifier != "linear" || !sp.FirewallEnabled() {
+		t.Errorf("ping cell compiled to %+v, %v; want the ping workload with an empty linear table", sp, err)
 	}
 }
 
 // TestSpecFamiliesRejectSeedZero: a spec reads seed 0 as seed 1, so a
-// `-seeds 0,1` sweep of any family that compiles to a spec would run
-// one cell twice.
+// `-seeds 0,1` sweep of any family that compiles to a spec — all but
+// sched — would run one cell twice.
 func TestSpecFamiliesRejectSeedZero(t *testing.T) {
 	for _, e := range Experiments {
 		_, err := Grid{Experiment: e, Seeds: []int64{0, 1}}.Cells()
-		if e.runsAsSpec() && err == nil {
+		if e != ExpSched && err == nil {
 			t.Errorf("%s accepted seed 0", e)
 		}
-		if !e.runsAsSpec() && err != nil {
+		if e == ExpSched && err != nil {
 			t.Errorf("%s has its own kernel seed and must accept 0: %v", e, err)
 		}
 	}

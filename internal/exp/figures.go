@@ -11,7 +11,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/virt"
 	"repro/internal/vnet"
 )
 
@@ -99,16 +98,12 @@ func (r BindOverheadResult) Overhead() time.Duration { return r.Intercepted - r.
 // connect/disconnect cycle with and without the BINDIP interception.
 func BindOverhead() (BindOverheadResult, error) {
 	cycle := func(intercept bool) (time.Duration, error) {
-		k := sim.New(1)
-		n := vnet.NewNetwork(k, nil, vnet.DefaultConfig())
-		client, err := n.AddHost(ip.MustParseAddr("10.0.0.1"), netem.PipeConfig{}, netem.PipeConfig{})
+		// Two hosts on unconstrained links: only syscall costs accrue.
+		a, err := scenario.Assemble(1, topo.Uniform(2, topo.LinkClass{}), vnet.DefaultConfig(), 0)
 		if err != nil {
 			return 0, err
 		}
-		server, err := n.AddHost(ip.MustParseAddr("10.0.0.2"), netem.PipeConfig{}, netem.PipeConfig{})
-		if err != nil {
-			return 0, err
-		}
+		k, client, server := a.Kernel, a.Hosts[0], a.Hosts[1]
 		if intercept {
 			client.SetBindEnv(client.Addr())
 		}
@@ -171,38 +166,28 @@ func Fig6(counts []int, pings int, seed int64, classifier netem.Classifier) ([]F
 	if pings <= 0 {
 		pings = 10
 	}
+	// The paper's measurement network: gigabit with 50 µs latency, one
+	// virtual node on each of two machines.
+	lan := topo.LinkClass{Name: "lan", Down: netem.Gbps, Up: netem.Gbps, Latency: 50 * time.Microsecond}
 	var out []Fig6Point
 	for _, rules := range counts {
-		k := sim.New(seed)
-		vcfg := virt.DefaultConfig(nil)
-		vcfg.Classifier = classifier
-		cluster, err := virt.NewCluster(k, 2, vcfg)
+		a, err := scenario.Assemble(seed, topo.Uniform(2, lan), vnet.DefaultConfig(), 1)
 		if err != nil {
 			return nil, err
 		}
-		n := vnet.NewNetwork(k, cluster, vnet.DefaultConfig())
-		lan := topo.LinkClass{Name: "lan", Down: netem.Gbps, Up: netem.Gbps, Latency: 50 * time.Microsecond}
-		a, err := n.AddHostClass(ip.MustParseAddr("10.0.0.1"), lan)
-		if err != nil {
-			return nil, err
-		}
-		b, err := n.AddHostClass(ip.MustParseAddr("10.0.0.2"), lan)
-		if err != nil {
-			return nil, err
-		}
-		if err := cluster.PlaceSuccessive([]*vnet.Host{a, b}, 1); err != nil {
-			return nil, err
+		for _, pn := range a.Cluster.Nodes() {
+			pn.Rules().SetClassifier(classifier)
 		}
 		// Filler rules on the first node, never matching the ping path
 		// (the paper pads the table to vary evaluation cost; see
 		// netem.PadFiller for the shape).
-		netem.PadFiller(cluster.Node(0).Rules(), rules)
+		netem.PadFiller(a.Cluster.Node(0).Rules(), rules)
 		var st vnet.PingStats
-		k.Go("pinger", func(p *sim.Proc) {
-			st = a.PingSeries(p, b.Addr(), vnet.DefaultPingSize, pings, 50*time.Millisecond, 5*time.Second)
-			k.Stop()
+		a.Kernel.Go("pinger", func(p *sim.Proc) {
+			st = a.Hosts[0].PingSeries(p, a.Hosts[1].Addr(), vnet.DefaultPingSize, pings, 50*time.Millisecond, 5*time.Second)
+			a.Kernel.Stop()
 		})
-		if err := k.Run(); err != nil {
+		if err := a.Kernel.Run(); err != nil {
 			return nil, err
 		}
 		out = append(out, Fig6Point{Rules: rules, Stats: st})
@@ -273,24 +258,16 @@ func Fig7(physNodes int, seed int64) (Fig7Result, error) {
 	if physNodes <= 0 {
 		physNodes = 14
 	}
-	k := sim.New(seed)
 	tp := topo.Fig7()
-	cfg := virt.DefaultConfig(tp)
-	cluster, err := virt.NewCluster(k, physNodes, cfg)
+	// Folded as a spec folds: the machine count follows from the nodes
+	// and the folding (14 machines for the default).
+	a, err := scenario.Assemble(seed, tp, vnet.DefaultConfig(), (tp.TotalNodes()+physNodes-1)/physNodes)
 	if err != nil {
 		return Fig7Result{}, err
 	}
-	n := vnet.NewNetwork(k, cluster, vnet.DefaultConfig())
-	hosts, err := n.PopulateTopology(tp)
-	if err != nil {
-		return Fig7Result{}, err
-	}
-	perNode := (len(hosts) + physNodes - 1) / physNodes
-	if err := cluster.PlaceSuccessive(hosts, perNode); err != nil {
-		return Fig7Result{}, err
-	}
-	src := n.Host(ip.MustParseAddr("10.1.3.207"))
-	dst := n.Host(ip.MustParseAddr("10.2.2.117"))
+	k := a.Kernel
+	src := a.Net.Host(ip.MustParseAddr("10.1.3.207"))
+	dst := a.Net.Host(ip.MustParseAddr("10.2.2.117"))
 	if src == nil || dst == nil {
 		return Fig7Result{}, fmt.Errorf("exp: fig7 endpoints missing")
 	}
@@ -299,7 +276,7 @@ func Fig7(physNodes int, seed int64) (Fig7Result, error) {
 		EgressDelay:  topo.FastDSL.Latency,
 		GroupDelay:   400 * time.Millisecond,
 		IngressDelay: topo.Campus.Latency,
-		Hosts:        len(hosts),
+		Hosts:        len(a.Hosts),
 	}
 	var ok bool
 	k.Go("pinger", func(p *sim.Proc) {

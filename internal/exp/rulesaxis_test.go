@@ -1,29 +1,44 @@
 package exp
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
-// TestRunPingFig6Shape: the network-level Fig 6 driver — linear RTT
-// growth under the linear classifier, a near-flat curve under the
-// indexed one, identical base.
-func TestRunPingFig6Shape(t *testing.T) {
-	run := func(rules int, cf netem.Classifier) *PingOutcome {
-		out, err := RunPing(PingParams{Rules: rules, Classifier: cf, Pings: 4, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+// pingCell runs the one ping cell at rules × classifier and returns its
+// snapshot.
+func pingCell(t *testing.T, rules int, cf netem.Classifier) *metrics.Snapshot {
+	t.Helper()
+	g := Grid{Experiment: ExpPing, Rules: []int{rules}}
+	if rules > 0 {
+		g.Classifiers = []netem.Classifier{cf}
 	}
-	base := run(0, netem.ClassifierLinear).Stats.Avg
-	lin10 := run(10000, netem.ClassifierLinear).Stats.Avg
-	lin20 := run(20000, netem.ClassifierLinear).Stats.Avg
+	res, err := runOne(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Snapshot
+}
+
+// rttAvg is a ping snapshot's average RTT, back at nanosecond grain.
+func rttAvg(snap *metrics.Snapshot) time.Duration {
+	return time.Duration(math.Round(snap.Values["rtt-avg-ms"] * 1e6))
+}
+
+// TestRunPingFig6Shape: the network-level Fig 6 measurement, ping
+// cells — linear RTT growth under the linear classifier, a near-flat
+// curve under the indexed one, identical base.
+func TestRunPingFig6Shape(t *testing.T) {
+	base := rttAvg(pingCell(t, 0, netem.ClassifierLinear))
+	lin10 := rttAvg(pingCell(t, 10000, netem.ClassifierLinear))
+	lin20 := rttAvg(pingCell(t, 20000, netem.ClassifierLinear))
 	// Two traversals × 10000 rules × 48 ns = 0.96 ms per step.
 	if d := lin10 - base; d != 2*10000*netem.DefaultPerRuleCost {
 		t.Errorf("slope at 10k = %v, want %v", d, 2*10000*netem.DefaultPerRuleCost)
@@ -31,12 +46,12 @@ func TestRunPingFig6Shape(t *testing.T) {
 	if d1, d2 := lin10-base, lin20-base; d2 != 2*d1 {
 		t.Errorf("not linear: deltas %v then %v", d1, d2)
 	}
-	idx := run(20000, netem.ClassifierIndexed)
-	if idx.Stats.Avg != base {
-		t.Errorf("indexed RTT at 20k rules = %v, want flat base %v", idx.Stats.Avg, base)
+	idx := pingCell(t, 20000, netem.ClassifierIndexed)
+	if got := rttAvg(idx); got != base {
+		t.Errorf("indexed RTT at 20k rules = %v, want flat base %v", got, base)
 	}
-	if idx.Visited != 0 {
-		t.Errorf("indexed visited %d filler rules, want 0", idx.Visited)
+	if v := idx.Counters["fw-visited"]; v != 0 {
+		t.Errorf("indexed visited %d filler rules, want 0", v)
 	}
 }
 

@@ -128,11 +128,6 @@ func (c Cell) String() string {
 		c.Experiment, c.Peers, c.Churn, c.Class.Name, c.Model, win, c.Seed)
 }
 
-// runsAsSpec reports whether the experiment's cells compile to a
-// scenario.Spec and run through scenario.Run (Cell.Spec): every vnet
-// family. sched has no network; ping measures a bare host pair.
-func (e Experiment) runsAsSpec() bool { return e != ExpSched && e != ExpPing }
-
 // maxCells bounds one grid's expansion. The product of the axis lengths
 // is held against it before anything is allocated, so a small request
 // cannot ask for more cells than a sweep could ever run.
@@ -185,7 +180,7 @@ func (g Grid) Cells() ([]Cell, error) {
 		// silently ignored.
 		return nil, fmt.Errorf("exp: the classifier axis needs a nonzero rules axis value (an empty table is classifier-independent)")
 	}
-	if exp.runsAsSpec() && slices.Contains(asked.Seeds, 0) {
+	if exp != ExpSched && slices.Contains(asked.Seeds, 0) {
 		// A spec's seed 0 means "the default seed" (Spec.WithDefaults
 		// maps it to 1), so it would silently duplicate seed 1's cell.
 		return nil, fmt.Errorf("exp: %s sweeps need nonzero seeds (a scenario spec reads seed 0 as seed 1)", exp)
@@ -384,48 +379,21 @@ func RunCell(c Cell) (*metrics.Snapshot, error) {
 		}
 	}
 
-	var err error
-	switch {
-	case c.Experiment.runsAsSpec():
-		err = runSpecCell(c, snap)
-	case c.Experiment == ExpSched:
-		err = runSchedCell(c, snap)
-	default:
-		err = runPingCell(c, snap)
+	run := runSpecCell
+	if c.Experiment == ExpSched {
+		run = runSchedCell
 	}
-	if err != nil {
+	if err := run(c, snap); err != nil {
 		return nil, err
 	}
 	return snap, nil
 }
 
-// runPingCell sweeps the Fig 6 measurement: RTT against rule-table
-// size under the cell's classifier.
-func runPingCell(c Cell, snap *metrics.Snapshot) error {
-	out, err := RunPing(PingParams{
-		Rules:      c.Rules,
-		Classifier: c.Classifier,
-		Class:      c.Class,
-		Model:      c.Model,
-		Window:     c.Window,
-		Seed:       c.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	snap.Set("rtt-avg-ms", out.Stats.Avg.Seconds()*1000)
-	snap.Set("rtt-min-ms", out.Stats.Min.Seconds()*1000)
-	snap.Set("rtt-max-ms", out.Stats.Max.Seconds()*1000)
-	snap.Count("fw-evals", out.Evals)
-	snap.Count("fw-visited", out.Visited)
-	return nil
-}
-
 // Spec compiles the cell to the scenario it runs — the one description
-// every vnet family is assembled from. A scenario cell is its corpus
-// spec under the cell's seed; every other family is a single group of
-// seeders+peers nodes on the cell's class, addressed from 10.0.0.1 up,
-// driving the family's workload with the cell's knobs.
+// every family but sched is assembled from. A scenario cell is its
+// corpus spec under the cell's seed; every other family is a single
+// group of seeders+peers nodes on the cell's class, addressed from
+// 10.0.0.1 up, driving the family's workload with the cell's knobs.
 func (c Cell) Spec() (scenario.Spec, error) {
 	if c.Experiment == ExpScenario {
 		sp, ok := scenario.ByName(c.Scenario)
@@ -470,6 +438,8 @@ func (c Cell) Spec() (scenario.Spec, error) {
 		w = scenario.WorkloadSpec{Kind: scenario.WorkloadDHT, Lookups: c.lookups}
 	case ExpGossip:
 		w = scenario.WorkloadSpec{Kind: scenario.WorkloadGossip, Fanout: c.fanout}
+	case ExpPing:
+		w = scenario.WorkloadSpec{Kind: scenario.WorkloadPing}
 	default:
 		return scenario.Spec{}, fmt.Errorf("%s cells have no scenario form", c.Experiment)
 	}
@@ -485,7 +455,8 @@ func (c Cell) Spec() (scenario.Spec, error) {
 		}},
 		Workload: w,
 	}
-	if c.Rules > 0 {
+	if c.Rules > 0 || c.Experiment == ExpPing {
+		// A ping cell measures the table, so it has one even when empty.
 		sp.Classifier = c.Classifier.String()
 	}
 	return sp, nil

@@ -7,8 +7,10 @@ import (
 
 // FuzzLoadSpec is the loader-robustness property: Load followed by
 // WithDefaults and Validate must never panic on arbitrary bytes (the
-// spec file is user input via `p2plab run -spec`), and any spec that
-// validates must survive a marshal/load round trip still valid.
+// spec file is user input via `p2plab run -spec`), any spec that
+// validates must survive a marshal/load round trip still valid, and a
+// small one must compile and assemble to a platform or an error —
+// never a panic — without running a workload.
 func FuzzLoadSpec(f *testing.F) {
 	// The whole committed corpus seeds the fuzzer with realistic specs.
 	for _, sp := range Corpus() {
@@ -29,6 +31,9 @@ func FuzzLoadSpec(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"name":"x","classifier":"indexed","filler_rules":100,"groups":[{"name":"g","class":"lan","nodes":2}],"workload":{"kind":"ping"}}`))
+	// A /30 holds three hosts: addressing starts at offset 1.
+	f.Add([]byte(`{"name":"x","groups":[{"name":"g","class":"dsl","nodes":4,"prefix":"10.0.0.0/30"}],"workload":{"kind":"gossip"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := Load(data)
 		if err != nil {
@@ -48,6 +53,12 @@ func FuzzLoadSpec(f *testing.F) {
 		}
 		if err := back.WithDefaults().Validate(); err != nil {
 			t.Fatalf("valid spec became invalid after round trip: %v\n%s", err, out)
+		}
+		if d.TotalNodes() > 256 {
+			return
+		}
+		if top, cfg, err := d.compile(); err == nil {
+			_, _ = Assemble(d.Seed, top, cfg, d.Folding)
 		}
 	})
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
-	"repro/internal/virt"
 	"repro/internal/vnet"
 )
 
@@ -82,14 +81,11 @@ type Result struct {
 
 // runner is the per-run state the timeline events act on.
 type runner struct {
+	*Assembly
 	spec    *Spec
-	k       *sim.Kernel
-	net     *vnet.Network
+	topo    *topo.Topology
 	tracer  *trace.Log
 	tracker *vnet.Host
-	hosts   []*vnet.Host              // all workload hosts, creation order
-	groups  map[string][]*vnet.Host   // group name -> member hosts
-	prefix  map[string]ip.Prefix      // group name -> address block
 	class   map[string]topo.LinkClass // group name -> current class
 	parts   map[string]int            // active partition signature -> id
 	lossGen map[string]uint64         // group -> loss-burst generation
@@ -97,12 +93,6 @@ type runner struct {
 	rules   *netem.RuleSet            // firewall table; nil unless enabled
 	finish  func(*Result)             // workload result collection
 }
-
-// clusterAdmin is the administration block of a folded run's physical
-// nodes: large enough for one machine per node of the largest legal
-// spec, and clear of the 10/8 group blocks and the 192.168.0.0/24
-// tracker and web-seed addresses.
-var clusterAdmin = ip.MustParsePrefix("172.16.0.0/12")
 
 // Run executes a scenario to completion (or its horizon) on a fresh
 // kernel and returns the measured result. The spec is defaulted and
@@ -115,61 +105,36 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	model, err := netem.ParseModel(sp.Model)
+	t, ncfg, err := sp.compile()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
-
-	r := &runner{
-		spec:    sp,
-		k:       sim.New(sp.Seed),
-		tracer:  opt.Trace,
-		groups:  make(map[string][]*vnet.Host, len(sp.Groups)),
-		prefix:  make(map[string]ip.Prefix, len(sp.Groups)),
-		class:   make(map[string]topo.LinkClass, len(sp.Groups)),
-		parts:   make(map[string]int),
-		lossGen: make(map[string]uint64),
-		linkGen: make(map[string]uint64),
-	}
-
-	// Topology: one topo group per spec group, auto-prefixed unless
-	// pinned, plus the declared inter-group latencies.
-	t := topo.New()
-	for i, g := range sp.Groups {
-		prefix := g.Prefix
-		if prefix == "" {
-			prefix = fmt.Sprintf("10.%d.0.0/16", i+1)
-		}
-		pfx, err := ip.ParsePrefix(prefix)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: group %q: %w", sp.Name, g.Name, err)
-		}
-		if sp.Folding > 0 && pfx.Overlaps(clusterAdmin) {
-			return nil, fmt.Errorf("scenario %s: group %q: prefix %v overlaps the cluster's admin block %v",
-				sp.Name, g.Name, pfx, clusterAdmin)
-		}
-		class, _ := topo.ClassByName(g.Class)
-		if _, err := t.AddGroup(topo.Group{Name: g.Name, Prefix: pfx, Class: class, Nodes: g.Nodes}); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
-		}
-		r.class[g.Name] = class
-		r.prefix[g.Name] = pfx
-	}
-	for _, l := range sp.Latencies {
-		if err := t.SetLatency(l.A, l.B, l.OneWay.D()); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
-		}
-	}
-
-	ncfg := vnet.DefaultConfig()
-	ncfg.Model = model
-	ncfg.FlowWindow = sp.FlowWindow.D()
 	ncfg.Obs = opt.Obs
+	a, err := Assemble(sp.Seed, t, ncfg, sp.Folding)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
+	}
+	if opt.Trace != nil {
+		a.Net.SetTrace(opt.Trace)
+	}
+	r := &runner{
+		Assembly: a,
+		spec:     sp,
+		topo:     t,
+		tracer:   opt.Trace,
+		class:    make(map[string]topo.LinkClass, len(sp.Groups)),
+		parts:    make(map[string]int),
+		lossGen:  make(map[string]uint64),
+		linkGen:  make(map[string]uint64),
+		rules:    ncfg.Rules,
+	}
+	for _, g := range t.Groups() {
+		r.class[g.Name] = g.Class
+	}
 	if opt.Obs != nil {
 		// Kernel instruments: pull-style, evaluated only at snapshot
-		// time (Kernel.Snapshot/QueueLen take the kernel mutex, which
-		// is free while a kernel callback runs).
-		k := r.k
+		// time, which is always between kernel callbacks.
+		k := a.Kernel
 		opt.Obs.CounterFunc("p2plab_sim_events_total", "Kernel callbacks dispatched.", func() uint64 {
 			return k.Snapshot().Events
 		})
@@ -186,55 +151,11 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 			return k.Now().Seconds()
 		})
 	}
-	if sp.FirewallEnabled() {
-		classifier := netem.ClassifierLinear
-		if sp.Classifier != "" {
-			classifier, _ = netem.ParseClassifier(sp.Classifier)
-		}
-		r.rules = netem.NewFillerTable(sp.FillerRules, classifier)
-		ncfg.Rules = r.rules
-	}
-	// A folded run routes through the physical cluster, which charges
-	// the topology's group latencies itself.
-	var fabric vnet.Fabric = &vnet.TopoFabric{Topo: t}
-	var cluster *virt.Cluster
-	if sp.Folding > 0 {
-		ccfg := virt.DefaultConfig(t)
-		ccfg.AdminSubnet = clusterAdmin
-		cluster, err = virt.NewCluster(r.k, (sp.TotalNodes()-1)/sp.Folding+1, ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
-		}
-		fabric = cluster
-	}
-	r.net = vnet.NewNetwork(r.k, fabric, ncfg)
-	if opt.Trace != nil {
-		r.net.SetTrace(opt.Trace)
-	}
 
-	// Hosts, in leaf-group declaration order (the same addressing as
-	// vnet.PopulateTopology), recorded per group so timeline events can
-	// address groups.
-	for _, g := range t.LeafGroups() {
-		for i := 0; i < g.Nodes; i++ {
-			h, err := r.net.AddHostClass(g.Prefix.Nth(uint32(i+1)), g.Class)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
-			}
-			r.groups[g.Name] = append(r.groups[g.Name], h)
-			r.hosts = append(r.hosts, h)
-		}
-	}
-	if cluster != nil {
-		if err := cluster.PlaceSuccessive(r.hosts, sp.Folding); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
-		}
-	}
-
-	res := &Result{Spec: sp, Model: model, Snapshot: metrics.NewSnapshot()}
+	res := &Result{Spec: sp, Model: ncfg.Model, Snapshot: metrics.NewSnapshot()}
 	res.Snapshot.Label("scenario", sp.Name)
 	res.Snapshot.Label("workload", sp.Workload.Kind)
-	res.Snapshot.Label("model", model.String())
+	res.Snapshot.Label("model", ncfg.Model.String())
 	res.Snapshot.Label("seed", fmt.Sprintf("%d", sp.Seed))
 
 	if err := r.startWorkload(); err != nil {
@@ -246,15 +167,15 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	// The sampler is a repeating kernel event; it is safe here because
 	// every workload ends the run via k.Stop() (never by queue
 	// exhaustion), which discards the pending sample event.
-	sampler := obs.StartSampler(r.k, opt.Obs, opt.SampleInterval, opt.OnSample)
+	sampler := obs.StartSampler(r.Kernel, opt.Obs, opt.SampleInterval, opt.OnSample)
 	defer sampler.Stop()
-	if err := r.k.Run(); err != nil {
+	if err := r.Kernel.Run(); err != nil {
 		return nil, fmt.Errorf("scenario %s: kernel: %w", sp.Name, err)
 	}
 	r.finish(res)
-	res.EndedAt = r.k.Now()
-	res.Kernel = r.k.Snapshot()
-	res.Net = r.net.Stats()
+	res.EndedAt = r.Kernel.Now()
+	res.Kernel = r.Kernel.Snapshot()
+	res.Net = r.Net.Stats()
 	res.Snapshot.Set("ended-s", res.EndedAt.Seconds())
 	res.Snapshot.Count("net-sent", res.Net.MessagesSent)
 	res.Snapshot.Count("net-delivered", res.Net.MessagesDelivered)
@@ -278,7 +199,7 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 // the scenario layer itself, not just its network effects.
 func (r *runner) event(format string, args ...any) {
 	if r.tracer != nil {
-		r.tracer.Add(r.k.Now(), "scenario.event", r.spec.Name, format, args...)
+		r.tracer.Add(r.Kernel.Now(), "scenario.event", r.spec.Name, format, args...)
 	}
 }
 
@@ -287,7 +208,7 @@ func (r *runner) event(format string, args ...any) {
 // took effect, and guard against later events on the same targets —
 // a revert never undoes a newer partition, burst or flap.
 func (r *runner) schedule(ev EventSpec) {
-	r.k.At(sim.Time(0).Add(ev.At.D()), func() { r.apply(ev) })
+	r.Kernel.At(sim.Time(0).Add(ev.At.D()), func() { r.apply(ev) })
 }
 
 // groupHosts returns the member hosts of the named groups, in group
@@ -295,7 +216,7 @@ func (r *runner) schedule(ev EventSpec) {
 func (r *runner) groupHosts(names []string) []*vnet.Host {
 	var out []*vnet.Host
 	for _, g := range names {
-		out = append(out, r.groups[g]...)
+		out = append(out, r.Groups[g]...)
 	}
 	return out
 }
@@ -331,13 +252,13 @@ func (r *runner) apply(ev EventSpec) {
 			return // already split; the earlier partition keeps its schedule
 		}
 		r.event("partition %s | %s", strings.Join(ev.A, ","), strings.Join(ev.B, ","))
-		id := r.net.Partition(r.groupAddrs(ev.A), r.groupAddrs(ev.B))
+		id := r.Net.Partition(r.groupAddrs(ev.A), r.groupAddrs(ev.B))
 		r.parts[key] = id
 		if ev.For > 0 {
 			// The revert is pinned to this partition instance: an
 			// explicit heal + re-partition in between leaves the newer
 			// partition alone.
-			r.k.After(ev.For.D(), func() {
+			r.Kernel.After(ev.For.D(), func() {
 				if r.parts[key] == id {
 					r.heal(ev.A, ev.B)
 				}
@@ -350,8 +271,8 @@ func (r *runner) apply(ev EventSpec) {
 		r.event("set-class %s -> %s", strings.Join(ev.Groups, ","), class.Name)
 		for _, g := range ev.Groups {
 			r.class[g] = class
-			for _, h := range r.groups[g] {
-				r.net.SetLinkClass(h, class)
+			for _, h := range r.Groups[g] {
+				r.Net.SetLinkClass(h, class)
 			}
 		}
 	case ActionLoss:
@@ -360,11 +281,11 @@ func (r *runner) apply(ev EventSpec) {
 		for _, g := range ev.Groups {
 			r.lossGen[g]++
 			gens[g] = r.lossGen[g]
-			for _, h := range r.groups[g] {
-				r.net.SetLinkLoss(h, ev.Loss)
+			for _, h := range r.Groups[g] {
+				r.Net.SetLinkLoss(h, ev.Loss)
 			}
 		}
-		r.k.After(ev.For.D(), func() {
+		r.Kernel.After(ev.For.D(), func() {
 			// Restore only the groups this burst still owns: an
 			// overlapping later burst keeps its own loss rate and its
 			// own expiry.
@@ -373,8 +294,8 @@ func (r *runner) apply(ev EventSpec) {
 					continue
 				}
 				r.event("loss burst over on %s", g)
-				for _, h := range r.groups[g] {
-					r.net.SetLinkLoss(h, r.class[g].Loss)
+				for _, h := range r.Groups[g] {
+					r.Net.SetLinkLoss(h, r.class[g].Loss)
 				}
 			}
 		})
@@ -384,19 +305,19 @@ func (r *runner) apply(ev EventSpec) {
 		for _, g := range ev.Groups {
 			r.linkGen[g]++
 			gens[g] = r.linkGen[g]
-			for _, h := range r.groups[g] {
-				r.net.SetLinkUp(h, false)
+			for _, h := range r.Groups[g] {
+				r.Net.SetLinkUp(h, false)
 			}
 		}
 		if ev.For > 0 {
-			r.k.After(ev.For.D(), func() {
+			r.Kernel.After(ev.For.D(), func() {
 				for _, g := range ev.Groups {
 					if r.linkGen[g] != gens[g] {
 						continue // a newer flap owns the interfaces
 					}
 					r.event("link-up %s", g)
-					for _, h := range r.groups[g] {
-						r.net.SetLinkUp(h, true)
+					for _, h := range r.Groups[g] {
+						r.Net.SetLinkUp(h, true)
 					}
 				}
 			})
@@ -405,8 +326,8 @@ func (r *runner) apply(ev EventSpec) {
 		r.event("link-up %s", strings.Join(ev.Groups, ","))
 		for _, g := range ev.Groups {
 			r.linkGen[g]++ // an explicit up cancels pending auto-restores
-			for _, h := range r.groups[g] {
-				r.net.SetLinkUp(h, true)
+			for _, h := range r.Groups[g] {
+				r.Net.SetLinkUp(h, true)
 			}
 		}
 	case ActionAddRule:
@@ -439,7 +360,7 @@ func (r *runner) apply(ev EventSpec) {
 		r.event("deny-prefix %s", strings.Join(ev.Groups, ","))
 		var handles []netem.RuleHandle
 		for _, g := range ev.Groups {
-			pfx := r.prefix[g]
+			pfx := r.topo.Group(g).Prefix
 			// Firewall the group's uplink, with partition semantics:
 			// members still reach each other (the leading intra-group
 			// accept terminates evaluation, the ipfw idiom), while
@@ -462,7 +383,7 @@ func (r *runner) apply(ev EventSpec) {
 			// del-rule in between makes the removal a no-op, and an
 			// overlapping event sharing the pinned ID keeps its own
 			// rules until its own revert.
-			r.k.After(ev.For.D(), func() {
+			r.Kernel.After(ev.For.D(), func() {
 				for _, h := range handles {
 					r.rules.RemoveHandle(h)
 				}
@@ -479,8 +400,8 @@ func (r *runner) rulePrefix(s string) ip.Prefix {
 	if s == "" {
 		return ip.Prefix{}
 	}
-	if pfx, ok := r.prefix[s]; ok {
-		return pfx
+	if g := r.topo.Group(s); g != nil {
+		return g.Prefix
 	}
 	pfx, _ := ip.ParsePrefix(s)
 	return pfx
@@ -494,7 +415,7 @@ func (r *runner) heal(a, b []string) {
 	}
 	r.event("heal %s | %s", strings.Join(a, ","), strings.Join(b, ","))
 	delete(r.parts, key)
-	r.net.Heal(id)
+	r.Net.Heal(id)
 }
 
 // startWorkload builds and launches the spec's workload and sets
@@ -511,14 +432,41 @@ func (r *runner) startWorkload() error {
 		return r.startDHT()
 	case WorkloadGossip:
 		return r.startGossip()
+	case WorkloadPing:
+		return r.startPing()
 	}
 	return fmt.Errorf("scenario %s: unknown workload %q", r.spec.Name, r.spec.Workload.Kind)
+}
+
+// The ping workload's series, fixed: Fig 6's measurement.
+const (
+	pingCount    = 10
+	pingInterval = 50 * time.Millisecond
+	pingTimeout  = 5 * time.Second
+)
+
+// startPing has the first host ping the second: the round trip pays
+// both access links and, under a firewall, two table scans — Fig 6's
+// quantity.
+func (r *runner) startPing() error {
+	var st vnet.PingStats
+	r.Kernel.Go("pinger", func(p *sim.Proc) {
+		st = r.Hosts[0].PingSeries(p, r.Hosts[1].Addr(), vnet.DefaultPingSize, pingCount, pingInterval, pingTimeout)
+		r.Kernel.Stop()
+	})
+	r.finish = func(res *Result) {
+		res.Done, res.Total = st.Received, st.Sent
+		res.Snapshot.Set("rtt-avg-ms", st.Avg.Seconds()*1000)
+		res.Snapshot.Set("rtt-min-ms", st.Min.Seconds()*1000)
+		res.Snapshot.Set("rtt-max-ms", st.Max.Seconds()*1000)
+	}
+	return nil
 }
 
 // addTracker registers the swarm tracker on an unconstrained link in
 // admin space, outside the 10/8 group prefixes.
 func (r *runner) addTracker() error {
-	h, err := r.net.AddHostClass(ip.MustParseAddr("192.168.0.1"), topo.LAN)
+	h, err := r.Net.AddHostClass(ip.MustParseAddr("192.168.0.1"), topo.LAN)
 	if err != nil {
 		return fmt.Errorf("scenario %s: tracker: %w", r.spec.Name, err)
 	}
@@ -532,13 +480,13 @@ func (r *runner) startSwarm(churned bool) error {
 	}
 	w := r.spec.Workload
 	horizon := r.spec.Horizon.D()
-	seedHosts := r.groups[w.SeederGroup][:w.Seeders]
+	seedHosts := r.Groups[w.SeederGroup][:w.Seeders]
 	isSeed := make(map[*vnet.Host]bool, len(seedHosts))
 	for _, h := range seedHosts {
 		isSeed[h] = true
 	}
 	var clients []*vnet.Host
-	for _, h := range r.hosts {
+	for _, h := range r.Hosts {
 		h.SetBindEnv(h.Addr()) // P2PLab's BINDIP interception is active
 		if !isSeed[h] {
 			clients = append(clients, h)
@@ -567,7 +515,7 @@ func (r *runner) startSwarm(churned bool) error {
 	swarm.Start(w.StartInterval.D())
 	var driver *churn.Driver
 	if len(churners) > 0 {
-		driver = churn.NewDriver(r.k, churn.Config{
+		driver = churn.NewDriver(r.Kernel, churn.Config{
 			Session:      churn.Pareto{Scale: w.Session.D(), Alpha: 1.8},
 			Downtime:     churn.Exponential{MeanDuration: w.Downtime.D()},
 			InitialDelay: time.Duration(len(churning)) * w.StartInterval.D(),
@@ -576,10 +524,10 @@ func (r *runner) startSwarm(churned bool) error {
 		driver.Drive(peers)
 	}
 
-	r.k.Go("scenario-waiter", func(p *sim.Proc) {
+	r.Kernel.Go("scenario-waiter", func(p *sim.Proc) {
 		if len(churners) == 0 {
 			swarm.WaitAll(p, horizon)
-			r.k.Stop()
+			r.Kernel.Stop()
 			return
 		}
 		// Stable clients get the first half of the horizon, churners
@@ -599,7 +547,7 @@ func (r *runner) startSwarm(churned bool) error {
 			}
 			p.Sleep(30 * time.Second)
 		}
-		r.k.Stop()
+		r.Kernel.Stop()
 	})
 
 	r.finish = func(res *Result) {
@@ -658,14 +606,14 @@ func (res *Result) completions(swarm *bt.Swarm, fileSize int64) {
 
 func (r *runner) startDHT() error {
 	w := r.spec.Workload
-	nodes := make([]*chord.Node, len(r.hosts))
-	for i, h := range r.hosts {
+	nodes := make([]*chord.Node, len(r.Hosts))
+	for i, h := range r.Hosts {
 		nodes[i] = chord.NewNode(h, chord.DefaultConfig())
 	}
 	nodes[0].Create()
 	for i := 1; i < len(nodes); i++ {
 		i := i
-		r.k.After(time.Duration(i)*500*time.Millisecond, func() { nodes[i].Join(nodes[0].Ref().Addr) })
+		r.Kernel.After(time.Duration(i)*500*time.Millisecond, func() { nodes[i].Join(nodes[0].Ref().Addr) })
 	}
 	warm := time.Duration(len(nodes))*500*time.Millisecond + 60*time.Second
 
@@ -673,7 +621,7 @@ func (r *runner) startDHT() error {
 	var avgLat time.Duration
 	var latencies []float64 // per successful lookup, ms
 	var done int
-	r.k.Go("scenario-measure", func(p *sim.Proc) {
+	r.Kernel.Go("scenario-measure", func(p *sim.Proc) {
 		p.Sleep(warm)
 		totalHops := 0
 		var totalLat time.Duration
@@ -691,7 +639,7 @@ func (r *runner) startDHT() error {
 			avgHops = float64(totalHops) / float64(done)
 			avgLat = totalLat / time.Duration(done)
 		}
-		r.k.Stop()
+		r.Kernel.Stop()
 	})
 
 	r.finish = func(res *Result) {
@@ -718,9 +666,9 @@ func (r *runner) startGossip() error {
 	w := r.spec.Workload
 	cfg := gossip.DefaultConfig()
 	cfg.Fanout = w.Fanout
-	nodes := make([]*gossip.Node, len(r.hosts))
-	eps := make([]ip.Endpoint, len(r.hosts))
-	for i, h := range r.hosts {
+	nodes := make([]*gossip.Node, len(r.Hosts))
+	eps := make([]ip.Endpoint, len(r.Hosts))
+	for i, h := range r.Hosts {
 		nodes[i] = gossip.NewNode(h, cfg)
 		eps[i] = ip.Endpoint{Addr: h.Addr(), Port: gossip.Port}
 	}
@@ -733,7 +681,7 @@ func (r *runner) startGossip() error {
 	var coverage float64
 	var t50, t100 time.Duration
 	var pushes uint64
-	r.k.Go("scenario-driver", func(p *sim.Proc) {
+	r.Kernel.Go("scenario-driver", func(p *sim.Proc) {
 		p.Sleep(time.Second)
 		start := p.Now()
 		const updateID = 1
@@ -769,7 +717,7 @@ func (r *runner) startGossip() error {
 		}
 		coveredFinal = covered
 		coverage = float64(covered) / float64(n)
-		r.k.Stop()
+		r.Kernel.Stop()
 	})
 
 	r.finish = func(res *Result) {

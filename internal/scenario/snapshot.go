@@ -28,7 +28,7 @@ func (r *runner) startSnapshot() error {
 	var wsHosts []*vnet.Host
 	var wsEndpoints []ip.Endpoint
 	for i := 0; i < w.WebSeeds; i++ {
-		h, err := r.net.AddHostClass(wsBase.Add(uint32(i)), topo.LAN)
+		h, err := r.Net.AddHostClass(wsBase.Add(uint32(i)), topo.LAN)
 		if err != nil {
 			return fmt.Errorf("scenario %s: web seed: %w", r.spec.Name, err)
 		}
@@ -36,13 +36,13 @@ func (r *runner) startSnapshot() error {
 		wsEndpoints = append(wsEndpoints, ip.Endpoint{Addr: h.Addr(), Port: bt.WebSeedPort})
 	}
 
-	seedHosts := r.groups[w.SeederGroup][:w.Seeders]
+	seedHosts := r.Groups[w.SeederGroup][:w.Seeders]
 	isSeed := make(map[*vnet.Host]bool, len(seedHosts))
 	for _, h := range seedHosts {
 		isSeed[h] = true
 	}
 	var clients []*vnet.Host
-	for _, h := range r.hosts {
+	for _, h := range r.Hosts {
 		h.SetBindEnv(h.Addr())
 		if !isSeed[h] {
 			clients = append(clients, h)
@@ -88,7 +88,7 @@ func (r *runner) startSnapshot() error {
 	if restart {
 		rc := bt.NewResumingClient(seedHosts[0], swarm.Meta,
 			bt.NewSeededSparseStorage(swarm.Meta), trackerEP, cfg)
-		r.k.Go("snapshot-restart-seed", func(p *sim.Proc) {
+		r.Kernel.Go("snapshot-restart-seed", func(p *sim.Proc) {
 			rc.Online(p)
 			p.Sleep(w.SeedRestartAt.D())
 			r.event("seed offline (restart)")
@@ -99,9 +99,9 @@ func (r *runner) startSnapshot() error {
 		})
 	}
 
-	r.k.Go("scenario-waiter", func(p *sim.Proc) {
+	r.Kernel.Go("scenario-waiter", func(p *sim.Proc) {
 		swarm.WaitAll(p, horizon)
-		r.k.Stop()
+		r.Kernel.Stop()
 	})
 
 	r.finish = func(res *Result) {

@@ -1,12 +1,14 @@
 // Package scenario is the declarative experiment layer: a Spec
 // composes a topology (node groups with access-link classes and
 // inter-group latencies), a link model (pipe or flow), a workload
-// (swarm, churn-swarm, snapshot, DHT, gossip) and a timeline of
-// scheduled
-// network events — partitions and heals between node groups, runtime
-// link-class changes (degrade/restore), loss bursts and interface
-// flaps. Specs are plain Go values, JSON-loadable, and runnable by
-// name from the committed corpus (see corpus.go, `p2plab run`).
+// (swarm, churn-swarm, snapshot, DHT, gossip, ping) and a timeline
+// of scheduled network events — partitions and heals between node
+// groups, runtime link-class changes (degrade/restore), loss bursts
+// and interface flaps. Specs are plain Go values, JSON-loadable, and
+// runnable by name from the committed corpus (see corpus.go, `p2plab
+// run`). Run compiles a spec to a topology and assembles the platform
+// with Assemble, which the drivers of what a spec cannot say call
+// directly.
 //
 // This is the layer the paper's testbed reaches with hand-edited
 // Dummynet configurations reloaded at run time; here the timeline is
@@ -85,6 +87,7 @@ const (
 	WorkloadSnapshot   = "snapshot"
 	WorkloadDHT        = "dht"
 	WorkloadGossip     = "gossip"
+	WorkloadPing       = "ping"
 )
 
 // maxWebSeeds caps a snapshot workload's web-seed fleet; web seeds are
@@ -95,7 +98,7 @@ const maxWebSeeds = 16
 // WorkloadSpec selects and tunes the application driven over the
 // scenario's network. Zero-valued knobs take workload defaults.
 type WorkloadSpec struct {
-	Kind string `json:"kind"` // swarm | churn-swarm | snapshot | dht | gossip
+	Kind string `json:"kind"` // swarm | churn-swarm | snapshot | dht | gossip | ping
 
 	// Swarm family (swarm, churn-swarm, snapshot).
 	FileSize      int64    `json:"file_size,omitempty"`      // bytes, default 1 MiB (8 MiB for snapshot)
@@ -509,11 +512,15 @@ func (s *Spec) validateWorkload(totalNodes int) error {
 		if w.Fanout < 1 {
 			return fmt.Errorf("scenario %s: fanout %d not positive", s.Name, w.Fanout)
 		}
+	case WorkloadPing:
+		if totalNodes < 2 {
+			return fmt.Errorf("scenario %s: ping needs at least 2 nodes", s.Name)
+		}
 	case "":
 		return fmt.Errorf("scenario %s: missing workload kind", s.Name)
 	default:
 		return fmt.Errorf("scenario %s: unknown workload kind %q (want %s)", s.Name, w.Kind,
-			strings.Join([]string{WorkloadSwarm, WorkloadChurnSwarm, WorkloadSnapshot, WorkloadDHT, WorkloadGossip}, ", "))
+			strings.Join([]string{WorkloadSwarm, WorkloadChurnSwarm, WorkloadSnapshot, WorkloadDHT, WorkloadGossip, WorkloadPing}, ", "))
 	}
 	return nil
 }

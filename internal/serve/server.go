@@ -268,6 +268,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// the queue admission decision stay consistent.
 	select {
 	case s.queue <- j:
+		s.evictFinished()
 		s.jobs[j.id] = j
 		s.order = append(s.order, j)
 		s.submitted.Inc()
@@ -288,6 +289,36 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"result": "/api/v1/jobs/" + j.id + "/result",
 		},
 	})
+}
+
+// maxFinishedJobs bounds how many finished jobs the server keeps for
+// inspection; queued and running jobs are bounded by the queue and the
+// worker pool.
+const maxFinishedJobs = 64
+
+// evictFinished drops the oldest finished jobs until at most
+// maxFinishedJobs remain: their ids then answer 404 and /metrics stops
+// listing them. A queued or running job is never evicted. Called with
+// s.mu held, on admission, before the admitted job joins the table.
+func (s *Server) evictFinished() {
+	over := func(j *Job) bool { st := j.stateNow(); return st == JobDone || st == JobFailed }
+	excess := -maxFinishedJobs
+	for _, j := range s.order {
+		if over(j) {
+			excess++
+		}
+	}
+	kept := s.order[:0]
+	for _, j := range s.order {
+		if excess > 0 && over(j) {
+			excess--
+			delete(s.jobs, j.id)
+			continue
+		}
+		kept = append(kept, j)
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
 }
 
 func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {

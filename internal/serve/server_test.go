@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -397,6 +398,61 @@ func TestServeResultConflict(t *testing.T) {
 		t.Fatalf("state = %v, want done", h["state"])
 	}
 	getJSON(t, ts.URL+"/api/v1/jobs/"+id+"/result", http.StatusOK)
+}
+
+// TestServeEvictsOldestFinishedJob: the job table keeps at most
+// maxFinishedJobs finished jobs. Admitting one past the bound evicts
+// the oldest finished job — its id answers 404 and /metrics stops
+// listing it — while an older job that is still running stays.
+func TestServeEvictsOldestFinishedJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 2})
+	reg := obs.NewRegistry()
+	reg.Counter("p2plab_test_total", "A series for /metrics to list.").Inc()
+	snap := reg.Snapshot()
+	release := make(chan struct{})
+	defer close(release)
+	s.run = func(j *Job) {
+		if j.id == "job-0001" {
+			<-release // running for the whole test
+		}
+		j.mu.Lock()
+		j.lastSample = snap
+		j.mu.Unlock()
+		j.finish(&JobResult{Kind: j.kind}, nil)
+	}
+	submit := func() string {
+		t.Helper()
+		code, sub := postJob(t, ts.URL, `{"scenario": "flash-crowd"}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit = %d: %v", code, sub)
+		}
+		return sub["id"].(string)
+	}
+	running := submit()
+	var finished []string
+	for i := 0; i <= maxFinishedJobs; i++ {
+		id := submit()
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		<-j.done
+		finished = append(finished, id)
+	}
+	// maxFinishedJobs+1 jobs are finished; the next admission trims one.
+	submit()
+
+	getJSON(t, ts.URL+"/api/v1/jobs/"+finished[0], http.StatusNotFound)
+	getJSON(t, ts.URL+"/api/v1/jobs/"+finished[1], http.StatusOK)
+	if st := getJSON(t, ts.URL+"/api/v1/jobs/"+running, http.StatusOK)["state"]; st != string(JobRunning) {
+		t.Errorf("the oldest job is %v, want it kept running", st)
+	}
+	prom := getText(t, ts.URL+"/metrics")
+	if strings.Contains(prom, `job="`+finished[0]+`"`) {
+		t.Errorf("/metrics still lists evicted %s", finished[0])
+	}
+	if !strings.Contains(prom, `job="`+finished[1]+`"`) {
+		t.Errorf("/metrics lost kept %s", finished[1])
+	}
 }
 
 // TestServePanickingJobFails checks that a job whose simulated task

@@ -102,8 +102,11 @@ func (t *Topology) AddGroup(g Group) (*Group, error) {
 				g.Name, g.Prefix, other.Name, other.Prefix)
 		}
 	}
-	if uint64(g.Nodes) > g.Prefix.Size() {
-		return nil, fmt.Errorf("topo: group %q wants %d nodes in %v", g.Name, g.Nodes, g.Prefix)
+	// Nodes are addressed from offset 1 (the base address is the
+	// network's own), so a prefix of size s holds s-1 of them.
+	if uint64(g.Nodes) >= g.Prefix.Size() {
+		return nil, fmt.Errorf("topo: group %q wants %d nodes in %v, which holds %d",
+			g.Name, g.Nodes, g.Prefix, g.Prefix.Size()-1)
 	}
 	gp := g
 	t.groups = append(t.groups, &gp)

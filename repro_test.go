@@ -3,10 +3,17 @@ package repro
 import (
 	"testing"
 	"time"
+
+	"repro/internal/exp"
+	"repro/internal/ip"
+	"repro/internal/scenario"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func TestLabSimpleNodes(t *testing.T) {
-	lab, err := NewLab(LabConfig{Seed: 1, Nodes: 2, Class: DSL})
+	lab, err := NewLab(LabConfig{Seed: 1, Nodes: 2, Class: topo.DSL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,7 +22,7 @@ func TestLabSimpleNodes(t *testing.T) {
 	}
 	var rtt time.Duration
 	var ok bool
-	lab.Go("pinger", func(p *Proc) {
+	lab.Go("pinger", func(p *sim.Proc) {
 		rtt, ok = lab.Host(0).Ping(p, lab.Host(1).Addr(), 56, time.Second)
 	})
 	if err := lab.Run(); err != nil {
@@ -31,17 +38,17 @@ func TestLabSimpleNodes(t *testing.T) {
 }
 
 func TestLabWithTopology(t *testing.T) {
-	lab, err := NewLab(LabConfig{Seed: 1, Topology: Fig7Topology()})
+	lab, err := NewLab(LabConfig{Seed: 1, Topology: topo.Fig7()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lab.Hosts) != 2750 {
 		t.Fatalf("hosts = %d", len(lab.Hosts))
 	}
-	src := lab.Net.Host(MustParseAddr("10.1.3.207"))
+	src := lab.Net.Host(ip.MustParseAddr("10.1.3.207"))
 	var rtt time.Duration
-	lab.Go("pinger", func(p *Proc) {
-		rtt, _ = src.Ping(p, MustParseAddr("10.2.2.117"), 56, 5*time.Second)
+	lab.Go("pinger", func(p *sim.Proc) {
+		rtt, _ = src.Ping(p, ip.MustParseAddr("10.2.2.117"), 56, 5*time.Second)
 	})
 	if err := lab.Run(); err != nil {
 		t.Fatal(err)
@@ -52,7 +59,7 @@ func TestLabWithTopology(t *testing.T) {
 }
 
 func TestLabWithCluster(t *testing.T) {
-	lab, err := NewLab(LabConfig{Seed: 1, Nodes: 20, PhysNodes: 2, Folding: 10})
+	lab, err := NewLab(LabConfig{Seed: 1, Nodes: 20, Folding: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +77,7 @@ func TestLabRunFor(t *testing.T) {
 		t.Fatal(err)
 	}
 	ticks := 0
-	lab.Go("ticker", func(p *Proc) {
+	lab.Go("ticker", func(p *sim.Proc) {
 		for {
 			p.Sleep(time.Second)
 			ticks++
@@ -95,16 +102,16 @@ func TestLabHostPanicsOutOfRange(t *testing.T) {
 }
 
 func TestFacadeSchedulerRun(t *testing.T) {
-	res := RunSched(DefaultSchedConfig(FourBSD), CPUBoundJobs(10))
+	res := sched.Run(sched.DefaultConfig(sched.FourBSD), sched.CPUBoundJobs(10))
 	if len(res.Procs) != 10 {
 		t.Fatalf("procs = %d", len(res.Procs))
 	}
 }
 
 func TestFacadeSwarmRun(t *testing.T) {
-	sp := ScaleSpec(Fig8Spec(), 20)
-	sp.Workload.StartInterval = Duration(2 * time.Second)
-	res, err := RunScenario(&sp, ScenarioOptions{})
+	sp := exp.ScaleSpec(exp.Fig8Spec(), 20)
+	sp.Workload.StartInterval = scenario.Duration(2 * time.Second)
+	res, err := scenario.Run(&sp, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +121,7 @@ func TestFacadeSwarmRun(t *testing.T) {
 }
 
 func TestFacadeBindOverhead(t *testing.T) {
-	res, err := BindOverhead()
+	res, err := exp.BindOverhead()
 	if err != nil {
 		t.Fatal(err)
 	}
