@@ -124,10 +124,11 @@ func BenchmarkFig6RuleScalingIndexed(b *testing.B) {
 		rs := netem.NewRuleSet()
 		rs.AddCount(ip.NewPrefix(src, 32), ip.Prefix{})
 		netem.PadFiller(rs, rules)
-		ix := netem.NewIndexedRuleSet(rs)
+		rs.Eval(src, dst)
+		rs.SetClassifier(netem.ClassifierIndexed)
 		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				v := ix.Eval(src, dst)
+				v := rs.Eval(src, dst)
 				if v.Visited > 16 {
 					b.Fatal("index degenerated")
 				}

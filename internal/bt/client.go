@@ -14,21 +14,13 @@ import (
 // ClientConfig tunes a BitTorrent client, defaults matching the 4.x
 // mainline client the paper instruments.
 type ClientConfig struct {
-	// Port is the listening port (mainline: 6881).
-	Port ip.Port
 	// MaxPeers bounds total connections (mainline: ~40 usable).
 	MaxPeers int
 	// MaxInitiate bounds connections we initiate (mainline: 30-ish;
 	// further peers come from inbound connections).
 	MaxInitiate int
-	// UploadSlots is the number of simultaneous unchokes, including the
-	// optimistic one (mainline: 4).
-	UploadSlots int
 	// RechokeInterval is the choker period (mainline: 10 s).
 	RechokeInterval time.Duration
-	// OptimisticRounds is how many rechoke rounds an optimistic unchoke
-	// lasts (mainline: 3 → 30 s).
-	OptimisticRounds int
 	// PipelineDepth is the outstanding-request backlog per peer
 	// (mainline: ~5). 0 auto-scales to the torrent's blocks-per-piece
 	// (clamped to [5,256]): a fixed 5-deep pipeline is 80 KiB in
@@ -36,19 +28,8 @@ type ClientConfig struct {
 	// how fat the pipe — the snapshot-sync regime (2 MiB pieces over
 	// long fat paths) needs the window to grow with the piece size.
 	PipelineDepth int
-	// RequestTimeout re-issues a block request that has not been
-	// answered (covers choked-then-dropped requests).
-	RequestTimeout time.Duration
-	// EndgameDup is how many peers a block may be requested from in
-	// endgame mode.
-	EndgameDup int
 	// MinPeers triggers a re-announce when the peer set shrinks below.
 	MinPeers int
-	// ReannounceMin is the minimum spacing between need-driven
-	// announces.
-	ReannounceMin time.Duration
-	// Tick is the internal maintenance timer granularity.
-	Tick time.Duration
 
 	// UploadRate caps payload upload in bytes/second via a
 	// deterministic virtual-time token bucket (0: unlimited). The
@@ -71,20 +52,36 @@ type ClientConfig struct {
 // DefaultClientConfig mirrors BitTorrent 4.x defaults.
 func DefaultClientConfig() ClientConfig {
 	return ClientConfig{
-		Port:             6881,
-		MaxPeers:         40,
-		MaxInitiate:      30,
-		UploadSlots:      4,
-		RechokeInterval:  10 * time.Second,
-		OptimisticRounds: 3,
-		PipelineDepth:    5,
-		RequestTimeout:   60 * time.Second,
-		EndgameDup:       2,
-		MinPeers:         20,
-		ReannounceMin:    60 * time.Second,
-		Tick:             5 * time.Second,
+		MaxPeers:        40,
+		MaxInitiate:     30,
+		RechokeInterval: 10 * time.Second,
+		PipelineDepth:   5,
+		MinPeers:        20,
 	}
 }
+
+// Fixed BitTorrent 4.x client behaviour.
+const (
+	// peerPort is the listening port (mainline: 6881).
+	peerPort ip.Port = 6881
+	// uploadSlots is the number of simultaneous unchokes, including the
+	// optimistic one (mainline: 4).
+	uploadSlots = 4
+	// optimisticRounds is how many rechoke rounds an optimistic unchoke
+	// lasts (mainline: 3 → 30 s).
+	optimisticRounds = 3
+	// requestTimeout re-issues a block request that has not been
+	// answered (covers choked-then-dropped requests).
+	requestTimeout = 60 * time.Second
+	// endgameDup is how many peers a block may be requested from in
+	// endgame mode.
+	endgameDup = 2
+	// reannounceMin is the minimum spacing between need-driven
+	// announces.
+	reannounceMin = 60 * time.Second
+	// tick is the internal maintenance timer granularity.
+	tick = 5 * time.Second
+)
 
 // Progress is one point of a client's download trajectory.
 type Progress struct {
@@ -295,7 +292,7 @@ func (c *Client) Start() {
 	name := "bt-" + c.h.Addr().String()
 	k.Go(name, func(p *sim.Proc) {
 		c.started = p.Now()
-		l, err := c.h.Listen(p, c.cfg.Port)
+		l, err := c.h.Listen(p, peerPort)
 		if err != nil {
 			return
 		}
@@ -303,7 +300,7 @@ func (c *Client) Start() {
 		p.Go(name+"/accept", func(p *sim.Proc) { c.acceptLoop(p, l) })
 		p.Go(name+"/tick", func(p *sim.Proc) {
 			for !c.stopped {
-				p.Sleep(c.cfg.Tick)
+				p.Sleep(tick)
 				c.events.TrySend(event{kind: evTick})
 			}
 		})
@@ -391,7 +388,7 @@ func (c *Client) announceAsync(p *sim.Proc, evt string) {
 	c.lastAnnounce = p.Now()
 	p.Go("bt-announce", func(p *sim.Proc) {
 		peers, ivl, err := AnnounceRequest(p, c.h, c.tracker, c.meta.InfoHash(),
-			c.cfg.Port, evt, c.left(), DefaultNumWant)
+			peerPort, evt, c.left(), DefaultNumWant)
 		if err != nil {
 			return
 		}
@@ -861,7 +858,7 @@ func (c *Client) onBlock(p *sim.Proc, pr *peer, m Msg) {
 			// block's count from the surviving inflight entries instead
 			// of deleting wholesale — a wholesale delete zeroed counts
 			// other peers still held, and later freeBlock calls then
-			// re-requested the block past the EndgameDup bound.
+			// re-requested the block past the endgameDup bound.
 			for b := 0; b < c.meta.BlocksIn(m.Index); b++ {
 				rk := blockKey{m.Index, b * BlockLength}.pack()
 				live := 0
@@ -964,7 +961,7 @@ func (c *Client) onTick(p *sim.Proc) {
 	for _, pr := range c.peers {
 		for i := 0; i < len(pr.inflight); {
 			e := pr.inflight[i]
-			if now.Sub(e.at) > c.cfg.RequestTimeout {
+			if now.Sub(e.at) > requestTimeout {
 				last := len(pr.inflight) - 1
 				pr.inflight[i] = pr.inflight[last]
 				pr.inflight = pr.inflight[:last]
@@ -984,7 +981,7 @@ func (c *Client) onTick(p *sim.Proc) {
 	}
 	// Re-announce when starved for peers.
 	if !c.done && len(c.peers)-c.wsConns < c.cfg.MinPeers &&
-		now.Sub(c.lastAnnounce) >= c.cfg.ReannounceMin {
+		now.Sub(c.lastAnnounce) >= reannounceMin {
 		c.announceAsync(p, EventEmpty)
 		return
 	}
@@ -1022,10 +1019,10 @@ func betterRanked(a, b rankedPeer) bool {
 	return a.rate > b.rate || (a.rate == b.rate && a.ord < b.ord)
 }
 
-// rechoke implements tit-for-tat: unchoke the UploadSlots-1 best
+// rechoke implements tit-for-tat: unchoke the uploadSlots-1 best
 // interested peers (by their upload rate to us while leeching, by our
 // upload rate to them while seeding) plus one optimistic unchoke
-// rotated every OptimisticRounds rounds.
+// rotated every optimisticRounds rounds.
 //
 // Selection is top-K over a single pass of rate snapshots instead of an
 // insertion sort of all interested peers: the old sort re-evaluated
@@ -1051,35 +1048,33 @@ func (c *Client) rechoke(p *sim.Proc) {
 		ranked = append(ranked, rankedPeer{pr: pr, rate: r, ord: ord})
 	}
 	c.rankScratch = ranked[:0]
-	// Top-K regular unchokes by bounded insertion (K = UploadSlots-1,
+	// Top-K regular unchokes by bounded insertion (K = uploadSlots-1,
 	// a handful), marked with this round's stamp.
-	regular := c.cfg.UploadSlots - 1
+	const regular = uploadSlots - 1
 	top := c.topScratch[:0]
-	if regular > 0 {
-		for i := range ranked {
-			n := len(top)
-			if n == regular && !betterRanked(ranked[i], ranked[top[n-1]]) {
-				continue
-			}
-			pos := n
-			for pos > 0 && betterRanked(ranked[i], ranked[top[pos-1]]) {
-				pos--
-			}
-			if n < regular {
-				top = append(top, 0)
-				copy(top[pos+1:], top[pos:n])
-			} else {
-				copy(top[pos+1:], top[pos:n-1])
-			}
-			top[pos] = i
+	for i := range ranked {
+		n := len(top)
+		if n == regular && !betterRanked(ranked[i], ranked[top[n-1]]) {
+			continue
 		}
+		pos := n
+		for pos > 0 && betterRanked(ranked[i], ranked[top[pos-1]]) {
+			pos--
+		}
+		if n < regular {
+			top = append(top, 0)
+			copy(top[pos+1:], top[pos:n])
+		} else {
+			copy(top[pos+1:], top[pos:n-1])
+		}
+		top[pos] = i
 	}
 	c.topScratch = top[:0]
 	for _, i := range top {
 		ranked[i].pr.unchokeStamp = round
 	}
-	// Optimistic slot: rotate every OptimisticRounds rounds.
-	rotate := round%c.cfg.OptimisticRounds == 1 || c.cfg.OptimisticRounds <= 1
+	// Optimistic slot: rotate every optimisticRounds rounds.
+	rotate := round%optimisticRounds == 1
 	var current *peer
 	for _, pr := range c.peers {
 		if pr.optimistic {
@@ -1207,12 +1202,12 @@ func (c *Client) nextBlock(pr *peer) (piece, begin, length int) {
 			return pi, b * BlockLength, c.meta.BlockSize(pi, b)
 		}
 	}
-	// 3. Endgame: duplicate outstanding blocks up to EndgameDup.
+	// 3. Endgame: duplicate outstanding blocks up to endgameDup.
 	for _, pi := range c.partialOrder {
 		if !pr.bits.Has(pi) {
 			continue
 		}
-		if b := c.freeBlock(pi, c.partials[pi], pr, c.cfg.EndgameDup-1); b >= 0 {
+		if b := c.freeBlock(pi, c.partials[pi], pr, endgameDup-1); b >= 0 {
 			return pi, b * BlockLength, c.meta.BlockSize(pi, b)
 		}
 	}

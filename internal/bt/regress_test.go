@@ -47,7 +47,7 @@ func TestDialBudgetNotDoubleDecremented(t *testing.T) {
 	// accounting the second round must not dial at all.
 	var eps []ip.Endpoint
 	for _, h := range hosts[:targets] {
-		eps = append(eps, ip.Endpoint{Addr: h.Addr(), Port: cfg.Port})
+		eps = append(eps, ip.Endpoint{Addr: h.Addr(), Port: peerPort})
 	}
 	bogus := ip.MustParseAddr("10.99.0.1")
 	for len(eps) < 200 {
@@ -106,7 +106,7 @@ func (f *failFirstVerify) CompletePiece(piece int) (bool, error) {
 // refcounts of its blocks must be rebuilt from the requests still in
 // flight at other peers. The old code wholesale-deleted the keys,
 // zeroing counts that endgame duplicates at other peers still held, so
-// the block could immediately be re-requested past the EndgameDup bound.
+// the block could immediately be re-requested past the endgameDup bound.
 func TestHashFailureKeepsEndgameRefcounts(t *testing.T) {
 	k, _, trk, hosts := swarmEnv(t, 3, 1, fastClass)
 	meta, err := SyntheticTorrent("t", 2*BlockLength, 2*BlockLength) // 1 piece, 2 blocks

@@ -100,7 +100,7 @@ func ring(t *testing.T, n int, warm time.Duration, check func(p *sim.Proc, nodes
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, NewNode(h, DefaultConfig()))
+		nodes = append(nodes, NewNode(h))
 	}
 	nodes[0].Create()
 	bootstrap := nodes[0].Ref().Addr
@@ -271,7 +271,7 @@ func TestLookupLatencyReflectsTopology(t *testing.T) {
 		base := ip.MustParseAddr("10.0.0.1")
 		for i := 0; i < 8; i++ {
 			h, _ := net.AddHostClass(base.Add(uint32(i)), class)
-			nodes = append(nodes, NewNode(h, DefaultConfig()))
+			nodes = append(nodes, NewNode(h))
 		}
 		nodes[0].Create()
 		for i := 1; i < 8; i++ {

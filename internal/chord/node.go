@@ -40,31 +40,21 @@ type rpcMsg struct {
 // wireSize approximates the message's wire footprint.
 func (m rpcMsg) wireSize() int { return 48 + len(m.Key) + len(m.Value) }
 
-// Config tunes the maintenance protocol.
-type Config struct {
-	// Stabilize is the period of the stabilize/fix-fingers loop.
-	Stabilize time.Duration
-	// RPCTimeout bounds each remote call.
-	RPCTimeout time.Duration
-	// SuccessorListLen is the replication factor of the successor list
+// Maintenance-protocol settings: the Chord paper's simulation settings,
+// scaled to interactive experiment lengths.
+const (
+	// stabilize is the period of the stabilize/fix-fingers loop.
+	stabilize = 2 * time.Second
+	// rpcTimeout bounds each remote call.
+	rpcTimeout = 10 * time.Second
+	// successorListLen is the replication factor of the successor list
 	// (fault tolerance under churn).
-	SuccessorListLen int
-}
-
-// DefaultConfig mirrors the Chord paper's simulation settings, scaled
-// to interactive experiment lengths.
-func DefaultConfig() Config {
-	return Config{
-		Stabilize:        2 * time.Second,
-		RPCTimeout:       10 * time.Second,
-		SuccessorListLen: 8,
-	}
-}
+	successorListLen = 8
+)
 
 // Node is one Chord participant running on a virtual host.
 type Node struct {
 	h   *vnet.Host
-	cfg Config
 	id  ID
 	ref NodeRef
 
@@ -99,16 +89,15 @@ type rpcWaiter struct {
 
 // NewNode creates a Chord node on host h. Call Create or Join to start
 // it.
-func NewNode(h *vnet.Host, cfg Config) *Node {
+func NewNode(h *vnet.Host) *Node {
 	n := &Node{
 		h:       h,
-		cfg:     cfg,
 		id:      HashAddr(h.Addr()),
 		store:   make(map[string]string),
 		pending: make(map[uint64]*rpcWaiter),
 	}
 	n.ref = NodeRef{ID: n.id, Addr: ip.Endpoint{Addr: h.Addr(), Port: Port}}
-	n.successors = make([]NodeRef, 1, cfg.SuccessorListLen)
+	n.successors = make([]NodeRef, 1, successorListLen)
 	return n
 }
 
@@ -160,7 +149,7 @@ func (n *Node) start() {
 	k.Go(name+"/server", n.serve)
 	k.Go(name+"/stabilize", func(p *sim.Proc) {
 		for n.alive {
-			p.Sleep(n.cfg.Stabilize)
+			p.Sleep(stabilize)
 			if !n.alive {
 				return
 			}
@@ -195,7 +184,7 @@ func (n *Node) handle(p *sim.Proc, c *vnet.Conn) {
 	if !n.alive {
 		return // dead nodes do not answer: callers time out
 	}
-	pk, ok, err := c.RecvTimeout(p, n.cfg.RPCTimeout)
+	pk, ok, err := c.RecvTimeout(p, rpcTimeout)
 	if err != nil || !ok {
 		return
 	}
@@ -298,7 +287,7 @@ func (n *Node) refreshSuccessorList(p *sim.Proc) {
 	// the full list is rebuilt via stabilize rounds. We extend the list
 	// with the successor's successor when short.
 	succ := n.successors[0]
-	if len(n.successors) < n.cfg.SuccessorListLen {
+	if len(n.successors) < successorListLen {
 		reply, err := n.call(p, succ.Addr, rpcMsg{Kind: rpcFindSuccessor, Target: succ.ID + 1})
 		if err == nil && !reply.Node.IsZero() && reply.Node.ID != n.id {
 			for _, s := range n.successors {
@@ -369,7 +358,7 @@ func (n *Node) call(p *sim.Proc, to ip.Endpoint, req rpcMsg) (rpcMsg, error) {
 	if err := c.SendMeta(p, req.wireSize(), req); err != nil {
 		return rpcMsg{}, errRPC
 	}
-	pk, ok, err := c.RecvTimeout(p, n.cfg.RPCTimeout)
+	pk, ok, err := c.RecvTimeout(p, rpcTimeout)
 	if err != nil || !ok {
 		n.Stats.Timeouts++
 		return rpcMsg{}, errRPC

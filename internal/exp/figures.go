@@ -230,9 +230,9 @@ func Fig6Indexed(counts []int) []*metrics.Series {
 		// hash index can bucket them — the point of the ablation (see
 		// netem.PadFiller).
 		netem.PadFiller(rs, rules)
-		ix := netem.NewIndexedRuleSet(rs)
 		lv := rs.Eval(src, dst)
-		iv := ix.Eval(src, dst)
+		rs.SetClassifier(netem.ClassifierIndexed)
+		iv := rs.Eval(src, dst)
 		linear.Add(float64(rules), float64(lv.Visited))
 		indexed.Add(float64(rules), float64(iv.Visited))
 	}

@@ -96,18 +96,14 @@ func closeRel(got, want, eps float64) bool {
 // random pipe subsets, random arrival times and sizes, departures as
 // flows drain) driven through the batched solver, checked at sampling
 // instants against a from-scratch progressive filling of the live
-// graph. Worker counts vary with the seed, so the parallel component
-// path is exercised too.
+// graph.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			k := sim.New(seed)
-			m := NewWithConfig(k, Config{
-				Window:  time.Duration(1+rng.Intn(40)) * time.Millisecond,
-				Workers: 1 + rng.Intn(4),
-			})
+			m := NewWithConfig(k, Config{Window: time.Duration(1+rng.Intn(40)) * time.Millisecond})
 			pipes := make([]*netem.Pipe, 2+rng.Intn(5))
 			for i := range pipes {
 				pipes[i] = netem.NewPipe(k, fmt.Sprintf("p%d", i), netem.PipeConfig{
@@ -159,10 +155,10 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 // batchedWorkload drives a multi-component churn workload through a
 // fixed 50 ms window and returns the rendered trace plus exit times —
 // the full observable behavior — and the engine stats.
-func batchedWorkload(t *testing.T, workers int) (string, []sim.Time, Stats) {
+func batchedWorkload(t *testing.T) (string, []sim.Time, Stats) {
 	t.Helper()
 	k := sim.New(11)
-	m := NewWithConfig(k, Config{Window: 50 * time.Millisecond, Workers: workers})
+	m := NewWithConfig(k, Config{Window: 50 * time.Millisecond})
 	log := trace.New(0)
 	m.SetTrace(log)
 	// Four disjoint clusters of two pipes each: flows stay inside one
@@ -199,31 +195,28 @@ func batchedWorkload(t *testing.T, workers int) (string, []sim.Time, Stats) {
 	return b.String(), exits, m.Stats()
 }
 
-// TestBatchDeterminismAcrossWorkers: for a fixed window, the rendered
-// trace, every exit time and every counter are identical whatever the
-// worker count — parallelism only touches disjoint components and the
-// results are applied in deterministic component order.
-func TestBatchDeterminismAcrossWorkers(t *testing.T) {
-	refTrace, refExits, refStats := batchedWorkload(t, 1)
+// TestBatchDeterminismAcrossRuns: for a fixed window, two runs of the
+// same multi-component workload give the same rendered trace, the same
+// exit times and the same counters.
+func TestBatchDeterminismAcrossRuns(t *testing.T) {
+	refTrace, refExits, refStats := batchedWorkload(t)
 	if refStats.Flushes == 0 || refStats.Solves == 0 {
 		t.Fatalf("workload never flushed (stats %+v); determinism check vacuous", refStats)
 	}
-	for _, workers := range []int{2, 4, 0} {
-		tr, exits, stats := batchedWorkload(t, workers)
-		if tr != refTrace {
-			t.Fatalf("workers=%d: trace differs from workers=1", workers)
+	tr, exits, stats := batchedWorkload(t)
+	if tr != refTrace {
+		t.Fatal("trace differs between two runs")
+	}
+	if len(exits) != len(refExits) {
+		t.Fatalf("%d exits, want %d", len(exits), len(refExits))
+	}
+	for i := range exits {
+		if exits[i] != refExits[i] {
+			t.Fatalf("exit %d = %v, want %v", i, exits[i], refExits[i])
 		}
-		if len(exits) != len(refExits) {
-			t.Fatalf("workers=%d: %d exits, want %d", workers, len(exits), len(refExits))
-		}
-		for i := range exits {
-			if exits[i] != refExits[i] {
-				t.Fatalf("workers=%d: exit %d = %v, want %v", workers, i, exits[i], refExits[i])
-			}
-		}
-		if stats != refStats {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, stats, refStats)
-		}
+	}
+	if stats != refStats {
+		t.Fatalf("stats %+v, want %+v", stats, refStats)
 	}
 }
 

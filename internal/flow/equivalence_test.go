@@ -58,11 +58,9 @@ func genConfig(rng *rand.Rand) pathConfig {
 func runSchedule(t *testing.T, pc pathConfig, kind netem.ModelKind, seed int64) []sim.Time {
 	t.Helper()
 	k := sim.New(seed)
-	var model netem.LinkModel
+	transfer := netem.NewPipeModel(k).Transfer
 	if kind == netem.ModelFlow {
-		model = flow.New(k)
-	} else {
-		model = netem.NewPipeModel(k)
+		transfer = flow.New(k).Transfer
 	}
 	var pipes []*netem.Pipe
 	for i, cfg := range pc.pipes {
@@ -74,7 +72,7 @@ func runSchedule(t *testing.T, pc pathConfig, kind netem.ModelKind, seed int64) 
 	for i, size := range pc.sizes {
 		i, size := i, size
 		k.At(sim.Time(i)*sim.Time(gap), func() {
-			model.Transfer(k.Now(), size, pipes, k.Rand(), func(exit sim.Time, ok bool) {
+			transfer(k.Now(), size, pipes, k.Rand(), func(exit sim.Time, ok bool) {
 				if !ok {
 					exits[i] = -1
 					return

@@ -31,11 +31,9 @@
 // churn events inside one virtual-time window coalesce and drain in a
 // single solve per affected component at the window boundary. The
 // boundary is a scheduled kernel event — not wall clock — so batching
-// is exactly as deterministic as the rest of the simulation, and
-// independent components of one flush may be solved on parallel
-// goroutines because the results are applied sequentially in a fixed
-// component order. Window = 0 (the default) re-solves at every churn
-// event: the exact legacy semantics the golden traces pin.
+// is exactly as deterministic as the rest of the simulation. Window = 0
+// (the default) re-solves at every churn event: the exact legacy
+// semantics the golden traces pin.
 //
 // Model fidelity notes, recorded as DESIGN.md decision 5:
 //
@@ -59,8 +57,6 @@ package flow
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/netem"
@@ -161,16 +157,11 @@ type Config struct {
 	// latency a transfer can see by one window. 0 solves at every
 	// churn event, the exact semantics the golden traces pin.
 	Window time.Duration
-	// Workers bounds the goroutines solving independent components of
-	// one flush in parallel. 0 uses GOMAXPROCS; 1 solves inline. The
-	// allocation is identical for every setting: components are
-	// disjoint subgraphs and results are applied in component order.
-	Workers int
 }
 
-// Model is the flow-level engine. It implements netem.LinkModel; use
-// it by setting vnet.Config.Model = netem.ModelFlow, or construct one
-// directly with New / NewWithConfig for engine-level experiments.
+// Model is the flow-level engine. Use it by setting vnet.Config.Model =
+// netem.ModelFlow, or construct one directly with New / NewWithConfig
+// for engine-level experiments.
 type Model struct {
 	k          *sim.Kernel
 	cfg        Config
@@ -233,10 +224,10 @@ func (m *Model) linkFor(p *netem.Pipe) *link {
 	return l
 }
 
-// PipeReconfigured implements netem.ReconfigurableModel: after a
-// runtime change to p's configuration the fair shares of every flow in
-// p's connected component are stale, so the component is re-solved at
-// the current instant and re-rated flows get rescheduled completions.
+// PipeReconfigured must follow every runtime change to p's
+// configuration: the fair shares of every flow in p's connected
+// component are stale, so the component is re-solved at the current
+// instant and re-rated flows get rescheduled completions.
 // The solver reads capacity from the pipe's live config, so no other
 // bookkeeping is needed; a pipe carrying no flows is a no-op. Rates
 // only ever apply from now forward — bytes already carried were settled
@@ -260,10 +251,11 @@ func (m *Model) PipeReconfigured(p *netem.Pipe) {
 	m.resolve(m.k.Now(), []*link{l})
 }
 
-// FlushBatch implements netem.FlushableModel: drain any batched churn
-// immediately, at the current instant, instead of at the pending
-// window boundary. Reconfiguration points call this so runtime changes
-// observe settled, current rates. A no-op when nothing is pending.
+// FlushBatch drains any batched churn immediately, at the current
+// instant, instead of at the pending window boundary. Synchronization
+// points — a pipe about to be reconfigured, a caller about to read
+// rates — call it so they observe settled, current rates. A no-op when
+// nothing is pending.
 func (m *Model) FlushBatch() {
 	if m.flushEv != nil {
 		m.flushEv.Cancel()
@@ -272,11 +264,25 @@ func (m *Model) FlushBatch() {
 	m.flush()
 }
 
-// Transfer implements netem.LinkModel: admit the message (loss and
-// fluid-queue checks per pipe, in path order), then run it as a flow
-// over the path's constrained pipes. A path with no constrained pipe
+// Transfer charges a size-byte message entering path at instant at: it
+// admits the message (loss and fluid-queue checks per pipe, in path
+// order), then runs it as a flow over the path's constrained pipes. done
+// is called exactly once — possibly synchronously — with the instant the
+// message exits the last pipe (serialization, queueing and per-pipe
+// propagation included) and ok=true, or with ok=false when the message
+// is dropped by loss or queue admission. A path with no constrained pipe
 // completes synchronously after pure propagation, mirroring the pipe
 // model's inline fast path.
+//
+// The contract vnet's pooled caller relies on: Transfer is called, and
+// done is called, with the kernel's execution token held (a simulated
+// goroutine or an event callback). path belongs to the caller: it stays
+// valid and unmodified until done is called, and the engine does not
+// retain it afterwards — the caller reuses the backing array for its
+// next message. done may re-enter Transfer (a give-up resets the
+// sender's connection, and the application's close handler may send),
+// so the engine is consistent before it calls done and touches nothing
+// of this transfer after.
 func (m *Model) Transfer(at sim.Time, size int, path []*netem.Pipe, rng *rand.Rand, done func(sim.Time, bool)) {
 	var prop time.Duration
 	var links []*link
@@ -457,10 +463,8 @@ func (m *Model) armFlush(at sim.Time) {
 }
 
 // flush drains the pending batch: partition the dirty links into
-// connected components, incrementally re-level each (in parallel when
-// there are several), and apply the new allocations sequentially in
-// component order — which keeps the outcome independent of the worker
-// count.
+// connected components, then incrementally re-level each and apply its
+// new allocations, in component order.
 func (m *Model) flush() {
 	m.flushEv = nil
 	if len(m.dirty) == 0 {
@@ -473,9 +477,8 @@ func (m *Model) flush() {
 	}
 	m.stats.Flushes++
 	now := m.k.Now()
-	comps := m.partition(seeds)
-	m.solveComponents(comps)
-	for _, c := range comps {
+	for _, c := range m.partition(seeds) {
+		c.solve()
 		m.stats.Solves++
 		m.stats.SolvedFlows += uint64(len(c.aff))
 		m.apply(now, c.aff)
@@ -536,39 +539,6 @@ func (m *Model) partition(seeds []*link) []*component {
 		comps = append(comps, c)
 	}
 	return comps
-}
-
-// solveComponents runs component.solve for every component, striding
-// them across up to cfg.Workers goroutines. Components are disjoint
-// subgraphs, so workers share no mutable state; results land in the
-// per-component structs and are applied sequentially by the caller.
-//
-//lint:allow kernelgo documented boundary: the solver pool runs between kernel events (virtual time frozen), joins before returning, and workers share no state — deterministic regardless of interleaving
-func (m *Model) solveComponents(comps []*component) {
-	workers := m.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-	if workers <= 1 {
-		for _, c := range comps {
-			c.solve()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(comps); i += workers {
-				comps[i].solve()
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 const (

@@ -12,14 +12,14 @@ import (
 // sync package. Inside the emulator exactly one simulated goroutine
 // runs at a time on one serialized timeline; concurrency must go
 // through the kernel's own primitives (sim.Kernel.Go, sim.Chan,
-// sim.Cond, sim.Semaphore, sim.WaitGroup), which park on virtual time
-// and keep the schedule deterministic. Native primitives would race
-// the wall clock against the virtual one.
+// sim.Cond), which park on virtual time and keep the schedule
+// deterministic. Native primitives would race the wall clock against
+// the virtual one.
 //
-// The one legal exception is the flow solver's worker pool, carrying
-// an explicit //lint:allow kernelgo <reason>. The sim kernel itself
-// needs none: it switches between Run and its tasks with iter.Pull and
-// holds no go statement, channel or lock.
+// There is no exception: no kernel-driven package carries a
+// //lint:allow kernelgo, and CI fails if one appears. The sim kernel
+// itself switches between Run and its tasks with iter.Pull and holds no
+// go statement, channel or lock.
 var KernelGo = &analysis.Analyzer{
 	Name: "kernelgo",
 	Doc:  "forbid native go/chan/select/sync in kernel-context code; sim.Kernel primitives are the only legal concurrency",
@@ -61,7 +61,7 @@ var KernelGo = &analysis.Analyzer{
 				case *ast.Ident:
 					obj := pass.TypesInfo.Uses[n]
 					if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-						pass.Reportf(n.Pos(), "kernelgo: sync.%s in kernel-context code; the kernel serializes execution — use sim.Cond/sim.Semaphore/sim.WaitGroup", obj.Name())
+						pass.Reportf(n.Pos(), "kernelgo: sync.%s in kernel-context code; the kernel serializes execution — use sim.Cond or sim.Chan", obj.Name())
 					}
 				}
 				return true

@@ -9,7 +9,7 @@ import (
 )
 
 // TokenHeld machine-checks DESIGN decision 11: the kernel's hot
-// primitives (Schedule, LoopNow, Chan, Cond, Semaphore, park/wake)
+// primitives (Schedule, LoopNow, Chan, Cond, park/wake)
 // touch no mutex and are serialized purely by the execution token, so
 // they may only be reached from code that demonstrably holds it.
 // Before this analyzer the contract was "proved" by -race sampling;

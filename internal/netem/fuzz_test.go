@@ -66,7 +66,7 @@ func FuzzRuleEval(f *testing.F) {
 			idx.Add(r)
 			data = data[6:]
 		}
-		bulk := NewIndexedRuleSet(lin)
+		bulk := indexedCopy(lin)
 		for len(data) >= 2 {
 			src, dst := fuzzAddr(data[0]), fuzzAddr(data[1])
 			data = data[2:]

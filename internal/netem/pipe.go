@@ -96,7 +96,7 @@ func (p *Pipe) SetBandwidth(bitsPerSec int64) { p.cfg.Bandwidth = bitsPerSec }
 // Under the flow model the pipe's cursor is idle (the fluid backlog
 // lives in flow.Model); callers there must also notify the model so it
 // re-solves the affected component — vnet routes both through
-// Network-level reconfiguration (see ReconfigurableModel).
+// Network-level reconfiguration (flow.Model.PipeReconfigured).
 func (p *Pipe) Reconfigure(cfg PipeConfig) {
 	if cfg.Loss < 0 || cfg.Loss > 1 {
 		panic(fmt.Sprintf("netem: pipe %s: loss %v out of [0,1]", p.name, cfg.Loss))

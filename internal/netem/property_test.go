@@ -9,8 +9,8 @@ import (
 )
 
 // randomTable builds a randomized rule table — duplicate IDs included —
-// in three synchronized forms: linear, integrated-indexed (incremental
-// maintenance path) and standalone IndexedRuleSet (bulk-build path).
+// in two synchronized forms: linear and indexed (incremental
+// maintenance path); callers add the bulk-built form with indexedCopy.
 // The pipe pool is shared so verdict pipes compare by identity.
 func randomTable(rng *rand.Rand, k *sim.Kernel, n int) (lin, idx *RuleSet) {
 	lin = NewRuleSet()
@@ -78,7 +78,7 @@ func sameVerdict(a, b Verdict) bool {
 // property: on randomized tables (duplicate IDs, mixed prefix widths,
 // all four actions) the linear and indexed classifiers must return
 // identical verdicts — pipes in the same order, the same Deny — and
-// the two indexed implementations (incrementally maintained vs
+// the two indexed builds (incrementally maintained vs
 // bulk-built) must agree exactly, Visited and Cost included.
 func TestClassifierEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -86,7 +86,7 @@ func TestClassifierEquivalenceRandom(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		n := 1 + rng.Intn(120)
 		lin, idx := randomTable(rng, k, n)
-		bulk := NewIndexedRuleSet(lin)
+		bulk := indexedCopy(lin)
 		for q := 0; q < 40; q++ {
 			src, dst := randomAddr(rng), randomAddr(rng)
 			lv := lin.Eval(src, dst)
@@ -113,7 +113,7 @@ func TestClassifierEquivalenceRandom(t *testing.T) {
 				t.Fatalf("round %d: Remove(%d) removed %d indexed vs %d linear", round, id, got, want)
 			}
 		}
-		rebuilt := NewIndexedRuleSet(lin)
+		rebuilt := indexedCopy(lin)
 		for q := 0; q < 20; q++ {
 			src, dst := randomAddr(rng), randomAddr(rng)
 			lv := lin.Eval(src, dst)

@@ -558,42 +558,3 @@ func NewFillerTable(n int, classifier Classifier) *RuleSet {
 	PadFiller(rs, n)
 	return rs
 }
-
-// IndexedRuleSet is the standalone ablation counterpart of a RuleSet
-// running ClassifierIndexed: the same hash-indexed structure built
-// once from an existing table, for benchmarks and equivalence tests
-// that want both classifiers over one table at the same time.
-type IndexedRuleSet struct {
-	ix          *ruleIndex
-	PerRuleCost time.Duration
-	evals       uint64
-	visited     uint64
-}
-
-// NewIndexedRuleSet builds the index from an existing table. Rules with
-// a /24-or-longer source prefix are indexed by source; remaining rules
-// with a /24-or-longer destination are indexed by destination; rules
-// wide on both sides stay in a residual linear list.
-func NewIndexedRuleSet(rs *RuleSet) *IndexedRuleSet {
-	out := &IndexedRuleSet{ix: newRuleIndex(), PerRuleCost: rs.PerRuleCost}
-	for i := range rs.rules {
-		out.ix.insert(rs.rules[i])
-	}
-	return out
-}
-
-// Eval classifies a packet using the hash indexes plus the residual
-// list. Candidate rules from the three sources are merged in
-// (ID, insertion) order so terminal actions and duplicate-ID tables
-// behave exactly as in the linear table.
-func (ixs *IndexedRuleSet) Eval(src, dst ip.Addr) Verdict {
-	var v Verdict
-	ixs.ix.eval(src, dst, &v)
-	v.Cost = time.Duration(v.Visited) * ixs.PerRuleCost
-	ixs.evals++
-	ixs.visited += uint64(v.Visited)
-	return v
-}
-
-// EvalStats reports how many evaluations ran and the total rules visited.
-func (ixs *IndexedRuleSet) EvalStats() (evals, visited uint64) { return ixs.evals, ixs.visited }

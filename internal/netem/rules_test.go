@@ -148,6 +148,15 @@ func TestActionString(t *testing.T) {
 	}
 }
 
+// indexedCopy is the bulk-built indexed table: a copy of rs switched to
+// the indexed classifier, which builds the index from the whole table
+// at once. rs itself is left as it was.
+func indexedCopy(rs *RuleSet) *RuleSet {
+	c := &RuleSet{rules: append([]Rule(nil), rs.rules...), nextSeq: rs.nextSeq, PerRuleCost: rs.PerRuleCost}
+	c.SetClassifier(ClassifierIndexed)
+	return c
+}
+
 func TestIndexedRuleSetMatchesLinear(t *testing.T) {
 	k := sim.New(1)
 	rs := NewRuleSet()
@@ -160,7 +169,7 @@ func TestIndexedRuleSetMatchesLinear(t *testing.T) {
 		pipes[a] = p
 		rs.AddPipe(ip.NewPrefix(a, 32), anyNet, p)
 	}
-	ix := NewIndexedRuleSet(rs)
+	ix := indexedCopy(rs)
 	for a, want := range pipes {
 		lv := rs.Eval(a, hostB)
 		iv := ix.Eval(a, hostB)
@@ -183,7 +192,7 @@ func TestIndexedRuleSetCheaperThanLinear(t *testing.T) {
 		rs.AddPipe(ip.NewPrefix(a, 32), anyNet, NewPipe(k, "p", PipeConfig{}))
 		last = a
 	}
-	ix := NewIndexedRuleSet(rs)
+	ix := indexedCopy(rs)
 	lv := rs.Eval(last, hostB)
 	iv := ix.Eval(last, hostB)
 	if lv.Visited != 5000 {
@@ -219,7 +228,7 @@ func TestIndexedDuplicateIDsPreserveInsertionOrder(t *testing.T) {
 	if len(lv.Pipes) != 3 || lv.Pipes[0] != p1 || lv.Pipes[1] != p2 || lv.Pipes[2] != p3 {
 		t.Fatalf("linear pipes = %v, want %v", lv.Pipes, want)
 	}
-	iv := NewIndexedRuleSet(rs).Eval(hostA, hostB)
+	iv := indexedCopy(rs).Eval(hostA, hostB)
 	if len(iv.Pipes) != 3 || iv.Pipes[0] != p1 || iv.Pipes[1] != p2 || iv.Pipes[2] != p3 {
 		t.Fatalf("indexed pipes = %v, want %v (insertion order lost)", iv.Pipes, want)
 	}
@@ -228,7 +237,7 @@ func TestIndexedDuplicateIDsPreserveInsertionOrder(t *testing.T) {
 	rs2 := NewRuleSet()
 	rs2.Add(Rule{ID: 100, Src: ip.NewPrefix(hostA, 32), Action: ActionDeny})
 	rs2.Add(Rule{ID: 100, Action: ActionPipe, Pipe: p1})
-	iv2 := NewIndexedRuleSet(rs2).Eval(hostA, hostB)
+	iv2 := indexedCopy(rs2).Eval(hostA, hostB)
 	if !iv2.Deny || len(iv2.Pipes) != 0 {
 		t.Fatalf("indexed verdict = %+v, want deny before same-ID pipe", iv2)
 	}
@@ -240,7 +249,7 @@ func TestIndexedEvalStats(t *testing.T) {
 	rs := NewRuleSet()
 	rs.AddCount(ip.NewPrefix(hostA, 32), anyNet)
 	rs.AddCount(anyNet, anyNet)
-	ix := NewIndexedRuleSet(rs)
+	ix := indexedCopy(rs)
 	ix.Eval(hostA, hostB)
 	ix.Eval(hostB, hostA)
 	evals, visited := ix.EvalStats()
@@ -397,7 +406,7 @@ func TestIndexedRuleSetResidualWideRules(t *testing.T) {
 	rs := NewRuleSet()
 	wide := NewPipe(k, "wide", PipeConfig{})
 	rs.AddPipe(netA, netB, wide) // /16 rules go to the residual table
-	ix := NewIndexedRuleSet(rs)
+	ix := indexedCopy(rs)
 	v := ix.Eval(hostA, hostB)
 	if len(v.Pipes) != 1 || v.Pipes[0] != wide {
 		t.Fatalf("residual rule not applied: %v", v.Pipes)

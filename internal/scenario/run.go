@@ -608,7 +608,7 @@ func (r *runner) startDHT() error {
 	w := r.spec.Workload
 	nodes := make([]*chord.Node, len(r.Hosts))
 	for i, h := range r.Hosts {
-		nodes[i] = chord.NewNode(h, chord.DefaultConfig())
+		nodes[i] = chord.NewNode(h)
 	}
 	nodes[0].Create()
 	for i := 1; i < len(nodes); i++ {

@@ -104,31 +104,31 @@ func Run(cfg Config, jobs []Job) Result {
 	e := &engine{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		running: make([]*proc, cfg.CPUs),
+		running: make([]*proc, cpus),
 	}
 	for i, j := range jobs {
 		p := &proc{
 			id:        i,
 			remaining: j.Work,
 			mem:       j.Mem,
-			slice:     cfg.Quantum,
-			home:      i % cfg.CPUs,
+			slice:     quantum,
+			home:      i % cpus,
 		}
 		if cfg.Kind == ULE && cfg.ULESliceJitter > 0 {
 			f := 1 + cfg.ULESliceJitter*(2*e.rng.Float64()-1)
-			p.slice = time.Duration(float64(cfg.Quantum) * f)
-			p.home = e.rng.Intn(cfg.CPUs)
+			p.slice = time.Duration(float64(quantum) * f)
+			p.home = e.rng.Intn(cpus)
 		}
 		e.procs = append(e.procs, p)
 	}
-	e.sched = newQueue(cfg, e.procs)
+	e.sched = newQueue(cfg.Kind, e.procs)
 	e.loop()
 
 	res := Result{Kind: cfg.Kind, SwapUsed: e.swapUsed}
 	n := time.Duration(len(jobs))
 	for _, p := range e.procs {
-		if cfg.BatchFixedCost > 0 && n > 0 {
-			amortized := cfg.BatchFixedCost / n
+		if n > 0 {
+			amortized := batchFixedCost / n
 			p.stat.ExecTime += amortized
 			p.stat.CPUTime += amortized
 		}
@@ -146,7 +146,7 @@ const idleRecheck = 10 * time.Millisecond
 
 func (e *engine) loop() {
 	var h eventHeap
-	for cpu := 0; cpu < e.cfg.CPUs; cpu++ {
+	for cpu := 0; cpu < cpus; cpu++ {
 		h.push(cpuEvent{at: 0, cpu: cpu})
 	}
 	remaining := len(e.procs)
@@ -164,9 +164,9 @@ func (e *engine) loop() {
 		t := ev.at
 		e.running[ev.cpu] = p
 		p.stat.Switches++
-		p.stat.ExecTime += e.cfg.CtxSwitch
-		p.stat.CPUTime += e.cfg.CtxSwitch
-		t += e.cfg.CtxSwitch
+		p.stat.ExecTime += ctxSwitch
+		p.stat.CPUTime += ctxSwitch
+		t += ctxSwitch
 
 		// Service the page-fault backlog before computing.
 		if deficit := p.mem - p.resident; deficit > 0 {
@@ -246,7 +246,7 @@ func (e *engine) pick(cpu int, now time.Duration) *proc {
 // the working set is allocation (zero-fill at RAM speed); only reloads
 // of previously evicted pages come from the swap disk.
 func (e *engine) pageIn(p *proc, deficit int64, now time.Duration) time.Duration {
-	free := e.cfg.RAM - e.residentTotal
+	free := ram - e.residentTotal
 	if free < deficit {
 		e.swapUsed = true
 		e.evict(deficit-free, p)
@@ -255,12 +255,9 @@ func (e *engine) pageIn(p *proc, deficit int64, now time.Duration) time.Duration
 	p.resident += deficit
 	e.residentTotal += deficit
 	p.stat.PageIns += deficit
-	rate := e.cfg.DiskBytesPerSec
+	rate := diskBytesPerSec
 	if firstTouch {
-		rate = e.cfg.RAMTouchBytesPerSec
-	}
-	if rate <= 0 {
-		return 0
+		rate = ramTouchBytesPerSec
 	}
 	return time.Duration(float64(deficit) / float64(rate) * float64(time.Second))
 }

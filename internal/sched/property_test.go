@@ -23,7 +23,7 @@ func TestMakespanLowerBoundProperty(t *testing.T) {
 			total += work
 		}
 		res := Run(cfg, jobs)
-		if res.Makespan < total/time.Duration(cfg.CPUs) {
+		if res.Makespan < total/cpus {
 			return false
 		}
 		for _, p := range res.Procs {

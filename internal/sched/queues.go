@@ -14,13 +14,12 @@ type queue interface {
 }
 
 // newQueue builds the run-queue structure for the configured scheduler.
-func newQueue(cfg Config, procs []*proc) queue {
-	switch cfg.Kind {
+func newQueue(kind Kind, procs []*proc) queue {
+	switch kind {
 	case ULE:
 		q := &uleQueue{
-			perCPU:          make([][]*proc, cfg.CPUs),
-			balanceInterval: cfg.ULEBalanceInterval,
-			lastBalance:     make([]time.Duration, cfg.CPUs),
+			perCPU:      make([][]*proc, cpus),
+			lastBalance: make([]time.Duration, cpus),
 		}
 		for _, p := range procs {
 			q.perCPU[p.home] = append(q.perCPU[p.home], p)
@@ -61,9 +60,8 @@ func (g *globalQueue) len(_ int) int { return len(g.q) }
 // effective-slice jitter (interactivity scoring), this reproduces the
 // wide fairness CDF the paper measures for ULE in Fig 3.
 type uleQueue struct {
-	perCPU          [][]*proc
-	balanceInterval time.Duration
-	lastBalance     []time.Duration
+	perCPU      [][]*proc
+	lastBalance []time.Duration
 }
 
 func (u *uleQueue) get(cpu int, now time.Duration) *proc {
@@ -75,7 +73,7 @@ func (u *uleQueue) get(cpu int, now time.Duration) *proc {
 		return p
 	}
 	// Idle: steal from the longest queue, rate-limited.
-	if now-u.lastBalance[cpu] < u.balanceInterval && u.lastBalance[cpu] != 0 {
+	if now-u.lastBalance[cpu] < uleBalanceInterval && u.lastBalance[cpu] != 0 {
 		return nil
 	}
 	u.lastBalance[cpu] = now

@@ -70,35 +70,14 @@ type Job struct {
 	Mem int64
 }
 
-// Config describes the simulated machine. The zero value is unusable;
-// start from DefaultConfig.
+// Config selects the scheduler and its tunables on the simulated
+// machine. The zero value is unusable; start from DefaultConfig.
 type Config struct {
 	Kind Kind
-	// CPUs is the processor count (GridExplorer nodes: dual Opteron).
-	CPUs int
-	// RAM is physical memory available to jobs, after OS reserve.
-	RAM int64
-	// DiskBytesPerSec is the swap device throughput (page reloads).
-	DiskBytesPerSec int64
-	// RAMTouchBytesPerSec is the zero-fill/allocation rate for the first
-	// build of a working set (not a disk transfer).
-	RAMTouchBytesPerSec int64
-	// Quantum is the base time slice.
-	Quantum time.Duration
-	// CtxSwitch is the CPU cost of one context switch, charged to the
-	// incoming process's execution time.
-	CtxSwitch time.Duration
-	// BatchFixedCost is a per-experiment fixed cost (loader, shared
-	// page warm-up) amortized over the batch: each process's ExecTime
-	// includes BatchFixedCost/N. This reproduces Fig 1's slight
-	// *decrease* of per-process time at high process counts.
-	BatchFixedCost time.Duration
 	// ULESliceJitter is the relative spread of per-process effective
 	// slices under ULE (interactivity-score noise); it drives Fig 3's
 	// wide ULE CDF. Ignored by other schedulers.
 	ULESliceJitter float64
-	// ULEBalanceInterval is how often an idle CPU steals work.
-	ULEBalanceInterval time.Duration
 	// TokenHold is how long the Linux swap token protects a faulting
 	// process's pages. Zero disables the token (pre-2.6.9 behaviour).
 	TokenHold time.Duration
@@ -106,24 +85,41 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns a GridExplorer-like machine: 2 CPUs, 2 GB RAM
-// (minus ~200 MB OS reserve), a single disk for swap.
+// DefaultConfig returns the paper's settings for the given scheduler.
 func DefaultConfig(kind Kind) Config {
 	return Config{
-		Kind:                kind,
-		CPUs:                2,
-		RAM:                 1_800_000_000,
-		DiskBytesPerSec:     100_000_000,
-		RAMTouchBytesPerSec: 2_000_000_000,
-		Quantum:             100 * time.Millisecond,
-		CtxSwitch:           5 * time.Microsecond,
-		BatchFixedCost:      40 * time.Millisecond,
-		ULESliceJitter:      0.20,
-		ULEBalanceInterval:  30 * time.Second,
-		TokenHold:           2 * time.Second,
-		Seed:                1,
+		Kind:           kind,
+		ULESliceJitter: 0.20,
+		TokenHold:      2 * time.Second,
+		Seed:           1,
 	}
 }
+
+// The simulated machine is a GridExplorer node: 2 CPUs, 2 GB RAM
+// (minus ~200 MB OS reserve), a single disk for swap.
+const (
+	// cpus is the processor count (GridExplorer nodes: dual Opteron).
+	cpus = 2
+	// ram is physical memory available to jobs, after OS reserve.
+	ram = 1_800_000_000
+	// diskBytesPerSec is the swap device throughput (page reloads).
+	diskBytesPerSec = 100_000_000
+	// ramTouchBytesPerSec is the zero-fill/allocation rate for the first
+	// build of a working set (not a disk transfer).
+	ramTouchBytesPerSec = 2_000_000_000
+	// quantum is the base time slice.
+	quantum = 100 * time.Millisecond
+	// ctxSwitch is the CPU cost of one context switch, charged to the
+	// incoming process's execution time.
+	ctxSwitch = 5 * time.Microsecond
+	// batchFixedCost is a per-experiment fixed cost (loader, shared
+	// page warm-up) amortized over the batch: each process's ExecTime
+	// includes batchFixedCost/N. This reproduces Fig 1's slight
+	// *decrease* of per-process time at high process counts.
+	batchFixedCost = 40 * time.Millisecond
+	// uleBalanceInterval is how often an idle ULE CPU steals work.
+	uleBalanceInterval = 30 * time.Second
+)
 
 // ProcStat reports one process's outcome.
 type ProcStat struct {

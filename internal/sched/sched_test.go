@@ -163,8 +163,7 @@ func TestWorkConservation(t *testing.T) {
 		cpu += p.CPUTime
 		switches += p.Switches
 	}
-	cfg := DefaultConfig(FourBSD)
-	want := 50*AckermannWork + time.Duration(switches)*cfg.CtxSwitch + cfg.BatchFixedCost
+	want := 50*AckermannWork + time.Duration(switches)*ctxSwitch + batchFixedCost
 	if diff := cpu - want; diff < -time.Millisecond || diff > time.Millisecond {
 		t.Fatalf("cpu time = %v, want %v", cpu, want)
 	}

@@ -182,7 +182,6 @@ type Job struct {
 	seq      int
 	events   []Event // bounded replay history (oldest dropped)
 	firstSeq int     // seq of events[0]
-	histMax  int
 	subs     map[chan Event]struct{}
 	done     chan struct{} // closed by finish; wait on it instead of polling state
 
@@ -193,7 +192,11 @@ type Job struct {
 	csvSnaps []*metrics.Snapshot
 }
 
-func newJob(id string, req JobRequest, histMax int) *Job {
+// historyLimit bounds each job's replayable event history; older frames
+// are dropped.
+const historyLimit = 256
+
+func newJob(id string, req JobRequest) *Job {
 	kind := req.Kind
 	if kind == "" {
 		kind = "scenario"
@@ -205,12 +208,9 @@ func newJob(id string, req JobRequest, histMax int) *Job {
 	if kind == "sweep" && req.Sweep != nil {
 		name = req.Sweep.Experiment
 	}
-	if histMax <= 0 {
-		histMax = 256
-	}
 	return &Job{
 		id: id, req: req, kind: kind, name: name,
-		state: JobQueued, created: time.Now(), histMax: histMax,
+		state: JobQueued, created: time.Now(),
 		subs: make(map[chan Event]struct{}),
 		done: make(chan struct{}),
 	}
@@ -218,7 +218,7 @@ func newJob(id string, req JobRequest, histMax int) *Job {
 
 // publish appends one event to the history and fans it out to live
 // subscribers. A subscriber whose buffer is full loses the frame (the
-// replay history still holds it while it stays within histMax).
+// replay history still holds it while it stays within historyLimit).
 func (j *Job) publish(typ string, data any) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -229,8 +229,8 @@ func (j *Job) publishLocked(typ string, data any) {
 	ev := Event{Seq: j.seq, Type: typ, Data: data}
 	j.seq++
 	j.events = append(j.events, ev)
-	if len(j.events) > j.histMax {
-		drop := len(j.events) - j.histMax
+	if len(j.events) > historyLimit {
+		drop := len(j.events) - historyLimit
 		j.events = append(j.events[:0:0], j.events[drop:]...)
 		j.firstSeq += drop
 	}

@@ -38,9 +38,6 @@ type Config struct {
 	// metric snapshots for scenario jobs (default 10s of virtual time);
 	// per-job requests may override it.
 	SampleInterval time.Duration
-	// HistoryLimit bounds each job's replayable event history
-	// (default 256 frames; older frames are dropped).
-	HistoryLimit int
 }
 
 func (c Config) withDefaults() Config {
@@ -52,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleInterval <= 0 {
 		c.SampleInterval = 10 * time.Second
-	}
-	if c.HistoryLimit <= 0 {
-		c.HistoryLimit = 256
 	}
 	return c
 }
@@ -263,7 +257,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	s.nextID++
-	j := newJob(fmt.Sprintf("job-%04d", s.nextID), req, s.cfg.HistoryLimit)
+	j := newJob(fmt.Sprintf("job-%04d", s.nextID), req)
 	// Reserve the queue slot while holding s.mu so the id sequence and
 	// the queue admission decision stay consistent.
 	select {

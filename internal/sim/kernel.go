@@ -14,7 +14,7 @@
 //   - Proc: the handle a simulated goroutine uses to block (Sleep, Wait),
 //     spawn children (Go) and observe time (Now).
 //
-// Blocking primitives (Cond, Chan, Semaphore) are built on top of the
+// Blocking primitives (Cond, Chan) are built on top of the
 // park/wake mechanism and are safe to use only from simulated goroutines.
 //
 // Determinism is a per-kernel property: one kernel is one serialized

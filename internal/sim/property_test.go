@@ -114,32 +114,3 @@ func TestChanFIFOProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSemaphoreNeverOversubscribedProperty(t *testing.T) {
-	f := func(permitsRaw, workersRaw uint8) bool {
-		permits := int(permitsRaw%5) + 1
-		workers := int(workersRaw%20) + 1
-		k := New(1)
-		s := NewSemaphore(k, permits)
-		inside, ok := 0, true
-		for i := 0; i < workers; i++ {
-			k.Go("w", func(p *Proc) {
-				s.Acquire(p)
-				inside++
-				if inside > permits {
-					ok = false
-				}
-				p.Sleep(time.Millisecond)
-				inside--
-				s.Release()
-			})
-		}
-		if err := k.Run(); err != nil {
-			return false
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -263,98 +263,3 @@ func TestChanRecvTimeoutDelivery(t *testing.T) {
 		t.Fatalf("got (%d,%v), want (42,true)", got, ok)
 	}
 }
-
-func TestSemaphore(t *testing.T) {
-	k := New(1)
-	s := NewSemaphore(k, 2)
-	var concurrent, peak int
-	for i := 0; i < 6; i++ {
-		k.Go("w", func(p *Proc) {
-			s.Acquire(p)
-			concurrent++
-			if concurrent > peak {
-				peak = concurrent
-			}
-			p.Sleep(time.Second)
-			concurrent--
-			s.Release()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if k.Now() != Time(3*time.Second) {
-		t.Fatalf("6 jobs × 1s with 2 permits should take 3s, got %v", k.Now())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	k := New(1)
-	s := NewSemaphore(k, 1)
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire with permit should succeed")
-	}
-	if s.TryAcquire() {
-		t.Fatal("TryAcquire without permit should fail")
-	}
-	s.Release()
-	if s.Available() != 1 {
-		t.Fatalf("Available = %d, want 1", s.Available())
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	k := New(1)
-	wg := NewWaitGroup(k)
-	wg.Add(3)
-	var doneAt Time
-	for i := 1; i <= 3; i++ {
-		d := Duration(i) * time.Second
-		k.Go("w", func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	k.Go("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != Time(3*time.Second) {
-		t.Fatalf("waiter released at %v, want 3s", doneAt)
-	}
-}
-
-func TestWaitGroupTimeout(t *testing.T) {
-	k := New(1)
-	wg := NewWaitGroup(k)
-	wg.Add(1)
-	var ok bool
-	k.Go("waiter", func(p *Proc) { ok = wg.WaitTimeout(p, time.Second) })
-	k.Go("late", func(p *Proc) {
-		p.Sleep(5 * time.Second)
-		wg.Done()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("WaitTimeout should have expired")
-	}
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on negative counter")
-		}
-	}()
-	k := New(1)
-	wg := NewWaitGroup(k)
-	wg.Add(-1)
-}

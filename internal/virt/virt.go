@@ -45,37 +45,29 @@ type Config struct {
 	// NIC is the physical interface pipe configuration, applied in each
 	// direction (default: 1 Gb/s, 50 µs).
 	NIC netem.PipeConfig
-	// CPU throughput available for message processing, in bytes/second
-	// of payload handled (default 1 GB/s). Zero disables CPU modelling.
-	CPUBytesPerSec int64
-	// PerMessageCPU is the fixed processing cost per message traversal
-	// (default 5 µs).
-	PerMessageCPU time.Duration
-	// PerRuleCost is the firewall's linear-scan cost per rule visited.
-	PerRuleCost time.Duration
-	// Classifier selects each physical node's packet classifier:
-	// netem.ClassifierLinear (the zero value) is the faithful IPFW
-	// linear scan; netem.ClassifierIndexed is the hash-indexed
-	// ablation, now runnable end-to-end (`p2plab -fig 6 -classifier
-	// indexed` shows the near-flat curve IPFW could not offer).
-	Classifier netem.Classifier
 	// Topo supplies inter-group latencies and group definitions for the
 	// latency rules. May be nil for a flat cluster.
 	Topo *topo.Topology
 }
 
 // DefaultConfig returns a GridExplorer-like cluster configuration:
-// Gigabit Ethernet, dual-Opteron-class processing budget.
+// Gigabit Ethernet.
 func DefaultConfig(t *topo.Topology) Config {
 	return Config{
-		AdminSubnet:    ip.MustParsePrefix("192.168.38.0/24"),
-		NIC:            netem.PipeConfig{Bandwidth: 1 * netem.Gbps, Delay: 50 * time.Microsecond},
-		CPUBytesPerSec: 1 << 30,
-		PerMessageCPU:  5 * time.Microsecond,
-		PerRuleCost:    netem.DefaultPerRuleCost,
-		Topo:           t,
+		AdminSubnet: ip.MustParsePrefix("192.168.38.0/24"),
+		NIC:         netem.PipeConfig{Bandwidth: 1 * netem.Gbps, Delay: 50 * time.Microsecond},
+		Topo:        t,
 	}
 }
+
+// A physical node's dual-Opteron-class processing budget.
+const (
+	// cpuBytesPerSec is the node's CPU throughput for message
+	// processing, in bytes/second of payload handled.
+	cpuBytesPerSec = 1 << 30
+	// perMessageCPU is the fixed processing cost per message traversal.
+	perMessageCPU = 5 * time.Microsecond
+)
 
 // PhysNode is one physical machine of the cluster.
 type PhysNode struct {
@@ -138,13 +130,9 @@ func NewCluster(k *sim.Kernel, n int, cfg Config) (*Cluster, error) {
 			admin:     cfg.AdminSubnet.Nth(uint32(i + 1)),
 			nicOut:    netem.NewPipe(k, name+"/nic-out", cfg.NIC),
 			nicIn:     netem.NewPipe(k, name+"/nic-in", cfg.NIC),
+			cpu:       netem.NewPipe(k, name+"/cpu", netem.PipeConfig{Bandwidth: cpuBytesPerSec * 8}),
 			rules:     netem.NewRuleSet(),
 			groupSeen: make(map[[2]string]bool),
-		}
-		pn.rules.PerRuleCost = cfg.PerRuleCost
-		pn.rules.SetClassifier(cfg.Classifier)
-		if cfg.CPUBytesPerSec > 0 {
-			pn.cpu = netem.NewPipe(k, name+"/cpu", netem.PipeConfig{Bandwidth: cfg.CPUBytesPerSec * 8})
 		}
 		c.nodes = append(c.nodes, pn)
 	}
@@ -293,7 +281,7 @@ func (c *Cluster) Route(src, dst ip.Addr, size int) vnet.Route {
 			r.Drop = true
 			return r
 		}
-		r.Cost += c.cfg.PerMessageCPU
+		r.Cost += perMessageCPU
 	}
 	if dp != nil {
 		v := dp.rules.Eval(src, dst)
@@ -302,7 +290,7 @@ func (c *Cluster) Route(src, dst ip.Addr, size int) vnet.Route {
 			r.Drop = true
 			return r
 		}
-		r.Cost += c.cfg.PerMessageCPU
+		r.Cost += perMessageCPU
 	}
 	if vp := c.vcpu[src]; vp != nil {
 		r.Pipes = append(r.Pipes, vp)
@@ -310,10 +298,10 @@ func (c *Cluster) Route(src, dst ip.Addr, size int) vnet.Route {
 	if sp != nil && dp != nil && sp != dp {
 		r.Pipes = append(r.Pipes, sp.nicOut)
 	}
-	if sp != nil && sp.cpu != nil {
+	if sp != nil {
 		r.Pipes = append(r.Pipes, sp.cpu)
 	}
-	if dp != nil && dp.cpu != nil && dp != sp {
+	if dp != nil && dp != sp {
 		r.Pipes = append(r.Pipes, dp.cpu)
 	}
 	if sp != nil && dp != nil && sp != dp {

@@ -197,7 +197,7 @@ func TestRouteChargesRuleCost(t *testing.T) {
 	// 100 rules on the table; egress + ingress scans visit all of them.
 	r := cl.Route(hs[0].Addr(), hs[1].Addr(), 100)
 	wantRules := time.Duration(200) * netem.DefaultPerRuleCost
-	wantCPU := 2 * DefaultConfig(nil).PerMessageCPU
+	wantCPU := 2 * perMessageCPU
 	if r.Cost != wantRules+wantCPU {
 		t.Fatalf("cost = %v, want %v", r.Cost, wantRules+wantCPU)
 	}

@@ -26,8 +26,8 @@ func TestFlowModelEndToEnd(t *testing.T) {
 	log := trace.New(0)
 	net.SetTrace(log)
 
-	if _, ok := net.LinkModel().(interface{ SetTrace(*trace.Log) }); !ok {
-		t.Fatal("flow model does not accept a tracer")
+	if _, ok := net.FlowStats(); !ok {
+		t.Fatal("flow-model network runs no flow engine")
 	}
 
 	server, err := net.AddHost(ip.MustParseAddr("10.0.0.1"),
@@ -120,8 +120,8 @@ func TestFlowModelEndToEnd(t *testing.T) {
 	if _, ok := vnet.NewNetwork(k, nil, vnet.DefaultConfig()).FlowStats(); ok {
 		t.Error("pipe-model network reports FlowStats")
 	}
-	if hosts[0].LinkModel() != net.LinkModel() {
-		t.Error("host does not expose the network's link model")
+	if hs, _ := hosts[0].Network().FlowStats(); hs != stats {
+		t.Errorf("host's network reports flow stats %+v, want %+v", hs, stats)
 	}
 }
 

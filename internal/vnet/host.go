@@ -42,10 +42,6 @@ func (h *Host) Network() *Network { return h.net }
 // UpPipe exposes the uplink's access pipe for inspection.
 func (h *Host) UpPipe() *netem.Pipe { return h.up }
 
-// LinkModel returns the link model carrying this host's traffic — the
-// network-wide model chosen by Config.Model.
-func (h *Host) LinkModel() netem.LinkModel { return h.net.model }
-
 // Meter returns the host's syscall meter (counts and accumulated cost).
 func (h *Host) Meter() *SyscallMeter { return &h.meter }
 

@@ -80,14 +80,6 @@ type Config struct {
 	SyscallCosts SyscallCosts
 	// HandshakeTimeout bounds Dial.
 	HandshakeTimeout time.Duration
-	// RTO is the retransmission timeout for reliable (conn) messages
-	// dropped by lossy pipes.
-	RTO time.Duration
-	// MaxRetransmits bounds retransmission attempts per message.
-	MaxRetransmits int
-	// HeaderBytes is the per-message wire overhead added to payload
-	// sizes (TCP/IP header equivalent).
-	HeaderBytes int
 	// Model selects the link-emulation model for every message path:
 	// netem.ModelPipe (the zero value, Dummynet-style per-pipe
 	// charging) or netem.ModelFlow (max-min fair bandwidth sharing
@@ -125,11 +117,19 @@ func DefaultConfig() Config {
 	return Config{
 		SyscallCosts:     DefaultSyscallCosts(),
 		HandshakeTimeout: 30 * time.Second,
-		RTO:              200 * time.Millisecond,
-		MaxRetransmits:   8,
-		HeaderBytes:      40,
 	}
 }
+
+const (
+	// rto is the first retransmission timeout of a reliable (conn)
+	// message dropped on its path; each retry doubles it.
+	rto = 200 * time.Millisecond
+	// MaxRetransmits bounds retransmission attempts per message.
+	MaxRetransmits = 8
+	// HeaderBytes is the per-message wire overhead added to payload
+	// sizes (TCP/IP header equivalent).
+	HeaderBytes = 40
+)
 
 // Network is the virtual internet: a registry of hosts plus the fabric
 // connecting them.
@@ -137,7 +137,7 @@ type Network struct {
 	k      *sim.Kernel
 	fabric Fabric
 	cfg    Config
-	model  netem.LinkModel
+	flow   *flow.Model // nil under the pipe model
 	hosts  map[ip.Addr]*Host
 	order  []*Host // deterministic iteration
 	nextID uint64  // connection ids
@@ -148,10 +148,6 @@ type Network struct {
 	stats  NetworkStats
 	tracer *trace.Log
 
-	// pipeWalk is set when model is the store-and-forward pipe model:
-	// xfer.attempt then walks the hops inline (xfer.step) instead of
-	// calling model.Transfer.
-	pipeWalk bool
 	freeXfer *xfer
 }
 
@@ -248,12 +244,11 @@ func (n *Network) resetConn(src *Host, m message) {
 }
 
 // reconfigurePipe applies a runtime configuration change to one pipe
-// and notifies the link model when it keeps per-pipe state of its own
-// (the flow model re-solves the affected component). A no-op change —
-// the new configuration equals the current one — is invisible: no
-// cursor touch, no model notification, no trace record. That identity
-// is load-bearing: the reconfiguration property tests require an
-// identical-config reconfigure to be trace-identical to none.
+// and, under the flow model, re-solves the affected component. A no-op
+// change — the new configuration equals the current one — is
+// invisible: no cursor touch, no model notification, no trace record.
+// That identity is load-bearing: the reconfiguration property tests
+// require an identical-config reconfigure to be trace-identical to none.
 func (n *Network) reconfigurePipe(p *netem.Pipe, cfg netem.PipeConfig) {
 	old := p.Config()
 	if cfg == old {
@@ -264,16 +259,16 @@ func (n *Network) reconfigurePipe(p *netem.Pipe, cfg netem.PipeConfig) {
 			"bw %d->%d delay %v->%v loss %g->%g", old.Bandwidth, cfg.Bandwidth,
 			old.Delay, cfg.Delay, old.Loss, cfg.Loss)
 	}
-	// A batching model drains its coalesced churn before the config
+	if n.flow == nil {
+		p.Reconfigure(cfg)
+		return
+	}
+	// A batching engine drains its coalesced churn before the config
 	// changes, so the batch settles under the configuration it happened
 	// under and the re-solve below observes settled rates.
-	if fm, ok := n.model.(netem.FlushableModel); ok {
-		fm.FlushBatch()
-	}
+	n.flow.FlushBatch()
 	p.Reconfigure(cfg)
-	if rm, ok := n.model.(netem.ReconfigurableModel); ok {
-		rm.PipeReconfigured(p)
-	}
+	n.flow.PipeReconfigured(p)
 }
 
 // SetLinkClass re-rates a host's access link to a new class at the
@@ -320,8 +315,8 @@ func (n *Network) SetLinkUp(h *Host, up bool) {
 // Tracing large swarms is expensive; prefer a bounded log.
 func (n *Network) SetTrace(l *trace.Log) {
 	n.tracer = l
-	if t, ok := n.model.(interface{ SetTrace(*trace.Log) }); ok {
-		t.SetTrace(l)
+	if n.flow != nil {
+		n.flow.SetTrace(l)
 	}
 }
 
@@ -340,21 +335,15 @@ type NetworkStats struct {
 
 // NewNetwork creates a network on kernel k. fabric may be nil.
 func NewNetwork(k *sim.Kernel, fabric Fabric, cfg Config) *Network {
-	var model netem.LinkModel
-	switch cfg.Model {
-	case netem.ModelFlow:
-		model = flow.NewWithConfig(k, flow.Config{Window: cfg.FlowWindow})
-	default:
-		model = netem.NewPipeModel(k)
-	}
 	n := &Network{
 		k:      k,
 		fabric: fabric,
 		cfg:    cfg,
-		model:  model,
 		hosts:  make(map[ip.Addr]*Host),
 	}
-	_, n.pipeWalk = model.(*netem.PipeModel)
+	if cfg.Model == netem.ModelFlow {
+		n.flow = flow.NewWithConfig(k, flow.Config{Window: cfg.FlowWindow})
+	}
 	n.initObs()
 	return n
 }
@@ -364,17 +353,13 @@ func NewNetwork(k *sim.Kernel, fabric Fabric, cfg Config) *Network {
 // own instruments.
 func (n *Network) Obs() *obs.Registry { return n.cfg.Obs }
 
-// LinkModel returns the network's link model; a flow-model network
-// returns the *flow.Model, whose Stats expose sharing activity.
-func (n *Network) LinkModel() netem.LinkModel { return n.model }
-
 // FlowStats returns the flow engine's counters and true when the
 // network runs the flow model, or a zero value and false otherwise.
 func (n *Network) FlowStats() (flow.Stats, bool) {
-	if fm, ok := n.model.(*flow.Model); ok {
-		return fm.Stats(), true
+	if n.flow == nil {
+		return flow.Stats{}, false
 	}
-	return flow.Stats{}, false
+	return n.flow.Stats(), true
 }
 
 // Rules returns the network firewall table, or nil when the network
@@ -471,7 +456,7 @@ type message struct {
 	echoID   uint64
 }
 
-func (m *message) wireSize(cfg *Config) int { return m.size + cfg.HeaderBytes }
+func (m *message) wireSize() int { return m.size + HeaderBytes }
 
 // transmit schedules a message from src through every pipe on the path
 // and delivers it at the destination host. reliable messages are
@@ -490,20 +475,20 @@ func (n *Network) transmit(src *Host, m message, reliable bool) bool {
 	}
 	var route Route
 	if n.fabric != nil {
-		route = n.fabric.Route(m.src.Addr, m.dst.Addr, m.wireSize(&n.cfg))
+		route = n.fabric.Route(m.src.Addr, m.dst.Addr, m.wireSize())
 	}
 	if route.Drop {
 		n.stats.MessagesDropped++
 		return false
 	}
 	if n.tracer != nil {
-		n.tracer.NetSend(n.k.Now(), m.src.Addr, m.wireSize(&n.cfg), m.dst, int(m.kind))
+		n.tracer.NetSend(n.k.Now(), m.src.Addr, m.wireSize(), m.dst, int(m.kind))
 	}
 	x := n.acquireXfer()
 	x.src, x.dst, x.m, x.route = src, dst, m, route
 	x.reliable, x.tries = reliable, 0
 	x.start = n.k.LoopNow().Add(route.Cost)
-	x.size = m.wireSize(&n.cfg)
+	x.size = m.wireSize()
 	x.attempt()
 	return true
 }
@@ -615,12 +600,12 @@ func (x *xfer) attempt() {
 	x.path = append(x.path, x.route.Pipes...)
 	x.path = append(x.path, ruled...)
 	x.path = append(x.path, x.dst.down)
-	if n.pipeWalk {
-		x.hop, x.t = 0, x.start
-		x.step()
+	if n.flow != nil {
+		n.flow.Transfer(x.start, x.size, x.path, n.k.Rand(), x.doneFn)
 		return
 	}
-	n.model.Transfer(x.start, x.size, x.path, n.k.Rand(), x.doneFn)
+	x.hop, x.t = 0, x.start
+	x.step()
 }
 
 // step is the pipe model's walk: it charges pipes from x.hop onward,
@@ -628,8 +613,8 @@ func (x *xfer) attempt() {
 // at each constrained pipe's exit instant — the pooled twin of
 // netem.PipeModel.Transfer's hop recursion (the reference walk;
 // TestPipeWalkMatchesPipeModel pins the two together), kept here because
-// a pooled walker behind LinkModel costs a second pooled object per
-// parked hop (DESIGN.md decision 5).
+// a pooled walker inside netem costs a second pooled object per parked
+// hop (DESIGN.md decision 5).
 //
 //p2p:token
 func (x *xfer) step() {
@@ -654,8 +639,9 @@ func (x *xfer) step() {
 	}
 }
 
-// done is the link model's completion callback (netem.LinkModel.Transfer):
-// the message left the last pipe at exit, or the attempt was dropped.
+// done is the completion callback of the pipe walk and of
+// flow.Model.Transfer: the message left the last pipe at exit, or the
+// attempt was dropped.
 //
 //p2p:token
 func (x *xfer) done(exit sim.Time, ok bool) {
@@ -699,9 +685,9 @@ func (x *xfer) retry() {
 //p2p:token
 func (x *xfer) failed() {
 	n := x.n
-	if x.reliable && x.tries < n.cfg.MaxRetransmits {
+	if x.reliable && x.tries < MaxRetransmits {
 		n.stats.Retransmits++
-		n.k.Schedule(x.start.Add(n.cfg.RTO*(1<<uint(x.tries))), x.retryFn)
+		n.k.Schedule(x.start.Add(rto*(1<<uint(x.tries))), x.retryFn)
 		return
 	}
 	n.stats.MessagesDropped++

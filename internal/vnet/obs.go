@@ -1,9 +1,6 @@
 package vnet
 
-import (
-	"repro/internal/flow"
-	"repro/internal/netem"
-)
+import "repro/internal/netem"
 
 // initObs registers the network's instruments on cfg.Obs: pull-style
 // collectors for state that subsystems already keep — NetworkStats,
@@ -106,7 +103,7 @@ func (n *Network) initObs() {
 	})
 
 	// Flow-solver counters, present only under the flow model.
-	if fm, ok := n.model.(*flow.Model); ok {
+	if fm := n.flow; fm != nil {
 		reg.CounterFunc("p2plab_flow_solves_total", "Component re-solves of the max-min fair share.", func() uint64 {
 			return fm.Stats().Solves
 		})

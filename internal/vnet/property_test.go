@@ -110,7 +110,7 @@ func TestDeliveryNeverBeforePhysicalMinimumProperty(t *testing.T) {
 		if recvAt == 0 {
 			return false
 		}
-		wire := size + n.Config().HeaderBytes
+		wire := size + HeaderBytes
 		minTransit := time.Duration(float64(wire*8)/float64(bw)*float64(time.Second)) + 2*latency
 		return recvAt.Sub(sentAt) >= minTransit
 	}

@@ -257,7 +257,7 @@ func runPolicy(t *testing.T, sc policyScenario, kind netem.ModelKind, window tim
 // under ModelFlow, which no test did while the flow model had its own
 // copy of the policy.
 func TestTransmitPolicyAcrossModels(t *testing.T) {
-	maxRetx := uint64(vnet.DefaultConfig().MaxRetransmits)
+	maxRetx := uint64(vnet.MaxRetransmits)
 	sideA, sideB := []ip.Addr{policyA}, []ip.Addr{policyB}
 	gaveUp := func(t *testing.T, r policyResult, dropped uint64) {
 		t.Helper()
@@ -659,7 +659,7 @@ func (wc walkCase) viaPipeModel(t *testing.T, seed int64) walkOutcome {
 		paths = append(paths, append(append(path, fabric...), down))
 	}
 	out := walkOutcome{}
-	header := vnet.DefaultConfig().HeaderBytes
+	header := vnet.HeaderBytes
 	for _, s := range wc.sends {
 		wire, path := s.size+header, paths[s.sender]
 		k.At(sim.Time(s.at), func() {
