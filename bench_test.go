@@ -22,7 +22,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // BenchmarkFig1SchedulerScaling runs the Fig 1 workload (1000
@@ -250,20 +249,6 @@ func BenchmarkFig11Completions(b *testing.B) {
 	}
 }
 
-// BenchmarkDHTScaling runs the Chord scaling experiment (extension E1)
-// on a 32-node ring.
-func BenchmarkDHTScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := exp.DHTScaling([]int{32}, 100, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if points[0].AvgHops <= 0 {
-			b.Fatal("no hops measured")
-		}
-	}
-}
-
 // BenchmarkChurnSwarm runs the churn experiment (extension E3): 12 DSL
 // clients, half of them churning, pull 1 MiB from 2 seeders.
 func BenchmarkChurnSwarm(b *testing.B) {
@@ -285,20 +270,6 @@ func BenchmarkChurnSwarm(b *testing.B) {
 		}
 		if res.Snapshot.Values["stable-done"] == 0 {
 			b.Fatal("no completions")
-		}
-	}
-}
-
-// BenchmarkGossipSpread runs the epidemic dissemination experiment
-// (extension E6) on a 64-node population.
-func BenchmarkGossipSpread(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pt, err := exp.GossipSpread(64, 3, topo.LAN, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if pt.Coverage < 1 {
-			b.Fatal("incomplete coverage")
 		}
 	}
 }

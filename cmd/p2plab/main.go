@@ -17,12 +17,14 @@
 //	p2plab run -spec my-scenario.json -trace 40
 //	p2plab serve -addr 127.0.0.1:8080  # HTTP experiment service
 //
-// Figure ids: 1, 2, 3, bind, 6, 6x (indexed ablation), 7, 8, 9, 10, 11.
+// Figure ids: 1, 2, 3, bind, 6, 6x (indexed ablation), 7, 8, 9, 10, 11,
+// dht, churn, gossip.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +34,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/scenario"
+	"repro/internal/sched"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -85,6 +89,9 @@ func main() {
 		ids = []string{"1", "2", "3", "bind", "6", "6x", "7", "8", "9", "10", "11", "dht", "churn", "gossip"}
 	}
 	if err := validateFirewallFlags(ids, *rules, classifier); err != nil {
+		fatal(err)
+	}
+	if err := validateSeed(ids, *seed); err != nil {
 		fatal(err)
 	}
 	f := figures{out: *out, scale: *scale, seed: *seed, model: model, rules: *rules, classifier: classifier}
@@ -146,6 +153,53 @@ func validateFirewallFlags(ids []string, rules int, classifier netem.Classifier)
 	}
 	return nil
 }
+
+// validateSeed rejects -seed 0 before any figure runs when the set
+// holds a figure whose runs compile to a scenario spec: a spec reads
+// seed 0 as seed 1, so Figs 8–11 would silently be seed 1's and the
+// grid-backed figures would fail after every figure before them had
+// run. The scheduler and kernel-seeded figures take 0 as given.
+func validateSeed(ids []string, seed int64) error {
+	if seed != 0 {
+		return nil
+	}
+	for _, id := range ids {
+		switch id {
+		case "8", "9", "10", "11", "dht", "churn", "gossip":
+			return fmt.Errorf("figure %s needs a nonzero -seed (a scenario spec reads seed 0 as seed 1)", id)
+		}
+	}
+	return nil
+}
+
+// sweep runs a figure's grid and returns its cells in grid order; a
+// failed cell is the figure's error.
+func sweep(g exp.Grid) ([]exp.CellResult, error) {
+	res, err := exp.RunSweep(g, 0)
+	if err == nil && res.Failed > 0 {
+		err = res.Errs()[0]
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res.Cells, nil
+}
+
+// curve plots one snapshot value of each cell against the figure's
+// x-axis, xs[i] being cell i's.
+func curve(name string, xs []int, cells []exp.CellResult, y func(*metrics.Snapshot) float64) *metrics.Series {
+	s := &metrics.Series{Name: name}
+	for i, c := range cells {
+		s.Add(float64(xs[i]), y(c.Snapshot))
+	}
+	return s
+}
+
+// millis and seconds turn a snapshot's float back into the whole-
+// nanosecond duration it was computed from.
+func millis(ms float64) time.Duration { return time.Duration(math.Round(ms * 1e6)) }
+
+func seconds(s float64) time.Duration { return time.Duration(math.Round(s * 1e9)) }
 
 // seriesNames extracts curve titles for plot scripts.
 func seriesNames(series []*metrics.Series) []string {
@@ -227,7 +281,16 @@ func (f *figures) runSwarm(sp scenario.Spec) (*scenario.Result, error) {
 func (f *figures) run(id string) error {
 	switch id {
 	case "1":
-		series := exp.Fig1(nil, f.seed)
+		cells, err := sweep(exp.Grid{Experiment: exp.ExpSched, Peers: exp.Fig1Counts, Seeds: []int64{f.seed}})
+		if err != nil {
+			return err
+		}
+		var series []*metrics.Series
+		for _, kind := range sched.Kinds {
+			series = append(series, curve(kind.String(), exp.Fig1Counts, cells, func(s *metrics.Snapshot) float64 {
+				return s.Values["exec-avg-s/"+kind.String()]
+			}))
+		}
 		if err := writePlot(f.out, "1", "fig1.dat",
 			"Average per-process execution time (CPU-bound)",
 			"number of concurrent processes", "seconds",
@@ -371,24 +434,32 @@ func (f *figures) run(id string) error {
 		}
 		return writeDat(f.out, "fig"+vid+".dat", exp.CompletionSeries(res.Completions))
 	case "dht":
-		points, err := exp.DHTScaling(nil, 200, f.seed)
+		// E1: Chord's O(log N) routing — hops against ring size on LAN
+		// links.
+		sizes := []int{8, 16, 32, 64, 128}
+		scaling, err := sweep(exp.Grid{Experiment: exp.ExpDHT, Peers: sizes,
+			Classes: []topo.LinkClass{topo.LAN}, Seeds: []int64{f.seed}, Lookups: 200})
 		if err != nil {
 			return err
 		}
-		for _, pt := range points {
+		for _, c := range scaling {
 			fmt.Printf("   %4d nodes: %.2f avg hops, %v avg latency\n",
-				pt.Nodes, pt.AvgHops, pt.AvgLatency)
+				c.Cell.Peers, c.Snapshot.Values["avg-hops"], millis(c.Snapshot.Values["avg-latency-ms"]))
 		}
-		byClass, err := exp.DHTLocality(f.seed)
+		// E2: the same 32-node ring on each access link — the edge link,
+		// not the overlay, sets the latency.
+		locality, err := sweep(exp.Grid{Experiment: exp.ExpDHT, Peers: []int{32},
+			Classes: []topo.LinkClass{topo.LAN, topo.Campus, topo.DSL, topo.Modem}, Seeds: []int64{f.seed}, Lookups: 200})
 		if err != nil {
 			return err
 		}
-		for _, name := range []string{"lan", "campus", "dsl", "modem"} {
-			pt := byClass[name]
+		for _, c := range locality {
 			fmt.Printf("   32 nodes on %-7s %.2f hops, %v avg latency\n",
-				name, pt.AvgHops, pt.AvgLatency)
+				c.Cell.Class.Name, c.Snapshot.Values["avg-hops"], millis(c.Snapshot.Values["avg-latency-ms"]))
 		}
-		return writeDat(f.out, "dht.dat", exp.DHTScalingSeries(points))
+		return writeDat(f.out, "dht.dat", curve("avg-lookup-hops", sizes, scaling, func(s *metrics.Snapshot) float64 {
+			return s.Values["avg-hops"]
+		}))
 	case "churn":
 		// E3: 24 DSL clients, half of them churning, pull 4 MiB — one
 		// cell of the churn sweep family.
@@ -397,15 +468,11 @@ func (f *figures) run(id string) error {
 		if f.rules > 0 {
 			g.Rules, g.Classifiers = []int{f.rules}, []netem.Classifier{f.classifier}
 		}
-		cells, err := g.Cells()
+		cells, err := sweep(g)
 		if err != nil {
 			return err
 		}
-		c := cells[0]
-		snap, err := exp.RunCell(c)
-		if err != nil {
-			return err
-		}
+		c, snap := cells[0].Cell, cells[0].Snapshot
 		churners := int(float64(c.Peers) * c.Churn)
 		stableDone, churnDone := snap.Values["stable-done"], snap.Values["churn-done"]
 		arrivals, departures := snap.Counters["arrivals"], snap.Counters["departures"]
@@ -416,14 +483,25 @@ func (f *figures) run(id string) error {
 			[]byte(fmt.Sprintf("stable %.0f/%d\nchurners %.0f/%d\narrivals %d\ndepartures %d\n",
 				stableDone, c.Peers-churners, churnDone, churners, arrivals, departures)), 0o644)
 	case "gossip":
-		points, err := exp.GossipFanoutSweep(64, nil, f.seed)
-		if err != nil {
-			return err
+		// E6: dissemination time against fanout on 64 LAN nodes. Fanout
+		// is a grid-wide constant, so each value is a one-cell grid.
+		fanouts := []int{1, 2, 3, 5, 8}
+		var cells []exp.CellResult
+		for _, fanout := range fanouts {
+			one, err := sweep(exp.Grid{Experiment: exp.ExpGossip, Peers: []int{64},
+				Classes: []topo.LinkClass{topo.LAN}, Seeds: []int64{f.seed}, Fanout: fanout})
+			if err != nil {
+				return err
+			}
+			c, s := one[0], one[0].Snapshot
+			fmt.Printf("   n=%d fanout=%d coverage=%.0f%% t50=%v t100=%v pushes=%d\n",
+				c.Cell.Peers, fanout, 100*s.Values["coverage"], seconds(s.Values["t50-s"]),
+				seconds(s.Values["t100-s"]), s.Counters["pushes"])
+			cells = append(cells, c)
 		}
-		for _, pt := range points {
-			fmt.Printf("   %v\n", pt)
-		}
-		return writeDat(f.out, "gossip.dat", exp.GossipSweepSeries(points)...)
+		return writeDat(f.out, "gossip.dat",
+			curve("time-to-full-coverage-s", fanouts, cells, func(s *metrics.Snapshot) float64 { return s.Values["t100-s"] }),
+			curve("push-messages", fanouts, cells, func(s *metrics.Snapshot) float64 { return float64(s.Counters["pushes"]) }))
 	default:
 		return fmt.Errorf("unknown figure id %q", id)
 	}

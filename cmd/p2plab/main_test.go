@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,6 +90,88 @@ func TestValidateFirewallFlags(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("validateFirewallFlags(%v, %d, %v) = %v, want ok=%v",
 				tc.ids, tc.rules, tc.classifier, err, tc.ok)
+		}
+	}
+}
+
+func TestValidateSeed(t *testing.T) {
+	cases := []struct {
+		ids  []string
+		seed int64
+		ok   bool
+	}{
+		{[]string{"1", "2", "3", "bind", "6", "6x", "7"}, 0, true}, // sched- and kernel-seeded
+		{[]string{"8"}, 0, false},                                  // used to run seed 1 silently
+		{[]string{"1", "dht"}, 0, false},                           // used to fail after writing Fig 1
+		{[]string{"9"}, 0, false},
+		{[]string{"10", "11"}, 0, false},
+		{[]string{"churn"}, 0, false},
+		{[]string{"gossip"}, 0, false},
+		{[]string{"8", "dht", "churn", "gossip"}, 1, true},
+		{[]string{"8", "dht", "churn", "gossip"}, -3, true},
+	}
+	for _, tc := range cases {
+		err := validateSeed(tc.ids, tc.seed)
+		if (err == nil) != tc.ok {
+			t.Errorf("validateSeed(%v, %d) = %v, want ok=%v", tc.ids, tc.seed, err, tc.ok)
+		}
+	}
+}
+
+// figureSummary is what the figures of TestFigureFilesMatchParent print
+// at seed 1. The latencies and times are snapshot floats rounded back
+// to whole nanoseconds; truncating instead moves 14.991329ms.
+const figureSummary = `      8 nodes: 1.54 avg hops, 12.345799ms avg latency
+     16 nodes: 1.87 avg hops, 14.991329ms avg latency
+     32 nodes: 2.56 avg hops, 20.562968ms avg latency
+     64 nodes: 2.94 avg hops, 23.56925ms avg latency
+    128 nodes: 3.46 avg hops, 27.778045ms avg latency
+   32 nodes on lan     2.56 hops, 20.562968ms avg latency
+   32 nodes on campus  2.55 hops, 103.312711ms avg latency
+   32 nodes on dsl     2.79 hops, 733.626694ms avg latency
+   32 nodes on modem   2.71 hops, 2.670818823s avg latency
+   n=64 fanout=1 coverage=100% t50=7.25s t100=11.25s pushes=160
+   n=64 fanout=2 coverage=100% t50=4.25s t100=6.25s pushes=242
+   n=64 fanout=3 coverage=100% t50=3.25s t100=5.25s pushes=360
+   n=64 fanout=5 coverage=100% t50=3.25s t100=4.25s pushes=488
+   n=64 fanout=8 coverage=100% t50=2.25s t100=3.25s pushes=457
+   stable clients: 12/12 done; churners: 12/12 done; 34 arrivals, 23 departures
+`
+
+// TestFigureFilesMatchParent pins the grid-backed figures to the files
+// and summary their per-family drivers wrote before the figures read
+// sweep cells (commit f6a225f): the snapshot holds the floats the
+// drivers copied, so not a byte may move.
+func TestFigureFilesMatchParent(t *testing.T) {
+	f := figures{out: t.TempDir(), scale: 1, seed: 1, model: netem.ModelPipe, classifier: netem.ClassifierLinear}
+	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(saved *os.File) { os.Stdout = saved }(os.Stdout)
+	os.Stdout = stdout
+	for _, id := range []string{"1", "dht", "gossip", "churn"} {
+		if err := f.run(id); err != nil {
+			t.Fatalf("figure %s: %v", id, err)
+		}
+	}
+	stdout.Close()
+	if printed, err := os.ReadFile(stdout.Name()); err != nil || string(printed) != figureSummary {
+		t.Errorf("summary moved (%v):\n%s\nwant:\n%s", err, printed, figureSummary)
+	}
+	for name, want := range map[string]string{
+		"fig1.dat":   "4ff52655304c1fbb0eaae50ab6faea3aa3e79998cefb2c92c7e89c16c62d5800",
+		"fig1.gp":    "9bf18ccb995a54c2eeef010d01ce62807d42bdcef9733f97ca2fca20e423877e",
+		"dht.dat":    "965b31478b3ba5a7251f5eeb1b8f89dd64db9008be02728aece4ea852db7e432",
+		"gossip.dat": "761f07dc2143b5a44a624d2b94750c28ea69e5e70ef19a427846689b74940456",
+		"churn.txt":  "01b8e809b2864f2b3bf29106adefb3bf7248557825a77f67730e4917d843faed",
+	} {
+		data, err := os.ReadFile(filepath.Join(f.out, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s moved: sha256 %s, want %s\n%s", name, got, want, data)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,24 +10,36 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
+// TestFig1FlatBand runs Fig 1 as `p2plab -fig 1` does: a sched grid
+// over the process counts, one curve per scheduler read from the cells.
 func TestFig1FlatBand(t *testing.T) {
-	series := Fig1([]int{1, 100, 1000}, 1)
-	if len(series) != 3 {
-		t.Fatalf("series = %d, want 3 schedulers", len(series))
+	snaps := sweepSnapshots(t, Grid{Experiment: ExpSched, Peers: []int{1, 100, 1000}, Seeds: []int64{1}})
+	if len(sched.Kinds) != 3 {
+		t.Fatalf("schedulers = %d, want 3", len(sched.Kinds))
 	}
-	for _, s := range series {
-		if s.Len() != 3 {
-			t.Fatalf("%s: %d points", s.Name, s.Len())
+	if len(snaps) != 3 {
+		t.Fatalf("cells = %d, want 3", len(snaps))
+	}
+	for _, kind := range sched.Kinds {
+		key := "exec-avg-s/" + kind.String()
+		var ys []float64
+		for _, s := range snaps {
+			y, ok := s.Values[key]
+			if !ok {
+				t.Fatalf("cell carries no %s: %v", key, s.Values)
+			}
+			ys = append(ys, y)
 		}
-		if s.MinY() < 1.64 || s.MaxY() > 1.70 {
-			t.Errorf("%s: outside the paper's band: [%v, %v]", s.Name, s.MinY(), s.MaxY())
+		if slices.Min(ys) < 1.64 || slices.Max(ys) > 1.70 {
+			t.Errorf("%s: outside the paper's band: [%v, %v]", kind, slices.Min(ys), slices.Max(ys))
 		}
-		if s.Points[0].Y < s.Points[2].Y {
-			t.Errorf("%s: per-process time should not increase with N", s.Name)
+		if ys[0] < ys[2] {
+			t.Errorf("%s: per-process time should not increase with N", kind)
 		}
 	}
 }

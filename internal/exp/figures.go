@@ -14,28 +14,10 @@ import (
 	"repro/internal/vnet"
 )
 
-// Fig1Counts is the paper's x-axis sample for Fig 1 (1..1000 processes).
+// Fig1Counts is the paper's x-axis sample for Fig 1 (1..1000 processes):
+// the peers axis of the sched grid whose cells' exec-avg-s/<scheduler>
+// values are the figure's curves.
 var Fig1Counts = []int{1, 50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000}
-
-// Fig1 measures average per-process execution time for CPU-bound,
-// non-memory-intensive processes under each scheduler.
-func Fig1(counts []int, seed int64) []*metrics.Series {
-	if counts == nil {
-		counts = Fig1Counts
-	}
-	var out []*metrics.Series
-	for _, kind := range sched.Kinds {
-		s := &metrics.Series{Name: kind.String()}
-		for _, n := range counts {
-			cfg := sched.DefaultConfig(kind)
-			cfg.Seed = seed
-			res := sched.Run(cfg, sched.CPUBoundJobs(n))
-			s.Add(float64(n), res.AvgExecTime().Seconds())
-		}
-		out = append(out, s)
-	}
-	return out
-}
 
 // Fig2Counts is the paper's x-axis for Fig 2 (5..50 memory-intensive
 // processes).

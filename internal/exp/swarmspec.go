@@ -1,14 +1,15 @@
-// Package exp contains one driver per table and figure of the paper's
-// evaluation. Each driver returns typed series ready for rendering
-// (metrics.WriteDat) and for assertions in tests and benchmarks. The
-// scheduler, ping and topology figures (1–3, 6, 7) build their
-// experiment from the substrate packages; the swarm figures (8–11),
-// the extension experiments and the sweep engine build nothing
-// themselves: each is a scenario.Spec (Fig8Spec, Fig10Spec, Cell.Spec)
-// run through scenario.Run.
+// Package exp holds the paper's figures and the sweep engine. The
+// figures whose workloads are not sweep vocabulary (2, 3, 6, 7 and the
+// bind microbenchmark) are drivers that return typed series or results
+// ready for rendering (metrics.WriteDat) and for assertions. The swarm
+// figures (8–11) are scenario specs (Fig8Spec, Fig10Spec). Fig 1 and
+// the extension experiments (Chord scaling and locality, gossip
+// dissemination) are grids: RunSweep runs their cells, each a
+// Cell.Spec through scenario.Run (sched cells run sched.Run), and
+// `p2plab -fig` plots the cell snapshots.
 //
-// The index figure → driver lives in DESIGN.md; paper-vs-measured
-// numbers live in EXPERIMENTS.md.
+// The index figure → driver, with the benchmark behind each, is
+// DESIGN.md's "Figure / experiment → driver index".
 package exp
 
 import (

@@ -14,14 +14,16 @@ import (
 	"repro/internal/topo"
 )
 
-// The sweep engine turns every experiment in this package into a
-// grid-runnable scenario: a Grid is the cross product of parameter
-// axes (population × churn rate × access-link class × seed), each cell
-// runs as an independent deterministic sim.Kernel on a bounded worker
-// pool, and per-cell metrics.Snapshot results merge into an aggregate
-// table and CSV. Determinism is per-kernel (see repro/internal/sim), so
+// The sweep engine turns every experiment family into a grid-runnable
+// scenario: a Grid is the cross product of the axis table's twelve rows
+// (axes.go: population, churn, class, model, window, scenario, rules,
+// classifier, piece size, connection cap, rate, seed), each cell runs
+// as an independent deterministic sim.Kernel on a bounded worker pool,
+// and per-cell metrics.Snapshot results merge into an aggregate table
+// and CSV. Determinism is per-kernel (see repro/internal/sim), so
 // parallelism across cells cannot perturb any cell's result: the merged
-// output is identical for any worker count.
+// output is identical for any worker count. The dht, gossip and Fig 1
+// figures of `p2plab -fig` are such grids, plotted from the snapshots.
 
 // Experiment names a sweepable scenario family.
 type Experiment string
@@ -462,29 +464,14 @@ func (c Cell) Spec() (scenario.Spec, error) {
 	return sp, nil
 }
 
-// run executes the scenario the cell compiles to.
-func (c Cell) run() (*scenario.Result, error) {
-	sp, err := c.Spec()
-	if err != nil {
-		return nil, err
-	}
-	return scenario.Run(&sp, scenario.Options{})
-}
-
-// runOne runs the single cell of a one-point grid: how the figure
-// drivers (DHTRing, GossipSpread) say one experiment.
-func runOne(g Grid) (*scenario.Result, error) {
-	cells, err := g.Cells()
-	if err != nil {
-		return nil, err
-	}
-	return cells[0].run()
-}
-
 // runSpecCell runs the cell's scenario and copies its workload metrics
 // into the cell snapshot.
 func runSpecCell(c Cell, snap *metrics.Snapshot) error {
-	res, err := c.run()
+	sp, err := c.Spec()
+	if err != nil {
+		return err
+	}
+	res, err := scenario.Run(&sp, scenario.Options{})
 	if err != nil {
 		return err
 	}

@@ -8,8 +8,38 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/netem"
+	"repro/internal/scenario"
 	"repro/internal/topo"
 )
+
+// runOne runs the single cell of a one-point grid and returns the
+// scenario result behind its snapshot, for tests that read the typed
+// fields a snapshot flattens to floats.
+func runOne(g Grid) (*scenario.Result, error) {
+	cells, err := g.Cells()
+	if err != nil {
+		return nil, err
+	}
+	sp, err := cells[0].Spec()
+	if err != nil {
+		return nil, err
+	}
+	return scenario.Run(&sp, scenario.Options{})
+}
+
+// sweepSnapshots runs a grid the way a figure does and returns its
+// snapshots in grid order; any failed cell fails the test.
+func sweepSnapshots(t *testing.T, g Grid) []*metrics.Snapshot {
+	t.Helper()
+	res, err := RunSweep(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed > 0 {
+		t.Fatal(res.Errs())
+	}
+	return res.Snapshots()
+}
 
 // TestGridExpansion checks the cross product is exhaustive,
 // duplicate-free and in deterministic grid order.
