@@ -380,17 +380,19 @@ func (f *figures) run(id string) error {
 		if f.scale > 1 {
 			foldings = []int{1, 4, 8}
 		}
-		series, results, err := exp.Fig9(f.swarmSpec(exp.Fig8Spec()), foldings)
-		if err != nil {
-			return err
-		}
-		for i, res := range results {
-			fmt.Printf("   folding %d:\n", foldings[i])
+		base := f.swarmSpec(exp.Fig8Spec())
+		var ds []*metrics.Series
+		for _, folding := range foldings {
+			sp := base
+			sp.Folding = folding
+			res, err := scenario.Run(&sp, scenario.Options{})
+			if err != nil {
+				return err
+			}
+			fmt.Printf("   folding %d:\n", folding)
 			reportScenario(res)
-		}
-		ds := make([]*metrics.Series, len(series))
-		for i, s := range series {
-			ds[i] = metrics.Downsample(s, 400)
+			s := exp.TotalReceivedSeries(fmt.Sprintf("%d client(s) per physical node", folding), res.Progress)
+			ds = append(ds, metrics.Downsample(s, 400))
 		}
 		vid, note := figVariant("9", f.rules, f.classifier)
 		if err := writePlot(f.out, vid, "fig"+vid+".dat",

@@ -138,42 +138,95 @@ const figureSummary = `      8 nodes: 1.54 avg hops, 12.345799ms avg latency
    stable clients: 12/12 done; churners: 12/12 done; 34 arrivals, 23 departures
 `
 
+// captureStdout returns what fn prints.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(printed)
+}
+
+// checkSHA256 compares each named file under dir with its pinned hash.
+func checkSHA256(t *testing.T, dir string, want map[string]string) {
+	t.Helper()
+	for name, sum := range want {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != sum {
+			t.Errorf("%s moved: sha256 %s, want %s\n%s", name, got, sum, data)
+		}
+	}
+}
+
 // TestFigureFilesMatchParent pins the grid-backed figures to the files
 // and summary their per-family drivers wrote before the figures read
 // sweep cells (commit f6a225f): the snapshot holds the floats the
 // drivers copied, so not a byte may move.
 func TestFigureFilesMatchParent(t *testing.T) {
 	f := figures{out: t.TempDir(), scale: 1, seed: 1, model: netem.ModelPipe, classifier: netem.ClassifierLinear}
-	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func(saved *os.File) { os.Stdout = saved }(os.Stdout)
-	os.Stdout = stdout
-	for _, id := range []string{"1", "dht", "gossip", "churn"} {
-		if err := f.run(id); err != nil {
-			t.Fatalf("figure %s: %v", id, err)
+	printed := captureStdout(t, func() error {
+		for _, id := range []string{"1", "dht", "gossip", "churn"} {
+			if err := f.run(id); err != nil {
+				return fmt.Errorf("figure %s: %w", id, err)
+			}
 		}
+		return nil
+	})
+	if printed != figureSummary {
+		t.Errorf("summary moved:\n%s\nwant:\n%s", printed, figureSummary)
 	}
-	stdout.Close()
-	if printed, err := os.ReadFile(stdout.Name()); err != nil || string(printed) != figureSummary {
-		t.Errorf("summary moved (%v):\n%s\nwant:\n%s", err, printed, figureSummary)
-	}
-	for name, want := range map[string]string{
+	checkSHA256(t, f.out, map[string]string{
 		"fig1.dat":   "4ff52655304c1fbb0eaae50ab6faea3aa3e79998cefb2c92c7e89c16c62d5800",
 		"fig1.gp":    "9bf18ccb995a54c2eeef010d01ce62807d42bdcef9733f97ca2fca20e423877e",
 		"dht.dat":    "965b31478b3ba5a7251f5eeb1b8f89dd64db9008be02728aece4ea852db7e432",
 		"gossip.dat": "761f07dc2143b5a44a624d2b94750c28ea69e5e70ef19a427846689b74940456",
 		"churn.txt":  "01b8e809b2864f2b3bf29106adefb3bf7248557825a77f67730e4917d843faed",
-	} {
-		data, err := os.ReadFile(filepath.Join(f.out, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
-			t.Errorf("%s moved: sha256 %s, want %s\n%s", name, got, want, data)
-		}
+	})
+}
+
+// fig9Summary is what `-fig 9 -scale 20` prints at seed 1: one swarm
+// report per folding.
+const fig9Summary = `   folding 1:
+   swarm workload, pipe model, seed 1, ended at 1m36.486967636s
+   8/8 clients done, last stable completion at 96s
+   kernel: 18858 events; net: 2364 sent, 2302 delivered, 0 dropped, 0 retransmits
+   folding 4:
+   swarm workload, pipe model, seed 1, ended at 1m36.486595096s
+   8/8 clients done, last stable completion at 96s
+   kernel: 17253 events; net: 2364 sent, 2302 delivered, 0 dropped, 0 retransmits
+   folding 8:
+   swarm workload, pipe model, seed 1, ended at 1m36.485996062s
+   8/8 clients done, last stable completion at 96s
+   kernel: 15264 events; net: 2364 sent, 2302 delivered, 0 dropped, 0 retransmits
+`
+
+// TestFig9MatchesParent pins Fig 9 at 1/20 scale to the file and
+// summary exp.Fig9 produced before the figure became a folding loop over
+// scenario.Run (commit e4ac9ae).
+func TestFig9MatchesParent(t *testing.T) {
+	f := figures{out: t.TempDir(), scale: 20, seed: 1, model: netem.ModelPipe, classifier: netem.ClassifierLinear}
+	if printed := captureStdout(t, func() error { return f.run("9") }); printed != fig9Summary {
+		t.Errorf("summary moved:\n%s\nwant:\n%s", printed, fig9Summary)
 	}
+	checkSHA256(t, f.out, map[string]string{
+		"fig9.dat": "4d5cfe0dbb40458427c2bbabe647121443c5ef2d42b3cc73a3b0a68c1599f6c7",
+	})
 }
 
 func TestSweepRejectsBadFlags(t *testing.T) {
@@ -253,6 +306,18 @@ func TestRunCorpusByName(t *testing.T) {
 	}
 	if err := runMain([]string{"gossip-partition", "-spec", "x.json"}); err == nil {
 		t.Error("name and -spec together accepted")
+	}
+}
+
+// TestRunReportsSnapshot: a snapshot run says how many clients finished,
+// when the last one did and what the web seeds served.
+func TestRunReportsSnapshot(t *testing.T) {
+	printed := captureStdout(t, func() error {
+		return runMain([]string{"snapshot-cold-cdn-fill", "-out", t.TempDir()})
+	})
+	const want = "   5/5 clients done, last completion at 12.828306325s, web seeds served 41943040 bytes\n"
+	if !strings.Contains(printed, want) {
+		t.Errorf("run output lacks %q:\n%s", want, printed)
 	}
 }
 

@@ -132,6 +132,10 @@ func reportScenario(res *scenario.Result) {
 		if res.Arrivals > 0 {
 			fmt.Printf("   churn: %d arrivals, %d departures\n", res.Arrivals, res.Departures)
 		}
+	case scenario.WorkloadSnapshot:
+		fmt.Printf("   %d/%d clients done, last completion at %v, web seeds served %d bytes\n",
+			res.Done, res.Total, seconds(res.Snapshot.Values["last-completion-s"]),
+			res.Snapshot.Counters["webseed-bytes"])
 	case scenario.WorkloadDHT:
 		fmt.Printf("   %d/%d lookups ok, %.2f avg hops, %v avg latency\n",
 			res.Done, res.Total, res.AvgHops, res.AvgLatency)

@@ -9,25 +9,23 @@ import (
 	"log"
 	"time"
 
-	"repro"
 	"repro/internal/ip"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/vnet"
 )
 
 func main() {
-	lab, err := repro.NewLab(repro.LabConfig{
-		Seed:     1,
-		Topology: topo.Fig7(),
-		Folding:  197, // fold 2750 virtual nodes onto 14 machines
-	})
+	// Fold 2750 virtual nodes onto 14 machines.
+	a, err := scenario.Assemble(1, topo.Fig7(), vnet.DefaultConfig(), 197)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("topology: %d virtual nodes on %d physical nodes (folding %.0f)\n",
-		len(lab.Hosts), len(lab.Cluster.Nodes()), lab.Cluster.FoldingRatio())
+		len(a.Hosts), len(a.Cluster.Nodes()), a.Cluster.FoldingRatio())
 
-	src := lab.Net.Host(ip.MustParseAddr("10.1.3.207"))
+	src := a.Net.Host(ip.MustParseAddr("10.1.3.207"))
 	targets := []struct {
 		addr  string
 		label string
@@ -38,7 +36,7 @@ func main() {
 		{"10.3.0.9", "office, region 3 (+2×600ms)"},
 	}
 
-	lab.Go("pinger", func(p *sim.Proc) {
+	a.Kernel.Go("pinger", func(p *sim.Proc) {
 		for _, tgt := range targets {
 			rtt, ok := src.Ping(p, ip.MustParseAddr(tgt.addr), 56, 10*time.Second)
 			if !ok {
@@ -49,7 +47,7 @@ func main() {
 				tgt.addr, float64(rtt)/float64(time.Millisecond), tgt.label)
 		}
 	})
-	if err := lab.Run(); err != nil {
+	if err := a.Kernel.Run(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -2,8 +2,8 @@
 // crowd of N leechers (default 10000) joining an 8 MB sparse torrent
 // within seconds, bounded by a virtual-time horizon. It is the
 // "how many emulated peers fit on this hardware" measurement behind
-// BenchmarkSwarmScale, packaged as a driver so the number is easy to
-// reproduce outside the test binary:
+// internal/exp's BenchmarkSwarmScale, packaged as a driver so the
+// number is easy to reproduce outside the test binary:
 //
 //	go run ./examples/megaswarm              # 10k peers, 2 min horizon
 //	go run ./examples/megaswarm -peers 1000  # reduced run (CI smoke)

@@ -1,5 +1,5 @@
 // Quickstart: build a two-node DSL network, open a connection, send a
-// message and ping — the 20-line tour of the public API.
+// message and ping — the 20-line tour of the assembler's API.
 package main
 
 import (
@@ -7,20 +7,21 @@ import (
 	"log"
 	"time"
 
-	"repro"
 	"repro/internal/ip"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/vnet"
 )
 
 func main() {
-	lab, err := repro.NewLab(repro.LabConfig{Seed: 1, Nodes: 2, Class: topo.DSL})
+	a, err := scenario.Assemble(1, topo.Uniform(2, topo.DSL), vnet.DefaultConfig(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	alice, bob := lab.Host(0), lab.Host(1)
+	alice, bob := a.Hosts[0], a.Hosts[1]
 
-	lab.Go("bob", func(p *sim.Proc) {
+	a.Kernel.Go("bob", func(p *sim.Proc) {
 		l, err := bob.Listen(p, 80)
 		if err != nil {
 			log.Fatal(err)
@@ -36,7 +37,7 @@ func main() {
 		fmt.Printf("[%8v] bob received %q from %v\n", p.Now(), pk.Data, pk.From)
 	})
 
-	lab.Go("alice", func(p *sim.Proc) {
+	a.Kernel.Go("alice", func(p *sim.Proc) {
 		p.Yield() // let bob listen first
 		rtt, ok := alice.Ping(p, bob.Addr(), 56, time.Second)
 		fmt.Printf("[%8v] alice pinged bob: rtt=%v ok=%v\n", p.Now(), rtt, ok)
@@ -49,8 +50,8 @@ func main() {
 		conn.Close(p)
 	})
 
-	if err := lab.Run(); err != nil {
+	if err := a.Kernel.Run(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("simulation finished at", lab.Kernel.Now())
+	fmt.Println("simulation finished at", a.Kernel.Now())
 }

@@ -379,3 +379,40 @@ func TestPickerRemoveBitfield(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPieceVerification compares real SHA-1 verification
+// (MemStorage) against sparse tag verification (SparseStorage) — the
+// trade-off behind DESIGN.md decision 4.
+func BenchmarkPieceVerification(b *testing.B) {
+	data := make([]byte, DefaultPieceLength)
+	rand.New(rand.NewSource(1)).Read(data)
+	meta, err := CreateTorrent("bench", data, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("sha1", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			s := NewMemStorage(meta)
+			for off := 0; off < len(data); off += BlockLength {
+				s.WriteBlock(0, off, data[off:off+BlockLength], 0)
+			}
+			if ok, _ := s.CompletePiece(0); !ok {
+				b.Fatal("verify failed")
+			}
+		}
+	})
+	sparseMeta, _ := SyntheticTorrent("bench", DefaultPieceLength, 0)
+	b.Run("sparse", func(b *testing.B) {
+		b.SetBytes(int64(DefaultPieceLength))
+		for i := 0; i < b.N; i++ {
+			s := NewSparseStorage(sparseMeta)
+			for off := 0; off < DefaultPieceLength; off += BlockLength {
+				s.WriteBlock(0, off, nil, BlockLength)
+			}
+			if ok, _ := s.CompletePiece(0); !ok {
+				b.Fatal("verify failed")
+			}
+		}
+	})
+}

@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"fmt"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -232,13 +234,17 @@ func TestFig9FoldingInvariance(t *testing.T) {
 	// folding ratios produces nearly identical data-received curves.
 	// BitTorrent dynamics are chaotic per client (a different optimistic
 	// unchoke shifts individual completions), so the comparison is on
-	// the aggregate cumulative curve, like the paper's Fig 9.
-	series, results, err := Fig9(smallSwarm(32), []int{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 2 || len(results) != 2 {
-		t.Fatalf("series = %d, results = %d", len(series), len(results))
+	// the aggregate cumulative curve, like the paper's Fig 9. One spec,
+	// run at each folding, as `p2plab -fig 9` runs it.
+	var series []*metrics.Series
+	for _, folding := range []int{1, 8} {
+		sp := smallSwarm(32)
+		sp.Folding = folding
+		res, err := scenario.Run(&sp, scenario.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		series = append(series, TotalReceivedSeries(fmt.Sprintf("folding %d", folding), res.Progress))
 	}
 	totalWant := float64(32) * 2 // 32 clients × 2 MB, in MB
 	for _, s := range series {
@@ -358,5 +364,44 @@ func TestFig10SpecPlacesAtEveryScale(t *testing.T) {
 		if _, err := scenario.Run(&sp, scenario.Options{}); err != nil {
 			t.Errorf("scale %d: %v", factor, err)
 		}
+	}
+}
+
+// BenchmarkSwarmScale runs a horizon-bounded megaswarm and reports
+// peers/sec (emulated peers per wall-clock second — the paper's
+// headline "how many clients fit on this hardware" number) and
+// bytes/peer (verified payload per peer inside the horizon, a sanity
+// check that the swarm actually transfers instead of idling).
+func BenchmarkSwarmScale(b *testing.B) {
+	// The swarm kernel is strictly serial and its steady-state live heap
+	// is small next to its allocation rate, so the default GOGC=100
+	// spends a measurable slice of the run re-marking the same client
+	// state; examples/megaswarm applies the same setting (README
+	// "Megaswarm").
+	old := debug.SetGCPercent(400)
+	defer debug.SetGCPercent(old)
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("peers=%d", n), func(b *testing.B) {
+			sp := MegaswarmSpec(n)
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				res, err := scenario.Run(&sp, scenario.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				elapsed := time.Since(start).Seconds()
+				var bytes int64
+				for _, prog := range res.Progress {
+					if len(prog) > 0 {
+						bytes += prog[len(prog)-1].Bytes
+					}
+				}
+				if bytes == 0 {
+					b.Fatal("swarm moved no data")
+				}
+				b.ReportMetric(float64(n)/elapsed, "peers/sec")
+				b.ReportMetric(float64(bytes)/float64(n), "bytes/peer")
+			}
+		})
 	}
 }

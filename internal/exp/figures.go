@@ -278,26 +278,7 @@ func Fig7(physNodes int, seed int64) (Fig7Result, error) {
 }
 
 // Fig9Foldings is the paper's folding sweep: 1, 10, 20, 40 and 80
-// clients per physical node.
+// clients per physical node, one Fig8Spec run and TotalReceivedSeries
+// each. The curves coincide ("results are nearly identical ... even
+// with 80 virtual nodes on each physical node").
 var Fig9Foldings = []int{1, 10, 20, 40, 80}
-
-// Fig9 runs the Fig 8 experiment at each folding ratio and returns one
-// cumulative-data series per folding. The paper's result: the curves
-// coincide ("results are nearly identical ... even with 80 virtual
-// nodes on each physical node").
-func Fig9(base scenario.Spec, foldings []int) ([]*metrics.Series, []*scenario.Result, error) {
-	var series []*metrics.Series
-	var results []*scenario.Result
-	for _, f := range foldings {
-		sp := base
-		sp.Folding = f
-		res, err := scenario.Run(&sp, scenario.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		name := fmt.Sprintf("%d client(s) per physical node", f)
-		series = append(series, TotalReceivedSeries(name, res.Progress))
-		results = append(results, res)
-	}
-	return series, results, nil
-}

@@ -6,18 +6,20 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/exp"
 	"repro/internal/netem"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/vnet"
 )
 
 // TestDriversMatchParent pins every driver that assembles its own
 // platform — BindOverhead, Fig 6 under both classifiers, Fig 7, ping
-// cells and repro.Lab — to the exact values they measured when each
-// wired kernel, network and cluster by hand (seed 1, 10 pings). The
-// range checks of the per-driver tests would pass a drifted assembly.
+// cells and a two-node DSL platform on scenario.Assemble — to the exact
+// values they measured when each wired kernel, network and cluster by
+// hand (seed 1, 10 pings). The range checks of the per-driver tests
+// would pass a drifted assembly.
 func TestDriversMatchParent(t *testing.T) {
 	fig6 := func(cf netem.Classifier) (string, error) {
 		points, err := exp.Fig6([]int{0, 10000, 50000}, 10, 1, cf)
@@ -66,15 +68,15 @@ func TestDriversMatchParent(t *testing.T) {
 		{"ping 10000 rules linear", func() (string, error) { return ping(10000) },
 			"dsl 133.728/133.728/133.728 ms, 20 evals, 200000 visited"},
 		{"lab", func() (string, error) {
-			lab, err := repro.NewLab(repro.LabConfig{Seed: 1, Nodes: 2, Class: topo.DSL})
+			a, err := scenario.Assemble(1, topo.Uniform(2, topo.DSL), vnet.DefaultConfig(), 0)
 			if err != nil {
 				return "", err
 			}
 			var rtt time.Duration
-			lab.Go("pinger", func(p *sim.Proc) {
-				rtt, _ = lab.Host(0).Ping(p, lab.Host(1).Addr(), 56, time.Second)
+			a.Kernel.Go("pinger", func(p *sim.Proc) {
+				rtt, _ = a.Hosts[0].Ping(p, a.Hosts[1].Addr(), 56, time.Second)
 			})
-			err = lab.Run()
+			err = a.Kernel.Run()
 			return rtt.String(), err
 		}, "132.768ms"},
 	} {

@@ -442,3 +442,72 @@ func TestMTULossFreesQueueSpace(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 loss and 0 overflows", st)
 	}
 }
+
+// runFlowChurn drives the flow engine through steady-state churn of
+// ~1k concurrent flows: every completion immediately starts a
+// replacement, so each op is one departure plus one arrival.
+// components=1 puts the whole population on one shared bottleneck;
+// components=64 spreads it across disjoint bottlenecks, where the
+// component scoping keeps each re-solve at ~16 flows.
+func runFlowChurn(b *testing.B, comps int, window time.Duration) {
+	const population = 1024
+	k := sim.New(1)
+	m := NewWithConfig(k, Config{Window: window})
+	rng := rand.New(rand.NewSource(1))
+	links := make([]*netem.Pipe, comps)
+	for i := range links {
+		links[i] = netem.NewPipe(k, fmt.Sprintf("l%d", i),
+			netem.PipeConfig{Bandwidth: 100 * netem.Mbps})
+	}
+	completed := 0
+	var spawn func(i int)
+	spawn = func(i int) {
+		size := 32*1024 + rng.Intn(256*1024)
+		m.Transfer(k.Now(), size, []*netem.Pipe{links[i%comps]}, k.Rand(),
+			func(_ sim.Time, ok bool) {
+				if !ok {
+					b.Fail()
+					return
+				}
+				completed++
+				if completed < b.N {
+					spawn(i)
+				} else {
+					k.Stop()
+				}
+			})
+	}
+	for i := 0; i < population; i++ {
+		spawn(i)
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	st := m.Stats()
+	b.ReportMetric(float64(st.SolvedFlows)/float64(st.Started+st.Completed), "flows/churn-op")
+}
+
+// BenchmarkFlowChurn measures the batched max-min solver (DESIGN.md
+// decisions 5 and 8) on the fast path: a 250 ms re-rate window drains
+// each window's worth of churn in one solve, so per-churn-event work
+// tracks the affected component and the batching factor, not the
+// population. flows/churn-op is the incrementality measure.
+func BenchmarkFlowChurn(b *testing.B) {
+	for _, comps := range []int{1, 64} {
+		b.Run(fmt.Sprintf("components=%d", comps), func(b *testing.B) {
+			runFlowChurn(b, comps, 250*time.Millisecond)
+		})
+	}
+}
+
+// BenchmarkFlowChurnWindow sweeps the batch window on the shared
+// bottleneck (the solver's worst case): window=0 is the per-event
+// path, the positive windows show how the amortization scales.
+func BenchmarkFlowChurnWindow(b *testing.B) {
+	for _, window := range []time.Duration{0, 50 * time.Millisecond, 250 * time.Millisecond} {
+		b.Run(fmt.Sprintf("window=%s", window), func(b *testing.B) {
+			runFlowChurn(b, 1, window)
+		})
+	}
+}

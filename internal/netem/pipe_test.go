@@ -295,3 +295,30 @@ func TestPipeMonotoneExitTimes(t *testing.T) {
 		last = out
 	}
 }
+
+// BenchmarkPipeGranularity compares message-level pipe charging
+// (DESIGN.md decision 2) against packet-chunked charging (1500-byte
+// MTU) for a 16 KiB block.
+func BenchmarkPipeGranularity(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	cfg := PipeConfig{Bandwidth: 2 * Mbps, Delay: 30 * time.Millisecond}
+	b.Run("message", func(b *testing.B) {
+		p := NewPipe(sim.New(1), "m", cfg)
+		at := sim.Time(0)
+		for i := 0; i < b.N; i++ {
+			exit, _ := p.ScheduleAt(at, 16384, rng)
+			at = exit
+		}
+	})
+	b.Run("packets", func(b *testing.B) {
+		p := NewPipe(sim.New(1), "p", cfg)
+		at := sim.Time(0)
+		for i := 0; i < b.N; i++ {
+			var exit sim.Time
+			for sent := 0; sent < 16384; sent += 1500 {
+				exit, _ = p.ScheduleAt(at, min(16384-sent, 1500), rng)
+			}
+			at = exit
+		}
+	})
+}

@@ -331,3 +331,41 @@ func TestUpdatesDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkObsHot measures the registry update cost paid on the vnet
+// transmit path when observability is attached: a counter bump and a
+// histogram observation per message-sized unit of work, plus the
+// nil-instrument variant every uninstrumented run pays instead. All
+// three must stay at 0 allocs/op — hot-path metric updates are pure
+// memory writes (DESIGN.md decision 9; TestUpdatesDoNotAllocate is the
+// gate).
+func BenchmarkObsHot(b *testing.B) {
+	reg := NewRegistry()
+	sent := reg.Counter("p2plab_net_messages_sent_total", "")
+	bytes := reg.Counter("p2plab_net_bytes_delivered_total", "")
+	// The bounds of bt's time-to-first-peer histogram.
+	ttfp := reg.Histogram("p2plab_bt_time_to_first_peer_seconds", "", []float64{0.5, 1, 2, 5, 10, 30, 60, 120, 300, 600})
+	b.Run("counter", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sent.Inc()
+			bytes.Add(1460)
+		}
+	})
+	b.Run("histogram", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ttfp.Observe(float64(i&1023) / 8)
+		}
+	})
+	b.Run("disabled", func(b *testing.B) {
+		var c *Counter
+		var h *Histogram
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Inc()
+			c.Add(1460)
+			h.Observe(1)
+		}
+	})
+}

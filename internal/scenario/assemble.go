@@ -38,7 +38,7 @@ var clusterAdmin = ip.MustParsePrefix("172.16.0.0/12")
 // topology's group latencies itself, and the hosts are placed folding
 // per machine in host order; otherwise the fabric is the bare
 // topology. Every experiment's platform is built here: scenario.Run
-// for specs, and the figure drivers and repro.Lab for what a spec
+// for specs, and the figure drivers and the examples for what a spec
 // cannot describe.
 func Assemble(seed int64, t *topo.Topology, cfg vnet.Config, folding int) (*Assembly, error) {
 	a := &Assembly{Kernel: sim.New(seed), Groups: make(map[string][]*vnet.Host)}

@@ -143,3 +143,56 @@ func TestWorkloadSnapshotColumns(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSnapshotSync runs the snapshot workload — the inverse of
+// the megaswarm regime: 4 clients pull a 32 MiB file in 2 MiB pieces
+// over 5 connections each, with a web seed behind the swarm, under the
+// flow model with a 250 ms re-rate window. Variants cover the uncapped
+// baseline, symmetric 256 KiB/s token-bucket caps (the limiter, not
+// the link, is the bottleneck) and the seederless cold CDN fill
+// (DESIGN.md decision 12). The reported virtual-s/s tracks the cost of
+// the rate-limiter pumps and the web-seed request path on top of the
+// swarm machinery.
+func BenchmarkSnapshotSync(b *testing.B) {
+	base := Spec{
+		Name:       "bench-snapshot",
+		Model:      "flow",
+		FlowWindow: Duration(250 * time.Millisecond),
+		Horizon:    Duration(time.Hour),
+		Workload: WorkloadSpec{
+			Kind:        WorkloadSnapshot,
+			FileSize:    32 << 20,
+			Seeders:     1,
+			WebSeeds:    1,
+			PieceLength: 2 << 20,
+			ConnCap:     5,
+		},
+	}
+	variants := []struct {
+		name string
+		mut  func(*WorkloadSpec)
+	}{
+		{"uncapped", func(*WorkloadSpec) {}},
+		{"capped", func(w *WorkloadSpec) { w.UpRate, w.DownRate = 256<<10, 256<<10 }},
+		{"coldfill", func(w *WorkloadSpec) { w.Seeders = 0 }},
+	}
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			sp := base
+			v.mut(&sp.Workload)
+			sp.Groups = []GroupSpec{{Name: "peers", Class: "fast-dsl", Nodes: sp.Workload.Seeders + 4}}
+			var virtual time.Duration
+			for i := 0; i < b.N; i++ {
+				res, err := Run(&sp, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Done != res.Total {
+					b.Fatal("snapshot sync incomplete")
+				}
+				virtual += time.Duration(res.EndedAt)
+			}
+			b.ReportMetric(virtual.Seconds()/b.Elapsed().Seconds(), "virtual-s/s")
+		})
+	}
+}

@@ -425,3 +425,35 @@ func TestAtInPastClampsToNow(t *testing.T) {
 		t.Fatalf("past event fired at %v, want clamp to 5s", fireTime)
 	}
 }
+
+// BenchmarkKernelModes compares the two ways to schedule work on the
+// virtual-time kernel (DESIGN.md decision 1): goroutine park/wake
+// versus pure event callbacks.
+func BenchmarkKernelModes(b *testing.B) {
+	b.Run("goroutines", func(b *testing.B) {
+		k := New(1)
+		k.Go("worker", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		})
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("events", func(b *testing.B) {
+		k := New(1)
+		var tick func()
+		n := 0
+		tick = func() {
+			n++
+			if n < b.N {
+				k.After(time.Microsecond, tick)
+			}
+		}
+		k.After(time.Microsecond, tick)
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+}

@@ -10,22 +10,31 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/vnet"
 )
 
-func TestLabSimpleNodes(t *testing.T) {
-	lab, err := NewLab(LabConfig{Seed: 1, Nodes: 2, Class: topo.DSL})
+// assemble builds a platform the way user code does: a topology on
+// scenario.Assemble, at the given folding.
+func assemble(t *testing.T, tp *topo.Topology, folding int) *scenario.Assembly {
+	t.Helper()
+	a, err := scenario.Assemble(1, tp, vnet.DefaultConfig(), folding)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lab.Hosts) != 2 {
-		t.Fatalf("hosts = %d", len(lab.Hosts))
+	return a
+}
+
+func TestLabSimpleNodes(t *testing.T) {
+	a := assemble(t, topo.Uniform(2, topo.DSL), 0)
+	if len(a.Hosts) != 2 {
+		t.Fatalf("hosts = %d", len(a.Hosts))
 	}
 	var rtt time.Duration
 	var ok bool
-	lab.Go("pinger", func(p *sim.Proc) {
-		rtt, ok = lab.Host(0).Ping(p, lab.Host(1).Addr(), 56, time.Second)
+	a.Kernel.Go("pinger", func(p *sim.Proc) {
+		rtt, ok = a.Hosts[0].Ping(p, a.Hosts[1].Addr(), 56, time.Second)
 	})
-	if err := lab.Run(); err != nil {
+	if err := a.Kernel.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
@@ -38,19 +47,16 @@ func TestLabSimpleNodes(t *testing.T) {
 }
 
 func TestLabWithTopology(t *testing.T) {
-	lab, err := NewLab(LabConfig{Seed: 1, Topology: topo.Fig7()})
-	if err != nil {
-		t.Fatal(err)
+	a := assemble(t, topo.Fig7(), 0)
+	if len(a.Hosts) != 2750 {
+		t.Fatalf("hosts = %d", len(a.Hosts))
 	}
-	if len(lab.Hosts) != 2750 {
-		t.Fatalf("hosts = %d", len(lab.Hosts))
-	}
-	src := lab.Net.Host(ip.MustParseAddr("10.1.3.207"))
+	src := a.Net.Host(ip.MustParseAddr("10.1.3.207"))
 	var rtt time.Duration
-	lab.Go("pinger", func(p *sim.Proc) {
+	a.Kernel.Go("pinger", func(p *sim.Proc) {
 		rtt, _ = src.Ping(p, ip.MustParseAddr("10.2.2.117"), 56, 5*time.Second)
 	})
-	if err := lab.Run(); err != nil {
+	if err := a.Kernel.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if rtt < 850*time.Millisecond || rtt > 860*time.Millisecond {
@@ -59,46 +65,30 @@ func TestLabWithTopology(t *testing.T) {
 }
 
 func TestLabWithCluster(t *testing.T) {
-	lab, err := NewLab(LabConfig{Seed: 1, Nodes: 20, Folding: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lab.Cluster == nil {
+	a := assemble(t, topo.Uniform(20, topo.DSL), 10)
+	if a.Cluster == nil {
 		t.Fatal("cluster missing")
 	}
-	if lab.Cluster.FoldingRatio() != 10 {
-		t.Fatalf("folding = %v", lab.Cluster.FoldingRatio())
+	if a.Cluster.FoldingRatio() != 10 {
+		t.Fatalf("folding = %v", a.Cluster.FoldingRatio())
 	}
 }
 
 func TestLabRunFor(t *testing.T) {
-	lab, err := NewLab(LabConfig{Seed: 1, Nodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := assemble(t, topo.Uniform(1, topo.DSL), 0)
 	ticks := 0
-	lab.Go("ticker", func(p *sim.Proc) {
+	a.Kernel.Go("ticker", func(p *sim.Proc) {
 		for {
 			p.Sleep(time.Second)
 			ticks++
 		}
 	})
-	if err := lab.RunFor(5500 * time.Millisecond); err != nil {
+	if err := a.Kernel.RunUntil(sim.Time(5500 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5", ticks)
 	}
-}
-
-func TestLabHostPanicsOutOfRange(t *testing.T) {
-	lab, _ := NewLab(LabConfig{Seed: 1, Nodes: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	lab.Host(5)
 }
 
 func TestFacadeSchedulerRun(t *testing.T) {
