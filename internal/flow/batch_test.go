@@ -344,7 +344,7 @@ func TestQueueAdmissionFreshLink(t *testing.T) {
 
 	// Fresh pipe, never used: the oversized message must still bounce.
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	p := netem.NewPipe(k, "fresh", cfg)
 	dropped := false
 	m.Transfer(0, 20*1024, []*netem.Pipe{p}, k.Rand(), func(_ sim.Time, ok bool) {
@@ -363,7 +363,7 @@ func TestQueueAdmissionFreshLink(t *testing.T) {
 	// Same verdict once the link has history (an earlier small
 	// transfer created it and already drained).
 	k2 := sim.New(1)
-	m2 := New(k2)
+	m2 := NewWithConfig(k2, Config{})
 	p2 := netem.NewPipe(k2, "used", cfg)
 	start(t, m2, k2, 1024, p2)
 	if err := k2.Run(); err != nil {
@@ -404,7 +404,7 @@ func TestMTUAdmissionParity(t *testing.T) {
 		_, pipeOK := pipe.ScheduleAt(0, size, rand.New(rand.NewSource(seed)))
 
 		kf := sim.New(1)
-		m := New(kf)
+		m := NewWithConfig(kf, Config{})
 		fp := netem.NewPipe(kf, "flow", cfg)
 		flowOK := false
 		m.Transfer(0, size, []*netem.Pipe{fp}, rand.New(rand.NewSource(seed)), func(_ sim.Time, ok bool) {
@@ -413,7 +413,7 @@ func TestMTUAdmissionParity(t *testing.T) {
 		if !flowOK {
 			// Admission verdicts are synchronous; an admitted flow just
 			// has no completion yet.
-			flowOK = m.InFlight() == 1
+			flowOK = m.stats.Started == 1
 		}
 		if pipeOK != flowOK {
 			t.Fatalf("trial %d: pipe admits=%v flow admits=%v (size=%d cfg=%+v seed=%d)",
@@ -428,7 +428,7 @@ func TestMTUAdmissionParity(t *testing.T) {
 // claim no queue space.
 func TestMTULossFreesQueueSpace(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	p := netem.NewPipe(k, "lossy", netem.PipeConfig{
 		Bandwidth: netem.Mbps, MTU: 1000, QueueBytes: 4000, Loss: 1,
 	})

@@ -60,7 +60,7 @@ func runSchedule(t *testing.T, pc pathConfig, kind netem.ModelKind, seed int64) 
 	k := sim.New(seed)
 	transfer := netem.NewPipeModel(k).Transfer
 	if kind == netem.ModelFlow {
-		transfer = flow.New(k).Transfer
+		transfer = flow.NewWithConfig(k, flow.Config{}).Transfer
 	}
 	var pipes []*netem.Pipe
 	for i, cfg := range pc.pipes {

@@ -13,27 +13,30 @@
 // redistribute the slack — an alternating rescale-to-constraints loop
 // in the spirit of iterative proportional fitting).
 //
-// The solver is *incremental* along two axes (DESIGN.md decision 8):
+// Every churn event — an arrival, a departure, a pipe reconfigure —
+// marks the links it touches dirty, and a flush re-levels them
+// (DESIGN.md decision 8). There is one flush path:
 //
-//   - Component scoping: flows and links form a bipartite graph, and a
-//     flow arriving or finishing can only change the rates inside its
-//     connected component of that graph. Only that component is
-//     re-solved, and only the flows whose rate actually changed have
-//     their completion events rescheduled (sim.Event.Reschedule moves
-//     the queued event in place).
-//   - Re-leveling scoping (batched mode): within a component, the
-//     solver starts from the links whose residual/active ratio moved
-//     (the dirty seeds), keeps the frozen allocations of flows whose
-//     bottleneck is untouched, and grows the affected set only when a
-//     frozen allocation is inconsistent with the recomputed levels.
+//   - Region scoping: flows and links form a bipartite graph, and
+//     churn can only change the rates inside the connected components
+//     of its links. A flush finds them with one BFS from all dirty
+//     links and re-solves that region, nothing else; only the flows
+//     whose rate actually changed have their completion events
+//     rescheduled (sim.Event.Reschedule moves the queued event in
+//     place).
+//   - Re-leveling scoping (batched mode): within the region, the
+//     solver starts from the dirty links, keeps the frozen allocations
+//     of flows whose bottleneck is untouched, and grows the affected
+//     set only when a frozen allocation is inconsistent with the
+//     recomputed levels.
 //
-// With Config.Window > 0 the engine additionally *batches* re-rates:
-// churn events inside one virtual-time window coalesce and drain in a
-// single solve per affected component at the window boundary. The
-// boundary is a scheduled kernel event — not wall clock — so batching
-// is exactly as deterministic as the rest of the simulation. Window = 0
-// (the default) re-solves at every churn event: the exact legacy
-// semantics the golden traces pin.
+// With Config.Window > 0 churn events inside one virtual-time window
+// coalesce and flush once, incrementally, at the window boundary — a
+// scheduled kernel event, not wall clock, so batching is exactly as
+// deterministic as the rest of the simulation. Window = 0 (the
+// default) flushes at every churn event, at its instant, and re-levels
+// the whole region from scratch in BFS order: the arithmetic the
+// golden traces pin.
 //
 // Model fidelity notes, recorded as DESIGN.md decision 5:
 //
@@ -70,14 +73,12 @@ type link struct {
 	pipe  *netem.Pipe
 	flows []*xfer // flows crossing the link, arrival order
 
-	// Solver scratch, valid only inside one resolve/flush call.
+	// Solver scratch, valid only inside one flush.
 	residual float64 // capacity not yet granted to frozen flows
 	active   int     // unfrozen flows on the link
 	level    float64 // fair share granted to flows leveled here; +Inf if never the bottleneck
-	mark     uint64  // component-BFS epoch stamp
-	comp     int     // component index within one flush's partition
-	inR      bool    // member of the current incremental region
-	dirty    bool    // queued in Model.dirty for the next flush
+	inR      bool    // member of Model.region
+	dirty    bool    // member of Model.dirty
 }
 
 // remove deletes f preserving arrival order, so solver iteration order
@@ -116,10 +117,10 @@ type xfer struct {
 	ev        *sim.Event    // pending completion
 	done      func(exit sim.Time, ok bool)
 
-	mark    uint64  // component-BFS epoch stamp
+	mark    uint64  // flush-BFS epoch stamp
 	newRate float64 // solver scratch; <0 = not yet frozen
 	bott    *link   // link this flow was last leveled at
-	inF     bool    // member of the current affected set
+	inF     bool    // member of Model.aff
 }
 
 // remainingAt returns the bits left at instant now without settling.
@@ -139,7 +140,7 @@ type Stats struct {
 	Completed   uint64 // flows delivered
 	Lost        uint64 // dropped by per-pipe random loss at entry
 	Overflows   uint64 // dropped by fluid queue admission at entry
-	Solves      uint64 // component re-solves
+	Solves      uint64 // regions re-solved: one per flush, so one per churn event at window 0
 	SolvedFlows uint64 // flows re-leveled across all re-solves
 	Rerates     uint64 // rate assignments applied (incl. initial)
 	Flushes     uint64 // batch windows drained (window > 0 only)
@@ -150,18 +151,18 @@ type Stats struct {
 // behavior.
 type Config struct {
 	// Window batches re-rate solves: churn events within one window of
-	// virtual time coalesce and drain in a single solve per affected
-	// component at the window boundary — a scheduled kernel event, so
-	// batching is deterministic. New flows carry no bytes until the
-	// boundary (they sit in the fluid queue), which bounds the extra
-	// latency a transfer can see by one window. 0 solves at every
-	// churn event, the exact semantics the golden traces pin.
+	// virtual time coalesce and drain in a single incremental flush at
+	// the window boundary — a scheduled kernel event, so batching is
+	// deterministic. New flows carry no bytes until the boundary (they
+	// sit in the fluid queue), which bounds the extra latency a
+	// transfer can see by one window. 0 flushes at every churn event
+	// and re-levels from scratch, the semantics the golden traces pin.
 	Window time.Duration
 }
 
 // Model is the flow-level engine. Use it by setting vnet.Config.Model =
-// netem.ModelFlow, or construct one directly with New / NewWithConfig
-// for engine-level experiments.
+// netem.ModelFlow, or construct one directly with NewWithConfig for
+// engine-level experiments.
 type Model struct {
 	k          *sim.Kernel
 	cfg        Config
@@ -171,20 +172,16 @@ type Model struct {
 	epoch      uint64
 	tracer     *trace.Log
 	stats      Stats
+	flushEv    *sim.Event // pending window boundary
 
-	// Batch state (cfg.Window > 0 only).
-	dirty   []*link    // links touched since the last flush, dirtying order
-	flushEv *sim.Event // pending window boundary
-
-	// Component scratch, reused across per-event resolves.
-	compLinks []*link
-	compFlows []*xfer
-}
-
-// New returns an empty flow engine on kernel k with per-event solves
-// (Window = 0).
-func New(k *sim.Kernel) *Model {
-	return NewWithConfig(k, Config{})
+	// Flush scratch, reused across flushes. dirty holds the links
+	// churned since the last flush, in dirtying order; a flush's BFS
+	// appends every link it reaches from them, and flows every flow.
+	// region and aff are the links and flows being re-leveled.
+	dirty  []*link
+	flows  []*xfer
+	region []*link
+	aff    []*xfer
 }
 
 // NewWithConfig returns an empty flow engine on kernel k. A negative
@@ -204,15 +201,6 @@ func (m *Model) SetTrace(l *trace.Log) { m.tracer = l }
 // Stats returns a snapshot of the engine counters.
 func (m *Model) Stats() Stats { return m.stats }
 
-// InFlight returns the number of active flows.
-func (m *Model) InFlight() int {
-	n := uint64(0)
-	if m.stats.Started > m.stats.Completed {
-		n = m.stats.Started - m.stats.Completed
-	}
-	return int(n)
-}
-
 // linkFor returns (creating on first use) the fluid link of a pipe.
 func (m *Model) linkFor(p *netem.Pipe) *link {
 	l := m.links[p]
@@ -226,8 +214,8 @@ func (m *Model) linkFor(p *netem.Pipe) *link {
 
 // PipeReconfigured must follow every runtime change to p's
 // configuration: the fair shares of every flow in p's connected
-// component are stale, so the component is re-solved at the current
-// instant and re-rated flows get rescheduled completions.
+// component are stale, so p's link is marked dirty and flushed at the
+// current instant, and re-rated flows get rescheduled completions.
 // The solver reads capacity from the pipe's live config, so no other
 // bookkeeping is needed; a pipe carrying no flows is a no-op. Rates
 // only ever apply from now forward — bytes already carried were settled
@@ -239,29 +227,23 @@ func (m *Model) linkFor(p *netem.Pipe) *link {
 // batch *before* the config changes, via FlushBatch, so coalesced
 // churn settles under the configuration it happened under.)
 func (m *Model) PipeReconfigured(p *netem.Pipe) {
-	l := m.links[p]
-	if l == nil || len(l.flows) == 0 {
-		return
-	}
-	if m.cfg.Window > 0 {
+	if l := m.links[p]; l != nil && len(l.flows) > 0 {
 		m.markDirty(l)
 		m.FlushBatch()
-		return
 	}
-	m.resolve(m.k.Now(), []*link{l})
 }
 
 // FlushBatch drains any batched churn immediately, at the current
 // instant, instead of at the pending window boundary. Synchronization
 // points — a pipe about to be reconfigured, a caller about to read
 // rates — call it so they observe settled, current rates. A no-op when
-// nothing is pending.
+// nothing is pending. It is also the boundary event's callback.
 func (m *Model) FlushBatch() {
 	if m.flushEv != nil {
-		m.flushEv.Cancel()
+		m.flushEv.Cancel() // false when the boundary itself is firing
 		m.flushEv = nil
 	}
-	m.flush()
+	m.flush(m.k.Now())
 }
 
 // Transfer charges a size-byte message entering path at instant at: it
@@ -332,15 +314,7 @@ func (m *Model) Transfer(at sim.Time, size int, path []*netem.Pipe, rng *rand.Ra
 		l.flows = append(l.flows, f)
 	}
 	m.stats.Started++
-	if m.cfg.Window > 0 {
-		m.stats.Batched++
-		for _, l := range links {
-			m.markDirty(l)
-		}
-		m.armFlush(at)
-		return
-	}
-	m.resolve(at, links)
+	m.churn(at, links)
 }
 
 // admit runs one pipe's entry checks (loss, then fluid-queue) and
@@ -431,20 +405,11 @@ func (m *Model) complete(f *xfer) {
 	if m.tracer != nil {
 		m.tracer.FlowDone(now, f.links[0].pipe.Name(), f.id)
 	}
-	if m.cfg.Window > 0 {
-		m.stats.Batched++
-		for _, l := range f.links {
-			m.markDirty(l)
-		}
-		m.armFlush(now)
-		f.done(now.Add(f.prop), true)
-		return
-	}
-	m.resolve(now, f.links)
+	m.churn(now, f.links)
 	f.done(now.Add(f.prop), true)
 }
 
-// markDirty queues l for the next batch flush, once.
+// markDirty queues l for the next flush, once.
 func (m *Model) markDirty(l *link) {
 	if !l.dirty {
 		l.dirty = true
@@ -452,93 +417,97 @@ func (m *Model) markDirty(l *link) {
 	}
 }
 
-// armFlush schedules the batch boundary one window after the first
-// event of the batch. The boundary is a kernel event, so batching is
-// as deterministic as any other scheduled work: same history, same
-// flush instants, same solves.
-func (m *Model) armFlush(at sim.Time) {
-	if m.flushEv == nil {
-		m.flushEv = m.k.At(at.Add(m.cfg.Window), m.flush)
+// churn marks the links of an arrival or departure at instant at dirty.
+// At window 0 it flushes them at once, at at: a Transfer's at already
+// includes its route and firewall cost, so it may lie past the kernel's
+// now. Otherwise it arms the batch boundary one window after the
+// batch's first event; the boundary is a kernel event, so batching is
+// as deterministic as any other scheduled work.
+func (m *Model) churn(at sim.Time, links []*link) {
+	for _, l := range links {
+		m.markDirty(l)
 	}
-}
-
-// flush drains the pending batch: partition the dirty links into
-// connected components, then incrementally re-level each and apply its
-// new allocations, in component order.
-func (m *Model) flush() {
-	m.flushEv = nil
-	if len(m.dirty) == 0 {
+	if m.cfg.Window == 0 {
+		m.flush(at)
 		return
 	}
-	seeds := m.dirty
-	m.dirty = nil
-	for _, l := range seeds {
-		l.dirty = false
-	}
-	m.stats.Flushes++
-	now := m.k.Now()
-	for _, c := range m.partition(seeds) {
-		c.solve()
-		m.stats.Solves++
-		m.stats.SolvedFlows += uint64(len(c.aff))
-		m.apply(now, c.aff)
-		for _, f := range c.aff {
-			f.inF = false
-		}
-		for _, l := range c.region {
-			l.inR = false
-		}
+	m.stats.Batched++
+	if m.flushEv == nil {
+		m.flushEv = m.k.At(at.Add(m.cfg.Window), m.FlushBatch)
 	}
 }
 
-// component is one connected dirty region drained by a flush.
-type component struct {
-	links []*link // full component, BFS order over the bipartite graph
-	flows []*xfer // full component, BFS order
-	seeds []*link // dirty links, in global dirtying order
-
-	// solve output.
-	region []*link // links re-leveled (levels in link.level)
-	aff    []*xfer // flows re-leveled (rates in xfer.newRate)
-}
-
-// partition groups the dirty links of one flush into connected
-// components of the links↔flows bipartite graph. Seed order (global
-// dirtying order) fixes both the component order and each component's
-// BFS order, so the result is deterministic.
-func (m *Model) partition(seeds []*link) []*component {
+// flush re-levels the dirty links at instant now. One BFS over the
+// links↔flows bipartite graph — the dirty links first, in dirtying
+// order, then each reached link's arrival-ordered flows — finds the
+// connected components they span, and the solver re-levels that one
+// region: incrementally under a window, from scratch at window 0. The
+// new allocations apply in affected-set order. Every order here is a
+// function of the simulation history, so the result is deterministic.
+func (m *Model) flush(now sim.Time) {
+	seeds := len(m.dirty)
+	if seeds == 0 {
+		return
+	}
 	m.epoch++
 	ep := m.epoch
-	var comps []*component
-	for _, seed := range seeds {
-		if seed.mark == ep {
-			comps[seed.comp].seeds = append(comps[seed.comp].seeds, seed)
-			continue
-		}
-		c := &component{}
-		seed.mark = ep
-		seed.comp = len(comps)
-		c.seeds = append(c.seeds, seed)
-		c.links = append(c.links, seed)
-		for i := 0; i < len(c.links); i++ {
-			for _, f := range c.links[i].flows {
-				if f.mark == ep {
-					continue
-				}
-				f.mark = ep
-				c.flows = append(c.flows, f)
-				for _, l2 := range f.links {
-					if l2.mark != ep {
-						l2.mark = ep
-						l2.comp = seed.comp
-						c.links = append(c.links, l2)
-					}
-				}
+	for i := 0; i < len(m.dirty); i++ {
+		for _, f := range m.dirty[i].flows {
+			if f.mark == ep {
+				continue
+			}
+			f.mark = ep
+			m.flows = append(m.flows, f)
+			for _, l := range f.links {
+				m.markDirty(l) // the dirty flag is the BFS's visited mark
 			}
 		}
-		comps = append(comps, c)
 	}
-	return comps
+	m.stats.Solves++
+	// At window 0 the incremental seeding is skipped: the region and the
+	// affected set are everything the BFS reached, in BFS order.
+	region, aff := m.dirty, m.flows
+	if m.cfg.Window > 0 {
+		m.stats.Flushes++
+		m.solve(m.dirty[:seeds])
+		region, aff = m.region, m.aff
+	} else {
+		for _, f := range aff {
+			f.inF = true
+		}
+		fill(region, aff)
+	}
+	m.stats.SolvedFlows += uint64(len(aff))
+	m.apply(now, aff)
+	for _, f := range aff {
+		f.inF = false
+	}
+	for _, l := range region {
+		l.inR = false
+	}
+	for _, l := range m.dirty {
+		l.dirty = false
+	}
+	m.dirty, m.flows, m.region, m.aff = m.dirty[:0], m.flows[:0], m.region[:0], m.aff[:0]
+}
+
+// addLink puts l in the region, once.
+func (m *Model) addLink(l *link) {
+	if !l.inR {
+		l.inR = true
+		m.region = append(m.region, l)
+	}
+}
+
+// addFlow puts f in the affected set, once, and its links in the region.
+func (m *Model) addFlow(f *xfer) {
+	if !f.inF {
+		f.inF = true
+		m.aff = append(m.aff, f)
+		for _, l := range f.links {
+			m.addLink(l)
+		}
+	}
 }
 
 const (
@@ -552,11 +521,11 @@ const (
 	// configurable rate.
 	absEps = 1e-6
 	// maxIncFills bounds the grow-and-refill passes before solve falls
-	// back to a from-scratch re-level of the whole component.
+	// back to a from-scratch re-level of the whole region.
 	maxIncFills = 3
 )
 
-// solve computes the new max-min allocation for the component,
+// solve computes the new max-min allocation for the flush's region,
 // re-leveling as few flows as the dirty seeds allow. It starts from
 // the flows that must move — batched arrivals not yet rated, and flows
 // bottlenecked on a dirty link — fills that region with every other
@@ -566,54 +535,37 @@ const (
 // there), its links are oversubscribed, or its own bottleneck now has
 // room for it to rise. The affected set grows strictly, so the loop
 // terminates; past maxIncFills passes it falls back to a from-scratch
-// re-level of the whole component.
-func (c *component) solve() {
-	if len(c.flows) == 0 {
-		return
+// fill of the whole region.
+func (m *Model) solve(seeds []*link) {
+	for _, l := range seeds {
+		m.addLink(l)
 	}
-	addLink := func(l *link) {
-		if !l.inR {
-			l.inR = true
-			c.region = append(c.region, l)
-		}
-	}
-	addFlow := func(f *xfer) {
-		if !f.inF {
-			f.inF = true
-			c.aff = append(c.aff, f)
-			for _, l := range f.links {
-				addLink(l)
-			}
-		}
-	}
-	for _, l := range c.seeds {
-		addLink(l)
-	}
-	for _, l := range c.seeds {
+	for _, l := range seeds {
 		for _, f := range l.flows {
 			if f.rate < 0 || f.bott == l {
-				addFlow(f)
+				m.addFlow(f)
 			}
 		}
 	}
 	for pass := 0; ; pass++ {
-		if pass == maxIncFills || len(c.aff) == len(c.flows) {
-			// Incrementality stopped paying: re-level the whole
-			// component from scratch (the exact legacy solve).
-			for _, l := range c.links {
-				addLink(l)
+		if pass == maxIncFills || len(m.aff) == len(m.flows) {
+			// Incrementality stopped paying: every link and flow the
+			// flush reached joins the incremental sets, appended in BFS
+			// order, and the whole region fills from scratch.
+			for _, l := range m.dirty {
+				m.addLink(l)
 			}
-			for _, f := range c.flows {
-				addFlow(f)
+			for _, f := range m.flows {
+				m.addFlow(f)
 			}
-			fill(c.region, c.aff)
+			fill(m.region, m.aff)
 			return
 		}
-		fill(c.region, c.aff)
+		fill(m.region, m.aff)
 		grew := false
-		n := len(c.region)
+		n := len(m.region)
 		for i := 0; i < n; i++ {
-			l := c.region[i]
+			l := m.region[i]
 			// Oversubscribed: the frozen flows alone exceed the link's
 			// capacity (a degrade, or affected flows that rose into
 			// them) — all of them must re-level.
@@ -626,7 +578,7 @@ func (c *component) solve() {
 					continue
 				}
 				if over || g.rate < 0 || g.rate > l.level*(1+rateEps) {
-					addFlow(g)
+					m.addFlow(g)
 					grew = true
 					continue
 				}
@@ -637,11 +589,11 @@ func (c *component) solve() {
 					// g's own bottleneck was not leveled this fill but
 					// has slack left over: g can rise.
 					if l.residual > g.rate*rateEps+absEps {
-						addFlow(g)
+						m.addFlow(g)
 						grew = true
 					}
 				} else if lvl > g.rate*(1+rateEps) {
-					addFlow(g)
+					m.addFlow(g)
 					grew = true
 				}
 			}
@@ -650,56 +602,6 @@ func (c *component) solve() {
 			return
 		}
 	}
-}
-
-// resolve recomputes the max-min fair allocation of the connected
-// component containing the seed links, by progressive filling, and
-// applies the result. Links and flows outside the component are never
-// visited. This is the per-event path (Window = 0) and always
-// re-levels the whole component.
-func (m *Model) resolve(now sim.Time, seeds []*link) {
-	m.stats.Solves++
-
-	// Component discovery: BFS over the links↔flows bipartite graph.
-	// Epoch stamps avoid clearing; traversal order (seed order, then
-	// each link's arrival-ordered flow list) is deterministic.
-	links := m.compLinks[:0]
-	flows := m.compFlows[:0]
-	m.epoch++
-	ep := m.epoch
-	for _, l := range seeds {
-		if l.mark != ep {
-			l.mark = ep
-			links = append(links, l)
-		}
-	}
-	for i := 0; i < len(links); i++ {
-		for _, f := range links[i].flows {
-			if f.mark == ep {
-				continue
-			}
-			f.mark = ep
-			f.inF = true
-			flows = append(flows, f)
-			for _, l2 := range f.links {
-				if l2.mark != ep {
-					l2.mark = ep
-					links = append(links, l2)
-				}
-			}
-		}
-	}
-	m.compLinks, m.compFlows = links, flows // keep grown capacity
-	m.stats.SolvedFlows += uint64(len(flows))
-	if len(flows) == 0 {
-		return
-	}
-
-	fill(links, flows)
-	for _, f := range flows {
-		f.inF = false
-	}
-	m.apply(now, flows)
 }
 
 // fill runs progressive filling over the region links R for the
@@ -712,7 +614,7 @@ func (m *Model) resolve(now sim.Time, seeds []*link) {
 // Flows outside F are frozen: their current rates are subtracted from
 // their links' capacity up front and never revisited, which is what
 // makes a partial re-level cost only the affected region. With F
-// covering the whole component there is nothing to freeze and this is
+// covering the whole region there is nothing to freeze and this is
 // the classic from-scratch progressive filling.
 //
 // Outputs: each affected flow's allocation in newRate and its
@@ -784,7 +686,7 @@ func fill(R []*link, F []*xfer) {
 
 // apply settles and reschedules every affected flow whose allocation
 // changed. A flow whose recomputed rate is bit-identical keeps its
-// pending completion event untouched — together with component scoping
+// pending completion event untouched — together with region scoping
 // and re-leveling scoping this is what makes churn cost proportional
 // to the affected bottleneck, not the population.
 func (m *Model) apply(now sim.Time, flows []*xfer) {

@@ -32,7 +32,7 @@ func start(t *testing.T, m *Model, k *sim.Kernel, size int, path ...*netem.Pipe)
 // bottleneck) and C the remaining 1.5 Mbps of L2.
 func TestMaxMinTextbook(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	l1 := netem.NewPipe(k, "L1", netem.PipeConfig{Bandwidth: 1 * netem.Mbps})
 	l2 := netem.NewPipe(k, "L2", netem.PipeConfig{Bandwidth: 2 * netem.Mbps})
 
@@ -76,7 +76,7 @@ func TestMaxMinTextbook(t *testing.T) {
 // model's serialization + propagation schedule.
 func TestSingleFlowMatchesSerialization(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	up := netem.NewPipe(k, "up", netem.PipeConfig{Bandwidth: 512 * netem.Kbps, Delay: 30 * time.Millisecond})
 	wan := netem.NewPipe(k, "wan", netem.PipeConfig{Delay: 45 * time.Millisecond})
 
@@ -97,7 +97,7 @@ func TestSingleFlowMatchesSerialization(t *testing.T) {
 // schedule must integrate the piecewise-constant rate exactly.
 func TestFairShareSettling(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	l := netem.NewPipe(k, "l", netem.PipeConfig{Bandwidth: 8 * netem.Mbps})
 
 	const size = 4_000_000 // 32 Mbit: alone it takes 4 s
@@ -126,7 +126,7 @@ func TestFairShareSettling(t *testing.T) {
 // visit or re-rate flows on a disjoint bottleneck.
 func TestIncrementalComponentScoping(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	la := netem.NewPipe(k, "a", netem.PipeConfig{Bandwidth: 1 * netem.Mbps})
 	lb := netem.NewPipe(k, "b", netem.PipeConfig{Bandwidth: 1 * netem.Mbps})
 
@@ -156,8 +156,8 @@ func TestIncrementalComponentScoping(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.InFlight() != 0 {
-		t.Errorf("%d flows still in flight after run", m.InFlight())
+	if st := m.stats; st.Started != st.Completed {
+		t.Errorf("%d flows started, %d completed", st.Started, st.Completed)
 	}
 }
 
@@ -166,7 +166,7 @@ func TestIncrementalComponentScoping(t *testing.T) {
 // unchanged keep their completion event untouched.
 func TestUnchangedRatesKeepSchedules(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	narrow := netem.NewPipe(k, "narrow", netem.PipeConfig{Bandwidth: 1 * netem.Mbps})
 	wide := netem.NewPipe(k, "wide", netem.PipeConfig{Bandwidth: 100 * netem.Mbps})
 
@@ -194,7 +194,7 @@ func TestUnchangedRatesKeepSchedules(t *testing.T) {
 // queue bound rejects a flow whose bytes exceed the configured backlog.
 func TestLossAndQueueAdmission(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	lossy := netem.NewPipe(k, "lossy", netem.PipeConfig{Bandwidth: netem.Mbps, Loss: 1})
 	dropped := false
 	m.Transfer(0, 1024, []*netem.Pipe{lossy}, k.Rand(), func(_ sim.Time, ok bool) {
@@ -224,7 +224,7 @@ func TestLossAndQueueAdmission(t *testing.T) {
 // probability a message-level draw would give it.
 func TestMTUPacketLoss(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	p := netem.NewPipe(k, "mtu", netem.PipeConfig{Bandwidth: netem.Gbps, Loss: 0.3, MTU: 1000})
 	const trials = 200
 	drops := 0
@@ -251,7 +251,7 @@ func TestMTUPacketLoss(t *testing.T) {
 // Messages/Bytes counters (and so Utilization) meaningful.
 func TestPipeStatsAccounting(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	up := netem.NewPipe(k, "up", netem.PipeConfig{Bandwidth: netem.Mbps})
 	wan := netem.NewPipe(k, "wan", netem.PipeConfig{Delay: time.Millisecond})
 	start(t, m, k, 125_000, up, wan)
@@ -276,7 +276,7 @@ func TestPipeStatsAccounting(t *testing.T) {
 // virtual timeline under the net.flow category.
 func TestTraceRateChanges(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	log := trace.New(0)
 	m.SetTrace(log)
 	l := netem.NewPipe(k, "l", netem.PipeConfig{Bandwidth: netem.Mbps})
@@ -303,7 +303,7 @@ func TestTraceRateChanges(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []sim.Time {
 		k := sim.New(7)
-		m := New(k)
+		m := NewWithConfig(k, Config{})
 		var pipes []*netem.Pipe
 		for i := 0; i < 4; i++ {
 			pipes = append(pipes, netem.NewPipe(k, "p", netem.PipeConfig{

@@ -44,7 +44,7 @@ func TestFlowReconfigureRerates(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.New(1)
-			m := New(k)
+			m := NewWithConfig(k, Config{})
 			p := netem.NewPipe(k, "p", netem.PipeConfig{Bandwidth: 1 * netem.Mbps})
 			exit := startFlow(k, m, p, 0, size)
 			reconfAt := sim.Time(500 * time.Millisecond)
@@ -73,7 +73,7 @@ func TestFlowReconfigureRerates(t *testing.T) {
 func TestFlowReconfigureIdenticalIsNoop(t *testing.T) {
 	run := func(reconf bool) (sim.Time, Stats) {
 		k := sim.New(1)
-		m := New(k)
+		m := NewWithConfig(k, Config{})
 		p := netem.NewPipe(k, "p", netem.PipeConfig{Bandwidth: 1 * netem.Mbps})
 		exit := startFlow(k, m, p, 0, 125_000)
 		if reconf {
@@ -102,7 +102,7 @@ func TestFlowReconfigureIdenticalIsNoop(t *testing.T) {
 // never seen by the model) must be a no-op, not a crash.
 func TestFlowReconfigureIdlePipe(t *testing.T) {
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	p := netem.NewPipe(k, "p", netem.PipeConfig{Bandwidth: 1 * netem.Mbps})
 	m.PipeReconfigured(p) // never carried a flow
 	if st := m.Stats(); st.Solves != 0 {
@@ -117,7 +117,7 @@ func TestFlowReconfigureIdlePipe(t *testing.T) {
 func TestFlowReconfigureBothUnlimited(t *testing.T) {
 	const size = 125_000
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	pa := netem.NewPipe(k, "a", netem.PipeConfig{Bandwidth: 1 * netem.Mbps})
 	pb := netem.NewPipe(k, "b", netem.PipeConfig{Bandwidth: 1 * netem.Mbps})
 	// f1 crosses both pipes, f2 only pb: with both unlimited, the
@@ -155,7 +155,7 @@ func TestFlowReconfigureBothUnlimited(t *testing.T) {
 func TestFlowReconfigureSharesComponent(t *testing.T) {
 	const size = 125_000
 	k := sim.New(1)
-	m := New(k)
+	m := NewWithConfig(k, Config{})
 	p := netem.NewPipe(k, "p", netem.PipeConfig{Bandwidth: 1 * netem.Mbps})
 	// Two concurrent flows: each gets 0.5 Mbps -> 2 s alone.
 	e1 := startFlow(k, m, p, 0, size)

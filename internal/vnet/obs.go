@@ -104,7 +104,7 @@ func (n *Network) initObs() {
 
 	// Flow-solver counters, present only under the flow model.
 	if fm := n.flow; fm != nil {
-		reg.CounterFunc("p2plab_flow_solves_total", "Component re-solves of the max-min fair share.", func() uint64 {
+		reg.CounterFunc("p2plab_flow_solves_total", "Regions re-solved for the max-min fair share: one per flush, one per churn event at window 0.", func() uint64 {
 			return fm.Stats().Solves
 		})
 		reg.CounterFunc("p2plab_flow_solved_flows_total", "Flows re-leveled across all re-solves.", func() uint64 {
@@ -122,7 +122,7 @@ func (n *Network) initObs() {
 		reg.CounterFunc("p2plab_flow_completed_total", "Flows delivered.", func() uint64 {
 			return fm.Stats().Completed
 		})
-		reg.GaugeFunc("p2plab_flow_flows_per_solve", "Mean flows re-leveled per component re-solve.", func() float64 {
+		reg.GaugeFunc("p2plab_flow_flows_per_solve", "Mean flows re-leveled per region re-solve.", func() float64 {
 			st := fm.Stats()
 			if st.Solves == 0 {
 				return 0
