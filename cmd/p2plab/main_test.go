@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -319,6 +325,84 @@ func TestRunReportsSnapshot(t *testing.T) {
 	if !strings.Contains(printed, want) {
 		t.Errorf("run output lacks %q:\n%s", want, printed)
 	}
+}
+
+// TestRunProfiles: -cpuprofile and -memprofile on a flow-model corpus
+// run write two pprof profiles — gzipped profile.proto messages — whose
+// sample types say what they measure.
+func TestRunProfiles(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := runMain([]string{"degrade-restore", "-cpuprofile", cpu, "-memprofile", mem, "-out", dir}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for path, want := range map[string][]string{cpu: {"cpu", "nanoseconds"}, mem: {"alloc_space", "bytes"}} {
+		strs, err := profileStrings(path)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		for _, w := range want {
+			if !slices.Contains(strs, w) {
+				t.Errorf("%s: string table lacks %q", filepath.Base(path), w)
+			}
+		}
+	}
+}
+
+// profileStrings decodes a pprof file far enough to prove it is one: it
+// gunzips it, walks every top-level protobuf field, and returns the
+// string table (field 6 of profile.proto).
+func profileStrings(path string) ([]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	b, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, err
+	}
+	var strs []string
+	for len(b) > 0 {
+		key, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, fmt.Errorf("bad field key")
+		}
+		b = b[n:]
+		switch key & 7 {
+		case 0:
+			if _, n = binary.Uvarint(b); n <= 0 {
+				return nil, fmt.Errorf("bad varint")
+			}
+		case 1:
+			n = 8
+		case 2:
+			l, m := binary.Uvarint(b)
+			if m <= 0 || uint64(len(b)-m) < l {
+				return nil, fmt.Errorf("bad length")
+			}
+			if key>>3 == 6 {
+				strs = append(strs, string(b[m:m+int(l)]))
+			}
+			n = m + int(l)
+		case 5:
+			n = 4
+		default:
+			return nil, fmt.Errorf("wire type %d", key&7)
+		}
+		if n > len(b) {
+			return nil, fmt.Errorf("truncated field")
+		}
+		b = b[n:]
+	}
+	if len(strs) == 0 {
+		return nil, fmt.Errorf("no string table")
+	}
+	return strs, nil
 }
 
 func TestRunRejectsUnknown(t *testing.T) {

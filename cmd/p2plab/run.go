@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -24,6 +26,8 @@ func runMain(args []string) error {
 	out := fs.String("out", "results", "output directory for the result CSV")
 	dump := fs.Bool("dump", false, "print the resolved scenario as JSON and exit (editable with -spec)")
 	traceTail := fs.Int("trace", 0, "print the last N trace events of the run")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of the run to `file`")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: p2plab run [flags] <scenario-name>\n")
 		fs.PrintDefaults()
@@ -89,11 +93,38 @@ func runMain(args []string) error {
 		lg = trace.New(*traceTail)
 		opt.Trace = lg
 	}
+	if *memProfile != "" {
+		// Fine enough to attribute the tens-of-bytes objects of a
+		// per-message hot path; the default samples one per 512 KiB.
+		runtime.MemProfileRate = 4096
+	}
+	var cpuFile *os.File
+	if *cpuProfile != "" {
+		var err error
+		if cpuFile, err = os.Create(*cpuProfile); err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return err
+		}
+	}
 	start := time.Now()
 	fmt.Printf("== scenario %s ==\n", sp.Name)
 	res, err := scenario.Run(&sp, opt)
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if cerr := cpuFile.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		return err
+	}
+	if *memProfile != "" {
+		if err := writeAllocProfile(*memProfile); err != nil {
+			return err
+		}
 	}
 	reportScenario(res)
 	fmt.Printf("   wall time %v\n", time.Since(start).Round(time.Millisecond))
@@ -118,6 +149,22 @@ func runMain(args []string) error {
 	}
 	fmt.Printf("   wrote %s\n", csvPath)
 	return nil
+}
+
+// writeAllocProfile writes the allocation profile: every allocation the
+// process made, sampled at runtime.MemProfileRate, with what is still
+// live as of the last GC.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // reportScenario prints the workload-appropriate summary of a run.

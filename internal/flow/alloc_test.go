@@ -59,3 +59,62 @@ func TestFlushDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// relay is a chain of back-to-back transfers: each one's done starts
+// the next, re-entering Transfer, until left runs out. Its done is
+// bound once, so the chain itself allocates nothing.
+type relay struct {
+	m      *Model
+	path   []*netem.Pipe
+	size   int
+	left   int
+	doneFn func(sim.Time, bool)
+}
+
+func (r *relay) start() {
+	r.m.Transfer(r.m.k.Now(), r.size, r.path, r.m.k.Rand(), r.doneFn)
+}
+
+func (r *relay) done(_ sim.Time, ok bool) {
+	if r.left--; ok && r.left > 0 {
+		r.start()
+	}
+}
+
+// TestTransferDoesNotAllocate is the allocation gate of the engine's
+// per-transfer state: the xfer, its links, its bound completion and its
+// completion event are pooled, so once warm a Transfer → complete →
+// Transfer round trip allocates nothing. Two relays share a pipe, so
+// every arrival and departure re-rates the other relay's flow.
+func TestTransferDoesNotAllocate(t *testing.T) {
+	for _, window := range []time.Duration{0, 50 * time.Millisecond} {
+		t.Run(fmt.Sprintf("window=%s", window), func(t *testing.T) {
+			k := sim.New(1)
+			m := NewWithConfig(k, Config{Window: window})
+			shared := netem.NewPipe(k, "shared", netem.PipeConfig{Bandwidth: 8 * netem.Mbps})
+			own := netem.NewPipe(k, "own", netem.PipeConfig{Bandwidth: 2 * netem.Mbps})
+			relays := []*relay{
+				{m: m, path: []*netem.Pipe{shared}, size: 64 << 10},
+				{m: m, path: []*netem.Pipe{shared, own}, size: 48 << 10},
+			}
+			for _, r := range relays {
+				r.doneFn = r.done
+			}
+			got := testing.AllocsPerRun(100, func() {
+				for _, r := range relays {
+					r.left = 8
+					r.start()
+				}
+				if err := k.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != 0 {
+				t.Errorf("%v allocs per 16 transfers, want 0", got)
+			}
+			if st := m.Stats(); st.Completed != 101*16 || st.Started != st.Completed {
+				t.Fatalf("stats %+v, want %d started and completed", st, 101*16)
+			}
+		})
+	}
+}

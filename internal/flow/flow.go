@@ -60,6 +60,7 @@ package flow
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/netem"
@@ -106,16 +107,21 @@ func (l *link) backlogAt(now sim.Time) int64 {
 	return int64(bits / 8)
 }
 
-// xfer is one in-flight transfer.
+// xfer is one in-flight transfer. xfers are pooled on the Model's free
+// list: the completion callback is bound once per struct, and the
+// links backing array and the completion handle are reused from one
+// transfer to the next, so a started flow allocates nothing.
 type xfer struct {
-	id        uint64
-	links     []*link // constrained pipes of the path, deduplicated
-	remaining float64 // bits left to carry, as of ratedAt
-	rate      float64 // bits/sec currently allotted; <0 = not yet rated
-	ratedAt   sim.Time
-	prop      time.Duration // propagation + jitter appended after completion
-	ev        *sim.Event    // pending completion
-	done      func(exit sim.Time, ok bool)
+	m          *Model
+	id         uint64
+	links      []*link // constrained pipes of the path, deduplicated
+	remaining  float64 // bits left to carry, as of ratedAt
+	rate       float64 // bits/sec currently allotted; <0 = not yet rated
+	ratedAt    sim.Time
+	prop       time.Duration // propagation + jitter appended after completion
+	ev         sim.Event     // completion; unarmed or spent until the first rating
+	completeFn func()        // bound f.complete
+	done       func(exit sim.Time, ok bool)
 
 	mark    uint64  // flush-BFS epoch stamp
 	newRate float64 // solver scratch; <0 = not yet frozen
@@ -172,7 +178,9 @@ type Model struct {
 	epoch      uint64
 	tracer     *trace.Log
 	stats      Stats
-	flushEv    *sim.Event // pending window boundary
+	flushEv    sim.Event // window boundary; under a window, pending exactly while dirty is non-empty
+	flushFn    func()    // bound m.FlushBatch
+	free       []*xfer   // pooled xfers, none on a link or armed
 
 	// Flush scratch, reused across flushes. dirty holds the links
 	// churned since the last flush, in dirtying order; a flush's BFS
@@ -190,7 +198,9 @@ func NewWithConfig(k *sim.Kernel, cfg Config) *Model {
 	if cfg.Window < 0 {
 		cfg.Window = 0
 	}
-	return &Model{k: k, cfg: cfg, links: make(map[*netem.Pipe]*link)}
+	m := &Model{k: k, cfg: cfg, links: make(map[*netem.Pipe]*link)}
+	m.flushFn = m.FlushBatch
+	return m
 }
 
 // SetTrace attaches an event log: every rate change is recorded under
@@ -239,10 +249,7 @@ func (m *Model) PipeReconfigured(p *netem.Pipe) {
 // rates — call it so they observe settled, current rates. A no-op when
 // nothing is pending. It is also the boundary event's callback.
 func (m *Model) FlushBatch() {
-	if m.flushEv != nil {
-		m.flushEv.Cancel() // false when the boundary itself is firing
-		m.flushEv = nil
-	}
+	m.flushEv.Cancel() // false when the boundary itself is firing, or none is pending
 	m.flush(m.k.Now())
 }
 
@@ -264,13 +271,17 @@ func (m *Model) FlushBatch() {
 // next message. done may re-enter Transfer (a give-up resets the
 // sender's connection, and the application's close handler may send),
 // so the engine is consistent before it calls done and touches nothing
-// of this transfer after.
+// of this transfer after. The engine pools its own per-transfer state
+// (xfer, its links, its completion event): every path out of Transfer
+// and complete returns the xfer to the pool before calling done, so a
+// steady-state transfer allocates nothing.
 func (m *Model) Transfer(at sim.Time, size int, path []*netem.Pipe, rng *rand.Rand, done func(sim.Time, bool)) {
+	f := m.acquire()
 	var prop time.Duration
-	var links []*link
 	for _, p := range path {
 		cfg := p.Config()
 		if !m.admit(at, size, p, cfg, rng) {
+			m.release(f)
 			done(0, false)
 			return
 		}
@@ -279,42 +290,49 @@ func (m *Model) Transfer(at sim.Time, size int, path []*netem.Pipe, rng *rand.Ra
 			prop += time.Duration(rng.Int63n(int64(cfg.Jitter)))
 		}
 		if cfg.Bandwidth > 0 {
-			l := m.linkFor(p)
-			dup := false
-			for _, seen := range links {
-				if seen == l {
-					dup = true // a pipe listed twice constrains the flow once
-					break
-				}
-			}
-			if !dup {
-				links = append(links, l)
+			// A pipe listed twice constrains the flow once.
+			if l := m.linkFor(p); !slices.Contains(f.links, l) {
+				f.links = append(f.links, l)
 			}
 		}
 	}
 	for _, p := range path {
 		p.AccountTransfer(size)
 	}
-	if len(links) == 0 {
+	if len(f.links) == 0 {
+		m.release(f)
 		done(at.Add(prop), true)
 		return
 	}
 	m.nextFlowID++
-	f := &xfer{
-		id:        m.nextFlowID,
-		links:     links,
-		remaining: float64(int64(size) * 8),
-		rate:      -1,
-		newRate:   -1,
-		ratedAt:   at,
-		prop:      prop,
-		done:      done,
-	}
-	for _, l := range links {
+	f.id, f.remaining, f.ratedAt, f.prop, f.done = m.nextFlowID, float64(int64(size)*8), at, prop, done
+	f.rate, f.newRate, f.bott = -1, -1, nil
+	for _, l := range f.links {
 		l.flows = append(l.flows, f)
 	}
 	m.stats.Started++
-	m.churn(at, links)
+	m.churn(at, f.links)
+}
+
+// acquire takes an xfer off the free list, or builds one and binds its
+// completion callback.
+func (m *Model) acquire() *xfer {
+	if n := len(m.free); n > 0 {
+		f := m.free[n-1]
+		m.free = m.free[:n-1]
+		return f
+	}
+	f := &xfer{m: m}
+	f.completeFn = f.complete
+	return f
+}
+
+// release returns f, on no link and with no completion pending, to the
+// free list. Its stale completion handle needs no reset: the kernel
+// checks handles by generation, so Reschedule on it reports false.
+func (m *Model) release(f *xfer) {
+	f.links, f.done = f.links[:0], nil
+	m.free = append(m.free, f)
 }
 
 // admit runs one pipe's entry checks (loss, then fluid-queue) and
@@ -394,10 +412,11 @@ func (m *Model) admit(at sim.Time, size int, p *netem.Pipe, cfg netem.PipeConfig
 // re-solve the component it leaves behind (its peers speed up), and
 // deliver after the accumulated propagation. In batched mode delivery
 // is still exact — only the peers' speed-up waits for the window
-// boundary, at their current (conservative) rates.
-func (m *Model) complete(f *xfer) {
+// boundary, at their current (conservative) rates. The xfer goes back
+// to the pool before done runs, since done may re-enter Transfer.
+func (f *xfer) complete() {
+	m := f.m
 	now := m.k.Now()
-	f.ev = nil
 	for _, l := range f.links {
 		l.remove(f)
 	}
@@ -406,7 +425,9 @@ func (m *Model) complete(f *xfer) {
 		m.tracer.FlowDone(now, f.links[0].pipe.Name(), f.id)
 	}
 	m.churn(now, f.links)
-	f.done(now.Add(f.prop), true)
+	done, exit := f.done, now.Add(f.prop)
+	m.release(f)
+	done(exit, true)
 }
 
 // markDirty queues l for the next flush, once.
@@ -421,9 +442,11 @@ func (m *Model) markDirty(l *link) {
 // At window 0 it flushes them at once, at at: a Transfer's at already
 // includes its route and firewall cost, so it may lie past the kernel's
 // now. Otherwise it arms the batch boundary one window after the
-// batch's first event; the boundary is a kernel event, so batching is
+// batch's first event — the event that finds no link dirty, since only
+// a flush cleans them; the boundary is a kernel event, so batching is
 // as deterministic as any other scheduled work.
 func (m *Model) churn(at sim.Time, links []*link) {
+	first := len(m.dirty) == 0
 	for _, l := range links {
 		m.markDirty(l)
 	}
@@ -432,8 +455,8 @@ func (m *Model) churn(at sim.Time, links []*link) {
 		return
 	}
 	m.stats.Batched++
-	if m.flushEv == nil {
-		m.flushEv = m.k.At(at.Add(m.cfg.Window), m.FlushBatch)
+	if first {
+		m.k.Arm(&m.flushEv, at.Add(m.cfg.Window), m.flushFn)
 	}
 }
 
@@ -706,11 +729,8 @@ func (m *Model) apply(now sim.Time, flows []*xfer) {
 		f.rate = f.newRate
 		f.ratedAt = now
 		at := now.Add(durBits(f.remaining, f.rate))
-		if f.ev == nil {
-			ff := f
-			f.ev = m.k.At(at, func() { m.complete(ff) })
-		} else {
-			f.ev.Reschedule(at)
+		if !f.ev.Reschedule(at) { // first rating: the handle is unarmed or spent
+			m.k.Arm(&f.ev, at, f.completeFn)
 		}
 		m.stats.Rerates++
 		if m.tracer != nil {

@@ -89,8 +89,13 @@ func (c *Cond) remove(w *condWaiter) {
 //p2p:token
 func (c *Cond) Signal() {
 	for len(c.waiters) > 0 {
+		// Pop by shifting, not by reslicing: c.waiters[1:] would drop the
+		// front of the backing array, and a one-waiter Cond — every
+		// mailbox Recv — would allocate a fresh one on its next Wait.
 		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+		n := copy(c.waiters, c.waiters[1:])
+		c.waiters[n] = nil
+		c.waiters = c.waiters[:n]
 		if w.fired {
 			continue
 		}

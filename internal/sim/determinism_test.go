@@ -130,6 +130,16 @@ func (m *timerModel) cancel(id int) bool {
 	return false
 }
 
+// live reports whether timer id is still to fire.
+func (m *timerModel) live(id int) bool {
+	for _, tm := range m.pending {
+		if tm.id == id {
+			return true
+		}
+	}
+	return false
+}
+
 func (m *timerModel) reschedule(id int, at sim.Time) bool {
 	if !m.cancel(id) {
 		return false
@@ -159,14 +169,22 @@ func (m *timerModel) next() modelTimer {
 // performs a few random operations on both sides; after every
 // operation the kernel's queue length must equal the model's live
 // timer count.
+//
+// Besides the handles At and After return, the script owns a few
+// handles the way a pooled struct does and re-arms them with Arm once
+// their timer has fired or been cancelled. Each re-arm leaves a copy of
+// the spent value in handles, so Cancel and Reschedule keep being tried
+// on stale caller-owned handles too.
 type timerScript struct {
 	t       *testing.T
 	k       *sim.Kernel
 	m       timerModel
 	rng     *rand.Rand
 	handles []handle
-	timers  int // ids issued
-	budget  int // operations left before callbacks go quiet
+	owned   [4]sim.Event
+	ownedAt [4]int // index in handles of each owned handle's entry; -1 before its first Arm
+	timers  int    // ids issued
+	budget  int    // operations left before callbacks go quiet
 	fired   uint64
 }
 
@@ -230,7 +248,7 @@ func (s *timerScript) step() {
 	}
 	s.budget--
 	id := s.timers
-	switch op := s.rng.Intn(10); {
+	switch op := s.rng.Intn(12); {
 	case op < 2:
 		at := s.randomAt()
 		s.handles = append(s.handles, handle{s.k.At(at, s.callback(id)), id})
@@ -246,6 +264,21 @@ func (s *timerScript) step() {
 		s.k.Schedule(at, s.callback(id))
 		s.m.schedule(at, id)
 		s.timers++
+	case op >= 10:
+		i := s.rng.Intn(len(s.owned))
+		if j := s.ownedAt[i]; j >= 0 {
+			if s.m.live(s.handles[j].id) {
+				break // Arm wants a handle that has fired or been cancelled
+			}
+			spent := s.owned[i]
+			s.handles[j].h = &spent
+		}
+		at := s.randomAt()
+		s.k.Arm(&s.owned[i], at, s.callback(id))
+		s.m.schedule(at, id)
+		s.timers++
+		s.ownedAt[i] = len(s.handles)
+		s.handles = append(s.handles, handle{&s.owned[i], id})
 	case op < 8:
 		victim := s.victim()
 		if victim == nil {
@@ -270,13 +303,14 @@ func (s *timerScript) step() {
 }
 
 // TestTimersMatchModel is the property test behind the kernel's single
-// event queue: for any script of At/After/Schedule/Cancel/Reschedule,
+// event queue: for any script of At/After/Arm/Schedule/Cancel/Reschedule,
 // dispatch order, handle results, Stats and queue length are those of
 // the sorted-slice model.
 func TestTimersMatchModel(t *testing.T) {
 	const horizon = sim.Time(24 * time.Hour)
 	for seed := int64(1); seed <= 8; seed++ {
 		s := &timerScript{t: t, k: sim.New(seed), rng: rand.New(rand.NewSource(seed)), budget: 20000}
+		s.ownedAt = [4]int{-1, -1, -1, -1}
 		for i := 0; i < 200; i++ {
 			s.step()
 		}

@@ -117,10 +117,10 @@ const maxIdleCoros = 32
 // switches to a task and the task switches back — so the token never
 // passes between two parties that could run at once, and nothing here
 // takes a lock. Functions marked //p2p:token require the token. The
-// rest of the API (At, After, Go, Stop, Event.Cancel, Event.Reschedule,
-// Now, Snapshot, QueueLen) may also be used while the kernel is idle:
-// before Run is called and after it has returned. No goroutine may
-// touch a kernel while another is inside its Run.
+// rest of the API (At, Arm, After, Go, Stop, Event.Cancel,
+// Event.Reschedule, Now, Snapshot, QueueLen) may also be used while the
+// kernel is idle: before Run is called and after it has returned. No
+// goroutine may touch a kernel while another is inside its Run.
 type Kernel struct {
 	now    Time
 	seq    uint64
@@ -262,8 +262,22 @@ func newCoro() *coro {
 //p2p:tokenentry callers hold the token or the kernel is idle
 //p2p:tokenarg
 func (k *Kernel) At(at Time, fn func()) *Event {
+	e := new(Event)
+	k.Arm(e, at, fn)
+	return e
+}
+
+// Arm is At with a handle the caller owns: it schedules fn at instant
+// at and points *e at the new event, so a handle kept inside a pooled
+// struct schedules cancellable events without allocating. e must not
+// refer to a pending event — cancel it or let it fire first; a fired
+// or cancelled handle is re-armed as often as needed.
+//
+//p2p:tokenentry callers hold the token or the kernel is idle
+//p2p:tokenarg
+func (k *Kernel) Arm(e *Event, at Time, fn func()) {
 	ev := k.push(at, fn)
-	return &Event{k: k, ev: ev, gen: ev.gen}
+	*e = Event{k: k, ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -277,7 +291,8 @@ func (k *Kernel) After(d Duration, fn func()) *Event {
 // Schedule is At without the cancellable handle. The event struct itself
 // is pooled, so for callers that never cancel — the per-packet hop and
 // delivery events of the network layer — this path schedules with zero
-// allocations, where At allocates one Event handle per call.
+// allocations, where At allocates one Event handle per call (Arm reuses
+// the caller's).
 //
 // Schedule may only be called from code holding the execution token (a
 // running simulated goroutine or an event callback) and says so to

@@ -73,20 +73,16 @@ func datagramAllocs(t *testing.T, kind netem.ModelKind, payload int, tracer *tra
 // exact because malloc counts carry no timing noise. Per datagram sent
 // and delivered, who allocates:
 //
-//   - vnet's journey (transmit → xfer.attempt → step/done → deliver):
-//     nothing under either model. The xfer, its four bound method values
-//     and the kernel's event structs are pooled; the path lives in
-//     xfer.pathBuf.
 //   - PacketConn.SendTo: 1, the defensive copy of the caller's payload
-//     (none for an empty one). It is the whole pipe-model figure.
-//   - flow.Model.Transfer: 5, the engine's own — the fluid xfer, two
-//     appends growing its links slice (both access pipes of a DSL pair
-//     are constrained), the completion closure and its cancellable
-//     *sim.Event handle (flow.Model.apply). With SendTo's copy that is
-//     6 per datagram. While the flow model had its own closure-based
-//     copy of the journey the figure was 13: per attempt vnet added a
-//     path slice, three closures, the variables they captured and an
-//     Event handle.
+//     (none for an empty one). It is the only allocation left, under
+//     either model.
+//   - vnet's journey (transmit → xfer.attempt → step/done → deliver):
+//     nothing. The xfer, its four bound method values and the kernel's
+//     event structs are pooled; the path lives in xfer.pathBuf.
+//   - flow.Model.Transfer: nothing. The engine pools its own fluid xfer
+//     with its links slice, its bound completion and the completion's
+//     sim.Event handle, armed in place with Kernel.Arm (DESIGN.md
+//     decision 8 has the 5 allocations this took unpooled).
 //   - trace.Log, when attached: nothing. net.send, net.deliver and the
 //     flow model's start/done are typed records (ip.Addr, ints, the
 //     pipe's existing name) written into a chunk; while they went
@@ -101,8 +97,8 @@ func TestTransmitAllocs(t *testing.T) {
 	}{
 		{"pipe/empty-payload", netem.ModelPipe, 0, 0},
 		{"pipe", netem.ModelPipe, 8, 1},
-		{"flow/empty-payload", netem.ModelFlow, 0, 5},
-		{"flow", netem.ModelFlow, 8, 6},
+		{"flow/empty-payload", netem.ModelFlow, 0, 0},
+		{"flow", netem.ModelFlow, 8, 1},
 	} {
 		if got := datagramAllocs(t, tc.kind, tc.payload, nil); got != tc.want {
 			t.Errorf("%s: %d allocs per datagram, want %d", tc.name, got, tc.want)
