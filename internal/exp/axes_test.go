@@ -51,7 +51,8 @@ var axisPool = map[string][]string{
 // product less the two collapse rules; cells come in table order
 // carrying their position; every cell is a distinct combination of the
 // grid's values, which with the count makes the expansion exhaustive;
-// no two cells of a spec family compile to the same scenario; and
+// every cell of a spec family compiles to a scenario that validates, and
+// no two to the same one; and
 // expanding is repeatable and leaves the caller's grid alone.
 func TestCellsProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
@@ -176,6 +177,11 @@ func checkExpansion(t *testing.T, g, pristine Grid, vals [][]string) {
 		sp, err := c.Spec()
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The spec validates, so no axis writes a knob its family's
+		// workload kind does not read.
+		if err := sp.WithDefaults().Validate(); err != nil {
+			t.Fatalf("%s: %v", c, err)
 		}
 		blob, err := json.Marshal(sp)
 		if err != nil {

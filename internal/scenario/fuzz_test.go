@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math/rand"
 	"testing"
 )
 
@@ -15,6 +16,16 @@ func FuzzLoadSpec(f *testing.F) {
 	// The whole committed corpus seeds the fuzzer with realistic specs.
 	for _, sp := range Corpus() {
 		data, err := json.Marshal(sp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// Generated specs set knob and event-field combinations the corpus
+	// does not.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 16; i++ {
+		data, err := json.Marshal(genSpec(rng, 64))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -158,7 +158,7 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	res.Snapshot.Label("model", ncfg.Model.String())
 	res.Snapshot.Label("seed", fmt.Sprintf("%d", sp.Seed))
 
-	if err := r.startWorkload(); err != nil {
+	if err := kindOf(sp.Workload.Kind).start(r); err != nil {
 		return nil, err
 	}
 	for _, ev := range sp.Timeline {
@@ -418,26 +418,6 @@ func (r *runner) heal(a, b []string) {
 	r.Net.Heal(id)
 }
 
-// startWorkload builds and launches the spec's workload and sets
-// r.finish to collect its results after the run.
-func (r *runner) startWorkload() error {
-	switch r.spec.Workload.Kind {
-	case WorkloadSwarm:
-		return r.startSwarm(false)
-	case WorkloadChurnSwarm:
-		return r.startSwarm(true)
-	case WorkloadSnapshot:
-		return r.startSnapshot()
-	case WorkloadDHT:
-		return r.startDHT()
-	case WorkloadGossip:
-		return r.startGossip()
-	case WorkloadPing:
-		return r.startPing()
-	}
-	return fmt.Errorf("scenario %s: unknown workload %q", r.spec.Name, r.spec.Workload.Kind)
-}
-
 // The ping workload's series, fixed: Fig 6's measurement.
 const (
 	pingCount    = 10
@@ -474,7 +454,9 @@ func (r *runner) addTracker() error {
 	return nil
 }
 
-func (r *runner) startSwarm(churned bool) error {
+// startSwarm launches the swarm and churn-swarm workloads; a swarm's
+// churn fraction is zero, so all its clients are stable.
+func (r *runner) startSwarm() error {
 	if err := r.addTracker(); err != nil {
 		return err
 	}
@@ -492,10 +474,8 @@ func (r *runner) startSwarm(churned bool) error {
 			clients = append(clients, h)
 		}
 	}
-	nChurn := 0
-	if churned {
-		nChurn = int(float64(len(clients)) * w.ChurnFraction)
-	}
+	churned := w.Kind == WorkloadChurnSwarm
+	nChurn := int(float64(len(clients)) * w.ChurnFraction)
 	stable, churning := clients[:len(clients)-nChurn], clients[len(clients)-nChurn:]
 
 	bspec := bt.DefaultSwarmSpec()

@@ -80,6 +80,14 @@ func TestValidationRejects(t *testing.T) {
 			Workload: WorkloadSpec{Kind: WorkloadGossip},
 		}
 	}
+	workload := func(w WorkloadSpec) func(*Spec) { return func(s *Spec) { s.Workload = w } }
+	event := func(ev EventSpec) func(*Spec) {
+		return func(s *Spec) {
+			s.Groups = append(s.Groups, GroupSpec{Name: "h", Class: "dsl", Nodes: 4})
+			s.Timeline = []EventSpec{ev}
+		}
+	}
+	sec, g, h := Duration(time.Second), []string{"g"}, []string{"h"}
 	cases := []struct {
 		name string
 		mut  func(*Spec)
@@ -119,10 +127,10 @@ func TestValidationRejects(t *testing.T) {
 		}, "unknown class"},
 		{"for on set-class", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionSetClass, Groups: []string{"g"}, Class: "dsl", For: Duration(time.Second)}}
-		}, "does not support a duration"},
+		}, "does not use for"},
 		{"for on heal", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionHeal, A: []string{"g"}, B: []string{"g"}, For: Duration(time.Second)}}
-		}, "does not support a duration"},
+		}, "does not use for"},
 		{"path separator in name", func(s *Spec) { s.Name = "a/b" }, "only letters"},
 		{"traversal in name", func(s *Spec) { s.Name = "../x" }, "only letters"},
 		{"bad classifier", func(s *Spec) { s.Classifier = "hash" }, "unknown classifier"},
@@ -140,7 +148,7 @@ func TestValidationRejects(t *testing.T) {
 		}, "copies outside"},
 		{"add-rule with for", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionAddRule, Rule: "count", For: Duration(time.Second)}}
-		}, "does not support a duration"},
+		}, "does not use for"},
 		{"del-rule without id", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionDelRule}}
 		}, "positive rule id"},
@@ -149,10 +157,10 @@ func TestValidationRejects(t *testing.T) {
 		}, "unknown group"},
 		{"rule fields on non-rule action", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionDenyPfx, Groups: []string{"g"}, Rule: "deny"}}
-		}, "does not use the add-rule fields"},
+		}, "deny-prefix does not use rule"},
 		{"rule id on non-rule action", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionLinkDown, Groups: []string{"g"}, ID: 100}}
-		}, "does not use a rule id"},
+		}, "link-down does not use id"},
 		{"permanent deny-prefix without id", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionDenyPfx, Groups: []string{"g"}}}
 		}, "needs a pinned id"},
@@ -168,10 +176,27 @@ func TestValidationRejects(t *testing.T) {
 		}, "needs the flow model"},
 		{"snapshot knob on gossip", func(s *Spec) {
 			s.Workload.WebSeeds = 1
-		}, "need the snapshot workload"},
+		}, "workload gossip does not use web_seeds"},
 		{"rate cap on gossip", func(s *Spec) {
 			s.Workload.DownRate = 1 << 20
-		}, "need the snapshot workload"},
+		}, "workload gossip does not use down_rate"},
+		// A knob the kind, or a field the action, does not read: each of
+		// these used to validate and run as if the field were absent.
+		{"fanout on dht", workload(WorkloadSpec{Kind: WorkloadDHT, Fanout: 5}), "workload dht does not use fanout"},
+		{"lookups on gossip", workload(WorkloadSpec{Kind: WorkloadGossip, Lookups: 10}), "workload gossip does not use lookups"},
+		{"lookups on swarm", workload(WorkloadSpec{Kind: WorkloadSwarm, Lookups: 10}), "workload swarm does not use lookups"},
+		{"churn on swarm", workload(WorkloadSpec{Kind: WorkloadSwarm, ChurnFraction: 0.3}), "workload swarm does not use churn_fraction"},
+		{"session on swarm", workload(WorkloadSpec{Kind: WorkloadSwarm, Session: 60 * sec}), "workload swarm does not use session"},
+		{"file size on gossip", workload(WorkloadSpec{Kind: WorkloadGossip, FileSize: 1 << 20}), "workload gossip does not use file_size"},
+		{"seeders on ping", workload(WorkloadSpec{Kind: WorkloadPing, Seeders: 1}), "workload ping does not use seeders"},
+		{"start interval on dht", workload(WorkloadSpec{Kind: WorkloadDHT, StartInterval: sec}), "workload dht does not use start_interval"},
+		{"churn on snapshot", workload(WorkloadSpec{Kind: WorkloadSnapshot, ChurnFraction: 0.3}), "workload snapshot does not use churn_fraction"},
+		{"loss on partition", event(EventSpec{Action: ActionPartition, A: g, B: h, Loss: 0.5}), "partition does not use loss"},
+		{"groups on partition", event(EventSpec{Action: ActionPartition, A: g, B: h, Groups: g}), "partition does not use groups"},
+		{"side on set-class", event(EventSpec{Action: ActionSetClass, Groups: g, Class: "dsl", A: g}), "set-class does not use a"},
+		{"class on loss", event(EventSpec{Action: ActionLoss, Groups: g, Loss: 0.2, For: sec, Class: "dsl"}), "loss does not use class"},
+		{"loss on link-down", event(EventSpec{Action: ActionLinkDown, Groups: g, Loss: 0.5}), "link-down does not use loss"},
+		{"class on deny-prefix", event(EventSpec{Action: ActionDenyPfx, Groups: g, For: sec, Class: "dsl"}), "deny-prefix does not use class"},
 	}
 	for _, tc := range cases {
 		sp := base()
@@ -211,12 +236,12 @@ func TestSnapshotValidation(t *testing.T) {
 		mut  func(*Spec)
 		want string
 	}{
-		{"too many web seeds", func(s *Spec) { s.Workload.WebSeeds = maxWebSeeds + 1 }, "web seeds outside"},
-		{"negative up rate", func(s *Spec) { s.Workload.UpRate = -1 }, "negative rate cap"},
-		{"negative down rate", func(s *Spec) { s.Workload.DownRate = -1 }, "negative rate cap"},
+		{"too many web seeds", func(s *Spec) { s.Workload.WebSeeds = maxWebSeeds + 1 }, "web_seeds 17 outside [0,17)"},
+		{"negative up rate", func(s *Spec) { s.Workload.UpRate = -1 }, "up_rate -1 below 0"},
+		{"negative down rate", func(s *Spec) { s.Workload.DownRate = -1 }, "down_rate -1 below 0"},
 		{"negative restart at", func(s *Spec) {
 			s.Workload.SeedRestartAt = Duration(-time.Second)
-		}, "negative seed restart"},
+		}, "seed_restart_at -1s below 0s"},
 		{"restart without seeder", func(s *Spec) {
 			s.Workload.WebSeeds = 1 // keeps WithDefaults from minting a seeder
 			s.Workload.SeedRestartAt = Duration(time.Second)

@@ -17,8 +17,10 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -90,43 +92,142 @@ const (
 	WorkloadPing       = "ping"
 )
 
+// workloadKind is one row of the kinds table: a workload kind, the
+// fewest nodes it runs on and the function that starts it and sets
+// r.finish to collect its results after the run.
+type workloadKind struct {
+	name     string
+	minNodes int
+	start    func(*runner) error
+}
+
+// kinds holds one row per workload kind. Validate rejects a kind that
+// is not here; Run starts the spec's kind through its row.
+var kinds = []workloadKind{
+	{WorkloadSwarm, 2, (*runner).startSwarm}, // a seeder and a client
+	{WorkloadChurnSwarm, 2, (*runner).startSwarm},
+	{WorkloadSnapshot, 1, (*runner).startSnapshot}, // web seeds can serve a lone client
+	{WorkloadDHT, 2, (*runner).startDHT},
+	{WorkloadGossip, 2, (*runner).startGossip},
+	{WorkloadPing, 2, (*runner).startPing},
+}
+
+// kindOf returns the kinds row named k, or nil.
+func kindOf(k string) *workloadKind {
+	if i := slices.IndexFunc(kinds, func(r workloadKind) bool { return r.name == k }); i >= 0 {
+		return &kinds[i]
+	}
+	return nil
+}
+
 // maxWebSeeds caps a snapshot workload's web-seed fleet; web seeds are
 // admin-space CDN hosts, not swarm members, and a handful saturates any
 // corpus-sized scenario.
 const maxWebSeeds = 16
 
 // WorkloadSpec selects and tunes the application driven over the
-// scenario's network. Zero-valued knobs take workload defaults.
+// scenario's network. Which kinds read a field, its default and its
+// legal range are the field's row in workloadFields: a zero field takes
+// the default, and a field the kind does not read must stay zero.
 type WorkloadSpec struct {
-	Kind string `json:"kind"` // swarm | churn-swarm | snapshot | dht | gossip | ping
+	Kind string `json:"kind"` // a row of kinds: swarm | churn-swarm | snapshot | dht | gossip | ping
 
-	// Swarm family (swarm, churn-swarm, snapshot).
-	FileSize      int64    `json:"file_size,omitempty"`      // bytes, default 1 MiB (8 MiB for snapshot)
-	Seeders       int      `json:"seeders,omitempty"`        // default 1 (snapshot allows 0 with web seeds)
-	SeederGroup   string   `json:"seeder_group,omitempty"`   // default: first group
-	StartInterval Duration `json:"start_interval,omitempty"` // default 1s
+	FileSize      int64    `json:"file_size,omitempty"`      // bytes (snapshot defaults to 8 MiB)
+	Seeders       int      `json:"seeders,omitempty"`        // seeding hosts (0 on snapshot only with web seeds)
+	SeederGroup   string   `json:"seeder_group,omitempty"`   // group the seeders come from, default the first
+	StartInterval Duration `json:"start_interval,omitempty"` // spacing of client arrivals
 
-	// Churn-swarm only.
-	ChurnFraction float64  `json:"churn_fraction,omitempty"` // default 0.5
-	Session       Duration `json:"session,omitempty"`        // mean up-time, default 120s
-	Downtime      Duration `json:"downtime,omitempty"`       // mean down-time, default 60s
+	ChurnFraction float64  `json:"churn_fraction,omitempty"` // share of clients that churn, in [0,1)
+	Session       Duration `json:"session,omitempty"`        // mean up-time (Pareto scale)
+	Downtime      Duration `json:"downtime,omitempty"`       // mean down-time (exponential)
 
-	// Snapshot only: the few-peers / huge-file / rate-capped regime.
-	PieceLength int   `json:"piece_length,omitempty"` // bytes, default 2 MiB
-	ConnCap     int   `json:"conn_cap,omitempty"`     // per-client peer budget, default 5
+	// The snapshot regime: few peers, a huge file, rate caps.
+	PieceLength int   `json:"piece_length,omitempty"` // bytes
+	ConnCap     int   `json:"conn_cap,omitempty"`     // per-client peer budget
 	UpRate      int64 `json:"up_rate,omitempty"`      // bytes/s token-bucket cap, 0 unlimited
 	DownRate    int64 `json:"down_rate,omitempty"`    // bytes/s token-bucket cap, 0 unlimited
-	WebSeeds    int   `json:"web_seeds,omitempty"`    // admin-space block servers, default 0
-	// SeedRestartAt takes the first seeder offline mid-transfer; it
-	// resumes (same storage) SeedRestartDown later (default 30s).
+	WebSeeds    int   `json:"web_seeds,omitempty"`    // admin-space block servers
+	// The first seeder goes offline at SeedRestartAt and resumes, same
+	// storage, SeedRestartDown later (default 30s).
 	SeedRestartAt   Duration `json:"seed_restart_at,omitempty"`
 	SeedRestartDown Duration `json:"seed_restart_down,omitempty"`
 
-	// DHT only.
-	Lookups int `json:"lookups,omitempty"` // default 50
+	Lookups int `json:"lookups,omitempty"` // DHT lookups measured
+	Fanout  int `json:"fanout,omitempty"`  // gossip push fanout
+}
 
-	// Gossip only.
-	Fanout int `json:"fanout,omitempty"` // default 3
+// wfield is one WorkloadSpec field's row: its JSON name, the kinds
+// that read it, and the field with its default and legal range.
+type wfield struct {
+	name  string
+	kinds []string
+	knob  knob
+}
+
+var (
+	swarmKinds    = []string{WorkloadSwarm, WorkloadChurnSwarm, WorkloadSnapshot}
+	churnKinds    = []string{WorkloadChurnSwarm}
+	snapshotKinds = []string{WorkloadSnapshot}
+)
+
+// workloadFields holds one row per WorkloadSpec field but Kind.
+// WithDefaults fills from the rows and Validate checks against them. A
+// set field the kind does not read is an error: silently ignoring it
+// would run a different scenario than the author wrote. The cross-field
+// rules (seeders against their group, the seed restart pair, snapshot's
+// file size) stay code beside the walks.
+var workloadFields = []wfield{
+	{"file_size", swarmKinds, &val[int64]{field: func(w *WorkloadSpec) *int64 { return &w.FileSize }, def: 1 << 20, lo: 1}},
+	{"seeders", swarmKinds, &val[int]{field: func(w *WorkloadSpec) *int { return &w.Seeders }}},
+	{"seeder_group", swarmKinds, &val[string]{field: func(w *WorkloadSpec) *string { return &w.SeederGroup }}},
+	{"start_interval", swarmKinds, &val[Duration]{field: func(w *WorkloadSpec) *Duration { return &w.StartInterval }, def: Duration(time.Second), lo: 1}},
+	{"churn_fraction", churnKinds, &val[float64]{field: func(w *WorkloadSpec) *float64 { return &w.ChurnFraction }, def: 0.5, hi: 1}},
+	{"session", churnKinds, &val[Duration]{field: func(w *WorkloadSpec) *Duration { return &w.Session }, def: Duration(120 * time.Second), lo: 1}},
+	{"downtime", churnKinds, &val[Duration]{field: func(w *WorkloadSpec) *Duration { return &w.Downtime }, def: Duration(60 * time.Second), lo: 1}},
+	{"piece_length", snapshotKinds, &val[int]{field: func(w *WorkloadSpec) *int { return &w.PieceLength }, def: 2 << 20, lo: 1}},
+	{"conn_cap", snapshotKinds, &val[int]{field: func(w *WorkloadSpec) *int { return &w.ConnCap }, def: 5, lo: 1}},
+	{"up_rate", snapshotKinds, &val[int64]{field: func(w *WorkloadSpec) *int64 { return &w.UpRate }}},
+	{"down_rate", snapshotKinds, &val[int64]{field: func(w *WorkloadSpec) *int64 { return &w.DownRate }}},
+	{"web_seeds", snapshotKinds, &val[int]{field: func(w *WorkloadSpec) *int { return &w.WebSeeds }, hi: maxWebSeeds + 1}},
+	{"seed_restart_at", snapshotKinds, &val[Duration]{field: func(w *WorkloadSpec) *Duration { return &w.SeedRestartAt }}},
+	{"seed_restart_down", snapshotKinds, &val[Duration]{field: func(w *WorkloadSpec) *Duration { return &w.SeedRestartDown }}},
+	{"lookups", []string{WorkloadDHT}, &val[int]{field: func(w *WorkloadSpec) *int { return &w.Lookups }, def: 50, lo: 1}},
+	{"fanout", []string{WorkloadGossip}, &val[int]{field: func(w *WorkloadSpec) *int { return &w.Fanout }, def: 3, lo: 1}},
+}
+
+// knob is a row's typed half, the value type erased.
+type knob interface {
+	set(w *WorkloadSpec) bool // the field is not zero
+	fill(w *WorkloadSpec)
+	check(w *WorkloadSpec) error
+}
+
+// val binds a row to its field. A legal value v has lo <= v and, unless
+// hi is zero, v < hi. A non-zero def fills a zero field and, where zero
+// is not legal, a negative one.
+type val[T cmp.Ordered] struct {
+	field       func(*WorkloadSpec) *T
+	def, lo, hi T
+}
+
+func (k *val[T]) set(w *WorkloadSpec) bool { return *k.field(w) != *new(T) }
+
+func (k *val[T]) fill(w *WorkloadSpec) {
+	var zero T
+	if v := k.field(w); k.def != zero && (*v == zero || *v < zero && k.lo > zero) {
+		*v = k.def
+	}
+}
+
+func (k *val[T]) check(w *WorkloadSpec) error {
+	var zero T
+	switch v := *k.field(w); {
+	case k.hi != zero && (v < k.lo || v >= k.hi):
+		return fmt.Errorf("%v outside [%v,%v)", v, k.lo, k.hi)
+	case v < k.lo:
+		return fmt.Errorf("%v below %v", v, k.lo)
+	}
+	return nil
 }
 
 // Timeline actions.
@@ -154,41 +255,31 @@ var ruleActions = []string{"count", "deny", "allow"}
 const maxRuleCopies = 100000
 
 // EventSpec is one scheduled network event on the scenario timeline.
+// Which actions read a field is the field's row in eventFields; a field
+// the action does not read must stay zero.
 type EventSpec struct {
 	At     Duration `json:"at"`
 	Action string   `json:"action"`
 
-	// Partition / heal: the two sides, as group names. A heal removes
-	// the partition with the same (unordered) sides.
-	A []string `json:"a,omitempty"`
-	B []string `json:"b,omitempty"`
+	A      []string `json:"a,omitempty"`      // one side of a partition, as group names
+	B      []string `json:"b,omitempty"`      // the other side; a heal names the same (unordered) sides
+	Groups []string `json:"groups,omitempty"` // the target groups
+	Class  string   `json:"class,omitempty"`  // the new access-link class
+	Loss   float64  `json:"loss,omitempty"`   // the burst drop probability in [0,1]
 
-	// Set-class / loss / link-down / link-up targets.
-	Groups []string `json:"groups,omitempty"`
-
-	// Set-class: the new access-link class.
-	Class string `json:"class,omitempty"`
-
-	// Loss: the burst drop probability in [0,1].
-	Loss float64 `json:"loss,omitempty"`
-
-	// Add-rule: the rule's match sides — each a CIDR prefix or a group
-	// name (resolved to the group's prefix); empty matches everything —
-	// and its body ("count", "deny" or "allow").
+	// The rule's match sides — each a CIDR prefix or a group name
+	// (resolved to the group's prefix); empty matches everything — and
+	// its body ("count", "deny" or "allow").
 	Src  string `json:"src,omitempty"`
 	Dst  string `json:"dst,omitempty"`
 	Rule string `json:"rule,omitempty"`
-
-	// Add-rule / del-rule / deny-prefix: the IPFW rule number. 0 on
-	// add-rule and deny-prefix auto-assigns the next free number;
-	// del-rule requires it and removes every rule carrying it. A
-	// permanent deny-prefix (no `for`) must pin an ID to be liftable
-	// by a later del-rule — auto-assigned numbers are not knowable to
-	// the spec author.
+	// The IPFW rule number. del-rule requires it and removes every rule
+	// carrying it. 0 on add-rule and deny-prefix auto-assigns the next
+	// free number, which the author cannot know, so a permanent
+	// deny-prefix (no `for`) must pin one for a del-rule to lift it.
 	ID int `json:"id,omitempty"`
-
-	// Add-rule: install this many copies of the rule (a filler batch
-	// for table-size studies, Fig 6). 0 means 1.
+	// Install this many copies of the rule (a filler batch for
+	// table-size studies, Fig 6). 0 means 1.
 	Copies int `json:"copies,omitempty"`
 
 	// For auto-reverts the event after this duration: a partition
@@ -197,6 +288,41 @@ type EventSpec struct {
 	// a matching heal / link-up / set-class / del-rule event).
 	// Required for loss.
 	For Duration `json:"for,omitempty"`
+}
+
+// efield is one EventSpec field's row: its JSON name, the actions that
+// read it, and whether an event sets it.
+type efield struct {
+	name    string
+	actions []string
+	set     func(*EventSpec) bool
+	// list returns a group-list field: an action that reads it must name
+	// at least one group, and only known ones.
+	list func(*EventSpec) []string
+}
+
+var (
+	sideActions  = []string{ActionPartition, ActionHeal}
+	groupActions = []string{ActionSetClass, ActionLoss, ActionLinkDown, ActionLinkUp, ActionDenyPfx}
+	addRule      = []string{ActionAddRule}
+)
+
+// eventFields holds one row per EventSpec field but At and Action.
+// Validate rejects a set field the event's action does not read; what
+// each action requires of the fields it reads stays code.
+var eventFields = []efield{
+	{"a", sideActions, func(e *EventSpec) bool { return len(e.A) > 0 }, func(e *EventSpec) []string { return e.A }},
+	{"b", sideActions, func(e *EventSpec) bool { return len(e.B) > 0 }, func(e *EventSpec) []string { return e.B }},
+	{"groups", groupActions, func(e *EventSpec) bool { return len(e.Groups) > 0 }, func(e *EventSpec) []string { return e.Groups }},
+	{"class", []string{ActionSetClass}, func(e *EventSpec) bool { return e.Class != "" }, nil},
+	{"loss", []string{ActionLoss}, func(e *EventSpec) bool { return e.Loss != 0 }, nil},
+	{"src", addRule, func(e *EventSpec) bool { return e.Src != "" }, nil},
+	{"dst", addRule, func(e *EventSpec) bool { return e.Dst != "" }, nil},
+	{"rule", addRule, func(e *EventSpec) bool { return e.Rule != "" }, nil},
+	{"id", []string{ActionAddRule, ActionDelRule, ActionDenyPfx}, func(e *EventSpec) bool { return e.ID != 0 }, nil},
+	{"copies", addRule, func(e *EventSpec) bool { return e.Copies != 0 }, nil},
+	// The other actions have no auto-revert: schedule the opposite event.
+	{"for", []string{ActionPartition, ActionLoss, ActionLinkDown, ActionDenyPfx}, func(e *EventSpec) bool { return e.For != 0 }, nil},
 }
 
 // Spec is one complete declarative scenario.
@@ -286,56 +412,27 @@ func (s *Spec) WithDefaults() *Spec {
 		out.Horizon = Duration(time.Hour)
 	}
 	w := &out.Workload
-	switch w.Kind {
-	case WorkloadSwarm, WorkloadChurnSwarm, WorkloadSnapshot:
-		if w.FileSize <= 0 {
-			w.FileSize = 1 << 20
-			if w.Kind == WorkloadSnapshot {
-				w.FileSize = 8 << 20 // a scaled-down huge-file pull
-			}
+	if w.Kind == WorkloadSnapshot && w.FileSize <= 0 {
+		w.FileSize = 8 << 20 // a scaled-down huge-file pull
+	}
+	for _, f := range workloadFields {
+		if slices.Contains(f.kinds, w.Kind) {
+			f.knob.fill(w)
 		}
-		// A snapshot workload with web seeds may legitimately run
-		// seederless (the cold-CDN-fill case); everything else needs a
-		// seeder.
-		if w.Seeders <= 0 && (w.Kind != WorkloadSnapshot || w.WebSeeds <= 0) {
-			w.Seeders = 1
-		}
-		if w.SeederGroup == "" && len(out.Groups) > 0 {
-			w.SeederGroup = out.Groups[0].Name
-		}
-		if w.StartInterval <= 0 {
-			w.StartInterval = Duration(time.Second)
-		}
-		if w.Kind == WorkloadChurnSwarm {
-			if w.ChurnFraction == 0 {
-				w.ChurnFraction = 0.5
-			}
-			if w.Session <= 0 {
-				w.Session = Duration(120 * time.Second)
-			}
-			if w.Downtime <= 0 {
-				w.Downtime = Duration(60 * time.Second)
-			}
-		}
-		if w.Kind == WorkloadSnapshot {
-			if w.PieceLength <= 0 {
-				w.PieceLength = 2 << 20
-			}
-			if w.ConnCap <= 0 {
-				w.ConnCap = 5
-			}
-			if w.SeedRestartAt > 0 && w.SeedRestartDown <= 0 {
-				w.SeedRestartDown = Duration(30 * time.Second)
-			}
-		}
-	case WorkloadDHT:
-		if w.Lookups <= 0 {
-			w.Lookups = 50
-		}
-	case WorkloadGossip:
-		if w.Fanout <= 0 {
-			w.Fanout = 3
-		}
+	}
+	if !slices.Contains(swarmKinds, w.Kind) {
+		return &out
+	}
+	// A snapshot workload with web seeds may legitimately run seederless
+	// (the cold-CDN-fill case); everything else needs a seeder.
+	if w.Seeders <= 0 && (w.Kind != WorkloadSnapshot || w.WebSeeds <= 0) {
+		w.Seeders = 1
+	}
+	if w.SeederGroup == "" && len(out.Groups) > 0 {
+		w.SeederGroup = out.Groups[0].Name
+	}
+	if w.SeedRestartAt > 0 && w.SeedRestartDown <= 0 {
+		w.SeedRestartDown = Duration(30 * time.Second)
 	}
 	return &out
 }
@@ -425,8 +522,8 @@ func (s *Spec) Validate() error {
 	if len(s.Timeline) > maxTimeline {
 		return fmt.Errorf("scenario %s: %d timeline events (max %d)", s.Name, len(s.Timeline), maxTimeline)
 	}
-	for i, ev := range s.Timeline {
-		if err := s.validateEvent(ev, groups); err != nil {
+	for i := range s.Timeline {
+		if err := validateEvent(&s.Timeline[i], groups); err != nil {
 			return fmt.Errorf("scenario %s: timeline[%d]: %w", s.Name, i, err)
 		}
 	}
@@ -434,160 +531,91 @@ func (s *Spec) Validate() error {
 }
 
 func (s *Spec) validateWorkload(totalNodes int) error {
-	w := s.Workload
-	// The snapshot knobs change what the experiment measures; silently
-	// ignoring them on another kind would run a different scenario than
-	// the author wrote — same policy as the gated timeline fields.
-	if w.Kind != WorkloadSnapshot {
-		if w.PieceLength != 0 || w.ConnCap != 0 || w.UpRate != 0 || w.DownRate != 0 ||
-			w.WebSeeds != 0 || w.SeedRestartAt != 0 || w.SeedRestartDown != 0 {
-			return fmt.Errorf("scenario %s: piece_length/conn_cap/up_rate/down_rate/web_seeds/seed_restart_* need the snapshot workload (got %q)",
-				s.Name, w.Kind)
+	w := &s.Workload
+	kind := kindOf(w.Kind)
+	switch {
+	case w.Kind == "":
+		return fmt.Errorf("scenario %s: missing workload kind", s.Name)
+	case kind == nil:
+		names := make([]string, len(kinds))
+		for i, k := range kinds {
+			names[i] = k.name
+		}
+		return fmt.Errorf("scenario %s: unknown workload kind %q (want %s)", s.Name, w.Kind, strings.Join(names, ", "))
+	case totalNodes < kind.minNodes:
+		return fmt.Errorf("scenario %s: %s needs at least %d nodes", s.Name, w.Kind, kind.minNodes)
+	}
+	for _, f := range workloadFields {
+		if !slices.Contains(f.kinds, w.Kind) {
+			if f.knob.set(w) {
+				return fmt.Errorf("scenario %s: workload %s does not use %s", s.Name, w.Kind, f.name)
+			}
+		} else if err := f.knob.check(w); err != nil {
+			return fmt.Errorf("scenario %s: %s %w", s.Name, f.name, err)
 		}
 	}
-	switch w.Kind {
-	case WorkloadSwarm, WorkloadChurnSwarm, WorkloadSnapshot:
-		if w.FileSize <= 0 {
-			return fmt.Errorf("scenario %s: file size %d not positive", s.Name, w.FileSize)
+	if !slices.Contains(swarmKinds, w.Kind) {
+		return nil
+	}
+	var seederGroup *GroupSpec
+	for i := range s.Groups {
+		if s.Groups[i].Name == w.SeederGroup {
+			seederGroup = &s.Groups[i]
 		}
-		var seederGroup *GroupSpec
-		for i := range s.Groups {
-			if s.Groups[i].Name == w.SeederGroup {
-				seederGroup = &s.Groups[i]
-			}
-		}
-		if seederGroup == nil {
-			return fmt.Errorf("scenario %s: unknown seeder group %q", s.Name, w.SeederGroup)
-		}
-		minSeeders := 1
-		if w.Kind == WorkloadSnapshot && w.WebSeeds > 0 {
-			minSeeders = 0 // web seeds carry a seederless cold fill
-		}
-		if w.Seeders < minSeeders || w.Seeders > seederGroup.Nodes {
-			return fmt.Errorf("scenario %s: %d seeders outside [%d,%d] (group %q)",
-				s.Name, w.Seeders, minSeeders, seederGroup.Nodes, seederGroup.Name)
-		}
-		if totalNodes-w.Seeders < 1 {
-			return fmt.Errorf("scenario %s: no clients left after %d seeders", s.Name, w.Seeders)
-		}
-		if w.StartInterval < 0 {
-			return fmt.Errorf("scenario %s: negative start interval", s.Name)
-		}
-		if w.Kind == WorkloadChurnSwarm {
-			if w.ChurnFraction < 0 || w.ChurnFraction >= 1 {
-				return fmt.Errorf("scenario %s: churn fraction %g outside [0,1)", s.Name, w.ChurnFraction)
-			}
-			if w.Session <= 0 || w.Downtime <= 0 {
-				return fmt.Errorf("scenario %s: churn session/downtime must be positive", s.Name)
-			}
-		}
-		if w.Kind == WorkloadSnapshot {
-			if w.WebSeeds < 0 || w.WebSeeds > maxWebSeeds {
-				return fmt.Errorf("scenario %s: %d web seeds outside [0,%d]", s.Name, w.WebSeeds, maxWebSeeds)
-			}
-			if w.UpRate < 0 || w.DownRate < 0 {
-				return fmt.Errorf("scenario %s: negative rate cap (up %d, down %d)", s.Name, w.UpRate, w.DownRate)
-			}
-			if w.SeedRestartAt < 0 || w.SeedRestartDown < 0 {
-				return fmt.Errorf("scenario %s: negative seed restart timing", s.Name)
-			}
-			if w.SeedRestartAt > 0 && w.Seeders < 1 {
-				return fmt.Errorf("scenario %s: seed_restart_at needs at least one seeder", s.Name)
-			}
-			if w.SeedRestartDown > 0 && w.SeedRestartAt == 0 {
-				return fmt.Errorf("scenario %s: seed_restart_down without seed_restart_at", s.Name)
-			}
-		}
-	case WorkloadDHT:
-		if totalNodes < 2 {
-			return fmt.Errorf("scenario %s: dht needs at least 2 nodes", s.Name)
-		}
-		if w.Lookups < 1 {
-			return fmt.Errorf("scenario %s: %d lookups not positive", s.Name, w.Lookups)
-		}
-	case WorkloadGossip:
-		if totalNodes < 2 {
-			return fmt.Errorf("scenario %s: gossip needs at least 2 nodes", s.Name)
-		}
-		if w.Fanout < 1 {
-			return fmt.Errorf("scenario %s: fanout %d not positive", s.Name, w.Fanout)
-		}
-	case WorkloadPing:
-		if totalNodes < 2 {
-			return fmt.Errorf("scenario %s: ping needs at least 2 nodes", s.Name)
-		}
-	case "":
-		return fmt.Errorf("scenario %s: missing workload kind", s.Name)
-	default:
-		return fmt.Errorf("scenario %s: unknown workload kind %q (want %s)", s.Name, w.Kind,
-			strings.Join([]string{WorkloadSwarm, WorkloadChurnSwarm, WorkloadSnapshot, WorkloadDHT, WorkloadGossip, WorkloadPing}, ", "))
+	}
+	if seederGroup == nil {
+		return fmt.Errorf("scenario %s: unknown seeder group %q", s.Name, w.SeederGroup)
+	}
+	minSeeders := 1
+	if w.WebSeeds > 0 {
+		minSeeders = 0 // web seeds carry a seederless cold fill
+	}
+	if w.Seeders < minSeeders || w.Seeders > seederGroup.Nodes {
+		return fmt.Errorf("scenario %s: %d seeders outside [%d,%d] (group %q)",
+			s.Name, w.Seeders, minSeeders, seederGroup.Nodes, seederGroup.Name)
+	}
+	if totalNodes-w.Seeders < 1 {
+		return fmt.Errorf("scenario %s: no clients left after %d seeders", s.Name, w.Seeders)
+	}
+	if w.SeedRestartAt > 0 && w.Seeders < 1 {
+		return fmt.Errorf("scenario %s: seed_restart_at needs at least one seeder", s.Name)
+	}
+	if w.SeedRestartDown > 0 && w.SeedRestartAt == 0 {
+		return fmt.Errorf("scenario %s: seed_restart_down without seed_restart_at", s.Name)
 	}
 	return nil
 }
 
-func (s *Spec) validateEvent(ev EventSpec, groups map[string]bool) error {
+func validateEvent(ev *EventSpec, groups map[string]bool) error {
 	if ev.At < 0 {
 		return fmt.Errorf("negative instant %v", ev.At)
 	}
 	if ev.For < 0 {
 		return fmt.Errorf("negative duration %v", ev.For)
 	}
-	known := false
-	for _, a := range actions {
-		if a == ev.Action {
-			known = true
-		}
-	}
-	if !known {
+	if !slices.Contains(actions, ev.Action) {
 		return fmt.Errorf("unknown action %q (want %s)", ev.Action, strings.Join(actions, ", "))
 	}
-	checkGroups := func(names []string, what string) error {
-		if len(names) == 0 {
-			return fmt.Errorf("%s: no groups named", what)
-		}
-		for _, g := range names {
-			if !groups[g] {
-				return fmt.Errorf("%s: unknown group %q", what, g)
+	for _, f := range eventFields {
+		switch read := slices.Contains(f.actions, ev.Action); {
+		case !read && f.set(ev):
+			return fmt.Errorf("%s does not use %s", ev.Action, f.name)
+		case read && f.list != nil:
+			if !f.set(ev) {
+				return fmt.Errorf("%s: no groups named in %s", ev.Action, f.name)
+			}
+			for _, g := range f.list(ev) {
+				if !groups[g] {
+					return fmt.Errorf("%s %s: unknown group %q", ev.Action, f.name, g)
+				}
 			}
 		}
-		return nil
 	}
-	switch ev.Action {
-	case ActionHeal, ActionLinkUp, ActionSetClass, ActionAddRule, ActionDelRule:
-		// These have no auto-revert; silently ignoring a duration would
-		// run a different scenario than the author wrote.
-		if ev.For > 0 {
-			return fmt.Errorf("%s does not support a duration (for); schedule the opposite event instead", ev.Action)
-		}
-	}
-	// The rule fields belong to add-rule (and ID to del-rule); ignoring
-	// them elsewhere would likewise run a different scenario than
-	// written (e.g. a deny-prefix author setting rule: "deny").
-	if ev.Action != ActionAddRule {
-		if ev.Src != "" || ev.Dst != "" || ev.Rule != "" || ev.Copies != 0 {
-			return fmt.Errorf("%s does not use the add-rule fields (src/dst/rule/copies)", ev.Action)
-		}
-		if ev.ID != 0 && ev.Action != ActionDelRule && ev.Action != ActionDenyPfx {
-			return fmt.Errorf("%s does not use a rule id", ev.Action)
-		}
-	}
-	switch ev.Action {
-	case ActionAddRule, ActionDelRule:
-		// The reverse of the check above: group/partition/link fields on
-		// a rule event would likewise be silently ignored (add-rule
-		// matches by src/dst, which may name a group).
-		if len(ev.Groups) > 0 || len(ev.A) > 0 || len(ev.B) > 0 || ev.Class != "" || ev.Loss != 0 {
-			return fmt.Errorf("%s does not use groups/a/b/class/loss; match by the src and dst fields", ev.Action)
-		}
+	if ev.ID < 0 {
+		return fmt.Errorf("%s: negative rule id %d", ev.Action, ev.ID)
 	}
 	switch ev.Action {
 	case ActionPartition, ActionHeal:
-		if err := checkGroups(ev.A, ev.Action+" side a"); err != nil {
-			return err
-		}
-		if err := checkGroups(ev.B, ev.Action+" side b"); err != nil {
-			return err
-		}
 		for _, a := range ev.A {
 			for _, b := range ev.B {
 				if a == b {
@@ -596,34 +624,18 @@ func (s *Spec) validateEvent(ev EventSpec, groups map[string]bool) error {
 			}
 		}
 	case ActionSetClass:
-		if err := checkGroups(ev.Groups, "set-class"); err != nil {
-			return err
-		}
 		if _, ok := topo.ClassByName(ev.Class); !ok {
 			return fmt.Errorf("set-class: unknown class %q", ev.Class)
 		}
 	case ActionLoss:
-		if err := checkGroups(ev.Groups, "loss"); err != nil {
-			return err
-		}
 		if ev.Loss < 0 || ev.Loss > 1 {
 			return fmt.Errorf("loss %g outside [0,1]", ev.Loss)
 		}
 		if ev.For <= 0 {
 			return fmt.Errorf("loss burst needs a positive duration (for)")
 		}
-	case ActionLinkDown, ActionLinkUp:
-		if err := checkGroups(ev.Groups, ev.Action); err != nil {
-			return err
-		}
 	case ActionAddRule:
-		known := false
-		for _, a := range ruleActions {
-			if a == ev.Rule {
-				known = true
-			}
-		}
-		if !known {
+		if !slices.Contains(ruleActions, ev.Rule) {
 			return fmt.Errorf("add-rule: unknown rule body %q (want %s)", ev.Rule, strings.Join(ruleActions, ", "))
 		}
 		for _, side := range []string{ev.Src, ev.Dst} {
@@ -634,9 +646,6 @@ func (s *Spec) validateEvent(ev EventSpec, groups map[string]bool) error {
 				return fmt.Errorf("add-rule: %q is neither a group nor a prefix: %w", side, err)
 			}
 		}
-		if ev.ID < 0 {
-			return fmt.Errorf("add-rule: negative rule id %d", ev.ID)
-		}
 		if ev.Copies < 0 || ev.Copies > maxRuleCopies {
 			return fmt.Errorf("add-rule: %d copies outside [0,%d]", ev.Copies, maxRuleCopies)
 		}
@@ -645,17 +654,7 @@ func (s *Spec) validateEvent(ev EventSpec, groups map[string]bool) error {
 			return fmt.Errorf("del-rule: needs a positive rule id")
 		}
 	case ActionDenyPfx:
-		if err := checkGroups(ev.Groups, "deny-prefix"); err != nil {
-			return err
-		}
-		if ev.ID < 0 {
-			return fmt.Errorf("deny-prefix: negative rule id %d", ev.ID)
-		}
 		if ev.For == 0 && ev.ID == 0 {
-			// Auto-assigned rule numbers are not knowable to the spec
-			// author, so a permanent deny without a pinned id could
-			// never be lifted by del-rule — reject rather than let the
-			// author believe it is revertible.
 			return fmt.Errorf("deny-prefix: a permanent deny (no for) needs a pinned id so a del-rule can lift it")
 		}
 	}
