@@ -5,9 +5,10 @@
 //
 // The implementation follows the BitTorrent 4.x mainline client (the
 // one the paper instruments), with documented simplifications: the
-// tracker speaks bencoded messages over a vnet connection rather than
-// HTTP, and large-swarm runs can use sparse piece storage to avoid
-// materializing gigabytes of payload.
+// tracker exchange travels over a vnet connection as typed values
+// charged at their bencoded length rather than as HTTP, and large-swarm
+// runs can use sparse piece storage to avoid materializing gigabytes of
+// payload.
 package bt
 
 import (

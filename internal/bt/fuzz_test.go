@@ -6,9 +6,9 @@ import (
 )
 
 // FuzzBdecode is the decoder-robustness property: Bdecode must never
-// panic on arbitrary bytes, and any input it accepts must survive an
-// encode/decode round trip unchanged (the tracker protocol re-encodes
-// decoded announce dictionaries).
+// panic on arbitrary bytes, metainfo-shaped or not, and any input it
+// accepts must survive an encode/decode round trip unchanged, so
+// Bencode and Bdecode stay inverse on everything Bdecode accepts.
 func FuzzBdecode(f *testing.F) {
 	seeds := []string{
 		"i42e",

@@ -162,19 +162,8 @@ func TestTrackerClampsNumWant(t *testing.T) {
 	meta, _ := SyntheticTorrent("t", 512*1024, 0)
 	ih := meta.InfoHash()
 
-	announce := func(from ip.Addr, port int64, numwant int64) ([]byte, error) {
-		req, err := Bencode(map[string]any{
-			"info_hash": ih[:],
-			"peer_id":   "xxxxxxxxxxxxxxxxxxxx",
-			"port":      port,
-			"event":     EventStarted,
-			"left":      int64(1),
-			"numwant":   numwant,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr.announce(req, from)
+	announce := func(from ip.Addr, port int64, numwant int64) (*announceResp, error) {
+		return tr.announce(&announceReq{infoHash: ih, port: port, event: EventStarted, left: 1, numWant: numwant}, from)
 	}
 
 	base := ip.MustParseAddr("10.50.0.1")
@@ -187,13 +176,8 @@ func TestTrackerClampsNumWant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Bdecode(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := v.(map[string]any)["peers"].([]any)
-	if len(peers) != MaxNumWant {
-		t.Fatalf("response lists %d peers, want clamp at %d", len(peers), MaxNumWant)
+	if len(resp.peers) != MaxNumWant {
+		t.Fatalf("response lists %d peers, want clamp at %d", len(resp.peers), MaxNumWant)
 	}
 }
 
@@ -206,16 +190,7 @@ func TestTrackerRejectsPortZero(t *testing.T) {
 	tr := &Tracker{host: trk, swarms: make(map[[20]byte]*swarmPeers)}
 	meta, _ := SyntheticTorrent("t", 512*1024, 0)
 	ih := meta.InfoHash()
-	req, err := Bencode(map[string]any{
-		"info_hash": ih[:],
-		"peer_id":   "xxxxxxxxxxxxxxxxxxxx",
-		"port":      int64(0),
-		"event":     EventStarted,
-		"left":      int64(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := &announceReq{infoHash: ih, port: 0, event: EventStarted, left: 1}
 	if _, err := tr.announce(req, ip.MustParseAddr("10.50.0.1")); err == nil {
 		t.Fatal("port-0 registration accepted, want error")
 	}

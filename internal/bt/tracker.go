@@ -17,7 +17,7 @@ const TrackerPort ip.Port = 6969
 const DefaultNumWant = 50
 
 // MaxNumWant caps a client-requested numwant. Without the cap a single
-// announce with numwant=10^9 makes the tracker build (and bencode) a
+// announce with numwant=10^9 makes the tracker build (and send) a
 // response listing the entire swarm, which at 10k peers is a
 // megabyte-scale reply per request — real trackers clamp for the same
 // reason.
@@ -60,10 +60,11 @@ type TrackerStats struct {
 }
 
 // Tracker is the rendezvous service: it registers announcing peers per
-// info-hash and returns random peer subsets. It speaks bencoded
-// messages over vnet connections (the real tracker speaks HTTP GET; the
-// payload and the information flow are the same — documented
-// substitution).
+// info-hash and returns random peer subsets. Announces and responses
+// travel over vnet connections as typed values, each charged at the
+// exact length of its bencoded dict (the real tracker speaks HTTP GET;
+// the bytes on the wire and the information flow are the same —
+// documented substitution).
 type Tracker struct {
 	host   *vnet.Host
 	cfg    TrackerConfig
@@ -90,6 +91,66 @@ type trackerPeer struct {
 	// change which endpoints later announces hand out), so they must
 	// be a pure function of the simulation's own clock.
 	lastSeen sim.Time
+}
+
+// announceReq is one announce as the client sends it. Its bencoded
+// form is a dict keyed event, info_hash, left, numwant, peer_id and
+// port; the peer id is always 20 bytes and the tracker never reads it,
+// so only its length is kept.
+type announceReq struct {
+	infoHash            [20]byte
+	port, left, numWant int64
+	event               string
+}
+
+// announceResp is the tracker's reply: interval and peers[ip, port],
+// or, when failure is set, the single key "failure reason".
+type announceResp struct {
+	interval int64
+	peers    []ip.Endpoint
+	failure  string
+}
+
+// size is the request's bencoded length, the bytes the wire carries.
+func (r *announceReq) size() int {
+	return 2 + strLen(len("event")) + strLen(len(r.event)) +
+		strLen(len("info_hash")) + strLen(len(r.infoHash)) +
+		strLen(len("left")) + intLen(r.left) +
+		strLen(len("numwant")) + intLen(r.numWant) +
+		strLen(len("peer_id")) + strLen(20) +
+		strLen(len("port")) + intLen(r.port)
+}
+
+// size is the response's bencoded length, the bytes the wire carries.
+func (r *announceResp) size() int {
+	if r.failure != "" {
+		return 2 + strLen(len("failure reason")) + strLen(len(r.failure))
+	}
+	n := 2 + strLen(len("interval")) + intLen(r.interval) + strLen(len("peers")) + 2
+	var quad [15]byte
+	for _, ep := range r.peers {
+		n += 2 + strLen(len("ip")) + strLen(len(ep.Addr.AppendTo(quad[:0]))) +
+			strLen(len("port")) + intLen(int64(ep.Port))
+	}
+	return n
+}
+
+// strLen is the bencoded length of an n-byte string: "<n>:" and the bytes.
+func strLen(n int) int { return decLen(int64(n)) + 1 + n }
+
+// intLen is the bencoded length of n: "i<n>e".
+func intLen(n int64) int { return decLen(n) + 2 }
+
+// decLen is the length of n in decimal, sign included.
+func decLen(n int64) int {
+	l, u := 1, uint64(n)
+	if n < 0 {
+		l, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		l++
+	}
+	return l
 }
 
 // NewTracker creates a tracker with the default announce lifecycle on
@@ -171,53 +232,31 @@ func (t *Tracker) handle(p *sim.Proc, c *vnet.Conn) {
 	if err != nil || !ok {
 		return
 	}
-	resp, err := t.announce(pk.Data, pk.From.Addr)
-	if err != nil {
-		enc, _ := Bencode(map[string]any{"failure reason": err.Error()})
-		c.Send(p, enc)
+	req, ok := pk.Meta.(*announceReq)
+	if !ok {
 		return
 	}
-	c.Send(p, resp)
+	resp, err := t.announce(req, pk.From.Addr)
+	if err != nil {
+		resp = &announceResp{failure: err.Error()}
+	}
+	c.SendMeta(p, resp.size(), resp)
 }
 
-// announce processes one bencoded announce and returns the bencoded
-// response.
+// announce serves one announce and returns the response.
 //
 //p2p:token
-func (t *Tracker) announce(req []byte, from ip.Addr) ([]byte, error) {
-	v, err := Bdecode(req)
-	if err != nil {
-		return nil, err
+func (t *Tracker) announce(req *announceReq, from ip.Addr) (*announceResp, error) {
+	numWant := DefaultNumWant
+	if req.numWant > 0 {
+		numWant = int(min(req.numWant, MaxNumWant))
 	}
-	dict, ok := v.(map[string]any)
-	if !ok {
-		return nil, errors.New("announce is not a dict")
-	}
-	ihRaw, _ := dict["info_hash"].([]byte)
-	if len(ihRaw) != 20 {
-		return nil, errors.New("bad info_hash")
-	}
-	var ih [20]byte
-	copy(ih[:], ihRaw)
-	portN, _ := dict["port"].(int64)
-	event := ""
-	if e, ok := dict["event"].([]byte); ok {
-		event = string(e)
-	}
-	left, _ := dict["left"].(int64)
-	numWant := int64(DefaultNumWant)
-	if nw, ok := dict["numwant"].(int64); ok && nw > 0 {
-		numWant = nw
-		if numWant > MaxNumWant {
-			numWant = MaxNumWant
-		}
-	}
-	self := ip.Endpoint{Addr: from, Port: ip.Port(portN)}
+	self := ip.Endpoint{Addr: from, Port: ip.Port(req.port)}
 
-	sw := t.swarms[ih]
+	sw := t.swarms[req.infoHash]
 	if sw == nil {
 		sw = &swarmPeers{index: make(map[ip.Endpoint]int)}
-		t.swarms[ih] = sw
+		t.swarms[req.infoHash] = sw
 	}
 	now := t.host.Network().Kernel().Now()
 	// Prune peers that vanished without EventStopped before serving
@@ -225,14 +264,14 @@ func (t *Tracker) announce(req []byte, from ip.Addr) ([]byte, error) {
 	// fresh peer never sees the dead endpoints.
 	t.expire(sw, now)
 	t.stats.Announces++
-	switch event {
+	switch event := req.event; event {
 	case EventStarted, EventEmpty, EventCompleted:
 		// A peer that registers port 0 (or garbage) is unreachable:
 		// handing its endpoint to other peers just burns their dial
 		// budget on guaranteed-failed connections. Real trackers reject
 		// these announces.
-		if portN <= 0 || portN > 65535 {
-			return nil, fmt.Errorf("invalid port %d", portN)
+		if req.port <= 0 || req.port > 65535 {
+			return nil, fmt.Errorf("invalid port %d", req.port)
 		}
 		if event == EventStarted {
 			t.stats.Started++
@@ -241,11 +280,11 @@ func (t *Tracker) announce(req []byte, from ip.Addr) ([]byte, error) {
 			t.stats.Completed++
 		}
 		if i, known := sw.index[self]; known {
-			sw.order[i].complete = left == 0 || event == EventCompleted
+			sw.order[i].complete = req.left == 0 || event == EventCompleted
 			sw.order[i].lastSeen = now
 		} else {
 			sw.index[self] = len(sw.order)
-			sw.order = append(sw.order, trackerPeer{ep: self, complete: left == 0, lastSeen: now})
+			sw.order = append(sw.order, trackerPeer{ep: self, complete: req.left == 0, lastSeen: now})
 		}
 	case EventStopped:
 		t.stats.Stopped++
@@ -265,7 +304,6 @@ func (t *Tracker) announce(req []byte, from ip.Addr) ([]byte, error) {
 	// Intn draw sequence — and therefore the trace — is identical to
 	// rng.Perm(n), without the per-announce allocation.
 	rng := t.host.Network().Kernel().Rand()
-	var peers []any
 	if cap(t.permScratch) < len(sw.order) {
 		t.permScratch = make([]int, len(sw.order))
 	}
@@ -275,23 +313,16 @@ func (t *Tracker) announce(req []byte, from ip.Addr) ([]byte, error) {
 		perm[i] = perm[j]
 		perm[j] = i
 	}
+	peers := make([]ip.Endpoint, 0, min(numWant, len(perm)))
 	for _, i := range perm {
-		if len(peers) >= int(numWant) {
+		if len(peers) >= numWant {
 			break
 		}
-		tp := sw.order[i]
-		if tp.ep == self {
-			continue
+		if ep := sw.order[i].ep; ep != self {
+			peers = append(peers, ep)
 		}
-		peers = append(peers, map[string]any{
-			"ip":   tp.ep.Addr.String(),
-			"port": int64(tp.ep.Port),
-		})
 	}
-	return Bencode(map[string]any{
-		"interval": int64(t.interval() / time.Second),
-		"peers":    peers,
-	})
+	return &announceResp{interval: int64(t.interval() / time.Second), peers: peers}, nil
 }
 
 // expire swap-removes every registered peer silent for longer than
@@ -318,10 +349,9 @@ func (t *Tracker) expire(sw *swarmPeers, now sim.Time) {
 }
 
 // AnnounceRequest is the client-side helper: it dials the tracker,
-// sends an announce and parses the peer list and the tracker's
-// re-announce interval (0 when the response carries none). Earlier
-// versions read only "peers" and dropped the interval on the floor,
-// so clients could never honor the tracker's announce schedule.
+// sends an announce and returns the peer list and the tracker's
+// re-announce interval (0 when the response carries none). The peer
+// slice is fresh per response and belongs to the caller.
 func AnnounceRequest(p *sim.Proc, h *vnet.Host, tracker ip.Endpoint, infoHash [20]byte,
 	port ip.Port, event string, left int64, numWant int) ([]ip.Endpoint, time.Duration, error) {
 	c, err := h.Dial(p, tracker)
@@ -329,18 +359,8 @@ func AnnounceRequest(p *sim.Proc, h *vnet.Host, tracker ip.Endpoint, infoHash [2
 		return nil, 0, err
 	}
 	defer c.Close(p)
-	req, err := Bencode(map[string]any{
-		"info_hash": infoHash[:],
-		"peer_id":   fmt.Sprintf("%-20s", "go-p2plab-"+h.Addr().String())[:20],
-		"port":      int64(port),
-		"event":     event,
-		"left":      left,
-		"numwant":   int64(numWant),
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := c.Send(p, req); err != nil {
+	req := &announceReq{infoHash: infoHash, port: int64(port), left: left, numWant: int64(numWant), event: event}
+	if err := c.SendMeta(p, req.size(), req); err != nil {
 		return nil, 0, err
 	}
 	pk, ok, err := c.RecvTimeout(p, 30*time.Second)
@@ -350,35 +370,16 @@ func AnnounceRequest(p *sim.Proc, h *vnet.Host, tracker ip.Endpoint, infoHash [2
 	if !ok {
 		return nil, 0, vnet.ErrTimeout
 	}
-	v, err := Bdecode(pk.Data)
-	if err != nil {
-		return nil, 0, err
+	resp, ok := pk.Meta.(*announceResp)
+	if !ok {
+		return nil, 0, errors.New("bt: tracker response is not an announce response")
 	}
-	dict, okd := v.(map[string]any)
-	if !okd {
-		return nil, 0, errors.New("bt: tracker response is not a dict")
-	}
-	if f, bad := dict["failure reason"].([]byte); bad {
-		return nil, 0, fmt.Errorf("bt: tracker failure: %s", f)
+	if resp.failure != "" {
+		return nil, 0, fmt.Errorf("bt: tracker failure: %s", resp.failure)
 	}
 	var interval time.Duration
-	if sec, okI := dict["interval"].(int64); okI && sec > 0 {
-		interval = time.Duration(sec) * time.Second
+	if resp.interval > 0 {
+		interval = time.Duration(resp.interval) * time.Second
 	}
-	rawPeers, _ := dict["peers"].([]any)
-	var peers []ip.Endpoint
-	for _, rp := range rawPeers {
-		pd, okp := rp.(map[string]any)
-		if !okp {
-			continue
-		}
-		addrB, _ := pd["ip"].([]byte)
-		portN, _ := pd["port"].(int64)
-		a, err := ip.ParseAddr(string(addrB))
-		if err != nil {
-			continue
-		}
-		peers = append(peers, ip.Endpoint{Addr: a, Port: ip.Port(portN)})
-	}
-	return peers, interval, nil
+	return resp.peers, interval, nil
 }
