@@ -4,9 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"repro/internal/sim"
 )
 
 func TestBitfieldBasics(t *testing.T) {
@@ -263,27 +260,6 @@ func TestWireSizes(t *testing.T) {
 	}
 	if HandshakeSize != 68 {
 		t.Fatal("handshake is 68 bytes in the spec")
-	}
-}
-
-func TestRateEstimator(t *testing.T) {
-	r := NewRateEstimator(20 * time.Second)
-	now := sim.Time(0)
-	// 1000 bytes/s for 20 seconds.
-	for i := 0; i < 20; i++ {
-		r.Add(now, 1000)
-		now = now.Add(time.Second)
-	}
-	got := r.Rate(now)
-	if got < 900 || got > 1100 {
-		t.Fatalf("rate = %v, want ≈1000 B/s", got)
-	}
-	// After 30 idle seconds the window is empty.
-	if r.Rate(now.Add(30*time.Second)) != 0 {
-		t.Fatal("stale window should decay to zero")
-	}
-	if r.TotalBytes() != 20000 {
-		t.Fatalf("lifetime = %d", r.TotalBytes())
 	}
 }
 

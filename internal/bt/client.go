@@ -153,8 +153,10 @@ type Client struct {
 	tracker ip.Endpoint
 
 	events *sim.Chan[event]
-	// freeBox is the message-box pool for sends (see msgBox).
+	// freeBox and chunks pool send boxes (see msgBox) and the peers'
+	// rate samples (see RateEstimator).
 	freeBox *msgBox
+	chunks  chunkPool
 	peers   []*peer
 	byAddr  map[ip.Addr]*peer
 	picker  *Picker
@@ -330,6 +332,7 @@ func (c *Client) dialWebSeed(p *sim.Proc, ep ip.Endpoint) {
 		pr.peerChoking = false
 		pr.bits = Full(c.meta.NumPieces())
 		pr.cl = c
+		pr.downRate.pool, pr.upRate.pool = &c.chunks, &c.chunks
 		conn.SetSink(func(pk vnet.Packet, closed bool) {
 			if closed {
 				c.events.TrySend(event{kind: evPeerClosed, peer: pr})
@@ -372,6 +375,8 @@ func (c *Client) onStop(p *sim.Proc) {
 	for _, pr := range c.peers {
 		pr.closed = true
 		pr.conn.Close(p)
+		pr.downRate.release()
+		pr.upRate.release()
 	}
 	c.peers = nil
 	c.byAddr = make(map[ip.Addr]*peer)
@@ -457,6 +462,7 @@ func (c *Client) dialPeer(p *sim.Proc, ep ip.Endpoint) {
 func (c *Client) admit(conn *vnet.Conn, initiated bool) {
 	pr := newPeer(conn, conn.RemoteAddr().Addr, c.meta.NumPieces(), initiated)
 	pr.cl = c
+	pr.downRate.pool, pr.upRate.pool = &c.chunks, &c.chunks
 	conn.SetSink(func(pk vnet.Packet, closed bool) {
 		if closed {
 			c.events.TrySend(event{kind: evPeerClosed, peer: pr})
@@ -607,6 +613,9 @@ func (c *Client) onClose(p *sim.Proc, pr *peer) {
 		return
 	}
 	pr.closed = true
+	// A closed peer's rates are never read again.
+	pr.downRate.release()
+	pr.upRate.release()
 	if pr.webseed && pr.idx >= 0 {
 		c.wsConns--
 	}

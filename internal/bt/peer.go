@@ -46,8 +46,8 @@ type peer struct {
 	// live maps for the GC to mark.
 	inflight []inflightEntry
 
-	downRate *RateEstimator // payload bytes they sent us
-	upRate   *RateEstimator // payload bytes we sent them
+	downRate RateEstimator // payload bytes they sent us
+	upRate   RateEstimator // payload bytes we sent them
 
 	// idx is this peer's position in Client.peers (-1 until registered),
 	// so departure does not scan the peer slice.
@@ -81,8 +81,6 @@ func newPeer(conn *vnet.Conn, addr ip.Addr, numPieces int, initiated bool) *peer
 		amChoking:   true,
 		peerChoking: true,
 		idx:         -1,
-		downRate:    NewRateEstimator(20 * time.Second),
-		upRate:      NewRateEstimator(20 * time.Second),
 	}
 }
 

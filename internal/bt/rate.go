@@ -6,16 +6,22 @@ import (
 	"repro/internal/sim"
 )
 
+// rateWindow is the window of every RateEstimator.
+const rateWindow = 20 * time.Second
+
 // RateEstimator measures transfer rate over a sliding window, like the
 // mainline client's 20-second rate estimate that drives choking
-// decisions.
+// decisions. Its samples sit in a FIFO of fixed-size chunks from pool
+// (nil allocates), so a filling window never regrows a slice.
 type RateEstimator struct {
-	window   time.Duration
-	samples  []rateSample
-	total    int64 // bytes within the window
-	lifetime int64 // bytes ever recorded
-	first    sim.Time
-	started  bool // first activity recorded
+	head, tail *sampleChunk
+	rd, wr     int // read index in head, write index in tail
+	n          int // samples within the window
+	pool       *chunkPool
+	total      int64 // bytes within the window
+	lifetime   int64 // bytes ever recorded
+	first      sim.Time
+	started    bool // first activity recorded
 }
 
 type rateSample struct {
@@ -23,13 +29,29 @@ type rateSample struct {
 	bytes int64
 }
 
-// NewRateEstimator returns an estimator with the given window
-// (the mainline client uses 20 s).
-func NewRateEstimator(window time.Duration) *RateEstimator {
-	if window <= 0 {
-		window = 20 * time.Second
+// sampleChunk holds 15 samples and a link: 248 B, the 256 B size class.
+type sampleChunk struct {
+	s    [15]rateSample
+	next *sampleChunk
+}
+
+// chunkPool is a client's free list of sample chunks, like msgBox's.
+type chunkPool struct{ free *sampleChunk }
+
+func (p *chunkPool) get() *sampleChunk {
+	if p == nil || p.free == nil {
+		return new(sampleChunk)
 	}
-	return &RateEstimator{window: window}
+	ch := p.free
+	p.free, ch.next = ch.next, nil
+	return ch
+}
+
+// put pushes the chain head…tail onto the free list.
+func (p *chunkPool) put(head, tail *sampleChunk) {
+	if p != nil {
+		tail.next, p.free = p.free, head
+	}
 }
 
 // Add records bytes transferred at instant now. Trimming happens
@@ -42,27 +64,46 @@ func (r *RateEstimator) Add(now sim.Time, bytes int64) {
 		r.started = true
 		r.first = now
 	}
-	r.samples = append(r.samples, rateSample{at: now, bytes: bytes})
+	if r.tail == nil {
+		r.head = r.pool.get()
+		r.tail = r.head
+	} else if r.wr == len(r.tail.s) {
+		r.tail.next = r.pool.get()
+		r.tail, r.wr = r.tail.next, 0
+	}
+	r.tail.s[r.wr] = rateSample{at: now, bytes: bytes}
+	r.wr++
+	r.n++
 	r.total += bytes
 	r.lifetime += bytes
 }
 
 func (r *RateEstimator) trim(now sim.Time) {
-	cutoff := now.Add(-r.window)
-	i := 0
-	for i < len(r.samples) && r.samples[i].at < cutoff {
-		r.total -= r.samples[i].bytes
-		i++
-	}
-	if i > 0 {
-		r.samples = append(r.samples[:0], r.samples[i:]...)
-		if len(r.samples) == 0 {
-			// An idle gap drained the whole window: the next activity
-			// starts a fresh warm-up, so a resumed transfer is not
-			// divided by the full window again.
-			r.started = false
+	cutoff := now.Add(-rateWindow)
+	for r.n > 0 && r.head.s[r.rd].at < cutoff {
+		r.total -= r.head.s[r.rd].bytes
+		r.rd++
+		r.n--
+		if r.rd == len(r.head.s) {
+			ch := r.head
+			r.head, r.rd = ch.next, 0
+			r.pool.put(ch, ch)
 		}
 	}
+	if r.n == 0 {
+		// An idle gap drained the whole window (or it was empty): the
+		// next activity starts a fresh warm-up, so a resumed transfer
+		// is not divided by the full window again.
+		r.release()
+	}
+}
+
+// release empties the window and returns its chunks to the pool.
+func (r *RateEstimator) release() {
+	if r.head != nil {
+		r.pool.put(r.head, r.tail)
+	}
+	*r = RateEstimator{pool: r.pool, lifetime: r.lifetime, first: r.first}
 }
 
 // Rate returns bytes/second over the window ending at now. During
@@ -74,15 +115,15 @@ func (r *RateEstimator) trim(now sim.Time) {
 // before a query cannot masquerade as a multi-MB/s peer.
 func (r *RateEstimator) Rate(now sim.Time) float64 {
 	r.trim(now)
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return 0
 	}
 	span := now.Sub(r.first)
 	if span < time.Second {
 		span = time.Second
 	}
-	if span > r.window {
-		span = r.window
+	if span > rateWindow {
+		span = rateWindow
 	}
 	return float64(r.total) / span.Seconds()
 }
