@@ -169,27 +169,26 @@ func writeAllocProfile(path string) error {
 
 // reportScenario prints the workload-appropriate summary of a run.
 func reportScenario(res *scenario.Result) {
-	sp := res.Spec
+	sp, v := res.Spec, res.Snapshot.Values
 	fmt.Printf("   %s workload, %s model, seed %d, ended at %v\n",
 		sp.Workload.Kind, res.Model, sp.Seed, res.EndedAt)
 	switch sp.Workload.Kind {
 	case scenario.WorkloadSwarm, scenario.WorkloadChurnSwarm:
 		fmt.Printf("   %d/%d clients done, last stable completion at %.0fs\n",
-			res.Done, res.Total, res.Snapshot.Values["last-completion-s"])
+			res.Done, res.Total, v["last-completion-s"])
 		if res.Arrivals > 0 {
 			fmt.Printf("   churn: %d arrivals, %d departures\n", res.Arrivals, res.Departures)
 		}
 	case scenario.WorkloadSnapshot:
 		fmt.Printf("   %d/%d clients done, last completion at %v, web seeds served %d bytes\n",
-			res.Done, res.Total, seconds(res.Snapshot.Values["last-completion-s"]),
+			res.Done, res.Total, seconds(v["last-completion-s"]),
 			res.Snapshot.Counters["webseed-bytes"])
 	case scenario.WorkloadDHT:
 		fmt.Printf("   %d/%d lookups ok, %.2f avg hops, %v avg latency\n",
-			res.Done, res.Total, res.AvgHops, res.AvgLatency)
+			res.Done, res.Total, v["avg-hops"], millis(v["avg-latency-ms"]))
 	case scenario.WorkloadGossip:
-		fmt.Printf("   coverage %.0f%%, full coverage at %v\n", 100*res.Coverage, res.T100)
+		fmt.Printf("   coverage %.0f%%, full coverage at %v\n", 100*v["coverage"], seconds(v["t100-s"]))
 	case scenario.WorkloadPing:
-		v := res.Snapshot.Values
 		fmt.Printf("   %d/%d pings answered, rtt avg %gms (min %gms, max %gms)\n",
 			res.Done, res.Total, v["rtt-avg-ms"], v["rtt-min-ms"], v["rtt-max-ms"])
 	}

@@ -26,11 +26,11 @@ type btMetrics struct {
 func newBTMetrics(reg *obs.Registry) btMetrics {
 	return btMetrics{
 		ttfp:         reg.Histogram("p2plab_bt_time_to_first_peer_seconds", "Virtual time from client start to first admitted peer.", TTFPBuckets),
-		chokes:       reg.Counter("p2plab_bt_chokes_total", "Choke messages sent by the tit-for-tat choker."),
-		unchokes:     reg.Counter("p2plab_bt_unchokes_total", "Unchoke messages sent by the tit-for-tat choker."),
-		pieces:       reg.Counter("p2plab_bt_piece_completions_total", "Pieces completed and verified."),
-		completions:  reg.Counter("p2plab_bt_downloads_completed_total", "Clients that finished their download."),
-		dialAttempts: reg.Counter("p2plab_bt_dial_attempts_total", "Outbound peer connection attempts."),
-		dialFailures: reg.Counter("p2plab_bt_dial_failures_total", "Outbound peer dials that failed to connect."),
+		chokes:       reg.Counter("p2plab_bt_chokes_total", "", "Choke messages sent by the tit-for-tat choker."),
+		unchokes:     reg.Counter("p2plab_bt_unchokes_total", "", "Unchoke messages sent by the tit-for-tat choker."),
+		pieces:       reg.Counter("p2plab_bt_piece_completions_total", "", "Pieces completed and verified."),
+		completions:  reg.Counter("p2plab_bt_downloads_completed_total", "", "Clients that finished their download."),
+		dialAttempts: reg.Counter("p2plab_bt_dial_attempts_total", "", "Outbound peer connection attempts."),
+		dialFailures: reg.Counter("p2plab_bt_dial_failures_total", "", "Outbound peer dials that failed to connect."),
 	}
 }

@@ -23,20 +23,23 @@ func TestCellSpecMatchesParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dht.AvgHops != 3.14 || dht.AvgLatency != 825273606*time.Nanosecond ||
-		dht.P90Latency != 1058085914*time.Nanosecond ||
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1000 }
+	v := dht.Snapshot.Values
+	if v["avg-hops"] != 3.14 || v["avg-latency-ms"] != ms(825273606*time.Nanosecond) ||
+		v["p90-latency-ms"] != ms(1058085914*time.Nanosecond) ||
 		dht.Snapshot.Counters["timeouts"] != 3 || dht.Kernel.Events != 379592 {
-		t.Errorf("dht cell moved: %.2f hops, %v avg, %v p90, %d timeouts, %d kernel events; want 3.14, 825.273606ms, 1.058085914s, 3, 379592",
-			dht.AvgHops, dht.AvgLatency, dht.P90Latency, dht.Snapshot.Counters["timeouts"], dht.Kernel.Events)
+		t.Errorf("dht cell moved: %.2f hops, %vms avg, %vms p90, %d timeouts, %d kernel events; want 3.14, 825.273606ms, 1.058085914s, 3, 379592",
+			v["avg-hops"], v["avg-latency-ms"], v["p90-latency-ms"], dht.Snapshot.Counters["timeouts"], dht.Kernel.Events)
 	}
 	gos, err := runOne(Grid{Experiment: ExpGossip, Peers: []int{256}, Classes: dsl, Seeds: []int64{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gos.Coverage != 1 || gos.T50 != 4250*time.Millisecond || gos.T100 != 7250*time.Millisecond ||
+	v = gos.Snapshot.Values
+	if v["coverage"] != 1 || v["t50-s"] != (4250*time.Millisecond).Seconds() || v["t100-s"] != (7250*time.Millisecond).Seconds() ||
 		gos.Snapshot.Counters["pushes"] != 1940 {
-		t.Errorf("gossip cell moved: coverage %v, t50 %v, t100 %v, %d pushes; want 1, 4.25s, 7.25s, 1940",
-			gos.Coverage, gos.T50, gos.T100, gos.Snapshot.Counters["pushes"])
+		t.Errorf("gossip cell moved: coverage %v, t50 %vs, t100 %vs, %d pushes; want 1, 4.25s, 7.25s, 1940",
+			v["coverage"], v["t50-s"], v["t100-s"], gos.Snapshot.Counters["pushes"])
 	}
 }
 

@@ -9,10 +9,14 @@
 // trace and never schedule events — so an instrumented run dispatches
 // exactly the same event sequence as an uninstrumented one and golden
 // traces stay byte-identical with a registry attached or not (the
-// corpus-wide property test lives in internal/scenario). Sampling
+// property tests live in internal/bt and internal/scenario). Sampling
 // happens from a kernel event at virtual-time boundaries (see Sampler),
 // so every snapshot is taken at a well-defined instant of the timeline
 // rather than whenever a scraper happens to ask.
+//
+// A counter or gauge family may name a column when it registers: the
+// short key (net-sent, t50-s) a run's metrics.Snapshot reports it under.
+// Snapshot.Project is that mapping, so a column has no second source.
 //
 // The registry is not thread-safe by design: everything inside one
 // kernel runs one goroutine at a time, which is exactly the discipline
@@ -29,6 +33,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // Label is one name=value dimension of a metric series.
@@ -144,6 +150,7 @@ func (h *Histogram) Sum() float64 {
 
 // series is one labelled instance of a family.
 type series struct {
+	key    string // canonical label signature (sig)
 	labels []Label
 	ctr    *Counter
 	gauge  *Gauge
@@ -152,13 +159,14 @@ type series struct {
 	gfn    func() float64 // pull-style gauge
 }
 
-// family groups the series sharing one metric name.
+// family groups the series sharing one metric name. Label cardinality
+// is bounded by design (no per-peer labels), so a family's few series
+// are found by a scan in registration order.
 type family struct {
-	name, help string
-	kind       Kind
-	bounds     []float64
-	series     map[string]*series // canonical label signature -> series
-	order      []*series          // registration order
+	name, col, help string
+	kind            Kind
+	bounds          []float64
+	series          []*series
 }
 
 // Registry holds metric families. The zero value is not usable; call
@@ -166,11 +174,12 @@ type family struct {
 // every getter returns nil and every registration is a no-op.
 type Registry struct {
 	families map[string]*family
+	cols     map[string]string // column -> family name ("" is no column)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{families: make(map[string]*family), cols: make(map[string]string)}
 }
 
 // sig canonicalizes a label set; labels are sorted by key so the same
@@ -191,20 +200,26 @@ func sig(labels []Label) string {
 	return b.String()
 }
 
-// getFamily finds or creates the named family, panicking on a kind or
-// bucket-layout conflict — re-registering a name with a different shape
-// is a programming error, not a runtime condition.
-func (r *Registry) getFamily(name, help string, kind Kind, bounds []float64) *family {
+// getFamily finds or creates the named family, panicking on a kind,
+// bucket-layout or column conflict — re-registering a name with a
+// different shape, or giving a second family a column another one
+// already owns, is a programming error, not a runtime condition.
+func (r *Registry) getFamily(name, col, help string, kind Kind, bounds []float64) *family {
 	f := r.families[name]
 	if f == nil {
-		f = &family{name: name, help: help, kind: kind,
-			bounds: append([]float64(nil), bounds...),
-			series: make(map[string]*series)}
-		r.families[name] = f
+		if owner, taken := r.cols[col]; taken && col != "" {
+			panic(fmt.Sprintf("obs: column %q of %s already belongs to %s", col, name, owner))
+		}
+		f = &family{name: name, col: col, help: help, kind: kind,
+			bounds: append([]float64(nil), bounds...)}
+		r.families[name], r.cols[col] = f, name
 		return f
 	}
 	if f.kind != kind {
 		panic(fmt.Sprintf("obs: %s registered as %s, requested as %s", name, f.kind, kind))
+	}
+	if f.col != col {
+		panic(fmt.Sprintf("obs: %s registered with column %q, requested with %q", name, f.col, col))
 	}
 	if kind == KindHistogram && len(f.bounds) != len(bounds) {
 		panic(fmt.Sprintf("obs: histogram %s re-registered with different buckets", name))
@@ -215,35 +230,39 @@ func (r *Registry) getFamily(name, help string, kind Kind, bounds []float64) *fa
 // getSeries finds or creates the labelled series within f.
 func (f *family) getSeries(labels []Label) *series {
 	key := sig(labels)
-	s := f.series[key]
-	if s == nil {
-		s = &series{labels: append([]Label(nil), labels...)}
-		sort.Slice(s.labels, func(i, j int) bool { return s.labels[i].Key < s.labels[j].Key })
-		f.series[key] = s
-		f.order = append(f.order, s)
+	for _, s := range f.series {
+		if s.key == key {
+			return s
+		}
 	}
+	s := &series{key: key, labels: append([]Label(nil), labels...)}
+	sort.Slice(s.labels, func(i, j int) bool { return s.labels[i].Key < s.labels[j].Key })
+	f.series = append(f.series, s)
 	return s
 }
 
 // Counter returns the named counter series, creating it on first use.
-// Returns nil on a nil registry.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+// Returns nil on a nil registry. col, when not empty, is the short
+// column the family projects to (Snapshot.Project); a family has one
+// column at most, and a column belongs to one family.
+func (r *Registry) Counter(name, col, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.getFamily(name, help, KindCounter, nil).getSeries(labels)
+	s := r.getFamily(name, col, help, KindCounter, nil).getSeries(labels)
 	if s.ctr == nil {
 		s.ctr = &Counter{}
 	}
 	return s.ctr
 }
 
-// Gauge returns the named gauge series, creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+// Gauge returns the named gauge series, creating it on first use; col
+// is as for Counter.
+func (r *Registry) Gauge(name, col, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.getFamily(name, help, KindGauge, nil).getSeries(labels)
+	s := r.getFamily(name, col, help, KindGauge, nil).getSeries(labels)
 	if s.gauge == nil {
 		s.gauge = &Gauge{}
 	}
@@ -259,7 +278,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if !sort.Float64sAreSorted(bounds) {
 		panic(fmt.Sprintf("obs: histogram %s bounds not ascending: %v", name, bounds))
 	}
-	f := r.getFamily(name, help, KindHistogram, bounds)
+	f := r.getFamily(name, "", help, KindHistogram, bounds)
 	s := f.getSeries(labels)
 	if s.hist == nil {
 		s.hist = &Histogram{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
@@ -271,21 +290,21 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // time — the idiom for mirroring counters a subsystem already keeps
 // (flow.Stats, netem.PipeStats) without double-counting on the hot
 // path. fn runs in kernel context during Snapshot and must be cheap,
-// deterministic and side-effect free.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
+// deterministic and side-effect free. col is as for Counter.
+func (r *Registry) CounterFunc(name, col, help string, fn func() uint64, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.getFamily(name, help, KindCounter, nil).getSeries(labels).cfn = fn
+	r.getFamily(name, col, help, KindCounter, nil).getSeries(labels).cfn = fn
 }
 
 // GaugeFunc registers a pull-style gauge evaluated at snapshot time
 // (queue depths, connection counts). Same contract as CounterFunc.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+func (r *Registry) GaugeFunc(name, col, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.getFamily(name, help, KindGauge, nil).getSeries(labels).gfn = fn
+	r.getFamily(name, col, help, KindGauge, nil).getSeries(labels).gfn = fn
 }
 
 // Snapshot types: a deep copy of the registry at one instant, safe to
@@ -313,6 +332,7 @@ type SeriesSnap struct {
 // Family is all series of one metric name.
 type Family struct {
 	Name   string       `json:"name"`
+	Column string       `json:"column,omitempty"`
 	Help   string       `json:"help,omitempty"`
 	Kind   Kind         `json:"kind"`
 	Series []SeriesSnap `json:"series"`
@@ -340,9 +360,9 @@ func (r *Registry) Snapshot() *Snapshot {
 	snap := &Snapshot{Families: make([]Family, 0, len(names))}
 	for _, name := range names {
 		f := r.families[name]
-		fam := Family{Name: f.name, Help: f.help, Kind: f.kind,
-			Series: make([]SeriesSnap, 0, len(f.order))}
-		for _, s := range f.order {
+		fam := Family{Name: f.name, Column: f.col, Help: f.help, Kind: f.kind,
+			Series: make([]SeriesSnap, 0, len(f.series))}
+		for _, s := range f.series {
 			ss := SeriesSnap{Labels: append([]Label(nil), s.labels...)}
 			switch f.kind {
 			case KindCounter:
@@ -404,4 +424,20 @@ func (s *Snapshot) Total(name string) float64 {
 		}
 	}
 	return sum
+}
+
+// Project writes each family that names a column into dst, as its
+// Total: a counter to dst.Counters, a gauge to dst.Values (a histogram
+// names none). A run's metrics.Snapshot is this projection of its final
+// registry snapshot, so a column and its family cannot disagree.
+func (s *Snapshot) Project(dst *metrics.Snapshot) {
+	for _, f := range s.Families {
+		switch {
+		case f.Column == "":
+		case f.Kind == KindCounter:
+			dst.Counters[f.Column] = uint64(s.Total(f.Name))
+		default:
+			dst.Values[f.Column] = s.Total(f.Name)
+		}
+	}
 }

@@ -8,13 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
 func TestCounterGaugeGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("requests_total", "Requests.")
-	c2 := r.Counter("requests_total", "Requests.")
+	c1 := r.Counter("requests_total", "", "Requests.")
+	c2 := r.Counter("requests_total", "", "Requests.")
 	if c1 != c2 {
 		t.Fatal("same name+labels must return the same counter")
 	}
@@ -25,18 +26,18 @@ func TestCounterGaugeGetOrCreate(t *testing.T) {
 	}
 
 	// Label order must not matter.
-	a := r.Counter("labelled_total", "x", L("a", "1"), L("b", "2"))
-	b := r.Counter("labelled_total", "x", L("b", "2"), L("a", "1"))
+	a := r.Counter("labelled_total", "", "x", L("a", "1"), L("b", "2"))
+	b := r.Counter("labelled_total", "", "x", L("b", "2"), L("a", "1"))
 	if a != b {
 		t.Fatal("label registration order must canonicalize to one series")
 	}
 	// A different value is a different series.
-	c := r.Counter("labelled_total", "x", L("a", "1"), L("b", "3"))
+	c := r.Counter("labelled_total", "", "x", L("a", "1"), L("b", "3"))
 	if c == a {
 		t.Fatal("distinct label values must be distinct series")
 	}
 
-	g := r.Gauge("depth", "Queue depth.")
+	g := r.Gauge("depth", "", "Queue depth.")
 	g.Set(7)
 	g.Add(-2)
 	if got := g.Value(); got != 5 {
@@ -46,8 +47,8 @@ func TestCounterGaugeGetOrCreate(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x", "")
-	g := r.Gauge("y", "")
+	c := r.Counter("x", "", "")
+	g := r.Gauge("y", "", "")
 	h := r.Histogram("z", "", []float64{1})
 	c.Inc()
 	c.Add(3)
@@ -57,8 +58,8 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must be inert")
 	}
-	r.CounterFunc("f", "", func() uint64 { return 1 })
-	r.GaugeFunc("f2", "", func() float64 { return 1 })
+	r.CounterFunc("f", "", "", func() uint64 { return 1 })
+	r.GaugeFunc("f2", "", "", func() float64 { return 1 })
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot must be nil")
 	}
@@ -116,8 +117,8 @@ func TestHistogramBuckets(t *testing.T) {
 func TestFuncCollectors(t *testing.T) {
 	r := NewRegistry()
 	n := uint64(0)
-	r.CounterFunc("pulled_total", "", func() uint64 { return n })
-	r.GaugeFunc("pulled_depth", "", func() float64 { return float64(n) * 2 })
+	r.CounterFunc("pulled_total", "", "", func() uint64 { return n })
+	r.GaugeFunc("pulled_depth", "", "", func() float64 { return float64(n) * 2 })
 	n = 21
 	snap := r.Snapshot()
 	if got := snap.Total("pulled_total"); got != 21 {
@@ -128,17 +129,57 @@ func TestFuncCollectors(t *testing.T) {
 	}
 
 	// A push counter and a pull func on the same series add up.
-	c := r.Counter("mixed_total", "")
+	c := r.Counter("mixed_total", "", "")
 	c.Add(10)
-	r.CounterFunc("mixed_total", "", func() uint64 { return 5 })
+	r.CounterFunc("mixed_total", "", "", func() uint64 { return 5 })
 	if got := r.Snapshot().Total("mixed_total"); got != 15 {
 		t.Fatalf("mixed counter = %g, want 15", got)
 	}
 }
 
+// TestColumnsProject: a family that names a column projects onto it —
+// a counter into Counters, a gauge into Values, summed over its series
+// — and a family without one stays out of the projection.
+func TestColumnsProject(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("sent_total", "sent", "", L("side", "a")).Add(3)
+	r.Counter("sent_total", "sent", "", L("side", "b")).Add(4)
+	r.GaugeFunc("ended_seconds", "ended-s", "", func() float64 { return 1.5 })
+	r.Counter("private_total", "", "").Inc()
+	r.Histogram("h", "", []float64{1}).Observe(1)
+	dst := metrics.NewSnapshot()
+	r.Snapshot().Project(dst)
+	if len(dst.Counters) != 1 || dst.Counters["sent"] != 7 {
+		t.Errorf("counters %v, want sent=7 only", dst.Counters)
+	}
+	if len(dst.Values) != 1 || dst.Values["ended-s"] != 1.5 {
+		t.Errorf("values %v, want ended-s=1.5 only", dst.Values)
+	}
+}
+
+// TestColumnConflictsPanic: a column belongs to one family and a
+// family has one column, like a family has one kind.
+func TestColumnConflictsPanic(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s must panic", what)
+			}
+		}()
+		f()
+	}
+	r := NewRegistry()
+	r.Counter("a_total", "a", "")
+	r.Counter("a_total", "a", "", L("k", "v")) // same family, same column: fine
+	mustPanic("a second family on a taken column", func() { r.GaugeFunc("b", "a", "", func() float64 { return 0 }) })
+	mustPanic("a family re-registered with another column", func() { r.Counter("a_total", "b", "") })
+	mustPanic("a family re-registered without its column", func() { r.Counter("a_total", "", "") })
+}
+
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("x_total", "")
+	c := r.Counter("x_total", "", "")
 	c.Inc()
 	snap := r.Snapshot()
 	c.Add(100)
@@ -199,8 +240,8 @@ func checkPromText(t *testing.T, text string) (samples int) {
 
 func TestWritePromFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c_total", `Help with "quotes" and \ slash`, L("peer", `p"1`)).Add(3)
-	r.Gauge("g", "A gauge.").Set(-1.5)
+	r.Counter("c_total", "", `Help with "quotes" and \ slash`, L("peer", `p"1`)).Add(3)
+	r.Gauge("g", "", "A gauge.").Set(-1.5)
 	h := r.Histogram("h_seconds", "A histogram.", []float64{0.5, 2})
 	h.Observe(0.1)
 	h.Observe(1)
@@ -232,8 +273,8 @@ func TestWritePromFormat(t *testing.T) {
 func TestMerge(t *testing.T) {
 	mk := func(v uint64) *Snapshot {
 		r := NewRegistry()
-		r.Counter("shared_total", "Shared.").Add(v)
-		r.Gauge(fmt.Sprintf("only_%d", v), "").Set(1)
+		r.Counter("shared_total", "", "Shared.").Add(v)
+		r.Gauge(fmt.Sprintf("only_%d", v), "", "").Set(1)
 		return r.Snapshot()
 	}
 	merged := Merge("job", []Labeled{
@@ -264,7 +305,7 @@ func TestMerge(t *testing.T) {
 func TestSamplerFiresAtVirtualBoundaries(t *testing.T) {
 	k := sim.New(1)
 	r := NewRegistry()
-	c := r.Counter("ticks_total", "")
+	c := r.Counter("ticks_total", "", "")
 	// A workload that bumps the counter every 100ms of virtual time and
 	// stops the kernel at 1s.
 	var work func()
@@ -311,8 +352,8 @@ func TestSamplerFiresAtVirtualBoundaries(t *testing.T) {
 
 func TestUpdatesDoNotAllocate(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
+	c := r.Counter("c_total", "", "")
+	g := r.Gauge("g", "", "")
 	h := r.Histogram("h", "", []float64{1, 2, 4, 8, 16, 32})
 	var nilC *Counter
 	var nilH *Histogram
@@ -341,8 +382,8 @@ func TestUpdatesDoNotAllocate(t *testing.T) {
 // gate).
 func BenchmarkObsHot(b *testing.B) {
 	reg := NewRegistry()
-	sent := reg.Counter("p2plab_net_messages_sent_total", "")
-	bytes := reg.Counter("p2plab_net_bytes_delivered_total", "")
+	sent := reg.Counter("p2plab_net_messages_sent_total", "", "")
+	bytes := reg.Counter("p2plab_net_bytes_delivered_total", "", "")
 	// The bounds of bt's time-to-first-peer histogram.
 	ttfp := reg.Histogram("p2plab_bt_time_to_first_peer_seconds", "", []float64{0.5, 1, 2, 5, 10, 30, 60, 120, 300, 600})
 	b.Run("counter", func(b *testing.B) {

@@ -13,12 +13,15 @@ import (
 )
 
 // TestObsTraceNeutral is the observability half of the golden-trace
-// property: attaching a metric registry and a virtual-time sampler must
-// not move a single event of a single scenario — the rendered trace,
-// the network stats and the completion figures are byte-identical with
-// obs on or off. Kernel stats are deliberately excluded: the sampler's
-// own self-rescheduling event legitimately increases the dispatched
-// event count without touching anyone else's dispatch order.
+// property: every run carries a registry, and periodically sampling it
+// must not move a single event of a single scenario — the rendered
+// trace, the network stats and the completion figures are
+// byte-identical with the sampler on or off. Kernel stats are
+// deliberately excluded: the sampler's own self-rescheduling event
+// legitimately increases the dispatched event count without touching
+// anyone else's dispatch order. The nil-versus-live registry half
+// lives where a nil registry still exists, on a raw network
+// (bt's TestObsNeutralOnRawNetwork).
 func TestObsTraceNeutral(t *testing.T) {
 	render := func(sp Spec, opt Options, lg *trace.Log) (string, *Result) {
 		t.Helper()
@@ -55,7 +58,7 @@ func TestObsTraceNeutral(t *testing.T) {
 			}, trace.New(0))
 
 			if bare != instrumented {
-				t.Fatalf("trace diverged with obs attached (bare digest %.16s, instrumented %.16s)",
+				t.Fatalf("trace diverged with a sampler (unsampled digest %.16s, sampled %.16s)",
 					bare, instrumented)
 			}
 			if samples > 0 {

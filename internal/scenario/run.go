@@ -30,16 +30,18 @@ type Options struct {
 	// Seed overrides the spec's seed when non-zero (the sweep engine's
 	// seed axis).
 	Seed int64
-	// Obs, when non-nil, attaches the deterministic metric registry to
-	// the run: the network, the protocol layers and the kernel register
-	// their instruments on it. Attaching a registry never changes the
-	// run itself — the golden-trace corpus is byte-identical with Obs
-	// set or nil (TestObsTraceNeutral).
+	// Obs is the run's deterministic metric registry: the kernel, the
+	// network, the protocol layers and the workload register their
+	// instruments on it, and Result.Snapshot is projected from its
+	// final state. Nil gives the run a private registry; a caller
+	// passes one in to keep reading it after the run. A registry serves
+	// one run. It never changes the run itself — the golden-trace corpus
+	// is byte-identical with or without a sampler (TestObsTraceNeutral).
 	Obs *obs.Registry
-	// SampleInterval, with Obs and OnSample set, snapshots the registry
-	// every interval of *virtual* time (obs.StartSampler) and hands the
+	// SampleInterval, with OnSample set, snapshots the registry every
+	// interval of *virtual* time (obs.StartSampler) and hands the
 	// snapshot to OnSample in kernel context. Zero disables sampling;
-	// the registry can still be snapshotted after the run.
+	// the final snapshot is Result.Obs either way.
 	SampleInterval time.Duration
 	// OnSample receives each periodic snapshot. It runs in kernel
 	// context and must not block; the serve layer uses it to publish
@@ -54,29 +56,25 @@ type Result struct {
 	EndedAt sim.Time
 	Kernel  sim.Stats
 	Net     vnet.NetworkStats
-	// Snapshot carries workload metrics keyed like the sweep engine's
-	// cell results, labelled with scenario/workload/model/seed.
+	// Obs is the registry's snapshot at the end of the run.
+	Obs *obs.Snapshot
+	// Snapshot is Obs projected onto its columns (obs.Snapshot.Project),
+	// keyed like the sweep engine's cell results and labelled with
+	// scenario/workload/model/seed, plus classifier under a firewall.
 	Snapshot *metrics.Snapshot
 
 	// Swarm family.
 	Completions []sim.Time // per client, zero = unfinished
 	Done, Total int        // clients completed / total clients
-	Arrivals    int        // churn-swarm: sessions started
-	Departures  int
 	// Progress holds each client's piece-completion trajectory, in
 	// Completions order — the curves of Figs 8 and 10. The slices are
 	// the clients' own records, not copies.
 	Progress [][]bt.Progress
 
-	// DHT.
-	AvgHops    float64
-	AvgLatency time.Duration
-	P90Latency time.Duration
-
-	// Gossip.
-	Coverage float64
-	T50      time.Duration // time to half coverage
-	T100     time.Duration
+	// Copies of the arrivals, departures, avg-hops and coverage
+	// columns, kept only because bench reads them.
+	Arrivals, Departures int
+	AvgHops, Coverage    float64
 }
 
 // runner is the per-run state the timeline events act on.
@@ -91,7 +89,8 @@ type runner struct {
 	lossGen map[string]uint64         // group -> loss-burst generation
 	linkGen map[string]uint64         // group -> link up/down generation
 	rules   *netem.RuleSet            // firewall table; nil unless enabled
-	finish  func(*Result)             // workload result collection
+	reg     *obs.Registry             // the run's registry; Result.Snapshot is its projection
+	finish  func(*Result)             // registers the workload's values
 }
 
 // Run executes a scenario to completion (or its horizon) on a fresh
@@ -109,7 +108,11 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
-	ncfg.Obs = opt.Obs
+	reg := opt.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	ncfg.Obs = reg
 	a, err := Assemble(sp.Seed, t, ncfg, sp.Folding)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
@@ -127,30 +130,19 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 		lossGen:  make(map[string]uint64),
 		linkGen:  make(map[string]uint64),
 		rules:    ncfg.Rules,
+		reg:      reg,
 	}
 	for _, g := range t.Groups() {
 		r.class[g.Name] = g.Class
 	}
-	if opt.Obs != nil {
-		// Kernel instruments: pull-style, evaluated only at snapshot
-		// time, which is always between kernel callbacks.
-		k := a.Kernel
-		opt.Obs.CounterFunc("p2plab_sim_events_total", "Kernel callbacks dispatched.", func() uint64 {
-			return k.Snapshot().Events
-		})
-		opt.Obs.CounterFunc("p2plab_sim_switches_total", "Simulated-task activations.", func() uint64 {
-			return k.Snapshot().Switches
-		})
-		opt.Obs.CounterFunc("p2plab_sim_spawns_total", "Simulated tasks created.", func() uint64 {
-			return k.Snapshot().Spawns
-		})
-		opt.Obs.GaugeFunc("p2plab_sim_queue_depth", "Pending kernel events, i.e. live timers.", func() float64 {
-			return float64(k.QueueLen())
-		})
-		opt.Obs.GaugeFunc("p2plab_sim_virtual_seconds", "Current virtual time of the run.", func() float64 {
-			return k.Now().Seconds()
-		})
-	}
+	// Kernel instruments: pull-style, evaluated only at snapshot time,
+	// which is always between kernel callbacks.
+	k := a.Kernel
+	reg.CounterFunc("p2plab_sim_events_total", "kernel-events", "Kernel callbacks dispatched.", func() uint64 { return k.Snapshot().Events })
+	reg.CounterFunc("p2plab_sim_switches_total", "kernel-switches", "Simulated-task activations.", func() uint64 { return k.Snapshot().Switches })
+	reg.CounterFunc("p2plab_sim_spawns_total", "kernel-spawns", "Simulated tasks created.", func() uint64 { return k.Snapshot().Spawns })
+	reg.GaugeFunc("p2plab_sim_queue_depth", "", "Pending kernel events, i.e. live timers.", func() float64 { return float64(k.QueueLen()) })
+	reg.GaugeFunc("p2plab_sim_virtual_seconds", "ended-s", "Current virtual time of the run.", func() float64 { return k.Now().Seconds() })
 
 	res := &Result{Spec: sp, Model: ncfg.Model, Snapshot: metrics.NewSnapshot()}
 	res.Snapshot.Label("scenario", sp.Name)
@@ -167,7 +159,7 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	// The sampler is a repeating kernel event; it is safe here because
 	// every workload ends the run via k.Stop() (never by queue
 	// exhaustion), which discards the pending sample event.
-	sampler := obs.StartSampler(r.Kernel, opt.Obs, opt.SampleInterval, opt.OnSample)
+	sampler := obs.StartSampler(r.Kernel, reg, opt.SampleInterval, opt.OnSample)
 	defer sampler.Stop()
 	if err := r.Kernel.Run(); err != nil {
 		return nil, fmt.Errorf("scenario %s: kernel: %w", sp.Name, err)
@@ -176,21 +168,10 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	res.EndedAt = r.Kernel.Now()
 	res.Kernel = r.Kernel.Snapshot()
 	res.Net = r.Net.Stats()
-	res.Snapshot.Set("ended-s", res.EndedAt.Seconds())
-	res.Snapshot.Count("net-sent", res.Net.MessagesSent)
-	res.Snapshot.Count("net-delivered", res.Net.MessagesDelivered)
-	res.Snapshot.Count("net-dropped", res.Net.MessagesDropped)
-	res.Snapshot.Count("net-retransmits", res.Net.Retransmits)
-	res.Snapshot.Count("net-bytes", res.Net.BytesDelivered)
-	res.Snapshot.Count("kernel-events", res.Kernel.Events)
-	res.Snapshot.Count("kernel-switches", res.Kernel.Switches)
-	res.Snapshot.Count("kernel-spawns", res.Kernel.Spawns)
+	res.Obs = reg.Snapshot()
+	res.Obs.Project(res.Snapshot)
 	if r.rules != nil {
-		evals, visited := r.rules.EvalStats()
 		res.Snapshot.Label("classifier", r.rules.Classifier().String())
-		res.Snapshot.Count("net-rule-denied", res.Net.RuleDenied)
-		res.Snapshot.Count("fw-evals", evals)
-		res.Snapshot.Count("fw-visited", visited)
 	}
 	return res, nil
 }
@@ -436,9 +417,9 @@ func (r *runner) startPing() error {
 	})
 	r.finish = func(res *Result) {
 		res.Done, res.Total = st.Received, st.Sent
-		res.Snapshot.Set("rtt-avg-ms", st.Avg.Seconds()*1000)
-		res.Snapshot.Set("rtt-min-ms", st.Min.Seconds()*1000)
-		res.Snapshot.Set("rtt-max-ms", st.Max.Seconds()*1000)
+		r.reg.Gauge("p2plab_ping_rtt_avg_milliseconds", "rtt-avg-ms", "Mean round trip of the ping series.").Set(st.Avg.Seconds() * 1000)
+		r.reg.Gauge("p2plab_ping_rtt_min_milliseconds", "rtt-min-ms", "Fastest round trip of the ping series.").Set(st.Min.Seconds() * 1000)
+		r.reg.Gauge("p2plab_ping_rtt_max_milliseconds", "rtt-max-ms", "Slowest round trip of the ping series.").Set(st.Max.Seconds() * 1000)
 	}
 	return nil
 }
@@ -532,9 +513,9 @@ func (r *runner) startSwarm() error {
 
 	r.finish = func(res *Result) {
 		res.Total = len(stable) + len(churners)
-		res.completions(swarm, w.FileSize)
+		r.completions(res, swarm, w.FileSize)
 		if churned {
-			res.Snapshot.Set("stable-done", float64(res.Done))
+			r.reg.Gauge("p2plab_swarm_stable_done", "stable-done", "Stable clients that completed the download.").Set(float64(res.Done))
 			churnDone := 0
 			for _, cc := range churners {
 				if cc.Done() {
@@ -542,16 +523,15 @@ func (r *runner) startSwarm() error {
 				}
 			}
 			res.Done += churnDone
-			res.Snapshot.Set("churn-done", float64(churnDone))
+			r.reg.Gauge("p2plab_swarm_churn_done", "churn-done", "Churning clients that completed the download.").Set(float64(churnDone))
 		}
 		if driver != nil {
 			st := driver.Stats()
 			res.Arrivals, res.Departures = st.Arrivals, st.Departures
-			res.Snapshot.Count("arrivals", uint64(st.Arrivals))
-			res.Snapshot.Count("departures", uint64(st.Departures))
+			r.reg.Counter("p2plab_churn_arrivals_total", "arrivals", "Churn sessions started.").Add(uint64(st.Arrivals))
+			r.reg.Counter("p2plab_churn_departures_total", "departures", "Churn sessions ended.").Add(uint64(st.Departures))
 		}
-		res.Snapshot.Set("clients-done", float64(res.Done))
-		res.Snapshot.Set("done-fraction", float64(res.Done)/float64(res.Total))
+		r.clientsDone(res)
 	}
 	return nil
 }
@@ -561,7 +541,7 @@ func (r *runner) startSwarm() error {
 // when the last and the average one did, and the per-client goodput
 // over the slowest completion — what a piece-size × conn-cap × rate
 // grid is swept for.
-func (res *Result) completions(swarm *bt.Swarm, fileSize int64) {
+func (r *runner) completions(res *Result, swarm *bt.Swarm, fileSize int64) {
 	res.Completions = swarm.CompletionTimes()
 	res.Progress = make([][]bt.Progress, len(swarm.Clients))
 	for i, c := range swarm.Clients {
@@ -577,11 +557,18 @@ func (res *Result) completions(swarm *bt.Swarm, fileSize int64) {
 			}
 		}
 	}
-	res.Snapshot.Set("last-completion-s", last)
+	r.reg.Gauge("p2plab_swarm_last_completion_seconds", "last-completion-s", "Virtual time the last client completed.").Set(last)
 	if res.Done > 0 {
-		res.Snapshot.Set("mean-completion-s", sum/float64(res.Done))
-		res.Snapshot.Set("goodput-mbps", float64(fileSize)*8/(last*1e6))
+		r.reg.Gauge("p2plab_swarm_mean_completion_seconds", "mean-completion-s", "Mean completion time over the clients that completed.").Set(sum / float64(res.Done))
+		r.reg.Gauge("p2plab_swarm_goodput_megabits_per_second", "goodput-mbps", "Per-client goodput: the file over the last completion.").Set(float64(fileSize) * 8 / (last * 1e6))
 	}
+}
+
+// clientsDone reports how many of a swarm workload's clients
+// completed, and which fraction of the total that is.
+func (r *runner) clientsDone(res *Result) {
+	r.reg.Gauge("p2plab_swarm_clients_done", "clients-done", "Clients that completed the download.").Set(float64(res.Done))
+	r.reg.Gauge("p2plab_swarm_done_fraction", "done-fraction", "Fraction of the clients that completed the download.").Set(float64(res.Done) / float64(res.Total))
 }
 
 func (r *runner) startDHT() error {
@@ -624,20 +611,20 @@ func (r *runner) startDHT() error {
 
 	r.finish = func(res *Result) {
 		res.AvgHops = avgHops
-		res.AvgLatency = avgLat
+		var p90 time.Duration
 		if done > 0 {
-			res.P90Latency = time.Duration(metrics.Summarize(latencies).P90 * float64(time.Millisecond))
+			p90 = time.Duration(metrics.Summarize(latencies).P90 * float64(time.Millisecond))
 		}
 		res.Done, res.Total = done, w.Lookups
 		var timeouts uint64
 		for _, nd := range nodes {
 			timeouts += nd.Stats.Timeouts
 		}
-		res.Snapshot.Set("avg-hops", avgHops)
-		res.Snapshot.Set("avg-latency-ms", avgLat.Seconds()*1000)
-		res.Snapshot.Set("p90-latency-ms", res.P90Latency.Seconds()*1000)
-		res.Snapshot.Set("lookups-done", float64(done))
-		res.Snapshot.Count("timeouts", timeouts)
+		r.reg.Gauge("p2plab_dht_avg_hops", "avg-hops", "Mean overlay hops of a successful lookup.").Set(avgHops)
+		r.reg.Gauge("p2plab_dht_avg_latency_milliseconds", "avg-latency-ms", "Mean latency of a successful lookup.").Set(avgLat.Seconds() * 1000)
+		r.reg.Gauge("p2plab_dht_p90_latency_milliseconds", "p90-latency-ms", "90th-percentile latency of a successful lookup.").Set(p90.Seconds() * 1000)
+		r.reg.Gauge("p2plab_dht_lookups_done", "lookups-done", "Lookups that succeeded.").Set(float64(done))
+		r.reg.Counter("p2plab_dht_timeouts_total", "timeouts", "Chord RPCs that timed out.").Add(timeouts)
 	}
 	return nil
 }
@@ -702,13 +689,12 @@ func (r *runner) startGossip() error {
 
 	r.finish = func(res *Result) {
 		res.Coverage = coverage
-		res.T50, res.T100 = t50, t100
 		res.Done = coveredFinal
 		res.Total = len(nodes)
-		res.Snapshot.Set("coverage", coverage)
-		res.Snapshot.Set("t50-s", t50.Seconds())
-		res.Snapshot.Set("t100-s", t100.Seconds())
-		res.Snapshot.Count("pushes", pushes)
+		r.reg.Gauge("p2plab_gossip_coverage", "coverage", "Fraction of the nodes the update reached.").Set(coverage)
+		r.reg.Gauge("p2plab_gossip_t50_seconds", "t50-s", "Time from publish to half coverage.").Set(t50.Seconds())
+		r.reg.Gauge("p2plab_gossip_t100_seconds", "t100-s", "Time from publish to full coverage.").Set(t100.Seconds())
+		r.reg.Counter("p2plab_gossip_pushes_total", "pushes", "Gossip pushes sent.").Add(pushes)
 	}
 	return nil
 }

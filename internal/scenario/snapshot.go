@@ -106,14 +106,13 @@ func (r *runner) startSnapshot() error {
 
 	r.finish = func(res *Result) {
 		res.Total = len(clients)
-		res.completions(swarm, w.FileSize)
+		r.completions(res, swarm, w.FileSize)
+		r.clientsDone(res)
 		var wsBytes uint64
 		for _, ws := range webseeds {
 			wsBytes += ws.Stats().BytesServed
 		}
-		res.Snapshot.Set("clients-done", float64(res.Done))
-		res.Snapshot.Set("done-fraction", float64(res.Done)/float64(res.Total))
-		res.Snapshot.Count("webseed-bytes", wsBytes)
+		r.reg.Counter("p2plab_webseed_bytes_served_total", "webseed-bytes", "Bytes the web seeds served.").Add(wsBytes)
 	}
 	return nil
 }

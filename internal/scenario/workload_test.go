@@ -1,8 +1,16 @@
 package scenario
 
 import (
+	"bytes"
+	"maps"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // churnSpec is the E3 experiment at test size: clients DSL peers
@@ -104,44 +112,119 @@ func TestFillerRulesCostEveryMessage(t *testing.T) {
 	}
 }
 
-// TestWorkloadSnapshotColumns pins the output-only metrics each
-// workload reports, so a sweep CSV column cannot silently disappear.
+// TestWorkloadSnapshotColumns pins the exact column set each workload
+// reports, so a sweep CSV column can neither silently disappear nor
+// silently appear, and the conditional ones keep their conditions: the
+// firewall columns and the classifier label only under a firewall, the
+// completion means only when some client finished.
 func TestWorkloadSnapshotColumns(t *testing.T) {
 	always := []string{"ended-s"}
 	counters := []string{"net-sent", "net-delivered", "net-dropped", "net-retransmits", "net-bytes",
 		"kernel-events", "kernel-switches", "kernel-spawns"}
-	swarm := []string{"clients-done", "done-fraction", "last-completion-s", "mean-completion-s", "goodput-mbps"}
+	firewall := []string{"net-rule-denied", "fw-evals", "fw-visited"}
+	done := []string{"clients-done", "done-fraction", "last-completion-s"}
+	swarm := append([]string{"mean-completion-s", "goodput-mbps"}, done...)
+	labels := []string{"scenario", "workload", "model", "seed"}
 	group := []GroupSpec{{Name: "g", Class: "lan", Nodes: 6}}
 	cases := []struct {
-		w      WorkloadSpec
+		name   string
+		sp     Spec
 		values []string
 		counts []string
+		labels []string
 	}{
-		{WorkloadSpec{Kind: WorkloadSwarm, FileSize: 256 << 10}, swarm, nil},
-		{WorkloadSpec{Kind: WorkloadChurnSwarm, FileSize: 256 << 10},
-			append([]string{"stable-done", "churn-done"}, swarm...), []string{"arrivals", "departures"}},
-		{WorkloadSpec{Kind: WorkloadSnapshot, FileSize: 1 << 20, PieceLength: 256 << 10, WebSeeds: 1},
-			swarm, []string{"webseed-bytes"}},
-		{WorkloadSpec{Kind: WorkloadDHT, Lookups: 8},
-			[]string{"avg-hops", "avg-latency-ms", "p90-latency-ms", "lookups-done"}, []string{"timeouts"}},
-		{WorkloadSpec{Kind: WorkloadGossip}, []string{"coverage", "t50-s", "t100-s"}, []string{"pushes"}},
+		{"swarm", Spec{Workload: WorkloadSpec{Kind: WorkloadSwarm, FileSize: 256 << 10}}, swarm, nil, nil},
+		{"churn-swarm", Spec{Workload: WorkloadSpec{Kind: WorkloadChurnSwarm, FileSize: 256 << 10}},
+			append([]string{"stable-done", "churn-done"}, swarm...), []string{"arrivals", "departures"}, nil},
+		{"snapshot", Spec{Workload: WorkloadSpec{Kind: WorkloadSnapshot, FileSize: 1 << 20, PieceLength: 256 << 10, WebSeeds: 1}},
+			swarm, []string{"webseed-bytes"}, nil},
+		{"dht", Spec{Workload: WorkloadSpec{Kind: WorkloadDHT, Lookups: 8}},
+			[]string{"avg-hops", "avg-latency-ms", "p90-latency-ms", "lookups-done"}, []string{"timeouts"}, nil},
+		{"gossip", Spec{Workload: WorkloadSpec{Kind: WorkloadGossip}}, []string{"coverage", "t50-s", "t100-s"}, []string{"pushes"}, nil},
+		{"ping", Spec{Workload: WorkloadSpec{Kind: WorkloadPing}}, []string{"rtt-avg-ms", "rtt-min-ms", "rtt-max-ms"}, nil, nil},
+		{"firewalled swarm", Spec{FillerRules: 100, Workload: WorkloadSpec{Kind: WorkloadSwarm, FileSize: 256 << 10}},
+			swarm, firewall, []string{"classifier"}},
+		{"unfinished swarm", Spec{Horizon: Duration(time.Second), Workload: WorkloadSpec{Kind: WorkloadSwarm, FileSize: 256 << 10}},
+			done, nil, nil},
 	}
+	sorted := func(parts ...[]string) []string { return slices.Sorted(slices.Values(slices.Concat(parts...))) }
 	for _, tc := range cases {
-		res, err := Run(&Spec{Name: "cols", Groups: group, Workload: tc.w}, Options{})
+		sp := tc.sp
+		sp.Name, sp.Groups = "cols", group
+		res, err := Run(&sp, Options{})
 		if err != nil {
-			t.Fatalf("%s: %v", tc.w.Kind, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, k := range append(always, tc.values...) {
-			if _, ok := res.Snapshot.Values[k]; !ok {
-				t.Errorf("%s: value %q not reported", tc.w.Kind, k)
-			}
+		if got, want := slices.Sorted(maps.Keys(res.Snapshot.Values)), sorted(always, tc.values); !slices.Equal(got, want) {
+			t.Errorf("%s: values %v, want %v", tc.name, got, want)
 		}
-		for _, k := range append(counters, tc.counts...) {
-			if _, ok := res.Snapshot.Counters[k]; !ok {
-				t.Errorf("%s: counter %q not reported", tc.w.Kind, k)
-			}
+		if got, want := slices.Sorted(maps.Keys(res.Snapshot.Counters)), sorted(counters, tc.counts); !slices.Equal(got, want) {
+			t.Errorf("%s: counters %v, want %v", tc.name, got, want)
+		}
+		if got, want := slices.Sorted(maps.Keys(res.Snapshot.Labels)), sorted(labels, tc.labels); !slices.Equal(got, want) {
+			t.Errorf("%s: labels %v, want %v", tc.name, got, want)
 		}
 	}
+}
+
+// TestCorpusSnapshots regenerates testdata/corpus_snapshots.csv — every
+// corpus scenario's Result.Snapshot, recorded while the columns were
+// still copied by hand beside the registry — byte for byte, and checks
+// that each column is its family's value in the run's final registry
+// snapshot, with no column that no family names.
+func TestCorpusSnapshots(t *testing.T) {
+	var snaps []*metrics.Snapshot
+	for _, sp := range Corpus() {
+		res, err := Run(&sp, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		snaps = append(snaps, res.Snapshot)
+		cols := 0
+		for _, f := range res.Obs.Families {
+			if f.Column == "" {
+				continue
+			}
+			cols++
+			var got float64
+			var ok bool
+			if f.Kind == obs.KindCounter {
+				var n uint64
+				n, ok = res.Snapshot.Counters[f.Column]
+				got = float64(n)
+			} else {
+				got, ok = res.Snapshot.Values[f.Column]
+			}
+			if want := res.Obs.Total(f.Name); !ok || got != want {
+				t.Errorf("%s: column %s = %v (present %v), family %s = %v", sp.Name, f.Column, got, ok, f.Name, want)
+			}
+		}
+		if n := len(res.Snapshot.Values) + len(res.Snapshot.Counters); n != cols {
+			t.Errorf("%s: %d columns, %d families name one", sp.Name, n, cols)
+		}
+	}
+	var buf bytes.Buffer
+	if err := metrics.WriteSnapshotsCSV(&buf, snaps); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/corpus_snapshots.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(wantLines)) {
+		if i >= len(got) || i >= len(wantLines) || got[i] != wantLines[i] {
+			t.Fatalf("corpus snapshots differ from the recorded CSV at line %d:\n got %q\nwant %q",
+				i+1, at(got, i), at(wantLines, i))
+		}
+	}
+}
+
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<eof>"
 }
 
 // BenchmarkSnapshotSync runs the snapshot workload — the inverse of

@@ -93,14 +93,14 @@ func New(cfg Config) *Server {
 		reg:   obs.NewRegistry(),
 		start: time.Now(),
 	}
-	s.submitted = s.reg.Counter("p2plab_server_jobs_submitted_total", "Jobs accepted into the queue.")
-	s.rejected = s.reg.Counter("p2plab_server_jobs_rejected_total", "Submissions rejected because the queue was full.")
-	s.completed = s.reg.Counter("p2plab_server_jobs_completed_total", "Jobs finished successfully.")
-	s.failed = s.reg.Counter("p2plab_server_jobs_failed_total", "Jobs that ended in an error.")
-	s.reg.GaugeFunc("p2plab_server_queue_depth", "Jobs waiting in the bounded queue.", func() float64 {
+	s.submitted = s.reg.Counter("p2plab_server_jobs_submitted_total", "", "Jobs accepted into the queue.")
+	s.rejected = s.reg.Counter("p2plab_server_jobs_rejected_total", "", "Submissions rejected because the queue was full.")
+	s.completed = s.reg.Counter("p2plab_server_jobs_completed_total", "", "Jobs finished successfully.")
+	s.failed = s.reg.Counter("p2plab_server_jobs_failed_total", "", "Jobs that ended in an error.")
+	s.reg.GaugeFunc("p2plab_server_queue_depth", "", "Jobs waiting in the bounded queue.", func() float64 {
 		return float64(len(s.queue))
 	})
-	s.reg.GaugeFunc("p2plab_server_jobs_running", "Jobs currently executing.", func() float64 {
+	s.reg.GaugeFunc("p2plab_server_jobs_running", "", "Jobs currently executing.", func() float64 {
 		running := 0
 		for _, j := range s.order {
 			if j.stateNow() == JobRunning {
@@ -490,13 +490,11 @@ func (s *Server) executeScenario(j *Job) (*JobResult, error) {
 	if interval <= 0 {
 		interval = s.cfg.SampleInterval
 	}
-	reg := obs.NewRegistry()
 	start := time.Now()
 	prevWall := start
 	var prevVirt, prevEvents float64
 	opt := scenario.Options{
 		Seed:           j.req.Seed,
-		Obs:            reg,
 		SampleInterval: interval,
 		OnSample: func(at sim.Time, snap *obs.Snapshot) {
 			now := time.Now()
@@ -535,9 +533,10 @@ func (s *Server) executeScenario(j *Job) (*JobResult, error) {
 	}
 	j.mu.Lock()
 	j.csvSnaps = []*metrics.Snapshot{res.Snapshot}
-	// Publish the final registry state so /metrics reflects the
-	// completed run even when the horizon fell between samples.
-	j.lastSample = reg.Snapshot()
+	// Publish the final registry state — the one the columns above were
+	// projected from — so /metrics reflects the completed run even when
+	// the horizon fell between samples.
+	j.lastSample = res.Obs
 	j.lastVirtualS = res.EndedAt.Seconds()
 	j.mu.Unlock()
 	return out, nil

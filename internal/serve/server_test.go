@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -229,6 +231,68 @@ func TestServeScenarioEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeViewsAgree: a scenario job's three views of its columns —
+// the result.csv row, the JSON result's values and counters, and the
+// job's final /metrics frame — come from one registry snapshot, so they
+// agree on every column the run reports, e.g. net-delivered and
+// p2plab_net_messages_delivered_total{job=…}.
+func TestServeViewsAgree(t *testing.T) {
+	// A direct run of the same scenario names each column's family.
+	sp, _ := scenario.ByName("gossip-partition")
+	direct, err := scenario.Run(&sp, scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	code, sub := postJob(t, ts.URL, `{"scenario": "gossip-partition"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %v", code, sub)
+	}
+	id, _ := sub["id"].(string)
+	job := ts.URL + "/api/v1/jobs/" + id
+	streamEvents(t, job+"/events", 60*time.Second)
+
+	res := getJSON(t, job+"/result", http.StatusOK)
+	values, _ := res["values"].(map[string]any)
+	counters, _ := res["counters"].(map[string]any)
+	rows, err := csv.NewReader(strings.NewReader(getText(t, job+"/result.csv"))).ReadAll()
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("result.csv: %d rows, %v", len(rows), err)
+	}
+	prom := map[string]string{}
+	for _, line := range strings.Split(getText(t, ts.URL+"/metrics"), "\n") {
+		if name, v, ok := strings.Cut(line, `{job="`+id+`"} `); ok {
+			prom[name] = v
+		}
+	}
+	csvCols := map[string]string{}
+	for i, k := range rows[0] {
+		if _, label := direct.Snapshot.Labels[k]; !label {
+			csvCols[k] = rows[1][i]
+		}
+	}
+	cols := 0
+	for _, f := range direct.Obs.Families {
+		if f.Column == "" {
+			continue
+		}
+		cols++
+		view := values
+		if f.Kind == obs.KindCounter {
+			view = counters
+		}
+		v, ok := view[f.Column].(float64)
+		inCSV, errCSV := strconv.ParseFloat(csvCols[f.Column], 64)
+		inProm, errProm := strconv.ParseFloat(prom[f.Name], 64)
+		if !ok || errCSV != nil || errProm != nil || inCSV != v || inProm != v {
+			t.Errorf("%s: JSON %v (present %v), CSV %q, /metrics %s %q", f.Column, v, ok, csvCols[f.Column], f.Name, prom[f.Name])
+		}
+	}
+	if cols == 0 || len(values)+len(counters) != cols || len(csvCols) != cols {
+		t.Errorf("%d column families, JSON has %d+%d columns, CSV %d", cols, len(values), len(counters), len(csvCols))
+	}
+}
+
 // TestServeBoundedQueue fills the queue with jobs held by a blocking
 // runner and checks that overflow submissions get 503 while every
 // admitted job still runs to completion after release.
@@ -407,7 +471,7 @@ func TestServeResultConflict(t *testing.T) {
 func TestServeEvictsOldestFinishedJob(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 2})
 	reg := obs.NewRegistry()
-	reg.Counter("p2plab_test_total", "A series for /metrics to list.").Inc()
+	reg.Counter("p2plab_test_total", "", "A series for /metrics to list.").Inc()
 	snap := reg.Snapshot()
 	release := make(chan struct{})
 	defer close(release)
