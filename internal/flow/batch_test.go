@@ -334,115 +334,6 @@ func TestReconfigureFlushesBatch(t *testing.T) {
 	}
 }
 
-// TestQueueAdmissionFreshLink is the regression test for the
-// history-dependent queue admission: a message larger than QueueBytes
-// must be refused whether or not any flow ever crossed the pipe —
-// admission depends on the backlog (state), not on whether the link
-// exists in the engine's map (history).
-func TestQueueAdmissionFreshLink(t *testing.T) {
-	cfg := netem.PipeConfig{Bandwidth: netem.Mbps, QueueBytes: 10 * 1024}
-
-	// Fresh pipe, never used: the oversized message must still bounce.
-	k := sim.New(1)
-	m := NewWithConfig(k, Config{})
-	p := netem.NewPipe(k, "fresh", cfg)
-	dropped := false
-	m.Transfer(0, 20*1024, []*netem.Pipe{p}, k.Rand(), func(_ sim.Time, ok bool) {
-		dropped = !ok
-	})
-	if !dropped {
-		t.Fatal("oversized message admitted on a never-used pipe")
-	}
-	if st := m.Stats(); st.Overflows != 1 {
-		t.Fatalf("overflows = %d, want 1", st.Overflows)
-	}
-	if st := p.Stats(); st.Overflows != 1 {
-		t.Fatalf("pipe overflows = %d, want 1", st.Overflows)
-	}
-
-	// Same verdict once the link has history (an earlier small
-	// transfer created it and already drained).
-	k2 := sim.New(1)
-	m2 := NewWithConfig(k2, Config{})
-	p2 := netem.NewPipe(k2, "used", cfg)
-	start(t, m2, k2, 1024, p2)
-	if err := k2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	dropped = false
-	m2.Transfer(k2.Now(), 20*1024, []*netem.Pipe{p2}, k2.Rand(), func(_ sim.Time, ok bool) {
-		dropped = !ok
-	})
-	if !dropped {
-		t.Fatal("oversized message admitted on a drained pipe")
-	}
-}
-
-// TestMTUAdmissionParity is the regression test for MTU-chunked queue
-// admission: the flow model's entry verdict must match the pipe
-// model's packet-granularity verdict (Pipe.schedulePackets) for a
-// message arriving at one instant on an idle link — including the
-// interaction where lost packets claim no queue space. Both models
-// draw losses from identical RNG streams, so the verdicts must agree
-// trial by trial.
-func TestMTUAdmissionParity(t *testing.T) {
-	gen := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 200; trial++ {
-		cfg := netem.PipeConfig{
-			Bandwidth:  netem.Mbps,
-			MTU:        500 + gen.Intn(1500),
-			QueueBytes: int64(2000 + gen.Intn(20000)),
-		}
-		if gen.Intn(2) == 0 {
-			cfg.Loss = 0.7 * gen.Float64()
-		}
-		size := 500 + gen.Intn(40000)
-		seed := gen.Int63()
-
-		kp := sim.New(1)
-		pipe := netem.NewPipe(kp, "pipe", cfg)
-		_, pipeOK := pipe.ScheduleAt(0, size, rand.New(rand.NewSource(seed)))
-
-		kf := sim.New(1)
-		m := NewWithConfig(kf, Config{})
-		fp := netem.NewPipe(kf, "flow", cfg)
-		flowOK := false
-		m.Transfer(0, size, []*netem.Pipe{fp}, rand.New(rand.NewSource(seed)), func(_ sim.Time, ok bool) {
-			flowOK = ok
-		})
-		if !flowOK {
-			// Admission verdicts are synchronous; an admitted flow just
-			// has no completion yet.
-			flowOK = m.stats.Started == 1
-		}
-		if pipeOK != flowOK {
-			t.Fatalf("trial %d: pipe admits=%v flow admits=%v (size=%d cfg=%+v seed=%d)",
-				trial, pipeOK, flowOK, size, cfg, seed)
-		}
-	}
-}
-
-// TestMTULossFreesQueueSpace pins the admission interaction directly:
-// with loss=1 every packet of an oversized message is lost — the
-// verdict is a loss drop, never an overflow, because lost packets
-// claim no queue space.
-func TestMTULossFreesQueueSpace(t *testing.T) {
-	k := sim.New(1)
-	m := NewWithConfig(k, Config{})
-	p := netem.NewPipe(k, "lossy", netem.PipeConfig{
-		Bandwidth: netem.Mbps, MTU: 1000, QueueBytes: 4000, Loss: 1,
-	})
-	ok := true
-	m.Transfer(0, 20_000, []*netem.Pipe{p}, k.Rand(), func(_ sim.Time, o bool) { ok = o })
-	if ok {
-		t.Fatal("message survived loss=1")
-	}
-	st := m.Stats()
-	if st.Lost != 1 || st.Overflows != 0 {
-		t.Fatalf("stats = %+v, want 1 loss and 0 overflows", st)
-	}
-}
-
 // runFlowChurn drives the flow engine through steady-state churn of
 // ~1k concurrent flows: every completion immediately starts a
 // replacement, so each op is one departure plus one arrival.

@@ -14,9 +14,8 @@ import (
 // The flow model's fidelity anchor: with no sharing — at most one flow
 // in flight, at most one bandwidth-constrained pipe per path — the
 // fluid model degenerates to the pipe model's serialization + delay
-// schedule, byte for byte, including the loss and jitter draw
-// sequence. Randomized path shapes, sizes, losses and jitters all
-// must agree between the two models under the same seed.
+// schedule, byte for byte, including the loss draw sequence.
+// Randomized path shapes, sizes and losses all must agree between the two models under the same seed.
 
 // pathConfig is one randomized scenario: a pipe path with at most one
 // bandwidth-constrained pipe, and a message arrival plan that never
@@ -33,9 +32,6 @@ func genConfig(rng *rand.Rand) pathConfig {
 	constrained := rng.Intn(nPipes)
 	for i := 0; i < nPipes; i++ {
 		cfg := netem.PipeConfig{Delay: time.Duration(rng.Intn(100)) * time.Millisecond}
-		if rng.Intn(2) == 0 {
-			cfg.Jitter = time.Duration(1+rng.Intn(10)) * time.Millisecond
-		}
 		if rng.Intn(4) == 0 {
 			cfg.Loss = 0.2 * rng.Float64()
 		}

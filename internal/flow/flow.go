@@ -44,17 +44,9 @@
 //     the sum of per-hop serializations; a single-bottleneck path is
 //     byte-identical to the pipe model (the equivalence property test),
 //     a multi-constrained path is faster here than store-and-forward.
-//   - Loss and queue admission are evaluated once, at flow entry; the
-//     queue analog is the fluid backlog (sum of the remaining bytes of
-//     the flows already on the link — zero for a link no flow has ever
-//     crossed). MTU-chunked pipes keep their packet granularity for
-//     both loss and queue admission: per-packet loss draws with
-//     all-must-survive, and each surviving packet claims queue space on
-//     top of the fluid backlog, so lost packets free room exactly as
-//     Pipe.schedulePackets admits them. The admitted flow is still
-//     carried as one fluid flow, not store-and-forward chunks.
-//   - Jitter is drawn at entry, one draw per pipe in path order — the
-//     same draw sequence the pipe model makes for serialized traffic.
+//   - Loss is drawn once per pipe, at flow entry and in path order; a
+//     message the pipe model would lose mid-path is lost here before
+//     it claims any bandwidth.
 package flow
 
 import (
@@ -94,19 +86,6 @@ func (l *link) remove(f *xfer) {
 	}
 }
 
-// backlogAt returns the fluid backlog: bytes still to be carried for
-// the flows currently on the link, drained to instant now. Batched
-// arrivals not yet rated count at full size — they are queued.
-func (l *link) backlogAt(now sim.Time) int64 {
-	var bits float64
-	for _, f := range l.flows {
-		if r := f.remainingAt(now); r > 0 {
-			bits += r
-		}
-	}
-	return int64(bits / 8)
-}
-
 // xfer is one in-flight transfer. xfers are pooled on the Model's free
 // list: the completion callback is bound once per struct, and the
 // links backing array and the completion handle are reused from one
@@ -118,7 +97,7 @@ type xfer struct {
 	remaining  float64 // bits left to carry, as of ratedAt
 	rate       float64 // bits/sec currently allotted; <0 = not yet rated
 	ratedAt    sim.Time
-	prop       time.Duration // propagation + jitter appended after completion
+	prop       time.Duration // propagation appended after completion
 	ev         sim.Event     // completion; unarmed or spent until the first rating
 	completeFn func()        // bound f.complete
 	done       func(exit sim.Time, ok bool)
@@ -129,15 +108,6 @@ type xfer struct {
 	inF     bool    // member of Model.aff
 }
 
-// remainingAt returns the bits left at instant now without settling.
-func (f *xfer) remainingAt(now sim.Time) float64 {
-	r := f.remaining
-	if el := now.Sub(f.ratedAt).Seconds(); f.rate > 0 && el > 0 {
-		r -= f.rate * el
-	}
-	return r
-}
-
 // Stats counts engine activity. SolvedFlows / (Started + Completed) is
 // the average number of flows re-leveled per churn event — the
 // incrementality measure the churn benchmark tracks.
@@ -145,7 +115,6 @@ type Stats struct {
 	Started     uint64 // flows admitted
 	Completed   uint64 // flows delivered
 	Lost        uint64 // dropped by per-pipe random loss at entry
-	Overflows   uint64 // dropped by fluid queue admission at entry
 	Solves      uint64 // regions re-solved: one per flush, so one per churn event at window 0
 	SolvedFlows uint64 // flows re-leveled across all re-solves
 	Rerates     uint64 // rate assignments applied (incl. initial)
@@ -254,14 +223,13 @@ func (m *Model) FlushBatch() {
 }
 
 // Transfer charges a size-byte message entering path at instant at: it
-// admits the message (loss and fluid-queue checks per pipe, in path
-// order), then runs it as a flow over the path's constrained pipes. done
-// is called exactly once — possibly synchronously — with the instant the
-// message exits the last pipe (serialization, queueing and per-pipe
-// propagation included) and ok=true, or with ok=false when the message
-// is dropped by loss or queue admission. A path with no constrained pipe
-// completes synchronously after pure propagation, mirroring the pipe
-// model's inline fast path.
+// draws each pipe's loss, in path order, then runs the message as a
+// flow over the path's constrained pipes. done is called exactly once —
+// possibly synchronously — with the instant the message exits the last
+// pipe (serialization, queueing and per-pipe propagation included) and
+// ok=true, or with ok=false when the message is lost. A path with no
+// constrained pipe completes synchronously after pure propagation,
+// mirroring the pipe model's inline fast path.
 //
 // The contract vnet's pooled caller relies on: Transfer is called, and
 // done is called, with the kernel's execution token held (a simulated
@@ -280,15 +248,14 @@ func (m *Model) Transfer(at sim.Time, size int, path []*netem.Pipe, rng *rand.Ra
 	var prop time.Duration
 	for _, p := range path {
 		cfg := p.Config()
-		if !m.admit(at, size, p, cfg, rng) {
+		if cfg.Loss > 0 && rng.Float64() < cfg.Loss {
+			m.stats.Lost++
+			p.AccountLoss()
 			m.release(f)
 			done(0, false)
 			return
 		}
 		prop += cfg.Delay
-		if cfg.Jitter > 0 {
-			prop += time.Duration(rng.Int63n(int64(cfg.Jitter)))
-		}
 		if cfg.Bandwidth > 0 {
 			// A pipe listed twice constrains the flow once.
 			if l := m.linkFor(p); !slices.Contains(f.links, l) {
@@ -333,79 +300,6 @@ func (m *Model) acquire() *xfer {
 func (m *Model) release(f *xfer) {
 	f.links, f.done = f.links[:0], nil
 	m.free = append(m.free, f)
-}
-
-// admit runs one pipe's entry checks (loss, then fluid-queue) and
-// accounts a failure; it reports whether the message survived. The
-// backlog is a function of the link's *current* flows only — a pipe no
-// flow has ever crossed has an empty backlog, but a message larger
-// than the queue bound is still refused on it (admission depends on
-// state, never on history).
-func (m *Model) admit(at sim.Time, size int, p *netem.Pipe, cfg netem.PipeConfig, rng *rand.Rand) bool {
-	queued := cfg.Bandwidth > 0 && cfg.QueueBytes > 0
-	if cfg.MTU > 0 && size > cfg.MTU && (cfg.Loss > 0 || queued) {
-		// Packet-granularity admission, chunk for chunk the verdict of
-		// Pipe.schedulePackets for a message arriving at one instant:
-		// every packet draws its own loss verdict, and each surviving
-		// packet claims queue space on top of the fluid backlog — lost
-		// packets claim none, so a lossy pipe can admit a message the
-		// whole-size check would tail-drop. The message survives only
-		// if every packet does. The loss-draw sequence matches both the
-		// pipe model and this package's previous per-packet loss loop.
-		var backlog int64
-		if queued {
-			if l := m.links[p]; l != nil {
-				backlog = l.backlogAt(at)
-			}
-		}
-		lost, overflowed := false, false
-		var admitted int64
-		for sent := 0; sent < size; sent += cfg.MTU {
-			chunk := size - sent
-			if chunk > cfg.MTU {
-				chunk = cfg.MTU
-			}
-			if cfg.Loss > 0 && rng.Float64() < cfg.Loss {
-				lost = true
-				continue
-			}
-			if queued {
-				if backlog+admitted+int64(chunk) > cfg.QueueBytes {
-					overflowed = true
-					continue
-				}
-				admitted += int64(chunk)
-			}
-		}
-		if lost {
-			m.stats.Lost++
-			p.AccountDrop(false)
-			return false
-		}
-		if overflowed {
-			m.stats.Overflows++
-			p.AccountDrop(true)
-			return false
-		}
-		return true
-	}
-	if cfg.Loss > 0 && rng.Float64() < cfg.Loss {
-		m.stats.Lost++
-		p.AccountDrop(false)
-		return false
-	}
-	if queued {
-		var backlog int64
-		if l := m.links[p]; l != nil {
-			backlog = l.backlogAt(at)
-		}
-		if backlog+int64(size) > cfg.QueueBytes {
-			m.stats.Overflows++
-			p.AccountDrop(true)
-			return false
-		}
-	}
-	return true
 }
 
 // complete fires when a flow's last byte is carried: detach it,

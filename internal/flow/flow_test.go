@@ -190,8 +190,8 @@ func TestUnchangedRatesKeepSchedules(t *testing.T) {
 	}
 }
 
-// TestLossAndQueueAdmission: per-pipe loss drops at entry; the fluid
-// queue bound rejects a flow whose bytes exceed the configured backlog.
+// TestLossAndQueueAdmission: per-pipe loss drops at entry, before the
+// message becomes a flow.
 func TestLossAndQueueAdmission(t *testing.T) {
 	k := sim.New(1)
 	m := NewWithConfig(k, Config{})
@@ -203,47 +203,9 @@ func TestLossAndQueueAdmission(t *testing.T) {
 	if !dropped || m.stats.Lost != 1 {
 		t.Errorf("loss=1 pipe delivered (dropped=%v, lost=%d)", dropped, m.stats.Lost)
 	}
-
-	bounded := netem.NewPipe(k, "bounded", netem.PipeConfig{Bandwidth: netem.Mbps, QueueBytes: 64 * 1024})
-	start(t, m, k, 60*1024, bounded)
-	overflowed := false
-	m.Transfer(0, 8*1024, []*netem.Pipe{bounded}, k.Rand(), func(_ sim.Time, ok bool) {
-		overflowed = !ok
-	})
-	if !overflowed || m.stats.Overflows != 1 {
-		t.Errorf("overfull link admitted flow (overflowed=%v, overflows=%d)", overflowed, m.stats.Overflows)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMTUPacketLoss: an MTU-chunked pipe keeps packet-granularity loss
-// under the flow model — a 10-packet message survives only if all 10
-// per-packet draws do, so its drop rate is far above the per-packet
-// probability a message-level draw would give it.
-func TestMTUPacketLoss(t *testing.T) {
-	k := sim.New(1)
-	m := NewWithConfig(k, Config{})
-	p := netem.NewPipe(k, "mtu", netem.PipeConfig{Bandwidth: netem.Gbps, Loss: 0.3, MTU: 1000})
-	const trials = 200
-	drops := 0
-	for i := 0; i < trials; i++ {
-		m.Transfer(k.Now(), 10_000, []*netem.Pipe{p}, k.Rand(), func(_ sim.Time, ok bool) {
-			if !ok {
-				drops++
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// 1-(1-0.3)^10 ≈ 0.97; message-level would be 0.3.
-	if rate := float64(drops) / trials; rate < 0.8 {
-		t.Errorf("drop rate %v with 10 packets at loss 0.3; want packet-granularity (~0.97)", rate)
-	}
-	if m.stats.Lost != uint64(drops) || p.Stats().Lost != uint64(drops) {
-		t.Errorf("loss accounting off: model=%d pipe=%d drops=%d", m.stats.Lost, p.Stats().Lost, drops)
+	if m.stats.Started != 0 || lossy.Stats().Lost != 1 {
+		t.Errorf("lost message started a flow or went unaccounted (started=%d, pipe lost=%d)",
+			m.stats.Started, lossy.Stats().Lost)
 	}
 }
 

@@ -97,9 +97,8 @@ func TestPipeModelMidPathDrop(t *testing.T) {
 }
 
 // TestPipeModelUnconstrainedPathIsSynchronous: a path of pipes with no
-// bandwidth, delay or jitter completes inside Transfer — done runs
-// before Transfer returns, at the entry instant, and no event is
-// scheduled.
+// bandwidth or delay completes inside Transfer — done runs before
+// Transfer returns, at the entry instant, and no event is scheduled.
 func TestPipeModelUnconstrainedPathIsSynchronous(t *testing.T) {
 	k := sim.New(1)
 	pm := NewPipeModel(k)

@@ -20,8 +20,8 @@ import (
 )
 
 // Pipe emulates one direction of a network link, like a Dummynet pipe:
-// configured bandwidth, propagation delay, random loss, and a bounded
-// queue ahead of the serializer.
+// configured bandwidth, propagation delay and random loss, with an
+// unbounded FIFO queue ahead of the serializer.
 type Pipe struct {
 	name string
 	k    *sim.Kernel
@@ -38,32 +38,16 @@ type PipeConfig struct {
 	Bandwidth int64
 	// Delay is the propagation latency added after serialization.
 	Delay time.Duration
-	// Jitter adds a uniform random variation in [0, Jitter) to each
-	// message's propagation delay, like NetEm's delay jitter. Note
-	// that jitter can reorder messages relative to pure FIFO delivery;
-	// the reliable connection layer reorders by sequence number.
-	Jitter time.Duration
-	// Loss is the probability in [0,1) that a message is dropped.
+	// Loss is the probability in [0,1] that a message is dropped; 1
+	// drops every message.
 	Loss float64
-	// QueueBytes bounds the backlog waiting for the serializer; messages
-	// arriving with a full queue are dropped (tail drop, like Dummynet's
-	// bounded queue). 0 means unbounded.
-	QueueBytes int64
-	// MTU, when positive, charges the pipe at packet granularity: a
-	// message is split into ⌈size/MTU⌉ packets, each tested for loss
-	// and queue admission independently, and the message survives only
-	// if every packet does (the reliable layer retransmits whole
-	// messages). 0 keeps the O(1) message-level model — the ablation
-	// of DESIGN.md decision 2.
-	MTU int
 }
 
 // PipeStats counts pipe activity.
 type PipeStats struct {
-	Messages  uint64 // messages accepted
-	Bytes     uint64 // bytes accepted
-	Lost      uint64 // messages dropped by random loss
-	Overflows uint64 // messages dropped by queue overflow
+	Messages uint64 // messages accepted
+	Bytes    uint64 // bytes accepted
+	Lost     uint64 // messages dropped by random loss
 }
 
 // NewPipe returns a pipe driven by kernel k. The name appears in
@@ -147,21 +131,14 @@ func (p *Pipe) Backlog(now sim.Time) int64 {
 // ScheduleAt passes a message of size bytes through the pipe, entering at
 // instant at. It returns the instant the message exits the pipe (after
 // queueing, serialization and propagation) and whether the message
-// survived (false = dropped by loss or queue overflow).
+// survived (false = dropped by loss).
 //
 // The next-free cursor is mutated immediately, which assumes callers
 // schedule a given flow's messages in causal (non-decreasing) order —
 // true under the sequential kernel for any single sender.
 func (p *Pipe) ScheduleAt(at sim.Time, size int, rng *rand.Rand) (sim.Time, bool) {
-	if p.cfg.MTU > 0 && size > p.cfg.MTU {
-		return p.schedulePackets(at, size, rng)
-	}
 	if p.cfg.Loss > 0 && rng.Float64() < p.cfg.Loss {
 		p.stats.Lost++
-		return 0, false
-	}
-	if p.cfg.QueueBytes > 0 && p.Backlog(at)+int64(size) > p.cfg.QueueBytes {
-		p.stats.Overflows++
 		return 0, false
 	}
 	start := at
@@ -172,55 +149,7 @@ func (p *Pipe) ScheduleAt(at sim.Time, size int, rng *rand.Rand) (sim.Time, bool
 	p.nextFree = done
 	p.stats.Messages++
 	p.stats.Bytes += uint64(size)
-	return done.Add(p.propagation(rng)), true
-}
-
-// propagation returns the delay plus a jitter draw.
-func (p *Pipe) propagation(rng *rand.Rand) time.Duration {
-	d := p.cfg.Delay
-	if p.cfg.Jitter > 0 {
-		d += time.Duration(rng.Int63n(int64(p.cfg.Jitter)))
-	}
-	return d
-}
-
-// schedulePackets is the packet-granularity path: each MTU-sized chunk
-// is admitted, lost and serialized independently. The exit instant is
-// the last packet's; a single lost packet fails the whole message
-// (leaving the already-serialized packets charged, like a real link
-// that carried them before the loss was noticed).
-func (p *Pipe) schedulePackets(at sim.Time, size int, rng *rand.Rand) (sim.Time, bool) {
-	exit := at
-	ok := true
-	for sent := 0; sent < size; sent += p.cfg.MTU {
-		chunk := size - sent
-		if chunk > p.cfg.MTU {
-			chunk = p.cfg.MTU
-		}
-		if p.cfg.Loss > 0 && rng.Float64() < p.cfg.Loss {
-			p.stats.Lost++
-			ok = false
-			continue // later packets still occupy the wire
-		}
-		if p.cfg.QueueBytes > 0 && p.Backlog(at)+int64(chunk) > p.cfg.QueueBytes {
-			p.stats.Overflows++
-			ok = false
-			continue
-		}
-		start := at
-		if p.nextFree > start {
-			start = p.nextFree
-		}
-		done := start.Add(p.serialization(chunk))
-		p.nextFree = done
-		p.stats.Bytes += uint64(chunk)
-		exit = done
-	}
-	if !ok {
-		return 0, false
-	}
-	p.stats.Messages++
-	return exit.Add(p.propagation(rng)), true
+	return done.Add(p.cfg.Delay), true
 }
 
 // AccountTransfer records a message accepted by an external link model
@@ -235,15 +164,9 @@ func (p *Pipe) AccountTransfer(size int) {
 	p.stats.Bytes += uint64(size)
 }
 
-// AccountDrop records a message dropped by an external link model,
-// against either the overflow or the random-loss counter.
-func (p *Pipe) AccountDrop(overflow bool) {
-	if overflow {
-		p.stats.Overflows++
-	} else {
-		p.stats.Lost++
-	}
-}
+// AccountLoss records a message an external link model dropped by
+// this pipe's random loss.
+func (p *Pipe) AccountLoss() { p.stats.Lost++ }
 
 // Utilization returns the fraction of the interval [from, to] during
 // which the serializer was busy, computed from the bytes accepted over

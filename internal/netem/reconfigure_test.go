@@ -15,8 +15,7 @@ func runPipeWorkload(t *testing.T, seed int64, selfReconfigure bool) []sim.Time 
 	t.Helper()
 	k := sim.New(seed)
 	p := NewPipe(k, "p", PipeConfig{
-		Bandwidth: 1 * Mbps, Delay: 10 * time.Millisecond,
-		Jitter: time.Millisecond, Loss: 0.05, QueueBytes: 64 << 10,
+		Bandwidth: 1 * Mbps, Delay: 10 * time.Millisecond, Loss: 0.05,
 	})
 	rng := rand.New(rand.NewSource(seed))
 	var exits []sim.Time

@@ -2,7 +2,6 @@ package vnet
 
 import (
 	"errors"
-	"io"
 
 	"repro/internal/ip"
 	"repro/internal/sim"
@@ -41,7 +40,6 @@ type Conn struct {
 	refused     bool
 	closed      bool
 	remoteDone  bool
-	readRest    []byte
 
 	// TCP-like sequencing: retransmitted messages may arrive out of
 	// order relative to later messages or the FIN, so delivery to the
@@ -243,40 +241,6 @@ func (c *Conn) Close(p *sim.Proc) error {
 
 // Closed reports whether the local side has been closed.
 func (c *Conn) Closed() bool { return c.closed }
-
-// Write implements a stream-style write: the whole buffer goes out as
-// one message. It satisfies the spirit of io.Writer but needs the
-// calling process, so it does not implement the stdlib interface.
-func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
-	if err := c.Send(p, data); err != nil {
-		return 0, err
-	}
-	return len(data), nil
-}
-
-// Read implements a stream-style read over the message inbox: message
-// boundaries are not preserved, leftovers are buffered. It returns
-// io.EOF after the peer closes and all data drains.
-func (c *Conn) Read(p *sim.Proc, buf []byte) (int, error) {
-	for len(c.readRest) == 0 {
-		pk, err := c.Recv(p)
-		if errors.Is(err, ErrClosed) {
-			return 0, io.EOF
-		}
-		if err != nil {
-			return 0, err
-		}
-		if pk.Data == nil && pk.Size > 0 {
-			// Sparse payloads surface as zero bytes of that length.
-			c.readRest = make([]byte, pk.Size)
-		} else {
-			c.readRest = pk.Data
-		}
-	}
-	n := copy(buf, c.readRest)
-	c.readRest = c.readRest[n:]
-	return n, nil
-}
 
 // Listener accepts inbound connections on a host port.
 type Listener struct {

@@ -25,7 +25,7 @@ func (n *Network) initObs() {
 	}
 	reg.CounterFunc("p2plab_net_messages_sent_total", "net-sent", "Messages handed to the transmit path.", func() uint64 { return st.MessagesSent })
 	reg.CounterFunc("p2plab_net_messages_delivered_total", "net-delivered", "Messages delivered to a destination host.", func() uint64 { return st.MessagesDelivered })
-	reg.CounterFunc("p2plab_net_messages_dropped_total", "net-dropped", "Messages dropped (loss, overflow, partition, retransmit exhaustion).", func() uint64 { return st.MessagesDropped })
+	reg.CounterFunc("p2plab_net_messages_dropped_total", "net-dropped", "Messages dropped (loss, partition, retransmit exhaustion).", func() uint64 { return st.MessagesDropped })
 	reg.CounterFunc("p2plab_net_retransmits_total", "net-retransmits", "Retransmission attempts of reliable messages.", func() uint64 { return st.Retransmits })
 	reg.CounterFunc("p2plab_net_rule_denied_total", denied, "Transmission attempts dropped by a firewall deny rule.", func() uint64 { return st.RuleDenied })
 	reg.CounterFunc("p2plab_net_bytes_delivered_total", "net-bytes", "Wire bytes delivered (payload plus header overhead).", func() uint64 { return st.BytesDelivered })
@@ -63,7 +63,6 @@ func (n *Network) initObs() {
 	reg.CounterFunc("p2plab_netem_messages_total", "", "Messages accepted by access-link pipes.", pipes(func(st netem.PipeStats) uint64 { return st.Messages }))
 	reg.CounterFunc("p2plab_netem_bytes_total", "", "Bytes accepted by access-link pipes.", pipes(func(st netem.PipeStats) uint64 { return st.Bytes }))
 	reg.CounterFunc("p2plab_netem_dropped_loss_total", "", "Pipe drops from random loss.", pipes(func(st netem.PipeStats) uint64 { return st.Lost }))
-	reg.CounterFunc("p2plab_netem_dropped_overflow_total", "", "Pipe drops from bounded-queue overflow.", pipes(func(st netem.PipeStats) uint64 { return st.Overflows }))
 	reg.GaugeFunc("p2plab_netem_backlog_bytes", "", "Bytes queued behind access-link serializers right now.", func() float64 {
 		now := n.k.Now()
 		var v int64

@@ -537,7 +537,7 @@ type walkSend struct {
 }
 
 // genWalkPipe draws one pipe in the shape of the flow package's
-// genConfig (delay, sometimes jitter, sometimes loss), except that any
+// genConfig (delay, sometimes loss), except that any
 // pipe may be bandwidth-limited: both sides here are store-and-forward,
 // so several parked hops per path is the interesting case.
 func genWalkPipe(rng *rand.Rand) netem.PipeConfig {
@@ -545,17 +545,11 @@ func genWalkPipe(rng *rand.Rand) netem.PipeConfig {
 	if rng.Intn(4) != 0 {
 		cfg.Delay = time.Duration(rng.Intn(100)) * time.Millisecond
 	}
-	if rng.Intn(2) == 0 {
-		cfg.Jitter = time.Duration(1+rng.Intn(10)) * time.Millisecond
-	}
 	if rng.Intn(4) == 0 {
 		cfg.Loss = 0.2 * rng.Float64()
 	}
 	if rng.Intn(2) == 0 {
 		cfg.Bandwidth = int64(64+rng.Intn(2048)) * netem.Kbps
-	}
-	if cfg.Bandwidth > 0 && rng.Intn(4) == 0 {
-		cfg.QueueBytes = int64(16+rng.Intn(64)) << 10
 	}
 	return cfg
 }
