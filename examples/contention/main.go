@@ -115,7 +115,7 @@ func run(model netem.ModelKind, peers int, showTrace bool) error {
 				if err != nil {
 					return
 				}
-				got += pk.Len()
+				got += pk.Size
 			}
 			done[i] = p.Now()
 			c.Close(p)

@@ -34,7 +34,7 @@ func main() {
 		if err != nil {
 			return
 		}
-		fmt.Printf("[%8v] bob received %q from %v\n", p.Now(), pk.Data, pk.From)
+		fmt.Printf("[%8v] bob received %q from %v\n", p.Now(), pk.Meta, pk.From)
 	})
 
 	a.Kernel.Go("alice", func(p *sim.Proc) {
@@ -46,7 +46,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		conn.Send(p, []byte("hello over emulated DSL"))
+		greeting := "hello over emulated DSL"
+		conn.SendMeta(p, len(greeting), greeting)
 		conn.Close(p)
 	})
 

@@ -157,7 +157,7 @@ func TestMemStorageRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("seeder missing block %d/%d", pi, b)
 			}
-			if err := leech.WriteBlock(pi, begin, blk, 0); err != nil {
+			if err := leech.WriteBlock(pi, begin, blk); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -181,7 +181,7 @@ func TestMemStorageRejectsCorruption(t *testing.T) {
 	bad := make([]byte, BlockLength)
 	bad[0] = 0xFF
 	for b := 0; b < m.BlocksIn(0); b++ {
-		leech.WriteBlock(0, b*BlockLength, bad, 0)
+		leech.WriteBlock(0, b*BlockLength, bad)
 	}
 	ok, err := leech.CompletePiece(0)
 	if err != nil {
@@ -216,7 +216,7 @@ func TestSparseStorage(t *testing.T) {
 		t.Fatal("empty piece must not verify")
 	}
 	for b := 0; b < m.BlocksIn(0); b++ {
-		if err := leech.WriteBlock(0, b*BlockLength, nil, BlockLength); err != nil {
+		if err := leech.WriteBlock(0, b*BlockLength, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestSparseStorage(t *testing.T) {
 func TestSparseStoragePartialPieceFails(t *testing.T) {
 	m, _ := SyntheticTorrent("s", 512*1024, 0)
 	leech := NewSparseStorage(m)
-	leech.WriteBlock(0, 0, nil, BlockLength) // 1 of 16 blocks
+	leech.WriteBlock(0, 0, nil) // 1 of 16 blocks
 	if ok, _ := leech.CompletePiece(0); ok {
 		t.Fatal("partial piece must not verify")
 	}
@@ -357,8 +357,8 @@ func TestPickerRemoveBitfield(t *testing.T) {
 }
 
 // BenchmarkPieceVerification compares real SHA-1 verification
-// (MemStorage) against sparse tag verification (SparseStorage) — the
-// trade-off behind DESIGN.md decision 4.
+// (MemStorage) against sparse block-receipt verification
+// (SparseStorage) — the trade-off behind DESIGN.md decision 4.
 func BenchmarkPieceVerification(b *testing.B) {
 	data := make([]byte, DefaultPieceLength)
 	rand.New(rand.NewSource(1)).Read(data)
@@ -371,7 +371,7 @@ func BenchmarkPieceVerification(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := NewMemStorage(meta)
 			for off := 0; off < len(data); off += BlockLength {
-				s.WriteBlock(0, off, data[off:off+BlockLength], 0)
+				s.WriteBlock(0, off, data[off:off+BlockLength])
 			}
 			if ok, _ := s.CompletePiece(0); !ok {
 				b.Fatal("verify failed")
@@ -384,7 +384,7 @@ func BenchmarkPieceVerification(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := NewSparseStorage(sparseMeta)
 			for off := 0; off < DefaultPieceLength; off += BlockLength {
-				s.WriteBlock(0, off, nil, BlockLength)
+				s.WriteBlock(0, off, nil)
 			}
 			if ok, _ := s.CompletePiece(0); !ok {
 				b.Fatal("verify failed")

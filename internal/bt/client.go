@@ -725,11 +725,6 @@ func (c *Client) onRequest(p *sim.Proc, pr *peer, m Msg) {
 		return
 	}
 	out := Msg{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Length: m.Length, Block: data}
-	if data == nil {
-		if ss, isSparse := c.store.(*SparseStorage); isSparse {
-			out.Tag = ss.Tag(m.Index)
-		}
-	}
 	n := int64(out.BlockLen())
 	if c.upLim != nil {
 		// Pace uploads through the token bucket. FIFO: once anything
@@ -842,14 +837,8 @@ func (c *Client) onBlock(p *sim.Proc, pr *peer, m Msg) {
 		c.fillRequests(p, pr) // endgame duplicate
 		return
 	}
-	if m.Block != nil {
-		if err := c.store.WriteBlock(m.Index, m.Begin, m.Block, 0); err != nil {
-			return
-		}
-	} else {
-		if err := c.store.WriteBlock(m.Index, m.Begin, nil, m.Length); err != nil {
-			return
-		}
+	if err := c.store.WriteBlock(m.Index, m.Begin, m.Block); err != nil {
+		return
 	}
 	pp.set(b)
 	pp.count++

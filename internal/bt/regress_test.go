@@ -216,14 +216,14 @@ func TestSparseStorageManyBlocks(t *testing.T) {
 		if b == 100 {
 			continue
 		}
-		if err := s.WriteBlock(0, b*BlockLength, nil, BlockLength); err != nil {
+		if err := s.WriteBlock(0, b*BlockLength, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if ok, _ := s.CompletePiece(0); ok {
 		t.Fatal("piece verified with block 100 missing")
 	}
-	if err := s.WriteBlock(0, 100*BlockLength, nil, BlockLength); err != nil {
+	if err := s.WriteBlock(0, 100*BlockLength, nil); err != nil {
 		t.Fatal(err)
 	}
 	if ok, _ := s.CompletePiece(0); !ok {

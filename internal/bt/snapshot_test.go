@@ -189,10 +189,10 @@ func TestSparseWriteBlockRejectsMisaligned(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSparseStorage(meta)
-	if err := s.WriteBlock(0, BlockLength/2, nil, BlockLength); err == nil {
+	if err := s.WriteBlock(0, BlockLength/2, nil); err == nil {
 		t.Fatal("misaligned begin must be rejected, not folded into the wrong block bit")
 	}
-	if err := s.WriteBlock(0, BlockLength, nil, BlockLength); err != nil {
+	if err := s.WriteBlock(0, BlockLength, nil); err != nil {
 		t.Fatalf("aligned begin rejected: %v", err)
 	}
 }

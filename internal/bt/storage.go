@@ -7,14 +7,15 @@ import (
 
 // Storage holds a torrent's content on one node and verifies pieces.
 // Two implementations: MemStorage keeps real bytes and verifies real
-// SHA-1 hashes; SparseStorage tracks only completion state and verifies
-// synthetic piece tags, for swarms too large to materialize.
+// SHA-1 hashes; SparseStorage tracks only which blocks arrived, for
+// swarms too large to materialize.
 type Storage interface {
 	// ReadBlock returns the payload of the given block for uploading.
 	// The bool reports whether the piece is available.
 	ReadBlock(piece, begin, length int) ([]byte, bool)
-	// WriteBlock stores a downloaded block.
-	WriteBlock(piece, begin int, data []byte, sparseLen int) error
+	// WriteBlock stores a downloaded block; data is nil for a sparse
+	// block.
+	WriteBlock(piece, begin int, data []byte) error
 	// CompletePiece verifies a fully downloaded piece against the
 	// metainfo; on success the piece becomes readable.
 	CompletePiece(piece int) (bool, error)
@@ -77,11 +78,10 @@ func (s *MemStorage) ReadBlock(piece, begin, length int) ([]byte, bool) {
 	return out, true
 }
 
-// WriteBlock implements Storage. sparseLen is ignored: real bytes are
-// required.
-func (s *MemStorage) WriteBlock(piece, begin int, data []byte, sparseLen int) error {
+// WriteBlock implements Storage. Real bytes are required.
+func (s *MemStorage) WriteBlock(piece, begin int, data []byte) error {
 	if data == nil {
-		return fmt.Errorf("bt: MemStorage needs real block bytes (got sparse of %d)", sparseLen)
+		return fmt.Errorf("bt: MemStorage needs real block bytes (piece %d begin %d)", piece, begin)
 	}
 	off := int64(piece)*int64(s.meta.PieceLength) + int64(begin)
 	if off < 0 || off+int64(len(data)) > s.meta.Length {
@@ -112,16 +112,14 @@ func (s *MemStorage) Bitfield() *Bitfield { return s.have }
 // Bytes returns the assembled content (for test assertions).
 func (s *MemStorage) Bytes() []byte { return s.data }
 
-// SparseStorage tracks only which blocks have arrived; piece
-// verification checks the synthetic piece tag carried in block metadata
-// against the metainfo. It uses O(pieces) memory regardless of file
-// size, enabling the 5754-client experiment.
+// SparseStorage tracks only which blocks have arrived; a piece passes
+// verification once every one of its blocks has. It uses O(pieces)
+// memory regardless of file size, enabling the 5754-client experiment.
 type SparseStorage struct {
 	meta   *MetaInfo
 	have   *Bitfield
 	blocks []uint64 // received-block bitmaps, stride words per piece
 	stride int      // words per piece
-	tags   [][20]byte
 }
 
 // NewSparseStorage returns empty sparse storage for a leecher. The
@@ -139,7 +137,6 @@ func NewSparseStorage(meta *MetaInfo) *SparseStorage {
 		have:   NewBitfield(meta.NumPieces()),
 		blocks: make([]uint64, meta.NumPieces()*stride),
 		stride: stride,
-		tags:   make([][20]byte, meta.NumPieces()),
 	}
 }
 
@@ -149,24 +146,19 @@ func NewSeededSparseStorage(meta *MetaInfo) *SparseStorage {
 	s := NewSparseStorage(meta)
 	for i := 0; i < meta.NumPieces(); i++ {
 		s.have.Set(i)
-		s.tags[i] = meta.PieceHashes[i]
 	}
 	return s
 }
 
 // ReadBlock implements Storage; sparse blocks have no bytes, so it
-// returns nil with true when the piece is available (callers send the
-// piece tag as metadata instead).
+// returns nil with true when the piece is available.
 func (s *SparseStorage) ReadBlock(piece, begin, length int) ([]byte, bool) {
 	return nil, s.have.Has(piece)
 }
 
-// Tag returns the verification tag for an owned piece.
-func (s *SparseStorage) Tag(piece int) [20]byte { return s.meta.PieceHashes[piece] }
-
 // WriteBlock implements Storage: it records block receipt; data is
-// ignored, the piece tag arrives via CompleteTag.
-func (s *SparseStorage) WriteBlock(piece, begin int, data []byte, sparseLen int) error {
+// ignored.
+func (s *SparseStorage) WriteBlock(piece, begin int, data []byte) error {
 	if piece < 0 || piece >= s.meta.NumPieces() {
 		return fmt.Errorf("bt: piece %d out of range", piece)
 	}
@@ -181,12 +173,11 @@ func (s *SparseStorage) WriteBlock(piece, begin int, data []byte, sparseLen int)
 		return fmt.Errorf("bt: block offset %d out of piece %d", begin, piece)
 	}
 	s.blocks[piece*s.stride+b/64] |= 1 << uint(b%64)
-	s.tags[piece] = s.meta.PieceHashes[piece] // tag implied by protocol metadata
 	return nil
 }
 
 // CompletePiece implements Storage: the piece passes when every block
-// arrived and the recorded tag matches the metainfo.
+// arrived.
 func (s *SparseStorage) CompletePiece(piece int) (bool, error) {
 	if piece < 0 || piece >= s.meta.NumPieces() {
 		return false, fmt.Errorf("bt: piece %d out of range", piece)
@@ -202,9 +193,6 @@ func (s *SparseStorage) CompletePiece(piece int) (bool, error) {
 		if words[b0/64] != want {
 			return false, nil
 		}
-	}
-	if s.tags[piece] != s.meta.PieceHashes[piece] {
-		return false, nil
 	}
 	s.have.Set(piece)
 	return true, nil

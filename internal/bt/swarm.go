@@ -32,7 +32,7 @@ type SwarmSpec struct {
 	FileSize int64
 	// PieceLength defaults to 256 KiB.
 	PieceLength int
-	// Sparse selects SparseStorage (synthetic tags) instead of
+	// Sparse selects SparseStorage (block receipt only) instead of
 	// MemStorage (real bytes + SHA-1). Large swarms must use sparse.
 	Sparse bool
 	// Client configures all clients and seeders.

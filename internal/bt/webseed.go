@@ -91,11 +91,6 @@ func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
 			continue
 		}
 		out := Msg{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Length: m.Length, Block: data}
-		if data == nil {
-			if ss, isSparse := w.store.(*SparseStorage); isSparse {
-				out.Tag = ss.Tag(m.Index)
-			}
-		}
 		if err := cn.SendMeta(p, out.WireSize(), out); err != nil {
 			return
 		}

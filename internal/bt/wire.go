@@ -43,12 +43,11 @@ type Handshake struct {
 // carries real bytes only under MemStorage.
 type Msg struct {
 	ID     MsgID
-	Index  int      // have, request, piece, cancel
-	Begin  int      // request, piece, cancel
-	Length int      // request, cancel; for sparse piece: payload length
-	Bits   []byte   // bitfield
-	Block  []byte   // piece payload (nil when sparse)
-	Tag    [20]byte // sparse piece verification tag
+	Index  int    // have, request, piece, cancel
+	Begin  int    // request, piece, cancel
+	Length int    // request, cancel; for sparse piece: payload length
+	Bits   []byte // bitfield
+	Block  []byte // piece payload (nil when sparse)
 }
 
 // WireSize returns the message's size on the wire, per the protocol

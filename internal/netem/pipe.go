@@ -62,11 +62,6 @@ func NewPipe(k *sim.Kernel, name string, cfg PipeConfig) *Pipe {
 // Name returns the pipe's diagnostic name.
 func (p *Pipe) Name() string { return p.name }
 
-// SetBandwidth reconfigures the pipe's rate; in-flight serialization
-// keeps its already-computed schedule (like reconfiguring a Dummynet
-// pipe at run time).
-func (p *Pipe) SetBandwidth(bitsPerSec int64) { p.cfg.Bandwidth = bitsPerSec }
-
 // Reconfigure atomically replaces the pipe's configuration at the
 // current virtual instant, re-rating the in-flight cursor — Dummynet's
 // runtime `pipe NN config` semantics. The bits the serializer still

@@ -11,10 +11,12 @@ import (
 	"repro/internal/vnet"
 )
 
-// nicContention sends one bulk datagram from each of n virtual nodes
-// folded onto phys0 to n receivers on phys1 simultaneously, so every
-// transfer crosses the two shared physical NICs, and returns the
-// per-receiver delivery instants.
+// nicContention sends one bulk connection message from each of n
+// virtual nodes folded onto phys0 to n receivers on phys1
+// simultaneously, so every transfer crosses the two shared physical
+// NICs, and returns the per-receiver delivery instants. The
+// connections are established first, so only the bulk messages share
+// the NICs.
 func nicContention(t *testing.T, model netem.ModelKind, n int) []sim.Time {
 	t.Helper()
 	k := sim.New(1)
@@ -52,12 +54,17 @@ func nicContention(t *testing.T, model netem.ModelKind, n int) []sim.Time {
 	for i := range receivers {
 		i := i
 		k.Go(fmt.Sprintf("recv-%d", i), func(p *sim.Proc) {
-			pc, err := receivers[i].ListenPacket(p, 7000)
+			l, err := receivers[i].Listen(p, 7000)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := pc.RecvFrom(p); err == nil {
+			c, err := l.Accept(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := c.Recv(p); err == nil {
 				done[i] = p.Now()
 			}
 		})
@@ -65,13 +72,14 @@ func nicContention(t *testing.T, model netem.ModelKind, n int) []sim.Time {
 	for i := range senders {
 		i := i
 		k.Go(fmt.Sprintf("send-%d", i), func(p *sim.Proc) {
-			pc, err := senders[i].ListenPacket(p, 7001)
+			p.Yield() // let the receivers listen
+			c, err := senders[i].Dial(p, ip.Endpoint{Addr: receivers[i].Addr(), Port: 7000})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			p.Sleep(time.Second)
-			pc.SendTo(p, ip.Endpoint{Addr: receivers[i].Addr(), Port: 7000}, make([]byte, size))
+			p.SleepUntil(sim.Time(time.Second))
+			c.SendMeta(p, size, nil)
 		})
 	}
 	if err := k.RunUntil(sim.Time(time.Hour)); err != nil {

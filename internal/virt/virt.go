@@ -101,11 +101,9 @@ func (pn *PhysNode) NICIn() *netem.Pipe  { return pn.nicIn }
 // Cluster is a set of physical nodes and the placement of virtual nodes
 // onto them. It implements vnet.Fabric.
 type Cluster struct {
-	k         *sim.Kernel
 	cfg       Config
 	nodes     []*PhysNode
 	placement map[ip.Addr]*PhysNode
-	vcpu      map[ip.Addr]*netem.Pipe // per-virtual-node CPU throttles
 }
 
 // NewCluster creates n physical nodes with administration addresses
@@ -118,10 +116,8 @@ func NewCluster(k *sim.Kernel, n int, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("virt: %d nodes do not fit admin subnet %v", n, cfg.AdminSubnet)
 	}
 	c := &Cluster{
-		k:         k,
 		cfg:       cfg,
 		placement: make(map[ip.Addr]*PhysNode),
-		vcpu:      make(map[ip.Addr]*netem.Pipe),
 	}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("phys%d", i)
@@ -214,16 +210,6 @@ func (c *Cluster) PlaceSuccessive(hosts []*vnet.Host, perNode int) error {
 	return nil
 }
 
-// PlaceRoundRobin deploys hosts one per physical node, wrapping around.
-func (c *Cluster) PlaceRoundRobin(hosts []*vnet.Host) error {
-	for i, h := range hosts {
-		if err := c.place(h.Addr(), c.nodes[i%len(c.nodes)]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FoldingRatio returns virtual nodes per used physical node (the
 // paper's headline virtualization metric).
 func (c *Cluster) FoldingRatio() float64 {
@@ -238,32 +224,6 @@ func (c *Cluster) FoldingRatio() float64 {
 	}
 	return float64(len(c.placement)) / float64(used)
 }
-
-// SetVirtualCPU assigns a per-virtual-node processing rate, in bytes
-// of message payload handled per second. This implements the extension
-// the paper identifies as missing from process-level virtualization:
-// "it is not possible to perform experiments where virtual processors
-// of different speeds are assigned to instances. This approach is
-// therefore not suitable for the study of Desktop Computing systems."
-// Every message to or from the node passes through its private CPU
-// pipe, so a slow virtual processor delays and serializes that node's
-// traffic without affecting co-hosted nodes.
-func (c *Cluster) SetVirtualCPU(addr ip.Addr, bytesPerSec int64) {
-	if bytesPerSec <= 0 {
-		delete(c.vcpu, addr)
-		return
-	}
-	if p, exists := c.vcpu[addr]; exists {
-		p.SetBandwidth(bytesPerSec * 8)
-		return
-	}
-	c.vcpu[addr] = netem.NewPipe(c.k, addr.String()+"/vcpu",
-		netem.PipeConfig{Bandwidth: bytesPerSec * 8})
-}
-
-// VirtualCPU returns the node's private CPU pipe, or nil when the node
-// runs at full speed.
-func (c *Cluster) VirtualCPU(addr ip.Addr) *netem.Pipe { return c.vcpu[addr] }
 
 // Route implements vnet.Fabric. The message is charged: the egress
 // firewall scan, the source NIC, the inter-group latency, the
@@ -292,9 +252,6 @@ func (c *Cluster) Route(src, dst ip.Addr, size int) vnet.Route {
 		}
 		r.Cost += perMessageCPU
 	}
-	if vp := c.vcpu[src]; vp != nil {
-		r.Pipes = append(r.Pipes, vp)
-	}
 	if sp != nil && dp != nil && sp != dp {
 		r.Pipes = append(r.Pipes, sp.nicOut)
 	}
@@ -306,9 +263,6 @@ func (c *Cluster) Route(src, dst ip.Addr, size int) vnet.Route {
 	}
 	if sp != nil && dp != nil && sp != dp {
 		r.Pipes = append(r.Pipes, dp.nicIn)
-	}
-	if vp := c.vcpu[dst]; vp != nil && dst != src {
-		r.Pipes = append(r.Pipes, vp)
 	}
 	if c.cfg.Topo != nil {
 		r.Latency += c.cfg.Topo.GroupLatency(src, dst)

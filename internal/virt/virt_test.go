@@ -75,19 +75,6 @@ func TestPlaceSuccessive(t *testing.T) {
 	}
 }
 
-func TestPlaceRoundRobin(t *testing.T) {
-	_, cl, _, hs := testbed(t, 4, 8, nil)
-	if err := cl.PlaceRoundRobin(hs); err != nil {
-		t.Fatal(err)
-	}
-	if cl.NodeOf(hs[0].Addr()) != cl.Node(0) || cl.NodeOf(hs[1].Addr()) != cl.Node(1) {
-		t.Fatal("round-robin order broken")
-	}
-	if cl.NodeOf(hs[4].Addr()) != cl.Node(0) {
-		t.Fatal("round-robin wrap broken")
-	}
-}
-
 func TestPlaceOverflow(t *testing.T) {
 	_, cl, _, hs := testbed(t, 2, 30, nil)
 	if err := cl.PlaceSuccessive(hs, 10); err == nil {
@@ -271,7 +258,7 @@ func TestEndToEndThroughCluster(t *testing.T) {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		c.Send(p, make([]byte, 16000))
+		c.SendMeta(p, 16000, nil)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -285,82 +272,6 @@ func TestEndToEndThroughCluster(t *testing.T) {
 	}
 	if n.Stats().MessagesDelivered == 0 {
 		t.Fatal("no messages recorded")
-	}
-}
-
-func TestSetVirtualCPUSlowsOneNode(t *testing.T) {
-	// Two co-hosted DSL nodes send to a third; one is throttled to a
-	// slow virtual processor. Its transfers take visibly longer, the
-	// other node's do not — the heterogeneous-CPU extension.
-	k, cl, _, hs := testbed(t, 2, 3, nil)
-	if err := cl.PlaceSuccessive(hs, 2); err != nil {
-		t.Fatal(err)
-	}
-	// 16 kB/s virtual CPU: a 16000-byte message needs ≈1s of CPU on
-	// top of its ≈1s DSL serialization.
-	cl.SetVirtualCPU(hs[0].Addr(), 16_000)
-	recvAt := map[byte]sim.Time{}
-	k.Go("server", func(p *sim.Proc) {
-		l, err := hs[2].Listen(p, 80)
-		if err != nil {
-			return
-		}
-		for i := 0; i < 2; i++ {
-			conn, err := l.Accept(p)
-			if err != nil {
-				return
-			}
-			c := conn
-			p.Go("handler", func(p *sim.Proc) {
-				pk, err := c.Recv(p)
-				if err == nil {
-					recvAt[pk.Data[0]] = p.Now()
-				}
-			})
-		}
-	})
-	send := func(idx int, tag byte) {
-		k.Go("client", func(p *sim.Proc) {
-			p.Yield()
-			c, err := hs[idx].Dial(p, ip.Endpoint{Addr: hs[2].Addr(), Port: 80})
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
-			buf := make([]byte, 16000)
-			buf[0] = tag
-			c.Send(p, buf)
-		})
-	}
-	send(0, 'a') // throttled
-	send(1, 'b') // full speed
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	slow, fast := recvAt['a'], recvAt['b']
-	if slow == 0 || fast == 0 {
-		t.Fatalf("deliveries missing: %v", recvAt)
-	}
-	if slow < fast+sim.Time(500*time.Millisecond) {
-		t.Fatalf("throttled node (%v) should lag full-speed node (%v) by ≈1s", slow, fast)
-	}
-}
-
-func TestSetVirtualCPUReconfigure(t *testing.T) {
-	k := sim.New(1)
-	cl, _ := NewCluster(k, 1, DefaultConfig(nil))
-	a := ip.MustParseAddr("10.0.0.1")
-	cl.SetVirtualCPU(a, 1000)
-	if cl.VirtualCPU(a) == nil {
-		t.Fatal("pipe missing")
-	}
-	cl.SetVirtualCPU(a, 2000) // reconfigure in place
-	if cl.VirtualCPU(a).Config().Bandwidth != 16000 {
-		t.Fatalf("bandwidth = %d", cl.VirtualCPU(a).Config().Bandwidth)
-	}
-	cl.SetVirtualCPU(a, 0) // remove
-	if cl.VirtualCPU(a) != nil {
-		t.Fatal("throttle should be removed")
 	}
 }
 

@@ -7,22 +7,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Packet is one received message: real bytes, or a sparse payload
-// described by Meta and Size (used by large-swarm experiments to avoid
-// materializing gigabytes of piece data).
+// Packet is one received message: the protocol value the sender
+// passed to SendMeta and the payload size it was charged at on the
+// wire. No bytes are materialized, so a large swarm moves gigabytes of
+// piece data without allocating them.
 type Packet struct {
-	Data []byte
 	Meta any
 	Size int
 	From ip.Endpoint
-}
-
-// Len returns the payload length in bytes regardless of representation.
-func (pk Packet) Len() int {
-	if pk.Data != nil {
-		return len(pk.Data)
-	}
-	return pk.Size
 }
 
 // Conn is a TCP-like reliable, ordered, message-boundary-preserving
@@ -165,33 +157,18 @@ func (c *Conn) LocalAddr() ip.Endpoint { return c.local }
 // RemoteAddr returns the remote endpoint.
 func (c *Conn) RemoteAddr() ip.Endpoint { return c.remote }
 
-// Send transmits one message of real bytes. The data is copied, so the
-// caller may reuse the buffer.
-func (c *Conn) Send(p *sim.Proc, data []byte) error {
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	return c.send(p, message{payload: buf, size: len(buf)})
-}
-
-// SendMeta transmits a sparse message: size bytes on the wire carrying a
-// protocol object instead of real bytes.
+// SendMeta transmits one message: size payload bytes on the wire
+// carrying the protocol value meta, which the receiver reads back as
+// Packet.Meta.
 func (c *Conn) SendMeta(p *sim.Proc, size int, meta any) error {
-	return c.send(p, message{meta: meta, size: size})
-}
-
-func (c *Conn) send(p *sim.Proc, m message) error {
-	if c.closed {
-		return ErrClosed
-	}
-	if !c.established {
+	if c.closed || !c.established {
 		return ErrClosed
 	}
 	c.h.syscall(p, SyscallSend)
-	m.kind = kindData
-	m.src = c.local
-	m.dst = c.remote
-	m.connID = c.id
-	m.seq = c.sendSeq
+	m := message{
+		kind: kindData, src: c.local, dst: c.remote, size: size,
+		meta: meta, connID: c.id, seq: c.sendSeq,
+	}
 	c.sendSeq++
 	if !c.h.net.transmit(c.h, m, true) {
 		return ErrNetUnreachable
@@ -262,16 +239,6 @@ func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 		return nil, ErrClosed
 	}
 	return c, err
-}
-
-// AcceptTimeout is Accept with a deadline; ok=false means it expired.
-func (l *Listener) AcceptTimeout(p *sim.Proc, d sim.Duration) (*Conn, bool, error) {
-	l.h.syscall(p, SyscallAccept)
-	c, ok, err := l.backlog.RecvTimeout(p, d)
-	if errors.Is(err, sim.ErrClosed) {
-		return nil, ok, ErrClosed
-	}
-	return c, ok, err
 }
 
 // Close stops accepting. Pending backlog connections are refused: each

@@ -177,7 +177,7 @@ func TestNilRulesTraceIdentical(t *testing.T) {
 				t.Errorf("dial: %v", err)
 				return
 			}
-			c.Send(p, bytes.Repeat([]byte("x"), 1000))
+			c.SendMeta(p, 1000, nil)
 			c.Close(p)
 			p.Sleep(time.Second)
 			k.Stop()

@@ -83,7 +83,7 @@ func TestFlowModelEndToEnd(t *testing.T) {
 					t.Errorf("client %d: %v", i, err)
 					return
 				}
-				got += pk.Len()
+				got += pk.Size
 			}
 			done[i] = p.Now()
 		})
@@ -178,7 +178,7 @@ func TestFlowWindowConfig(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got += pk.Len()
+			got += pk.Size
 		}
 		finished = p.Now()
 	})

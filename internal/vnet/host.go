@@ -15,7 +15,7 @@ type Host struct {
 	net      *Network
 	addr     ip.Addr
 	up, down *netem.Pipe
-	ports    map[ip.Port]*portEntry
+	ports    map[ip.Port]*Listener
 	nextPort ip.Port
 	conns    connTable
 	meter    SyscallMeter
@@ -27,11 +27,6 @@ type Host struct {
 // LinkUp reports whether the host's interface is up (see
 // Network.SetLinkUp).
 func (h *Host) LinkUp() bool { return !h.linkDown }
-
-type portEntry struct {
-	listener *Listener
-	packet   *PacketConn
-}
 
 // Addr returns the host's address (its virtualized network identity).
 func (h *Host) Addr() ip.Addr { return h.addr }
@@ -54,9 +49,7 @@ func (h *Host) SetBindEnv(addr ip.Addr) { h.bindEnv = addr }
 
 // syscall charges one emulated system call to the calling process.
 func (h *Host) syscall(p *sim.Proc, s Syscall) {
-	if d := h.meter.Charge(s); d > 0 {
-		p.Sleep(d)
-	}
+	p.Sleep(h.meter.Charge(s))
 }
 
 // interceptBind models the modified-libc preamble: read BINDIP, then
@@ -146,7 +139,7 @@ func (h *Host) Listen(p *sim.Proc, port ip.Port) (*Listener, error) {
 		port:    port,
 		backlog: sim.NewChan[*Conn](h.net.k, 128),
 	}
-	h.ports[port] = &portEntry{listener: l}
+	h.ports[port] = l
 	return l, nil
 }
 
@@ -158,8 +151,8 @@ func (h *Host) deliver(m message) {
 	n := h.net
 	switch m.kind {
 	case kindSyn:
-		entry := h.ports[m.dst.Port]
-		if entry == nil || entry.listener == nil || entry.listener.closed {
+		l := h.ports[m.dst.Port]
+		if l == nil || l.closed {
 			n.transmit(h, message{kind: kindRst, src: m.dst, dst: m.src, size: 20, connID: m.connID}, true)
 			return
 		}
@@ -172,7 +165,7 @@ func (h *Host) deliver(m message) {
 			hs:          sim.NewCond(n.k),
 			established: true,
 		}
-		if !entry.listener.backlog.TrySend(c) {
+		if !l.backlog.TrySend(c) {
 			n.transmit(h, message{kind: kindRst, src: m.dst, dst: m.src, size: 20, connID: m.connID}, true)
 			return
 		}
@@ -200,15 +193,11 @@ func (h *Host) deliver(m message) {
 		}
 	case kindData:
 		if c := h.conns.get(m.connID); c != nil {
-			c.onData(m.seq, Packet{Data: m.payload, Meta: m.meta, Size: m.size, From: m.src})
+			c.onData(m.seq, Packet{Meta: m.meta, Size: m.size, From: m.src})
 		}
 	case kindFin:
 		if c := h.conns.get(m.connID); c != nil {
 			c.onFin(m.seq)
-		}
-	case kindDatagram:
-		if entry := h.ports[m.dst.Port]; entry != nil && entry.packet != nil {
-			entry.packet.inbox.TrySend(Packet{Data: m.payload, Meta: m.meta, Size: m.size, From: m.src})
 		}
 	case kindEchoReq:
 		reply := message{

@@ -41,7 +41,7 @@ func TestConnExactlyOnceInOrderProperty(t *testing.T) {
 				if err != nil {
 					return
 				}
-				got = append(got, int(pk.Data[0]))
+				got = append(got, pk.Meta.(int))
 			}
 		})
 		k.Go("client", func(p *sim.Proc) {
@@ -51,7 +51,7 @@ func TestConnExactlyOnceInOrderProperty(t *testing.T) {
 				return
 			}
 			for i := 0; i < count; i++ {
-				c.Send(p, []byte{byte(i)})
+				c.SendMeta(p, 1, i)
 			}
 			c.Close(p)
 		})
@@ -102,7 +102,7 @@ func TestDeliveryNeverBeforePhysicalMinimumProperty(t *testing.T) {
 				return
 			}
 			sentAt = p.Now()
-			c.Send(p, make([]byte, size))
+			c.SendMeta(p, size, nil)
 		})
 		if err := k.Run(); err != nil {
 			return false

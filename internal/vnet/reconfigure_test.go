@@ -13,9 +13,21 @@ import (
 	"repro/internal/trace"
 )
 
-// TestPartitionBlocksAndHeals: datagrams between partitioned hosts are
-// dropped in both directions; traffic inside one side still flows; the
-// heal restores everything.
+// deliveries counts the net.deliver records on h in lg: the probes
+// (Host.SendOnce) that have landed there so far.
+func deliveries(lg *trace.Log, h *Host) int {
+	n := 0
+	for _, ev := range lg.Filter("net.deliver") {
+		if ev.Node == h.Addr().String() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPartitionBlocksAndHeals: one-way probes between partitioned hosts
+// are dropped in both directions; traffic inside one side still flows;
+// the heal restores everything.
 func TestPartitionBlocksAndHeals(t *testing.T) {
 	e := newEnv()
 	a, b := e.twoHosts(t)
@@ -23,41 +35,32 @@ func TestPartitionBlocksAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lg := trace.New(0)
+	e.n.SetTrace(lg)
 
-	recvCount := func(p *sim.Proc, pc *PacketConn) int {
-		n := 0
-		for {
-			if _, ok, _ := pc.RecvFromTimeout(p, 50*time.Millisecond); !ok {
-				return n
-			}
-			n++
-		}
-	}
 	id := e.n.Partition([]ip.Addr{a.Addr()}, []ip.Addr{b.Addr()})
 	e.run(t, func(p *sim.Proc) {
-		pcA, _ := a.ListenPacket(p, 4000)
-		pcB, _ := b.ListenPacket(p, 4000)
-		pcC, _ := c.ListenPacket(p, 4000)
-
 		// a -> b blocked, b -> a blocked, a -> c unaffected.
-		pcA.SendTo(p, ip.Endpoint{Addr: b.Addr(), Port: 4000}, []byte("x"))
-		pcB.SendTo(p, ip.Endpoint{Addr: a.Addr(), Port: 4000}, []byte("x"))
-		pcA.SendTo(p, ip.Endpoint{Addr: c.Addr(), Port: 4000}, []byte("x"))
-		if n := recvCount(p, pcB); n != 0 {
-			t.Errorf("partitioned a->b delivered %d datagrams", n)
+		a.SendOnce(ip.Endpoint{Addr: b.Addr(), Port: 4000}, 1)
+		b.SendOnce(ip.Endpoint{Addr: a.Addr(), Port: 4000}, 1)
+		a.SendOnce(ip.Endpoint{Addr: c.Addr(), Port: 4000}, 1)
+		p.Sleep(50 * time.Millisecond)
+		if n := deliveries(lg, b); n != 0 {
+			t.Errorf("partitioned a->b delivered %d probes", n)
 		}
-		if n := recvCount(p, pcA); n != 0 {
-			t.Errorf("partitioned b->a delivered %d datagrams", n)
+		if n := deliveries(lg, a); n != 0 {
+			t.Errorf("partitioned b->a delivered %d probes", n)
 		}
-		if n := recvCount(p, pcC); n != 1 {
-			t.Errorf("unpartitioned a->c delivered %d datagrams, want 1", n)
+		if n := deliveries(lg, c); n != 1 {
+			t.Errorf("unpartitioned a->c delivered %d probes, want 1", n)
 		}
 
 		e.n.Heal(id)
 		e.n.Heal(id) // healing twice is harmless
-		pcA.SendTo(p, ip.Endpoint{Addr: b.Addr(), Port: 4000}, []byte("x"))
-		if n := recvCount(p, pcB); n != 1 {
-			t.Errorf("healed a->b delivered %d datagrams, want 1", n)
+		a.SendOnce(ip.Endpoint{Addr: b.Addr(), Port: 4000}, 1)
+		p.Sleep(50 * time.Millisecond)
+		if n := deliveries(lg, b); n != 1 {
+			t.Errorf("healed a->b delivered %d probes, want 1", n)
 		}
 	})
 	if e.n.Stats().MessagesDropped != 2 {
@@ -94,7 +97,7 @@ func TestPartitionReliableRetransmitSurvives(t *testing.T) {
 		// backoff lands after the heal.
 		id = e.n.Partition([]ip.Addr{a.Addr()}, []ip.Addr{b.Addr()})
 		e.k.After(time.Second, func() { e.n.Heal(id) })
-		if err := conn.Send(p, []byte("through the storm")); err != nil {
+		if err := conn.SendMeta(p, len("through the storm"), "through the storm"); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 		done.Wait(p)
@@ -126,7 +129,7 @@ func TestPartitionResetsExhaustedConn(t *testing.T) {
 			t.Fatalf("dial: %v", err)
 		}
 		e.n.Partition([]ip.Addr{a.Addr()}, []ip.Addr{b.Addr()}) // never healed
-		if err := conn.Send(p, []byte("doomed")); err != nil {
+		if err := conn.SendMeta(p, len("doomed"), "doomed"); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 		// The reset closes the local inbox once retransmits exhaust
@@ -142,21 +145,23 @@ func TestPartitionResetsExhaustedConn(t *testing.T) {
 func TestSetLinkUpDown(t *testing.T) {
 	e := newEnv()
 	a, b := e.twoHosts(t)
+	lg := trace.New(0)
+	e.n.SetTrace(lg)
 	e.run(t, func(p *sim.Proc) {
-		pcA, _ := a.ListenPacket(p, 4000)
-		pcB, _ := b.ListenPacket(p, 4000)
 		e.n.SetLinkUp(b, false)
 		if !a.LinkUp() || b.LinkUp() {
 			t.Error("link state flags wrong")
 		}
-		pcA.SendTo(p, ip.Endpoint{Addr: b.Addr(), Port: 4000}, []byte("x"))
-		if _, ok, _ := pcB.RecvFromTimeout(p, 100*time.Millisecond); ok {
-			t.Error("datagram delivered to downed host")
+		a.SendOnce(ip.Endpoint{Addr: b.Addr(), Port: 4000}, 1)
+		p.Sleep(100 * time.Millisecond)
+		if deliveries(lg, b) != 0 {
+			t.Error("probe delivered to downed host")
 		}
 		e.n.SetLinkUp(b, true)
-		pcA.SendTo(p, ip.Endpoint{Addr: b.Addr(), Port: 4000}, []byte("x"))
-		if _, ok, _ := pcB.RecvFromTimeout(p, 100*time.Millisecond); !ok {
-			t.Error("datagram not delivered after link-up")
+		a.SendOnce(ip.Endpoint{Addr: b.Addr(), Port: 4000}, 1)
+		p.Sleep(100 * time.Millisecond)
+		if deliveries(lg, b) != 1 {
+			t.Error("probe not delivered after link-up")
 		}
 	})
 }

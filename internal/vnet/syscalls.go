@@ -33,32 +33,26 @@ func (s Syscall) String() string {
 	return syscallNames[s]
 }
 
-// SyscallCosts models the virtual CPU time of each emulated system call.
-// The defaults are calibrated so a socket+connect+close cycle costs
-// 10.22 µs, the paper's measured baseline; the BINDIP interception adds
-// one getenv and one bind to every connect or listen, raising the cycle
-// to 10.79 µs — the paper's measured worst case.
-type SyscallCosts [numSyscalls]time.Duration
-
-// DefaultSyscallCosts returns the calibrated cost table.
-func DefaultSyscallCosts() SyscallCosts {
-	var c SyscallCosts
-	c[SyscallSocket] = 2100 * time.Nanosecond
-	c[SyscallBind] = 450 * time.Nanosecond
-	c[SyscallConnect] = 4000 * time.Nanosecond
-	c[SyscallListen] = 600 * time.Nanosecond
-	c[SyscallAccept] = 3000 * time.Nanosecond
-	c[SyscallClose] = 4120 * time.Nanosecond
-	c[SyscallSend] = 900 * time.Nanosecond
-	c[SyscallRecv] = 900 * time.Nanosecond
-	c[SyscallGetenv] = 120 * time.Nanosecond
-	return c
+// syscallCost is the virtual CPU time of each emulated system call,
+// calibrated so a socket+connect+close cycle costs 10.22 µs, the
+// paper's measured baseline; the BINDIP interception adds one getenv
+// and one bind to every connect or listen, raising the cycle to
+// 10.79 µs — the paper's measured worst case.
+var syscallCost = [numSyscalls]time.Duration{
+	SyscallSocket:  2100 * time.Nanosecond,
+	SyscallBind:    450 * time.Nanosecond,
+	SyscallConnect: 4000 * time.Nanosecond,
+	SyscallListen:  600 * time.Nanosecond,
+	SyscallAccept:  3000 * time.Nanosecond,
+	SyscallClose:   4120 * time.Nanosecond,
+	SyscallSend:    900 * time.Nanosecond,
+	SyscallRecv:    900 * time.Nanosecond,
+	SyscallGetenv:  120 * time.Nanosecond,
 }
 
 // SyscallMeter counts emulated system calls and accumulates their cost.
 // Each Host owns one; the bind-interception experiment reads it.
 type SyscallMeter struct {
-	Costs  SyscallCosts
 	Counts [numSyscalls]uint64
 	Total  time.Duration
 }
@@ -67,7 +61,7 @@ type SyscallMeter struct {
 // charge it to virtual time.
 func (m *SyscallMeter) Charge(s Syscall) time.Duration {
 	m.Counts[s]++
-	d := m.Costs[s]
+	d := syscallCost[s]
 	m.Total += d
 	return d
 }

@@ -15,17 +15,19 @@ import (
 	"repro/internal/vnet"
 )
 
-// datagramAllocs returns the heap allocations per datagram, sent and
-// delivered across a DSL pair, in steady state: the pools (kernel
-// events, xfers) are warm and each datagram lands before the next
-// leaves. Integer division, as testing.AllocsPerRun does it, so a stray
-// runtime allocation cannot move the figure but one more allocation per
-// message does. A non-nil tracer records the run: the typed trace adds
-// fill chunk slots, one chunk per 1 024 events, so tracing must not
-// move the figure either.
-func datagramAllocs(t *testing.T, kind netem.ModelKind, payload int, tracer *trace.Log) uint64 {
+// messageAllocs returns the heap allocations per connection message,
+// sent with Conn.SendMeta and received with Conn.Recv across a DSL
+// pair, in steady state: the connection is established, the pools
+// (kernel events, xfers) are warm and each message is read before the
+// next leaves. Integer division, as testing.AllocsPerRun does it, so a
+// stray runtime allocation cannot move the figure but one more
+// allocation per message does. A non-nil tracer records the run: the
+// typed trace adds fill chunk slots, one chunk per 1 024 events, so
+// tracing must not move the figure either.
+func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64 {
 	t.Helper()
 	const warmup, measured = 200, 2000
+	const size = 1000
 	k := sim.New(1)
 	cfg := vnet.DefaultConfig()
 	cfg.Model = kind
@@ -35,21 +37,39 @@ func datagramAllocs(t *testing.T, kind netem.ModelKind, payload int, tracer *tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.AddHostClass(policyB, topo.DSL); err != nil {
+	b, err := n.AddHostClass(policyB, topo.DSL)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var mallocs uint64
-	k.Go("sender", func(p *sim.Proc) {
-		pc, err := a.ListenPacket(p, 0)
+	received := 0
+	k.Go("receiver", func(p *sim.Proc) {
+		l, err := b.Listen(p, 80)
 		if err != nil {
-			t.Errorf("listen-packet: %v", err)
+			t.Errorf("listen: %v", err)
 			return
 		}
-		data := make([]byte, payload)
-		dst := ip.Endpoint{Addr: policyB, Port: 9}
+		c, err := l.Accept(p)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		for {
+			if _, err := c.Recv(p); err != nil {
+				return
+			}
+			received++
+		}
+	})
+	var mallocs uint64
+	k.Go("sender", func(p *sim.Proc) {
+		c, err := a.Dial(p, ip.Endpoint{Addr: policyB, Port: 80})
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
 		burst := func(count int) {
 			for i := 0; i < count; i++ {
-				pc.SendTo(p, dst, data)
+				c.SendMeta(p, size, nil)
 				p.Sleep(time.Second)
 			}
 		}
@@ -59,23 +79,25 @@ func datagramAllocs(t *testing.T, kind netem.ModelKind, payload int, tracer *tra
 		burst(measured)
 		runtime.ReadMemStats(&after)
 		mallocs = after.Mallocs - before.Mallocs
+		c.Close(p)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st := n.Stats(); st.MessagesDelivered != warmup+measured {
-		t.Fatalf("stats = %+v, want %d datagrams delivered", st, warmup+measured)
+	if received != warmup+measured {
+		t.Fatalf("received %d messages, want %d", received, warmup+measured)
 	}
 	return mallocs / measured
 }
 
 // TestTransmitAllocs is the allocation gate of the transmit journey,
-// exact because malloc counts carry no timing noise. Per datagram sent
-// and delivered, who allocates:
+// exact because malloc counts carry no timing noise. Per message sent
+// and received on an established connection, nothing allocates, under
+// either model:
 //
-//   - PacketConn.SendTo: 1, the defensive copy of the caller's payload
-//     (none for an empty one). It is the only allocation left, under
-//     either model.
+//   - Conn.SendMeta and Conn.Recv: nothing. The message is a value on
+//     the sender's stack; the nil meta needs no box, and the receiver's
+//     inbox ring is already sized.
 //   - vnet's journey (transmit → xfer.attempt → step/done → deliver):
 //     nothing. The xfer, its four bound method values and the kernel's
 //     event structs are pooled; the path lives in xfer.pathBuf.
@@ -86,25 +108,21 @@ func datagramAllocs(t *testing.T, kind netem.ModelKind, payload int, tracer *tra
 //   - trace.Log, when attached: nothing. net.send, net.deliver and the
 //     flow model's start/done are typed records (ip.Addr, ints, the
 //     pipe's existing name) written into a chunk; while they went
-//     through Add's Sprintf a traced datagram cost 13 more under the
+//     through Add's Sprintf a traced message cost 13 more under the
 //     pipe model and 17 more under the flow model.
 func TestTransmitAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		kind    netem.ModelKind
-		payload int
-		want    uint64
+		name string
+		kind netem.ModelKind
 	}{
-		{"pipe/empty-payload", netem.ModelPipe, 0, 0},
-		{"pipe", netem.ModelPipe, 8, 1},
-		{"flow/empty-payload", netem.ModelFlow, 0, 0},
-		{"flow", netem.ModelFlow, 8, 1},
+		{"pipe", netem.ModelPipe},
+		{"flow", netem.ModelFlow},
 	} {
-		if got := datagramAllocs(t, tc.kind, tc.payload, nil); got != tc.want {
-			t.Errorf("%s: %d allocs per datagram, want %d", tc.name, got, tc.want)
+		if got := messageAllocs(t, tc.kind, nil); got != 0 {
+			t.Errorf("%s: %d allocs per message, want 0", tc.name, got)
 		}
-		if got := datagramAllocs(t, tc.kind, tc.payload, trace.New(0)); got != tc.want {
-			t.Errorf("%s, traced: %d allocs per datagram, want %d as untraced", tc.name, got, tc.want)
+		if got := messageAllocs(t, tc.kind, trace.New(0)); got != 0 {
+			t.Errorf("%s, traced: %d allocs per message, want 0 as untraced", tc.name, got)
 		}
 	}
 }

@@ -149,9 +149,9 @@ func (e *policyEnv) serve() {
 			e.t.Errorf("listen: %v", err)
 			return
 		}
-		c, ok, err := l.AcceptTimeout(p, 10*time.Minute)
-		if err != nil || !ok {
-			e.t.Errorf("accept: ok=%v err=%v", ok, err)
+		c, err := l.Accept(p)
+		if err != nil {
+			e.t.Errorf("accept: %v", err)
 			return
 		}
 		for {
@@ -160,7 +160,7 @@ func (e *policyEnv) serve() {
 				e.notef("server: stream over (quiet=%v closed=%v)", !ok, errors.Is(err, vnet.ErrClosed))
 				return
 			}
-			e.notef("server: got %d B", pk.Len())
+			e.notef("server: got %d B", pk.Size)
 		}
 	})
 }
@@ -183,7 +183,7 @@ func (e *policyEnv) client(script func(p *sim.Proc, c *vnet.Conn)) {
 
 // send transmits one 1000-byte reliable message and notes the result.
 func (e *policyEnv) send(p *sim.Proc, c *vnet.Conn) {
-	e.notef("client: send err=%v", c.Send(p, make([]byte, 1000)))
+	e.notef("client: send err=%v", c.SendMeta(p, 1000, nil))
 }
 
 // awaitReset blocks the sender in Recv until the give-up reset tears
@@ -299,20 +299,14 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 			check: func(t *testing.T, r policyResult) { healed(t, r, 2, 1) },
 		},
 		{
-			// A datagram across the partition is dropped at once; the
-			// reliable message runs out its retransmissions.
+			// A one-way probe across the partition is dropped at once;
+			// the reliable message runs out its retransmissions.
 			name: "partition-permanent",
 			script: func(e *policyEnv) {
 				e.serve()
 				e.client(func(p *sim.Proc, c *vnet.Conn) {
 					e.n.Partition(sideA, sideB)
-					pc, err := e.a.ListenPacket(p, 0)
-					if err != nil {
-						e.t.Errorf("listen-packet: %v", err)
-						return
-					}
-					pc.SendTo(p, ip.Endpoint{Addr: policyB, Port: 9}, []byte("x"))
-					pc.Close()
+					e.a.SendOnce(ip.Endpoint{Addr: policyB, Port: 9}, 1)
 					p.SleepUntil(sim.Time(2 * time.Second))
 					e.send(p, c)
 					e.awaitReset(p, c)
@@ -321,7 +315,7 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 			check: func(t *testing.T, r policyResult) {
 				gaveUp(t, r, 2)
 				if !strings.Contains(r.trace, "lost after 1 attempt(s)") {
-					t.Errorf("datagram was not dropped on its first attempt:\n%s", r.trace)
+					t.Errorf("probe was not dropped on its first attempt:\n%s", r.trace)
 				}
 			},
 		},
@@ -467,17 +461,11 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 				e.k.Go("client", func(p *sim.Proc) {
 					_, err := e.a.Dial(p, ip.Endpoint{Addr: nowhere, Port: 80})
 					e.notef("client: dial unreachable=%v", errors.Is(err, vnet.ErrNetUnreachable))
-					pc, err := e.a.ListenPacket(p, 0)
-					if err != nil {
-						e.t.Errorf("listen-packet: %v", err)
-						return
-					}
-					pc.SendTo(p, ip.Endpoint{Addr: nowhere, Port: 9}, []byte("x"))
-					pc.Close()
+					e.notef("client: probe sent=%v", e.a.SendOnce(ip.Endpoint{Addr: nowhere, Port: 9}, 1))
 				})
 			},
 			check: func(t *testing.T, r policyResult) {
-				if want := (vnet.NetworkStats{MessagesSent: 2, MessagesDropped: 2}); r.stats != want || !r.has("client: dial unreachable=true") {
+				if want := (vnet.NetworkStats{MessagesSent: 2, MessagesDropped: 2}); r.stats != want || !r.has("client: dial unreachable=true") || !r.has("client: probe sent=false") {
 					t.Errorf("stats = %+v, want %+v; notes:\n%s", r.stats, want, r.notes)
 				}
 			},
@@ -580,18 +568,17 @@ func genWalkCase(rng *rand.Rand) walkCase {
 type walkOutcome map[int]sim.Time
 
 // viaNetwork plays the case through a pipe-model vnet.Network —
-// datagrams, so one attempt each — and reads delivery instants and drop
+// one-way probes (Host.SendOnce), so one attempt each, transmitted at
+// the instant they are sent — and reads delivery instants and drop
 // verdicts off the trace.
 func (wc walkCase) viaNetwork(t *testing.T, seed int64) walkOutcome {
 	t.Helper()
 	k := sim.New(seed)
-	cfg := vnet.DefaultConfig()
-	cfg.SyscallCosts = vnet.SyscallCosts{} // SendTo transmits at the instant it is called
 	fab := &walkFabric{}
 	for i, pc := range wc.fabric {
 		fab.pipes = append(fab.pipes, netem.NewPipe(k, fmt.Sprintf("fabric%d", i), pc))
 	}
-	n := vnet.NewNetwork(k, fab, cfg)
+	n := vnet.NewNetwork(k, fab, vnet.DefaultConfig())
 	log := trace.New(0)
 	n.SetTrace(log)
 	dst := ip.MustParseAddr("10.0.1.1")
@@ -605,15 +592,10 @@ func (wc walkCase) viaNetwork(t *testing.T, seed int64) walkOutcome {
 			t.Fatal(err)
 		}
 		k.Go(fmt.Sprintf("sender-%d", i), func(p *sim.Proc) {
-			pc, err := h.ListenPacket(p, 0)
-			if err != nil {
-				t.Errorf("listen-packet: %v", err)
-				return
-			}
 			for _, s := range wc.sends {
 				if s.sender == i {
 					p.SleepUntil(sim.Time(s.at))
-					pc.SendTo(p, ip.Endpoint{Addr: dst, Port: 9}, make([]byte, s.size))
+					h.SendOnce(ip.Endpoint{Addr: dst, Port: 9}, s.size)
 				}
 			}
 		})

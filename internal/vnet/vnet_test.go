@@ -80,7 +80,7 @@ func TestDialAcceptRoundTrip(t *testing.T) {
 				t.Errorf("recv: %v", err)
 				return
 			}
-			got = string(pk.Data)
+			got, _ = pk.Meta.(string)
 			c.Close(p)
 			l.Close()
 		})
@@ -90,7 +90,7 @@ func TestDialAcceptRoundTrip(t *testing.T) {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		if err := c.Send(p, []byte("hello")); err != nil {
+		if err := c.SendMeta(p, len("hello"), "hello"); err != nil {
 			t.Errorf("send: %v", err)
 		}
 		c.Close(p)
@@ -180,7 +180,7 @@ func TestTransferTimeDSL(t *testing.T) {
 			return
 		}
 		sendStart := p.Now()
-		c.Send(p, make([]byte, 16000))
+		c.SendMeta(p, 16000, nil)
 		_ = sendStart
 	})
 	if recvAt == 0 {
@@ -211,8 +211,8 @@ func TestSparseMessage(t *testing.T) {
 		c, _ := a.Dial(p, ip.Endpoint{Addr: addrB, Port: 80})
 		c.SendMeta(p, 16384, req{Piece: 7})
 	})
-	if got.Len() != 16384 {
-		t.Fatalf("Len = %d, want 16384", got.Len())
+	if got.Size != 16384 {
+		t.Fatalf("Len = %d, want 16384", got.Size)
 	}
 	if r, ok := got.Meta.(req); !ok || r.Piece != 7 {
 		t.Fatalf("Meta = %#v", got.Meta)
@@ -236,13 +236,13 @@ func TestMessagesArriveInOrder(t *testing.T) {
 				if err != nil {
 					return
 				}
-				got = append(got, int(pk.Data[0]))
+				got = append(got, pk.Meta.(int))
 			}
 		})
 		p.Yield()
 		c, _ := a.Dial(p, ip.Endpoint{Addr: addrB, Port: 80})
 		for i := 0; i < 20; i++ {
-			c.Send(p, []byte{byte(i)})
+			c.SendMeta(p, 1, i)
 		}
 		c.Close(p)
 	})
@@ -276,7 +276,7 @@ func TestCloseDrainsThenEOF(t *testing.T) {
 		})
 		p.Yield()
 		c, _ := a.Dial(p, ip.Endpoint{Addr: addrB, Port: 80})
-		c.Send(p, []byte("last"))
+		c.SendMeta(p, len("last"), "last")
 		c.Close(p)
 	})
 	if !drained {
@@ -298,7 +298,7 @@ func TestSendOnClosedConn(t *testing.T) {
 		p.Yield()
 		c, _ := a.Dial(p, ip.Endpoint{Addr: addrB, Port: 80})
 		c.Close(p)
-		if err := c.Send(p, []byte("x")); !errors.Is(err, ErrClosed) {
+		if err := c.SendMeta(p, len("x"), "x"); !errors.Is(err, ErrClosed) {
 			t.Errorf("err = %v, want ErrClosed", err)
 		}
 	})
@@ -333,53 +333,6 @@ func TestListenerCloseReleasesPort(t *testing.T) {
 	})
 }
 
-func TestDatagramDelivery(t *testing.T) {
-	e := newEnv()
-	a, b := e.twoHosts(t)
-	var got Packet
-	e.run(t, func(p *sim.Proc) {
-		p.Go("server", func(p *sim.Proc) {
-			pc, err := b.ListenPacket(p, 5000)
-			if err != nil {
-				t.Errorf("listen-packet: %v", err)
-				return
-			}
-			got, _ = pc.RecvFrom(p)
-		})
-		p.Yield()
-		pc, _ := a.ListenPacket(p, 0)
-		pc.SendTo(p, ip.Endpoint{Addr: addrB, Port: 5000}, []byte("dgram"))
-	})
-	if string(got.Data) != "dgram" {
-		t.Fatalf("got %q", got.Data)
-	}
-	if got.From.Addr != addrA {
-		t.Fatalf("From = %v, want %v", got.From.Addr, addrA)
-	}
-}
-
-func TestDatagramLostOnLossyPipe(t *testing.T) {
-	e := newEnv()
-	a, err := e.n.AddHost(addrA, netem.PipeConfig{Loss: 1}, netem.PipeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := e.n.AddHost(addrB, netem.PipeConfig{}, netem.PipeConfig{})
-	var ok bool
-	e.run(t, func(p *sim.Proc) {
-		p.Go("server", func(p *sim.Proc) {
-			pc, _ := b.ListenPacket(p, 5000)
-			_, ok, _ = pc.RecvFromTimeout(p, time.Second)
-		})
-		p.Yield()
-		pc, _ := a.ListenPacket(p, 0)
-		pc.SendTo(p, ip.Endpoint{Addr: addrB, Port: 5000}, []byte("x"))
-	})
-	if ok {
-		t.Fatal("datagram should be lost on loss=1 pipe")
-	}
-}
-
 func TestReliableConnSurvivesLoss(t *testing.T) {
 	// 30% loss on the up-link: connection messages retransmit and all
 	// arrive, in send order. A lost message's retransmit lands after its
@@ -404,7 +357,7 @@ func TestReliableConnSurvivesLoss(t *testing.T) {
 				if err != nil {
 					return
 				}
-				got = append(got, int(pk.Data[0]))
+				got = append(got, pk.Meta.(int))
 			}
 		})
 		p.Yield()
@@ -414,7 +367,7 @@ func TestReliableConnSurvivesLoss(t *testing.T) {
 			return
 		}
 		for i := 0; i < 50; i++ {
-			c.Send(p, []byte{byte(i)})
+			c.SendMeta(p, 1, i)
 		}
 		c.Close(p)
 	})
@@ -641,7 +594,7 @@ func TestNetworkTrace(t *testing.T) {
 		})
 		p.Yield()
 		c, _ := a.Dial(p, ip.Endpoint{Addr: addrB, Port: 80})
-		c.Send(p, []byte("traced"))
+		c.SendMeta(p, len("traced"), "traced")
 	})
 	if log.Count("net.send") < 3 { // SYN, SYNACK, data
 		t.Fatalf("sends traced = %d", log.Count("net.send"))
@@ -666,7 +619,7 @@ func TestNetworkStats(t *testing.T) {
 		})
 		p.Yield()
 		c, _ := a.Dial(p, ip.Endpoint{Addr: addrB, Port: 80})
-		c.Send(p, []byte("x"))
+		c.SendMeta(p, len("x"), "x")
 	})
 	st := e.n.Stats()
 	if st.MessagesSent < 3 { // SYN, SYNACK, data
