@@ -28,7 +28,6 @@ const (
 // rpcMsg is one Chord protocol message (request or reply).
 type rpcMsg struct {
 	Kind   rpcKind
-	Seq    uint64
 	Target ID      // find_successor
 	Node   NodeRef // notify / replies carrying a node
 	OK     bool
@@ -65,9 +64,7 @@ type Node struct {
 
 	store map[string]string
 
-	seq     uint64
-	pending map[uint64]*rpcWaiter
-	alive   bool
+	alive bool
 
 	// Stats accumulate over the node's lifetime.
 	Stats NodeStats
@@ -81,20 +78,13 @@ type NodeStats struct {
 	Timeouts      uint64
 }
 
-type rpcWaiter struct {
-	cond  *sim.Cond
-	reply rpcMsg
-	done  bool
-}
-
 // NewNode creates a Chord node on host h. Call Create or Join to start
 // it.
 func NewNode(h *vnet.Host) *Node {
 	n := &Node{
-		h:       h,
-		id:      HashAddr(h.Addr()),
-		store:   make(map[string]string),
-		pending: make(map[uint64]*rpcWaiter),
+		h:     h,
+		id:    HashAddr(h.Addr()),
+		store: make(map[string]string),
 	}
 	n.ref = NodeRef{ID: n.id, Addr: ip.Endpoint{Addr: h.Addr(), Port: Port}}
 	n.successors = make([]NodeRef, 1, successorListLen)
@@ -194,7 +184,6 @@ func (n *Node) handle(p *sim.Proc, c *vnet.Conn) {
 	}
 	reply := n.dispatch(p, req)
 	reply.Kind = rpcReply
-	reply.Seq = req.Seq
 	c.SendMeta(p, reply.wireSize(), reply)
 }
 

@@ -13,6 +13,7 @@ package gossip
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
 	"time"
 
@@ -83,6 +84,7 @@ type Node struct {
 	h     *vnet.Host
 	cfg   Config
 	peers []ip.Endpoint // full membership view (static, by experiment design)
+	perm  []int         // fanoutPrefix's scratch, reused every round
 
 	known map[uint64]Update
 	hot   map[uint64]int // rounds remaining as a hot rumor
@@ -174,11 +176,8 @@ func (n *Node) gossipRound(p *sim.Proc) {
 	}
 	batch := n.collectHot()
 	rng := n.h.Network().Kernel().Rand()
-	fanout := n.cfg.Fanout
-	if fanout > len(n.peers) {
-		fanout = len(n.peers)
-	}
-	for _, i := range rng.Perm(len(n.peers))[:fanout] {
+	n.perm = fanoutPrefix(rng, n.perm, len(n.peers), n.cfg.Fanout)
+	for _, i := range n.perm {
 		target := n.peers[i]
 		if target.Addr == n.h.Addr() {
 			continue
@@ -186,6 +185,28 @@ func (n *Node) gossipRound(p *sim.Proc) {
 		n.Stats.Pushes++
 		n.sendAsync(p, target, wireMsg{Kind: kindPush, Updates: batch})
 	}
+}
+
+// fanoutPrefix returns rng.Perm(n)[:min(fanout, n)] in buf's storage.
+// It makes the same Intn(i+1) draw as Perm for every i < n, so the
+// prefix and the RNG state it leaves are Perm's, but it only keeps the
+// first fanout slots: Perm's swap for i < fanout, and for i ≥ fanout
+// only the write m[j] = i when it lands in the prefix (what Perm moves
+// to m[i] never comes back into it). Once buf holds fanout slots a
+// round draws without allocating.
+func fanoutPrefix(rng *rand.Rand, buf []int, n, fanout int) []int {
+	fanout = min(fanout, n)
+	buf = slices.Grow(buf[:0], fanout)[:fanout]
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		if i < fanout {
+			buf[i] = buf[j]
+			buf[j] = i
+		} else if j < fanout {
+			buf[j] = i
+		}
+	}
+	return buf
 }
 
 // antiEntropy exchanges digests with one random peer and pulls what is

@@ -14,7 +14,16 @@ var ErrClosed = errors.New("sim: channel closed")
 // (buf = buf[1:] on receive) marched the slice down its backing array,
 // forcing a fresh allocation every len(buf) operations even at a steady
 // queue depth of one — measurably the second-largest allocation source
-// in large swarm runs.
+// in large swarm runs. The ring starts at one slot and doubles: most
+// channels are a per-RPC connection's inbox (chord and gossip dial one
+// connection per message), which carries one or two messages in its
+// life.
+//
+// The two Conds are fields rather than pointers, so NewChan makes one
+// object, and a struct that embeds a Chan by value (vnet's Conn
+// dereferences NewChan at construction) makes none. A Chan must not be
+// copied once a task may wait on it: a waiter records its Cond's
+// address.
 //
 // All operations require the execution token (they are only meaningful
 // from simulated goroutines or event callbacks), which is all that
@@ -28,8 +37,8 @@ type Chan[T any] struct {
 	cap    int
 	closed bool
 
-	notEmpty *Cond
-	notFull  *Cond
+	notEmpty Cond
+	notFull  Cond
 }
 
 // NewChan returns a channel bound to kernel k. capacity 0 = unbounded.
@@ -37,8 +46,8 @@ func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
 	return &Chan[T]{
 		k:        k,
 		cap:      capacity,
-		notEmpty: NewCond(k),
-		notFull:  NewCond(k),
+		notEmpty: Cond{k: k},
+		notFull:  Cond{k: k},
 	}
 }
 
@@ -47,7 +56,7 @@ func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
 //p2p:token
 func (c *Chan[T]) push(v T) {
 	if c.n == len(c.buf) {
-		grown := make([]T, max(4, 2*len(c.buf)))
+		grown := make([]T, max(1, 2*len(c.buf)))
 		for i := 0; i < c.n; i++ {
 			grown[i] = c.buf[(c.head+i)%len(c.buf)]
 		}

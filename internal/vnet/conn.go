@@ -22,12 +22,16 @@ type Packet struct {
 // pipes trigger retransmission with backoff); ordering follows from the
 // FIFO pipe model.
 type Conn struct {
-	h           *Host
-	id          uint64
-	local       ip.Endpoint
-	remote      ip.Endpoint
-	inbox       *sim.Chan[Packet]
-	hs          *sim.Cond
+	h      *Host
+	id     uint64
+	local  ip.Endpoint
+	remote ip.Endpoint
+	// The inbox and the handshake Cond are held by value, so an
+	// endpoint is one allocation: chord and gossip dial a connection
+	// per message. Host.Dial and deliver dereference the inlined
+	// NewChan/NewCond, which keeps the constructors' objects off the heap.
+	inbox       sim.Chan[Packet]
+	hs          sim.Cond
 	established bool
 	refused     bool
 	closed      bool

@@ -126,3 +126,122 @@ func TestTransmitAllocs(t *testing.T) {
 		}
 	}
 }
+
+// rpcAllocs returns the heap allocations of one short RPC across a warm
+// DSL pair, counting both endpoints: the client dials, sends a request
+// with Conn.SendMeta, reads the reply with Conn.Recv and closes; the
+// server accepts, reads the request, replies and closes. This is what
+// chord and gossip pay per message, since they dial a connection for
+// each. Each RPC settles before the next starts, and the figure is
+// integer-divided as in messageAllocs.
+func rpcAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64 {
+	t.Helper()
+	const warmup, measured = 200, 2000
+	const size = 100
+	k := sim.New(1)
+	cfg := vnet.DefaultConfig()
+	cfg.Model = kind
+	n := vnet.NewNetwork(k, nil, cfg)
+	n.SetTrace(tracer)
+	a, err := n.AddHostClass(policyA, topo.DSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.AddHostClass(policyB, topo.DSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l *vnet.Listener
+	served := 0
+	k.Go("server", func(p *sim.Proc) {
+		ln, err := b.Listen(p, 80)
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		l = ln
+		for {
+			c, err := l.Accept(p)
+			if err != nil {
+				return
+			}
+			if _, err := c.Recv(p); err != nil {
+				t.Errorf("server recv: %v", err)
+				return
+			}
+			c.SendMeta(p, size, nil)
+			c.Close(p)
+			served++
+		}
+	})
+	var mallocs uint64
+	k.Go("client", func(p *sim.Proc) {
+		rpcs := func(count int) {
+			for i := 0; i < count; i++ {
+				c, err := a.Dial(p, ip.Endpoint{Addr: policyB, Port: 80})
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
+				}
+				c.SendMeta(p, size, nil)
+				if _, err := c.Recv(p); err != nil {
+					t.Errorf("client recv: %v", err)
+					return
+				}
+				c.Close(p)
+				p.Sleep(time.Second)
+			}
+		}
+		p.Sleep(time.Second)
+		rpcs(warmup)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rpcs(measured)
+		runtime.ReadMemStats(&after)
+		mallocs = after.Mallocs - before.Mallocs
+		l.Close()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if served != warmup+measured {
+		t.Fatalf("served %d RPCs, want %d", served, warmup+measured)
+	}
+	return mallocs / measured
+}
+
+// TestDialAllocs is the allocation gate of a per-connection RPC (one
+// dial, request, reply and close), exact as TestTransmitAllocs is. It
+// was 15 while a Conn pointed at its inbox Chan and its handshake Cond,
+// the Chan at its two Conds, and a ring started at four slots. The 7
+// left, both endpoints counted, under either model:
+//
+//   - the dialer's and the listener's Conn: 2, one object each, its
+//     inbox Chan and handshake Cond held by value.
+//   - the inbox ring of each: 2, one slot each; each side receives one
+//     message, the request or the reply.
+//   - a Cond's first waiter list: 3. The dialer parks on its handshake
+//     Cond until the SYN-ACK arrives, and each side parks on its inbox
+//     in Recv before its message arrives; a fresh Cond's append makes a
+//     one-slot list.
+//
+// Everything else is pooled or warm: the listener's backlog ring, the
+// connection tables, the transmit journey (TestTransmitAllocs), and the
+// dialer's timeout callback, bound once per task. Tracing adds nothing:
+// the journey's records are typed.
+func TestDialAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind netem.ModelKind
+	}{
+		{"pipe", netem.ModelPipe},
+		{"flow", netem.ModelFlow},
+	} {
+		if got := rpcAllocs(t, tc.kind, nil); got != 7 {
+			t.Errorf("%s: %d allocs per RPC, want 7", tc.name, got)
+		}
+		if got := rpcAllocs(t, tc.kind, trace.New(0)); got != 7 {
+			t.Errorf("%s, traced: %d allocs per RPC, want 7 as untraced", tc.name, got)
+		}
+	}
+}
