@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,6 +156,144 @@ func FuzzRenderLine(f *testing.F) {
 			t.Errorf("Events()[0] = %+v", e)
 		}
 	})
+}
+
+// FuzzTypedRecords drives three logs through an arbitrary interleaving
+// of the five typed entry points and Add: one takes the typed calls,
+// one the same events through Add with the format string each call
+// site used before its entry point existed, and one is bounded. Both
+// unbounded logs must render exactly what fmt lays out for the event
+// list and return it from Events, Filter and Count; the bounded one
+// must hold the newest Len() of them. ops is a bound byte, then
+// records: an op byte, whose low three bits pick the entry point (5–7
+// are Add) and whose top bit takes an absolute instant instead of a
+// signed one-byte step, then the operands (see fuzzOps). text supplies
+// the pipe names, categories, nodes and messages it slices out, so a
+// name can be new or one seen before, and a message can be invalid
+// UTF-8 or, repeated, longer than a chunk and a block.
+func FuzzTypedRecords(f *testing.F) {
+	f.Add([]byte{3, 0, 0x80, 1, 2, 3, 4, 5, 6, 7, 8}, "net.drop10.0.0.1dropped")
+	f.Fuzz(func(t *testing.T, ops []byte, text string) {
+		in := fuzzOps{b: ops}
+		typed, viaAdd, bounded := New(0), New(0), New(1+int(in.byte()))
+		var want []Event
+		var at sim.Time
+		for len(in.b) > 0 {
+			op := in.byte()
+			if op&0x80 != 0 {
+				at = sim.Time(in.u64())
+			} else {
+				at += sim.Time(int8(in.byte())) // small steps, backwards too
+			}
+			e := Event{At: at, Cat: "net.flow"}
+			switch op & 7 {
+			case 0:
+				src, size, dst, k := ip.Addr(in.u32()), int(in.u64()), in.endpoint(), int(in.u64())
+				e.Cat, e.Node, e.Msg = "net.send", src.String(), fmt.Sprintf("%d B to %v (kind %d)", size, dst, k)
+				typed.NetSend(at, src, size, dst, k)
+				bounded.NetSend(at, src, size, dst, k)
+			case 1:
+				dst, size, src := ip.Addr(in.u32()), int(in.u64()), in.endpoint()
+				e.Cat, e.Node, e.Msg = "net.deliver", dst.String(), fmt.Sprintf("%d B from %v", size, src)
+				typed.NetDeliver(at, dst, size, src)
+				bounded.NetDeliver(at, dst, size, src)
+			case 2:
+				pipe, id, rate, links := in.pipe(text), in.u64(), in.rate(), int(in.u64())
+				e.Node, e.Msg = pipe, fmt.Sprintf("flow %d start %.0f bps over %d link(s)", id, rate, links)
+				typed.FlowStart(at, pipe, id, rate, links)
+				bounded.FlowStart(at, pipe, id, rate, links)
+			case 3:
+				pipe, id, old, rate := in.pipe(text), in.u64(), in.rate(), in.rate()
+				e.Node, e.Msg = pipe, fmt.Sprintf("flow %d rerate %.0f -> %.0f bps", id, old, rate)
+				typed.FlowRerate(at, pipe, id, old, rate)
+				bounded.FlowRerate(at, pipe, id, old, rate)
+			case 4:
+				pipe, id := in.pipe(text), in.u64()
+				e.Node, e.Msg = pipe, fmt.Sprintf("flow %d done", id)
+				typed.FlowDone(at, pipe, id)
+				bounded.FlowDone(at, pipe, id)
+			default:
+				e.Cat, e.Node = in.slice(text), in.slice(text)
+				piece := in.slice(text)
+				e.Msg = strings.Repeat(piece, 1+min(int(in.byte())*64, 40000/(len(piece)+1)))
+				typed.Add(at, e.Cat, e.Node, "%s", e.Msg)
+				bounded.Add(at, e.Cat, e.Node, "%s", e.Msg)
+			}
+			viaAdd.Add(at, e.Cat, e.Node, "%s", e.Msg)
+			want = append(want, e)
+		}
+
+		var layout bytes.Buffer
+		counts := map[string]uint64{}
+		for _, e := range want {
+			fmt.Fprintf(&layout, lineFormat, time.Duration(e.At), e.Cat, e.Node, e.Msg)
+			counts[e.Cat]++
+		}
+		for name, l := range map[string]*Log{"typed": typed, "via Add": viaAdd} {
+			if got := rendered(t, l); got != layout.String() {
+				t.Fatalf("%s log renders differently from fmt:\n%s", name, firstDiff(got, layout.String()))
+			}
+			if got := l.Events(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s log: Events() = %+v, want %+v", name, got, want)
+			}
+			for cat, n := range counts {
+				if got := l.Count(cat); got != n {
+					t.Fatalf("%s log: Count(%q) = %d, want %d", name, cat, got, n)
+				}
+				if got := len(l.Filter(cat)); uint64(got) != n {
+					t.Fatalf("%s log: Filter(%q) has %d events, want %d", name, cat, got, n)
+				}
+			}
+		}
+		newest := want[len(want)-bounded.Len():]
+		if got := bounded.Events(); !reflect.DeepEqual(got, newest) {
+			t.Fatalf("bounded log keeps %+v, want the newest %d: %+v", got, len(newest), newest)
+		}
+	})
+}
+
+// fuzzOps reads FuzzTypedRecords' operands from its input, little
+// endian, with zeros once the input runs out.
+type fuzzOps struct{ b []byte }
+
+func (in *fuzzOps) next(n int) []byte {
+	var pad [8]byte
+	k := copy(pad[:n], in.b)
+	in.b = in.b[k:]
+	return pad[:n]
+}
+
+func (in *fuzzOps) byte() byte  { return in.next(1)[0] }
+func (in *fuzzOps) u32() uint32 { return binary.LittleEndian.Uint32(in.next(4)) }
+func (in *fuzzOps) u64() uint64 { return binary.LittleEndian.Uint64(in.next(8)) }
+
+func (in *fuzzOps) endpoint() ip.Endpoint {
+	return ip.Endpoint{Addr: ip.Addr(in.u32()), Port: ip.Port(binary.LittleEndian.Uint16(in.next(2)))}
+}
+
+// rate is a whole number under 2^53 for an even selector byte, which
+// the integer path stores, and any float64 bits for an odd one.
+func (in *fuzzOps) rate() float64 {
+	if in.byte()&1 == 0 {
+		return float64(in.u64() >> 11)
+	}
+	return math.Float64frombits(in.u64())
+}
+
+// slice is text[i:j] for two indexes the input picks.
+func (in *fuzzOps) slice(text string) string {
+	i := int(binary.LittleEndian.Uint16(in.next(2))) % (len(text) + 1)
+	j := int(binary.LittleEndian.Uint16(in.next(2))) % (len(text) + 1)
+	return text[min(i, j):max(i, j)]
+}
+
+// pipe is one of four fixed names for an even selector byte, so names
+// recur, and a slice of text for an odd one.
+func (in *fuzzOps) pipe(text string) string {
+	if s := in.byte(); s&1 == 0 {
+		return [...]string{"10.0.0.1/up", "10.0.0.2/down", "", "sixteen-runes-µµ"}[s>>1&3]
+	}
+	return in.slice(text)
 }
 
 // TestAppendRate holds the integer fast path of appendRate to the

@@ -3,16 +3,18 @@
 // (the paper instruments its BitTorrent client by time-stamping its
 // output; here the platform itself can time-stamp everything).
 //
-// A Log stores compact typed records in fixed-size chunks and formats
-// nothing until Render, Events, Filter or Between asks for text: the
-// five formats that are nearly every event of a run (net.send,
-// net.deliver and the three net.flow lines) have a typed entry point
-// each and cost no fmt call, no boxed operand and no string per event;
-// everything else goes through Add and is the "text" kind of the same
-// record stream. DESIGN.md decision 15 has the layout and the numbers.
+// A Log stores every record as a few bytes in pointer-free chunks and
+// formats nothing until Render, Events, Filter or Between asks for
+// text: the five formats that are nearly every event of a run
+// (net.send, net.deliver and the three net.flow lines) have a typed
+// entry point each and cost no fmt call, no boxed operand and no string
+// per event; everything else goes through Add and is the "text" kind of
+// the same byte stream. DESIGN.md decision 15 has the layout and the
+// numbers.
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -32,7 +34,7 @@ type Event struct {
 	Msg  string
 }
 
-// kind says how a record's operands render.
+// kind says how a record's operands are stored and render.
 type kind uint8
 
 const (
@@ -54,30 +56,40 @@ var kindCat = [numKinds]string{
 	kindFlowDone:   "net.flow",
 }
 
-// record is one stored event, 56 bytes: 522 k of them make a corpus
-// pass, so every 8 bytes here is 4 MB there. The node is addr for the
-// net kinds and name — a pipe name that already exists, never built for
-// the trace — for the flow kinds. A text record keeps its category,
-// node and message back to back in name, a and b being the lengths of
-// the first two, so the cold path needs no second shape.
-type record struct {
-	at      sim.Time
-	name    string
-	a, b, c uint64
-	addr    ip.Addr
-	kind    kind
-}
+// A stored record is its kind byte, the zigzag varint of its instant
+// less the previous record's in the same chunk (the first record's
+// less zero, so a chunk decodes alone and an instant may go backwards),
+// then its operands:
+//
+//	net.send     addr 4 B, size zigzag, endpoint 6 B, msg kind zigzag
+//	net.deliver  addr 4 B, size zigzag, endpoint 6 B
+//	flow start   pipe uvarint, id uvarint, rate, links zigzag
+//	flow rerate  pipe uvarint, id uvarint, rate, rate
+//	flow done    pipe uvarint, id uvarint
+//	text         len(cat), len(node), len(msg) uvarints, then the three
+//
+// An address is four bytes and an endpoint six (address, port), little
+// endian: on a corpus pass that is 4.00 and 6.00 B against 4.02 and
+// 7.00 B as uvarints. A pipe is an index into the log's name table,
+// because a chunk holds no pointer and so no string. A rate is
+// appendRateBits'. maxTyped bounds every typed record — a rerate's 1 +
+// 10 + 10 + 10 + 9 + 9 — and a text record less its three strings.
+const maxTyped = 49
 
-// chunkSize is the records per chunk of an unbounded log. A chunk is
-// allocated once and never regrown or copied, so a log of n events
-// allocates n records and at most one chunk of slack, where an appended
-// slice allocated five times its final size. Measured on corpus-golden
-// alloc_mb (48 logs): 256 → 710.7 MB, 512 → 710.9, 1024 → 694.7,
-// 2048 → 695.8, 4096 → 698.0. Under 32 KiB a chunk is a small object
-// and the runtime's 8-byte header pushes n × 56 B into the next size
-// class (14 336 → 16 384); from 1 024 up it is whole pages — 1 024 ×
-// 56 B is exactly seven — and only the tail slack grows.
-const chunkSize = 1024
+// chunkBytes is the byte capacity of an unbounded log's chunk, which
+// takes records until the next one might not fit; a record longer than
+// that gets a chunk of its own size. Measured on corpus-golden
+// alloc_mb (48 logs, 38.5 MB of chunks): see DESIGN.md decision 15.
+const chunkBytes = 16 << 10
+
+// chunkSize is the most records a bounded log's chunk holds: the unit
+// it drops, min(chunkSize, ⌈max/2⌉) records, which is what keeps its
+// retained window. recordBytes sizes such a chunk's bytes, an upper
+// corpus average; a chunk that outgrows them grows.
+const (
+	chunkSize   = 1024
+	recordBytes = 24
+)
 
 // blockSize is how much rendered text Render hands its writer at a
 // time. Nothing a whole run shows depends on it: corpus-golden alloc_mb
@@ -88,17 +100,29 @@ const chunkSize = 1024
 // is a block that stays in L1 beside the chunk being read.
 const blockSize = 16 << 10
 
+// chunk is a run of encoded records. Its bytes hold no pointer, so the
+// collector never scans them.
+type chunk struct {
+	b []byte
+	n int // records in b
+}
+
 // Log is an in-memory event recorder, optionally bounded. A zero Log is
 // unusable; create one with New. Methods are safe from simulated
 // goroutines and kernel callbacks (the sequential kernel serializes
 // them).
 type Log struct {
-	max      int
-	chunkCap int        // records per chunk: chunkSize, or less under a small max
-	chunks   [][]record // all but the last are full
-	n        int        // retained records
-	kinds    [numKinds]uint64
-	counts   map[string]uint64 // text records by category
+	max        int
+	chunkCap   int // records per chunk: unlimited, or chunkSize or less under a max
+	chunkBytes int // a new chunk's byte capacity
+	chunks     []chunk
+	at         sim.Time // the last chunk's newest instant
+	n          int      // retained records
+	names      []string // interned pipe names
+	nameIdx    map[string]uint64
+	scratch    []byte // Add's message, formatted
+	kinds      [numKinds]uint64
+	counts     map[string]uint64 // text records by category
 }
 
 // New returns a log keeping at most max events (older events are
@@ -106,31 +130,53 @@ type Log struct {
 // newest are retained; counters keep counting). max <= 0 means
 // unbounded.
 func New(max int) *Log {
-	l := &Log{max: max, chunkCap: chunkSize, counts: make(map[string]uint64)}
-	if max > 0 && max/2 < chunkSize {
-		l.chunkCap = (max + 1) / 2
+	l := &Log{max: max, chunkCap: math.MaxInt, chunkBytes: chunkBytes,
+		nameIdx: make(map[string]uint64), counts: make(map[string]uint64)}
+	if max > 0 {
+		l.chunkCap = min(chunkSize, (max+1)/2)
+		l.chunkBytes = l.chunkCap * recordBytes
 	}
 	return l
 }
 
-// slot returns the next record to fill, releasing the oldest chunk of a
-// full bounded log first.
-func (l *Log) slot(k kind) *record {
+// begin starts a record of at most size bytes and returns the last
+// chunk's bytes with its kind and instant appended; the caller appends
+// the operands and hands the bytes to end. A full bounded log releases
+// its oldest chunk first.
+func (l *Log) begin(k kind, at sim.Time, size int) []byte {
 	l.kinds[k]++
 	if l.max > 0 && l.n >= l.max {
-		l.n -= len(l.chunks[0])
-		l.chunks[0] = nil
+		l.n -= l.chunks[0].n
+		l.chunks[0] = chunk{}
 		l.chunks = l.chunks[1:]
 	}
 	last := len(l.chunks) - 1
-	if last < 0 || len(l.chunks[last]) == l.chunkCap {
-		l.chunks = append(l.chunks, make([]record, 0, l.chunkCap))
+	if last < 0 || l.chunks[last].n == l.chunkCap ||
+		l.max <= 0 && len(l.chunks[last].b)+size > cap(l.chunks[last].b) {
+		l.chunks = append(l.chunks, chunk{b: make([]byte, 0, max(l.chunkBytes, size))})
+		l.at = 0
 		last++
 	}
-	c := l.chunks[last]
-	l.chunks[last] = c[:len(c)+1]
+	c := &l.chunks[last]
+	c.n++
 	l.n++
-	return &l.chunks[last][len(c)]
+	b := binary.AppendVarint(append(c.b, byte(k)), int64(at-l.at))
+	l.at = at
+	return b
+}
+
+func (l *Log) end(b []byte) { l.chunks[len(l.chunks)-1].b = b }
+
+// name returns pipe's index in the name table, interning it on first
+// use.
+func (l *Log) name(pipe string) uint64 {
+	i, ok := l.nameIdx[pipe]
+	if !ok {
+		i = uint64(len(l.names))
+		l.names = append(l.names, pipe)
+		l.nameIdx[pipe] = i
+	}
+	return i
 }
 
 // Add records an event whose message the caller formats. It is the
@@ -138,36 +184,64 @@ func (l *Log) slot(k kind) *record {
 // have the typed entry points below.
 func (l *Log) Add(at sim.Time, cat, node, format string, args ...any) {
 	l.counts[cat]++
-	text := append(append(make([]byte, 0, 96), cat...), node...)
-	text = fmt.Appendf(text, format, args...)
-	*l.slot(kindText) = record{at: at, kind: kindText, name: string(text), a: uint64(len(cat)), b: uint64(len(node))}
+	l.scratch = fmt.Appendf(l.scratch[:0], format, args...)
+	msg := l.scratch
+	b := l.begin(kindText, at, maxTyped+len(cat)+len(node)+len(msg))
+	b = binary.AppendUvarint(b, uint64(len(cat)))
+	b = binary.AppendUvarint(b, uint64(len(node)))
+	b = binary.AppendUvarint(b, uint64(len(msg)))
+	l.end(append(append(append(b, cat...), node...), msg...))
 }
 
 // NetSend records "net.send" on src: "<size> B to <dst> (kind <k>)".
 func (l *Log) NetSend(at sim.Time, src ip.Addr, size int, dst ip.Endpoint, msgKind int) {
-	*l.slot(kindSend) = record{at: at, kind: kindSend, addr: src, a: uint64(size), b: packEndpoint(dst), c: uint64(msgKind)}
+	b := l.begin(kindSend, at, maxTyped)
+	b = binary.AppendVarint(binary.LittleEndian.AppendUint32(b, uint32(src)), int64(size))
+	l.end(binary.AppendVarint(appendEndpoint(b, dst), int64(msgKind)))
 }
 
 // NetDeliver records "net.deliver" on dst: "<size> B from <src>".
 func (l *Log) NetDeliver(at sim.Time, dst ip.Addr, size int, src ip.Endpoint) {
-	*l.slot(kindDeliver) = record{at: at, kind: kindDeliver, addr: dst, a: uint64(size), b: packEndpoint(src)}
+	b := l.begin(kindDeliver, at, maxTyped)
+	b = binary.AppendVarint(binary.LittleEndian.AppendUint32(b, uint32(dst)), int64(size))
+	l.end(appendEndpoint(b, src))
 }
 
 // FlowStart records "net.flow" on pipe: "flow <id> start <rate> bps
 // over <links> link(s)".
 func (l *Log) FlowStart(at sim.Time, pipe string, id uint64, rate float64, links int) {
-	*l.slot(kindFlowStart) = record{at: at, kind: kindFlowStart, name: pipe, a: id, b: math.Float64bits(rate), c: uint64(links)}
+	b := l.begin(kindFlowStart, at, maxTyped)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, l.name(pipe)), id)
+	l.end(binary.AppendVarint(appendRateBits(b, rate), int64(links)))
 }
 
 // FlowRerate records "net.flow" on pipe: "flow <id> rerate <old> ->
 // <new> bps".
 func (l *Log) FlowRerate(at sim.Time, pipe string, id uint64, old, new float64) {
-	*l.slot(kindFlowRerate) = record{at: at, kind: kindFlowRerate, name: pipe, a: id, b: math.Float64bits(old), c: math.Float64bits(new)}
+	b := l.begin(kindFlowRerate, at, maxTyped)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, l.name(pipe)), id)
+	l.end(appendRateBits(appendRateBits(b, old), new))
 }
 
 // FlowDone records "net.flow" on pipe: "flow <id> done".
 func (l *Log) FlowDone(at sim.Time, pipe string, id uint64) {
-	*l.slot(kindFlowDone) = record{at: at, kind: kindFlowDone, name: pipe, a: id}
+	b := l.begin(kindFlowDone, at, maxTyped)
+	l.end(binary.AppendUvarint(binary.AppendUvarint(b, l.name(pipe)), id))
+}
+
+func appendEndpoint(b []byte, e ip.Endpoint) []byte {
+	return binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint32(b, uint32(e.Addr)), uint16(e.Port))
+}
+
+// appendRateBits stores a rate bit-exact: a whole number in [0, 2^53)
+// as the uvarint 2n, anything else — a fraction, −0, a negative, an
+// infinity, a NaN with its payload — as the byte 1 and its eight bytes.
+// A fair share is rarely whole, so most rates take the nine.
+func appendRateBits(b []byte, f float64) []byte {
+	if f >= 0 && f < 1<<53 && !math.Signbit(f) && f == math.Trunc(f) {
+		return binary.AppendUvarint(b, uint64(f)<<1)
+	}
+	return binary.LittleEndian.AppendUint64(append(b, 1), math.Float64bits(f))
 }
 
 // Len returns the number of retained events.
@@ -193,7 +267,7 @@ func (l *Log) Events() []Event {
 
 // Filter returns retained events of one category.
 func (l *Log) Filter(cat string) []Event {
-	return l.collect(func(r *record) bool { return r.cat() == cat })
+	return l.collect(func(r *record) bool { return r.inCat(cat) })
 }
 
 // Between returns retained events within [from, to).
@@ -204,17 +278,18 @@ func (l *Log) Between(from, to sim.Time) []Event {
 func (l *Log) collect(keep func(*record) bool) []Event {
 	var out []Event
 	var buf []byte
-	for _, c := range l.chunks {
-		for i := range c {
-			r := &c[i]
-			if !keep(r) {
-				continue
-			}
-			buf = r.appendNode(buf[:0])
-			node := string(buf)
-			buf = r.appendMsg(buf[:0])
-			out = append(out, Event{At: r.at, Cat: r.cat(), Node: node, Msg: string(buf)})
+	for r := range l.records {
+		if !keep(r) {
+			continue
 		}
+		cat := kindCat[r.kind]
+		if r.kind == kindText {
+			cat = string(r.text[:r.a])
+		}
+		buf = r.appendNode(buf[:0])
+		node := string(buf)
+		buf = r.appendMsg(buf[:0])
+		out = append(out, Event{At: r.at, Cat: cat, Node: node, Msg: string(buf)})
 	}
 	return out
 }
@@ -233,32 +308,161 @@ func (l *Log) Render(w io.Writer) error {
 	// power of two, 11 MB a corpus pass less than from 16 KiB and a bit.
 	const lineSlack = 256
 	buf := make([]byte, 0, blockSize)
-	for _, c := range l.chunks {
-		for i := range c {
-			if len(buf) > blockSize-lineSlack {
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
+	// Instants repeat — a solve re-rates its flows at one instant, and
+	// 69 % of a corpus pass' records share the instant of the one before
+	// — so a run of them formats its padded instant once.
+	var stampBuf [40]byte
+	stamp, stampAt := stampBuf[:0], sim.Time(0)
+	for r := range l.records {
+		if len(buf) > blockSize-lineSlack {
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
-			buf = c[i].appendLine(buf)
+			buf = buf[:0]
 		}
+		if len(stamp) == 0 || r.at != stampAt {
+			stamp, stampAt = appendStamp(stamp[:0], r.at), r.at
+		}
+		buf = r.appendLine(buf, stamp)
 	}
 	_, err := w.Write(buf)
 	return err
 }
 
-func (r *record) cat() string {
-	if r.kind == kindText {
-		return r.name[:r.a]
+// records yields the retained records in order, each decoded into the
+// same record.
+func (l *Log) records(yield func(*record) bool) {
+	var r record
+	for _, c := range l.chunks {
+		d := reader{b: c.b, names: l.names}
+		for len(d.b) > 0 {
+			d.next(&r)
+			if !yield(&r) {
+				return
+			}
+		}
 	}
-	return kindCat[r.kind]
+}
+
+// record is one stored event, decoded. The node is addr for the net
+// kinds and name for the flow kinds; a text record's category, node and
+// message lie back to back in text, a and b being the lengths of the
+// first two, and text points into the chunk.
+type record struct {
+	at      sim.Time
+	kind    kind
+	addr    ip.Addr
+	ep      ip.Endpoint
+	a, b, c uint64
+	name    string
+	text    []byte
+}
+
+// reader decodes one chunk's records in order.
+type reader struct {
+	b     []byte
+	at    sim.Time // the previous record's instant
+	names []string
+}
+
+// uvarint decodes the uvarint at the head of b and returns the rest. It
+// is binary.Uvarint without the overflow checks, which a stream this
+// package wrote never needs, and so small enough to inline into next:
+// a record holds two to six of them.
+func uvarint(b []byte) (v uint64, rest []byte) {
+	for i, c := range b {
+		if c < 0x80 {
+			return v | uint64(c)<<(7*i), b[i+1:]
+		}
+		v |= uint64(c&0x7f) << (7 * i)
+	}
+	return v, nil
+}
+
+// varint undoes binary.AppendVarint's zigzag.
+func varint(b []byte) (int64, []byte) {
+	u, b := uvarint(b)
+	return int64(u>>1) ^ -int64(u&1), b
+}
+
+func endpoint(b []byte) ip.Endpoint {
+	return ip.Endpoint{Addr: ip.Addr(binary.LittleEndian.Uint32(b)), Port: ip.Port(binary.LittleEndian.Uint16(b[4:]))}
+}
+
+// rate reads what appendRateBits wrote and returns the float64's bits.
+func rate(b []byte) (uint64, []byte) {
+	v, b := uvarint(b)
+	if v&1 == 0 {
+		return math.Float64bits(float64(v >> 1)), b
+	}
+	return binary.LittleEndian.Uint64(b), b[8:]
+}
+
+// next decodes the record at the head of d.b into r.
+func (d *reader) next(r *record) {
+	b := d.b
+	r.kind = kind(b[0])
+	delta, b := varint(b[1:])
+	d.at += sim.Time(delta)
+	r.at = d.at
+	switch r.kind {
+	case kindSend, kindDeliver:
+		r.addr = ip.Addr(binary.LittleEndian.Uint32(b))
+		var size int64
+		size, b = varint(b[4:])
+		r.a = uint64(size)
+		r.ep = endpoint(b)
+		b = b[6:]
+		if r.kind == kindSend {
+			var k int64
+			k, b = varint(b)
+			r.c = uint64(k)
+		}
+	case kindFlowStart, kindFlowRerate, kindFlowDone:
+		var i uint64
+		i, b = uvarint(b)
+		r.name = d.names[i]
+		r.a, b = uvarint(b)
+		switch r.kind {
+		case kindFlowStart:
+			r.b, b = rate(b)
+			var links int64
+			links, b = varint(b)
+			r.c = uint64(links)
+		case kindFlowRerate:
+			r.b, b = rate(b)
+			r.c, b = rate(b)
+		}
+	case kindText:
+		var cat, node, msg uint64
+		cat, b = uvarint(b)
+		node, b = uvarint(b)
+		msg, b = uvarint(b)
+		n := cat + node + msg
+		r.a, r.b, r.text = cat, node, b[:n:n]
+		b = b[n:]
+	}
+	d.b = b
+}
+
+func (r *record) inCat(cat string) bool {
+	if r.kind == kindText {
+		return string(r.text[:r.a]) == cat
+	}
+	return kindCat[r.kind] == cat
+}
+
+func (r *record) appendCat(b []byte) []byte {
+	if r.kind == kindText {
+		return append(b, r.text[:r.a]...)
+	}
+	return append(b, kindCat[r.kind]...)
 }
 
 func (r *record) appendNode(b []byte) []byte {
 	switch r.kind {
 	case kindText:
-		return append(b, r.name[r.a:r.a+r.b]...)
+		return append(b, r.text[r.a:r.a+r.b]...)
 	case kindSend, kindDeliver:
 		return r.addr.AppendTo(b)
 	}
@@ -270,14 +474,14 @@ func (r *record) appendMsg(b []byte) []byte {
 	case kindSend: // "%d B to %v (kind %d)"
 		b = strconv.AppendInt(b, int64(r.a), 10)
 		b = append(b, " B to "...)
-		b = unpackEndpoint(r.b).AppendTo(b)
+		b = r.ep.AppendTo(b)
 		b = append(b, " (kind "...)
 		b = strconv.AppendInt(b, int64(r.c), 10)
 		return append(b, ')')
 	case kindDeliver: // "%d B from %v"
 		b = strconv.AppendInt(b, int64(r.a), 10)
 		b = append(b, " B from "...)
-		return unpackEndpoint(r.b).AppendTo(b)
+		return r.ep.AppendTo(b)
 	case kindFlowStart: // "flow %d start %.0f bps over %d link(s)"
 		b = append(b, "flow "...)
 		b = strconv.AppendUint(b, r.a, 10)
@@ -299,20 +503,26 @@ func (r *record) appendMsg(b []byte) []byte {
 		b = strconv.AppendUint(b, r.a, 10)
 		return append(b, " done"...)
 	}
-	return append(b, r.name[r.a+r.b:]...)
+	return append(b, r.text[r.a+r.b:]...)
 }
 
-// appendLine appends the record's Render line. fmt pads %12s and %-12s
-// by runes, not bytes, and a sub-millisecond instant ends in "µs" — two
-// bytes, one rune — so every width here is a rune count.
-func (r *record) appendLine(b []byte) []byte {
+// appendStamp appends the start of an instant's Render lines: the
+// instant right-aligned in 12 runes, and two spaces. fmt pads %12s and
+// %-12s by runes, not bytes, and a sub-millisecond instant ends in
+// "µs" — two bytes, one rune — so every width here is a rune count.
+func appendStamp(b []byte, at sim.Time) []byte {
 	var tmp [32]byte // the longest duration, math.MinInt64, is 25 bytes
-	at := appendDuration(tmp[:0], time.Duration(r.at))
-	b = appendSpaces(b, 12-utf8.RuneCount(at))
-	b = append(b, at...)
-	b = append(b, ' ', ' ')
+	d := appendDuration(tmp[:0], time.Duration(at))
+	b = appendSpaces(b, 12-utf8.RuneCount(d))
+	return append(append(b, d...), ' ', ' ')
+}
+
+// appendLine appends the record's Render line after stamp, its
+// instant's appendStamp.
+func (r *record) appendLine(b, stamp []byte) []byte {
+	b = append(b, stamp...)
 	start := len(b)
-	b = append(b, r.cat()...)
+	b = r.appendCat(b)
 	b = appendSpaces(b, 12-utf8.RuneCount(b[start:]))
 	b = append(b, ' ')
 	start = len(b)
@@ -321,13 +531,6 @@ func (r *record) appendLine(b []byte) []byte {
 	b = append(b, ' ')
 	b = r.appendMsg(b)
 	return append(b, '\n')
-}
-
-// An endpoint rides in one operand: address above, port below.
-func packEndpoint(e ip.Endpoint) uint64 { return uint64(e.Addr)<<16 | uint64(e.Port) }
-
-func unpackEndpoint(v uint64) ip.Endpoint {
-	return ip.Endpoint{Addr: ip.Addr(v >> 16), Port: ip.Port(v)}
 }
 
 func appendSpaces(b []byte, n int) []byte {

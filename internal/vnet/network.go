@@ -27,20 +27,12 @@ import (
 
 // Errors returned by socket operations.
 var (
-	ErrAddrInUse         = errors.New("vnet: address already in use")
-	ErrConnRefused       = errors.New("vnet: connection refused")
-	ErrTimeout           = errors.New("vnet: operation timed out")
-	ErrClosed            = errors.New("vnet: connection closed")
-	ErrNetUnreachable    = errors.New("vnet: network unreachable")
-	ErrHostExists        = errors.New("vnet: host address already registered")
-	ErrAdminDenied       = errors.New("vnet: administratively denied")
-	ErrListenerBacklog   = errors.New("vnet: listener backlog full")
-	ErrMessageTooLarge   = errors.New("vnet: message exceeds maximum size")
-	ErrBindInterception  = errors.New("vnet: bind overridden by BINDIP interception")
-	ErrPortAlreadyBound  = errors.New("vnet: port already bound")
-	ErrUnknownListener   = errors.New("vnet: no listener on destination")
-	ErrDialSelfUnhosted  = errors.New("vnet: destination host not registered")
-	ErrTooManyRetransmit = errors.New("vnet: too many retransmissions")
+	ErrConnRefused      = errors.New("vnet: connection refused")
+	ErrTimeout          = errors.New("vnet: operation timed out")
+	ErrClosed           = errors.New("vnet: connection closed")
+	ErrNetUnreachable   = errors.New("vnet: network unreachable")
+	ErrHostExists       = errors.New("vnet: host address already registered")
+	ErrPortAlreadyBound = errors.New("vnet: port already bound")
 )
 
 // Route describes what a message traverses between the source host's
