@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -211,12 +212,24 @@ func seriesNames(series []*metrics.Series) []string {
 }
 
 func writeDat(dir, name string, series ...*metrics.Series) error {
-	f, err := os.Create(filepath.Join(dir, name))
+	return writeFile(filepath.Join(dir, name), func(w io.Writer) error {
+		return metrics.WriteDat(w, series...)
+	})
+}
+
+// writeFile creates path, fills it with write and closes it, returning
+// the first error from the write or the Close (some file systems report
+// a failed write only on Close).
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return metrics.WriteDat(f, series...)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writePlot emits a gnuplot script that renders a .dat file the way the

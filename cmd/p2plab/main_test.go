@@ -38,6 +38,34 @@ func TestSweepSmoke(t *testing.T) {
 	}
 }
 
+// TestFailedWriteIsTheCommandsError points sweep.csv at /dev/full,
+// where every write fails with ENOSPC: the sweep must report it.
+func TestFailedWriteIsTheCommandsError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	out := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(out, "sweep.csv")); err != nil {
+		t.Fatal(err)
+	}
+	err := sweepMain([]string{"-exp", "gossip", "-peers", "8", "-seeds", "1", "-out", out})
+	if err == nil || !strings.Contains(err.Error(), "no space left") {
+		t.Fatalf("sweep into a full device: err = %v, want ENOSPC", err)
+	}
+}
+
+// TestWriteFileReportsClose: an error from Close is writeFile's error
+// even when every write succeeded.
+func TestWriteFileReportsClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x")
+	err := writeFile(path, func(w io.Writer) error {
+		return w.(*os.File).Close() // the second Close, writeFile's, fails
+	})
+	if err == nil {
+		t.Fatal("writeFile dropped the Close error")
+	}
+}
+
 func TestSweepScenarioSmoke(t *testing.T) {
 	out := t.TempDir()
 	err := sweepMain([]string{

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -139,12 +140,9 @@ func runMain(args []string) error {
 		return err
 	}
 	csvPath := filepath.Join(*out, "scenario-"+res.Spec.Name+".csv")
-	f, err := os.Create(csvPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := metrics.WriteSnapshotsCSV(f, []*metrics.Snapshot{res.Snapshot}); err != nil {
+	if err := writeFile(csvPath, func(w io.Writer) error {
+		return metrics.WriteSnapshotsCSV(w, []*metrics.Snapshot{res.Snapshot})
+	}); err != nil {
 		return err
 	}
 	fmt.Printf("   wrote %s\n", csvPath)
@@ -155,16 +153,10 @@ func runMain(args []string) error {
 // process made, sampled at runtime.MemProfileRate, with what is still
 // live as of the last GC.
 func writeAllocProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, func(w io.Writer) error {
+		runtime.GC()
+		return pprof.Lookup("allocs").WriteTo(w, 0)
+	})
 }
 
 // reportScenario prints the workload-appropriate summary of a run.

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -71,12 +72,9 @@ func sweepMain(args []string) error {
 		return err
 	}
 	csvPath := filepath.Join(*out, "sweep.csv")
-	f, err := os.Create(csvPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := metrics.WriteSnapshotsCSV(f, res.Snapshots()); err != nil {
+	if err := writeFile(csvPath, func(w io.Writer) error {
+		return metrics.WriteSnapshotsCSV(w, res.Snapshots())
+	}); err != nil {
 		return err
 	}
 	fmt.Printf("\nwrote %s (%d rows)\n", csvPath, len(res.Cells)-res.Failed)

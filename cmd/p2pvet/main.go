@@ -38,22 +38,16 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// vetConfig mirrors the JSON compilation-unit description the go
-// command writes for vet tools (x/tools unitchecker.Config).
+// vetConfig holds the fields p2pvet reads from the JSON
+// compilation-unit description the go command writes for vet tools
+// (x/tools unitchecker.Config); json.Unmarshal skips the rest.
 type vetConfig struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ModulePath                string
-	ModuleVersion             string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
 	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
@@ -118,13 +112,13 @@ func printVersion() {
 // printFlags tells go vet which flags this tool understands.
 func printFlags() {
 	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
+		Name  string `json:"Name"`
+		Bool  bool   `json:"Bool"`
+		Usage string `json:"Usage"`
 	}
 	var flags []jsonFlag
 	for _, a := range lint.Analyzers() {
-		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: "enable " + a.Name + " analysis"})
+		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: a.Doc})
 	}
 	data, err := json.MarshalIndent(flags, "", "\t")
 	if err != nil {
@@ -223,7 +217,6 @@ func unit(cfgPath string) int {
 		}
 		a := a
 		pass := &analysis.Pass{
-			Analyzer:  a,
 			Fset:      fset,
 			Files:     analyzed,
 			Pkg:       pkg,

@@ -70,14 +70,6 @@ func (b *Bitfield) Complete() bool { return b.set == b.n }
 // must not mutate it.
 func (b *Bitfield) Bytes() []byte { return b.bits }
 
-// Clone returns an independent copy.
-func (b *Bitfield) Clone() *Bitfield {
-	nb := NewBitfield(b.n)
-	copy(nb.bits, b.bits)
-	nb.set = b.set
-	return nb
-}
-
 // forEachSet calls fn for every set piece in ascending order, scanning
 // bytewise. Stray trailing bits beyond Len() — possible on a bitfield
 // reconstructed from wire bytes — are ignored.

@@ -12,14 +12,16 @@ import (
 func TestClientStopClosesEverything(t *testing.T) {
 	spec := DefaultSwarmSpec()
 	spec.FileSize = 1 << 20
-	k, _, trk, hosts := swarmEnv(t, 1, 4, fastClass)
-	s, err := BuildSwarm(spec, trk, hosts[:1], hosts[1:])
+	// hosts[4] joins no swarm: it only asks the tracker who is left.
+	k, _, trk, hosts := swarmEnv(t, 1, 5, fastClass)
+	s, err := BuildSwarm(spec, trk, hosts[:1], hosts[1:4])
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start(time.Second)
 	victim := s.Clients[0]
 	k.After(sim.Duration(10*time.Second), victim.Stop)
+	var listed []ip.Endpoint
 	k.Go("waiter", func(p *sim.Proc) {
 		// The two surviving clients must still finish.
 		for s.CompletedCount() < 2 {
@@ -28,6 +30,13 @@ func TestClientStopClosesEverything(t *testing.T) {
 				t.Error("survivors did not finish")
 				break
 			}
+		}
+		// Well inside the tracker's expiry horizon, so only the
+		// stopped announce can have removed the victim.
+		trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
+		listed, _, err = AnnounceRequest(p, hosts[4], trkEP, s.Meta.InfoHash(), peerPort, EventStarted, s.Meta.Length, MaxNumWant)
+		if err != nil {
+			t.Error(err)
 		}
 		k.Stop()
 	})
@@ -40,8 +49,15 @@ func TestClientStopClosesEverything(t *testing.T) {
 	if victim.Done() {
 		t.Fatal("victim stopped at 10s cannot have finished a 1MB file on these settings... unless it did; adjust test")
 	}
-	if s.Tracker.Stats().Stopped == 0 {
-		t.Fatal("tracker never saw the stopped announce")
+	// The seeder and the two survivors stay registered; the victim
+	// announced its stop and is gone.
+	if len(listed) != 3 {
+		t.Fatalf("tracker lists %v, want the seeder and two survivors", listed)
+	}
+	for _, ep := range listed {
+		if ep.Addr == victim.h.Addr() {
+			t.Fatalf("tracker still lists the stopped client at %v", ep)
+		}
 	}
 }
 
@@ -94,9 +110,8 @@ func TestClientResumeFromKeptStorage(t *testing.T) {
 	if firstSessionBytes >= s.Meta.Length {
 		t.Fatal("first session finished before the stop; resume untested")
 	}
-	if resumed.Stats().Downloaded >= s.Meta.Length {
-		t.Fatalf("resumed client re-downloaded everything (%d bytes); storage not reused",
-			resumed.Stats().Downloaded)
+	if n := len(resumed.Progress()); n >= s.Meta.NumPieces() {
+		t.Fatalf("resumed client re-downloaded all %d pieces; storage not reused", n)
 	}
 }
 

@@ -1,7 +1,6 @@
 package bt
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -85,16 +84,8 @@ const (
 
 // Progress is one point of a client's download trajectory.
 type Progress struct {
-	At     sim.Time
-	Bytes  int64
-	Pieces int
-}
-
-// ClientStats summarizes a client's transfer totals.
-type ClientStats struct {
-	Downloaded int64
-	Uploaded   int64
-	Peers      int
+	At    sim.Time
+	Bytes int64
 }
 
 // eventKind discriminates client-loop events.
@@ -176,8 +167,6 @@ type Client struct {
 	finished     sim.Time
 	done         bool
 	progress     []Progress
-	uploaded     int64
-	downloaded   int64
 	lastAnnounce sim.Time
 	rechokeRound int
 	dialing      int
@@ -257,23 +246,12 @@ func NewClient(h *vnet.Host, meta *MetaInfo, store Storage, tracker ip.Endpoint,
 	return c
 }
 
-// Host returns the client's virtual node.
-func (c *Client) Host() *vnet.Host { return c.h }
-
-// Done reports whether the download has completed.
-func (c *Client) Done() bool { return c.done }
-
 // FinishedAt returns the completion instant (zero until done; seeders
 // report zero).
 func (c *Client) FinishedAt() sim.Time { return c.finished }
 
 // Progress returns the piece-completion trajectory.
 func (c *Client) Progress() []Progress { return c.progress }
-
-// Stats returns transfer totals.
-func (c *Client) Stats() ClientStats {
-	return ClientStats{Downloaded: c.downloaded, Uploaded: c.uploaded, Peers: len(c.peers)}
-}
 
 // BytesDone returns verified bytes.
 func (c *Client) BytesDone() int64 {
@@ -327,7 +305,7 @@ func (c *Client) dialWebSeed(p *sim.Proc, ep ip.Endpoint) {
 		if err != nil {
 			return
 		}
-		pr := newPeer(conn, conn.RemoteAddr().Addr, c.meta.NumPieces(), true)
+		pr := newPeer(conn, conn.RemoteAddr().Addr, c.meta.NumPieces())
 		pr.webseed = true
 		pr.peerChoking = false
 		pr.bits = Full(c.meta.NumPieces())
@@ -420,15 +398,13 @@ func (c *Client) acceptLoop(p *sim.Proc, l *vnet.Listener) {
 				cn.Close(p)
 				return
 			}
-			c.admit(cn, false)
+			c.admit(cn)
 		})
 	}
 }
 
 func (c *Client) handshake() Handshake {
-	var id [20]byte
-	copy(id[:], fmt.Sprintf("%-20s", "go-"+c.h.Addr().String()))
-	return Handshake{InfoHash: c.meta.InfoHash(), PeerID: id}
+	return Handshake{InfoHash: c.meta.InfoHash()}
 }
 
 // dialPeer initiates an outbound connection in a transient goroutine.
@@ -451,7 +427,7 @@ func (c *Client) dialPeer(p *sim.Proc, ep ip.Endpoint) {
 			conn.Close(p)
 			return
 		}
-		c.admit(conn, true)
+		c.admit(conn)
 	})
 }
 
@@ -459,8 +435,8 @@ func (c *Client) dialPeer(p *sim.Proc, ep ip.Endpoint) {
 // loop. Runs in transient goroutines.
 //
 //p2p:token
-func (c *Client) admit(conn *vnet.Conn, initiated bool) {
-	pr := newPeer(conn, conn.RemoteAddr().Addr, c.meta.NumPieces(), initiated)
+func (c *Client) admit(conn *vnet.Conn) {
+	pr := newPeer(conn, conn.RemoteAddr().Addr, c.meta.NumPieces())
 	pr.cl = c
 	pr.downRate.pool, pr.upRate.pool = &c.chunks, &c.chunks
 	conn.SetSink(func(pk vnet.Packet, closed bool) {
@@ -741,7 +717,6 @@ func (c *Client) onRequest(p *sim.Proc, pr *peer, m Msg) {
 		}
 	}
 	if pr.send(p, out) == nil {
-		c.uploaded += n
 		pr.upRate.Add(p.Now(), n)
 	}
 }
@@ -781,7 +756,6 @@ func (c *Client) onUpPump(p *sim.Proc) {
 			break
 		}
 		if e.pr.send(p, e.m) == nil {
-			c.uploaded += e.n
 			e.pr.upRate.Add(now, e.n)
 		}
 	}
@@ -818,7 +792,6 @@ func (c *Client) onBlock(p *sim.Proc, pr *peer, m Msg) {
 		c.releaseRequest(bk)
 	}
 	n := int64(m.BlockLen())
-	c.downloaded += n
 	pr.downRate.Add(p.Now(), n)
 
 	if c.store.HavePiece(m.Index) || c.done {
@@ -897,7 +870,7 @@ func (c *Client) partialsRemove(pi int) {
 func (c *Client) onPieceDone(p *sim.Proc, piece int) {
 	now := p.Now()
 	c.om.pieces.Inc()
-	c.progress = append(c.progress, Progress{At: now, Bytes: c.BytesDone(), Pieces: c.store.Bitfield().Count()})
+	c.progress = append(c.progress, Progress{At: now, Bytes: c.BytesDone()})
 	c.picker.MarkHave(piece)
 	for _, pr := range c.peers {
 		if pr.bits.Has(piece) {

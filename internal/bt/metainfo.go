@@ -50,15 +50,6 @@ func (m *MetaInfo) BlockSize(i, b int) int {
 	return size
 }
 
-// TotalBlocks returns the number of blocks in the whole file.
-func (m *MetaInfo) TotalBlocks() int {
-	n := 0
-	for i := 0; i < m.NumPieces(); i++ {
-		n += m.BlocksIn(i)
-	}
-	return n
-}
-
 // InfoHash returns the SHA-1 of the bencoded info dictionary — the
 // torrent's identity in handshakes and tracker announces.
 func (m *MetaInfo) InfoHash() [20]byte { return m.infoHash }

@@ -28,10 +28,9 @@ func unpackBlockKey(k uint64) blockKey {
 // peer is the client-side state of one remote peer connection,
 // following the wire protocol's four-flag model.
 type peer struct {
-	conn      *vnet.Conn
-	addr      ip.Addr // remote host identity (one client per host)
-	bits      *Bitfield
-	initiated bool // we dialed them
+	conn *vnet.Conn
+	addr ip.Addr // remote host identity (one client per host)
+	bits *Bitfield
 
 	amChoking      bool // we choke them
 	amInterested   bool // we want their pieces
@@ -72,12 +71,11 @@ type peer struct {
 	webseed bool
 }
 
-func newPeer(conn *vnet.Conn, addr ip.Addr, numPieces int, initiated bool) *peer {
+func newPeer(conn *vnet.Conn, addr ip.Addr, numPieces int) *peer {
 	return &peer{
 		conn:        conn,
 		addr:        addr,
 		bits:        NewBitfield(numPieces),
-		initiated:   initiated,
 		amChoking:   true,
 		peerChoking: true,
 		idx:         -1,

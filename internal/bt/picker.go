@@ -145,9 +145,6 @@ func (pk *Picker) AddHave(i int) {
 	}
 }
 
-// Availability returns how many known peers have piece i.
-func (pk *Picker) Availability(i int) int { return pk.avail[i] }
-
 // MarkPartial records that a piece has outstanding or completed blocks
 // and should be finished before new pieces are started.
 func (pk *Picker) MarkPartial(i int) {

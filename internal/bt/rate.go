@@ -19,7 +19,6 @@ type RateEstimator struct {
 	n          int // samples within the window
 	pool       *chunkPool
 	total      int64 // bytes within the window
-	lifetime   int64 // bytes ever recorded
 	first      sim.Time
 	started    bool // first activity recorded
 }
@@ -75,7 +74,6 @@ func (r *RateEstimator) Add(now sim.Time, bytes int64) {
 	r.wr++
 	r.n++
 	r.total += bytes
-	r.lifetime += bytes
 }
 
 func (r *RateEstimator) trim(now sim.Time) {
@@ -103,7 +101,7 @@ func (r *RateEstimator) release() {
 	if r.head != nil {
 		r.pool.put(r.head, r.tail)
 	}
-	*r = RateEstimator{pool: r.pool, lifetime: r.lifetime, first: r.first}
+	*r = RateEstimator{pool: r.pool, first: r.first}
 }
 
 // Rate returns bytes/second over the window ending at now. During
@@ -127,6 +125,3 @@ func (r *RateEstimator) Rate(now sim.Time) float64 {
 	}
 	return float64(r.total) / span.Seconds()
 }
-
-// TotalBytes returns all bytes ever recorded (not windowed).
-func (r *RateEstimator) TotalBytes() int64 { return r.lifetime }

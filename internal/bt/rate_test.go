@@ -27,9 +27,6 @@ func TestRateEstimator(t *testing.T) {
 	if r.Rate(now.Add(30*time.Second)) != 0 {
 		t.Fatal("stale window should decay to zero")
 	}
-	if r.TotalBytes() != 20000 {
-		t.Fatalf("lifetime = %d", r.TotalBytes())
-	}
 }
 
 // TestRateWarmUp: during warm-up the divisor is the elapsed time since
@@ -109,12 +106,11 @@ func TestRateResumeAfterIdle(t *testing.T) {
 // side by side with RateEstimator. Choke order, the optimistic RNG draw
 // and every golden digest depend on the two agreeing exactly.
 type refEstimator struct {
-	window   time.Duration
-	samples  []rateSample
-	total    int64 // bytes within the window
-	lifetime int64 // bytes ever recorded
-	first    sim.Time
-	started  bool // first activity recorded
+	window  time.Duration
+	samples []rateSample
+	total   int64 // bytes within the window
+	first   sim.Time
+	started bool // first activity recorded
 }
 
 func newRefEstimator(window time.Duration) *refEstimator {
@@ -132,7 +128,6 @@ func (r *refEstimator) Add(now sim.Time, bytes int64) {
 	}
 	r.samples = append(r.samples, rateSample{at: now, bytes: bytes})
 	r.total += bytes
-	r.lifetime += bytes
 }
 
 func (r *refEstimator) trim(now sim.Time) {
@@ -262,9 +257,9 @@ func checkRateOps(t testing.TB, data []byte, cov *rateCoverage) {
 		if got, want := chunkLen(t, r), len(ref.samples); got != want || r.n != want {
 			t.Fatalf("op %d: estimator %d holds %d samples (n = %d), reference %d", op, i, got, r.n, want)
 		}
-		if r.started != ref.started || r.total != ref.total || r.first != ref.first || r.lifetime != ref.lifetime {
-			t.Fatalf("op %d: estimator %d state (started %v total %d first %v lifetime %d), reference (%v %d %v %d)",
-				op, i, r.started, r.total, r.first, r.lifetime, ref.started, ref.total, ref.first, ref.lifetime)
+		if r.started != ref.started || r.total != ref.total || r.first != ref.first {
+			t.Fatalf("op %d: estimator %d state (started %v total %d first %v), reference (%v %d %v)",
+				op, i, r.started, r.total, r.first, ref.started, ref.total, ref.first)
 		}
 		if pool == nil {
 			continue
@@ -460,7 +455,7 @@ func TestRateReleaseOnPeerExit(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			pr := newPeer(conn, hosts[1].Addr(), meta.NumPieces(), true)
+			pr := newPeer(conn, hosts[1].Addr(), meta.NumPieces())
 			pr.downRate.pool, pr.upRate.pool = &c.chunks, &c.chunks // as admit does
 			c.registerPeer(pr)
 			for j := 0; j < 40; j++ { // 3 chunks each way

@@ -119,8 +119,8 @@ func TestHashFailureKeepsEndgameRefcounts(t *testing.T) {
 
 	b0 := blockKey{0, 0}.pack()
 	b1 := blockKey{0, BlockLength}.pack()
-	pr1 := newPeer(nil, ip.MustParseAddr("10.9.0.1"), meta.NumPieces(), false)
-	pr2 := newPeer(nil, ip.MustParseAddr("10.9.0.2"), meta.NumPieces(), false)
+	pr1 := newPeer(nil, ip.MustParseAddr("10.9.0.1"), meta.NumPieces())
+	pr2 := newPeer(nil, ip.MustParseAddr("10.9.0.2"), meta.NumPieces())
 	c.registerPeer(pr1)
 	c.registerPeer(pr2)
 

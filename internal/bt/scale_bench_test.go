@@ -64,7 +64,7 @@ func hotHave(tb testing.TB) func() {
 	for i := 0; i < hotPieces-1; i++ {
 		store.have.Set(i)
 	}
-	pr := newPeer(nil, ip.MustParseAddr("10.0.0.2"), hotPieces, false)
+	pr := newPeer(nil, ip.MustParseAddr("10.0.0.2"), hotPieces)
 	c.registerPeer(pr)
 	// nil conn: the steady state below never flips interest, so the
 	// client never sends on this peer.

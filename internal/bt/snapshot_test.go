@@ -83,9 +83,10 @@ func TestClientHonorsAnnounceInterval(t *testing.T) {
 	if c.announceIvl != 30*time.Second {
 		t.Fatalf("client recorded interval %v, want 30s", c.announceIvl)
 	}
-	// t=0 started + periodic at 30/60/90/120 (tick-quantized).
-	if got := tracker.Stats().Announces; got < 4 {
-		t.Fatalf("announces in 150s at a 30s interval = %d, want >= 4", got)
+	// t=0 started + periodic at 30/60/90/120 (tick-quantized): the
+	// tracker last heard from the client at the 120 s re-announce.
+	if got := tracker.swarms[meta.InfoHash()].order[0].lastSeen; got < sim.Time(120*time.Second) {
+		t.Fatalf("last announce in 150s at a 30s interval at %v, want >= 120s", got)
 	}
 }
 

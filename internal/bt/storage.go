@@ -109,9 +109,6 @@ func (s *MemStorage) HavePiece(piece int) bool { return s.have.Has(piece) }
 // Bitfield implements Storage.
 func (s *MemStorage) Bitfield() *Bitfield { return s.have }
 
-// Bytes returns the assembled content (for test assertions).
-func (s *MemStorage) Bytes() []byte { return s.data }
-
 // SparseStorage tracks only which blocks have arrived; a piece passes
 // verification once every one of its blocks has. It uses O(pieces)
 // memory regardless of file size, enabling the 5754-client experiment.

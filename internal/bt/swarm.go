@@ -14,7 +14,6 @@ import (
 // emulated network — the unit of the paper's BitTorrent experiments.
 type Swarm struct {
 	Meta        *MetaInfo
-	Tracker     *Tracker
 	TrackerHost *vnet.Host
 	Seeders     []*Client
 	Clients     []*Client
@@ -80,9 +79,9 @@ func BuildSwarm(spec SwarmSpec, trackerHost *vnet.Host, seedHosts, clientHosts [
 		return nil, err
 	}
 	k := trackerHost.Network().Kernel()
+	NewTrackerConfig(trackerHost, spec.Tracker)
 	s := &Swarm{
 		Meta:        meta,
-		Tracker:     NewTrackerConfig(trackerHost, spec.Tracker),
 		TrackerHost: trackerHost,
 		allDone:     sim.NewCond(k),
 	}
@@ -134,9 +133,6 @@ func (s *Swarm) Start(startInterval time.Duration) {
 		k.After(time.Duration(i)*startInterval, func() { c.Start() })
 	}
 }
-
-// CompletedCount returns how many clients have finished so far.
-func (s *Swarm) CompletedCount() int { return s.completed }
 
 // WaitAll parks until every client completes or the timeout elapses; it
 // reports whether all completed.

@@ -51,14 +51,6 @@ type TrackerConfig struct {
 	ExpireAfter int
 }
 
-// TrackerStats counts tracker activity.
-type TrackerStats struct {
-	Announces int
-	Started   int
-	Completed int
-	Stopped   int
-}
-
 // Tracker is the rendezvous service: it registers announcing peers per
 // info-hash and returns random peer subsets. Announces and responses
 // travel over vnet connections as typed values, each charged at the
@@ -69,7 +61,6 @@ type Tracker struct {
 	host   *vnet.Host
 	cfg    TrackerConfig
 	swarms map[[20]byte]*swarmPeers
-	stats  TrackerStats
 
 	// permScratch is the reusable buffer for the per-announce random
 	// permutation: rand.Perm allocates len(order) ints per call, which
@@ -83,8 +74,7 @@ type swarmPeers struct {
 }
 
 type trackerPeer struct {
-	ep       ip.Endpoint
-	complete bool
+	ep ip.Endpoint
 	// lastSeen is the virtual instant of the peer's latest announce;
 	// expiry prunes peers silent for ExpireAfter intervals. Virtual
 	// time, never wall time: expiry decisions are trace-visible (they
@@ -153,12 +143,6 @@ func decLen(n int64) int {
 	return l
 }
 
-// NewTracker creates a tracker with the default announce lifecycle on
-// the given host and starts its accept loop on TrackerPort.
-func NewTracker(host *vnet.Host) *Tracker {
-	return NewTrackerConfig(host, TrackerConfig{})
-}
-
 // NewTrackerConfig is NewTracker with an explicit announce lifecycle
 // (zero fields take defaults).
 func NewTrackerConfig(host *vnet.Host, cfg TrackerConfig) *Tracker {
@@ -182,33 +166,6 @@ func (t *Tracker) expireAfter() time.Duration {
 		n = 2
 	}
 	return time.Duration(n) * t.interval()
-}
-
-// Stats returns a snapshot of announce counters.
-func (t *Tracker) Stats() TrackerStats { return t.stats }
-
-// PeerCount returns how many peers are registered for a torrent.
-func (t *Tracker) PeerCount(infoHash [20]byte) int {
-	sw := t.swarms[infoHash]
-	if sw == nil {
-		return 0
-	}
-	return len(sw.order)
-}
-
-// CompletedCount returns how many registered peers have completed.
-func (t *Tracker) CompletedCount(infoHash [20]byte) int {
-	sw := t.swarms[infoHash]
-	if sw == nil {
-		return 0
-	}
-	n := 0
-	for _, p := range sw.order {
-		if p.complete {
-			n++
-		}
-	}
-	return n
 }
 
 func (t *Tracker) serve(p *sim.Proc) {
@@ -263,7 +220,6 @@ func (t *Tracker) announce(req *announceReq, from ip.Addr) (*announceResp, error
 	// the announce: a returning silent peer re-registers below, and a
 	// fresh peer never sees the dead endpoints.
 	t.expire(sw, now)
-	t.stats.Announces++
 	switch event := req.event; event {
 	case EventStarted, EventEmpty, EventCompleted:
 		// A peer that registers port 0 (or garbage) is unreachable:
@@ -273,21 +229,13 @@ func (t *Tracker) announce(req *announceReq, from ip.Addr) (*announceResp, error
 		if req.port <= 0 || req.port > 65535 {
 			return nil, fmt.Errorf("invalid port %d", req.port)
 		}
-		if event == EventStarted {
-			t.stats.Started++
-		}
-		if event == EventCompleted {
-			t.stats.Completed++
-		}
 		if i, known := sw.index[self]; known {
-			sw.order[i].complete = req.left == 0 || event == EventCompleted
 			sw.order[i].lastSeen = now
 		} else {
 			sw.index[self] = len(sw.order)
-			sw.order = append(sw.order, trackerPeer{ep: self, complete: req.left == 0, lastSeen: now})
+			sw.order = append(sw.order, trackerPeer{ep: self, lastSeen: now})
 		}
 	case EventStopped:
-		t.stats.Stopped++
 		if i, known := sw.index[self]; known {
 			last := len(sw.order) - 1
 			sw.index[sw.order[last].ep] = i

@@ -11,7 +11,6 @@ const WebSeedPort ip.Port = 8080
 
 // WebSeedStats counts a web seed's serving activity.
 type WebSeedStats struct {
-	Requests    uint64
 	BytesServed uint64
 }
 
@@ -25,7 +24,6 @@ type WebSeedStats struct {
 // which is exactly the CDN-fallback role the real thing plays.
 type WebSeed struct {
 	host  *vnet.Host
-	meta  *MetaInfo
 	store Storage
 	stats WebSeedStats
 }
@@ -33,15 +31,9 @@ type WebSeed struct {
 // NewWebSeed creates a web seed on host serving the torrent from
 // store (normally a seeded storage) and starts its accept loop.
 func NewWebSeed(host *vnet.Host, meta *MetaInfo, store Storage) *WebSeed {
-	w := &WebSeed{host: host, meta: meta, store: store}
+	w := &WebSeed{host: host, store: store}
 	host.Network().Kernel().Go("webseed-"+host.Addr().String(), w.serve)
 	return w
-}
-
-// Endpoint returns the address clients configure in
-// ClientConfig.WebSeeds.
-func (w *WebSeed) Endpoint() ip.Endpoint {
-	return ip.Endpoint{Addr: w.host.Addr(), Port: WebSeedPort}
 }
 
 // Stats returns a snapshot of serving counters.
@@ -94,7 +86,6 @@ func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
 		if err := cn.SendMeta(p, out.WireSize(), out); err != nil {
 			return
 		}
-		w.stats.Requests++
 		w.stats.BytesServed += uint64(out.BlockLen())
 	}
 }

@@ -35,7 +35,6 @@ const HandshakeSize = 68
 // Handshake opens every peer connection.
 type Handshake struct {
 	InfoHash [20]byte
-	PeerID   [20]byte
 }
 
 // Msg is one peer wire message. Messages travel as sparse vnet payloads

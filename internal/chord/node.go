@@ -20,8 +20,6 @@ const (
 	rpcGetPredecessor
 	rpcNotify
 	rpcPing
-	rpcGet
-	rpcPut
 	rpcReply
 )
 
@@ -31,13 +29,11 @@ type rpcMsg struct {
 	Target ID      // find_successor
 	Node   NodeRef // notify / replies carrying a node
 	OK     bool
-	Key    string // get/put
-	Value  string
 	Hops   int // accumulated forwarding hops (diagnostics)
 }
 
-// wireSize approximates the message's wire footprint.
-func (m rpcMsg) wireSize() int { return 48 + len(m.Key) + len(m.Value) }
+// rpcSize approximates a message's wire footprint.
+const rpcSize = 48
 
 // Maintenance-protocol settings: the Chord paper's simulation settings,
 // scaled to interactive experiment lengths.
@@ -62,8 +58,6 @@ type Node struct {
 	finger      [M]NodeRef
 	nextFinger  int
 
-	store map[string]string
-
 	alive bool
 
 	// Stats accumulate over the node's lifetime.
@@ -72,19 +66,15 @@ type Node struct {
 
 // NodeStats counts protocol activity.
 type NodeStats struct {
-	LookupsServed uint64 // find_successor requests answered
-	LookupsSent   uint64
-	Stabilizes    uint64
-	Timeouts      uint64
+	Timeouts uint64
 }
 
 // NewNode creates a Chord node on host h. Call Create or Join to start
 // it.
 func NewNode(h *vnet.Host) *Node {
 	n := &Node{
-		h:     h,
-		id:    HashAddr(h.Addr()),
-		store: make(map[string]string),
+		h:  h,
+		id: HashAddr(h.Addr()),
 	}
 	n.ref = NodeRef{ID: n.id, Addr: ip.Endpoint{Addr: h.Addr(), Port: Port}}
 	n.successors = make([]NodeRef, 1, successorListLen)
@@ -93,15 +83,6 @@ func NewNode(h *vnet.Host) *Node {
 
 // Ref returns the node's ring identity.
 func (n *Node) Ref() NodeRef { return n.ref }
-
-// ID returns the node's ring identifier.
-func (n *Node) ID() ID { return n.id }
-
-// Successor returns the current successor pointer.
-func (n *Node) Successor() NodeRef { return n.successors[0] }
-
-// Alive reports whether the node is running.
-func (n *Node) Alive() bool { return n.alive }
 
 // Create starts the node as the first member of a new ring.
 func (n *Node) Create() {
@@ -127,10 +108,6 @@ func (n *Node) Join(bootstrap ip.Endpoint) {
 	})
 }
 
-// Leave stops the node abruptly (a churn departure: no graceful
-// handoff, as in the Chord paper's failure model).
-func (n *Node) Leave() { n.alive = false }
-
 // start launches the server loop and the maintenance ticker.
 func (n *Node) start() {
 	n.alive = true
@@ -146,7 +123,6 @@ func (n *Node) start() {
 			n.stabilize(p)
 			n.fixFinger(p)
 			n.checkPredecessor(p)
-			n.Stats.Stabilizes++
 		}
 	})
 }
@@ -184,14 +160,13 @@ func (n *Node) handle(p *sim.Proc, c *vnet.Conn) {
 	}
 	reply := n.dispatch(p, req)
 	reply.Kind = rpcReply
-	c.SendMeta(p, reply.wireSize(), reply)
+	c.SendMeta(p, rpcSize, reply)
 }
 
 // dispatch executes one request against local state.
 func (n *Node) dispatch(p *sim.Proc, req rpcMsg) rpcMsg {
 	switch req.Kind {
 	case rpcFindSuccessor:
-		n.Stats.LookupsServed++
 		return n.findSuccessor(p, req.Target, req.Hops)
 	case rpcGetPredecessor:
 		return rpcMsg{Node: n.predecessor, OK: true}
@@ -199,12 +174,6 @@ func (n *Node) dispatch(p *sim.Proc, req rpcMsg) rpcMsg {
 		n.notify(req.Node)
 		return rpcMsg{OK: true}
 	case rpcPing:
-		return rpcMsg{OK: true}
-	case rpcGet:
-		v, ok := n.store[req.Key]
-		return rpcMsg{Value: v, OK: ok}
-	case rpcPut:
-		n.store[req.Key] = req.Value
 		return rpcMsg{OK: true}
 	default:
 		return rpcMsg{OK: false}
@@ -337,14 +306,13 @@ func (n *Node) call(p *sim.Proc, to ip.Endpoint, req rpcMsg) (rpcMsg, error) {
 		// Local fast path: no network.
 		return n.dispatch(p, req), nil
 	}
-	n.Stats.LookupsSent++
 	c, err := n.h.Dial(p, to)
 	if err != nil {
 		n.Stats.Timeouts++
 		return rpcMsg{}, errRPC
 	}
 	defer c.Close(p)
-	if err := c.SendMeta(p, req.wireSize(), req); err != nil {
+	if err := c.SendMeta(p, rpcSize, req); err != nil {
 		return rpcMsg{}, errRPC
 	}
 	pk, ok, err := c.RecvTimeout(p, rpcTimeout)
@@ -361,6 +329,7 @@ func (n *Node) call(p *sim.Proc, to ip.Endpoint, req rpcMsg) (rpcMsg, error) {
 
 // LookupResult reports one resolved lookup.
 type LookupResult struct {
+	//lint:allow unused chord's correctness tests check each lookup's owner against the ring
 	Owner   NodeRef
 	Hops    int
 	Latency time.Duration
@@ -379,27 +348,4 @@ func (n *Node) Lookup(p *sim.Proc, key string) (LookupResult, error) {
 		Hops:    reply.Hops,
 		Latency: time.Duration(p.Now().Sub(start)),
 	}, nil
-}
-
-// Put stores a key/value pair at its owner node.
-func (n *Node) Put(p *sim.Proc, key, value string) error {
-	res, err := n.Lookup(p, key)
-	if err != nil {
-		return err
-	}
-	_, err = n.call(p, res.Owner.Addr, rpcMsg{Kind: rpcPut, Key: key, Value: value})
-	return err
-}
-
-// Get fetches a key from its owner node.
-func (n *Node) Get(p *sim.Proc, key string) (string, bool, error) {
-	res, err := n.Lookup(p, key)
-	if err != nil {
-		return "", false, err
-	}
-	reply, err := n.call(p, res.Owner.Addr, rpcMsg{Kind: rpcGet, Key: key})
-	if err != nil {
-		return "", false, err
-	}
-	return reply.Value, reply.OK, nil
 }

@@ -18,8 +18,6 @@ import (
 type Lifetime interface {
 	// Sample draws one duration.
 	Sample(rng *rand.Rand) time.Duration
-	// Mean returns the distribution mean (for reporting).
-	Mean() time.Duration
 }
 
 // Exponential is the memoryless session-time model.
@@ -31,9 +29,6 @@ type Exponential struct {
 func (e Exponential) Sample(rng *rand.Rand) time.Duration {
 	return time.Duration(rng.ExpFloat64() * float64(e.MeanDuration))
 }
-
-// Mean implements Lifetime.
-func (e Exponential) Mean() time.Duration { return e.MeanDuration }
 
 // Pareto is the heavy-tailed session model measured in deployed P2P
 // systems (most sessions short, a few very long). Alpha must be > 1
@@ -51,26 +46,6 @@ func (p Pareto) Sample(rng *rand.Rand) time.Duration {
 	}
 	return time.Duration(float64(p.Scale) / math.Pow(u, 1/p.Alpha))
 }
-
-// Mean implements Lifetime. For α ≤ 1 the mean diverges and the
-// maximum representable duration is returned.
-func (p Pareto) Mean() time.Duration {
-	if p.Alpha <= 1 {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(float64(p.Scale) * p.Alpha / (p.Alpha - 1))
-}
-
-// Fixed is a deterministic lifetime, for tests.
-type Fixed struct {
-	D time.Duration
-}
-
-// Sample implements Lifetime.
-func (f Fixed) Sample(*rand.Rand) time.Duration { return f.D }
-
-// Mean implements Lifetime.
-func (f Fixed) Mean() time.Duration { return f.D }
 
 // Peer is anything the churn driver can bring up and down.
 type Peer interface {
@@ -163,24 +138,4 @@ func (d *Driver) scheduleDeparture(peer Peer, idx int, after time.Duration) {
 		down := d.cfg.Downtime.Sample(d.k.Rand())
 		d.scheduleArrival(peer, idx, down)
 	})
-}
-
-// FuncPeer adapts two closures into a Peer.
-type FuncPeer struct {
-	Up   func(p *sim.Proc)
-	Down func(p *sim.Proc)
-}
-
-// Online implements Peer.
-func (f FuncPeer) Online(p *sim.Proc) {
-	if f.Up != nil {
-		f.Up(p)
-	}
-}
-
-// Offline implements Peer.
-func (f FuncPeer) Offline(p *sim.Proc) {
-	if f.Down != nil {
-		f.Down(p)
-	}
 }

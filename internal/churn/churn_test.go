@@ -21,9 +21,6 @@ func TestExponentialMean(t *testing.T) {
 	if got < 95*time.Second || got > 105*time.Second {
 		t.Fatalf("empirical mean = %v, want ≈100s", got)
 	}
-	if e.Mean() != 100*time.Second {
-		t.Fatal("Mean() wrong")
-	}
 }
 
 func TestParetoProperties(t *testing.T) {
@@ -47,16 +44,6 @@ func TestParetoProperties(t *testing.T) {
 	if got < 18*time.Second || got > 22*time.Second {
 		t.Fatalf("empirical mean = %v, want ≈20s", got)
 	}
-	if p.Mean() != 20*time.Second {
-		t.Fatalf("Mean() = %v", p.Mean())
-	}
-}
-
-func TestParetoInfiniteMean(t *testing.T) {
-	p := Pareto{Scale: time.Second, Alpha: 1}
-	if p.Mean() < time.Duration(1<<62) {
-		t.Fatal("α ≤ 1 must report an unbounded mean")
-	}
 }
 
 func TestParetoSamplesPositive(t *testing.T) {
@@ -77,7 +64,7 @@ func TestParetoSamplesPositive(t *testing.T) {
 
 func TestFixedLifetime(t *testing.T) {
 	f := Fixed{D: 5 * time.Second}
-	if f.Sample(nil) != 5*time.Second || f.Mean() != 5*time.Second {
+	if f.Sample(nil) != 5*time.Second {
 		t.Fatal("Fixed broken")
 	}
 }

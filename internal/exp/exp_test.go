@@ -248,7 +248,7 @@ func TestFig9FoldingInvariance(t *testing.T) {
 	}
 	totalWant := float64(32) * 2 // 32 clients × 2 MB, in MB
 	for _, s := range series {
-		if got := s.LastY(); got < totalWant*0.99 || got > totalWant*1.01 {
+		if got := s.Points[len(s.Points)-1].Y; got < totalWant*0.99 || got > totalWant*1.01 {
 			t.Errorf("%s: final total = %.1f MB, want %.1f", s.Name, got, totalWant)
 		}
 	}
@@ -283,12 +283,12 @@ func TestProgressAndCompletionSeries(t *testing.T) {
 	res := runSwarm(t, smallSwarm(16))
 	fileSize := res.Spec.Workload.FileSize
 	ps := ProgressSeries("c0", res.Progress[0], fileSize)
-	if ps.LastY() != 100 {
-		t.Fatalf("final percent = %v", ps.LastY())
+	if ps.Points[len(ps.Points)-1].Y != 100 {
+		t.Fatalf("final percent = %v", ps.Points[len(ps.Points)-1].Y)
 	}
 	cs := CompletionSeries(res.Completions)
-	if cs.LastY() != 16 {
-		t.Fatalf("final completions = %v, want 16", cs.LastY())
+	if cs.Points[len(cs.Points)-1].Y != 16 {
+		t.Fatalf("final completions = %v, want 16", cs.Points[len(cs.Points)-1].Y)
 	}
 	// The merged piece stream: one point per piece per client, in time
 	// order, summing to clients × file size.
@@ -302,8 +302,8 @@ func TestProgressAndCompletionSeries(t *testing.T) {
 			t.Fatalf("piece stream goes back in time at %d: %v after %v", i, ts.Points[i].X, ts.Points[i-1].X)
 		}
 	}
-	if ts.LastY() != 32 {
-		t.Errorf("total received = %v MB, want 32", ts.LastY())
+	if ts.Points[len(ts.Points)-1].Y != 32 {
+		t.Errorf("total received = %v MB, want 32", ts.Points[len(ts.Points)-1].Y)
 	}
 }
 

@@ -224,13 +224,10 @@ func Fig6Indexed(counts []int) []*metrics.Series {
 // Fig7Result reports the topology-latency check around the paper's
 // worked example (853 ms measured between 10.1.3.207 and 10.2.2.117).
 type Fig7Result struct {
-	RTT          time.Duration
-	ModelRTT     time.Duration // 850 ms: 2×(egress+group+ingress)
-	Overhead     time.Duration // emulation overhead beyond the model
-	EgressDelay  time.Duration // 20 ms
-	GroupDelay   time.Duration // 400 ms
-	IngressDelay time.Duration // 5 ms
-	Hosts        int
+	RTT      time.Duration
+	ModelRTT time.Duration // 850 ms: 2×(egress+group+ingress)
+	Overhead time.Duration // emulation overhead beyond the model
+	Hosts    int
 }
 
 // Fig7 builds the full Fig 7 topology (2750 nodes in 5 groups over 3
@@ -254,11 +251,8 @@ func Fig7(physNodes int, seed int64) (Fig7Result, error) {
 		return Fig7Result{}, fmt.Errorf("exp: fig7 endpoints missing")
 	}
 	res := Fig7Result{
-		ModelRTT:     850 * time.Millisecond,
-		EgressDelay:  topo.FastDSL.Latency,
-		GroupDelay:   400 * time.Millisecond,
-		IngressDelay: topo.Campus.Latency,
-		Hosts:        len(a.Hosts),
+		ModelRTT: 850 * time.Millisecond,
+		Hosts:    len(a.Hosts),
 	}
 	var ok bool
 	k.Go("pinger", func(p *sim.Proc) {

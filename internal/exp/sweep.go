@@ -87,7 +87,6 @@ type Grid struct {
 
 // Cell is one point of the grid.
 type Cell struct {
-	Index      int // position in grid order
 	Experiment Experiment
 	Peers      int
 	Churn      float64
@@ -235,7 +234,6 @@ func (g Grid) Cells() ([]Cell, error) {
 		}
 		if !seen[c] {
 			seen[c] = true
-			c.Index = len(cells)
 			cells = append(cells, c)
 		}
 	}

@@ -58,10 +58,7 @@ func TestGridExpansion(t *testing.T) {
 		t.Fatalf("expanded %d cells, want 12", len(cells))
 	}
 	seen := map[string]bool{}
-	for i, c := range cells {
-		if c.Index != i {
-			t.Fatalf("cell %d has Index %d", i, c.Index)
-		}
+	for _, c := range cells {
 		key := c.String()
 		if seen[key] {
 			t.Fatalf("duplicate cell %s", key)
@@ -238,8 +235,12 @@ func TestSweepWorkerCountIndependence(t *testing.T) {
 		t.Fatalf("merged aggregates depend on worker count:\nserial %+v\nwide %+v",
 			serial.Merged, wide.Merged)
 	}
-	if serial.Merged.Cells != 4 {
-		t.Fatalf("merged %d cells, want 4", serial.Merged.Cells)
+	want := metrics.NewAggregate()
+	for _, c := range serial.Cells {
+		want.Add(c.Snapshot)
+	}
+	if len(serial.Cells) != 4 || !reflect.DeepEqual(serial.Merged, want) {
+		t.Fatalf("merged aggregate is not the sum of the 4 cells:\ngot  %+v\nwant %+v", serial.Merged, want)
 	}
 }
 
@@ -264,8 +265,10 @@ func TestSweepFailingCellIsolation(t *testing.T) {
 	if res.Cells[1].Err != nil || res.Cells[1].Snapshot == nil {
 		t.Fatalf("sibling cell poisoned: err=%v", res.Cells[1].Err)
 	}
-	if res.Merged.Cells != 1 {
-		t.Fatalf("merged %d cells, want 1", res.Merged.Cells)
+	want := metrics.NewAggregate()
+	want.Add(res.Cells[1].Snapshot)
+	if !reflect.DeepEqual(res.Merged, want) {
+		t.Fatalf("merged aggregate is not the sibling cell's alone:\ngot  %+v\nwant %+v", res.Merged, want)
 	}
 	errs := res.Errs()
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "dht[peers=1") {

@@ -26,7 +26,7 @@ func refMaxMin(m *Model) map[*xfer]float64 {
 			links = append(links, l)
 		}
 	}
-	sort.Slice(links, func(i, j int) bool { return links[i].id < links[j].id })
+	sort.Slice(links, func(i, j int) bool { return links[i].pipe.Name() < links[j].pipe.Name() })
 	residual := map[*link]float64{}
 	active := map[*link]int{}
 	rates := map[*xfer]float64{}

@@ -62,7 +62,6 @@ import (
 
 // link is the fluid counterpart of one bandwidth-constrained pipe.
 type link struct {
-	id    uint64
 	pipe  *netem.Pipe
 	flows []*xfer // flows crossing the link, arrival order
 
@@ -114,7 +113,6 @@ type xfer struct {
 type Stats struct {
 	Started     uint64 // flows admitted
 	Completed   uint64 // flows delivered
-	Lost        uint64 // dropped by per-pipe random loss at entry
 	Solves      uint64 // regions re-solved: one per flush, so one per churn event at window 0
 	SolvedFlows uint64 // flows re-leveled across all re-solves
 	Rerates     uint64 // rate assignments applied (incl. initial)
@@ -143,7 +141,6 @@ type Model struct {
 	cfg        Config
 	links      map[*netem.Pipe]*link
 	nextFlowID uint64
-	nextLinkID uint64
 	epoch      uint64
 	tracer     *trace.Log
 	stats      Stats
@@ -184,8 +181,7 @@ func (m *Model) Stats() Stats { return m.stats }
 func (m *Model) linkFor(p *netem.Pipe) *link {
 	l := m.links[p]
 	if l == nil {
-		m.nextLinkID++
-		l = &link{id: m.nextLinkID, pipe: p}
+		l = &link{pipe: p}
 		m.links[p] = l
 	}
 	return l
@@ -249,7 +245,6 @@ func (m *Model) Transfer(at sim.Time, size int, path []*netem.Pipe, rng *rand.Ra
 	for _, p := range path {
 		cfg := p.Config()
 		if cfg.Loss > 0 && rng.Float64() < cfg.Loss {
-			m.stats.Lost++
 			p.AccountLoss()
 			m.release(f)
 			done(0, false)

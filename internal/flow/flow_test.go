@@ -200,8 +200,8 @@ func TestLossAndQueueAdmission(t *testing.T) {
 	m.Transfer(0, 1024, []*netem.Pipe{lossy}, k.Rand(), func(_ sim.Time, ok bool) {
 		dropped = !ok
 	})
-	if !dropped || m.stats.Lost != 1 {
-		t.Errorf("loss=1 pipe delivered (dropped=%v, lost=%d)", dropped, m.stats.Lost)
+	if !dropped {
+		t.Error("loss=1 pipe delivered")
 	}
 	if m.stats.Started != 0 || lossy.Stats().Lost != 1 {
 		t.Errorf("lost message started a flow or went unaccounted (started=%d, pipe lost=%d)",
@@ -210,7 +210,7 @@ func TestLossAndQueueAdmission(t *testing.T) {
 }
 
 // TestPipeStatsAccounting: the flow model keeps the traversed pipes'
-// Messages/Bytes counters (and so Utilization) meaningful.
+// Messages/Bytes counters (and so their utilization) meaningful.
 func TestPipeStatsAccounting(t *testing.T) {
 	k := sim.New(1)
 	m := NewWithConfig(k, Config{})
@@ -229,7 +229,7 @@ func TestPipeStatsAccounting(t *testing.T) {
 	}
 	// 2 Mbit through a 1 Mbps pipe over the 2 s the run took: fully
 	// utilized.
-	if u := up.Utilization(netem.PipeStats{}, 0, k.Now()); u < 0.99 {
+	if u := float64(up.Stats().Bytes) * 8 / (float64(up.Config().Bandwidth) * k.Now().Sub(0).Seconds()); u < 0.99 {
 		t.Errorf("uplink utilization = %v, want ~1", u)
 	}
 }

@@ -27,9 +27,7 @@ const Port ip.Port = 4100
 
 // Update is one disseminated item.
 type Update struct {
-	ID      uint64
-	Origin  ip.Addr
-	Payload string
+	ID uint64
 }
 
 // byID orders updates by ID. The sorts here go through package slices:
@@ -90,30 +88,22 @@ type Node struct {
 	hot   map[uint64]int // rounds remaining as a hot rumor
 	alive bool
 
-	// FirstSeen records when each update arrived (the dissemination-
-	// latency measurement).
-	FirstSeen map[uint64]sim.Time
-
 	// Stats counts protocol activity.
 	Stats NodeStats
 }
 
 // NodeStats counts gossip traffic.
 type NodeStats struct {
-	Pushes       uint64
-	Digests      uint64
-	UpdatesRecvd uint64
-	Duplicates   uint64
+	Pushes uint64
 }
 
 // NewNode creates a gossip node on host h.
 func NewNode(h *vnet.Host, cfg Config) *Node {
 	return &Node{
-		h:         h,
-		cfg:       cfg,
-		known:     make(map[uint64]Update),
-		hot:       make(map[uint64]int),
-		FirstSeen: make(map[uint64]sim.Time),
+		h:     h,
+		cfg:   cfg,
+		known: make(map[uint64]Update),
+		hot:   make(map[uint64]int),
 	}
 }
 
@@ -148,25 +138,18 @@ func (n *Node) Start() {
 	}
 }
 
-// Stop halts the node.
-func (n *Node) Stop() { n.alive = false }
-
 // Publish introduces a new update at this node.
-func (n *Node) Publish(p *sim.Proc, u Update) {
-	n.learn(p.Now(), u)
+func (n *Node) Publish(u Update) {
+	n.learn(u)
 }
 
 // learn ingests an update, marking it hot if new.
-func (n *Node) learn(now sim.Time, u Update) bool {
+func (n *Node) learn(u Update) {
 	if _, dup := n.known[u.ID]; dup {
-		n.Stats.Duplicates++
-		return false
+		return
 	}
 	n.known[u.ID] = u
 	n.hot[u.ID] = n.cfg.HotRounds
-	n.FirstSeen[u.ID] = now
-	n.Stats.UpdatesRecvd++
-	return true
 }
 
 // gossipRound pushes all hot rumors to Fanout random peers.
@@ -220,7 +203,6 @@ func (n *Node) antiEntropy(p *sim.Proc) {
 	if target.Addr == n.h.Addr() {
 		return
 	}
-	n.Stats.Digests++
 	n.sendAsync(p, target, wireMsg{Kind: kindDigest, Have: n.digestIDs()})
 }
 
@@ -291,7 +273,7 @@ func (n *Node) sendAsync(p *sim.Proc, to ip.Endpoint, m wireMsg) {
 			}
 			if reply, isMsg := pk.Meta.(wireMsg); isMsg {
 				for _, u := range reply.Updates {
-					n.learn(p.Now(), u)
+					n.learn(u)
 				}
 			}
 		}
@@ -323,7 +305,7 @@ func (n *Node) serve(p *sim.Proc) {
 			switch m.Kind {
 			case kindPush:
 				for _, u := range m.Updates {
-					n.learn(p.Now(), u)
+					n.learn(u)
 				}
 			case kindDigest:
 				reply := wireMsg{Kind: kindDigestReply, Updates: n.missingFor(m.Have)}

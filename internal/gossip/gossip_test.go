@@ -51,7 +51,7 @@ func TestRumorReachesEveryone(t *testing.T) {
 	k, nodes := population(t, 1, 32, lan, DefaultConfig())
 	k.Go("publisher", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		nodes[0].Publish(p, Update{ID: 1, Origin: nodes[0].h.Addr(), Payload: "hello"})
+		nodes[0].Publish(Update{ID: 1})
 		p.Sleep(30 * time.Second)
 		if got := coverage(nodes, 1); got != 32 {
 			t.Errorf("coverage = %d/32 after 30s", got)
@@ -70,7 +70,7 @@ func TestDisseminationIsLogarithmicRounds(t *testing.T) {
 	var at90 sim.Time
 	k.Go("driver", func(p *sim.Proc) {
 		start := p.Now()
-		nodes[0].Publish(p, Update{ID: 7})
+		nodes[0].Publish(Update{ID: 7})
 		for coverage(nodes, 7) < 58 { // 90% of 64
 			p.Sleep(500 * time.Millisecond)
 			if p.Now().Sub(start) > 5*time.Minute {
@@ -96,7 +96,7 @@ func TestAntiEntropyRepairsMissedRumor(t *testing.T) {
 	cfg := Config{Fanout: 1, HotRounds: 1, Round: time.Second, AntiEntropy: 5 * time.Second}
 	k, nodes := population(t, 1, 5, lan, cfg)
 	k.Go("driver", func(p *sim.Proc) {
-		nodes[0].Publish(p, Update{ID: 42})
+		nodes[0].Publish(Update{ID: 42})
 		p.Sleep(4 * time.Minute)
 		if got := coverage(nodes, 42); got != 5 {
 			t.Errorf("anti-entropy left coverage at %d/5", got)
@@ -115,7 +115,7 @@ func TestNoAntiEntropyMayStrand(t *testing.T) {
 	k, nodes := population(t, 1, 5, lan, cfg)
 	var covered int
 	k.Go("driver", func(p *sim.Proc) {
-		nodes[0].Publish(p, Update{ID: 42})
+		nodes[0].Publish(Update{ID: 42})
 		p.Sleep(4 * time.Minute)
 		covered = coverage(nodes, 42)
 		k.Stop()
@@ -135,7 +135,7 @@ func TestMultipleUpdatesAllDisseminate(t *testing.T) {
 	k, nodes := population(t, 1, 16, lan, DefaultConfig())
 	k.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			nodes[i%16].Publish(p, Update{ID: uint64(100 + i)})
+			nodes[i%16].Publish(Update{ID: uint64(100 + i)})
 			p.Sleep(500 * time.Millisecond)
 		}
 		p.Sleep(time.Minute)
@@ -152,16 +152,31 @@ func TestMultipleUpdatesAllDisseminate(t *testing.T) {
 }
 
 func TestDuplicatesCounted(t *testing.T) {
-	k, nodes := population(t, 1, 8, lan, DefaultConfig())
+	cfg := DefaultConfig()
+	k, nodes := population(t, 1, 8, lan, cfg)
 	k.Go("driver", func(p *sim.Proc) {
-		nodes[0].Publish(p, Update{ID: 1})
+		nodes[0].Publish(Update{ID: 1})
 		p.Sleep(30 * time.Second)
-		var dups uint64
+		// At most 7 pushes can be first deliveries to the other nodes;
+		// the rest are duplicates, arriving at a node that already
+		// knows the update.
+		var pushes uint64
 		for _, nd := range nodes {
-			dups += nd.Stats.Duplicates
+			pushes += nd.Stats.Pushes
 		}
-		if dups == 0 {
-			t.Error("push gossip with fanout 3 must produce duplicates")
+		if dups := int64(pushes) - int64(len(nodes)-1); dups <= 0 {
+			t.Errorf("%d pushes, %d duplicates: push gossip with fanout 3 must produce duplicates", pushes, dups)
+		}
+		// A duplicate is dropped: it neither replaces the known update
+		// nor makes the rumor hot again, so every node pushed it in at
+		// most HotRounds rounds and has stopped.
+		for i, nd := range nodes {
+			if len(nd.known) != 1 || len(nd.hot) != 0 {
+				t.Errorf("node %d: %d known, %d hot after 30 s, want 1 and 0", i, len(nd.known), len(nd.hot))
+			}
+			if limit := uint64(cfg.HotRounds * cfg.Fanout); nd.Stats.Pushes > limit {
+				t.Errorf("node %d pushed %d times, more than %d rounds × fanout %d", i, nd.Stats.Pushes, cfg.HotRounds, cfg.Fanout)
+			}
 		}
 		k.Stop()
 	})
@@ -178,7 +193,7 @@ func TestLatencyScalesWithLinkClass(t *testing.T) {
 		var done sim.Time
 		k.Go("driver", func(p *sim.Proc) {
 			start := p.Now()
-			nodes[0].Publish(p, Update{ID: 5})
+			nodes[0].Publish(Update{ID: 5})
 			for coverage(nodes, 5) < 16 && p.Now().Sub(start) < 5*time.Minute {
 				p.Sleep(250 * time.Millisecond)
 			}
@@ -197,37 +212,13 @@ func TestLatencyScalesWithLinkClass(t *testing.T) {
 	}
 }
 
-func TestFirstSeenRecorded(t *testing.T) {
-	k, nodes := population(t, 1, 8, lan, DefaultConfig())
-	k.Go("driver", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		nodes[0].Publish(p, Update{ID: 9})
-		p.Sleep(30 * time.Second)
-		for i, nd := range nodes {
-			if _, ok := nd.FirstSeen[9]; !ok && nd.Knows(9) {
-				t.Errorf("node %d knows update but has no FirstSeen", i)
-			}
-		}
-		// The origin saw it first.
-		for i, nd := range nodes[1:] {
-			if nd.Knows(9) && nd.FirstSeen[9] < nodes[0].FirstSeen[9] {
-				t.Errorf("node %d saw the update before its origin", i+1)
-			}
-		}
-		k.Stop()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStoppedNodeStopsGossiping(t *testing.T) {
 	k, nodes := population(t, 1, 8, lan, DefaultConfig())
 	k.Go("driver", func(p *sim.Proc) {
 		nodes[3].Stop()
 		p.Sleep(2 * time.Second) // let its loops drain
 		before := nodes[3].Stats.Pushes
-		nodes[0].Publish(p, Update{ID: 11})
+		nodes[0].Publish(Update{ID: 11})
 		p.Sleep(30 * time.Second)
 		if nodes[3].Stats.Pushes != before {
 			t.Error("stopped node kept pushing")
@@ -247,10 +238,9 @@ func TestStoppedNodeStopsGossiping(t *testing.T) {
 // no matter what order the maps were populated in.
 func TestWirePayloadsSortedByID(t *testing.T) {
 	n := &Node{
-		known:     make(map[uint64]Update),
-		hot:       make(map[uint64]int),
-		FirstSeen: make(map[uint64]sim.Time),
-		cfg:       DefaultConfig(),
+		known: make(map[uint64]Update),
+		hot:   make(map[uint64]int),
+		cfg:   DefaultConfig(),
 	}
 	// Populate in descending order so an insertion-ordered (or
 	// map-iteration-ordered) implementation is maximally likely to

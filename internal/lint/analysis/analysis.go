@@ -43,7 +43,6 @@ type Diagnostic struct {
 // exclude _test.go files, since the invariants p2pvet enforces bind
 // emulation code, not host-side test harnesses.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package

@@ -3,7 +3,6 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 func sprintf(format string, args ...interface{}) string {
@@ -70,15 +69,4 @@ func DecodeFacts(data []byte) (FactSet, error) {
 		return nil, err
 	}
 	return fs, nil
-}
-
-// Keys returns the sorted keys under one analyzer namespace (test
-// helper).
-func (fs FactSet) Keys(analyzer string) []string {
-	var out []string
-	for k := range fs[analyzer] {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

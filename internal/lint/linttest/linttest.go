@@ -29,6 +29,8 @@ import (
 // flow across fixture package boundaries exactly as vetx files flow
 // under go vet — and checks every loaded fixture's diagnostics against
 // its // want comments.
+//
+//lint:allow unused test support: the lint package's tests run every analyzer fixture through it
 func Run(t *testing.T, srcRoot, pkgPath string, a *analysis.Analyzer) {
 	t.Helper()
 	l := &loader{
@@ -44,7 +46,6 @@ func Run(t *testing.T, srcRoot, pkgPath string, a *analysis.Analyzer) {
 	for _, p := range l.order { // dependencies first
 		var diags []analysis.Diagnostic
 		pass := &analysis.Pass{
-			Analyzer:  a,
 			Fset:      l.fset,
 			Files:     p.files,
 			Pkg:       p.pkg,

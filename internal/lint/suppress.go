@@ -67,8 +67,8 @@ func CollectSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 				continue
 			}
 			for _, c := range fd.Doc.List {
-				name, _, ok := parseAllow(c.Text)
-				if !ok || name == "" {
+				name, reason, ok := parseAllow(c.Text)
+				if !ok || name == "" || reason == "" {
 					continue
 				}
 				pos := fset.Position(fd.Pos())

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 )
@@ -29,48 +28,10 @@ func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Points) }
 
-// SortByX orders the samples by x coordinate (stable).
-func (s *Series) SortByX() {
-	sort.SliceStable(s.Points, func(i, j int) bool { return s.Points[i].X < s.Points[j].X })
-}
-
-// MinY and MaxY return the sample extremes; zero for empty series.
-func (s *Series) MinY() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].Y
-	for _, p := range s.Points {
-		if p.Y < m {
-			m = p.Y
-		}
-	}
-	return m
-}
-
-func (s *Series) MaxY() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].Y
-	for _, p := range s.Points {
-		if p.Y > m {
-			m = p.Y
-		}
-	}
-	return m
-}
-
-// LastY returns the final sample's y value (0 for empty series).
-func (s *Series) LastY() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].Y
-}
-
 // At returns the linearly interpolated y at x, clamping outside the
 // sampled range. The series must be sorted by X.
+//
+//lint:allow unused exp's folding test compares two curves through it
 func (s *Series) At(x float64) float64 {
 	n := len(s.Points)
 	if n == 0 {
@@ -107,10 +68,10 @@ func CDF(samples []float64) Series {
 
 // Summary holds order statistics of a sample.
 type Summary struct {
-	N                int
-	Min, Max         float64
-	Mean, Stddev     float64
-	P10, Median, P90 float64
+	N           int
+	Min, Max    float64
+	Mean        float64
+	Median, P90 float64
 }
 
 // Summarize computes order statistics.
@@ -126,19 +87,6 @@ func Summarize(samples []float64) Summary {
 	}
 	n := float64(len(vs))
 	mean := sum / n
-	// Two-pass variance: E[(v-mean)^2] computed against the actual
-	// mean. The one-pass E[v^2]-mean^2 form cancels catastrophically
-	// when the mean dwarfs the spread (virtual-time timestamps hours
-	// into a run differing by milliseconds) and can even go negative.
-	var sq float64
-	for _, v := range vs {
-		d := v - mean
-		sq += d * d
-	}
-	variance := sq / n
-	if variance < 0 {
-		variance = 0
-	}
 	q := func(p float64) float64 {
 		idx := p * (n - 1)
 		lo := int(idx)
@@ -151,13 +99,9 @@ func Summarize(samples []float64) Summary {
 	}
 	return Summary{
 		N: len(vs), Min: vs[0], Max: vs[len(vs)-1],
-		Mean: mean, Stddev: math.Sqrt(variance),
-		P10: q(0.10), Median: q(0.50), P90: q(0.90),
+		Mean: mean, Median: q(0.50), P90: q(0.90),
 	}
 }
-
-// Spread returns Max-Min.
-func (s Summary) Spread() float64 { return s.Max - s.Min }
 
 // WriteDat renders series in gnuplot's "index" format: one block per
 // series, preceded by a comment header, blank-line separated.

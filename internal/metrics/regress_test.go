@@ -1,40 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"testing"
-)
-
-// TestSummarizeOffsetVariance is the regression test for the one-pass
-// variance formula: samples riding a large offset (virtual-time
-// timestamps hours into a run, differing by milliseconds) must keep
-// their exact spread. The old E[v^2]-mean^2 form lost every significant
-// digit of the deviation and could even go negative.
-func TestSummarizeOffsetVariance(t *testing.T) {
-	// Known sample {-1, 0, 1}: population stddev sqrt(2/3).
-	base := []float64{-1, 0, 1}
-	want := math.Sqrt(2.0 / 3.0)
-	for _, offset := range []float64{0, 1e6, 1e9, 1e12} {
-		vs := make([]float64, len(base))
-		for i, v := range base {
-			vs[i] = v + offset
-		}
-		got := Summarize(vs).Stddev
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("offset %g: stddev = %.12g, want %.12g", offset, got, want)
-		}
-	}
-
-	// Identical samples at a huge offset: exactly zero spread, and the
-	// result must not be NaN (a negative variance would be).
-	s := Summarize([]float64{1e15, 1e15, 1e15})
-	if s.Stddev != 0 {
-		t.Errorf("constant samples: stddev = %g, want 0", s.Stddev)
-	}
-	if math.IsNaN(s.Stddev) {
-		t.Error("stddev is NaN")
-	}
-}
+import "testing"
 
 func seq(n int) *Series {
 	s := &Series{Name: "seq"}

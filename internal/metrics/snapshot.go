@@ -43,7 +43,6 @@ func (s *Snapshot) Count(key string, n uint64) { s.Counters[key] += n }
 // independent of the order cells *finished* in as long as the caller
 // adds them in a fixed order.
 type Aggregate struct {
-	Cells    int
 	Counters map[string]uint64
 	// CounterCells tracks, per counter key, how many merged snapshots
 	// actually recorded that counter — cells that measure different
@@ -66,7 +65,6 @@ func (a *Aggregate) Add(s *Snapshot) {
 	if s == nil {
 		return
 	}
-	a.Cells++
 	for k, n := range s.Counters {
 		a.Counters[k] += n
 		a.CounterCells[k]++

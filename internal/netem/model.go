@@ -64,6 +64,8 @@ type PipeModel struct {
 }
 
 // NewPipeModel returns the store-and-forward model on kernel k.
+//
+//lint:allow unused the vnet and flow tests' shared oracle for both link models
 func NewPipeModel(k *sim.Kernel) *PipeModel { return &PipeModel{k: k} }
 
 // Transfer charges a size-byte message entering path at instant at and
@@ -72,6 +74,8 @@ func NewPipeModel(k *sim.Kernel) *PipeModel { return &PipeModel{k: k} }
 // at `at` (a sender's own up-link sees its messages in send order by
 // construction); every later hop is charged from an event at its
 // arrival instant.
+//
+//lint:allow unused the vnet and flow tests' shared oracle for both link models
 func (pm *PipeModel) Transfer(at sim.Time, size int, path []*Pipe, rng *rand.Rand, done func(sim.Time, bool)) {
 	var hop func(i int, t sim.Time)
 	hop = func(i int, t sim.Time) {

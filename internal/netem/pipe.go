@@ -163,26 +163,6 @@ func (p *Pipe) AccountTransfer(size int) {
 // this pipe's random loss.
 func (p *Pipe) AccountLoss() { p.stats.Lost++ }
 
-// Utilization returns the fraction of the interval [from, to] during
-// which the serializer was busy, computed from the bytes accepted over
-// the interval: prev must be the Stats snapshot taken at instant from
-// (the zero PipeStats for the start of the run). It is an aggregate
-// measure, not a per-instant one. Taking the snapshot as an argument
-// rather than lifetime counters is what lets per-phase callers report
-// each interval's own traffic instead of everything since boot.
-func (p *Pipe) Utilization(prev PipeStats, from, to sim.Time) float64 {
-	if p.cfg.Bandwidth <= 0 || to <= from {
-		return 0
-	}
-	sent := float64(p.stats.Bytes-prev.Bytes) * 8
-	capacity := float64(p.cfg.Bandwidth) * to.Sub(from).Seconds()
-	u := sent / capacity
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // Common link-rate constants, in bits per second.
 const (
 	Kbps int64 = 1_000

@@ -236,11 +236,6 @@ func (rs *RuleSet) Remove(id int) int {
 	return hi - lo
 }
 
-// AddPipe appends a pipe rule with the next free ID.
-func (rs *RuleSet) AddPipe(src, dst ip.Prefix, pipe *Pipe) {
-	rs.Add(Rule{ID: rs.NextID(), Src: src, Dst: dst, Action: ActionPipe, Pipe: pipe})
-}
-
 // AddCount appends a filler counting rule with the next free ID.
 func (rs *RuleSet) AddCount(src, dst ip.Prefix) {
 	rs.Add(Rule{ID: rs.NextID(), Src: src, Dst: dst, Action: ActionCount})
@@ -259,12 +254,6 @@ type RuleHandle struct {
 func (rs *RuleSet) AddHandle(r Rule) RuleHandle {
 	rs.Add(r)
 	return RuleHandle{ID: r.ID, seq: rs.nextSeq - 1}
-}
-
-// AddDeny appends a deny rule with the next free ID and returns a
-// handle pinning exactly that rule (for RemoveHandle).
-func (rs *RuleSet) AddDeny(src, dst ip.Prefix) RuleHandle {
-	return rs.AddHandle(Rule{ID: rs.NextID(), Src: src, Dst: dst, Action: ActionDeny})
 }
 
 // RemoveHandle removes exactly the rule the handle pins and reports
@@ -296,10 +285,6 @@ func (rs *RuleSet) NextID() int {
 
 // Len returns the number of rules in the table.
 func (rs *RuleSet) Len() int { return len(rs.rules) }
-
-// Rules returns the rules in evaluation order. The slice is shared; do
-// not mutate it.
-func (rs *RuleSet) Rules() []Rule { return rs.rules }
 
 // Eval classifies a src→dst packet with the active classifier,
 // collecting every matching pipe and stopping at the first Accept or

@@ -43,9 +43,6 @@ type Label struct {
 	Value string `json:"value"`
 }
 
-// L is shorthand for constructing a Label.
-func L(k, v string) Label { return Label{Key: k, Value: v} }
-
 // Kind discriminates metric families.
 type Kind string
 
@@ -91,13 +88,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add adjusts the value by delta.
-func (g *Gauge) Add(delta float64) {
-	if g != nil {
-		g.v += delta
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -130,22 +120,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.counts[len(h.bounds)]++
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum returns the sum of observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // series is one labelled instance of a family.

@@ -652,7 +652,7 @@ func (r *runner) startGossip() error {
 		p.Sleep(time.Second)
 		start := p.Now()
 		const updateID = 1
-		nodes[0].Publish(p, gossip.Update{ID: updateID})
+		nodes[0].Publish(gossip.Update{ID: updateID})
 		window := 5 * time.Minute
 		if h := r.spec.Horizon.D(); h < window {
 			window = h

@@ -7,7 +7,6 @@ import (
 
 // proc is the engine-side state of one simulated process.
 type proc struct {
-	id        int
 	remaining time.Duration
 	mem       int64
 	resident  int64
@@ -90,7 +89,6 @@ type engine struct {
 
 	residentTotal int64
 	running       []*proc // per CPU, nil when idle
-	swapUsed      bool
 
 	// Linux swap token.
 	tokenHolder   *proc
@@ -108,7 +106,6 @@ func Run(cfg Config, jobs []Job) Result {
 	}
 	for i, j := range jobs {
 		p := &proc{
-			id:        i,
 			remaining: j.Work,
 			mem:       j.Mem,
 			slice:     quantum,
@@ -124,13 +121,12 @@ func Run(cfg Config, jobs []Job) Result {
 	e.sched = newQueue(cfg.Kind, e.procs)
 	e.loop()
 
-	res := Result{Kind: cfg.Kind, SwapUsed: e.swapUsed}
+	var res Result
 	n := time.Duration(len(jobs))
 	for _, p := range e.procs {
 		if n > 0 {
 			amortized := batchFixedCost / n
 			p.stat.ExecTime += amortized
-			p.stat.CPUTime += amortized
 		}
 		res.Procs = append(res.Procs, p.stat)
 		if p.stat.Finish > res.Makespan {
@@ -163,15 +159,12 @@ func (e *engine) loop() {
 		}
 		t := ev.at
 		e.running[ev.cpu] = p
-		p.stat.Switches++
 		p.stat.ExecTime += ctxSwitch
-		p.stat.CPUTime += ctxSwitch
 		t += ctxSwitch
 
 		// Service the page-fault backlog before computing.
 		if deficit := p.mem - p.resident; deficit > 0 {
 			dt := e.pageIn(p, deficit, t)
-			p.stat.Faults += dt
 			p.stat.ExecTime += dt
 			t += dt
 		}
@@ -182,13 +175,11 @@ func (e *engine) loop() {
 		}
 		t += run
 		p.remaining -= run
-		p.stat.CPUTime += run
 		p.stat.ExecTime += run
 		p.lastRun = t
 
 		if p.remaining <= 0 {
 			p.done = true
-			p.stat.ID = p.id
 			p.stat.Finish = t
 			e.residentTotal -= p.resident
 			p.resident = 0
@@ -228,8 +219,6 @@ func (e *engine) pick(cpu int, now time.Duration) *proc {
 			p.mem > p.resident && p.stat.PageIns > 0 {
 			if e.tokenHolder != nil && e.tokenHolder != p &&
 				now-e.tokenAcquired < e.cfg.TokenHold {
-				// Token contention means aggregate demand exceeds RAM.
-				e.swapUsed = true
 				skipped = append(skipped, p)
 				continue
 			}
@@ -248,7 +237,6 @@ func (e *engine) pick(cpu int, now time.Duration) *proc {
 func (e *engine) pageIn(p *proc, deficit int64, now time.Duration) time.Duration {
 	free := ram - e.residentTotal
 	if free < deficit {
-		e.swapUsed = true
 		e.evict(deficit-free, p)
 	}
 	firstTouch := p.stat.PageIns == 0

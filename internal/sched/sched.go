@@ -123,23 +123,15 @@ const (
 
 // ProcStat reports one process's outcome.
 type ProcStat struct {
-	ID       int
-	Start    time.Duration // always 0 in the paper's experiments
 	Finish   time.Duration // wall-clock completion (Fig 3 metric)
 	ExecTime time.Duration // CPU + fault service (Figs 1–2 metric)
-	CPUTime  time.Duration // pure CPU component
-	Faults   time.Duration // fault-service component
 	PageIns  int64         // bytes paged in over the process lifetime
-	Switches int           // times scheduled
 }
 
 // Result is the outcome of one Run.
 type Result struct {
-	Kind     Kind
 	Procs    []ProcStat
 	Makespan time.Duration
-	// SwapUsed reports whether the run ever exceeded RAM.
-	SwapUsed bool
 }
 
 // AvgExecTime returns the mean per-process execution time — the y-axis

@@ -12,6 +12,18 @@ func run(t *testing.T, kind Kind, jobs []Job) Result {
 	return Run(DefaultConfig(kind), jobs)
 }
 
+// refaulted reports whether any process paged in more than its own
+// working set of mem bytes: it reloaded pages evicted when the run
+// exceeded RAM.
+func refaulted(res Result, mem int64) bool {
+	for _, p := range res.Procs {
+		if p.PageIns > mem {
+			return true
+		}
+	}
+	return false
+}
+
 func spread(times []time.Duration) time.Duration {
 	min, max := times[0], times[0]
 	for _, v := range times {
@@ -33,7 +45,7 @@ func TestSingleCPUBoundJob(t *testing.T) {
 		if got < AckermannWork || got > AckermannWork+60*time.Millisecond {
 			t.Errorf("%v: solo exec = %v, want ≈1.69s", kind, got)
 		}
-		if res.SwapUsed {
+		if refaulted(res, 0) {
 			t.Errorf("%v: CPU-bound job used swap", kind)
 		}
 	}
@@ -75,7 +87,7 @@ func TestFig2BelowRAMAllFlat(t *testing.T) {
 	// 10 × 80 MB fits 1.8 GB: no scheduler should swap.
 	for _, kind := range Kinds {
 		res := run(t, kind, MemoryJobs(10))
-		if res.SwapUsed {
+		if refaulted(res, MatrixMem) {
 			t.Errorf("%v: swap used below RAM", kind)
 		}
 		avg := res.AvgExecTime()
@@ -92,7 +104,7 @@ func TestFig2FreeBSDThrashesLinuxDoesNot(t *testing.T) {
 	bsd := run(t, FourBSD, MemoryJobs(50))
 	ule := run(t, ULE, MemoryJobs(50))
 	lin := run(t, LinuxO1, MemoryJobs(50))
-	if !bsd.SwapUsed || !lin.SwapUsed {
+	if !refaulted(bsd, MatrixMem) || !refaulted(lin, MatrixMem) {
 		t.Fatal("both OSes must hit swap at N=50")
 	}
 	if bsd.AvgExecTime() < 5*time.Second {
@@ -153,19 +165,20 @@ func TestFig3ULESpreadWide(t *testing.T) {
 }
 
 func TestWorkConservation(t *testing.T) {
-	// Total CPU time handed out must equal requested work plus
-	// context-switch and batch overheads (no lost or invented work).
-	jobs := CPUBoundJobs(50)
-	res := run(t, FourBSD, jobs)
-	var cpu time.Duration
-	var switches int
-	for _, p := range res.Procs {
-		cpu += p.CPUTime
-		switches += p.Switches
-	}
-	want := 50*AckermannWork + time.Duration(switches)*ctxSwitch + batchFixedCost
-	if diff := cpu - want; diff < -time.Millisecond || diff > time.Millisecond {
-		t.Fatalf("cpu time = %v, want %v", cpu, want)
+	// The engine never cuts a slice short and 4BSD slices are all one
+	// quantum, so a CPU-bound process is scheduled ⌈work/quantum⌉
+	// times. Its execution time is its work, one context switch per
+	// scheduling and its share of the batch cost (no lost or invented
+	// work).
+	const n = 50
+	res := run(t, FourBSD, CPUBoundJobs(n))
+	rounds := (AckermannWork + quantum - 1) / quantum
+	want := AckermannWork + rounds*ctxSwitch + batchFixedCost/n
+	for i, p := range res.Procs {
+		if p.ExecTime != want {
+			t.Fatalf("proc %d: exec time = %v, want %v (work %v + %d switches + batch share %v)",
+				i, p.ExecTime, want, AckermannWork, rounds, batchFixedCost/n)
+		}
 	}
 }
 
@@ -196,9 +209,9 @@ func TestAllProcsComplete(t *testing.T) {
 		if len(res.Procs) != 40 {
 			t.Fatalf("%v: %d results, want 40", kind, len(res.Procs))
 		}
-		for _, p := range res.Procs {
+		for i, p := range res.Procs {
 			if p.Finish == 0 {
-				t.Errorf("%v: proc %d never finished", kind, p.ID)
+				t.Errorf("%v: proc %d never finished", kind, i)
 			}
 		}
 	}
@@ -233,12 +246,9 @@ func TestAvgExecTimeEmpty(t *testing.T) {
 
 func TestPageInAccounting(t *testing.T) {
 	res := run(t, FourBSD, MemoryJobs(5))
-	for _, p := range res.Procs {
+	for i, p := range res.Procs {
 		if p.PageIns < MatrixMem {
-			t.Fatalf("proc %d paged in %d bytes, want ≥ %d (initial load)", p.ID, p.PageIns, MatrixMem)
-		}
-		if p.Faults <= 0 {
-			t.Fatalf("proc %d has no fault time despite paging", p.ID)
+			t.Fatalf("proc %d paged in %d bytes, want ≥ %d (initial load)", i, p.PageIns, MatrixMem)
 		}
 	}
 }

@@ -179,11 +179,10 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 
-	seq      int
-	events   []Event // bounded replay history (oldest dropped)
-	firstSeq int     // seq of events[0]
-	subs     map[chan Event]struct{}
-	done     chan struct{} // closed by finish; wait on it instead of polling state
+	seq    int
+	events []Event // bounded replay history (oldest dropped)
+	subs   map[chan Event]struct{}
+	done   chan struct{} // closed by finish; wait on it instead of polling state
 
 	lastSample   *obs.Snapshot
 	lastVirtualS float64
@@ -232,7 +231,6 @@ func (j *Job) publishLocked(typ string, data any) {
 	if len(j.events) > historyLimit {
 		drop := len(j.events) - historyLimit
 		j.events = append(j.events[:0:0], j.events[drop:]...)
-		j.firstSeq += drop
 	}
 	for ch := range j.subs {
 		select {

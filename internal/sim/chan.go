@@ -30,7 +30,6 @@ var ErrClosed = errors.New("sim: channel closed")
 // orders access to the ring and flags. On unbounded channels (cap == 0)
 // nothing ever waits on notFull, so those signals are skipped entirely.
 type Chan[T any] struct {
-	k      *Kernel
 	buf    []T // ring storage; element i is buf[(head+i)%len(buf)]
 	head   int // index of the oldest element
 	n      int // number of buffered elements
@@ -44,7 +43,6 @@ type Chan[T any] struct {
 // NewChan returns a channel bound to kernel k. capacity 0 = unbounded.
 func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
 	return &Chan[T]{
-		k:        k,
 		cap:      capacity,
 		notEmpty: Cond{k: k},
 		notFull:  Cond{k: k},
@@ -78,9 +76,6 @@ func (c *Chan[T]) pop() T {
 	c.n--
 	return v
 }
-
-// Len reports the number of buffered items.
-func (c *Chan[T]) Len() int { return c.n }
 
 // Send enqueues v, parking while the channel is full. It returns
 // ErrClosed if the channel is (or becomes) closed.

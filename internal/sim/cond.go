@@ -119,6 +119,3 @@ func (c *Cond) Broadcast() {
 		c.Signal()
 	}
 }
-
-// Len reports how many processes are currently parked on the Cond.
-func (c *Cond) Len() int { return len(c.waiters) }

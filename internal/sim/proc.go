@@ -1,7 +1,5 @@
 package sim
 
-import "math/rand"
-
 // Proc is the handle a simulated goroutine uses to interact with the
 // kernel. Every function spawned with Kernel.Go or Proc.Go receives its
 // own Proc; a Proc must only be used by the goroutine it was given to.
@@ -15,17 +13,8 @@ type Proc struct {
 	wakeFn func()
 }
 
-// Kernel returns the kernel this process runs under.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.t.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
-
-// Rand returns the kernel's deterministic random source.
-func (p *Proc) Rand() *rand.Rand { return p.k.rng }
 
 // Go spawns a child simulated goroutine. The child starts at the current
 // virtual time once the scheduler next runs it.
@@ -72,14 +61,3 @@ func (p *Proc) Sleep(d Duration) {
 // Yield lets every other currently-runnable task proceed before this one
 // continues, without advancing the clock.
 func (p *Proc) Yield() { p.Sleep(0) }
-
-// SleepUntil suspends the process until the given instant (or yields if
-// the instant is not in the future).
-func (p *Proc) SleepUntil(at Time) {
-	now := p.Now()
-	if at <= now {
-		p.Yield()
-		return
-	}
-	p.Sleep(at.Sub(now))
-}

@@ -4,7 +4,7 @@
 // output; here the platform itself can time-stamp everything).
 //
 // A Log stores every record as a few bytes in pointer-free chunks and
-// formats nothing until Render, Events, Filter or Between asks for
+// formats nothing until Render, Events or Filter asks for
 // text: the five formats that are nearly every event of a run
 // (net.send, net.deliver and the three net.flow lines) have a typed
 // entry point each and cost no fmt call, no boxed operand and no string
@@ -268,11 +268,6 @@ func (l *Log) Events() []Event {
 // Filter returns retained events of one category.
 func (l *Log) Filter(cat string) []Event {
 	return l.collect(func(r *record) bool { return r.inCat(cat) })
-}
-
-// Between returns retained events within [from, to).
-func (l *Log) Between(from, to sim.Time) []Event {
-	return l.collect(func(r *record) bool { return r.at >= from && r.at < to })
 }
 
 func (l *Log) collect(keep func(*record) bool) []Event {

@@ -78,7 +78,7 @@ func nicContention(t *testing.T, model netem.ModelKind, n int) []sim.Time {
 				t.Error(err)
 				return
 			}
-			p.SleepUntil(sim.Time(time.Second))
+			p.Sleep(sim.Time(time.Second).Sub(p.Now()))
 			c.SendMeta(p, size, nil)
 		})
 	}

@@ -72,7 +72,6 @@ const (
 // PhysNode is one physical machine of the cluster.
 type PhysNode struct {
 	name      string
-	admin     ip.Addr
 	nicOut    *netem.Pipe
 	nicIn     *netem.Pipe
 	cpu       *netem.Pipe
@@ -81,22 +80,8 @@ type PhysNode struct {
 	groupSeen map[[2]string]bool // group-pair latency rules installed
 }
 
-// Name returns the node's name (phys0, phys1, ...).
-func (pn *PhysNode) Name() string { return pn.name }
-
-// AdminAddr returns the node's administration address.
-func (pn *PhysNode) AdminAddr() ip.Addr { return pn.admin }
-
-// Aliases returns the virtual-node addresses configured on this node's
-// interface, in placement order.
-func (pn *PhysNode) Aliases() []ip.Addr { return pn.aliases }
-
 // Rules returns the node's firewall table.
 func (pn *PhysNode) Rules() *netem.RuleSet { return pn.rules }
-
-// NICOut and NICIn expose the physical interface pipes.
-func (pn *PhysNode) NICOut() *netem.Pipe { return pn.nicOut }
-func (pn *PhysNode) NICIn() *netem.Pipe  { return pn.nicIn }
 
 // Cluster is a set of physical nodes and the placement of virtual nodes
 // onto them. It implements vnet.Fabric.
@@ -123,7 +108,6 @@ func NewCluster(k *sim.Kernel, n int, cfg Config) (*Cluster, error) {
 		name := fmt.Sprintf("phys%d", i)
 		pn := &PhysNode{
 			name:      name,
-			admin:     cfg.AdminSubnet.Nth(uint32(i + 1)),
 			nicOut:    netem.NewPipe(k, name+"/nic-out", cfg.NIC),
 			nicIn:     netem.NewPipe(k, name+"/nic-in", cfg.NIC),
 			cpu:       netem.NewPipe(k, name+"/cpu", netem.PipeConfig{Bandwidth: cpuBytesPerSec * 8}),
@@ -140,9 +124,6 @@ func (c *Cluster) Nodes() []*PhysNode { return c.nodes }
 
 // Node returns the i-th physical node.
 func (c *Cluster) Node(i int) *PhysNode { return c.nodes[i] }
-
-// NodeOf returns the physical node hosting addr, or nil if unplaced.
-func (c *Cluster) NodeOf(addr ip.Addr) *PhysNode { return c.placement[addr] }
 
 // place assigns one virtual address to a physical node: registers the
 // interface alias, installs the two per-virtual-node firewall rules

@@ -33,16 +33,20 @@ func testbed(t *testing.T, physNodes, hosts int, tp *topo.Topology) (*sim.Kernel
 }
 
 func TestClusterAdminAddresses(t *testing.T) {
+	// The physical nodes own the admin subnet (phys0 is 192.168.38.1):
+	// no virtual node may be placed inside it.
 	k := sim.New(1)
 	cl, err := NewCluster(k, 3, DefaultConfig(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Node(0).AdminAddr() != ip.MustParseAddr("192.168.38.1") {
-		t.Fatalf("phys0 admin = %v", cl.Node(0).AdminAddr())
+	n := vnet.NewNetwork(k, cl, vnet.DefaultConfig())
+	h, err := n.AddHostClass(ip.MustParseAddr("192.168.38.1"), topo.DSL)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cl.Node(2).AdminAddr() != ip.MustParseAddr("192.168.38.3") {
-		t.Fatalf("phys2 admin = %v", cl.Node(2).AdminAddr())
+	if err := cl.PlaceSuccessive([]*vnet.Host{h}, 1); err == nil {
+		t.Fatal("a virtual node was placed on phys0's admin address")
 	}
 }
 
@@ -136,9 +140,6 @@ func TestGroupLatencyRulesInstalled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := cl.Node(0).Rules().Len(); got != 6 {
-		for _, r := range cl.Node(0).Rules().Rules() {
-			t.Log(r.String())
-		}
 		t.Fatalf("rules = %d, want 6 (2 per-vnode + 4 group)", got)
 	}
 }

@@ -35,7 +35,6 @@ type Conn struct {
 	established bool
 	refused     bool
 	closed      bool
-	remoteDone  bool
 
 	// TCP-like sequencing: retransmitted messages may arrive out of
 	// order relative to later messages or the FIN, so delivery to the
@@ -120,7 +119,6 @@ func (c *Conn) abort() {
 func (c *Conn) onFin(seq uint64) {
 	c.finSeen = true
 	c.finSeq = seq
-	c.remoteDone = true
 	c.flushInOrder()
 }
 
@@ -154,9 +152,6 @@ func (c *Conn) checkFin() {
 		}
 	}
 }
-
-// LocalAddr returns the local endpoint.
-func (c *Conn) LocalAddr() ip.Endpoint { return c.local }
 
 // RemoteAddr returns the remote endpoint.
 func (c *Conn) RemoteAddr() ip.Endpoint { return c.remote }
@@ -220,9 +215,6 @@ func (c *Conn) Close(p *sim.Proc) error {
 	return nil
 }
 
-// Closed reports whether the local side has been closed.
-func (c *Conn) Closed() bool { return c.closed }
-
 // Listener accepts inbound connections on a host port.
 type Listener struct {
 	h       *Host
@@ -230,9 +222,6 @@ type Listener struct {
 	backlog *sim.Chan[*Conn]
 	closed  bool
 }
-
-// Addr returns the listening endpoint.
-func (l *Listener) Addr() ip.Endpoint { return ip.Endpoint{Addr: l.h.addr, Port: l.port} }
 
 // Accept blocks until a connection arrives; it returns ErrClosed after
 // Close.

@@ -24,8 +24,6 @@ func (t *connTable) home(id uint64) int {
 	return int((id*0x9E3779B97F4A7C15)>>32) & (len(t.slots) - 1)
 }
 
-func (t *connTable) len() int { return t.used }
-
 func (t *connTable) get(id uint64) *Conn {
 	if t.used == 0 {
 		return nil

@@ -66,7 +66,7 @@ func TestFirewallCostChargedToRTT(t *testing.T) {
 func TestFirewallDenyBehavesLikePartition(t *testing.T) {
 	e, rs := newFirewalledEnv(netem.ClassifierLinear)
 	a, b := e.twoHosts(t)
-	deny := rs.AddDeny(ip.NewPrefix(addrA, 32), ip.Prefix{})
+	deny := rs.AddHandle(netem.Rule{ID: rs.NextID(), Src: ip.NewPrefix(addrA, 32), Action: netem.ActionDeny})
 	var dialErr error
 	e.run(t, func(p *sim.Proc) {
 		p.Go("server", func(p *sim.Proc) {
@@ -102,7 +102,7 @@ func TestFirewallDenyBehavesLikePartition(t *testing.T) {
 func TestFirewallDenyPermanent(t *testing.T) {
 	e, rs := newFirewalledEnv(netem.ClassifierIndexed)
 	a, b := e.twoHosts(t)
-	rs.AddDeny(ip.Prefix{}, ip.NewPrefix(addrB, 32))
+	rs.Add(netem.Rule{ID: rs.NextID(), Dst: ip.NewPrefix(addrB, 32), Action: netem.ActionDeny})
 	var dialErr error
 	e.run(t, func(p *sim.Proc) {
 		p.Go("server", func(p *sim.Proc) {
@@ -128,7 +128,7 @@ func TestFirewallPipeRuleStacksOnPath(t *testing.T) {
 	e, rs := newFirewalledEnv(netem.ClassifierLinear)
 	a, b := e.twoHosts(t)
 	wan := netem.NewPipe(e.k, "wan", netem.PipeConfig{Delay: 40 * time.Millisecond})
-	rs.AddPipe(ip.NewPrefix(addrA, 32), ip.NewPrefix(addrB, 32), wan)
+	rs.Add(netem.Rule{ID: rs.NextID(), Src: ip.NewPrefix(addrA, 32), Dst: ip.NewPrefix(addrB, 32), Action: netem.ActionPipe, Pipe: wan})
 	var rtt time.Duration
 	e.run(t, func(p *sim.Proc) {
 		d, ok := a.Ping(p, b.Addr(), DefaultPingSize, time.Minute)

@@ -24,20 +24,13 @@ type Host struct {
 	pingers  map[uint64]*pingWaiter
 }
 
-// LinkUp reports whether the host's interface is up (see
-// Network.SetLinkUp).
-func (h *Host) LinkUp() bool { return !h.linkDown }
-
 // Addr returns the host's address (its virtualized network identity).
 func (h *Host) Addr() ip.Addr { return h.addr }
 
 // Network returns the network the host belongs to.
 func (h *Host) Network() *Network { return h.net }
 
-// UpPipe exposes the uplink's access pipe for inspection.
-func (h *Host) UpPipe() *netem.Pipe { return h.up }
-
-// Meter returns the host's syscall meter (counts and accumulated cost).
+// Meter returns the host's syscall meter (accumulated cost).
 func (h *Host) Meter() *SyscallMeter { return &h.meter }
 
 // SetBindEnv enables the BINDIP libc-interception model: every connect

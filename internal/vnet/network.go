@@ -352,17 +352,8 @@ func (n *Network) FlowStats() (flow.Stats, bool) {
 	return n.flow.Stats(), true
 }
 
-// Rules returns the network firewall table, or nil when the network
-// runs without one. The table may be mutated at run time (scenario
-// policy churn); under netem.ClassifierIndexed the index follows
-// incrementally.
-func (n *Network) Rules() *netem.RuleSet { return n.cfg.Rules }
-
 // Kernel returns the kernel the network runs on.
 func (n *Network) Kernel() *sim.Kernel { return n.k }
-
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // Stats returns a snapshot of network counters.
 func (n *Network) Stats() NetworkStats { return n.stats }
@@ -397,10 +388,6 @@ func (n *Network) AddHostClass(addr ip.Addr, class topo.LinkClass) (*Host, error
 
 // Host returns the host registered at addr, or nil.
 func (n *Network) Host(addr ip.Addr) *Host { return n.hosts[addr] }
-
-// Hosts returns all hosts in registration order. The slice is shared;
-// do not mutate.
-func (n *Network) Hosts() []*Host { return n.order }
 
 // PopulateTopology creates one host per node of every leaf group,
 // addressed sequentially inside the group prefix starting at offset 1.

@@ -50,21 +50,16 @@ var syscallCost = [numSyscalls]time.Duration{
 	SyscallGetenv:  120 * time.Nanosecond,
 }
 
-// SyscallMeter counts emulated system calls and accumulates their cost.
-// Each Host owns one; the bind-interception experiment reads it.
+// SyscallMeter accumulates the cost of emulated system calls. Each Host
+// owns one; the bind-interception experiment reads it.
 type SyscallMeter struct {
-	Counts [numSyscalls]uint64
-	Total  time.Duration
+	Total time.Duration
 }
 
-// Charge records one invocation of s and returns its cost so callers can
-// charge it to virtual time.
+// Charge adds the cost of one invocation of s to the total and returns
+// it so callers can charge it to virtual time.
 func (m *SyscallMeter) Charge(s Syscall) time.Duration {
-	m.Counts[s]++
 	d := syscallCost[s]
 	m.Total += d
 	return d
 }
-
-// Count returns how many times s was invoked.
-func (m *SyscallMeter) Count(s Syscall) uint64 { return m.Counts[s] }

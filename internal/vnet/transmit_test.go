@@ -72,7 +72,8 @@ func TestNetworkStatsConserveMessages(t *testing.T) {
 		if err := cl.PlaceSuccessive([]*vnet.Host{a, b}, 2); err != nil {
 			t.Fatal(err)
 		}
-		cl.Node(0).Rules().AddDeny(ip.NewPrefix(policyA, 32), ip.NewPrefix(policyB, 32))
+		rs := cl.Node(0).Rules()
+		rs.Add(netem.Rule{ID: rs.NextID(), Src: ip.NewPrefix(policyA, 32), Dst: ip.NewPrefix(policyB, 32), Action: netem.ActionDeny})
 		k.Go("client", func(p *sim.Proc) {
 			if _, err := a.Dial(p, ip.Endpoint{Addr: policyB, Port: 80}); !errors.Is(err, vnet.ErrNetUnreachable) {
 				t.Errorf("dial err = %v, want ErrNetUnreachable", err)
@@ -167,7 +168,7 @@ func (e *policyEnv) serve() {
 
 // client dials b:80 on the still-healthy path and runs script from
 // t = 1 s of virtual time. Scripts act at absolute instants
-// (SleepUntil), so every model sees the same actions at the same times
+// (sleeping until each instant), so every model sees the same actions at the same times
 // whatever its own delivery times.
 func (e *policyEnv) client(script func(p *sim.Proc, c *vnet.Conn)) {
 	e.k.Go("client", func(p *sim.Proc) {
@@ -176,7 +177,7 @@ func (e *policyEnv) client(script func(p *sim.Proc, c *vnet.Conn)) {
 			e.t.Errorf("dial: %v", err)
 			return
 		}
-		p.SleepUntil(sim.Time(time.Second))
+		p.Sleep(sim.Time(time.Second).Sub(p.Now()))
 		script(p, c)
 	})
 }
@@ -292,7 +293,7 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 					id := e.n.Partition(sideA, sideB)
 					e.k.After(500*time.Millisecond, func() { e.n.Heal(id) })
 					e.send(p, c)
-					p.SleepUntil(sim.Time(3 * time.Second))
+					p.Sleep(sim.Time(3 * time.Second).Sub(p.Now()))
 					c.Close(p)
 				})
 			},
@@ -307,7 +308,7 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 				e.client(func(p *sim.Proc, c *vnet.Conn) {
 					e.n.Partition(sideA, sideB)
 					e.a.SendOnce(ip.Endpoint{Addr: policyB, Port: 9}, 1)
-					p.SleepUntil(sim.Time(2 * time.Second))
+					p.Sleep(sim.Time(2 * time.Second).Sub(p.Now()))
 					e.send(p, c)
 					e.awaitReset(p, c)
 				})
@@ -325,10 +326,10 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 			script: func(e *policyEnv) {
 				e.serve()
 				e.client(func(p *sim.Proc, c *vnet.Conn) {
-					h := e.rules.AddDeny(ip.NewPrefix(policyA, 32), ip.NewPrefix(policyB, 32))
+					h := e.rules.AddHandle(netem.Rule{ID: e.rules.NextID(), Src: ip.NewPrefix(policyA, 32), Dst: ip.NewPrefix(policyB, 32), Action: netem.ActionDeny})
 					e.k.After(500*time.Millisecond, func() { e.rules.RemoveHandle(h) })
 					e.send(p, c)
-					p.SleepUntil(sim.Time(3 * time.Second))
+					p.Sleep(sim.Time(3 * time.Second).Sub(p.Now()))
 					c.Close(p)
 				})
 			},
@@ -345,7 +346,7 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 			script: func(e *policyEnv) {
 				e.serve()
 				e.client(func(p *sim.Proc, c *vnet.Conn) {
-					e.rules.AddDeny(ip.NewPrefix(policyA, 32), ip.NewPrefix(policyB, 32))
+					e.rules.Add(netem.Rule{ID: e.rules.NextID(), Src: ip.NewPrefix(policyA, 32), Dst: ip.NewPrefix(policyB, 32), Action: netem.ActionDeny})
 					e.send(p, c)
 					e.awaitReset(p, c)
 				})
@@ -367,7 +368,7 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 				e.k.Go("pinger", func(p *sim.Proc) {
 					base, ok1 := e.a.Ping(p, policyB, vnet.DefaultPingSize, time.Minute)
 					netem.PadFiller(e.rules, 1000)
-					p.SleepUntil(sim.Time(time.Second))
+					p.Sleep(sim.Time(time.Second).Sub(p.Now()))
 					padded, ok2 := e.a.Ping(p, policyB, vnet.DefaultPingSize, time.Minute)
 					e.notef("ping: replies %v %v, rule cost %v", ok1, ok2, padded-base)
 				})
@@ -391,7 +392,7 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 						e.n.SetLinkUp(h, false)
 						e.k.After(500*time.Millisecond, func() { e.n.SetLinkUp(h, true) })
 						e.send(p, c)
-						p.SleepUntil(sim.Time(time.Duration(3*(i+1)) * time.Second))
+						p.Sleep(sim.Time(time.Duration(3*(i+1)) * time.Second).Sub(p.Now()))
 					}
 					c.Close(p)
 				})
@@ -433,7 +434,7 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 				var wan *netem.Pipe
 				for i := 0; i < 3; i++ {
 					wan = netem.NewPipe(e.k, fmt.Sprintf("wan%d", i), netem.PipeConfig{Delay: time.Millisecond})
-					e.rules.AddPipe(ip.NewPrefix(policyA, 32), ip.NewPrefix(policyB, 32), wan)
+					e.rules.Add(netem.Rule{ID: e.rules.NextID(), Src: ip.NewPrefix(policyA, 32), Dst: ip.NewPrefix(policyB, 32), Action: netem.ActionPipe, Pipe: wan})
 				}
 				e.serve()
 				e.client(func(p *sim.Proc, c *vnet.Conn) {
@@ -441,9 +442,9 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 					wan.Reconfigure(netem.PipeConfig{Delay: healthy.Delay, Loss: 1})
 					e.k.After(500*time.Millisecond, func() { wan.Reconfigure(healthy) })
 					e.send(p, c)
-					p.SleepUntil(sim.Time(3 * time.Second))
+					p.Sleep(sim.Time(3 * time.Second).Sub(p.Now()))
 					c.Close(p)
-					p.SleepUntil(sim.Time(4 * time.Second)) // the FIN has landed
+					p.Sleep(sim.Time(4 * time.Second).Sub(p.Now())) // the FIN has landed
 					e.notef("wan2 lost %d carried %d", wan.Stats().Lost, wan.Stats().Messages)
 				})
 			},
@@ -594,7 +595,7 @@ func (wc walkCase) viaNetwork(t *testing.T, seed int64) walkOutcome {
 		k.Go(fmt.Sprintf("sender-%d", i), func(p *sim.Proc) {
 			for _, s := range wc.sends {
 				if s.sender == i {
-					p.SleepUntil(sim.Time(s.at))
+					p.Sleep(sim.Time(s.at).Sub(p.Now()))
 					h.SendOnce(ip.Endpoint{Addr: dst, Port: 9}, s.size)
 				}
 			}
