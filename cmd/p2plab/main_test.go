@@ -211,11 +211,12 @@ func checkSHA256(t *testing.T, dir string, want map[string]string) {
 // TestFigureFilesMatchParent pins the grid-backed figures to the files
 // and summary their per-family drivers wrote before the figures read
 // sweep cells (commit f6a225f): the snapshot holds the floats the
-// drivers copied, so not a byte may move.
+// drivers copied, so not a byte may move. Figs 2 and 3 are the sched
+// engine's own runs, pinned at the files its event heap wrote.
 func TestFigureFilesMatchParent(t *testing.T) {
 	f := figures{out: t.TempDir(), scale: 1, seed: 1, model: netem.ModelPipe, classifier: netem.ClassifierLinear}
 	printed := captureStdout(t, func() error {
-		for _, id := range []string{"1", "dht", "gossip", "churn"} {
+		for _, id := range []string{"1", "2", "3", "dht", "gossip", "churn"} {
 			if err := f.run(id); err != nil {
 				return fmt.Errorf("figure %s: %w", id, err)
 			}
@@ -228,6 +229,10 @@ func TestFigureFilesMatchParent(t *testing.T) {
 	checkSHA256(t, f.out, map[string]string{
 		"fig1.dat":   "4ff52655304c1fbb0eaae50ab6faea3aa3e79998cefb2c92c7e89c16c62d5800",
 		"fig1.gp":    "9bf18ccb995a54c2eeef010d01ce62807d42bdcef9733f97ca2fca20e423877e",
+		"fig2.dat":   "060c8d21058e0f7e1244c3b3ed99917d853344bc788234ab7bbd4f0949058441",
+		"fig2.gp":    "4bce36b165f3a12868d5344f872fe2cbb9109a683c15b931eca57cb636e38632",
+		"fig3.dat":   "b36b20f31cf7e88a33ab076d6ab1c47d347a514b4e196247a1daa7f07e070092",
+		"fig3.gp":    "a49b5871a1fcdf71aba6f77bd0eea27d818d4d652169ff21cf15b78415516bd6",
 		"dht.dat":    "965b31478b3ba5a7251f5eeb1b8f89dd64db9008be02728aece4ea852db7e432",
 		"gossip.dat": "761f07dc2143b5a44a624d2b94750c28ea69e5e70ef19a427846689b74940456",
 		"churn.txt":  "01b8e809b2864f2b3bf29106adefb3bf7248557825a77f67730e4917d843faed",

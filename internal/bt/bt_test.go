@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/ip"
+	"repro/internal/sim"
 )
 
 func TestBitfieldBasics(t *testing.T) {
@@ -73,9 +76,7 @@ func TestBitfieldProperty(t *testing.T) {
 }
 
 func TestCreateTorrent(t *testing.T) {
-	data := make([]byte, 600*1024) // 600 KB → 3 pieces of 256 KB
-	rand.New(rand.NewSource(1)).Read(data)
-	m, err := CreateTorrent("test", data, 0)
+	m, err := SyntheticTorrent("test", 600*1024, 0) // 600 KiB → 3 pieces of 256 KiB
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,104 +139,74 @@ func TestInfoHashDistinguishesContent(t *testing.T) {
 	}
 }
 
-func TestMemStorageRoundTrip(t *testing.T) {
-	data := make([]byte, 300*1024)
-	rand.New(rand.NewSource(2)).Read(data)
-	m, err := CreateTorrent("t", data, 0)
-	if err != nil {
+// blockMsg is the piece message that carries block b of piece i.
+func blockMsg(i, b int) Msg {
+	return Msg{ID: MsgPiece, Index: i, Begin: b * BlockLength, Length: BlockLength}
+}
+
+// onBlocks runs fn inside a kernel with a fresh leecher for meta; fn's
+// deliver feeds piece messages straight to the leecher's onBlock from a
+// peer that chokes it, so the pipeline refill after each block sends
+// nothing.
+func onBlocks(t *testing.T, meta *MetaInfo, fn func(c *Client, deliver func(Msg))) {
+	t.Helper()
+	k, _, trk, hosts := swarmEnv(t, 1, 1, fastClass)
+	trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
+	c := NewClient(hosts[0], meta, NewBitfield(meta.NumPieces()), trkEP, DefaultClientConfig())
+	pr := newPeer(nil, ip.MustParseAddr("10.9.0.1"), meta.NumPieces())
+	k.Go("deliver", func(p *sim.Proc) {
+		fn(c, func(m Msg) { c.onBlock(p, pr, m) })
+		k.Stop()
+	})
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-	seed, err := NewSeededMemStorage(m, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leech := NewMemStorage(m)
-	for pi := 0; pi < m.NumPieces(); pi++ {
-		for b := 0; b < m.BlocksIn(pi); b++ {
-			begin := b * BlockLength
-			blk, ok := seed.ReadBlock(pi, begin, m.BlockSize(pi, b))
-			if !ok {
-				t.Fatalf("seeder missing block %d/%d", pi, b)
-			}
-			if err := leech.WriteBlock(pi, begin, blk); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ok, err := leech.CompletePiece(pi)
-		if err != nil || !ok {
-			t.Fatalf("piece %d failed verification: %v", pi, err)
-		}
-	}
-	if !leech.Bitfield().Complete() {
-		t.Fatal("leecher should be complete")
-	}
-	if string(leech.Bytes()) != string(data) {
-		t.Fatal("reassembled bytes differ")
 	}
 }
 
-func TestMemStorageRejectsCorruption(t *testing.T) {
-	data := make([]byte, 256*1024)
-	m, _ := CreateTorrent("t", data, 0)
-	leech := NewMemStorage(m)
-	bad := make([]byte, BlockLength)
-	bad[0] = 0xFF
-	for b := 0; b < m.BlocksIn(0); b++ {
-		leech.WriteBlock(0, b*BlockLength, bad)
-	}
-	ok, err := leech.CompletePiece(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("corrupted piece must fail SHA-1")
-	}
-	if leech.HavePiece(0) {
-		t.Fatal("failed piece must not be marked had")
-	}
-}
-
-func TestSeededMemStorageRejectsWrongContent(t *testing.T) {
-	data := make([]byte, 256*1024)
-	m, _ := CreateTorrent("t", data, 0)
-	wrong := make([]byte, 256*1024)
-	wrong[0] = 1
-	if _, err := NewSeededMemStorage(m, wrong); err == nil {
-		t.Fatal("seeding wrong content must fail")
-	}
-}
-
+// TestSparseStorage pins piece possession: a client built on a full
+// Bitfield is a seeder, and a leecher's piece completes once each of
+// its blocks has arrived, and no other piece with it.
 func TestSparseStorage(t *testing.T) {
 	m, _ := SyntheticTorrent("s", 512*1024, 0)
-	seed := NewSeededSparseStorage(m)
-	if !seed.Bitfield().Complete() {
-		t.Fatal("seeded sparse storage should be complete")
+	_, _, _, hosts := swarmEnv(t, 1, 1, fastClass)
+	if !NewClient(hosts[0], m, Full(m.NumPieces()), ip.Endpoint{}, DefaultClientConfig()).Done() {
+		t.Fatal("a client holding every piece should be done")
 	}
-	leech := NewSparseStorage(m)
-	if ok, _ := leech.CompletePiece(0); ok {
-		t.Fatal("empty piece must not verify")
-	}
-	for b := 0; b < m.BlocksIn(0); b++ {
-		if err := leech.WriteBlock(0, b*BlockLength, nil); err != nil {
-			t.Fatal(err)
+	onBlocks(t, m, func(c *Client, deliver func(Msg)) {
+		for b := 0; b < m.BlocksIn(0); b++ {
+			if c.have.Has(0) {
+				t.Errorf("piece complete after %d of %d blocks", b, m.BlocksIn(0))
+				return
+			}
+			deliver(blockMsg(0, b))
 		}
-	}
-	ok, err := leech.CompletePiece(0)
-	if err != nil || !ok {
-		t.Fatalf("complete sparse piece should verify: %v", err)
-	}
-	if !leech.HavePiece(0) || leech.HavePiece(1) {
-		t.Fatal("possession wrong")
-	}
+		if !c.have.Has(0) || c.have.Has(1) {
+			t.Error("possession wrong")
+		}
+		if c.partials[0] != nil || len(c.partialOrder) != 0 {
+			t.Error("completed piece still partial")
+		}
+		if got := c.BytesDone(); got != int64(m.PieceSize(0)) {
+			t.Errorf("BytesDone = %d, want %d", got, m.PieceSize(0))
+		}
+	})
 }
 
+// TestSparseStoragePartialPieceFails: one block, however often it
+// arrives (endgame duplicates), does not complete a 16-block piece.
 func TestSparseStoragePartialPieceFails(t *testing.T) {
 	m, _ := SyntheticTorrent("s", 512*1024, 0)
-	leech := NewSparseStorage(m)
-	leech.WriteBlock(0, 0, nil) // 1 of 16 blocks
-	if ok, _ := leech.CompletePiece(0); ok {
-		t.Fatal("partial piece must not verify")
-	}
+	onBlocks(t, m, func(c *Client, deliver func(Msg)) {
+		for i := 0; i < m.BlocksIn(0); i++ {
+			deliver(blockMsg(0, 0))
+		}
+		if c.have.Has(0) {
+			t.Error("partial piece completed")
+		}
+		if pp := c.partials[0]; pp == nil || pp.count != 1 {
+			t.Errorf("duplicate blocks counted: %+v", pp)
+		}
+	})
 }
 
 func TestWireSizes(t *testing.T) {
@@ -250,7 +221,7 @@ func TestWireSizes(t *testing.T) {
 		{Msg{ID: MsgRequest, Index: 1, Begin: 0, Length: 16384}, 17},
 		{Msg{ID: MsgCancel}, 17},
 		{Msg{ID: MsgPiece, Length: 16384}, 13 + 16384},
-		{Msg{ID: MsgPiece, Block: make([]byte, 100)}, 113},
+		{Msg{ID: MsgPiece, Length: 100}, 113},
 		{Msg{ID: MsgBitfield, Bits: make([]byte, 8)}, 13},
 	}
 	for _, c := range cases {
@@ -354,41 +325,4 @@ func TestPickerRemoveBitfield(t *testing.T) {
 			t.Fatalf("availability[%d] = %d, want 1", i, pk.Availability(i))
 		}
 	}
-}
-
-// BenchmarkPieceVerification compares real SHA-1 verification
-// (MemStorage) against sparse block-receipt verification
-// (SparseStorage) — the trade-off behind DESIGN.md decision 4.
-func BenchmarkPieceVerification(b *testing.B) {
-	data := make([]byte, DefaultPieceLength)
-	rand.New(rand.NewSource(1)).Read(data)
-	meta, err := CreateTorrent("bench", data, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sha1", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			s := NewMemStorage(meta)
-			for off := 0; off < len(data); off += BlockLength {
-				s.WriteBlock(0, off, data[off:off+BlockLength])
-			}
-			if ok, _ := s.CompletePiece(0); !ok {
-				b.Fatal("verify failed")
-			}
-		}
-	})
-	sparseMeta, _ := SyntheticTorrent("bench", DefaultPieceLength, 0)
-	b.Run("sparse", func(b *testing.B) {
-		b.SetBytes(int64(DefaultPieceLength))
-		for i := 0; i < b.N; i++ {
-			s := NewSparseStorage(sparseMeta)
-			for off := 0; off < DefaultPieceLength; off += BlockLength {
-				s.WriteBlock(0, off, nil)
-			}
-			if ok, _ := s.CompletePiece(0); !ok {
-				b.Fatal("verify failed")
-			}
-		}
-	})
 }

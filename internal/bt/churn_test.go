@@ -63,7 +63,7 @@ func TestClientStopClosesEverything(t *testing.T) {
 
 func TestClientResumeFromKeptStorage(t *testing.T) {
 	// A client downloads partially, departs, and a new client instance
-	// on the same host resumes from the same storage and completes.
+	// on the same host resumes from the same Bitfield and completes.
 	// DSL links make the 2 MiB download take minutes, so the 60 s
 	// first session is genuinely partial.
 	spec := DefaultSwarmSpec()
@@ -75,9 +75,9 @@ func TestClientResumeFromKeptStorage(t *testing.T) {
 	}
 	// A separate host for the churner, sharing the same torrent.
 	churnHost := hosts[2]
-	store := NewSparseStorage(s.Meta)
+	have := NewBitfield(s.Meta.NumPieces())
 	trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
-	first := NewClient(churnHost, s.Meta, store, trkEP, DefaultClientConfig())
+	first := NewClient(churnHost, s.Meta, have, trkEP, DefaultClientConfig())
 
 	s.Start(0)
 	first.Start()
@@ -88,7 +88,7 @@ func TestClientResumeFromKeptStorage(t *testing.T) {
 	var firstSessionBytes int64
 	k.After(sim.Duration(90*time.Second), func() {
 		firstSessionBytes = first.BytesDone()
-		resumed = NewClient(churnHost, s.Meta, store, trkEP, DefaultClientConfig())
+		resumed = NewClient(churnHost, s.Meta, have, trkEP, DefaultClientConfig())
 		resumed.OnComplete = func(*Client, sim.Time) { resumedDone = true }
 		resumed.Start()
 	})
@@ -111,7 +111,7 @@ func TestClientResumeFromKeptStorage(t *testing.T) {
 		t.Fatal("first session finished before the stop; resume untested")
 	}
 	if n := len(resumed.Progress()); n >= s.Meta.NumPieces() {
-		t.Fatalf("resumed client re-downloaded all %d pieces; storage not reused", n)
+		t.Fatalf("resumed client re-downloaded all %d pieces; Bitfield not reused", n)
 	}
 }
 

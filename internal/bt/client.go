@@ -132,14 +132,15 @@ func (pp *pieceProgress) set(b int) {
 	pp.received[b>>6] |= 1 << uint(b&63)
 }
 
-// Client is one BitTorrent node: leecher or seeder depending on its
-// storage. All protocol logic runs in a single simulated goroutine fed
-// by an event queue; peer connections push into the queue via conn
-// sinks, so a client costs O(1) goroutines regardless of peer count.
+// Client is one BitTorrent node: leecher or seeder depending on the
+// pieces it starts with. All protocol logic runs in a single simulated
+// goroutine fed by an event queue; peer connections push into the
+// queue via conn sinks, so a client costs O(1) goroutines regardless
+// of peer count.
 type Client struct {
 	h       *vnet.Host
 	meta    *MetaInfo
-	store   Storage
+	have    *Bitfield // pieces held; set in place as pieces complete
 	cfg     ClientConfig
 	tracker ip.Endpoint
 
@@ -201,16 +202,19 @@ type Client struct {
 	OnComplete func(c *Client, at sim.Time)
 }
 
-// NewClient creates a client on host h for the given torrent and
-// storage, announcing to tracker. Call Start to run it.
+// NewClient creates a client on host h for the given torrent, holding
+// the pieces set in have (Full for a seeder, NewBitfield for a fresh
+// leecher), announcing to tracker. The client sets pieces in have as
+// they complete, so a caller that keeps it can resume a later client
+// from it. Call Start to run it.
 //
 //p2p:tokenentry constructed either during pre-Run setup (host goroutine is the only accessor) or from a simulated goroutine (resume path); single-threaded either way
-func NewClient(h *vnet.Host, meta *MetaInfo, store Storage, tracker ip.Endpoint, cfg ClientConfig) *Client {
+func NewClient(h *vnet.Host, meta *MetaInfo, have *Bitfield, tracker ip.Endpoint, cfg ClientConfig) *Client {
 	k := h.Network().Kernel()
 	c := &Client{
 		h:           h,
 		meta:        meta,
-		store:       store,
+		have:        have,
 		cfg:         cfg,
 		tracker:     tracker,
 		events:      sim.NewChan[event](k, 0),
@@ -220,7 +224,7 @@ func NewClient(h *vnet.Host, meta *MetaInfo, store Storage, tracker ip.Endpoint,
 		outstanding: make(map[uint64]int),
 		om:          newBTMetrics(h.Network().Obs()),
 	}
-	if store.Bitfield().Complete() {
+	if have.Complete() {
 		c.done = true
 	}
 	c.depth = cfg.PipelineDepth
@@ -253,12 +257,11 @@ func (c *Client) FinishedAt() sim.Time { return c.finished }
 // Progress returns the piece-completion trajectory.
 func (c *Client) Progress() []Progress { return c.progress }
 
-// BytesDone returns verified bytes.
+// BytesDone returns the bytes of the pieces held.
 func (c *Client) BytesDone() int64 {
 	var n int64
-	bf := c.store.Bitfield()
-	for i := 0; i < bf.Len(); i++ {
-		if bf.Has(i) {
+	for i := 0; i < c.have.Len(); i++ {
+		if c.have.Has(i) {
 			n += int64(c.meta.PieceSize(i))
 		}
 	}
@@ -330,8 +333,8 @@ func (c *Client) dialWebSeed(p *sim.Proc, ep ip.Endpoint) {
 
 // Stop takes the client offline abruptly (a churn departure): it closes
 // the listener and every peer connection, tells the tracker, and ends
-// the event loop. The storage keeps its verified pieces, so a later
-// client on the same host can resume from them.
+// the event loop. Its Bitfield keeps the pieces it completed, so a
+// later client on the same host can resume from them.
 //
 //p2p:token
 func (c *Client) Stop() {
@@ -533,7 +536,7 @@ func (c *Client) onJoin(p *sim.Proc, pr *peer) {
 		c.registerPeer(pr)
 		c.wsConns++
 		c.picker.AddBitfield(pr.bits)
-		pr.useful = usefulCount(pr.bits, c.store.Bitfield())
+		pr.useful = usefulCount(pr.bits, c.have)
 		pr.amInterested = !c.done && pr.useful > 0
 		c.fillRequests(p, pr)
 		return
@@ -569,9 +572,8 @@ func (c *Client) onJoin(p *sim.Proc, pr *peer) {
 		c.sawPeer = true
 		c.om.ttfp.Observe(p.Now().Sub(c.started).Seconds())
 	}
-	if c.store.Bitfield().Count() > 0 {
-		bf := c.store.Bitfield()
-		pr.send(p, Msg{ID: MsgBitfield, Bits: bf.Bytes()})
+	if c.have.Count() > 0 {
+		pr.send(p, Msg{ID: MsgBitfield, Bits: c.have.Bytes()})
 	}
 }
 
@@ -636,13 +638,13 @@ func (c *Client) onMsg(p *sim.Proc, pr *peer, m Msg) {
 		c.picker.RemoveBitfield(pr.bits)
 		pr.bits = BitfieldFromBytes(m.Bits, c.meta.NumPieces())
 		c.picker.AddBitfield(pr.bits)
-		pr.useful = usefulCount(pr.bits, c.store.Bitfield())
+		pr.useful = usefulCount(pr.bits, c.have)
 		c.updateInterest(p, pr)
 	case MsgHave:
 		if !pr.bits.Has(m.Index) {
 			pr.bits.Set(m.Index)
 			c.picker.AddHave(m.Index)
-			if !c.store.Bitfield().Has(m.Index) {
+			if !c.have.Has(m.Index) {
 				pr.useful++
 			}
 		}
@@ -693,15 +695,11 @@ func (c *Client) onRequest(p *sim.Proc, pr *peer, m Msg) {
 	if pr.amChoking {
 		return // stale request racing our choke
 	}
-	if m.Length <= 0 || m.Length > 128*1024 {
+	if m.Length <= 0 || m.Length > 128*1024 || !c.have.Has(m.Index) {
 		return
 	}
-	data, ok := c.store.ReadBlock(m.Index, m.Begin, m.Length)
-	if !ok && !c.store.HavePiece(m.Index) {
-		return
-	}
-	out := Msg{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Length: m.Length, Block: data}
-	n := int64(out.BlockLen())
+	out := Msg{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Length: m.Length}
+	n := int64(m.Length)
 	if c.upLim != nil {
 		// Pace uploads through the token bucket. FIFO: once anything
 		// is queued, later blocks queue behind it even if the bucket
@@ -785,16 +783,25 @@ func (c *Client) armFillWake(wait time.Duration) {
 	})
 }
 
-// onBlock ingests a downloaded block.
+// onBlock ingests a downloaded block. A piece message that names no
+// block of the torrent (an index out of range, an offset that is not a
+// block boundary or lies past the piece's end) is dropped before it
+// touches any state: it would otherwise leave a phantom partial piece
+// behind, or index past the picker's tables. A piece completes when
+// its last block arrives; no bytes are modelled, so there is nothing
+// else to check.
 func (c *Client) onBlock(p *sim.Proc, pr *peer, m Msg) {
+	if m.Index < 0 || m.Index >= c.meta.NumPieces() || m.Begin < 0 ||
+		m.Begin%BlockLength != 0 || m.Begin/BlockLength >= c.meta.BlocksIn(m.Index) {
+		return
+	}
 	bk := blockKey{m.Index, m.Begin}.pack()
 	if pr.inflightDel(bk) {
 		c.releaseRequest(bk)
 	}
-	n := int64(m.BlockLen())
-	pr.downRate.Add(p.Now(), n)
+	pr.downRate.Add(p.Now(), int64(m.Length))
 
-	if c.store.HavePiece(m.Index) || c.done {
+	if c.have.Has(m.Index) || c.done {
 		c.fillRequests(p, pr)
 		return
 	}
@@ -810,41 +817,14 @@ func (c *Client) onBlock(p *sim.Proc, pr *peer, m Msg) {
 		c.fillRequests(p, pr) // endgame duplicate
 		return
 	}
-	if err := c.store.WriteBlock(m.Index, m.Begin, m.Block); err != nil {
-		return
-	}
 	pp.set(b)
 	pp.count++
 	if pp.count == c.meta.BlocksIn(m.Index) {
-		okPiece, err := c.store.CompletePiece(m.Index)
+		c.have.Set(m.Index)
 		delete(c.partials, m.Index)
 		c.partialsRemove(m.Index)
 		c.picker.ClearPartial(m.Index)
-		if err == nil && okPiece {
-			c.onPieceDone(p, m.Index)
-		} else {
-			// Hash failure: forget the piece and re-download. Refcounts
-			// for blocks of this piece must survive for requests still in
-			// flight at other peers (endgame duplicates), so rebuild each
-			// block's count from the surviving inflight entries instead
-			// of deleting wholesale — a wholesale delete zeroed counts
-			// other peers still held, and later freeBlock calls then
-			// re-requested the block past the endgameDup bound.
-			for b := 0; b < c.meta.BlocksIn(m.Index); b++ {
-				rk := blockKey{m.Index, b * BlockLength}.pack()
-				live := 0
-				for _, other := range c.peers {
-					if other.inflightHas(rk) {
-						live++
-					}
-				}
-				if live == 0 {
-					delete(c.outstanding, rk)
-				} else {
-					c.outstanding[rk] = live
-				}
-			}
-		}
+		c.onPieceDone(p, m.Index)
 	}
 	c.fillRequests(p, pr)
 }
@@ -898,7 +878,7 @@ func (c *Client) onPieceDone(p *sim.Proc, piece int) {
 			c.releaseRequest(bk)
 		}
 	}
-	if c.store.Bitfield().Complete() && !c.done {
+	if c.have.Complete() && !c.done {
 		c.done = true
 		c.finished = now
 		c.om.completions.Inc()
@@ -1140,7 +1120,6 @@ func (c *Client) fillRequests(p *sim.Proc, pr *peer) {
 // seed, and re-sorting the partial map's keys per request was the
 // request path's main allocation.
 func (c *Client) nextBlock(pr *peer) (piece, begin, length int) {
-	have := c.store.Bitfield()
 	// 1. Unrequested blocks of partial pieces the peer has.
 	for _, pi := range c.partialOrder {
 		if !pr.bits.Has(pi) {
@@ -1158,7 +1137,7 @@ func (c *Client) nextBlock(pr *peer) (piece, begin, length int) {
 		}
 		return c.pieceSaturated(i)
 	}
-	pi := c.picker.Pick(have, pr.bits, inFlight)
+	pi := c.picker.Pick(c.have, pr.bits, inFlight)
 	if pi >= 0 && c.partials[pi] == nil {
 		// Start the piece: request block 0 (further blocks follow as
 		// the pipeline refills).

@@ -1,9 +1,6 @@
 package bt
 
-import (
-	"repro/internal/ip"
-	"repro/internal/vnet"
-)
+import "repro/internal/ip"
 
 // Accessors only the package's tests read.
 
@@ -22,9 +19,6 @@ func (m *MetaInfo) TotalBlocks() int {
 // Availability returns how many known peers have piece i.
 func (pk *Picker) Availability(i int) int { return pk.avail[i] }
 
-// Bytes returns the assembled content (for test assertions).
-func (s *MemStorage) Bytes() []byte { return s.data }
-
 // Clone returns an independent copy.
 func (b *Bitfield) Clone() *Bitfield {
 	nb := NewBitfield(b.n)
@@ -35,12 +29,6 @@ func (b *Bitfield) Clone() *Bitfield {
 
 // CompletedCount returns how many clients have finished so far.
 func (s *Swarm) CompletedCount() int { return s.completed }
-
-// NewTracker creates a tracker with the default announce lifecycle on
-// the given host and starts its accept loop on TrackerPort.
-func NewTracker(host *vnet.Host) *Tracker {
-	return NewTrackerConfig(host, TrackerConfig{})
-}
 
 // PeerCount returns how many peers are registered for a torrent.
 func (t *Tracker) PeerCount(infoHash [20]byte) int {

@@ -13,8 +13,8 @@ const (
 	BlockLength        = 16 * 1024
 )
 
-// MetaInfo is the content of a .torrent file: file metadata plus the
-// SHA-1 hash of every piece.
+// MetaInfo is the content of a .torrent file: file metadata plus a
+// 20-byte hash per piece.
 type MetaInfo struct {
 	Name        string
 	Length      int64
@@ -73,34 +73,10 @@ func (m *MetaInfo) computeInfoHash() error {
 	return nil
 }
 
-// CreateTorrent hashes real content into a MetaInfo, like a .torrent
-// maker would.
-func CreateTorrent(name string, data []byte, pieceLength int) (*MetaInfo, error) {
-	if pieceLength <= 0 {
-		pieceLength = DefaultPieceLength
-	}
-	m := &MetaInfo{Name: name, Length: int64(len(data)), PieceLength: pieceLength}
-	for off := 0; off < len(data); off += pieceLength {
-		end := off + pieceLength
-		if end > len(data) {
-			end = len(data)
-		}
-		m.PieceHashes = append(m.PieceHashes, sha1.Sum(data[off:end]))
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("bt: empty torrent")
-	}
-	if err := m.computeInfoHash(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// SyntheticTorrent builds a MetaInfo for generated content of the given
-// length: piece i's bytes are deterministically derived from (name, i),
-// so seeders and verifiers agree without storing the file. Used by the
-// large-swarm experiments (a 16 MB file for 5754 clients would need
-// ~92 GB of hashing and storage if materialized per client).
+// SyntheticTorrent builds a MetaInfo for content of the given length
+// that is never materialized: no run models bytes (a piece is a bit,
+// DESIGN decision 4), so piece i's hash is a tag derived from (name,
+// i), and the infohash is a function of name, length and piece length.
 func SyntheticTorrent(name string, length int64, pieceLength int) (*MetaInfo, error) {
 	if pieceLength <= 0 {
 		pieceLength = DefaultPieceLength

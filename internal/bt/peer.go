@@ -119,8 +119,8 @@ func (pr *peer) inflightDel(bk uint64) bool {
 	return false
 }
 
-// send transmits a wire message as a sparse payload of spec-accurate
-// size. Real piece bytes ride in msg.Block and count toward the size.
+// send transmits a wire message as a vnet value of spec-accurate size;
+// a piece message is charged its block's length.
 func (pr *peer) send(p *sim.Proc, m Msg) error {
 	return pr.conn.SendMeta(p, m.WireSize(), pr.cl.newBox(m))
 }

@@ -441,7 +441,7 @@ func TestRateReleaseOnPeerExit(t *testing.T) {
 	for _, exit := range []string{"onClose", "onStop"} {
 		k, _, _, hosts := swarmEnv(t, 1, 2, fastClass)
 		meta, _ := SyntheticTorrent("t", 512*1024, 0)
-		c := NewClient(hosts[0], meta, NewSparseStorage(meta), ip.Endpoint{}, DefaultClientConfig())
+		c := NewClient(hosts[0], meta, NewBitfield(meta.NumPieces()), ip.Endpoint{}, DefaultClientConfig())
 		var pooled [2]int
 		k.Go("drive", func(p *sim.Proc) {
 			l, err := hosts[1].Listen(p, 7000)

@@ -31,14 +31,14 @@ func TestDialBudgetNotDoubleDecremented(t *testing.T) {
 	// Targets: seeders that accept inbound connections.
 	cfg := DefaultClientConfig()
 	for _, h := range hosts[:targets] {
-		s := NewClient(h, meta, NewSeededSparseStorage(meta), trkEP, cfg)
+		s := NewClient(h, meta, Full(meta.NumPieces()), trkEP, cfg)
 		s.Start()
 	}
 
 	// Client under test with a tight initiate budget.
 	tcfg := DefaultClientConfig()
 	tcfg.MaxInitiate = maxInitiate
-	c := NewClient(hosts[targets], meta, NewSparseStorage(meta), trkEP, tcfg)
+	c := NewClient(hosts[targets], meta, NewBitfield(meta.NumPieces()), trkEP, tcfg)
 	c.Start()
 
 	// A 200-endpoint tracker-style response: the reachable targets
@@ -75,81 +75,14 @@ func TestDialBudgetNotDoubleDecremented(t *testing.T) {
 
 // TestLargePieceDownloadCompletes pins multi-word block bitmaps: with 2
 // MiB pieces (128 blocks of 16 KiB) the old single-uint64 tracking in
-// both pieceProgress and SparseStorage silently corrupted receipt state
-// for blocks past 64 (SparseStorage refused such torrents outright with
-// a panic), so a download could never verify. The swarm must complete.
+// pieceProgress silently corrupted receipt state for blocks past 64, so
+// a download could never complete. The swarm must complete.
 func TestLargePieceDownloadCompletes(t *testing.T) {
 	spec := DefaultSwarmSpec()
 	spec.FileName = "bigpieces"
 	spec.PieceLength = 2 * 1024 * 1024
 	spec.FileSize = 2 * int64(spec.PieceLength)
 	runSwarm(t, spec, 1, 2, fastClass, 30*time.Minute)
-}
-
-// failFirstVerify wraps a Storage and fails the first CompletePiece
-// call, simulating a hash failure.
-type failFirstVerify struct {
-	Storage
-	failed bool
-}
-
-func (f *failFirstVerify) CompletePiece(piece int) (bool, error) {
-	if !f.failed {
-		f.failed = true
-		return false, nil
-	}
-	return f.Storage.CompletePiece(piece)
-}
-
-// TestHashFailureKeepsEndgameRefcounts pins the hash-failure cleanup in
-// onBlock: when a completed piece fails verification, the outstanding
-// refcounts of its blocks must be rebuilt from the requests still in
-// flight at other peers. The old code wholesale-deleted the keys,
-// zeroing counts that endgame duplicates at other peers still held, so
-// the block could immediately be re-requested past the endgameDup bound.
-func TestHashFailureKeepsEndgameRefcounts(t *testing.T) {
-	k, _, trk, hosts := swarmEnv(t, 3, 1, fastClass)
-	meta, err := SyntheticTorrent("t", 2*BlockLength, 2*BlockLength) // 1 piece, 2 blocks
-	if err != nil {
-		t.Fatal(err)
-	}
-	trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
-	store := &failFirstVerify{Storage: NewSparseStorage(meta)}
-	c := NewClient(hosts[0], meta, store, trkEP, DefaultClientConfig())
-
-	b0 := blockKey{0, 0}.pack()
-	b1 := blockKey{0, BlockLength}.pack()
-	pr1 := newPeer(nil, ip.MustParseAddr("10.9.0.1"), meta.NumPieces())
-	pr2 := newPeer(nil, ip.MustParseAddr("10.9.0.2"), meta.NumPieces())
-	c.registerPeer(pr1)
-	c.registerPeer(pr2)
-
-	k.Go("drive", func(p *sim.Proc) {
-		// pr1 delivers block 0.
-		pr1.inflightAdd(b0, p.Now())
-		c.outstanding[b0] = 1
-		c.onBlock(p, pr1, Msg{ID: MsgPiece, Index: 0, Begin: 0, Length: BlockLength})
-		// Endgame: block 1 in flight at both peers.
-		pr1.inflightAdd(b1, p.Now())
-		pr2.inflightAdd(b1, p.Now())
-		c.outstanding[b1] = 2
-		// pr1 delivers block 1; the piece completes but verification
-		// fails (first CompletePiece call).
-		c.onBlock(p, pr1, Msg{ID: MsgPiece, Index: 0, Begin: BlockLength, Length: BlockLength})
-		k.Stop()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !store.failed {
-		t.Fatal("verification was never attempted")
-	}
-	if got := c.outstanding[b1]; got != 1 {
-		t.Fatalf("outstanding[block1] = %d after hash failure, want 1 (pr2's endgame duplicate)", got)
-	}
-	if _, ok := c.outstanding[b0]; ok {
-		t.Fatalf("outstanding[block0] survived, want deleted (no peer has it in flight)")
-	}
 }
 
 // TestTrackerClampsNumWant pins the numwant clamp: a client asking for
@@ -200,33 +133,34 @@ func TestTrackerRejectsPortZero(t *testing.T) {
 }
 
 // TestSparseStorageManyBlocks unit-pins the multi-word receipt bitmap:
-// every block of a 128-block piece must be tracked individually.
+// every block of a 128-block piece must be tracked individually, so
+// the piece completes only when block 100, delivered last, arrives.
 func TestSparseStorageManyBlocks(t *testing.T) {
 	meta, err := SyntheticTorrent("t", 2*1024*1024, 2*1024*1024) // 1 piece, 128 blocks
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSparseStorage(meta)
 	n := meta.BlocksIn(0)
 	if n != 128 {
 		t.Fatalf("BlocksIn = %d, want 128", n)
 	}
-	// All blocks but #100: must not verify.
-	for b := 0; b < n; b++ {
-		if b == 100 {
-			continue
+	onBlocks(t, meta, func(c *Client, deliver func(Msg)) {
+		for b := 0; b < n; b++ {
+			if b != 100 {
+				deliver(blockMsg(0, b))
+			}
 		}
-		if err := s.WriteBlock(0, b*BlockLength, nil); err != nil {
-			t.Fatal(err)
+		if c.have.Has(0) {
+			t.Error("piece completed with block 100 missing")
+			return
 		}
-	}
-	if ok, _ := s.CompletePiece(0); ok {
-		t.Fatal("piece verified with block 100 missing")
-	}
-	if err := s.WriteBlock(0, 100*BlockLength, nil); err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := s.CompletePiece(0); !ok {
-		t.Fatal("piece did not verify with all 128 blocks written")
-	}
+		if pp := c.partials[0]; pp == nil || pp.count != n-1 || pp.has(100) {
+			t.Errorf("partial piece state wrong before block 100: %+v", pp)
+			return
+		}
+		deliver(blockMsg(0, 100))
+		if !c.have.Has(0) || !c.Done() {
+			t.Error("piece did not complete with all 128 blocks delivered")
+		}
+	})
 }

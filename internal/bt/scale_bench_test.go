@@ -57,12 +57,12 @@ func hotHave(tb testing.TB) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	store := NewSparseStorage(meta)
-	c := NewClient(h, meta, store, ip.Endpoint{}, DefaultClientConfig())
+	have := NewBitfield(meta.NumPieces())
+	c := NewClient(h, meta, have, ip.Endpoint{}, DefaultClientConfig())
 	// Endgame state: everything verified but the last piece, so the
 	// interest scan cannot exit early.
 	for i := 0; i < hotPieces-1; i++ {
-		store.have.Set(i)
+		have.Set(i)
 	}
 	pr := newPeer(nil, ip.MustParseAddr("10.0.0.2"), hotPieces)
 	c.registerPeer(pr)

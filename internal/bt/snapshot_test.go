@@ -1,6 +1,7 @@
 package bt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -58,12 +59,13 @@ func TestTokenBucketTakeAndRefill(t *testing.T) {
 
 // TestClientHonorsAnnounceInterval pins the interval-driven re-announce
 // path: a client whose peer set is healthy (MinPeers disabled) must
-// still re-announce on the tracker's advertised interval. The old
-// client parsed only "peers" out of the response and announced again
-// only when starved, so a tracker's interval was dead configuration.
+// still re-announce on the tracker's advertised 30-minute interval. The
+// old client parsed only "peers" out of the response and announced
+// again only when starved, so a tracker's interval was dead
+// configuration. Virtual time makes the 150 minutes cheap.
 func TestClientHonorsAnnounceInterval(t *testing.T) {
 	k, _, trk, hosts := swarmEnv(t, 5, 1, fastClass)
-	tracker := NewTrackerConfig(trk, TrackerConfig{Interval: 30 * time.Second})
+	tracker := NewTracker(trk)
 	meta, err := SyntheticTorrent("t", 512*1024, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -71,22 +73,22 @@ func TestClientHonorsAnnounceInterval(t *testing.T) {
 	trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
 	cfg := DefaultClientConfig()
 	cfg.MinPeers = 0 // disable the starvation re-announce path entirely
-	c := NewClient(hosts[0], meta, NewSparseStorage(meta), trkEP, cfg)
+	c := NewClient(hosts[0], meta, NewBitfield(meta.NumPieces()), trkEP, cfg)
 	c.Start()
 	k.Go("watchdog", func(p *sim.Proc) {
-		p.Sleep(150 * time.Second)
+		p.Sleep(150 * time.Minute)
 		k.Stop()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.announceIvl != 30*time.Second {
-		t.Fatalf("client recorded interval %v, want 30s", c.announceIvl)
+	if c.announceIvl != 30*time.Minute {
+		t.Fatalf("client recorded interval %v, want 30m", c.announceIvl)
 	}
 	// t=0 started + periodic at 30/60/90/120 (tick-quantized): the
-	// tracker last heard from the client at the 120 s re-announce.
-	if got := tracker.swarms[meta.InfoHash()].order[0].lastSeen; got < sim.Time(120*time.Second) {
-		t.Fatalf("last announce in 150s at a 30s interval at %v, want >= 120s", got)
+	// tracker last heard from the client at the 120 min re-announce.
+	if got := tracker.swarms[meta.InfoHash()].order[0].lastSeen; got < sim.Time(120*time.Minute) {
+		t.Fatalf("last announce in 150m at a 30m interval at %v, want >= 120m", got)
 	}
 }
 
@@ -96,7 +98,7 @@ func TestClientHonorsAnnounceInterval(t *testing.T) {
 // burning every other peer's dial budget on guaranteed-failed dials.
 func TestTrackerExpiresSilentPeers(t *testing.T) {
 	k, _, trk, hosts := swarmEnv(t, 9, 2, fastClass)
-	tracker := NewTrackerConfig(trk, TrackerConfig{Interval: 20 * time.Second}) // ttl 40s
+	tracker := NewTracker(trk) // 30 min interval, ttl 60 min
 	meta, err := SyntheticTorrent("t", 512*1024, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +119,7 @@ func TestTrackerExpiresSilentPeers(t *testing.T) {
 		// B keeps announcing on schedule; A stays silent past 2 intervals.
 		var last []ip.Endpoint
 		for i := 0; i < 3; i++ {
-			p.Sleep(20 * time.Second)
+			p.Sleep(DefaultAnnounceInterval)
 			last, _, err = AnnounceRequest(p, hosts[1], trkEP, meta.InfoHash(), 6881, EventEmpty, meta.Length, 50)
 			if err != nil {
 				t.Errorf("re-announce B: %v", err)
@@ -147,11 +149,11 @@ func TestWebSeedColdFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWebSeed(hosts[0], meta, NewSeededSparseStorage(meta))
+	ws := NewWebSeed(hosts[0], meta)
 	trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
 	cfg := DefaultClientConfig()
 	cfg.WebSeeds = []ip.Endpoint{ws.Endpoint()}
-	c := NewClient(hosts[1], meta, NewSparseStorage(meta), trkEP, cfg)
+	c := NewClient(hosts[1], meta, NewBitfield(meta.NumPieces()), trkEP, cfg)
 	c.OnComplete = func(*Client, sim.Time) { k.Stop() }
 	c.Start()
 	k.Go("watchdog", func(p *sim.Proc) {
@@ -172,30 +174,46 @@ func TestWebSeedColdFill(t *testing.T) {
 	}
 }
 
-func TestBuildSwarmRejectsHugeNonSparse(t *testing.T) {
-	_, _, trk, _ := swarmEnv(t, 1, 0, fastClass)
-	spec := DefaultSwarmSpec()
-	spec.Sparse = false
-	spec.FileSize = MaxMaterializedBytes + 1
-	if _, err := BuildSwarm(spec, trk, nil, nil); err == nil {
-		t.Fatal("non-sparse build above MaxMaterializedBytes must error")
-	} else if !strings.Contains(err.Error(), "non-sparse") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-}
-
+// TestSparseWriteBlockRejectsMisaligned feeds onBlock three piece
+// messages that name no block of the torrent: an index past the last
+// piece (which indexed past the picker's tables and panicked), an
+// offset off a block boundary and an offset past the piece's end (each
+// of which left a phantom partial piece behind). None may touch the
+// partial pieces, the picker or the request refcounts; an aligned block
+// still goes in.
 func TestSparseWriteBlockRejectsMisaligned(t *testing.T) {
 	meta, err := SyntheticTorrent("t", 512*1024, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSparseStorage(meta)
-	if err := s.WriteBlock(0, BlockLength/2, nil); err == nil {
-		t.Fatal("misaligned begin must be rejected, not folded into the wrong block bit")
+	state := func(c *Client) string {
+		var b strings.Builder
+		for _, pi := range c.partialOrder {
+			fmt.Fprintf(&b, "%d:%v ", pi, *c.partials[pi])
+		}
+		pk := c.picker
+		fmt.Fprint(&b, len(c.partials), c.outstanding, pk.partial, pk.state, pk.avail, pk.buckets)
+		return b.String()
 	}
-	if err := s.WriteBlock(0, BlockLength, nil); err != nil {
-		t.Fatalf("aligned begin rejected: %v", err)
-	}
+	onBlocks(t, meta, func(c *Client, deliver func(Msg)) {
+		deliver(blockMsg(1, 0)) // a partial piece and a refcount for the checks to keep
+		c.outstanding[blockKey{1, BlockLength}.pack()] = 1
+		before := state(c)
+		for _, m := range []Msg{
+			{ID: MsgPiece, Index: meta.NumPieces(), Begin: 0, Length: BlockLength},
+			{ID: MsgPiece, Index: 0, Begin: BlockLength / 2, Length: BlockLength},
+			{ID: MsgPiece, Index: 0, Begin: meta.BlocksIn(0) * BlockLength, Length: BlockLength},
+		} {
+			deliver(m)
+			if got := state(c); got != before {
+				t.Errorf("%v changed client state:\n got %s\nwant %s", m, got, before)
+			}
+		}
+		deliver(blockMsg(0, 1))
+		if pp := c.partials[0]; pp == nil || !pp.has(1) {
+			t.Error("aligned block rejected")
+		}
+	})
 }
 
 // transferTime runs a 1-seeder/1-leecher swarm under the given link
@@ -220,7 +238,7 @@ func transferTime(t *testing.T, seed int64, model netem.ModelKind, class topo.Li
 		}
 		hosts = append(hosts, h)
 	}
-	spec := SwarmSpec{FileName: "snap", FileSize: fileSize, PieceLength: pieceLen, Sparse: true, Client: cfg}
+	spec := SwarmSpec{FileName: "snap", FileSize: fileSize, PieceLength: pieceLen, Client: cfg}
 	s, err := BuildSwarm(spec, trk, hosts[:1], hosts[1:])
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package bt
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/ip"
@@ -31,20 +30,9 @@ type SwarmSpec struct {
 	FileSize int64
 	// PieceLength defaults to 256 KiB.
 	PieceLength int
-	// Sparse selects SparseStorage (block receipt only) instead of
-	// MemStorage (real bytes + SHA-1). Large swarms must use sparse.
-	Sparse bool
 	// Client configures all clients and seeders.
 	Client ClientConfig
-	// Tracker configures the tracker (zero value: defaults).
-	Tracker TrackerConfig
 }
-
-// MaxMaterializedBytes bounds non-sparse swarm builds. A Sparse: false
-// spec materializes the full file once as the master copy plus once per
-// seeder (real bytes, SHA-1 hashed) — a snapshot-sized spec quietly
-// allocating gigabytes is a misconfiguration, not a workload.
-const MaxMaterializedBytes = 64 << 20
 
 // DefaultSwarmSpec mirrors the paper's first experiment: a 16 MB file.
 func DefaultSwarmSpec() SwarmSpec {
@@ -52,7 +40,6 @@ func DefaultSwarmSpec() SwarmSpec {
 		FileName:    "paper-16mb",
 		FileSize:    16 * 1024 * 1024,
 		PieceLength: DefaultPieceLength,
-		Sparse:      true,
 		Client:      DefaultClientConfig(),
 	}
 }
@@ -60,26 +47,12 @@ func DefaultSwarmSpec() SwarmSpec {
 // BuildSwarm creates the tracker on trackerHost, seeders on seedHosts
 // and leechers on clientHosts. Nothing starts until Start.
 func BuildSwarm(spec SwarmSpec, trackerHost *vnet.Host, seedHosts, clientHosts []*vnet.Host) (*Swarm, error) {
-	var meta *MetaInfo
-	var seedData []byte
-	var err error
-	if spec.Sparse {
-		meta, err = SyntheticTorrent(spec.FileName, spec.FileSize, spec.PieceLength)
-	} else {
-		if spec.FileSize > MaxMaterializedBytes {
-			return nil, fmt.Errorf("bt: non-sparse swarm of %d bytes exceeds %d (MaxMaterializedBytes); use Sparse: true for large files",
-				spec.FileSize, int64(MaxMaterializedBytes))
-		}
-		seedData = make([]byte, spec.FileSize)
-		rnd := rand.New(rand.NewSource(42))
-		rnd.Read(seedData)
-		meta, err = CreateTorrent(spec.FileName, seedData, spec.PieceLength)
-	}
+	meta, err := SyntheticTorrent(spec.FileName, spec.FileSize, spec.PieceLength)
 	if err != nil {
 		return nil, err
 	}
 	k := trackerHost.Network().Kernel()
-	NewTrackerConfig(trackerHost, spec.Tracker)
+	NewTracker(trackerHost)
 	s := &Swarm{
 		Meta:        meta,
 		TrackerHost: trackerHost,
@@ -88,26 +61,10 @@ func BuildSwarm(spec SwarmSpec, trackerHost *vnet.Host, seedHosts, clientHosts [
 	trackerEP := ip.Endpoint{Addr: trackerHost.Addr(), Port: TrackerPort}
 
 	for _, h := range seedHosts {
-		var store Storage
-		if spec.Sparse {
-			store = NewSeededSparseStorage(meta)
-		} else {
-			ms, err := NewSeededMemStorage(meta, seedData)
-			if err != nil {
-				return nil, err
-			}
-			store = ms
-		}
-		s.Seeders = append(s.Seeders, NewClient(h, meta, store, trackerEP, spec.Client))
+		s.Seeders = append(s.Seeders, NewClient(h, meta, Full(meta.NumPieces()), trackerEP, spec.Client))
 	}
 	for _, h := range clientHosts {
-		var store Storage
-		if spec.Sparse {
-			store = NewSparseStorage(meta)
-		} else {
-			store = NewMemStorage(meta)
-		}
-		c := NewClient(h, meta, store, trackerEP, spec.Client)
+		c := NewClient(h, meta, NewBitfield(meta.NumPieces()), trackerEP, spec.Client)
 		//p2p:token invoked by the client event loop when the download completes
 		c.OnComplete = func(*Client, sim.Time) {
 			s.completed++

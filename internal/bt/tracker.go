@@ -32,24 +32,16 @@ const (
 )
 
 // DefaultAnnounceInterval is the re-announce interval a tracker hands
-// out unless configured otherwise (mainline trackers: 30 min).
+// out in every announce response (mainline trackers: 30 min).
 const DefaultAnnounceInterval = 30 * time.Minute
 
-// TrackerConfig tunes a tracker's announce lifecycle. The zero value
-// means defaults, so struct-literal construction in tests keeps
-// working.
-type TrackerConfig struct {
-	// Interval is the re-announce interval handed to clients in every
-	// announce response (0: DefaultAnnounceInterval).
-	Interval time.Duration
-	// ExpireAfter is how many announce intervals a registered peer may
-	// stay silent before it is pruned (0: 2). Peers that depart
-	// gracefully announce EventStopped and leave immediately; expiry
-	// is for the ones that vanish — crashed processes, partitioned
-	// hosts — whose stale endpoints would otherwise be handed out
-	// forever, burning other peers' dial budgets on dead addresses.
-	ExpireAfter int
-}
+// expireAfter is how long a registered peer may stay silent, two
+// announce intervals, before it is pruned. Peers that depart
+// gracefully announce EventStopped and leave immediately; expiry is
+// for the ones that vanish — crashed processes, partitioned hosts —
+// whose stale endpoints would otherwise be handed out forever, burning
+// other peers' dial budgets on dead addresses.
+const expireAfter = 2 * DefaultAnnounceInterval
 
 // Tracker is the rendezvous service: it registers announcing peers per
 // info-hash and returns random peer subsets. Announces and responses
@@ -59,7 +51,6 @@ type TrackerConfig struct {
 // documented substitution).
 type Tracker struct {
 	host   *vnet.Host
-	cfg    TrackerConfig
 	swarms map[[20]byte]*swarmPeers
 
 	// permScratch is the reusable buffer for the per-announce random
@@ -76,7 +67,7 @@ type swarmPeers struct {
 type trackerPeer struct {
 	ep ip.Endpoint
 	// lastSeen is the virtual instant of the peer's latest announce;
-	// expiry prunes peers silent for ExpireAfter intervals. Virtual
+	// expiry prunes peers silent for longer than expireAfter. Virtual
 	// time, never wall time: expiry decisions are trace-visible (they
 	// change which endpoints later announces hand out), so they must
 	// be a pure function of the simulation's own clock.
@@ -143,29 +134,12 @@ func decLen(n int64) int {
 	return l
 }
 
-// NewTrackerConfig is NewTracker with an explicit announce lifecycle
-// (zero fields take defaults).
-func NewTrackerConfig(host *vnet.Host, cfg TrackerConfig) *Tracker {
-	t := &Tracker{host: host, cfg: cfg, swarms: make(map[[20]byte]*swarmPeers)}
+// NewTracker creates a tracker on the given host and starts its accept
+// loop on TrackerPort.
+func NewTracker(host *vnet.Host) *Tracker {
+	t := &Tracker{host: host, swarms: make(map[[20]byte]*swarmPeers)}
 	host.Network().Kernel().Go("tracker", t.serve)
 	return t
-}
-
-// interval returns the configured announce interval, defaulted.
-func (t *Tracker) interval() time.Duration {
-	if t.cfg.Interval > 0 {
-		return t.cfg.Interval
-	}
-	return DefaultAnnounceInterval
-}
-
-// expireAfter returns the silence budget before a peer is pruned.
-func (t *Tracker) expireAfter() time.Duration {
-	n := t.cfg.ExpireAfter
-	if n <= 0 {
-		n = 2
-	}
-	return time.Duration(n) * t.interval()
 }
 
 func (t *Tracker) serve(p *sim.Proc) {
@@ -270,7 +244,7 @@ func (t *Tracker) announce(req *announceReq, from ip.Addr) (*announceResp, error
 			peers = append(peers, ep)
 		}
 	}
-	return &announceResp{interval: int64(t.interval() / time.Second), peers: peers}, nil
+	return &announceResp{interval: int64(DefaultAnnounceInterval / time.Second), peers: peers}, nil
 }
 
 // expire swap-removes every registered peer silent for longer than
@@ -278,9 +252,8 @@ func (t *Tracker) announce(req *announceReq, from ip.Addr) (*announceResp, error
 // peer actually expires — an expiry-free announce leaves the order,
 // and therefore the response permutation's draw sequence, untouched.
 func (t *Tracker) expire(sw *swarmPeers, now sim.Time) {
-	ttl := t.expireAfter()
 	for i := 0; i < len(sw.order); {
-		if now.Sub(sw.order[i].lastSeen) <= ttl {
+		if now.Sub(sw.order[i].lastSeen) <= expireAfter {
 			i++
 			continue
 		}

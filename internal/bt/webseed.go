@@ -24,14 +24,14 @@ type WebSeedStats struct {
 // which is exactly the CDN-fallback role the real thing plays.
 type WebSeed struct {
 	host  *vnet.Host
-	store Storage
+	meta  *MetaInfo
 	stats WebSeedStats
 }
 
-// NewWebSeed creates a web seed on host serving the torrent from
-// store (normally a seeded storage) and starts its accept loop.
-func NewWebSeed(host *vnet.Host, meta *MetaInfo, store Storage) *WebSeed {
-	w := &WebSeed{host: host, store: store}
+// NewWebSeed creates a web seed on host serving every piece of the
+// torrent and starts its accept loop.
+func NewWebSeed(host *vnet.Host, meta *MetaInfo) *WebSeed {
+	w := &WebSeed{host: host, meta: meta}
 	host.Network().Kernel().Go("webseed-"+host.Addr().String(), w.serve)
 	return w
 }
@@ -56,8 +56,9 @@ func (w *WebSeed) serve(p *sim.Proc) {
 
 // handle serves one client connection: a loop of block requests, each
 // answered immediately (an HTTP range GET per block). Anything that
-// is not a well-formed request — cancels, stray peer-protocol
-// messages — is ignored, like a web server ignoring unknown headers.
+// is not a well-formed request for a piece in range — cancels, stray
+// peer-protocol messages — is ignored, like a web server ignoring
+// unknown headers.
 func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
 	defer cn.Close(p)
 	for {
@@ -75,17 +76,14 @@ func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
 		default:
 			continue
 		}
-		if m.ID != MsgRequest || m.Length <= 0 || m.Length > 128*1024 {
+		if m.ID != MsgRequest || m.Length <= 0 || m.Length > 128*1024 ||
+			m.Index < 0 || m.Index >= w.meta.NumPieces() {
 			continue
 		}
-		data, ok := w.store.ReadBlock(m.Index, m.Begin, m.Length)
-		if !ok && !w.store.HavePiece(m.Index) {
-			continue
-		}
-		out := Msg{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Length: m.Length, Block: data}
+		out := Msg{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Length: m.Length}
 		if err := cn.SendMeta(p, out.WireSize(), out); err != nil {
 			return
 		}
-		w.stats.BytesServed += uint64(out.BlockLen())
+		w.stats.BytesServed += uint64(m.Length)
 	}
 }

@@ -37,16 +37,15 @@ type Handshake struct {
 	InfoHash [20]byte
 }
 
-// Msg is one peer wire message. Messages travel as sparse vnet payloads
-// (the struct as metadata, the spec-accurate size on the wire); Block
-// carries real bytes only under MemStorage.
+// Msg is one peer wire message. Messages travel as vnet values (the
+// struct as metadata, the spec-accurate size on the wire); a piece
+// message carries its block's length, not its bytes.
 type Msg struct {
 	ID     MsgID
 	Index  int    // have, request, piece, cancel
 	Begin  int    // request, piece, cancel
-	Length int    // request, cancel; for sparse piece: payload length
+	Length int    // request, piece, cancel: the block's length
 	Bits   []byte // bitfield
-	Block  []byte // piece payload (nil when sparse)
 }
 
 // WireSize returns the message's size on the wire, per the protocol
@@ -62,23 +61,10 @@ func (m Msg) WireSize() int {
 	case MsgRequest, MsgCancel:
 		return 17
 	case MsgPiece:
-		n := m.Length
-		if m.Block != nil {
-			n = len(m.Block)
-		}
-		return 13 + n
+		return 13 + m.Length
 	default:
 		return 5
 	}
-}
-
-// BlockLen returns the payload length of a piece message regardless of
-// sparse/real representation.
-func (m Msg) BlockLen() int {
-	if m.Block != nil {
-		return len(m.Block)
-	}
-	return m.Length
 }
 
 // String renders the message for traces.
@@ -89,7 +75,7 @@ func (m Msg) String() string {
 	case MsgRequest:
 		return fmt.Sprintf("request %d+%d/%d", m.Index, m.Begin, m.Length)
 	case MsgPiece:
-		return fmt.Sprintf("piece %d+%d (%dB)", m.Index, m.Begin, m.BlockLen())
+		return fmt.Sprintf("piece %d+%d (%dB)", m.Index, m.Begin, m.Length)
 	case MsgCancel:
 		return fmt.Sprintf("cancel %d+%d/%d", m.Index, m.Begin, m.Length)
 	case MsgBitfield:

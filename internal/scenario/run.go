@@ -469,7 +469,7 @@ func (r *runner) startSwarm() error {
 	churners := make([]*bt.ResumingClient, len(churning))
 	peers := make([]churn.Peer, len(churning))
 	for i, h := range churning {
-		churners[i] = bt.NewResumingClient(h, swarm.Meta, bt.NewSparseStorage(swarm.Meta), trackerEP, bspec.Client)
+		churners[i] = bt.NewResumingClient(h, swarm.Meta, bt.NewBitfield(swarm.Meta.NumPieces()), trackerEP, bspec.Client)
 		peers[i] = churners[i]
 	}
 

@@ -62,12 +62,11 @@ func (r *runner) startSnapshot() error {
 	bspec.FileName = "snapshot"
 	bspec.FileSize = w.FileSize
 	bspec.PieceLength = w.PieceLength
-	bspec.Sparse = true
 	bspec.Client = cfg
 
 	// A restart scenario peels the first seeder off the swarm's static
 	// seeder set and runs it through the resuming-client lifecycle
-	// instead: offline at seed_restart_at, back (same storage) after
+	// instead: offline at seed_restart_at, back (same pieces) after
 	// seed_restart_down.
 	restart := w.SeedRestartAt > 0
 	buildSeeds := seedHosts
@@ -80,14 +79,14 @@ func (r *runner) startSnapshot() error {
 	}
 	webseeds := make([]*bt.WebSeed, len(wsHosts))
 	for i, h := range wsHosts {
-		webseeds[i] = bt.NewWebSeed(h, swarm.Meta, bt.NewSeededSparseStorage(swarm.Meta))
+		webseeds[i] = bt.NewWebSeed(h, swarm.Meta)
 	}
 	trackerEP := ip.Endpoint{Addr: r.tracker.Addr(), Port: bt.TrackerPort}
 
 	swarm.Start(w.StartInterval.D())
 	if restart {
 		rc := bt.NewResumingClient(seedHosts[0], swarm.Meta,
-			bt.NewSeededSparseStorage(swarm.Meta), trackerEP, cfg)
+			bt.Full(swarm.Meta.NumPieces()), trackerEP, cfg)
 		r.Kernel.Go("snapshot-restart-seed", func(p *sim.Proc) {
 			rc.Online(p)
 			p.Sleep(w.SeedRestartAt.D())

@@ -148,7 +148,7 @@ type WorkloadSpec struct {
 	DownRate    int64 `json:"down_rate,omitempty"`    // bytes/s token-bucket cap, 0 unlimited
 	WebSeeds    int   `json:"web_seeds,omitempty"`    // admin-space block servers
 	// The first seeder goes offline at SeedRestartAt and resumes, same
-	// storage, SeedRestartDown later (default 30s).
+	// pieces, SeedRestartDown later (default 30s).
 	SeedRestartAt   Duration `json:"seed_restart_at,omitempty"`
 	SeedRestartDown Duration `json:"seed_restart_down,omitempty"`
 

@@ -27,59 +27,6 @@ type cpuEvent struct {
 	requeue *proc
 }
 
-// eventHeap is a typed min-heap ordered by (at, cpu). It deliberately
-// avoids container/heap: the any-based interface boxes every cpuEvent
-// on Push and Pop, two heap allocations per scheduler decision that
-// dominated the Fig 1 allocation profile.
-type eventHeap []cpuEvent
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].cpu < h[j].cpu
-}
-
-func (h *eventHeap) push(ev cpuEvent) {
-	q := append(*h, ev)
-	*h = q
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() cpuEvent {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = cpuEvent{} // release the requeue pointer
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		small, l, r := i, 2*i+1, 2*i+2
-		if l < n && q.less(l, small) {
-			small = l
-		}
-		if r < n && q.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	return top
-}
-
 // engine drives one simulation run.
 type engine struct {
 	cfg   Config
@@ -141,20 +88,29 @@ func Run(cfg Config, jobs []Job) Result {
 const idleRecheck = 10 * time.Millisecond
 
 func (e *engine) loop() {
-	var h eventHeap
-	for cpu := 0; cpu < cpus; cpu++ {
-		h.push(cpuEvent{at: 0, cpu: cpu})
+	// Each CPU has exactly one pending decision point: popping one
+	// always schedules the next for the same CPU. So the event queue is
+	// one slot per CPU, and the next event is the earliest slot, the
+	// lower CPU first on a tie.
+	var pending [cpus]cpuEvent
+	for cpu := range pending {
+		pending[cpu] = cpuEvent{at: 0, cpu: cpu}
 	}
 	remaining := len(e.procs)
-	for remaining > 0 && len(h) > 0 {
-		ev := h.pop()
+	for remaining > 0 {
+		ev := pending[0]
+		for _, c := range pending[1:] {
+			if c.at < ev.at {
+				ev = c
+			}
+		}
 		e.running[ev.cpu] = nil
 		if ev.requeue != nil {
 			e.sched.put(ev.requeue)
 		}
 		p := e.pick(ev.cpu, ev.at)
 		if p == nil {
-			h.push(cpuEvent{at: ev.at + idleRecheck, cpu: ev.cpu})
+			pending[ev.cpu] = cpuEvent{at: ev.at + idleRecheck, cpu: ev.cpu}
 			continue
 		}
 		t := ev.at
@@ -187,11 +143,11 @@ func (e *engine) loop() {
 				e.tokenHolder = nil
 			}
 			remaining--
-			h.push(cpuEvent{at: t, cpu: ev.cpu})
+			pending[ev.cpu] = cpuEvent{at: t, cpu: ev.cpu}
 		} else {
 			// The proc stays invisible to other CPUs until its slice
 			// ends; it rejoins the queue when this event pops.
-			h.push(cpuEvent{at: t, cpu: ev.cpu, requeue: p})
+			pending[ev.cpu] = cpuEvent{at: t, cpu: ev.cpu, requeue: p}
 		}
 	}
 }
