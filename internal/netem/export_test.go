@@ -25,11 +25,6 @@ func (p *Pipe) Utilization(prev PipeStats, from, to sim.Time) float64 {
 	return u
 }
 
-// AddPipe appends a pipe rule with the next free ID.
-func (rs *RuleSet) AddPipe(src, dst ip.Prefix, pipe *Pipe) {
-	rs.Add(Rule{ID: rs.NextID(), Src: src, Dst: dst, Action: ActionPipe, Pipe: pipe})
-}
-
 // AddDeny appends a deny rule with the next free ID and returns a
 // handle pinning exactly that rule (for RemoveHandle).
 func (rs *RuleSet) AddDeny(src, dst ip.Prefix) RuleHandle {

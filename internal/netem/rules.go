@@ -12,24 +12,19 @@ import (
 type Action int
 
 const (
-	// ActionPipe sends the packet through the rule's pipe and continues
-	// evaluating subsequent rules (Dummynet one-pass mode, as P2PLab
-	// uses it: several latency pipes can stack on one path).
-	ActionPipe Action = iota
+	// ActionCount matches without effect (a no-op filler rule; the paper
+	// pads tables with these to measure evaluation cost, Fig 6). It is
+	// the zero Action, so a rule that names none changes no verdict.
+	ActionCount Action = iota
 	// ActionAccept terminates evaluation and lets the packet through.
 	ActionAccept
 	// ActionDeny terminates evaluation and drops the packet.
 	ActionDeny
-	// ActionCount matches without effect (a no-op filler rule; the paper
-	// pads tables with these to measure evaluation cost, Fig 6).
-	ActionCount
 )
 
 // String names the action like an ipfw listing would.
 func (a Action) String() string {
 	switch a {
-	case ActionPipe:
-		return "pipe"
 	case ActionAccept:
 		return "allow"
 	case ActionDeny:
@@ -46,9 +41,9 @@ func (a Action) String() string {
 // the paper's Fig 6 artifact; the hash-indexed classifier is what a
 // constant-time firewall would have bought ("it is not possible to
 // evaluate the rules in a hierarchical way, or with a hash table").
-// Both return identical verdicts (pipes in rule order, first terminal
-// action wins); only the number of rules *visited* — and therefore the
-// evaluation cost charged to virtual time — differs.
+// Both return identical verdicts (the first matching allow or deny in
+// (ID, insertion) order decides); only the number of rules *visited* —
+// and therefore the evaluation cost charged to virtual time — differs.
 type Classifier int
 
 const (
@@ -92,7 +87,6 @@ type Rule struct {
 	Src    ip.Prefix
 	Dst    ip.Prefix
 	Action Action
-	Pipe   *Pipe // used by ActionPipe
 
 	// seq is the insertion sequence number RuleSet.Add assigns: rules
 	// sharing an ID evaluate in insertion order, and (ID, seq) is the
@@ -107,11 +101,7 @@ func (r *Rule) Matches(src, dst ip.Addr) bool {
 
 // String formats the rule like an ipfw listing line.
 func (r *Rule) String() string {
-	target := r.Action.String()
-	if r.Action == ActionPipe && r.Pipe != nil {
-		target = "pipe " + r.Pipe.Name()
-	}
-	return fmt.Sprintf("%05d %s ip from %v to %v", r.ID, target, r.Src, r.Dst)
+	return fmt.Sprintf("%05d %s ip from %v to %v", r.ID, r.Action, r.Src, r.Dst)
 }
 
 // before reports whether r evaluates before s: ascending ID, insertion
@@ -125,13 +115,11 @@ func (r *Rule) before(s *Rule) bool {
 
 // Verdict is the outcome of evaluating a rule table for one packet.
 type Verdict struct {
-	// Pipes are the matched ActionPipe rules' pipes, in rule order; the
-	// packet traverses all of them.
-	Pipes []*Pipe
 	// Deny is true when an ActionDeny rule matched.
 	Deny bool
 	// Visited is the number of rules examined; evaluation cost is
-	// Visited × PerRuleCost. This linear cost is the paper's Fig 6.
+	// Visited × DefaultPerRuleCost. This linear cost is the paper's
+	// Fig 6.
 	Visited int
 	// Cost is the evaluation time to charge to the packet.
 	Cost time.Duration
@@ -151,19 +139,17 @@ const DefaultPerRuleCost = 48 * time.Nanosecond
 // classifier keeps a hash index maintained incrementally on Add and
 // Remove, so runtime policy churn stays cheap.
 type RuleSet struct {
-	rules       []Rule
-	nextSeq     uint64
-	PerRuleCost time.Duration
-	classifier  Classifier
-	ix          *ruleIndex // non-nil iff classifier == ClassifierIndexed
-	evals       uint64
-	visited     uint64
+	rules      []Rule
+	nextSeq    uint64
+	classifier Classifier
+	ix         *ruleIndex // non-nil iff classifier == ClassifierIndexed
+	evals      uint64
+	visited    uint64
 }
 
-// NewRuleSet returns an empty rule table with the default per-rule cost
-// and the linear classifier.
+// NewRuleSet returns an empty rule table under the linear classifier.
 func NewRuleSet() *RuleSet {
-	return &RuleSet{PerRuleCost: DefaultPerRuleCost}
+	return &RuleSet{}
 }
 
 // SetClassifier switches the evaluation algorithm. Switching to the
@@ -287,10 +273,10 @@ func (rs *RuleSet) NextID() int {
 func (rs *RuleSet) Len() int { return len(rs.rules) }
 
 // Eval classifies a src→dst packet with the active classifier,
-// collecting every matching pipe and stopping at the first Accept or
-// Deny. Under the linear classifier this is the ordered scan the paper
-// identifies as P2PLab's main scalability limit ("it is not possible
-// to evaluate the rules in a hierarchical way, or with a hash table");
+// stopping at the first matching Accept or Deny. Under the linear
+// classifier this is the ordered scan the paper identifies as P2PLab's
+// main scalability limit ("it is not possible to evaluate the rules in
+// a hierarchical way, or with a hash table");
 // under the indexed classifier only the candidate rules whose hash
 // buckets can match are merged, in the same (ID, insertion) order, so
 // the verdict is identical and only Visited (and Cost) shrink.
@@ -301,7 +287,7 @@ func (rs *RuleSet) Eval(src, dst ip.Addr) Verdict {
 	} else {
 		evalLinear(rs.rules, src, dst, &v)
 	}
-	v.Cost = time.Duration(v.Visited) * rs.PerRuleCost
+	v.Cost = time.Duration(v.Visited) * DefaultPerRuleCost
 	rs.evals++
 	rs.visited += uint64(v.Visited)
 	return v
@@ -310,30 +296,29 @@ func (rs *RuleSet) Eval(src, dst ip.Addr) Verdict {
 // EvalStats reports how many evaluations ran and the total rules visited.
 func (rs *RuleSet) EvalStats() (evals, visited uint64) { return rs.evals, rs.visited }
 
-// evalLinear is the shared ordered-scan core: rules must be sorted in
-// evaluation order. It fills Pipes, Deny and Visited; the caller
-// prices Cost.
+// evalLinear is the ordered scan: rules must be sorted in evaluation
+// order. It fills Deny and Visited; the caller prices Cost.
 func evalLinear(rules []Rule, src, dst ip.Addr, v *Verdict) {
 	for i := range rules {
-		r := &rules[i]
 		v.Visited++
-		if !r.Matches(src, dst) {
-			continue
-		}
-		switch r.Action {
-		case ActionPipe:
-			if r.Pipe != nil {
-				v.Pipes = append(v.Pipes, r.Pipe)
-			}
-		case ActionAccept:
+		if rules[i].Matches(src, dst) && v.decide(rules[i].Action) {
 			return
-		case ActionDeny:
-			v.Deny = true
-			return
-		case ActionCount:
-			// match counted, no effect
 		}
 	}
+}
+
+// decide applies a matched rule's action to v — the step both
+// classifiers share — and reports whether it ends the evaluation:
+// allow and deny do, count matches without effect.
+func (v *Verdict) decide(a Action) (stop bool) {
+	switch a {
+	case ActionAccept:
+		return true
+	case ActionDeny:
+		v.Deny = true
+		return true
+	}
+	return false
 }
 
 // ruleIndex is the hash-indexed classifier's data structure: hash
@@ -475,7 +460,7 @@ func (ix *ruleIndex) removeBatch(rules []Rule) {
 // eval merges the candidate rules from the two hash buckets and the
 // residual list in (ID, insertion) order — exactly the linear table's
 // evaluation order restricted to rules that can match this packet's
-// /24s — and applies the same action semantics as evalLinear.
+// /24s — and visits each exactly as evalLinear does.
 func (ix *ruleIndex) eval(src, dst ip.Addr, v *Verdict) {
 	srcRules := ix.bySrc[ip.NewPrefix(src, 24)]
 	dstRules := ix.byDst[ip.NewPrefix(dst, 24)]
@@ -505,20 +490,8 @@ func (ix *ruleIndex) eval(src, dst ip.Addr, v *Verdict) {
 			ri++
 		}
 		v.Visited++
-		if !best.Matches(src, dst) {
-			continue
-		}
-		switch best.Action {
-		case ActionPipe:
-			if best.Pipe != nil {
-				v.Pipes = append(v.Pipes, best.Pipe)
-			}
-		case ActionAccept:
+		if best.Matches(src, dst) && v.decide(best.Action) {
 			return
-		case ActionDeny:
-			v.Deny = true
-			return
-		case ActionCount:
 		}
 	}
 }

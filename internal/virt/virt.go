@@ -210,43 +210,34 @@ func (c *Cluster) FoldingRatio() float64 {
 // firewall scan, the source NIC, the inter-group latency, the
 // destination NIC, the ingress firewall scan, and CPU processing at
 // both ends. Messages between virtual nodes of the same physical node
-// skip the NIC (loopback) but still pay the firewall and CPU.
-func (c *Cluster) Route(src, dst ip.Addr, size int) vnet.Route {
+// skip the NIC (loopback) but still pay the firewall and CPU. The
+// machine tables hold count rules only (see the package doc), so a
+// scan costs time and never drops.
+func (c *Cluster) Route(src, dst ip.Addr, path []*netem.Pipe) ([]*netem.Pipe, vnet.Route) {
 	var r vnet.Route
 	sp := c.placement[src]
 	dp := c.placement[dst]
+	cross := sp != nil && dp != nil && sp != dp
 	if sp != nil {
-		v := sp.rules.Eval(src, dst)
-		r.Cost += v.Cost
-		if v.Deny {
-			r.Drop = true
-			return r
-		}
-		r.Cost += perMessageCPU
+		r.Cost += sp.rules.Eval(src, dst).Cost + perMessageCPU
 	}
 	if dp != nil {
-		v := dp.rules.Eval(src, dst)
-		r.Cost += v.Cost
-		if v.Deny {
-			r.Drop = true
-			return r
-		}
-		r.Cost += perMessageCPU
+		r.Cost += dp.rules.Eval(src, dst).Cost + perMessageCPU
 	}
-	if sp != nil && dp != nil && sp != dp {
-		r.Pipes = append(r.Pipes, sp.nicOut)
+	if cross {
+		path = append(path, sp.nicOut)
 	}
 	if sp != nil {
-		r.Pipes = append(r.Pipes, sp.cpu)
+		path = append(path, sp.cpu)
 	}
 	if dp != nil && dp != sp {
-		r.Pipes = append(r.Pipes, dp.cpu)
+		path = append(path, dp.cpu)
 	}
-	if sp != nil && dp != nil && sp != dp {
-		r.Pipes = append(r.Pipes, dp.nicIn)
+	if cross {
+		path = append(path, dp.nicIn)
 	}
 	if c.cfg.Topo != nil {
 		r.Latency += c.cfg.Topo.GroupLatency(src, dst)
 	}
-	return r
+	return path, r
 }

@@ -149,31 +149,33 @@ func TestRouteSamePhysSkipsNIC(t *testing.T) {
 	if err := cl.PlaceSuccessive(hs, 2); err != nil { // both on phys0
 		t.Fatal(err)
 	}
-	r := cl.Route(hs[0].Addr(), hs[1].Addr(), 1000)
-	for _, p := range r.Pipes {
+	path, _ := cl.Route(hs[0].Addr(), hs[1].Addr(), nil)
+	for _, p := range path {
 		if p == cl.Node(0).NICOut() || p == cl.Node(0).NICIn() {
 			t.Fatal("co-hosted route must not traverse the NIC")
 		}
 	}
 }
 
+// TestRouteCrossPhysUsesNIC: a cross-machine route appends, after
+// whatever path it is handed, the source NIC, both CPU pipes and the
+// destination NIC, in that order.
 func TestRouteCrossPhysUsesNIC(t *testing.T) {
-	_, cl, _, hs := testbed(t, 2, 2, nil)
+	k, cl, _, hs := testbed(t, 2, 2, nil)
 	if err := cl.PlaceSuccessive(hs, 1); err != nil {
 		t.Fatal(err)
 	}
-	r := cl.Route(hs[0].Addr(), hs[1].Addr(), 1000)
-	foundOut, foundIn := false, false
-	for _, p := range r.Pipes {
-		if p == cl.Node(0).NICOut() {
-			foundOut = true
-		}
-		if p == cl.Node(1).NICIn() {
-			foundIn = true
-		}
+	up := netem.NewPipe(k, "up", netem.PipeConfig{})
+	src, dst := cl.Node(0), cl.Node(1)
+	path, _ := cl.Route(hs[0].Addr(), hs[1].Addr(), []*netem.Pipe{up})
+	want := []*netem.Pipe{up, src.nicOut, src.cpu, dst.cpu, dst.nicIn}
+	if len(path) != len(want) {
+		t.Fatalf("path has %d pipes, want %d", len(path), len(want))
 	}
-	if !foundOut || !foundIn {
-		t.Fatalf("cross-phys route missing NIC pipes (out=%v in=%v)", foundOut, foundIn)
+	for i := range want {
+		if path[i] != want[i] {
+			t.Fatalf("path[%d] = %s, want %s", i, path[i].Name(), want[i].Name())
+		}
 	}
 }
 
@@ -183,7 +185,7 @@ func TestRouteChargesRuleCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 100 rules on the table; egress + ingress scans visit all of them.
-	r := cl.Route(hs[0].Addr(), hs[1].Addr(), 100)
+	_, r := cl.Route(hs[0].Addr(), hs[1].Addr(), nil)
 	wantRules := time.Duration(200) * netem.DefaultPerRuleCost
 	wantCPU := 2 * perMessageCPU
 	if r.Cost != wantRules+wantCPU {
@@ -191,28 +193,11 @@ func TestRouteChargesRuleCost(t *testing.T) {
 	}
 }
 
-func TestRouteDenyRule(t *testing.T) {
-	_, cl, _, hs := testbed(t, 1, 2, nil)
-	if err := cl.PlaceSuccessive(hs, 2); err != nil {
-		t.Fatal(err)
-	}
-	cl.Node(0).Rules().Add(netem.Rule{
-		ID:     1, // before all per-vnode rules
-		Src:    ip.NewPrefix(hs[0].Addr(), 32),
-		Dst:    ip.NewPrefix(hs[1].Addr(), 32),
-		Action: netem.ActionDeny,
-	})
-	r := cl.Route(hs[0].Addr(), hs[1].Addr(), 100)
-	if !r.Drop {
-		t.Fatal("deny rule should drop the route")
-	}
-}
-
 func TestRouteUnplacedHostsZeroRoute(t *testing.T) {
 	_, cl, _, hs := testbed(t, 1, 2, nil)
-	r := cl.Route(hs[0].Addr(), hs[1].Addr(), 100)
-	if len(r.Pipes) != 0 || r.Cost != 0 || r.Drop {
-		t.Fatalf("unplaced route should be empty, got %+v", r)
+	path, r := cl.Route(hs[0].Addr(), hs[1].Addr(), nil)
+	if len(path) != 0 || r != (vnet.Route{}) {
+		t.Fatalf("unplaced route should be empty, got %v %+v", path, r)
 	}
 }
 
@@ -224,7 +209,7 @@ func TestRouteGroupLatency(t *testing.T) {
 	a, _ := n.AddHostClass(ip.MustParseAddr("10.1.3.207"), topo.FastDSL)
 	b, _ := n.AddHostClass(ip.MustParseAddr("10.2.2.117"), topo.Campus)
 	cl.PlaceSuccessive([]*vnet.Host{a, b}, 1)
-	r := cl.Route(a.Addr(), b.Addr(), 100)
+	_, r := cl.Route(a.Addr(), b.Addr(), nil)
 	if r.Latency != 400*time.Millisecond {
 		t.Fatalf("latency = %v, want 400ms", r.Latency)
 	}

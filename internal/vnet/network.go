@@ -35,24 +35,22 @@ var (
 	ErrPortAlreadyBound = errors.New("vnet: port already bound")
 )
 
-// Route describes what a message traverses between the source host's
-// up-pipe and the destination host's down-pipe.
+// Route is what a message pays on the fabric besides its pipes.
 type Route struct {
-	// Pipes are traversed in order (physical NIC pipes, extra shaping).
-	Pipes []*netem.Pipe
 	// Latency is fixed additional one-way latency (inter-group latency).
 	Latency time.Duration
 	// Cost is CPU time charged to the sender before transmission
 	// (firewall rule evaluation).
 	Cost time.Duration
-	// Drop administratively denies the path (firewall deny rule).
-	Drop bool
 }
 
-// Fabric computes the route between two virtual node addresses. The
-// zero fabric (nil) yields empty routes: only access links apply.
+// Fabric routes messages between virtual node addresses. The zero
+// fabric (nil) adds nothing: only access links apply.
 type Fabric interface {
-	Route(src, dst ip.Addr, size int) Route
+	// Route appends to path, in order, the pipes a src→dst message
+	// traverses between the source host's up-pipe and the destination
+	// host's down-pipe, and returns the extended path and the route.
+	Route(src, dst ip.Addr, path []*netem.Pipe) ([]*netem.Pipe, Route)
 }
 
 // TopoFabric is the simplest fabric: inter-group latency from a
@@ -63,8 +61,8 @@ type TopoFabric struct {
 }
 
 // Route implements Fabric.
-func (f *TopoFabric) Route(src, dst ip.Addr, _ int) Route {
-	return Route{Latency: f.Topo.GroupLatency(src, dst)}
+func (f *TopoFabric) Route(src, dst ip.Addr, path []*netem.Pipe) ([]*netem.Pipe, Route) {
+	return path, Route{Latency: f.Topo.GroupLatency(src, dst)}
 }
 
 // Config tunes network-wide constants.
@@ -85,13 +83,12 @@ type Config struct {
 	FlowWindow time.Duration
 	// Rules, when non-nil, is the network-wide IPFW-style firewall:
 	// every transmission attempt is classified src→dst through the
-	// table, matched ActionPipe pipes stack onto the path (Dummynet
-	// one-pass mode), an ActionDeny drops the attempt before any pipe
-	// is charged (reliable traffic then behaves exactly as under a
-	// partition: retransmit with backoff, reset on exhaustion, heal
-	// transparently if the rule is removed in time), and the
-	// evaluation cost — Visited × PerRuleCost, the paper's Fig 6
-	// artifact — is charged to virtual time ahead of serialization.
+	// table, an ActionDeny drops the attempt before any pipe is charged
+	// (reliable traffic then behaves exactly as under a partition:
+	// retransmit with backoff, reset on exhaustion, heal transparently
+	// if the rule is removed in time), and the evaluation cost —
+	// Visited × netem.DefaultPerRuleCost, the paper's Fig 6 artifact —
+	// is charged to virtual time ahead of serialization.
 	// nil (the default) skips classification entirely: traces are
 	// byte-identical to a network without this field.
 	Rules *netem.RuleSet
@@ -438,9 +435,13 @@ func (m *message) wireSize() int { return m.size + HeaderBytes }
 // transmit schedules a message from src through every pipe on the path
 // and delivers it at the destination host. reliable messages are
 // retransmitted on loss up to MaxRetransmits. It returns false if the
-// path is administratively denied or the destination is unknown; either
-// way the message counts as sent, so MessagesSent = MessagesDelivered +
-// MessagesDropped + messages in flight at every instant.
+// destination is unknown; the message counts as sent either way, so
+// MessagesSent = MessagesDelivered + MessagesDropped + messages in
+// flight at every instant.
+//
+// The path — the sender's up-link, the fabric's pipes, the receiver's
+// down-link — is fixed when the message is sent, so it is built here
+// once, into the xfer's inline buffer, and every attempt walks it.
 //
 //p2p:token transmit runs on the sender's simulated goroutine or an event callback
 func (n *Network) transmit(src *Host, m message, reliable bool) bool {
@@ -450,19 +451,17 @@ func (n *Network) transmit(src *Host, m message, reliable bool) bool {
 		n.stats.MessagesDropped++
 		return false
 	}
-	var route Route
-	if n.fabric != nil {
-		route = n.fabric.Route(m.src.Addr, m.dst.Addr, m.wireSize())
-	}
-	if route.Drop {
-		n.stats.MessagesDropped++
-		return false
-	}
 	if n.tracer != nil {
 		n.tracer.NetSend(n.k.Now(), m.src.Addr, m.wireSize(), m.dst, int(m.kind))
 	}
 	x := n.acquireXfer()
-	x.src, x.dst, x.m, x.route = src, dst, m, route
+	x.path = append(x.pathBuf[:0], src.up)
+	var route Route
+	if n.fabric != nil {
+		x.path, route = n.fabric.Route(m.src.Addr, m.dst.Addr, x.path)
+	}
+	x.path = append(x.path, dst.down)
+	x.src, x.dst, x.m, x.latency = src, dst, m, route.Latency
 	x.reliable, x.tries = reliable, 0
 	x.start = n.k.LoopNow().Add(route.Cost)
 	x.size = m.wireSize()
@@ -480,14 +479,14 @@ type xfer struct {
 	n        *Network
 	src, dst *Host
 	m        message
-	route    Route
-	size     int // wire size, header included
+	latency  time.Duration // the route's fixed one-way latency
+	size     int           // wire size, header included
 	tries    int
 	start    sim.Time // current attempt's start instant
 	reliable bool
 
 	path    []*netem.Pipe
-	pathBuf [4]*netem.Pipe // inline storage for the common 2-hop path
+	pathBuf [6]*netem.Pipe // inline storage: up-link, ≤ 4 fabric pipes, down-link
 	hop     int            // next pipe to charge (pipe model)
 	t       sim.Time       // arrival instant at path[hop] (pipe model)
 
@@ -516,21 +515,19 @@ func (n *Network) acquireXfer() *xfer {
 }
 
 // releaseXfer returns a finished xfer to the pool, dropping message and
-// route references so pooled entries do not pin protocol values.
+// host references so pooled entries do not pin protocol values.
 func (n *Network) releaseXfer(x *xfer) {
 	x.m = message{}
-	x.route = Route{}
 	x.src, x.dst = nil, nil
 	x.next = n.freeXfer
 	n.freeXfer = x
 }
 
 // attempt runs one transmission attempt starting at x.start: the link
-// model carries the message over the path (sender up-link, fabric pipes,
-// firewall pipes, receiver down-link), then the fixed route latency
-// applies and the message is delivered. A dropped attempt of a reliable
-// message retries with exponential backoff from the attempt's start
-// instant (failed).
+// model carries the message over the path transmit built, then the
+// fixed route latency applies and the message is delivered. A dropped
+// attempt of a reliable message retries with exponential backoff from
+// the attempt's start instant (failed).
 //
 //p2p:token
 func (x *xfer) attempt() {
@@ -546,12 +543,11 @@ func (x *xfer) attempt() {
 	// classified — each packet traversal pays the rule-evaluation cost,
 	// as in ipfw — so a deny rule added or removed mid-run takes effect
 	// on the next retransmission, exactly like a partition.
-	var ruled []*netem.Pipe
 	if n.cfg.Rules != nil {
 		v := n.cfg.Rules.Eval(x.m.src.Addr, x.m.dst.Addr)
-		// The scan is paid before the verdict applies (as in ipfw, and
-		// as virt.Cluster.Route orders it): a denied attempt still
-		// advances its retransmission schedule by the evaluation cost.
+		// The scan is paid before the verdict applies, as in ipfw: a
+		// denied attempt still advances its retransmission schedule by
+		// the evaluation cost.
 		x.start = x.start.Add(v.Cost)
 		if v.Deny {
 			n.stats.RuleDenied++
@@ -562,21 +558,7 @@ func (x *xfer) attempt() {
 			x.failed()
 			return
 		}
-		ruled = v.Pipes
 	}
-	need := 2 + len(x.route.Pipes) + len(ruled)
-	switch {
-	case need <= len(x.pathBuf):
-		x.path = x.pathBuf[:0]
-	case cap(x.path) >= need:
-		x.path = x.path[:0]
-	default:
-		x.path = make([]*netem.Pipe, 0, need)
-	}
-	x.path = append(x.path, x.src.up)
-	x.path = append(x.path, x.route.Pipes...)
-	x.path = append(x.path, ruled...)
-	x.path = append(x.path, x.dst.down)
 	if n.flow != nil {
 		n.flow.Transfer(x.start, x.size, x.path, n.k.Rand(), x.doneFn)
 		return
@@ -626,7 +608,7 @@ func (x *xfer) done(exit sim.Time, ok bool) {
 		x.failed()
 		return
 	}
-	x.n.k.Schedule(exit.Add(x.route.Latency), x.deliverFn)
+	x.n.k.Schedule(exit.Add(x.latency), x.deliverFn)
 }
 
 // deliver lands the message on the destination host and recycles the

@@ -47,7 +47,7 @@ func (n *Network) initObs() {
 	reg.GaugeFunc("p2plab_net_conns_half_open", "", "Connections registered but not (or no longer) established.", func() float64 { return conns(false) })
 
 	// Access-link pipes, aggregated over every host's up and down pipe
-	// (fabric-internal and firewall pipes are owned elsewhere).
+	// (the fabric's pipes are owned by the fabric).
 	eachPipe := func(f func(p *netem.Pipe)) {
 		for _, h := range n.order {
 			f(h.up)

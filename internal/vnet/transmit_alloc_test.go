@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
+	"repro/internal/virt"
 	"repro/internal/vnet"
 )
 
@@ -23,15 +24,26 @@ import (
 // stray runtime allocation cannot move the figure but one more
 // allocation per message does. A non-nil tracer records the run: the
 // typed trace adds fill chunk slots, one chunk per 1 024 events, so
-// tracing must not move the figure either.
-func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64 {
+// tracing must not move the figure either. machines > 0 folds the pair
+// onto a virt.Cluster of that many machines, both hosts on the first
+// (1) or one on each (2), so every message takes the cluster's route.
+func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log, machines int) uint64 {
 	t.Helper()
 	const warmup, measured = 200, 2000
 	const size = 1000
 	k := sim.New(1)
 	cfg := vnet.DefaultConfig()
 	cfg.Model = kind
-	n := vnet.NewNetwork(k, nil, cfg)
+	var fabric vnet.Fabric
+	var cluster *virt.Cluster
+	if machines > 0 {
+		var err error
+		if cluster, err = virt.NewCluster(k, machines, virt.DefaultConfig(nil)); err != nil {
+			t.Fatal(err)
+		}
+		fabric = cluster
+	}
+	n := vnet.NewNetwork(k, fabric, cfg)
 	n.SetTrace(tracer)
 	a, err := n.AddHostClass(policyA, topo.DSL)
 	if err != nil {
@@ -40,6 +52,11 @@ func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64
 	b, err := n.AddHostClass(policyB, topo.DSL)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cluster != nil {
+		if err := cluster.PlaceSuccessive([]*vnet.Host{a, b}, 2/machines); err != nil {
+			t.Fatal(err)
+		}
 	}
 	received := 0
 	k.Go("receiver", func(p *sim.Proc) {
@@ -93,14 +110,18 @@ func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64
 // TestTransmitAllocs is the allocation gate of the transmit journey,
 // exact because malloc counts carry no timing noise. Per message sent
 // and received on an established connection, nothing allocates, under
-// either model:
+// either model, unfolded or folded onto a virt.Cluster:
 //
 //   - Conn.SendMeta and Conn.Recv: nothing. The message is a value on
 //     the sender's stack; the nil meta needs no box, and the receiver's
 //     inbox ring is already sized.
 //   - vnet's journey (transmit → xfer.attempt → step/done → deliver):
 //     nothing. The xfer, its four bound method values and the kernel's
-//     event structs are pooled; the path lives in xfer.pathBuf.
+//     event structs are pooled. transmit builds the path once per
+//     message into xfer.pathBuf, and a fabric's Route appends its pipes
+//     there: a cluster adds at most four (two NICs, two CPU pipes),
+//     which a fresh slice per message cost 3 allocations across two
+//     machines and 1 on one.
 //   - flow.Model.Transfer: nothing. The engine pools its own fluid xfer
 //     with its links slice, its bound completion and the completion's
 //     sim.Event handle, armed in place with Kernel.Arm (DESIGN.md
@@ -118,11 +139,16 @@ func TestTransmitAllocs(t *testing.T) {
 		{"pipe", netem.ModelPipe},
 		{"flow", netem.ModelFlow},
 	} {
-		if got := messageAllocs(t, tc.kind, nil); got != 0 {
+		if got := messageAllocs(t, tc.kind, nil, 0); got != 0 {
 			t.Errorf("%s: %d allocs per message, want 0", tc.name, got)
 		}
-		if got := messageAllocs(t, tc.kind, trace.New(0)); got != 0 {
+		if got := messageAllocs(t, tc.kind, trace.New(0), 0); got != 0 {
 			t.Errorf("%s, traced: %d allocs per message, want 0 as untraced", tc.name, got)
+		}
+		for machines := 1; machines <= 2; machines++ {
+			if got := messageAllocs(t, tc.kind, nil, machines); got != 0 {
+				t.Errorf("%s, folded on %d machine(s): %d allocs per message, want 0", tc.name, machines, got)
+			}
 		}
 	}
 }

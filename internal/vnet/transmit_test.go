@@ -12,7 +12,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/virt"
 	"repro/internal/vnet"
 )
 
@@ -37,9 +36,9 @@ func checkConserved(t *testing.T, st vnet.NetworkStats) {
 	}
 }
 
-// TestNetworkStatsConserveMessages drives transmit's two early returns —
-// no host at the destination, and a fabric route denied by a physical
-// node's firewall — and requires both to count the message as sent.
+// TestNetworkStatsConserveMessages drives transmit's early return — no
+// host at the destination — and requires it to count the message as
+// sent and dropped.
 func TestNetworkStatsConserveMessages(t *testing.T) {
 	t.Run("unknown-destination", func(t *testing.T) {
 		k := sim.New(1)
@@ -58,40 +57,6 @@ func TestNetworkStatsConserveMessages(t *testing.T) {
 		}
 		if got, want := n.Stats(), (vnet.NetworkStats{MessagesSent: 1, MessagesDropped: 1}); got != want {
 			t.Errorf("stats = %+v, want %+v", got, want)
-		}
-	})
-	t.Run("cluster-deny", func(t *testing.T) {
-		k := sim.New(1)
-		cl, err := virt.NewCluster(k, 1, virt.DefaultConfig(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := vnet.NewNetwork(k, cl, vnet.DefaultConfig())
-		a, _ := n.AddHost(policyA, netem.PipeConfig{}, netem.PipeConfig{})
-		b, _ := n.AddHost(policyB, netem.PipeConfig{}, netem.PipeConfig{})
-		if err := cl.PlaceSuccessive([]*vnet.Host{a, b}, 2); err != nil {
-			t.Fatal(err)
-		}
-		rs := cl.Node(0).Rules()
-		rs.Add(netem.Rule{ID: rs.NextID(), Src: ip.NewPrefix(policyA, 32), Dst: ip.NewPrefix(policyB, 32), Action: netem.ActionDeny})
-		k.Go("client", func(p *sim.Proc) {
-			if _, err := a.Dial(p, ip.Endpoint{Addr: policyB, Port: 80}); !errors.Is(err, vnet.ErrNetUnreachable) {
-				t.Errorf("dial err = %v, want ErrNetUnreachable", err)
-			}
-			// The reverse direction is open, so b's echo request crosses
-			// the network and only a's reply meets the deny: delivered,
-			// denied and refused messages must balance together.
-			if _, ok := b.Ping(p, policyA, vnet.DefaultPingSize, time.Second); ok {
-				t.Error("echo reply crossed the denied direction")
-			}
-		})
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		st := n.Stats()
-		checkConserved(t, st)
-		if st.MessagesDelivered != 1 || st.MessagesDropped != 2 {
-			t.Errorf("stats = %+v, want the echo request delivered, the SYN and the echo reply dropped", st)
 		}
 	})
 }
@@ -132,6 +97,7 @@ type policyEnv struct {
 	k     *sim.Kernel
 	n     *vnet.Network
 	rules *netem.RuleSet // nil unless the scenario asks for a firewall
+	stack []*netem.Pipe  // fabric pipes on every a→b path, none on b→a
 	a, b  *vnet.Host
 	log   *trace.Log
 	notes []string // application-level observations, in order, without instants
@@ -209,6 +175,7 @@ func (r policyResult) has(note string) bool {
 type policyScenario struct {
 	name     string
 	firewall bool
+	stack    int // fabric pipes (1 ms each) the a→b path crosses
 	script   func(e *policyEnv)
 	check    func(t *testing.T, r policyResult)
 }
@@ -224,7 +191,14 @@ func runPolicy(t *testing.T, sc policyScenario, kind netem.ModelKind, window tim
 		e.rules = netem.NewRuleSet()
 		cfg.Rules = e.rules
 	}
-	e.n = vnet.NewNetwork(k, nil, cfg)
+	var fabric vnet.Fabric
+	if sc.stack > 0 {
+		for i := 0; i < sc.stack; i++ {
+			e.stack = append(e.stack, netem.NewPipe(k, fmt.Sprintf("wan%d", i), netem.PipeConfig{Delay: time.Millisecond}))
+		}
+		fabric = &oneWayFabric{src: policyA, pipes: e.stack}
+	}
+	e.n = vnet.NewNetwork(k, fabric, cfg)
 	e.n.SetTrace(e.log)
 	var err error
 	if e.a, err = e.n.AddHost(policyA, up, down); err != nil {
@@ -359,9 +333,9 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 			},
 		},
 		{
-			// Fig 6's mechanism: each traversal pays Visited × PerRuleCost
-			// ahead of serialization, so 1000 filler rules add exactly
-			// two scans to a round trip.
+			// Fig 6's mechanism: each traversal pays Visited ×
+			// DefaultPerRuleCost ahead of serialization, so 1000 filler
+			// rules add exactly two scans to a round trip.
 			name:     "rule-cost",
 			firewall: true,
 			script: func(e *policyEnv) {
@@ -425,17 +399,14 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 			},
 		},
 		{
-			// Three matched pipe rules stack onto the path (five pipes,
-			// past the xfer's inline path storage); the last one loses
-			// the first two attempts mid-path, then recovers.
-			name:     "stacked-pipes",
-			firewall: true,
+			// Three fabric pipes stack onto the a→b path (five pipes in
+			// all, built once per message); the last one loses the first
+			// two attempts mid-path, then recovers, and each retry walks
+			// the same path again.
+			name:  "stacked-pipes",
+			stack: 3,
 			script: func(e *policyEnv) {
-				var wan *netem.Pipe
-				for i := 0; i < 3; i++ {
-					wan = netem.NewPipe(e.k, fmt.Sprintf("wan%d", i), netem.PipeConfig{Delay: time.Millisecond})
-					e.rules.Add(netem.Rule{ID: e.rules.NextID(), Src: ip.NewPrefix(policyA, 32), Dst: ip.NewPrefix(policyB, 32), Action: netem.ActionPipe, Pipe: wan})
-				}
+				wan := e.stack[2]
 				e.serve()
 				e.client(func(p *sim.Proc, c *vnet.Conn) {
 					healthy := wan.Config()
@@ -504,11 +475,27 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 	}
 }
 
+// oneWayFabric is a test Fabric that puts its pipes on every path from
+// src and none on the way back.
+type oneWayFabric struct {
+	src   ip.Addr
+	pipes []*netem.Pipe
+}
+
+func (f *oneWayFabric) Route(src, _ ip.Addr, path []*netem.Pipe) ([]*netem.Pipe, vnet.Route) {
+	if src == f.src {
+		path = append(path, f.pipes...)
+	}
+	return path, vnet.Route{}
+}
+
 // walkFabric is a test Fabric that puts a fixed list of pipes between
 // every pair of hosts.
 type walkFabric struct{ pipes []*netem.Pipe }
 
-func (f *walkFabric) Route(_, _ ip.Addr, _ int) vnet.Route { return vnet.Route{Pipes: f.pipes} }
+func (f *walkFabric) Route(_, _ ip.Addr, path []*netem.Pipe) ([]*netem.Pipe, vnet.Route) {
+	return append(path, f.pipes...), vnet.Route{}
+}
 
 // walkCase is one differential scenario: senders with their own
 // up-links, shared fabric pipes, one receiver, and a send plan.

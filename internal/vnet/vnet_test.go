@@ -420,7 +420,7 @@ func TestTopoFabricRouteNoLatencyAllocs(t *testing.T) {
 	f := &TopoFabric{Topo: topo.Uniform(64, topo.DSL)}
 	src, dst := ip.MustParseAddr("10.0.0.1"), ip.MustParseAddr("10.0.0.2")
 	allocs := testing.AllocsPerRun(100, func() {
-		if r := f.Route(src, dst, 1500); r.Latency != 0 {
+		if _, r := f.Route(src, dst, nil); r.Latency != 0 {
 			t.Fatalf("latency %v on a topology that declares none", r.Latency)
 		}
 	})
