@@ -170,6 +170,17 @@ const figureSummary = `      8 nodes: 1.54 avg hops, 12.345799ms avg latency
    n=64 fanout=5 coverage=100% t50=3.25s t100=4.25s pushes=488
    n=64 fanout=8 coverage=100% t50=2.25s t100=3.25s pushes=457
    stable clients: 12/12 done; churners: 12/12 done; 34 arrivals, 23 departures
+        0 rules: rtt avg 426.884µs (min 426.884µs, max 426.884µs)
+     5000 rules: rtt avg 906.884µs (min 906.884µs, max 906.884µs)
+    10000 rules: rtt avg 1.386884ms (min 1.386884ms, max 1.386884ms)
+    15000 rules: rtt avg 1.866884ms (min 1.866884ms, max 1.866884ms)
+    20000 rules: rtt avg 2.346884ms (min 2.346884ms, max 2.346884ms)
+    25000 rules: rtt avg 2.826884ms (min 2.826884ms, max 2.826884ms)
+    30000 rules: rtt avg 3.306884ms (min 3.306884ms, max 3.306884ms)
+    35000 rules: rtt avg 3.786884ms (min 3.786884ms, max 3.786884ms)
+    40000 rules: rtt avg 4.266884ms (min 4.266884ms, max 4.266884ms)
+    45000 rules: rtt avg 4.746884ms (min 4.746884ms, max 4.746884ms)
+    50000 rules: rtt avg 5.226884ms (min 5.226884ms, max 5.226884ms)
 `
 
 // captureStdout returns what fn prints.
@@ -212,17 +223,23 @@ func checkSHA256(t *testing.T, dir string, want map[string]string) {
 // and summary their per-family drivers wrote before the figures read
 // sweep cells (commit f6a225f): the snapshot holds the floats the
 // drivers copied, so not a byte may move. Figs 2 and 3 are the sched
-// engine's own runs, pinned at the files its event heap wrote.
+// engine's own runs, pinned at the files its event heap wrote. Fig 6
+// is pinned at the files exp.Fig6 wrote, linear and indexed, and the
+// rule-visit ablation exp.Fig6Indexed wrote under id 6x.
 func TestFigureFilesMatchParent(t *testing.T) {
 	f := figures{out: t.TempDir(), scale: 1, seed: 1, model: netem.ModelPipe, classifier: netem.ClassifierLinear}
 	printed := captureStdout(t, func() error {
-		for _, id := range []string{"1", "2", "3", "dht", "gossip", "churn"} {
+		for _, id := range []string{"1", "2", "3", "dht", "gossip", "churn", "6"} {
 			if err := f.run(id); err != nil {
 				return fmt.Errorf("figure %s: %w", id, err)
 			}
 		}
 		return nil
 	})
+	indexed := f
+	indexed.classifier = netem.ClassifierIndexed
+	captureStdout(t, func() error { return indexed.run("6") })
+	captureStdout(t, func() error { return f.run("6x") })
 	if printed != figureSummary {
 		t.Errorf("summary moved:\n%s\nwant:\n%s", printed, figureSummary)
 	}
@@ -236,6 +253,12 @@ func TestFigureFilesMatchParent(t *testing.T) {
 		"dht.dat":    "965b31478b3ba5a7251f5eeb1b8f89dd64db9008be02728aece4ea852db7e432",
 		"gossip.dat": "761f07dc2143b5a44a624d2b94750c28ea69e5e70ef19a427846689b74940456",
 		"churn.txt":  "01b8e809b2864f2b3bf29106adefb3bf7248557825a77f67730e4917d843faed",
+
+		"fig6.dat":         "a5c5698ccf1a9b71c8fc63411bc64d0d7aab6043657ac227530b2f38063efaa1",
+		"fig6.gp":          "2d013c1a688481991664784c90795d93f271c43439bce65508784d629fbb4d7b",
+		"fig6-indexed.dat": "ec85e717bcdae909ff27f917bec4eedabaa12144778e7bef58beff9dd3849e7e",
+		"fig6-indexed.gp":  "294bcdb9ef3dd272492645ee4a95120234aa132ba0884fb7c0ed1fedea17d778",
+		"fig6_indexed.dat": "e3da37aa11e3034c39734a845017c5399c67a583ef7b0a2270f938f85dedda9e",
 	})
 }
 
