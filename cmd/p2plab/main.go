@@ -17,8 +17,7 @@
 //	p2plab run -spec my-scenario.json -trace 40
 //	p2plab serve -addr 127.0.0.1:8080  # HTTP experiment service
 //
-// Figure ids: 1, 2, 3, bind, 6, 6x (indexed ablation), 7, 8, 9, 10, 11,
-// dht, churn, gossip.
+// Figure ids: 1, 2, 3, bind, 6, 7, 8, 9, 10, 11, dht, churn, gossip.
 package main
 
 import (
@@ -64,13 +63,13 @@ func main() {
 			return
 		}
 	}
-	fig := flag.String("fig", "all", "figure to regenerate (1,2,3,bind,6,6x,7,8,9,10,11,all)")
+	fig := flag.String("fig", "all", "figure to regenerate (1,2,3,bind,6,7,8,9,10,11,all)")
 	out := flag.String("out", "results", "output directory for .dat and .txt files")
 	scale := flag.Int("scale", 1, "divide swarm experiment size by this factor")
 	seed := flag.Int64("seed", 1, "deterministic random seed")
 	modelName := flag.String("model", "pipe", "link model for swarm experiments (pipe, flow)")
 	rules := flag.Int("rules", 0, "pad the network firewall with this many filler rules (swarm figures; 0 = no firewall)")
-	classifierName := flag.String("classifier", "linear", "firewall packet classifier (linear, indexed; figures 6 and 8-11)")
+	classifierName := flag.String("classifier", "linear", "firewall packet classifier (linear, indexed; swarm figures with -rules)")
 	flag.Parse()
 
 	model, err := netem.ParseModel(*modelName)
@@ -87,7 +86,7 @@ func main() {
 	}
 	ids := strings.Split(*fig, ",")
 	if *fig == "all" {
-		ids = []string{"1", "2", "3", "bind", "6", "6x", "7", "8", "9", "10", "11", "dht", "churn", "gossip"}
+		ids = []string{"1", "2", "3", "bind", "6", "7", "8", "9", "10", "11", "dht", "churn", "gossip"}
 	}
 	if err := validateFirewallFlags(ids, *rules, classifier); err != nil {
 		fatal(err)
@@ -132,25 +131,19 @@ func figVariant(id string, rules int, classifier netem.Classifier) (variant, not
 // would misrepresent the output, the same misuse the sweep axes
 // reject.
 func validateFirewallFlags(ids []string, rules int, classifier netem.Classifier) error {
-	rulesApply, classifierApplies := false, false
+	rulesApply := false
 	for _, id := range ids {
 		switch id {
 		case "8", "9", "10", "11", "churn":
 			rulesApply = true
-			if rules > 0 {
-				classifierApplies = true
-			}
-		case "6":
-			// Fig 6 sweeps its own rule counts; only the classifier
-			// choice reaches it.
-			classifierApplies = true
 		}
 	}
 	if rules > 0 && !rulesApply {
 		return fmt.Errorf("-rules applies only to the swarm figures (8, 9, 10, 11, churn)")
 	}
-	if classifier != netem.ClassifierLinear && !classifierApplies {
-		return fmt.Errorf("-classifier needs -fig 6 or a swarm figure with -rules > 0")
+	if classifier != netem.ClassifierLinear && rules == 0 {
+		// Fig 6 sweeps its own rule counts under both classifiers.
+		return fmt.Errorf("-classifier needs a swarm figure with -rules > 0")
 	}
 	return nil
 }
@@ -166,7 +159,7 @@ func validateSeed(ids []string, seed int64) error {
 	}
 	for _, id := range ids {
 		switch id {
-		case "8", "9", "10", "11", "dht", "churn", "gossip":
+		case "6", "8", "9", "10", "11", "dht", "churn", "gossip":
 			return fmt.Errorf("figure %s needs a nonzero -seed (a scenario spec reads seed 0 as seed 1)", id)
 		}
 	}
@@ -340,26 +333,51 @@ func (f *figures) run(id string) error {
 			[]byte(fmt.Sprintf("plain %v\nintercepted %v\noverhead %v\n",
 				res.Plain, res.Intercepted, res.Overhead())), 0o644)
 	case "6":
-		points, err := exp.Fig6(nil, 10, f.seed, f.classifier)
+		// One ping grid draws Fig 6 and its indexed ablation; the
+		// rules = 0 cell, an empty table, is the base of both curves.
+		classifiers := []netem.Classifier{netem.ClassifierLinear, netem.ClassifierIndexed}
+		cells, err := sweep(exp.Grid{Experiment: exp.ExpPing, Rules: exp.Fig6Counts,
+			Classifiers: classifiers, Seeds: []int64{f.seed}})
 		if err != nil {
 			return err
 		}
-		for _, pt := range points {
-			fmt.Printf("   %6d rules: rtt avg %v (min %v, max %v)\n",
-				pt.Rules, pt.Stats.Avg, pt.Stats.Min, pt.Stats.Max)
+		var visited []*metrics.Series
+		for _, cf := range classifiers {
+			var own []exp.CellResult
+			for _, c := range cells {
+				if c.Cell.Rules == 0 || c.Cell.Classifier == cf {
+					own = append(own, c)
+				}
+			}
+			if cf == netem.ClassifierLinear {
+				for _, c := range own {
+					v := c.Snapshot.Values
+					fmt.Printf("   %6d rules: rtt avg %v (min %v, max %v)\n", c.Cell.Rules,
+						millis(v["rtt-avg-ms"]), millis(v["rtt-min-ms"]), millis(v["rtt-max-ms"]))
+				}
+			}
+			// The paper plots "round trip time (avg, min, max)".
+			var rtt []*metrics.Series
+			for _, stat := range []string{"avg", "min", "max"} {
+				rtt = append(rtt, curve("rtt-"+stat, exp.Fig6Counts, own, func(s *metrics.Snapshot) float64 {
+					return s.Values["rtt-"+stat+"-ms"]
+				}))
+			}
+			vid, note := figVariant("6", 0, cf)
+			if err := writePlot(f.out, vid, "fig"+vid+".dat",
+				"Round-trip time vs number of firewall rules"+note,
+				"number of rules to evaluate", "time (ms)",
+				seriesNames(rtt), true); err != nil {
+				return err
+			}
+			if err := writeDat(f.out, "fig"+vid+".dat", rtt...); err != nil {
+				return err
+			}
+			visited = append(visited, curve(cf.String()+"-visited", exp.Fig6Counts, own, func(s *metrics.Snapshot) float64 {
+				return float64(s.Counters["fw-visited"]) / float64(s.Counters["fw-evals"])
+			}))
 		}
-		fig6series := exp.Fig6Series(points)
-		vid, note := figVariant("6", 0, f.classifier)
-		if err := writePlot(f.out, vid, "fig"+vid+".dat",
-			"Round-trip time vs number of firewall rules"+note,
-			"number of rules to evaluate", "time (ms)",
-			seriesNames(fig6series), true); err != nil {
-			return err
-		}
-		return writeDat(f.out, "fig"+vid+".dat", fig6series...)
-	case "6x":
-		series := exp.Fig6Indexed(nil)
-		return writeDat(f.out, "fig6_indexed.dat", series...)
+		return writeDat(f.out, "fig6_indexed.dat", visited...)
 	case "7":
 		res, err := exp.Fig7(14, f.seed)
 		if err != nil {

@@ -115,8 +115,8 @@ func TestValidateFirewallFlags(t *testing.T) {
 		{[]string{"3"}, 100, lin, false},       // -rules on a non-swarm figure
 		{[]string{"8"}, 100, idx, true},        // firewalled swarm
 		{[]string{"8"}, 0, idx, false},         // classifier without rules
-		{[]string{"6"}, 0, idx, true},          // fig 6 owns its rule counts
-		{[]string{"6x"}, 0, idx, false},        // 6x plots both classifiers itself
+		{[]string{"6"}, 0, idx, false},         // fig 6 plots both classifiers itself
+		{[]string{"6", "8"}, 0, idx, false},    // a swarm figure without rules
 		{[]string{"1", "8"}, 50000, idx, true}, // mixed set: applies somewhere
 	}
 	for _, tc := range cases {
@@ -134,14 +134,15 @@ func TestValidateSeed(t *testing.T) {
 		seed int64
 		ok   bool
 	}{
-		{[]string{"1", "2", "3", "bind", "6", "6x", "7"}, 0, true}, // sched- and kernel-seeded
-		{[]string{"8"}, 0, false},                                  // used to run seed 1 silently
-		{[]string{"1", "dht"}, 0, false},                           // used to fail after writing Fig 1
+		{[]string{"1", "2", "3", "bind", "7"}, 0, true}, // sched- and kernel-seeded
+		{[]string{"6"}, 0, false},                       // a ping grid
+		{[]string{"8"}, 0, false},                       // used to run seed 1 silently
+		{[]string{"1", "dht"}, 0, false},                // used to fail after writing Fig 1
 		{[]string{"9"}, 0, false},
 		{[]string{"10", "11"}, 0, false},
 		{[]string{"churn"}, 0, false},
 		{[]string{"gossip"}, 0, false},
-		{[]string{"8", "dht", "churn", "gossip"}, 1, true},
+		{[]string{"6", "8", "dht", "churn", "gossip"}, 1, true},
 		{[]string{"8", "dht", "churn", "gossip"}, -3, true},
 	}
 	for _, tc := range cases {
@@ -224,8 +225,9 @@ func checkSHA256(t *testing.T, dir string, want map[string]string) {
 // sweep cells (commit f6a225f): the snapshot holds the floats the
 // drivers copied, so not a byte may move. Figs 2 and 3 are the sched
 // engine's own runs, pinned at the files its event heap wrote. Fig 6
-// is pinned at the files exp.Fig6 wrote, linear and indexed, and the
-// rule-visit ablation exp.Fig6Indexed wrote under id 6x.
+// is a ping grid pinned at the files exp.Fig6 wrote under each
+// classifier (commit 53fb934: -fig 6 and -fig 6 -classifier indexed);
+// fig6_indexed.dat is what the cells scanned, rules visited per scan.
 func TestFigureFilesMatchParent(t *testing.T) {
 	f := figures{out: t.TempDir(), scale: 1, seed: 1, model: netem.ModelPipe, classifier: netem.ClassifierLinear}
 	printed := captureStdout(t, func() error {
@@ -236,10 +238,6 @@ func TestFigureFilesMatchParent(t *testing.T) {
 		}
 		return nil
 	})
-	indexed := f
-	indexed.classifier = netem.ClassifierIndexed
-	captureStdout(t, func() error { return indexed.run("6") })
-	captureStdout(t, func() error { return f.run("6x") })
 	if printed != figureSummary {
 		t.Errorf("summary moved:\n%s\nwant:\n%s", printed, figureSummary)
 	}
@@ -258,7 +256,7 @@ func TestFigureFilesMatchParent(t *testing.T) {
 		"fig6.gp":          "2d013c1a688481991664784c90795d93f271c43439bce65508784d629fbb4d7b",
 		"fig6-indexed.dat": "ec85e717bcdae909ff27f917bec4eedabaa12144778e7bef58beff9dd3849e7e",
 		"fig6-indexed.gp":  "294bcdb9ef3dd272492645ee4a95120234aa132ba0884fb7c0ed1fedea17d778",
-		"fig6_indexed.dat": "e3da37aa11e3034c39734a845017c5399c67a583ef7b0a2270f938f85dedda9e",
+		"fig6_indexed.dat": "b933811096c1c55a67aebf8995ea099ad8de180d45a87b82776a7fb980ff5099",
 	})
 }
 

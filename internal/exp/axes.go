@@ -86,13 +86,14 @@ var axes = []Axis{
 	},
 	{
 		Label: "class", Flag: "class", Key: "classes",
-		Help:   "comma-separated link classes (dsl, modem, slow-dsl, fast-dsl, campus, office, lan)",
+		Help:   "comma-separated link classes (" + classNames() + ")",
 		reads:  linkFamilies,
 		labels: exceptScenario,
 		col: &col[topo.LinkClass]{
 			grid: func(g *Grid) *[]topo.LinkClass { return &g.Classes },
 			cell: func(c *Cell) *topo.LinkClass { return &c.Class },
-			def:  defaults(topo.DSL, nil),
+			// Ping measures Fig 6 on the paper's gigabit network.
+			def: defaults(topo.DSL, map[Experiment]topo.LinkClass{ExpPing: topo.GigE}),
 			read: func(s string) (topo.LinkClass, error) {
 				cl, ok := topo.ClassByName(s)
 				if !ok {
@@ -232,6 +233,15 @@ var axes = []Axis{
 			read: parseInt64,
 		},
 	},
+}
+
+// classNames lists topo.Classes for the class axis's help.
+func classNames() string {
+	var names []string
+	for _, cl := range topo.Classes() {
+		names = append(names, cl.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 // exceptScenario is the label rule of the four original axes: every

@@ -118,49 +118,46 @@ func TestBindOverheadMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestFig6Linear runs Fig 6 as `p2plab -fig 6` does, on ping cells:
+// each round trip scans the padded table twice, so the RTT grows by
+// exactly 2 × rules × the per-rule cost over the empty-table base.
 func TestFig6Linear(t *testing.T) {
-	points, err := Fig6([]int{0, 10000, 20000}, 4, 1, netem.ClassifierLinear)
-	if err != nil {
-		t.Fatal(err)
+	base := rttAvg(pingCell(t, 0, netem.ClassifierLinear))
+	lin10 := rttAvg(pingCell(t, 10000, netem.ClassifierLinear))
+	lin20 := rttAvg(pingCell(t, 20000, netem.ClassifierLinear))
+	// Two traversals × 10000 rules × 48 ns = 0.96 ms per step.
+	if d := lin10 - base; d != 2*10000*netem.DefaultPerRuleCost {
+		t.Errorf("slope at 10k = %v, want %v", d, 2*10000*netem.DefaultPerRuleCost)
 	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
-	}
-	base := points[0].Stats.Avg
-	d1 := points[1].Stats.Avg - base
-	d2 := points[2].Stats.Avg - base
-	// Two traversals of the padded table per RTT at ~48ns/rule:
-	// +10000 rules ⇒ ≈0.96ms.
-	if d1 < 800*time.Microsecond || d1 > 1200*time.Microsecond {
-		t.Errorf("slope at 10k rules = %v, want ≈0.96ms", d1)
-	}
-	// Linearity: doubling rules doubles the delta (±15%).
-	ratio := float64(d2) / float64(d1)
-	if ratio < 1.7 || ratio > 2.3 {
-		t.Errorf("linearity ratio = %.2f, want ≈2", ratio)
+	if d1, d2 := lin10-base, lin20-base; d2 != 2*d1 {
+		t.Errorf("not linear: deltas %v then %v", d1, d2)
 	}
 }
 
 func TestFig6At50kMatchesPaperMagnitude(t *testing.T) {
-	points, err := Fig6([]int{50000}, 3, 1, netem.ClassifierLinear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtt := points[0].Stats.Avg
+	rtt := rttAvg(pingCell(t, 50000, netem.ClassifierLinear))
 	// The paper measures ≈5 ms at 50000 rules.
 	if rtt < 4*time.Millisecond || rtt > 6*time.Millisecond {
 		t.Errorf("RTT at 50k rules = %v, want ≈5ms", rtt)
 	}
 }
 
+// TestFig6IndexedFlat: the indexed classifier visits none of the
+// filler rules a linear scan walks through, so its curve stays at the
+// empty-table base.
 func TestFig6IndexedFlat(t *testing.T) {
-	series := Fig6Indexed([]int{0, 10000, 50000})
-	lin, idx := series[0], series[1]
-	if lin.Points[2].Y < 50000 {
-		t.Errorf("linear visited %v at 50k rules, want ≥50000", lin.Points[2].Y)
+	base := rttAvg(pingCell(t, 0, netem.ClassifierLinear))
+	lin := pingCell(t, 50000, netem.ClassifierLinear)
+	idx := pingCell(t, 50000, netem.ClassifierIndexed)
+	perEval := func(s *metrics.Snapshot) uint64 { return s.Counters["fw-visited"] / s.Counters["fw-evals"] }
+	if v := perEval(lin); v < 50000 {
+		t.Errorf("linear visited %d rules per scan at 50k rules, want ≥50000", v)
 	}
-	if idx.Points[2].Y > 10 {
-		t.Errorf("indexed visited %v at 50k rules, want O(1)", idx.Points[2].Y)
+	if v := perEval(idx); v != 0 {
+		t.Errorf("indexed visited %d filler rules per scan, want 0", v)
+	}
+	if got := rttAvg(idx); got != base {
+		t.Errorf("indexed RTT at 50k rules = %v, want flat base %v", got, base)
 	}
 }
 

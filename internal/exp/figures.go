@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ip"
 	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -125,101 +124,10 @@ func BindOverhead() (BindOverheadResult, error) {
 	return res, nil
 }
 
-// Fig6Counts is the paper's x-axis for Fig 6 (0..50000 firewall rules).
+// Fig6Counts is the paper's x-axis for Fig 6 (0..50000 firewall
+// rules): the rules axis of the ping grid whose cells' rtt-*-ms values
+// are the figure's curves.
 var Fig6Counts = []int{0, 5000, 10000, 15000, 20000, 25000, 30000, 35000, 40000, 45000, 50000}
-
-// Fig6Point is one measurement of Fig 6.
-type Fig6Point struct {
-	Rules int
-	Stats vnet.PingStats
-}
-
-// Fig6 measures ping round-trip time between two virtual nodes on two
-// physical nodes while the first node's firewall table grows: the RTT
-// rises linearly because IPFW evaluates rules linearly. With
-// netem.ClassifierIndexed the same sweep runs the hash-indexed
-// classifier and the curve stays near-flat — the ablation the paper
-// could not perform ("it is not possible to evaluate the rules in a
-// hierarchical way, or with a hash table").
-func Fig6(counts []int, pings int, seed int64, classifier netem.Classifier) ([]Fig6Point, error) {
-	if counts == nil {
-		counts = Fig6Counts
-	}
-	if pings <= 0 {
-		pings = 10
-	}
-	// The paper's measurement network: gigabit with 50 µs latency, one
-	// virtual node on each of two machines.
-	lan := topo.LinkClass{Name: "lan", Down: netem.Gbps, Up: netem.Gbps, Latency: 50 * time.Microsecond}
-	var out []Fig6Point
-	for _, rules := range counts {
-		a, err := scenario.Assemble(seed, topo.Uniform(2, lan), vnet.DefaultConfig(), 1)
-		if err != nil {
-			return nil, err
-		}
-		for _, pn := range a.Cluster.Nodes() {
-			pn.Rules().SetClassifier(classifier)
-		}
-		// Filler rules on the first node, never matching the ping path
-		// (the paper pads the table to vary evaluation cost; see
-		// netem.PadFiller for the shape).
-		netem.PadFiller(a.Cluster.Node(0).Rules(), rules)
-		var st vnet.PingStats
-		a.Kernel.Go("pinger", func(p *sim.Proc) {
-			st = a.Hosts[0].PingSeries(p, a.Hosts[1].Addr(), vnet.DefaultPingSize, pings, 50*time.Millisecond, 5*time.Second)
-			a.Kernel.Stop()
-		})
-		if err := a.Kernel.Run(); err != nil {
-			return nil, err
-		}
-		out = append(out, Fig6Point{Rules: rules, Stats: st})
-	}
-	return out, nil
-}
-
-// Fig6Series converts Fig6 points into avg/min/max series (the paper
-// plots "round trip time (avg, min, max)").
-func Fig6Series(points []Fig6Point) []*metrics.Series {
-	avg := &metrics.Series{Name: "rtt-avg"}
-	min := &metrics.Series{Name: "rtt-min"}
-	max := &metrics.Series{Name: "rtt-max"}
-	for _, pt := range points {
-		x := float64(pt.Rules)
-		avg.Add(x, pt.Stats.Avg.Seconds()*1000)
-		min.Add(x, pt.Stats.Min.Seconds()*1000)
-		max.Add(x, pt.Stats.Max.Seconds()*1000)
-	}
-	return []*metrics.Series{avg, min, max}
-}
-
-// Fig6Indexed is the ablation: the same sweep with a hash-indexed
-// classifier instead of the linear table, showing the flat curve IPFW
-// could not offer. It reports the rules *visited* per evaluation for
-// both structures.
-func Fig6Indexed(counts []int) []*metrics.Series {
-	if counts == nil {
-		counts = Fig6Counts
-	}
-	linear := &metrics.Series{Name: "linear-visited"}
-	indexed := &metrics.Series{Name: "indexed-visited"}
-	src := ip.MustParseAddr("10.0.0.1")
-	dst := ip.MustParseAddr("10.0.0.2")
-	for _, rules := range counts {
-		rs := netem.NewRuleSet()
-		rs.AddCount(ip.NewPrefix(src, 32), ip.Prefix{})
-		rs.AddCount(ip.Prefix{}, ip.NewPrefix(src, 32))
-		// Filler shaped like real per-vnode rules (/32 sources), so the
-		// hash index can bucket them — the point of the ablation (see
-		// netem.PadFiller).
-		netem.PadFiller(rs, rules)
-		lv := rs.Eval(src, dst)
-		rs.SetClassifier(netem.ClassifierIndexed)
-		iv := rs.Eval(src, dst)
-		linear.Add(float64(rules), float64(lv.Visited))
-		indexed.Add(float64(rules), float64(iv.Visited))
-	}
-	return []*metrics.Series{linear, indexed}
-}
 
 // Fig7Result reports the topology-latency check around the paper's
 // worked example (853 ms measured between 10.1.3.207 and 10.2.2.117).

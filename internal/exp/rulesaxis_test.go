@@ -32,29 +32,6 @@ func rttAvg(snap *metrics.Snapshot) time.Duration {
 	return time.Duration(math.Round(snap.Values["rtt-avg-ms"] * 1e6))
 }
 
-// TestRunPingFig6Shape: the network-level Fig 6 measurement, ping
-// cells — linear RTT growth under the linear classifier, a near-flat
-// curve under the indexed one, identical base.
-func TestRunPingFig6Shape(t *testing.T) {
-	base := rttAvg(pingCell(t, 0, netem.ClassifierLinear))
-	lin10 := rttAvg(pingCell(t, 10000, netem.ClassifierLinear))
-	lin20 := rttAvg(pingCell(t, 20000, netem.ClassifierLinear))
-	// Two traversals × 10000 rules × 48 ns = 0.96 ms per step.
-	if d := lin10 - base; d != 2*10000*netem.DefaultPerRuleCost {
-		t.Errorf("slope at 10k = %v, want %v", d, 2*10000*netem.DefaultPerRuleCost)
-	}
-	if d1, d2 := lin10-base, lin20-base; d2 != 2*d1 {
-		t.Errorf("not linear: deltas %v then %v", d1, d2)
-	}
-	idx := pingCell(t, 20000, netem.ClassifierIndexed)
-	if got := rttAvg(idx); got != base {
-		t.Errorf("indexed RTT at 20k rules = %v, want flat base %v", got, base)
-	}
-	if v := idx.Counters["fw-visited"]; v != 0 {
-		t.Errorf("indexed visited %d filler rules, want 0", v)
-	}
-}
-
 // TestGridRulesAxis: expansion, defaults and rejection rules for the
 // rules and classifier axes.
 func TestGridRulesAxis(t *testing.T) {

@@ -153,7 +153,7 @@ func TotalReceivedSeries(name string, progress [][]bt.Progress) *metrics.Series 
 	s := &metrics.Series{Name: name}
 	var cum float64
 	for _, e := range pieces {
-		cum += float64(e.Bytes) / (1 << 20)
+		cum += float64(float64(e.Bytes) / (1 << 20))
 		s.Add(e.At.Seconds(), cum)
 	}
 	return s

@@ -459,6 +459,11 @@ func (c Cell) Spec() (scenario.Spec, error) {
 		// A ping cell measures the table, so it has one even when empty.
 		sp.Classifier = c.Classifier.String()
 	}
+	if c.Experiment == ExpPing {
+		// Fig 6's setting: each host on its own machine, so a round trip
+		// also crosses both machines' NICs and CPUs.
+		sp.Folding = 1
+	}
 	return sp, nil
 }
 

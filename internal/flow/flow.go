@@ -483,7 +483,7 @@ func (m *Model) solve(seeds []*link) {
 			// them) — all of them must re-level.
 			over := false
 			if bw := l.pipe.Config().Bandwidth; bw > 0 {
-				over = l.residual < -(float64(bw)*rateEps + absEps)
+				over = l.residual < -(float64(float64(bw)*rateEps) + absEps)
 			}
 			for _, g := range l.flows {
 				if g.inF {
@@ -500,7 +500,7 @@ func (m *Model) solve(seeds []*link) {
 				if lvl := l.level; math.IsInf(lvl, 1) {
 					// g's own bottleneck was not leveled this fill but
 					// has slack left over: g can rise.
-					if l.residual > g.rate*rateEps+absEps {
+					if l.residual > float64(g.rate*rateEps)+absEps {
 						m.addFlow(g)
 						grew = true
 					}
@@ -609,7 +609,7 @@ func (m *Model) apply(now sim.Time, flows []*xfer) {
 		if el := now.Sub(f.ratedAt).Seconds(); f.rate > 0 && el > 0 {
 			// el > 0 also keeps an infinite rate (a link reconfigured
 			// to unlimited) from producing Inf*0 = NaN.
-			f.remaining -= f.rate * el
+			f.remaining -= float64(f.rate * el)
 			if f.remaining < 0 {
 				f.remaining = 0
 			}

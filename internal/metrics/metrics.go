@@ -49,7 +49,7 @@ func (s *Series) At(x float64) float64 {
 		return b.Y
 	}
 	t := (x - a.X) / (b.X - a.X)
-	return a.Y + t*(b.Y-a.Y)
+	return a.Y + float64(t*(b.Y-a.Y))
 }
 
 // CDF builds the empirical cumulative distribution of samples: points
@@ -88,14 +88,14 @@ func Summarize(samples []float64) Summary {
 	n := float64(len(vs))
 	mean := sum / n
 	q := func(p float64) float64 {
-		idx := p * (n - 1)
+		idx := float64(p * (n - 1))
 		lo := int(idx)
 		hi := lo + 1
 		if hi >= len(vs) {
 			return vs[len(vs)-1]
 		}
 		frac := idx - float64(lo)
-		return vs[lo]*(1-frac) + vs[hi]*frac
+		return float64(vs[lo]*(1-frac)) + float64(vs[hi]*frac)
 	}
 	return Summary{
 		N: len(vs), Min: vs[0], Max: vs[len(vs)-1],

@@ -59,7 +59,7 @@ func Run(cfg Config, jobs []Job) Result {
 			home:      i % cpus,
 		}
 		if cfg.Kind == ULE && cfg.ULESliceJitter > 0 {
-			f := 1 + cfg.ULESliceJitter*(2*e.rng.Float64()-1)
+			f := 1 + float64(cfg.ULESliceJitter*(2*float64(e.rng.Float64())-1))
 			p.slice = time.Duration(float64(quantum) * f)
 			p.home = e.rng.Intn(cpus)
 		}

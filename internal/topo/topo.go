@@ -45,11 +45,15 @@ var (
 	Office = LinkClass{Name: "office", Down: 1 * netem.Mbps, Up: 1 * netem.Mbps, Latency: 10 * time.Millisecond}
 	// LAN is an effectively unconstrained link for trackers and servers.
 	LAN = LinkClass{Name: "lan", Down: 1 * netem.Gbps, Up: 1 * netem.Gbps, Latency: time.Millisecond}
+	// GigE is the paper's measurement network, the Fig 6 link: gigabit
+	// Ethernet with 50 µs latency, the same link as a cluster machine's
+	// NIC (virt.DefaultConfig).
+	GigE = LinkClass{Name: "gige", Down: 1 * netem.Gbps, Up: 1 * netem.Gbps, Latency: 50 * time.Microsecond}
 )
 
 // Classes lists the predefined access-link classes.
 func Classes() []LinkClass {
-	return []LinkClass{DSL, Modem, SlowDSL, FastDSL, Campus, Office, LAN}
+	return []LinkClass{DSL, Modem, SlowDSL, FastDSL, Campus, Office, LAN, GigE}
 }
 
 // ClassByName looks up a predefined access-link class by its Name,

@@ -80,9 +80,6 @@ type PhysNode struct {
 	groupSeen map[[2]string]bool // group-pair latency rules installed
 }
 
-// Rules returns the node's firewall table.
-func (pn *PhysNode) Rules() *netem.RuleSet { return pn.rules }
-
 // Cluster is a set of physical nodes and the placement of virtual nodes
 // onto them. It implements vnet.Fabric.
 type Cluster struct {
@@ -121,9 +118,6 @@ func NewCluster(k *sim.Kernel, n int, cfg Config) (*Cluster, error) {
 
 // Nodes returns the physical nodes in order.
 func (c *Cluster) Nodes() []*PhysNode { return c.nodes }
-
-// Node returns the i-th physical node.
-func (c *Cluster) Node(i int) *PhysNode { return c.nodes[i] }
 
 // place assigns one virtual address to a physical node: registers the
 // interface alias, installs the two per-virtual-node firewall rules

@@ -79,8 +79,8 @@ func (n *Network) initObs() {
 		var bits, capacity float64
 		eachPipe(func(p *netem.Pipe) {
 			if bw := p.Config().Bandwidth; bw > 0 {
-				bits += float64(p.Stats().Bytes) * 8
-				capacity += float64(bw) * now
+				bits += float64(float64(p.Stats().Bytes) * 8)
+				capacity += float64(float64(bw) * now)
 			}
 		})
 		if capacity == 0 {
