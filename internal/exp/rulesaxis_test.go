@@ -12,11 +12,11 @@ import (
 	"repro/internal/topo"
 )
 
-// pingCell runs the one ping cell at rules × classifier and returns its
-// snapshot.
-func pingCell(t *testing.T, rules int, cf netem.Classifier) *metrics.Snapshot {
+// pingCell runs the one ping cell at rules × classifier, on the given
+// link class or the family's default, and returns its snapshot.
+func pingCell(t *testing.T, rules int, cf netem.Classifier, class ...topo.LinkClass) *metrics.Snapshot {
 	t.Helper()
-	g := Grid{Experiment: ExpPing, Rules: []int{rules}}
+	g := Grid{Experiment: ExpPing, Rules: []int{rules}, Classes: class}
 	if rules > 0 {
 		g.Classifiers = []netem.Classifier{cf}
 	}
@@ -30,6 +30,29 @@ func pingCell(t *testing.T, rules int, cf netem.Classifier) *metrics.Snapshot {
 // rttAvg is a ping snapshot's average RTT, back at nanosecond grain.
 func rttAvg(snap *metrics.Snapshot) time.Duration {
 	return time.Duration(math.Round(snap.Values["rtt-avg-ms"] * 1e6))
+}
+
+// TestRunPingFig6Shape: Fig 6's shape is the firewall's, not the
+// link's — on a ping cell off the default gige class the linear RTT
+// still grows by exactly 2 × rules × the per-rule cost, and the indexed
+// curve stays flat at the base without visiting a filler rule.
+func TestRunPingFig6Shape(t *testing.T) {
+	base := rttAvg(pingCell(t, 0, netem.ClassifierLinear, topo.LAN))
+	lin10 := rttAvg(pingCell(t, 10000, netem.ClassifierLinear, topo.LAN))
+	lin20 := rttAvg(pingCell(t, 20000, netem.ClassifierLinear, topo.LAN))
+	if d := lin10 - base; d != 2*10000*netem.DefaultPerRuleCost {
+		t.Errorf("slope at 10k = %v, want %v", d, 2*10000*netem.DefaultPerRuleCost)
+	}
+	if d1, d2 := lin10-base, lin20-base; d2 != 2*d1 {
+		t.Errorf("not linear: deltas %v then %v", d1, d2)
+	}
+	idx := pingCell(t, 20000, netem.ClassifierIndexed, topo.LAN)
+	if got := rttAvg(idx); got != base {
+		t.Errorf("indexed RTT at 20k rules = %v, want flat base %v", got, base)
+	}
+	if v := idx.Counters["fw-visited"]; v != 0 {
+		t.Errorf("indexed visited %d filler rules, want 0", v)
+	}
 }
 
 // TestGridRulesAxis: expansion, defaults and rejection rules for the
