@@ -1,6 +1,7 @@
 package bt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -144,23 +145,31 @@ func blockMsg(i, b int) Msg {
 	return Msg{ID: MsgPiece, Index: i, Begin: b * BlockLength, Length: BlockLength}
 }
 
+// inLeecher runs fn inside a kernel with a fresh leecher for meta.
+func inLeecher(t *testing.T, meta *MetaInfo, fn func(p *sim.Proc, c *Client)) {
+	t.Helper()
+	k, _, trk, hosts := swarmEnv(t, 1, 1, fastClass)
+	trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
+	c := NewClient(hosts[0], meta, NewBitfield(meta.NumPieces()), trkEP, DefaultClientConfig())
+	k.Go("deliver", func(p *sim.Proc) {
+		fn(p, c)
+		k.Stop()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // onBlocks runs fn inside a kernel with a fresh leecher for meta; fn's
 // deliver feeds piece messages straight to the leecher's onBlock from a
 // peer that chokes it, so the pipeline refill after each block sends
 // nothing.
 func onBlocks(t *testing.T, meta *MetaInfo, fn func(c *Client, deliver func(Msg))) {
 	t.Helper()
-	k, _, trk, hosts := swarmEnv(t, 1, 1, fastClass)
-	trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
-	c := NewClient(hosts[0], meta, NewBitfield(meta.NumPieces()), trkEP, DefaultClientConfig())
 	pr := newPeer(nil, ip.MustParseAddr("10.9.0.1"), meta.NumPieces())
-	k.Go("deliver", func(p *sim.Proc) {
+	inLeecher(t, meta, func(p *sim.Proc, c *Client) {
 		fn(c, func(m Msg) { c.onBlock(p, pr, m) })
-		k.Stop()
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestSparseStorage pins piece possession: a client built on a full
@@ -236,19 +245,20 @@ func TestWireSizes(t *testing.T) {
 
 func TestPickerRarestFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	pk := NewPicker(4, rng)
-	pk.RandomFirstThreshold = 0
-	// Piece availability: 0 → 3 peers, 1 → 1 peer, 2 → 2 peers, 3 → 1.
+	pk := NewPicker(5, rng)
+	// Piece availability: 0 → 3 peers, 1 → 1 peer, 2 → 2 peers, 3 → 1;
+	// piece 4 is held, so random-first is over.
 	for i, n := range []int{3, 1, 2, 1} {
 		for j := 0; j < n; j++ {
 			pk.AddHave(i)
 		}
 	}
-	have := NewBitfield(4)
-	peerHas := Full(4)
+	have := NewBitfield(5)
+	have.Set(4)
+	peerHas := Full(5)
 	counts := map[int]int{}
 	for i := 0; i < 100; i++ {
-		counts[pk.Pick(have, peerHas, func(int) bool { return false })]++
+		counts[pk.Pick(have, peerHas)]++
 	}
 	if counts[0] > 0 || counts[2] > 0 {
 		t.Fatalf("picked common pieces: %v", counts)
@@ -258,28 +268,78 @@ func TestPickerRarestFirst(t *testing.T) {
 	}
 }
 
-func TestPickerPartialPriority(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pk := NewPicker(4, rng)
-	pk.RandomFirstThreshold = 0
-	pk.AddBitfield(Full(4))
-	pk.MarkPartial(2)
-	have := NewBitfield(4)
-	got := pk.Pick(have, Full(4), func(int) bool { return false })
-	if got != 2 {
-		t.Fatalf("picked %d, want partial piece 2", got)
-	}
+// request records block b of piece pi as requested from pr, the
+// bookkeeping fillRequests does before it sends the request.
+func request(c *Client, pr *peer, pi, b int) {
+	pr.inflight = append(pr.inflight, inflightEntry{piece: int32(pi), block: int32(b)})
+	c.partials[pi].req[b]++
+}
+
+// TestNextBlockPartialFirst pins the client's block order: every free
+// block of a partial piece, lowest first, goes before a fresh piece,
+// even a rarer one; a fresh piece starts only once every partial block
+// is requested; and endgame duplicates start only after the picker has
+// no open piece left.
+func TestNextBlockPartialFirst(t *testing.T) {
+	m, _ := SyntheticTorrent("t", 4*4*BlockLength, 4*BlockLength) // 4 pieces of 4 blocks
+	onBlocks(t, m, func(c *Client, deliver func(Msg)) {
+		for b := 0; b < 4; b++ {
+			deliver(blockMsg(3, b)) // held: past random-first
+		}
+		deliver(blockMsg(0, 1)) // piece 0 partial, block 1 in
+		// Availability: piece 0 → 3 peers, 1 → 1 (rarest), 2 → 2.
+		for _, pieces := range [][]int{{0, 1, 2}, {0, 2}, {0}} {
+			bf := NewBitfield(4)
+			for _, i := range pieces {
+				bf.Set(i)
+			}
+			c.picker.AddBitfield(bf)
+		}
+		a := newPeer(nil, ip.MustParseAddr("10.9.0.2"), 4)
+		a.bits = Full(4)
+		b := newPeer(nil, ip.MustParseAddr("10.9.0.3"), 4)
+		b.bits.Set(0)
+		b.bits.Set(2)
+		var got [][2]int
+		for {
+			pi, blk := c.nextBlock(a)
+			got = append(got, [2]int{pi, blk})
+			if pi < 0 {
+				break
+			}
+			request(c, a, pi, blk)
+			if pi == 1 && blk == 0 {
+				// Piece 0 is all requested, but the picker still has
+				// piece 2 for b: b starts it instead of duplicating.
+				if pi, blk := c.nextBlock(b); pi != 2 || blk != 0 {
+					t.Fatalf("peer b got (%d, %d), want fresh piece (2, 0)", pi, blk)
+				}
+				request(c, b, 2, 0)
+			}
+		}
+		// a's last block duplicates b's request of (2, 0).
+		want := [][2]int{{0, 0}, {0, 2}, {0, 3}, {1, 0}, {1, 1}, {1, 2}, {1, 3}, {2, 1}, {2, 2}, {2, 3}, {2, 0}, {-1, 0}}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("peer a's blocks:\n got %v\nwant %v", got, want)
+		}
+		if pi := c.picker.Pick(c.have, b.bits); pi != -1 {
+			t.Fatalf("picker still offers piece %d", pi)
+		}
+		if pi, blk := c.nextBlock(b); pi != 0 || blk != 0 {
+			t.Fatalf("first endgame duplicate = (%d, %d), want (0, 0)", pi, blk)
+		}
+	})
 }
 
 func TestPickerRespectsPeerBitfield(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pk := NewPicker(4, rng)
-	pk.RandomFirstThreshold = 0
 	peerHas := NewBitfield(4)
 	peerHas.Set(3)
 	have := NewBitfield(4)
+	have.Set(0) // past random-first
 	for i := 0; i < 10; i++ {
-		if got := pk.Pick(have, peerHas, func(int) bool { return false }); got != 3 {
+		if got := pk.Pick(have, peerHas); got != 3 {
 			t.Fatalf("picked %d, peer only has 3", got)
 		}
 	}
@@ -289,7 +349,7 @@ func TestPickerNothingUseful(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pk := NewPicker(4, rng)
 	have := Full(4)
-	if got := pk.Pick(have, Full(4), func(int) bool { return false }); got != -1 {
+	if got := pk.Pick(have, Full(4)); got != -1 {
 		t.Fatalf("picked %d from complete file", got)
 	}
 }
@@ -297,7 +357,6 @@ func TestPickerNothingUseful(t *testing.T) {
 func TestPickerRandomFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pk := NewPicker(32, rng)
-	pk.RandomFirstThreshold = 1
 	// Give piece 0 lowest availability; random-first should still
 	// scatter picks rather than always taking the rarest.
 	for i := 1; i < 32; i++ {
@@ -306,7 +365,7 @@ func TestPickerRandomFirst(t *testing.T) {
 	have := NewBitfield(32)
 	seen := map[int]bool{}
 	for i := 0; i < 60; i++ {
-		seen[pk.Pick(have, Full(32), func(int) bool { return false })] = true
+		seen[pk.Pick(have, Full(32))] = true
 	}
 	if len(seen) < 5 {
 		t.Fatalf("random-first should scatter, saw %v", seen)

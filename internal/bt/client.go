@@ -110,18 +110,20 @@ type event struct {
 	ivl   time.Duration // tracker announce interval (evPeers)
 }
 
-// pieceProgress tracks block arrival for an in-progress piece. The
-// bitmap is multi-word: a single uint64 silently broke pieces with more
-// than 64 blocks (any piece over 1 MiB), where 1<<b overflowed to zero,
-// the duplicate check never fired and the piece "completed" with blocks
-// missing.
+// pieceProgress is the whole download state of one partial piece:
+// which of its blocks have arrived, and from how many peers each block
+// is requested (at most endgameDup). The bitmap is multi-word: a single
+// uint64 silently broke pieces with more than 64 blocks (any piece over
+// 1 MiB), where 1<<b overflowed to zero, the duplicate check never
+// fired and the piece "completed" with blocks missing.
 type pieceProgress struct {
 	received []uint64 // block-arrival bitmap
-	count    int
+	count    int      // blocks received
+	req      []uint8  // peers each block is requested from
 }
 
 func newPieceProgress(blocks int) *pieceProgress {
-	return &pieceProgress{received: make([]uint64, (blocks+63)/64)}
+	return &pieceProgress{received: make([]uint64, (blocks+63)/64), req: make([]uint8, blocks)}
 }
 
 func (pp *pieceProgress) has(b int) bool {
@@ -153,16 +155,19 @@ type Client struct {
 	byAddr  map[ip.Addr]*peer
 	picker  *Picker
 
-	partials     map[int]*pieceProgress
-	partialOrder []int          // keys of partials, ascending (block selection order)
-	outstanding  map[uint64]int // global request refcounts by blockKey.pack() (endgame > 1)
+	// partials[i] is piece i's download state while it is partial, nil
+	// before it starts and after it completes. partialOrder lists the
+	// partial pieces ascending: block selection visits them in that
+	// order.
+	partials     []*pieceProgress
+	partialOrder []int
 
 	// Reusable scratch for per-event work, so the hot paths allocate
 	// nothing in steady state.
-	rankScratch []rankedPeer
-	topScratch  []int
-	candScratch []rankedPeer
-	keyScratch  []uint64
+	rankScratch  []rankedPeer
+	topScratch   []int
+	candScratch  []rankedPeer
+	blockScratch []int
 
 	started      sim.Time
 	finished     sim.Time
@@ -212,17 +217,16 @@ type Client struct {
 func NewClient(h *vnet.Host, meta *MetaInfo, have *Bitfield, tracker ip.Endpoint, cfg ClientConfig) *Client {
 	k := h.Network().Kernel()
 	c := &Client{
-		h:           h,
-		meta:        meta,
-		have:        have,
-		cfg:         cfg,
-		tracker:     tracker,
-		events:      sim.NewChan[event](k, 0),
-		byAddr:      make(map[ip.Addr]*peer),
-		picker:      NewPicker(meta.NumPieces(), k.Rand()),
-		partials:    make(map[int]*pieceProgress),
-		outstanding: make(map[uint64]int),
-		om:          newBTMetrics(h.Network().Obs()),
+		h:        h,
+		meta:     meta,
+		have:     have,
+		cfg:      cfg,
+		tracker:  tracker,
+		events:   sim.NewChan[event](k, 0),
+		byAddr:   make(map[ip.Addr]*peer),
+		picker:   NewPicker(meta.NumPieces(), k.Rand()),
+		partials: make([]*pieceProgress, meta.NumPieces()),
+		om:       newBTMetrics(h.Network().Obs()),
 	}
 	if have.Complete() {
 		c.done = true
@@ -247,8 +251,16 @@ func NewClient(h *vnet.Host, meta *MetaInfo, have *Bitfield, tracker ip.Endpoint
 	}
 	c.upLim = NewTokenBucket(cfg.UploadRate, burst)
 	c.downLim = NewTokenBucket(cfg.DownloadRate, burst)
+	if auditHook != nil {
+		auditHook(c)
+	}
 	return c
 }
+
+// auditHook, when set, is handed every client NewClient builds. Only
+// the package's tests set it: it is how they reach the clients of a
+// scenario run to check their request counts (Client.AuditRequests).
+var auditHook func(*Client)
 
 // FinishedAt returns the completion instant (zero until done; seeders
 // report zero).
@@ -308,25 +320,10 @@ func (c *Client) dialWebSeed(p *sim.Proc, ep ip.Endpoint) {
 		if err != nil {
 			return
 		}
-		pr := newPeer(conn, conn.RemoteAddr().Addr, c.meta.NumPieces())
+		pr := c.attach(conn)
 		pr.webseed = true
 		pr.peerChoking = false
 		pr.bits = Full(c.meta.NumPieces())
-		pr.cl = c
-		pr.downRate.pool, pr.upRate.pool = &c.chunks, &c.chunks
-		conn.SetSink(func(pk vnet.Packet, closed bool) {
-			if closed {
-				c.events.TrySend(event{kind: evPeerClosed, peer: pr})
-				return
-			}
-			if b, ok := pk.Meta.(*msgBox); ok {
-				m := b.m
-				b.release()
-				c.events.TrySend(event{kind: evMsg, peer: pr, msg: m})
-			} else if m, ok := pk.Meta.(Msg); ok {
-				c.events.TrySend(event{kind: evMsg, peer: pr, msg: m})
-			}
-		})
 		c.events.TrySend(event{kind: evPeerJoined, peer: pr})
 	})
 }
@@ -439,6 +436,15 @@ func (c *Client) dialPeer(p *sim.Proc, ep ip.Endpoint) {
 //
 //p2p:token
 func (c *Client) admit(conn *vnet.Conn) {
+	c.events.TrySend(event{kind: evPeerJoined, peer: c.attach(conn)})
+}
+
+// attach wraps an established connection in a peer whose messages and
+// close notification feed the main loop. The caller sends the join
+// event.
+//
+//p2p:token
+func (c *Client) attach(conn *vnet.Conn) *peer {
 	pr := newPeer(conn, conn.RemoteAddr().Addr, c.meta.NumPieces())
 	pr.cl = c
 	pr.downRate.pool, pr.upRate.pool = &c.chunks, &c.chunks
@@ -455,7 +461,7 @@ func (c *Client) admit(conn *vnet.Conn) {
 			c.events.TrySend(event{kind: evMsg, peer: pr, msg: m})
 		}
 	})
-	c.events.TrySend(event{kind: evPeerJoined, peer: pr})
+	return pr
 }
 
 // loop is the client's single-threaded protocol engine.
@@ -618,17 +624,17 @@ func (c *Client) onClose(p *sim.Proc, pr *peer) {
 	}
 	c.picker.RemoveBitfield(pr.bits)
 	for _, e := range pr.inflight {
-		c.releaseRequest(e.bk)
+		c.releaseRequest(int(e.piece), int(e.block))
 	}
 }
 
-// releaseRequest drops one outstanding refcount for a block (keyed by
-// blockKey.pack()).
-func (c *Client) releaseRequest(bk uint64) {
-	if n := c.outstanding[bk]; n > 1 {
-		c.outstanding[bk] = n - 1
-	} else {
-		delete(c.outstanding, bk)
+// releaseRequest drops one request for block b of piece pi. Only a
+// partial piece counts its requests: a request that outlives its piece
+// (an endgame duplicate still in flight when the piece completes) has
+// no count left to drop.
+func (c *Client) releaseRequest(pi, b int) {
+	if pp := c.partials[pi]; pp != nil {
+		pp.req[b]--
 	}
 }
 
@@ -641,6 +647,9 @@ func (c *Client) onMsg(p *sim.Proc, pr *peer, m Msg) {
 		pr.useful = usefulCount(pr.bits, c.have)
 		c.updateInterest(p, pr)
 	case MsgHave:
+		if m.Index < 0 || m.Index >= c.meta.NumPieces() {
+			return // names no piece: dropped before it touches any state
+		}
 		if !pr.bits.Has(m.Index) {
 			pr.bits.Set(m.Index)
 			c.picker.AddHave(m.Index)
@@ -652,7 +661,7 @@ func (c *Client) onMsg(p *sim.Proc, pr *peer, m Msg) {
 	case MsgChoke:
 		pr.peerChoking = true
 		for _, e := range pr.inflight {
-			c.releaseRequest(e.bk)
+			c.releaseRequest(int(e.piece), int(e.block))
 		}
 		pr.inflight = pr.inflight[:0]
 	case MsgUnchoke:
@@ -795,38 +804,43 @@ func (c *Client) onBlock(p *sim.Proc, pr *peer, m Msg) {
 		m.Begin%BlockLength != 0 || m.Begin/BlockLength >= c.meta.BlocksIn(m.Index) {
 		return
 	}
-	bk := blockKey{m.Index, m.Begin}.pack()
-	if pr.inflightDel(bk) {
-		c.releaseRequest(bk)
+	pi, b := m.Index, m.Begin/BlockLength
+	if pr.inflightDel(pi, b) {
+		c.releaseRequest(pi, b)
 	}
 	pr.downRate.Add(p.Now(), int64(m.Length))
 
-	if c.have.Has(m.Index) || c.done {
+	if c.have.Has(pi) || c.done {
 		c.fillRequests(p, pr)
 		return
 	}
-	pp := c.partials[m.Index]
+	pp := c.partials[pi]
 	if pp == nil {
-		pp = newPieceProgress(c.meta.BlocksIn(m.Index))
-		c.partials[m.Index] = pp
-		c.partialsInsert(m.Index)
-		c.picker.MarkPartial(m.Index)
+		pp = c.startPiece(pi)
 	}
-	b := m.Begin / BlockLength
 	if pp.has(b) {
 		c.fillRequests(p, pr) // endgame duplicate
 		return
 	}
 	pp.set(b)
 	pp.count++
-	if pp.count == c.meta.BlocksIn(m.Index) {
-		c.have.Set(m.Index)
-		delete(c.partials, m.Index)
-		c.partialsRemove(m.Index)
-		c.picker.ClearPartial(m.Index)
-		c.onPieceDone(p, m.Index)
+	if pp.count == len(pp.req) {
+		c.have.Set(pi)
+		c.partials[pi] = nil
+		c.partialsRemove(pi)
+		c.onPieceDone(p, pi)
 	}
 	c.fillRequests(p, pr)
+}
+
+// startPiece makes piece pi partial: it gets a progress record, joins
+// the ordered partial list and leaves the picker's open pieces.
+func (c *Client) startPiece(pi int) *pieceProgress {
+	pp := newPieceProgress(c.meta.BlocksIn(pi))
+	c.partials[pi] = pp
+	c.partialsInsert(pi)
+	c.picker.MarkPartial(pi)
+	return pp
 }
 
 // partialsInsert adds piece pi to the ordered partial-piece list,
@@ -861,21 +875,19 @@ func (c *Client) onPieceDone(p *sim.Proc, piece int) {
 		}
 		// Cancel endgame duplicates for this piece, in block order: the
 		// cancels are wire messages, so their send order must not
-		// depend on map iteration order. Packed keys of one piece sort
-		// by begin offset.
-		dups := c.keyScratch[:0]
+		// depend on the in-flight set's order. The piece's record is
+		// gone, so there is no request count to drop.
+		dups := c.blockScratch[:0]
 		for _, e := range pr.inflight {
-			if unpackBlockKey(e.bk).piece == piece {
-				dups = append(dups, e.bk)
+			if int(e.piece) == piece {
+				dups = append(dups, int(e.block))
 			}
 		}
 		slices.Sort(dups)
-		c.keyScratch = dups[:0]
-		for _, bk := range dups {
-			begin := unpackBlockKey(bk).begin
-			pr.send(p, Msg{ID: MsgCancel, Index: piece, Begin: begin, Length: c.meta.BlockSize(piece, begin/BlockLength)})
-			pr.inflightDel(bk)
-			c.releaseRequest(bk)
+		c.blockScratch = dups[:0]
+		for _, b := range dups {
+			pr.send(p, Msg{ID: MsgCancel, Index: piece, Begin: b * BlockLength, Length: c.meta.BlockSize(piece, b)})
+			pr.inflightDel(piece, b)
 		}
 	}
 	if c.have.Complete() && !c.done {
@@ -916,7 +928,7 @@ func (c *Client) onTick(p *sim.Proc) {
 				last := len(pr.inflight) - 1
 				pr.inflight[i] = pr.inflight[last]
 				pr.inflight = pr.inflight[:last]
-				c.releaseRequest(e.bk)
+				c.releaseRequest(int(e.piece), int(e.block))
 				continue // the swapped-in entry now sits at i
 			}
 			i++
@@ -1087,15 +1099,16 @@ func (c *Client) fillRequests(p *sim.Proc, pr *peer) {
 	}
 	now := p.Now()
 	for len(pr.inflight) < c.depth {
-		piece, begin, length := c.nextBlock(pr)
-		if piece < 0 {
+		pi, b := c.nextBlock(pr)
+		if pi < 0 {
 			return
 		}
+		length := c.meta.BlockSize(pi, b)
 		if c.downLim != nil {
 			// Gate request issue on the download bucket: the cap is on
 			// requested bytes per virtual second, which converges to
 			// received bytes per second once the pipeline drains. The
-			// picked block is not yet marked outstanding, so it is
+			// picked block is not yet counted as requested, so it is
 			// re-offered (same piece, same block) when the bucket wakes
 			// us — selection stays deterministic.
 			if wait := c.downLim.Take(now, int64(length)); wait > 0 {
@@ -1103,104 +1116,59 @@ func (c *Client) fillRequests(p *sim.Proc, pr *peer) {
 				return
 			}
 		}
-		bk := blockKey{piece, begin}.pack()
-		pr.inflightAdd(bk, now)
-		c.outstanding[bk]++
-		if pr.send(p, Msg{ID: MsgRequest, Index: piece, Begin: begin, Length: length}) != nil {
+		pr.inflight = append(pr.inflight, inflightEntry{piece: int32(pi), block: int32(b), at: now})
+		c.partials[pi].req[b]++
+		if pr.send(p, Msg{ID: MsgRequest, Index: pi, Begin: b * BlockLength, Length: length}) != nil {
 			return
 		}
 	}
 }
 
-// nextBlock selects the next block to request from a peer: first an
-// unrequested block of a partial piece, then a fresh piece from the
-// picker, then endgame duplication. Partial pieces are visited in
-// ascending index order via the maintained c.partialOrder list — block
-// selection is trace-visible and must be deterministic for a fixed
-// seed, and re-sorting the partial map's keys per request was the
-// request path's main allocation.
-func (c *Client) nextBlock(pr *peer) (piece, begin, length int) {
+// nextBlock selects the next block to request from a peer and returns
+// its piece and block number (piece -1: nothing to request). First the
+// lowest unrequested block of a partial piece, then block 0 of a fresh
+// piece from the picker, then endgame duplication. Partial pieces are
+// visited in ascending index order via the maintained c.partialOrder
+// list: block selection is trace-visible and must be deterministic for
+// a fixed seed.
+func (c *Client) nextBlock(pr *peer) (int, int) {
 	// 1. Unrequested blocks of partial pieces the peer has.
 	for _, pi := range c.partialOrder {
 		if !pr.bits.Has(pi) {
 			continue
 		}
-		if b := c.freeBlock(pi, c.partials[pi], pr, 0); b >= 0 {
-			return pi, b * BlockLength, c.meta.BlockSize(pi, b)
+		if b := c.freeBlock(pi, pr, 0); b >= 0 {
+			return pi, b
 		}
 	}
-	// 2. A fresh piece.
-	inFlight := func(i int) bool {
-		// A piece is saturated when every block is requested.
-		if c.partials[i] != nil {
-			return c.freeBlockAny(i, c.partials[i], 0) < 0
-		}
-		return c.pieceSaturated(i)
-	}
-	pi := c.picker.Pick(c.have, pr.bits, inFlight)
-	if pi >= 0 && c.partials[pi] == nil {
-		// Start the piece: request block 0 (further blocks follow as
-		// the pipeline refills).
-		if c.outstanding[blockKey{pi, 0}.pack()] == 0 {
-			c.picker.MarkPartial(pi)
-			c.partials[pi] = newPieceProgress(c.meta.BlocksIn(pi))
-			c.partialsInsert(pi)
-			return pi, 0, c.meta.BlockSize(pi, 0)
-		}
-	} else if pi >= 0 {
-		if b := c.freeBlock(pi, c.partials[pi], pr, 0); b >= 0 {
-			return pi, b * BlockLength, c.meta.BlockSize(pi, b)
-		}
+	// 2. A fresh piece: request block 0 (further blocks follow, by step
+	// 1, as the pipeline refills).
+	if pi := c.picker.Pick(c.have, pr.bits); pi >= 0 {
+		c.startPiece(pi)
+		return pi, 0
 	}
 	// 3. Endgame: duplicate outstanding blocks up to endgameDup.
 	for _, pi := range c.partialOrder {
 		if !pr.bits.Has(pi) {
 			continue
 		}
-		if b := c.freeBlock(pi, c.partials[pi], pr, endgameDup-1); b >= 0 {
-			return pi, b * BlockLength, c.meta.BlockSize(pi, b)
+		if b := c.freeBlock(pi, pr, endgameDup-1); b >= 0 {
+			return pi, b
 		}
 	}
-	return -1, 0, 0
+	return -1, 0
 }
 
-// freeBlock finds a block of piece pi not yet received, not in flight
-// at this peer, and with a global outstanding count ≤ maxDup.
-func (c *Client) freeBlock(pi int, pp *pieceProgress, pr *peer, maxDup int) int {
-	n := c.meta.BlocksIn(pi)
-	for b := 0; b < n; b++ {
-		if pp.has(b) {
-			continue
-		}
-		bk := blockKey{pi, b * BlockLength}.pack()
-		if pr.inflightHas(bk) {
-			continue
-		}
-		if c.outstanding[bk] > maxDup {
+// freeBlock finds the lowest block of partial piece pi that has not
+// arrived, is not in flight at this peer, and is requested from at most
+// maxDup peers.
+func (c *Client) freeBlock(pi int, pr *peer, maxDup int) int {
+	pp := c.partials[pi]
+	for b, n := range pp.req {
+		if int(n) > maxDup || pp.has(b) || pr.inflightHas(pi, b) {
 			continue
 		}
 		return b
 	}
 	return -1
-}
-
-// freeBlockAny is freeBlock without the per-peer exclusion.
-func (c *Client) freeBlockAny(pi int, pp *pieceProgress, maxDup int) int {
-	n := c.meta.BlocksIn(pi)
-	for b := 0; b < n; b++ {
-		if pp.has(b) {
-			continue
-		}
-		if c.outstanding[blockKey{pi, b * BlockLength}.pack()] > maxDup {
-			continue
-		}
-		return b
-	}
-	return -1
-}
-
-// pieceSaturated reports whether a not-yet-started piece's first block
-// is already outstanding (conservative saturation check).
-func (c *Client) pieceSaturated(i int) bool {
-	return c.outstanding[blockKey{i, 0}.pack()] > 0
 }

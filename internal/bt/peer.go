@@ -8,23 +8,6 @@ import (
 	"repro/internal/vnet"
 )
 
-// blockKey identifies one block of the torrent.
-type blockKey struct {
-	piece, begin int
-}
-
-// pack encodes the key as one word so the request-tracking maps use the
-// runtime's fast uint64 paths. Piece index and byte offset both fit in
-// 32 bits (a piece is at most a few MiB).
-func (bk blockKey) pack() uint64 {
-	return uint64(uint32(bk.piece))<<32 | uint64(uint32(bk.begin))
-}
-
-// unpackBlockKey inverts pack.
-func unpackBlockKey(k uint64) blockKey {
-	return blockKey{piece: int(uint32(k >> 32)), begin: int(uint32(k))}
-}
-
 // peer is the client-side state of one remote peer connection,
 // following the wire protocol's four-flag model.
 type peer struct {
@@ -37,12 +20,12 @@ type peer struct {
 	peerChoking    bool // they choke us
 	peerInterested bool // they want ours
 
-	// inflight tracks requests we sent and when, for timeout re-issue,
-	// keyed by blockKey.pack(). A flat slice, not a map: the pipeline
-	// depth bounds it to a few dozen entries, where a linear scan of one
-	// contiguous array beats hashing — and 10k peers × dozens of
-	// connections each would otherwise keep hundreds of thousands of
-	// live maps for the GC to mark.
+	// inflight tracks requests we sent and when, for timeout re-issue.
+	// A flat slice, not a map: the pipeline depth bounds it to a few
+	// dozen entries, where a linear scan of one contiguous array beats
+	// hashing — and 10k peers × dozens of connections each would
+	// otherwise keep hundreds of thousands of live maps for the GC to
+	// mark.
 	inflight []inflightEntry
 
 	downRate RateEstimator // payload bytes they sent us
@@ -82,34 +65,31 @@ func newPeer(conn *vnet.Conn, addr ip.Addr, numPieces int) *peer {
 	}
 }
 
-// inflightEntry is one outstanding request: the packed block key and
-// the instant it was issued.
+// inflightEntry is one outstanding request: the block (piece index and
+// block number within the piece) and the instant it was issued. 32-bit
+// fields keep an entry at 16 bytes: every connection holds a pipeline
+// of them.
 type inflightEntry struct {
-	bk uint64
-	at sim.Time
+	piece, block int32
+	at           sim.Time
 }
 
-// inflightHas reports whether block bk has an outstanding request.
-func (pr *peer) inflightHas(bk uint64) bool {
-	for i := range pr.inflight {
-		if pr.inflight[i].bk == bk {
+// inflightHas reports whether block b of piece pi has an outstanding
+// request.
+func (pr *peer) inflightHas(pi, b int) bool {
+	for _, e := range pr.inflight {
+		if int(e.piece) == pi && int(e.block) == b {
 			return true
 		}
 	}
 	return false
 }
 
-// inflightAdd records an outstanding request. The caller guarantees bk
-// is not already present (request issue paths check first).
-func (pr *peer) inflightAdd(bk uint64, at sim.Time) {
-	pr.inflight = append(pr.inflight, inflightEntry{bk: bk, at: at})
-}
-
-// inflightDel removes block bk's entry if present (swap-remove; the
-// set is unordered) and reports whether it was there.
-func (pr *peer) inflightDel(bk uint64) bool {
-	for i := range pr.inflight {
-		if pr.inflight[i].bk == bk {
+// inflightDel removes the entry for block b of piece pi if present
+// (swap-remove; the set is unordered) and reports whether it was there.
+func (pr *peer) inflightDel(pi, b int) bool {
+	for i, e := range pr.inflight {
+		if int(e.piece) == pi && int(e.block) == b {
 			last := len(pr.inflight) - 1
 			pr.inflight[i] = pr.inflight[last]
 			pr.inflight = pr.inflight[:last]

@@ -5,14 +5,17 @@ import (
 	"math/rand"
 )
 
-// Picker implements the mainline client's piece-selection policy:
+// Picker chooses which fresh piece to start, following the mainline
+// client's policy:
 //
-//   - strict priority to finishing partially downloaded pieces;
-//   - random first pieces while the client has fewer than a threshold
-//     of complete pieces (get something uploadable fast);
+//   - a random first piece while the client holds none (get something
+//     uploadable fast);
 //   - rarest-first afterwards, with random tie-breaking among equally
-//     rare pieces;
-//   - endgame (handled by the client) once everything is requested.
+//     rare pieces.
+//
+// Finishing partial pieces first and endgame duplication are block
+// choices, made by the client (Client.nextBlock) before and after it
+// asks the picker; the picker only ever offers open pieces.
 //
 // The picker tracks per-piece availability from peers' bitfields and
 // have messages. Rarest-first selection is availability-bucketed: every
@@ -23,14 +26,8 @@ import (
 // order and draws the same single rng.Intn per multi-way tie as the
 // linear scan did, so picks are bit-identical to the O(pieces) version.
 type Picker struct {
-	meta    *Picks
-	avail   []int // how many known peers have each piece
-	partial map[int]bool
-	rng     *rand.Rand
-
-	// RandomFirstThreshold is how many pieces to pick randomly before
-	// switching to rarest-first (mainline: 1 in 4.x; configurable).
-	RandomFirstThreshold int
+	avail []int // how many known peers have each piece
+	rng   *rand.Rand
 
 	// buckets[a] holds the open pieces with availability a as a bitmap
 	// in wire bit order (piece 0 = MSB of byte 0). state tracks which
@@ -47,29 +44,21 @@ type bucket struct {
 }
 
 // Piece states for the bucketed index. Open pieces live in a bucket;
-// partial pieces are in the partial map (strict-priority step); have
-// pieces are verified locally and permanently out of rarest-first.
+// partial pieces are being downloaded (the client finishes them
+// block by block); have pieces are verified locally. Neither of the
+// last two is ever picked again.
 const (
 	pieceOpen uint8 = iota
 	piecePartial
 	pieceHave
 )
 
-// Picks carries the sizing the picker needs (decoupled from MetaInfo
-// for testability).
-type Picks struct {
-	NumPieces int
-}
-
 // NewPicker returns a picker for n pieces.
 func NewPicker(n int, rng *rand.Rand) *Picker {
 	pk := &Picker{
-		meta:                 &Picks{NumPieces: n},
-		avail:                make([]int, n),
-		partial:              make(map[int]bool),
-		rng:                  rng,
-		RandomFirstThreshold: 1,
-		state:                make([]uint8, n),
+		avail: make([]int, n),
+		rng:   rng,
+		state: make([]uint8, n),
 	}
 	// Every piece starts open at availability 0.
 	pk.buckets = append(pk.buckets, bucket{bits: make([]byte, (n+7)/8), count: n})
@@ -89,7 +78,7 @@ func NewPicker(n int, rng *rand.Rand) *Picker {
 // ensureBucket grows the bucket slice to cover availability a.
 func (pk *Picker) ensureBucket(a int) {
 	for len(pk.buckets) <= a {
-		pk.buckets = append(pk.buckets, bucket{bits: make([]byte, (pk.meta.NumPieces+7)/8)})
+		pk.buckets = append(pk.buckets, bucket{bits: make([]byte, (len(pk.avail)+7)/8)})
 	}
 }
 
@@ -138,74 +127,41 @@ func (pk *Picker) RemoveBitfield(b *Bitfield) {
 	b.forEachSet(func(i int) { pk.addAvail(i, -1) })
 }
 
-// AddHave counts one piece announced by a peer.
-func (pk *Picker) AddHave(i int) {
-	if i >= 0 && i < len(pk.avail) {
-		pk.addAvail(i, 1)
-	}
-}
+// AddHave counts one piece announced by a peer. i must name a piece:
+// the client drops a Have that names none before it gets here.
+func (pk *Picker) AddHave(i int) { pk.addAvail(i, 1) }
 
-// MarkPartial records that a piece has outstanding or completed blocks
-// and should be finished before new pieces are started.
+// MarkPartial records that the client has started piece i: it leaves
+// the availability buckets and Pick never offers it again.
 func (pk *Picker) MarkPartial(i int) {
-	pk.partial[i] = true
 	if pk.state[i] == pieceOpen {
 		pk.bucketRemove(i, pk.avail[i])
 		pk.state[i] = piecePartial
 	}
 }
 
-// ClearPartial removes a piece from the partial set (completed or
-// abandoned). An abandoned piece rejoins its availability bucket; a
-// completed one leaves rarest-first for good via MarkHave.
-func (pk *Picker) ClearPartial(i int) {
-	delete(pk.partial, i)
-	if i >= 0 && i < len(pk.state) && pk.state[i] == piecePartial {
-		pk.bucketAdd(i, pk.avail[i])
-		pk.state[i] = pieceOpen
-	}
-}
-
-// MarkHave records that piece i is verified locally: it will never be
-// picked again, so it leaves the availability buckets permanently.
-// Pick still filters candidates against the caller's have bitfield, so
-// calling MarkHave is an optimization, not a correctness requirement.
+// MarkHave records that piece i is verified locally, whether it was
+// partial or open: it will never be picked again. Pick still filters
+// candidates against the caller's have bitfield, so calling MarkHave
+// is an optimization, not a correctness requirement.
 func (pk *Picker) MarkHave(i int) {
-	if i < 0 || i >= len(pk.state) {
-		return
-	}
 	if pk.state[i] == pieceOpen {
 		pk.bucketRemove(i, pk.avail[i])
 	}
 	pk.state[i] = pieceHave
 }
 
-// Pick chooses the next piece to download. have is the local bitfield;
-// peerHas is the candidate peer's; inFlight reports pieces already fully
-// requested. It returns -1 when the peer has nothing useful.
-func (pk *Picker) Pick(have, peerHas *Bitfield, inFlight func(int) bool) int {
-	// 1. Finish partial pieces first. Ties on availability break to
-	// the lowest index: map iteration order is randomized per run and
-	// piece selection must be deterministic for a fixed seed.
-	best := -1
-	bestAvail := int(^uint(0) >> 1)
-	//lint:allow maporder deterministic argmin: the (avail, index) minimum is unique, so the result is independent of visit order
-	for i := range pk.partial {
-		if have.Has(i) || !peerHas.Has(i) || inFlight(i) {
-			continue
-		}
-		if pk.avail[i] < bestAvail || (pk.avail[i] == bestAvail && i < best) {
-			best, bestAvail = i, pk.avail[i]
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	// 2. Random first pieces.
-	if have.Count() < pk.RandomFirstThreshold {
+// Pick chooses a fresh piece to start downloading from a peer. have is
+// the local bitfield; peerHas is the candidate peer's. Partial pieces
+// are never candidates. It returns -1 when the peer has no open piece
+// the client lacks.
+func (pk *Picker) Pick(have, peerHas *Bitfield) int {
+	// 1. A random first piece. The client holds none, so every piece
+	// that is not partial is open.
+	if have.Count() == 0 {
 		candidates := pk.scratch[:0]
-		for i := 0; i < pk.meta.NumPieces; i++ {
-			if !have.Has(i) && peerHas.Has(i) && !inFlight(i) {
+		for i := range pk.state {
+			if pk.state[i] != piecePartial && peerHas.Has(i) {
 				candidates = append(candidates, i)
 			}
 		}
@@ -215,7 +171,7 @@ func (pk *Picker) Pick(have, peerHas *Bitfield, inFlight func(int) bool) int {
 		}
 		return candidates[pk.rng.Intn(len(candidates))]
 	}
-	// 3. Rarest first with random tie-break: the first availability
+	// 2. Rarest first with random tie-break: the first availability
 	// bucket with an eligible piece holds exactly the linear scan's
 	// minimum-availability tie set. Bucket bitmaps only ever set bits
 	// for valid pieces, so masking with them also discards any stray
@@ -239,10 +195,7 @@ func (pk *Picker) Pick(have, peerHas *Bitfield, inFlight func(int) bool) int {
 			for w != 0 {
 				lz := bits.LeadingZeros8(w)
 				w &^= 0x80 >> uint(lz)
-				i := j*8 + lz
-				if !inFlight(i) {
-					ties = append(ties, i)
-				}
+				ties = append(ties, j*8+lz)
 			}
 		}
 		pk.scratch = ties[:0]

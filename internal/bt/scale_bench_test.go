@@ -86,7 +86,6 @@ func hotHave(tb testing.TB) func() {
 func hotPick(tb testing.TB) func() {
 	rng := rand.New(rand.NewSource(1))
 	pk := NewPicker(hotPieces, rng)
-	pk.RandomFirstThreshold = 0
 	// Availability spread of a converged swarm: every piece known to
 	// 1..40 peers.
 	for p := 0; p < 40; p++ {
@@ -103,9 +102,8 @@ func hotPick(tb testing.TB) func() {
 		have.Set(i)
 	}
 	peerHas := Full(hotPieces)
-	none := func(int) bool { return false }
 	return func() {
-		if pk.Pick(have, peerHas, none) < 0 {
+		if pk.Pick(have, peerHas) < 0 {
 			tb.Fatal("no pick")
 		}
 	}

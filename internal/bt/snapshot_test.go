@@ -192,12 +192,12 @@ func TestSparseWriteBlockRejectsMisaligned(t *testing.T) {
 			fmt.Fprintf(&b, "%d:%v ", pi, *c.partials[pi])
 		}
 		pk := c.picker
-		fmt.Fprint(&b, len(c.partials), c.outstanding, pk.partial, pk.state, pk.avail, pk.buckets)
+		fmt.Fprint(&b, pk.state, pk.avail, pk.buckets)
 		return b.String()
 	}
 	onBlocks(t, meta, func(c *Client, deliver func(Msg)) {
 		deliver(blockMsg(1, 0)) // a partial piece and a refcount for the checks to keep
-		c.outstanding[blockKey{1, BlockLength}.pack()] = 1
+		c.partials[1].req[1] = 1
 		before := state(c)
 		for _, m := range []Msg{
 			{ID: MsgPiece, Index: meta.NumPieces(), Begin: 0, Length: BlockLength},
@@ -212,6 +212,70 @@ func TestSparseWriteBlockRejectsMisaligned(t *testing.T) {
 		deliver(blockMsg(0, 1))
 		if pp := c.partials[0]; pp == nil || !pp.has(1) {
 			t.Error("aligned block rejected")
+		}
+	})
+}
+
+// TestOutOfRangeHaveIgnored sends Haves that name no piece. Bitfield.Set
+// ignores them, but the useful-piece count once went up anyway, making
+// a peer with nothing we need look interesting. They must change no
+// interest state and no availability.
+func TestOutOfRangeHaveIgnored(t *testing.T) {
+	meta, err := SyntheticTorrent("t", 512*1024, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := meta.NumPieces()
+	inLeecher(t, meta, func(p *sim.Proc, c *Client) {
+		// The peer has piece 0, which we need; nil conn: nothing below
+		// may send to it.
+		pr := newPeer(nil, ip.MustParseAddr("10.9.0.1"), n)
+		pr.bits.Set(0)
+		c.picker.AddHave(0)
+		pr.useful, pr.amInterested = 1, true
+		before := fmt.Sprint(c.picker.avail, c.picker.buckets)
+		for _, i := range []int{n, n, n + 7, -1} {
+			c.onMsg(p, pr, Msg{ID: MsgHave, Index: i})
+		}
+		if pr.useful != 1 || !pr.amInterested || pr.bits.Count() != 1 {
+			t.Errorf("useful %d, interested %v, peer pieces %d; want 1, true, 1", pr.useful, pr.amInterested, pr.bits.Count())
+		}
+		if got := fmt.Sprint(c.picker.avail, c.picker.buckets); got != before {
+			t.Errorf("availability changed:\n got %s\nwant %s", got, before)
+		}
+	})
+}
+
+// TestLateDuplicateChangesNoCount delivers an endgame duplicate whose
+// request outlived its piece: the piece completed from another peer
+// while the request was still in flight. Releasing it must find no
+// record to decrement and touch no other piece's counts.
+func TestLateDuplicateChangesNoCount(t *testing.T) {
+	meta, err := SyntheticTorrent("t", 2*2*BlockLength, 2*BlockLength) // 2 pieces of 2 blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	inLeecher(t, meta, func(p *sim.Proc, c *Client) {
+		// Unregistered peers that choke us: onPieceDone sends them no
+		// Have or cancel, and no pipeline refill is sent.
+		a := newPeer(nil, ip.MustParseAddr("10.9.0.1"), 2)
+		b := newPeer(nil, ip.MustParseAddr("10.9.0.2"), 2)
+		c.onBlock(p, a, blockMsg(0, 0))
+		c.onBlock(p, a, blockMsg(1, 0))
+		request(c, a, 0, 1)
+		request(c, b, 0, 1) // the endgame duplicate
+		request(c, b, 1, 1)
+		c.onBlock(p, a, blockMsg(0, 1))
+		if !c.have.Has(0) || c.partials[0] != nil {
+			t.Fatal("piece 0 did not complete")
+		}
+		before := fmt.Sprint(*c.partials[1])
+		c.onBlock(p, b, blockMsg(0, 1))
+		if len(b.inflight) != 1 || b.inflight[0].piece != 1 {
+			t.Errorf("b's in-flight set = %v, want only piece 1's request", b.inflight)
+		}
+		if got := fmt.Sprint(*c.partials[1]); got != before {
+			t.Errorf("piece 1 changed:\n got %s\nwant %s", got, before)
 		}
 	})
 }
