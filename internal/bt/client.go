@@ -147,13 +147,13 @@ type Client struct {
 	tracker ip.Endpoint
 
 	events *sim.Chan[event]
-	// freeBox and chunks pool send boxes (see msgBox) and the peers'
+	// boxes and chunks pool send boxes (see msgBox) and the peers'
 	// rate samples (see RateEstimator).
-	freeBox *msgBox
-	chunks  chunkPool
-	peers   []*peer
-	byAddr  map[ip.Addr]*peer
-	picker  *Picker
+	boxes  boxPool
+	chunks chunkPool
+	peers  []*peer
+	byAddr map[ip.Addr]*peer
+	picker *Picker
 
 	// partials[i] is piece i's download state while it is partial, nil
 	// before it starts and after it completes. partialOrder lists the
@@ -457,8 +457,6 @@ func (c *Client) attach(conn *vnet.Conn) *peer {
 			m := b.m
 			b.release()
 			c.events.TrySend(event{kind: evMsg, peer: pr, msg: m})
-		} else if m, ok := pk.Meta.(Msg); ok {
-			c.events.TrySend(event{kind: evMsg, peer: pr, msg: m})
 		}
 	})
 	return pr
@@ -719,7 +717,7 @@ func (c *Client) onRequest(p *sim.Proc, pr *peer, m Msg) {
 		}
 		if wait := c.upLim.Take(p.Now(), n); wait > 0 {
 			c.upQueue = append(c.upQueue, pendingUpload{pr: pr, m: out, n: n})
-			c.armUpPump(wait)
+			c.armWake(evUpPump, &c.upPumpArmed, wait)
 			return
 		}
 	}
@@ -735,15 +733,16 @@ type pendingUpload struct {
 	n  int64
 }
 
-// armUpPump schedules an evUpPump wake-up after the given virtual
-// delay (at most one timer outstanding).
-func (c *Client) armUpPump(wait time.Duration) {
-	if c.upPumpArmed {
+// armWake schedules a kind wake-up (evUpPump or evFillWake) after the
+// given virtual delay; *armed keeps at most one timer of the kind
+// outstanding, and the kind's handler clears it.
+func (c *Client) armWake(kind eventKind, armed *bool, wait time.Duration) {
+	if *armed {
 		return
 	}
-	c.upPumpArmed = true
+	*armed = true
 	c.h.Network().Kernel().After(wait, func() {
-		c.events.TrySend(event{kind: evUpPump})
+		c.events.TrySend(event{kind: kind})
 	})
 }
 
@@ -759,7 +758,7 @@ func (c *Client) onUpPump(p *sim.Proc) {
 			continue // peer departed or was choked while queued
 		}
 		if wait := c.upLim.Take(now, e.n); wait > 0 {
-			c.armUpPump(wait)
+			c.armWake(evUpPump, &c.upPumpArmed, wait)
 			break
 		}
 		if e.pr.send(p, e.m) == nil {
@@ -778,18 +777,6 @@ func (c *Client) onFillWake(p *sim.Proc) {
 			c.fillRequests(p, pr)
 		}
 	}
-}
-
-// armFillWake schedules an evFillWake wake-up after the given virtual
-// delay (at most one timer outstanding).
-func (c *Client) armFillWake(wait time.Duration) {
-	if c.fillWakeArmed {
-		return
-	}
-	c.fillWakeArmed = true
-	c.h.Network().Kernel().After(wait, func() {
-		c.events.TrySend(event{kind: evFillWake})
-	})
 }
 
 // onBlock ingests a downloaded block. A piece message that names no
@@ -1112,7 +1099,7 @@ func (c *Client) fillRequests(p *sim.Proc, pr *peer) {
 			// re-offered (same piece, same block) when the bucket wakes
 			// us — selection stays deterministic.
 			if wait := c.downLim.Take(now, int64(length)); wait > 0 {
-				c.armFillWake(wait)
+				c.armWake(evFillWake, &c.fillWakeArmed, wait)
 				return
 			}
 		}

@@ -102,7 +102,7 @@ func (pr *peer) inflightDel(pi, b int) bool {
 // send transmits a wire message as a vnet value of spec-accurate size;
 // a piece message is charged its block's length.
 func (pr *peer) send(p *sim.Proc, m Msg) error {
-	return pr.conn.SendMeta(p, m.WireSize(), pr.cl.newBox(m))
+	return pr.conn.SendMeta(p, m.WireSize(), pr.cl.boxes.get(m))
 }
 
 // sendHandshake transmits the 68-byte handshake.
@@ -122,34 +122,40 @@ func recvHandshake(p *sim.Proc, c *vnet.Conn, timeout time.Duration) (Handshake,
 
 // msgBox boxes a wire Msg behind a pooled pointer for its trip across
 // the virtual network: passing Msg by value through the `any` metadata
-// boxed ~100 B per send, the dominant allocation at swarm scale. The
-// receiving client's sink copies the Msg out and returns the box to
-// the owning client's free list. The release crosses clients, but
-// never kernels — and one kernel serializes all execution, so the
-// pools need no locking. Boxes on dropped messages are simply
-// garbage-collected.
+// boxed ~100 B per send, the dominant allocation at swarm scale. Every
+// bt message travels boxed, a web seed's replies too. The receiver
+// copies the Msg out and returns the box to the sender's pool. The
+// release crosses clients, but never kernels — and one kernel
+// serializes all execution, so the pools need no locking. Boxes on
+// dropped messages are simply garbage-collected.
 type msgBox struct {
-	m     Msg
-	owner *Client
-	next  *msgBox
+	m    Msg
+	pool *boxPool
+	next *msgBox
 }
 
-// newBox draws a box from the client's pool.
-func (c *Client) newBox(m Msg) *msgBox {
-	b := c.freeBox
+// boxPool is a sender's free list of message boxes: each Client and
+// each WebSeed owns one.
+type boxPool struct {
+	free *msgBox
+}
+
+// get draws a box holding m from the pool.
+func (bp *boxPool) get(m Msg) *msgBox {
+	b := bp.free
 	if b == nil {
-		b = &msgBox{owner: c}
+		b = &msgBox{pool: bp}
 	} else {
-		c.freeBox = b.next
+		bp.free = b.next
 	}
 	b.m, b.next = m, nil
 	return b
 }
 
 // release clears the payload (so pooled boxes pin no slices) and
-// returns the box to its owner's pool.
+// returns the box to its pool.
 func (b *msgBox) release() {
 	b.m = Msg{}
-	b.next = b.owner.freeBox
-	b.owner.freeBox = b
+	b.next = b.pool.free
+	b.pool.free = b
 }

@@ -22,7 +22,7 @@ func TestDialBudgetNotDoubleDecremented(t *testing.T) {
 
 	spec := DefaultSwarmSpec()
 	spec.FileSize = 512 * 1024
-	meta, err := SyntheticTorrent(spec.FileName, spec.FileSize, 0)
+	meta, err := SyntheticTorrent(swarmFileName, spec.FileSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,6 @@ func TestDialBudgetNotDoubleDecremented(t *testing.T) {
 // a download could never complete. The swarm must complete.
 func TestLargePieceDownloadCompletes(t *testing.T) {
 	spec := DefaultSwarmSpec()
-	spec.FileName = "bigpieces"
 	spec.PieceLength = 2 * 1024 * 1024
 	spec.FileSize = 2 * int64(spec.PieceLength)
 	runSwarm(t, spec, 1, 2, fastClass, 30*time.Minute)

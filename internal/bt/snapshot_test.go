@@ -302,7 +302,7 @@ func transferTime(t *testing.T, seed int64, model netem.ModelKind, class topo.Li
 		}
 		hosts = append(hosts, h)
 	}
-	spec := SwarmSpec{FileName: "snap", FileSize: fileSize, PieceLength: pieceLen, Client: cfg}
+	spec := SwarmSpec{FileSize: fileSize, PieceLength: pieceLen, Client: cfg}
 	s, err := BuildSwarm(spec, trk, hosts[:1], hosts[1:])
 	if err != nil {
 		t.Fatal(err)

@@ -24,8 +24,6 @@ type Swarm struct {
 // SwarmSpec describes the torrent side of an experiment (the hosts come
 // from the caller, which owns topology and placement).
 type SwarmSpec struct {
-	// FileName names the synthetic content.
-	FileName string
 	// FileSize is the torrent size (the paper: 16 MB).
 	FileSize int64
 	// PieceLength defaults to 256 KiB.
@@ -37,17 +35,20 @@ type SwarmSpec struct {
 // DefaultSwarmSpec mirrors the paper's first experiment: a 16 MB file.
 func DefaultSwarmSpec() SwarmSpec {
 	return SwarmSpec{
-		FileName:    "paper-16mb",
 		FileSize:    16 * 1024 * 1024,
 		PieceLength: DefaultPieceLength,
 		Client:      DefaultClientConfig(),
 	}
 }
 
+// swarmFileName names every swarm's synthetic content. The name reaches
+// only the info hash, which no trace, column or digest prints.
+const swarmFileName = "paper-16mb"
+
 // BuildSwarm creates the tracker on trackerHost, seeders on seedHosts
 // and leechers on clientHosts. Nothing starts until Start.
 func BuildSwarm(spec SwarmSpec, trackerHost *vnet.Host, seedHosts, clientHosts []*vnet.Host) (*Swarm, error) {
-	meta, err := SyntheticTorrent(spec.FileName, spec.FileSize, spec.PieceLength)
+	meta, err := SyntheticTorrent(swarmFileName, spec.FileSize, spec.PieceLength)
 	if err != nil {
 		return nil, err
 	}

@@ -283,7 +283,7 @@ func TestSwarmCompletesOverLossyLinks(t *testing.T) {
 		Latency: 5 * time.Millisecond, Loss: 0.02,
 	}
 	spec := SwarmSpec{
-		FileName: "lossy-e2e", FileSize: 1 << 20, PieceLength: DefaultPieceLength,
+		FileSize: 1 << 20, PieceLength: DefaultPieceLength,
 		Client: DefaultClientConfig(),
 	}
 	k, n, trk, hosts := swarmEnv(t, 1, 4, lossy)

@@ -26,6 +26,7 @@ type WebSeed struct {
 	host  *vnet.Host
 	meta  *MetaInfo
 	stats WebSeedStats
+	boxes boxPool // its replies' boxes (see msgBox)
 }
 
 // NewWebSeed creates a web seed on host serving every piece of the
@@ -66,22 +67,18 @@ func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
 		if err != nil {
 			return
 		}
-		var m Msg
-		switch v := pk.Meta.(type) {
-		case *msgBox:
-			m = v.m
-			v.release()
-		case Msg:
-			m = v
-		default:
+		b, ok := pk.Meta.(*msgBox)
+		if !ok {
 			continue
 		}
+		m := b.m
+		b.release()
 		if m.ID != MsgRequest || m.Length <= 0 || m.Length > 128*1024 ||
 			m.Index < 0 || m.Index >= w.meta.NumPieces() {
 			continue
 		}
 		out := Msg{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Length: m.Length}
-		if err := cn.SendMeta(p, out.WireSize(), out); err != nil {
+		if err := cn.SendMeta(p, out.WireSize(), w.boxes.get(out)); err != nil {
 			return
 		}
 		w.stats.BytesServed += uint64(m.Length)

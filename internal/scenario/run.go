@@ -83,7 +83,6 @@ type runner struct {
 	spec    *Spec
 	topo    *topo.Topology
 	tracer  *trace.Log
-	tracker *vnet.Host
 	class   map[string]topo.LinkClass // group name -> current class
 	parts   map[string]int            // active partition signature -> id
 	lossGen map[string]uint64         // group -> loss-burst generation
@@ -424,25 +423,40 @@ func (r *runner) startPing() error {
 	return nil
 }
 
-// addTracker registers the swarm tracker on an unconstrained link in
-// admin space, outside the 10/8 group prefixes.
-func (r *runner) addTracker() error {
-	h, err := r.Net.AddHostClass(ip.MustParseAddr("192.168.0.1"), topo.LAN)
+// startSwarm launches the swarm, churn-swarm and snapshot workloads.
+// What differs by kind hangs off spec fields that are zero for the
+// other kinds: only a churn-swarm has a churn fraction, only a snapshot
+// web seeds, a restarting seeder, rate caps and its own piece length
+// (zero: the default piece length, no token bucket). A snapshot is a
+// few clients pulling one large file in big pieces over few
+// connections; its web seeds are CDN hosts on LAN links in admin space
+// (192.168.0.2+), so the clients' access links and caps stay the
+// bottleneck.
+//
+// Creation order is trace-visible: tracker host, then web-seed hosts;
+// BuildSwarm, then the web-seed tasks, then the churner clients; Start,
+// then the restart task, then the churn driver, then the waiter.
+func (r *runner) startSwarm() error {
+	w := r.spec.Workload
+	horizon := r.spec.Horizon.D()
+	// The tracker sits on an unconstrained link in admin space, outside
+	// the 10/8 group prefixes.
+	tracker, err := r.Net.AddHostClass(ip.MustParseAddr("192.168.0.1"), topo.LAN)
 	if err != nil {
 		return fmt.Errorf("scenario %s: tracker: %w", r.spec.Name, err)
 	}
-	r.tracker = h
-	return nil
-}
-
-// startSwarm launches the swarm and churn-swarm workloads; a swarm's
-// churn fraction is zero, so all its clients are stable.
-func (r *runner) startSwarm() error {
-	if err := r.addTracker(); err != nil {
-		return err
+	wsBase := ip.MustParseAddr("192.168.0.2")
+	var wsHosts []*vnet.Host
+	var wsEndpoints []ip.Endpoint
+	for i := 0; i < w.WebSeeds; i++ {
+		h, err := r.Net.AddHostClass(wsBase.Add(uint32(i)), topo.LAN)
+		if err != nil {
+			return fmt.Errorf("scenario %s: web seed: %w", r.spec.Name, err)
+		}
+		wsHosts = append(wsHosts, h)
+		wsEndpoints = append(wsEndpoints, ip.Endpoint{Addr: h.Addr(), Port: bt.WebSeedPort})
 	}
-	w := r.spec.Workload
-	horizon := r.spec.Horizon.D()
+
 	seedHosts := r.Groups[w.SeederGroup][:w.Seeders]
 	isSeed := make(map[*vnet.Host]bool, len(seedHosts))
 	for _, h := range seedHosts {
@@ -455,17 +469,39 @@ func (r *runner) startSwarm() error {
 			clients = append(clients, h)
 		}
 	}
-	churned := w.Kind == WorkloadChurnSwarm
 	nChurn := int(float64(len(clients)) * w.ChurnFraction)
 	stable, churning := clients[:len(clients)-nChurn], clients[len(clients)-nChurn:]
 
 	bspec := bt.DefaultSwarmSpec()
 	bspec.FileSize = w.FileSize
-	swarm, err := bt.BuildSwarm(bspec, r.tracker, seedHosts, stable)
+	bspec.PieceLength = w.PieceLength
+	bspec.Client.UploadRate = w.UpRate
+	bspec.Client.DownloadRate = w.DownRate
+	bspec.Client.WebSeeds = wsEndpoints
+	if w.Kind == WorkloadSnapshot {
+		bspec.Client.MaxPeers = w.ConnCap
+		bspec.Client.MaxInitiate = w.ConnCap
+		bspec.Client.MinPeers = w.ConnCap
+		bspec.Client.PipelineDepth = 0 // auto-scale to blocks-per-piece
+	}
+
+	// A restart scenario peels the first seeder off the swarm's static
+	// seeder set and runs it through the resuming-client lifecycle
+	// instead: offline at seed_restart_at, back (same pieces) after
+	// seed_restart_down.
+	buildSeeds := seedHosts
+	if w.SeedRestartAt > 0 {
+		buildSeeds = seedHosts[1:]
+	}
+	swarm, err := bt.BuildSwarm(bspec, tracker, buildSeeds, stable)
 	if err != nil {
 		return fmt.Errorf("scenario %s: %w", r.spec.Name, err)
 	}
-	trackerEP := ip.Endpoint{Addr: r.tracker.Addr(), Port: bt.TrackerPort}
+	webseeds := make([]*bt.WebSeed, len(wsHosts))
+	for i, h := range wsHosts {
+		webseeds[i] = bt.NewWebSeed(h, swarm.Meta)
+	}
+	trackerEP := ip.Endpoint{Addr: tracker.Addr(), Port: bt.TrackerPort}
 	churners := make([]*bt.ResumingClient, len(churning))
 	peers := make([]churn.Peer, len(churning))
 	for i, h := range churning {
@@ -474,6 +510,19 @@ func (r *runner) startSwarm() error {
 	}
 
 	swarm.Start(w.StartInterval.D())
+	if w.SeedRestartAt > 0 {
+		rc := bt.NewResumingClient(seedHosts[0], swarm.Meta,
+			bt.Full(swarm.Meta.NumPieces()), trackerEP, bspec.Client)
+		r.Kernel.Go("snapshot-restart-seed", func(p *sim.Proc) {
+			rc.Online(p)
+			p.Sleep(w.SeedRestartAt.D())
+			r.event("seed offline (restart)")
+			rc.Offline(p)
+			p.Sleep(w.SeedRestartDown.D())
+			r.event("seed back online")
+			rc.Online(p)
+		})
+	}
 	var driver *churn.Driver
 	if len(churners) > 0 {
 		driver = churn.NewDriver(r.Kernel, churn.Config{
@@ -512,9 +561,9 @@ func (r *runner) startSwarm() error {
 	})
 
 	r.finish = func(res *Result) {
-		res.Total = len(stable) + len(churners)
+		res.Total = len(clients)
 		r.completions(res, swarm, w.FileSize)
-		if churned {
+		if w.ChurnFraction > 0 {
 			r.reg.Gauge("p2plab_swarm_stable_done", "stable-done", "Stable clients that completed the download.").Set(float64(res.Done))
 			churnDone := 0
 			for _, cc := range churners {
@@ -532,6 +581,13 @@ func (r *runner) startSwarm() error {
 			r.reg.Counter("p2plab_churn_departures_total", "departures", "Churn sessions ended.").Add(uint64(st.Departures))
 		}
 		r.clientsDone(res)
+		if w.Kind == WorkloadSnapshot {
+			var wsBytes uint64
+			for _, ws := range webseeds {
+				wsBytes += ws.Stats().BytesServed
+			}
+			r.reg.Counter("p2plab_webseed_bytes_served_total", "webseed-bytes", "Bytes the web seeds served.").Add(wsBytes)
+		}
 	}
 	return nil
 }

@@ -106,7 +106,7 @@ type workloadKind struct {
 var kinds = []workloadKind{
 	{WorkloadSwarm, 2, (*runner).startSwarm}, // a seeder and a client
 	{WorkloadChurnSwarm, 2, (*runner).startSwarm},
-	{WorkloadSnapshot, 1, (*runner).startSnapshot}, // web seeds can serve a lone client
+	{WorkloadSnapshot, 1, (*runner).startSwarm}, // web seeds can serve a lone client
 	{WorkloadDHT, 2, (*runner).startDHT},
 	{WorkloadGossip, 2, (*runner).startGossip},
 	{WorkloadPing, 2, (*runner).startPing},
