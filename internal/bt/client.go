@@ -545,8 +545,15 @@ func (c *Client) onJoin(p *sim.Proc, pr *peer) {
 		c.fillRequests(p, pr)
 		return
 	}
+	// A peer turned away here goes through onClose like any departing
+	// one. It was never registered, but its messages may already have
+	// run: attach flushes what the connection buffered during the
+	// handshake into the mailbox ahead of this join event, so a Bitfield
+	// or Have has counted its pieces in the picker. Closing only the conn
+	// left those counts behind for good — pr.closed stayed false, and no
+	// close event follows a local Close.
 	if c.byAddr[pr.addr] != nil || pr.addr == c.h.Addr() {
-		pr.conn.Close(p)
+		c.onClose(p, pr)
 		return
 	}
 	if len(c.peers)-c.wsConns >= c.cfg.MaxPeers {
@@ -566,7 +573,7 @@ func (c *Client) onJoin(p *sim.Proc, pr *peer) {
 			}
 		}
 		if victim == nil {
-			pr.conn.Close(p)
+			c.onClose(p, pr)
 			return
 		}
 		c.onClose(p, victim)

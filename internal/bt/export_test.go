@@ -66,7 +66,11 @@ func SetAuditHook(fn func(*Client)) (restore func()) {
 //   - each partial piece's req[b] is the number of peers with block b
 //     in flight, and at most endgameDup;
 //   - every in-flight entry names a partial piece, or a held piece
-//     whose cancel is still being sent, and no peer holds one twice.
+//     whose cancel is still being sent, and no peer holds one twice;
+//   - each piece's availability in the picker is the number of
+//     registered peers, web seeds included, whose bitfield holds it;
+//   - each registered peer's useful count is the number of pieces its
+//     bitfield holds that the client lacks.
 //
 // It may run between any two kernel events: the client's loop can be
 // parked mid-handler in a send, and every such point is consistent. A
@@ -108,6 +112,22 @@ func (c *Client) AuditRequests() error {
 			if want := counts[[2]int{pi, b}]; int(n) != want || n > endgameDup {
 				return fmt.Errorf("client %v piece %d block %d: req %d, in flight at %d peers (limit %d)", who, pi, b, n, want, endgameDup)
 			}
+		}
+	}
+	for i, n := range c.picker.avail {
+		holders := 0
+		for _, pr := range c.peers {
+			if pr.bits.Has(i) {
+				holders++
+			}
+		}
+		if n != holders {
+			return fmt.Errorf("client %v piece %d: avail %d, held by %d registered peers", who, i, n, holders)
+		}
+	}
+	for _, pr := range c.peers {
+		if want := usefulCount(pr.bits, c.have); pr.useful != want {
+			return fmt.Errorf("client %v peer %v: useful %d, recomputed %d", who, pr.addr, pr.useful, want)
 		}
 	}
 	return nil
