@@ -549,9 +549,9 @@ func (c *Client) onJoin(p *sim.Proc, pr *peer) {
 	// one. It was never registered, but its messages may already have
 	// run: attach flushes what the connection buffered during the
 	// handshake into the mailbox ahead of this join event, so a Bitfield
-	// or Have has counted its pieces in the picker. Closing only the conn
-	// left those counts behind for good — pr.closed stayed false, and no
-	// close event follows a local Close.
+	// or Have may have counted its pieces in the picker. Closing only the
+	// conn would leave those counts behind for good: no close event
+	// follows a local Close.
 	if c.byAddr[pr.addr] != nil || pr.addr == c.h.Addr() {
 		c.onClose(p, pr)
 		return
