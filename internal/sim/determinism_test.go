@@ -300,37 +300,193 @@ func (s *timerScript) step() {
 	if got, want := s.k.QueueLen(), len(s.m.pending); got != want {
 		s.t.Fatalf("QueueLen() = %d with %d live timers", got, want)
 	}
+	if err := s.k.CheckQueue(); err != nil {
+		s.t.Fatalf("after dispatch %d: %v", s.fired, err)
+	}
+}
+
+// runTimerScript runs one seeded script of budget operations to a
+// 24-hour horizon and checks what the model says of its end: every
+// timer due inside the horizon fired, the queue is empty, and the
+// kernel counted the model's dispatches. It returns the operations the
+// script left unspent because no timer was left to run them.
+func runTimerScript(t *testing.T, seed int64, budget int) int {
+	t.Helper()
+	const horizon = sim.Time(24 * time.Hour)
+	s := &timerScript{t: t, k: sim.New(seed), rng: rand.New(rand.NewSource(seed)), budget: budget}
+	s.ownedAt = [4]int{-1, -1, -1, -1}
+	for i := 0; i < 200; i++ {
+		s.step()
+	}
+	if err := s.k.RunUntil(horizon); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	for _, tm := range s.m.pending {
+		if tm.at <= horizon {
+			t.Fatalf("seed %d: timer %d due at %v never fired", seed, tm.id, tm.at)
+		}
+	}
+	if got := s.k.QueueLen(); got != 0 {
+		t.Fatalf("seed %d: QueueLen() = %d after the horizon, want 0", seed, got)
+	}
+	if got, want := s.k.Snapshot(), (sim.Stats{Events: s.fired}); got != want {
+		t.Fatalf("seed %d: stats %+v, model %+v", seed, got, want)
+	}
+	return s.budget
 }
 
 // TestTimersMatchModel is the property test behind the kernel's single
 // event queue: for any script of At/After/Arm/Schedule/Cancel/Reschedule,
 // dispatch order, handle results, Stats and queue length are those of
-// the sorted-slice model.
+// the sorted-slice model, and the queue's own invariants (CheckQueue)
+// hold after every operation.
 func TestTimersMatchModel(t *testing.T) {
-	const horizon = sim.Time(24 * time.Hour)
 	for seed := int64(1); seed <= 8; seed++ {
-		s := &timerScript{t: t, k: sim.New(seed), rng: rand.New(rand.NewSource(seed)), budget: 20000}
-		s.ownedAt = [4]int{-1, -1, -1, -1}
-		for i := 0; i < 200; i++ {
-			s.step()
+		if left := runTimerScript(t, seed, 20000); left != 0 {
+			t.Fatalf("seed %d: script died out with %d operations unspent", seed, left)
 		}
-		if err := s.k.RunUntil(horizon); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if s.budget != 0 {
-			t.Fatalf("seed %d: script died out with %d operations unspent", seed, s.budget)
-		}
-		for _, tm := range s.m.pending {
-			if tm.at <= horizon {
-				t.Fatalf("seed %d: timer %d due at %v never fired", seed, tm.id, tm.at)
+	}
+}
+
+// FuzzTimers runs timerScript under any seed and operation budget: the
+// kernel's one queue must dispatch every script in the model's (at,
+// seq) order with its invariants intact.
+func FuzzTimers(f *testing.F) {
+	f.Add(int64(1), uint16(2000))
+	f.Add(int64(42), uint16(0))
+	f.Add(int64(-7), uint16(65535))
+	f.Fuzz(func(t *testing.T, seed int64, budget uint16) {
+		runTimerScript(t, seed, int(budget))
+	})
+}
+
+// TestQueueHeadPaths drives, one by one, the paths of the queue's
+// cached minimum that random scripts reach only by chance, checking
+// the invariants after every operation and the dispatch order at the
+// end.
+func TestQueueHeadPaths(t *testing.T) {
+	const ms = sim.Time(time.Millisecond)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, k *sim.Kernel, note func(string) func(), check func())
+		want string
+	}{
+		{
+			// At(now) takes the empty head; Schedule(now) at the same
+			// instant comes after it by seq alone and goes into the heap.
+			name: "schedule-after-at-same-instant",
+			run: func(t *testing.T, k *sim.Kernel, note func(string) func(), check func()) {
+				k.At(5*ms, note("later"))
+				k.At(ms, func() {
+					k.At(k.Now(), note("at"))
+					check()
+					k.Schedule(k.Now(), note("schedule"))
+					check()
+				})
+			},
+			want: "at schedule later",
+		},
+		{
+			// A heap timer moved ahead of the head: the head moves into
+			// the heap.
+			name: "reschedule-heap-before-head",
+			run: func(t *testing.T, k *sim.Kernel, note func(string) func(), check func()) {
+				k.At(10*ms, note("head"))
+				moved := k.At(20*ms, note("moved"))
+				k.At(30*ms, note("tail"))
+				check()
+				if !moved.Reschedule(5 * ms) {
+					t.Fatal("Reschedule of a pending heap timer failed")
+				}
+			},
+			want: "moved head tail",
+		},
+		{
+			name: "cancel-head",
+			run: func(t *testing.T, k *sim.Kernel, note func(string) func(), check func()) {
+				head := k.At(10*ms, note("head"))
+				k.At(20*ms, note("rest"))
+				check()
+				if !head.Cancel() {
+					t.Fatal("Cancel of the head failed")
+				}
+				if got := k.QueueLen(); got != 1 {
+					t.Fatalf("QueueLen() = %d after cancelling the head of 2, want 1", got)
+				}
+			},
+			want: "rest",
+		},
+		{
+			// The head moved earlier (it stays the head), then behind a
+			// heap timer, then back in front.
+			name: "reschedule-head",
+			run: func(t *testing.T, k *sim.Kernel, note func(string) func(), check func()) {
+				head := k.At(10*ms, note("head"))
+				k.At(20*ms, note("rest"))
+				check()
+				if !head.Reschedule(5 * ms) {
+					t.Fatal("Reschedule of the head earlier failed")
+				}
+				check()
+				if !head.Reschedule(30 * ms) {
+					t.Fatal("Reschedule of the head later failed")
+				}
+				check()
+				k.At(25*ms, note("between"))
+				check()
+				if !head.Reschedule(15 * ms) {
+					t.Fatal("Reschedule of a heap timer earlier failed")
+				}
+			},
+			want: "head rest between",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New(1)
+			var order []string
+			note := func(name string) func() { return func() { order = append(order, name) } }
+			check := func() {
+				t.Helper()
+				if err := k.CheckQueue(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if got := s.k.QueueLen(); got != 0 {
-			t.Fatalf("seed %d: QueueLen() = %d after the horizon, want 0", seed, got)
-		}
-		if got, want := s.k.Snapshot(), (sim.Stats{Events: s.fired}); got != want {
-			t.Fatalf("seed %d: stats %+v, model %+v", seed, got, want)
-		}
+			tc.run(t, k, note, check)
+			check()
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(order, " "); got != tc.want {
+				t.Fatalf("dispatch order %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestHorizonDiscardsLoneHead reaches the horizon while the queue holds
+// nothing but its cached minimum, past the limit: the head is
+// discarded, the queue ends empty and the handle goes stale.
+func TestHorizonDiscardsLoneHead(t *testing.T) {
+	k := sim.New(1)
+	fired := false
+	late := k.At(sim.Time(2*time.Hour), func() { fired = true })
+	if got := k.QueueLen(); got != 1 {
+		t.Fatalf("QueueLen() = %d with one timer, want 1", got)
+	}
+	if err := k.RunUntil(sim.Time(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if fired {
+		t.Fatal("timer past the horizon fired")
+	}
+	if got := k.QueueLen(); got != 0 {
+		t.Fatalf("QueueLen() = %d after the horizon, want 0", got)
+	}
+	if err := k.CheckQueue(); err != nil {
+		t.Fatal(err)
+	}
+	if late.Cancel() || late.Reschedule(0) {
+		t.Fatal("handle of the discarded head still live")
 	}
 }
 

@@ -169,7 +169,9 @@ func (k *Kernel) Snapshot() Stats { return k.stats }
 // QueueLen returns the number of pending events, which is the number
 // of live timers: cancelled events leave the queue at once. A gauge,
 // so not part of Stats.
-func (k *Kernel) QueueLen() int { return len(k.events) }
+//
+//p2p:tokenentry same contract as At
+func (k *Kernel) QueueLen() int { return k.events.len() }
 
 // Rand returns the kernel's deterministic random source. Because simulated
 // goroutines execute one at a time, sharing one source is race-free and
@@ -344,12 +346,15 @@ func (k *Kernel) slotAt(at Time, ev *event) slot {
 //
 //p2p:token
 func (k *Kernel) next() (fn func(), ok bool) {
-	if k.limit > 0 && k.events[0].at > k.limit {
+	if k.limit > 0 && k.events.peek().at > k.limit {
 		k.now = k.limit
-		for _, s := range k.events {
+		if h := k.events.head.ev; h != nil {
+			k.recycle(h)
+		}
+		for _, s := range k.events.heap {
 			k.recycle(s.ev)
 		}
-		k.events = k.events[:0]
+		k.events = eventQueue{heap: k.events.heap[:0]}
 		return nil, false
 	}
 	s := k.events.pop()
@@ -461,7 +466,7 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		// 2. Advance the clock to the next event.
-		if len(k.events) > 0 {
+		if k.events.len() > 0 {
 			fn, ok := k.next()
 			if !ok {
 				return nil

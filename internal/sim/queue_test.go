@@ -2,28 +2,31 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"time"
 )
 
-// checkHeap asserts the two structural invariants of the queue: every
-// slot orders no earlier than its parent, and every queued event knows
-// its own index.
-func checkHeap(t *testing.T, q eventQueue) {
+// checkQueue fails t on the first broken queue invariant (see
+// eventQueue.check in export_test.go).
+func checkQueue(t *testing.T, q *eventQueue) {
 	t.Helper()
-	for i, s := range q {
-		if s.ev.idx != i {
-			t.Fatalf("slot %d (at=%v seq=%d): event records idx %d", i, s.at, s.seq, s.ev.idx)
-		}
-		if i > 0 && s.before(q[(i-1)/4]) {
-			t.Fatalf("slot %d (at=%v seq=%d) orders before its parent %d", i, s.at, s.seq, (i-1)/4)
-		}
+	if err := q.check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// sortedModel is the reference the heap is checked against: a plain
+// all returns every queued slot, the head first.
+func (q *eventQueue) all() []slot {
+	if q.head.ev == nil {
+		return q.heap
+	}
+	return append([]slot{q.head}, q.heap...)
+}
+
+// sortedModel is the reference the queue is checked against: a plain
 // slice, re-sorted by (at, seq) whenever the minimum is needed.
 type sortedModel []slot
 
@@ -43,11 +46,12 @@ func (m *sortedModel) drop(ev *event) {
 	}
 }
 
-// TestQueueMatchesSortedModel drives the heap and the sorted-slice
+// TestQueueMatchesSortedModel drives the queue and the sorted-slice
 // model through the same randomized kernel-shaped script — pushes
 // never go below the last popped instant, mirroring the kernel's clamp
-// — with in-place removals and re-keyings mixed in, and asserts every
-// pop agrees and the structure holds after every operation.
+// — with in-place removals and re-keyings of the head and of heap
+// slots mixed in, and asserts every pop agrees and the structure holds
+// after every operation.
 func TestQueueMatchesSortedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var q eventQueue
@@ -67,7 +71,7 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 	}
 	for step := 0; step < 20000; step++ {
 		switch op := rng.Intn(8); {
-		case len(q) == 0 || op < 4:
+		case q.len() == 0 || op < 4:
 			s := slot{at: randomAt(), seq: seq, ev: &event{}}
 			seq++
 			q.push(s)
@@ -75,39 +79,42 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 		case op < 6:
 			got, want := q.pop(), ref.popMin()
 			if got != want {
-				t.Fatalf("step %d: heap popped (at=%v seq=%d), model (at=%v seq=%d)",
+				t.Fatalf("step %d: queue popped (at=%v seq=%d), model (at=%v seq=%d)",
 					step, got.at, got.seq, want.at, want.seq)
 			}
 			now = got.at
 		case op == 6:
-			ev := q[rng.Intn(len(q))].ev
+			all := q.all()
+			ev := all[rng.Intn(len(all))].ev
 			q.remove(ev.idx)
 			ref.drop(ev)
 		default:
-			ev := q[rng.Intn(len(q))].ev
+			all := q.all()
+			ev := all[rng.Intn(len(all))].ev
 			s := slot{at: randomAt(), seq: seq, ev: ev}
 			seq++
 			q.fix(ev.idx, s)
 			ref.drop(ev)
 			ref = append(ref, s)
 		}
-		if len(q) != len(ref) {
-			t.Fatalf("step %d: heap holds %d, model %d", step, len(q), len(ref))
+		if q.len() != len(ref) {
+			t.Fatalf("step %d: queue holds %d, model %d", step, q.len(), len(ref))
 		}
-		checkHeap(t, q)
+		checkQueue(t, &q)
 	}
-	for len(q) > 0 {
+	for q.len() > 0 {
 		if got, want := q.pop(), ref.popMin(); got != want {
-			t.Fatalf("drain: heap popped (at=%v seq=%d), model (at=%v seq=%d)",
+			t.Fatalf("drain: queue popped (at=%v seq=%d), model (at=%v seq=%d)",
 				got.at, got.seq, want.at, want.seq)
 		}
 	}
 }
 
 // filled returns a queue holding n events at instants 10, 20, … pushed
-// in that order, and the events by push order.
-func filled(n int) (eventQueue, []*event) {
-	var q eventQueue
+// in that order, and the events by push order: the first is the head,
+// the rest make up the heap.
+func filled(n int) (*eventQueue, []*event) {
+	q := &eventQueue{}
 	evs := make([]*event, n)
 	for i := range evs {
 		evs[i] = &event{}
@@ -117,34 +124,39 @@ func filled(n int) (eventQueue, []*event) {
 }
 
 // drainSeqs pops everything and returns the seqs in pop order.
-func drainSeqs(q eventQueue) []uint64 {
+func drainSeqs(q *eventQueue) []uint64 {
 	var out []uint64
-	for len(q) > 0 {
+	for q.len() > 0 {
 		out = append(out, q.pop().seq)
 	}
 	return out
 }
 
-// TestQueueRemoveAnywhere removes the root, an interior slot, a leaf
-// and the last slot of a three-level heap and checks what is left
-// still pops in order.
+// TestQueueRemoveAnywhere removes the head, the heap's root, an
+// interior slot, a leaf and the last slot of a three-level heap and
+// checks what is left still pops in order.
 func TestQueueRemoveAnywhere(t *testing.T) {
-	const n = 30 // levels of 1, 4, 16 and a partial fourth
+	const n = 31 // the head, then heap levels of 1, 4, 16 and a partial fourth
 	for _, tc := range []struct {
 		name string
-		pick func(q eventQueue) int
+		pick func(q *eventQueue) int
 	}{
-		{"root", func(eventQueue) int { return 0 }},
-		{"middle", func(eventQueue) int { return 2 }},
-		{"leaf", func(eventQueue) int { return 25 }},
-		{"last", func(q eventQueue) int { return len(q) - 1 }},
+		{"head", func(*eventQueue) int { return -1 }},
+		{"root", func(*eventQueue) int { return 0 }},
+		{"middle", func(*eventQueue) int { return 2 }},
+		{"leaf", func(*eventQueue) int { return 25 }},
+		{"last", func(q *eventQueue) int { return len(q.heap) - 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q, _ := filled(n)
+			checkQueue(t, q)
 			i := tc.pick(q)
-			gone := q[i].seq
+			gone := q.head.seq
+			if i >= 0 {
+				gone = q.heap[i].seq
+			}
 			q.remove(i)
-			checkHeap(t, q)
+			checkQueue(t, q)
 			got := drainSeqs(q)
 			if len(got) != n-1 {
 				t.Fatalf("popped %d events, want %d", len(got), n-1)
@@ -161,22 +173,29 @@ func TestQueueRemoveAnywhere(t *testing.T) {
 	}
 }
 
-// TestQueueFixMovesBothWays re-keys a leaf to the earliest instant and
-// the root to the latest, and checks each lands where its new key says.
+// TestQueueFixMovesBothWays re-keys a leaf to the earliest instant —
+// ahead of the head, which must move into the heap — and then the new
+// minimum and the head to the latest, and checks each lands where its
+// new key says.
 func TestQueueFixMovesBothWays(t *testing.T) {
-	q, evs := filled(30)
-	leaf := evs[29]
+	q, evs := filled(31)
+	leaf := evs[30]
 	q.fix(leaf.idx, slot{at: 1, seq: 100, ev: leaf})
-	checkHeap(t, q)
-	if q[0].ev != leaf {
-		t.Fatalf("leaf re-keyed to the minimum sits at %d, not the root", leaf.idx)
+	checkQueue(t, q)
+	if q.peek().ev != leaf {
+		t.Fatalf("leaf re-keyed to the minimum sits at %d, not at the front", leaf.idx)
 	}
-	root := evs[0]
-	q.fix(root.idx, slot{at: 1000, seq: 101, ev: root})
-	checkHeap(t, q)
+	q.fix(leaf.idx, slot{at: 1000, seq: 101, ev: leaf})
+	checkQueue(t, q)
+	q.push(slot{at: 5, seq: 102, ev: &event{}})
+	if head := q.head.seq; head != 102 {
+		t.Fatalf("head holds seq %d after a push ahead of the minimum, want 102", head)
+	}
+	q.fix(-1, slot{at: 2000, seq: 103, ev: q.head.ev})
+	checkQueue(t, q)
 	got := drainSeqs(q)
-	if got[0] != 100 || got[len(got)-1] != 101 {
-		t.Fatalf("pop order %v: want seq 100 first and 101 last", got)
+	if got[0] != 0 || got[len(got)-2] != 101 || got[len(got)-1] != 103 {
+		t.Fatalf("pop order %v: want seq 0 first, then 101 and 103 last", got)
 	}
 }
 
@@ -187,10 +206,112 @@ func TestQueueSameInstantFIFO(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		q.push(slot{at: 12345, seq: uint64(i), ev: &event{}})
 	}
-	for i, s := range drainSeqs(q) {
+	for i, s := range drainSeqs(&q) {
 		if s != uint64(i) {
 			t.Fatalf("pop %d: got seq %d", i, s)
 		}
+	}
+}
+
+// TestSlotLtMatchesBefore checks the branch-free comparison against
+// before on the edges of both key halves — equal instants, instant 0
+// and math.MaxInt64, seq 0 and math.MaxUint64, adjacent seqs — and on
+// random keys: lt is 1 exactly when before holds.
+func TestSlotLtMatchesBefore(t *testing.T) {
+	ats := []Time{0, 1, 2, math.MaxInt64 - 1, math.MaxInt64}
+	seqs := []uint64{0, 1, 2, math.MaxUint64 - 1, math.MaxUint64}
+	check := func(a, b slot) {
+		t.Helper()
+		want := 0
+		if a.before(b) {
+			want = 1
+		}
+		if got := a.lt(b); got != want {
+			t.Fatalf("(at=%d seq=%d).lt(at=%d seq=%d) = %d, before says %d", a.at, a.seq, b.at, b.seq, got, want)
+		}
+	}
+	for _, aa := range ats {
+		for _, as := range seqs {
+			for _, ba := range ats {
+				for _, bs := range seqs {
+					check(slot{at: aa, seq: as}, slot{at: ba, seq: bs})
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 100000; i++ {
+		a := slot{at: Time(rng.Int63()), seq: rng.Uint64()}
+		b := slot{at: Time(rng.Int63()), seq: rng.Uint64()}
+		switch rng.Intn(4) {
+		case 0: // equal instants: seq decides
+			b.at = a.at
+		case 1: // adjacent seqs at one instant
+			b.at, b.seq = a.at, a.seq+1
+		case 2: // instants one apart, seqs either way
+			b.at = a.at + 1
+			if a.at == math.MaxInt64 {
+				b.at = a.at - 1
+			}
+		}
+		check(a, b)
+		check(b, a)
+	}
+}
+
+// branchyDown is eventHeap.down with the comparison loop for every
+// family, as it was before the branch-free pick.
+func branchyDown(q eventHeap, i int, s slot) {
+	for {
+		c := 4*i + 1
+		if c >= len(q) {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, len(q)); j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(s) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = s
+}
+
+// TestDownMatchesBranchyPick sifts random keys down random heaps, with
+// full and partial last families and tie-heavy instants, and requires
+// the branch-free pick to leave exactly the array the comparison loop
+// leaves.
+func TestDownMatchesBranchyPick(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(200)
+		span := 1 + rng.Intn(1000) // small spans make equal instants
+		var q eventHeap
+		var seq uint64
+		for len(q) < n {
+			q.push(slot{at: Time(rng.Intn(span)), seq: seq, ev: &event{}})
+			seq++
+		}
+		i := rng.Intn(n)
+		s := slot{at: Time(rng.Intn(span)), seq: seq, ev: q[i].ev}
+		if i > 0 && s.before(q[(i-1)/4]) {
+			continue // down's precondition: s orders no earlier than i's parent
+		}
+		ref := append(eventHeap(nil), q...)
+		branchyDown(ref, i, s)
+		q.down(i, s)
+		for j := range q {
+			if q[j] != ref[j] {
+				t.Fatalf("trial %d: n=%d, down from %d: slot %d is (at=%v seq=%d), branchy pick (at=%v seq=%d)",
+					trial, n, i, j, q[j].at, q[j].seq, ref[j].at, ref[j].seq)
+			}
+		}
+		checkQueue(t, &eventQueue{heap: q})
 	}
 }
 
