@@ -225,9 +225,11 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// writePlot emits a gnuplot script that renders a .dat file the way the
-// paper's figures look (one curve per index block).
-func writePlot(dir, figID, datName, title, xlabel, ylabel string, curves []string, withLines bool) error {
+// writeFigure writes series to fig<id>.dat and a gnuplot script,
+// fig<id>.gp, that renders it the way the paper's figures look (one
+// curve per index block).
+func writeFigure(dir, figID, title, xlabel, ylabel string, curves []string, withLines bool, series ...*metrics.Series) error {
+	datName := "fig" + figID + ".dat"
 	var b strings.Builder
 	fmt.Fprintf(&b, "set title %q\n", title)
 	fmt.Fprintf(&b, "set xlabel %q\nset ylabel %q\n", xlabel, ylabel)
@@ -245,7 +247,10 @@ func writePlot(dir, figID, datName, title, xlabel, ylabel string, curves []strin
 		fmt.Fprintf(&b, "%q index %d with %s title %q", datName, i, style, c)
 	}
 	fmt.Fprintln(&b)
-	return os.WriteFile(filepath.Join(dir, "fig"+figID+".gp"), []byte(b.String()), 0o644)
+	if err := os.WriteFile(filepath.Join(dir, "fig"+figID+".gp"), []byte(b.String()), 0o644); err != nil {
+		return err
+	}
+	return writeDat(dir, datName, series...)
 }
 
 // figures is one invocation's flags plus what its figure runs share.
@@ -297,31 +302,22 @@ func (f *figures) run(id string) error {
 				return s.Values["exec-avg-s/"+kind.String()]
 			}))
 		}
-		if err := writePlot(f.out, "1", "fig1.dat",
+		return writeFigure(f.out, "1",
 			"Average per-process execution time (CPU-bound)",
 			"number of concurrent processes", "seconds",
-			seriesNames(series), true); err != nil {
-			return err
-		}
-		return writeDat(f.out, "fig1.dat", series...)
+			seriesNames(series), true, series...)
 	case "2":
-		series := exp.Fig2(nil, f.seed)
-		if err := writePlot(f.out, "2", "fig2.dat",
+		series := exp.Fig2(f.seed)
+		return writeFigure(f.out, "2",
 			"Average per-process execution time (memory-bound)",
 			"number of concurrent processes", "seconds",
-			seriesNames(series), true); err != nil {
-			return err
-		}
-		return writeDat(f.out, "fig2.dat", series...)
+			seriesNames(series), true, series...)
 	case "3":
-		series := exp.Fig3(100, f.seed)
-		if err := writePlot(f.out, "3", "fig3.dat",
+		series := exp.Fig3(f.seed)
+		return writeFigure(f.out, "3",
 			"CDF of completion times, 100 concurrent 5s processes",
 			"process execution time (s)", "F(x)",
-			seriesNames(series), true); err != nil {
-			return err
-		}
-		return writeDat(f.out, "fig3.dat", series...)
+			seriesNames(series), true, series...)
 	case "bind":
 		res, err := exp.BindOverhead()
 		if err != nil {
@@ -364,13 +360,10 @@ func (f *figures) run(id string) error {
 				}))
 			}
 			vid, note := figVariant("6", 0, cf)
-			if err := writePlot(f.out, vid, "fig"+vid+".dat",
+			if err := writeFigure(f.out, vid,
 				"Round-trip time vs number of firewall rules"+note,
 				"number of rules to evaluate", "time (ms)",
-				seriesNames(rtt), true); err != nil {
-				return err
-			}
-			if err := writeDat(f.out, "fig"+vid+".dat", rtt...); err != nil {
+				seriesNames(rtt), true, rtt...); err != nil {
 				return err
 			}
 			visited = append(visited, curve(cf.String()+"-visited", exp.Fig6Counts, own, func(s *metrics.Snapshot) float64 {
@@ -379,7 +372,7 @@ func (f *figures) run(id string) error {
 		}
 		return writeDat(f.out, "fig6_indexed.dat", visited...)
 	case "7":
-		res, err := exp.Fig7(14, f.seed)
+		res, err := exp.Fig7(f.seed)
 		if err != nil {
 			return err
 		}
@@ -399,13 +392,10 @@ func (f *figures) run(id string) error {
 			series = append(series, metrics.Downsample(s, 200))
 		}
 		vid, note := figVariant("8", f.rules, f.classifier)
-		if err := writePlot(f.out, vid, "fig"+vid+".dat",
+		return writeFigure(f.out, vid,
 			"Evolution of the download on each client"+note,
 			"time (s)", "percentage of the file transferred",
-			[]string{"clients"}, false); err != nil {
-			return err
-		}
-		return writeDat(f.out, "fig"+vid+".dat", series...)
+			[]string{"clients"}, false, series...)
 	case "9":
 		foldings := exp.Fig9Foldings
 		if f.scale > 1 {
@@ -426,13 +416,10 @@ func (f *figures) run(id string) error {
 			ds = append(ds, metrics.Downsample(s, 400))
 		}
 		vid, note := figVariant("9", f.rules, f.classifier)
-		if err := writePlot(f.out, vid, "fig"+vid+".dat",
+		return writeFigure(f.out, vid,
 			"Total amount of data received by the nodes"+note,
 			"time (s)", "data received (MB)",
-			seriesNames(ds), true); err != nil {
-			return err
-		}
-		return writeDat(f.out, "fig"+vid+".dat", ds...)
+			seriesNames(ds), true, ds...)
 	case "10", "11":
 		if f.fig10 == nil {
 			res, err := f.runSwarm(exp.Fig10Spec())
@@ -459,13 +446,10 @@ func (f *figures) run(id string) error {
 			return writeDat(f.out, "fig"+vid+".dat", series...)
 		}
 		vid, note := figVariant("11", f.rules, f.classifier)
-		if err := writePlot(f.out, vid, "fig"+vid+".dat",
+		return writeFigure(f.out, vid,
 			"Clients having completed the download"+note,
 			"time (s)", "number of clients",
-			[]string{"number of clients"}, true); err != nil {
-			return err
-		}
-		return writeDat(f.out, "fig"+vid+".dat", exp.CompletionSeries(res.Completions))
+			[]string{"number of clients"}, true, exp.CompletionSeries(res.Completions))
 	case "dht":
 		// E1: Chord's O(log N) routing — hops against ring size on LAN
 		// links.

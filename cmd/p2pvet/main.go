@@ -32,6 +32,7 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 
 	"repro/internal/lint"
@@ -210,59 +211,22 @@ func unit(cfgPath string) int {
 	out.Merge(imported) // facts propagate transitively
 
 	analyzers := lint.Analyzers()
-	var diags []analysis.Diagnostic
-	for _, a := range analyzers {
-		if cfg.VetxOnly && !a.UsesFacts {
-			continue
-		}
-		a := a
-		pass := &analysis.Pass{
-			Fset:      fset,
-			Files:     analyzed,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-			ImportFact: func(key string) (string, bool) {
-				return imported.Get(a.Name, key)
-			},
-			ExportFact: func(key, value string) {
-				out.Set(a.Name, key, value)
-			},
-		}
-		if err := a.Run(pass); err != nil {
-			log.Fatalf("analyzer %s: %v", a.Name, err)
-		}
+	if cfg.VetxOnly {
+		analyzers = slices.DeleteFunc(analyzers, func(a *analysis.Analyzer) bool { return !a.UsesFacts })
+	}
+	diags, err := lint.Check(fset, analyzed, pkg, info, analyzers, imported, out)
+	if err != nil {
+		log.Fatal(err)
 	}
 	writeVetx(cfg, out)
 
-	if cfg.VetxOnly {
+	if cfg.VetxOnly || len(diags) == 0 {
 		return 0
 	}
-	sup := lint.CollectSuppressions(fset, analyzed)
-	exit := 0
-	report := func(d analysis.Diagnostic) {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
-		exit = 1
-	}
-	for _, d := range sup.Bad() {
-		report(d)
-	}
 	for _, d := range diags {
-		if !suppressed(sup, fset, d) {
-			report(d)
-		}
+		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
 	}
-	return exit
-}
-
-// suppressed matches a diagnostic against //lint:allow comments. The
-// analyzer name is the first word of the message up to the colon.
-func suppressed(sup *lint.Suppressions, fset *token.FileSet, d analysis.Diagnostic) bool {
-	name, _, ok := strings.Cut(d.Message, ":")
-	if !ok {
-		return false
-	}
-	return sup.Allowed(name, fset.Position(d.Pos))
+	return 1
 }
 
 func analyzableFiles(names []string) []string {

@@ -18,8 +18,6 @@ type ClientConfig struct {
 	// MaxInitiate bounds connections we initiate (mainline: 30-ish;
 	// further peers come from inbound connections).
 	MaxInitiate int
-	// RechokeInterval is the choker period (mainline: 10 s).
-	RechokeInterval time.Duration
 	// PipelineDepth is the outstanding-request backlog per peer
 	// (mainline: ~5). 0 auto-scales to the torrent's blocks-per-piece
 	// (clamped to [5,256]): a fixed 5-deep pipeline is 80 KiB in
@@ -39,10 +37,6 @@ type ClientConfig struct {
 	// unlimited); enforced by gating request issue, so the cap is on
 	// requested bytes per virtual second.
 	DownloadRate int64
-	// RateBurst is the token-bucket capacity in bytes shared by both
-	// caps (0: twice the piece length, at least 128 KiB — Erigon uses
-	// 2×DefaultPieceSize).
-	RateBurst int64
 	// WebSeeds lists always-available block servers (see WebSeed) the
 	// client attaches as permanently-unchoked pseudo-peers.
 	WebSeeds []ip.Endpoint
@@ -51,11 +45,10 @@ type ClientConfig struct {
 // DefaultClientConfig mirrors BitTorrent 4.x defaults.
 func DefaultClientConfig() ClientConfig {
 	return ClientConfig{
-		MaxPeers:        40,
-		MaxInitiate:     30,
-		RechokeInterval: 10 * time.Second,
-		PipelineDepth:   5,
-		MinPeers:        20,
+		MaxPeers:      40,
+		MaxInitiate:   30,
+		PipelineDepth: 5,
+		MinPeers:      20,
 	}
 }
 
@@ -66,6 +59,8 @@ const (
 	// uploadSlots is the number of simultaneous unchokes, including the
 	// optimistic one (mainline: 4).
 	uploadSlots = 4
+	// rechokeInterval is the choker period (mainline: 10 s).
+	rechokeInterval = 10 * time.Second
 	// optimisticRounds is how many rechoke rounds an optimistic unchoke
 	// lasts (mainline: 3 → 30 s).
 	optimisticRounds = 3
@@ -100,6 +95,7 @@ const (
 	evStop
 	evUpPump   // upload token bucket refilled: drain queued uploads
 	evFillWake // download token bucket refilled: resume request issue
+	evDialDone // a dial attempt resolved, successful or not
 )
 
 type event struct {
@@ -245,10 +241,9 @@ func NewClient(h *vnet.Host, meta *MetaInfo, have *Bitfield, tracker ip.Endpoint
 			c.depth = 256
 		}
 	}
-	burst := cfg.RateBurst
-	if burst <= 0 {
-		burst = 2 * int64(meta.PieceLength)
-	}
+	// Both buckets hold twice the piece length (Erigon uses
+	// 2×DefaultPieceSize), at least NewTokenBucket's 128 KiB.
+	burst := 2 * int64(meta.PieceLength)
 	c.upLim = NewTokenBucket(cfg.UploadRate, burst)
 	c.downLim = NewTokenBucket(cfg.DownloadRate, burst)
 	if auditHook != nil {
@@ -412,7 +407,7 @@ func (c *Client) dialPeer(p *sim.Proc, ep ip.Endpoint) {
 	c.dialing++
 	c.om.dialAttempts.Inc()
 	p.Go("bt-handshake-out", func(p *sim.Proc) {
-		defer c.events.TrySend(event{kind: evMsg, msg: Msg{}, peer: nil}) // nudge loop (dialing--)
+		defer c.events.TrySend(event{kind: evDialDone})
 		conn, err := c.h.Dial(p, ep)
 		if err != nil {
 			c.om.dialFailures.Inc()
@@ -474,11 +469,9 @@ func (c *Client) loop(p *sim.Proc) {
 			c.onJoin(p, ev.peer)
 		case evPeerClosed:
 			c.onClose(p, ev.peer)
+		case evDialDone:
+			c.dialing--
 		case evMsg:
-			if ev.peer == nil {
-				c.dialing-- // dial attempt resolved (possibly failed)
-				continue
-			}
 			if ev.peer.closed {
 				continue
 			}
@@ -522,10 +515,10 @@ func (c *Client) onJoin(p *sim.Proc, pr *peer) {
 		return
 	}
 	// Note: the dial budget is NOT released here. dialPeer's deferred
-	// nudge decrements c.dialing exactly once per attempt, successful or
-	// not; decrementing again for initiated peers made every successful
-	// dial count twice, drifting c.dialing negative and letting onPeers
-	// dial past MaxInitiate.
+	// evDialDone decrements c.dialing exactly once per attempt,
+	// successful or not; decrementing again for initiated peers made
+	// every successful dial count twice, drifting c.dialing negative and
+	// letting onPeers dial past MaxInitiate.
 	if pr.webseed {
 		// A web seed bypasses the swarm-capacity budget and the peer
 		// wire protocol: no bitfield exchange (its bitfield is full by
@@ -932,7 +925,7 @@ func (c *Client) onTick(p *sim.Proc) {
 		}
 	}
 	// Rechoke on its own period (tick granularity).
-	if now.Sub(c.started) >= time.Duration(c.rechokeRound+1)*c.cfg.RechokeInterval {
+	if now.Sub(c.started) >= time.Duration(c.rechokeRound+1)*rechokeInterval {
 		c.rechokeRound++
 		c.rechoke(p)
 	}

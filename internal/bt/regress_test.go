@@ -9,7 +9,7 @@ import (
 )
 
 // TestDialBudgetNotDoubleDecremented pins the dial-budget accounting:
-// dialPeer's deferred nudge is the single decrement of c.dialing per
+// dialPeer's deferred evDialDone is the single decrement of c.dialing per
 // attempt. The old code decremented again in onJoin for initiated
 // peers, so every successful dial drove c.dialing negative and the next
 // tracker response dialed past MaxInitiate.

@@ -334,7 +334,6 @@ func TestPipelineDepthAutoScaleLongFat(t *testing.T) {
 	const pieceLen = 2 << 20
 	for _, model := range []netem.ModelKind{netem.ModelPipe, netem.ModelFlow} {
 		fixed := DefaultClientConfig()
-		fixed.RechokeInterval = time.Second // keep the unchoke delay out of the ratio
 		auto := fixed
 		auto.PipelineDepth = 0 // auto-scale to blocks-per-piece
 
@@ -353,15 +352,14 @@ func TestPipelineDepthAutoScaleLongFat(t *testing.T) {
 // finish at the identical virtual instant.
 func TestRateLimitedTransferDeterministic(t *testing.T) {
 	const fileSize = 1 << 20
+	const pieceLen = 64 << 10 // the derived burst, twice the piece, is 128 KiB
 	cfg := DefaultClientConfig()
-	cfg.RechokeInterval = time.Second
 	capped := cfg
 	capped.UploadRate = 256 * 1024 // seeder-side cap: 256 KiB/s
-	capped.RateBurst = 128 * 1024
 
-	tFree := transferTime(t, 31, netem.ModelPipe, fastClass, cfg, fileSize, 0, 10*time.Minute)
-	tCap1 := transferTime(t, 31, netem.ModelPipe, fastClass, capped, fileSize, 0, 10*time.Minute)
-	tCap2 := transferTime(t, 31, netem.ModelPipe, fastClass, capped, fileSize, 0, 10*time.Minute)
+	tFree := transferTime(t, 31, netem.ModelPipe, fastClass, cfg, fileSize, pieceLen, 10*time.Minute)
+	tCap1 := transferTime(t, 31, netem.ModelPipe, fastClass, capped, fileSize, pieceLen, 10*time.Minute)
+	tCap2 := transferTime(t, 31, netem.ModelPipe, fastClass, capped, fileSize, pieceLen, 10*time.Minute)
 	if tCap1 != tCap2 {
 		t.Fatalf("rate-limited run not deterministic: %v vs %v", tCap1, tCap2)
 	}

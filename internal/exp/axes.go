@@ -164,11 +164,17 @@ var axes = []Axis{
 		// Every message of a firewalled swarm pays the scan Fig 6 measures.
 		reads: firewallFamilies,
 		col: &col[int]{
-			grid:  func(g *Grid) *[]int { return &g.Rules },
-			cell:  func(c *Cell) *int { return &c.Rules },
-			def:   defaults(0, nil),
-			valid: atLeast(0),
-			read:  strconv.Atoi,
+			grid: func(g *Grid) *[]int { return &g.Rules },
+			cell: func(c *Cell) *int { return &c.Rules },
+			def:  defaults(0, nil),
+			// The cell's spec would fail on a table past the cap.
+			valid: func(n int) error {
+				if n < 0 || n > scenario.MaxRuleCopies {
+					return fmt.Errorf("%d filler rules outside [0,%d]", n, scenario.MaxRuleCopies)
+				}
+				return nil
+			},
+			read: strconv.Atoi,
 		},
 	},
 	{

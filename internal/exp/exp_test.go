@@ -47,32 +47,36 @@ func TestFig1FlatBand(t *testing.T) {
 }
 
 func TestFig2Shapes(t *testing.T) {
-	series := Fig2([]int{10, 30, 50}, 1)
-	byName := map[string][]float64{}
+	series := Fig2(1)
+	// Each curve's seconds by N, read off the Fig2Counts axis.
+	byName := map[string]map[int]float64{}
 	for _, s := range series {
-		var ys []float64
+		ys := map[int]float64{}
 		for _, p := range s.Points {
-			ys = append(ys, p.Y)
+			ys[int(p.X)] = p.Y
+		}
+		if len(ys) != len(Fig2Counts) {
+			t.Fatalf("%s: %d points, want one per Fig2Counts value", s.Name, len(ys))
 		}
 		byName[s.Name] = ys
 	}
 	for _, bsd := range []string{"4BSD scheduler", "ULE scheduler"} {
 		ys := byName[bsd]
-		if ys[2] < 5 {
-			t.Errorf("%s at N=50 = %.2fs, want thrashing (>5s)", bsd, ys[2])
+		if ys[50] < 5 {
+			t.Errorf("%s at N=50 = %.2fs, want thrashing (>5s)", bsd, ys[50])
 		}
-		if ys[0] > 2 {
-			t.Errorf("%s at N=10 = %.2fs, want ≈1.25s", bsd, ys[0])
+		if ys[10] > 2 {
+			t.Errorf("%s at N=10 = %.2fs, want ≈1.25s", bsd, ys[10])
 		}
 	}
 	lin := byName["Linux 2.6"]
-	if lin[2] > 4 {
-		t.Errorf("Linux at N=50 = %.2fs, want bounded", lin[2])
+	if lin[50] > 4 {
+		t.Errorf("Linux at N=50 = %.2fs, want bounded", lin[50])
 	}
 }
 
 func TestFig3SpreadOrdering(t *testing.T) {
-	series := Fig3(100, 1)
+	series := Fig3(1)
 	spread := map[string]float64{}
 	for _, s := range series {
 		spread[s.Name] = s.Points[s.Len()-1].X - s.Points[0].X
@@ -162,7 +166,7 @@ func TestFig6IndexedFlat(t *testing.T) {
 }
 
 func TestFig7WorkedExample(t *testing.T) {
-	res, err := Fig7(14, 1)
+	res, err := Fig7(1)
 	if err != nil {
 		t.Fatal(err)
 	}

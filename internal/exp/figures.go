@@ -23,16 +23,13 @@ var Fig1Counts = []int{1, 50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000}
 var Fig2Counts = []int{5, 10, 15, 20, 25, 30, 35, 40, 45, 50}
 
 // Fig2 measures average per-process execution time for CPU- and
-// memory-intensive processes: FreeBSD degrades sharply once swap
-// engages, Linux 2.6 stays bounded.
-func Fig2(counts []int, seed int64) []*metrics.Series {
-	if counts == nil {
-		counts = Fig2Counts
-	}
+// memory-intensive processes over Fig2Counts: FreeBSD degrades sharply
+// once swap engages, Linux 2.6 stays bounded.
+func Fig2(seed int64) []*metrics.Series {
 	var out []*metrics.Series
 	for _, kind := range sched.Kinds {
 		s := &metrics.Series{Name: kind.String()}
-		for _, n := range counts {
+		for _, n := range Fig2Counts {
 			cfg := sched.DefaultConfig(kind)
 			cfg.Seed = seed
 			res := sched.Run(cfg, sched.MemoryJobs(n))
@@ -45,10 +42,8 @@ func Fig2(counts []int, seed int64) []*metrics.Series {
 
 // Fig3 runs 100 identical 5-second processes under each scheduler and
 // returns the CDFs of their completion times (the fairness figure).
-func Fig3(n int, seed int64) []*metrics.Series {
-	if n <= 0 {
-		n = 100
-	}
+func Fig3(seed int64) []*metrics.Series {
+	const n = 100
 	var out []*metrics.Series
 	for _, kind := range sched.Kinds {
 		cfg := sched.DefaultConfig(kind)
@@ -139,15 +134,13 @@ type Fig7Result struct {
 }
 
 // Fig7 builds the full Fig 7 topology (2750 nodes in 5 groups over 3
-// regions) on a physical cluster, then measures the paper's worked
-// example with ping.
-func Fig7(physNodes int, seed int64) (Fig7Result, error) {
-	if physNodes <= 0 {
-		physNodes = 14
-	}
+// regions) on a physical cluster of 14 machines, then measures the
+// paper's worked example with ping.
+func Fig7(seed int64) (Fig7Result, error) {
+	const physNodes = 14
 	tp := topo.Fig7()
 	// Folded as a spec folds: the machine count follows from the nodes
-	// and the folding (14 machines for the default).
+	// and the folding.
 	a, err := scenario.Assemble(seed, tp, vnet.DefaultConfig(), (tp.TotalNodes()+physNodes-1)/physNodes)
 	if err != nil {
 		return Fig7Result{}, err

@@ -73,7 +73,7 @@ func TestDriversMatchParent(t *testing.T) {
 		{"fig6 indexed (gige ping cells)", func() (string, error) { return fig6(netem.ClassifierIndexed) },
 			"0:426.884µs/426.884µs/426.884µs 10000:426.884µs/426.884µs/426.884µs 50000:426.884µs/426.884µs/426.884µs"},
 		{"fig7", func() (string, error) {
-			res, err := exp.Fig7(14, 1)
+			res, err := exp.Fig7(1)
 			return fmt.Sprintf("%v over %d hosts", res.RTT, res.Hosts), err
 		}, "851.31802ms over 2750 hosts"},
 		{"ping 0 rules", func() (string, error) { return dsl(0) },

@@ -106,6 +106,18 @@ func TestGridRulesAxis(t *testing.T) {
 	}
 }
 
+// TestGridRulesAxisCap: the rules axis stops where a spec's filler
+// table does, so a grid past it is rejected up front instead of
+// failing every cell.
+func TestGridRulesAxisCap(t *testing.T) {
+	if _, err := (Grid{Experiment: ExpPing, Rules: []int{scenario.MaxRuleCopies}}).Cells(); err != nil {
+		t.Errorf("rules at the cap rejected: %v", err)
+	}
+	if _, err := (Grid{Experiment: ExpPing, Rules: []int{scenario.MaxRuleCopies + 1}}).Cells(); err == nil {
+		t.Error("rules past the spec's cap accepted")
+	}
+}
+
 // TestSweepPingCells runs a small ping sweep end-to-end and checks the
 // labels and the flat-vs-linear artifact in the merged snapshots.
 func TestSweepPingCells(t *testing.T) {

@@ -55,34 +55,22 @@ func (m wireMsg) wireSize() int {
 	return 16 + 64*len(m.Updates) + 8*len(m.Have)
 }
 
-// Config tunes the protocol.
-type Config struct {
-	// Fanout is how many random peers receive each fresh rumor.
-	Fanout int
-	// HotRounds is how many gossip rounds a rumor stays hot (pushed).
-	HotRounds int
-	// Round is the gossip round period.
-	Round time.Duration
-	// AntiEntropy is the period of digest exchanges (0 disables).
-	AntiEntropy time.Duration
-}
-
-// DefaultConfig returns textbook parameters.
-func DefaultConfig() Config {
-	return Config{
-		Fanout:      3,
-		HotRounds:   3,
-		Round:       time.Second,
-		AntiEntropy: 10 * time.Second,
-	}
-}
+// Textbook protocol timing.
+const (
+	// hotRounds is how many gossip rounds a rumor stays hot (pushed).
+	hotRounds = 3
+	// round is the gossip round period.
+	round = time.Second
+	// antiEntropy is the period of digest exchanges.
+	antiEntropy = 10 * time.Second
+)
 
 // Node is one gossip participant.
 type Node struct {
-	h     *vnet.Host
-	cfg   Config
-	peers []ip.Endpoint // full membership view (static, by experiment design)
-	perm  []int         // fanoutPrefix's scratch, reused every round
+	h      *vnet.Host
+	fanout int           // random peers that receive each fresh rumor
+	peers  []ip.Endpoint // full membership view (static, by experiment design)
+	perm   []int         // fanoutPrefix's scratch, reused every round
 
 	known map[uint64]Update
 	hot   map[uint64]int // rounds remaining as a hot rumor
@@ -97,13 +85,14 @@ type NodeStats struct {
 	Pushes uint64
 }
 
-// NewNode creates a gossip node on host h.
-func NewNode(h *vnet.Host, cfg Config) *Node {
+// NewNode creates a gossip node on host h that pushes each fresh rumor
+// to fanout random peers.
+func NewNode(h *vnet.Host, fanout int) *Node {
 	return &Node{
-		h:     h,
-		cfg:   cfg,
-		known: make(map[uint64]Update),
-		hot:   make(map[uint64]int),
+		h:      h,
+		fanout: fanout,
+		known:  make(map[uint64]Update),
+		hot:    make(map[uint64]int),
 	}
 }
 
@@ -124,18 +113,16 @@ func (n *Node) Start() {
 	k.Go(name+"/server", n.serve)
 	k.Go(name+"/rounds", func(p *sim.Proc) {
 		for n.alive {
-			p.Sleep(n.cfg.Round)
+			p.Sleep(round)
 			n.gossipRound(p)
 		}
 	})
-	if n.cfg.AntiEntropy > 0 {
-		k.Go(name+"/anti-entropy", func(p *sim.Proc) {
-			for n.alive {
-				p.Sleep(n.cfg.AntiEntropy)
-				n.antiEntropy(p)
-			}
-		})
-	}
+	k.Go(name+"/anti-entropy", func(p *sim.Proc) {
+		for n.alive {
+			p.Sleep(antiEntropy)
+			n.antiEntropy(p)
+		}
+	})
 }
 
 // Publish introduces a new update at this node.
@@ -149,17 +136,17 @@ func (n *Node) learn(u Update) {
 		return
 	}
 	n.known[u.ID] = u
-	n.hot[u.ID] = n.cfg.HotRounds
+	n.hot[u.ID] = hotRounds
 }
 
-// gossipRound pushes all hot rumors to Fanout random peers.
+// gossipRound pushes all hot rumors to fanout random peers.
 func (n *Node) gossipRound(p *sim.Proc) {
 	if len(n.hot) == 0 || len(n.peers) == 0 {
 		return
 	}
 	batch := n.collectHot()
 	rng := n.h.Network().Kernel().Rand()
-	n.perm = fanoutPrefix(rng, n.perm, len(n.peers), n.cfg.Fanout)
+	n.perm = fanoutPrefix(rng, n.perm, len(n.peers), n.fanout)
 	for _, i := range n.perm {
 		target := n.peers[i]
 		if target.Addr == n.h.Addr() {

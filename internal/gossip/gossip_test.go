@@ -14,7 +14,7 @@ import (
 var lan = topo.LinkClass{Name: "lan", Down: netem.Gbps, Up: netem.Gbps, Latency: time.Millisecond}
 
 // population builds n gossip nodes with full membership views.
-func population(t *testing.T, seed int64, n int, class topo.LinkClass, cfg Config) (*sim.Kernel, []*Node) {
+func population(t *testing.T, seed int64, n int, class topo.LinkClass, fanout int) (*sim.Kernel, []*Node) {
 	t.Helper()
 	k := sim.New(seed)
 	net := vnet.NewNetwork(k, nil, vnet.DefaultConfig())
@@ -26,7 +26,7 @@ func population(t *testing.T, seed int64, n int, class topo.LinkClass, cfg Confi
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, NewNode(h, cfg))
+		nodes = append(nodes, NewNode(h, fanout))
 		eps = append(eps, ip.Endpoint{Addr: h.Addr(), Port: Port})
 	}
 	for _, nd := range nodes {
@@ -48,7 +48,7 @@ func coverage(nodes []*Node, id uint64) int {
 }
 
 func TestRumorReachesEveryone(t *testing.T) {
-	k, nodes := population(t, 1, 32, lan, DefaultConfig())
+	k, nodes := population(t, 1, 32, lan, 3)
 	k.Go("publisher", func(p *sim.Proc) {
 		p.Sleep(time.Second)
 		nodes[0].Publish(Update{ID: 1})
@@ -66,7 +66,7 @@ func TestRumorReachesEveryone(t *testing.T) {
 func TestDisseminationIsLogarithmicRounds(t *testing.T) {
 	// With fanout 3, coverage should be (nearly) complete within
 	// ~log_3(N) + a few rounds — far sooner than N rounds.
-	k, nodes := population(t, 1, 64, lan, DefaultConfig())
+	k, nodes := population(t, 1, 64, lan, 3)
 	var at90 sim.Time
 	k.Go("driver", func(p *sim.Proc) {
 		start := p.Now()
@@ -91,13 +91,21 @@ func TestDisseminationIsLogarithmicRounds(t *testing.T) {
 }
 
 func TestAntiEntropyRepairsMissedRumor(t *testing.T) {
-	// A rumor whose hot phase dies early (fanout 1, 1 round, 5 nodes)
-	// still reaches everyone through anti-entropy digests.
-	cfg := Config{Fanout: 1, HotRounds: 1, Round: time.Second, AntiEntropy: 5 * time.Second}
-	k, nodes := population(t, 1, 5, lan, cfg)
+	// A node whose link is down while a rumor is hot (fanout 1, 5
+	// nodes) misses every push; once its link heals, only the
+	// anti-entropy digests can bring it the rumor.
+	k, nodes := population(t, 1, 5, lan, 1)
+	cut := nodes[4]
+	net := cut.h.Network()
 	k.Go("driver", func(p *sim.Proc) {
+		net.SetLinkUp(cut.h, false)
 		nodes[0].Publish(Update{ID: 42})
-		p.Sleep(4 * time.Minute)
+		p.Sleep(time.Minute)
+		if got := coverage(nodes, 42); got != 4 {
+			t.Errorf("coverage at the heal = %d/5, want 4 (all but the cut node)", got)
+		}
+		net.SetLinkUp(cut.h, true)
+		p.Sleep(10 * time.Second)
 		if got := coverage(nodes, 42); got != 5 {
 			t.Errorf("anti-entropy left coverage at %d/5", got)
 		}
@@ -108,31 +116,8 @@ func TestAntiEntropyRepairsMissedRumor(t *testing.T) {
 	}
 }
 
-func TestNoAntiEntropyMayStrand(t *testing.T) {
-	// The same starved configuration without anti-entropy strands the
-	// rumor — showing the repair mechanism is what completes coverage.
-	cfg := Config{Fanout: 1, HotRounds: 1, Round: time.Second, AntiEntropy: 0}
-	k, nodes := population(t, 1, 5, lan, cfg)
-	var covered int
-	k.Go("driver", func(p *sim.Proc) {
-		nodes[0].Publish(Update{ID: 42})
-		p.Sleep(4 * time.Minute)
-		covered = coverage(nodes, 42)
-		k.Stop()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if covered == 5 {
-		t.Skip("lucky seed covered everyone without anti-entropy")
-	}
-	if covered < 1 {
-		t.Fatal("publisher lost its own rumor")
-	}
-}
-
 func TestMultipleUpdatesAllDisseminate(t *testing.T) {
-	k, nodes := population(t, 1, 16, lan, DefaultConfig())
+	k, nodes := population(t, 1, 16, lan, 3)
 	k.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			nodes[i%16].Publish(Update{ID: uint64(100 + i)})
@@ -152,8 +137,8 @@ func TestMultipleUpdatesAllDisseminate(t *testing.T) {
 }
 
 func TestDuplicatesCounted(t *testing.T) {
-	cfg := DefaultConfig()
-	k, nodes := population(t, 1, 8, lan, cfg)
+	const fanout = 3
+	k, nodes := population(t, 1, 8, lan, fanout)
 	k.Go("driver", func(p *sim.Proc) {
 		nodes[0].Publish(Update{ID: 1})
 		p.Sleep(30 * time.Second)
@@ -174,8 +159,8 @@ func TestDuplicatesCounted(t *testing.T) {
 			if len(nd.known) != 1 || len(nd.hot) != 0 {
 				t.Errorf("node %d: %d known, %d hot after 30 s, want 1 and 0", i, len(nd.known), len(nd.hot))
 			}
-			if limit := uint64(cfg.HotRounds * cfg.Fanout); nd.Stats.Pushes > limit {
-				t.Errorf("node %d pushed %d times, more than %d rounds × fanout %d", i, nd.Stats.Pushes, cfg.HotRounds, cfg.Fanout)
+			if limit := uint64(hotRounds * fanout); nd.Stats.Pushes > limit {
+				t.Errorf("node %d pushed %d times, more than %d rounds × fanout %d", i, nd.Stats.Pushes, hotRounds, fanout)
 			}
 		}
 		k.Stop()
@@ -189,7 +174,7 @@ func TestLatencyScalesWithLinkClass(t *testing.T) {
 	// Same population and fanout on DSL: time to full coverage grows
 	// with link latency but stays round-dominated.
 	run := func(class topo.LinkClass) sim.Time {
-		k, nodes := population(t, 1, 16, class, DefaultConfig())
+		k, nodes := population(t, 1, 16, class, 3)
 		var done sim.Time
 		k.Go("driver", func(p *sim.Proc) {
 			start := p.Now()
@@ -213,7 +198,7 @@ func TestLatencyScalesWithLinkClass(t *testing.T) {
 }
 
 func TestStoppedNodeStopsGossiping(t *testing.T) {
-	k, nodes := population(t, 1, 8, lan, DefaultConfig())
+	k, nodes := population(t, 1, 8, lan, 3)
 	k.Go("driver", func(p *sim.Proc) {
 		nodes[3].Stop()
 		p.Sleep(2 * time.Second) // let its loops drain
@@ -240,7 +225,6 @@ func TestWirePayloadsSortedByID(t *testing.T) {
 	n := &Node{
 		known: make(map[uint64]Update),
 		hot:   make(map[uint64]int),
-		cfg:   DefaultConfig(),
 	}
 	// Populate in descending order so an insertion-ordered (or
 	// map-iteration-ordered) implementation is maximally likely to

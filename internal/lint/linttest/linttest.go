@@ -2,9 +2,10 @@
 // internal/lint analyzer suite. It loads fixture packages from a
 // testdata/src tree (import path = directory path, so fixtures can
 // impersonate kernel-driven module packages and even the standard
-// library), typechecks them from source, runs one analyzer with the
-// same suppression filtering the p2pvet driver applies, and matches
-// the resulting diagnostics against // want "regexp" comments.
+// library), typechecks them from source, runs one analyzer through
+// lint.Check — the p2pvet driver's own runner and //lint:allow filter —
+// and matches the resulting diagnostics against // want "regexp"
+// comments.
 package linttest
 
 import (
@@ -44,33 +45,11 @@ func Run(t *testing.T, srcRoot, pkgPath string, a *analysis.Analyzer) {
 
 	facts := analysis.NewFactSet()
 	for _, p := range l.order { // dependencies first
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Fset:      l.fset,
-			Files:     p.files,
-			Pkg:       p.pkg,
-			TypesInfo: p.info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-			ImportFact: func(key string) (string, bool) {
-				return facts.Get(a.Name, key)
-			},
-			ExportFact: func(key, value string) {
-				facts.Set(a.Name, key, value)
-			},
+		diags, err := lint.Check(l.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a}, facts, facts)
+		if err != nil {
+			t.Fatalf("%s: %v", p.path, err)
 		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("analyzer %s on %s: %v", a.Name, p.path, err)
-		}
-		sup := lint.CollectSuppressions(l.fset, p.files)
-		var surviving []analysis.Diagnostic
-		surviving = append(surviving, sup.Bad()...)
-		for _, d := range diags {
-			name, _, _ := strings.Cut(d.Message, ":")
-			if !sup.Allowed(name, l.fset.Position(d.Pos)) {
-				surviving = append(surviving, d)
-			}
-		}
-		l.check(p, surviving)
+		l.check(p, diags)
 	}
 }
 

@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -30,17 +32,18 @@ type rangeAllow struct {
 	start, end int
 }
 
-// Suppressions indexes every //lint:allow comment of a package, keyed
-// by file.
-type Suppressions struct {
+// suppressions indexes every //lint:allow comment of a package, keyed
+// by file; bad holds the malformed ones (missing analyzer or reason),
+// which drivers report unconditionally.
+type suppressions struct {
 	lines  map[string]map[lineAllow]bool
 	ranges map[string][]rangeAllow
 	bad    []analysis.Diagnostic
 }
 
-// CollectSuppressions scans the given files for //lint:allow comments.
-func CollectSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
-	s := &Suppressions{
+// collectSuppressions scans the given files for //lint:allow comments.
+func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
+	s := &suppressions{
 		lines:  make(map[string]map[lineAllow]bool),
 		ranges: make(map[string][]rangeAllow),
 	}
@@ -98,7 +101,7 @@ func CollectSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 	return s
 }
 
-func (s *Suppressions) addComment(fset *token.FileSet, c *ast.Comment) {
+func (s *suppressions) addComment(fset *token.FileSet, c *ast.Comment) {
 	name, reason, ok := parseAllow(c.Text)
 	if !ok {
 		return
@@ -136,9 +139,9 @@ func parseAllow(text string) (analyzer, reason string, ok bool) {
 	return fields[0], strings.Join(fields[1:], " "), true
 }
 
-// Allowed reports whether a diagnostic of the named analyzer at pos is
+// allowed reports whether a diagnostic of the named analyzer at pos is
 // suppressed.
-func (s *Suppressions) Allowed(analyzer string, pos token.Position) bool {
+func (s *suppressions) allowed(analyzer string, pos token.Position) bool {
 	if s.lines[pos.Filename][lineAllow{analyzer: analyzer, line: pos.Line}] {
 		return true
 	}
@@ -150,6 +153,36 @@ func (s *Suppressions) Allowed(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// Bad returns the malformed suppressions (missing analyzer or reason);
-// drivers report these unconditionally.
-func (s *Suppressions) Bad() []analysis.Diagnostic { return s.bad }
+// Check runs analyzers over one typechecked package, as p2pvet runs
+// them on a compilation unit. Each analyzer reads its dependencies'
+// facts from imported and publishes its own into exported (the two may
+// be one set). It returns the malformed //lint:allow comments, then
+// every finding no allow comment covers; a finding's analyzer is the
+// first word of its message, up to the colon.
+func Check(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info,
+	analyzers []*analysis.Analyzer, imported, exported analysis.FactSet) ([]analysis.Diagnostic, error) {
+	var diags []analysis.Diagnostic
+	for _, a := range analyzers {
+		pass := &analysis.Pass{
+			Fset:       fset,
+			Files:      files,
+			Pkg:        pkg,
+			TypesInfo:  info,
+			Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
+			ImportFact: func(key string) (string, bool) { return imported.Get(a.Name, key) },
+			ExportFact: func(key, value string) { exported.Set(a.Name, key, value) },
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
+		}
+	}
+	sup := collectSuppressions(fset, files)
+	out := sup.bad
+	for _, d := range diags {
+		name, _, ok := strings.Cut(d.Message, ":")
+		if !ok || !sup.allowed(name, fset.Position(d.Pos)) {
+			out = append(out, d)
+		}
+	}
+	return out, nil
+}

@@ -54,8 +54,8 @@ func f() {
 	_ = 3
 }
 `)
-	s := CollectSuppressions(fset, files)
-	bad := s.Bad()
+	s := collectSuppressions(fset, files)
+	bad := s.bad
 	if len(bad) != 2 {
 		t.Fatalf("got %d bad suppressions, want 2: %v", len(bad), bad)
 	}
@@ -65,7 +65,7 @@ func f() {
 		}
 	}
 	// The malformed ones must not suppress anything.
-	if s.Allowed("maporder", fset.Position(bad[0].Pos)) {
+	if s.allowed("maporder", fset.Position(bad[0].Pos)) {
 		t.Error("reason-less allow still suppresses")
 	}
 }
@@ -82,16 +82,16 @@ func f() {}
 
 func g() {}
 `)
-	s := CollectSuppressions(fset, files)
-	if len(s.Bad()) != 0 {
-		t.Fatalf("unexpected bad suppressions: %v", s.Bad())
+	s := collectSuppressions(fset, files)
+	if len(s.bad) != 0 {
+		t.Fatalf("unexpected bad suppressions: %v", s.bad)
 	}
 	for _, line := range []int{5, 7} {
 		pos := token.Position{Filename: "fixture.go", Line: line}
-		if !s.Allowed("kernelgo", pos) {
+		if !s.allowed("kernelgo", pos) {
 			t.Errorf("line %d not covered by the file-scope allow", line)
 		}
-		if s.Allowed("walltime", pos) {
+		if s.allowed("walltime", pos) {
 			t.Errorf("file-scope allow for kernelgo leaked to walltime at line %d", line)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/lint"
+	"repro/internal/lint/analysis"
 )
 
 // TestEveryDeclarationHasACaller type-checks the module's non-test
@@ -209,18 +210,25 @@ func findUnused(t *testing.T, dir, callerOnly string) []string {
 		if p.callerOnly {
 			continue
 		}
-		sup := lint.CollectSuppressions(fset, p.files)
-		for _, d := range sup.Bad() {
-			report(d.Pos, d.Message)
+		// Findings go through the p2pvet driver's runner, so
+		// //lint:allow unused means what it means to every analyzer.
+		unused := &analysis.Analyzer{Name: "unused", Run: func(pass *analysis.Pass) error {
+			for obj, id := range u.decls {
+				if obj.Pkg() != p.pkg {
+					continue
+				}
+				if msg := u.verdict(obj); msg != "" {
+					pass.Reportf(id.Pos(), "unused: %s", msg)
+				}
+			}
+			return nil
+		}}
+		diags, err := lint.Check(fset, p.files, p.pkg, p.info, []*analysis.Analyzer{unused}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for obj, id := range u.decls {
-			if obj.Pkg() != p.pkg {
-				continue
-			}
-			msg := u.verdict(obj)
-			if msg != "" && !sup.Allowed("unused", fset.Position(id.Pos())) {
-				report(id.Pos(), "unused: "+msg)
-			}
+		for _, d := range diags {
+			report(d.Pos, d.Message)
 		}
 	}
 	order := make([]int, len(found))

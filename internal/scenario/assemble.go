@@ -25,12 +25,6 @@ type Assembly struct {
 	Groups map[string][]*vnet.Host
 }
 
-// clusterAdmin is the administration block of every folded build's
-// physical nodes: large enough for one machine per node of the largest
-// legal spec, and clear of the 10/8 group blocks and the 192.168.0.0/24
-// tracker and web-seed addresses.
-var clusterAdmin = ip.MustParsePrefix("172.16.0.0/12")
-
 // Assemble builds the platform a topology describes on a fresh kernel
 // seeded with seed: a network configured by cfg and one host per node
 // of every leaf group. With folding > 0 the network routes through a
@@ -44,15 +38,7 @@ func Assemble(seed int64, t *topo.Topology, cfg vnet.Config, folding int) (*Asse
 	a := &Assembly{Kernel: sim.New(seed), Groups: make(map[string][]*vnet.Host)}
 	var fabric vnet.Fabric = &vnet.TopoFabric{Topo: t}
 	if folding > 0 {
-		for _, g := range t.Groups() {
-			if g.Prefix.Overlaps(clusterAdmin) {
-				return nil, fmt.Errorf("group %q: prefix %v overlaps the cluster's admin block %v",
-					g.Name, g.Prefix, clusterAdmin)
-			}
-		}
-		ccfg := virt.DefaultConfig(t)
-		ccfg.AdminSubnet = clusterAdmin
-		cl, err := virt.NewCluster(a.Kernel, (t.TotalNodes()-1)/folding+1, ccfg)
+		cl, err := virt.NewCluster(a.Kernel, (t.TotalNodes()-1)/folding+1, t)
 		if err != nil {
 			return nil, err
 		}

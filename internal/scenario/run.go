@@ -687,12 +687,10 @@ func (r *runner) startDHT() error {
 
 func (r *runner) startGossip() error {
 	w := r.spec.Workload
-	cfg := gossip.DefaultConfig()
-	cfg.Fanout = w.Fanout
 	nodes := make([]*gossip.Node, len(r.Hosts))
 	eps := make([]ip.Endpoint, len(r.Hosts))
 	for i, h := range r.Hosts {
-		nodes[i] = gossip.NewNode(h, cfg)
+		nodes[i] = gossip.NewNode(h, w.Fanout)
 		eps[i] = ip.Endpoint{Addr: h.Addr(), Port: gossip.Port}
 	}
 	for _, nd := range nodes {

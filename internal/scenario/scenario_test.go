@@ -135,7 +135,7 @@ func TestValidationRejects(t *testing.T) {
 		{"traversal in name", func(s *Spec) { s.Name = "../x" }, "only letters"},
 		{"bad classifier", func(s *Spec) { s.Classifier = "hash" }, "unknown classifier"},
 		{"negative filler rules", func(s *Spec) { s.FillerRules = -1 }, "filler rules outside"},
-		{"too many filler rules", func(s *Spec) { s.FillerRules = maxRuleCopies + 1 }, "filler rules outside"},
+		{"too many filler rules", func(s *Spec) { s.FillerRules = MaxRuleCopies + 1 }, "filler rules outside"},
 		{"negative folding", func(s *Spec) { s.Folding = -1 }, "negative folding"},
 		{"add-rule bad body", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionAddRule, Rule: "fwd"}}
@@ -144,7 +144,7 @@ func TestValidationRejects(t *testing.T) {
 			s.Timeline = []EventSpec{{Action: ActionAddRule, Rule: "count", Src: "nowhere"}}
 		}, "neither a group nor a prefix"},
 		{"add-rule too many copies", func(s *Spec) {
-			s.Timeline = []EventSpec{{Action: ActionAddRule, Rule: "count", Copies: maxRuleCopies + 1}}
+			s.Timeline = []EventSpec{{Action: ActionAddRule, Rule: "count", Copies: MaxRuleCopies + 1}}
 		}, "copies outside"},
 		{"add-rule with for", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionAddRule, Rule: "count", For: Duration(time.Second)}}

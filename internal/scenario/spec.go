@@ -250,9 +250,9 @@ var actions = []string{ActionPartition, ActionHeal, ActionSetClass, ActionLoss,
 // ruleActions lists the rule bodies an add-rule event may install.
 var ruleActions = []string{"count", "deny", "allow"}
 
-// maxRuleCopies caps one add-rule event's filler batch, and the table
-// padding a spec's filler_rules asks for.
-const maxRuleCopies = 100000
+// MaxRuleCopies caps one add-rule event's filler batch, and the table
+// padding a spec's filler_rules and a sweep's rules axis ask for.
+const MaxRuleCopies = 100000
 
 // EventSpec is one scheduled network event on the scenario timeline.
 // Which actions read a field is the field's row in eventFields; a field
@@ -468,8 +468,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 	}
-	if s.FillerRules < 0 || s.FillerRules > maxRuleCopies {
-		return fmt.Errorf("scenario %s: %d filler rules outside [0,%d]", s.Name, s.FillerRules, maxRuleCopies)
+	if s.FillerRules < 0 || s.FillerRules > MaxRuleCopies {
+		return fmt.Errorf("scenario %s: %d filler rules outside [0,%d]", s.Name, s.FillerRules, MaxRuleCopies)
 	}
 	if s.Folding < 0 {
 		return fmt.Errorf("scenario %s: negative folding %d", s.Name, s.Folding)
@@ -646,8 +646,8 @@ func validateEvent(ev *EventSpec, groups map[string]bool) error {
 				return fmt.Errorf("add-rule: %q is neither a group nor a prefix: %w", side, err)
 			}
 		}
-		if ev.Copies < 0 || ev.Copies > maxRuleCopies {
-			return fmt.Errorf("add-rule: %d copies outside [0,%d]", ev.Copies, maxRuleCopies)
+		if ev.Copies < 0 || ev.Copies > MaxRuleCopies {
+			return fmt.Errorf("add-rule: %d copies outside [0,%d]", ev.Copies, MaxRuleCopies)
 		}
 	case ActionDelRule:
 		if ev.ID <= 0 {

@@ -422,6 +422,8 @@ func TestServeValidation(t *testing.T) {
 		// Four 100-value axes ask for 10^8 cells in 2 kB.
 		{`{"kind": "sweep", "sweep": {"experiment": "swarm", "peers": ` + hundred + `, "rules": ` + hundred +
 			`, "windows": ` + hundred + `, "seeds": ` + hundred + `, "models": ["flow"]}}`, http.StatusBadRequest},
+		// A rules value past the spec's filler cap would fail its cell.
+		{`{"kind": "sweep", "sweep": {"experiment": "ping", "rules": [100001]}}`, http.StatusBadRequest},
 		// A misspelt axis key would sweep defaults.
 		{`{"kind": "sweep", "sweep": {"experiment": "snapshot-sync", "piece_size": [262144]}}`, http.StatusBadRequest},
 		// A body past the 1 MiB bound, however well-formed.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ip"
 	"repro/internal/netem"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/vnet"
 )
 
@@ -20,9 +21,7 @@ import (
 func nicContention(t *testing.T, model netem.ModelKind, n int) []sim.Time {
 	t.Helper()
 	k := sim.New(1)
-	cfg := DefaultConfig(nil)
-	cfg.NIC = netem.PipeConfig{Bandwidth: 10 * netem.Mbps, Delay: 50 * time.Microsecond}
-	cluster, err := NewCluster(k, 2, cfg)
+	cluster, err := NewCluster(k, 2, topo.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +48,7 @@ func nicContention(t *testing.T, model netem.ModelKind, n int) []sim.Time {
 		t.Fatal(err)
 	}
 
-	const size = 1_250_000 // 10 Mbit: alone, 1 s through the 10 Mbps NIC
+	const size = 125_000_000 // 1 Gbit: alone, 1 s through the 1 Gbps NIC
 	done := make([]sim.Time, n)
 	for i := range receivers {
 		i := i

@@ -37,28 +37,16 @@ import (
 	"repro/internal/vnet"
 )
 
-// Config describes the physical cluster.
-type Config struct {
-	// AdminSubnet is the physical nodes' administration network
-	// (paper Fig 4: 192.168.38.0/24).
-	AdminSubnet ip.Prefix
-	// NIC is the physical interface pipe configuration, applied in each
-	// direction (default: 1 Gb/s, 50 µs).
-	NIC netem.PipeConfig
-	// Topo supplies inter-group latencies and group definitions for the
-	// latency rules. May be nil for a flat cluster.
-	Topo *topo.Topology
-}
+// adminBlock is the administration network the machines are
+// addressed from (paper Fig 4 used 192.168.38.0/24): large enough for
+// one machine per node of the largest legal spec, and clear of the
+// 10/8 group blocks and the 192.168.0.0/24 tracker and web-seed
+// addresses.
+var adminBlock = ip.MustParsePrefix("172.16.0.0/12")
 
-// DefaultConfig returns a GridExplorer-like cluster configuration:
-// Gigabit Ethernet.
-func DefaultConfig(t *topo.Topology) Config {
-	return Config{
-		AdminSubnet: ip.MustParsePrefix("192.168.38.0/24"),
-		NIC:         netem.PipeConfig{Bandwidth: 1 * netem.Gbps, Delay: 50 * time.Microsecond},
-		Topo:        t,
-	}
-}
+// nic is each machine's interface pipe, applied in each direction:
+// the paper's Gigabit Ethernet, topo.GigE's link.
+var nic = netem.PipeConfig{Bandwidth: topo.GigE.Up, Delay: topo.GigE.Latency}
 
 // A physical node's dual-Opteron-class processing budget.
 const (
@@ -83,30 +71,35 @@ type PhysNode struct {
 // Cluster is a set of physical nodes and the placement of virtual nodes
 // onto them. It implements vnet.Fabric.
 type Cluster struct {
-	cfg       Config
+	topo      *topo.Topology
 	nodes     []*PhysNode
 	placement map[ip.Addr]*PhysNode
 }
 
-// NewCluster creates n physical nodes with administration addresses
-// allocated from the admin subnet.
-func NewCluster(k *sim.Kernel, n int, cfg Config) (*Cluster, error) {
-	if cfg.AdminSubnet.Bits() == 0 {
-		cfg.AdminSubnet = ip.MustParsePrefix("192.168.38.0/24")
+// NewCluster creates n physical nodes, addressed from the admin
+// block, under topology t, which supplies the inter-group latencies
+// and the groups for the latency rules. A group prefix that overlaps
+// the admin block is an error.
+func NewCluster(k *sim.Kernel, n int, t *topo.Topology) (*Cluster, error) {
+	if uint64(n)+1 > adminBlock.Size() {
+		return nil, fmt.Errorf("virt: %d nodes do not fit admin subnet %v", n, adminBlock)
 	}
-	if uint64(n)+1 > cfg.AdminSubnet.Size() {
-		return nil, fmt.Errorf("virt: %d nodes do not fit admin subnet %v", n, cfg.AdminSubnet)
+	for _, g := range t.Groups() {
+		if g.Prefix.Overlaps(adminBlock) {
+			return nil, fmt.Errorf("virt: group %q: prefix %v overlaps the cluster's admin block %v",
+				g.Name, g.Prefix, adminBlock)
+		}
 	}
 	c := &Cluster{
-		cfg:       cfg,
+		topo:      t,
 		placement: make(map[ip.Addr]*PhysNode),
 	}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("phys%d", i)
 		pn := &PhysNode{
 			name:      name,
-			nicOut:    netem.NewPipe(k, name+"/nic-out", cfg.NIC),
-			nicIn:     netem.NewPipe(k, name+"/nic-in", cfg.NIC),
+			nicOut:    netem.NewPipe(k, name+"/nic-out", nic),
+			nicIn:     netem.NewPipe(k, name+"/nic-in", nic),
 			cpu:       netem.NewPipe(k, name+"/cpu", netem.PipeConfig{Bandwidth: cpuBytesPerSec * 8}),
 			rules:     netem.NewRuleSet(),
 			groupSeen: make(map[[2]string]bool),
@@ -124,8 +117,8 @@ func (c *Cluster) Nodes() []*PhysNode { return c.nodes }
 // (incoming and outgoing packets — the paper's "two rules for each
 // hosted virtual node") and the group-latency rules its groups need.
 func (c *Cluster) place(addr ip.Addr, pn *PhysNode) error {
-	if c.cfg.AdminSubnet.Contains(addr) {
-		return fmt.Errorf("virt: %v collides with admin subnet %v", addr, c.cfg.AdminSubnet)
+	if adminBlock.Contains(addr) {
+		return fmt.Errorf("virt: %v collides with admin subnet %v", addr, adminBlock)
 	}
 	if prev := c.placement[addr]; prev != nil {
 		return fmt.Errorf("virt: %v already placed on %s", addr, prev.name)
@@ -135,16 +128,14 @@ func (c *Cluster) place(addr ip.Addr, pn *PhysNode) error {
 	host := ip.NewPrefix(addr, 32)
 	pn.rules.AddCount(host, ip.Prefix{}) // outgoing packets
 	pn.rules.AddCount(ip.Prefix{}, host) // incoming packets
-	if t := c.cfg.Topo; t != nil {
-		c.installGroupRules(pn, addr)
-	}
+	c.installGroupRules(pn, addr)
 	return nil
 }
 
 // installGroupRules adds one rule per (group of addr, other group) pair
 // with a declared latency, as in the paper's Fig 7 walk-through.
 func (c *Cluster) installGroupRules(pn *PhysNode, addr ip.Addr) {
-	t := c.cfg.Topo
+	t := c.topo
 	g := t.Locate(addr)
 	if g == nil {
 		return
@@ -230,8 +221,6 @@ func (c *Cluster) Route(src, dst ip.Addr, path []*netem.Pipe) ([]*netem.Pipe, vn
 	if cross {
 		path = append(path, dp.nicIn)
 	}
-	if c.cfg.Topo != nil {
-		r.Latency += c.cfg.Topo.GroupLatency(src, dst)
-	}
+	r.Latency += c.topo.GroupLatency(src, dst)
 	return path, r
 }

@@ -15,7 +15,7 @@ import (
 func testbed(t *testing.T, physNodes, hosts int, tp *topo.Topology) (*sim.Kernel, *Cluster, *vnet.Network, []*vnet.Host) {
 	t.Helper()
 	k := sim.New(1)
-	cl, err := NewCluster(k, physNodes, DefaultConfig(tp))
+	cl, err := NewCluster(k, physNodes, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,15 +33,15 @@ func testbed(t *testing.T, physNodes, hosts int, tp *topo.Topology) (*sim.Kernel
 }
 
 func TestClusterAdminAddresses(t *testing.T) {
-	// The physical nodes own the admin subnet (phys0 is 192.168.38.1):
+	// The physical nodes own the admin subnet (phys0 is 172.16.0.1):
 	// no virtual node may be placed inside it.
 	k := sim.New(1)
-	cl, err := NewCluster(k, 3, DefaultConfig(nil))
+	cl, err := NewCluster(k, 3, topo.New())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := vnet.NewNetwork(k, cl, vnet.DefaultConfig())
-	h, err := n.AddHostClass(ip.MustParseAddr("192.168.38.1"), topo.DSL)
+	h, err := n.AddHostClass(ip.MustParseAddr("172.16.0.1"), topo.DSL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,13 @@ func TestClusterAdminAddresses(t *testing.T) {
 
 func TestClusterTooManyForAdminSubnet(t *testing.T) {
 	k := sim.New(1)
-	if _, err := NewCluster(k, 300, DefaultConfig(nil)); err == nil {
-		t.Fatal("300 nodes cannot fit a /24 admin subnet")
+	if _, err := NewCluster(k, 1<<20, topo.New()); err == nil {
+		t.Fatal("1<<20 nodes and the network address cannot fit a /12 admin subnet")
 	}
 }
 
 func TestPlaceSuccessive(t *testing.T) {
-	_, cl, _, hs := testbed(t, 4, 40, nil)
+	_, cl, _, hs := testbed(t, 4, 40, topo.New())
 	if err := cl.PlaceSuccessive(hs, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +80,14 @@ func TestPlaceSuccessive(t *testing.T) {
 }
 
 func TestPlaceOverflow(t *testing.T) {
-	_, cl, _, hs := testbed(t, 2, 30, nil)
+	_, cl, _, hs := testbed(t, 2, 30, topo.New())
 	if err := cl.PlaceSuccessive(hs, 10); err == nil {
 		t.Fatal("30 hosts at 10/node need 3 phys nodes, only 2 exist")
 	}
 }
 
 func TestPlaceDuplicate(t *testing.T) {
-	_, cl, _, hs := testbed(t, 2, 1, nil)
+	_, cl, _, hs := testbed(t, 2, 1, topo.New())
 	if err := cl.PlaceSuccessive(hs, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +98,9 @@ func TestPlaceDuplicate(t *testing.T) {
 
 func TestPlaceAdminCollision(t *testing.T) {
 	k := sim.New(1)
-	cl, _ := NewCluster(k, 1, DefaultConfig(nil))
+	cl, _ := NewCluster(k, 1, topo.New())
 	n := vnet.NewNetwork(k, cl, vnet.DefaultConfig())
-	h, err := n.AddHostClass(ip.MustParseAddr("192.168.38.77"), topo.DSL)
+	h, err := n.AddHostClass(ip.MustParseAddr("172.16.0.77"), topo.DSL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPlaceAdminCollision(t *testing.T) {
 func TestTwoRulesPerVirtualNode(t *testing.T) {
 	// The paper: "two rules for each hosted virtual node (incoming and
 	// outgoing packets)".
-	_, cl, _, hs := testbed(t, 1, 25, nil)
+	_, cl, _, hs := testbed(t, 1, 25, topo.New())
 	if err := cl.PlaceSuccessive(hs, 25); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestGroupLatencyRulesInstalled(t *testing.T) {
 	// plus 2 per-vnode rules.
 	k := sim.New(1)
 	tp := topo.Fig7()
-	cl, err := NewCluster(k, 1, DefaultConfig(tp))
+	cl, err := NewCluster(k, 1, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestGroupLatencyRulesInstalled(t *testing.T) {
 }
 
 func TestRouteSamePhysSkipsNIC(t *testing.T) {
-	_, cl, _, hs := testbed(t, 2, 2, nil)
+	_, cl, _, hs := testbed(t, 2, 2, topo.New())
 	if err := cl.PlaceSuccessive(hs, 2); err != nil { // both on phys0
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRouteSamePhysSkipsNIC(t *testing.T) {
 // whatever path it is handed, the source NIC, both CPU pipes and the
 // destination NIC, in that order.
 func TestRouteCrossPhysUsesNIC(t *testing.T) {
-	k, cl, _, hs := testbed(t, 2, 2, nil)
+	k, cl, _, hs := testbed(t, 2, 2, topo.New())
 	if err := cl.PlaceSuccessive(hs, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRouteCrossPhysUsesNIC(t *testing.T) {
 }
 
 func TestRouteChargesRuleCost(t *testing.T) {
-	_, cl, _, hs := testbed(t, 1, 50, nil)
+	_, cl, _, hs := testbed(t, 1, 50, topo.New())
 	if err := cl.PlaceSuccessive(hs, 50); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRouteChargesRuleCost(t *testing.T) {
 }
 
 func TestRouteUnplacedHostsZeroRoute(t *testing.T) {
-	_, cl, _, hs := testbed(t, 1, 2, nil)
+	_, cl, _, hs := testbed(t, 1, 2, topo.New())
 	path, r := cl.Route(hs[0].Addr(), hs[1].Addr(), nil)
 	if len(path) != 0 || r != (vnet.Route{}) {
 		t.Fatalf("unplaced route should be empty, got %v %+v", path, r)
@@ -204,7 +204,7 @@ func TestRouteUnplacedHostsZeroRoute(t *testing.T) {
 func TestRouteGroupLatency(t *testing.T) {
 	k := sim.New(1)
 	tp := topo.Fig7()
-	cl, _ := NewCluster(k, 2, DefaultConfig(tp))
+	cl, _ := NewCluster(k, 2, tp)
 	n := vnet.NewNetwork(k, cl, vnet.DefaultConfig())
 	a, _ := n.AddHostClass(ip.MustParseAddr("10.1.3.207"), topo.FastDSL)
 	b, _ := n.AddHostClass(ip.MustParseAddr("10.2.2.117"), topo.Campus)
@@ -218,7 +218,7 @@ func TestRouteGroupLatency(t *testing.T) {
 func TestEndToEndThroughCluster(t *testing.T) {
 	// Full stack: two DSL hosts folded onto one phys node exchange a
 	// message; delivery time dominated by the 128 kb/s up-link.
-	k, cl, n, hs := testbed(t, 1, 2, nil)
+	k, cl, n, hs := testbed(t, 1, 2, topo.New())
 	if err := cl.PlaceSuccessive(hs, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestEndToEndThroughCluster(t *testing.T) {
 
 func TestFoldingRatioEmpty(t *testing.T) {
 	k := sim.New(1)
-	cl, _ := NewCluster(k, 4, DefaultConfig(nil))
+	cl, _ := NewCluster(k, 4, topo.New())
 	if cl.FoldingRatio() != 0 {
 		t.Fatal("empty cluster folding ratio should be 0")
 	}

@@ -38,7 +38,7 @@ func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log, machin
 	var cluster *virt.Cluster
 	if machines > 0 {
 		var err error
-		if cluster, err = virt.NewCluster(k, machines, virt.DefaultConfig(nil)); err != nil {
+		if cluster, err = virt.NewCluster(k, machines, topo.New()); err != nil {
 			t.Fatal(err)
 		}
 		fabric = cluster
