@@ -82,7 +82,9 @@ func TestObsTraceNeutral(t *testing.T) {
 
 // TestObsFinalCountersMirrorStats pins the registry's network series
 // to the NetworkStats they are views of: after any scenario run the
-// registry's counters must equal the struct the vnet layer keeps.
+// registry's counters must equal the struct the vnet layer keeps. The
+// kernel's parks are the switches less the sleeps that returned in
+// place, of which a swarm has many.
 func TestObsFinalCountersMirrorStats(t *testing.T) {
 	sp, ok := ByName("flash-crowd")
 	if !ok {
@@ -111,5 +113,8 @@ func TestObsFinalCountersMirrorStats(t *testing.T) {
 	}
 	if got := snap.Total("p2plab_sim_events_total"); got != float64(res.Kernel.Events) {
 		t.Errorf("sim events counter = %g, want %d", got, res.Kernel.Events)
+	}
+	if parks, switches := snap.Total("p2plab_sim_parks_total"), float64(res.Kernel.Switches); parks == 0 || parks >= switches {
+		t.Errorf("sim parks counter = %g with %g switches, want 0 < parks < switches", parks, switches)
 	}
 }

@@ -140,6 +140,7 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	reg.CounterFunc("p2plab_sim_events_total", "kernel-events", "Kernel callbacks dispatched.", func() uint64 { return k.Snapshot().Events })
 	reg.CounterFunc("p2plab_sim_switches_total", "kernel-switches", "Simulated-task activations.", func() uint64 { return k.Snapshot().Switches })
 	reg.CounterFunc("p2plab_sim_spawns_total", "kernel-spawns", "Simulated tasks created.", func() uint64 { return k.Snapshot().Spawns })
+	reg.CounterFunc("p2plab_sim_parks_total", "", "Simulated-task activations paid with a coroutine switch.", func() uint64 { return k.Parks() })
 	reg.GaugeFunc("p2plab_sim_queue_depth", "", "Pending kernel events, i.e. live timers.", func() float64 { return float64(k.QueueLen()) })
 	reg.GaugeFunc("p2plab_sim_virtual_seconds", "ended-s", "Current virtual time of the run.", func() float64 { return k.Now().Seconds() })
 

@@ -165,10 +165,18 @@ func (m *timerModel) next() modelTimer {
 
 // timerScript runs a kernel and a timerModel in lock step through one
 // seeded random script. Every dispatched callback first checks it is
-// the timer the model dispatches next, at the model's instant, then
-// performs a few random operations on both sides; after every
-// operation the kernel's queue length must equal the model's live
-// timer count.
+// the timer the model dispatches next, at the model's instant and
+// inside the horizon, then performs a few random operations on both
+// sides; after every operation the kernel's queue length must equal
+// the model's live timer count.
+//
+// A few sleeper tasks run beside the timers: each loops on Sleep of a
+// random delay — zero, the past, a tie on the lattice, past the
+// horizon — which the model queues as one more timer, and checks its
+// wake the way a callback checks its dispatch. Now and then a sleeper
+// spawns another first, so a Sleep also meets a ready task. Whether a
+// Sleep parks or returns in place, its wake order, instant and count
+// must be the model's.
 //
 // Besides the handles At and After return, the script owns a few
 // handles the way a pooled struct does and re-arms them with Arm once
@@ -186,7 +194,14 @@ type timerScript struct {
 	timers  int    // ids issued
 	budget  int    // operations left before callbacks go quiet
 	fired   uint64
+
+	sleepers int    // sleeper tasks spawned
+	started  int    // sleeper tasks that have run
+	switches uint64 // sleeper activations: starts and wakes
 }
+
+// scriptHorizon is where runTimerScript ends its run.
+const scriptHorizon = sim.Time(24 * time.Hour)
 
 type handle struct {
 	h  *sim.Event
@@ -208,17 +223,64 @@ func (s *timerScript) victim() *handle {
 }
 
 func (s *timerScript) callback(id int) func() {
-	return func() {
-		want := s.m.next()
-		if want.id != id || want.at != s.k.Now() {
-			s.t.Fatalf("dispatch %d: kernel fired timer %d at %v, model expects timer %d at %v",
-				s.fired, id, s.k.Now(), want.id, want.at)
-		}
-		s.fired++
-		for n := 1 + s.rng.Intn(4); n > 0; n-- {
-			s.step()
-		}
+	return func() { s.dispatched(id) }
+}
+
+// dispatched checks that timer id, just fired or woken, is the one the
+// model dispatches next, at the model's instant and inside the horizon,
+// then performs a few random operations.
+func (s *timerScript) dispatched(id int) {
+	want := s.m.next()
+	if want.id != id || want.at != s.k.Now() {
+		s.t.Fatalf("dispatch %d: kernel fired timer %d at %v, model expects timer %d at %v",
+			s.fired, id, s.k.Now(), want.id, want.at)
 	}
+	if s.k.Now() > scriptHorizon {
+		s.t.Fatalf("dispatch %d: timer %d fired at %v, past the %v horizon", s.fired, id, s.k.Now(), scriptHorizon)
+	}
+	s.fired++
+	for n := 1 + s.rng.Intn(4); n > 0; n-- {
+		s.step()
+	}
+}
+
+// spawn starts a sleeper with goFn, Kernel.Go or Proc.Go. The sleeper
+// must first run at the instant it was spawned, and before any sleeper
+// wakes: a spawned task is ready, and the ready run before any event.
+func (s *timerScript) spawn(goFn func(string, func(*sim.Proc))) {
+	s.sleepers++
+	born := s.m.now
+	goFn("sleeper", func(p *sim.Proc) {
+		s.started++
+		s.switches++
+		if p.Now() != born {
+			s.t.Fatalf("sleeper spawned at %v first ran at %v", born, p.Now())
+		}
+		for s.budget > 0 {
+			if s.sleepers < 8 && s.rng.Intn(8) == 0 {
+				s.spawn(p.Go)
+			}
+			id := s.timers
+			s.timers++
+			at := s.randomAt()
+			for at > s.m.now.Add(time.Hour) && s.rng.Intn(16) != 0 {
+				at = s.randomAt() // outlive a few hundred wakes before the horizon
+			}
+			s.m.schedule(at, id)
+			p.Sleep(at.Sub(s.m.now))
+			s.switches++
+			if s.started != s.sleepers {
+				s.t.Fatalf("a sleeper woke at %v before %d spawned sleepers ran", p.Now(), s.sleepers-s.started)
+			}
+			s.dispatched(id)
+		}
+		// The budget is spent: sleep past the horizon, never to wake.
+		at := scriptHorizon + 1 + sim.Time(s.rng.Intn(int(time.Hour)))
+		s.m.schedule(at, s.timers)
+		s.timers++
+		p.Sleep(at.Sub(s.m.now))
+		s.t.Fatalf("sleeper woke at %v, past the %v horizon", p.Now(), scriptHorizon)
+	})
 }
 
 // randomAt draws an instant from the shapes the queue must order:
@@ -312,34 +374,36 @@ func (s *timerScript) step() {
 // script left unspent because no timer was left to run them.
 func runTimerScript(t *testing.T, seed int64, budget int) int {
 	t.Helper()
-	const horizon = sim.Time(24 * time.Hour)
 	s := &timerScript{t: t, k: sim.New(seed), rng: rand.New(rand.NewSource(seed)), budget: budget}
 	s.ownedAt = [4]int{-1, -1, -1, -1}
 	for i := 0; i < 200; i++ {
 		s.step()
 	}
-	if err := s.k.RunUntil(horizon); err != nil {
+	for i := 0; i < 3; i++ {
+		s.spawn(s.k.Go)
+	}
+	if err := s.k.RunUntil(scriptHorizon); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	for _, tm := range s.m.pending {
-		if tm.at <= horizon {
+		if tm.at <= scriptHorizon {
 			t.Fatalf("seed %d: timer %d due at %v never fired", seed, tm.id, tm.at)
 		}
 	}
 	if got := s.k.QueueLen(); got != 0 {
 		t.Fatalf("seed %d: QueueLen() = %d after the horizon, want 0", seed, got)
 	}
-	if got, want := s.k.Snapshot(), (sim.Stats{Events: s.fired}); got != want {
+	if got, want := s.k.Snapshot(), (sim.Stats{Events: s.fired, Switches: s.switches, Spawns: uint64(s.sleepers)}); got != want {
 		t.Fatalf("seed %d: stats %+v, model %+v", seed, got, want)
 	}
 	return s.budget
 }
 
 // TestTimersMatchModel is the property test behind the kernel's single
-// event queue: for any script of At/After/Arm/Schedule/Cancel/Reschedule,
-// dispatch order, handle results, Stats and queue length are those of
-// the sorted-slice model, and the queue's own invariants (CheckQueue)
-// hold after every operation.
+// event queue: for any script of At/After/Arm/Schedule/Cancel/Reschedule
+// and Sleep, dispatch order, handle results, Stats and queue length are
+// those of the sorted-slice model, and the queue's own invariants
+// (CheckQueue) hold after every operation.
 func TestTimersMatchModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		if left := runTimerScript(t, seed, 20000); left != 0 {
@@ -349,8 +413,8 @@ func TestTimersMatchModel(t *testing.T) {
 }
 
 // FuzzTimers runs timerScript under any seed and operation budget: the
-// kernel's one queue must dispatch every script in the model's (at,
-// seq) order with its invariants intact.
+// kernel's one queue must dispatch every script, sleeps included, in
+// the model's (at, seq) order with its invariants intact.
 func FuzzTimers(f *testing.F) {
 	f.Add(int64(1), uint16(2000))
 	f.Add(int64(42), uint16(0))

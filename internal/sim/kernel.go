@@ -134,6 +134,7 @@ type Kernel struct {
 	stopped bool
 	limit   Time // 0 = no limit
 	stats   Stats
+	parks   uint64 // activations paid with a coroutine switch; see Parks
 }
 
 // Stats counts kernel activity over a run; useful for throughput
@@ -165,6 +166,15 @@ func (k *Kernel) LoopNow() Time { return k.now }
 
 // Snapshot returns a copy of the kernel activity counters.
 func (k *Kernel) Snapshot() Stats { return k.stats }
+
+// Parks returns the task activations Run paid for with a coroutine
+// round trip: Stats.Switches less the sleeps that were their own next
+// dispatch and never parked (Proc.Sleep). It is not a Stats field
+// because Stats is printed whole into digests and bench fingerprints,
+// which this kernel-internal cost must not move.
+//
+//p2p:tokenentry same contract as At
+func (k *Kernel) Parks() uint64 { return k.parks }
 
 // QueueLen returns the number of pending events, which is the number
 // of live timers: cancelled events leave the queue at once. A gauge,
@@ -450,7 +460,9 @@ func (e *DeadlockError) Error() string {
 // left behind.
 //
 // This loop is the scheduling policy's one statement: the head of the
-// ready FIFO, else the earliest (time, seq) event, else done.
+// ready FIFO, else the earliest (time, seq) event, else done. Proc.Sleep
+// takes the loop's next two steps in place when they would pop the
+// sleeper's own wake-up and resume the sleeper, the one task ready.
 //
 //p2p:tokenentry Run holds the token whenever no task does: it lends it to a task in resume and has it back when resume returns
 func (k *Kernel) Run() error {
@@ -462,6 +474,7 @@ func (k *Kernel) Run() error {
 			copy(k.ready, k.ready[1:])
 			k.ready = k.ready[:len(k.ready)-1]
 			k.stats.Switches++
+			k.parks++
 			k.resume(t)
 			continue
 		}

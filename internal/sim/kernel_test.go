@@ -429,17 +429,27 @@ func TestAtInPastClampsToNow(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelModes compares the two ways to schedule work on the
+// BenchmarkKernelModes compares the ways to schedule work on the
 // virtual-time kernel (DESIGN.md decision 1): goroutine park/wake
-// versus pure event callbacks.
+// versus pure event callbacks. A lone sleeper is always its own next
+// dispatch and never parks (Proc.Sleep), so it measures that path;
+// goroutines are two sleepers whose wakes interleave, and every one of
+// their Sleeps pays both coroutine switches.
 func BenchmarkKernelModes(b *testing.B) {
-	b.Run("goroutines", func(b *testing.B) {
+	b.Run("lone-sleeper", func(b *testing.B) {
 		k := New(1)
 		k.Go("worker", func(p *Proc) {
 			for i := 0; i < b.N; i++ {
 				p.Sleep(time.Microsecond)
 			}
 		})
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("goroutines", func(b *testing.B) {
+		k := New(1)
+		offsetSleepers(k, (b.N+1)/2)
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}

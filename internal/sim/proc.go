@@ -44,15 +44,35 @@ func (p *Proc) park() {
 // Sleep suspends the process for d of virtual time. Non-positive
 // durations yield the processor to other runnable tasks at the same
 // instant (a deterministic round-robin yield).
+//
+// A sleeper that is its own next dispatch does not park. When the task
+// is not killed, no other task is ready, the run is not stopped, the
+// wake lies inside the horizon and every queued event comes strictly
+// after it, Run would pop this very wake-up next and resume the task
+// at once: Sleep does that in place — it takes the seq the wake-up
+// would have taken, moves the clock, counts the event and the switch —
+// and returns. Nothing else could have run in between, so the dispatch
+// order, Stats and every QueueLen a task or callback can observe are
+// those of the park; only the two coroutine switches are gone (DESIGN
+// decisions 1 and 11).
 func (p *Proc) Sleep(d Duration) {
 	k := p.k
-	if p.wakeFn == nil {
-		t := p.t
-		p.wakeFn = func() { k.wake(t) }
-	}
 	at := k.now
 	if d > 0 {
 		at = at.Add(d)
+	}
+	if !p.t.killed && len(k.ready) == 0 && !k.stopped &&
+		(k.limit == 0 || at <= k.limit) &&
+		(k.events.len() == 0 || at < k.events.peek().at) {
+		k.seq++
+		k.now = at
+		k.stats.Events++
+		k.stats.Switches++
+		return
+	}
+	if p.wakeFn == nil {
+		t := p.t
+		p.wakeFn = func() { k.wake(t) }
 	}
 	k.push(at, p.wakeFn)
 	p.park()
