@@ -1,7 +1,10 @@
 package flow
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -195,13 +198,33 @@ func batchedWorkload(t *testing.T) (string, []sim.Time, Stats) {
 	return b.String(), exits, m.Stats()
 }
 
+// workloadDigest is the SHA-256 of a rendered trace followed by its
+// exit times, one per line.
+func workloadDigest(tr string, exits []sim.Time) string {
+	h := sha256.New()
+	io.WriteString(h, tr)
+	for _, e := range exits {
+		fmt.Fprintln(h, int64(e))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// batchedWorkloadDigest pins batchedWorkload's trace and exit times
+// across builds: a solver change that is meant to be trace-neutral must
+// reproduce it bit for bit.
+const batchedWorkloadDigest = "e3cc379045b10b30d1c5e4edfd86f86946ccfdab22b2e54ced832eefdd16b86f"
+
 // TestBatchDeterminismAcrossRuns: for a fixed window, two runs of the
 // same multi-component workload give the same rendered trace, the same
-// exit times and the same counters.
+// exit times and the same counters, and the trace and exit times match
+// the committed digest.
 func TestBatchDeterminismAcrossRuns(t *testing.T) {
 	refTrace, refExits, refStats := batchedWorkload(t)
 	if refStats.Flushes == 0 || refStats.Solves == 0 {
 		t.Fatalf("workload never flushed (stats %+v); determinism check vacuous", refStats)
+	}
+	if got := workloadDigest(refTrace, refExits); got != batchedWorkloadDigest {
+		t.Errorf("trace and exits digest %s, pinned %s", got, batchedWorkloadDigest)
 	}
 	tr, exits, stats := batchedWorkload(t)
 	if tr != refTrace {
@@ -400,5 +423,68 @@ func BenchmarkFlowChurnWindow(b *testing.B) {
 		b.Run(fmt.Sprintf("window=%s", window), func(b *testing.B) {
 			runFlowChurn(b, 1, window)
 		})
+	}
+}
+
+// chainWorkload builds a chain of six pipes, each link i carrying a
+// local flow and a flow shared with link i+1, with capacities rising
+// along the chain so every link is the bottleneck of its own two flows.
+// Upgrading the first link mid-run cascades: each incremental pass
+// finds the next link's frozen flows inconsistent and grows the
+// affected set by one link, so the flush reaches maxIncFills and falls
+// back to re-leveling the whole component from scratch. It returns the
+// rendered trace and the exit times.
+func chainWorkload(t *testing.T) (string, []sim.Time) {
+	t.Helper()
+	k := sim.New(13)
+	m := NewWithConfig(k, Config{Window: 20 * time.Millisecond})
+	log := trace.New(0)
+	m.SetTrace(log)
+	var pipes []*netem.Pipe
+	for i, mb := range []int64{1, 3, 4, 5, 6, 7} {
+		pipes = append(pipes, netem.NewPipe(k, fmt.Sprintf("L%d", i), netem.PipeConfig{
+			Bandwidth: mb * netem.Mbps,
+		}))
+	}
+	var exits []sim.Time
+	record := func(e sim.Time, ok bool) { exits = append(exits, e) }
+	k.At(0, func() {
+		for i, p := range pipes {
+			m.Transfer(k.Now(), 4<<20, []*netem.Pipe{p}, k.Rand(), record)
+			if i+1 < len(pipes) {
+				m.Transfer(k.Now(), 4<<20, []*netem.Pipe{p, pipes[i+1]}, k.Rand(), record)
+			}
+		}
+	})
+	k.At(sim.Time(time.Second), func() {
+		cfg := pipes[0].Config()
+		cfg.Bandwidth = 100 * netem.Mbps
+		pipes[0].Reconfigure(cfg)
+		m.PipeReconfigured(pipes[0])
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := log.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String(), exits
+}
+
+// chainWorkloadDigest pins chainWorkload's trace and exit times: the
+// only pinned run whose flush falls back at maxIncFills, so the
+// fallback's region and affected-set order are held bit for bit.
+const chainWorkloadDigest = "99ea8ddbc8f982afaa87f4e5847436dc8e607831c89ff5720b8417c103ec6939"
+
+// TestChainFallbackPinned: the maxIncFills fallback re-levels the
+// chain to the committed trace and exit times.
+func TestChainFallbackPinned(t *testing.T) {
+	tr, exits := chainWorkload(t)
+	if len(exits) != 11 {
+		t.Fatalf("%d exits, want 11", len(exits))
+	}
+	if got := workloadDigest(tr, exits); got != chainWorkloadDigest {
+		t.Errorf("trace and exits digest %s, pinned %s", got, chainWorkloadDigest)
 	}
 }

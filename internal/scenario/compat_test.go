@@ -52,6 +52,15 @@ func TestGoldenTraceCompat(t *testing.T) {
 		}
 	}
 
+	checkPins(t, goldenCompatFile, digests)
+}
+
+// checkPins compares digests, keyed by scenario name, with the pins in
+// file: every digest must be pinned and equal to its pin unless
+// intentionalShifts declares it moved, and every pin must still have
+// a digest. Under GOLDEN_UPDATE it rewrites file from digests instead.
+func checkPins(t *testing.T, file string, digests map[string]string) {
+	t.Helper()
 	if os.Getenv("GOLDEN_UPDATE") != "" {
 		names := make([]string, 0, len(digests))
 		for n := range digests {
@@ -66,28 +75,28 @@ func TestGoldenTraceCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenCompatFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenCompatFile, append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(file, append(blob, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d digests", goldenCompatFile, len(digests))
+		t.Logf("rewrote %s with %d digests", file, len(digests))
 		return
 	}
 
-	blob, err := os.ReadFile(goldenCompatFile)
+	blob, err := os.ReadFile(file)
 	if err != nil {
-		t.Fatalf("missing %s (run with GOLDEN_UPDATE=1 to record): %v", goldenCompatFile, err)
+		t.Fatalf("missing %s (run with GOLDEN_UPDATE=1 to record): %v", file, err)
 	}
 	var want map[string]string
 	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatalf("corrupt %s: %v", goldenCompatFile, err)
+		t.Fatalf("corrupt %s: %v", file, err)
 	}
 	for name, got := range digests {
 		pinned, known := want[name]
 		if !known {
-			t.Errorf("%s: not in %s — new scenario? record it (GOLDEN_UPDATE=1)", name, goldenCompatFile)
+			t.Errorf("%s: not in %s — new scenario? record it (GOLDEN_UPDATE=1)", name, file)
 			continue
 		}
 		if reason, shifted := intentionalShifts[name]; shifted {
@@ -102,7 +111,7 @@ func TestGoldenTraceCompat(t *testing.T) {
 	}
 	for name := range want {
 		if _, ok := digests[name]; !ok {
-			t.Errorf("%s: recorded in %s but no longer in the corpus", name, goldenCompatFile)
+			t.Errorf("%s: recorded in %s but no longer in the corpus", name, file)
 		}
 	}
 }
