@@ -41,7 +41,7 @@ func TestFlushDoesNotAllocate(t *testing.T) {
 			m.FlushBatch()
 			var dirty []*link
 			for _, p := range pipes {
-				dirty = append(dirty, m.links[p])
+				dirty = append(dirty, m.linkOf(p))
 			}
 			flushes := m.stats.Solves
 			got := testing.AllocsPerRun(100, func() {

@@ -18,14 +18,14 @@ import (
 )
 
 // refMaxMin recomputes the max-min fair allocation of every live flow
-// from scratch, independently of the engine's incremental state:
-// textbook progressive filling over a snapshot of the links↔flows
-// graph. The allocation is unique, so any correct solver must agree
-// with it up to floating-point accumulation order.
-func refMaxMin(m *Model) map[*xfer]float64 {
+// over pipes from scratch, independently of the engine's incremental
+// state: textbook progressive filling over a snapshot of the
+// links↔flows graph. The allocation is unique, so any correct solver
+// must agree with it up to floating-point accumulation order.
+func refMaxMin(m *Model, pipes []*netem.Pipe) map[*xfer]float64 {
 	var links []*link
-	for _, l := range m.links {
-		if len(l.flows) > 0 {
+	for _, p := range pipes {
+		if l := m.linkOf(p); l != nil && len(l.flows) > 0 {
 			links = append(links, l)
 		}
 	}
@@ -94,6 +94,105 @@ func closeRel(got, want, eps float64) bool {
 	return math.Abs(got-want) <= eps*scale
 }
 
+// churn is a randomized windowed workload on its own kernel: a 1–40 ms
+// window, 2–6 pipes, and 60–119 flows over random pipe subsets that
+// arrive at random instants in the first 10 s and depart as they
+// drain. Each reconfigure event sets a random pipe's bandwidth
+// (unlimited one time in eight) at a random instant and calls
+// PipeReconfigured, half of them after the FlushBatch vnet makes
+// first. scripted counts the arrivals and reconfigures yet to run.
+type churn struct {
+	k        *sim.Kernel
+	m        *Model
+	pipes    []*netem.Pipe
+	scripted int
+}
+
+// newChurn draws a churn workload from seed with reconfigs reconfigure
+// events. A non-nil flushed runs after every flush: each window
+// boundary and each reconfigure that flushed.
+func newChurn(seed int64, reconfigs int, flushed func()) *churn {
+	rng := rand.New(rand.NewSource(seed))
+	k := sim.New(seed)
+	m := NewWithConfig(k, Config{Window: time.Duration(1+rng.Intn(40)) * time.Millisecond})
+	c := &churn{k: k, m: m}
+	if flushed != nil {
+		m.flushFn = func() {
+			m.FlushBatch()
+			flushed()
+		}
+	}
+	c.pipes = make([]*netem.Pipe, 2+rng.Intn(5))
+	for i := range c.pipes {
+		c.pipes[i] = netem.NewPipe(k, fmt.Sprintf("p%d", i), netem.PipeConfig{
+			Bandwidth: int64(1+rng.Intn(40)) * netem.Mbps / 4,
+		})
+	}
+	for i := 0; i < 60+rng.Intn(60); i++ {
+		var path []*netem.Pipe
+		for _, p := range c.pipes {
+			if rng.Intn(3) == 0 {
+				path = append(path, p)
+			}
+		}
+		if len(path) == 0 {
+			path = append(path, c.pipes[rng.Intn(len(c.pipes))])
+		}
+		size := 50_000 + rng.Intn(2_000_000)
+		at := sim.Time(rng.Int63n(int64(10 * time.Second)))
+		c.scripted++
+		k.At(at, func() {
+			c.scripted--
+			m.Transfer(k.Now(), size, path, k.Rand(), func(sim.Time, bool) {})
+		})
+	}
+	for i := 0; i < reconfigs; i++ {
+		p := c.pipes[rng.Intn(len(c.pipes))]
+		var bw int64
+		if rng.Intn(8) != 0 {
+			bw = int64(1+rng.Intn(40)) * netem.Mbps / 4
+		}
+		flushFirst := rng.Intn(2) == 0
+		at := sim.Time(rng.Int63n(int64(10 * time.Second)))
+		c.scripted++
+		k.At(at, func() {
+			c.scripted--
+			if flushFirst && len(m.dirty) > 0 {
+				m.FlushBatch()
+				if flushed != nil {
+					flushed()
+				}
+			}
+			cfg := p.Config()
+			cfg.Bandwidth = bw
+			p.Reconfigure(cfg)
+			before := m.stats.Flushes
+			m.PipeReconfigured(p)
+			if flushed != nil && m.stats.Flushes != before {
+				flushed()
+			}
+		})
+	}
+	return c
+}
+
+// checkRates fails t unless every live flow is rated at its max-min
+// fair share, within 1e-9 of refMaxMin.
+func (c *churn) checkRates(t testing.TB) map[*xfer]float64 {
+	t.Helper()
+	want := refMaxMin(c.m, c.pipes)
+	for f, w := range want {
+		if f.rate < 0 {
+			t.Fatalf("at %v: flow %d unrated after flush", c.k.Now(), f.id)
+		}
+		if !closeRel(f.rate, w, 1e-9) {
+			t.Fatalf("at %v: flow %d rate %v bps, want %v bps (%d flows live)",
+				c.k.Now(), f.id, f.rate, w, len(want))
+		}
+	}
+	return want
+}
+
 // TestIncrementalMatchesScratch is the property test for the
 // incremental re-leveler: randomized bipartite graphs (flows over
 // random pipe subsets, random arrival times and sizes, departures as
@@ -104,55 +203,52 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			k := sim.New(seed)
-			m := NewWithConfig(k, Config{Window: time.Duration(1+rng.Intn(40)) * time.Millisecond})
-			pipes := make([]*netem.Pipe, 2+rng.Intn(5))
-			for i := range pipes {
-				pipes[i] = netem.NewPipe(k, fmt.Sprintf("p%d", i), netem.PipeConfig{
-					Bandwidth: int64(1+rng.Intn(40)) * netem.Mbps / 4,
-				})
-			}
-			for i := 0; i < 60+rng.Intn(60); i++ {
-				var path []*netem.Pipe
-				for _, p := range pipes {
-					if rng.Intn(3) == 0 {
-						path = append(path, p)
-					}
-				}
-				if len(path) == 0 {
-					path = append(path, pipes[rng.Intn(len(pipes))])
-				}
-				size := 50_000 + rng.Intn(2_000_000)
-				at := sim.Time(rng.Int63n(int64(10 * time.Second)))
-				k.At(at, func() {
-					m.Transfer(k.Now(), size, path, k.Rand(), func(sim.Time, bool) {})
-				})
-			}
+			c := newChurn(seed, 0, nil)
 			for s := 1; s <= 24; s++ {
 				at := sim.Time(int64(s) * int64(500*time.Millisecond))
-				k.At(at, func() {
-					m.FlushBatch()
-					want := refMaxMin(m)
-					for f, w := range want {
-						if f.rate < 0 {
-							t.Fatalf("at %v: flow %d unrated after flush", k.Now(), f.id)
-						}
-						if !closeRel(f.rate, w, 1e-9) {
-							t.Fatalf("at %v: flow %d rate %v bps, want %v bps (%d flows live)",
-								k.Now(), f.id, f.rate, w, len(want))
-						}
-					}
+				c.k.At(at, func() {
+					c.m.FlushBatch()
+					c.checkRates(t)
 				})
 			}
-			if err := k.Run(); err != nil {
+			if err := c.k.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if m.stats.Completed == 0 {
+			if c.m.stats.Completed == 0 {
 				t.Fatal("workload completed no flows; property vacuous")
 			}
 		})
 	}
+}
+
+// FuzzWindowedFlush drives newChurn's workloads, reconfigures
+// included, and checks the engine after every flush: each live flow is
+// rated at its max-min fair share (refMaxMin, within 1e-9), and has its
+// completion armed — the kernel holds exactly one pending event per
+// live flow beside the workload's own, since a flush leaves no window
+// boundary pending.
+func FuzzWindowedFlush(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed, uint8(seed*3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, reconfigs uint8) {
+		var c *churn
+		flushes := 0
+		c = newChurn(seed, int(reconfigs%32), func() {
+			flushes++
+			live := len(c.checkRates(t))
+			if got := c.k.QueueLen(); got != live+c.scripted {
+				t.Fatalf("at %v: %d pending events, want %d live flows' completions + %d scripted",
+					c.k.Now(), got, live, c.scripted)
+			}
+		})
+		if err := c.k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if flushes == 0 || c.m.stats.Started != c.m.stats.Completed {
+			t.Fatalf("%d flushes checked, stats %+v: want flushes and every flow completed", flushes, c.m.stats)
+		}
+	})
 }
 
 // batchedWorkload drives a multi-component churn workload through a
@@ -266,7 +362,7 @@ func TestBatchCoalescesSolves(t *testing.T) {
 		if st.Batched != 4 {
 			t.Errorf("batched events = %d, want 4", st.Batched)
 		}
-		for _, f := range m.links[p].flows {
+		for _, f := range m.linkOf(p).flows {
 			if f.rate != mbps {
 				t.Errorf("flow %d rate = %v, want %v", f.id, f.rate, mbps)
 			}
@@ -343,7 +439,7 @@ func TestReconfigureFlushesBatch(t *testing.T) {
 		if st.Flushes != 1 {
 			t.Errorf("reconfigure flushed %d batches, want 1", st.Flushes)
 		}
-		for _, f := range m.links[p].flows {
+		for _, f := range m.linkOf(p).flows {
 			if f.rate != mbps {
 				t.Errorf("flow %d rate = %v after degrade, want %v", f.id, f.rate, mbps)
 			}
@@ -486,5 +582,58 @@ func TestChainFallbackPinned(t *testing.T) {
 	}
 	if got := workloadDigest(tr, exits); got != chainWorkloadDigest {
 		t.Errorf("trace and exits digest %s, pinned %s", got, chainWorkloadDigest)
+	}
+}
+
+// TestWindowedFlushWorkBound: a windowed flush costs the flows it
+// re-levels, not their component. A chain of 101 equal pipes carries
+// ten flows over each neighbouring pair — one component of 1 000 flows,
+// every flow leveled at an interior link. A flow arriving alone on the
+// last pipe dirties only that pipe, whose frozen flows keep their
+// rates, so the flush re-levels the newcomer and must reach no flow on
+// any other pipe.
+func TestWindowedFlushWorkBound(t *testing.T) {
+	k := sim.New(1)
+	m := NewWithConfig(k, Config{Window: 10 * time.Millisecond})
+	var pipes []*netem.Pipe
+	for i := 0; i <= 100; i++ {
+		pipes = append(pipes, netem.NewPipe(k, fmt.Sprintf("L%d", i), netem.PipeConfig{Bandwidth: 20 * netem.Mbps}))
+	}
+	last := pipes[100]
+	for i := 0; i < 100; i++ {
+		for j := 0; j < 10; j++ {
+			m.Transfer(0, 64<<20, []*netem.Pipe{pipes[i], pipes[i+1]}, k.Rand(), func(sim.Time, bool) {})
+		}
+	}
+	m.FlushBatch()
+	if st := m.Stats(); st.Started != 1000 || st.SolvedFlows != 1000 {
+		t.Fatalf("stats %+v after the first flush, want 1000 flows started and leveled", st)
+	}
+	before := m.Stats()
+	var newcomer *xfer
+	k.At(sim.Time(time.Second), func() {
+		m.Transfer(k.Now(), 64<<20, []*netem.Pipe{last}, k.Rand(), func(sim.Time, bool) {})
+		l := m.linkOf(last)
+		newcomer = l.flows[len(l.flows)-1]
+	})
+	k.At(sim.Time(2*time.Second), func() {
+		st := m.Stats()
+		if st.Flushes != before.Flushes+1 || st.SolvedFlows != before.SolvedFlows+1 {
+			t.Errorf("stats %+v after the arrival, want one more flush re-leveling one flow (before %+v)", st, before)
+		}
+		if want := 10 * mbps; newcomer.rate != want {
+			t.Errorf("newcomer rate %v, want the last pipe's slack %v", newcomer.rate, want)
+		}
+		beyond := 0
+		for _, p := range pipes[:100] {
+			beyond += m.visited(p)
+		}
+		if beyond != 0 {
+			t.Errorf("flush reached %d flow entries off the dirty pipe, want 0", beyond)
+		}
+		k.Stop()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,24 +19,27 @@
 //
 //   - Region scoping: flows and links form a bipartite graph, and
 //     churn can only change the rates inside the connected components
-//     of its links. A flush finds them with one BFS from all dirty
-//     links and re-solves that region, nothing else; only the flows
+//     of its links. Nothing outside them is re-solved; only the flows
 //     whose rate actually changed have their completion events
 //     rescheduled (sim.Event.Reschedule moves the queued event in
 //     place).
-//   - Re-leveling scoping (batched mode): within the region, the
-//     solver starts from the dirty links, keeps the frozen allocations
-//     of flows whose bottleneck is untouched, and grows the affected
-//     set only when a frozen allocation is inconsistent with the
-//     recomputed levels.
+//   - Re-leveling scoping (batched mode): the solver starts from the
+//     dirty links, keeps the frozen allocations of flows whose
+//     bottleneck is untouched, and grows the affected set only when a
+//     frozen allocation is inconsistent with the recomputed levels. It
+//     walks the graph outward from the dirty links only as far as that
+//     growth reaches, so a flush costs the flows it re-levels, not
+//     their components; a BFS over the whole components runs only when
+//     the growth gives up (maxIncFills) and the solver falls back to
+//     re-leveling them from scratch.
 //
 // With Config.Window > 0 churn events inside one virtual-time window
 // coalesce and flush once, incrementally, at the window boundary — a
 // scheduled kernel event, not wall clock, so batching is exactly as
 // deterministic as the rest of the simulation. Window = 0 (the
 // default) flushes at every churn event, at its instant, and re-levels
-// the whole region from scratch in BFS order: the arithmetic the
-// golden traces pin.
+// the dirty links' whole components from scratch in BFS order: the
+// arithmetic the golden traces pin.
 //
 // Model fidelity notes, recorded as DESIGN.md decision 5:
 //
@@ -60,17 +63,32 @@ import (
 	"repro/internal/trace"
 )
 
-// link is the fluid counterpart of one bandwidth-constrained pipe.
+// link is the fluid counterpart of one bandwidth-constrained pipe, in
+// one Model. The pipe holds its links in a chain, one per Model that
+// ever carried a flow over it (Model.linkOf).
 type link struct {
+	m     *Model
 	pipe  *netem.Pipe
+	next  *link   // another Model's link of the same pipe
 	flows []*xfer // flows crossing the link, arrival order
 
 	// Solver scratch, valid only inside one flush.
 	residual float64 // capacity not yet granted to frozen flows
 	active   int     // unfrozen flows on the link
 	level    float64 // fair share granted to flows leveled here; +Inf if never the bottleneck
+	ri       int     // index in the region being filled, and so in Model.shares
 	inR      bool    // member of Model.region
 	dirty    bool    // member of Model.dirty
+}
+
+// share is the fair share l offers its unfrozen flows: residual/active,
+// or +Inf with none left — a value no other share is less than, so a
+// bottleneck scan never moves to such a link.
+func (l *link) share() float64 {
+	if l.active == 0 {
+		return math.Inf(1)
+	}
+	return l.residual / float64(l.active)
 }
 
 // remove deletes f preserving arrival order, so solver iteration order
@@ -101,7 +119,7 @@ type xfer struct {
 	completeFn func()        // bound f.complete
 	done       func(exit sim.Time, ok bool)
 
-	mark    uint64  // flush-BFS epoch stamp
+	mark    uint64  // epoch of the last flush whose BFS reached it
 	newRate float64 // solver scratch; <0 = not yet frozen
 	bott    *link   // link this flow was last leveled at
 	inF     bool    // member of Model.aff
@@ -139,7 +157,6 @@ type Config struct {
 type Model struct {
 	k          *sim.Kernel
 	cfg        Config
-	links      map[*netem.Pipe]*link
 	nextFlowID uint64
 	epoch      uint64
 	tracer     *trace.Log
@@ -150,12 +167,15 @@ type Model struct {
 
 	// Flush scratch, reused across flushes. dirty holds the links
 	// churned since the last flush, in dirtying order; a flush's BFS
-	// appends every link it reaches from them, and flows every flow.
-	// region and aff are the links and flows being re-leveled.
+	// (reach) appends every link it reaches from them, and flows every
+	// flow. region and aff are the links and flows being re-leveled;
+	// shares holds each region link's share during a fill, in region
+	// order.
 	dirty  []*link
 	flows  []*xfer
 	region []*link
 	aff    []*xfer
+	shares []float64
 }
 
 // NewWithConfig returns an empty flow engine on kernel k. A negative
@@ -164,7 +184,7 @@ func NewWithConfig(k *sim.Kernel, cfg Config) *Model {
 	if cfg.Window < 0 {
 		cfg.Window = 0
 	}
-	m := &Model{k: k, cfg: cfg, links: make(map[*netem.Pipe]*link)}
+	m := &Model{k: k, cfg: cfg}
 	m.flushFn = m.FlushBatch
 	return m
 }
@@ -177,12 +197,24 @@ func (m *Model) SetTrace(l *trace.Log) { m.tracer = l }
 // Stats returns a snapshot of the engine counters.
 func (m *Model) Stats() Stats { return m.stats }
 
-// linkFor returns (creating on first use) the fluid link of a pipe.
+// linkOf returns m's fluid link of p, or nil if m never carried a flow
+// over p. It walks the pipe's chain to m's own link: one step unless
+// several Models share the pipe.
+func (m *Model) linkOf(p *netem.Pipe) *link {
+	l, _ := p.LinkState().(*link)
+	for l != nil && l.m != m {
+		l = l.next
+	}
+	return l
+}
+
+// linkFor returns (creating on first use) m's fluid link of p.
 func (m *Model) linkFor(p *netem.Pipe) *link {
-	l := m.links[p]
+	l := m.linkOf(p)
 	if l == nil {
-		l = &link{pipe: p}
-		m.links[p] = l
+		head, _ := p.LinkState().(*link)
+		l = &link{m: m, pipe: p, next: head}
+		p.SetLinkState(l)
 	}
 	return l
 }
@@ -202,7 +234,7 @@ func (m *Model) linkFor(p *netem.Pipe) *link {
 // batch *before* the config changes, via FlushBatch, so coalesced
 // churn settles under the configuration it happened under.)
 func (m *Model) PipeReconfigured(p *netem.Pipe) {
-	if l := m.links[p]; l != nil && len(l.flows) > 0 {
+	if l := m.linkOf(p); l != nil && len(l.flows) > 0 {
 		m.markDirty(l)
 		m.FlushBatch()
 	}
@@ -349,45 +381,30 @@ func (m *Model) churn(at sim.Time, links []*link) {
 	}
 }
 
-// flush re-levels the dirty links at instant now. One BFS over the
-// links↔flows bipartite graph — the dirty links first, in dirtying
-// order, then each reached link's arrival-ordered flows — finds the
-// connected components they span, and the solver re-levels that one
-// region: incrementally under a window, from scratch at window 0. The
-// new allocations apply in affected-set order. Every order here is a
-// function of the simulation history, so the result is deterministic.
+// flush re-levels the dirty links at instant now: incrementally under
+// a window (solve), and at window 0 by re-leveling their whole
+// components from scratch, as reach finds them. The new allocations
+// apply in affected-set order. Every order here is a function of the
+// simulation history, so the result is deterministic.
 func (m *Model) flush(now sim.Time) {
-	seeds := len(m.dirty)
-	if seeds == 0 {
+	if len(m.dirty) == 0 {
 		return
 	}
 	m.epoch++
-	ep := m.epoch
-	for i := 0; i < len(m.dirty); i++ {
-		for _, f := range m.dirty[i].flows {
-			if f.mark == ep {
-				continue
-			}
-			f.mark = ep
-			m.flows = append(m.flows, f)
-			for _, l := range f.links {
-				m.markDirty(l) // the dirty flag is the BFS's visited mark
-			}
-		}
-	}
 	m.stats.Solves++
-	// At window 0 the incremental seeding is skipped: the region and the
-	// affected set are everything the BFS reached, in BFS order.
-	region, aff := m.dirty, m.flows
+	var region []*link
+	var aff []*xfer
 	if m.cfg.Window > 0 {
 		m.stats.Flushes++
-		m.solve(m.dirty[:seeds])
+		m.solve()
 		region, aff = m.region, m.aff
 	} else {
+		m.reach()
+		region, aff = m.dirty, m.flows
 		for _, f := range aff {
 			f.inF = true
 		}
-		fill(region, aff)
+		m.fill(region, aff)
 	}
 	m.stats.SolvedFlows += uint64(len(aff))
 	m.apply(now, aff)
@@ -401,6 +418,29 @@ func (m *Model) flush(now sim.Time) {
 		l.dirty = false
 	}
 	m.dirty, m.flows, m.region, m.aff = m.dirty[:0], m.flows[:0], m.region[:0], m.aff[:0]
+}
+
+// reach is the flush's BFS over the links↔flows bipartite graph: the
+// dirty links first, in dirtying order, then each reached link's
+// arrival-ordered flows. It appends every link of the dirty links'
+// connected components to dirty (the dirty flag is its visited mark)
+// and every flow of them to flows, stamping each with the flush's
+// epoch. Nothing changes a link's flows inside a flush, so where in the
+// flush it runs does not change what it appends, or in which order.
+func (m *Model) reach() {
+	ep := m.epoch
+	for i := 0; i < len(m.dirty); i++ {
+		for _, f := range m.dirty[i].flows {
+			if f.mark == ep {
+				continue
+			}
+			f.mark = ep
+			m.flows = append(m.flows, f)
+			for _, l := range f.links {
+				m.markDirty(l)
+			}
+		}
+	}
 }
 
 // addLink puts l in the region, once.
@@ -447,12 +487,18 @@ const (
 // there), its links are oversubscribed, or its own bottleneck now has
 // room for it to rise. The affected set grows strictly, so the loop
 // terminates; past maxIncFills passes it falls back to a from-scratch
-// fill of the whole region.
-func (m *Model) solve(seeds []*link) {
-	for _, l := range seeds {
+// fill of the dirty links' whole components.
+//
+// Only that fallback needs the components, so only it runs the BFS.
+// A region whose every link's flows are all affected is a union of
+// whole components already: there the fallback would append nothing
+// and fill the same sets, and the growth scan finds nothing to add, so
+// the pass ends the solve with the same fill the fallback makes.
+func (m *Model) solve() {
+	for _, l := range m.dirty {
 		m.addLink(l)
 	}
-	for _, l := range seeds {
+	for _, l := range m.dirty {
 		for _, f := range l.flows {
 			if f.rate < 0 || f.bott == l {
 				m.addFlow(f)
@@ -460,20 +506,21 @@ func (m *Model) solve(seeds []*link) {
 		}
 	}
 	for pass := 0; ; pass++ {
-		if pass == maxIncFills || len(m.aff) == len(m.flows) {
-			// Incrementality stopped paying: every link and flow the
-			// flush reached joins the incremental sets, appended in BFS
+		if pass == maxIncFills {
+			// Incrementality stopped paying: every link and flow of the
+			// components joins the incremental sets, appended in BFS
 			// order, and the whole region fills from scratch.
+			m.reach()
 			for _, l := range m.dirty {
 				m.addLink(l)
 			}
 			for _, f := range m.flows {
 				m.addFlow(f)
 			}
-			fill(m.region, m.aff)
+			m.fill(m.region, m.aff)
 			return
 		}
-		fill(m.region, m.aff)
+		m.fill(m.region, m.aff)
 		grew := false
 		n := len(m.region)
 		for i := 0; i < n; i++ {
@@ -521,7 +568,10 @@ func (m *Model) solve(seeds []*link) {
 // share among links with unfrozen affected flows), freeze its flows at
 // that share, subtract the share from every link they cross, repeat.
 // Each iteration saturates at least one link, so the loop runs at most
-// len(R) times.
+// len(R) times. The scan reads each link's share from the dense
+// m.shares, kept current as residuals and active counts change, so it
+// divides nothing; it picks the first link in R order with the least
+// share, as a scan computing residual/active in place would.
 //
 // Flows outside F are frozen: their current rates are subtracted from
 // their links' capacity up front and never revisited, which is what
@@ -533,8 +583,12 @@ func (m *Model) solve(seeds []*link) {
 // bottleneck in bott; each region link's fair-share level in level
 // (+Inf if it never constrained anyone) and leftover capacity in
 // residual (negative when frozen flows oversubscribe it).
-func fill(R []*link, F []*xfer) {
-	for _, l := range R {
+func (m *Model) fill(R []*link, F []*xfer) {
+	if cap(m.shares) < len(R) {
+		m.shares = make([]float64, len(R))
+	}
+	shares := m.shares[:len(R)]
+	for i, l := range R {
 		// A pipe reconfigured to unlimited (<=0) mid-run stops
 		// constraining the flows it still carries: infinite residual
 		// keeps it from ever being the bottleneck.
@@ -552,25 +606,31 @@ func fill(R []*link, F []*xfer) {
 				l.residual -= f.rate
 			}
 		}
+		l.ri = i
+		shares[i] = l.share()
 	}
 	for _, f := range F {
 		f.newRate = -1
 	}
 	unfrozen := len(F)
+	first := 0 // no link before it has an unfrozen flow; active counts only fall
 	for unfrozen > 0 {
-		var bott *link
-		var share float64
-		for _, l := range R {
-			if l.active == 0 {
-				continue
-			}
-			if s := l.residual / float64(l.active); bott == nil || s < share {
-				bott, share = l, s
-			}
+		for first < len(R) && R[first].active == 0 {
+			first++
 		}
-		if bott == nil {
+		if first == len(R) {
 			break // unreachable: every affected flow crosses a region link
 		}
+		// The first active link is the candidate even when its share is
+		// NaN, which no later share then beats; an inactive link's +Inf
+		// beats nothing.
+		bi, share := first, shares[first]
+		for i := first + 1; i < len(shares); i++ {
+			if s := shares[i]; s < share {
+				bi, share = i, s
+			}
+		}
+		bott := R[bi]
 		if share < 0 {
 			share = 0 // clamp float underflow of a saturated residual
 		}
@@ -591,16 +651,21 @@ func fill(R []*link, F []*xfer) {
 					l2.residual -= share
 				}
 				l2.active--
+				if l2 != bott {
+					shares[l2.ri] = l2.share()
+				}
 			}
 		}
+		shares[bi] = bott.share() // +Inf: every unfrozen flow on it froze
 	}
 }
 
 // apply settles and reschedules every affected flow whose allocation
 // changed. A flow whose recomputed rate is bit-identical keeps its
-// pending completion event untouched — together with region scoping
-// and re-leveling scoping this is what makes churn cost proportional
-// to the affected bottleneck, not the population.
+// pending completion event untouched — together with re-leveling
+// scoping this is what makes a windowed flush cost the flows it
+// re-levels, not their components or the population. (At window 0 a
+// flush re-levels the dirty links' whole components.)
 func (m *Model) apply(now sim.Time, flows []*xfer) {
 	for _, f := range flows {
 		if f.newRate == f.rate {

@@ -42,10 +42,10 @@ func TestMaxMinTextbook(t *testing.T) {
 	exitC := start(t, m, k, size, l2)
 
 	rates := map[uint64]float64{}
-	for _, f := range m.links[l1].flows {
+	for _, f := range m.linkOf(l1).flows {
 		rates[f.id] = f.rate
 	}
-	for _, f := range m.links[l2].flows {
+	for _, f := range m.linkOf(l2).flows {
 		rates[f.id] = f.rate
 	}
 	want := map[uint64]float64{1: 0.5 * mbps, 2: 0.5 * mbps, 3: 1.5 * mbps}
@@ -135,7 +135,7 @@ func TestIncrementalComponentScoping(t *testing.T) {
 	start(t, m, k, size, la)
 	start(t, m, k, size, lb)
 
-	fb := m.links[lb].flows[0]
+	fb := m.linkOf(lb).flows[0]
 	ratedB := fb.ratedAt
 	rateB := fb.rate
 
@@ -172,7 +172,7 @@ func TestUnchangedRatesKeepSchedules(t *testing.T) {
 
 	const size = 1 << 20
 	start(t, m, k, size, narrow, wide) // bottlenecked at 1 Mbps on narrow
-	f := m.links[narrow].flows[0]
+	f := m.linkOf(narrow).flows[0]
 	rerates := m.stats.Rerates
 
 	// A flow on the wide link alone: shares the component with f via
@@ -296,6 +296,44 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("exit %d differs: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestModelsSharePipe: two Models over one pipe each keep their own
+// link of it — the pipe chains one link per Model — so neither sees the
+// other's flows. Model a's flow has the 8 Mbps pipe to itself (8 Mbit:
+// 1 s); b's two flows split it from b's first flush at 10 ms until b
+// is told the pipe doubled at 1.01 s, so each carries 4 Mbit at 4 Mbps
+// and its last 4 Mbit at 8 Mbps, exiting at 1.51 s.
+func TestModelsSharePipe(t *testing.T) {
+	k := sim.New(1)
+	a := NewWithConfig(k, Config{})
+	b := NewWithConfig(k, Config{Window: 10 * time.Millisecond})
+	p := netem.NewPipe(k, "p", netem.PipeConfig{Bandwidth: 8 * netem.Mbps})
+	exitA := start(t, a, k, 1_000_000, p)
+	exitB1 := start(t, b, k, 1_000_000, p)
+	exitB2 := start(t, b, k, 1_000_000, p)
+	la, lb := a.linkOf(p), b.linkOf(p)
+	if la == nil || lb == nil || la == lb || len(la.flows) != 1 || len(lb.flows) != 2 {
+		t.Fatalf("links %p (%d flows) and %p (%d flows), want two of their own with 1 and 2 flows",
+			la, len(la.flows), lb, len(lb.flows))
+	}
+	k.At(sim.Time(1010*time.Millisecond), func() {
+		cfg := p.Config()
+		cfg.Bandwidth = 16 * netem.Mbps
+		p.Reconfigure(cfg)
+		b.PipeReconfigured(p)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := sim.Time(time.Second); *exitA != want {
+		t.Errorf("a's flow exits at %v, want %v", *exitA, want)
+	}
+	for i, e := range []*sim.Time{exitB1, exitB2} {
+		if want := sim.Time(1510 * time.Millisecond); *e != want {
+			t.Errorf("b's flow %d exits at %v, want %v", i+1, *e, want)
 		}
 	}
 }

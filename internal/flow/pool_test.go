@@ -31,7 +31,7 @@ func TestReentrantDoneGetsIndependentFlow(t *testing.T) {
 	m.Transfer(0, 1_000_000, []*netem.Pipe{l}, k.Rand(), func(e sim.Time, ok bool) {
 		record(e, ok)
 		m.Transfer(k.Now(), 1_000_000, []*netem.Pipe{l}, k.Rand(), record)
-		for _, f := range m.links[l].flows {
+		for _, f := range m.linkOf(l).flows {
 			ids = append(ids, f.id)
 		}
 	})

@@ -29,6 +29,10 @@ type Pipe struct {
 
 	nextFree sim.Time // instant the serializer becomes idle
 	stats    PipeStats
+
+	// linkState is what an external link model keeps per pipe (the
+	// flow model's fluid links); netem never reads it.
+	linkState any
 }
 
 // PipeConfig is the static configuration of a pipe.
@@ -162,6 +166,15 @@ func (p *Pipe) AccountTransfer(size int) {
 // AccountLoss records a message an external link model dropped by
 // this pipe's random loss.
 func (p *Pipe) AccountLoss() { p.stats.Lost++ }
+
+// LinkState returns the value an external link model last attached
+// with SetLinkState, or nil. It lets the model reach its per-pipe state
+// from the pipe itself, with no lookup table; like the stats, it is
+// touched only by the kernel driving the pipe.
+func (p *Pipe) LinkState() any { return p.linkState }
+
+// SetLinkState attaches v to the pipe for LinkState to return.
+func (p *Pipe) SetLinkState(v any) { p.linkState = v }
 
 // Common link-rate constants, in bits per second.
 const (
