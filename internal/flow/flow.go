@@ -64,21 +64,30 @@ import (
 )
 
 // link is the fluid counterpart of one bandwidth-constrained pipe, in
-// one Model. The pipe holds its links in a chain, one per Model that
-// ever carried a flow over it (Model.linkOf).
+// one Model. Its fields fit one 64-byte cache line, which the solver's
+// pointer chasing over links needs; the pipe reaches it through a
+// pipeLink.
 type link struct {
-	m     *Model
 	pipe  *netem.Pipe
-	next  *link   // another Model's link of the same pipe
 	flows []*xfer // flows crossing the link, arrival order
 
 	// Solver scratch, valid only inside one flush.
 	residual float64 // capacity not yet granted to frozen flows
-	active   int     // unfrozen flows on the link
 	level    float64 // fair share granted to flows leveled here; +Inf if never the bottleneck
-	ri       int     // index in the region being filled, and so in Model.shares
+	active   int32   // unfrozen flows on the link
+	ri       int32   // index in the region being filled, and so in Model.shares
 	inR      bool    // member of Model.region
 	dirty    bool    // member of Model.dirty
+	stale    bool    // member of Model.stale
+}
+
+// pipeLink is one Model's link of a pipe, in the chain the pipe's
+// LinkState heads: one entry per Model that ever carried a flow over
+// the pipe.
+type pipeLink struct {
+	m    *Model
+	l    *link
+	next *pipeLink
 }
 
 // share is the fair share l offers its unfrozen flows: residual/active,
@@ -170,12 +179,13 @@ type Model struct {
 	// (reach) appends every link it reaches from them, and flows every
 	// flow. region and aff are the links and flows being re-leveled;
 	// shares holds each region link's share during a fill, in region
-	// order.
+	// order, and stale the links whose share a fill step changed.
 	dirty  []*link
 	flows  []*xfer
 	region []*link
 	aff    []*xfer
 	shares []float64
+	stale  []*link
 }
 
 // NewWithConfig returns an empty flow engine on kernel k. A negative
@@ -198,23 +208,24 @@ func (m *Model) SetTrace(l *trace.Log) { m.tracer = l }
 func (m *Model) Stats() Stats { return m.stats }
 
 // linkOf returns m's fluid link of p, or nil if m never carried a flow
-// over p. It walks the pipe's chain to m's own link: one step unless
+// over p. It walks the pipe's chain to m's own entry: one step unless
 // several Models share the pipe.
 func (m *Model) linkOf(p *netem.Pipe) *link {
-	l, _ := p.LinkState().(*link)
-	for l != nil && l.m != m {
-		l = l.next
+	for c, _ := p.LinkState().(*pipeLink); c != nil; c = c.next {
+		if c.m == m {
+			return c.l
+		}
 	}
-	return l
+	return nil
 }
 
 // linkFor returns (creating on first use) m's fluid link of p.
 func (m *Model) linkFor(p *netem.Pipe) *link {
 	l := m.linkOf(p)
 	if l == nil {
-		head, _ := p.LinkState().(*link)
-		l = &link{m: m, pipe: p, next: head}
-		p.SetLinkState(l)
+		l = &link{pipe: p}
+		head, _ := p.LinkState().(*pipeLink)
+		p.SetLinkState(&pipeLink{m: m, l: l, next: head})
 	}
 	return l
 }
@@ -569,9 +580,10 @@ func (m *Model) solve() {
 // that share, subtract the share from every link they cross, repeat.
 // Each iteration saturates at least one link, so the loop runs at most
 // len(R) times. The scan reads each link's share from the dense
-// m.shares, kept current as residuals and active counts change, so it
-// divides nothing; it picks the first link in R order with the least
-// share, as a scan computing residual/active in place would.
+// m.shares, so it divides nothing; a step re-derives the share of each
+// link whose residual or active count it changed, once. The scan picks
+// the first link in R order with the least share, as a scan computing
+// residual/active in place would.
 //
 // Flows outside F are frozen: their current rates are subtracted from
 // their links' capacity up front and never revisited, which is what
@@ -606,7 +618,7 @@ func (m *Model) fill(R []*link, F []*xfer) {
 				l.residual -= f.rate
 			}
 		}
-		l.ri = i
+		l.ri = int32(i)
 		shares[i] = l.share()
 	}
 	for _, f := range F {
@@ -651,12 +663,17 @@ func (m *Model) fill(R []*link, F []*xfer) {
 					l2.residual -= share
 				}
 				l2.active--
-				if l2 != bott {
-					shares[l2.ri] = l2.share()
+				if !l2.stale {
+					l2.stale = true
+					m.stale = append(m.stale, l2)
 				}
 			}
 		}
-		shares[bi] = bott.share() // +Inf: every unfrozen flow on it froze
+		for _, l := range m.stale {
+			shares[l.ri] = l.share()
+			l.stale = false
+		}
+		m.stale = m.stale[:0]
 	}
 }
 
