@@ -647,6 +647,9 @@ func (m *Model) fill(R []*link, F []*xfer) {
 			share = 0 // clamp float underflow of a saturated residual
 		}
 		bott.level = share
+		// A step that freezes every remaining flow ends the fill: no scan
+		// reads the shares it changes.
+		track := int(bott.active) < unfrozen
 		for _, f := range bott.flows {
 			if !f.inF || f.newRate >= 0 {
 				continue
@@ -663,7 +666,7 @@ func (m *Model) fill(R []*link, F []*xfer) {
 					l2.residual -= share
 				}
 				l2.active--
-				if !l2.stale {
+				if track && !l2.stale {
 					l2.stale = true
 					m.stale = append(m.stale, l2)
 				}
