@@ -484,7 +484,7 @@ const (
 	// configurable rate.
 	absEps = 1e-6
 	// maxIncFills bounds the grow-and-refill passes before solve falls
-	// back to a from-scratch re-level of the whole region.
+	// back to a from-scratch re-level of the dirty links' components.
 	maxIncFills = 3
 )
 
