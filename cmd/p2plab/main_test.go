@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/netem"
+	"repro/internal/pintest"
 )
 
 // The command's subcommand entry points are plain functions, so the
@@ -153,37 +154,6 @@ func TestValidateSeed(t *testing.T) {
 	}
 }
 
-// figureSummary is what the figures of TestFigureFilesMatchParent print
-// at seed 1. The latencies and times are snapshot floats rounded back
-// to whole nanoseconds; truncating instead moves 14.991329ms.
-const figureSummary = `      8 nodes: 1.54 avg hops, 12.345799ms avg latency
-     16 nodes: 1.87 avg hops, 14.991329ms avg latency
-     32 nodes: 2.56 avg hops, 20.562968ms avg latency
-     64 nodes: 2.94 avg hops, 23.56925ms avg latency
-    128 nodes: 3.46 avg hops, 27.778045ms avg latency
-   32 nodes on lan     2.56 hops, 20.562968ms avg latency
-   32 nodes on campus  2.55 hops, 103.312711ms avg latency
-   32 nodes on dsl     2.79 hops, 733.626694ms avg latency
-   32 nodes on modem   2.71 hops, 2.670818823s avg latency
-   n=64 fanout=1 coverage=100% t50=7.25s t100=11.25s pushes=160
-   n=64 fanout=2 coverage=100% t50=4.25s t100=6.25s pushes=242
-   n=64 fanout=3 coverage=100% t50=3.25s t100=5.25s pushes=360
-   n=64 fanout=5 coverage=100% t50=3.25s t100=4.25s pushes=488
-   n=64 fanout=8 coverage=100% t50=2.25s t100=3.25s pushes=457
-   stable clients: 12/12 done; churners: 12/12 done; 34 arrivals, 23 departures
-        0 rules: rtt avg 426.884µs (min 426.884µs, max 426.884µs)
-     5000 rules: rtt avg 906.884µs (min 906.884µs, max 906.884µs)
-    10000 rules: rtt avg 1.386884ms (min 1.386884ms, max 1.386884ms)
-    15000 rules: rtt avg 1.866884ms (min 1.866884ms, max 1.866884ms)
-    20000 rules: rtt avg 2.346884ms (min 2.346884ms, max 2.346884ms)
-    25000 rules: rtt avg 2.826884ms (min 2.826884ms, max 2.826884ms)
-    30000 rules: rtt avg 3.306884ms (min 3.306884ms, max 3.306884ms)
-    35000 rules: rtt avg 3.786884ms (min 3.786884ms, max 3.786884ms)
-    40000 rules: rtt avg 4.266884ms (min 4.266884ms, max 4.266884ms)
-    45000 rules: rtt avg 4.746884ms (min 4.746884ms, max 4.746884ms)
-    50000 rules: rtt avg 5.226884ms (min 5.226884ms, max 5.226884ms)
-`
-
 // captureStdout returns what fn prints.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
@@ -206,28 +176,17 @@ func captureStdout(t *testing.T, fn func() error) string {
 	return string(printed)
 }
 
-// checkSHA256 compares each named file under dir with its pinned hash.
-func checkSHA256(t *testing.T, dir string, want map[string]string) {
-	t.Helper()
-	for name, sum := range want {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != sum {
-			t.Errorf("%s moved: sha256 %s, want %s\n%s", name, got, sum, data)
-		}
-	}
-}
-
 // TestFigureFilesMatchParent pins the grid-backed figures to the files
 // and summary their per-family drivers wrote before the figures read
 // sweep cells (commit f6a225f): the snapshot holds the floats the
-// drivers copied, so not a byte may move. Figs 2 and 3 are the sched
-// engine's own runs, pinned at the files its event heap wrote. Fig 6
-// is a ping grid pinned at the files exp.Fig6 wrote under each
-// classifier (commit 53fb934: -fig 6 and -fig 6 -classifier indexed);
-// fig6_indexed.dat is what the cells scanned, rules visited per scan.
+// drivers copied, so not a byte may move. In the printed summary, the
+// latencies and times are snapshot floats rounded back to whole
+// nanoseconds; truncating instead moves 14.991329ms. Figs 2 and 3 are
+// the sched engine's own runs, pinned at the files its event heap
+// wrote. Fig 6 is a ping grid pinned at the files exp.Fig6 wrote under
+// each classifier (commit 53fb934: -fig 6 and -fig 6 -classifier
+// indexed); fig6_indexed.dat is what the cells scanned, rules visited
+// per scan.
 func TestFigureFilesMatchParent(t *testing.T) {
 	f := figures{out: t.TempDir(), scale: 1, seed: 1, model: netem.ModelPipe, classifier: netem.ClassifierLinear}
 	printed := captureStdout(t, func() error {
@@ -238,55 +197,30 @@ func TestFigureFilesMatchParent(t *testing.T) {
 		}
 		return nil
 	})
-	if printed != figureSummary {
-		t.Errorf("summary moved:\n%s\nwant:\n%s", printed, figureSummary)
+	pintest.Check(t, "figure summary", printed)
+	for _, name := range []string{
+		"fig1.dat", "fig1.gp", "fig2.dat", "fig2.gp", "fig3.dat", "fig3.gp", "dht.dat", "gossip.dat", "churn.txt",
+		"fig6.dat", "fig6.gp", "fig6-indexed.dat", "fig6-indexed.gp", "fig6_indexed.dat",
+	} {
+		data, err := os.ReadFile(filepath.Join(f.out, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pintest.Check(t, name, fmt.Sprintf("%x", sha256.Sum256(data)))
 	}
-	checkSHA256(t, f.out, map[string]string{
-		"fig1.dat":   "4ff52655304c1fbb0eaae50ab6faea3aa3e79998cefb2c92c7e89c16c62d5800",
-		"fig1.gp":    "9bf18ccb995a54c2eeef010d01ce62807d42bdcef9733f97ca2fca20e423877e",
-		"fig2.dat":   "060c8d21058e0f7e1244c3b3ed99917d853344bc788234ab7bbd4f0949058441",
-		"fig2.gp":    "4bce36b165f3a12868d5344f872fe2cbb9109a683c15b931eca57cb636e38632",
-		"fig3.dat":   "b36b20f31cf7e88a33ab076d6ab1c47d347a514b4e196247a1daa7f07e070092",
-		"fig3.gp":    "a49b5871a1fcdf71aba6f77bd0eea27d818d4d652169ff21cf15b78415516bd6",
-		"dht.dat":    "965b31478b3ba5a7251f5eeb1b8f89dd64db9008be02728aece4ea852db7e432",
-		"gossip.dat": "761f07dc2143b5a44a624d2b94750c28ea69e5e70ef19a427846689b74940456",
-		"churn.txt":  "01b8e809b2864f2b3bf29106adefb3bf7248557825a77f67730e4917d843faed",
-
-		"fig6.dat":         "a5c5698ccf1a9b71c8fc63411bc64d0d7aab6043657ac227530b2f38063efaa1",
-		"fig6.gp":          "2d013c1a688481991664784c90795d93f271c43439bce65508784d629fbb4d7b",
-		"fig6-indexed.dat": "ec85e717bcdae909ff27f917bec4eedabaa12144778e7bef58beff9dd3849e7e",
-		"fig6-indexed.gp":  "294bcdb9ef3dd272492645ee4a95120234aa132ba0884fb7c0ed1fedea17d778",
-		"fig6_indexed.dat": "b933811096c1c55a67aebf8995ea099ad8de180d45a87b82776a7fb980ff5099",
-	})
 }
-
-// fig9Summary is what `-fig 9 -scale 20` prints at seed 1: one swarm
-// report per folding.
-const fig9Summary = `   folding 1:
-   swarm workload, pipe model, seed 1, ended at 1m36.486967636s
-   8/8 clients done, last stable completion at 96s
-   kernel: 18858 events; net: 2364 sent, 2302 delivered, 0 dropped, 0 retransmits
-   folding 4:
-   swarm workload, pipe model, seed 1, ended at 1m36.486595096s
-   8/8 clients done, last stable completion at 96s
-   kernel: 17253 events; net: 2364 sent, 2302 delivered, 0 dropped, 0 retransmits
-   folding 8:
-   swarm workload, pipe model, seed 1, ended at 1m36.485996062s
-   8/8 clients done, last stable completion at 96s
-   kernel: 15264 events; net: 2364 sent, 2302 delivered, 0 dropped, 0 retransmits
-`
 
 // TestFig9MatchesParent pins Fig 9 at 1/20 scale to the file and
 // summary exp.Fig9 produced before the figure became a folding loop over
-// scenario.Run (commit e4ac9ae).
+// scenario.Run (commit e4ac9ae): one swarm report per folding.
 func TestFig9MatchesParent(t *testing.T) {
 	f := figures{out: t.TempDir(), scale: 20, seed: 1, model: netem.ModelPipe, classifier: netem.ClassifierLinear}
-	if printed := captureStdout(t, func() error { return f.run("9") }); printed != fig9Summary {
-		t.Errorf("summary moved:\n%s\nwant:\n%s", printed, fig9Summary)
+	pintest.Check(t, "fig9 summary", captureStdout(t, func() error { return f.run("9") }))
+	data, err := os.ReadFile(filepath.Join(f.out, "fig9.dat"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkSHA256(t, f.out, map[string]string{
-		"fig9.dat": "4d5cfe0dbb40458427c2bbabe647121443c5ef2d42b3cc73a3b0a68c1599f6c7",
-	})
+	pintest.Check(t, "fig9.dat", fmt.Sprintf("%x", sha256.Sum256(data)))
 }
 
 func TestSweepRejectsBadFlags(t *testing.T) {
@@ -375,10 +309,13 @@ func TestRunReportsSnapshot(t *testing.T) {
 	printed := captureStdout(t, func() error {
 		return runMain([]string{"snapshot-cold-cdn-fill", "-out", t.TempDir()})
 	})
-	const want = "   5/5 clients done, last completion at 12.828306325s, web seeds served 41943040 bytes\n"
-	if !strings.Contains(printed, want) {
-		t.Errorf("run output lacks %q:\n%s", want, printed)
+	var report string
+	for _, line := range strings.Split(printed, "\n") {
+		if strings.Contains(line, " clients done, ") {
+			report = strings.TrimSpace(line)
+		}
 	}
+	pintest.Check(t, "snapshot-cold-cdn-fill report", report)
 }
 
 // TestRunProfiles: -cpuprofile and -memprofile on a flow-model corpus

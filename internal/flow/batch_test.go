@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/pintest"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -305,23 +306,17 @@ func workloadDigest(tr string, exits []sim.Time) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// batchedWorkloadDigest pins batchedWorkload's trace and exit times
-// across builds: a solver change that is meant to be trace-neutral must
-// reproduce it bit for bit.
-const batchedWorkloadDigest = "e3cc379045b10b30d1c5e4edfd86f86946ccfdab22b2e54ced832eefdd16b86f"
-
 // TestBatchDeterminismAcrossRuns: for a fixed window, two runs of the
 // same multi-component workload give the same rendered trace, the same
 // exit times and the same counters, and the trace and exit times match
-// the committed digest.
+// the batchedWorkload pin across builds: a solver change that is meant
+// to be trace-neutral must reproduce it bit for bit.
 func TestBatchDeterminismAcrossRuns(t *testing.T) {
 	refTrace, refExits, refStats := batchedWorkload(t)
 	if refStats.Flushes == 0 || refStats.Solves == 0 {
 		t.Fatalf("workload never flushed (stats %+v); determinism check vacuous", refStats)
 	}
-	if got := workloadDigest(refTrace, refExits); got != batchedWorkloadDigest {
-		t.Errorf("trace and exits digest %s, pinned %s", got, batchedWorkloadDigest)
-	}
+	pintest.Check(t, "batchedWorkload", workloadDigest(refTrace, refExits))
 	tr, exits, stats := batchedWorkload(t)
 	if tr != refTrace {
 		t.Fatal("trace differs between two runs")
@@ -568,21 +563,16 @@ func chainWorkload(t *testing.T) (string, []sim.Time) {
 	return b.String(), exits
 }
 
-// chainWorkloadDigest pins chainWorkload's trace and exit times: the
-// only pinned run whose flush falls back at maxIncFills, so the
-// fallback's region and affected-set order are held bit for bit.
-const chainWorkloadDigest = "99ea8ddbc8f982afaa87f4e5847436dc8e607831c89ff5720b8417c103ec6939"
-
 // TestChainFallbackPinned: the maxIncFills fallback re-levels the
-// chain to the committed trace and exit times.
+// chain to the chainWorkload pin's trace and exit times. It is the only
+// pinned run whose flush falls back at maxIncFills, so the fallback's
+// region and affected-set order are held bit for bit.
 func TestChainFallbackPinned(t *testing.T) {
 	tr, exits := chainWorkload(t)
 	if len(exits) != 11 {
 		t.Fatalf("%d exits, want 11", len(exits))
 	}
-	if got := workloadDigest(tr, exits); got != chainWorkloadDigest {
-		t.Errorf("trace and exits digest %s, pinned %s", got, chainWorkloadDigest)
-	}
+	pintest.Check(t, "chainWorkload", workloadDigest(tr, exits))
 }
 
 // TestWindowedFlushWorkBound: a windowed flush costs the flows it

@@ -287,8 +287,8 @@ func TestGeneratedSpecsRunDeterministically(t *testing.T) {
 			continue
 		}
 		seen[sp.Workload.Kind] = true
-		first, res, _ := traceDigest(t, *sp)
-		again, res2, _ := traceDigest(t, *sp)
+		first, res := traceDigest(t, *sp)
+		again, res2 := traceDigest(t, *sp)
 		if first != again || res.Net != res2.Net {
 			t.Errorf("%s (%s) diverged: %s %+v vs %s %+v", sp.Name, sp.Workload.Kind, first, res.Net, again, res2.Net)
 		}

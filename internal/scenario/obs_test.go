@@ -1,84 +1,10 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
-
-// TestObsTraceNeutral is the observability half of the golden-trace
-// property: every run carries a registry, and periodically sampling it
-// must not move a single event of a single scenario — the rendered
-// trace, the network stats and the completion figures are
-// byte-identical with the sampler on or off. Kernel stats are
-// deliberately excluded: the sampler's own self-rescheduling event
-// legitimately increases the dispatched event count without touching
-// anyone else's dispatch order. The nil-versus-live registry half
-// lives where a nil registry still exists, on a raw network
-// (bt's TestObsNeutralOnRawNetwork).
-func TestObsTraceNeutral(t *testing.T) {
-	render := func(sp Spec, opt Options, lg *trace.Log) (string, *Result) {
-		t.Helper()
-		opt.Trace = lg
-		res, err := Run(&sp, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", sp.Name, err)
-		}
-		h := sha256.New()
-		if err := lg.Render(h); err != nil {
-			t.Fatalf("%s: render: %v", sp.Name, err)
-		}
-		fmt.Fprintf(h, "net %+v ended %v done %d/%d\n",
-			res.Net, res.EndedAt, res.Done, res.Total)
-		return hex.EncodeToString(h.Sum(nil)), res
-	}
-
-	sampledAny := false
-	for _, sp := range Corpus() {
-		sp := sp
-		t.Run(sp.Name, func(t *testing.T) {
-			bare, _ := render(sp, Options{}, trace.New(0))
-
-			reg := obs.NewRegistry()
-			samples := 0
-			var lastSnap *obs.Snapshot
-			instrumented, _ := render(sp, Options{
-				Obs:            reg,
-				SampleInterval: 10 * time.Second,
-				OnSample: func(at sim.Time, snap *obs.Snapshot) {
-					samples++
-					lastSnap = snap
-				},
-			}, trace.New(0))
-
-			if bare != instrumented {
-				t.Fatalf("trace diverged with a sampler (unsampled digest %.16s, sampled %.16s)",
-					bare, instrumented)
-			}
-			if samples > 0 {
-				sampledAny = true
-				if lastSnap.Total("p2plab_sim_events_total") == 0 {
-					t.Error("sampled snapshot shows no kernel events")
-				}
-			}
-			// The final registry state must mirror the run regardless of
-			// whether a sampling boundary was reached.
-			final := reg.Snapshot()
-			if final.Find("p2plab_net_messages_sent_total") == nil {
-				t.Error("network counters not registered")
-			}
-		})
-	}
-	if !sampledAny {
-		t.Error("no scenario reached a single 10s sampling boundary")
-	}
-}
 
 // TestObsFinalCountersMirrorStats pins the registry's network series
 // to the NetworkStats they are views of: after any scenario run the

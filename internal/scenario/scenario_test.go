@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -366,6 +367,36 @@ func TestPartitionChangesCompletion(t *testing.T) {
 // partition behave on the cluster fabric as they do on the bare
 // topology.
 func TestFoldingComposes(t *testing.T) {
+	// A ping from the one left node to the one right node crosses the
+	// declared one-way latency twice, folded or not. (Folded at 4, the
+	// two round trips measure 200.000384 ms apart at seed 1.)
+	rtt := func(folding int, latency time.Duration) time.Duration {
+		t.Helper()
+		sp := &Spec{
+			Name:     "folded-ping",
+			Folding:  folding,
+			Groups:   []GroupSpec{{Name: "left", Class: "dsl", Nodes: 1}, {Name: "right", Class: "dsl", Nodes: 1}},
+			Workload: WorkloadSpec{Kind: WorkloadPing},
+		}
+		if latency > 0 {
+			sp.Latencies = []LatencySpec{{A: "left", B: "right", OneWay: Duration(latency)}}
+		}
+		res, err := Run(sp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Done == 0 || res.Done != res.Total {
+			t.Fatalf("folding %d: %d of %d pings answered", folding, res.Done, res.Total)
+		}
+		return time.Duration(math.Round(res.Snapshot.Values["rtt-avg-ms"] * 1e6))
+	}
+	for _, folding := range []int{0, 4} {
+		near, far := rtt(folding, 0), rtt(folding, 100*time.Millisecond)
+		if d := far - near; d < 200*time.Millisecond || d >= 201*time.Millisecond {
+			t.Errorf("folding %d: rtt %v with a 100ms one-way latency, %v without; want 200ms more", folding, far, near)
+		}
+	}
+
 	folded := func() *Spec {
 		sp := testSwarmSpec()
 		sp.Folding = 4
@@ -391,11 +422,6 @@ func TestFoldingComposes(t *testing.T) {
 	}}
 	if cut := run(parted); cut.EndedAt <= whole.EndedAt {
 		t.Errorf("partition did not slow the folded swarm: ended %v, unpartitioned %v", cut.EndedAt, whole.EndedAt)
-	}
-	flat := folded()
-	flat.Latencies = nil
-	if near := run(flat); near.EndedAt >= whole.EndedAt {
-		t.Errorf("declared latency not charged on the cluster: ended %v with it, %v without", whole.EndedAt, near.EndedAt)
 	}
 
 	// The machines' admin block is the one address range a folded spec

@@ -1,16 +1,10 @@
 package scenario
 
 import (
-	"bytes"
 	"maps"
-	"os"
 	"slices"
-	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // churnSpec is the E3 experiment at test size: clients DSL peers
@@ -165,66 +159,6 @@ func TestWorkloadSnapshotColumns(t *testing.T) {
 			t.Errorf("%s: labels %v, want %v", tc.name, got, want)
 		}
 	}
-}
-
-// TestCorpusSnapshots regenerates testdata/corpus_snapshots.csv — every
-// corpus scenario's Result.Snapshot, recorded while the columns were
-// still copied by hand beside the registry — byte for byte, and checks
-// that each column is its family's value in the run's final registry
-// snapshot, with no column that no family names.
-func TestCorpusSnapshots(t *testing.T) {
-	var snaps []*metrics.Snapshot
-	for _, sp := range Corpus() {
-		res, err := Run(&sp, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", sp.Name, err)
-		}
-		snaps = append(snaps, res.Snapshot)
-		cols := 0
-		for _, f := range res.Obs.Families {
-			if f.Column == "" {
-				continue
-			}
-			cols++
-			var got float64
-			var ok bool
-			if f.Kind == obs.KindCounter {
-				var n uint64
-				n, ok = res.Snapshot.Counters[f.Column]
-				got = float64(n)
-			} else {
-				got, ok = res.Snapshot.Values[f.Column]
-			}
-			if want := res.Obs.Total(f.Name); !ok || got != want {
-				t.Errorf("%s: column %s = %v (present %v), family %s = %v", sp.Name, f.Column, got, ok, f.Name, want)
-			}
-		}
-		if n := len(res.Snapshot.Values) + len(res.Snapshot.Counters); n != cols {
-			t.Errorf("%s: %d columns, %d families name one", sp.Name, n, cols)
-		}
-	}
-	var buf bytes.Buffer
-	if err := metrics.WriteSnapshotsCSV(&buf, snaps); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("testdata/corpus_snapshots.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range max(len(got), len(wantLines)) {
-		if i >= len(got) || i >= len(wantLines) || got[i] != wantLines[i] {
-			t.Fatalf("corpus snapshots differ from the recorded CSV at line %d:\n got %q\nwant %q",
-				i+1, at(got, i), at(wantLines, i))
-		}
-	}
-}
-
-func at(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
-	}
-	return "<eof>"
 }
 
 // BenchmarkSnapshotSync runs the snapshot workload — the inverse of
