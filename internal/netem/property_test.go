@@ -8,15 +8,15 @@ import (
 )
 
 // randomTable builds a randomized rule table — duplicate IDs included —
-// in two synchronized forms: linear and indexed (incremental
-// maintenance path); callers add the bulk-built form with indexedCopy.
+// in two synchronized forms: linear and indexed (classifier set before
+// the first rule); callers add a copy indexed afresh with indexedCopy.
 // Dense IDs put several same-ID rules in different index buckets, and
 // allow and deny are equally likely, so visiting same-ID rules out of
 // insertion order flips Deny.
 func randomTable(rng *rand.Rand, n int) (lin, idx *RuleSet) {
 	lin = NewRuleSet()
 	idx = NewRuleSet()
-	idx.SetClassifier(ClassifierIndexed) // index maintained rule by rule
+	idx.SetClassifier(ClassifierIndexed) // index derived at the first Eval
 	for i := 0; i < n; i++ {
 		r := Rule{ID: 100 + rng.Intn(n/4+1)} // dense IDs: many duplicates
 		r.Src = randomPrefix(rng)
@@ -59,8 +59,9 @@ func randomAddr(rng *rand.Rand) ip.Addr {
 // TestClassifierEquivalenceRandom is the classifier-equivalence
 // property: on randomized tables (duplicate IDs, mixed prefix widths,
 // all three actions) the linear and indexed classifiers must return
-// the same Deny, and the two indexed builds (incrementally maintained
-// vs bulk-built) must agree exactly, Visited and Cost included.
+// the same Deny, and the indexed table must agree exactly with a copy
+// indexed afresh, Visited and Cost included — also after Removes, when
+// it must not answer from the index it built before them.
 func TestClassifierEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 50; round++ {
@@ -77,7 +78,7 @@ func TestClassifierEquivalenceRandom(t *testing.T) {
 					round, lv, iv, src, dst, dumpRules(lin))
 			}
 			if iv != bv {
-				t.Fatalf("round %d: incremental %+v != bulk %+v for %v→%v",
+				t.Fatalf("round %d: indexed %+v != fresh copy %+v for %v→%v",
 					round, iv, bv, src, dst)
 			}
 			if iv.Visited > lv.Visited {
@@ -85,8 +86,8 @@ func TestClassifierEquivalenceRandom(t *testing.T) {
 			}
 		}
 		// Churn: remove a few IDs from both tables and re-verify, then
-		// cross-check the incrementally maintained index against a
-		// fresh bulk build (catches stale index entries).
+		// cross-check the indexed table against a fresh copy (catches
+		// an index that outlived the removal).
 		for del := 0; del < 3; del++ {
 			id := 100 + rng.Intn(n/4+1)
 			if got, want := idx.Remove(id), lin.Remove(id); got != want {
@@ -103,7 +104,7 @@ func TestClassifierEquivalenceRandom(t *testing.T) {
 				t.Fatalf("round %d post-churn: linear %+v != indexed %+v", round, lv, iv)
 			}
 			if iv != rv {
-				t.Fatalf("round %d post-churn: incremental %+v != rebuilt %+v", round, iv, rv)
+				t.Fatalf("round %d post-churn: indexed %+v != rebuilt %+v", round, iv, rv)
 			}
 		}
 	}

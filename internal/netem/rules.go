@@ -104,15 +104,6 @@ func (r *Rule) String() string {
 	return fmt.Sprintf("%05d %s ip from %v to %v", r.ID, r.Action, r.Src, r.Dst)
 }
 
-// before reports whether r evaluates before s: ascending ID, insertion
-// order within an ID.
-func (r *Rule) before(s *Rule) bool {
-	if r.ID != s.ID {
-		return r.ID < s.ID
-	}
-	return r.seq < s.seq
-}
-
 // Verdict is the outcome of evaluating a rule table for one packet.
 type Verdict struct {
 	// Deny is true when an ActionDeny rule matched.
@@ -136,13 +127,14 @@ const DefaultPerRuleCost = 48 * time.Nanosecond
 // the default linear scan is real work, so Go benchmarks over a
 // RuleSet show the same linear artifact the paper measured, and Cost
 // additionally charges the scan to virtual time; the indexed
-// classifier keeps a hash index maintained incrementally on Add and
-// Remove, so runtime policy churn stays cheap.
+// classifier derives its hash index from the table at the first Eval
+// after a change (tables change only at timeline events, so a run
+// builds it a handful of times).
 type RuleSet struct {
 	rules      []Rule
 	nextSeq    uint64
 	classifier Classifier
-	ix         *ruleIndex // non-nil iff classifier == ClassifierIndexed
+	ix         *ruleIndex // derived from rules by Eval; nil after any change
 	evals      uint64
 	visited    uint64
 }
@@ -152,19 +144,10 @@ func NewRuleSet() *RuleSet {
 	return &RuleSet{}
 }
 
-// SetClassifier switches the evaluation algorithm. Switching to the
-// indexed classifier builds the index from the current table; later
-// Add and Remove calls maintain it incrementally.
+// SetClassifier switches the evaluation algorithm.
 func (rs *RuleSet) SetClassifier(c Classifier) {
 	rs.classifier = c
-	if c == ClassifierIndexed {
-		rs.ix = newRuleIndex()
-		for i := range rs.rules {
-			rs.ix.insert(rs.rules[i])
-		}
-	} else {
-		rs.ix = nil
-	}
+	rs.ix = nil
 }
 
 // Classifier returns the active classification algorithm.
@@ -172,23 +155,12 @@ func (rs *RuleSet) Classifier() Classifier { return rs.classifier }
 
 // Add inserts a rule, keeping the table sorted by ID. Adding a rule with
 // an existing ID places it after the existing ones with that ID.
-func (rs *RuleSet) Add(r Rule) {
-	r.seq = rs.nextSeq
-	rs.nextSeq++
-	i := sort.Search(len(rs.rules), func(i int) bool { return rs.rules[i].ID > r.ID })
-	rs.rules = append(rs.rules, Rule{})
-	copy(rs.rules[i+1:], rs.rules[i:])
-	rs.rules[i] = r
-	if rs.ix != nil {
-		rs.ix.insert(r)
-	}
-}
+func (rs *RuleSet) Add(r Rule) { rs.AddCopies(r, 1) }
 
 // AddCopies inserts n copies of r — sharing its ID, consecutive
 // insertion seqs — with one table splice instead of n O(table) Adds,
 // so a 100k-rule filler batch (scenario add-rule events cap there)
-// stays linear. The indexed classifier's bucket is likewise spliced
-// once.
+// stays linear.
 func (rs *RuleSet) AddCopies(r Rule, n int) {
 	if n <= 0 {
 		return
@@ -201,24 +173,19 @@ func (rs *RuleSet) AddCopies(r Rule, n int) {
 		rs.nextSeq++
 		rs.rules[i+j] = r
 	}
-	if rs.ix != nil {
-		rs.ix.insertBatch(rs.rules[i : i+n])
-	}
+	rs.ix = nil
 }
 
 // Remove deletes every rule with the given ID (like `ipfw delete`) and
-// returns how many were removed. The indexed classifier's index is
-// maintained incrementally.
+// returns how many were removed.
 func (rs *RuleSet) Remove(id int) int {
 	lo := sort.Search(len(rs.rules), func(i int) bool { return rs.rules[i].ID >= id })
 	hi := sort.Search(len(rs.rules), func(i int) bool { return rs.rules[i].ID > id })
 	if lo == hi {
 		return 0
 	}
-	if rs.ix != nil {
-		rs.ix.removeBatch(rs.rules[lo:hi])
-	}
 	rs.rules = append(rs.rules[:lo], rs.rules[hi:]...)
+	rs.ix = nil
 	return hi - lo
 }
 
@@ -250,10 +217,8 @@ func (rs *RuleSet) RemoveHandle(h RuleHandle) bool {
 	hi := sort.Search(len(rs.rules), func(i int) bool { return rs.rules[i].ID > h.ID })
 	for i := lo; i < hi; i++ {
 		if rs.rules[i].seq == h.seq {
-			if rs.ix != nil {
-				rs.ix.remove(rs.rules[i])
-			}
 			rs.rules = append(rs.rules[:i], rs.rules[i+1:]...)
+			rs.ix = nil
 			return true
 		}
 	}
@@ -282,8 +247,11 @@ func (rs *RuleSet) Len() int { return len(rs.rules) }
 // the verdict is identical and only Visited (and Cost) shrink.
 func (rs *RuleSet) Eval(src, dst ip.Addr) Verdict {
 	var v Verdict
-	if rs.ix != nil {
-		rs.ix.eval(src, dst, &v)
+	if rs.classifier == ClassifierIndexed {
+		if rs.ix == nil {
+			rs.ix = newRuleIndex(rs.rules)
+		}
+		rs.ix.eval(rs.rules, src, dst, &v)
 	} else {
 		evalLinear(rs.rules, src, dst, &v)
 	}
@@ -323,174 +291,60 @@ func (v *Verdict) decide(a Action) (stop bool) {
 
 // ruleIndex is the hash-indexed classifier's data structure: hash
 // indexes over the source /24 and destination /24 in front of a short
-// residual linear table. Bucket lists stay sorted by (ID, insertion
-// order) so a three-way merge reproduces the linear table's exact
-// evaluation order — including tables with duplicate rule IDs, where
-// insertion order is the tie-break.
+// residual list, each holding positions in the sorted table. Position
+// order is evaluation order, so a three-way merge by position
+// reproduces the linear scan's exact order — including tables with
+// duplicate rule IDs, where insertion order is the tie-break.
 type ruleIndex struct {
-	bySrc    map[ip.Prefix][]Rule // rules with src /24 or longer
-	byDst    map[ip.Prefix][]Rule // wide-src rules with dst /24 or longer
-	residual []Rule               // wide src and wide dst
+	bySrc    map[ip.Prefix][]int32 // rules with src /24 or longer
+	byDst    map[ip.Prefix][]int32 // wide-src rules with dst /24 or longer
+	residual []int32               // wide src and wide dst
 }
 
-func newRuleIndex() *ruleIndex {
-	return &ruleIndex{
-		bySrc: make(map[ip.Prefix][]Rule),
-		byDst: make(map[ip.Prefix][]Rule),
+// newRuleIndex buckets a table in one pass in evaluation order, so
+// every bucket list comes out already sorted.
+func newRuleIndex(rules []Rule) *ruleIndex {
+	ix := &ruleIndex{
+		bySrc: make(map[ip.Prefix][]int32),
+		byDst: make(map[ip.Prefix][]int32),
 	}
-}
-
-// bucketKey names the bucket a rule lives in. bucketOf is the single
-// place that encodes the bucketing policy: insert and every removal
-// path go through it, so they cannot drift apart.
-type bucketKey struct {
-	kind int // 0 = bySrc, 1 = byDst, 2 = residual
-	key  ip.Prefix
-}
-
-func bucketOf(r Rule) bucketKey {
-	switch {
-	case r.Src.Bits() >= 24:
-		return bucketKey{kind: 0, key: ip.NewPrefix(r.Src.Addr(), 24)}
-	case r.Dst.Bits() >= 24:
-		return bucketKey{kind: 1, key: ip.NewPrefix(r.Dst.Addr(), 24)}
-	default:
-		return bucketKey{kind: 2}
-	}
-}
-
-func (ix *ruleIndex) get(b bucketKey) []Rule {
-	switch b.kind {
-	case 0:
-		return ix.bySrc[b.key]
-	case 1:
-		return ix.byDst[b.key]
-	default:
-		return ix.residual
-	}
-}
-
-// set stores a bucket's list back, dropping emptied map entries.
-func (ix *ruleIndex) set(b bucketKey, list []Rule) {
-	switch b.kind {
-	case 0:
-		if len(list) == 0 {
-			delete(ix.bySrc, b.key)
-		} else {
-			ix.bySrc[b.key] = list
-		}
-	case 1:
-		if len(list) == 0 {
-			delete(ix.byDst, b.key)
-		} else {
-			ix.byDst[b.key] = list
-		}
-	default:
-		ix.residual = list
-	}
-}
-
-// insert places r into its bucket, keeping (ID, seq) order.
-func (ix *ruleIndex) insert(r Rule) {
-	b := bucketOf(r)
-	list := ix.get(b)
-	i := sort.Search(len(list), func(i int) bool { return r.before(&list[i]) })
-	list = append(list, Rule{})
-	copy(list[i+1:], list[i:])
-	list[i] = r
-	ix.set(b, list)
-}
-
-// remove deletes the exact rule (matched by its unique seq) from its
-// bucket.
-func (ix *ruleIndex) remove(r Rule) {
-	b := bucketOf(r)
-	list := ix.get(b)
-	for i := range list {
-		if list[i].seq == r.seq {
-			ix.set(b, append(list[:i], list[i+1:]...))
-			return
-		}
-	}
-}
-
-// insertBatch splices a run of rules — identical prefixes (one
-// bucket), consecutive (ID, seq) order — into the index with a single
-// bucket rebuild.
-func (ix *ruleIndex) insertBatch(rules []Rule) {
-	if len(rules) == 0 {
-		return
-	}
-	b := bucketOf(rules[0])
-	list := ix.get(b)
-	r0 := rules[0]
-	i := sort.Search(len(list), func(i int) bool { return r0.before(&list[i]) })
-	out := make([]Rule, 0, len(list)+len(rules))
-	out = append(out, list[:i]...)
-	out = append(out, rules...)
-	out = append(out, list[i:]...)
-	ix.set(b, out)
-}
-
-// removeBatch deletes many rules at once, filtering each affected
-// bucket a single time — a 100k-copy filler batch removed by one
-// del-rule event must not rescan its bucket per rule.
-func (ix *ruleIndex) removeBatch(rules []Rule) {
-	seqs := make(map[bucketKey]map[uint64]bool)
 	for i := range rules {
-		b := bucketOf(rules[i])
-		if seqs[b] == nil {
-			seqs[b] = make(map[uint64]bool)
+		r := &rules[i]
+		switch {
+		case r.Src.Bits() >= 24:
+			k := ip.NewPrefix(r.Src.Addr(), 24)
+			ix.bySrc[k] = append(ix.bySrc[k], int32(i))
+		case r.Dst.Bits() >= 24:
+			k := ip.NewPrefix(r.Dst.Addr(), 24)
+			ix.byDst[k] = append(ix.byDst[k], int32(i))
+		default:
+			ix.residual = append(ix.residual, int32(i))
 		}
-		seqs[b][rules[i].seq] = true
 	}
-	//lint:allow maporder each bucket is filtered exactly once, keyed by its own map key; bucket visit order is immaterial
-	for b, gone := range seqs {
-		list := ix.get(b)
-		kept := make([]Rule, 0, len(list)-len(gone))
-		for i := range list {
-			if !gone[list[i].seq] {
-				kept = append(kept, list[i])
+	return ix
+}
+
+// eval merges the candidate positions from the two hash buckets and the
+// residual list in ascending order — exactly the linear table's
+// evaluation order restricted to rules that can match this packet's
+// /24s — and visits each rule of the table the index was built from
+// exactly as evalLinear does.
+func (ix *ruleIndex) eval(rules []Rule, src, dst ip.Addr, v *Verdict) {
+	lists := [3][]int32{ix.bySrc[ip.NewPrefix(src, 24)], ix.byDst[ip.NewPrefix(dst, 24)], ix.residual}
+	for {
+		best := -1
+		for l := range lists {
+			if len(lists[l]) > 0 && (best < 0 || lists[l][0] < lists[best][0]) {
+				best = l
 			}
 		}
-		ix.set(b, kept)
-	}
-}
-
-// eval merges the candidate rules from the two hash buckets and the
-// residual list in (ID, insertion) order — exactly the linear table's
-// evaluation order restricted to rules that can match this packet's
-// /24s — and visits each exactly as evalLinear does.
-func (ix *ruleIndex) eval(src, dst ip.Addr, v *Verdict) {
-	srcRules := ix.bySrc[ip.NewPrefix(src, 24)]
-	dstRules := ix.byDst[ip.NewPrefix(dst, 24)]
-
-	si, di, ri := 0, 0, 0
-	for si < len(srcRules) || di < len(dstRules) || ri < len(ix.residual) {
-		// Three-way merge by (ID, seq): strict before() comparison on
-		// both components preserves linear-table insertion order even
-		// with duplicate rule IDs across lists.
-		best := (*Rule)(nil)
-		bestList := -1
-		if si < len(srcRules) {
-			best, bestList = &srcRules[si], 0
+		if best < 0 {
+			return
 		}
-		if di < len(dstRules) && (best == nil || dstRules[di].before(best)) {
-			best, bestList = &dstRules[di], 1
-		}
-		if ri < len(ix.residual) && (best == nil || ix.residual[ri].before(best)) {
-			best, bestList = &ix.residual[ri], 2
-		}
-		switch bestList {
-		case 0:
-			si++
-		case 1:
-			di++
-		case 2:
-			ri++
-		}
+		r := &rules[lists[best][0]]
+		lists[best] = lists[best][1:]
 		v.Visited++
-		if best.Matches(src, dst) && v.decide(best.Action) {
+		if r.Matches(src, dst) && v.decide(r.Action) {
 			return
 		}
 	}

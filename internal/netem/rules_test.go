@@ -144,9 +144,9 @@ func TestActionString(t *testing.T) {
 	}
 }
 
-// indexedCopy is the bulk-built indexed table: a copy of rs switched to
-// the indexed classifier, which builds the index from the whole table
-// at once. rs itself is left as it was.
+// indexedCopy is a copy of rs switched to the indexed classifier, so its
+// first Eval builds an index from the whole table as it stands. rs
+// itself is left as it was.
 func indexedCopy(rs *RuleSet) *RuleSet {
 	c := &RuleSet{rules: append([]Rule(nil), rs.rules...), nextSeq: rs.nextSeq}
 	c.SetClassifier(ClassifierIndexed)
@@ -240,16 +240,16 @@ func TestIndexedDuplicateIDsPreserveInsertionOrder(t *testing.T) {
 		}, true, 1},
 	} {
 		rs := NewRuleSet()
-		incremental := NewRuleSet()
-		incremental.SetClassifier(ClassifierIndexed)
+		indexedFirst := NewRuleSet()
+		indexedFirst.SetClassifier(ClassifierIndexed)
 		for _, r := range c.rules {
 			rs.Add(r)
-			incremental.Add(r)
+			indexedFirst.Add(r)
 		}
 		for name, v := range map[string]Verdict{
-			"linear":              rs.Eval(hostA, hostB),
-			"indexed":             indexedCopy(rs).Eval(hostA, hostB),
-			"indexed incremental": incremental.Eval(hostA, hostB),
+			"linear":                 rs.Eval(hostA, hostB),
+			"indexed":                indexedCopy(rs).Eval(hostA, hostB),
+			"indexed from the start": indexedFirst.Eval(hostA, hostB),
 		} {
 			if v.Deny != c.deny || v.Visited != c.visited {
 				t.Errorf("%s: %s verdict = %+v, want deny %v after %d visits (insertion order lost)",
@@ -284,8 +284,9 @@ func TestIndexedEvalStats(t *testing.T) {
 	}
 }
 
-// TestRemoveMaintainsIndex: Remove deletes every rule with the ID and
-// keeps the incremental index in sync with the linear table.
+// TestRemoveMaintainsIndex: Remove deletes every rule with the ID, and
+// the next Eval answers from the table as it is now, not from the index
+// built before the removal.
 func TestRemoveMaintainsIndex(t *testing.T) {
 	rs := NewRuleSet()
 	rs.SetClassifier(ClassifierIndexed)
@@ -428,7 +429,7 @@ func TestIndexedRuleSetResidualWideRules(t *testing.T) {
 
 // BenchmarkRuleEval is the classifier comparison (DESIGN.md decision
 // 7): one packet classification against a 50k-rule table, under the
-// linear scan and under the incrementally maintained hash index. The
+// linear scan and under the hash index (built by the first Eval). The
 // ~1000× gap is what the Classifier option buys on the emulation hot
 // path.
 func BenchmarkRuleEval(b *testing.B) {

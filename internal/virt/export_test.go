@@ -16,8 +16,8 @@ func (pn *PhysNode) NICIn() *netem.Pipe  { return pn.nicIn }
 // NodeOf returns the physical node hosting addr, or nil if unplaced.
 func (c *Cluster) NodeOf(addr ip.Addr) *PhysNode { return c.placement[addr] }
 
-// Rules returns the node's firewall table.
-func (pn *PhysNode) Rules() *netem.RuleSet { return pn.rules }
+// Rules returns the length of the node's firewall table.
+func (pn *PhysNode) Rules() int { return pn.rules }
 
 // Node returns the i-th physical node.
 func (c *Cluster) Node(i int) *PhysNode { return c.nodes[i] }

@@ -12,10 +12,12 @@
 //
 // One fidelity note: in real P2PLab the per-node Dummynet pipes *are*
 // firewall rules. Here the access-link pipes live on the vnet hosts and
-// the per-virtual-node firewall entries are Count rules, so bandwidth is
-// shaped exactly once while the rule table keeps the paper's size and
-// linear evaluation cost (two rules per hosted virtual node plus one
-// rule per reachable group pair).
+// the per-virtual-node firewall entries are count rules, so bandwidth is
+// shaped exactly once. A table of count rules never decides a verdict
+// and every scan visits all of it, so a machine keeps only its table's
+// length — two rules per hosted virtual node plus one rule per
+// reachable group pair — and each scan is priced at that length times
+// netem.DefaultPerRuleCost, the paper's linear evaluation cost.
 //
 // The fabric is link-model agnostic: the NIC and CPU pipes it adds to
 // each route are charged by whichever model the network was built with
@@ -63,7 +65,7 @@ type PhysNode struct {
 	nicOut    *netem.Pipe
 	nicIn     *netem.Pipe
 	cpu       *netem.Pipe
-	rules     *netem.RuleSet
+	rules     int // firewall table length: count rules, all scanned
 	aliases   []ip.Addr
 	groupSeen map[[2]string]bool // group-pair latency rules installed
 }
@@ -101,7 +103,6 @@ func NewCluster(k *sim.Kernel, n int, t *topo.Topology) (*Cluster, error) {
 			nicOut:    netem.NewPipe(k, name+"/nic-out", nic),
 			nicIn:     netem.NewPipe(k, name+"/nic-in", nic),
 			cpu:       netem.NewPipe(k, name+"/cpu", netem.PipeConfig{Bandwidth: cpuBytesPerSec * 8}),
-			rules:     netem.NewRuleSet(),
 			groupSeen: make(map[[2]string]bool),
 		}
 		c.nodes = append(c.nodes, pn)
@@ -125,9 +126,7 @@ func (c *Cluster) place(addr ip.Addr, pn *PhysNode) error {
 	}
 	c.placement[addr] = pn
 	pn.aliases = append(pn.aliases, addr)
-	host := ip.NewPrefix(addr, 32)
-	pn.rules.AddCount(host, ip.Prefix{}) // outgoing packets
-	pn.rules.AddCount(ip.Prefix{}, host) // incoming packets
+	pn.rules += 2 // outgoing and incoming packets
 	c.installGroupRules(pn, addr)
 	return nil
 }
@@ -152,7 +151,7 @@ func (c *Cluster) installGroupRules(pn *PhysNode, addr ip.Addr) {
 			continue
 		}
 		pn.groupSeen[key] = true
-		pn.rules.AddCount(g.Prefix, other.Prefix)
+		pn.rules++
 	}
 }
 
@@ -197,17 +196,17 @@ func (c *Cluster) FoldingRatio() float64 {
 // both ends. Messages between virtual nodes of the same physical node
 // skip the NIC (loopback) but still pay the firewall and CPU. The
 // machine tables hold count rules only (see the package doc), so a
-// scan costs time and never drops.
+// scan costs its length in rules and never drops.
 func (c *Cluster) Route(src, dst ip.Addr, path []*netem.Pipe) ([]*netem.Pipe, vnet.Route) {
 	var r vnet.Route
 	sp := c.placement[src]
 	dp := c.placement[dst]
 	cross := sp != nil && dp != nil && sp != dp
 	if sp != nil {
-		r.Cost += sp.rules.Eval(src, dst).Cost + perMessageCPU
+		r.Cost += time.Duration(sp.rules)*netem.DefaultPerRuleCost + perMessageCPU
 	}
 	if dp != nil {
-		r.Cost += dp.rules.Eval(src, dst).Cost + perMessageCPU
+		r.Cost += time.Duration(dp.rules)*netem.DefaultPerRuleCost + perMessageCPU
 	}
 	if cross {
 		path = append(path, sp.nicOut)

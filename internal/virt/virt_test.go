@@ -116,7 +116,7 @@ func TestTwoRulesPerVirtualNode(t *testing.T) {
 	if err := cl.PlaceSuccessive(hs, 25); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Node(0).Rules().Len(); got != 50 {
+	if got := cl.Node(0).Rules(); got != 50 {
 		t.Fatalf("rules = %d, want 50 (2 × 25 vnodes)", got)
 	}
 }
@@ -139,7 +139,7 @@ func TestGroupLatencyRulesInstalled(t *testing.T) {
 	if err := cl.PlaceSuccessive([]*vnet.Host{h}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Node(0).Rules().Len(); got != 6 {
+	if got := cl.Node(0).Rules(); got != 6 {
 		t.Fatalf("rules = %d, want 6 (2 per-vnode + 4 group)", got)
 	}
 }
@@ -179,6 +179,9 @@ func TestRouteCrossPhysUsesNIC(t *testing.T) {
 	}
 }
 
+// TestRouteChargesRuleCost: each placed end of a route scans its own
+// machine's table, so the cost is both tables' lengths in rules plus
+// one CPU charge per end.
 func TestRouteChargesRuleCost(t *testing.T) {
 	_, cl, _, hs := testbed(t, 1, 50, topo.New())
 	if err := cl.PlaceSuccessive(hs, 50); err != nil {
@@ -190,6 +193,38 @@ func TestRouteChargesRuleCost(t *testing.T) {
 	wantCPU := 2 * perMessageCPU
 	if r.Cost != wantRules+wantCPU {
 		t.Fatalf("cost = %v, want %v", r.Cost, wantRules+wantCPU)
+	}
+
+	// Unequal tables on two machines: three Fig 7 fast-DSL nodes on
+	// phys0 (6 per-node rules + 4 group rules, installed once) and one
+	// region-2 node on phys1 (2 + 5: region 1, its three ISPs, region 3).
+	k := sim.New(1)
+	cl, err := NewCluster(k, 2, topo.Fig7())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := vnet.NewNetwork(k, cl, vnet.DefaultConfig())
+	var hosts []*vnet.Host
+	for _, a := range []string{"10.1.3.1", "10.1.3.2", "10.1.3.3", "10.2.2.117"} {
+		h, err := n.AddHostClass(ip.MustParseAddr(a), topo.FastDSL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts = append(hosts, h)
+	}
+	if err := cl.PlaceSuccessive(hosts, 3); err != nil {
+		t.Fatal(err)
+	}
+	src, dst := cl.Node(0).Rules(), cl.Node(1).Rules()
+	if src != 10 || dst != 7 {
+		t.Fatalf("tables hold %d and %d rules, want 10 and 7", src, dst)
+	}
+	for _, c := range []struct{ from, to *vnet.Host }{{hosts[0], hosts[3]}, {hosts[3], hosts[0]}} {
+		_, r := cl.Route(c.from.Addr(), c.to.Addr(), nil)
+		want := time.Duration(src+dst)*netem.DefaultPerRuleCost + 2*perMessageCPU
+		if r.Cost != want {
+			t.Fatalf("%v→%v cost = %v, want %v", c.from.Addr(), c.to.Addr(), r.Cost, want)
+		}
 	}
 }
 
