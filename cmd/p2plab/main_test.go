@@ -303,6 +303,27 @@ func TestRunCorpusByName(t *testing.T) {
 	}
 }
 
+// TestRunTraceTail: -trace N prints the run's last N trace events, one
+// line each, between the tail header and the CSV line.
+func TestRunTraceTail(t *testing.T) {
+	for _, n := range []int{40, 1000} {
+		printed := captureStdout(t, func() error {
+			return runMain([]string{"flash-crowd", "-trace", fmt.Sprint(n), "-out", t.TempDir()})
+		})
+		_, tail, ok := strings.Cut(printed, "-- trace tail --\n")
+		if !ok {
+			t.Fatalf("-trace %d: no tail header in\n%s", n, printed)
+		}
+		lines := strings.Split(strings.TrimSuffix(tail, "\n"), "\n")
+		if last := lines[len(lines)-1]; !strings.HasPrefix(last, "   wrote ") {
+			t.Fatalf("-trace %d: tail ends with %q, want the CSV line", n, last)
+		}
+		if got := len(lines) - 1; got != n {
+			t.Errorf("-trace %d printed %d trace lines", n, got)
+		}
+	}
+}
+
 // TestRunReportsSnapshot: a snapshot run says how many clients finished,
 // when the last one did and what the web seeds served.
 func TestRunReportsSnapshot(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 // WithDefaults and Validate must never panic on arbitrary bytes (the
 // spec file is user input via `p2plab run -spec`), any spec that
 // validates must survive a marshal/load round trip still valid, and a
-// small one must compile and assemble to a platform or an error —
-// never a panic — without running a workload.
+// small one must compile and assemble to a platform without error:
+// Validate runs the same topology build, so what it accepts builds.
 func FuzzLoadSpec(f *testing.F) {
 	// The whole committed corpus seeds the fuzzer with realistic specs.
 	for _, sp := range Corpus() {
@@ -45,6 +45,12 @@ func FuzzLoadSpec(f *testing.F) {
 	f.Add([]byte(`{"name":"x","classifier":"indexed","filler_rules":100,"groups":[{"name":"g","class":"lan","nodes":2}],"workload":{"kind":"ping"}}`))
 	// A /30 holds three hosts: addressing starts at offset 1.
 	f.Add([]byte(`{"name":"x","groups":[{"name":"g","class":"dsl","nodes":4,"prefix":"10.0.0.0/30"}],"workload":{"kind":"gossip"}}`))
+	// Groups are disjoint: a pinned prefix inside another's, pinned or
+	// auto-assigned (b's is 10.2.0.0/16), is refused.
+	f.Add([]byte(`{"name":"x","groups":[{"name":"a","class":"dsl","nodes":2,"prefix":"10.0.0.0/8"},{"name":"b","class":"dsl","nodes":2,"prefix":"10.0.0.0/16"}],"workload":{"kind":"gossip"}}`))
+	f.Add([]byte(`{"name":"x","groups":[{"name":"a","class":"dsl","nodes":2,"prefix":"10.2.3.0/24"},{"name":"b","class":"dsl","nodes":2}],"workload":{"kind":"gossip"}}`))
+	// A folded group may not sit in the machines' admin block.
+	f.Add([]byte(`{"name":"x","folding":2,"groups":[{"name":"g","class":"dsl","nodes":4,"prefix":"172.16.1.0/24"}],"workload":{"kind":"gossip"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := Load(data)
 		if err != nil {
@@ -68,8 +74,12 @@ func FuzzLoadSpec(f *testing.F) {
 		if d.TotalNodes() > 256 {
 			return
 		}
-		if top, cfg, err := d.compile(); err == nil {
-			_, _ = Assemble(d.Seed, top, cfg, d.Folding)
+		top, cfg, err := d.compile()
+		if err != nil {
+			t.Fatalf("valid spec does not compile: %v\n%s", err, out)
+		}
+		if _, err := Assemble(d.Seed, top, cfg, d.Folding); err != nil {
+			t.Fatalf("valid spec does not assemble: %v\n%s", err, out)
 		}
 	})
 }

@@ -438,9 +438,10 @@ func (s *Spec) WithDefaults() *Spec {
 }
 
 // Validate checks the spec for structural errors: unknown classes,
-// groups or actions, out-of-range knobs, malformed prefixes. It is
-// meant to be called on a defaulted spec (WithDefaults) and reports
-// the first problem found.
+// groups or actions, out-of-range knobs, and every group and latency
+// the topology build refuses (a malformed or overlapping prefix, one
+// too small for its nodes). It is meant to be called on a defaulted
+// spec (WithDefaults) and reports the first problem found.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: missing name")
@@ -486,13 +487,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %s: flow_window needs the flow model (got %q)", s.Name, s.Model)
 	}
 	groups := make(map[string]bool, len(s.Groups))
-	total := 0
 	for _, g := range s.Groups {
 		if g.Name == "" {
 			return fmt.Errorf("scenario %s: group with empty name", s.Name)
-		}
-		if groups[g.Name] {
-			return fmt.Errorf("scenario %s: duplicate group %q", s.Name, g.Name)
 		}
 		groups[g.Name] = true
 		if _, ok := topo.ClassByName(g.Class); !ok {
@@ -501,22 +498,12 @@ func (s *Spec) Validate() error {
 		if g.Nodes < 1 || g.Nodes > MaxNodesPerGroup {
 			return fmt.Errorf("scenario %s: group %q: %d nodes outside [1,%d]", s.Name, g.Name, g.Nodes, MaxNodesPerGroup)
 		}
-		if g.Prefix != "" {
-			if _, err := ip.ParsePrefix(g.Prefix); err != nil {
-				return fmt.Errorf("scenario %s: group %q: bad prefix %q: %w", s.Name, g.Name, g.Prefix, err)
-			}
-		}
-		total += g.Nodes
 	}
-	for _, l := range s.Latencies {
-		if !groups[l.A] || !groups[l.B] {
-			return fmt.Errorf("scenario %s: latency between unknown groups %q and %q", s.Name, l.A, l.B)
-		}
-		if l.OneWay < 0 {
-			return fmt.Errorf("scenario %s: negative latency %v", s.Name, l.OneWay)
-		}
+	// Duplicate names, prefixes and latencies: the build Run makes.
+	if _, err := s.topology(); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	if err := s.validateWorkload(total); err != nil {
+	if err := s.validateWorkload(s.TotalNodes()); err != nil {
 		return err
 	}
 	if len(s.Timeline) > maxTimeline {

@@ -426,6 +426,12 @@ func TestServeValidation(t *testing.T) {
 		{`{"kind": "sweep", "sweep": {"experiment": "ping", "rules": [100001]}}`, http.StatusBadRequest},
 		// A misspelt axis key would sweep defaults.
 		{`{"kind": "sweep", "sweep": {"experiment": "snapshot-sync", "piece_size": [262144]}}`, http.StatusBadRequest},
+		// Specs that fail only when the run builds its topology: groups
+		// overlap (b inside a), or a /30 holds three nodes, not five.
+		{`{"spec": {"name": "x", "groups": [{"name": "a", "class": "dsl", "nodes": 2, "prefix": "10.0.0.0/8"},
+			{"name": "b", "class": "dsl", "nodes": 2, "prefix": "10.0.0.0/16"}], "workload": {"kind": "gossip"}}}`, http.StatusBadRequest},
+		{`{"spec": {"name": "x", "groups": [{"name": "g", "class": "dsl", "nodes": 5, "prefix": "10.0.0.0/30"}],
+			"workload": {"kind": "gossip"}}}`, http.StatusBadRequest},
 		// A body past the 1 MiB bound, however well-formed.
 		{`{"scenario": "flash-crowd", "pad": "` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusBadRequest},
 	}

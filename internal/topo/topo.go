@@ -1,15 +1,16 @@
 // Package topo describes emulated network topologies the way P2PLab
-// does: from the end node's point of view. A topology is a set of node
-// groups (an ISP, a country, a continent), each with an access-link
-// class (asymmetric bandwidth, latency, loss) for its member nodes, plus
-// pairwise latencies between groups. There is deliberately no core-
-// network model — the paper's argument is that the edge link is the
-// bottleneck for peer-to-peer workloads.
+// does: from the end node's point of view. A topology is a set of
+// disjoint node groups (an ISP, a campus, a country), each a prefix with
+// an access-link class (asymmetric bandwidth, latency, loss) for its
+// member nodes, plus one table of pairwise latencies between groups. No
+// group holds another, so an address has one group and a message one
+// table lookup. There is deliberately no core-network model — the
+// paper's argument is that the edge link is the bottleneck for
+// peer-to-peer workloads.
 package topo
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/ip"
@@ -67,48 +68,47 @@ func ClassByName(name string) (LinkClass, bool) {
 }
 
 // Group is a set of nodes sharing a prefix and an access-link class.
-// Groups may nest (a /24 ISP inside a /16 country); latencies can be
-// declared at any level and the most specific declared pair wins.
+// A topology's groups are disjoint: no address lies in two of them.
 type Group struct {
 	Name   string
 	Prefix ip.Prefix
 	Class  LinkClass
-	Nodes  int // number of addressable nodes; 0 for pure container groups
+	Nodes  int // number of addressable nodes, at least one
 }
 
-// Topology is a collection of groups and pairwise group latencies.
+// Topology is a set of disjoint groups and one table of pairwise group
+// latencies.
 type Topology struct {
 	groups  []*Group
 	byName  map[string]*Group
-	latency map[[2]string]time.Duration
+	latency map[[2]*Group]time.Duration // declared pairs, both directions
 }
 
 // New returns an empty topology.
 func New() *Topology {
 	return &Topology{
 		byName:  make(map[string]*Group),
-		latency: make(map[[2]string]time.Duration),
+		latency: make(map[[2]*Group]time.Duration),
 	}
 }
 
-// AddGroup registers a group. It returns an error for duplicate names,
-// or if the prefix partially overlaps an existing group (full nesting is
-// allowed, straddling is not).
+// AddGroup registers a group. It returns an error for a duplicate name,
+// a prefix that shares an address with an existing group's, or a node
+// count the prefix cannot hold.
 func (t *Topology) AddGroup(g Group) (*Group, error) {
 	if _, dup := t.byName[g.Name]; dup {
 		return nil, fmt.Errorf("topo: duplicate group %q", g.Name)
 	}
 	for _, other := range t.groups {
-		if g.Prefix.Overlaps(other.Prefix) &&
-			!g.Prefix.ContainsPrefix(other.Prefix) && !other.Prefix.ContainsPrefix(g.Prefix) {
-			return nil, fmt.Errorf("topo: group %q prefix %v straddles %q (%v)",
+		if g.Prefix.Overlaps(other.Prefix) {
+			return nil, fmt.Errorf("topo: group %q prefix %v overlaps %q (%v)",
 				g.Name, g.Prefix, other.Name, other.Prefix)
 		}
 	}
 	// Nodes are addressed from offset 1 (the base address is the
 	// network's own), so a prefix of size s holds s-1 of them.
-	if uint64(g.Nodes) >= g.Prefix.Size() {
-		return nil, fmt.Errorf("topo: group %q wants %d nodes in %v, which holds %d",
+	if g.Nodes < 1 || uint64(g.Nodes) >= g.Prefix.Size() {
+		return nil, fmt.Errorf("topo: group %q wants %d nodes in %v, which holds 1 to %d",
 			g.Name, g.Nodes, g.Prefix, g.Prefix.Size()-1)
 	}
 	gp := g
@@ -127,16 +127,18 @@ func (t *Topology) MustAddGroup(g Group) *Group {
 }
 
 // SetLatency declares the one-way latency between two groups, in both
-// directions. Both groups must exist.
+// directions. Both groups must exist and the latency must not be
+// negative.
 func (t *Topology) SetLatency(a, b string, d time.Duration) error {
-	if _, ok := t.byName[a]; !ok {
-		return fmt.Errorf("topo: unknown group %q", a)
+	ga, gb := t.byName[a], t.byName[b]
+	if ga == nil || gb == nil {
+		return fmt.Errorf("topo: latency between unknown groups %q and %q", a, b)
 	}
-	if _, ok := t.byName[b]; !ok {
-		return fmt.Errorf("topo: unknown group %q", b)
+	if d < 0 {
+		return fmt.Errorf("topo: negative latency %v between %q and %q", d, a, b)
 	}
-	t.latency[[2]string{a, b}] = d
-	t.latency[[2]string{b, a}] = d
+	t.latency[[2]*Group{ga, gb}] = d
+	t.latency[[2]*Group{gb, ga}] = d
 	return nil
 }
 
@@ -153,84 +155,70 @@ func (t *Topology) Groups() []*Group { return t.groups }
 // Group returns the group with the given name, or nil.
 func (t *Topology) Group(name string) *Group { return t.byName[name] }
 
-// LeafGroups returns the groups that actually hold nodes (Nodes > 0).
-func (t *Topology) LeafGroups() []*Group {
-	var leaves []*Group
-	for _, g := range t.groups {
-		if g.Nodes > 0 {
-			leaves = append(leaves, g)
-		}
-	}
-	return leaves
-}
-
-// chain returns the groups containing a, most specific first.
-func (t *Topology) chain(a ip.Addr) []*Group {
-	var c []*Group
+// Locate returns the group containing a, or nil.
+func (t *Topology) Locate(a ip.Addr) *Group {
 	for _, g := range t.groups {
 		if g.Prefix.Contains(a) {
-			c = append(c, g)
+			return g
 		}
 	}
-	sort.Slice(c, func(i, j int) bool { return c[i].Prefix.Bits() > c[j].Prefix.Bits() })
-	return c
+	return nil
 }
 
-// Locate returns the most specific group containing a, or nil.
-func (t *Topology) Locate(a ip.Addr) *Group {
-	c := t.chain(a)
-	if len(c) == 0 {
-		return nil
-	}
-	return c[0]
-}
-
-// GroupLatency returns the inter-group one-way latency between the
-// groups of src and dst: the latency declared for the most specific
-// (src-group, dst-group) ancestor pair. Nodes under the same leaf group
-// with no declared pair get zero (they only pay their access links).
+// GroupLatency returns the one-way latency declared between the groups
+// of src and dst, or zero. It is asked once per transmitted message and
+// allocates nothing.
 func (t *Topology) GroupLatency(src, dst ip.Addr) time.Duration {
 	if len(t.latency) == 0 {
-		return 0 // asked once per transmitted message: no chains, no allocation
+		return 0
 	}
-	sc := t.chain(src)
-	dc := t.chain(dst)
-	for _, sg := range sc {
-		for _, dg := range dc {
-			if d, ok := t.latency[[2]string{sg.Name, dg.Name}]; ok {
-				return d
-			}
-		}
-	}
-	return 0
+	return t.latency[[2]*Group{t.Locate(src), t.Locate(dst)}]
 }
 
-// TotalNodes sums the node counts of all leaf groups.
+// Peers returns how many other groups g has a nonzero latency with: the
+// latency rules a machine hosting g's nodes holds for it.
+func (t *Topology) Peers(g *Group) int {
+	n := 0
+	for _, h := range t.groups {
+		if h != g && t.latency[[2]*Group{g, h}] != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TotalNodes sums the node counts of all groups.
 func (t *Topology) TotalNodes() int {
 	n := 0
-	for _, g := range t.LeafGroups() {
+	for _, g := range t.groups {
 		n += g.Nodes
 	}
 	return n
 }
 
-// Fig7 builds the exact topology of the paper's Fig 7: three top-level
-// regions (10.1/16 with three DSL/modem ISPs, 10.2/16 campus, 10.3/16
-// office) with 100 ms latency between the 10.1 ISPs, and 400 ms / 600 ms
-// / 1 s between regions.
+// Fig7 builds the exact topology of the paper's Fig 7: three DSL/modem
+// ISPs in 10.1/16, a 10.2/16 campus and a 10.3/16 office, with 100 ms
+// between the ISPs, 400 ms from each ISP to the campus, 600 ms from
+// each ISP to the office and 1 s between campus and office.
 func Fig7() *Topology {
 	t := New()
-	t.MustAddGroup(Group{Name: "region-1", Prefix: ip.MustParsePrefix("10.1.0.0/16")})
-	t.MustAddGroup(Group{Name: "isp-modem", Prefix: ip.MustParsePrefix("10.1.1.0/24"), Class: Modem, Nodes: 250})
-	t.MustAddGroup(Group{Name: "isp-slow-dsl", Prefix: ip.MustParsePrefix("10.1.2.0/24"), Class: SlowDSL, Nodes: 250})
-	t.MustAddGroup(Group{Name: "isp-fast-dsl", Prefix: ip.MustParsePrefix("10.1.3.0/24"), Class: FastDSL, Nodes: 250})
+	isps := []Group{
+		{Name: "isp-modem", Prefix: ip.MustParsePrefix("10.1.1.0/24"), Class: Modem, Nodes: 250},
+		{Name: "isp-slow-dsl", Prefix: ip.MustParsePrefix("10.1.2.0/24"), Class: SlowDSL, Nodes: 250},
+		{Name: "isp-fast-dsl", Prefix: ip.MustParsePrefix("10.1.3.0/24"), Class: FastDSL, Nodes: 250},
+	}
+	for _, g := range isps {
+		t.MustAddGroup(g)
+	}
 	t.MustAddGroup(Group{Name: "region-2", Prefix: ip.MustParsePrefix("10.2.0.0/16"), Class: Campus, Nodes: 1000})
 	t.MustAddGroup(Group{Name: "region-3", Prefix: ip.MustParsePrefix("10.3.0.0/16"), Class: Office, Nodes: 1000})
-	t.MustSetLatency("isp-modem", "isp-slow-dsl", 100*time.Millisecond)
-	t.MustSetLatency("isp-modem", "isp-fast-dsl", 100*time.Millisecond)
-	t.MustSetLatency("isp-slow-dsl", "isp-fast-dsl", 100*time.Millisecond)
-	t.MustSetLatency("region-1", "region-2", 400*time.Millisecond)
-	t.MustSetLatency("region-1", "region-3", 600*time.Millisecond)
+	for i, g := range isps {
+		for _, h := range isps[i+1:] {
+			t.MustSetLatency(g.Name, h.Name, 100*time.Millisecond)
+		}
+		t.MustSetLatency(g.Name, "region-2", 400*time.Millisecond)
+		t.MustSetLatency(g.Name, "region-3", 600*time.Millisecond)
+	}
 	t.MustSetLatency("region-2", "region-3", time.Second)
 	return t
 }

@@ -164,7 +164,7 @@ func FuzzRenderLine(f *testing.F) {
 // site used before its entry point existed, and one is bounded. Both
 // unbounded logs must render exactly what fmt lays out for the event
 // list and return it from Events, Filter and Count; the bounded one
-// must hold the newest Len() of them. ops is a bound byte, then
+// must hold exactly the newest min(max, events) of them. ops is a bound byte, then
 // records: an op byte, whose low three bits pick the entry point (5–7
 // are Add) and whose top bit takes an absolute instant instead of a
 // signed one-byte step, then the operands (see fuzzOps). text supplies
@@ -175,7 +175,8 @@ func FuzzTypedRecords(f *testing.F) {
 	f.Add([]byte{3, 0, 0x80, 1, 2, 3, 4, 5, 6, 7, 8}, "net.drop10.0.0.1dropped")
 	f.Fuzz(func(t *testing.T, ops []byte, text string) {
 		in := fuzzOps{b: ops}
-		typed, viaAdd, bounded := New(0), New(0), New(1+int(in.byte()))
+		max := 1 + int(in.byte())
+		typed, viaAdd, bounded := New(0), New(0), New(max)
 		var want []Event
 		var at sim.Time
 		for len(in.b) > 0 {
@@ -244,6 +245,9 @@ func FuzzTypedRecords(f *testing.F) {
 					t.Fatalf("%s log: Filter(%q) has %d events, want %d", name, cat, got, n)
 				}
 			}
+		}
+		if got := bounded.Len(); got != min(max, len(want)) {
+			t.Fatalf("bounded log of max %d shows %d of %d events", max, got, len(want))
 		}
 		newest := want[len(want)-bounded.Len():]
 		if got := bounded.Events(); !reflect.DeepEqual(got, newest) {

@@ -83,8 +83,8 @@ const maxTyped = 49
 const chunkBytes = 16 << 10
 
 // chunkSize is the most records a bounded log's chunk holds: the unit
-// it drops, min(chunkSize, ⌈max/2⌉) records, which is what keeps its
-// retained window. recordBytes sizes such a chunk's bytes, an upper
+// it drops, min(chunkSize, ⌈max/2⌉) records, so it stores fewer than
+// max plus a chunk. recordBytes sizes such a chunk's bytes, an upper
 // corpus average; a chunk that outgrows them grows.
 const (
 	chunkSize   = 1024
@@ -117,7 +117,7 @@ type Log struct {
 	chunkBytes int // a new chunk's byte capacity
 	chunks     []chunk
 	at         sim.Time // the last chunk's newest instant
-	n          int      // retained records
+	n          int      // stored records; a bounded log shows the newest max
 	names      []string // interned pipe names
 	nameIdx    map[string]uint64
 	scratch    []byte // Add's message, formatted
@@ -125,10 +125,10 @@ type Log struct {
 	counts     map[string]uint64 // text records by category
 }
 
-// New returns a log keeping at most max events (older events are
-// discarded first, a chunk at a time, so between max/2 and max of the
-// newest are retained; counters keep counting). max <= 0 means
-// unbounded.
+// New returns a log keeping the newest max events (older events are
+// discarded first, a chunk at a time, and a kept chunk's records older
+// than the newest max are not shown; counters keep counting). max <= 0
+// means unbounded.
 func New(max int) *Log {
 	l := &Log{max: max, chunkCap: math.MaxInt, chunkBytes: chunkBytes,
 		nameIdx: make(map[string]uint64), counts: make(map[string]uint64)}
@@ -141,11 +141,11 @@ func New(max int) *Log {
 
 // begin starts a record of at most size bytes and returns the last
 // chunk's bytes with its kind and instant appended; the caller appends
-// the operands and hands the bytes to end. A full bounded log releases
-// its oldest chunk first.
+// the operands and hands the bytes to end. A bounded log releases its
+// oldest chunk first if the rest and the new record still hold max.
 func (l *Log) begin(k kind, at sim.Time, size int) []byte {
 	l.kinds[k]++
-	if l.max > 0 && l.n >= l.max {
+	if l.max > 0 && len(l.chunks) > 0 && l.n+1-l.chunks[0].n >= l.max {
 		l.n -= l.chunks[0].n
 		l.chunks[0] = chunk{}
 		l.chunks = l.chunks[1:]
@@ -244,8 +244,18 @@ func appendRateBits(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(append(b, 1), math.Float64bits(f))
 }
 
-// Len returns the number of retained events.
-func (l *Log) Len() int { return l.n }
+// Len returns the number of retained events: all of them, or at most
+// max for a bounded log.
+func (l *Log) Len() int { return l.n - l.hidden() }
+
+// hidden is how many of a bounded log's oldest stored records lie
+// beyond its newest max: kept with their chunk, shown nowhere.
+func (l *Log) hidden() int {
+	if l.max > 0 && l.n > l.max {
+		return l.n - l.max
+	}
+	return 0
+}
 
 // Count returns how many events of a category were ever recorded
 // (including discarded ones).
@@ -328,10 +338,15 @@ func (l *Log) Render(w io.Writer) error {
 // same record.
 func (l *Log) records(yield func(*record) bool) {
 	var r record
+	skip := l.hidden()
 	for _, c := range l.chunks {
 		d := reader{b: c.b, names: l.names}
 		for len(d.b) > 0 {
 			d.next(&r)
+			if skip > 0 {
+				skip-- // decoded all the same: a chunk's instants are deltas
+				continue
+			}
 			if !yield(&r) {
 				return
 			}

@@ -35,8 +35,8 @@ func TestBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.Add(at(i), "c", "n", "e%d", i)
 	}
-	if l.Len() > 10 {
-		t.Fatalf("len = %d, want ≤ 10", l.Len())
+	if l.Len() != 10 {
+		t.Fatalf("len = %d, want 10", l.Len())
 	}
 	if l.Count("c") != 100 {
 		t.Fatalf("count = %d, want 100 despite truncation", l.Count("c"))
@@ -49,8 +49,9 @@ func TestBounded(t *testing.T) {
 
 	// The contract `p2plab run -trace N` and examples/contention rely
 	// on, at every step and for typed and text records alike: a bounded
-	// log drops whole chunks, so max = 1, a max below, at and off a
-	// multiple of the chunk size all have to hold it.
+	// log shows exactly the newest min(max, added) records. It drops
+	// whole chunks, so max = 1, a max below, at and off a multiple of
+	// the chunk size all have to hold it.
 	for _, max := range []int{1, 2, 3, 10, 31, chunkSize, 2*chunkSize + 1, 3*chunkSize - 7} {
 		l := New(max)
 		total := 3*max + chunkSize
@@ -60,14 +61,8 @@ func TestBounded(t *testing.T) {
 			} else {
 				l.FlowDone(sim.Time(i), "pipe", uint64(i))
 			}
-			if l.Len() > max {
-				t.Fatalf("max %d: len = %d after %d adds", max, l.Len(), i+1)
-			}
-			if i+1 >= max && l.Len() < max/2 {
-				t.Fatalf("max %d: only %d retained after %d adds, want ≥ %d", max, l.Len(), i+1, max/2)
-			}
-			if i+1 < max && l.Len() != i+1 {
-				t.Fatalf("max %d: len = %d after %d adds, nothing should be dropped yet", max, l.Len(), i+1)
+			if want := min(max, i+1); l.Len() != want {
+				t.Fatalf("max %d: len = %d after %d adds, want %d", max, l.Len(), i+1, want)
 			}
 		}
 		events := l.Events()

@@ -15,8 +15,9 @@
 // the per-virtual-node firewall entries are count rules, so bandwidth is
 // shaped exactly once. A table of count rules never decides a verdict
 // and every scan visits all of it, so a machine keeps only its table's
-// length — two rules per hosted virtual node plus one rule per
-// reachable group pair — and each scan is priced at that length times
+// length — two rules per hosted virtual node plus, for each group it
+// hosts nodes of, one rule per group that group has a declared latency
+// with — and each scan is priced at that length times
 // netem.DefaultPerRuleCost, the paper's linear evaluation cost.
 //
 // The fabric is link-model agnostic: the NIC and CPU pipes it adds to
@@ -61,13 +62,13 @@ const (
 
 // PhysNode is one physical machine of the cluster.
 type PhysNode struct {
-	name      string
-	nicOut    *netem.Pipe
-	nicIn     *netem.Pipe
-	cpu       *netem.Pipe
-	rules     int // firewall table length: count rules, all scanned
-	aliases   []ip.Addr
-	groupSeen map[[2]string]bool // group-pair latency rules installed
+	name    string
+	nicOut  *netem.Pipe
+	nicIn   *netem.Pipe
+	cpu     *netem.Pipe
+	rules   int // firewall table length: count rules, all scanned
+	aliases []ip.Addr
+	groups  map[*topo.Group]bool // groups whose latency rules are installed
 }
 
 // Cluster is a set of physical nodes and the placement of virtual nodes
@@ -78,19 +79,28 @@ type Cluster struct {
 	placement map[ip.Addr]*PhysNode
 }
 
+// CheckTopology reports whether topology t can be folded: no group
+// prefix may overlap the admin block the machines are addressed from.
+func CheckTopology(t *topo.Topology) error {
+	for _, g := range t.Groups() {
+		if g.Prefix.Overlaps(adminBlock) {
+			return fmt.Errorf("virt: group %q: prefix %v overlaps the cluster's admin block %v",
+				g.Name, g.Prefix, adminBlock)
+		}
+	}
+	return nil
+}
+
 // NewCluster creates n physical nodes, addressed from the admin
 // block, under topology t, which supplies the inter-group latencies
-// and the groups for the latency rules. A group prefix that overlaps
-// the admin block is an error.
+// and the groups for the latency rules. A topology CheckTopology
+// rejects is an error.
 func NewCluster(k *sim.Kernel, n int, t *topo.Topology) (*Cluster, error) {
 	if uint64(n)+1 > adminBlock.Size() {
 		return nil, fmt.Errorf("virt: %d nodes do not fit admin subnet %v", n, adminBlock)
 	}
-	for _, g := range t.Groups() {
-		if g.Prefix.Overlaps(adminBlock) {
-			return nil, fmt.Errorf("virt: group %q: prefix %v overlaps the cluster's admin block %v",
-				g.Name, g.Prefix, adminBlock)
-		}
+	if err := CheckTopology(t); err != nil {
+		return nil, err
 	}
 	c := &Cluster{
 		topo:      t,
@@ -99,11 +109,11 @@ func NewCluster(k *sim.Kernel, n int, t *topo.Topology) (*Cluster, error) {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("phys%d", i)
 		pn := &PhysNode{
-			name:      name,
-			nicOut:    netem.NewPipe(k, name+"/nic-out", nic),
-			nicIn:     netem.NewPipe(k, name+"/nic-in", nic),
-			cpu:       netem.NewPipe(k, name+"/cpu", netem.PipeConfig{Bandwidth: cpuBytesPerSec * 8}),
-			groupSeen: make(map[[2]string]bool),
+			name:   name,
+			nicOut: netem.NewPipe(k, name+"/nic-out", nic),
+			nicIn:  netem.NewPipe(k, name+"/nic-in", nic),
+			cpu:    netem.NewPipe(k, name+"/cpu", netem.PipeConfig{Bandwidth: cpuBytesPerSec * 8}),
+			groups: make(map[*topo.Group]bool),
 		}
 		c.nodes = append(c.nodes, pn)
 	}
@@ -116,7 +126,9 @@ func (c *Cluster) Nodes() []*PhysNode { return c.nodes }
 // place assigns one virtual address to a physical node: registers the
 // interface alias, installs the two per-virtual-node firewall rules
 // (incoming and outgoing packets — the paper's "two rules for each
-// hosted virtual node") and the group-latency rules its groups need.
+// hosted virtual node") and, for the first node of its group on the
+// machine, one rule per group its group has a declared latency with,
+// as in the paper's Fig 7 walk-through.
 func (c *Cluster) place(addr ip.Addr, pn *PhysNode) error {
 	if adminBlock.Contains(addr) {
 		return fmt.Errorf("virt: %v collides with admin subnet %v", addr, adminBlock)
@@ -127,32 +139,11 @@ func (c *Cluster) place(addr ip.Addr, pn *PhysNode) error {
 	c.placement[addr] = pn
 	pn.aliases = append(pn.aliases, addr)
 	pn.rules += 2 // outgoing and incoming packets
-	c.installGroupRules(pn, addr)
+	if g := c.topo.Locate(addr); g != nil && !pn.groups[g] {
+		pn.groups[g] = true
+		pn.rules += c.topo.Peers(g)
+	}
 	return nil
-}
-
-// installGroupRules adds one rule per (group of addr, other group) pair
-// with a declared latency, as in the paper's Fig 7 walk-through.
-func (c *Cluster) installGroupRules(pn *PhysNode, addr ip.Addr) {
-	t := c.topo
-	g := t.Locate(addr)
-	if g == nil {
-		return
-	}
-	for _, other := range t.Groups() {
-		if other.Name == g.Name {
-			continue
-		}
-		key := [2]string{g.Name, other.Name}
-		if pn.groupSeen[key] {
-			continue
-		}
-		if t.GroupLatency(g.Prefix.Addr(), other.Prefix.Addr()) == 0 {
-			continue
-		}
-		pn.groupSeen[key] = true
-		pn.rules++
-	}
 }
 
 // PlaceSuccessive deploys hosts perNode at a time: the first perNode

@@ -123,8 +123,8 @@ func TestTwoRulesPerVirtualNode(t *testing.T) {
 
 func TestGroupLatencyRulesInstalled(t *testing.T) {
 	// A phys node hosting a 10.1.3.x node needs rules toward the other
-	// 10.1 ISPs (2) and regions 2 and 3 via region-1 (2): 4 group rules
-	// plus 2 per-vnode rules.
+	// 10.1 ISPs (2) and regions 2 and 3 (2): 4 group rules plus 2
+	// per-vnode rules.
 	k := sim.New(1)
 	tp := topo.Fig7()
 	cl, err := NewCluster(k, 1, tp)
@@ -197,7 +197,7 @@ func TestRouteChargesRuleCost(t *testing.T) {
 
 	// Unequal tables on two machines: three Fig 7 fast-DSL nodes on
 	// phys0 (6 per-node rules + 4 group rules, installed once) and one
-	// region-2 node on phys1 (2 + 5: region 1, its three ISPs, region 3).
+	// region-2 node on phys1 (2 + 4: the three ISPs and region 3).
 	k := sim.New(1)
 	cl, err := NewCluster(k, 2, topo.Fig7())
 	if err != nil {
@@ -216,8 +216,8 @@ func TestRouteChargesRuleCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, dst := cl.Node(0).Rules(), cl.Node(1).Rules()
-	if src != 10 || dst != 7 {
-		t.Fatalf("tables hold %d and %d rules, want 10 and 7", src, dst)
+	if src != 10 || dst != 6 {
+		t.Fatalf("tables hold %d and %d rules, want 10 and 6", src, dst)
 	}
 	for _, c := range []struct{ from, to *vnet.Host }{{hosts[0], hosts[3]}, {hosts[3], hosts[0]}} {
 		_, r := cl.Route(c.from.Addr(), c.to.Addr(), nil)

@@ -386,12 +386,12 @@ func (n *Network) AddHostClass(addr ip.Addr, class topo.LinkClass) (*Host, error
 // Host returns the host registered at addr, or nil.
 func (n *Network) Host(addr ip.Addr) *Host { return n.hosts[addr] }
 
-// PopulateTopology creates one host per node of every leaf group,
+// PopulateTopology creates one host per node of every group,
 // addressed sequentially inside the group prefix starting at offset 1.
 // It returns the hosts in creation order.
 func (n *Network) PopulateTopology(t *topo.Topology) ([]*Host, error) {
 	var hosts []*Host
-	for _, g := range t.LeafGroups() {
+	for _, g := range t.Groups() {
 		for i := 0; i < g.Nodes; i++ {
 			h, err := n.AddHostClass(g.Prefix.Nth(uint32(i+1)), g.Class)
 			if err != nil {

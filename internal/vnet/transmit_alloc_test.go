@@ -25,9 +25,10 @@ import (
 // allocation per message does. A non-nil tracer records the run: the
 // typed trace adds fill chunk slots, one chunk per 1 024 events, so
 // tracing must not move the figure either. machines > 0 folds the pair
-// onto a virt.Cluster of that many machines, both hosts on the first
-// (1) or one on each (2), so every message takes the cluster's route.
-func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log, machines int) uint64 {
+// onto a virt.Cluster of that many machines under topology tp, both
+// hosts on the first (1) or one on each (2), so every message takes the
+// cluster's route.
+func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log, machines int, tp *topo.Topology) uint64 {
 	t.Helper()
 	const warmup, measured = 200, 2000
 	const size = 1000
@@ -38,7 +39,7 @@ func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log, machin
 	var cluster *virt.Cluster
 	if machines > 0 {
 		var err error
-		if cluster, err = virt.NewCluster(k, machines, topo.New()); err != nil {
+		if cluster, err = virt.NewCluster(k, machines, tp); err != nil {
 			t.Fatal(err)
 		}
 		fabric = cluster
@@ -131,7 +132,15 @@ func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log, machin
 //     pipe's existing name) written into a chunk; while they went
 //     through Add's Sprintf a traced message cost 13 more under the
 //     pipe model and 17 more under the flow model.
+//   - the cluster's group latency: nothing, with no group or with the
+//     two hosts in two groups that declare a latency. It is one table
+//     lookup; resolving nested groups cost 4 allocations a message.
 func TestTransmitAllocs(t *testing.T) {
+	// Each host in a group of its own, 10 ms apart.
+	pair := topo.New()
+	pair.MustAddGroup(topo.Group{Name: "a", Prefix: ip.MustParsePrefix("10.0.0.0/31"), Class: topo.DSL, Nodes: 1})
+	pair.MustAddGroup(topo.Group{Name: "b", Prefix: ip.MustParsePrefix("10.0.0.2/31"), Class: topo.DSL, Nodes: 1})
+	pair.MustSetLatency("a", "b", 10*time.Millisecond)
 	for _, tc := range []struct {
 		name string
 		kind netem.ModelKind
@@ -139,15 +148,18 @@ func TestTransmitAllocs(t *testing.T) {
 		{"pipe", netem.ModelPipe},
 		{"flow", netem.ModelFlow},
 	} {
-		if got := messageAllocs(t, tc.kind, nil, 0); got != 0 {
+		if got := messageAllocs(t, tc.kind, nil, 0, nil); got != 0 {
 			t.Errorf("%s: %d allocs per message, want 0", tc.name, got)
 		}
-		if got := messageAllocs(t, tc.kind, trace.New(0), 0); got != 0 {
+		if got := messageAllocs(t, tc.kind, trace.New(0), 0, nil); got != 0 {
 			t.Errorf("%s, traced: %d allocs per message, want 0 as untraced", tc.name, got)
 		}
 		for machines := 1; machines <= 2; machines++ {
-			if got := messageAllocs(t, tc.kind, nil, machines); got != 0 {
+			if got := messageAllocs(t, tc.kind, nil, machines, topo.New()); got != 0 {
 				t.Errorf("%s, folded on %d machine(s): %d allocs per message, want 0", tc.name, machines, got)
+			}
+			if got := messageAllocs(t, tc.kind, nil, machines, pair); got != 0 {
+				t.Errorf("%s, folded on %d machine(s), two groups: %d allocs per message, want 0", tc.name, machines, got)
 			}
 		}
 	}

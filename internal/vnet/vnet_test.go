@@ -414,18 +414,33 @@ func TestPingRTTWithTopoFabric(t *testing.T) {
 }
 
 // TestTopoFabricRouteNoLatencyAllocs: Route runs once per transmitted
-// message, and every sweep cell's one-group topology declares no
-// latency pair — that lookup must not allocate.
+// message, so its latency lookup must not allocate: not on a sweep
+// cell's one-group topology, which declares no latency pair, and not
+// between two groups that declare one.
 func TestTopoFabricRouteNoLatencyAllocs(t *testing.T) {
-	f := &TopoFabric{Topo: topo.Uniform(64, topo.DSL)}
-	src, dst := ip.MustParseAddr("10.0.0.1"), ip.MustParseAddr("10.0.0.2")
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, r := f.Route(src, dst, nil); r.Latency != 0 {
-			t.Fatalf("latency %v on a topology that declares none", r.Latency)
+	pair := topo.New()
+	pair.MustAddGroup(topo.Group{Name: "a", Prefix: ip.MustParsePrefix("10.0.0.0/24"), Class: topo.DSL, Nodes: 1})
+	pair.MustAddGroup(topo.Group{Name: "b", Prefix: ip.MustParsePrefix("10.0.1.0/24"), Class: topo.DSL, Nodes: 1})
+	pair.MustSetLatency("a", "b", 80*time.Millisecond)
+	for _, c := range []struct {
+		name string
+		tp   *topo.Topology
+		dst  string
+		want time.Duration
+	}{
+		{"one group", topo.Uniform(64, topo.DSL), "10.0.0.2", 0},
+		{"declared pair", pair, "10.0.1.1", 80 * time.Millisecond},
+	} {
+		f := &TopoFabric{Topo: c.tp}
+		src, dst := ip.MustParseAddr("10.0.0.1"), ip.MustParseAddr(c.dst)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, r := f.Route(src, dst, nil); r.Latency != c.want {
+				t.Fatalf("%s: latency %v, want %v", c.name, r.Latency, c.want)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: route allocates %v times per message, want 0", c.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("no-latency route allocates %v times per message, want 0", allocs)
 	}
 }
 
