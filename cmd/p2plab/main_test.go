@@ -432,6 +432,20 @@ func TestRunDump(t *testing.T) {
 	}
 }
 
+// TestRunDumpValidates checks that -dump refuses a spec run refuses,
+// with run's error, instead of printing it.
+func TestRunDumpValidates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.json")
+	spec := `{"name": "x", "groups": [{"name": "g", "class": "nope", "nodes": 2}], "workload": {"kind": "gossip"}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := runMain([]string{"-dump", "-spec", path})
+	if want := `group "g": unknown class "nope"`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("dump of an invalid spec: %v, want an error naming %s", err, want)
+	}
+}
+
 func TestListSmoke(t *testing.T) {
 	if err := listMain(nil); err != nil {
 		t.Fatalf("list: %v", err)

@@ -80,7 +80,13 @@ func runMain(args []string) error {
 	}
 
 	if *dump {
-		data, err := json.MarshalIndent(sp.WithDefaults(), "", "  ")
+		// What -dump prints is what run would execute, so a spec run
+		// refuses is an error here too.
+		d := sp.WithDefaults()
+		if err := d.Validate(); err != nil {
+			return err
+		}
+		data, err := json.MarshalIndent(d, "", "  ")
 		if err != nil {
 			return err
 		}

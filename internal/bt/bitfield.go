@@ -28,16 +28,13 @@ func NewBitfield(n int) *Bitfield {
 	return b
 }
 
-// BitfieldFromBytes reconstructs a bitfield received on the wire.
-func BitfieldFromBytes(data []byte, n int) *Bitfield {
-	b := NewBitfield(n)
-	copy(b.bits, data)
-	for i := 0; i < n; i++ {
-		if b.Has(i) {
-			b.set++
-		}
-	}
-	return b
+// Clone returns an independent copy: what a bitfield message carries,
+// the sender's pieces at the moment it sends.
+func (b *Bitfield) Clone() *Bitfield {
+	nb := NewBitfield(b.n)
+	copy(nb.bits, b.bits)
+	nb.set = b.set
+	return nb
 }
 
 // Len returns the number of pieces tracked.
@@ -66,20 +63,10 @@ func (b *Bitfield) Set(i int) {
 // Complete reports whether every piece is set.
 func (b *Bitfield) Complete() bool { return b.set == b.n }
 
-// Bytes returns the wire representation. The slice is shared; callers
-// must not mutate it.
-func (b *Bitfield) Bytes() []byte { return b.bits }
-
 // forEachSet calls fn for every set piece in ascending order, scanning
-// bytewise. Stray trailing bits beyond Len() — possible on a bitfield
-// reconstructed from wire bytes — are ignored.
+// bytewise. Bits past Len() are never set.
 func (b *Bitfield) forEachSet(fn func(i int)) {
 	for j, w := range b.bits {
-		if j == len(b.bits)-1 {
-			if tail := b.n % 8; tail != 0 {
-				w &= 0xFF << (8 - tail)
-			}
-		}
 		for w != 0 {
 			lz := bits.LeadingZeros8(w)
 			w &^= 0x80 >> uint(lz)
@@ -89,21 +76,12 @@ func (b *Bitfield) forEachSet(fn func(i int)) {
 }
 
 // usefulCount returns |peerBits ∖ have|: how many pieces the peer has
-// that we still need. Bytewise popcount; stray trailing wire bits are
-// masked off.
+// that we still need. Bytewise popcount over two bitfields of one
+// torrent.
 func usefulCount(peerBits, have *Bitfield) int {
 	n := 0
-	hb := have.bits
 	for j, w := range peerBits.bits {
-		if j < len(hb) {
-			w &^= hb[j]
-		}
-		if j == len(peerBits.bits)-1 {
-			if tail := peerBits.n % 8; tail != 0 {
-				w &= 0xFF << (8 - tail)
-			}
-		}
-		n += bits.OnesCount8(w)
+		n += bits.OnesCount8(w &^ have.bits[j])
 	}
 	return n
 }

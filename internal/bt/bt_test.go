@@ -1,13 +1,16 @@
 package bt
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/ip"
 	"repro/internal/sim"
+	"repro/internal/vnet"
 )
 
 func TestBitfieldBasics(t *testing.T) {
@@ -30,16 +33,16 @@ func TestBitfieldBasics(t *testing.T) {
 }
 
 func TestBitfieldWireFormat(t *testing.T) {
-	// Piece 0 is the MSB of byte 0.
-	b := NewBitfield(16)
+	// Piece 0 is the MSB of byte 0, and a bitfield message is charged
+	// one bit per piece, rounded up to a byte.
+	b := NewBitfield(17)
 	b.Set(0)
 	b.Set(8)
-	if b.Bytes()[0] != 0x80 || b.Bytes()[1] != 0x80 {
-		t.Fatalf("wire bytes = %x", b.Bytes())
+	if b.bits[0] != 0x80 || b.bits[1] != 0x80 || b.bits[2] != 0 {
+		t.Fatalf("bits = %x", b.bits)
 	}
-	back := BitfieldFromBytes(b.Bytes(), 16)
-	if back.Count() != 2 || !back.Has(0) || !back.Has(8) {
-		t.Fatal("round trip failed")
+	if got := (Msg{ID: MsgBitfield, Bits: b}).WireSize(); got != 5+3 {
+		t.Fatalf("bitfield message of 17 pieces = %d bytes, want 8", got)
 	}
 }
 
@@ -52,6 +55,12 @@ func TestBitfieldFullAndClone(t *testing.T) {
 	c.Set(0)
 	if c.Count() != f.Count() {
 		t.Fatal("clone should equal original")
+	}
+	e := NewBitfield(9)
+	ec := e.Clone()
+	e.Set(3)
+	if ec.Has(3) || ec.Count() != 0 {
+		t.Fatal("clone shares bits with the original")
 	}
 }
 
@@ -132,12 +141,181 @@ func TestMetaInfoOddSizes(t *testing.T) {
 	}
 }
 
+// TestInfoHashDistinguishesContent checks the torrent identity: two
+// synthetic torrents share an info hash exactly when their name, length
+// and piece length are all equal (piece length 0 is the default).
 func TestInfoHashDistinguishesContent(t *testing.T) {
-	a, _ := SyntheticTorrent("a", 1024*1024, 0)
-	b, _ := SyntheticTorrent("b", 1024*1024, 0)
-	if a.InfoHash() == b.InfoHash() {
-		t.Fatal("different names must hash differently")
+	type torrent struct {
+		name   string
+		length int64
+		piece  int
 	}
+	const mib = 1 << 20
+	cases := []struct {
+		a, b  torrent
+		equal bool
+	}{
+		{torrent{"a", mib, 0}, torrent{"a", mib, 0}, true},
+		{torrent{"a", mib, 0}, torrent{"a", mib, DefaultPieceLength}, true},
+		{torrent{"a", mib, 0}, torrent{"b", mib, 0}, false},
+		{torrent{"a", mib, 0}, torrent{"a", mib + 1, 0}, false},
+		{torrent{"a", mib, 0}, torrent{"a", mib - 1, 0}, false}, // same piece count
+		{torrent{"a", mib, 0}, torrent{"a", mib, 2 * DefaultPieceLength}, false},
+		{torrent{"a", mib, 1 << 16}, torrent{"a", mib, 1 << 17}, false},
+		// Digits and separators in the name shift no field boundary.
+		{torrent{"2:a", 1, 2}, torrent{"a", 1, 22}, false},
+		{torrent{"1:a", 12, 3}, torrent{"a", 121, 3}, false},
+		{torrent{"", mib, 0}, torrent{"0", mib, 0}, false},
+	}
+	for _, c := range cases {
+		a, err := SyntheticTorrent(c.a.name, c.a.length, c.a.piece)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := SyntheticTorrent(c.b.name, c.b.length, c.b.piece)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.InfoHash() == b.InfoHash(); got != c.equal {
+			t.Errorf("%+v vs %+v: equal hashes %v, want %v", c.a, c.b, got, c.equal)
+		}
+	}
+}
+
+// TestHandshakeNamesTheTorrent checks that a client refuses a peer
+// whose handshake names another torrent, on both sides of the
+// exchange: an inbound peer is closed without an answer (acceptLoop),
+// and an outbound peer that answers with the other hash is closed
+// instead of admitted (dialPeer).
+func TestHandshakeNamesTheTorrent(t *testing.T) {
+	meta, _ := SyntheticTorrent("t", 512*1024, 0)
+	other, _ := SyntheticTorrent("u", 512*1024, 0)
+	stranger := Handshake{InfoHash: other.InfoHash()}
+	k, _, _, hosts := swarmEnv(t, 1, 3, fastClass)
+	c := NewClient(hosts[0], meta, NewBitfield(meta.NumPieces()), ip.Endpoint{}, DefaultClientConfig())
+	closed := func(side string, conn *vnet.Conn, p *sim.Proc) {
+		pk, ok, err := conn.RecvTimeout(p, time.Minute)
+		if !errors.Is(err, vnet.ErrClosed) {
+			t.Errorf("%s: got %v (ok %v, err %v), want the client to close", side, pk.Meta, ok, err)
+		}
+	}
+	k.Go("strangers", func(p *sim.Proc) {
+		defer k.Stop()
+		l, err := hosts[0].Listen(p, peerPort)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Go("accept", func(p *sim.Proc) { c.acceptLoop(p, l) })
+		in, err := hosts[1].Dial(p, ip.Endpoint{Addr: hosts[0].Addr(), Port: peerPort})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := sendHandshake(p, in, stranger); err != nil {
+			t.Error(err)
+			return
+		}
+		closed("inbound", in, p)
+
+		sl, err := hosts[2].Listen(p, peerPort)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		c.dialPeer(p, ip.Endpoint{Addr: hosts[2].Addr(), Port: peerPort})
+		out, err := sl.Accept(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if hs, ok := recvHandshake(p, out, time.Minute); !ok || hs.InfoHash != meta.InfoHash() {
+			t.Errorf("outbound: client's handshake %v (ok %v) does not name its torrent", hs, ok)
+			return
+		}
+		if err := sendHandshake(p, out, stranger); err != nil {
+			t.Error(err)
+			return
+		}
+		closed("outbound", out, p)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBitfieldMessageIsASendTimeCopy checks that a bitfield message
+// carries the pieces the sender had when it sent it. The sender
+// completes piece 1 while its bitfield message is in flight: the
+// receiver's view of the sender must lack piece 1 until the Have that
+// follows, and must count it then.
+func TestBitfieldMessageIsASendTimeCopy(t *testing.T) {
+	meta, _ := SyntheticTorrent("t", 4*BlockLength, BlockLength) // 4 one-block pieces
+	k, _, _, hosts := swarmEnv(t, 1, 2, fastClass)
+	have := NewBitfield(meta.NumPieces())
+	have.Set(0)
+	sender := NewClient(hosts[0], meta, have, ip.Endpoint{}, DefaultClientConfig())
+	receiver := NewClient(hosts[1], meta, NewBitfield(meta.NumPieces()), ip.Endpoint{}, DefaultClientConfig())
+	k.Go("exchange", func(p *sim.Proc) {
+		defer k.Stop()
+		l, err := hosts[1].Listen(p, peerPort)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn, err := hosts[0].Dial(p, ip.Endpoint{Addr: hosts[1].Addr(), Port: peerPort})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		in, err := l.Accept(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		sender.onJoin(p, sender.attach(conn)) // sends the bitfield message
+		// Piece 1's one block arrives from a third peer: the sender
+		// completes it and sends Have 1 behind the bitfield.
+		sender.onBlock(p, newPeer(nil, ip.MustParseAddr("10.9.0.1"), meta.NumPieces()), blockMsg(1, 0))
+		if !sender.have.Has(1) {
+			t.Error("sender did not complete piece 1")
+			return
+		}
+		view := newPeer(in, hosts[0].Addr(), meta.NumPieces())
+		receiver.registerPeer(view)
+		for sawBitfield := false; !view.bits.Has(1); {
+			pk, err := in.Recv(p)
+			if err != nil {
+				t.Errorf("receiver: %v before the sender's Have 1", err)
+				return
+			}
+			m := pk.Meta.(*msgBox).m
+			receiver.onMsg(p, view, m)
+			switch {
+			case m.ID == MsgBitfield:
+				sawBitfield = true
+				if !view.bits.Has(0) || view.bits.Has(1) {
+					t.Errorf("after the bitfield message the receiver sees pieces %v of the sender's, want only 0",
+						setPieces(view.bits))
+				}
+			case m.ID == MsgHave && !sawBitfield:
+				t.Error("Have arrived before the bitfield message")
+			}
+		}
+		if got := receiver.picker.Availability(1); got != 1 {
+			t.Errorf("piece 1 available at %d peers, want 1", got)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// setPieces lists the pieces b holds.
+func setPieces(b *Bitfield) []int {
+	var out []int
+	b.forEachSet(func(i int) { out = append(out, i) })
+	return out
 }
 
 // blockMsg is the piece message that carries block b of piece i.
@@ -231,7 +409,8 @@ func TestWireSizes(t *testing.T) {
 		{Msg{ID: MsgCancel}, 17},
 		{Msg{ID: MsgPiece, Length: 16384}, 13 + 16384},
 		{Msg{ID: MsgPiece, Length: 100}, 113},
-		{Msg{ID: MsgBitfield, Bits: make([]byte, 8)}, 13},
+		{Msg{ID: MsgBitfield, Bits: NewBitfield(64)}, 13},
+		{Msg{ID: MsgBitfield, Bits: NewBitfield(65)}, 14},
 	}
 	for _, c := range cases {
 		if got := c.m.WireSize(); got != c.want {

@@ -577,7 +577,7 @@ func (c *Client) onJoin(p *sim.Proc, pr *peer) {
 		c.om.ttfp.Observe(p.Now().Sub(c.started).Seconds())
 	}
 	if c.have.Count() > 0 {
-		pr.send(p, Msg{ID: MsgBitfield, Bits: c.have.Bytes()})
+		pr.send(p, Msg{ID: MsgBitfield, Bits: c.have.Clone()})
 	}
 }
 
@@ -640,7 +640,7 @@ func (c *Client) onMsg(p *sim.Proc, pr *peer, m Msg) {
 	switch m.ID {
 	case MsgBitfield:
 		c.picker.RemoveBitfield(pr.bits)
-		pr.bits = BitfieldFromBytes(m.Bits, c.meta.NumPieces())
+		pr.bits = m.Bits
 		c.picker.AddBitfield(pr.bits)
 		pr.useful = usefulCount(pr.bits, c.have)
 		c.updateInterest(p, pr)

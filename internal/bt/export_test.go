@@ -23,14 +23,6 @@ func (m *MetaInfo) TotalBlocks() int {
 // Availability returns how many known peers have piece i.
 func (pk *Picker) Availability(i int) int { return pk.avail[i] }
 
-// Clone returns an independent copy.
-func (b *Bitfield) Clone() *Bitfield {
-	nb := NewBitfield(b.n)
-	copy(nb.bits, b.bits)
-	nb.set = b.set
-	return nb
-}
-
 // CompletedCount returns how many clients have finished so far.
 func (s *Swarm) CompletedCount() int { return s.completed }
 

@@ -13,18 +13,19 @@ const (
 	BlockLength        = 16 * 1024
 )
 
-// MetaInfo is the content of a .torrent file: file metadata plus a
-// 20-byte hash per piece.
+// MetaInfo is what a run needs of a .torrent file: the file's name,
+// length and piece length. No run models bytes (DESIGN decision 4), so
+// there are no per-piece hashes.
 type MetaInfo struct {
 	Name        string
 	Length      int64
 	PieceLength int
-	PieceHashes [][20]byte
+	pieces      int
 	infoHash    [20]byte
 }
 
 // NumPieces returns the piece count.
-func (m *MetaInfo) NumPieces() int { return len(m.PieceHashes) }
+func (m *MetaInfo) NumPieces() int { return m.pieces }
 
 // PieceSize returns the size of piece i (the last piece may be short).
 func (m *MetaInfo) PieceSize(i int) int {
@@ -50,33 +51,14 @@ func (m *MetaInfo) BlockSize(i, b int) int {
 	return size
 }
 
-// InfoHash returns the SHA-1 of the bencoded info dictionary — the
-// torrent's identity in handshakes and tracker announces.
+// InfoHash returns the torrent's 20-byte identity in handshakes and
+// tracker announces. It is only ever compared.
 func (m *MetaInfo) InfoHash() [20]byte { return m.infoHash }
 
-// computeInfoHash builds the bencoded info dict and hashes it.
-func (m *MetaInfo) computeInfoHash() error {
-	pieces := make([]byte, 0, 20*len(m.PieceHashes))
-	for _, h := range m.PieceHashes {
-		pieces = append(pieces, h[:]...)
-	}
-	enc, err := Bencode(map[string]any{
-		"name":         m.Name,
-		"length":       m.Length,
-		"piece length": m.PieceLength,
-		"pieces":       pieces,
-	})
-	if err != nil {
-		return err
-	}
-	m.infoHash = sha1.Sum(enc)
-	return nil
-}
-
-// SyntheticTorrent builds a MetaInfo for content of the given length
-// that is never materialized: no run models bytes (a piece is a bit,
-// DESIGN decision 4), so piece i's hash is a tag derived from (name,
-// i), and the infohash is a function of name, length and piece length.
+// SyntheticTorrent builds the MetaInfo of content of the given length
+// that is never materialized. Its info hash is a SHA-1 of name, length
+// and piece length, so two torrents share one exactly when all three
+// are equal, and equal hashes imply equal piece counts.
 func SyntheticTorrent(name string, length int64, pieceLength int) (*MetaInfo, error) {
 	if pieceLength <= 0 {
 		pieceLength = DefaultPieceLength
@@ -84,19 +66,10 @@ func SyntheticTorrent(name string, length int64, pieceLength int) (*MetaInfo, er
 	if length <= 0 {
 		return nil, fmt.Errorf("bt: empty torrent")
 	}
-	m := &MetaInfo{Name: name, Length: length, PieceLength: pieceLength}
-	n := int((length + int64(pieceLength) - 1) / int64(pieceLength))
-	for i := 0; i < n; i++ {
-		m.PieceHashes = append(m.PieceHashes, syntheticPieceHash(name, i))
-	}
-	if err := m.computeInfoHash(); err != nil {
-		return nil, err
-	}
+	m := &MetaInfo{Name: name, Length: length, PieceLength: pieceLength,
+		pieces: int((length + int64(pieceLength) - 1) / int64(pieceLength))}
+	// The name goes last, after two colon-ended integers, so the
+	// encoding is injective.
+	m.infoHash = sha1.Sum(fmt.Appendf(nil, "%d:%d:%s", m.Length, m.PieceLength, m.Name))
 	return m, nil
-}
-
-// syntheticPieceHash derives a deterministic 20-byte tag for piece i of
-// the named synthetic file.
-func syntheticPieceHash(name string, i int) [20]byte {
-	return sha1.Sum([]byte(fmt.Sprintf("%s/%d", name, i)))
 }

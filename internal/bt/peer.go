@@ -152,7 +152,7 @@ func (bp *boxPool) get(m Msg) *msgBox {
 	return b
 }
 
-// release clears the payload (so pooled boxes pin no slices) and
+// release clears the payload (so pooled boxes pin no bitfields) and
 // returns the box to its pool.
 func (b *msgBox) release() {
 	b.m = Msg{}

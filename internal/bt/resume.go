@@ -9,10 +9,10 @@ import (
 // ResumingClient adapts one (host, Bitfield) pair to a churn-driven
 // lifecycle: each Online starts a fresh Client resuming from the kept
 // Bitfield, Offline stops the current incarnation abruptly (the peer
-// departs mid-transfer; the pieces it completed survive). The Online/Offline methods
-// satisfy repro/internal/churn.Peer — both the E3 churn-swarm driver
-// (internal/exp) and the scenario runner (internal/scenario) drive
-// their churning populations through this adapter.
+// departs mid-transfer; the pieces it completed survive). The
+// Online/Offline methods satisfy repro/internal/churn.Peer: the
+// scenario runner (internal/scenario) drives a churn-swarm's churning
+// clients, and a snapshot's restarting seeder, through this adapter.
 type ResumingClient struct {
 	host    *vnet.Host
 	meta    *MetaInfo

@@ -69,7 +69,7 @@ func hotHave(tb testing.TB) func() {
 	// nil conn: the steady state below never flips interest, so the
 	// client never sends on this peer.
 	pr.amInterested = true
-	c.onMsg(nil, pr, Msg{ID: MsgBitfield, Bits: Full(hotPieces).Bytes()})
+	c.onMsg(nil, pr, Msg{ID: MsgBitfield, Bits: Full(hotPieces)})
 	if !pr.amInterested {
 		tb.Fatal("peer should be interesting (last piece missing)")
 	}

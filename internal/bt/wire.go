@@ -39,13 +39,14 @@ type Handshake struct {
 
 // Msg is one peer wire message. Messages travel as vnet values (the
 // struct as metadata, the spec-accurate size on the wire); a piece
-// message carries its block's length, not its bytes.
+// message carries its block's length, not its bytes, and a bitfield
+// message a copy of the sender's Bitfield, taken when it is sent.
 type Msg struct {
 	ID     MsgID
-	Index  int    // have, request, piece, cancel
-	Begin  int    // request, piece, cancel
-	Length int    // request, piece, cancel: the block's length
-	Bits   []byte // bitfield
+	Index  int       // have, request, piece, cancel
+	Begin  int       // request, piece, cancel
+	Length int       // request, piece, cancel: the block's length
+	Bits   *Bitfield // bitfield
 }
 
 // WireSize returns the message's size on the wire, per the protocol
@@ -57,7 +58,7 @@ func (m Msg) WireSize() int {
 	case MsgHave:
 		return 9
 	case MsgBitfield:
-		return 5 + len(m.Bits)
+		return 5 + len(m.Bits.bits)
 	case MsgRequest, MsgCancel:
 		return 17
 	case MsgPiece:
@@ -79,7 +80,7 @@ func (m Msg) String() string {
 	case MsgCancel:
 		return fmt.Sprintf("cancel %d+%d/%d", m.Index, m.Begin, m.Length)
 	case MsgBitfield:
-		return fmt.Sprintf("bitfield (%dB)", len(m.Bits))
+		return fmt.Sprintf("bitfield (%dB)", len(m.Bits.bits))
 	default:
 		return m.ID.String()
 	}

@@ -147,8 +147,8 @@ type Stats struct {
 	Batched     uint64 // churn events coalesced into batches (window > 0 only)
 }
 
-// Config tunes the engine. The zero value is the legacy per-event
-// behavior.
+// Config tunes the engine. The zero value solves at every churn event,
+// the schedule the golden traces pin.
 type Config struct {
 	// Window batches re-rate solves: churn events within one window of
 	// virtual time coalesce and drain in a single incremental flush at

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -10,8 +11,10 @@ import (
 // WithDefaults and Validate must never panic on arbitrary bytes (the
 // spec file is user input via `p2plab run -spec`), any spec that
 // validates must survive a marshal/load round trip still valid, and a
-// small one must compile and assemble to a platform without error:
-// Validate runs the same topology build, so what it accepts builds.
+// small one must compile and assemble to a platform without error,
+// with a swarm kind's tracker and web-seed hosts registered beside its
+// groups: Validate runs the same topology build and checks those
+// addresses, so what it accepts builds.
 func FuzzLoadSpec(f *testing.F) {
 	// The whole committed corpus seeds the fuzzer with realistic specs.
 	for _, sp := range Corpus() {
@@ -78,8 +81,14 @@ func FuzzLoadSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid spec does not compile: %v\n%s", err, out)
 		}
-		if _, err := Assemble(d.Seed, top, cfg, d.Folding); err != nil {
+		a, err := Assemble(d.Seed, top, cfg, d.Folding)
+		if err != nil {
 			t.Fatalf("valid spec does not assemble: %v\n%s", err, out)
+		}
+		if slices.Contains(swarmKinds, d.Workload.Kind) {
+			if _, _, err := addAdminHosts(a.Net, &d.Workload); err != nil {
+				t.Fatalf("valid spec's admin hosts do not register: %v\n%s", err, out)
+			}
 		}
 	})
 }

@@ -424,6 +424,38 @@ func (r *runner) startPing() error {
 	return nil
 }
 
+// trackerAddr is a swarm-kind run's tracker address, in admin space
+// outside the 10/8 group prefixes; web seed i follows at trackerAddr+1+i.
+var trackerAddr = ip.MustParseAddr("192.168.0.1")
+
+// adminAddrs returns the addresses a swarm-kind run adds beside its
+// groups: the tracker's, then one per web seed. Validate refuses a
+// group prefix that holds any of them.
+func (w *WorkloadSpec) adminAddrs() []ip.Addr {
+	addrs := make([]ip.Addr, 1+w.WebSeeds)
+	for i := range addrs {
+		addrs[i] = trackerAddr.Add(uint32(i))
+	}
+	return addrs
+}
+
+// addAdminHosts registers the tracker and web-seed hosts at w's admin
+// addresses, tracker first, each on an unconstrained link.
+func addAdminHosts(n *vnet.Network, w *WorkloadSpec) (tracker *vnet.Host, webSeeds []*vnet.Host, err error) {
+	addrs := w.adminAddrs()
+	if tracker, err = n.AddHostClass(addrs[0], topo.LAN); err != nil {
+		return nil, nil, fmt.Errorf("tracker: %w", err)
+	}
+	for _, a := range addrs[1:] {
+		h, err := n.AddHostClass(a, topo.LAN)
+		if err != nil {
+			return nil, nil, fmt.Errorf("web seed: %w", err)
+		}
+		webSeeds = append(webSeeds, h)
+	}
+	return tracker, webSeeds, nil
+}
+
 // startSwarm launches the swarm, churn-swarm and snapshot workloads.
 // What differs by kind hangs off spec fields that are zero for the
 // other kinds: only a churn-swarm has a churn fraction, only a snapshot
@@ -440,21 +472,12 @@ func (r *runner) startPing() error {
 func (r *runner) startSwarm() error {
 	w := r.spec.Workload
 	horizon := r.spec.Horizon.D()
-	// The tracker sits on an unconstrained link in admin space, outside
-	// the 10/8 group prefixes.
-	tracker, err := r.Net.AddHostClass(ip.MustParseAddr("192.168.0.1"), topo.LAN)
+	tracker, wsHosts, err := addAdminHosts(r.Net, &w)
 	if err != nil {
-		return fmt.Errorf("scenario %s: tracker: %w", r.spec.Name, err)
+		return fmt.Errorf("scenario %s: %w", r.spec.Name, err)
 	}
-	wsBase := ip.MustParseAddr("192.168.0.2")
-	var wsHosts []*vnet.Host
 	var wsEndpoints []ip.Endpoint
-	for i := 0; i < w.WebSeeds; i++ {
-		h, err := r.Net.AddHostClass(wsBase.Add(uint32(i)), topo.LAN)
-		if err != nil {
-			return fmt.Errorf("scenario %s: web seed: %w", r.spec.Name, err)
-		}
-		wsHosts = append(wsHosts, h)
+	for _, h := range wsHosts {
 		wsEndpoints = append(wsEndpoints, ip.Endpoint{Addr: h.Addr(), Port: bt.WebSeedPort})
 	}
 

@@ -500,10 +500,11 @@ func (s *Spec) Validate() error {
 		}
 	}
 	// Duplicate names, prefixes and latencies: the build Run makes.
-	if _, err := s.topology(); err != nil {
+	t, err := s.topology()
+	if err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	if err := s.validateWorkload(s.TotalNodes()); err != nil {
+	if err := s.validateWorkload(t); err != nil {
 		return err
 	}
 	if len(s.Timeline) > maxTimeline {
@@ -517,9 +518,10 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-func (s *Spec) validateWorkload(totalNodes int) error {
+func (s *Spec) validateWorkload(t *topo.Topology) error {
 	w := &s.Workload
 	kind := kindOf(w.Kind)
+	totalNodes := t.TotalNodes()
 	switch {
 	case w.Kind == "":
 		return fmt.Errorf("scenario %s: missing workload kind", s.Name)
@@ -569,6 +571,18 @@ func (s *Spec) validateWorkload(totalNodes int) error {
 	}
 	if w.SeedRestartDown > 0 && w.SeedRestartAt == 0 {
 		return fmt.Errorf("scenario %s: seed_restart_down without seed_restart_at", s.Name)
+	}
+	// The tracker and web seeds are hosts beside the groups: a group
+	// holding one of their addresses would collide with it, or adopt
+	// it into the group's link class and latencies.
+	for i, a := range w.adminAddrs() {
+		if g := t.Locate(a); g != nil {
+			role := "tracker"
+			if i > 0 {
+				role = "web seed"
+			}
+			return fmt.Errorf("scenario %s: group %q: prefix %v holds the %s address %v", s.Name, g.Name, g.Prefix, role, a)
+		}
 	}
 	return nil
 }

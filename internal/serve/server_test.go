@@ -432,6 +432,12 @@ func TestServeValidation(t *testing.T) {
 			{"name": "b", "class": "dsl", "nodes": 2, "prefix": "10.0.0.0/16"}], "workload": {"kind": "gossip"}}}`, http.StatusBadRequest},
 		{`{"spec": {"name": "x", "groups": [{"name": "g", "class": "dsl", "nodes": 5, "prefix": "10.0.0.0/30"}],
 			"workload": {"kind": "gossip"}}}`, http.StatusBadRequest},
+		// A group that holds the tracker's address (192.168.0.1), or a
+		// web seed's (192.168.0.2 onwards, here 192.168.0.9).
+		{`{"spec": {"name": "x", "groups": [{"name": "g", "class": "lan", "nodes": 3, "prefix": "192.168.0.0/24"}],
+			"workload": {"kind": "swarm"}}}`, http.StatusBadRequest},
+		{`{"spec": {"name": "x", "groups": [{"name": "g", "class": "lan", "nodes": 3, "prefix": "192.168.0.8/29"}],
+			"workload": {"kind": "snapshot", "web_seeds": 16}}}`, http.StatusBadRequest},
 		// A body past the 1 MiB bound, however well-formed.
 		{`{"scenario": "flash-crowd", "pad": "` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusBadRequest},
 	}
