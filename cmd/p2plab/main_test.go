@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/netem"
 	"repro/internal/pintest"
+	"repro/internal/scenario"
 )
 
 // The command's subcommand entry points are plain functions, so the
@@ -429,6 +430,27 @@ func TestRunRejectsUnknown(t *testing.T) {
 func TestRunDump(t *testing.T) {
 	if err := runMain([]string{"-dump", "flash-crowd"}); err != nil {
 		t.Fatalf("dump: %v", err)
+	}
+}
+
+// TestRunDumpAppliesSeed checks that -dump prints the seed -seed names,
+// as run would execute it, so the dump run with -spec is the same run.
+func TestRunDumpAppliesSeed(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int64
+	}{
+		{[]string{"-dump", "-seed", "7", "flash-crowd"}, 7},
+		{[]string{"-dump", "flash-crowd"}, 1},
+	} {
+		printed := captureStdout(t, func() error { return runMain(tc.args) })
+		dumped, err := scenario.Load([]byte(printed))
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if dumped.Seed != tc.want {
+			t.Errorf("%v: dumped seed %d, want %d", tc.args, dumped.Seed, tc.want)
+		}
 	}
 }
 

@@ -80,9 +80,12 @@ func runMain(args []string) error {
 	}
 
 	if *dump {
-		// What -dump prints is what run would execute, so a spec run
-		// refuses is an error here too.
+		// What -dump prints is what run would execute, seed override
+		// included, so a spec run refuses is an error here too.
 		d := sp.WithDefaults()
+		if *seed != 0 {
+			d.Seed = *seed
+		}
 		if err := d.Validate(); err != nil {
 			return err
 		}

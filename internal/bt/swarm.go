@@ -18,7 +18,7 @@ type Swarm struct {
 	Clients     []*Client
 
 	completed int
-	allDone   *sim.Cond
+	allDone   sim.Cond
 }
 
 // SwarmSpec describes the torrent side of an experiment (the hosts come
@@ -52,12 +52,10 @@ func BuildSwarm(spec SwarmSpec, trackerHost *vnet.Host, seedHosts, clientHosts [
 	if err != nil {
 		return nil, err
 	}
-	k := trackerHost.Network().Kernel()
 	NewTracker(trackerHost)
 	s := &Swarm{
 		Meta:        meta,
 		TrackerHost: trackerHost,
-		allDone:     sim.NewCond(k),
 	}
 	trackerEP := ip.Endpoint{Addr: trackerHost.Addr(), Port: TrackerPort}
 

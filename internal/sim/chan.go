@@ -1,6 +1,9 @@
 package sim
 
-import "errors"
+import (
+	"errors"
+	"math"
+)
 
 // ErrClosed is returned when sending on or receiving from a closed Chan
 // once it has drained.
@@ -19,48 +22,53 @@ var ErrClosed = errors.New("sim: channel closed")
 // connection per message), which carries one or two messages in its
 // life.
 //
-// The two Conds are fields rather than pointers, so NewChan makes one
-// object, and a struct that embeds a Chan by value (vnet's Conn
-// dereferences NewChan at construction) makes none. A Chan must not be
-// copied once a task may wait on it: a waiter records its Cond's
-// address.
+// The two Conds are zero-value fields, and the counters are int32, so
+// a Chan is 72 bytes and holds no kernel: the zero Chan is an unbounded
+// channel ready to use, and a struct that embeds one by value (vnet's
+// Conn) makes no further object for it. A Chan must not be copied once
+// a task may wait on it: a waiter records its Cond's address.
 //
 // All operations require the execution token (they are only meaningful
 // from simulated goroutines or event callbacks), which is all that
 // orders access to the ring and flags. On unbounded channels (cap == 0)
 // nothing ever waits on notFull, so those signals are skipped entirely.
 type Chan[T any] struct {
-	buf    []T // ring storage; element i is buf[(head+i)%len(buf)]
-	head   int // index of the oldest element
-	n      int // number of buffered elements
-	cap    int
+	buf    []T   // ring storage; element i is buf[(head+i)%len(buf)]
+	head   int32 // index of the oldest element
+	n      int32 // number of buffered elements
+	cap    int32
 	closed bool
 
 	notEmpty Cond
 	notFull  Cond
 }
 
-// NewChan returns a channel bound to kernel k. capacity 0 = unbounded.
+// NewChan returns a channel of the given capacity; 0 means unbounded.
+// The capacity must fit in an int32. A Chan reaches its kernel through
+// the tasks that wait on it, so k is not kept.
 func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
-	return &Chan[T]{
-		cap:      capacity,
-		notEmpty: Cond{k: k},
-		notFull:  Cond{k: k},
+	if int(int32(capacity)) != capacity {
+		panic("sim: Chan capacity out of int32 range")
 	}
+	return &Chan[T]{cap: int32(capacity)}
 }
 
 // push appends v to the ring, growing the storage when full.
 //
 //p2p:token
 func (c *Chan[T]) push(v T) {
-	if c.n == len(c.buf) {
-		grown := make([]T, max(1, 2*len(c.buf)))
-		for i := 0; i < c.n; i++ {
-			grown[i] = c.buf[(c.head+i)%len(c.buf)]
+	n := int(c.n)
+	if n == len(c.buf) {
+		if n > math.MaxInt32/2 {
+			panic("sim: Chan holds more than 2^30 items")
+		}
+		grown := make([]T, max(1, 2*n))
+		for i := 0; i < n; i++ {
+			grown[i] = c.buf[(int(c.head)+i)%n]
 		}
 		c.buf, c.head = grown, 0
 	}
-	c.buf[(c.head+c.n)%len(c.buf)] = v
+	c.buf[(int(c.head)+n)%len(c.buf)] = v
 	c.n++
 }
 
@@ -72,7 +80,7 @@ func (c *Chan[T]) pop() T {
 	var zero T
 	v := c.buf[c.head]
 	c.buf[c.head] = zero
-	c.head = (c.head + 1) % len(c.buf)
+	c.head = int32((int(c.head) + 1) % len(c.buf))
 	c.n--
 	return v
 }

@@ -25,11 +25,11 @@ func checkRing(t *testing.T, c *Chan[*int], model []*int, deepest int) {
 		t.Fatalf("ring of %d slots after a depth of %d, want %d", size, deepest, want)
 	}
 	for i, v := range c.buf {
-		off := (i - c.head + size) % size
+		off := (i - int(c.head) + size) % size
 		switch {
-		case off < c.n && v != model[off]:
+		case off < int(c.n) && v != model[off]:
 			t.Fatalf("slot %d (item %d): %p, model %p", i, off, v, model[off])
-		case off >= c.n && v != nil:
+		case off >= int(c.n) && v != nil:
 			t.Fatalf("vacated slot %d still holds %p", i, v)
 		}
 	}
@@ -72,7 +72,7 @@ func TestChanRingMatchesSlice(t *testing.T) {
 				push()
 			}
 			checkRing(t, c, model, size)
-			if c.head != head || c.n != size {
+			if int(c.head) != head || int(c.n) != size {
 				t.Fatalf("full ring of %d: head %d n %d, want head %d", size, c.head, c.n, head)
 			}
 			push() // grows to 2·size, unrolling from head

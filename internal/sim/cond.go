@@ -6,34 +6,31 @@ package sim
 // simulated goroutines already execute one at a time, so state guarded
 // by a Cond can be read and written without further locking.
 //
+// A Cond is a FIFO of the parked tasks, linked through the waiter each
+// task embeds: two pointers, and the zero value is ready to use. It
+// holds no kernel; Signal reaches the kernel through the task it wakes.
+// A task parks on at most one Cond at a time, so a wait allocates
+// nothing, and chord's and gossip's per-RPC connections, which hold
+// three Conds each, pay only their 16 bytes apiece. A Cond must not be
+// copied once a task may wait on it: the waiter records its address.
+//
 // Every Cond operation requires the execution token (a simulated
 // goroutine or an event callback); the waiter list is kernel state
 // under the serialization discipline documented on Kernel.
 type Cond struct {
-	k       *Kernel
-	waiters []*condWaiter
+	head, tail *task
 }
 
-// condWaiter is one task's registration on a Cond. A task parks on at
-// most one Cond at a time, so the waiter is embedded in the task struct
-// and reused across waits instead of being allocated per call — Wait is
-// the park path of every Chan operation and was a top-ten allocation
-// source in swarm runs. The timer is tracked as a raw (event, gen) pair
-// rather than an Event handle for the same reason.
+// condWaiter is one task's registration on a Cond, embedded in the task
+// and reused across waits. The timer is tracked as a raw (event, gen)
+// pair rather than an Event handle so that a timed wait allocates
+// nothing; its callback is the task's one timer callback (task.timer).
 type condWaiter struct {
-	t        *task
-	c        *Cond // cond currently waited on; for timeout removal
-	fired    bool  // woken by Signal/Broadcast (vs timeout)
-	timedOut bool
+	c        *Cond // the Cond the task is linked on; nil when on none
+	next     *task // the task behind this one on c
 	timerEv  *event
 	timerGen uint64
-	// timeoutFn is the timer callback, bound once per task on the first
-	// timed wait and reused afterwards.
-	timeoutFn func()
 }
-
-// NewCond returns a condition variable bound to kernel k.
-func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 
 // Wait parks the calling process until Signal or Broadcast releases it.
 func (c *Cond) Wait(p *Proc) { c.wait(p, 0) }
@@ -44,43 +41,61 @@ func (c *Cond) Wait(p *Proc) { c.wait(p, 0) }
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool { return c.wait(p, d) }
 
 func (c *Cond) wait(p *Proc, d Duration) bool {
-	k := c.k
-	w := &p.t.cw
-	w.t = p.t
-	w.c = c
-	w.fired, w.timedOut, w.timerEv = false, false, nil
-	c.waiters = append(c.waiters, w)
+	t := p.t
+	if t.killed {
+		// An unwinding task is still linked on the Cond it was parked
+		// on when the run ended; park would panic anyway, and linking
+		// it a second time would corrupt both lists.
+		panic(killedPanic{})
+	}
+	w := &t.cw
+	t.timedOut, w.timerEv = false, nil
+	c.link(t)
 	if d > 0 {
-		if w.timeoutFn == nil {
-			// Timer callbacks run holding the execution token, like
-			// every other access to the waiter.
-			w.timeoutFn = func() {
-				if w.fired {
-					return
-				}
-				w.fired = true
-				w.timedOut = true
-				w.c.remove(w)
-				k.wake(w.t)
-			}
-		}
-		ev := k.push(k.now.Add(d), w.timeoutFn)
+		k := p.k
+		ev := k.push(k.now.Add(d), t.timer())
 		w.timerEv, w.timerGen = ev, ev.gen
 	}
 	p.park()
-	return !w.timedOut
+	return !t.timedOut
 }
 
-// remove unlinks w from the waiter list.
+// link appends t to the back of the waiter list. A task still linked
+// from an earlier wait would corrupt both lists; only a bug in the
+// wake paths, which unlink a waiter before it runs again, can leave
+// one.
 //
 //p2p:token
-func (c *Cond) remove(w *condWaiter) {
-	for i, x := range c.waiters {
-		if x == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
+func (c *Cond) link(t *task) {
+	if t.cw.c != nil {
+		panic("sim: task " + t.name + " waits on a Cond while still linked on one")
 	}
+	t.cw.c, t.cw.next = c, nil
+	if c.tail == nil {
+		c.head = t
+	} else {
+		c.tail.cw.next = t
+	}
+	c.tail = t
+}
+
+// unlink takes t, which must be linked on c, off the waiter list.
+//
+//p2p:token
+func (c *Cond) unlink(t *task) {
+	var prev *task
+	for x := c.head; x != t; x = x.cw.next {
+		prev = x
+	}
+	if prev == nil {
+		c.head = t.cw.next
+	} else {
+		prev.cw.next = t.cw.next
+	}
+	if c.tail == t {
+		c.tail = prev
+	}
+	t.cw.c, t.cw.next = nil, nil
 }
 
 // Signal releases the longest-waiting process, if any. It may be called
@@ -88,34 +103,31 @@ func (c *Cond) remove(w *condWaiter) {
 //
 //p2p:token
 func (c *Cond) Signal() {
-	for len(c.waiters) > 0 {
-		// Pop by shifting, not by reslicing: c.waiters[1:] would drop the
-		// front of the backing array, and a one-waiter Cond — every
-		// mailbox Recv — would allocate a fresh one on its next Wait.
-		w := c.waiters[0]
-		n := copy(c.waiters, c.waiters[1:])
-		c.waiters[n] = nil
-		c.waiters = c.waiters[:n]
-		if w.fired {
-			continue
-		}
-		w.fired = true
-		// A still-pending timer must not fire for a waiter that has been
-		// signalled — and possibly reused since; the gen check keeps a
-		// stale waiter off a recycled struct's new occupant.
-		if w.timerEv != nil {
-			c.k.cancel(w.timerEv, w.timerGen)
-		}
-		c.k.wake(w.t)
+	t := c.head
+	if t == nil {
 		return
 	}
+	c.head = t.cw.next
+	if c.head == nil {
+		c.tail = nil
+	}
+	w := &t.cw
+	w.c, w.next = nil, nil
+	k := t.proc.k
+	// A still-pending timer must not fire for a waiter that has been
+	// signalled; the gen check keeps a stale (event, gen) pair off the
+	// recycled struct's new occupant.
+	if w.timerEv != nil {
+		k.cancel(w.timerEv, w.timerGen)
+	}
+	k.wake(t)
 }
 
 // Broadcast releases every waiting process.
 //
 //p2p:token
 func (c *Cond) Broadcast() {
-	for len(c.waiters) > 0 {
+	for c.head != nil {
 		c.Signal()
 	}
 }

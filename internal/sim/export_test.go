@@ -6,10 +6,16 @@ import (
 )
 
 // Len reports the number of buffered items.
-func (c *Chan[T]) Len() int { return c.n }
+func (c *Chan[T]) Len() int { return int(c.n) }
 
 // Len reports how many processes are currently parked on the Cond.
-func (c *Cond) Len() int { return len(c.waiters) }
+func (c *Cond) Len() int {
+	n := 0
+	for t := c.head; t != nil; t = t.cw.next {
+		n++
+	}
+	return n
+}
 
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.t.name }

@@ -68,17 +68,43 @@ type event struct {
 	gen  uint64 // incarnation counter, bumped on recycle
 }
 
-// task is the kernel-side state of one simulated goroutine.
+// task is the kernel-side state of one simulated goroutine. Per-RPC
+// tasks make it one of a run's most numerous objects, so its size is
+// pinned (TestStateSizes): 112 bytes, one size class below 128.
 type task struct {
-	name    string
-	fn      func(p *Proc)
-	proc    Proc       // the handle fn receives; proc.t points back here
-	co      *coro      // carries the task from its first activation to its return
-	blocked bool       // parked, waiting for a wake
-	killed  bool       // task should unwind instead of resuming
-	cw      condWaiter // reusable Cond registration (one park at a time)
+	name     string
+	fn       func(p *Proc)
+	proc     Proc       // the handle fn receives; proc.t points back here
+	co       *coro      // carries the task from its first activation to its return
+	blocked  bool       // parked, waiting for a wake
+	killed   bool       // task should unwind instead of resuming
+	timedOut bool       // the last Cond wait ended at its timer
+	cw       condWaiter // Cond registration (one park at a time)
+	timerFn  func()     // the task's timer callback; see timer
 
 	prev, next *task // Kernel.live ring, in spawn order
+}
+
+// timer returns the task's one timer callback, bound on first use and
+// shared by Sleep and WaitTimeout, so neither allocates a closure per
+// call and a task pays for at most one. It wakes the task; a task still
+// linked on a Cond is parked in WaitTimeout, so the callback first
+// unlinks it and marks the wait timed out. A sleeping task is on no
+// Cond, and a signalled waiter's timer is cancelled when it is
+// signalled. Timer callbacks run holding the execution token.
+//
+//p2p:token
+func (t *task) timer() func() {
+	if t.timerFn == nil {
+		t.timerFn = func() {
+			if c := t.cw.c; c != nil {
+				t.timedOut = true
+				c.unlink(t)
+			}
+			t.proc.k.wake(t)
+		}
+	}
+	return t.timerFn
 }
 
 // killedPanic is the sentinel used to unwind tasks that are still parked
@@ -230,8 +256,8 @@ func (k *Kernel) resume(t *task) {
 	if c.t != nil {
 		return // parked
 	}
-	// A Proc someone kept, or a Cond's spent waiter slot, can outlive the
-	// task; neither may pin what the task's closure captured.
+	// A Proc someone kept can outlive the task; it must not pin what
+	// the task's closure captured.
 	t.fn, t.co = nil, nil
 	t.prev.next, t.next.prev = t.next, t.prev
 	t.prev, t.next = nil, nil

@@ -104,7 +104,7 @@ func TestEventCancel(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
+	c := new(Cond)
 	k.Go("stuck", func(p *Proc) { c.Wait(p) })
 	err := k.Run()
 	var dl *DeadlockError
@@ -159,7 +159,7 @@ func TestRunUntilHorizon(t *testing.T) {
 
 func TestRunUntilStillReportsEarlyDeadlock(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
+	c := new(Cond)
 	k.Go("stuck", func(p *Proc) { c.Wait(p) })
 	err := k.RunUntil(Time(time.Hour))
 	var dl *DeadlockError
@@ -181,7 +181,7 @@ func TestStopEndsRun(t *testing.T) {
 			t.Errorf("%s resumed after Stop", p.Name())
 		}
 	}
-	never, ca, cb := NewCond(k), NewCond(k), NewCond(k)
+	never, ca, cb := new(Cond), new(Cond), new(Cond)
 	k.Go("parked", waitOn(never))
 	k.Go("a", waitOn(ca))
 	k.Go("b", waitOn(cb))
@@ -275,7 +275,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		}},
 		{"deadlock", func(k *Kernel) error {
 			sleepers(k, 10, time.Second)
-			c := NewCond(k)
+			c := new(Cond)
 			k.Go("stuck", func(p *Proc) { c.Wait(p) })
 			var dl *DeadlockError
 			if err := k.Run(); !errors.As(err, &dl) {

@@ -6,11 +6,6 @@ package sim
 type Proc struct {
 	k *Kernel
 	t *task
-
-	// wakeFn is the Sleep timer callback, bound lazily once per proc so
-	// the hottest blocking primitive does not allocate a fresh closure
-	// (plus an Event handle) on every call.
-	wakeFn func()
 }
 
 // Now returns the current virtual time.
@@ -70,11 +65,7 @@ func (p *Proc) Sleep(d Duration) {
 		k.stats.Switches++
 		return
 	}
-	if p.wakeFn == nil {
-		t := p.t
-		p.wakeFn = func() { k.wake(t) }
-	}
-	k.push(at, p.wakeFn)
+	k.push(at, p.t.timer())
 	p.park()
 }
 

@@ -440,7 +440,7 @@ func TestCancelledEventRecycled(t *testing.T) {
 // parked with a timeout takes its timer out of the queue.
 func TestCondSignalRemovesTimeoutTimer(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
+	c := new(Cond)
 	const waiters = 50
 	signalled := 0
 	for i := 0; i < waiters; i++ {
@@ -475,7 +475,7 @@ func TestCondSignalRemovesTimeoutTimer(t *testing.T) {
 // timeout fired must not remove the event that reuses the struct.
 func TestCondSignalSparesRecycledTimer(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
+	c := new(Cond)
 	bystander := false
 	k.Go("timed-out", func(p *Proc) {
 		if c.WaitTimeout(p, time.Second) {
@@ -487,8 +487,7 @@ func TestCondSignalSparesRecycledTimer(t *testing.T) {
 		if w.timerEv.gen == w.timerGen {
 			t.Fatal("timer struct was not recycled")
 		}
-		w.fired = false
-		c.waiters = append(c.waiters, w) // re-register the stale waiter
+		c.link(p.t) // re-link the stale waiter
 		c.Signal()
 		if got := k.QueueLen(); got != 1 {
 			t.Errorf("QueueLen() = %d after a stale Signal, want 1", got)

@@ -149,7 +149,7 @@ func TestSleepAfterStopUnwinds(t *testing.T) {
 
 func TestKilledTaskSleepKeepsClock(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
+	c := new(Cond)
 	resumed := false
 	k.Go("waiter", func(p *Proc) {
 		defer func() {

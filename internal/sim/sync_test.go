@@ -8,7 +8,7 @@ import (
 
 func TestCondSignalWakesFIFO(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
+	c := new(Cond)
 	var order []string
 	spawn := func(name string) {
 		k.Go(name, func(p *Proc) {
@@ -34,7 +34,7 @@ func TestCondSignalWakesFIFO(t *testing.T) {
 
 func TestCondBroadcast(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
+	c := new(Cond)
 	woken := 0
 	for i := 0; i < 5; i++ {
 		k.Go("w", func(p *Proc) {
@@ -56,7 +56,7 @@ func TestCondBroadcast(t *testing.T) {
 
 func TestCondWaitTimeout(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
+	c := new(Cond)
 	var signalled bool
 	var woke Time
 	k.Go("w", func(p *Proc) {
@@ -76,7 +76,7 @@ func TestCondWaitTimeout(t *testing.T) {
 
 func TestCondSignalBeatsTimeout(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
+	c := new(Cond)
 	var signalled bool
 	k.Go("w", func(p *Proc) {
 		signalled = c.WaitTimeout(p, 10*time.Second)
@@ -98,7 +98,7 @@ func TestCondSignalBeatsTimeout(t *testing.T) {
 
 func TestCondLen(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
+	c := new(Cond)
 	for i := 0; i < 3; i++ {
 		k.Go("w", func(p *Proc) { c.Wait(p) })
 	}

@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"errors"
+	"math"
 
 	"repro/internal/ip"
 	"repro/internal/sim"
@@ -21,34 +22,38 @@ type Packet struct {
 // connection between two virtual nodes. Reliability is modelled (lossy
 // pipes trigger retransmission with backoff); ordering follows from the
 // FIFO pipe model.
+//
+// chord and gossip dial a connection per message, so a Conn is packed
+// into 160 bytes, its size class (TestConnSize): the inbox and the
+// handshake Cond are zero values held inline, so an endpoint is one
+// allocation; sequence numbers are 32-bit; the flags sit together. A
+// connection carries at most 2³²−1 messages: the send that would wrap
+// its sequence fails with ErrSeqExhausted.
 type Conn struct {
 	h      *Host
 	id     uint64
 	local  ip.Endpoint
 	remote ip.Endpoint
-	// The inbox and the handshake Cond are held by value, so an
-	// endpoint is one allocation: chord and gossip dial a connection
-	// per message. Host.Dial and deliver dereference the inlined
-	// NewChan/NewCond, which keeps the constructors' objects off the heap.
-	inbox       sim.Chan[Packet]
-	hs          sim.Cond
-	established bool
-	refused     bool
-	closed      bool
+	inbox  sim.Chan[Packet]
+	hs     sim.Cond // the dialer parks here until SYN-ACK or RST
 
 	// TCP-like sequencing: retransmitted messages may arrive out of
 	// order relative to later messages or the FIN, so delivery to the
 	// inbox is reordered by sequence number.
-	sendSeq  uint64
-	recvNext uint64
-	pending  map[uint64]Packet
-	finSeen  bool
-	finSeq   uint64
+	pending  map[uint32]Packet
+	sendSeq  uint32
+	recvNext uint32
+	finSeq   uint32
+
+	established bool
+	refused     bool
+	closed      bool
+	finSeen     bool
+	sinkEOF     bool
 
 	// sink, when set, receives packets instead of the inbox. It runs in
 	// kernel-callback context and must not block.
-	sink    func(pk Packet, closed bool)
-	sinkEOF bool
+	sink func(pk Packet, closed bool)
 }
 
 // SetSink switches the connection to push delivery: every subsequent
@@ -78,7 +83,7 @@ func (c *Conn) SetSink(fn func(pk Packet, closed bool)) {
 // onData reorders an arriving data message into the inbox.
 //
 //p2p:token
-func (c *Conn) onData(seq uint64, pk Packet) {
+func (c *Conn) onData(seq uint32, pk Packet) {
 	if seq < c.recvNext {
 		return // duplicate
 	}
@@ -96,7 +101,7 @@ func (c *Conn) onData(seq uint64, pk Packet) {
 		return
 	}
 	if c.pending == nil {
-		c.pending = make(map[uint64]Packet)
+		c.pending = make(map[uint32]Packet)
 	}
 	c.pending[seq] = pk
 	c.flushInOrder()
@@ -116,7 +121,7 @@ func (c *Conn) abort() {
 // onFin records the end-of-stream sequence and closes once reached.
 //
 //p2p:token
-func (c *Conn) onFin(seq uint64) {
+func (c *Conn) onFin(seq uint32) {
 	c.finSeen = true
 	c.finSeq = seq
 	c.flushInOrder()
@@ -162,6 +167,9 @@ func (c *Conn) RemoteAddr() ip.Endpoint { return c.remote }
 func (c *Conn) SendMeta(p *sim.Proc, size int, meta any) error {
 	if c.closed || !c.established {
 		return ErrClosed
+	}
+	if c.sendSeq == math.MaxUint32 {
+		return ErrSeqExhausted
 	}
 	c.h.syscall(p, SyscallSend)
 	m := message{

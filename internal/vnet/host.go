@@ -90,8 +90,6 @@ func (h *Host) Dial(p *sim.Proc, raddr ip.Endpoint) (*Conn, error) {
 		id:     n.nextID,
 		local:  local,
 		remote: raddr,
-		inbox:  *sim.NewChan[Packet](n.k, 0),
-		hs:     *sim.NewCond(n.k),
 	}
 	h.addConn(c)
 	sent := n.transmit(h, message{
@@ -154,8 +152,6 @@ func (h *Host) deliver(m message) {
 			id:          m.connID,
 			local:       m.dst,
 			remote:      m.src,
-			inbox:       *sim.NewChan[Packet](n.k, 0),
-			hs:          *sim.NewCond(n.k),
 			established: true,
 		}
 		if !l.backlog.TrySend(c) {

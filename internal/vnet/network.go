@@ -33,6 +33,7 @@ var (
 	ErrNetUnreachable   = errors.New("vnet: network unreachable")
 	ErrHostExists       = errors.New("vnet: host address already registered")
 	ErrPortAlreadyBound = errors.New("vnet: port already bound")
+	ErrSeqExhausted     = errors.New("vnet: connection sequence space exhausted")
 )
 
 // Route is what a message pays on the fabric besides its pipes.
@@ -426,7 +427,7 @@ type message struct {
 	size     int    // payload bytes, excluding header overhead
 	meta     any    // the protocol value a connection message carries
 	connID   uint64 // connection demultiplexing
-	seq      uint64 // per-connection data sequence number
+	seq      uint32 // per-connection data sequence number
 	echoID   uint64
 }
 

@@ -9,7 +9,7 @@ import (
 
 // pingWaiter tracks one outstanding echo request.
 type pingWaiter struct {
-	cond    *sim.Cond
+	cond    sim.Cond
 	replied bool
 }
 
@@ -25,7 +25,7 @@ func (h *Host) Ping(p *sim.Proc, dst ip.Addr, size int, timeout time.Duration) (
 	n := h.net
 	n.nextID++
 	id := n.nextID
-	w := &pingWaiter{cond: sim.NewCond(n.k)}
+	w := &pingWaiter{}
 	if h.pingers == nil {
 		h.pingers = make(map[uint64]*pingWaiter)
 	}

@@ -78,7 +78,7 @@ func TestPartitionReliableRetransmitSurvives(t *testing.T) {
 	e.run(t, func(p *sim.Proc) {
 		l, _ := b.Listen(p, 5000)
 		var srv *Conn
-		done := sim.NewCond(e.k)
+		done := new(sim.Cond)
 		e.k.Go("server", func(p *sim.Proc) {
 			srv, _ = l.Accept(p)
 			if srv == nil {

@@ -251,22 +251,21 @@ func rpcAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64 {
 // TestDialAllocs is the allocation gate of a per-connection RPC (one
 // dial, request, reply and close), exact as TestTransmitAllocs is. It
 // was 15 while a Conn pointed at its inbox Chan and its handshake Cond,
-// the Chan at its two Conds, and a ring started at four slots. The 7
-// left, both endpoints counted, under either model:
+// the Chan at its two Conds, and a ring started at four slots, and 7
+// while a fresh Cond's first Wait appended to a one-slot waiter list.
+// The 4 left, both endpoints counted, under either model:
 //
 //   - the dialer's and the listener's Conn: 2, one object each, its
 //     inbox Chan and handshake Cond held by value.
 //   - the inbox ring of each: 2, one slot each; each side receives one
 //     message, the request or the reply.
-//   - a Cond's first waiter list: 3. The dialer parks on its handshake
-//     Cond until the SYN-ACK arrives, and each side parks on its inbox
-//     in Recv before its message arrives; a fresh Cond's append makes a
-//     one-slot list.
 //
-// Everything else is pooled or warm: the listener's backlog ring, the
-// connection tables, the transmit journey (TestTransmitAllocs), and the
-// dialer's timeout callback, bound once per task. Tracing adds nothing:
-// the journey's records are typed.
+// The three parks — the dialer on its handshake Cond until the SYN-ACK
+// arrives, each side on its inbox in Recv — link the task's embedded
+// waiter and allocate nothing. Everything else is pooled or warm: the
+// listener's backlog ring, the connection tables, the transmit journey
+// (TestTransmitAllocs), and the dialer's timer callback, bound once per
+// task. Tracing adds nothing: the journey's records are typed.
 func TestDialAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -275,11 +274,11 @@ func TestDialAllocs(t *testing.T) {
 		{"pipe", netem.ModelPipe},
 		{"flow", netem.ModelFlow},
 	} {
-		if got := rpcAllocs(t, tc.kind, nil); got != 7 {
-			t.Errorf("%s: %d allocs per RPC, want 7", tc.name, got)
+		if got := rpcAllocs(t, tc.kind, nil); got != 4 {
+			t.Errorf("%s: %d allocs per RPC, want 4", tc.name, got)
 		}
-		if got := rpcAllocs(t, tc.kind, trace.New(0)); got != 7 {
-			t.Errorf("%s, traced: %d allocs per RPC, want 7 as untraced", tc.name, got)
+		if got := rpcAllocs(t, tc.kind, trace.New(0)); got != 4 {
+			t.Errorf("%s, traced: %d allocs per RPC, want 4 as untraced", tc.name, got)
 		}
 	}
 }
