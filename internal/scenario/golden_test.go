@@ -114,8 +114,8 @@ func corpusRun(t *testing.T, name string) tracedRun {
 }
 
 // TestGoldenTraces makes every corpus scenario's run 1, in parallel. A
-// timeline scenario must record scenario.event, and whatever is not
-// delivered or dropped at the horizon is still in flight. That the run
+// timeline scenario must record scenario.event, and every message sent
+// is delivered, dropped or counted in flight at the horizon. That the run
 // repeats, timeline reconfiguration included, is TestGoldenTraceCompat's
 // pin: across builds and processes, which is stronger than twice in
 // one.
@@ -127,8 +127,9 @@ func TestGoldenTraces(t *testing.T) {
 			if len(sp.Timeline) > 0 && r.timelineEvents == 0 {
 				t.Errorf("timeline scenario recorded no scenario.event")
 			}
-			if n := r.res.Net; n.MessagesSent < n.MessagesDelivered+n.MessagesDropped {
-				t.Errorf("messages not conserved: %+v", n)
+			inFlight := r.res.Obs.Total("p2plab_net_messages_in_flight")
+			if n := r.res.Net; float64(n.MessagesSent) != float64(n.MessagesDelivered+n.MessagesDropped)+inFlight {
+				t.Errorf("messages not conserved: %+v with %g in flight", n, inFlight)
 			}
 			t.Logf("digest %s (%d/%d done, ended %v)", r.digest[:16], r.res.Done, r.res.Total, r.res.EndedAt)
 		})

@@ -23,16 +23,24 @@ type Packet struct {
 // pipes trigger retransmission with backoff); ordering follows from the
 // FIFO pipe model.
 //
+// The emulator owns both ends, so a Conn links to its peer — the
+// acceptor from the SYN, the dialer from the SYN-ACK — and every
+// message names the Conn it lands on: a host has no demultiplexing
+// table. A message is delivered only while its Conn is registered,
+// from Dial's SYN (or the acceptor's queueing) until Close, a reset or
+// a failed dial deregisters it; the id is a trace label.
+//
 // chord and gossip dial a connection per message, so a Conn is packed
 // into 160 bytes, its size class (TestConnSize): the inbox and the
 // handshake Cond are zero values held inline, so an endpoint is one
-// allocation; sequence numbers are 32-bit; the flags sit together. A
-// connection carries at most 2³²−1 messages: the send that would wrap
-// its sequence fails with ErrSeqExhausted.
+// allocation; sequence numbers are 32-bit; the local side is a port,
+// its address being the host's; the flags sit together. A connection
+// carries at most 2³²−1 messages: the send that would wrap its
+// sequence fails with ErrSeqExhausted.
 type Conn struct {
 	h      *Host
 	id     uint64
-	local  ip.Endpoint
+	peer   *Conn // the other end; nil until the SYN-ACK reaches a dialer
 	remote ip.Endpoint
 	inbox  sim.Chan[Packet]
 	hs     sim.Cond // the dialer parks here until SYN-ACK or RST
@@ -44,7 +52,9 @@ type Conn struct {
 	sendSeq  uint32
 	recvNext uint32
 	finSeq   uint32
+	lport    ip.Port
 
+	registered  bool // messages addressed to c are delivered
 	established bool
 	refused     bool
 	closed      bool
@@ -55,6 +65,35 @@ type Conn struct {
 	// kernel-callback context and must not block.
 	sink func(pk Packet, closed bool)
 }
+
+// register makes c deliverable and counts it in the network's
+// connection gauges.
+func (c *Conn) register() {
+	c.registered = true
+	n := c.h.net
+	if c.established {
+		n.connsEstablished++
+	} else {
+		n.connsHalfOpen++
+	}
+}
+
+// deregister stops delivery to c; deregistering twice is harmless.
+func (c *Conn) deregister() {
+	if !c.registered {
+		return
+	}
+	c.registered = false
+	n := c.h.net
+	if c.established {
+		n.connsEstablished--
+	} else {
+		n.connsHalfOpen--
+	}
+}
+
+// local returns the local endpoint.
+func (c *Conn) local() ip.Endpoint { return ip.Endpoint{Addr: c.h.addr, Port: c.lport} }
 
 // SetSink switches the connection to push delivery: every subsequent
 // in-order packet is handed to fn instead of the blocking inbox, and fn
@@ -173,13 +212,11 @@ func (c *Conn) SendMeta(p *sim.Proc, size int, meta any) error {
 	}
 	c.h.syscall(p, SyscallSend)
 	m := message{
-		kind: kindData, src: c.local, dst: c.remote, size: size,
-		meta: meta, connID: c.id, seq: c.sendSeq,
+		kind: kindData, src: c.local(), dst: c.remote, size: size,
+		meta: meta, from: c, to: c.peer, seq: c.sendSeq,
 	}
 	c.sendSeq++
-	if !c.h.net.transmit(c.h, m, true) {
-		return ErrNetUnreachable
-	}
+	c.h.net.transmit(c.h, c.peer.h, m, true)
 	return nil
 }
 
@@ -214,12 +251,12 @@ func (c *Conn) Close(p *sim.Proc) error {
 	c.closed = true
 	c.h.syscall(p, SyscallClose)
 	if c.established {
-		c.h.net.transmit(c.h, message{
-			kind: kindFin, src: c.local, dst: c.remote, size: 20,
-			connID: c.id, seq: c.sendSeq,
+		c.h.net.transmit(c.h, c.peer.h, message{
+			kind: kindFin, src: c.local(), dst: c.remote, size: 20,
+			from: c, to: c.peer, seq: c.sendSeq,
 		}, true)
 	}
-	c.h.conns.del(c.id)
+	c.deregister()
 	return nil
 }
 
@@ -262,10 +299,10 @@ func (l *Listener) Close() {
 			break
 		}
 		c.closed = true
-		l.h.conns.del(c.id)
+		c.deregister()
 		c.abort()
-		l.h.net.transmit(l.h, message{
-			kind: kindRst, src: c.local, dst: c.remote, size: 20, connID: c.id,
+		l.h.net.transmit(l.h, c.peer.h, message{
+			kind: kindRst, src: c.local(), dst: c.remote, size: 20, to: c.peer,
 		}, true)
 	}
 }

@@ -13,13 +13,11 @@ import (
 // connection, so the destination host discards it on arrival; tests
 // observe it through NetworkStats and the trace.
 func (h *Host) SendOnce(dst ip.Endpoint, size int) bool {
-	return h.net.transmit(h, message{kind: kindData, src: ip.Endpoint{Addr: h.addr}, dst: dst, size: size}, false)
+	return h.net.transmit(h, h.net.hosts[dst.Addr], message{kind: kindData, src: ip.Endpoint{Addr: h.addr}, dst: dst, size: size}, false)
 }
 
 // LocalAddr returns the local endpoint.
-func (c *Conn) LocalAddr() ip.Endpoint { return c.local }
-
-func (t *connTable) len() int { return t.used }
+func (c *Conn) LocalAddr() ip.Endpoint { return c.local() }
 
 // LinkUp reports whether the host's interface is up (see
 // Network.SetLinkUp).

@@ -180,8 +180,8 @@ func TestNilRulesTraceIdentical(t *testing.T) {
 
 // TestListenerCloseRefusesBacklog is the half-open regression test: a
 // dialer whose connection was queued (SYN-ACK'd) but never accepted
-// must observe a reset when the listener closes, and both hosts'
-// connection tables must forget the connection.
+// must observe a reset when the listener closes, and the network's
+// connection gauges must forget both ends.
 func TestListenerCloseRefusesBacklog(t *testing.T) {
 	e := newEnv()
 	a, b := e.twoHosts(t)
@@ -204,11 +204,8 @@ func TestListenerCloseRefusesBacklog(t *testing.T) {
 		// in the backlog. Close must refuse it, not strand it.
 		l.Close()
 		_, recvErr = c.Recv(p) // blocks until the RST lands
-		if a.conns.len() != 0 {
-			t.Errorf("dialer conn table has %d entries, want 0", a.conns.len())
-		}
-		if b.conns.len() != 0 {
-			t.Errorf("listener conn table has %d entries, want 0", b.conns.len())
+		if n := e.n; n.connsEstablished != 0 || n.connsHalfOpen != 0 {
+			t.Errorf("conn gauges read %d established, %d half-open, want 0 and 0", n.connsEstablished, n.connsHalfOpen)
 		}
 		e.k.Stop()
 	})

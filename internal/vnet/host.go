@@ -9,7 +9,9 @@ import (
 )
 
 // Host is one virtual node: a network identity (the alias address), an
-// access link (up/down pipes), a port table and a syscall meter. All
+// access link (up/down pipes), a port table and a syscall meter. It
+// keeps no table of connections or pings: a message names the Conn or
+// the ping it lands on, so only a SYN reads the port table. All
 // blocking methods take the calling simulated process.
 type Host struct {
 	net      *Network
@@ -17,11 +19,9 @@ type Host struct {
 	up, down *netem.Pipe
 	ports    map[ip.Port]*Listener
 	nextPort ip.Port
-	conns    connTable
 	meter    SyscallMeter
 	bindEnv  ip.Addr // non-zero: BINDIP interception active
 	linkDown bool    // interface administratively down (Network.SetLinkUp)
-	pingers  map[uint64]*pingWaiter
 }
 
 // Addr returns the host's address (its virtualized network identity).
@@ -71,9 +71,6 @@ func (h *Host) allocPort() ip.Port {
 	}
 }
 
-// conn registers c in the host's connection table.
-func (h *Host) addConn(c *Conn) { h.conns.add(c) }
-
 // Dial opens a TCP-like connection to raddr, performing the emulated
 // socket()/[bind()]/connect() sequence and a SYN/SYNACK handshake on the
 // virtual network. It blocks until established, refused or timed out.
@@ -82,21 +79,20 @@ func (h *Host) Dial(p *sim.Proc, raddr ip.Endpoint) (*Conn, error) {
 	h.interceptBind(p)
 	h.syscall(p, SyscallConnect)
 
-	local := ip.Endpoint{Addr: h.addr, Port: h.allocPort()}
 	n := h.net
 	n.nextID++
 	c := &Conn{
 		h:      h,
 		id:     n.nextID,
-		local:  local,
+		lport:  h.allocPort(),
 		remote: raddr,
 	}
-	h.addConn(c)
-	sent := n.transmit(h, message{
-		kind: kindSyn, src: local, dst: raddr, size: 20, connID: c.id,
+	c.register()
+	sent := n.transmit(h, n.hosts[raddr.Addr], message{
+		kind: kindSyn, src: c.local(), dst: raddr, size: 20, from: c,
 	}, true)
 	if !sent {
-		h.conns.del(c.id)
+		c.deregister()
 		return nil, fmt.Errorf("dial %v: %w", raddr, ErrNetUnreachable)
 	}
 	if !c.established && !c.refused {
@@ -106,10 +102,10 @@ func (h *Host) Dial(p *sim.Proc, raddr ip.Endpoint) (*Conn, error) {
 	case c.established:
 		return c, nil
 	case c.refused:
-		h.conns.del(c.id)
+		c.deregister()
 		return nil, fmt.Errorf("dial %v: %w", raddr, ErrConnRefused)
 	default:
-		h.conns.del(c.id)
+		c.deregister()
 		return nil, fmt.Errorf("dial %v: %w", raddr, ErrTimeout)
 	}
 }
@@ -134,8 +130,10 @@ func (h *Host) Listen(p *sim.Proc, port ip.Port) (*Listener, error) {
 	return l, nil
 }
 
-// deliver dispatches an arriving message to the right socket. It runs
-// inside kernel event callbacks.
+// deliver dispatches an arriving message to the socket it names: a
+// SYN to the listener on its port, an echo request to the host itself,
+// and everything else to the Conn or ping it carries. It runs inside
+// kernel event callbacks.
 //
 //p2p:token
 func (h *Host) deliver(m message) {
@@ -144,29 +142,33 @@ func (h *Host) deliver(m message) {
 	case kindSyn:
 		l := h.ports[m.dst.Port]
 		if l == nil || l.closed {
-			n.transmit(h, message{kind: kindRst, src: m.dst, dst: m.src, size: 20, connID: m.connID}, true)
+			n.transmit(h, m.from.h, message{kind: kindRst, src: m.dst, dst: m.src, size: 20, to: m.from}, true)
 			return
 		}
 		c := &Conn{
 			h:           h,
-			id:          m.connID,
-			local:       m.dst,
+			id:          m.from.id,
+			peer:        m.from,
+			lport:       m.dst.Port,
 			remote:      m.src,
 			established: true,
 		}
 		if !l.backlog.TrySend(c) {
-			n.transmit(h, message{kind: kindRst, src: m.dst, dst: m.src, size: 20, connID: m.connID}, true)
+			n.transmit(h, m.from.h, message{kind: kindRst, src: m.dst, dst: m.src, size: 20, to: m.from}, true)
 			return
 		}
-		h.addConn(c)
-		n.transmit(h, message{kind: kindSynAck, src: m.dst, dst: m.src, size: 20, connID: m.connID}, true)
+		c.register()
+		n.transmit(h, m.from.h, message{kind: kindSynAck, src: m.dst, dst: m.src, size: 20, from: c, to: m.from}, true)
 	case kindSynAck:
-		if c := h.conns.get(m.connID); c != nil && !c.established {
+		if c := m.to; c.registered && !c.established {
+			c.peer = m.from
 			c.established = true
+			n.connsHalfOpen--
+			n.connsEstablished++
 			c.hs.Broadcast()
 		}
 	case kindRst:
-		if c := h.conns.get(m.connID); c != nil {
+		if c := m.to; c.registered {
 			if !c.established {
 				c.refused = true
 				c.hs.Broadcast()
@@ -175,29 +177,30 @@ func (h *Host) deliver(m message) {
 				// listener closed with this conn still in its backlog)
 				// tears the endpoint down: further sends fail and the
 				// reader observes the close.
-				h.conns.del(m.connID)
+				c.deregister()
 				c.closed = true
 				c.abort()
 			}
 		}
 	case kindData:
-		if c := h.conns.get(m.connID); c != nil {
+		// A probe from SendOnce names no Conn and is discarded.
+		if c := m.to; c != nil && c.registered {
 			c.onData(m.seq, Packet{Meta: m.meta, Size: m.size, From: m.src})
 		}
 	case kindFin:
-		if c := h.conns.get(m.connID); c != nil {
+		if c := m.to; c.registered {
 			c.onFin(m.seq)
 		}
 	case kindEchoReq:
 		reply := message{
 			kind: kindEchoRep, src: m.dst, dst: m.src,
-			size: m.size, echoID: m.echoID,
+			size: m.size, meta: m.meta,
 		}
-		n.transmit(h, reply, false)
+		n.transmit(h, n.hosts[m.src.Addr], reply, false)
 	case kindEchoRep:
-		if w := h.pingers[m.echoID]; w != nil {
-			w.replied = true
-			w.cond.Broadcast()
-		}
+		// A reply after its Ping timed out wakes nobody.
+		w := m.meta.(*pingWaiter)
+		w.replied = true
+		w.cond.Broadcast()
 	}
 }

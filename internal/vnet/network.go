@@ -128,7 +128,12 @@ type Network struct {
 	flow   *flow.Model // nil under the pipe model
 	hosts  map[ip.Addr]*Host
 	order  []*Host // deterministic iteration
-	nextID uint64  // connection ids
+	nextID uint64  // connection ids, trace labels only
+
+	// Registered connections, by established flag, and xfers acquired
+	// and not yet released: the obs gauges' sources.
+	connsEstablished, connsHalfOpen int
+	inFlight                        int
 
 	parts      []*partition // active partitions, creation order
 	nextPartID int
@@ -215,18 +220,18 @@ func (n *Network) pathBlocked(src, dst *Host) bool {
 // its own traffic fails the same way.
 //
 //p2p:token called from the delivery/drop paths, which run inside the kernel loop
-func (n *Network) resetConn(src *Host, m message) {
+func (n *Network) resetConn(m message) {
 	if m.kind != kindData && m.kind != kindFin {
 		return // handshakes are bounded by HandshakeTimeout already
 	}
-	c := src.conns.get(m.connID)
-	if c == nil {
+	c := m.from
+	if !c.registered {
 		return
 	}
 	if n.tracer != nil {
-		n.tracer.Add(n.k.Now(), "net.reset", m.src.Addr.String(), "conn %d to %v reset", m.connID, m.dst)
+		n.tracer.Add(n.k.Now(), "net.reset", m.src.Addr.String(), "conn %d to %v reset", c.id, m.dst)
 	}
-	src.conns.del(m.connID)
+	c.deregister()
 	c.closed = true
 	c.abort()
 }
@@ -421,33 +426,33 @@ const (
 )
 
 // message is one unit of transmission through the emulated network.
+// It names the sockets at both ends: a connection message its sending
+// and receiving Conn (a SYN has no receiver yet, an RST needs no
+// sender), an echo its pingWaiter as meta.
 type message struct {
 	kind     msgKind
 	src, dst ip.Endpoint
-	size     int    // payload bytes, excluding header overhead
-	meta     any    // the protocol value a connection message carries
-	connID   uint64 // connection demultiplexing
+	size     int // payload bytes, excluding header overhead
+	meta     any // a connection message's protocol value; an echo's *pingWaiter
+	from, to *Conn
 	seq      uint32 // per-connection data sequence number
-	echoID   uint64
 }
 
 func (m *message) wireSize() int { return m.size + HeaderBytes }
 
 // transmit schedules a message from src through every pipe on the path
-// and delivers it at the destination host. reliable messages are
-// retransmitted on loss up to MaxRetransmits. It returns false if the
-// destination is unknown; the message counts as sent either way, so
-// MessagesSent = MessagesDelivered + MessagesDropped + messages in
-// flight at every instant.
+// and delivers it at dst. reliable messages are retransmitted on loss
+// up to MaxRetransmits. It returns false if dst is nil (an address no
+// host holds); the message counts as sent either way, so MessagesSent =
+// MessagesDelivered + MessagesDropped + inFlight at every instant.
 //
 // The path — the sender's up-link, the fabric's pipes, the receiver's
 // down-link — is fixed when the message is sent, so it is built here
 // once, into the xfer's inline buffer, and every attempt walks it.
 //
 //p2p:token transmit runs on the sender's simulated goroutine or an event callback
-func (n *Network) transmit(src *Host, m message, reliable bool) bool {
+func (n *Network) transmit(src, dst *Host, m message, reliable bool) bool {
 	n.stats.MessagesSent++
-	dst := n.hosts[m.dst.Addr]
 	if dst == nil {
 		n.stats.MessagesDropped++
 		return false
@@ -501,6 +506,7 @@ type xfer struct {
 // acquireXfer takes an xfer off the pool or builds one, binding its
 // callback closures exactly once.
 func (n *Network) acquireXfer() *xfer {
+	n.inFlight++
 	x := n.freeXfer
 	if x != nil {
 		n.freeXfer = x.next
@@ -516,8 +522,10 @@ func (n *Network) acquireXfer() *xfer {
 }
 
 // releaseXfer returns a finished xfer to the pool, dropping message and
-// host references so pooled entries do not pin protocol values.
+// host references so pooled entries do not pin protocol values or
+// connections.
 func (n *Network) releaseXfer(x *xfer) {
+	n.inFlight--
 	x.m = message{}
 	x.src, x.dst = nil, nil
 	x.next = n.freeXfer
@@ -656,7 +664,7 @@ func (x *xfer) failed() {
 			"%d B to %v lost after %d attempt(s)", x.size, x.m.dst, x.tries+1)
 	}
 	if x.reliable {
-		n.resetConn(x.src, x.m)
+		n.resetConn(x.m)
 	}
 	n.releaseXfer(x)
 }

@@ -4,8 +4,8 @@ import "repro/internal/netem"
 
 // initObs registers the network's instruments on cfg.Obs: pull-style
 // collectors for state that subsystems already keep — NetworkStats,
-// the firewall's scan counts, connection tables, netem pipe stats and,
-// under the flow model, the solver's counters. The NetworkStats and
+// the firewall's scan counts, connection and in-flight counts, netem
+// pipe stats and, under the flow model, the solver's counters. The NetworkStats and
 // firewall families name the columns a scenario run reports them as.
 // Collectors are evaluated only at snapshot time, in kernel context,
 // and all of them reduce by order-independent sums, so host-map
@@ -30,21 +30,12 @@ func (n *Network) initObs() {
 	reg.CounterFunc("p2plab_net_rule_denied_total", denied, "Transmission attempts dropped by a firewall deny rule.", func() uint64 { return st.RuleDenied })
 	reg.CounterFunc("p2plab_net_bytes_delivered_total", "net-bytes", "Wire bytes delivered (payload plus header overhead).", func() uint64 { return st.BytesDelivered })
 
-	// Connection table: established vs half-open (a conn a handshake or
-	// a one-sided reset has left without the established flag).
-	conns := func(established bool) float64 {
-		v := 0
-		for _, h := range n.order {
-			h.conns.forEach(func(c *Conn) {
-				if c.established == established {
-					v++
-				}
-			})
-		}
-		return float64(v)
-	}
-	reg.GaugeFunc("p2plab_net_conns_established", "", "Connections currently established, summed over hosts.", func() float64 { return conns(true) })
-	reg.GaugeFunc("p2plab_net_conns_half_open", "", "Connections registered but not (or no longer) established.", func() float64 { return conns(false) })
+	// Registered connections: established vs half-open (a dialer
+	// waiting on its handshake). The Network counts them as they
+	// register, establish and deregister.
+	reg.GaugeFunc("p2plab_net_conns_established", "", "Connections currently established, summed over hosts.", func() float64 { return float64(n.connsEstablished) })
+	reg.GaugeFunc("p2plab_net_conns_half_open", "", "Connections registered but not (or no longer) established.", func() float64 { return float64(n.connsHalfOpen) })
+	reg.GaugeFunc("p2plab_net_messages_in_flight", "", "Messages sent and neither delivered nor dropped yet.", func() float64 { return float64(n.inFlight) })
 
 	// Access-link pipes, aggregated over every host's up and down pipe
 	// (the fabric's pipes are owned by the fabric).

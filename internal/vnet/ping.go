@@ -7,7 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// pingWaiter tracks one outstanding echo request.
+// pingWaiter tracks one outstanding echo request. The request carries
+// it as its meta and the reply hands it back, so no host keeps a table
+// of pings.
 type pingWaiter struct {
 	cond    sim.Cond
 	replied bool
@@ -23,21 +25,13 @@ const DefaultPingSize = 56
 // arrive within timeout (lost, denied, or unknown destination).
 func (h *Host) Ping(p *sim.Proc, dst ip.Addr, size int, timeout time.Duration) (time.Duration, bool) {
 	n := h.net
-	n.nextID++
-	id := n.nextID
 	w := &pingWaiter{}
-	if h.pingers == nil {
-		h.pingers = make(map[uint64]*pingWaiter)
-	}
-	h.pingers[id] = w
-	defer delete(h.pingers, id)
-
 	start := p.Now()
-	sent := n.transmit(h, message{
+	sent := n.transmit(h, n.hosts[dst], message{
 		kind: kindEchoReq,
 		src:  ip.Endpoint{Addr: h.addr},
 		dst:  ip.Endpoint{Addr: dst},
-		size: size, echoID: id,
+		size: size, meta: w,
 	}, false)
 	if !sent {
 		return 0, false

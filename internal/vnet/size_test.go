@@ -59,10 +59,10 @@ func TestSendRefusesSeqWrap(t *testing.T) {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		// The listener's side is registered before its SYN-ACK leaves,
-		// so it is in b's table once Dial returns.
+		// The SYN-ACK that established c linked it to the listener's
+		// side.
 		c.sendSeq = math.MaxUint32 - 1
-		b.conns.get(c.id).recvNext = math.MaxUint32 - 1
+		c.peer.recvNext = math.MaxUint32 - 1
 		if err := c.SendMeta(p, 1, "last"); err != nil {
 			t.Errorf("send numbered 2^32-2: %v", err)
 		}

@@ -100,6 +100,117 @@ func TestDialAcceptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDialSelf dials a host's own listener. Both ends of the
+// connection live on one host and carry one id, so only a message that
+// names the Conn it lands on can tell them apart. Each side sends one
+// message and reads the other's; then one side closes, the other sees
+// that close, and closes too. Afterwards neither end is registered.
+func TestDialSelf(t *testing.T) {
+	for _, dialerFirst := range []bool{true, false} {
+		name := "acceptor-closes-first"
+		if dialerFirst {
+			name = "dialer-closes-first"
+		}
+		t.Run(name, func(t *testing.T) {
+			e := newEnv()
+			a, _ := e.twoHosts(t)
+			var got [2]Packet // what the dialer (0) and the acceptor (1) read
+			var eof [2]error  // each side's Recv after the other closed
+			var local [2]ip.Endpoint
+			// exchange sends i, reads the other side's message and closes,
+			// first or after seeing the other side's close.
+			exchange := func(p *sim.Proc, c *Conn, i int, first bool) {
+				local[i] = c.LocalAddr()
+				if err := c.SendMeta(p, 10, i); err != nil {
+					t.Errorf("side %d: send: %v", i, err)
+				}
+				pk, err := c.Recv(p)
+				if err != nil {
+					t.Errorf("side %d: recv: %v", i, err)
+				}
+				got[i] = pk
+				if !first {
+					_, eof[i] = c.Recv(p)
+				}
+				c.Close(p)
+			}
+			e.run(t, func(p *sim.Proc) {
+				p.Go("acceptor", func(p *sim.Proc) {
+					l, err := a.Listen(p, 80)
+					if err != nil {
+						t.Errorf("listen: %v", err)
+						return
+					}
+					c, err := l.Accept(p)
+					if err != nil {
+						t.Errorf("accept: %v", err)
+						return
+					}
+					exchange(p, c, 1, !dialerFirst)
+					l.Close()
+				})
+				p.Yield()
+				c, err := a.Dial(p, ip.Endpoint{Addr: addrA, Port: 80})
+				if err != nil {
+					t.Errorf("dial self: %v", err)
+					e.k.Stop()
+					return
+				}
+				exchange(p, c, 0, dialerFirst)
+			})
+			for i, pk := range got {
+				if pk.Meta != 1-i || pk.From != local[1-i] {
+					t.Errorf("side %d read %v from %v, want %d from %v", i, pk.Meta, pk.From, 1-i, local[1-i])
+				}
+			}
+			second := 1
+			if !dialerFirst {
+				second = 0
+			}
+			if !errors.Is(eof[second], ErrClosed) {
+				t.Errorf("side %d after the other's close: err = %v, want ErrClosed", second, eof[second])
+			}
+			if n := e.n; n.connsEstablished != 0 || n.connsHalfOpen != 0 {
+				t.Errorf("conn gauges read %d established, %d half-open after both closes, want 0 and 0", n.connsEstablished, n.connsHalfOpen)
+			}
+		})
+	}
+}
+
+// TestCloseWindowDelivers pins what keeps a closing Conn registered: a
+// message that lands while Close is still charging its syscall is
+// delivered, because delivery follows registration, which Close ends
+// only after the charge, and not the closed flag, which it sets first.
+func TestCloseWindowDelivers(t *testing.T) {
+	e := newEnv()
+	a, b := e.twoHosts(t)
+	var got Packet
+	var err error
+	e.run(t, func(p *sim.Proc) {
+		var server *Conn
+		p.Go("server", func(p *sim.Proc) {
+			l, _ := b.Listen(p, 80)
+			server, _ = l.Accept(p)
+		})
+		p.Yield()
+		c, derr := a.Dial(p, ip.Endpoint{Addr: addrB, Port: 80})
+		p.Sleep(time.Millisecond) // the server's Accept returns
+		if derr != nil || server == nil {
+			t.Errorf("dial: %v, accepted %v", derr, server != nil)
+			e.k.Stop()
+			return
+		}
+		// The send's charge is shorter than the close's, and the hosts'
+		// links add no time, so the message lands inside Close.
+		p.Go("sender", func(p *sim.Proc) { server.SendMeta(p, 1, "late") })
+		c.Close(p)
+		got, _, err = c.RecvTimeout(p, time.Second)
+	})
+	if err != nil || got.Meta != "late" {
+		t.Fatalf("Recv after Close = %v, %v; want the message sent during Close", got.Meta, err)
+	}
+}
+
 func TestDialRefusedNoListener(t *testing.T) {
 	e := newEnv()
 	a, _ := e.twoHosts(t)
