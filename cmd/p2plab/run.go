@@ -82,11 +82,8 @@ func runMain(args []string) error {
 	if *dump {
 		// What -dump prints is what run would execute, seed override
 		// included, so a spec run refuses is an error here too.
-		d := sp.WithDefaults()
-		if *seed != 0 {
-			d.Seed = *seed
-		}
-		if err := d.Validate(); err != nil {
+		d, err := scenario.Resolve(&sp, *seed)
+		if err != nil {
 			return err
 		}
 		data, err := json.MarshalIndent(d, "", "  ")

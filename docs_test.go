@@ -27,7 +27,12 @@ var (
 	citation  = regexp.MustCompile(`DESIGN(?:\.md)?,?\s+decisions?\s+(\d+(?:(?:,\s*|,?\s+and\s+)\d+)*)`)
 	number    = regexp.MustCompile(`\d+`)
 	heading   = regexp.MustCompile(`(?m)^## Decision (\d+)\b`)
-	commitID  = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
+	// "ROADMAP item 3", "ROADMAP items 3(b) and 14(c)", "(item 26)".
+	roadmapCite = regexp.MustCompile(`(?:ROADMAP(?:\.md)?,?\s+|\()items?\s+(\d+(?:\([a-z]\))?(?:(?:,\s*|,?\s+and\s+)\d+(?:\([a-z]\))?)*)`)
+	itemRef     = regexp.MustCompile(`(\d+)(?:\(([a-z])\))?`)
+	openItem    = regexp.MustCompile(`(?m)^(\d+)\. \*\*`)
+	subItem     = regexp.MustCompile(`(?m)^\s*- \(([a-z])\)`)
+	commitID    = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
 )
 
 func readDoc(t *testing.T, path string) string {
@@ -163,6 +168,65 @@ func TestDecisionCitationsResolve(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("%d DESIGN citations name no \"## Decision N\" heading:\n%s",
 			len(missing), strings.Join(missing, "\n"))
+	}
+}
+
+// TestRoadmapCitationsResolve: every ROADMAP item a document or a
+// source file cites is an open item of ROADMAP.md, and a sub-item
+// letter is one that item lists as "- (x)". bench/ is left out: only
+// a change to the benchmark may edit it.
+func TestRoadmapCitationsResolve(t *testing.T) {
+	roadmap := readDoc(t, "ROADMAP.md")
+	start := strings.Index(roadmap, "\n## Open items\n")
+	if start < 0 {
+		t.Fatal(`ROADMAP.md has no "## Open items" section`)
+	}
+	open := roadmap[start+1:]
+	if end := strings.Index(open[1:], "\n## "); end >= 0 {
+		open = open[:end+1]
+	}
+	letters := map[string]map[string]bool{} // open item -> its sub-item letters
+	starts := openItem.FindAllStringSubmatchIndex(open, -1)
+	for i, m := range starts {
+		body := open[m[1]:]
+		if i+1 < len(starts) {
+			body = open[m[1]:starts[i+1][0]]
+		}
+		subs := map[string]bool{}
+		for _, sm := range subItem.FindAllStringSubmatch(body, -1) {
+			subs[sm[1]] = true
+		}
+		letters[open[m[2]:m[3]]] = subs
+	}
+	if len(letters) == 0 {
+		t.Fatal("ROADMAP.md lists no open items")
+	}
+	citing := []string{"DESIGN.md", "README.md"}
+	for _, f := range goFiles(t) {
+		if !strings.HasPrefix(filepath.ToSlash(f), "bench/") {
+			citing = append(citing, f)
+		}
+	}
+	var stale []string
+	cites := 0
+	for _, f := range citing {
+		text := lineBreak.ReplaceAllString(readDoc(t, f), " ")
+		for _, m := range roadmapCite.FindAllStringSubmatch(text, -1) {
+			for _, ref := range itemRef.FindAllStringSubmatch(m[1], -1) {
+				cites++
+				subs, ok := letters[ref[1]]
+				if !ok || ref[2] != "" && !subs[ref[2]] {
+					stale = append(stale, f+": "+m[0]+": "+ref[0])
+				}
+			}
+		}
+	}
+	if cites == 0 {
+		t.Fatal("found no ROADMAP citation to check")
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d ROADMAP citations name no open item or sub-item:\n%s",
+			len(stale), strings.Join(stale, "\n"))
 	}
 }
 

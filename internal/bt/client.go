@@ -196,7 +196,7 @@ type Client struct {
 	stopped  bool
 	listener *vnet.Listener
 
-	om      btMetrics // obs instruments; all-nil when the network is uninstrumented
+	om      btMetrics // obs instruments on the network's registry
 	sawPeer bool      // first peer admitted (time-to-first-peer observed)
 
 	// OnComplete, if set, fires once when the download finishes.

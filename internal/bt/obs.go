@@ -10,8 +10,7 @@ var TTFPBuckets = []float64{0.5, 1, 2, 5, 10, 30, 60, 120, 300, 600}
 
 // btMetrics holds the client-layer instrument handles. All clients of
 // one network share the same series (no per-client labels: a 50k-peer
-// swarm must not create 50k series), and with observability off every
-// handle is nil, making each update a single nil-check branch.
+// swarm must not create 50k series).
 type btMetrics struct {
 	ttfp         *obs.Histogram
 	chokes       *obs.Counter
@@ -22,7 +21,7 @@ type btMetrics struct {
 	dialFailures *obs.Counter
 }
 
-// newBTMetrics registers the client instruments on reg (nil-safe).
+// newBTMetrics registers the client instruments on reg.
 func newBTMetrics(reg *obs.Registry) btMetrics {
 	return btMetrics{
 		ttfp:         reg.Histogram("p2plab_bt_time_to_first_peer_seconds", "Virtual time from client start to first admitted peer.", TTFPBuckets),

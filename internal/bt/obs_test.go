@@ -13,13 +13,14 @@ import (
 	"repro/internal/vnet"
 )
 
-// TestObsNeutralOnRawNetwork is the nil-versus-live half of the
-// observability neutrality property, where a nil registry still
-// exists: a swarm on a network built without scenario.Run, with and
-// without Config.Obs, must trace byte-identically and end with equal
-// NetworkStats, while the live registry really counted.
+// TestObsNeutralOnRawNetwork is the raw-network half of the
+// observability neutrality property. A network built without
+// scenario.Run and without Config.Obs carries a private registry that
+// the swarm's clients count into; a swarm on it must trace
+// byte-identically and end with equal NetworkStats to the same swarm
+// on a network handed a registry that a sampler snapshots every 10 s.
 func TestObsNeutralOnRawNetwork(t *testing.T) {
-	run := func(reg *obs.Registry) ([32]byte, vnet.NetworkStats) {
+	run := func(reg *obs.Registry, sample time.Duration) ([32]byte, vnet.NetworkStats, *obs.Registry) {
 		k := sim.New(7)
 		cfg := vnet.DefaultConfig()
 		cfg.Obs = reg
@@ -51,8 +52,13 @@ func TestObsNeutralOnRawNetwork(t *testing.T) {
 			}
 			k.Stop()
 		})
+		samples := 0
+		defer obs.StartSampler(k, net.Obs(), sample, func(sim.Time, *obs.Snapshot) { samples++ }).Stop()
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if sample > 0 && samples == 0 {
+			t.Error("the sampler never fired")
 		}
 		if lg.Len() == 0 {
 			t.Fatal("nothing traced")
@@ -61,22 +67,27 @@ func TestObsNeutralOnRawNetwork(t *testing.T) {
 		if err := lg.Render(h); err != nil {
 			t.Fatal(err)
 		}
-		return [32]byte(h.Sum(nil)), net.Stats()
+		return [32]byte(h.Sum(nil)), net.Stats(), net.Obs()
 	}
-	bareTrace, bareStats := run(nil)
+	ownTrace, ownStats, own := run(nil, 0)
 	reg := obs.NewRegistry()
-	liveTrace, liveStats := run(reg)
-	if bareTrace != liveTrace {
-		t.Errorf("trace diverged with a registry attached: %x vs %x", bareTrace[:8], liveTrace[:8])
+	sampledTrace, sampledStats, got := run(reg, 10*time.Second)
+	if got != reg {
+		t.Error("the network did not keep the registry its Config named")
 	}
-	if bareStats != liveStats {
-		t.Errorf("network stats diverged:\n bare %+v\n live %+v", bareStats, liveStats)
+	if ownTrace != sampledTrace {
+		t.Errorf("trace diverged with a sampled registry: %x vs %x", ownTrace[:8], sampledTrace[:8])
 	}
-	snap := reg.Snapshot()
-	if got := snap.Total("p2plab_bt_downloads_completed_total"); got != 5 {
-		t.Errorf("live registry counted %g completed downloads, want 5", got)
+	if ownStats != sampledStats {
+		t.Errorf("network stats diverged:\n own %+v\n sampled %+v", ownStats, sampledStats)
 	}
-	if got := snap.Total("p2plab_net_messages_delivered_total"); got != float64(liveStats.MessagesDelivered) {
-		t.Errorf("live registry counted %g delivered messages, want %d", got, liveStats.MessagesDelivered)
+	for name, r := range map[string]*obs.Registry{"private": own, "sampled": reg} {
+		snap := r.Snapshot()
+		if got := snap.Total("p2plab_bt_downloads_completed_total"); got != 5 {
+			t.Errorf("%s registry counted %g completed downloads, want 5", name, got)
+		}
+		if got := snap.Total("p2plab_net_messages_delivered_total"); got != float64(ownStats.MessagesDelivered) {
+			t.Errorf("%s registry counted %g delivered messages, want %d", name, got, ownStats.MessagesDelivered)
+		}
 	}
 }

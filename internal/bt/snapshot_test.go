@@ -166,7 +166,7 @@ func TestWebSeedColdFill(t *testing.T) {
 	if !c.Done() {
 		t.Fatal("client did not complete from the web seed alone")
 	}
-	if got := ws.Stats().BytesServed; got < fileSize {
+	if got := ws.bytes.Value(); got < fileSize {
 		t.Fatalf("web seed served %d bytes, want >= %d", got, fileSize)
 	}
 	if c.wsConns != 1 || len(c.peers) != 1 || !c.peers[0].webseed {

@@ -2,17 +2,13 @@ package bt
 
 import (
 	"repro/internal/ip"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vnet"
 )
 
 // WebSeedPort is the well-known port web-seed hosts listen on.
 const WebSeedPort ip.Port = 8080
-
-// WebSeedStats counts a web seed's serving activity.
-type WebSeedStats struct {
-	BytesServed uint64
-}
 
 // WebSeed is an always-available block server: the emulation analogue
 // of an HTTP range server in a BEP 19 deployment (Erigon's snapshot
@@ -25,20 +21,23 @@ type WebSeedStats struct {
 type WebSeed struct {
 	host  *vnet.Host
 	meta  *MetaInfo
-	stats WebSeedStats
-	boxes boxPool // its replies' boxes (see msgBox)
+	bytes *obs.Counter // block bytes served, shared by a network's web seeds
+	boxes boxPool      // its replies' boxes (see msgBox)
 }
 
 // NewWebSeed creates a web seed on host serving every piece of the
 // torrent and starts its accept loop.
 func NewWebSeed(host *vnet.Host, meta *MetaInfo) *WebSeed {
-	w := &WebSeed{host: host, meta: meta}
+	w := &WebSeed{host: host, meta: meta, bytes: WebSeedBytes(host.Network().Obs())}
 	host.Network().Kernel().Go("webseed-"+host.Addr().String(), w.serve)
 	return w
 }
 
-// Stats returns a snapshot of serving counters.
-func (w *WebSeed) Stats() WebSeedStats { return w.stats }
+// WebSeedBytes is the registry family every web seed of a network
+// counts its served block bytes into.
+func WebSeedBytes(reg *obs.Registry) *obs.Counter {
+	return reg.Counter("p2plab_webseed_bytes_served_total", "webseed-bytes", "Bytes the web seeds served.")
+}
 
 func (w *WebSeed) serve(p *sim.Proc) {
 	l, err := w.host.Listen(p, WebSeedPort)
@@ -81,6 +80,6 @@ func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
 		if err := cn.SendMeta(p, out.WireSize(), w.boxes.get(out)); err != nil {
 			return
 		}
-		w.stats.BytesServed += uint64(m.Length)
+		w.bytes.Add(uint64(m.Length))
 	}
 }

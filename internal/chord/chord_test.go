@@ -265,18 +265,18 @@ func TestLookupLatencyReflectsTopology(t *testing.T) {
 	}
 }
 
+// TestNodeStatsAccumulate reads the nodes' timeouts where they count
+// them, in the network's registry, while the ring is still running.
 func TestNodeStatsAccumulate(t *testing.T) {
 	ring(t, 8, 40*time.Second, func(p *sim.Proc, nodes []*Node) {
+		reg := nodes[0].h.Network().Obs()
+		before := reg.Snapshot().Total("p2plab_dht_timeouts_total")
 		// A node that leaves abruptly stops answering: its ring
 		// neighbours' maintenance RPCs to it time out.
 		nodes[3].Leave()
 		p.Sleep(30 * time.Second)
-		var timeouts uint64
-		for _, nd := range nodes {
-			timeouts += nd.Stats.Timeouts
-		}
-		if timeouts == 0 {
-			t.Fatal("no timeouts recorded after a departure")
+		if after := reg.Snapshot().Total("p2plab_dht_timeouts_total"); after <= before {
+			t.Fatalf("timeouts %g before a departure, %g after it", before, after)
 		}
 	})
 }

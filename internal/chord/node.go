@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ip"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vnet"
 )
@@ -60,21 +61,18 @@ type Node struct {
 
 	alive bool
 
-	// Stats accumulate over the node's lifetime.
-	Stats NodeStats
-}
-
-// NodeStats counts protocol activity.
-type NodeStats struct {
-	Timeouts uint64
+	// timeouts counts this node's failed and timed-out RPCs into the
+	// network's registry; every node of a network shares the series.
+	timeouts *obs.Counter
 }
 
 // NewNode creates a Chord node on host h. Call Create or Join to start
 // it.
 func NewNode(h *vnet.Host) *Node {
 	n := &Node{
-		h:  h,
-		id: HashAddr(h.Addr()),
+		h:        h,
+		id:       HashAddr(h.Addr()),
+		timeouts: h.Network().Obs().Counter("p2plab_dht_timeouts_total", "timeouts", "Chord RPCs that timed out."),
 	}
 	n.ref = NodeRef{ID: n.id, Addr: ip.Endpoint{Addr: h.Addr(), Port: Port}}
 	n.successors = make([]NodeRef, 1, successorListLen)
@@ -308,7 +306,7 @@ func (n *Node) call(p *sim.Proc, to ip.Endpoint, req rpcMsg) (rpcMsg, error) {
 	}
 	c, err := n.h.Dial(p, to)
 	if err != nil {
-		n.Stats.Timeouts++
+		n.timeouts.Inc()
 		return rpcMsg{}, errRPC
 	}
 	defer c.Close(p)
@@ -317,7 +315,7 @@ func (n *Node) call(p *sim.Proc, to ip.Endpoint, req rpcMsg) (rpcMsg, error) {
 	}
 	pk, ok, err := c.RecvTimeout(p, rpcTimeout)
 	if err != nil || !ok {
-		n.Stats.Timeouts++
+		n.timeouts.Inc()
 		return rpcMsg{}, errRPC
 	}
 	reply, isMsg := pk.Meta.(rpcMsg)

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -70,26 +71,21 @@ type Config struct {
 	Horizon time.Duration
 }
 
-// Stats counts churn activity.
-type Stats struct {
-	Arrivals   int
-	Departures int
-}
-
 // Driver applies a churn process to a set of peers.
 type Driver struct {
-	k     *sim.Kernel
-	cfg   Config
-	stats Stats
+	k                    *sim.Kernel
+	cfg                  Config
+	arrivals, departures *obs.Counter
 }
 
-// NewDriver returns a churn driver on kernel k.
-func NewDriver(k *sim.Kernel, cfg Config) *Driver {
-	return &Driver{k: k, cfg: cfg}
+// NewDriver returns a churn driver on kernel k that counts the
+// sessions it starts and ends into reg.
+func NewDriver(k *sim.Kernel, reg *obs.Registry, cfg Config) *Driver {
+	return &Driver{k: k, cfg: cfg,
+		arrivals:   reg.Counter("p2plab_churn_arrivals_total", "arrivals", "Churn sessions started."),
+		departures: reg.Counter("p2plab_churn_departures_total", "departures", "Churn sessions ended."),
+	}
 }
-
-// Stats returns arrival/departure counts so far.
-func (d *Driver) Stats() Stats { return d.stats }
 
 // Drive schedules the churn lifecycle for every peer: arrive after a
 // uniform initial delay, stay online for a session draw, depart, stay
@@ -117,7 +113,7 @@ func (d *Driver) scheduleArrival(peer Peer, idx int, after time.Duration) {
 		return
 	}
 	d.k.After(after, func() {
-		d.stats.Arrivals++
+		d.arrivals.Inc()
 		d.k.Go("churn-up", func(p *sim.Proc) { peer.Online(p) })
 		session := d.cfg.Session.Sample(d.k.Rand())
 		d.scheduleDeparture(peer, idx, session)
@@ -130,7 +126,7 @@ func (d *Driver) scheduleDeparture(peer Peer, idx int, after time.Duration) {
 		return
 	}
 	d.k.After(after, func() {
-		d.stats.Departures++
+		d.departures.Inc()
 		d.k.Go("churn-down", func(p *sim.Proc) { peer.Offline(p) })
 		if d.cfg.Downtime == nil {
 			return

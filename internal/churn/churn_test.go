@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -88,7 +89,8 @@ func (c *countingPeer) Offline(p *sim.Proc) {
 
 func TestDriverSingleSessionNoReturn(t *testing.T) {
 	k := sim.New(1)
-	d := NewDriver(k, Config{Session: Fixed{D: 10 * time.Second}})
+	reg := obs.NewRegistry()
+	d := NewDriver(k, reg, Config{Session: Fixed{D: 10 * time.Second}})
 	peers := []*countingPeer{{}, {}, {}}
 	ps := make([]Peer, len(peers))
 	for i, p := range peers {
@@ -106,15 +108,15 @@ func TestDriverSingleSessionNoReturn(t *testing.T) {
 			t.Fatalf("peer %d still online", i)
 		}
 	}
-	st := d.Stats()
-	if st.Arrivals != 3 || st.Departures != 3 {
-		t.Fatalf("stats = %+v", st)
+	snap := reg.Snapshot()
+	if arr, dep := snap.Total("p2plab_churn_arrivals_total"), snap.Total("p2plab_churn_departures_total"); arr != 3 || dep != 3 {
+		t.Fatalf("counted %g arrivals and %g departures, want 3 and 3", arr, dep)
 	}
 }
 
 func TestDriverRepeatingSessions(t *testing.T) {
 	k := sim.New(1)
-	d := NewDriver(k, Config{
+	d := NewDriver(k, obs.NewRegistry(), Config{
 		Session:  Fixed{D: 10 * time.Second},
 		Downtime: Fixed{D: 5 * time.Second},
 		Horizon:  100 * time.Second,
@@ -139,7 +141,7 @@ func TestDriverRepeatingSessions(t *testing.T) {
 
 func TestDriverInitialDelayStaggers(t *testing.T) {
 	k := sim.New(1)
-	d := NewDriver(k, Config{
+	d := NewDriver(k, obs.NewRegistry(), Config{
 		Session:      Fixed{D: time.Second},
 		InitialDelay: time.Minute,
 	})
@@ -167,7 +169,7 @@ func TestDriverInitialDelayStaggers(t *testing.T) {
 
 func TestDriverHorizonStopsChurn(t *testing.T) {
 	k := sim.New(1)
-	d := NewDriver(k, Config{
+	d := NewDriver(k, obs.NewRegistry(), Config{
 		Session:  Fixed{D: time.Second},
 		Downtime: Fixed{D: time.Second},
 		Horizon:  10 * time.Second,
@@ -185,7 +187,7 @@ func TestDriverHorizonStopsChurn(t *testing.T) {
 func TestDriverDeterministic(t *testing.T) {
 	runOnce := func() []sim.Time {
 		k := sim.New(42)
-		d := NewDriver(k, Config{
+		d := NewDriver(k, obs.NewRegistry(), Config{
 			Session:      Exponential{MeanDuration: 20 * time.Second},
 			Downtime:     Exponential{MeanDuration: 10 * time.Second},
 			InitialDelay: 30 * time.Second,
@@ -221,7 +223,7 @@ func TestDriverDeterministic(t *testing.T) {
 func TestFuncPeer(t *testing.T) {
 	k := sim.New(1)
 	ups := 0
-	d := NewDriver(k, Config{Session: Fixed{D: time.Second}})
+	d := NewDriver(k, obs.NewRegistry(), Config{Session: Fixed{D: time.Second}})
 	d.Drive([]Peer{FuncPeer{Up: func(*sim.Proc) { ups++ }}})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -231,7 +233,7 @@ func TestFuncPeer(t *testing.T) {
 	}
 	// Nil closures are fine.
 	k2 := sim.New(1)
-	d2 := NewDriver(k2, Config{Session: Fixed{D: time.Second}})
+	d2 := NewDriver(k2, obs.NewRegistry(), Config{Session: Fixed{D: time.Second}})
 	d2.Drive([]Peer{FuncPeer{}})
 	if err := k2.Run(); err != nil {
 		t.Fatal(err)

@@ -4,24 +4,10 @@ package obs
 func L(k, v string) Label { return Label{Key: k, Value: v} }
 
 // Add adjusts the value by delta.
-func (g *Gauge) Add(delta float64) {
-	if g != nil {
-		g.v += delta
-	}
-}
+func (g *Gauge) Add(delta float64) { g.v += delta }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.n }
 
-// Sum returns the sum of observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
+// Sum returns the sum of observations.
+func (h *Histogram) Sum() float64 { return h.sum }

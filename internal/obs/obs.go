@@ -6,10 +6,10 @@
 // Determinism is the design constraint that separates this package from
 // an ordinary metrics library. Metric updates are plain memory writes —
 // they never allocate, never consult the kernel RNG, never write the
-// trace and never schedule events — so an instrumented run dispatches
-// exactly the same event sequence as an uninstrumented one and golden
-// traces stay byte-identical with a registry attached or not (the
-// property tests live in internal/bt and internal/scenario). Sampling
+// trace and never schedule events — so what the layers count never
+// moves an event, and golden traces stay byte-identical whether or not
+// a sampler snapshots the registry (the property tests live in
+// internal/bt and internal/scenario). Sampling
 // happens from a kernel event at virtual-time boundaries (see Sampler),
 // so every snapshot is taken at a well-defined instant of the timeline
 // rather than whenever a scraper happens to ask.
@@ -23,10 +23,9 @@
 // updates and snapshots follow. Callers outside a kernel (the serve
 // layer's own request counters) must serialize access themselves.
 //
-// All accessors tolerate a nil registry and nil instruments: a nil
-// *Counter's Inc is a no-op, so instrumented code paths need no
-// "metrics enabled?" branches beyond the nil check built into the
-// method.
+// Every network carries a registry (vnet.NewNetwork makes a private
+// one when its Config names none), so instruments are never nil and an
+// update is one memory write with no branch.
 package obs
 
 import (
@@ -52,49 +51,26 @@ const (
 	KindHistogram Kind = "histogram"
 )
 
-// Counter is a monotonically increasing value. The zero method set on a
-// nil receiver is a no-op, so disabled instrumentation costs one branch.
+// Counter is a monotonically increasing value.
 type Counter struct{ v uint64 }
 
 // Inc adds 1.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
+func (c *Counter) Inc() { c.v++ }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
+func (c *Counter) Add(n uint64) { c.v += n }
 
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
+// Value returns the current count.
+func (c *Counter) Value() uint64 { return c.v }
 
 // Gauge is a value that can go up and down.
 type Gauge struct{ v float64 }
 
 // Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
+func (g *Gauge) Set(v float64) { g.v = v }
 
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
+// Value returns the current value.
+func (g *Gauge) Value() float64 { return g.v }
 
 // Histogram counts observations into fixed buckets chosen at
 // registration. Observe is a linear scan over the (small, fixed) bound
@@ -108,9 +84,6 @@ type Histogram struct {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	h.sum += v
 	h.n++
 	for i, b := range h.bounds {
@@ -122,13 +95,14 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[len(h.bounds)]++
 }
 
-// series is one labelled instance of a family.
+// series is one labelled instance of a family. It holds its
+// instrument by value; the family's kind says which one is live.
 type series struct {
 	key    string // canonical label signature (sig)
 	labels []Label
-	ctr    *Counter
-	gauge  *Gauge
-	hist   *Histogram
+	ctr    Counter
+	gauge  Gauge
+	hist   Histogram
 	cfn    func() uint64  // pull-style counter
 	gfn    func() float64 // pull-style gauge
 }
@@ -144,8 +118,7 @@ type family struct {
 }
 
 // Registry holds metric families. The zero value is not usable; call
-// NewRegistry. A nil *Registry is a valid "observability off" value:
-// every getter returns nil and every registration is a no-op.
+// NewRegistry.
 type Registry struct {
 	families map[string]*family
 	cols     map[string]string // column -> family name ("" is no column)
@@ -216,48 +189,31 @@ func (f *family) getSeries(labels []Label) *series {
 }
 
 // Counter returns the named counter series, creating it on first use.
-// Returns nil on a nil registry. col, when not empty, is the short
-// column the family projects to (Snapshot.Project); a family has one
-// column at most, and a column belongs to one family.
+// col, when not empty, is the short column the family projects to
+// (Snapshot.Project); a family has one column at most, and a column
+// belongs to one family.
 func (r *Registry) Counter(name, col, help string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	s := r.getFamily(name, col, help, KindCounter, nil).getSeries(labels)
-	if s.ctr == nil {
-		s.ctr = &Counter{}
-	}
-	return s.ctr
+	return &r.getFamily(name, col, help, KindCounter, nil).getSeries(labels).ctr
 }
 
 // Gauge returns the named gauge series, creating it on first use; col
 // is as for Counter.
 func (r *Registry) Gauge(name, col, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	s := r.getFamily(name, col, help, KindGauge, nil).getSeries(labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return &r.getFamily(name, col, help, KindGauge, nil).getSeries(labels).gauge
 }
 
 // Histogram returns the named histogram series with the given ascending
 // bucket upper bounds (+Inf is implicit), creating it on first use.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
 	if !sort.Float64sAreSorted(bounds) {
 		panic(fmt.Sprintf("obs: histogram %s bounds not ascending: %v", name, bounds))
 	}
 	f := r.getFamily(name, "", help, KindHistogram, bounds)
 	s := f.getSeries(labels)
-	if s.hist == nil {
-		s.hist = &Histogram{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
+	if s.hist.counts == nil {
+		s.hist = Histogram{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
 	}
-	return s.hist
+	return &s.hist
 }
 
 // CounterFunc registers a pull-style counter evaluated at snapshot
@@ -266,18 +222,12 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // path. fn runs in kernel context during Snapshot and must be cheap,
 // deterministic and side-effect free. col is as for Counter.
 func (r *Registry) CounterFunc(name, col, help string, fn func() uint64, labels ...Label) {
-	if r == nil {
-		return
-	}
 	r.getFamily(name, col, help, KindCounter, nil).getSeries(labels).cfn = fn
 }
 
 // GaugeFunc registers a pull-style gauge evaluated at snapshot time
 // (queue depths, connection counts). Same contract as CounterFunc.
 func (r *Registry) GaugeFunc(name, col, help string, fn func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
 	r.getFamily(name, col, help, KindGauge, nil).getSeries(labels).gfn = fn
 }
 
@@ -320,11 +270,8 @@ type Snapshot struct {
 
 // Snapshot deep-copies the registry, evaluating Func collectors. It
 // allocates (unlike updates) and is meant to run at sampling boundaries
-// only. Returns nil on a nil registry.
+// only.
 func (r *Registry) Snapshot() *Snapshot {
-	if r == nil {
-		return nil
-	}
 	names := make([]string, 0, len(r.families))
 	//lint:allow maporder collected names are sorted below before use
 	for name := range r.families {
@@ -352,7 +299,7 @@ func (r *Registry) Snapshot() *Snapshot {
 					ss.Value = s.gauge.Value()
 				}
 			case KindHistogram:
-				h := s.hist
+				h := &s.hist
 				ss.Count, ss.Sum = h.n, h.sum
 				ss.Buckets = make([]Bucket, len(h.bounds))
 				var cum uint64

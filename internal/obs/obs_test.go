@@ -45,26 +45,24 @@ func TestCounterGaugeGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestNilSafety covers the one nil value obs still hands out: the
+// Sampler StartSampler returns when it has no interval or no callback,
+// which schedules nothing and whose Stop is a no-op.
 func TestNilSafety(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x", "", "")
-	g := r.Gauge("y", "", "")
-	h := r.Histogram("z", "", []float64{1})
-	c.Inc()
-	c.Add(3)
-	g.Set(1)
-	g.Add(1)
-	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil instruments must be inert")
+	k := sim.New(1)
+	r := NewRegistry()
+	for name, s := range map[string]*Sampler{
+		"zero interval": StartSampler(k, r, 0, func(sim.Time, *Snapshot) {}),
+		"no callback":   StartSampler(k, r, time.Second, nil),
+	} {
+		if s != nil {
+			t.Errorf("%s: got a live sampler", name)
+		}
+		s.Stop() // must not panic
 	}
-	r.CounterFunc("f", "", "", func() uint64 { return 1 })
-	r.GaugeFunc("f2", "", "", func() float64 { return 1 })
-	if r.Snapshot() != nil {
-		t.Fatal("nil registry snapshot must be nil")
+	if n := k.QueueLen(); n != 0 {
+		t.Fatalf("a nil sampler scheduled %d events", n)
 	}
-	var s *Sampler
-	s.Stop() // must not panic
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -341,13 +339,6 @@ func TestSamplerFiresAtVirtualBoundaries(t *testing.T) {
 		t.Fatalf("sampled values %v", vals)
 	}
 
-	// nil cases produce a no-op sampler.
-	if StartSampler(k, nil, time.Second, func(sim.Time, *Snapshot) {}) != nil {
-		t.Fatal("nil registry must yield nil sampler")
-	}
-	if StartSampler(k, r, 0, func(sim.Time, *Snapshot) {}) != nil {
-		t.Fatal("zero interval must yield nil sampler")
-	}
 }
 
 func TestUpdatesDoNotAllocate(t *testing.T) {
@@ -355,16 +346,12 @@ func TestUpdatesDoNotAllocate(t *testing.T) {
 	c := r.Counter("c_total", "", "")
 	g := r.Gauge("g", "", "")
 	h := r.Histogram("h", "", []float64{1, 2, 4, 8, 16, 32})
-	var nilC *Counter
-	var nilH *Histogram
 	cases := map[string]func(){
-		"counter.Inc":     func() { c.Inc() },
-		"counter.Add":     func() { c.Add(3) },
-		"gauge.Set":       func() { g.Set(1) },
-		"gauge.Add":       func() { g.Add(1) },
-		"hist.Observe":    func() { h.Observe(7) },
-		"nilCounter.Inc":  func() { nilC.Inc() },
-		"nilHist.Observe": func() { nilH.Observe(7) },
+		"counter.Inc":  func() { c.Inc() },
+		"counter.Add":  func() { c.Add(3) },
+		"gauge.Set":    func() { g.Set(1) },
+		"gauge.Add":    func() { g.Add(1) },
+		"hist.Observe": func() { h.Observe(7) },
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(1000, fn); allocs != 0 {
@@ -375,9 +362,8 @@ func TestUpdatesDoNotAllocate(t *testing.T) {
 
 // BenchmarkObsHot measures the registry update cost paid on the vnet
 // transmit path when observability is attached: a counter bump and a
-// histogram observation per message-sized unit of work, plus the
-// nil-instrument variant every uninstrumented run pays instead. All
-// three must stay at 0 allocs/op — hot-path metric updates are pure
+// histogram observation per message-sized unit of work. Both must stay
+// at 0 allocs/op — hot-path metric updates are pure
 // memory writes (DESIGN.md decision 9; TestUpdatesDoNotAllocate is the
 // gate).
 func BenchmarkObsHot(b *testing.B) {
@@ -397,16 +383,6 @@ func BenchmarkObsHot(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ttfp.Observe(float64(i&1023) / 8)
-		}
-	})
-	b.Run("disabled", func(b *testing.B) {
-		var c *Counter
-		var h *Histogram
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Inc()
-			c.Add(1460)
-			h.Observe(1)
 		}
 	})
 }

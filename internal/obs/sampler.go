@@ -27,10 +27,10 @@ type Sampler struct {
 // StartSampler arranges for fn(now, registry.Snapshot()) to run every
 // interval of virtual time on kernel k, starting one interval from now.
 // fn executes in kernel context: it may read kernel state but must not
-// block. Returns nil (a valid no-op Sampler) when the registry, the
-// interval or fn is unset.
+// block. Returns nil (a valid no-op Sampler) when the interval or fn
+// is unset.
 func StartSampler(k *sim.Kernel, reg *Registry, interval time.Duration, fn func(at sim.Time, snap *Snapshot)) *Sampler {
-	if reg == nil || interval <= 0 || fn == nil {
+	if interval <= 0 || fn == nil {
 		return nil
 	}
 	s := &Sampler{}

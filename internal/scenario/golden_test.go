@@ -166,10 +166,24 @@ func TestGoldenTracesWindowed(t *testing.T) {
 // and the completion figures of run 1 byte for byte. Kernel stats are
 // deliberately excluded: the sampler's own self-rescheduling event
 // legitimately increases the dispatched event count without touching
-// anyone else's dispatch order. The nil-versus-live registry half
-// lives where a nil registry still exists, on a raw network
-// (bt's TestObsNeutralOnRawNetwork).
+// anyone else's dispatch order. The raw-network half, a network's
+// private registry against a sampled one, is bt's
+// TestObsNeutralOnRawNetwork.
+//
+// The layers count into the registry where they count, so their
+// families are live during the run: every sample of the scenarios in
+// liveFamilies carries those families, at no more than their final
+// values.
 func TestObsTraceNeutral(t *testing.T) {
+	liveFamilies := map[string][]string{
+		"dht-flapping-links": {"p2plab_dht_timeouts_total"},
+		"churn-storm":        {"p2plab_churn_arrivals_total", "p2plab_churn_departures_total"},
+	}
+	for name := range liveFamilies {
+		if _, ok := ByName(name); !ok {
+			t.Fatalf("%s is not a corpus scenario", name)
+		}
+	}
 	var (
 		mu         sync.Mutex
 		sampledAny bool
@@ -185,10 +199,21 @@ func TestObsTraceNeutral(t *testing.T) {
 			bare := corpusRun(t, sp.Name)
 			reg := obs.NewRegistry()
 			var last *obs.Snapshot
+			live := liveFamilies[sp.Name]
+			peak := make(map[string]float64, len(live))
+			absent := make(map[string]int, len(live)) // samples lacking the family
 			sampled, err := runTraced(sp, Options{
 				Obs:            reg,
 				SampleInterval: 10 * time.Second,
-				OnSample:       func(at sim.Time, snap *obs.Snapshot) { last = snap },
+				OnSample: func(at sim.Time, snap *obs.Snapshot) {
+					last = snap
+					for _, name := range live {
+						if snap.Find(name) == nil {
+							absent[name]++
+						}
+						peak[name] = max(peak[name], snap.Total(name))
+					}
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -207,8 +232,20 @@ func TestObsTraceNeutral(t *testing.T) {
 			}
 			// The final registry state must mirror the run regardless of
 			// whether a sampling boundary was reached.
-			if reg.Snapshot().Find("p2plab_net_messages_sent_total") == nil {
+			final := reg.Snapshot()
+			if final.Find("p2plab_net_messages_sent_total") == nil {
 				t.Error("network counters not registered")
+			}
+			if len(live) > 0 && last == nil {
+				t.Errorf("no sample to find %v in", live)
+			}
+			for _, name := range live {
+				if absent[name] > 0 {
+					t.Errorf("%d samples lack %s", absent[name], name)
+				}
+				if end := final.Total(name); peak[name] > end {
+					t.Errorf("%s sampled at %g, above its final %g", name, peak[name], end)
+				}
 			}
 		})
 	}

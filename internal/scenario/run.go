@@ -33,10 +33,11 @@ type Options struct {
 	// Obs is the run's deterministic metric registry: the kernel, the
 	// network, the protocol layers and the workload register their
 	// instruments on it, and Result.Snapshot is projected from its
-	// final state. Nil gives the run a private registry; a caller
-	// passes one in to keep reading it after the run. A registry serves
-	// one run. It never changes the run itself — the golden-trace corpus
-	// is byte-identical with or without a sampler (TestObsTraceNeutral).
+	// final state. Nil leaves the network its private registry
+	// (vnet.Config.Obs); a caller passes one in to keep reading it
+	// after the run. A registry serves one run. It never changes the
+	// run itself — the golden-trace corpus is byte-identical with or
+	// without a sampler (TestObsTraceNeutral).
 	Obs *obs.Registry
 	// SampleInterval, with OnSample set, snapshots the registry every
 	// interval of *virtual* time (obs.StartSampler) and hands the
@@ -72,7 +73,8 @@ type Result struct {
 	Progress [][]bt.Progress
 
 	// Copies of the arrivals, departures, avg-hops and coverage
-	// columns, kept only because bench reads them.
+	// columns, read back from Snapshot and kept only because bench
+	// reads them.
 	Arrivals, Departures int
 	AvgHops, Coverage    float64
 }
@@ -92,30 +94,38 @@ type runner struct {
 	finish  func(*Result)             // registers the workload's values
 }
 
-// Run executes a scenario to completion (or its horizon) on a fresh
-// kernel and returns the measured result. The spec is defaulted and
-// validated first; the caller's value is not mutated.
-func Run(sp *Spec, opt Options) (*Result, error) {
+// Resolve returns the spec a run executes: sp defaulted
+// (WithDefaults), its seed replaced by seed when that is non-zero,
+// and validated. The caller's value is not mutated.
+func Resolve(sp *Spec, seed int64) (*Spec, error) {
 	sp = sp.WithDefaults()
-	if opt.Seed != 0 {
-		sp.Seed = opt.Seed
+	if seed != 0 {
+		sp.Seed = seed
 	}
 	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	return sp, nil
+}
+
+// Run executes a scenario to completion (or its horizon) on a fresh
+// kernel and returns the measured result. The spec is resolved first
+// (Resolve); the caller's value is not mutated.
+func Run(sp *Spec, opt Options) (*Result, error) {
+	sp, err := Resolve(sp, opt.Seed)
+	if err != nil {
 		return nil, err
 	}
 	t, ncfg, err := sp.compile()
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
-	reg := opt.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	ncfg.Obs = reg
+	ncfg.Obs = opt.Obs
 	a, err := Assemble(sp.Seed, t, ncfg, sp.Folding)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
+	reg := a.Net.Obs()
 	if opt.Trace != nil {
 		a.Net.SetTrace(opt.Trace)
 	}
@@ -170,6 +180,8 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	res.Net = r.Net.Stats()
 	res.Obs = reg.Snapshot()
 	res.Obs.Project(res.Snapshot)
+	res.Arrivals, res.Departures = int(res.Snapshot.Counters["arrivals"]), int(res.Snapshot.Counters["departures"])
+	res.AvgHops, res.Coverage = res.Snapshot.Values["avg-hops"], res.Snapshot.Values["coverage"]
 	if r.rules != nil {
 		res.Snapshot.Label("classifier", r.rules.Classifier().String())
 	}
@@ -521,9 +533,11 @@ func (r *runner) startSwarm() error {
 	if err != nil {
 		return fmt.Errorf("scenario %s: %w", r.spec.Name, err)
 	}
-	webseeds := make([]*bt.WebSeed, len(wsHosts))
-	for i, h := range wsHosts {
-		webseeds[i] = bt.NewWebSeed(h, swarm.Meta)
+	if w.Kind == WorkloadSnapshot {
+		bt.WebSeedBytes(r.reg) // a snapshot run reports the column even with no web seed
+	}
+	for _, h := range wsHosts {
+		bt.NewWebSeed(h, swarm.Meta)
 	}
 	trackerEP := ip.Endpoint{Addr: tracker.Addr(), Port: bt.TrackerPort}
 	churners := make([]*bt.ResumingClient, len(churning))
@@ -547,9 +561,8 @@ func (r *runner) startSwarm() error {
 			rc.Online(p)
 		})
 	}
-	var driver *churn.Driver
 	if len(churners) > 0 {
-		driver = churn.NewDriver(r.Kernel, churn.Config{
+		driver := churn.NewDriver(r.Kernel, r.reg, churn.Config{
 			Session:      churn.Pareto{Scale: w.Session.D(), Alpha: 1.8},
 			Downtime:     churn.Exponential{MeanDuration: w.Downtime.D()},
 			InitialDelay: time.Duration(len(churning)) * w.StartInterval.D(),
@@ -598,20 +611,7 @@ func (r *runner) startSwarm() error {
 			res.Done += churnDone
 			r.reg.Gauge("p2plab_swarm_churn_done", "churn-done", "Churning clients that completed the download.").Set(float64(churnDone))
 		}
-		if driver != nil {
-			st := driver.Stats()
-			res.Arrivals, res.Departures = st.Arrivals, st.Departures
-			r.reg.Counter("p2plab_churn_arrivals_total", "arrivals", "Churn sessions started.").Add(uint64(st.Arrivals))
-			r.reg.Counter("p2plab_churn_departures_total", "departures", "Churn sessions ended.").Add(uint64(st.Departures))
-		}
 		r.clientsDone(res)
-		if w.Kind == WorkloadSnapshot {
-			var wsBytes uint64
-			for _, ws := range webseeds {
-				wsBytes += ws.Stats().BytesServed
-			}
-			r.reg.Counter("p2plab_webseed_bytes_served_total", "webseed-bytes", "Bytes the web seeds served.").Add(wsBytes)
-		}
 	}
 	return nil
 }
@@ -690,21 +690,15 @@ func (r *runner) startDHT() error {
 	})
 
 	r.finish = func(res *Result) {
-		res.AvgHops = avgHops
 		var p90 time.Duration
 		if done > 0 {
 			p90 = time.Duration(metrics.Summarize(latencies).P90 * float64(time.Millisecond))
 		}
 		res.Done, res.Total = done, w.Lookups
-		var timeouts uint64
-		for _, nd := range nodes {
-			timeouts += nd.Stats.Timeouts
-		}
 		r.reg.Gauge("p2plab_dht_avg_hops", "avg-hops", "Mean overlay hops of a successful lookup.").Set(avgHops)
 		r.reg.Gauge("p2plab_dht_avg_latency_milliseconds", "avg-latency-ms", "Mean latency of a successful lookup.").Set(avgLat.Seconds() * 1000)
 		r.reg.Gauge("p2plab_dht_p90_latency_milliseconds", "p90-latency-ms", "90th-percentile latency of a successful lookup.").Set(p90.Seconds() * 1000)
 		r.reg.Gauge("p2plab_dht_lookups_done", "lookups-done", "Lookups that succeeded.").Set(float64(done))
-		r.reg.Counter("p2plab_dht_timeouts_total", "timeouts", "Chord RPCs that timed out.").Add(timeouts)
 	}
 	return nil
 }
@@ -766,7 +760,6 @@ func (r *runner) startGossip() error {
 	})
 
 	r.finish = func(res *Result) {
-		res.Coverage = coverage
 		res.Done = coveredFinal
 		res.Total = len(nodes)
 		r.reg.Gauge("p2plab_gossip_coverage", "coverage", "Fraction of the nodes the update reached.").Set(coverage)

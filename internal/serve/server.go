@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -200,11 +201,7 @@ func resolveSpec(req JobRequest) (*scenario.Spec, error) {
 			return nil, fmt.Errorf("unknown corpus scenario %q", req.Scenario)
 		}
 	}
-	wd := sp.WithDefaults()
-	if req.Seed != 0 {
-		wd.Seed = req.Seed
-	}
-	if err := wd.Validate(); err != nil {
+	if _, err := scenario.Resolve(&sp, req.Seed); err != nil {
 		return nil, err
 	}
 	return &sp, nil
@@ -248,6 +245,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if _, err := g.Cells(); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		// Each sweep worker runs its own kernel on its own goroutine; a
+		// grid may hold 100 000 cells, so the pool is bounded by the CPUs.
+		if n, limit := req.Sweep.Workers, runtime.GOMAXPROCS(0); n > limit {
+			writeError(w, http.StatusBadRequest, "sweep workers %d above GOMAXPROCS %d", n, limit)
 			return
 		}
 	default:

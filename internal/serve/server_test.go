@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -361,16 +363,16 @@ func TestServeBoundedQueue(t *testing.T) {
 // progress frames and the aggregate result.
 func TestServeSweepJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	code, sub := postJob(t, ts.URL, `{
+	code, sub := postJob(t, ts.URL, fmt.Sprintf(`{
 		"kind": "sweep",
 		"sweep": {
 			"experiment": "sched",
 			"peers": [4, 8],
 			"seeds": [1, 2],
-			"workers": 2,
+			"workers": %d,
 			"horizon": "10m"
 		}
-	}`)
+	}`, min(2, runtime.GOMAXPROCS(0))))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d: %v", code, sub)
 	}
@@ -438,6 +440,9 @@ func TestServeValidation(t *testing.T) {
 			"workload": {"kind": "swarm"}}}`, http.StatusBadRequest},
 		{`{"spec": {"name": "x", "groups": [{"name": "g", "class": "lan", "nodes": 3, "prefix": "192.168.0.8/29"}],
 			"workload": {"kind": "snapshot", "web_seeds": 16}}}`, http.StatusBadRequest},
+		// A sweep pool wider than the CPUs, on a one-cell grid.
+		{fmt.Sprintf(`{"kind": "sweep", "sweep": {"experiment": "dht", "peers": [8], "lookups": 10, "workers": %d}}`,
+			runtime.GOMAXPROCS(0)+1), http.StatusBadRequest},
 		// A body past the 1 MiB bound, however well-formed.
 		{`{"scenario": "flash-crowd", "pad": "` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusBadRequest},
 	}

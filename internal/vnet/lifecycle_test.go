@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ip"
 	"repro/internal/netem"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -83,10 +82,8 @@ func FuzzConnLifecycle(f *testing.F) {
 
 func runLifecycle(t *testing.T, script []byte) {
 	k := sim.New(1)
-	reg := obs.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.Obs = reg
-	n := NewNetwork(k, nil, cfg)
+	n := NewNetwork(k, nil, DefaultConfig())
+	reg := n.Obs()
 	link := netem.PipeConfig{Bandwidth: 8 << 20, Delay: 3 * time.Millisecond}
 	var hosts [3]*Host
 	for i := range hosts {

@@ -93,11 +93,10 @@ type Config struct {
 	// nil (the default) skips classification entirely: traces are
 	// byte-identical to a network without this field.
 	Rules *netem.RuleSet
-	// Obs, when non-nil, attaches the deterministic metric registry:
-	// pull-style collectors expose NetworkStats and connection, pipe
-	// and flow-solver state at snapshot time. nil (the default) skips
-	// instrumentation; either way traces are byte-identical (obs never
-	// touches the RNG, the trace or the event queue).
+	// Obs is the network's metric registry; nil (the default) gives the
+	// network a private one. Collectors expose NetworkStats and
+	// connection, pipe and flow-solver state at snapshot time, the
+	// layers above count into it, and no trace depends on it.
 	Obs *obs.Registry
 }
 
@@ -334,6 +333,9 @@ func NewNetwork(k *sim.Kernel, fabric Fabric, cfg Config) *Network {
 		cfg:    cfg,
 		hosts:  make(map[ip.Addr]*Host),
 	}
+	if cfg.Obs == nil {
+		n.cfg.Obs = obs.NewRegistry()
+	}
 	if cfg.Model == netem.ModelFlow {
 		n.flow = flow.NewWithConfig(k, flow.Config{Window: cfg.FlowWindow})
 	}
@@ -341,9 +343,8 @@ func NewNetwork(k *sim.Kernel, fabric Fabric, cfg Config) *Network {
 	return n
 }
 
-// Obs returns the network's metric registry, or nil when the network
-// runs uninstrumented. Protocol layers (bt) use it to register their
-// own instruments.
+// Obs returns the network's metric registry. Protocol layers (bt,
+// chord) register their own instruments on it.
 func (n *Network) Obs() *obs.Registry { return n.cfg.Obs }
 
 // FlowStats returns the flow engine's counters and true when the

@@ -12,10 +12,6 @@ import "repro/internal/netem"
 // iteration order cannot leak into the exposed values.
 func (n *Network) initObs() {
 	reg := n.cfg.Obs
-	if reg == nil {
-		return
-	}
-
 	st := &n.stats
 	denied := "" // a column only where a firewall exists
 	if rs := n.cfg.Rules; rs != nil {

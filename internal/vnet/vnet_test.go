@@ -28,6 +28,26 @@ func newEnv() *env {
 	return &env{k: k, n: NewNetwork(k, nil, DefaultConfig())}
 }
 
+// TestNetworkCarriesARegistry: a network built with no Config.Obs
+// gets a private registry with its own families on it, and one built
+// with a registry keeps that one.
+func TestNetworkCarriesARegistry(t *testing.T) {
+	k := sim.New(1)
+	reg := NewNetwork(k, nil, Config{}).Obs()
+	if reg == nil {
+		t.Fatal("a network without Config.Obs has no registry")
+	}
+	if reg.Snapshot().Find("p2plab_net_messages_sent_total") == nil {
+		t.Error("the private registry lacks the network's families")
+	}
+	if other := NewNetwork(k, nil, Config{}).Obs(); other == reg {
+		t.Error("two networks share a private registry")
+	}
+	if got := NewNetwork(k, nil, Config{Obs: reg}).Obs(); got != reg {
+		t.Error("the network replaced the registry its Config named")
+	}
+}
+
 // run spawns fn as the root process and runs the kernel to completion.
 func (e *env) run(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
