@@ -289,7 +289,7 @@ func TestBitfieldMessageIsASendTimeCopy(t *testing.T) {
 				t.Errorf("receiver: %v before the sender's Have 1", err)
 				return
 			}
-			m := pk.Meta.(*msgBox).m
+			m := pk.Meta.(*vnet.Box[Msg]).Take()
 			receiver.onMsg(p, view, m)
 			switch {
 			case m.ID == MsgBitfield:

@@ -143,9 +143,9 @@ type Client struct {
 	tracker ip.Endpoint
 
 	events *sim.Chan[event]
-	// boxes and chunks pool send boxes (see msgBox) and the peers'
+	// boxes and chunks pool send boxes (see peer.send) and the peers'
 	// rate samples (see RateEstimator).
-	boxes  boxPool
+	boxes  vnet.BoxPool[Msg]
 	chunks chunkPool
 	peers  []*peer
 	byAddr map[ip.Addr]*peer
@@ -448,10 +448,8 @@ func (c *Client) attach(conn *vnet.Conn) *peer {
 			c.events.TrySend(event{kind: evPeerClosed, peer: pr})
 			return
 		}
-		if b, ok := pk.Meta.(*msgBox); ok {
-			m := b.m
-			b.release()
-			c.events.TrySend(event{kind: evMsg, peer: pr, msg: m})
+		if b, ok := pk.Meta.(*vnet.Box[Msg]); ok {
+			c.events.TrySend(event{kind: evMsg, peer: pr, msg: b.Take()})
 		}
 	})
 	return pr

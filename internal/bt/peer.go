@@ -100,9 +100,12 @@ func (pr *peer) inflightDel(pi, b int) bool {
 }
 
 // send transmits a wire message as a vnet value of spec-accurate size;
-// a piece message is charged its block's length.
+// a piece message is charged its block's length. Every bt message,
+// a web seed's replies too, travels in a box from its sender's pool
+// (vnet.Box): passing Msg by value through the `any` metadata boxed
+// ~100 B per send, the dominant allocation at swarm scale.
 func (pr *peer) send(p *sim.Proc, m Msg) error {
-	return pr.conn.SendMeta(p, m.WireSize(), pr.cl.boxes.get(m))
+	return pr.conn.SendMeta(p, m.WireSize(), pr.cl.boxes.Get(m))
 }
 
 // sendHandshake transmits the 68-byte handshake.
@@ -118,44 +121,4 @@ func recvHandshake(p *sim.Proc, c *vnet.Conn, timeout time.Duration) (Handshake,
 	}
 	hs, isHS := pk.Meta.(Handshake)
 	return hs, isHS
-}
-
-// msgBox boxes a wire Msg behind a pooled pointer for its trip across
-// the virtual network: passing Msg by value through the `any` metadata
-// boxed ~100 B per send, the dominant allocation at swarm scale. Every
-// bt message travels boxed, a web seed's replies too. The receiver
-// copies the Msg out and returns the box to the sender's pool. The
-// release crosses clients, but never kernels — and one kernel
-// serializes all execution, so the pools need no locking. Boxes on
-// dropped messages are simply garbage-collected.
-type msgBox struct {
-	m    Msg
-	pool *boxPool
-	next *msgBox
-}
-
-// boxPool is a sender's free list of message boxes: each Client and
-// each WebSeed owns one.
-type boxPool struct {
-	free *msgBox
-}
-
-// get draws a box holding m from the pool.
-func (bp *boxPool) get(m Msg) *msgBox {
-	b := bp.free
-	if b == nil {
-		b = &msgBox{pool: bp}
-	} else {
-		bp.free = b.next
-	}
-	b.m, b.next = m, nil
-	return b
-}
-
-// release clears the payload (so pooled boxes pin no bitfields) and
-// returns the box to its pool.
-func (b *msgBox) release() {
-	b.m = Msg{}
-	b.next = b.pool.free
-	b.pool.free = b
 }

@@ -34,7 +34,7 @@ type sampleChunk struct {
 	next *sampleChunk
 }
 
-// chunkPool is a client's free list of sample chunks, like boxPool.
+// chunkPool is a client's free list of sample chunks, like vnet.BoxPool.
 type chunkPool struct{ free *sampleChunk }
 
 func (p *chunkPool) get() *sampleChunk {

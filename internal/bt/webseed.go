@@ -21,8 +21,8 @@ const WebSeedPort ip.Port = 8080
 type WebSeed struct {
 	host  *vnet.Host
 	meta  *MetaInfo
-	bytes *obs.Counter // block bytes served, shared by a network's web seeds
-	boxes boxPool      // its replies' boxes (see msgBox)
+	bytes *obs.Counter      // block bytes served, shared by a network's web seeds
+	boxes vnet.BoxPool[Msg] // its replies' boxes (see peer.send)
 }
 
 // NewWebSeed creates a web seed on host serving every piece of the
@@ -66,18 +66,17 @@ func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
 		if err != nil {
 			return
 		}
-		b, ok := pk.Meta.(*msgBox)
+		b, ok := pk.Meta.(*vnet.Box[Msg])
 		if !ok {
 			continue
 		}
-		m := b.m
-		b.release()
+		m := b.Take()
 		if m.ID != MsgRequest || m.Length <= 0 || m.Length > 128*1024 ||
 			m.Index < 0 || m.Index >= w.meta.NumPieces() {
 			continue
 		}
 		out := Msg{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Length: m.Length}
-		if err := cn.SendMeta(p, out.WireSize(), w.boxes.get(out)); err != nil {
+		if err := cn.SendMeta(p, out.WireSize(), w.boxes.Get(out)); err != nil {
 			return
 		}
 		w.bytes.Add(uint64(m.Length))

@@ -61,6 +61,10 @@ type Node struct {
 
 	alive bool
 
+	// boxes holds the boxes this node's requests and replies travel in
+	// (vnet.Box); the receiving node returns each one.
+	boxes vnet.BoxPool[rpcMsg]
+
 	// timeouts counts this node's failed and timed-out RPCs into the
 	// network's registry; every node of a network shares the series.
 	timeouts *obs.Counter
@@ -152,13 +156,17 @@ func (n *Node) handle(p *sim.Proc, c *vnet.Conn) {
 	if err != nil || !ok {
 		return
 	}
-	req, isMsg := pk.Meta.(rpcMsg)
-	if !isMsg || !n.alive {
+	b, isMsg := pk.Meta.(*vnet.Box[rpcMsg])
+	if !isMsg {
+		return
+	}
+	req := b.Take()
+	if !n.alive {
 		return
 	}
 	reply := n.dispatch(p, req)
 	reply.Kind = rpcReply
-	c.SendMeta(p, rpcSize, reply)
+	c.SendMeta(p, rpcSize, n.boxes.Get(reply))
 }
 
 // dispatch executes one request against local state.
@@ -310,7 +318,7 @@ func (n *Node) call(p *sim.Proc, to ip.Endpoint, req rpcMsg) (rpcMsg, error) {
 		return rpcMsg{}, errRPC
 	}
 	defer c.Close(p)
-	if err := c.SendMeta(p, rpcSize, req); err != nil {
+	if err := c.SendMeta(p, rpcSize, n.boxes.Get(req)); err != nil {
 		return rpcMsg{}, errRPC
 	}
 	pk, ok, err := c.RecvTimeout(p, rpcTimeout)
@@ -318,11 +326,11 @@ func (n *Node) call(p *sim.Proc, to ip.Endpoint, req rpcMsg) (rpcMsg, error) {
 		n.timeouts.Inc()
 		return rpcMsg{}, errRPC
 	}
-	reply, isMsg := pk.Meta.(rpcMsg)
+	b, isMsg := pk.Meta.(*vnet.Box[rpcMsg])
 	if !isMsg {
 		return rpcMsg{}, errRPC
 	}
-	return reply, nil
+	return b.Take(), nil
 }
 
 // LookupResult reports one resolved lookup.

@@ -41,7 +41,7 @@ func (c *Cond) Wait(p *Proc) { c.wait(p, 0) }
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool { return c.wait(p, d) }
 
 func (c *Cond) wait(p *Proc, d Duration) bool {
-	t := p.t
+	t := p.task()
 	if t.killed {
 		// An unwinding task is still linked on the Cond it was parked
 		// on when the run ended; park would panic anyway, and linking
@@ -52,7 +52,7 @@ func (c *Cond) wait(p *Proc, d Duration) bool {
 	t.timedOut, w.timerEv = false, nil
 	c.link(t)
 	if d > 0 {
-		k := p.k
+		k := t.k
 		ev := k.push(k.now.Add(d), t.timer())
 		w.timerEv, w.timerGen = ev, ev.gen
 	}
@@ -113,7 +113,7 @@ func (c *Cond) Signal() {
 	}
 	w := &t.cw
 	w.c, w.next = nil, nil
-	k := t.proc.k
+	k := t.k
 	// A still-pending timer must not fire for a waiter that has been
 	// signalled; the gen check keeps a stale (event, gen) pair off the
 	// recycled struct's new occupant.

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -126,12 +128,18 @@ func (c *Cond) check() error {
 // two Lens and the queue length after it, and the run's end.
 //
 // script[0] picks 1–8 tasks; every further byte is one operation of
-// task i mod n, in order. An operation byte b names its kind (b mod 6),
-// its Cond (b/6 mod 2) and a duration of 0–3 ms (b/12 mod 4): Wait,
-// WaitTimeout (0 waits forever), Signal, Broadcast, Sleep (0 yields),
-// or a callback that Signals (even duration) or Broadcasts (odd) that
-// duration later. Tasks left waiting with no wake pending end the run
-// as a deadlock, which is logged like any other end.
+// task i mod n, in order. An operation byte b below 240 names its kind
+// (b mod 6), its Cond (b/6 mod 2) and a duration of 0–3 ms (b/12 mod
+// 4): Wait, WaitTimeout (0 waits forever), Signal, Broadcast, Sleep (0
+// yields), or a callback that Signals (even duration) or Broadcasts
+// (odd) that duration later. A byte from 240 up spawns a child that
+// makes one Sleep (v/2 even, v = b−240) or one WaitTimeout on Cond v
+// mod 2, for v/4 mod 4 ms, and returns: the kernel recycles the struct
+// of every task that returns, so later spawns reuse it mid-script.
+// Each child checks that it starts as a fresh task (Proc.CheckFresh)
+// and logs which way the task that last held its struct ended. Tasks
+// left waiting with no wake pending end the run as a deadlock, which is
+// logged like any other end.
 func runCondScript(t *testing.T, script []byte, mk func(k *Kernel) [2]condLike) []string {
 	k := New(1)
 	cs := mk(k)
@@ -147,6 +155,29 @@ func runCondScript(t *testing.T, script []byte, mk func(k *Kernel) [2]condLike) 
 			}
 		}
 	}
+	ended := map[*task]string{} // how the last task on each struct ended
+	spawn := func(j int, v byte) {
+		name := fmt.Sprintf("child%d", j)
+		c, sleep := cs[v%2], v/2%2 == 0
+		d := Duration(v/4%4) * time.Millisecond
+		k.Go(name, func(p *Proc) {
+			if err := p.CheckFresh(); err != nil {
+				t.Fatalf("%s op%d: a task %s", name, j, err)
+			}
+			if p.Incarnation() > 0 {
+				note(name, j, "reuses a task that "+ended[p.t], true)
+			}
+			if sleep {
+				p.Sleep(d)
+				note(name, j, fmt.Sprintf("child-sleep(%v)", d), true)
+				ended[p.t] = "slept"
+				return
+			}
+			ok := c.WaitTimeout(p, d)
+			note(name, j, fmt.Sprintf("child-wait-timeout(%v)", d), ok)
+			ended[p.t] = map[bool]string{true: "was signalled", false: "timed out"}[ok]
+		})
+	}
 	n := 1
 	var ops []byte
 	if len(script) > 0 {
@@ -155,8 +186,14 @@ func runCondScript(t *testing.T, script []byte, mk func(k *Kernel) [2]condLike) 
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("t%d", i)
 		k.Go(name, func(p *Proc) {
+			defer func() { ended[p.t] = "ran a script" }()
 			for j := i; j < len(ops); j += n {
 				b := ops[j]
+				if b >= 240 {
+					spawn(j, b-240)
+					note(name, j, "spawn", true)
+					continue
+				}
 				c := cs[b/6%2]
 				d := Duration(b/12%4) * time.Millisecond
 				switch b % 6 {
@@ -193,17 +230,48 @@ func runCondScript(t *testing.T, script []byte, mk func(k *Kernel) [2]condLike) 
 	return append(log, fmt.Sprintf("end %v err=%v stats=%+v q=%d", k.now, err, k.Snapshot(), k.QueueLen()))
 }
 
+// reuseScripts are waiter scripts whose later spawn takes over the
+// struct of a child that has returned, after each way a wait can end.
+var reuseScripts = []struct {
+	script []byte
+	want   string // the reuse line of the log
+}{
+	// A child times out of a 1 ms WaitTimeout; t0 sleeps past it and
+	// spawns a second child.
+	{[]byte{0, 240 + 6, 4 + 24, 240 + 6}, "reuses a task that timed out"},
+	// A child waits with a 1 ms timeout; t0 yields to it, signals it,
+	// yields again so it returns, and spawns a sleeping child.
+	{[]byte{0, 240 + 6, 4, 2, 4, 240}, "reuses a task that was signalled"},
+}
+
+// TestCondScriptsReuseTasks checks that reuseScripts, which
+// FuzzCondWaiters replays, do reuse a struct the way each says.
+func TestCondScriptsReuseTasks(t *testing.T) {
+	for _, seed := range reuseScripts {
+		log := runCondScript(t, seed.script, func(*Kernel) [2]condLike {
+			return [2]condLike{new(Cond), new(Cond)}
+		})
+		if !slices.ContainsFunc(log, func(line string) bool { return strings.Contains(line, seed.want) }) {
+			t.Errorf("script %v: no child %s; log:\n%s", seed.script, seed.want, strings.Join(log, "\n"))
+		}
+	}
+}
+
 // FuzzCondWaiters runs random scripts of Wait, WaitTimeout, Signal,
 // Broadcast and Sleep over up to eight tasks and two Conds, once on
 // the linked waiter list and once on refCond: every operation must
 // return at the same instant with the same outcome and the same Lens
 // and queue length, so the two release waiters in the same order and
 // time out the same ones, and the list's own invariants hold after
-// each operation.
+// each operation. Spawned children return mid-script, so later spawns
+// run on recycled task structs, and each must start fresh.
 func FuzzCondWaiters(f *testing.F) {
 	f.Add([]byte{3, 1 + 12, 0, 2, 13, 3, 4})
 	f.Add([]byte{7, 1 + 24, 1 + 36, 1 + 12, 1, 7, 1 + 30, 5 + 12, 4 + 24, 2, 3, 8, 9})
 	f.Add([]byte{2, 0, 6, 5 + 12, 5 + 30, 4 + 36, 1 + 12, 3})
+	for _, seed := range reuseScripts {
+		f.Add(seed.script)
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
 			return

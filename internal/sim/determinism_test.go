@@ -176,7 +176,9 @@ func (m *timerModel) next() modelTimer {
 // wake the way a callback checks its dispatch. Now and then a sleeper
 // spawns another first, so a Sleep also meets a ready task. Whether a
 // Sleep parks or returns in place, its wake order, instant and count
-// must be the model's.
+// must be the model's. One more operation spawns a short task that
+// sleeps once and returns: the kernel recycles its struct, and later
+// short tasks run on it mid-script.
 //
 // Besides the handles At and After return, the script owns a few
 // handles the way a pooled struct does and re-arms them with Arm once
@@ -196,8 +198,10 @@ type timerScript struct {
 	fired   uint64
 
 	sleepers int    // sleeper tasks spawned
-	started  int    // sleeper tasks that have run
-	switches uint64 // sleeper activations: starts and wakes
+	shorts   int    // short tasks spawned
+	started  int    // tasks that have run, of either kind
+	reused   int    // short tasks that ran on a recycled struct
+	switches uint64 // task activations: starts and wakes
 }
 
 // scriptHorizon is where runTimerScript ends its run.
@@ -269,8 +273,8 @@ func (s *timerScript) spawn(goFn func(string, func(*sim.Proc))) {
 			s.m.schedule(at, id)
 			p.Sleep(at.Sub(s.m.now))
 			s.switches++
-			if s.started != s.sleepers {
-				s.t.Fatalf("a sleeper woke at %v before %d spawned sleepers ran", p.Now(), s.sleepers-s.started)
+			if s.started != s.sleepers+s.shorts {
+				s.t.Fatalf("a sleeper woke at %v before %d spawned tasks ran", p.Now(), s.sleepers+s.shorts-s.started)
 			}
 			s.dispatched(id)
 		}
@@ -280,6 +284,38 @@ func (s *timerScript) spawn(goFn func(string, func(*sim.Proc))) {
 		s.timers++
 		p.Sleep(at.Sub(s.m.now))
 		s.t.Fatalf("sleeper woke at %v, past the %v horizon", p.Now(), scriptHorizon)
+	})
+}
+
+// spawnShort starts a task that makes one Sleep to a model timer and
+// returns, so the kernel recycles its struct for a later spawn. It must
+// first run at the instant it was spawned, and start as a fresh task
+// (Proc.CheckFresh) whether or not its struct is recycled.
+func (s *timerScript) spawnShort() {
+	s.shorts++
+	born := s.m.now
+	s.k.Go("short", func(p *sim.Proc) {
+		s.started++
+		s.switches++
+		if p.Now() != born {
+			s.t.Fatalf("short task spawned at %v first ran at %v", born, p.Now())
+		}
+		if err := p.CheckFresh(); err != nil {
+			s.t.Fatalf("short task at %v (incarnation %d): %v", p.Now(), p.Incarnation(), err)
+		}
+		if p.Incarnation() > 0 {
+			s.reused++
+		}
+		id := s.timers
+		s.timers++
+		at := s.randomAt()
+		for at > s.m.now.Add(time.Hour) && s.rng.Intn(16) != 0 {
+			at = s.randomAt() // return, as a rule, to hand the struct on
+		}
+		s.m.schedule(at, id)
+		p.Sleep(at.Sub(s.m.now))
+		s.switches++
+		s.dispatched(id)
 	})
 }
 
@@ -310,7 +346,7 @@ func (s *timerScript) step() {
 	}
 	s.budget--
 	id := s.timers
-	switch op := s.rng.Intn(12); {
+	switch op := s.rng.Intn(13); {
 	case op < 2:
 		at := s.randomAt()
 		s.handles = append(s.handles, handle{s.k.At(at, s.callback(id)), id})
@@ -326,6 +362,8 @@ func (s *timerScript) step() {
 		s.k.Schedule(at, s.callback(id))
 		s.m.schedule(at, id)
 		s.timers++
+	case op == 12:
+		s.spawnShort()
 	case op >= 10:
 		i := s.rng.Intn(len(s.owned))
 		if j := s.ownedAt[i]; j >= 0 {
@@ -371,8 +409,9 @@ func (s *timerScript) step() {
 // 24-hour horizon and checks what the model says of its end: every
 // timer due inside the horizon fired, the queue is empty, and the
 // kernel counted the model's dispatches. It returns the operations the
-// script left unspent because no timer was left to run them.
-func runTimerScript(t *testing.T, seed int64, budget int) int {
+// script left unspent because no timer was left to run them, and how
+// many short tasks ran on a recycled struct.
+func runTimerScript(t *testing.T, seed int64, budget int) (left, reused int) {
 	t.Helper()
 	s := &timerScript{t: t, k: sim.New(seed), rng: rand.New(rand.NewSource(seed)), budget: budget}
 	s.ownedAt = [4]int{-1, -1, -1, -1}
@@ -393,28 +432,34 @@ func runTimerScript(t *testing.T, seed int64, budget int) int {
 	if got := s.k.QueueLen(); got != 0 {
 		t.Fatalf("seed %d: QueueLen() = %d after the horizon, want 0", seed, got)
 	}
-	if got, want := s.k.Snapshot(), (sim.Stats{Events: s.fired, Switches: s.switches, Spawns: uint64(s.sleepers)}); got != want {
+	if got, want := s.k.Snapshot(), (sim.Stats{Events: s.fired, Switches: s.switches, Spawns: uint64(s.sleepers + s.shorts)}); got != want {
 		t.Fatalf("seed %d: stats %+v, model %+v", seed, got, want)
 	}
-	return s.budget
+	return s.budget, s.reused
 }
 
 // TestTimersMatchModel is the property test behind the kernel's single
 // event queue: for any script of At/After/Arm/Schedule/Cancel/Reschedule
 // and Sleep, dispatch order, handle results, Stats and queue length are
 // those of the sorted-slice model, and the queue's own invariants
-// (CheckQueue) hold after every operation.
+// (CheckQueue) hold after every operation. Every seed runs short tasks
+// on recycled structs.
 func TestTimersMatchModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		if left := runTimerScript(t, seed, 20000); left != 0 {
+		left, reused := runTimerScript(t, seed, 20000)
+		if left != 0 {
 			t.Fatalf("seed %d: script died out with %d operations unspent", seed, left)
+		}
+		if reused == 0 {
+			t.Fatalf("seed %d: no short task ran on a recycled struct", seed)
 		}
 	}
 }
 
 // FuzzTimers runs timerScript under any seed and operation budget: the
 // kernel's one queue must dispatch every script, sleeps included, in
-// the model's (at, seq) order with its invariants intact.
+// the model's (at, seq) order with its invariants intact, and every
+// short task, recycled or not, must start fresh.
 func FuzzTimers(f *testing.F) {
 	f.Add(int64(1), uint16(2000))
 	f.Add(int64(42), uint16(0))

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"unsafe"
 )
 
 // Len reports the number of buffered items.
@@ -20,8 +22,47 @@ func (c *Cond) Len() int {
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.t.name }
 
+// Incarnation returns how many tasks ran on the calling task's struct
+// before this one: above 0 when Go took it off the free list.
+func (p *Proc) Incarnation() uint64 { return p.gen }
+
+// CheckFresh reports what the calling task, at the start of its
+// function, carries over from an earlier incarnation of its struct: a
+// reused task starts unblocked, unkilled, not timed out, on no Cond,
+// and with no timer of its callback's queued.
+func (p *Proc) CheckFresh() error {
+	t := p.task()
+	switch {
+	case t.blocked:
+		return errors.New("starts blocked")
+	case t.killed:
+		return errors.New("starts killed")
+	case t.timedOut:
+		return errors.New("starts timed out")
+	case t.cw != (condWaiter{}):
+		return fmt.Errorf("starts registered on a Cond: %+v", t.cw)
+	case t.timerFn != nil && t.k.events.holds(t.timerFn):
+		return errors.New("starts with its timer callback queued")
+	}
+	return nil
+}
+
+// holds reports whether fn, by closure identity, is a queued callback.
+func (q *eventQueue) holds(fn func()) bool {
+	id := func(f func()) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }
+	if h := q.head.ev; h != nil && id(h.fn) == id(fn) {
+		return true
+	}
+	for _, s := range q.heap {
+		if id(s.ev.fn) == id(fn) {
+			return true
+		}
+	}
+	return false
+}
+
 // Rand returns the kernel's deterministic random source.
-func (p *Proc) Rand() *rand.Rand { return p.k.rng }
+func (p *Proc) Rand() *rand.Rand { return p.t.k.rng }
 
 // CheckQueue reports the first broken invariant of the kernel's event
 // queue, or nil: heap order holds, the head comes before the heap's

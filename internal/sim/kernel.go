@@ -69,29 +69,37 @@ type event struct {
 }
 
 // task is the kernel-side state of one simulated goroutine. Per-RPC
-// tasks make it one of a run's most numerous objects, so its size is
-// pinned (TestStateSizes): 112 bytes, one size class below 128.
+// tasks make it one of a run's most numerous objects, so a task that
+// returns is recycled: Kernel.Go takes the struct, and the timer
+// callback it has bound, off the kernel's free list. gen counts the
+// struct's incarnations, as event.gen does: a Proc records the gen it
+// was made for, so one kept past its task's return cannot drive the
+// struct's next occupant (Proc.task). Its size is pinned
+// (TestStateSizes): 112 bytes, one size class below 128.
 type task struct {
 	name     string
 	fn       func(p *Proc)
-	proc     Proc       // the handle fn receives; proc.t points back here
+	k        *Kernel
 	co       *coro      // carries the task from its first activation to its return
+	gen      uint64     // incarnation, bumped when the task returns
 	blocked  bool       // parked, waiting for a wake
 	killed   bool       // task should unwind instead of resuming
 	timedOut bool       // the last Cond wait ended at its timer
 	cw       condWaiter // Cond registration (one park at a time)
 	timerFn  func()     // the task's timer callback; see timer
 
-	prev, next *task // Kernel.live ring, in spawn order
+	prev, next *task // Kernel.live ring, in spawn order; next links Kernel.spare
 }
 
 // timer returns the task's one timer callback, bound on first use and
 // shared by Sleep and WaitTimeout, so neither allocates a closure per
-// call and a task pays for at most one. It wakes the task; a task still
-// linked on a Cond is parked in WaitTimeout, so the callback first
-// unlinks it and marks the wait timed out. A sleeping task is on no
-// Cond, and a signalled waiter's timer is cancelled when it is
-// signalled. Timer callbacks run holding the execution token.
+// call and a struct pays for at most one over all its incarnations. It
+// wakes the task; a task still linked on a Cond is parked in
+// WaitTimeout, so the callback first unlinks it and marks the wait
+// timed out. A sleeping task is on no Cond, and a signalled waiter's
+// timer is cancelled when it is signalled, so no timer is pending when
+// a task returns and the callback never fires for a later incarnation.
+// Timer callbacks run holding the execution token.
 //
 //p2p:token
 func (t *task) timer() func() {
@@ -101,7 +109,7 @@ func (t *task) timer() func() {
 				t.timedOut = true
 				c.unlink(t)
 			}
-			t.proc.k.wake(t)
+			t.k.wake(t)
 		}
 	}
 	return t.timerFn
@@ -115,21 +123,25 @@ type killedPanic struct{}
 // coro is a coroutine that runs tasks, one after another: Run switches
 // to it with next, and the task it carries switches back with yield
 // when it parks or returns. Both are direct switches between two
-// goroutines (iter.Pull), not a trip through the Go scheduler.
+// goroutines (iter.Pull), not a trip through the Go scheduler. It
+// carries its task as the Proc the task's function receives: one
+// pointer, so a coro stays 32 B.
 type coro struct {
-	t     *task
+	p     *Proc
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 }
 
-// maxIdleCoros bounds the coroutines kept for reuse between tasks.
-// Measured with `go run ./bench -workload sweep-overlay`, parent 571.5 MB
-// alloc_mb (bound 3 %) and 110 MB peak_rss_mb (bound 10 %): without
-// reuse every spawn pays iter.Pull's ≈ 350 B of closures, 632 MB and
-// 115–116 MB; with an unbounded list the stacks of every spawn burst
-// stay resident until Run returns, 537 MB and 125 MB; at 32, 559 MB and
-// 105–121 MB. DESIGN decision 11 has the pairs.
+// maxIdleCoros bounds the coroutines kept for reuse between tasks. A
+// spawn that finds the list empty pays iter.Pull's closures and a new
+// goroutine; every coroutine kept idle keeps its stack. Measured with
+// `go run ./bench -workload sweep-overlay` (alloc_mb bound 3 %,
+// peak_rss_mb bound 10 %), medians of 13 runs for 32 and 256 and of 5
+// for the rest: 32 gives 197.9 MB and 88.1 MB; 256, 194.0 and 88.9;
+// 2048, 183.3 and 92.8; an unbounded list, which keeps the stacks of
+// every spawn burst until Run returns, 175.3 and 107.3. DESIGN
+// decision 11 has the table.
 const maxIdleCoros = 32
 
 // Kernel is a deterministic discrete-event simulation kernel.
@@ -152,6 +164,7 @@ type Kernel struct {
 	seq    uint64
 	events eventQueue
 	free   *event  // recycled event structs
+	spare  *task   // recycled task structs, linked through next
 	ready  []*task // runnable tasks, FIFO
 	live   task    // sentinel of the ring of unfinished tasks, in spawn order
 	idle   []*coro // coroutines whose task returned, at most maxIdleCoros
@@ -220,14 +233,19 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // before Run (to create the initial population) or from a running
 // simulated goroutine. The child starts at the current virtual time,
 // after the caller next yields. Spawning is bookkeeping only: the task
-// gets a coroutine when Run first activates it, so a kernel that is
-// never run starts nothing.
+// gets a coroutine and its Proc when Run first activates it, so a
+// kernel that is never run starts nothing.
 //
 //p2p:tokenentry callers hold the token or the kernel is idle; fn runs only once Run resumes the task
 //p2p:tokenarg
 func (k *Kernel) Go(name string, fn func(p *Proc)) {
-	t := &task{name: name, fn: fn}
-	t.proc = Proc{k: k, t: t}
+	t := k.spare
+	if t != nil {
+		k.spare = t.next
+	} else {
+		t = &task{k: k}
+	}
+	t.name, t.fn = name, fn
 	t.prev, t.next = k.live.prev, &k.live
 	t.prev.next, k.live.prev = t, t
 	k.stats.Spawns++
@@ -235,11 +253,15 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) {
 }
 
 // resume switches to t and returns when t parks or returns. A task's
-// first activation gives it a coroutine, an idle one if there is one;
-// when the task returns, its coroutine goes back on the idle list, or
-// ends if the list is full. Coroutines are made here, under Run, and
-// not in Go: the runtime requires a coroutine's creator and its resumer
-// to agree on LockOSThread state, and Run is the only resumer.
+// first activation gives it a coroutine, an idle one if there is one,
+// and the Proc of its incarnation; when the task returns, its
+// coroutine goes back on the idle list, or ends if the list is full,
+// and the task struct goes on the free list unless it was killed. A
+// recycled struct keeps its timer callback; gen moves on, and the
+// reset leaves it unblocked, not timed out and on no Cond. Coroutines
+// are made here, under Run, and not in Go: the runtime requires a
+// coroutine's creator and its resumer to agree on LockOSThread state,
+// and Run is the only resumer.
 //
 //p2p:token
 func (k *Kernel) resume(t *task) {
@@ -250,10 +272,10 @@ func (k *Kernel) resume(t *task) {
 		} else {
 			c = newCoro()
 		}
-		c.t, t.co = t, c
+		c.p, t.co = &Proc{t: t, gen: t.gen}, c
 	}
 	c.next()
-	if c.t != nil {
+	if c.p != nil {
 		return // parked
 	}
 	// A Proc someone kept can outlive the task; it must not pin what
@@ -261,6 +283,11 @@ func (k *Kernel) resume(t *task) {
 	t.fn, t.co = nil, nil
 	t.prev.next, t.next.prev = t.next, t.prev
 	t.prev, t.next = nil, nil
+	if !t.killed {
+		t.gen++
+		t.timedOut, t.cw = false, condWaiter{}
+		t.next, k.spare = k.spare, t
+	}
 	if len(k.idle) < maxIdleCoros {
 		k.idle = append(k.idle, c)
 	} else {
@@ -269,7 +296,7 @@ func (k *Kernel) resume(t *task) {
 }
 
 // newCoro returns a coroutine that runs the task it is handed to its
-// end, clears c.t to say so, and waits to be handed the next. A panic
+// end, clears c.p to say so, and waits to be handed the next. A panic
 // in task code — a killed task's sentinel included — ends the coroutine
 // and leaves through next. Every frame under a task's own comes out of
 // the 1 120 usable bytes of its first 2 KiB stack, so the body does
@@ -283,8 +310,8 @@ func newCoro() *coro {
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		for {
-			c.t.fn(&c.t.proc)
-			c.t = nil
+			c.p.t.fn(c.p)
+			c.p = nil
 			if !c.yield(struct{}{}) {
 				return
 			}
@@ -529,8 +556,9 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// teardown unwinds every remaining task (parked or ready) and ends the
-// idle coroutines, so a finished run leaves no goroutine behind.
+// teardown unwinds every remaining task (parked or ready), ends the
+// idle coroutines and drops the free tasks, so a finished run leaves no
+// goroutine behind.
 // Deferred cleanups (conn.Close and the like) run while a killed task
 // unwinds, so tasks are unwound strictly one at a time — ready tasks in
 // FIFO order, then parked tasks in spawn order — and a wake or a spawn
@@ -551,7 +579,7 @@ func (k *Kernel) teardown() {
 			k.kill(t)
 		}
 	}
-	k.ready = nil
+	k.ready, k.spare = nil, nil
 	k.live.prev, k.live.next = &k.live, &k.live
 	for _, c := range k.idle {
 		c.stop()

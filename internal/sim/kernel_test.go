@@ -249,6 +249,60 @@ func TestTaskPanicReachesRun(t *testing.T) {
 	goroutinesSettleAt(t, base, "after a task panic")
 }
 
+// TestStaleProcPanics checks the incarnation guard on recycled tasks: a
+// Proc kept past its task's return, used once Go has handed the task's
+// struct to a successor, panics in park, Sleep and a Cond wait, and
+// leaves the successor as it was — running, on no Cond, with no timer
+// queued — so the successor goes on with its own Proc.
+func TestStaleProcPanics(t *testing.T) {
+	const want = "sim: a Proc was used after its task returned"
+	for _, tc := range []struct {
+		name string
+		use  func(stale *Proc)
+	}{
+		{"park", func(stale *Proc) { stale.park() }},
+		{"Sleep", func(stale *Proc) { stale.Sleep(time.Second) }},
+		{"Yield", func(stale *Proc) { stale.Yield() }},
+		{"WaitTimeout", func(stale *Proc) { new(Cond).WaitTimeout(stale, time.Second) }},
+	} {
+		k := New(1)
+		var stale *Proc
+		k.Go("first", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			stale = p
+		})
+		var got any
+		done := false
+		k.Go("spawner", func(p *Proc) {
+			p.Sleep(2 * time.Millisecond)
+			k.Go("successor", func(p *Proc) {
+				if p.t != stale.t {
+					t.Fatalf("%s: the successor did not reuse the returned task's struct", tc.name)
+				}
+				func() {
+					defer func() { got = recover() }()
+					tc.use(stale)
+				}()
+				if s := p.t; s.blocked || s.killed || s.cw.c != nil || k.QueueLen() != 0 {
+					t.Errorf("%s: successor blocked=%v killed=%v cond=%p, %d timers queued after the stale use",
+						tc.name, s.blocked, s.killed, s.cw.c, k.QueueLen())
+				}
+				p.Sleep(time.Second)
+				done = true
+			})
+		})
+		if err := k.Run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: stale use recovered %v, want the panic %q", tc.name, got, want)
+		}
+		if !done {
+			t.Errorf("%s: the successor did not finish its own Sleep", tc.name)
+		}
+	}
+}
+
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	sleepers := func(k *Kernel, n int, d Duration) {
 		for i := 0; i < n; i++ {

@@ -2,18 +2,35 @@ package sim
 
 // Proc is the handle a simulated goroutine uses to interact with the
 // kernel. Every function spawned with Kernel.Go or Proc.Go receives its
-// own Proc; a Proc must only be used by the goroutine it was given to.
+// own Proc; a Proc must only be used by the goroutine it was given to,
+// and only until that goroutine's function returns.
+//
+// A Proc names its task as an event handle names its event: the struct
+// and the incarnation, gen, it was made for. The kernel recycles the
+// struct of a task that returns, so a Proc kept past that point would
+// otherwise park, sleep or wait as the struct's next task; the check
+// in task turns that into a panic.
 type Proc struct {
-	k *Kernel
-	t *task
+	t   *task
+	gen uint64
+}
+
+// task returns the task p belongs to, and panics if that task has
+// returned.
+func (p *Proc) task() *task {
+	t := p.t
+	if t.gen != p.gen {
+		panic("sim: a Proc was used after its task returned")
+	}
+	return t
 }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
+func (p *Proc) Now() Time { return p.t.k.now }
 
 // Go spawns a child simulated goroutine. The child starts at the current
 // virtual time once the scheduler next runs it.
-func (p *Proc) Go(name string, fn func(p *Proc)) { p.k.Go(name, fn) }
+func (p *Proc) Go(name string, fn func(p *Proc)) { p.t.k.Go(name, fn) }
 
 // park blocks the calling task until another component wakes it via
 // kernel.wake: it marks the task blocked and switches back to Run,
@@ -25,7 +42,7 @@ func (p *Proc) Go(name string, fn func(p *Proc)) { p.k.Go(name, fn) }
 // cleanups that use blocking primitives (defer conn.Close(p)) unwind
 // instantly rather than hang on a wake that will never come.
 func (p *Proc) park() {
-	t := p.t
+	t := p.task()
 	if t.killed {
 		panic(killedPanic{})
 	}
@@ -51,12 +68,13 @@ func (p *Proc) park() {
 // those of the park; only the two coroutine switches are gone (DESIGN
 // decisions 1 and 11).
 func (p *Proc) Sleep(d Duration) {
-	k := p.k
+	t := p.task()
+	k := t.k
 	at := k.now
 	if d > 0 {
 		at = at.Add(d)
 	}
-	if !p.t.killed && len(k.ready) == 0 && !k.stopped &&
+	if !t.killed && len(k.ready) == 0 && !k.stopped &&
 		(k.limit == 0 || at <= k.limit) &&
 		(k.events.len() == 0 || at < k.events.peek().at) {
 		k.seq++
@@ -65,7 +83,7 @@ func (p *Proc) Sleep(d Duration) {
 		k.stats.Switches++
 		return
 	}
-	k.push(at, p.t.timer())
+	k.push(at, t.timer())
 	p.park()
 }
 
