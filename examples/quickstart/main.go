@@ -34,7 +34,7 @@ func main() {
 		if err != nil {
 			return
 		}
-		fmt.Printf("[%8v] bob received %q from %v\n", p.Now(), pk.Meta, pk.From)
+		fmt.Printf("[%8v] bob received %q from %v\n", p.Now(), pk.Meta, conn.RemoteAddr())
 	})
 
 	a.Kernel.Go("alice", func(p *sim.Proc) {

@@ -167,7 +167,7 @@ func (t *Tracker) handle(p *sim.Proc, c *vnet.Conn) {
 	if !ok {
 		return
 	}
-	resp, err := t.announce(req, pk.From.Addr)
+	resp, err := t.announce(req, c.RemoteAddr().Addr)
 	if err != nil {
 		resp = &announceResp{failure: err.Error()}
 	}

@@ -14,15 +14,16 @@ import (
 	"repro/internal/vnet"
 )
 
-// TestRPCRoundTripAllocs is the allocation gate of chord's per-RPC path:
-// a warm remote call, served by handle on a second node, costs exactly 6
-// allocations — the dial's two Conns and their one-slot rings (vnet's
-// TestDialAllocs) and the handler task's closure and Proc (sim's
-// TestSpawnedTaskAllocs). The request and the reply travel in boxes the
-// two nodes' pools hand back and forth, so neither payload allocates;
-// boxing rpcMsg into Packet.Meta by value cost 2 more, and a fresh task
-// struct and timer callback per handler 2 more again. Only serve runs
-// on the callee, so no maintenance RPC interleaves.
+// TestRPCRoundTripAllocs is the allocation gate of chord's per-RPC
+// path: a warm remote call, served by handle on a second node, costs
+// exactly 6 allocations — the dial's two 128-byte Conns and their
+// 16-byte one-slot rings, 288 B in all (vnet's TestDialAllocs), and
+// the handler task's closure and Proc (sim's TestSpawnedTaskAllocs).
+// The request and the reply travel in boxes the two nodes' pools hand
+// back and forth, so neither payload allocates; boxing rpcMsg into
+// Packet.Meta by value cost 2 more, and a fresh task struct and timer
+// callback per handler 2 more again. Only serve runs on the callee,
+// so no maintenance RPC interleaves.
 func TestRPCRoundTripAllocs(t *testing.T) {
 	const warmup, measured = 100, 2000
 	k := sim.New(1)

@@ -76,6 +76,10 @@ type Node struct {
 	hot   map[uint64]int // rounds remaining as a hot rumor
 	alive bool
 
+	// boxes holds the boxes this node's pushes, digests and digest
+	// replies travel in (vnet.Box); each receiver hands its box back.
+	boxes vnet.BoxPool[wireMsg]
+
 	// Stats counts protocol activity.
 	Stats NodeStats
 }
@@ -251,15 +255,15 @@ func (n *Node) sendAsync(p *sim.Proc, to ip.Endpoint, m wireMsg) {
 			return
 		}
 		defer c.Close(p)
-		c.SendMeta(p, m.wireSize(), m)
+		c.SendMeta(p, m.wireSize(), n.boxes.Get(m))
 		if m.Kind == kindDigest {
 			// Wait for the reply carrying missing updates.
 			pk, ok, err := c.RecvTimeout(p, 10*time.Second)
 			if err != nil || !ok {
 				return
 			}
-			if reply, isMsg := pk.Meta.(wireMsg); isMsg {
-				for _, u := range reply.Updates {
+			if b, isMsg := pk.Meta.(*vnet.Box[wireMsg]); isMsg {
+				for _, u := range b.Take().Updates {
 					n.learn(u)
 				}
 			}
@@ -282,11 +286,15 @@ func (n *Node) serve(p *sim.Proc) {
 		p.Go("gossip-conn", func(p *sim.Proc) {
 			defer c.Close(p)
 			pk, ok, err := c.RecvTimeout(p, 10*time.Second)
-			if err != nil || !ok || !n.alive {
+			if err != nil || !ok {
 				return
 			}
-			m, isMsg := pk.Meta.(wireMsg)
+			b, isMsg := pk.Meta.(*vnet.Box[wireMsg])
 			if !isMsg {
+				return
+			}
+			m := b.Take()
+			if !n.alive {
 				return
 			}
 			switch m.Kind {
@@ -296,7 +304,7 @@ func (n *Node) serve(p *sim.Proc) {
 				}
 			case kindDigest:
 				reply := wireMsg{Kind: kindDigestReply, Updates: n.missingFor(m.Have)}
-				c.SendMeta(p, reply.wireSize(), reply)
+				c.SendMeta(p, reply.wireSize(), n.boxes.Get(reply))
 				// Symmetric repair: learn what the peer has that we
 				// lack at the next anti-entropy round (pull-only here).
 			}

@@ -9,9 +9,15 @@ import (
 // once it has drained.
 var ErrClosed = errors.New("sim: channel closed")
 
+// ErrFull is returned by Send on a bounded Chan that holds its capacity.
+var ErrFull = errors.New("sim: channel full")
+
 // Chan is a virtual-time message channel with an optional capacity bound,
 // analogous to a Go channel but scheduled by the kernel. A capacity of 0
-// means unbounded (senders never block).
+// means unbounded. Only receivers park: a send never blocks, and on a
+// full bounded channel it is refused (TrySend reports false, Send
+// returns ErrFull). The one bounded channel, a listener's backlog,
+// refuses a connection when full rather than waiting for room.
 //
 // The buffer is a growable ring: the earlier sliding-slice version
 // (buf = buf[1:] on receive) marched the slice down its backing array,
@@ -22,16 +28,16 @@ var ErrClosed = errors.New("sim: channel closed")
 // connection per message), which carries one or two messages in its
 // life.
 //
-// The two Conds are zero-value fields, and the counters are int32, so
-// a Chan is 72 bytes and holds no kernel: the zero Chan is an unbounded
-// channel ready to use, and a struct that embeds one by value (vnet's
-// Conn) makes no further object for it. A Chan must not be copied once
-// a task may wait on it: a waiter records its Cond's address.
+// The receivers' Cond is a zero-value field, and the counters are
+// int32, so a Chan is 56 bytes and holds no kernel: the zero Chan is an
+// unbounded channel ready to use, and a struct that embeds one by value
+// (vnet's Conn) makes no further object for it. A Chan must not be
+// copied once a task may wait on it: a waiter records its Cond's
+// address.
 //
 // All operations require the execution token (they are only meaningful
 // from simulated goroutines or event callbacks), which is all that
-// orders access to the ring and flags. On unbounded channels (cap == 0)
-// nothing ever waits on notFull, so those signals are skipped entirely.
+// orders access to the ring and flags.
 type Chan[T any] struct {
 	buf    []T   // ring storage; element i is buf[(head+i)%len(buf)]
 	head   int32 // index of the oldest element
@@ -40,7 +46,6 @@ type Chan[T any] struct {
 	closed bool
 
 	notEmpty Cond
-	notFull  Cond
 }
 
 // NewChan returns a channel of the given capacity; 0 means unbounded.
@@ -85,24 +90,20 @@ func (c *Chan[T]) pop() T {
 	return v
 }
 
-// Send enqueues v, parking while the channel is full. It returns
-// ErrClosed if the channel is (or becomes) closed.
+// Send enqueues v from a task. It never parks: it returns ErrClosed
+// on a closed channel and ErrFull on a full bounded one.
 func (c *Chan[T]) Send(p *Proc, v T) error {
-	for {
-		if c.closed {
-			return ErrClosed
-		}
-		if c.cap == 0 || c.n < c.cap {
-			c.push(v)
-			c.notEmpty.Signal()
-			return nil
-		}
-		c.notFull.Wait(p)
+	if c.closed {
+		return ErrClosed
 	}
+	if !c.TrySend(v) {
+		return ErrFull
+	}
+	return nil
 }
 
-// TrySend enqueues v without blocking; it reports whether the item was
-// accepted (false when full or closed).
+// TrySend enqueues v; it reports whether the item was accepted (false
+// when full or closed).
 //
 //p2p:token
 func (c *Chan[T]) TrySend(v T) bool {
@@ -122,11 +123,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	if c.n == 0 {
 		return v, false
 	}
-	v = c.pop()
-	if c.cap > 0 {
-		c.notFull.Signal()
-	}
-	return v, true
+	return c.pop(), true
 }
 
 // Recv dequeues the oldest item, parking while the channel is empty.
@@ -135,11 +132,7 @@ func (c *Chan[T]) Recv(p *Proc) (T, error) {
 	var zero T
 	for {
 		if c.n > 0 {
-			v := c.pop()
-			if c.cap > 0 {
-				c.notFull.Signal()
-			}
-			return v, nil
+			return c.pop(), nil
 		}
 		if c.closed {
 			return zero, ErrClosed
@@ -154,11 +147,7 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool, err error) {
 	deadline := p.Now().Add(d)
 	for {
 		if c.n > 0 {
-			v = c.pop()
-			if c.cap > 0 {
-				c.notFull.Signal()
-			}
-			return v, true, nil
+			return c.pop(), true, nil
 		}
 		if c.closed {
 			return v, false, ErrClosed
@@ -178,7 +167,7 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool, err error) {
 }
 
 // Close marks the channel closed. Buffered items remain receivable;
-// blocked receivers and senders are released.
+// blocked receivers are released.
 //
 //p2p:token
 func (c *Chan[T]) Close() {
@@ -187,9 +176,6 @@ func (c *Chan[T]) Close() {
 	}
 	c.closed = true
 	c.notEmpty.Broadcast()
-	if c.cap > 0 {
-		c.notFull.Broadcast()
-	}
 }
 
 // Closed reports whether Close has been called.

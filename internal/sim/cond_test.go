@@ -10,8 +10,8 @@ import (
 )
 
 // TestStateSizes pins the per-task state every spawn pays and the Cond
-// that a per-RPC connection holds three of: a task stays in the 112-byte
-// size class, a Cond is two pointers and a Chan 72 bytes. A field that
+// that a per-RPC connection holds two of: a task stays in the 112-byte
+// size class, a Cond is two pointers and a Chan 56 bytes. A field that
 // pushes a struct past its class fails here rather than silently
 // costing every endpoint the next class up.
 func TestStateSizes(t *testing.T) {
@@ -24,8 +24,8 @@ func TestStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(Cond{}); got != 16 {
 		t.Errorf("Cond is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(Chan[int]{}); got != 72 {
-		t.Errorf("Chan is %d bytes, want 72", got)
+	if got := unsafe.Sizeof(Chan[int]{}); got != 56 {
+		t.Errorf("Chan is %d bytes, want 56", got)
 	}
 }
 

@@ -70,6 +70,10 @@ func (p *Proc) Rand() *rand.Rand { return p.t.k.rng }
 // index, or −1 for the head.
 func (k *Kernel) CheckQueue() error { return k.events.check() }
 
+// CheckHead is CheckQueue's constant-time part: the head records −1
+// and comes before the heap's root.
+func (k *Kernel) CheckHead() error { return k.events.checkHead() }
+
 func (q *eventQueue) check() error {
 	for i, s := range q.heap {
 		if s.ev.idx != i {
@@ -79,6 +83,10 @@ func (q *eventQueue) check() error {
 			return fmt.Errorf("heap slot %d (at=%v seq=%d) orders before its parent %d", i, s.at, s.seq, p)
 		}
 	}
+	return q.checkHead()
+}
+
+func (q *eventQueue) checkHead() error {
 	h := q.head
 	if h.ev == nil {
 		return nil

@@ -133,17 +133,16 @@ func TestRunUntilHorizon(t *testing.T) {
 			last = p.Now()
 		}
 	})
-	full := NewChan[int](k, 1)
-	k.Go("sender", func(p *Proc) {
+	empty := NewChan[int](k, 0)
+	k.Go("receiver", func(p *Proc) {
 		defer func() { unwound = append(unwound, p.Name()) }()
-		defer full.Send(p, 3) // blocks on the full channel when not killed
-		full.Send(p, 1)
-		full.Send(p, 2)
+		defer empty.Recv(p) // blocks on the empty channel when not killed
+		empty.Recv(p)
 	})
 	if err := k.RunUntil(Time(10*time.Second) + 1); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"ticker", "sender"}; !slices.Equal(unwound, want) {
+	if want := []string{"ticker", "receiver"}; !slices.Equal(unwound, want) {
 		t.Fatalf("unwound %v, want %v (spawn order, blocking cleanups cut short)", unwound, want)
 	}
 	if orphanRan {

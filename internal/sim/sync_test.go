@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -143,32 +144,41 @@ func TestChanSendRecv(t *testing.T) {
 	}
 }
 
-func TestChanCapacityBlocksSender(t *testing.T) {
+// TestChanSendRefusesWhenFull: Send never parks. On a full bounded
+// channel it returns ErrFull at once, and the item is not queued; on a
+// closed channel it returns ErrClosed.
+func TestChanSendRefusesWhenFull(t *testing.T) {
 	k := New(1)
 	ch := NewChan[int](k, 2)
+	var errs []error
 	var sentAt []Time
 	k.Go("send", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			if err := ch.Send(p, i); err != nil {
-				t.Errorf("Send: %v", err)
-			}
+			errs = append(errs, ch.Send(p, i))
 			sentAt = append(sentAt, p.Now())
 		}
-	})
-	k.Go("recv", func(p *Proc) {
-		p.Sleep(5 * time.Second)
-		if _, err := ch.Recv(p); err != nil {
-			t.Errorf("Recv: %v", err)
-		}
+		ch.Close()
+		errs = append(errs, ch.Send(p, 3))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if sentAt[0] != 0 || sentAt[1] != 0 {
-		t.Fatalf("first two sends should not block: %v", sentAt)
+	want := []error{nil, nil, ErrFull, ErrClosed}
+	for i := range want {
+		if !errors.Is(errs[i], want[i]) {
+			t.Fatalf("send %d: %v, want %v", i, errs[i], want[i])
+		}
 	}
-	if sentAt[2] != Time(5*time.Second) {
-		t.Fatalf("third send completed at %v, want 5s", sentAt[2])
+	if !slices.Equal(sentAt, []Time{0, 0, 0}) {
+		t.Fatalf("sends returned at %v, want all at 0", sentAt)
+	}
+	for i := 0; i < 2; i++ {
+		if v, ok := ch.TryRecv(); !ok || v != i {
+			t.Fatalf("TryRecv = %d, %v; want %d, true", v, ok, i)
+		}
+	}
+	if _, ok := ch.TryRecv(); ok {
+		t.Fatal("the refused item was queued")
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 )
 
 // Packet is one received message: the protocol value the sender
-// passed to SendMeta and the payload size it was charged at on the
-// wire. No bytes are materialized, so a large swarm moves gigabytes of
-// piece data without allocating them.
+// passed to SendMeta. The network charges the size SendMeta names (the
+// net.deliver record and the byte counters carry it) and the sender is
+// the Conn's RemoteAddr, so a Packet carries neither: it is 16 bytes,
+// the slot of a per-RPC inbox's one-slot ring. No bytes are
+// materialized, so a large swarm moves gigabytes of piece data without
+// allocating them.
 type Packet struct {
 	Meta any
-	Size int
-	From ip.Endpoint
 }
 
 // Conn is a TCP-like reliable, ordered, message-boundary-preserving
@@ -28,22 +29,23 @@ type Packet struct {
 // message names the Conn it lands on: a host has no demultiplexing
 // table. A message is delivered only while its Conn is registered,
 // from Dial's SYN (or the acceptor's queueing) until Close, a reset or
-// a failed dial deregisters it; the id is a trace label.
+// a failed dial deregisters it.
 //
 // chord and gossip dial a connection per message, so a Conn is packed
-// into 160 bytes, its size class (TestConnSize): the inbox and the
+// into 128 bytes, its size class (TestConnSize): the inbox and the
 // handshake Cond are zero values held inline, so an endpoint is one
-// allocation; sequence numbers are 32-bit; the local side is a port,
-// its address being the host's; the flags sit together. A connection
-// carries at most 2³²−1 messages: the send that would wrap its
-// sequence fails with ErrSeqExhausted.
+// allocation; the remote endpoint is the peer's local one, so it is
+// not stored; sequence numbers and the id are 32-bit; the local side
+// is a port, its address being the host's; the flags sit together. A
+// connection carries at most 2³²−1 messages: the send that would wrap
+// its sequence fails with ErrSeqExhausted. The id is only a trace
+// label, shared by both ends: a network's 2³²-th dial wraps it to 0,
+// after which labels repeat.
 type Conn struct {
-	h      *Host
-	id     uint64
-	peer   *Conn // the other end; nil until the SYN-ACK reaches a dialer
-	remote ip.Endpoint
-	inbox  sim.Chan[Packet]
-	hs     sim.Cond // the dialer parks here until SYN-ACK or RST
+	h     *Host
+	peer  *Conn // the other end; nil until the SYN-ACK reaches a dialer
+	inbox sim.Chan[Packet]
+	hs    sim.Cond // the dialer parks here until SYN-ACK or RST
 
 	// TCP-like sequencing: retransmitted messages may arrive out of
 	// order relative to later messages or the FIN, so delivery to the
@@ -52,6 +54,7 @@ type Conn struct {
 	sendSeq  uint32
 	recvNext uint32
 	finSeq   uint32
+	id       uint32 // the trace label
 	lport    ip.Port
 
 	registered  bool // messages addressed to c are delivered
@@ -197,8 +200,8 @@ func (c *Conn) checkFin() {
 	}
 }
 
-// RemoteAddr returns the remote endpoint.
-func (c *Conn) RemoteAddr() ip.Endpoint { return c.remote }
+// RemoteAddr returns the remote endpoint: the peer's local one.
+func (c *Conn) RemoteAddr() ip.Endpoint { return c.peer.local() }
 
 // SendMeta transmits one message: size payload bytes on the wire
 // carrying the protocol value meta, which the receiver reads back as
@@ -212,7 +215,7 @@ func (c *Conn) SendMeta(p *sim.Proc, size int, meta any) error {
 	}
 	c.h.syscall(p, SyscallSend)
 	m := message{
-		kind: kindData, src: c.local(), dst: c.remote, size: size,
+		kind: kindData, src: c.local(), dst: c.peer.local(), size: size,
 		meta: meta, from: c, to: c.peer, seq: c.sendSeq,
 	}
 	c.sendSeq++
@@ -252,7 +255,7 @@ func (c *Conn) Close(p *sim.Proc) error {
 	c.h.syscall(p, SyscallClose)
 	if c.established {
 		c.h.net.transmit(c.h, c.peer.h, message{
-			kind: kindFin, src: c.local(), dst: c.remote, size: 20,
+			kind: kindFin, src: c.local(), dst: c.peer.local(), size: 20,
 			from: c, to: c.peer, seq: c.sendSeq,
 		}, true)
 	}
@@ -302,7 +305,7 @@ func (l *Listener) Close() {
 		c.deregister()
 		c.abort()
 		l.h.net.transmit(l.h, c.peer.h, message{
-			kind: kindRst, src: c.local(), dst: c.remote, size: 20, to: c.peer,
+			kind: kindRst, src: c.local(), dst: c.peer.local(), size: 20, to: c.peer,
 		}, true)
 	}
 }

@@ -2,6 +2,7 @@ package vnet_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,20 @@ import (
 	"repro/internal/trace"
 	"repro/internal/vnet"
 )
+
+// deliveriesOfSize counts the net.deliver records on h in lg of a message
+// of payload size: the size the network charged it, which a receiver
+// does not see.
+func deliveriesOfSize(lg *trace.Log, h *vnet.Host, size int) int {
+	prefix := fmt.Sprintf("%d B from ", size+vnet.HeaderBytes)
+	n := 0
+	for _, ev := range lg.Filter("net.deliver") {
+		if ev.Node == h.Addr().String() && strings.HasPrefix(ev.Msg, prefix) {
+			n++
+		}
+	}
+	return n
+}
 
 // TestFlowModelEndToEnd drives reliable connections over a flow-model
 // network: concurrent bulk transfers through one shared uplink must
@@ -76,14 +91,9 @@ func TestFlowModelEndToEnd(t *testing.T) {
 				t.Errorf("client %d: %v", i, err)
 				return
 			}
-			got := 0
-			for got < size {
-				pk, err := c.Recv(p)
-				if err != nil {
-					t.Errorf("client %d: %v", i, err)
-					return
-				}
-				got += pk.Size
+			if _, err := c.Recv(p); err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
 			}
 			done[i] = p.Now()
 		})
@@ -96,6 +106,9 @@ func TestFlowModelEndToEnd(t *testing.T) {
 	for i, at := range done {
 		if at == 0 {
 			t.Fatalf("client %d did not finish", i)
+		}
+		if n := deliveriesOfSize(log, hosts[i], size); n != 1 {
+			t.Errorf("client %d was delivered %d message(s) of %d B, want 1", i, n, size)
 		}
 		if min == 0 || at < min {
 			min = at
@@ -136,6 +149,8 @@ func TestFlowWindowConfig(t *testing.T) {
 	cfg.FlowWindow = 50 * time.Millisecond
 	cfg.HandshakeTimeout = time.Hour
 	net := vnet.NewNetwork(k, nil, cfg)
+	log := trace.New(0)
+	net.SetTrace(log)
 
 	server, err := net.AddHost(ip.MustParseAddr("10.0.0.1"),
 		netem.PipeConfig{Bandwidth: 8 * netem.Mbps, Delay: 5 * time.Millisecond},
@@ -171,14 +186,9 @@ func TestFlowWindowConfig(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got := 0
-		for got < size {
-			pk, err := c.Recv(p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got += pk.Size
+		if _, err := c.Recv(p); err != nil {
+			t.Error(err)
+			return
 		}
 		finished = p.Now()
 	})
@@ -195,6 +205,9 @@ func TestFlowWindowConfig(t *testing.T) {
 	}
 	if finished == 0 {
 		t.Fatal("transfer did not finish under a windowed flow model")
+	}
+	if n := deliveriesOfSize(log, client, size); n != 1 {
+		t.Errorf("the client was delivered %d message(s) of %d B, want 1", n, size)
 	}
 	stats, ok := net.FlowStats()
 	if !ok {

@@ -82,10 +82,9 @@ func (h *Host) Dial(p *sim.Proc, raddr ip.Endpoint) (*Conn, error) {
 	n := h.net
 	n.nextID++
 	c := &Conn{
-		h:      h,
-		id:     n.nextID,
-		lport:  h.allocPort(),
-		remote: raddr,
+		h:     h,
+		id:    n.nextID,
+		lport: h.allocPort(),
 	}
 	c.register()
 	sent := n.transmit(h, n.hosts[raddr.Addr], message{
@@ -150,7 +149,6 @@ func (h *Host) deliver(m message) {
 			id:          m.from.id,
 			peer:        m.from,
 			lport:       m.dst.Port,
-			remote:      m.src,
 			established: true,
 		}
 		if !l.backlog.TrySend(c) {
@@ -185,7 +183,7 @@ func (h *Host) deliver(m message) {
 	case kindData:
 		// A probe from SendOnce names no Conn and is discarded.
 		if c := m.to; c != nil && c.registered {
-			c.onData(m.seq, Packet{Meta: m.meta, Size: m.size, From: m.src})
+			c.onData(m.seq, Packet{Meta: m.meta})
 		}
 	case kindFin:
 		if c := m.to; c.registered {

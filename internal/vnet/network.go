@@ -127,7 +127,7 @@ type Network struct {
 	flow   *flow.Model // nil under the pipe model
 	hosts  map[ip.Addr]*Host
 	order  []*Host // deterministic iteration
-	nextID uint64  // connection ids, trace labels only
+	nextID uint32  // connection ids, trace labels only (wrap after 2³² dials)
 
 	// Registered connections, by established flag, and xfers acquired
 	// and not yet released: the obs gauges' sources.

@@ -11,18 +11,22 @@ import (
 )
 
 // TestConnSize pins the per-connection state a per-RPC overlay pays
-// twice per message: a Conn stays in the 160-byte size class, with its
-// inbox Chan at 72 bytes. A field that pushes it past that fails here
-// rather than silently moving every endpoint into the next class.
+// twice per message: a Conn stays in the 128-byte size class, with its
+// inbox Chan at 56 bytes, and a Packet, the inbox ring's slot, is 16
+// bytes. A field that pushes one past that fails here rather than
+// silently moving every endpoint into the next class.
 func TestConnSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Conn{}); got > 160 {
-		t.Errorf("Conn is %d bytes, want at most 160", got)
+	if got := unsafe.Sizeof(Conn{}); got > 128 {
+		t.Errorf("Conn is %d bytes, want at most 128", got)
 	}
-	if got := unsafe.Sizeof(sim.Chan[Packet]{}); got != 72 {
-		t.Errorf("sim.Chan[Packet] is %d bytes, want 72", got)
+	if got := unsafe.Sizeof(sim.Chan[Packet]{}); got != 56 {
+		t.Errorf("sim.Chan[Packet] is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(Packet{}); got != 16 {
+		t.Errorf("Packet is %d bytes, want 16", got)
 	}
 }
 

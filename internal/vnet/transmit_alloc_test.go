@@ -165,14 +165,14 @@ func TestTransmitAllocs(t *testing.T) {
 	}
 }
 
-// rpcAllocs returns the heap allocations of one short RPC across a warm
-// DSL pair, counting both endpoints: the client dials, sends a request
-// with Conn.SendMeta, reads the reply with Conn.Recv and closes; the
-// server accepts, reads the request, replies and closes. This is what
-// chord and gossip pay per message, since they dial a connection for
-// each. Each RPC settles before the next starts, and the figure is
-// integer-divided as in messageAllocs.
-func rpcAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64 {
+// rpcAllocs returns the heap allocations and bytes of one short RPC
+// across a warm DSL pair, counting both endpoints: the client dials,
+// sends a request with Conn.SendMeta, reads the reply with Conn.Recv
+// and closes; the server accepts, reads the request, replies and
+// closes. This is what chord and gossip pay per message, since they
+// dial a connection for each. Each RPC settles before the next starts,
+// and both figures are integer-divided as in messageAllocs.
+func rpcAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) (allocs, bytes uint64) {
 	t.Helper()
 	const warmup, measured = 200, 2000
 	const size = 100
@@ -212,7 +212,7 @@ func rpcAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64 {
 			served++
 		}
 	})
-	var mallocs uint64
+	var mallocs, allocated uint64
 	k.Go("client", func(p *sim.Proc) {
 		rpcs := func(count int) {
 			for i := 0; i < count; i++ {
@@ -237,6 +237,7 @@ func rpcAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64 {
 		rpcs(measured)
 		runtime.ReadMemStats(&after)
 		mallocs = after.Mallocs - before.Mallocs
+		allocated = after.TotalAlloc - before.TotalAlloc
 		l.Close()
 	})
 	if err := k.Run(); err != nil {
@@ -245,7 +246,7 @@ func rpcAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64 {
 	if served != warmup+measured {
 		t.Fatalf("served %d RPCs, want %d", served, warmup+measured)
 	}
-	return mallocs / measured
+	return mallocs / measured, allocated / measured
 }
 
 // TestDialAllocs is the allocation gate of a per-connection RPC (one
@@ -260,13 +261,21 @@ func rpcAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) uint64 {
 //   - the inbox ring of each: 2, one slot each; each side receives one
 //     message, the request or the reply.
 //
+// It also pins their bytes: 2 × 128 for the Conns (TestConnSize) and
+// 2 × 16 for the one-Packet rings, 288 B an RPC. It was 384 B while a
+// Conn stored its remote endpoint, a 64-bit id and a Chan with a
+// senders' Cond (160 B), and a Packet carried its size and sender
+// (32 B).
+//
 // The three parks — the dialer on its handshake Cond until the SYN-ACK
 // arrives, each side on its inbox in Recv — link the task's embedded
 // waiter and allocate nothing. Everything else is pooled or warm: the
 // listener's backlog ring, the connection tables, the transmit journey
 // (TestTransmitAllocs), and the dialer's timer callback, bound once per
-// task. Tracing adds nothing: the journey's records are typed.
+// task. Tracing adds no allocation: the journey's records are typed,
+// and they fill chunks of the log, whose bytes the byte gate leaves out.
 func TestDialAllocs(t *testing.T) {
+	const wantAllocs, maxBytes = 4, 288
 	for _, tc := range []struct {
 		name string
 		kind netem.ModelKind
@@ -274,11 +283,15 @@ func TestDialAllocs(t *testing.T) {
 		{"pipe", netem.ModelPipe},
 		{"flow", netem.ModelFlow},
 	} {
-		if got := rpcAllocs(t, tc.kind, nil); got != 4 {
-			t.Errorf("%s: %d allocs per RPC, want 4", tc.name, got)
+		allocs, bytes := rpcAllocs(t, tc.kind, nil)
+		if allocs != wantAllocs {
+			t.Errorf("%s: %d allocs per RPC, want %d", tc.name, allocs, wantAllocs)
 		}
-		if got := rpcAllocs(t, tc.kind, trace.New(0)); got != 4 {
-			t.Errorf("%s, traced: %d allocs per RPC, want 4 as untraced", tc.name, got)
+		if bytes > maxBytes {
+			t.Errorf("%s: %d bytes allocated per RPC, want at most %d", tc.name, bytes, maxBytes)
+		}
+		if allocs, _ := rpcAllocs(t, tc.kind, trace.New(0)); allocs != wantAllocs {
+			t.Errorf("%s, traced: %d allocs per RPC, want %d as untraced", tc.name, allocs, wantAllocs)
 		}
 	}
 }

@@ -108,7 +108,8 @@ func (e *policyEnv) notef(format string, args ...any) {
 }
 
 // serve accepts one connection on b:80 and notes every message read
-// until the stream ends or stays quiet for ten minutes.
+// until the stream ends or stays quiet for ten minutes. The size each
+// was charged is on its net.deliver record.
 func (e *policyEnv) serve() {
 	e.k.Go("server", func(p *sim.Proc) {
 		l, err := e.b.Listen(p, 80)
@@ -122,12 +123,12 @@ func (e *policyEnv) serve() {
 			return
 		}
 		for {
-			pk, ok, err := c.RecvTimeout(p, 10*time.Minute)
+			_, ok, err := c.RecvTimeout(p, 10*time.Minute)
 			if err != nil || !ok {
 				e.notef("server: stream over (quiet=%v closed=%v)", !ok, errors.Is(err, vnet.ErrClosed))
 				return
 			}
-			e.notef("server: got %d B", pk.Size)
+			e.notef("server: got a message")
 		}
 	})
 }
@@ -251,8 +252,12 @@ func TestTransmitPolicyAcrossModels(t *testing.T) {
 		if r.stats.MessagesDropped != 0 || r.stats.Retransmits != retx || r.count("net.reset") != 0 {
 			t.Errorf("stats = %+v with %d net.reset, want no drop, %d retransmits, no reset", r.stats, r.count("net.reset"), retx)
 		}
-		if n := strings.Count(r.notes, "server: got 1000 B\n"); n != got {
+		if n := strings.Count(r.notes, "server: got a message\n"); n != got {
 			t.Errorf("server read %d message(s), want %d:\n%s", n, got, r.notes)
+		}
+		delivered := fmt.Sprintf(" net.deliver %v %d B from ", policyB, 1000+vnet.HeaderBytes)
+		if n := strings.Count(r.trace, delivered); n != got {
+			t.Errorf("%d 1000-byte message(s) delivered to the server, want %d:\n%s", n, got, r.trace)
 		}
 	}
 

@@ -136,11 +136,11 @@ func TestDialSelf(t *testing.T) {
 			a, _ := e.twoHosts(t)
 			var got [2]Packet // what the dialer (0) and the acceptor (1) read
 			var eof [2]error  // each side's Recv after the other closed
-			var local [2]ip.Endpoint
+			var local, remote [2]ip.Endpoint
 			// exchange sends i, reads the other side's message and closes,
 			// first or after seeing the other side's close.
 			exchange := func(p *sim.Proc, c *Conn, i int, first bool) {
-				local[i] = c.LocalAddr()
+				local[i], remote[i] = c.LocalAddr(), c.RemoteAddr()
 				if err := c.SendMeta(p, 10, i); err != nil {
 					t.Errorf("side %d: send: %v", i, err)
 				}
@@ -179,8 +179,8 @@ func TestDialSelf(t *testing.T) {
 				exchange(p, c, 0, dialerFirst)
 			})
 			for i, pk := range got {
-				if pk.Meta != 1-i || pk.From != local[1-i] {
-					t.Errorf("side %d read %v from %v, want %d from %v", i, pk.Meta, pk.From, 1-i, local[1-i])
+				if pk.Meta != 1-i || remote[i] != local[1-i] {
+					t.Errorf("side %d read %v from %v, want %d from %v", i, pk.Meta, remote[i], 1-i, local[1-i])
 				}
 			}
 			second := 1
@@ -329,6 +329,7 @@ func TestSparseMessage(t *testing.T) {
 	a, b := e.twoHosts(t)
 	type req struct{ Piece int }
 	var got Packet
+	var dialed, charged uint64 // bytes delivered when the dial returned, and by the read
 	e.run(t, func(p *sim.Proc) {
 		p.Go("server", func(p *sim.Proc) {
 			l, _ := b.Listen(p, 80)
@@ -337,13 +338,16 @@ func TestSparseMessage(t *testing.T) {
 				return
 			}
 			got, _ = c.Recv(p)
+			charged = e.n.stats.BytesDelivered - dialed
 		})
 		p.Yield()
 		c, _ := a.Dial(p, ip.Endpoint{Addr: addrB, Port: 80})
+		dialed = e.n.stats.BytesDelivered
 		c.SendMeta(p, 16384, req{Piece: 7})
 	})
-	if got.Size != 16384 {
-		t.Fatalf("Len = %d, want 16384", got.Size)
+	// The message is the only delivery between the dial and the read.
+	if charged != 16384+HeaderBytes {
+		t.Fatalf("the message was charged %d B, want 16384 + %d", charged, HeaderBytes)
 	}
 	if r, ok := got.Meta.(req); !ok || r.Piece != 7 {
 		t.Fatalf("Meta = %#v", got.Meta)
