@@ -22,7 +22,9 @@ import (
 
 	"repro/internal/ip"
 	"repro/internal/netem"
+	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/vnet"
 )
@@ -31,6 +33,11 @@ const (
 	fileSize = 2_000_000 // 16 Mbit per leecher
 	port     = ip.Port(6881)
 )
+
+// access is every host's link. The seeder's 1 Mbps uplink is the only
+// bottleneck: downlinks are 20x faster, so all contention happens at
+// the seeder.
+var access = topo.LinkClass{Name: "contention", Down: 20 * netem.Mbps, Up: 1 * netem.Mbps, Latency: 10 * time.Millisecond}
 
 func main() {
 	peers := flag.Int("peers", 8, "number of simultaneous leechers")
@@ -46,41 +53,31 @@ func main() {
 }
 
 func run(model netem.ModelKind, peers int, showTrace bool) error {
-	k := sim.New(1)
+	// The seeder at 10.0.0.1, the leechers from 10.0.1.1 up.
+	t := topo.New()
+	t.MustAddGroup(topo.Group{Name: "seeder", Prefix: ip.MustParsePrefix("10.0.0.0/24"), Class: access, Nodes: 1})
+	if _, err := t.AddGroup(topo.Group{Name: "leechers", Prefix: ip.MustParsePrefix("10.0.1.0/24"), Class: access, Nodes: peers}); err != nil {
+		return err
+	}
 	cfg := vnet.DefaultConfig()
 	cfg.Model = model
 	// Under the pipe model the 16 s bulk messages block later
 	// handshakes' SYNACKs on the uplink FIFO cursor (head-of-line
 	// blocking is part of that model); give dials room to survive it.
 	cfg.HandshakeTimeout = time.Hour
-	net := vnet.NewNetwork(k, nil, cfg)
+	a, err := scenario.Assemble(1, t, cfg, 0)
+	if err != nil {
+		return err
+	}
+	k, net := a.Kernel, a.Net
+	seeder, leechers := a.Groups["seeder"][0], a.Groups["leechers"]
 
 	var log *trace.Log
 	if showTrace && model == netem.ModelFlow {
 		log = trace.New(4096)
 		net.SetTrace(log)
 	}
-
-	// The seeder's 1 Mbps uplink is the only bottleneck: leecher
-	// downlinks are 20x faster, so all contention happens at the
-	// seeder.
-	seeder, err := net.AddHost(ip.MustParseAddr("10.0.0.1"),
-		netem.PipeConfig{Bandwidth: 1 * netem.Mbps, Delay: 10 * time.Millisecond},
-		netem.PipeConfig{Bandwidth: 20 * netem.Mbps, Delay: 10 * time.Millisecond})
-	if err != nil {
-		return err
-	}
 	done := make([]sim.Time, peers)
-	var leechers []*vnet.Host
-	for i := 0; i < peers; i++ {
-		h, err := net.AddHost(ip.MustParseAddr("10.0.1.1").Add(uint32(i)),
-			netem.PipeConfig{Bandwidth: 1 * netem.Mbps, Delay: 10 * time.Millisecond},
-			netem.PipeConfig{Bandwidth: 20 * netem.Mbps, Delay: 10 * time.Millisecond})
-		if err != nil {
-			return err
-		}
-		leechers = append(leechers, h)
-	}
 
 	k.Go("seeder", func(p *sim.Proc) {
 		l, err := seeder.Listen(p, port)
@@ -117,7 +114,8 @@ func run(model netem.ModelKind, peers int, showTrace bool) error {
 			c.Close(p)
 		})
 	}
-	if err := k.RunUntil(sim.Time(2 * time.Hour)); err != nil {
+	k.At(sim.Time(2*time.Hour), k.Stop)
+	if err := k.Run(); err != nil {
 		return err
 	}
 
@@ -139,9 +137,10 @@ func run(model netem.ModelKind, peers int, showTrace bool) error {
 		}
 	}
 	fmt.Printf("   spread first->last: %.1fs", last.Sub(first).Seconds())
-	if stats, ok := net.FlowStats(); ok {
-		fmt.Printf("  (flows: %d started, %d rerates, %d solves)",
-			stats.Started, stats.Rerates, stats.Solves)
+	if model == netem.ModelFlow {
+		snap := net.Obs().Snapshot()
+		fmt.Printf("  (flows: %.0f started, %.0f rerates, %.0f solves)", snap.Total("p2plab_flow_started_total"),
+			snap.Total("p2plab_flow_rerates_total"), snap.Total("p2plab_flow_solves_total"))
 	}
 	fmt.Println()
 	if log != nil {

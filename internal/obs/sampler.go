@@ -15,10 +15,10 @@ import (
 // trace-neutrality property test in internal/scenario).
 //
 // The sampler keeps rescheduling itself until the run ends, so it must
-// only be attached to workloads that terminate via Kernel.Stop or
-// RunUntil — a run that waits for an empty event queue would never see
-// one. Every scenario workload stops the kernel explicitly, so this
-// holds throughout the repo.
+// only be attached to workloads that end by Kernel.Stop — a run that
+// waits for an empty event queue would never see one. Every scenario
+// workload stops the kernel explicitly, so this holds throughout the
+// repo.
 type Sampler struct {
 	stopped bool
 	ev      *sim.Event

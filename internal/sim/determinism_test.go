@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -15,8 +16,8 @@ import (
 // determinismWorkload is a deliberately messy mix of everything the
 // event queue must order: parked goroutines with tie-heavy sleep
 // durations, timers that get cancelled and rescheduled mid-run, and
-// far-future events that fall off the horizon. Every observable step is
-// written to a trace log.
+// far-future events queued behind the stop event that ends the run.
+// Every observable step is written to a trace log.
 func determinismWorkload(seed int64) (string, sim.Stats, error) {
 	k := sim.New(seed)
 	lg := trace.New(0)
@@ -54,8 +55,7 @@ func determinismWorkload(seed int64) (string, sim.Stats, error) {
 		}
 	})
 
-	// Far-future events, past the horizon: they must be discarded
-	// without ever firing.
+	// Far-future events, behind the stop: they must never fire.
 	for i := 0; i < 16; i++ {
 		i := i
 		k.At(sim.Time(400*24*time.Hour)+sim.Time(i), func() {
@@ -63,7 +63,8 @@ func determinismWorkload(seed int64) (string, sim.Stats, error) {
 		})
 	}
 
-	err := k.RunUntil(sim.Time(5 * time.Second))
+	k.At(sim.Time(5*time.Second), k.Stop)
+	err := k.Run()
 	var buf bytes.Buffer
 	if rerr := lg.Render(&buf); rerr != nil {
 		return "", sim.Stats{}, rerr
@@ -89,63 +90,83 @@ func TestRepeatedRunsAreIdentical(t *testing.T) {
 		t.Fatal("workload never reached the cancel/reschedule phase")
 	}
 	if strings.Contains(a, "far") {
-		t.Fatal("far-future event fired inside the horizon")
+		t.Fatal("far-future event fired before the stop")
 	}
 }
 
 // timerModel is the reference the kernel's timer API is checked
-// against: the pending timers in a plain slice, dispatched by a scan
-// for the least (at, seq), with its own clock and seq counter. It mirrors the
-// documented contract only — schedule times clamp to now, every
-// successful schedule or reschedule takes the next seq, a cancelled or
-// fired timer is gone.
+// against: the pending timers in a binary heap from container/heap,
+// ordered by (at, seq) and indexed by timer id, with its own clock and
+// seq counter. It shares no code with the kernel's 4-ary queue and
+// mirrors the documented contract only — schedule times clamp to now,
+// every successful schedule or reschedule takes the next seq, a
+// cancelled or fired timer is gone. Every operation is O(log n) in the
+// live timers.
 type timerModel struct {
 	now     sim.Time
 	seq     uint64
-	pending []modelTimer
+	pending modelHeap
+	byID    map[int]*modelTimer
 }
 
 type modelTimer struct {
 	at  sim.Time
 	seq uint64
 	id  int
+	idx int // position in pending
+}
+
+// modelHeap is the container/heap of pending timers.
+type modelHeap []*modelTimer
+
+func (h modelHeap) Len() int { return len(h) }
+func (h modelHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
+}
+func (h modelHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+func (h *modelHeap) Push(x any) {
+	tm := x.(*modelTimer)
+	tm.idx = len(*h)
+	*h = append(*h, tm)
+}
+func (h *modelHeap) Pop() any {
+	old := *h
+	tm := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return tm
 }
 
 func (m *timerModel) schedule(at sim.Time, id int) {
 	if at < m.now {
 		at = m.now
 	}
-	m.pending = append(m.pending, modelTimer{at: at, seq: m.seq, id: id})
+	if m.byID == nil {
+		m.byID = make(map[int]*modelTimer)
+	}
+	tm := &modelTimer{at: at, seq: m.seq, id: id}
+	heap.Push(&m.pending, tm)
+	m.byID[id] = tm
 	m.seq++
 }
 
 // cancel removes timer id and reports whether it was pending.
 func (m *timerModel) cancel(id int) bool {
-	for i, tm := range m.pending {
-		if tm.id == id {
-			m.remove(i)
-			return true
-		}
+	tm, ok := m.byID[id]
+	if !ok {
+		return false
 	}
-	return false
-}
-
-// remove drops pending[i]; the slice is unordered, so the last timer
-// takes its place.
-func (m *timerModel) remove(i int) {
-	last := len(m.pending) - 1
-	m.pending[i] = m.pending[last]
-	m.pending = m.pending[:last]
+	heap.Remove(&m.pending, tm.idx)
+	delete(m.byID, id)
+	return true
 }
 
 // live reports whether timer id is still to fire.
 func (m *timerModel) live(id int) bool {
-	for _, tm := range m.pending {
-		if tm.id == id {
-			return true
-		}
-	}
-	return false
+	_, ok := m.byID[id]
+	return ok
 }
 
 func (m *timerModel) reschedule(id int, at sim.Time) bool {
@@ -159,16 +180,10 @@ func (m *timerModel) reschedule(id int, at sim.Time) bool {
 // next removes and returns the earliest pending timer by (at, seq),
 // advancing the model clock to it.
 func (m *timerModel) next() modelTimer {
-	min := 0
-	for i, tm := range m.pending {
-		if first := m.pending[min]; tm.at < first.at || (tm.at == first.at && tm.seq < first.seq) {
-			min = i
-		}
-	}
-	tm := m.pending[min]
-	m.remove(min)
+	tm := heap.Pop(&m.pending).(*modelTimer)
+	delete(m.byID, tm.id)
 	m.now = tm.at
-	return tm
+	return *tm
 }
 
 // timerScript runs a kernel and a timerModel in lock step through one
@@ -214,8 +229,14 @@ type timerScript struct {
 	switches uint64 // task activations: starts and wakes
 }
 
-// scriptHorizon is where runTimerScript ends its run.
-const scriptHorizon = sim.Time(24 * time.Hour)
+// scriptHorizon is the instant of the stop event that ends
+// runTimerScript's run. The stop is queued first, so a timer due at the
+// horizon comes after it and never fires; the model holds the stop as
+// timer stopID.
+const (
+	scriptHorizon = sim.Time(24 * time.Hour)
+	stopID        = -1
+)
 
 // checkEvery is how many operations a script runs between full walks
 // of the queue (CheckQueue). A walk costs the live timer count, which
@@ -418,7 +439,7 @@ func (s *timerScript) step() {
 			s.t.Fatalf("Reschedule(timer %d) = %v, model says %v", victim.id, got, want)
 		}
 	}
-	if got, want := s.k.QueueLen(), len(s.m.pending); got != want {
+	if got, want := s.k.QueueLen(), s.m.pending.Len(); got != want {
 		s.t.Fatalf("QueueLen() = %d with %d live timers", got, want)
 	}
 	if s.unchecked++; s.unchecked == checkEvery {
@@ -436,35 +457,37 @@ func (s *timerScript) checkQueue() {
 	}
 }
 
-// runTimerScript runs one seeded script of budget operations to a
-// 24-hour horizon and checks what the model says of its end: every
-// timer due inside the horizon fired, the queue is empty, and the
-// kernel counted the model's dispatches. It returns the operations the
-// script left unspent because no timer was left to run them, and how
-// many short tasks ran on a recycled struct.
+// runTimerScript runs one seeded script of budget operations until a
+// stop event at a 24-hour horizon ends it, and checks what the model
+// says of its end: the stop was the model's next timer, so every timer
+// ordered before it fired; the timers behind it are still queued; and
+// the kernel counted the model's dispatches and the stop. It returns
+// the operations the script left unspent because no timer was left to
+// run them, and how many short tasks ran on a recycled struct.
 func runTimerScript(t *testing.T, seed int64, budget int) (left, reused int) {
 	t.Helper()
 	s := &timerScript{t: t, k: sim.New(seed), rng: rand.New(rand.NewSource(seed)), budget: budget}
 	s.ownedAt = [4]int{-1, -1, -1, -1}
+	s.k.At(scriptHorizon, s.k.Stop)
+	s.m.schedule(scriptHorizon, stopID)
 	for i := 0; i < 200; i++ {
 		s.step()
 	}
 	for i := 0; i < 3; i++ {
 		s.spawn(s.k.Go)
 	}
-	if err := s.k.RunUntil(scriptHorizon); err != nil {
+	if err := s.k.Run(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	s.checkQueue()
-	for _, tm := range s.m.pending {
-		if tm.at <= scriptHorizon {
-			t.Fatalf("seed %d: timer %d due at %v never fired", seed, tm.id, tm.at)
-		}
+	if tm := s.m.next(); tm.id != stopID || s.k.Now() != scriptHorizon {
+		t.Fatalf("seed %d: run ended at %v, model's next is timer %d at %v, want the stop at %v",
+			seed, s.k.Now(), tm.id, tm.at, scriptHorizon)
 	}
-	if got := s.k.QueueLen(); got != 0 {
-		t.Fatalf("seed %d: QueueLen() = %d after the horizon, want 0", seed, got)
+	if got, want := s.k.QueueLen(), s.m.pending.Len(); got != want {
+		t.Fatalf("seed %d: QueueLen() = %d after the stop, model holds %d behind it", seed, got, want)
 	}
-	if got, want := s.k.Snapshot(), (sim.Stats{Events: s.fired, Switches: s.switches, Spawns: uint64(s.sleepers + s.shorts)}); got != want {
+	if got, want := s.k.Snapshot(), (sim.Stats{Events: s.fired + 1, Switches: s.switches, Spawns: uint64(s.sleepers + s.shorts)}); got != want {
 		t.Fatalf("seed %d: stats %+v, model %+v", seed, got, want)
 	}
 	return s.budget, s.reused
@@ -473,7 +496,7 @@ func runTimerScript(t *testing.T, seed int64, budget int) (left, reused int) {
 // TestTimersMatchModel is the property test behind the kernel's single
 // event queue: for any script of At/After/Arm/Schedule/Cancel/Reschedule
 // and Sleep, dispatch order, handle results, Stats and queue length are
-// those of the sorted-slice model, the queue's head invariant holds
+// those of the reference model, the queue's head invariant holds
 // after every operation (CheckHead) and all its invariants every
 // checkEvery operations and at the end (CheckQueue). Every seed runs
 // short tasks on recycled structs.
@@ -602,33 +625,6 @@ func TestQueueHeadPaths(t *testing.T) {
 				t.Fatalf("dispatch order %q, want %q", got, tc.want)
 			}
 		})
-	}
-}
-
-// TestHorizonDiscardsLoneHead reaches the horizon while the queue holds
-// nothing but its cached minimum, past the limit: the head is
-// discarded, the queue ends empty and the handle goes stale.
-func TestHorizonDiscardsLoneHead(t *testing.T) {
-	k := sim.New(1)
-	fired := false
-	late := k.At(sim.Time(2*time.Hour), func() { fired = true })
-	if got := k.QueueLen(); got != 1 {
-		t.Fatalf("QueueLen() = %d with one timer, want 1", got)
-	}
-	if err := k.RunUntil(sim.Time(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("timer past the horizon fired")
-	}
-	if got := k.QueueLen(); got != 0 {
-		t.Fatalf("QueueLen() = %d after the horizon, want 0", got)
-	}
-	if err := k.CheckQueue(); err != nil {
-		t.Fatal(err)
-	}
-	if late.Cancel() || late.Reschedule(0) {
-		t.Fatal("handle of the discarded head still live")
 	}
 }
 

@@ -116,8 +116,8 @@ func (t *task) timer() func() {
 }
 
 // killedPanic is the sentinel used to unwind tasks that are still parked
-// when a run ends (horizon reached, Stop called, deadlock reported, or
-// another task panicked).
+// when a run ends (Stop called, deadlock reported, or another task
+// panicked).
 type killedPanic struct{}
 
 // coro is a coroutine that runs tasks, one after another: Run switches
@@ -171,7 +171,6 @@ type Kernel struct {
 
 	rng     *rand.Rand
 	stopped bool
-	limit   Time // 0 = no limit
 	stats   Stats
 	parks   uint64 // activations paid with a coroutine switch; see Parks
 }
@@ -402,30 +401,17 @@ func (k *Kernel) slotAt(at Time, ev *event) slot {
 }
 
 // next takes the earliest event off the queue, advances the clock to it
-// and returns its callback for the caller to run. If that event lies
-// past the horizon it instead discards every pending event, leaves the
-// clock at the horizon and reports false. The queue must not be empty;
-// same serialization contract as push.
+// and returns its callback for the caller to run. The queue must not be
+// empty; same serialization contract as push.
 //
 //p2p:token
-func (k *Kernel) next() (fn func(), ok bool) {
-	if k.limit > 0 && k.events.peek().at > k.limit {
-		k.now = k.limit
-		if h := k.events.head.ev; h != nil {
-			k.recycle(h)
-		}
-		for _, s := range k.events.heap {
-			k.recycle(s.ev)
-		}
-		k.events = eventQueue{heap: k.events.heap[:0]}
-		return nil, false
-	}
+func (k *Kernel) next() func() {
 	s := k.events.pop()
 	k.now = s.at
 	k.stats.Events++
-	fn = s.ev.fn
+	fn := s.ev.fn
 	k.recycle(s.ev)
-	return fn, true
+	return fn
 }
 
 // cancel removes the pending event that the handle (ev, gen) refers to
@@ -503,14 +489,16 @@ func (e *DeadlockError) Error() string {
 		e.Now, len(e.Blocked), strings.Join(e.Blocked, ", "))
 }
 
-// Run executes the simulation until no work remains: every task has
-// exited and the event queue is empty (events scheduled beyond RunUntil's
-// limit are discarded). It returns a *DeadlockError if tasks are parked
-// with no pending events, and nil otherwise. Run must be called from a
-// non-simulated goroutine. However it ends — completion, Stop, the
-// horizon, a deadlock, or a panic in task code, which reaches Run's
-// caller — every unfinished task has been unwound and no goroutine is
-// left behind.
+// Run executes the simulation until no work remains — every task has
+// exited and the event queue is empty — or until Stop is called. It
+// returns a *DeadlockError if tasks are parked with no pending events,
+// and nil otherwise. A run that must end at a virtual instant h
+// schedules At(h, k.Stop): events queued behind the stop stay queued,
+// and tasks still parked are unwound. Run must be called from a
+// non-simulated goroutine. However it ends — completion, Stop, a
+// deadlock, or a panic in task code, which reaches Run's caller —
+// every unfinished task has been unwound and no goroutine is left
+// behind.
 //
 // This loop is the scheduling policy's one statement: the head of the
 // ready FIFO, else the earliest (time, seq) event, else done. Proc.Sleep
@@ -533,11 +521,7 @@ func (k *Kernel) Run() error {
 		}
 		// 2. Advance the clock to the next event.
 		if k.events.len() > 0 {
-			fn, ok := k.next()
-			if !ok {
-				return nil
-			}
-			fn()
+			k.next()()
 			continue
 		}
 		// 3. Nothing runnable, nothing scheduled.
@@ -605,22 +589,10 @@ func (k *Kernel) kill(t *task) {
 	k.resume(t)
 }
 
-// RunUntil executes the simulation like Run but stops once virtual time
-// would pass limit. Tasks still parked at the horizon are abandoned (the
-// usual way to end an open-ended experiment such as a swarm download).
-func (k *Kernel) RunUntil(limit Time) error {
-	k.limit = limit
-	err := k.Run()
-	// A horizon-limited run treats parked-forever tasks as "experiment
-	// over", not an error, as long as the horizon was actually reached.
-	if _, ok := err.(*DeadlockError); ok && k.now >= limit {
-		return nil
-	}
-	return err
-}
-
 // Stop aborts the run loop at the next scheduling point. Call it from
-// event callbacks or simulated goroutines.
+// event callbacks or simulated goroutines, or schedule it (At(h,
+// k.Stop)) to end a run at virtual instant h: it is the one way a run
+// ends before its work does.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // wake moves a parked task to the ready queue. Callers hold the

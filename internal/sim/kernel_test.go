@@ -116,57 +116,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestRunUntilHorizon(t *testing.T) {
-	k := New(1)
-	var last Time
-	var unwound []string
-	orphanRan := false
-	k.Go("ticker", func(p *Proc) {
-		// Killed at the horizon: a cleanup that blocks (the shape of
-		// defer conn.Close(p)) must unwind at once, and a task spawned
-		// while unwinding must never run.
-		defer func() { unwound = append(unwound, p.Name()) }()
-		defer p.Sleep(time.Hour)
-		defer p.Go("orphan", func(*Proc) { orphanRan = true })
-		for {
-			p.Sleep(time.Second)
-			last = p.Now()
-		}
-	})
-	empty := NewChan[int](k, 0)
-	k.Go("receiver", func(p *Proc) {
-		defer func() { unwound = append(unwound, p.Name()) }()
-		defer empty.Recv(p) // blocks on the empty channel when not killed
-		empty.Recv(p)
-	})
-	if err := k.RunUntil(Time(10*time.Second) + 1); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"ticker", "receiver"}; !slices.Equal(unwound, want) {
-		t.Fatalf("unwound %v, want %v (spawn order, blocking cleanups cut short)", unwound, want)
-	}
-	if orphanRan {
-		t.Fatal("a task spawned by an unwinding task ran its body")
-	}
-	if last != Time(10*time.Second) {
-		t.Fatalf("last tick at %v, want 10s", last)
-	}
-	if k.Now() != Time(10*time.Second)+1 {
-		t.Fatalf("final clock %v, want horizon", k.Now())
-	}
-}
-
-func TestRunUntilStillReportsEarlyDeadlock(t *testing.T) {
-	k := New(1)
-	c := new(Cond)
-	k.Go("stuck", func(p *Proc) { c.Wait(p) })
-	err := k.RunUntil(Time(time.Hour))
-	var dl *DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("RunUntil = %v, want DeadlockError before horizon", err)
-	}
-}
-
 func TestStopEndsRun(t *testing.T) {
 	k := New(1)
 	n := 0
@@ -184,8 +133,14 @@ func TestStopEndsRun(t *testing.T) {
 	k.Go("parked", waitOn(never))
 	k.Go("a", waitOn(ca))
 	k.Go("b", waitOn(cb))
+	orphanRan := false
 	k.Go("worker", func(p *Proc) {
+		// A cleanup that blocks (the shape of defer conn.Close(p)) must
+		// unwind at once, and a task spawned while unwinding must never
+		// run.
 		defer func() { unwound = append(unwound, p.Name()) }()
+		defer p.Sleep(time.Hour)
+		defer p.Go("orphan", func(*Proc) { orphanRan = true })
 		for {
 			p.Sleep(time.Second)
 			n++
@@ -196,14 +151,26 @@ func TestStopEndsRun(t *testing.T) {
 			}
 		}
 	})
+	empty := NewChan[int](k, 0)
+	k.Go("receiver", func(p *Proc) {
+		defer func() { unwound = append(unwound, p.Name()) }()
+		defer empty.Recv(p) // blocks on the empty channel when not killed
+		empty.Recv(p)
+	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if n != 5 {
 		t.Fatalf("iterations = %d, want 5", n)
 	}
-	if want := []string{"b", "a", "parked", "worker"}; !slices.Equal(unwound, want) {
-		t.Fatalf("unwound %v, want %v", unwound, want)
+	if want := []string{"b", "a", "parked", "worker", "receiver"}; !slices.Equal(unwound, want) {
+		t.Fatalf("unwound %v, want %v (blocking cleanups cut short)", unwound, want)
+	}
+	if orphanRan {
+		t.Fatal("a task spawned by an unwinding task ran its body")
+	}
+	if k.Now() != Time(5*time.Second) {
+		t.Fatalf("final clock %v, want the 5s of the Stop", k.Now())
 	}
 }
 
@@ -321,10 +288,6 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			sleepers(k, 10, time.Hour)
 			k.After(time.Second, k.Stop)
 			return k.Run()
-		}},
-		{"horizon", func(k *Kernel) error {
-			sleepers(k, 10, time.Hour)
-			return k.RunUntil(Time(time.Minute))
 		}},
 		{"deadlock", func(k *Kernel) error {
 			sleepers(k, 10, time.Second)

@@ -37,8 +37,8 @@ func (p *Proc) Go(name string, fn func(p *Proc)) { p.t.k.Go(name, fn) }
 // which switches here again once the task is at the head of the ready
 // queue.
 //
-// A task that has been killed (run ended at a horizon, Stop, or after a
-// deadlock report) re-panics instead of blocking: this lets deferred
+// A task that has been killed (run ended by Stop, a deadlock report or
+// another task's panic) re-panics instead of blocking: this lets deferred
 // cleanups that use blocking primitives (defer conn.Close(p)) unwind
 // instantly rather than hang on a wake that will never come.
 func (p *Proc) park() {
@@ -58,12 +58,12 @@ func (p *Proc) park() {
 // instant (a deterministic round-robin yield).
 //
 // A sleeper that is its own next dispatch does not park. When the task
-// is not killed, no other task is ready, the run is not stopped, the
-// wake lies inside the horizon and every queued event comes strictly
-// after it, Run would pop this very wake-up next and resume the task
-// at once: Sleep does that in place — it takes the seq the wake-up
-// would have taken, moves the clock, counts the event and the switch —
-// and returns. Nothing else could have run in between, so the dispatch
+// is not killed, no other task is ready, the run is not stopped and
+// every queued event comes strictly after the wake, Run would pop this
+// very wake-up next and resume the task at once: Sleep does that in
+// place — it takes the seq the wake-up would have taken, moves the
+// clock, counts the event and the switch — and returns. A horizon is a
+// queued stop event (Kernel.Stop), so a wake at or past it parks. Nothing else could have run in between, so the dispatch
 // order, Stats and every QueueLen a task or callback can observe are
 // those of the park; only the two coroutine switches are gone (DESIGN
 // decisions 1 and 11).
@@ -75,7 +75,6 @@ func (p *Proc) Sleep(d Duration) {
 		at = at.Add(d)
 	}
 	if !t.killed && len(k.ready) == 0 && !k.stopped &&
-		(k.limit == 0 || at <= k.limit) &&
 		(k.events.len() == 0 || at < k.events.peek().at) {
 		k.seq++
 		k.now = at

@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 )
@@ -18,44 +18,50 @@ func checkQueue(t *testing.T, q *eventQueue) {
 	}
 }
 
-// all returns every queued slot, the head first.
-func (q *eventQueue) all() []slot {
-	if q.head.ev == nil {
-		return q.heap
-	}
-	return append([]slot{q.head}, q.heap...)
+// sortedModel is the reference the queue is checked against: a binary
+// heap from container/heap ordered by (at, seq), which shares no code
+// with the queue's 4-ary heap and cached head, and a map from event to
+// heap index for removal. Each operation is O(log n), so the script can
+// run long.
+type sortedModel struct {
+	slots []slot
+	index map[*event]int
 }
 
-// sortedModel is the reference the queue is checked against: a plain
-// slice, re-sorted by (at, seq) whenever the minimum is needed.
-type sortedModel []slot
-
-func (m *sortedModel) popMin() slot {
-	sort.Slice(*m, func(i, j int) bool { return (*m)[i].before((*m)[j]) })
-	s := (*m)[0]
-	*m = (*m)[1:]
+func (m *sortedModel) Len() int           { return len(m.slots) }
+func (m *sortedModel) Less(i, j int) bool { return m.slots[i].before(m.slots[j]) }
+func (m *sortedModel) Swap(i, j int) {
+	m.slots[i], m.slots[j] = m.slots[j], m.slots[i]
+	m.index[m.slots[i].ev], m.index[m.slots[j].ev] = i, j
+}
+func (m *sortedModel) Push(x any) {
+	s := x.(slot)
+	m.index[s.ev] = len(m.slots)
+	m.slots = append(m.slots, s)
+}
+func (m *sortedModel) Pop() any {
+	n := len(m.slots) - 1
+	s := m.slots[n]
+	m.slots = m.slots[:n]
+	delete(m.index, s.ev)
 	return s
 }
 
-func (m *sortedModel) drop(ev *event) {
-	for i, s := range *m {
-		if s.ev == ev {
-			*m = append((*m)[:i], (*m)[i+1:]...)
-			return
-		}
-	}
-}
+func (m *sortedModel) add(s slot)     { heap.Push(m, s) }
+func (m *sortedModel) popMin() slot   { return heap.Pop(m).(slot) }
+func (m *sortedModel) drop(ev *event) { heap.Remove(m, m.index[ev]) }
 
-// TestQueueMatchesSortedModel drives the queue and the sorted-slice
-// model through the same randomized kernel-shaped script — pushes
+// TestQueueMatchesSortedModel drives the queue and the reference heap
+// through the same randomized kernel-shaped script — pushes
 // never go below the last popped instant, mirroring the kernel's clamp
 // — with in-place removals and re-keyings of the head and of heap
-// slots mixed in, and asserts every pop agrees and the structure holds
-// after every operation.
+// slots mixed in, and asserts every pop agrees, the head invariant
+// holds after every operation and the whole structure every 32
+// operations and at the end.
 func TestQueueMatchesSortedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var q eventQueue
-	var ref sortedModel
+	ref := &sortedModel{index: make(map[*event]int)}
 	var seq uint64
 	now := Time(0)
 
@@ -75,7 +81,7 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 			s := slot{at: randomAt(), seq: seq, ev: &event{}}
 			seq++
 			q.push(s)
-			ref = append(ref, s)
+			ref.add(s)
 		case op < 6:
 			got, want := q.pop(), ref.popMin()
 			if got != want {
@@ -84,24 +90,29 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 			}
 			now = got.at
 		case op == 6:
-			all := q.all()
-			ev := all[rng.Intn(len(all))].ev
+			ev := ref.slots[rng.Intn(ref.Len())].ev
 			q.remove(ev.idx)
 			ref.drop(ev)
 		default:
-			all := q.all()
-			ev := all[rng.Intn(len(all))].ev
+			ev := ref.slots[rng.Intn(ref.Len())].ev
 			s := slot{at: randomAt(), seq: seq, ev: ev}
 			seq++
 			q.fix(ev.idx, s)
 			ref.drop(ev)
-			ref = append(ref, s)
+			ref.add(s)
 		}
-		if q.len() != len(ref) {
-			t.Fatalf("step %d: queue holds %d, model %d", step, q.len(), len(ref))
+		if q.len() != ref.Len() {
+			t.Fatalf("step %d: queue holds %d, model %d", step, q.len(), ref.Len())
 		}
-		checkQueue(t, &q)
+		// As in the timer scripts (checkEvery): the head check after
+		// every operation, a full walk every 32.
+		if step%32 == 0 {
+			checkQueue(t, &q)
+		} else if err := q.checkHead(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
+	checkQueue(t, &q)
 	for q.len() > 0 {
 		if got, want := q.pop(), ref.popMin(); got != want {
 			t.Fatalf("drain: queue popped (at=%v seq=%d), model (at=%v seq=%d)",
@@ -315,8 +326,9 @@ func TestDownMatchesBranchyPick(t *testing.T) {
 	}
 }
 
-// TestHorizonDrainsQueue checks that reaching the horizon empties the
-// queue and leaves the handles of the discarded events stale.
+// TestHorizonDrainsQueue ends a run with a stop event: the events
+// queued behind it never fire and stay queued with live handles, so
+// cancelling them after Run returns drains the queue.
 func TestHorizonDrainsQueue(t *testing.T) {
 	k := New(1)
 	fired := 0
@@ -325,19 +337,24 @@ func TestHorizonDrainsQueue(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		late = append(late, k.At(Time(time.Hour)+Time(i), func() { fired++ }))
 	}
-	if err := k.RunUntil(Time(time.Minute)); err != nil {
+	k.At(Time(time.Minute), k.Stop)
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 1 {
-		t.Fatalf("fired %d callbacks inside the horizon, want 1", fired)
+		t.Fatalf("fired %d callbacks before the stop, want 1", fired)
 	}
-	if n := k.QueueLen(); n != 0 {
-		t.Fatalf("QueueLen() = %d after the horizon, want 0", n)
+	if n := k.QueueLen(); n != len(late) {
+		t.Fatalf("QueueLen() = %d after the stop, want the %d events behind it", n, len(late))
 	}
 	for i, ev := range late {
-		if ev.Cancel() || ev.Reschedule(0) {
-			t.Fatalf("handle %d of a discarded event still live", i)
+		if !ev.Cancel() {
+			t.Fatalf("handle %d of an event behind the stop is stale", i)
 		}
+		checkQueue(t, &k.events)
+	}
+	if n := k.QueueLen(); n != 0 {
+		t.Fatalf("QueueLen() = %d after cancelling every event, want 0", n)
 	}
 }
 

@@ -95,6 +95,11 @@ func TestSleepBeforeLaterEventReturnsInPlace(t *testing.T) {
 	checkCounts(t, k, Stats{Events: 2, Switches: 2, Spawns: 1}, 1)
 }
 
+// TestSleepPastHorizonNeverResumes ends a run with a stop event at 1 s,
+// queued before the sleeper spawns. A wake-up before it returns in
+// place; one at or after it parks behind the stop, which runs first
+// and ends the run, so the sleeper never resumes, the clock stays at
+// the stop and the sleeper's wake-up stays queued.
 func TestSleepPastHorizonNeverResumes(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -102,25 +107,31 @@ func TestSleepPastHorizonNeverResumes(t *testing.T) {
 		resumed bool
 		stats   Stats
 		parks   uint64
+		queued  int
 	}{
-		{"past", 2 * time.Second, false, Stats{Switches: 1, Spawns: 1}, 1},
-		{"at", time.Second, true, Stats{Events: 1, Switches: 2, Spawns: 1}, 1},
+		{"before", 999 * time.Millisecond, true, Stats{Events: 2, Switches: 2, Spawns: 1}, 1, 0},
+		{"at", time.Second, false, Stats{Events: 1, Switches: 1, Spawns: 1}, 1, 1},
+		{"past", 2 * time.Second, false, Stats{Events: 1, Switches: 1, Spawns: 1}, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := New(1)
+			k.At(Time(time.Second), k.Stop)
 			resumed := false
 			k.Go("sleeper", func(p *Proc) {
 				p.Sleep(tc.sleep)
 				resumed = true
 			})
-			if err := k.RunUntil(Time(time.Second)); err != nil {
+			if err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
 			if resumed != tc.resumed {
-				t.Fatalf("Sleep(%v) under a 1s horizon: resumed = %v, want %v", tc.sleep, resumed, tc.resumed)
+				t.Fatalf("Sleep(%v) before a stop at 1s: resumed = %v, want %v", tc.sleep, resumed, tc.resumed)
 			}
 			if k.Now() != Time(time.Second) {
-				t.Fatalf("clock ends at %v, want the 1s horizon", k.Now())
+				t.Fatalf("clock ends at %v, want the 1s stop", k.Now())
+			}
+			if got := k.QueueLen(); got != tc.queued {
+				t.Fatalf("QueueLen() = %d after the stop, want %d", got, tc.queued)
 			}
 			checkCounts(t, k, tc.stats, tc.parks)
 		})

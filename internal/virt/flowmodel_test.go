@@ -81,7 +81,8 @@ func nicContention(t *testing.T, model netem.ModelKind, n int) []sim.Time {
 			c.SendMeta(p, size, nil)
 		})
 	}
-	if err := k.RunUntil(sim.Time(time.Hour)); err != nil {
+	k.At(sim.Time(time.Hour), k.Stop)
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return done

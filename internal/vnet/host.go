@@ -9,9 +9,9 @@ import (
 )
 
 // Host is one virtual node: a network identity (the alias address), an
-// access link (up/down pipes), a port table and a syscall meter. It
-// keeps no table of connections or pings: a message names the Conn or
-// the ping it lands on, so only a SYN reads the port table. All
+// access link (up/down pipes) and a port table. It keeps no table of
+// connections or pings: a message names the Conn or the ping it lands
+// on, so only a SYN reads the port table. All
 // blocking methods take the calling simulated process.
 type Host struct {
 	net      *Network
@@ -19,7 +19,6 @@ type Host struct {
 	up, down *netem.Pipe
 	ports    map[ip.Port]*Listener
 	nextPort ip.Port
-	meter    SyscallMeter
 	bindEnv  ip.Addr // non-zero: BINDIP interception active
 	linkDown bool    // interface administratively down (Network.SetLinkUp)
 }
@@ -30,9 +29,6 @@ func (h *Host) Addr() ip.Addr { return h.addr }
 // Network returns the network the host belongs to.
 func (h *Host) Network() *Network { return h.net }
 
-// Meter returns the host's syscall meter (accumulated cost).
-func (h *Host) Meter() *SyscallMeter { return &h.meter }
-
 // SetBindEnv enables the BINDIP libc-interception model: every connect
 // and listen is preceded by an extra getenv and bind charged to the
 // process, and any explicit local address is overridden by env — the
@@ -40,9 +36,10 @@ func (h *Host) Meter() *SyscallMeter { return &h.meter }
 // address disables interception.
 func (h *Host) SetBindEnv(addr ip.Addr) { h.bindEnv = addr }
 
-// syscall charges one emulated system call to the calling process.
+// syscall charges one emulated system call to the calling process: it
+// sleeps for the call's cost.
 func (h *Host) syscall(p *sim.Proc, s Syscall) {
-	p.Sleep(h.meter.Charge(s))
+	p.Sleep(syscallCost[s])
 }
 
 // interceptBind models the modified-libc preamble: read BINDIP, then

@@ -347,15 +347,6 @@ func NewNetwork(k *sim.Kernel, fabric Fabric, cfg Config) *Network {
 // chord) register their own instruments on it.
 func (n *Network) Obs() *obs.Registry { return n.cfg.Obs }
 
-// FlowStats returns the flow engine's counters and true when the
-// network runs the flow model, or a zero value and false otherwise.
-func (n *Network) FlowStats() (flow.Stats, bool) {
-	if n.flow == nil {
-		return flow.Stats{}, false
-	}
-	return n.flow.Stats(), true
-}
-
 // Kernel returns the kernel the network runs on.
 func (n *Network) Kernel() *sim.Kernel { return n.k }
 

@@ -82,6 +82,7 @@ func (n *Network) initObs() {
 		reg.CounterFunc("p2plab_flow_solved_flows_total", "", "Flows re-leveled across all re-solves.", func() uint64 { return fm.Stats().SolvedFlows })
 		reg.CounterFunc("p2plab_flow_flushes_total", "", "Batch windows drained (window > 0 only).", func() uint64 { return fm.Stats().Flushes })
 		reg.CounterFunc("p2plab_flow_batched_total", "", "Churn events coalesced into batches.", func() uint64 { return fm.Stats().Batched })
+		reg.CounterFunc("p2plab_flow_rerates_total", "", "Rate assignments applied to flows, each flow's first included.", func() uint64 { return fm.Stats().Rerates })
 		reg.CounterFunc("p2plab_flow_started_total", "", "Flows admitted.", func() uint64 { return fm.Stats().Started })
 		reg.CounterFunc("p2plab_flow_completed_total", "", "Flows delivered.", func() uint64 { return fm.Stats().Completed })
 		reg.GaugeFunc("p2plab_flow_flows_per_solve", "", "Mean flows re-leveled per region re-solve.", func() float64 {

@@ -49,17 +49,3 @@ var syscallCost = [numSyscalls]time.Duration{
 	SyscallRecv:    900 * time.Nanosecond,
 	SyscallGetenv:  120 * time.Nanosecond,
 }
-
-// SyscallMeter accumulates the cost of emulated system calls. Each Host
-// owns one; the bind-interception experiment reads it.
-type SyscallMeter struct {
-	Total time.Duration
-}
-
-// Charge adds the cost of one invocation of s to the total and returns
-// it so callers can charge it to virtual time.
-func (m *SyscallMeter) Charge(s Syscall) time.Duration {
-	d := syscallCost[s]
-	m.Total += d
-	return d
-}
