@@ -212,7 +212,7 @@ func TestHandshakeNamesTheTorrent(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := sendHandshake(p, in, stranger); err != nil {
+		if err := sendHandshake(p, in, &stranger); err != nil {
 			t.Error(err)
 			return
 		}
@@ -229,11 +229,11 @@ func TestHandshakeNamesTheTorrent(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if hs, ok := recvHandshake(p, out, time.Minute); !ok || hs.InfoHash != meta.InfoHash() {
-			t.Errorf("outbound: client's handshake %v (ok %v) does not name its torrent", hs, ok)
+		if !recvHandshake(p, out, time.Minute, &Handshake{InfoHash: meta.InfoHash()}) {
+			t.Errorf("outbound: client's handshake does not name its torrent")
 			return
 		}
-		if err := sendHandshake(p, out, stranger); err != nil {
+		if err := sendHandshake(p, out, &stranger); err != nil {
 			t.Error(err)
 			return
 		}

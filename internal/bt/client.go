@@ -138,6 +138,7 @@ func (pp *pieceProgress) set(b int) {
 type Client struct {
 	h       *vnet.Host
 	meta    *MetaInfo
+	hs      Handshake // the handshake sent to and expected from every peer
 	have    *Bitfield // pieces held; set in place as pieces complete
 	cfg     ClientConfig
 	tracker ip.Endpoint
@@ -215,6 +216,7 @@ func NewClient(h *vnet.Host, meta *MetaInfo, have *Bitfield, tracker ip.Endpoint
 	c := &Client{
 		h:        h,
 		meta:     meta,
+		hs:       Handshake{InfoHash: meta.InfoHash()},
 		have:     have,
 		cfg:      cfg,
 		tracker:  tracker,
@@ -384,22 +386,13 @@ func (c *Client) acceptLoop(p *sim.Proc, l *vnet.Listener) {
 		}
 		cn := conn
 		p.Go("bt-handshake-in", func(p *sim.Proc) {
-			hs, ok := recvHandshake(p, cn, 30*time.Second)
-			if !ok || hs.InfoHash != c.meta.InfoHash() {
-				cn.Close(p)
-				return
-			}
-			if err := sendHandshake(p, cn, c.handshake()); err != nil {
+			if !recvHandshake(p, cn, 30*time.Second, &c.hs) || sendHandshake(p, cn, &c.hs) != nil {
 				cn.Close(p)
 				return
 			}
 			c.admit(cn)
 		})
 	}
-}
-
-func (c *Client) handshake() Handshake {
-	return Handshake{InfoHash: c.meta.InfoHash()}
 }
 
 // dialPeer initiates an outbound connection in a transient goroutine.
@@ -413,12 +406,7 @@ func (c *Client) dialPeer(p *sim.Proc, ep ip.Endpoint) {
 			c.om.dialFailures.Inc()
 			return
 		}
-		if err := sendHandshake(p, conn, c.handshake()); err != nil {
-			conn.Close(p)
-			return
-		}
-		hs, ok := recvHandshake(p, conn, 30*time.Second)
-		if !ok || hs.InfoHash != c.meta.InfoHash() {
+		if sendHandshake(p, conn, &c.hs) != nil || !recvHandshake(p, conn, 30*time.Second, &c.hs) {
 			conn.Close(p)
 			return
 		}

@@ -108,17 +108,22 @@ func (pr *peer) send(p *sim.Proc, m Msg) error {
 	return pr.conn.SendMeta(p, m.WireSize(), pr.cl.boxes.Get(m))
 }
 
-// sendHandshake transmits the 68-byte handshake.
-func sendHandshake(p *sim.Proc, c *vnet.Conn, hs Handshake) error {
-	return c.SendMeta(p, HandshakeSize, hs)
+// sendHandshake transmits the 68-byte handshake. It and
+// recvHandshake take the handshake by pointer, so the 20-byte info hash
+// is not copied into the frames of the per-connection handshake tasks,
+// where every copy is a step towards a second stack (DESIGN decision
+// 11).
+func sendHandshake(p *sim.Proc, c *vnet.Conn, hs *Handshake) error {
+	return c.SendMeta(p, HandshakeSize, *hs)
 }
 
-// recvHandshake blocks for the peer's handshake with a deadline.
-func recvHandshake(p *sim.Proc, c *vnet.Conn, timeout time.Duration) (Handshake, bool) {
+// recvHandshake blocks, with a deadline, for the peer's handshake and
+// reports whether it arrived and is want.
+func recvHandshake(p *sim.Proc, c *vnet.Conn, timeout time.Duration, want *Handshake) bool {
 	pk, ok, err := c.RecvTimeout(p, timeout)
 	if err != nil || !ok {
-		return Handshake{}, false
+		return false
 	}
 	hs, isHS := pk.Meta.(Handshake)
-	return hs, isHS
+	return isHS && hs.InfoHash == want.InfoHash
 }

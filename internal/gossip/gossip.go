@@ -230,16 +230,15 @@ func (n *Node) digestIDs() []uint64 {
 }
 
 // missingFor returns the updates a peer with the given digest lacks,
-// in ID order.
+// in ID order. A digest is digestIDs' output, ascending, so membership
+// is a binary search: a set built from it was the deepest call under a
+// serving task and took its stack past the first 2 KiB (DESIGN
+// decision 11).
 func (n *Node) missingFor(have []uint64) []Update {
-	peerHas := make(map[uint64]bool, len(have))
-	for _, id := range have {
-		peerHas[id] = true
-	}
 	var missing []Update
 	//lint:allow maporder collected updates are sorted by ID below before use
 	for id, u := range n.known {
-		if !peerHas[id] {
+		if _, found := slices.BinarySearch(have, id); !found {
 			missing = append(missing, u)
 		}
 	}
@@ -247,28 +246,39 @@ func (n *Node) missingFor(have []uint64) []Update {
 	return missing
 }
 
-// sendAsync delivers one message over a transient connection.
+// sendAsync delivers one message over a transient connection. The
+// message goes into its box here, so the task captures a pointer and
+// not the message: a per-message task's frames must fit its first
+// 2 KiB stack (DESIGN decision 11).
 func (n *Node) sendAsync(p *sim.Proc, to ip.Endpoint, m wireMsg) {
+	size, digest, b := m.wireSize(), m.Kind == kindDigest, n.boxes.Get(m)
 	p.Go("gossip-send", func(p *sim.Proc) {
 		c, err := n.h.Dial(p, to)
 		if err != nil {
+			b.Take() // back to the pool unsent
 			return
 		}
 		defer c.Close(p)
-		c.SendMeta(p, m.wireSize(), n.boxes.Get(m))
-		if m.Kind == kindDigest {
-			// Wait for the reply carrying missing updates.
-			pk, ok, err := c.RecvTimeout(p, 10*time.Second)
-			if err != nil || !ok {
-				return
-			}
-			if b, isMsg := pk.Meta.(*vnet.Box[wireMsg]); isMsg {
-				for _, u := range b.Take().Updates {
-					n.learn(u)
-				}
-			}
+		c.SendMeta(p, size, b)
+		if digest {
+			n.awaitReply(p, c)
 		}
 	})
+}
+
+// awaitReply learns the updates of a digest's reply. It is the sending
+// task's cold half, in a frame of its own: inline, its copies sat in the
+// task's frame under the dial and the send.
+func (n *Node) awaitReply(p *sim.Proc, c *vnet.Conn) {
+	pk, ok, err := c.RecvTimeout(p, 10*time.Second)
+	if err != nil || !ok {
+		return
+	}
+	if b, isMsg := pk.Meta.(*vnet.Box[wireMsg]); isMsg {
+		for _, u := range b.Take().Updates {
+			n.learn(u)
+		}
+	}
 }
 
 // serve handles inbound pushes and digests.
@@ -289,27 +299,37 @@ func (n *Node) serve(p *sim.Proc) {
 			if err != nil || !ok {
 				return
 			}
-			b, isMsg := pk.Meta.(*vnet.Box[wireMsg])
-			if !isMsg {
-				return
-			}
-			m := b.Take()
-			if !n.alive {
-				return
-			}
-			switch m.Kind {
-			case kindPush:
-				for _, u := range m.Updates {
-					n.learn(u)
+			if b, isMsg := pk.Meta.(*vnet.Box[wireMsg]); isMsg {
+				if r, size := n.handle(b); r != nil {
+					c.SendMeta(p, size, r)
 				}
-			case kindDigest:
-				reply := wireMsg{Kind: kindDigestReply, Updates: n.missingFor(m.Have)}
-				c.SendMeta(p, reply.wireSize(), n.boxes.Get(reply))
-				// Symmetric repair: learn what the peer has that we
-				// lack at the next anti-entropy round (pull-only here).
 			}
 		})
 	}
+}
+
+// handle takes an inbound message out of its box and acts on it: a
+// push's updates are learned, and a digest is answered with the
+// updates its sender lacks, returned boxed with their wire size for the
+// serving task to send. The reply is built here and sent from the task
+// itself, so the digest's frames are gone before the send's begin.
+func (n *Node) handle(b *vnet.Box[wireMsg]) (*vnet.Box[wireMsg], int) {
+	m := b.Take()
+	if !n.alive {
+		return nil, 0
+	}
+	switch m.Kind {
+	case kindPush:
+		for _, u := range m.Updates {
+			n.learn(u)
+		}
+	case kindDigest:
+		// Symmetric repair: learn what the peer has that we lack at
+		// the next anti-entropy round (pull-only here).
+		r := wireMsg{Kind: kindDigestReply, Updates: n.missingFor(m.Have)}
+		return n.boxes.Get(r), r.wireSize()
+	}
+	return nil, 0
 }
 
 // String describes the node.

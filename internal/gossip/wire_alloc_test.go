@@ -81,3 +81,60 @@ func TestWireAllocs(t *testing.T) {
 		t.Errorf("%d allocs per digest round trip, want 8", got)
 	}
 }
+
+// TestBurstAllocs is TestWireAllocs under concurrency: a warm burst of
+// 256 pushes in flight at once, from one node to four that run only
+// serve, allocates per push what one push does, 7. The kernel keeps
+// the coroutine of every task that returns on its first stack, so a
+// burst runs on the coroutines of the one before. When it kept only 32,
+// each burst re-made the rest, their iter.Pull closures and goroutines,
+// and a send path whose frames outgrow a task's first 2 KiB stack puts
+// its coroutines under that bound again: this is the test that sees it.
+func TestBurstAllocs(t *testing.T) {
+	const burst, callees, warmup, measured = 256, 4, 2, 8
+	k := sim.New(1)
+	net := vnet.NewNetwork(k, nil, vnet.DefaultConfig())
+	var nodes [1 + callees]*Node
+	for i := range nodes {
+		h, err := net.AddHostClass(ip.MustParseAddr("10.0.0.1").Add(uint32(i)), lan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = NewNode(h, 1)
+	}
+	caller, to := nodes[0], make([]ip.Endpoint, callees)
+	for i, n := range nodes[1:] {
+		n.alive = true
+		n.learn(Update{ID: 1})
+		k.Go("server", n.serve)
+		to[i] = ip.Endpoint{Addr: n.h.Addr(), Port: Port}
+	}
+	push := wireMsg{Kind: kindPush, Updates: []Update{{ID: 1}}}
+	var mallocs uint64
+	k.Go("caller", func(p *sim.Proc) {
+		defer k.Stop()
+		bursts := func(n int) {
+			for range n {
+				for i := range burst {
+					caller.sendAsync(p, to[i%callees], push)
+				}
+				p.Sleep(time.Second)
+			}
+		}
+		bursts(warmup)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bursts(measured)
+		runtime.ReadMemStats(&after)
+		mallocs = after.Mallocs - before.Mallocs
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := net.Stats().MessagesDelivered, uint64((warmup+measured)*burst*5); got != want {
+		t.Fatalf("%d messages delivered, want %d", got, want)
+	}
+	if got := mallocs / (measured * burst); got != 7 {
+		t.Errorf("%d allocs per push in a burst of %d, want 7", got, burst)
+	}
+}

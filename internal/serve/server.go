@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"runtime"
 	"sync"
 	"time"
@@ -172,6 +173,16 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/result.csv", s.handleResultCSV)
+	// The Go runtime's profiles of the server process: the index, the
+	// named profiles under it (heap, goroutine, allocs, …), a CPU
+	// profile and an execution trace, for `go tool pprof` and `go tool
+	// trace`.
+	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("POST /debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -646,5 +647,23 @@ func TestBuildGridReachesEveryAxis(t *testing.T) {
 		whole.Experiment, whole.FileSize, whole.Lookups, whole.Fanout, whole.Horizon
 	if !reflect.DeepEqual(byFlags, whole) {
 		t.Errorf("the literal body decodes to %+v, the rows' flags parse to %+v", whole, byFlags)
+	}
+}
+
+// TestServePprof checks that the server exposes the Go runtime's
+// profiles of its own process: the pprof index and a named profile
+// under it answer 200.
+func TestServePprof(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Errorf("GET %s = %d with %d bytes, want 200 and a body", path, resp.StatusCode, len(body))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -128,25 +129,38 @@ func (c *Cond) check() error {
 // two Lens and the queue length after it, and the run's end.
 //
 // script[0] picks 1–8 tasks; every further byte is one operation of
-// task i mod n, in order. An operation byte b below 240 names its kind
+// task i mod n, in order. An operation byte b below 224 names its kind
 // (b mod 6), its Cond (b/6 mod 2) and a duration of 0–3 ms (b/12 mod
 // 4): Wait, WaitTimeout (0 waits forever), Signal, Broadcast, Sleep (0
 // yields), or a callback that Signals (even duration) or Broadcasts
-// (odd) that duration later. A byte from 240 up spawns a child that
-// makes one Sleep (v/2 even, v = b−240) or one WaitTimeout on Cond v
-// mod 2, for v/4 mod 4 ms, and returns: the kernel recycles the struct
-// of every task that returns, so later spawns reuse it mid-script.
-// Each child checks that it starts as a fresh task (Proc.CheckFresh)
-// and logs which way the task that last held its struct ended. Tasks
-// left waiting with no wake pending end the run as a deadlock, which is
-// logged like any other end.
+// (odd) that duration later. A byte from 224 up spawns a child that
+// makes one Sleep (v/2 even, v = b−224 mod 16) or one WaitTimeout on
+// Cond v mod 2, for v/4 mod 4 ms, and returns: the kernel recycles the
+// struct of every task that returns, so later spawns reuse it
+// mid-script. A child spawned by a byte below 240 first recurses
+// through 8 KiB of frames, so it returns on a grown stack, and its
+// coroutine is one the kernel keeps idle only up to a bound; a
+// shallow child's coroutine is always kept. Each child checks that it
+// starts as a fresh task (Proc.CheckFresh) and logs which way the task
+// that last held its struct ended. Tasks left waiting with no wake
+// pending end the run as a deadlock, which is logged like any other
+// end.
 func runCondScript(t *testing.T, script []byte, mk func(k *Kernel) [2]condLike) []string {
 	k := New(1)
 	cs := mk(k)
-	var log []string
+	// A line is formatted when the run ends, not in note: fmt's frames
+	// would take a shallow child off its first stack.
+	type line struct {
+		now           Time
+		who           string
+		j             int
+		op            string
+		ok            bool
+		len0, len1, q int
+	}
+	lines := make([]line, 0, len(script)+64)
 	note := func(who string, j int, op string, ok bool) {
-		log = append(log, fmt.Sprintf("%v %s op%d %s ok=%v len=%d,%d q=%d",
-			k.now, who, j, op, ok, cs[0].Len(), cs[1].Len(), k.QueueLen()))
+		lines = append(lines, line{k.now, who, j, op, ok, cs[0].Len(), cs[1].Len(), k.QueueLen()})
 		for i, c := range cs {
 			if c, live := c.(*Cond); live {
 				if err := c.check(); err != nil {
@@ -155,11 +169,12 @@ func runCondScript(t *testing.T, script []byte, mk func(k *Kernel) [2]condLike) 
 			}
 		}
 	}
-	ended := map[*task]string{} // how the last task on each struct ended
-	spawn := func(j int, v byte) {
+	ended := make(map[*task]string, 128) // how the last task on each struct ended
+	spawn := func(j int, v byte, deep bool) {
 		name := fmt.Sprintf("child%d", j)
 		c, sleep := cs[v%2], v/2%2 == 0
 		d := Duration(v/4%4) * time.Millisecond
+		sleepOp, waitOp := fmt.Sprintf("child-sleep(%v)", d), fmt.Sprintf("child-wait-timeout(%v)", d)
 		k.Go(name, func(p *Proc) {
 			if err := p.CheckFresh(); err != nil {
 				t.Fatalf("%s op%d: a task %s", name, j, err)
@@ -167,15 +182,22 @@ func runCondScript(t *testing.T, script []byte, mk func(k *Kernel) [2]condLike) 
 			if p.Incarnation() > 0 {
 				note(name, j, "reuses a task that "+ended[p.t], true)
 			}
+			if deep {
+				Recurse(8 << 10)
+			}
 			if sleep {
 				p.Sleep(d)
-				note(name, j, fmt.Sprintf("child-sleep(%v)", d), true)
+				note(name, j, sleepOp, true)
 				ended[p.t] = "slept"
 				return
 			}
 			ok := c.WaitTimeout(p, d)
-			note(name, j, fmt.Sprintf("child-wait-timeout(%v)", d), ok)
-			ended[p.t] = map[bool]string{true: "was signalled", false: "timed out"}[ok]
+			note(name, j, waitOp, ok)
+			if ok {
+				ended[p.t] = "was signalled"
+			} else {
+				ended[p.t] = "timed out"
+			}
 		})
 	}
 	n := 1
@@ -189,8 +211,8 @@ func runCondScript(t *testing.T, script []byte, mk func(k *Kernel) [2]condLike) 
 			defer func() { ended[p.t] = "ran a script" }()
 			for j := i; j < len(ops); j += n {
 				b := ops[j]
-				if b >= 240 {
-					spawn(j, b-240)
+				if b >= 224 {
+					spawn(j, (b-224)%16, b < 240)
 					note(name, j, "spawn", true)
 					continue
 				}
@@ -227,6 +249,11 @@ func runCondScript(t *testing.T, script []byte, mk func(k *Kernel) [2]condLike) 
 		})
 	}
 	err := k.Run()
+	var log []string
+	for _, l := range lines {
+		log = append(log, fmt.Sprintf("%v %s op%d %s ok=%v len=%d,%d q=%d",
+			l.now, l.who, l.j, l.op, l.ok, l.len0, l.len1, l.q))
+	}
 	return append(log, fmt.Sprintf("end %v err=%v stats=%+v q=%d", k.now, err, k.Snapshot(), k.QueueLen()))
 }
 
@@ -242,6 +269,43 @@ var reuseScripts = []struct {
 	// A child waits with a 1 ms timeout; t0 yields to it, signals it,
 	// yields again so it returns, and spawns a sleeping child.
 	{[]byte{0, 240 + 6, 4, 2, 4, 240}, "reuses a task that was signalled"},
+}
+
+// idleScript spawns 40 deep children that sleep 1 ms, sleeps 2 ms while
+// they return, then spawns two rounds of 40 shallow ones the same way:
+// the deep ones leave maxIdleCoros grown coroutines idle and end the
+// rest, the first shallow round runs on those and on new ones, and the
+// second runs on an idle list longer than maxIdleCoros.
+var idleScript = slices.Concat([]byte{0},
+	bytes.Repeat([]byte{224 + 4}, 40), []byte{4 + 24},
+	bytes.Repeat([]byte{240 + 4}, 40), []byte{4 + 24},
+	bytes.Repeat([]byte{240 + 4}, 40), []byte{4 + 24})
+
+// TestCondScriptIdleCoros checks that idleScript, which FuzzCondWaiters
+// replays, mixes kept and ended coroutines as it says: a Cond-side
+// callback reads the idle list after each round.
+func TestCondScriptIdleCoros(t *testing.T) {
+	var seen [][2]int
+	runCondScript(t, idleScript, func(k *Kernel) [2]condLike {
+		for _, at := range []Duration{2, 4, 6} {
+			k.At(Time(at*time.Millisecond)-1, func() {
+				idle, grown := k.IdleCoros()
+				seen = append(seen, [2]int{len(idle), grown})
+			})
+		}
+		return [2]condLike{new(Cond), new(Cond)}
+	})
+	// A shallow child whose allocation takes the allocator's slow path
+	// may grow its stack all the same, so the shallow rounds leave
+	// about 40, more than maxIdleCoros.
+	ok := len(seen) == 3 && seen[0] == [2]int{maxIdleCoros, maxIdleCoros}
+	for i := 1; ok && i < 3; i++ {
+		ok = seen[i][0] > maxIdleCoros+4 && seen[i][1] == maxIdleCoros
+	}
+	if !ok {
+		t.Errorf("idle coroutines (all, grown) after each round: %v, want %d grown of %d, then %d grown of about 40 twice",
+			seen, maxIdleCoros, maxIdleCoros, maxIdleCoros)
+	}
 }
 
 // TestCondScriptsReuseTasks checks that reuseScripts, which
@@ -272,6 +336,7 @@ func FuzzCondWaiters(f *testing.F) {
 	for _, seed := range reuseScripts {
 		f.Add(seed.script)
 	}
+	f.Add(idleScript)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
 			return

@@ -226,6 +226,8 @@ type timerScript struct {
 	shorts   int    // short tasks spawned
 	started  int    // tasks that have run, of either kind
 	reused   int    // short tasks that ran on a recycled struct
+	burst    int    // tasks of the pending burst not yet woken
+	maxIdle  int    // the longest idle coroutine list a short task saw
 	switches uint64 // task activations: starts and wakes
 }
 
@@ -273,9 +275,17 @@ func (s *timerScript) callback(id int) func() {
 }
 
 // dispatched checks that timer id, just fired or woken, is the one the
-// model dispatches next, at the model's instant and inside the horizon,
-// then performs a few random operations.
+// model dispatches next (fire), then performs a few random operations.
 func (s *timerScript) dispatched(id int) {
+	s.fire(id)
+	for n := 1 + s.rng.Intn(4); n > 0; n-- {
+		s.step()
+	}
+}
+
+// fire checks that timer id, just fired or woken, is the one the model
+// dispatches next, at the model's instant and inside the horizon.
+func (s *timerScript) fire(id int) {
 	want := s.m.next()
 	if want.id != id || want.at != s.k.Now() {
 		s.t.Fatalf("dispatch %d: kernel fired timer %d at %v, model expects timer %d at %v",
@@ -285,9 +295,6 @@ func (s *timerScript) dispatched(id int) {
 		s.t.Fatalf("dispatch %d: timer %d fired at %v, past the %v horizon", s.fired, id, s.k.Now(), scriptHorizon)
 	}
 	s.fired++
-	for n := 1 + s.rng.Intn(4); n > 0; n-- {
-		s.step()
-	}
 }
 
 // spawn starts a sleeper with goFn, Kernel.Go or Proc.Go. The sleeper
@@ -329,11 +336,30 @@ func (s *timerScript) spawn(goFn func(string, func(*sim.Proc))) {
 	})
 }
 
+// noBurst is spawnShort's wake-up for a task of no burst.
+const noBurst sim.Time = -1
+
+// spawnBurst starts 33–64 short tasks, about half of them deep, that
+// all sleep to one instant less than 200 µs ahead and return together.
+// The idle list then holds more coroutines than the kernel keeps of
+// grown ones: it keeps every coroutine on its first stack and ends the
+// grown ones past its bound, and later spawns run on both kinds.
+func (s *timerScript) spawnBurst() {
+	at := s.m.now.Add(time.Duration(1 + s.rng.Intn(int(200*time.Microsecond))))
+	s.burst = 33 + s.rng.Intn(32)
+	for i := s.burst; i > 0; i-- {
+		s.spawnShort(s.rng.Intn(2) == 0, at)
+	}
+}
+
 // spawnShort starts a task that makes one Sleep to a model timer and
 // returns, so the kernel recycles its struct for a later spawn. It must
 // first run at the instant it was spawned, and start as a fresh task
-// (Proc.CheckFresh) whether or not its struct is recycled.
-func (s *timerScript) spawnShort() {
+// (Proc.CheckFresh) whether or not its struct is recycled. A deep one
+// recurses through 8 KiB of frames first, so it returns on a grown
+// stack. One of a burst sleeps to the burst's instant, burstAt; any
+// other, to a random one, and it performs operations when it wakes.
+func (s *timerScript) spawnShort(deep bool, burstAt sim.Time) {
 	s.shorts++
 	born := s.m.now
 	s.k.Go("short", func(p *sim.Proc) {
@@ -348,16 +374,33 @@ func (s *timerScript) spawnShort() {
 		if p.Incarnation() > 0 {
 			s.reused++
 		}
+		if idle, _ := s.k.IdleCoros(); len(idle) > s.maxIdle {
+			s.maxIdle = len(idle)
+		}
+		if deep {
+			sim.Recurse(8 << 10)
+		}
 		id := s.timers
 		s.timers++
-		at := s.randomAt()
-		for at > s.m.now.Add(time.Hour) && s.rng.Intn(16) != 0 {
-			at = s.randomAt() // return, as a rule, to hand the struct on
+		at := burstAt
+		if at == noBurst {
+			at = s.randomAt()
+			for at > s.m.now.Add(time.Hour) && s.rng.Intn(16) != 0 {
+				at = s.randomAt() // return, as a rule, to hand the struct on
+			}
 		}
 		s.m.schedule(at, id)
 		p.Sleep(at.Sub(s.m.now))
 		s.switches++
-		s.dispatched(id)
+		if burstAt == noBurst {
+			s.dispatched(id)
+			return
+		}
+		// The operations dispatched performs run deep enough to grow
+		// any task's stack: a task of a burst only checks its wake-up,
+		// so that the shallow ones return on their first stack.
+		s.burst--
+		s.fire(id)
 	})
 }
 
@@ -388,7 +431,7 @@ func (s *timerScript) step() {
 	}
 	s.budget--
 	id := s.timers
-	switch op := s.rng.Intn(13); {
+	switch op := s.rng.Intn(14); {
 	case op < 2:
 		at := s.randomAt()
 		s.handles = append(s.handles, handle{s.k.At(at, s.callback(id)), id})
@@ -405,7 +448,9 @@ func (s *timerScript) step() {
 		s.m.schedule(at, id)
 		s.timers++
 	case op == 12:
-		s.spawnShort()
+		s.spawnShort(false, noBurst)
+	case op == 13 && s.burst == 0:
+		s.spawnBurst()
 	case op >= 10:
 		i := s.rng.Intn(len(s.owned))
 		if j := s.ownedAt[i]; j >= 0 {
@@ -463,8 +508,9 @@ func (s *timerScript) checkQueue() {
 // ordered before it fired; the timers behind it are still queued; and
 // the kernel counted the model's dispatches and the stop. It returns
 // the operations the script left unspent because no timer was left to
-// run them, and how many short tasks ran on a recycled struct.
-func runTimerScript(t *testing.T, seed int64, budget int) (left, reused int) {
+// run them, how many short tasks ran on a recycled struct, and the
+// longest idle coroutine list a short task found.
+func runTimerScript(t *testing.T, seed int64, budget int) (left, reused, maxIdle int) {
 	t.Helper()
 	s := &timerScript{t: t, k: sim.New(seed), rng: rand.New(rand.NewSource(seed)), budget: budget}
 	s.ownedAt = [4]int{-1, -1, -1, -1}
@@ -490,7 +536,7 @@ func runTimerScript(t *testing.T, seed int64, budget int) (left, reused int) {
 	if got, want := s.k.Snapshot(), (sim.Stats{Events: s.fired + 1, Switches: s.switches, Spawns: uint64(s.sleepers + s.shorts)}); got != want {
 		t.Fatalf("seed %d: stats %+v, model %+v", seed, got, want)
 	}
-	return s.budget, s.reused
+	return s.budget, s.reused, s.maxIdle
 }
 
 // TestTimersMatchModel is the property test behind the kernel's single
@@ -499,15 +545,19 @@ func runTimerScript(t *testing.T, seed int64, budget int) (left, reused int) {
 // those of the reference model, the queue's head invariant holds
 // after every operation (CheckHead) and all its invariants every
 // checkEvery operations and at the end (CheckQueue). Every seed runs
-// short tasks on recycled structs.
+// short tasks on recycled structs, and on an idle coroutine list longer
+// than the kernel's bound on grown coroutines.
 func TestTimersMatchModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		left, reused := runTimerScript(t, seed, 20000)
+		left, reused, maxIdle := runTimerScript(t, seed, 20000)
 		if left != 0 {
 			t.Fatalf("seed %d: script died out with %d operations unspent", seed, left)
 		}
 		if reused == 0 {
 			t.Fatalf("seed %d: no short task ran on a recycled struct", seed)
+		}
+		if maxIdle <= sim.MaxIdleCoros {
+			t.Fatalf("seed %d: no short task found more than %d idle coroutines (at most %d)", seed, sim.MaxIdleCoros, maxIdle)
 		}
 	}
 }

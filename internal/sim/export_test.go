@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"unsafe"
 )
 
@@ -59,6 +60,28 @@ func (q *eventQueue) holds(fn func()) bool {
 		}
 	}
 	return false
+}
+
+// MaxIdleCoros is the kernel's bound on idle coroutines whose stack
+// has moved.
+const MaxIdleCoros = maxIdleCoros
+
+// IdleCoros returns the coroutines on the kernel's idle list, in list
+// order, and how many of them no longer run on their first stack.
+func (k *Kernel) IdleCoros() ([]*coro, int) { return slices.Clone(k.idle), k.grown }
+
+// Recurse calls itself through at least n bytes of frames and returns.
+// A task that calls it with n of 4 KiB or more leaves the first stack
+// of its coroutine for a grown one, which it keeps after the call.
+//
+//go:noinline
+func Recurse(n int) byte {
+	var pad [256]byte
+	pad[n%len(pad)] = byte(n)
+	if n <= len(pad) {
+		return pad[n%len(pad)]
+	}
+	return Recurse(n-len(pad)) ^ pad[n%len(pad)]
 }
 
 // Rand returns the kernel's deterministic random source.

@@ -31,6 +31,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Time is an absolute instant on the virtual timeline, in nanoseconds
@@ -124,24 +125,29 @@ type killedPanic struct{}
 // to it with next, and the task it carries switches back with yield
 // when it parks or returns. Both are direct switches between two
 // goroutines (iter.Pull), not a trip through the Go scheduler. It
-// carries its task as the Proc the task's function receives: one
-// pointer, so a coro stays 32 B.
+// carries its task as the Proc the task's function receives, and
+// whether its stack has moved since the coroutine began (newCoro).
 type coro struct {
 	p     *Proc
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
+	base  uintptr // the address of a local of the body's, on its first stack
+	moved bool
 }
 
-// maxIdleCoros bounds the coroutines kept for reuse between tasks. A
-// spawn that finds the list empty pays iter.Pull's closures and a new
-// goroutine; every coroutine kept idle keeps its stack. Measured with
-// `go run ./bench -workload sweep-overlay` (alloc_mb bound 3 %,
-// peak_rss_mb bound 10 %), medians of 13 runs for 32 and 256 and of 5
-// for the rest: 32 gives 197.9 MB and 88.1 MB; 256, 194.0 and 88.9;
-// 2048, 183.3 and 92.8; an unbounded list, which keeps the stacks of
-// every spawn burst until Run returns, 175.3 and 107.3. DESIGN
-// decision 11 has the table.
+// maxIdleCoros bounds the idle coroutines whose stack has moved. A
+// coroutine whose task returned goes back on the idle list, where it
+// keeps its stack, for the next spawn, which otherwise pays iter.Pull's
+// closures and a new goroutine. Every coroutine still on its first
+// (2 KiB) stack is kept, so no spawn after a run's largest burst of
+// concurrent tasks makes one; of those whose stack grew to 4 KiB or
+// more, 32 are kept and the rest end. `go run ./bench -workload
+// sweep-overlay`, medians of 10 alternated pairs against keeping 32 of
+// either kind: alloc_mb 174.5 → 151.7 MB, peak_rss_mb 90.7 → 87.2.
+// Keeping every grown one too took peak_rss_mb to 107.3 while gossip's
+// tasks grew; ending them all re-makes bt's grown handshake coroutines
+// (fig8-flow-windowed allocates 22.6 → 23.3 MB). DESIGN decision 11.
 const maxIdleCoros = 32
 
 // Kernel is a deterministic discrete-event simulation kernel.
@@ -167,7 +173,8 @@ type Kernel struct {
 	spare  *task   // recycled task structs, linked through next
 	ready  []*task // runnable tasks, FIFO
 	live   task    // sentinel of the ring of unfinished tasks, in spawn order
-	idle   []*coro // coroutines whose task returned, at most maxIdleCoros
+	idle   []*coro // coroutines whose task returned; see maxIdleCoros
+	grown  int     // coroutines on idle whose stack moved
 
 	rng     *rand.Rand
 	stopped bool
@@ -254,13 +261,15 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) {
 // resume switches to t and returns when t parks or returns. A task's
 // first activation gives it a coroutine, an idle one if there is one,
 // and the Proc of its incarnation; when the task returns, its
-// coroutine goes back on the idle list, or ends if the list is full,
-// and the task struct goes on the free list unless it was killed. A
-// recycled struct keeps its timer callback; gen moves on, and the
-// reset leaves it unblocked, not timed out and on no Cond. Coroutines
-// are made here, under Run, and not in Go: the runtime requires a
-// coroutine's creator and its resumer to agree on LockOSThread state,
-// and Run is the only resumer.
+// coroutine goes back on the idle list, or ends if its stack moved and
+// maxIdleCoros such ones are idle, and the task struct goes on the free
+// list unless it was killed. A recycled struct keeps its timer
+// callback; gen moves on, and the reset leaves it unblocked, not timed
+// out and on no Cond. Coroutines are made here, under Run, and not in
+// Go: the runtime requires a coroutine's creator and its resumer to
+// agree on LockOSThread state, and Run is the only resumer. Which
+// coroutine hosts a task is invisible to the simulation: Stats, traces
+// and digests read nothing of it.
 //
 //p2p:token
 func (k *Kernel) resume(t *task) {
@@ -268,6 +277,9 @@ func (k *Kernel) resume(t *task) {
 	if c == nil {
 		if n := len(k.idle); n > 0 {
 			c, k.idle = k.idle[n-1], k.idle[:n-1]
+			if c.moved {
+				k.grown--
+			}
 		} else {
 			c = newCoro()
 		}
@@ -287,11 +299,14 @@ func (k *Kernel) resume(t *task) {
 		t.timedOut, t.cw = false, condWaiter{}
 		t.next, k.spare = k.spare, t
 	}
-	if len(k.idle) < maxIdleCoros {
-		k.idle = append(k.idle, c)
-	} else {
-		c.stop()
+	if c.moved {
+		if k.grown == maxIdleCoros {
+			c.stop()
+			return
+		}
+		k.grown++
 	}
+	k.idle = append(k.idle, c)
 }
 
 // newCoro returns a coroutine that runs the task it is handed to its
@@ -299,18 +314,24 @@ func (k *Kernel) resume(t *task) {
 // in task code — a killed task's sentinel included — ends the coroutine
 // and leaves through next. Every frame under a task's own comes out of
 // the 1 120 usable bytes of its first 2 KiB stack, so the body does
-// nothing else and keeps only c live (a 24-byte frame): with the
+// nothing else and keeps only c and one address live: with the
 // recover and the idle-list push in here, two thirds of the tasks of a
 // 1 024-node gossip cell ended up on 4 KiB stacks (DESIGN decision 11).
+// The address is mark's, taken before the first task: the runtime
+// grows or shrinks a stack by copying it, so a later &mark that differs
+// says the coroutine no longer runs on the stack it began with.
 //
 //p2p:token
 func newCoro() *coro {
 	c := &coro{}
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
+		var mark byte
+		c.base = uintptr(unsafe.Pointer(&mark))
 		for {
 			c.p.t.fn(c.p)
 			c.p = nil
+			c.moved = uintptr(unsafe.Pointer(&mark)) != c.base
 			if !c.yield(struct{}{}) {
 				return
 			}
@@ -568,7 +589,7 @@ func (k *Kernel) teardown() {
 	for _, c := range k.idle {
 		c.stop()
 	}
-	k.idle = nil
+	k.idle, k.grown = nil, 0
 }
 
 // kill resumes t with its killed flag set: park panics with a sentinel

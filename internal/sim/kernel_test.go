@@ -275,22 +275,37 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			k.Go("sleeper", func(p *Proc) { p.Sleep(d) })
 		}
 	}
+	// Every case but the last two ends a run whose idle list holds more
+	// coroutines than maxIdleCoros: a coroutine on its first stack is
+	// always kept, so it is teardown that ends them. Grown coroutines
+	// past maxIdleCoros end as their task returns, so "grown" ends
+	// coroutines both ways.
+	burst := 4 * maxIdleCoros
 	cases := []struct {
 		name string
 		run  func(k *Kernel) error
 	}{
-		// More tasks than the idle list holds, so coroutines end both ways.
 		{"completion", func(k *Kernel) error {
-			sleepers(k, 4*maxIdleCoros, time.Second)
+			sleepers(k, burst, time.Second)
+			return k.Run()
+		}},
+		{"grown", func(k *Kernel) error {
+			for i := 0; i < burst; i++ {
+				k.Go("deep", func(p *Proc) {
+					Recurse(8 << 10)
+					p.Sleep(time.Second)
+				})
+			}
 			return k.Run()
 		}},
 		{"Stop", func(k *Kernel) error {
+			sleepers(k, burst, time.Second)
 			sleepers(k, 10, time.Hour)
-			k.After(time.Second, k.Stop)
+			k.After(time.Minute, k.Stop)
 			return k.Run()
 		}},
 		{"deadlock", func(k *Kernel) error {
-			sleepers(k, 10, time.Second)
+			sleepers(k, burst, time.Second)
 			c := new(Cond)
 			k.Go("stuck", func(p *Proc) { c.Wait(p) })
 			var dl *DeadlockError
@@ -310,6 +325,81 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		goroutinesSettleAt(t, base, tc.name)
+	}
+}
+
+// burstIdle runs a first burst of n tasks made by spawn, concurrent at
+// one instant, and then a second, from a spawning task, and returns the
+// idle list after each burst and how many of its coroutines had moved
+// stacks.
+func burstIdle(t *testing.T, n int, spawn func(k *Kernel)) (first, second []*coro, grown [2]int) {
+	t.Helper()
+	k := New(1)
+	k.Go("spawner", func(p *Proc) {
+		for i := range 2 {
+			for range n {
+				spawn(k)
+			}
+			p.Sleep(time.Minute)
+			idle, g := k.IdleCoros()
+			if i == 0 {
+				first = idle
+			} else {
+				second = idle
+			}
+			grown[i] = g
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return first, second, grown
+}
+
+// TestIdleKeepsFirstStacks checks the idle rule's unbounded half: a
+// burst of 4×maxIdleCoros short sleepers, which return on the stack
+// they began with, leaves every coroutine idle, and a second burst runs
+// on those same coroutines and makes none. (The sleeper whose timer
+// grows the event queue runs the allocator's slow path and may grow
+// its stack; a few such are kept too.)
+func TestIdleKeepsFirstStacks(t *testing.T) {
+	n := 4 * maxIdleCoros
+	first, second, grown := burstIdle(t, n, func(k *Kernel) {
+		k.Go("short", func(p *Proc) { p.Sleep(time.Second) })
+	})
+	if len(first) != n || grown[0] > n/8 {
+		t.Fatalf("after the first burst: %d idle, %d of them grown; want %d, nearly all on first stacks", len(first), grown[0], n)
+	}
+	kept := make(map[*coro]bool, n)
+	for _, c := range first {
+		kept[c] = true
+	}
+	for _, c := range second {
+		if !kept[c] {
+			t.Fatalf("the second burst made coroutines: %d idle after it, %d after the first, not the same set", len(second), len(first))
+		}
+	}
+	if len(second) != n {
+		t.Fatalf("after the second burst: %d idle, want %d", len(second), n)
+	}
+}
+
+// TestIdleBoundsGrownStacks checks the idle rule's bounded half: a
+// burst of 4×maxIdleCoros tasks that recurse through 8 KiB of frames
+// before they sleep and return leaves maxIdleCoros coroutines idle, all
+// grown, and so does a second burst that starts on those.
+func TestIdleBoundsGrownStacks(t *testing.T) {
+	n := 4 * maxIdleCoros
+	first, second, grown := burstIdle(t, n, func(k *Kernel) {
+		k.Go("deep", func(p *Proc) {
+			Recurse(8 << 10)
+			p.Sleep(time.Second)
+		})
+	})
+	for i, idle := range [][]*coro{first, second} {
+		if len(idle) != maxIdleCoros || grown[i] != maxIdleCoros {
+			t.Errorf("after burst %d: %d idle, %d of them grown; want %d, all grown", i+1, len(idle), grown[i], maxIdleCoros)
+		}
 	}
 }
 

@@ -128,12 +128,24 @@ func (q *eventQueue) fix(i int, s slot) {
 // eventHeap is the 4-ary min-heap behind the head, ordered by (at, seq).
 type eventHeap []slot
 
-// push adds s to the heap.
+// push adds s to the heap. A push runs under every timed park of a
+// task, so the rare growth of the array is kept out of its frame.
 //
 //p2p:token
 func (q *eventHeap) push(s slot) {
-	*q = append(*q, s)
+	if len(*q) == cap(*q) {
+		q.grow()
+	}
+	*q = (*q)[:len(*q)+1]
 	q.up(len(*q)-1, s)
+}
+
+// grow makes room for one more slot, as append would.
+//
+//p2p:token
+//go:noinline
+func (q *eventHeap) grow() {
+	*q = append(*q, slot{})[:len(*q)]
 }
 
 // pop removes and returns the minimum; the heap must not be empty.

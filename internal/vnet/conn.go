@@ -214,13 +214,22 @@ func (c *Conn) SendMeta(p *sim.Proc, size int, meta any) error {
 		return ErrSeqExhausted
 	}
 	c.h.syscall(p, SyscallSend)
-	m := message{
-		kind: kindData, src: c.local(), dst: c.peer.local(), size: size,
-		meta: meta, from: c, to: c.peer, seq: c.sendSeq,
-	}
+	c.emit(kindData, size, meta)
 	c.sendSeq++
-	c.h.net.transmit(c.h, c.peer.h, m, true)
 	return nil
+}
+
+// emit transmits one message of c's stream, a data message or the FIN,
+// at sequence number c.sendSeq, writing it straight into the xfer that
+// carries it (Network.transmit says why).
+//
+//p2p:token
+func (c *Conn) emit(kind msgKind, size int, meta any) {
+	x := c.h.net.post(c.h, c.peer.h, true)
+	x.m.kind, x.m.size, x.m.meta = kind, size, meta
+	x.m.src, x.m.dst = c.local(), c.peer.local()
+	x.m.from, x.m.to, x.m.seq = c, c.peer, c.sendSeq
+	x.launch()
 }
 
 // Recv blocks until a message arrives. It returns ErrClosed after the
@@ -254,10 +263,7 @@ func (c *Conn) Close(p *sim.Proc) error {
 	c.closed = true
 	c.h.syscall(p, SyscallClose)
 	if c.established {
-		c.h.net.transmit(c.h, c.peer.h, message{
-			kind: kindFin, src: c.local(), dst: c.peer.local(), size: 20,
-			from: c, to: c.peer, seq: c.sendSeq,
-		}, true)
+		c.emit(kindFin, 20, nil)
 	}
 	c.deregister()
 	return nil

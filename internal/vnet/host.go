@@ -84,26 +84,33 @@ func (h *Host) Dial(p *sim.Proc, raddr ip.Endpoint) (*Conn, error) {
 		lport: h.allocPort(),
 	}
 	c.register()
-	sent := n.transmit(h, n.hosts[raddr.Addr], message{
-		kind: kindSyn, src: c.local(), dst: raddr, size: 20, from: c,
-	}, true)
-	if !sent {
+	x := n.post(h, n.hosts[raddr.Addr], true)
+	if x == nil {
 		c.deregister()
-		return nil, fmt.Errorf("dial %v: %w", raddr, ErrNetUnreachable)
+		return nil, dialError(raddr, ErrNetUnreachable)
 	}
+	x.m.kind, x.m.src, x.m.dst, x.m.size, x.m.from = kindSyn, c.local(), raddr, 20, c
+	x.launch()
 	if !c.established && !c.refused {
 		c.hs.WaitTimeout(p, n.cfg.HandshakeTimeout)
 	}
-	switch {
-	case c.established:
+	if c.established {
 		return c, nil
-	case c.refused:
-		c.deregister()
-		return nil, fmt.Errorf("dial %v: %w", raddr, ErrConnRefused)
-	default:
-		c.deregister()
-		return nil, fmt.Errorf("dial %v: %w", raddr, ErrTimeout)
 	}
+	c.deregister()
+	if c.refused {
+		return nil, dialError(raddr, ErrConnRefused)
+	}
+	return nil, dialError(raddr, ErrTimeout)
+}
+
+// dialError is a failed dial's error. It is kept out of Dial's frame,
+// which every per-message task pays: fmt's boxed arguments took a
+// quarter of it.
+//
+//go:noinline
+func dialError(raddr ip.Endpoint, err error) error {
+	return fmt.Errorf("dial %v: %w", raddr, err)
 }
 
 // Listen binds a listener to port, performing the emulated

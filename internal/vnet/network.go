@@ -438,33 +438,73 @@ func (m *message) wireSize() int { return m.size + HeaderBytes }
 // host holds); the message counts as sent either way, so MessagesSent =
 // MessagesDelivered + MessagesDropped + inFlight at every instant.
 //
-// The path — the sender's up-link, the fabric's pipes, the receiver's
-// down-link — is fixed when the message is sent, so it is built here
-// once, into the xfer's inline buffer, and every attempt walks it.
+// It is post and launch with a message built by the caller. The
+// per-message sends of a connection (Dial's SYN, SendMeta, Close's FIN)
+// call the two themselves and write the message into the pooled xfer,
+// so no 72-byte message is built in their frames and copied: they run
+// on per-message tasks, whose frames must fit the first 2 KiB stack
+// (DESIGN decision 11).
 //
 //p2p:token transmit runs on the sender's simulated goroutine or an event callback
 func (n *Network) transmit(src, dst *Host, m message, reliable bool) bool {
+	x := n.post(src, dst, reliable)
+	if x == nil {
+		return false
+	}
+	x.m = m
+	x.launch()
+	return true
+}
+
+// post counts one message from src to dst as sent and returns the
+// pooled xfer that will carry it, its message zero for the caller to
+// fill before launch. It returns nil, counting the message dropped, if
+// dst is nil.
+//
+//p2p:token
+func (n *Network) post(src, dst *Host, reliable bool) *xfer {
 	n.stats.MessagesSent++
 	if dst == nil {
 		n.stats.MessagesDropped++
-		return false
-	}
-	if n.tracer != nil {
-		n.tracer.NetSend(n.k.Now(), m.src.Addr, m.wireSize(), m.dst, int(m.kind))
+		return nil
 	}
 	x := n.acquireXfer()
-	x.path = append(x.pathBuf[:0], src.up)
-	var route Route
-	if n.fabric != nil {
-		x.path, route = n.fabric.Route(m.src.Addr, m.dst.Addr, x.path)
+	x.src, x.dst, x.reliable, x.tries = src, dst, reliable, 0
+	return x
+}
+
+// launch traces x's message, builds its path and makes the first
+// attempt. The path — the sender's up-link, the fabric's pipes, the
+// receiver's down-link — is fixed when the message is sent, so it is
+// built here once, into the xfer's inline buffer, and every attempt
+// walks it.
+//
+//p2p:token
+func (x *xfer) launch() {
+	n := x.n
+	x.size = x.m.wireSize()
+	if n.tracer != nil {
+		n.tracer.NetSend(n.k.Now(), x.m.src.Addr, x.size, x.m.dst, int(x.m.kind))
 	}
-	x.path = append(x.path, dst.down)
-	x.src, x.dst, x.m, x.latency = src, dst, m, route.Latency
-	x.reliable, x.tries = reliable, 0
-	x.start = n.k.LoopNow().Add(route.Cost)
-	x.size = m.wireSize()
+	x.path = append(x.pathBuf[:0], x.src.up)
+	x.latency, x.start = 0, n.k.LoopNow()
+	if n.fabric != nil {
+		x.route()
+	}
+	x.path = append(x.path, x.dst.down)
 	x.attempt()
-	return true
+}
+
+// route appends the fabric's pipes to x's path and applies the route's
+// latency and cost. It is launch's cold half, kept out of launch's
+// frame: most networks have no fabric.
+//
+//p2p:token
+//go:noinline
+func (x *xfer) route() {
+	var r Route
+	x.path, r = x.n.fabric.Route(x.m.src.Addr, x.m.dst.Addr, x.path)
+	x.latency, x.start = r.Latency, x.start.Add(r.Cost)
 }
 
 // xfer is the pooled state of one message's journey through the network:
@@ -525,7 +565,7 @@ func (n *Network) releaseXfer(x *xfer) {
 }
 
 // attempt runs one transmission attempt starting at x.start: the link
-// model carries the message over the path transmit built, then the
+// model carries the message over the path launch built, then the
 // fixed route latency applies and the message is delivered. A dropped
 // attempt of a reliable message retries with exponential backoff from
 // the attempt's start instant (failed).
@@ -536,36 +576,53 @@ func (x *xfer) attempt() {
 	// A blocked path (partition or downed interface) drops the attempt
 	// before any pipe is charged: partitions drop rather than queue
 	// (DESIGN.md decision 6), and retransmission is what heals.
-	if n.pathBlocked(x.src, x.dst) {
+	if n.pathBlocked(x.src, x.dst) || n.cfg.Rules != nil && x.denied() {
 		x.failed()
 		return
 	}
-	// Firewall classification (DESIGN.md decision 7). Every attempt is
-	// classified — each packet traversal pays the rule-evaluation cost,
-	// as in ipfw — so a deny rule added or removed mid-run takes effect
-	// on the next retransmission, exactly like a partition.
-	if n.cfg.Rules != nil {
-		v := n.cfg.Rules.Eval(x.m.src.Addr, x.m.dst.Addr)
-		// The scan is paid before the verdict applies, as in ipfw: a
-		// denied attempt still advances its retransmission schedule by
-		// the evaluation cost.
-		x.start = x.start.Add(v.Cost)
-		if v.Deny {
-			n.stats.RuleDenied++
-			if n.tracer != nil {
-				n.tracer.Add(n.k.Now(), "net.deny", x.m.src.Addr.String(),
-					"%d B to %v denied by firewall", x.size, x.m.dst)
-			}
-			x.failed()
-			return
-		}
-	}
 	if n.flow != nil {
-		n.flow.Transfer(x.start, x.size, x.path, n.k.Rand(), x.doneFn)
+		x.transfer()
 		return
 	}
 	x.hop, x.t = 0, x.start
 	x.step()
+}
+
+// denied classifies the attempt through the firewall (DESIGN.md
+// decision 7) and reports whether a deny rule drops it. Every attempt
+// is classified — each packet traversal pays the rule-evaluation cost,
+// as in ipfw — so a deny rule added or removed mid-run takes effect on
+// the next retransmission, exactly like a partition. It is kept out of
+// attempt's frame, as transfer is: both are absent from a pipe-model
+// network without rules.
+//
+//p2p:token
+//go:noinline
+func (x *xfer) denied() bool {
+	n := x.n
+	v := n.cfg.Rules.Eval(x.m.src.Addr, x.m.dst.Addr)
+	// The scan is paid before the verdict applies, as in ipfw: a
+	// denied attempt still advances its retransmission schedule by
+	// the evaluation cost.
+	x.start = x.start.Add(v.Cost)
+	if !v.Deny {
+		return false
+	}
+	n.stats.RuleDenied++
+	if n.tracer != nil {
+		n.tracer.Add(n.k.Now(), "net.deny", x.m.src.Addr.String(),
+			"%d B to %v denied by firewall", x.size, x.m.dst)
+	}
+	return true
+}
+
+// transfer hands the attempt to the flow model.
+//
+//p2p:token
+//go:noinline
+func (x *xfer) transfer() {
+	n := x.n
+	n.flow.Transfer(x.start, x.size, x.path, n.k.Rand(), x.doneFn)
 }
 
 // step is the pipe model's walk: it charges pipes from x.hop onward,
