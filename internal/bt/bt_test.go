@@ -184,7 +184,7 @@ func TestInfoHashDistinguishesContent(t *testing.T) {
 
 // TestHandshakeNamesTheTorrent checks that a client refuses a peer
 // whose handshake names another torrent, on both sides of the
-// exchange: an inbound peer is closed without an answer (acceptLoop),
+// exchange: an inbound peer is closed without an answer (handshakeIn),
 // and an outbound peer that answers with the other hash is closed
 // instead of admitted (dialPeer).
 func TestHandshakeNamesTheTorrent(t *testing.T) {
@@ -206,7 +206,7 @@ func TestHandshakeNamesTheTorrent(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		p.Go("accept", func(p *sim.Proc) { c.acceptLoop(p, l) })
+		p.Go("accept", func(p *sim.Proc) { l.Serve(p, "bt-handshake-in", c.handshakeIn) })
 		in, err := hosts[1].Dial(p, ip.Endpoint{Addr: hosts[0].Addr(), Port: peerPort})
 		if err != nil {
 			t.Error(err)

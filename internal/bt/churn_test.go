@@ -34,7 +34,7 @@ func TestClientStopClosesEverything(t *testing.T) {
 		// Well inside the tracker's expiry horizon, so only the
 		// stopped announce can have removed the victim.
 		trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
-		listed, _, err = AnnounceRequest(p, hosts[4], trkEP, s.Meta.InfoHash(), peerPort, EventStarted, s.Meta.Length, MaxNumWant)
+		listed, _, err = AnnounceRequest(p, hosts[4], trkEP, &announceReq{infoHash: s.Meta.InfoHash(), port: int64(peerPort), event: EventStarted, left: s.Meta.Length, numWant: MaxNumWant})
 		if err != nil {
 			t.Error(err)
 		}

@@ -106,10 +106,10 @@ func TestTrackerExpiresSilentPeers(t *testing.T) {
 	trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
 	k.Go("seq", func(p *sim.Proc) {
 		// A registers, then goes silent (a crash, not a Stop).
-		if _, _, err := AnnounceRequest(p, hosts[0], trkEP, meta.InfoHash(), 6881, EventStarted, meta.Length, 50); err != nil {
+		if _, _, err := AnnounceRequest(p, hosts[0], trkEP, &announceReq{infoHash: meta.InfoHash(), port: 6881, event: EventStarted, left: meta.Length, numWant: 50}); err != nil {
 			t.Errorf("announce A: %v", err)
 		}
-		first, _, err := AnnounceRequest(p, hosts[1], trkEP, meta.InfoHash(), 6881, EventStarted, meta.Length, 50)
+		first, _, err := AnnounceRequest(p, hosts[1], trkEP, &announceReq{infoHash: meta.InfoHash(), port: 6881, event: EventStarted, left: meta.Length, numWant: 50})
 		if err != nil {
 			t.Errorf("announce B: %v", err)
 		}
@@ -120,7 +120,7 @@ func TestTrackerExpiresSilentPeers(t *testing.T) {
 		var last []ip.Endpoint
 		for i := 0; i < 3; i++ {
 			p.Sleep(DefaultAnnounceInterval)
-			last, _, err = AnnounceRequest(p, hosts[1], trkEP, meta.InfoHash(), 6881, EventEmpty, meta.Length, 50)
+			last, _, err = AnnounceRequest(p, hosts[1], trkEP, &announceReq{infoHash: meta.InfoHash(), port: 6881, event: EventEmpty, left: meta.Length, numWant: 50})
 			if err != nil {
 				t.Errorf("re-announce B: %v", err)
 			}

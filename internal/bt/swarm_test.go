@@ -44,7 +44,7 @@ func TestTrackerAnnounceAndPeerList(t *testing.T) {
 	var got [][]ip.Endpoint
 	k.Go("announcers", func(p *sim.Proc) {
 		for _, h := range hosts {
-			peers, _, err := AnnounceRequest(p, h, trkEP, m.InfoHash(), 6881, EventStarted, m.Length, 50)
+			peers, _, err := AnnounceRequest(p, h, trkEP, &announceReq{infoHash: m.InfoHash(), port: 6881, event: EventStarted, left: m.Length, numWant: 50})
 			if err != nil {
 				t.Errorf("announce: %v", err)
 				return
@@ -76,8 +76,8 @@ func TestTrackerStoppedRemovesPeer(t *testing.T) {
 	m, _ := SyntheticTorrent("t", 512*1024, 0)
 	trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
 	k.Go("a", func(p *sim.Proc) {
-		AnnounceRequest(p, hosts[0], trkEP, m.InfoHash(), 6881, EventStarted, m.Length, 50)
-		AnnounceRequest(p, hosts[0], trkEP, m.InfoHash(), 6881, EventStopped, m.Length, 50)
+		AnnounceRequest(p, hosts[0], trkEP, &announceReq{infoHash: m.InfoHash(), port: 6881, event: EventStarted, left: m.Length, numWant: 50})
+		AnnounceRequest(p, hosts[0], trkEP, &announceReq{infoHash: m.InfoHash(), port: 6881, event: EventStopped, left: m.Length, numWant: 50})
 		k.Stop()
 	})
 	if err := k.Run(); err != nil {
@@ -94,8 +94,8 @@ func TestTrackerCompletedCount(t *testing.T) {
 	m, _ := SyntheticTorrent("t", 512*1024, 0)
 	trkEP := ip.Endpoint{Addr: trk.Addr(), Port: TrackerPort}
 	k.Go("a", func(p *sim.Proc) {
-		AnnounceRequest(p, hosts[0], trkEP, m.InfoHash(), 6881, EventStarted, m.Length, 50)
-		AnnounceRequest(p, hosts[0], trkEP, m.InfoHash(), 6881, EventCompleted, 0, 50)
+		AnnounceRequest(p, hosts[0], trkEP, &announceReq{infoHash: m.InfoHash(), port: 6881, event: EventStarted, left: m.Length, numWant: 50})
+		AnnounceRequest(p, hosts[0], trkEP, &announceReq{infoHash: m.InfoHash(), port: 6881, event: EventCompleted, left: 0, numWant: 50})
 		k.Stop()
 	})
 	if err := k.Run(); err != nil {

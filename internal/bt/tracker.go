@@ -147,14 +147,7 @@ func (t *Tracker) serve(p *sim.Proc) {
 	if err != nil {
 		return
 	}
-	for {
-		conn, err := l.Accept(p)
-		if err != nil {
-			return
-		}
-		c := conn
-		p.Go("tracker-conn", func(p *sim.Proc) { t.handle(p, c) })
-	}
+	l.Serve(p, "tracker-conn", t.handle)
 }
 
 func (t *Tracker) handle(p *sim.Proc, c *vnet.Conn) {
@@ -270,37 +263,51 @@ func (t *Tracker) expire(sw *swarmPeers, now sim.Time) {
 }
 
 // AnnounceRequest is the client-side helper: it dials the tracker,
-// sends an announce and returns the peer list and the tracker's
-// re-announce interval (0 when the response carries none). The peer
-// slice is fresh per response and belongs to the caller.
-func AnnounceRequest(p *sim.Proc, h *vnet.Host, tracker ip.Endpoint, infoHash [20]byte,
-	port ip.Port, event string, left int64, numWant int) ([]ip.Endpoint, time.Duration, error) {
+// sends req and returns the peer list and the tracker's re-announce
+// interval (0 when the response carries none). The peer slice is fresh
+// per response and belongs to the caller. The caller builds req, and
+// the connection is closed by hand, not deferred, to keep this frame
+// small: the announcing task dials and sends under it.
+func AnnounceRequest(p *sim.Proc, h *vnet.Host, tracker ip.Endpoint, req *announceReq) ([]ip.Endpoint, time.Duration, error) {
 	c, err := h.Dial(p, tracker)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer c.Close(p)
-	req := &announceReq{infoHash: infoHash, port: int64(port), left: left, numWant: int64(numWant), event: event}
-	if err := c.SendMeta(p, req.size(), req); err != nil {
-		return nil, 0, err
-	}
-	pk, ok, err := c.RecvTimeout(p, 30*time.Second)
+	resp, err := exchange(p, c, req)
+	c.Close(p)
 	if err != nil {
 		return nil, 0, err
 	}
+	return resp.result()
+}
+
+// result is what AnnounceRequest returns for the response r.
+func (r *announceResp) result() ([]ip.Endpoint, time.Duration, error) {
+	if r.failure != "" {
+		return nil, 0, fmt.Errorf("bt: tracker failure: %s", r.failure)
+	}
+	var interval time.Duration
+	if r.interval > 0 {
+		interval = time.Duration(r.interval) * time.Second
+	}
+	return r.peers, interval, nil
+}
+
+// exchange sends req on c and reads the tracker's response.
+func exchange(p *sim.Proc, c *vnet.Conn, req *announceReq) (*announceResp, error) {
+	if err := c.SendMeta(p, req.size(), req); err != nil {
+		return nil, err
+	}
+	pk, ok, err := c.RecvTimeout(p, 30*time.Second)
+	if err != nil {
+		return nil, err
+	}
 	if !ok {
-		return nil, 0, vnet.ErrTimeout
+		return nil, vnet.ErrTimeout
 	}
 	resp, ok := pk.Meta.(*announceResp)
 	if !ok {
-		return nil, 0, errors.New("bt: tracker response is not an announce response")
+		return nil, errors.New("bt: tracker response is not an announce response")
 	}
-	if resp.failure != "" {
-		return nil, 0, fmt.Errorf("bt: tracker failure: %s", resp.failure)
-	}
-	var interval time.Duration
-	if resp.interval > 0 {
-		interval = time.Duration(resp.interval) * time.Second
-	}
-	return resp.peers, interval, nil
+	return resp, nil
 }

@@ -159,7 +159,7 @@ func TestAnnounceRequestReportsTrackerFailure(t *testing.T) {
 	var errs []error
 	k.Go("announcer", func(p *sim.Proc) {
 		for _, c := range cases {
-			peers, ivl, err := AnnounceRequest(p, hosts[0], trkEP, m.InfoHash(), c.port, c.event, m.Length, 50)
+			peers, ivl, err := AnnounceRequest(p, hosts[0], trkEP, &announceReq{infoHash: m.InfoHash(), port: int64(c.port), event: c.event, left: m.Length, numWant: 50})
 			if peers != nil || ivl != 0 {
 				t.Errorf("%s: got peers %v, interval %v alongside the failure", c.event, peers, ivl)
 			}

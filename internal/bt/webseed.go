@@ -44,14 +44,7 @@ func (w *WebSeed) serve(p *sim.Proc) {
 	if err != nil {
 		return
 	}
-	for {
-		conn, err := l.Accept(p)
-		if err != nil {
-			return
-		}
-		cn := conn
-		p.Go("webseed-conn", func(p *sim.Proc) { w.handle(p, cn) })
-	}
+	l.Serve(p, "webseed-conn", w.handle)
 }
 
 // handle serves one client connection: a loop of block requests, each

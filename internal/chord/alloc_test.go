@@ -45,7 +45,8 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 		defer k.Stop()
 		calls := func(n int) {
 			for i := 0; i < n; i++ {
-				reply, err := caller.call(p, callee.ref.Addr, rpcMsg{Kind: rpcPing})
+				reply := rpcMsg{Kind: rpcPing}
+				err := caller.call(p, callee.ref.Addr, &reply)
 				if err != nil || reply.Kind != rpcReply || !reply.OK {
 					t.Errorf("call %d: reply %+v, error %v", i, reply, err)
 					return
@@ -98,7 +99,8 @@ func TestBurstRPCAllocs(t *testing.T) {
 		k.Go("caller", func(p *sim.Proc) {
 			for {
 				start.Wait(p)
-				reply, err := caller.call(p, to, rpcMsg{Kind: rpcPing})
+				reply := rpcMsg{Kind: rpcPing}
+				err := caller.call(p, to, &reply)
 				if err != nil || reply.Kind != rpcReply || !reply.OK {
 					t.Errorf("caller %d: reply %+v, error %v", i, reply, err)
 				}

@@ -100,12 +100,12 @@ func (n *Node) Join(bootstrap ip.Endpoint) {
 	n.start()
 	k := n.h.Network().Kernel()
 	k.Go("chord-join-"+n.h.Addr().String(), func(p *sim.Proc) {
-		reply, err := n.call(p, bootstrap, rpcMsg{Kind: rpcFindSuccessor, Target: n.id})
-		if err != nil || reply.Node.IsZero() {
+		m := rpcMsg{Kind: rpcFindSuccessor, Target: n.id}
+		if err := n.call(p, bootstrap, &m); err != nil || m.Node.IsZero() {
 			return
 		}
-		if reply.Node.ID != n.id {
-			n.successors[0] = reply.Node
+		if m.Node.ID != n.id {
+			n.successors[0] = m.Node
 		}
 	})
 }
@@ -137,76 +137,96 @@ func (n *Node) serve(p *sim.Proc) {
 	if err != nil {
 		return
 	}
-	for {
-		conn, err := l.Accept(p)
-		if err != nil {
-			return
-		}
-		c := conn
-		p.Go("chord-rpc", func(p *sim.Proc) { n.handle(p, c) })
-	}
+	l.Serve(p, "chord-rpc", n.handle)
 }
 
+// handle answers the one request c carries; dead nodes do not answer,
+// and their callers time out. A forwarding hop dials from under handle,
+// dispatch and call, which share one message by pointer and close by
+// hand to keep their frames small (a killed task's deferred Close would
+// only mark the connection closed before the kill unwinds it again).
 func (n *Node) handle(p *sim.Proc, c *vnet.Conn) {
-	defer c.Close(p)
-	if !n.alive {
-		return // dead nodes do not answer: callers time out
+	var m rpcMsg
+	if n.alive {
+		if got, _ := recv(p, c, &m); got && n.alive {
+			n.dispatch(p, &m)
+			m.Kind = rpcReply
+			c.SendMeta(p, rpcSize, n.box(&m))
+		}
 	}
+	c.Close(p)
+}
+
+// recv reads the message c carries into *m and reports whether one
+// arrived and whether the wait failed (a timeout or a closed
+// connection). recv, take and box keep a message's copies out of the
+// frames a forwarding hop dials and sends under.
+//
+//go:noinline
+func recv(p *sim.Proc, c *vnet.Conn, m *rpcMsg) (got, failed bool) {
 	pk, ok, err := c.RecvTimeout(p, rpcTimeout)
 	if err != nil || !ok {
-		return
+		return false, true
 	}
-	b, isMsg := pk.Meta.(*vnet.Box[rpcMsg])
-	if !isMsg {
-		return
-	}
-	req := b.Take()
-	if !n.alive {
-		return
-	}
-	reply := n.dispatch(p, req)
-	reply.Kind = rpcReply
-	c.SendMeta(p, rpcSize, n.boxes.Get(reply))
+	return take(pk.Meta, m), false
 }
 
-// dispatch executes one request against local state.
-func (n *Node) dispatch(p *sim.Proc, req rpcMsg) rpcMsg {
-	switch req.Kind {
+// take moves the message boxed in meta, if it holds one, into *m.
+//
+//go:noinline
+func take(meta any, m *rpcMsg) bool {
+	b, isMsg := meta.(*vnet.Box[rpcMsg])
+	if isMsg {
+		*m = b.Take()
+	}
+	return isMsg
+}
+
+// box returns a box from n's pool holding a copy of *m.
+//
+//go:noinline
+func (n *Node) box(m *rpcMsg) *vnet.Box[rpcMsg] {
+	return n.boxes.Get(*m)
+}
+
+// dispatch executes the request *m against local state and overwrites
+// it with the reply. A find_successor request for m.Target, m.Hops hops
+// into the lookup, is forwarded through the finger table when the node
+// cannot answer it (recursive routing, each hop a nested RPC).
+func (n *Node) dispatch(p *sim.Proc, m *rpcMsg) {
+	switch m.Kind {
 	case rpcFindSuccessor:
-		return n.findSuccessor(p, req.Target, req.Hops)
+		target, hops := m.Target, m.Hops
+		succ := n.successors[0]
+		if !Between(target, n.id, succ.ID) && succ.ID != n.id {
+			if next := n.closestPreceding(target); next.ID != n.id && !next.IsZero() {
+				*m = rpcMsg{}
+				m.Kind, m.Target, m.Hops = rpcFindSuccessor, target, hops+1
+				if n.call(p, next.Addr, m) == nil {
+					return
+				}
+				// Fall back to the successor pointer on a dead finger.
+			}
+		}
+		*m = rpcMsg{}
+		m.Node, m.OK, m.Hops = succ, true, hops
 	case rpcGetPredecessor:
-		return rpcMsg{Node: n.predecessor, OK: true}
+		*m = rpcMsg{Node: n.predecessor, OK: true}
 	case rpcNotify:
-		n.notify(req.Node)
-		return rpcMsg{OK: true}
+		n.notify(m.Node)
+		*m = rpcMsg{OK: true}
 	case rpcPing:
-		return rpcMsg{OK: true}
+		*m = rpcMsg{OK: true}
 	default:
-		return rpcMsg{OK: false}
+		*m = rpcMsg{OK: false}
 	}
-}
-
-// findSuccessor resolves the successor of target, forwarding through
-// the finger table (recursive routing, each hop a nested RPC).
-func (n *Node) findSuccessor(p *sim.Proc, target ID, hops int) rpcMsg {
-	succ := n.successors[0]
-	if Between(target, n.id, succ.ID) || succ.ID == n.id {
-		return rpcMsg{Node: succ, OK: true, Hops: hops}
-	}
-	next := n.closestPreceding(target)
-	if next.ID == n.id || next.IsZero() {
-		return rpcMsg{Node: succ, OK: true, Hops: hops}
-	}
-	reply, err := n.call(p, next.Addr, rpcMsg{Kind: rpcFindSuccessor, Target: target, Hops: hops + 1})
-	if err != nil {
-		// Fall back to the successor pointer on a dead finger.
-		return rpcMsg{Node: succ, OK: true, Hops: hops}
-	}
-	return reply
 }
 
 // closestPreceding returns the finger-table entry closest to target
-// from above n.
+// from above n. Inlined, its copies of the entries sat in dispatch's
+// frame, under a forwarding hop's dial.
+//
+//go:noinline
 func (n *Node) closestPreceding(target ID) NodeRef {
 	for i := M - 1; i >= 0; i-- {
 		f := n.finger[i]
@@ -232,16 +252,17 @@ func (n *Node) stabilize(p *sim.Proc) {
 		n.successors[0] = n.predecessor
 		succ = n.predecessor
 	}
-	reply, err := n.call(p, succ.Addr, rpcMsg{Kind: rpcGetPredecessor})
-	if err != nil {
+	m := rpcMsg{Kind: rpcGetPredecessor}
+	if n.call(p, succ.Addr, &m) != nil {
 		n.dropSuccessor()
 		return
 	}
-	x := reply.Node
+	x := m.Node
 	if !x.IsZero() && BetweenOpen(x.ID, n.id, succ.ID) {
 		n.successors[0] = x
 	}
-	n.call(p, n.successors[0].Addr, rpcMsg{Kind: rpcNotify, Node: n.ref})
+	m = rpcMsg{Kind: rpcNotify, Node: n.ref}
+	n.call(p, n.successors[0].Addr, &m)
 	n.refreshSuccessorList(p)
 }
 
@@ -252,14 +273,14 @@ func (n *Node) refreshSuccessorList(p *sim.Proc) {
 	// with the successor's successor when short.
 	succ := n.successors[0]
 	if len(n.successors) < successorListLen {
-		reply, err := n.call(p, succ.Addr, rpcMsg{Kind: rpcFindSuccessor, Target: succ.ID + 1})
-		if err == nil && !reply.Node.IsZero() && reply.Node.ID != n.id {
+		m := rpcMsg{Kind: rpcFindSuccessor, Target: succ.ID + 1}
+		if n.call(p, succ.Addr, &m) == nil && !m.Node.IsZero() && m.Node.ID != n.id {
 			for _, s := range n.successors {
-				if s.ID == reply.Node.ID {
+				if s.ID == m.Node.ID {
 					return
 				}
 			}
-			n.successors = append(n.successors, reply.Node)
+			n.successors = append(n.successors, m.Node)
 		}
 	}
 }
@@ -287,9 +308,10 @@ func (n *Node) notify(candidate NodeRef) {
 func (n *Node) fixFinger(p *sim.Proc) {
 	i := n.nextFinger
 	n.nextFinger = (n.nextFinger + 1) % M
-	reply := n.findSuccessor(p, fingerStart(n.id, i), 0)
-	if reply.OK && !reply.Node.IsZero() {
-		n.finger[i] = reply.Node
+	m := rpcMsg{Kind: rpcFindSuccessor, Target: fingerStart(n.id, i)}
+	n.dispatch(p, &m)
+	if m.OK && !m.Node.IsZero() {
+		n.finger[i] = m.Node
 	}
 }
 
@@ -298,7 +320,8 @@ func (n *Node) checkPredecessor(p *sim.Proc) {
 	if n.predecessor.IsZero() {
 		return
 	}
-	if _, err := n.call(p, n.predecessor.Addr, rpcMsg{Kind: rpcPing}); err != nil {
+	m := rpcMsg{Kind: rpcPing}
+	if n.call(p, n.predecessor.Addr, &m) != nil {
 		n.predecessor = NodeRef{}
 	}
 }
@@ -306,31 +329,32 @@ func (n *Node) checkPredecessor(p *sim.Proc) {
 // errRPC is returned for failed or timed-out calls.
 var errRPC = errors.New("chord: rpc failed")
 
-// call performs one request/response exchange with a remote node.
-func (n *Node) call(p *sim.Proc, to ip.Endpoint, req rpcMsg) (rpcMsg, error) {
+// call performs one request/response exchange with a remote node: it
+// sends the request *m and overwrites *m with the reply. On an error
+// *m is left as it was sent.
+func (n *Node) call(p *sim.Proc, to ip.Endpoint, m *rpcMsg) error {
 	if to.Addr == n.h.Addr() {
 		// Local fast path: no network.
-		return n.dispatch(p, req), nil
+		n.dispatch(p, m)
+		return nil
 	}
 	c, err := n.h.Dial(p, to)
 	if err != nil {
 		n.timeouts.Inc()
-		return rpcMsg{}, errRPC
+		return errRPC
 	}
-	defer c.Close(p)
-	if err := c.SendMeta(p, rpcSize, n.boxes.Get(req)); err != nil {
-		return rpcMsg{}, errRPC
+	err = errRPC
+	if c.SendMeta(p, rpcSize, n.box(m)) == nil {
+		got, failed := recv(p, c, m)
+		if failed {
+			n.timeouts.Inc()
+		}
+		if got {
+			err = nil
+		}
 	}
-	pk, ok, err := c.RecvTimeout(p, rpcTimeout)
-	if err != nil || !ok {
-		n.timeouts.Inc()
-		return rpcMsg{}, errRPC
-	}
-	b, isMsg := pk.Meta.(*vnet.Box[rpcMsg])
-	if !isMsg {
-		return rpcMsg{}, errRPC
-	}
-	return b.Take(), nil
+	c.Close(p)
+	return err
 }
 
 // LookupResult reports one resolved lookup.
@@ -345,13 +369,14 @@ type LookupResult struct {
 // and wall (virtual) latency — the measurement of the DHT experiments.
 func (n *Node) Lookup(p *sim.Proc, key string) (LookupResult, error) {
 	start := p.Now()
-	reply := n.findSuccessor(p, HashKey(key), 0)
-	if !reply.OK || reply.Node.IsZero() {
+	m := rpcMsg{Kind: rpcFindSuccessor, Target: HashKey(key)}
+	n.dispatch(p, &m)
+	if !m.OK || m.Node.IsZero() {
 		return LookupResult{}, errRPC
 	}
 	return LookupResult{
-		Owner:   reply.Node,
-		Hops:    reply.Hops,
+		Owner:   m.Node,
+		Hops:    m.Hops,
 		Latency: time.Duration(p.Now().Sub(start)),
 	}, nil
 }

@@ -90,11 +90,7 @@ func BindOverhead() (BindOverheadResult, error) {
 			if err != nil {
 				return
 			}
-			for {
-				if _, err := l.Accept(p); err != nil {
-					return
-				}
-			}
+			l.Serve(p, "server-conn", func(*sim.Proc, *vnet.Conn) {})
 		})
 		var elapsed time.Duration
 		k.Go("client", func(p *sim.Proc) {

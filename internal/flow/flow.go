@@ -219,14 +219,14 @@ func (m *Model) linkOf(p *netem.Pipe) *link {
 	return nil
 }
 
-// linkFor returns (creating on first use) m's fluid link of p.
-func (m *Model) linkFor(p *netem.Pipe) *link {
-	l := m.linkOf(p)
-	if l == nil {
-		l = &link{pipe: p}
-		head, _ := p.LinkState().(*pipeLink)
-		p.SetLinkState(&pipeLink{m: m, l: l, next: head})
-	}
+// newLink creates m's fluid link of p, on p's first flow. It is kept
+// out of Transfer's frame, which a sending task holds under churn.
+//
+//go:noinline
+func (m *Model) newLink(p *netem.Pipe) *link {
+	l := &link{pipe: p}
+	head, _ := p.LinkState().(*pipeLink)
+	p.SetLinkState(&pipeLink{m: m, l: l, next: head})
 	return l
 }
 
@@ -288,15 +288,17 @@ func (m *Model) Transfer(at sim.Time, size int, path []*netem.Pipe, rng *rand.Ra
 	for _, p := range path {
 		cfg := p.Config()
 		if cfg.Loss > 0 && rng.Float64() < cfg.Loss {
-			p.AccountLoss()
-			m.release(f)
-			done(0, false)
+			m.lose(f, p, done)
 			return
 		}
 		prop += cfg.Delay
 		if cfg.Bandwidth > 0 {
+			l := m.linkOf(p)
+			if l == nil {
+				l = m.newLink(p)
+			}
 			// A pipe listed twice constrains the flow once.
-			if l := m.linkFor(p); !slices.Contains(f.links, l) {
+			if !slices.Contains(f.links, l) {
 				f.links = append(f.links, l)
 			}
 		}
@@ -317,6 +319,16 @@ func (m *Model) Transfer(at sim.Time, size int, path []*netem.Pipe, rng *rand.Ra
 	}
 	m.stats.Started++
 	m.churn(at, f.links)
+}
+
+// lose drops f's message, which pipe p lost: Transfer's cold branch,
+// kept out of its frame.
+//
+//go:noinline
+func (m *Model) lose(f *xfer, p *netem.Pipe, done func(sim.Time, bool)) {
+	p.AccountLoss()
+	m.release(f)
+	done(0, false)
 }
 
 // acquire takes an xfer off the free list, or builds one and binds its

@@ -287,24 +287,21 @@ func (n *Node) serve(p *sim.Proc) {
 	if err != nil {
 		return
 	}
-	for {
-		conn, err := l.Accept(p)
-		if err != nil {
-			return
+	l.Serve(p, "gossip-conn", n.serveConn)
+}
+
+// serveConn answers one inbound connection: it carries one push or
+// digest, and a digest gets its reply on the same connection.
+func (n *Node) serveConn(p *sim.Proc, c *vnet.Conn) {
+	defer c.Close(p)
+	pk, ok, err := c.RecvTimeout(p, 10*time.Second)
+	if err != nil || !ok {
+		return
+	}
+	if b, isMsg := pk.Meta.(*vnet.Box[wireMsg]); isMsg {
+		if r, size := n.handle(b); r != nil {
+			c.SendMeta(p, size, r)
 		}
-		c := conn
-		p.Go("gossip-conn", func(p *sim.Proc) {
-			defer c.Close(p)
-			pk, ok, err := c.RecvTimeout(p, 10*time.Second)
-			if err != nil || !ok {
-				return
-			}
-			if b, isMsg := pk.Meta.(*vnet.Box[wireMsg]); isMsg {
-				if r, size := n.handle(b); r != nil {
-					c.SendMeta(p, size, r)
-				}
-			}
-		})
 	}
 }
 

@@ -35,7 +35,7 @@ const simPath = "repro/internal/sim"
 // map-order dependence here silently breaks run-over-run determinism.
 // The walltime, detrand, maporder and kernelgo analyzers fire only in
 // these packages; tokenheld is module-wide (the token contract also
-// binds host-side callers in exp/serve/virt).
+// binds the host-side callers in exp and serve).
 var kernelDriven = map[string]bool{
 	"sim":      true,
 	"vnet":     true,
@@ -51,6 +51,7 @@ var kernelDriven = map[string]bool{
 	"topo":     true,
 	"trace":    true,
 	"ip":       true,
+	"virt":     true,
 }
 
 // KernelPackage reports whether importPath is one of the kernel-driven

@@ -168,7 +168,8 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	}
 	// The sampler is a repeating kernel event; it is safe here because
 	// every workload ends the run via k.Stop() (never by queue
-	// exhaustion), which discards the pending sample event.
+	// exhaustion), which leaves the pending sample event for the
+	// deferred sampler.Stop to cancel.
 	sampler := obs.StartSampler(r.Kernel, reg, opt.SampleInterval, opt.OnSample)
 	defer sampler.Stop()
 	if err := r.Kernel.Run(); err != nil {

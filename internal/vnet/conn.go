@@ -288,6 +288,20 @@ func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 	return c, err
 }
 
+// Serve accepts until the listener closes and runs handle on each
+// connection in a task of its own named name, spawned in accept order
+// (DESIGN decision 11). The task's closure only calls handle, so it
+// adds one small frame under it.
+func (l *Listener) Serve(p *sim.Proc, name string, handle func(*sim.Proc, *Conn)) {
+	for {
+		c, err := l.Accept(p)
+		if err != nil {
+			return
+		}
+		p.Go(name, func(p *sim.Proc) { handle(p, c) })
+	}
+}
+
 // Close stops accepting. Pending backlog connections are refused: each
 // queued connection was already SYN-ACK'd and registered, so the
 // dialer side is established — closing the backlog alone would leave

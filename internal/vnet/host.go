@@ -185,7 +185,8 @@ func (h *Host) deliver(m message) {
 			}
 		}
 	case kindData:
-		// A probe from SendOnce names no Conn and is discarded.
+		// Only a test's one-way probe (export_test.go's SendOnce)
+		// names no Conn; it is discarded.
 		if c := m.to; c != nil && c.registered {
 			c.onData(m.seq, Packet{Meta: m.meta})
 		}

@@ -496,8 +496,9 @@ func (x *xfer) launch() {
 }
 
 // route appends the fabric's pipes to x's path and applies the route's
-// latency and cost. It is launch's cold half, kept out of launch's
-// frame: most networks have no fabric.
+// latency and cost. Every network but a test's has a fabric; route is
+// kept out of launch's frame, which stays on the stack under the rest
+// of the send.
 //
 //p2p:token
 //go:noinline
