@@ -3,7 +3,12 @@
 package gossip
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -82,15 +87,14 @@ func TestWireAllocs(t *testing.T) {
 	}
 }
 
-// TestBurstAllocs is TestWireAllocs under concurrency: a warm burst of
-// 256 pushes in flight at once, from one node to four that run only
-// serve, allocates per push what one push does, 7. The kernel keeps
-// the coroutine of every task that returns on its first stack, so a
-// burst runs on the coroutines of the one before. When it kept only 32,
-// each burst re-made the rest, their iter.Pull closures and goroutines,
-// and a send path whose frames outgrow a task's first 2 KiB stack puts
-// its coroutines under that bound again: this is the test that sees it.
-func TestBurstAllocs(t *testing.T) {
+// pushBursts runs bursts of 256 pushes in flight at once, from one
+// node to four that run only serve: two to warm up, then eight. It
+// returns the allocations per push of the eight, and the growth of the
+// runtime's stack memory from before the first burst to the end of the
+// last, while the bursts' coroutines wait on the kernel's free list,
+// per concurrent task: a push is a sending task and a serving one.
+func pushBursts(t *testing.T) (allocs, stack uint64) {
+	t.Helper()
 	const burst, callees, warmup, measured = 256, 4, 2, 8
 	k := sim.New(1)
 	net := vnet.NewNetwork(k, nil, vnet.DefaultConfig())
@@ -110,7 +114,7 @@ func TestBurstAllocs(t *testing.T) {
 		to[i] = ip.Endpoint{Addr: n.h.Addr(), Port: Port}
 	}
 	push := wireMsg{Kind: kindPush, Updates: []Update{{ID: 1}}}
-	var mallocs uint64
+	var start, before, after runtime.MemStats
 	k.Go("caller", func(p *sim.Proc) {
 		defer k.Stop()
 		bursts := func(n int) {
@@ -122,19 +126,74 @@ func TestBurstAllocs(t *testing.T) {
 			}
 		}
 		bursts(warmup)
-		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		bursts(measured)
 		runtime.ReadMemStats(&after)
-		mallocs = after.Mallocs - before.Mallocs
 	})
+	// A collection shrinks stacks and resets the size a reused
+	// goroutine starts on (freshStacks).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.ReadMemStats(&start)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := net.Stats().MessagesDelivered, uint64((warmup+measured)*burst*5); got != want {
 		t.Fatalf("%d messages delivered, want %d", got, want)
 	}
-	if got := mallocs / (measured * burst); got != 7 {
-		t.Errorf("%d allocs per push in a burst of %d, want 7", got, burst)
+	return (after.Mallocs - before.Mallocs) / (measured * burst), (after.StackInuse - start.StackInuse) / (2 * burst)
+}
+
+// TestBurstAllocs is TestWireAllocs under concurrency: a warm burst of
+// 256 pushes in flight at once allocates per push what one push does,
+// 7. A task struct that returns keeps its coroutine on the kernel's
+// free list, so a burst runs on the coroutines of the one before and
+// makes none.
+func TestBurstAllocs(t *testing.T) {
+	if got, _ := pushBursts(t); got != 7 {
+		t.Errorf("%d allocs per push in a burst of 256, want 7", got)
 	}
+}
+
+// TestBurstStacks is the test that sees a send path whose frames
+// outgrow a task's first 2 KiB stack: each task of a burst then runs
+// on a 4 KiB one, and the kernel keeps it. In a fresh process, bursts
+// of 256 pushes grow the runtime's stack memory by 2 112 bytes per
+// concurrent task; with a 640-byte local added to Node.serveConn, by
+// 4 160. The bound sits between.
+func TestBurstStacks(t *testing.T) {
+	got := freshStacks(t, "TestBurstStacks", func() uint64 {
+		_, stack := pushBursts(t)
+		return stack
+	})
+	t.Logf("stacks grow %d bytes per concurrent task", got)
+	if got >= 3<<10 {
+		t.Errorf("stacks grow %d bytes per concurrent task in bursts of 256 pushes, want under %d", got, 3<<10)
+	}
+}
+
+// freshStacks returns measure's reading taken in a fresh run of the
+// test binary, which runs only the test named. There every goroutine a
+// coroutine runs on is new, and a new goroutine starts on 2 KiB. One
+// that reuses a goroutine an earlier test ended starts on the size the
+// last collection made of the stacks it scanned, 4 KiB once a burst's
+// parked tasks were among them.
+func freshStacks(t *testing.T, name string, measure func() uint64) uint64 {
+	t.Helper()
+	const env, mark = "P2PLAB_FRESH_STACKS", "\nstack bytes per task: "
+	if os.Getenv(env) != "" {
+		fmt.Printf("%s%d\n", mark, measure())
+		return 0
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^"+name+"$")
+	cmd.Env = append(os.Environ(), env+"=1")
+	out, err := cmd.CombinedOutput()
+	i := bytes.LastIndex(out, []byte(mark))
+	if err != nil || i < 0 {
+		t.Fatalf("fresh run: %v\n%s", err, out)
+	}
+	var n uint64
+	if _, err := fmt.Sscan(string(out[i+len(mark):]), &n); err != nil {
+		t.Fatalf("fresh run's reading: %v\n%s", err, out)
+	}
+	return n
 }

@@ -273,38 +273,44 @@ var reuseScripts = []struct {
 
 // idleScript spawns 40 deep children that sleep 1 ms, sleeps 2 ms while
 // they return, then spawns two rounds of 40 shallow ones the same way:
-// the deep ones leave maxIdleCoros grown coroutines idle and end the
-// rest, the first shallow round runs on those and on new ones, and the
-// second runs on an idle list longer than maxIdleCoros.
+// the deep ones leave 40 free structs whose coroutines have left their
+// first stacks, and each shallow round runs on those and makes none.
 var idleScript = slices.Concat([]byte{0},
 	bytes.Repeat([]byte{224 + 4}, 40), []byte{4 + 24},
 	bytes.Repeat([]byte{240 + 4}, 40), []byte{4 + 24},
 	bytes.Repeat([]byte{240 + 4}, 40), []byte{4 + 24})
 
 // TestCondScriptIdleCoros checks that idleScript, which FuzzCondWaiters
-// replays, mixes kept and ended coroutines as it says: a Cond-side
-// callback reads the idle list after each round.
+// replays, runs its shallow rounds on the deep round's coroutines as it
+// says: a Cond-side callback reads the free structs' coroutines after
+// each round.
 func TestCondScriptIdleCoros(t *testing.T) {
-	var seen [][2]int
+	var seen [][]*coro
 	runCondScript(t, idleScript, func(k *Kernel) [2]condLike {
 		for _, at := range []Duration{2, 4, 6} {
 			k.At(Time(at*time.Millisecond)-1, func() {
-				idle, grown := k.IdleCoros()
-				seen = append(seen, [2]int{len(idle), grown})
+				seen = append(seen, k.IdleCoros())
 			})
 		}
 		return [2]condLike{new(Cond), new(Cond)}
 	})
-	// A shallow child whose allocation takes the allocator's slow path
-	// may grow its stack all the same, so the shallow rounds leave
-	// about 40, more than maxIdleCoros.
-	ok := len(seen) == 3 && seen[0] == [2]int{maxIdleCoros, maxIdleCoros}
-	for i := 1; ok && i < 3; i++ {
-		ok = seen[i][0] > maxIdleCoros+4 && seen[i][1] == maxIdleCoros
+	if len(seen) != 3 {
+		t.Fatalf("%d reads of the free coroutines, want 3", len(seen))
 	}
-	if !ok {
-		t.Errorf("idle coroutines (all, grown) after each round: %v, want %d grown of %d, then %d grown of about 40 twice",
-			seen, maxIdleCoros, maxIdleCoros, maxIdleCoros)
+	deep := make(map[*coro]bool, len(seen[0]))
+	for _, c := range seen[0] {
+		deep[c] = true
+	}
+	for i, idle := range seen {
+		if len(idle) != 40 {
+			t.Errorf("after round %d: %d free coroutines, want 40", i+1, len(idle))
+		}
+		for _, c := range idle {
+			if !deep[c] {
+				t.Errorf("round %d made a coroutine", i+1)
+				break
+			}
+		}
 	}
 }
 

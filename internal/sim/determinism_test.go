@@ -227,7 +227,6 @@ type timerScript struct {
 	started  int    // tasks that have run, of either kind
 	reused   int    // short tasks that ran on a recycled struct
 	burst    int    // tasks of the pending burst not yet woken
-	maxIdle  int    // the longest idle coroutine list a short task saw
 	switches uint64 // task activations: starts and wakes
 }
 
@@ -341,9 +340,8 @@ const noBurst sim.Time = -1
 
 // spawnBurst starts 33–64 short tasks, about half of them deep, that
 // all sleep to one instant less than 200 µs ahead and return together.
-// The idle list then holds more coroutines than the kernel keeps of
-// grown ones: it keeps every coroutine on its first stack and ends the
-// grown ones past its bound, and later spawns run on both kinds.
+// Their structs then go on the free list together, each with its
+// coroutine, deep or not, and later spawns run on both kinds.
 func (s *timerScript) spawnBurst() {
 	at := s.m.now.Add(time.Duration(1 + s.rng.Intn(int(200*time.Microsecond))))
 	s.burst = 33 + s.rng.Intn(32)
@@ -373,9 +371,6 @@ func (s *timerScript) spawnShort(deep bool, burstAt sim.Time) {
 		}
 		if p.Incarnation() > 0 {
 			s.reused++
-		}
-		if idle, _ := s.k.IdleCoros(); len(idle) > s.maxIdle {
-			s.maxIdle = len(idle)
 		}
 		if deep {
 			sim.Recurse(8 << 10)
@@ -508,9 +503,8 @@ func (s *timerScript) checkQueue() {
 // ordered before it fired; the timers behind it are still queued; and
 // the kernel counted the model's dispatches and the stop. It returns
 // the operations the script left unspent because no timer was left to
-// run them, how many short tasks ran on a recycled struct, and the
-// longest idle coroutine list a short task found.
-func runTimerScript(t *testing.T, seed int64, budget int) (left, reused, maxIdle int) {
+// run them, and how many short tasks ran on a recycled struct.
+func runTimerScript(t *testing.T, seed int64, budget int) (left, reused int) {
 	t.Helper()
 	s := &timerScript{t: t, k: sim.New(seed), rng: rand.New(rand.NewSource(seed)), budget: budget}
 	s.ownedAt = [4]int{-1, -1, -1, -1}
@@ -536,7 +530,7 @@ func runTimerScript(t *testing.T, seed int64, budget int) (left, reused, maxIdle
 	if got, want := s.k.Snapshot(), (sim.Stats{Events: s.fired + 1, Switches: s.switches, Spawns: uint64(s.sleepers + s.shorts)}); got != want {
 		t.Fatalf("seed %d: stats %+v, model %+v", seed, got, want)
 	}
-	return s.budget, s.reused, s.maxIdle
+	return s.budget, s.reused
 }
 
 // TestTimersMatchModel is the property test behind the kernel's single
@@ -545,19 +539,15 @@ func runTimerScript(t *testing.T, seed int64, budget int) (left, reused, maxIdle
 // those of the reference model, the queue's head invariant holds
 // after every operation (CheckHead) and all its invariants every
 // checkEvery operations and at the end (CheckQueue). Every seed runs
-// short tasks on recycled structs, and on an idle coroutine list longer
-// than the kernel's bound on grown coroutines.
+// short tasks on recycled structs.
 func TestTimersMatchModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		left, reused, maxIdle := runTimerScript(t, seed, 20000)
+		left, reused := runTimerScript(t, seed, 20000)
 		if left != 0 {
 			t.Fatalf("seed %d: script died out with %d operations unspent", seed, left)
 		}
 		if reused == 0 {
 			t.Fatalf("seed %d: no short task ran on a recycled struct", seed)
-		}
-		if maxIdle <= sim.MaxIdleCoros {
-			t.Fatalf("seed %d: no short task found more than %d idle coroutines (at most %d)", seed, sim.MaxIdleCoros, maxIdle)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"unsafe"
 )
 
@@ -62,13 +61,15 @@ func (q *eventQueue) holds(fn func()) bool {
 	return false
 }
 
-// MaxIdleCoros is the kernel's bound on idle coroutines whose stack
-// has moved.
-const MaxIdleCoros = maxIdleCoros
-
-// IdleCoros returns the coroutines on the kernel's idle list, in list
-// order, and how many of them no longer run on their first stack.
-func (k *Kernel) IdleCoros() ([]*coro, int) { return slices.Clone(k.idle), k.grown }
+// IdleCoros returns the coroutines the free task structs carry, in
+// free-list order.
+func (k *Kernel) IdleCoros() []*coro {
+	var idle []*coro
+	for t := k.spare; t != nil; t = t.next {
+		idle = append(idle, t.co)
+	}
+	return idle
+}
 
 // Recurse calls itself through at least n bytes of frames and returns.
 // A task that calls it with n of 4 KiB or more leaves the first stack

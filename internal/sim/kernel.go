@@ -31,7 +31,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-	"unsafe"
 )
 
 // Time is an absolute instant on the virtual timeline, in nanoseconds
@@ -71,17 +70,17 @@ type event struct {
 
 // task is the kernel-side state of one simulated goroutine. Per-RPC
 // tasks make it one of a run's most numerous objects, so a task that
-// returns is recycled: Kernel.Go takes the struct, and the timer
-// callback it has bound, off the kernel's free list. gen counts the
-// struct's incarnations, as event.gen does: a Proc records the gen it
-// was made for, so one kept past its task's return cannot drive the
-// struct's next occupant (Proc.task). Its size is pinned
-// (TestStateSizes): 112 bytes, one size class below 128.
+// returns is recycled: Kernel.Go takes the struct, with the coroutine
+// and the timer callback it holds, off the kernel's one free list.
+// gen counts the struct's incarnations, as event.gen does: a Proc
+// records the gen it was made for, so one kept past its task's return
+// cannot drive the struct's next occupant (Proc.task). Its size is
+// pinned (TestStateSizes): 112 bytes, one size class below 128.
 type task struct {
 	name     string
 	fn       func(p *Proc)
 	k        *Kernel
-	co       *coro      // carries the task from its first activation to its return
+	co       *coro      // made at the struct's first activation, kept across incarnations
 	gen      uint64     // incarnation, bumped when the task returns
 	blocked  bool       // parked, waiting for a wake
 	killed   bool       // task should unwind instead of resuming
@@ -121,34 +120,18 @@ func (t *task) timer() func() {
 // panicked).
 type killedPanic struct{}
 
-// coro is a coroutine that runs tasks, one after another: Run switches
-// to it with next, and the task it carries switches back with yield
-// when it parks or returns. Both are direct switches between two
-// goroutines (iter.Pull), not a trip through the Go scheduler. It
-// carries its task as the Proc the task's function receives, and
-// whether its stack has moved since the coroutine began (newCoro).
+// coro is the coroutine of one task struct; it runs the struct's
+// incarnations one after another. Run switches to it with next, and
+// the task switches back with yield when it parks or returns. Both are
+// direct switches between two goroutines (iter.Pull), not a trip
+// through the Go scheduler. p is the Proc of the incarnation it runs,
+// nil once that one has returned.
 type coro struct {
 	p     *Proc
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	base  uintptr // the address of a local of the body's, on its first stack
-	moved bool
 }
-
-// maxIdleCoros bounds the idle coroutines whose stack has moved. A
-// coroutine whose task returned goes back on the idle list, where it
-// keeps its stack, for the next spawn, which otherwise pays iter.Pull's
-// closures and a new goroutine. Every coroutine still on its first
-// (2 KiB) stack is kept, so no spawn after a run's largest burst of
-// concurrent tasks makes one; of those whose stack grew to 4 KiB or
-// more, 32 are kept and the rest end. `go run ./bench -workload
-// sweep-overlay`, medians of 10 alternated pairs against keeping 32 of
-// either kind: alloc_mb 174.5 → 151.7 MB, peak_rss_mb 90.7 → 87.2.
-// Keeping every grown one too took peak_rss_mb to 107.3 while gossip's
-// tasks grew; ending them all re-makes bt's grown handshake coroutines
-// (fig8-flow-windowed allocates 22.6 → 23.3 MB). DESIGN decision 11.
-const maxIdleCoros = 32
 
 // Kernel is a deterministic discrete-event simulation kernel.
 // Create one with New, spawn the root process with Go, then call Run.
@@ -170,11 +153,9 @@ type Kernel struct {
 	seq    uint64
 	events eventQueue
 	free   *event  // recycled event structs
-	spare  *task   // recycled task structs, linked through next
+	spare  *task   // recycled task structs and their coroutines, linked through next
 	ready  []*task // runnable tasks, FIFO
 	live   task    // sentinel of the ring of unfinished tasks, in spawn order
-	idle   []*coro // coroutines whose task returned; see maxIdleCoros
-	grown  int     // coroutines on idle whose stack moved
 
 	rng     *rand.Rand
 	stopped bool
@@ -239,8 +220,8 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // before Run (to create the initial population) or from a running
 // simulated goroutine. The child starts at the current virtual time,
 // after the caller next yields. Spawning is bookkeeping only: the task
-// gets a coroutine and its Proc when Run first activates it, so a
-// kernel that is never run starts nothing.
+// gets its Proc, and a new struct its coroutine, when Run first
+// activates it, so a kernel that is never run starts nothing.
 //
 //p2p:tokenentry callers hold the token or the kernel is idle; fn runs only once Run resumes the task
 //p2p:tokenarg
@@ -258,32 +239,30 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) {
 	k.ready = append(k.ready, t)
 }
 
-// resume switches to t and returns when t parks or returns. A task's
-// first activation gives it a coroutine, an idle one if there is one,
-// and the Proc of its incarnation; when the task returns, its
-// coroutine goes back on the idle list, or ends if its stack moved and
-// maxIdleCoros such ones are idle, and the task struct goes on the free
-// list unless it was killed. A recycled struct keeps its timer
-// callback; gen moves on, and the reset leaves it unblocked, not timed
-// out and on no Cond. Coroutines are made here, under Run, and not in
-// Go: the runtime requires a coroutine's creator and its resumer to
-// agree on LockOSThread state, and Run is the only resumer. Which
-// coroutine hosts a task is invisible to the simulation: Stats, traces
-// and digests read nothing of it.
+// resume switches to t and returns when t parks or returns. An
+// incarnation's first activation makes its Proc, and the struct's
+// coroutine if the struct has none: a struct off the free list brings
+// the one its earlier incarnations ran on, so no spawn after a run's
+// largest burst of concurrent tasks makes a coroutine. When the task
+// returns, the struct goes on the free list with its coroutine and its
+// timer callback; gen moves on, and the reset leaves it unblocked, not
+// timed out and on no Cond. A killed task that returns — its deferred
+// code recovered the sentinel — is not recycled, and its coroutine
+// ends here. Coroutines are made here, under Run, and not in Go: the
+// runtime requires a coroutine's creator and its resumer to agree on
+// LockOSThread state, and Run is the only resumer. Which coroutine
+// hosts a task is invisible to the simulation: Stats, traces and
+// digests read nothing of it.
 //
 //p2p:token
 func (k *Kernel) resume(t *task) {
 	c := t.co
 	if c == nil {
-		if n := len(k.idle); n > 0 {
-			c, k.idle = k.idle[n-1], k.idle[:n-1]
-			if c.moved {
-				k.grown--
-			}
-		} else {
-			c = newCoro()
-		}
-		c.p, t.co = &Proc{t: t, gen: t.gen}, c
+		c = newCoro()
+		t.co = c
+	}
+	if c.p == nil {
+		c.p = &Proc{t: t, gen: t.gen}
 	}
 	c.next()
 	if c.p != nil {
@@ -291,22 +270,16 @@ func (k *Kernel) resume(t *task) {
 	}
 	// A Proc someone kept can outlive the task; it must not pin what
 	// the task's closure captured.
-	t.fn, t.co = nil, nil
+	t.fn = nil
 	t.prev.next, t.next.prev = t.next, t.prev
 	t.prev, t.next = nil, nil
-	if !t.killed {
-		t.gen++
-		t.timedOut, t.cw = false, condWaiter{}
-		t.next, k.spare = k.spare, t
+	if t.killed {
+		c.stop()
+		return
 	}
-	if c.moved {
-		if k.grown == maxIdleCoros {
-			c.stop()
-			return
-		}
-		k.grown++
-	}
-	k.idle = append(k.idle, c)
+	t.gen++
+	t.timedOut, t.cw = false, condWaiter{}
+	t.next, k.spare = k.spare, t
 }
 
 // newCoro returns a coroutine that runs the task it is handed to its
@@ -314,24 +287,18 @@ func (k *Kernel) resume(t *task) {
 // in task code — a killed task's sentinel included — ends the coroutine
 // and leaves through next. Every frame under a task's own comes out of
 // the 1 120 usable bytes of its first 2 KiB stack, so the body does
-// nothing else and keeps only c and one address live: with the
-// recover and the idle-list push in here, two thirds of the tasks of a
-// 1 024-node gossip cell ended up on 4 KiB stacks (DESIGN decision 11).
-// The address is mark's, taken before the first task: the runtime
-// grows or shrinks a stack by copying it, so a later &mark that differs
-// says the coroutine no longer runs on the stack it began with.
+// nothing else and keeps only c live: with the recover and a free-list
+// push in here, two thirds of the tasks of a 1 024-node gossip cell
+// ended up on 4 KiB stacks (DESIGN decision 11).
 //
 //p2p:token
 func newCoro() *coro {
 	c := &coro{}
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
-		var mark byte
-		c.base = uintptr(unsafe.Pointer(&mark))
 		for {
 			c.p.t.fn(c.p)
 			c.p = nil
-			c.moved = uintptr(unsafe.Pointer(&mark)) != c.base
 			if !c.yield(struct{}{}) {
 				return
 			}
@@ -562,8 +529,8 @@ func (k *Kernel) Run() error {
 }
 
 // teardown unwinds every remaining task (parked or ready), ends the
-// idle coroutines and drops the free tasks, so a finished run leaves no
-// goroutine behind.
+// coroutines that no task runs on and drops the free tasks, so a
+// finished run leaves no goroutine behind.
 // Deferred cleanups (conn.Close and the like) run while a killed task
 // unwinds, so tasks are unwound strictly one at a time — ready tasks in
 // FIFO order, then parked tasks in spawn order — and a wake or a spawn
@@ -580,16 +547,23 @@ func (k *Kernel) teardown() {
 		}
 	}
 	for _, t := range victims {
-		if t.co != nil { // else never activated: there is nothing to unwind
+		if t.co != nil && t.co.p != nil { // else never activated: there is nothing to unwind
 			k.kill(t)
 		}
 	}
+	// No task is mid-run now. What is left are the coroutines of tasks
+	// never activated on a recycled struct, spawns made by an unwinding
+	// task included, and those of the free structs.
+	for t := k.live.next; t != &k.live; t = t.next {
+		if t.co != nil && t.co.p == nil {
+			t.co.stop()
+		}
+	}
+	for t := k.spare; t != nil; t = t.next {
+		t.co.stop()
+	}
 	k.ready, k.spare = nil, nil
 	k.live.prev, k.live.next = &k.live, &k.live
-	for _, c := range k.idle {
-		c.stop()
-	}
-	k.idle, k.grown = nil, 0
 }
 
 // kill resumes t with its killed flag set: park panics with a sentinel

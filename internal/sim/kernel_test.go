@@ -275,12 +275,13 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			k.Go("sleeper", func(p *Proc) { p.Sleep(d) })
 		}
 	}
-	// Every case but the last two ends a run whose idle list holds more
-	// coroutines than maxIdleCoros: a coroutine on its first stack is
-	// always kept, so it is teardown that ends them. Grown coroutines
-	// past maxIdleCoros end as their task returns, so "grown" ends
-	// coroutines both ways.
-	burst := 4 * maxIdleCoros
+	// A run whose tasks return leaves their structs and coroutines on
+	// the free list, and teardown ends those. The last two cases reach
+	// the other ends: a spawn that an unwinding task makes takes a free
+	// struct, whose coroutine teardown ends though the task never runs;
+	// and a killed task that recovers the sentinel and returns ends its
+	// coroutine in resume.
+	const burst = 128
 	cases := []struct {
 		name string
 		run  func(k *Kernel) error
@@ -318,6 +319,23 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			sleepers(k, 10, time.Second)
 			return nil
 		}},
+		{"spawn while unwinding", func(k *Kernel) error {
+			sleepers(k, burst, time.Second)
+			k.Go("unwinder", func(p *Proc) {
+				defer p.Go("late", func(*Proc) {})
+				p.Sleep(time.Hour)
+			})
+			k.After(time.Minute, k.Stop)
+			return k.Run()
+		}},
+		{"recovered kill", func(k *Kernel) error {
+			k.Go("recoverer", func(p *Proc) {
+				defer func() { recover() }()
+				p.Sleep(time.Hour)
+			})
+			k.After(time.Minute, k.Stop)
+			return k.Run()
+		}},
 	}
 	for _, tc := range cases {
 		base := runtime.NumGoroutine()
@@ -328,47 +346,35 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// burstIdle runs a first burst of n tasks made by spawn, concurrent at
-// one instant, and then a second, from a spawning task, and returns the
-// idle list after each burst and how many of its coroutines had moved
-// stacks.
-func burstIdle(t *testing.T, n int, spawn func(k *Kernel)) (first, second []*coro, grown [2]int) {
-	t.Helper()
+// TestFreeStructsKeepCoroutines checks the one free list: a burst of
+// 128 short sleepers, concurrent at one instant, leaves every struct
+// free with its coroutine, and a second burst from the same spawner,
+// whose tasks recurse through 8 KiB of frames and so leave their first
+// stacks, runs on those same coroutines and makes none.
+func TestFreeStructsKeepCoroutines(t *testing.T) {
+	const n = 128
 	k := New(1)
+	var idle [2][]*coro
 	k.Go("spawner", func(p *Proc) {
-		for i := range 2 {
+		for i := range idle {
 			for range n {
-				spawn(k)
+				k.Go("burst", func(p *Proc) {
+					if i == 1 {
+						Recurse(8 << 10)
+					}
+					p.Sleep(time.Second)
+				})
 			}
 			p.Sleep(time.Minute)
-			idle, g := k.IdleCoros()
-			if i == 0 {
-				first = idle
-			} else {
-				second = idle
-			}
-			grown[i] = g
+			idle[i] = k.IdleCoros()
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return first, second, grown
-}
-
-// TestIdleKeepsFirstStacks checks the idle rule's unbounded half: a
-// burst of 4×maxIdleCoros short sleepers, which return on the stack
-// they began with, leaves every coroutine idle, and a second burst runs
-// on those same coroutines and makes none. (The sleeper whose timer
-// grows the event queue runs the allocator's slow path and may grow
-// its stack; a few such are kept too.)
-func TestIdleKeepsFirstStacks(t *testing.T) {
-	n := 4 * maxIdleCoros
-	first, second, grown := burstIdle(t, n, func(k *Kernel) {
-		k.Go("short", func(p *Proc) { p.Sleep(time.Second) })
-	})
-	if len(first) != n || grown[0] > n/8 {
-		t.Fatalf("after the first burst: %d idle, %d of them grown; want %d, nearly all on first stacks", len(first), grown[0], n)
+	first, second := idle[0], idle[1]
+	if len(first) != n {
+		t.Fatalf("after the first burst: %d free coroutines, want %d", len(first), n)
 	}
 	kept := make(map[*coro]bool, n)
 	for _, c := range first {
@@ -376,30 +382,11 @@ func TestIdleKeepsFirstStacks(t *testing.T) {
 	}
 	for _, c := range second {
 		if !kept[c] {
-			t.Fatalf("the second burst made coroutines: %d idle after it, %d after the first, not the same set", len(second), len(first))
+			t.Fatalf("the deep burst made coroutines: %d free after it, %d after the first, not the same set", len(second), len(first))
 		}
 	}
 	if len(second) != n {
-		t.Fatalf("after the second burst: %d idle, want %d", len(second), n)
-	}
-}
-
-// TestIdleBoundsGrownStacks checks the idle rule's bounded half: a
-// burst of 4×maxIdleCoros tasks that recurse through 8 KiB of frames
-// before they sleep and return leaves maxIdleCoros coroutines idle, all
-// grown, and so does a second burst that starts on those.
-func TestIdleBoundsGrownStacks(t *testing.T) {
-	n := 4 * maxIdleCoros
-	first, second, grown := burstIdle(t, n, func(k *Kernel) {
-		k.Go("deep", func(p *Proc) {
-			Recurse(8 << 10)
-			p.Sleep(time.Second)
-		})
-	})
-	for i, idle := range [][]*coro{first, second} {
-		if len(idle) != maxIdleCoros || grown[i] != maxIdleCoros {
-			t.Errorf("after burst %d: %d idle, %d of them grown; want %d, all grown", i+1, len(idle), grown[i], maxIdleCoros)
-		}
+		t.Fatalf("after the deep burst: %d free coroutines, want %d", len(second), n)
 	}
 }
 

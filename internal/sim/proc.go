@@ -63,10 +63,11 @@ func (p *Proc) park() {
 // very wake-up next and resume the task at once: Sleep does that in
 // place — it takes the seq the wake-up would have taken, moves the
 // clock, counts the event and the switch — and returns. A horizon is a
-// queued stop event (Kernel.Stop), so a wake at or past it parks. Nothing else could have run in between, so the dispatch
-// order, Stats and every QueueLen a task or callback can observe are
-// those of the park; only the two coroutine switches are gone (DESIGN
-// decisions 1 and 11).
+// queued stop event (Kernel.Stop), so a wake at or past it parks.
+// Nothing else could have run in between, so the dispatch order, Stats
+// and every QueueLen a task or callback can observe are those of the
+// park; only the two coroutine switches are gone (DESIGN decisions 1
+// and 11).
 func (p *Proc) Sleep(d Duration) {
 	t := p.task()
 	k := t.k
