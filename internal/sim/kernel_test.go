@@ -346,20 +346,38 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestFreeStructsKeepCoroutines checks the one free list: a burst of
-// 128 short sleepers, concurrent at one instant, leaves every struct
-// free with its coroutine, and a second burst from the same spawner,
-// whose tasks recurse through 8 KiB of frames and so leave their first
-// stacks, runs on those same coroutines and makes none.
-func TestFreeStructsKeepCoroutines(t *testing.T) {
+// TestIdleKeepsFirstStacks checks the one free list: a burst of 128
+// short sleepers, concurrent at one instant, leaves every struct free
+// with its coroutine, and a second short burst from the same spawner
+// runs on those same coroutines and makes none.
+func TestIdleKeepsFirstStacks(t *testing.T) {
+	burstCoros(t, false, false)
+}
+
+// TestIdleBoundsGrownStacks checks that a coroutine whose stack grew is
+// kept with its struct like any other, and that the peak number of
+// concurrent tasks bounds the coroutines kept: after a short burst of
+// 128, two bursts whose tasks recurse through 8 KiB of frames, and so
+// leave their first stacks, run on the short burst's coroutines and
+// make none.
+func TestIdleBoundsGrownStacks(t *testing.T) {
+	burstCoros(t, false, true, true)
+}
+
+// burstCoros runs one burst of 128 sleepers per entry of deep, from one
+// spawner, the tasks of a deep burst recursing 8 KiB deep, and checks
+// that the first burst leaves 128 free coroutines and that every later
+// burst runs on exactly those.
+func burstCoros(t *testing.T, deep ...bool) {
+	t.Helper()
 	const n = 128
 	k := New(1)
-	var idle [2][]*coro
+	idle := make([][]*coro, len(deep))
 	k.Go("spawner", func(p *Proc) {
 		for i := range idle {
 			for range n {
 				k.Go("burst", func(p *Proc) {
-					if i == 1 {
+					if deep[i] {
 						Recurse(8 << 10)
 					}
 					p.Sleep(time.Second)
@@ -372,21 +390,22 @@ func TestFreeStructsKeepCoroutines(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	first, second := idle[0], idle[1]
-	if len(first) != n {
-		t.Fatalf("after the first burst: %d free coroutines, want %d", len(first), n)
+	if len(idle[0]) != n {
+		t.Fatalf("after the first burst: %d free coroutines, want %d", len(idle[0]), n)
 	}
 	kept := make(map[*coro]bool, n)
-	for _, c := range first {
+	for _, c := range idle[0] {
 		kept[c] = true
 	}
-	for _, c := range second {
-		if !kept[c] {
-			t.Fatalf("the deep burst made coroutines: %d free after it, %d after the first, not the same set", len(second), len(first))
+	for i, later := range idle[1:] {
+		for _, c := range later {
+			if !kept[c] {
+				t.Fatalf("burst %d (deep %v) made coroutines: %d free after it, %d after the first, not the same set", i+2, deep[i+1], len(later), n)
+			}
 		}
-	}
-	if len(second) != n {
-		t.Fatalf("after the deep burst: %d free coroutines, want %d", len(second), n)
+		if len(later) != n {
+			t.Fatalf("after burst %d (deep %v): %d free coroutines, want %d", i+2, deep[i+1], len(later), n)
+		}
 	}
 }
 
