@@ -144,10 +144,8 @@ type Client struct {
 	tracker ip.Endpoint
 
 	events *sim.Chan[event]
-	// boxes and chunks pool send boxes (see peer.send) and the peers'
-	// rate samples (see RateEstimator).
+	// boxes pools send boxes (see peer.send).
 	boxes  vnet.BoxPool[Msg]
-	chunks chunkPool
 	peers  []*peer
 	byAddr map[ip.Addr]*peer
 	picker *Picker
@@ -173,6 +171,10 @@ type Client struct {
 	lastAnnounce sim.Time
 	rechokeRound int
 	dialing      int
+	// tickAt is the instant the tick task started: its evTicks fall on
+	// tickAt + n·tick, the lattice whose ticks index the peers' rate
+	// sums (see RateEstimator).
+	tickAt sim.Time
 
 	// depth is the effective pipeline depth (PipelineDepth, or the
 	// auto-scaled blocks-per-piece value when the config says 0).
@@ -291,6 +293,7 @@ func (c *Client) Start() {
 		c.listener = l
 		p.Go(name+"/accept", func(p *sim.Proc) { l.Serve(p, "bt-handshake-in", c.handshakeIn) })
 		p.Go(name+"/tick", func(p *sim.Proc) {
+			c.tickAt = p.Now()
 			for !c.stopped {
 				p.Sleep(tick)
 				c.events.TrySend(event{kind: evTick})
@@ -350,8 +353,6 @@ func (c *Client) onStop(p *sim.Proc) {
 	for _, pr := range c.peers {
 		pr.closed = true
 		pr.conn.Close(p)
-		pr.downRate.release()
-		pr.upRate.release()
 	}
 	c.peers = nil
 	c.byAddr = make(map[ip.Addr]*peer)
@@ -440,7 +441,6 @@ func (c *Client) post(kind eventKind, pr *peer) {
 func (c *Client) attach(conn *vnet.Conn) *peer {
 	pr := newPeer(conn, conn.RemoteAddr().Addr, c.meta.NumPieces())
 	pr.cl = c
-	pr.downRate.pool, pr.upRate.pool = &c.chunks, &c.chunks
 	conn.SetSink(func(pk vnet.Packet, closed bool) {
 		if closed {
 			c.events.TrySend(event{kind: evPeerClosed, peer: pr})
@@ -586,14 +586,14 @@ func (c *Client) registerPeer(pr *peer) {
 	c.byAddr[pr.addr] = pr
 }
 
+// onClose takes a departed or turned-away peer out of the client: its
+// place in the peer list, its availability and its open requests. Its
+// rate estimators are plain values and go with it.
 func (c *Client) onClose(p *sim.Proc, pr *peer) {
 	if pr.closed {
 		return
 	}
 	pr.closed = true
-	// A closed peer's rates are never read again.
-	pr.downRate.release()
-	pr.upRate.release()
 	if pr.webseed && pr.idx >= 0 {
 		c.wsConns--
 	}
@@ -718,7 +718,8 @@ func (c *Client) onRequest(p *sim.Proc, pr *peer, m Msg) {
 		}
 	}
 	if pr.send(p, out) == nil {
-		pr.upRate.Add(p.Now(), n)
+		now := p.Now()
+		pr.upRate.Add(now, c.tickOf(now), n)
 	}
 }
 
@@ -758,7 +759,7 @@ func (c *Client) onUpPump(p *sim.Proc) {
 			break
 		}
 		if e.pr.send(p, e.m) == nil {
-			e.pr.upRate.Add(now, e.n)
+			e.pr.upRate.Add(now, c.tickOf(now), e.n)
 		}
 	}
 	c.upQueue = append(c.upQueue[:0], c.upQueue[i:]...)
@@ -791,7 +792,8 @@ func (c *Client) onBlock(p *sim.Proc, pr *peer, m Msg) {
 	if pr.inflightDel(pi, b) {
 		c.releaseRequest(pi, b)
 	}
-	pr.downRate.Add(p.Now(), int64(m.Length))
+	now := p.Now()
+	pr.downRate.Add(now, c.tickOf(now), int64(m.Length))
 
 	if c.have.Has(pi) || c.done {
 		c.fillRequests(p, pr)
@@ -950,6 +952,9 @@ func (c *Client) onTick(p *sim.Proc) {
 	}
 }
 
+// tickOf returns the index of the client tick that instant now lies in.
+func (c *Client) tickOf(now sim.Time) int { return int(now.Sub(c.tickAt) / tick) }
+
 // rankedPeer is one interested peer with its rate snapshot and its
 // position in Client.peers — rate descending, position ascending is the
 // total order the choker ranks by (identical to a stable sort of the
@@ -980,6 +985,7 @@ func betterRanked(a, b rankedPeer) bool {
 // choke decisions and the optimistic RNG draw are bit-identical.
 func (c *Client) rechoke(p *sim.Proc) {
 	now := p.Now()
+	k := c.tickOf(now)
 	round := c.rechokeRound
 	// Snapshot interested peers and their rates, in peer-list order.
 	ranked := c.rankScratch[:0]
@@ -987,9 +993,9 @@ func (c *Client) rechoke(p *sim.Proc) {
 		if !pr.peerInterested {
 			continue
 		}
-		r := pr.downRate.Rate(now)
+		r := pr.downRate.Rate(now, k)
 		if c.done {
-			r = pr.upRate.Rate(now)
+			r = pr.upRate.Rate(now, k)
 		}
 		ranked = append(ranked, rankedPeer{pr: pr, rate: r, ord: ord})
 	}

@@ -9,112 +9,63 @@ import (
 // rateWindow is the window of every RateEstimator.
 const rateWindow = 20 * time.Second
 
+// rateTicks is how many client ticks a rate window spans.
+const rateTicks = int(rateWindow / tick)
+
 // RateEstimator measures transfer rate over a sliding window, like the
 // mainline client's 20-second rate estimate that drives choking
-// decisions. Its samples sit in a FIFO of fixed-size chunks from pool
-// (nil allocates), so a filling window never regrows a slice.
+// decisions. It keeps one byte sum per client tick: the window at an
+// instant in tick k is ticks k−4..k. Its reader, rechoke, runs on the
+// tick lattice, where that window is exactly [now − 20 s, now]; off the
+// lattice it also holds the samples from the start of tick k−4 to
+// now − 20 s.
+//
+// A tick index k is (now − Client.tickAt) / tick, and the calls of one
+// estimator pass non-decreasing instants.
 type RateEstimator struct {
-	head, tail *sampleChunk
-	rd, wr     int // read index in head, write index in tail
-	n          int // samples within the window
-	pool       *chunkPool
-	total      int64 // bytes within the window
-	first      sim.Time
-	started    bool // first activity recorded
+	sums    [rateTicks + 1]int64 // bytes of tick i in sums[i % len]
+	k       int                  // newest tick in sums
+	last    sim.Time             // the newest sample's instant
+	first   sim.Time             // first sample since the last restart
+	started bool                 // a sample was recorded since the last restart
 }
 
-type rateSample struct {
-	at    sim.Time
-	bytes int64
+// idle reports whether every sample lies before now's exact window, so
+// the estimator reads 0 and the next Add restarts warm-up.
+func (r *RateEstimator) idle(now sim.Time) bool {
+	return !r.started || r.last < now.Add(-rateWindow)
 }
 
-// sampleChunk holds 15 samples and a link: 248 B, the 256 B size class.
-type sampleChunk struct {
-	s    [15]rateSample
-	next *sampleChunk
-}
-
-// chunkPool is a client's free list of sample chunks, like vnet.BoxPool.
-type chunkPool struct{ free *sampleChunk }
-
-func (p *chunkPool) get() *sampleChunk {
-	if p == nil || p.free == nil {
-		return new(sampleChunk)
+// Add records bytes transferred at instant now, in tick k. After an
+// idle gap that left no sample within the window, it restarts the
+// window and the warm-up origin, so a resumed transfer is not divided
+// by the full window again.
+func (r *RateEstimator) Add(now sim.Time, k int, bytes int64) {
+	if r.idle(now) {
+		*r = RateEstimator{k: k, first: now, started: true}
 	}
-	ch := p.free
-	p.free, ch.next = ch.next, nil
-	return ch
+	for i := max(r.k+1, k-rateTicks); i <= k; i++ {
+		r.sums[i%len(r.sums)] = 0
+	}
+	r.k = k
+	r.sums[k%len(r.sums)] += bytes
+	r.last = now
 }
 
-// put pushes the chain head…tail onto the free list.
-func (p *chunkPool) put(head, tail *sampleChunk) {
-	if p != nil {
-		tail.next, p.free = p.free, head
-	}
-}
-
-// Add records bytes transferred at instant now. Trimming happens
-// before the append so an idle gap that drained the whole window is
-// detected here too (not only on a Rate call mid-gap) and restarts
-// the warm-up origin.
-func (r *RateEstimator) Add(now sim.Time, bytes int64) {
-	r.trim(now)
-	if !r.started {
-		r.started = true
-		r.first = now
-	}
-	if r.tail == nil {
-		r.head = r.pool.get()
-		r.tail = r.head
-	} else if r.wr == len(r.tail.s) {
-		r.tail.next = r.pool.get()
-		r.tail, r.wr = r.tail.next, 0
-	}
-	r.tail.s[r.wr] = rateSample{at: now, bytes: bytes}
-	r.wr++
-	r.n++
-	r.total += bytes
-}
-
-func (r *RateEstimator) trim(now sim.Time) {
-	cutoff := now.Add(-rateWindow)
-	for r.n > 0 && r.head.s[r.rd].at < cutoff {
-		r.total -= r.head.s[r.rd].bytes
-		r.rd++
-		r.n--
-		if r.rd == len(r.head.s) {
-			ch := r.head
-			r.head, r.rd = ch.next, 0
-			r.pool.put(ch, ch)
-		}
-	}
-	if r.n == 0 {
-		// An idle gap drained the whole window (or it was empty): the
-		// next activity starts a fresh warm-up, so a resumed transfer
-		// is not divided by the full window again.
-		r.release()
-	}
-}
-
-// release empties the window and returns its chunks to the pool.
-func (r *RateEstimator) release() {
-	if r.head != nil {
-		r.pool.put(r.head, r.tail)
-	}
-	*r = RateEstimator{pool: r.pool, first: r.first}
-}
-
-// Rate returns bytes/second over the window ending at now. During
-// warm-up — less than a full window since the first recorded activity —
-// the divisor is the elapsed time, not the window: dividing by the
-// full window would under-report a transfer 2 s into a 20 s window by
-// 10×, which feeds choke/unchoke ordering. The warm-up divisor is
-// clamped to at least one second so a single block recorded moments
-// before a query cannot masquerade as a multi-MB/s peer.
-func (r *RateEstimator) Rate(now sim.Time) float64 {
-	r.trim(now)
-	if r.n == 0 {
+// Rate returns bytes/second over the window ending at now, in tick k.
+// During warm-up — less than a full window since the first recorded
+// activity — the divisor is the elapsed time, not the window: dividing
+// by the full window would under-report a transfer 2 s into a 20 s
+// window by 10×, which feeds choke/unchoke ordering. The warm-up
+// divisor is clamped to at least one second so a single block recorded
+// moments before a query cannot masquerade as a multi-MB/s peer.
+func (r *RateEstimator) Rate(now sim.Time, k int) float64 {
+	if r.idle(now) {
 		return 0
+	}
+	var total int64
+	for i := max(k-rateTicks, 0); i <= r.k; i++ {
+		total += r.sums[i%len(r.sums)]
 	}
 	span := now.Sub(r.first)
 	if span < time.Second {
@@ -123,5 +74,5 @@ func (r *RateEstimator) Rate(now sim.Time) float64 {
 	if span > rateWindow {
 		span = rateWindow
 	}
-	return float64(r.total) / span.Seconds()
+	return float64(total) / span.Seconds()
 }
