@@ -30,11 +30,11 @@ func main() {
 		if err != nil {
 			return
 		}
-		pk, err := conn.Recv(p)
+		meta, err := conn.Recv(p)
 		if err != nil {
 			return
 		}
-		fmt.Printf("[%8v] bob received %q from %v\n", p.Now(), pk.Meta, conn.RemoteAddr())
+		fmt.Printf("[%8v] bob received %q from %v\n", p.Now(), meta, conn.RemoteAddr())
 	})
 
 	a.Kernel.Go("alice", func(p *sim.Proc) {

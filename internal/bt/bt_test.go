@@ -194,9 +194,9 @@ func TestHandshakeNamesTheTorrent(t *testing.T) {
 	k, _, _, hosts := swarmEnv(t, 1, 3, fastClass)
 	c := NewClient(hosts[0], meta, NewBitfield(meta.NumPieces()), ip.Endpoint{}, DefaultClientConfig())
 	closed := func(side string, conn *vnet.Conn, p *sim.Proc) {
-		pk, ok, err := conn.RecvTimeout(p, time.Minute)
+		got, ok, err := conn.RecvTimeout(p, time.Minute)
 		if !errors.Is(err, vnet.ErrClosed) {
-			t.Errorf("%s: got %v (ok %v, err %v), want the client to close", side, pk.Meta, ok, err)
+			t.Errorf("%s: got %v (ok %v, err %v), want the client to close", side, got, ok, err)
 		}
 	}
 	k.Go("strangers", func(p *sim.Proc) {
@@ -284,12 +284,12 @@ func TestBitfieldMessageIsASendTimeCopy(t *testing.T) {
 		view := newPeer(in, hosts[0].Addr(), meta.NumPieces())
 		receiver.registerPeer(view)
 		for sawBitfield := false; !view.bits.Has(1); {
-			pk, err := in.Recv(p)
+			v, err := in.Recv(p)
 			if err != nil {
 				t.Errorf("receiver: %v before the sender's Have 1", err)
 				return
 			}
-			m := pk.Meta.(*vnet.Box[Msg]).Take()
+			m := v.(*vnet.Box[Msg]).Take()
 			receiver.onMsg(p, view, m)
 			switch {
 			case m.ID == MsgBitfield:

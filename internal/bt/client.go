@@ -441,12 +441,12 @@ func (c *Client) post(kind eventKind, pr *peer) {
 func (c *Client) attach(conn *vnet.Conn) *peer {
 	pr := newPeer(conn, conn.RemoteAddr().Addr, c.meta.NumPieces())
 	pr.cl = c
-	conn.SetSink(func(pk vnet.Packet, closed bool) {
+	conn.SetSink(func(meta any, closed bool) {
 		if closed {
 			c.events.TrySend(event{kind: evPeerClosed, peer: pr})
 			return
 		}
-		if b, ok := pk.Meta.(*vnet.Box[Msg]); ok {
+		if b, ok := meta.(*vnet.Box[Msg]); ok {
 			c.events.TrySend(event{kind: evMsg, peer: pr, msg: b.Take()})
 		}
 	})

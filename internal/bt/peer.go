@@ -120,10 +120,10 @@ func sendHandshake(p *sim.Proc, c *vnet.Conn, hs *Handshake) error {
 // recvHandshake blocks, with a deadline, for the peer's handshake and
 // reports whether it arrived and is want.
 func recvHandshake(p *sim.Proc, c *vnet.Conn, timeout time.Duration, want *Handshake) bool {
-	pk, ok, err := c.RecvTimeout(p, timeout)
+	meta, ok, err := c.RecvTimeout(p, timeout)
 	if err != nil || !ok {
 		return false
 	}
-	hs, isHS := pk.Meta.(Handshake)
+	hs, isHS := meta.(Handshake)
 	return isHS && hs.InfoHash == want.InfoHash
 }

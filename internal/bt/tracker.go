@@ -152,11 +152,11 @@ func (t *Tracker) serve(p *sim.Proc) {
 
 func (t *Tracker) handle(p *sim.Proc, c *vnet.Conn) {
 	defer c.Close(p)
-	pk, ok, err := c.RecvTimeout(p, 30*time.Second)
+	meta, ok, err := c.RecvTimeout(p, 30*time.Second)
 	if err != nil || !ok {
 		return
 	}
-	req, ok := pk.Meta.(*announceReq)
+	req, ok := meta.(*announceReq)
 	if !ok {
 		return
 	}
@@ -298,14 +298,14 @@ func exchange(p *sim.Proc, c *vnet.Conn, req *announceReq) (*announceResp, error
 	if err := c.SendMeta(p, req.size(), req); err != nil {
 		return nil, err
 	}
-	pk, ok, err := c.RecvTimeout(p, 30*time.Second)
+	meta, ok, err := c.RecvTimeout(p, 30*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, vnet.ErrTimeout
 	}
-	resp, ok := pk.Meta.(*announceResp)
+	resp, ok := meta.(*announceResp)
 	if !ok {
 		return nil, errors.New("bt: tracker response is not an announce response")
 	}

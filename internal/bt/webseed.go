@@ -55,11 +55,11 @@ func (w *WebSeed) serve(p *sim.Proc) {
 func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
 	defer cn.Close(p)
 	for {
-		pk, err := cn.Recv(p)
+		meta, err := cn.Recv(p)
 		if err != nil {
 			return
 		}
-		b, ok := pk.Meta.(*vnet.Box[Msg])
+		b, ok := meta.(*vnet.Box[Msg])
 		if !ok {
 			continue
 		}

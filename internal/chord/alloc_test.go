@@ -25,8 +25,8 @@ import (
 // 16-byte one-slot rings, 288 B in all (vnet's TestDialAllocs), and
 // the handler task's closure and Proc (sim's TestSpawnedTaskAllocs).
 // The request and the reply travel in boxes the two nodes' pools hand
-// back and forth, so neither payload allocates; boxing rpcMsg into
-// Packet.Meta by value cost 2 more, and a fresh task struct and timer
+// back and forth, so neither payload allocates; boxing rpcMsg by value
+// into the sent any cost 2 more, and a fresh task struct and timer
 // callback per handler 2 more again. Only serve runs on the callee,
 // so no maintenance RPC interleaves.
 func TestRPCRoundTripAllocs(t *testing.T) {

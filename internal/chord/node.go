@@ -164,11 +164,11 @@ func (n *Node) handle(p *sim.Proc, c *vnet.Conn) {
 //
 //go:noinline
 func recv(p *sim.Proc, c *vnet.Conn, m *rpcMsg) (got, failed bool) {
-	pk, ok, err := c.RecvTimeout(p, rpcTimeout)
+	meta, ok, err := c.RecvTimeout(p, rpcTimeout)
 	if err != nil || !ok {
 		return false, true
 	}
-	return take(pk.Meta, m), false
+	return take(meta, m), false
 }
 
 // take moves the message boxed in meta, if it holds one, into *m.

@@ -270,11 +270,11 @@ func (n *Node) sendAsync(p *sim.Proc, to ip.Endpoint, m wireMsg) {
 // task's cold half, in a frame of its own: inline, its copies sat in the
 // task's frame under the dial and the send.
 func (n *Node) awaitReply(p *sim.Proc, c *vnet.Conn) {
-	pk, ok, err := c.RecvTimeout(p, 10*time.Second)
+	meta, ok, err := c.RecvTimeout(p, 10*time.Second)
 	if err != nil || !ok {
 		return
 	}
-	if b, isMsg := pk.Meta.(*vnet.Box[wireMsg]); isMsg {
+	if b, isMsg := meta.(*vnet.Box[wireMsg]); isMsg {
 		for _, u := range b.Take().Updates {
 			n.learn(u)
 		}
@@ -294,11 +294,11 @@ func (n *Node) serve(p *sim.Proc) {
 // digest, and a digest gets its reply on the same connection.
 func (n *Node) serveConn(p *sim.Proc, c *vnet.Conn) {
 	defer c.Close(p)
-	pk, ok, err := c.RecvTimeout(p, 10*time.Second)
+	meta, ok, err := c.RecvTimeout(p, 10*time.Second)
 	if err != nil || !ok {
 		return
 	}
-	if b, isMsg := pk.Meta.(*vnet.Box[wireMsg]); isMsg {
+	if b, isMsg := meta.(*vnet.Box[wireMsg]); isMsg {
 		if r, size := n.handle(b); r != nil {
 			c.SendMeta(p, size, r)
 		}

@@ -70,8 +70,8 @@ func exchangeAllocs(t *testing.T, m wireMsg, msgs uint64) uint64 {
 // and the serving task's closure and Proc. A warm digest round trip
 // costs 8, one more ring for the caller's side, which reads the reply.
 // The digest, the push and the reply travel in boxes the two nodes'
-// pools hand back and forth, so no payload allocates; boxing wireMsg
-// into Packet.Meta by value cost 1 more per push and 2 more per digest.
+// pools hand back and forth, so no payload allocates; boxing wireMsg by
+// value into the sent any cost 1 more per push and 2 more per digest.
 // The digest here names every update the callee knows, so its reply is
 // empty, and the pushed update is already known to the callee. A push
 // is five messages (SYN, SYN-ACK, the push, two FINs), a digest round

@@ -1,28 +1,17 @@
 package vnet
 
 import (
-	"errors"
 	"math"
 
 	"repro/internal/ip"
 	"repro/internal/sim"
 )
 
-// Packet is one received message: the protocol value the sender
-// passed to SendMeta. The network charges the size SendMeta names (the
-// net.deliver record and the byte counters carry it) and the sender is
-// the Conn's RemoteAddr, so a Packet carries neither: it is 16 bytes,
-// the slot of a per-RPC inbox's one-slot ring. No bytes are
-// materialized, so a large swarm moves gigabytes of piece data without
-// allocating them.
-type Packet struct {
-	Meta any
-}
-
 // Conn is a TCP-like reliable, ordered, message-boundary-preserving
 // connection between two virtual nodes. Reliability is modelled (lossy
 // pipes trigger retransmission with backoff); ordering follows from the
-// FIFO pipe model.
+// FIFO pipe model. A reader receives the value its sender passed to
+// SendMeta.
 //
 // The emulator owns both ends, so a Conn links to its peer — the
 // acceptor from the SYN, the dialer from the SYN-ACK — and every
@@ -44,13 +33,13 @@ type Packet struct {
 type Conn struct {
 	h     *Host
 	peer  *Conn // the other end; nil until the SYN-ACK reaches a dialer
-	inbox sim.Chan[Packet]
+	inbox sim.Chan[any]
 	hs    sim.Cond // the dialer parks here until SYN-ACK or RST
 
 	// TCP-like sequencing: retransmitted messages may arrive out of
 	// order relative to later messages or the FIN, so delivery to the
 	// inbox is reordered by sequence number.
-	pending  map[uint32]Packet
+	pending  map[uint32]any
 	sendSeq  uint32
 	recvNext uint32
 	finSeq   uint32
@@ -62,11 +51,11 @@ type Conn struct {
 	refused     bool
 	closed      bool
 	finSeen     bool
-	sinkEOF     bool
 
-	// sink, when set, receives packets instead of the inbox. It runs in
-	// kernel-callback context and must not block.
-	sink func(pk Packet, closed bool)
+	// sink, when set, receives messages instead of the inbox, and the
+	// end once (eof clears it). It runs in kernel-callback context and
+	// must not block.
+	sink func(meta any, closed bool)
 }
 
 // register makes c deliverable and counts it in the network's
@@ -99,65 +88,75 @@ func (c *Conn) deregister() {
 func (c *Conn) local() ip.Endpoint { return ip.Endpoint{Addr: c.h.addr, Port: c.lport} }
 
 // SetSink switches the connection to push delivery: every subsequent
-// in-order packet is handed to fn instead of the blocking inbox, and fn
-// is called once with closed=true when the peer side closes. Packets
-// already buffered are flushed to fn immediately. fn runs in kernel
-// event context and must not block — the intended use is appending to an
-// unbounded queue shared by many connections, so one goroutine can
-// multiplex hundreds of peers without a reader goroutine each.
+// in-order message is handed to fn instead of the blocking inbox, and
+// fn is called once with closed=true when the receive side ends.
+// Messages already buffered are flushed to fn immediately, and on a
+// connection that has already ended fn hears the end at once and is
+// not kept. fn runs in kernel event context and must not block — the
+// intended use is appending to an unbounded queue shared by many
+// connections, so one goroutine can multiplex hundreds of peers
+// without a reader goroutine each.
 //
 //p2p:token
-func (c *Conn) SetSink(fn func(pk Packet, closed bool)) {
+func (c *Conn) SetSink(fn func(meta any, closed bool)) {
 	c.sink = fn
 	for {
-		pk, ok := c.inbox.TryRecv()
+		meta, ok := c.inbox.TryRecv()
 		if !ok {
 			break
 		}
-		fn(pk, false)
+		c.land(meta)
 	}
-	if c.inbox.Closed() && !c.sinkEOF {
-		c.sinkEOF = true
-		fn(Packet{}, true)
+	if c.inbox.Closed() {
+		c.eof()
+	}
+}
+
+// land hands one in-order message to the sink, or else to the inbox.
+//
+//p2p:token
+func (c *Conn) land(meta any) {
+	if c.sink != nil {
+		c.sink(meta, false)
+	} else {
+		c.inbox.TrySend(meta)
+	}
+}
+
+// eof ends the receive side (the FIN reached, or a reset): it closes
+// the inbox and tells the sink, clearing it first, so a sink hears the
+// end once however many ends arrive.
+//
+//p2p:token
+func (c *Conn) eof() {
+	c.inbox.Close()
+	if fn := c.sink; fn != nil {
+		c.sink = nil
+		fn(nil, true)
 	}
 }
 
 // onData reorders an arriving data message into the inbox.
 //
 //p2p:token
-func (c *Conn) onData(seq uint32, pk Packet) {
+func (c *Conn) onData(seq uint32, meta any) {
 	if seq < c.recvNext {
 		return // duplicate
 	}
 	if seq == c.recvNext && len(c.pending) == 0 {
 		// In-order arrival with nothing buffered — the overwhelming
 		// common case under FIFO pipes: deliver directly instead of
-		// bouncing the packet through the reorder map.
+		// bouncing the message through the reorder map.
 		c.recvNext++
-		if c.sink != nil {
-			c.sink(pk, false)
-		} else {
-			c.inbox.TrySend(pk)
-		}
+		c.land(meta)
 		c.checkFin()
 		return
 	}
 	if c.pending == nil {
-		c.pending = make(map[uint32]Packet)
+		c.pending = make(map[uint32]any)
 	}
-	c.pending[seq] = pk
+	c.pending[seq] = meta
 	c.flushInOrder()
-}
-
-// abort tears the receive side down immediately (RST).
-//
-//p2p:token
-func (c *Conn) abort() {
-	c.inbox.Close()
-	if c.sink != nil && !c.sinkEOF {
-		c.sinkEOF = true
-		c.sink(Packet{}, true)
-	}
 }
 
 // onFin records the end-of-stream sequence and closes once reached.
@@ -172,31 +171,23 @@ func (c *Conn) onFin(seq uint32) {
 //p2p:token
 func (c *Conn) flushInOrder() {
 	for {
-		pk, ok := c.pending[c.recvNext]
+		meta, ok := c.pending[c.recvNext]
 		if !ok {
 			break
 		}
 		delete(c.pending, c.recvNext)
 		c.recvNext++
-		if c.sink != nil {
-			c.sink(pk, false)
-		} else {
-			c.inbox.TrySend(pk)
-		}
+		c.land(meta)
 	}
 	c.checkFin()
 }
 
-// checkFin closes the receive side once the FIN's sequence is reached.
+// checkFin ends the receive side once the FIN's sequence is reached.
 //
 //p2p:token
 func (c *Conn) checkFin() {
 	if c.finSeen && c.recvNext >= c.finSeq {
-		c.inbox.Close()
-		if c.sink != nil && !c.sinkEOF {
-			c.sinkEOF = true
-			c.sink(Packet{}, true)
-		}
+		c.eof()
 	}
 }
 
@@ -204,8 +195,10 @@ func (c *Conn) checkFin() {
 func (c *Conn) RemoteAddr() ip.Endpoint { return c.peer.local() }
 
 // SendMeta transmits one message: size payload bytes on the wire
-// carrying the protocol value meta, which the receiver reads back as
-// Packet.Meta.
+// carrying the protocol value meta, which the receiver's Recv or sink
+// returns as is. The network charges size (the net.deliver record and
+// the byte counters carry it) but no bytes are materialized, so a large
+// swarm moves gigabytes of piece data without allocating them.
 func (c *Conn) SendMeta(p *sim.Proc, size int, meta any) error {
 	if c.closed || !c.established {
 		return ErrClosed
@@ -213,7 +206,7 @@ func (c *Conn) SendMeta(p *sim.Proc, size int, meta any) error {
 	if c.sendSeq == math.MaxUint32 {
 		return ErrSeqExhausted
 	}
-	c.h.syscall(p, SyscallSend)
+	c.h.syscall(p, sysSend)
 	c.emit(kindData, size, meta)
 	c.sendSeq++
 	return nil
@@ -232,26 +225,19 @@ func (c *Conn) emit(kind msgKind, size int, meta any) {
 	x.launch()
 }
 
-// Recv blocks until a message arrives. It returns ErrClosed after the
-// peer closes and the inbox drains.
-func (c *Conn) Recv(p *sim.Proc) (Packet, error) {
-	c.h.syscall(p, SyscallRecv)
-	pk, err := c.inbox.Recv(p)
-	if errors.Is(err, sim.ErrClosed) {
-		return pk, ErrClosed
-	}
-	return pk, err
+// Recv blocks until a message arrives and returns the value its sender
+// passed to SendMeta. It returns ErrClosed once the receive side has
+// ended and the inbox drains.
+func (c *Conn) Recv(p *sim.Proc) (any, error) {
+	c.h.syscall(p, sysRecv)
+	return c.inbox.Recv(p)
 }
 
 // RecvTimeout is Recv with a virtual-time deadline; ok=false with nil
 // error means the deadline expired.
-func (c *Conn) RecvTimeout(p *sim.Proc, d sim.Duration) (Packet, bool, error) {
-	c.h.syscall(p, SyscallRecv)
-	pk, ok, err := c.inbox.RecvTimeout(p, d)
-	if errors.Is(err, sim.ErrClosed) {
-		return pk, ok, ErrClosed
-	}
-	return pk, ok, err
+func (c *Conn) RecvTimeout(p *sim.Proc, d sim.Duration) (any, bool, error) {
+	c.h.syscall(p, sysRecv)
+	return c.inbox.RecvTimeout(p, d)
 }
 
 // Close sends a FIN and closes the local side. Receiving continues to
@@ -261,7 +247,7 @@ func (c *Conn) Close(p *sim.Proc) error {
 		return nil
 	}
 	c.closed = true
-	c.h.syscall(p, SyscallClose)
+	c.h.syscall(p, sysClose)
 	if c.established {
 		c.emit(kindFin, 20, nil)
 	}
@@ -280,12 +266,8 @@ type Listener struct {
 // Accept blocks until a connection arrives; it returns ErrClosed after
 // Close.
 func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
-	l.h.syscall(p, SyscallAccept)
-	c, err := l.backlog.Recv(p)
-	if errors.Is(err, sim.ErrClosed) {
-		return nil, ErrClosed
-	}
-	return c, err
+	l.h.syscall(p, sysAccept)
+	return l.backlog.Recv(p)
 }
 
 // Serve accepts until the listener closes and runs handle on each
@@ -323,7 +305,7 @@ func (l *Listener) Close() {
 		}
 		c.closed = true
 		c.deregister()
-		c.abort()
+		c.eof()
 		l.h.net.transmit(l.h, c.peer.h, message{
 			kind: kindRst, src: c.local(), dst: c.peer.local(), size: 20, to: c.peer,
 		}, true)

@@ -38,7 +38,7 @@ func (h *Host) SetBindEnv(addr ip.Addr) { h.bindEnv = addr }
 
 // syscall charges one emulated system call to the calling process: it
 // sleeps for the call's cost.
-func (h *Host) syscall(p *sim.Proc, s Syscall) {
+func (h *Host) syscall(p *sim.Proc, s sysno) {
 	p.Sleep(syscallCost[s])
 }
 
@@ -48,8 +48,8 @@ func (h *Host) interceptBind(p *sim.Proc) {
 	if h.bindEnv.IsZero() {
 		return
 	}
-	h.syscall(p, SyscallGetenv)
-	h.syscall(p, SyscallBind)
+	h.syscall(p, sysGetenv)
+	h.syscall(p, sysBind)
 }
 
 // allocPort returns a fresh ephemeral port.
@@ -72,9 +72,9 @@ func (h *Host) allocPort() ip.Port {
 // socket()/[bind()]/connect() sequence and a SYN/SYNACK handshake on the
 // virtual network. It blocks until established, refused or timed out.
 func (h *Host) Dial(p *sim.Proc, raddr ip.Endpoint) (*Conn, error) {
-	h.syscall(p, SyscallSocket)
+	h.syscall(p, sysSocket)
 	h.interceptBind(p)
-	h.syscall(p, SyscallConnect)
+	h.syscall(p, sysConnect)
 
 	n := h.net
 	n.nextID++
@@ -117,10 +117,10 @@ func dialError(raddr ip.Endpoint, err error) error {
 // socket()/bind()/listen() sequence (plus the interception preamble when
 // BINDIP is set).
 func (h *Host) Listen(p *sim.Proc, port ip.Port) (*Listener, error) {
-	h.syscall(p, SyscallSocket)
-	h.syscall(p, SyscallBind)
+	h.syscall(p, sysSocket)
+	h.syscall(p, sysBind)
 	h.interceptBind(p)
-	h.syscall(p, SyscallListen)
+	h.syscall(p, sysListen)
 	if _, used := h.ports[port]; used {
 		return nil, fmt.Errorf("listen %v:%d: %w", h.addr, port, ErrPortAlreadyBound)
 	}
@@ -181,14 +181,14 @@ func (h *Host) deliver(m message) {
 				// reader observes the close.
 				c.deregister()
 				c.closed = true
-				c.abort()
+				c.eof()
 			}
 		}
 	case kindData:
 		// Only a test's one-way probe (export_test.go's SendOnce)
 		// names no Conn; it is discarded.
 		if c := m.to; c != nil && c.registered {
-			c.onData(m.seq, Packet{Meta: m.meta})
+			c.onData(m.seq, m.meta)
 		}
 	case kindFin:
 		if c := m.to; c.registered {

@@ -29,7 +29,7 @@ import (
 var (
 	ErrConnRefused      = errors.New("vnet: connection refused")
 	ErrTimeout          = errors.New("vnet: operation timed out")
-	ErrClosed           = errors.New("vnet: connection closed")
+	ErrClosed           = sim.ErrClosed // Recv and Accept return their Chan's error as is
 	ErrNetUnreachable   = errors.New("vnet: network unreachable")
 	ErrHostExists       = errors.New("vnet: host address already registered")
 	ErrPortAlreadyBound = errors.New("vnet: port already bound")
@@ -232,7 +232,7 @@ func (n *Network) resetConn(m message) {
 	}
 	c.deregister()
 	c.closed = true
-	c.abort()
+	c.eof()
 }
 
 // reconfigurePipe applies a runtime configuration change to one pipe

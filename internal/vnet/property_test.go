@@ -49,11 +49,11 @@ func runConnDraw(countRaw, lossRaw uint8) (connRun, error) {
 			return
 		}
 		for {
-			pk, err := c.Recv(p)
+			meta, err := c.Recv(p)
 			if err != nil {
 				return
 			}
-			r.got = append(r.got, pk.Meta.(int))
+			r.got = append(r.got, meta.(int))
 		}
 	})
 	k.Go("client", func(p *sim.Proc) {

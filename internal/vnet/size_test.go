@@ -12,8 +12,8 @@ import (
 
 // TestConnSize pins the per-connection state a per-RPC overlay pays
 // twice per message: a Conn stays in the 128-byte size class, with its
-// inbox Chan at 56 bytes, and a Packet, the inbox ring's slot, is 16
-// bytes. A field that pushes one past that fails here rather than
+// inbox Chan at 56 bytes; the inbox ring's slot is the any a sender
+// passed to SendMeta, 16 bytes. A field that pushes one past that fails here rather than
 // silently moving every endpoint into the next class.
 func TestConnSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -22,11 +22,8 @@ func TestConnSize(t *testing.T) {
 	if got := unsafe.Sizeof(Conn{}); got > 128 {
 		t.Errorf("Conn is %d bytes, want at most 128", got)
 	}
-	if got := unsafe.Sizeof(sim.Chan[Packet]{}); got != 56 {
-		t.Errorf("sim.Chan[Packet] is %d bytes, want 56", got)
-	}
-	if got := unsafe.Sizeof(Packet{}); got != 16 {
-		t.Errorf("Packet is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(sim.Chan[any]{}); got != 56 {
+		t.Errorf("sim.Chan[any] is %d bytes, want 56", got)
 	}
 }
 
@@ -49,12 +46,12 @@ func TestSendRefusesSeqWrap(t *testing.T) {
 				return
 			}
 			for {
-				pk, err := c.Recv(p)
+				meta, err := c.Recv(p)
 				if err != nil {
 					eof = err
 					return
 				}
-				got = append(got, pk.Meta)
+				got = append(got, meta)
 			}
 		})
 		p.Yield()

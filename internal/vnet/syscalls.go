@@ -2,50 +2,37 @@ package vnet
 
 import "time"
 
-// Syscall identifies an emulated network system call, following the
+// sysno identifies an emulated network system call, following the
 // paper's Fig 5 (the calls used when establishing or accepting a TCP
 // connection) plus the getenv the BINDIP interception performs.
-type Syscall int
+type sysno int
 
 const (
-	SyscallSocket Syscall = iota
-	SyscallBind
-	SyscallConnect
-	SyscallListen
-	SyscallAccept
-	SyscallClose
-	SyscallSend
-	SyscallRecv
-	SyscallGetenv
-	numSyscalls
+	sysSocket sysno = iota
+	sysBind
+	sysConnect
+	sysListen
+	sysAccept
+	sysClose
+	sysSend
+	sysRecv
+	sysGetenv
+	numSysnos
 )
-
-var syscallNames = [...]string{
-	"socket", "bind", "connect", "listen", "accept", "close",
-	"send", "recv", "getenv",
-}
-
-// String returns the libc name of the call.
-func (s Syscall) String() string {
-	if s < 0 || int(s) >= len(syscallNames) {
-		return "syscall(?)"
-	}
-	return syscallNames[s]
-}
 
 // syscallCost is the virtual CPU time of each emulated system call,
 // calibrated so a socket+connect+close cycle costs 10.22 µs, the
 // paper's measured baseline; the BINDIP interception adds one getenv
 // and one bind to every connect or listen, raising the cycle to
 // 10.79 µs — the paper's measured worst case.
-var syscallCost = [numSyscalls]time.Duration{
-	SyscallSocket:  2100 * time.Nanosecond,
-	SyscallBind:    450 * time.Nanosecond,
-	SyscallConnect: 4000 * time.Nanosecond,
-	SyscallListen:  600 * time.Nanosecond,
-	SyscallAccept:  3000 * time.Nanosecond,
-	SyscallClose:   4120 * time.Nanosecond,
-	SyscallSend:    900 * time.Nanosecond,
-	SyscallRecv:    900 * time.Nanosecond,
-	SyscallGetenv:  120 * time.Nanosecond,
+var syscallCost = [numSysnos]time.Duration{
+	sysSocket:  2100 * time.Nanosecond,
+	sysBind:    450 * time.Nanosecond,
+	sysConnect: 4000 * time.Nanosecond,
+	sysListen:  600 * time.Nanosecond,
+	sysAccept:  3000 * time.Nanosecond,
+	sysClose:   4120 * time.Nanosecond,
+	sysSend:    900 * time.Nanosecond,
+	sysRecv:    900 * time.Nanosecond,
+	sysGetenv:  120 * time.Nanosecond,
 }

@@ -262,10 +262,10 @@ func rpcAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) (allocs, b
 //     message, the request or the reply.
 //
 // It also pins their bytes: 2 × 128 for the Conns (TestConnSize) and
-// 2 × 16 for the one-Packet rings, 288 B an RPC. It was 384 B while a
+// 2 × 16 for the one-slot rings, 288 B an RPC. It was 384 B while a
 // Conn stored its remote endpoint, a 64-bit id and a Chan with a
-// senders' Cond (160 B), and a Packet carried its size and sender
-// (32 B).
+// senders' Cond (160 B), and a ring slot carried the message's size
+// and sender (32 B).
 //
 // The three parks — the dialer on its handshake Cond until the SYN-ACK
 // arrives, each side on its inbox in Recv — link the task's embedded

@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -95,12 +96,12 @@ func TestDialAcceptRoundTrip(t *testing.T) {
 				t.Errorf("accept: %v", err)
 				return
 			}
-			pk, err := c.Recv(p)
+			meta, err := c.Recv(p)
 			if err != nil {
 				t.Errorf("recv: %v", err)
 				return
 			}
-			got, _ = pk.Meta.(string)
+			got, _ = meta.(string)
 			c.Close(p)
 			l.Close()
 		})
@@ -134,8 +135,8 @@ func TestDialSelf(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := newEnv()
 			a, _ := e.twoHosts(t)
-			var got [2]Packet // what the dialer (0) and the acceptor (1) read
-			var eof [2]error  // each side's Recv after the other closed
+			var got [2]any   // what the dialer (0) and the acceptor (1) read
+			var eof [2]error // each side's Recv after the other closed
 			var local, remote [2]ip.Endpoint
 			// exchange sends i, reads the other side's message and closes,
 			// first or after seeing the other side's close.
@@ -144,11 +145,11 @@ func TestDialSelf(t *testing.T) {
 				if err := c.SendMeta(p, 10, i); err != nil {
 					t.Errorf("side %d: send: %v", i, err)
 				}
-				pk, err := c.Recv(p)
+				meta, err := c.Recv(p)
 				if err != nil {
 					t.Errorf("side %d: recv: %v", i, err)
 				}
-				got[i] = pk
+				got[i] = meta
 				if !first {
 					_, eof[i] = c.Recv(p)
 				}
@@ -178,9 +179,9 @@ func TestDialSelf(t *testing.T) {
 				}
 				exchange(p, c, 0, dialerFirst)
 			})
-			for i, pk := range got {
-				if pk.Meta != 1-i || remote[i] != local[1-i] {
-					t.Errorf("side %d read %v from %v, want %d from %v", i, pk.Meta, remote[i], 1-i, local[1-i])
+			for i, meta := range got {
+				if meta != 1-i || remote[i] != local[1-i] {
+					t.Errorf("side %d read %v from %v, want %d from %v", i, meta, remote[i], 1-i, local[1-i])
 				}
 			}
 			second := 1
@@ -204,7 +205,7 @@ func TestDialSelf(t *testing.T) {
 func TestCloseWindowDelivers(t *testing.T) {
 	e := newEnv()
 	a, b := e.twoHosts(t)
-	var got Packet
+	var got any
 	var err error
 	e.run(t, func(p *sim.Proc) {
 		var server *Conn
@@ -226,8 +227,8 @@ func TestCloseWindowDelivers(t *testing.T) {
 		c.Close(p)
 		got, _, err = c.RecvTimeout(p, time.Second)
 	})
-	if err != nil || got.Meta != "late" {
-		t.Fatalf("Recv after Close = %v, %v; want the message sent during Close", got.Meta, err)
+	if err != nil || got != "late" {
+		t.Fatalf("Recv after Close = %v, %v; want the message sent during Close", got, err)
 	}
 }
 
@@ -260,7 +261,7 @@ func TestFinOnClosedConnUnobserved(t *testing.T) {
 			e.k.Stop()
 			return
 		}
-		c.SetSink(func(Packet, bool) { sinkCalls++ })
+		c.SetSink(func(any, bool) { sinkCalls++ })
 		c.Close(p)
 	})
 	if !peerSawClose {
@@ -276,6 +277,126 @@ func TestFinOnClosedConnUnobserved(t *testing.T) {
 	if sinkCalls != 0 || c.inbox.Closed() {
 		t.Errorf("the FIN reached the closed conn: %d sink call(s), inbox closed %v", sinkCalls, c.inbox.Closed())
 	}
+}
+
+// sinkLog is what a sink heard: the messages in order and the ends.
+type sinkLog struct {
+	got  []any
+	ends int
+}
+
+func (s *sinkLog) sink(meta any, closed bool) {
+	if closed {
+		s.ends++
+		return
+	}
+	s.got = append(s.got, meta)
+}
+
+// TestSinkHearsTheEndOnce pins push delivery's promises: what the
+// inbox buffered before SetSink reaches the sink first and in order,
+// and a sink hears the end of the receive side exactly once, whether
+// the end came before SetSink, twice (a FIN, then a give-up reset), or
+// as the RST of a listener that closed with the conn in its backlog.
+func TestSinkHearsTheEndOnce(t *testing.T) {
+	// exchange dials b:80 from a, sends sent messages and, if fin,
+	// closes; after a second it hands the acceptor's conn to then.
+	exchange := func(t *testing.T, sent int, fin bool, then func(p *sim.Proc, e *env, s *Conn)) {
+		e := newEnv()
+		a, b := e.twoHosts(t)
+		e.run(t, func(p *sim.Proc) {
+			l, _ := b.Listen(p, 80)
+			p.Go("client", func(p *sim.Proc) {
+				c, err := a.Dial(p, ip.Endpoint{Addr: addrB, Port: 80})
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
+				}
+				for i := 0; i < sent; i++ {
+					c.SendMeta(p, 10, i)
+				}
+				if fin {
+					c.Close(p)
+				}
+			})
+			s, err := l.Accept(p)
+			if err != nil {
+				t.Fatalf("accept: %v", err)
+			}
+			p.Sleep(time.Second)
+			then(p, e, s)
+		})
+	}
+	t.Run("buffered", func(t *testing.T) {
+		var log sinkLog
+		exchange(t, 3, false, func(p *sim.Proc, e *env, s *Conn) {
+			s.SetSink(log.sink)
+			if s.sink == nil {
+				t.Error("an open conn did not keep its sink")
+			}
+		})
+		if !slices.Equal(log.got, []any{0, 1, 2}) || log.ends != 0 {
+			t.Errorf("sink heard %v and %d end(s); want [0 1 2] and none", log.got, log.ends)
+		}
+	})
+	t.Run("ended-before-sink", func(t *testing.T) {
+		var log sinkLog
+		exchange(t, 2, true, func(p *sim.Proc, e *env, s *Conn) {
+			s.SetSink(log.sink)
+			if s.sink != nil {
+				t.Error("an ended conn kept its sink")
+			}
+		})
+		if !slices.Equal(log.got, []any{0, 1}) || log.ends != 1 {
+			t.Errorf("sink heard %v and %d end(s); want [0 1] and one", log.got, log.ends)
+		}
+	})
+	t.Run("fin-then-reset", func(t *testing.T) {
+		var log sinkLog
+		exchange(t, 0, false, func(p *sim.Proc, e *env, s *Conn) {
+			s.SetSink(log.sink)
+			s.peer.Close(p)
+			p.Sleep(time.Second)
+			if log.ends != 1 {
+				t.Fatalf("the FIN gave %d end(s), want one", log.ends)
+			}
+			// A send into a downed link runs out of retransmissions
+			// and resets s: a second end, which the sink must not hear.
+			e.n.SetLinkUp(s.h, false)
+			if err := s.SendMeta(p, 10, "doomed"); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			p.Sleep(2 * time.Minute)
+			if s.registered || !s.closed {
+				t.Fatal("the exhausted send did not reset the conn")
+			}
+		})
+		if log.ends != 1 {
+			t.Errorf("sink heard %d ends, want one", log.ends)
+		}
+	})
+	t.Run("backlog-rst", func(t *testing.T) {
+		e := newEnv()
+		a, b := e.twoHosts(t)
+		var log sinkLog
+		e.run(t, func(p *sim.Proc) {
+			l, _ := b.Listen(p, 80)
+			c, err := a.Dial(p, ip.Endpoint{Addr: addrB, Port: 80})
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			c.SetSink(log.sink)
+			l.Close() // the acceptor's side is still in the backlog
+			p.Sleep(time.Second)
+			if c.registered || !c.closed {
+				t.Error("the RST did not tear the dialer's conn down")
+			}
+			c.Close(p)
+		})
+		if len(log.got) != 0 || log.ends != 1 {
+			t.Errorf("sink heard %v and %d end(s); want nothing and one", log.got, log.ends)
+		}
+	})
 }
 
 func TestDialRefusedNoListener(t *testing.T) {
@@ -375,7 +496,7 @@ func TestSparseMessage(t *testing.T) {
 	e := newEnv()
 	a, b := e.twoHosts(t)
 	type req struct{ Piece int }
-	var got Packet
+	var got any
 	var dialed, charged uint64 // bytes delivered when the dial returned, and by the read
 	e.run(t, func(p *sim.Proc) {
 		p.Go("server", func(p *sim.Proc) {
@@ -396,8 +517,8 @@ func TestSparseMessage(t *testing.T) {
 	if charged != 16384+HeaderBytes {
 		t.Fatalf("the message was charged %d B, want 16384 + %d", charged, HeaderBytes)
 	}
-	if r, ok := got.Meta.(req); !ok || r.Piece != 7 {
-		t.Fatalf("Meta = %#v", got.Meta)
+	if r, ok := got.(req); !ok || r.Piece != 7 {
+		t.Fatalf("Meta = %#v", got)
 	}
 }
 
@@ -414,11 +535,11 @@ func TestMessagesArriveInOrder(t *testing.T) {
 				return
 			}
 			for {
-				pk, err := c.Recv(p)
+				meta, err := c.Recv(p)
 				if err != nil {
 					return
 				}
-				got = append(got, pk.Meta.(int))
+				got = append(got, meta.(int))
 			}
 		})
 		p.Yield()
@@ -535,11 +656,11 @@ func TestReliableConnSurvivesLoss(t *testing.T) {
 				return
 			}
 			for {
-				pk, err := c.Recv(p)
+				meta, err := c.Recv(p)
 				if err != nil {
 					return
 				}
-				got = append(got, pk.Meta.(int))
+				got = append(got, meta.(int))
 			}
 		})
 		p.Yield()
@@ -684,7 +805,7 @@ func TestBindInterceptionSyscallCounts(t *testing.T) {
 	// unconstrained, so the dialer's clock advances by the calls' costs
 	// alone.
 	var want time.Duration
-	for _, s := range []Syscall{SyscallSocket, SyscallGetenv, SyscallBind, SyscallConnect, SyscallClose} {
+	for _, s := range []sysno{sysSocket, sysGetenv, sysBind, sysConnect, sysClose} {
 		want += syscallCost[s]
 	}
 	if got != want {
