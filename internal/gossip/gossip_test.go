@@ -216,7 +216,7 @@ func TestStoppedNodeStopsGossiping(t *testing.T) {
 }
 
 // TestWirePayloadsSortedByID is the regression test for the map-order
-// bug p2pvet's maporder analyzer flagged: the push batch, the
+// bug the maporder analyzer flagged: the push batch, the
 // anti-entropy digest and the digest reply were all built by ranging
 // over a map, so the wire payload order — and with it the peer's learn
 // order — changed from run to run. Payloads must come out in ID order

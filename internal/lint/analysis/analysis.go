@@ -1,7 +1,7 @@
 // Package analysis is a minimal, dependency-free analogue of the
 // golang.org/x/tools/go/analysis framework, carrying exactly what the
-// p2pvet analyzers need: a named Analyzer with a Run function, a Pass
-// giving it one typechecked package, and a flat string-valued fact
+// internal/lint analyzers need: a named Analyzer with a Run function, a
+// Pass giving it one typechecked package, and a flat string-valued fact
 // store for cross-package propagation.
 //
 // It exists because this repository builds offline against the
@@ -20,15 +20,7 @@ import (
 // suppression comments (//lint:allow <name> <reason>).
 type Analyzer struct {
 	Name string
-	Doc  string
-
-	// UsesFacts marks analyzers whose verdicts depend on facts exported
-	// by dependency packages. Drivers must run fact-using analyzers on
-	// every package in the import graph (the vetx chain), not only on
-	// the packages being reported on.
-	UsesFacts bool
-
-	Run func(*Pass) error
+	Run  func(*Pass) error
 }
 
 // Diagnostic is one finding, positioned inside Pass.Fset.
@@ -40,7 +32,7 @@ type Diagnostic struct {
 // Pass gives an analyzer one typechecked package.
 //
 // Files holds only the files the analyzer should report on: drivers
-// exclude _test.go files, since the invariants p2pvet enforces bind
+// exclude _test.go files, since the invariants the suite enforces bind
 // emulation code, not host-side test harnesses.
 type Pass struct {
 	Fset      *token.FileSet

@@ -22,12 +22,12 @@ var randConstructors = map[string]bool{
 	"NewChaCha8": true,
 }
 
-// DetRand forbids the global math/rand state in kernel-driven packages.
+// DetRand forbids the global math/rand state in kernel-driven packages:
+// an RNG is a seeded *rand.Rand threaded from config.
 var DetRand = &analysis.Analyzer{
 	Name: "detrand",
-	Doc:  "forbid global math/rand draws; RNGs must be seeded *rand.Rand threaded from config",
 	Run: func(pass *analysis.Pass) error {
-		if !KernelPackage(NormalizeImportPath(pass.Pkg.Path())) {
+		if !KernelPackage(pass.Pkg.Path()) {
 			return nil
 		}
 		for _, f := range pass.Files {

@@ -17,14 +17,13 @@ import (
 // the virtual one.
 //
 // There is no exception: no kernel-driven package carries a
-// //lint:allow kernelgo, and CI fails if one appears. The sim kernel
-// itself switches between Run and its tasks with iter.Pull and holds no
-// go statement, channel or lock.
+// //lint:allow kernelgo, and TestNoKernelGoException fails if one
+// appears. The sim kernel itself switches between Run and its tasks
+// with iter.Pull and holds no go statement, channel or lock.
 var KernelGo = &analysis.Analyzer{
 	Name: "kernelgo",
-	Doc:  "forbid native go/chan/select/sync in kernel-context code; sim.Kernel primitives are the only legal concurrency",
 	Run: func(pass *analysis.Pass) error {
-		if !KernelPackage(NormalizeImportPath(pass.Pkg.Path())) {
+		if !KernelPackage(pass.Pkg.Path()) {
 			return nil
 		}
 		for _, f := range pass.Files {

@@ -3,9 +3,9 @@
 // testdata/src tree (import path = directory path, so fixtures can
 // impersonate kernel-driven module packages and even the standard
 // library), typechecks them from source, runs one analyzer through
-// lint.Check — the p2pvet driver's own runner and //lint:allow filter —
-// and matches the resulting diagnostics against // want "regexp"
-// comments.
+// lint.Check — the runner and //lint:allow filter the module's own run
+// (TestModuleVetsClean) uses — and matches the resulting diagnostics
+// against // want "regexp" comments.
 package linttest
 
 import (
@@ -27,9 +27,9 @@ import (
 
 // Run loads srcRoot/<pkgPath> (and, recursively, every fixture package
 // it imports), runs a on all of them in dependency order — so facts
-// flow across fixture package boundaries exactly as vetx files flow
-// under go vet — and checks every loaded fixture's diagnostics against
-// its // want comments.
+// flow across fixture package boundaries exactly as they flow across
+// the module's packages — and checks every loaded fixture's
+// diagnostics against its // want comments.
 //
 //lint:allow unused test support: the lint package's tests run every analyzer fixture through it
 func Run(t *testing.T, srcRoot, pkgPath string, a *analysis.Analyzer) {

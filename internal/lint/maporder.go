@@ -31,9 +31,8 @@ import (
 // justified //lint:allow maporder <reason>.
 var MapOrder = &analysis.Analyzer{
 	Name: "maporder",
-	Doc:  "flag order-sensitive iteration over Go maps in kernel-driven packages",
 	Run: func(pass *analysis.Pass) error {
-		if !KernelPackage(NormalizeImportPath(pass.Pkg.Path())) {
+		if !KernelPackage(pass.Pkg.Path()) {
 			return nil
 		}
 		for _, f := range pass.Files {

@@ -1,7 +1,7 @@
-// Package lint implements p2pvet, the project's static-analysis suite.
-// Five analyzers enforce at vet time the invariants the emulator
-// otherwise only proves after the fact with golden-trace digests and
-// -race runs (DESIGN decisions 11 and 13):
+// Package lint is the project's static-analysis suite. Five analyzers
+// enforce at test time the invariants the emulator otherwise only
+// proves after the fact with golden-trace digests and -race runs
+// (DESIGN decisions 11 and 13):
 //
 //   - walltime: no wall-clock reads in kernel-driven packages
 //   - detrand:  no global math/rand state; RNGs are seeded and threaded
@@ -10,8 +10,8 @@
 //   - tokenheld: the execution-token contract is respected
 //
 // The analyzers are framework-agnostic checks over a typechecked
-// package (see internal/lint/analysis); cmd/p2pvet drives them under
-// the `go vet -vettool` protocol.
+// package (see internal/lint/analysis); TestModuleVetsClean runs them
+// over every package of the module through Check.
 package lint
 
 import (
@@ -64,23 +64,9 @@ func KernelPackage(importPath string) bool {
 	return kernelDriven[rest]
 }
 
-// InModule reports whether importPath belongs to this repository.
-// Build-system import paths for test variants carry a " [pkg.test]"
-// suffix; callers normalize with NormalizeImportPath first.
-func InModule(importPath string) bool {
-	return importPath == ModulePath || strings.HasPrefix(importPath, ModulePath+"/")
-}
-
-// NormalizeImportPath strips the build system's test-variant suffix
-// ("repro/internal/sim [repro/internal/sim.test]" → "repro/internal/sim").
-func NormalizeImportPath(importPath string) string {
-	if i := strings.Index(importPath, " ["); i >= 0 {
-		return importPath[:i]
-	}
-	return importPath
-}
-
-// Analyzers returns the full p2pvet suite in reporting order.
+// Analyzers returns the full suite in reporting order.
+//
+//lint:allow unused the suite runs in the lint package's tests: TestModuleVetsClean runs it over the module
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		WallTime,

@@ -153,8 +153,8 @@ func (s *suppressions) allowed(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// Check runs analyzers over one typechecked package, as p2pvet runs
-// them on a compilation unit. Each analyzer reads its dependencies'
+// Check runs analyzers over one typechecked package, as
+// TestModuleVetsClean runs them on each package of the module. Each analyzer reads its dependencies'
 // facts from imported and publishes its own into exported (the two may
 // be one set). It returns the malformed //lint:allow comments, then
 // every finding no allow comment covers; a finding's analyzer is the

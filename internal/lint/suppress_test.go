@@ -137,14 +137,10 @@ func TestKernelPackage(t *testing.T) {
 		"repro/internal/exp":   false,
 		"repro/cmd/p2plab":     false,
 		"fmt":                  false,
-		"repro/internal/sim [repro/internal/sim.test]": false, // callers normalize first
 	}
 	for path, want := range cases {
 		if got := KernelPackage(path); got != want {
 			t.Errorf("KernelPackage(%q) = %v, want %v", path, got, want)
 		}
-	}
-	if KernelPackage(NormalizeImportPath("repro/internal/sim [repro/internal/sim.test]")) != true {
-		t.Error("normalized test-variant path not recognized as kernel-driven")
 	}
 }

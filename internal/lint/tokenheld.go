@@ -13,7 +13,7 @@ import (
 // touch no mutex and are serialized purely by the execution token, so
 // they may only be reached from code that demonstrably holds it.
 // Before this analyzer the contract was "proved" by -race sampling;
-// now it is a vet error.
+// now it is a test failure.
 //
 // # Annotation grammar (DESIGN decision 13)
 //
@@ -46,13 +46,11 @@ import (
 //
 // Annotations propagate across packages as analysis facts keyed by
 // types.Func.FullName, so vnet/bt/flow/serve callers of sim's
-// annotated family are checked under `go vet` even though each
-// package is analyzed separately.
+// annotated family are checked even though each package is analyzed
+// separately.
 var TokenHeld = &analysis.Analyzer{
-	Name:      "tokenheld",
-	Doc:       "enforce the execution-token contract: //p2p:token functions reachable only from token-holding contexts",
-	UsesFacts: true,
-	Run:       runTokenHeld,
+	Name: "tokenheld",
+	Run:  runTokenHeld,
 }
 
 // marker bits.
@@ -223,7 +221,7 @@ func isProcPtr(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "Proc" && obj.Pkg() != nil &&
-		NormalizeImportPath(obj.Pkg().Path()) == simPath
+		obj.Pkg().Path() == simPath
 }
 
 // declCtx decides whether a declared function's body is a token

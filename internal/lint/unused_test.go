@@ -1,17 +1,11 @@
 package lint_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -27,7 +21,7 @@ import (
 // any struct field that non-test code only ever stores to (DESIGN
 // decision 13). bench/ counts as a caller but is not itself checked.
 func TestEveryDeclarationHasACaller(t *testing.T) {
-	for _, d := range findUnused(t, "../..", "bench") {
+	for _, d := range findUnused(t, repoModule(t), "bench") {
 		t.Error(d)
 	}
 }
@@ -40,13 +34,17 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 // and an allow without a reason.
 func TestUnusedFixtures(t *testing.T) {
 	got := make(map[string][]string) // "file:line" → messages
-	for _, d := range findUnused(t, "testdata/unused", "skipped") {
+	m, err := loadModule("testdata/unused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range findUnused(t, m, "skipped") {
 		pos, msg, _ := strings.Cut(d, ": ")
 		got[pos] = append(got[pos], msg)
 	}
 	want := make(map[string][]*regexp.Regexp)
 	wantRe := regexp.MustCompile(`want "((?:[^"\\]|\\.)*)"`)
-	err := filepath.Walk("testdata/unused", func(path string, fi os.FileInfo, err error) error {
+	err = filepath.Walk("testdata/unused", func(path string, fi os.FileInfo, err error) error {
 		if err != nil || !strings.HasSuffix(path, ".go") {
 			return err
 		}
@@ -85,133 +83,37 @@ func TestUnusedFixtures(t *testing.T) {
 	}
 }
 
-// listedPkg is the part of `go list -json` output the check reads.
-type listedPkg struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	Module     *struct{ Main bool }
-}
-
-type checkedPkg struct {
-	path  string
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
-	// callerOnly marks a package whose uses count but whose own
-	// declarations are not checked.
-	callerOnly bool
-}
-
-// findUnused loads the module rooted at dir and returns its findings as
-// "file:line: message", file relative to dir, sorted. Packages under
-// dir/callerOnly count as callers only.
-func findUnused(t *testing.T, dir, callerOnly string) []string {
+// findUnused returns the findings on module m as "file:line: message",
+// file relative to the module root, in load order. Packages under
+// callerOnly count as callers only: their uses count, their
+// declarations are not checked.
+func findUnused(t *testing.T, m *module, callerOnly string) []string {
 	t.Helper()
-	cmd := exec.Command("go", "list", "-deps", "-export", "-json", "./...")
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=", "GOTOOLCHAIN=local")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
-	}
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fset := token.NewFileSet()
-	exports := make(map[string]string)
-	var mod []listedPkg
-	for d := json.NewDecoder(bytes.NewReader(out)); ; {
-		var p listedPkg
-		if err := d.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if p.Module != nil && p.Module.Main {
-			mod = append(mod, p)
-		} else {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-
-	// go list -deps prints dependencies first, so each module package
-	// finds its module imports already checked.
-	byPath := make(map[string]*checkedPkg)
-	var pkgs []*checkedPkg
-	for _, lp := range mod {
-		cp := &checkedPkg{path: lp.ImportPath}
-		rel, _ := filepath.Rel(absDir, lp.Dir)
-		rel = filepath.ToSlash(rel)
-		cp.callerOnly = rel == callerOnly || strings.HasPrefix(rel, callerOnly+"/")
-		for _, name := range lp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp.files = append(cp.files, f)
-		}
-		cp.info = &types.Info{
-			Types:     make(map[ast.Expr]types.TypeAndValue),
-			Defs:      make(map[*ast.Ident]types.Object),
-			Uses:      make(map[*ast.Ident]types.Object),
-			Instances: make(map[*ast.Ident]types.Instance),
-		}
-		conf := &types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
-			if p := byPath[path]; p != nil {
-				return p.pkg, nil
-			}
-			return gc.Import(path)
-		})}
-		cp.pkg, err = conf.Check(lp.ImportPath, fset, cp.files, cp.info)
-		if err != nil {
-			t.Fatalf("typecheck %s: %v", lp.ImportPath, err)
-		}
-		byPath[cp.path] = cp
-		pkgs = append(pkgs, cp)
-	}
-
 	u := &unusedCheck{
-		decls:  make(map[types.Object]*ast.Ident),
-		extent: make(map[types.Object][]ast.Node),
-		uses:   make(map[types.Object]bool),
-		reads:  make(map[types.Object]bool),
-		stores: make(map[*ast.Ident]bool),
-		live:   make(map[types.Object]bool),
-		label:  make(map[types.Object]string),
+		callerOnly: callerOnly,
+		decls:      make(map[types.Object]*ast.Ident),
+		extent:     make(map[types.Object][]ast.Node),
+		uses:       make(map[types.Object]bool),
+		reads:      make(map[types.Object]bool),
+		stores:     make(map[*ast.Ident]bool),
+		live:       make(map[types.Object]bool),
+		label:      make(map[types.Object]string),
 	}
-	for _, p := range pkgs {
+	for _, p := range m.pkgs {
 		u.collect(p)
 	}
-	for _, p := range pkgs {
+	for _, p := range m.pkgs {
 		u.use(p)
 	}
-	u.implementations(pkgs, byPath)
+	u.implementations(m.pkgs, m.byPath)
 
-	var found []token.Position
-	var msgs []string
-	report := func(pos token.Pos, msg string) {
-		found = append(found, fset.Position(pos))
-		msgs = append(msgs, msg)
-	}
-	for _, p := range pkgs {
-		if p.callerOnly {
+	var found []analysis.Diagnostic
+	for _, p := range m.pkgs {
+		if p.under(callerOnly) {
 			continue
 		}
-		// Findings go through the p2pvet driver's runner, so
-		// //lint:allow unused means what it means to every analyzer.
+		// Findings go through lint.Check, so //lint:allow unused means
+		// what it means to every analyzer.
 		unused := &analysis.Analyzer{Name: "unused", Run: func(pass *analysis.Pass) error {
 			for obj, id := range u.decls {
 				if obj.Pkg() != p.pkg {
@@ -223,38 +125,23 @@ func findUnused(t *testing.T, dir, callerOnly string) []string {
 			}
 			return nil
 		}}
-		diags, err := lint.Check(fset, p.files, p.pkg, p.info, []*analysis.Analyzer{unused}, nil, nil)
+		diags, err := lint.Check(m.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{unused}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range diags {
-			report(d.Pos, d.Message)
-		}
+		found = append(found, diags...)
 	}
-	order := make([]int, len(found))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := found[order[a]], found[order[b]]
-		if pa.Filename != pb.Filename {
-			return pa.Filename < pb.Filename
-		}
-		return pa.Line < pb.Line
-	})
-	findings := make([]string, len(order))
-	for i, j := range order {
-		rel, _ := filepath.Rel(absDir, found[j].Filename)
-		findings[i] = fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), found[j].Line, msgs[j])
+	sort.Slice(found, func(a, b int) bool { return found[a].Pos < found[b].Pos })
+	findings := make([]string, len(found))
+	for i, d := range found {
+		findings[i] = m.where(d.Pos) + ": " + d.Message
 	}
 	return findings
 }
 
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
 type unusedCheck struct {
+	// callerOnly is the directory whose declarations are not checked.
+	callerOnly string
 	// decls maps every checked declaration to its name.
 	decls map[types.Object]*ast.Ident
 	// extent holds the nodes inside which a use of the object is a use
@@ -345,7 +232,7 @@ func (u *unusedCheck) collect(p *checkedPkg) {
 }
 
 func (u *unusedCheck) declare(p *checkedPkg, id *ast.Ident) {
-	if p.callerOnly || id.Name == "_" {
+	if p.under(u.callerOnly) || id.Name == "_" {
 		return
 	}
 	if obj := p.info.Defs[id]; obj != nil {

@@ -24,12 +24,12 @@ var wallClockFuncs = map[string]bool{
 	"NewTicker": true,
 }
 
-// WallTime forbids wall-clock reads in kernel-driven packages.
+// WallTime forbids wall-clock reads in kernel-driven packages, where
+// virtual time is the only clock.
 var WallTime = &analysis.Analyzer{
 	Name: "walltime",
-	Doc:  "forbid time.Now/Sleep/Timer wall-clock use where virtual time is the only clock",
 	Run: func(pass *analysis.Pass) error {
-		if !KernelPackage(NormalizeImportPath(pass.Pkg.Path())) {
+		if !KernelPackage(pass.Pkg.Path()) {
 			return nil
 		}
 		for _, f := range pass.Files {

@@ -185,7 +185,7 @@ func (k *Kernel) Now() Time { return k.now }
 
 // LoopNow is Now for code that holds the execution token — a running
 // simulated goroutine or an event callback dispatched by the loop —
-// and says so to p2pvet.
+// and says so to the tokenheld analyzer.
 //
 //p2p:token
 func (k *Kernel) LoopNow() Time { return k.now }
@@ -348,7 +348,7 @@ func (k *Kernel) After(d Duration, fn func()) *Event {
 //
 // Schedule may only be called from code holding the execution token (a
 // running simulated goroutine or an event callback) and says so to
-// p2pvet; set-up code that runs before Run uses At.
+// the tokenheld analyzer; set-up code that runs before Run uses At.
 //
 //p2p:token
 //p2p:tokenarg
