@@ -13,7 +13,8 @@ import (
 
 // auditRun runs sp with every client's bookkeeping audited
 // (Client.AuditRequests) every interval of virtual time and at the end
-// of the run. It returns the number of audits, the clients audited and
+// of the run, and then checks the torrent's interned messages
+// (Client.CheckInterned). It returns the number of audits, the clients audited and
 // whether some audit saw a block requested from two peers at once.
 func auditRun(t *testing.T, sp *scenario.Spec, interval time.Duration) (audits, clients int, dup bool) {
 	t.Helper()
@@ -36,6 +37,14 @@ func auditRun(t *testing.T, sp *scenario.Spec, interval time.Duration) (audits, 
 		t.Fatal(err)
 	}
 	audit(res.EndedAt)
+	// Every message but a bitfield is one shared value per torrent: a
+	// handler that wrote through one would have changed it for the rest
+	// of the run.
+	for _, c := range cs {
+		if err := c.CheckInterned(); err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+	}
 	return audits, len(cs), dup
 }
 
@@ -63,6 +72,20 @@ func TestRequestCountsAudit(t *testing.T) {
 		if !dup {
 			t.Errorf("%s: no audit saw an endgame duplicate", name)
 		}
+	}
+}
+
+// TestInternedMessagesStayCanonical runs the corpus swarm that pulls
+// from a web seed through auditRun, so its last check also covers the
+// piece messages a web seed answers with. The swarms of
+// TestRequestCountsAudit take the same check.
+func TestInternedMessagesStayCanonical(t *testing.T) {
+	sp, ok := scenario.ByName("snapshot-cold-cdn-fill")
+	if !ok {
+		t.Fatal("no corpus scenario snapshot-cold-cdn-fill")
+	}
+	if _, clients, _ := auditRun(t, &sp, 10*time.Second); clients == 0 {
+		t.Error("no client audited")
 	}
 }
 

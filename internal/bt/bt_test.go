@@ -289,7 +289,7 @@ func TestBitfieldMessageIsASendTimeCopy(t *testing.T) {
 				t.Errorf("receiver: %v before the sender's Have 1", err)
 				return
 			}
-			m := v.(*vnet.Box[Msg]).Take()
+			m := v.(*Msg)
 			receiver.onMsg(p, view, m)
 			switch {
 			case m.ID == MsgBitfield:
@@ -319,8 +319,8 @@ func setPieces(b *Bitfield) []int {
 }
 
 // blockMsg is the piece message that carries block b of piece i.
-func blockMsg(i, b int) Msg {
-	return Msg{ID: MsgPiece, Index: i, Begin: b * BlockLength, Length: BlockLength}
+func blockMsg(i, b int) *Msg {
+	return &Msg{ID: MsgPiece, Index: i, Begin: b * BlockLength, Length: BlockLength}
 }
 
 // inLeecher runs fn inside a kernel with a fresh leecher for meta.
@@ -342,11 +342,11 @@ func inLeecher(t *testing.T, meta *MetaInfo, fn func(p *sim.Proc, c *Client)) {
 // deliver feeds piece messages straight to the leecher's onBlock from a
 // peer that chokes it, so the pipeline refill after each block sends
 // nothing.
-func onBlocks(t *testing.T, meta *MetaInfo, fn func(c *Client, deliver func(Msg))) {
+func onBlocks(t *testing.T, meta *MetaInfo, fn func(c *Client, deliver func(*Msg))) {
 	t.Helper()
 	pr := newPeer(nil, ip.MustParseAddr("10.9.0.1"), meta.NumPieces())
 	inLeecher(t, meta, func(p *sim.Proc, c *Client) {
-		fn(c, func(m Msg) { c.onBlock(p, pr, m) })
+		fn(c, func(m *Msg) { c.onBlock(p, pr, m) })
 	})
 }
 
@@ -359,7 +359,7 @@ func TestSparseStorage(t *testing.T) {
 	if !NewClient(hosts[0], m, Full(m.NumPieces()), ip.Endpoint{}, DefaultClientConfig()).Done() {
 		t.Fatal("a client holding every piece should be done")
 	}
-	onBlocks(t, m, func(c *Client, deliver func(Msg)) {
+	onBlocks(t, m, func(c *Client, deliver func(*Msg)) {
 		for b := 0; b < m.BlocksIn(0); b++ {
 			if c.have.Has(0) {
 				t.Errorf("piece complete after %d of %d blocks", b, m.BlocksIn(0))
@@ -383,7 +383,7 @@ func TestSparseStorage(t *testing.T) {
 // arrives (endgame duplicates), does not complete a 16-block piece.
 func TestSparseStoragePartialPieceFails(t *testing.T) {
 	m, _ := SyntheticTorrent("s", 512*1024, 0)
-	onBlocks(t, m, func(c *Client, deliver func(Msg)) {
+	onBlocks(t, m, func(c *Client, deliver func(*Msg)) {
 		for i := 0; i < m.BlocksIn(0); i++ {
 			deliver(blockMsg(0, 0))
 		}
@@ -461,7 +461,7 @@ func request(c *Client, pr *peer, pi, b int) {
 // no open piece left.
 func TestNextBlockPartialFirst(t *testing.T) {
 	m, _ := SyntheticTorrent("t", 4*4*BlockLength, 4*BlockLength) // 4 pieces of 4 blocks
-	onBlocks(t, m, func(c *Client, deliver func(Msg)) {
+	onBlocks(t, m, func(c *Client, deliver func(*Msg)) {
 		for b := 0; b < 4; b++ {
 			deliver(blockMsg(3, b)) // held: past random-first
 		}

@@ -101,7 +101,7 @@ const (
 type event struct {
 	kind  eventKind
 	peer  *peer
-	msg   Msg
+	msg   *Msg // one of the torrent's interned messages, or a bitfield
 	peers []ip.Endpoint
 	ivl   time.Duration // tracker announce interval (evPeers)
 }
@@ -144,8 +144,6 @@ type Client struct {
 	tracker ip.Endpoint
 
 	events *sim.Chan[event]
-	// boxes pools send boxes (see peer.send).
-	boxes  vnet.BoxPool[Msg]
 	peers  []*peer
 	byAddr map[ip.Addr]*peer
 	picker *Picker
@@ -440,14 +438,13 @@ func (c *Client) post(kind eventKind, pr *peer) {
 //p2p:token
 func (c *Client) attach(conn *vnet.Conn) *peer {
 	pr := newPeer(conn, conn.RemoteAddr().Addr, c.meta.NumPieces())
-	pr.cl = c
 	conn.SetSink(func(meta any, closed bool) {
 		if closed {
 			c.events.TrySend(event{kind: evPeerClosed, peer: pr})
 			return
 		}
-		if b, ok := meta.(*vnet.Box[Msg]); ok {
-			c.events.TrySend(event{kind: evMsg, peer: pr, msg: b.Take()})
+		if m, ok := meta.(*Msg); ok {
+			c.events.TrySend(event{kind: evMsg, peer: pr, msg: m})
 		}
 	})
 	return pr
@@ -573,7 +570,7 @@ func (c *Client) onJoin(p *sim.Proc, pr *peer) {
 		c.om.ttfp.Observe(p.Now().Sub(c.started).Seconds())
 	}
 	if c.have.Count() > 0 {
-		pr.send(p, Msg{ID: MsgBitfield, Bits: c.have.Clone()})
+		pr.send(p, &Msg{ID: MsgBitfield, Bits: c.have.Clone()})
 	}
 }
 
@@ -581,7 +578,6 @@ func (c *Client) onJoin(p *sim.Proc, pr *peer) {
 // index, recording its slice position for O(1) departure.
 func (c *Client) registerPeer(pr *peer) {
 	pr.idx = len(c.peers)
-	pr.cl = c
 	c.peers = append(c.peers, pr)
 	c.byAddr[pr.addr] = pr
 }
@@ -632,7 +628,9 @@ func (c *Client) releaseRequest(pi, b int) {
 	}
 }
 
-func (c *Client) onMsg(p *sim.Proc, pr *peer, m Msg) {
+// onMsg handles one message from pr. m is shared (see Msg): no handler
+// writes through it.
+func (c *Client) onMsg(p *sim.Proc, pr *peer, m *Msg) {
 	switch m.ID {
 	case MsgBitfield:
 		c.picker.RemoveBitfield(pr.bits)
@@ -689,19 +687,21 @@ func (c *Client) updateInterest(p *sim.Proc, pr *peer) {
 		if want {
 			id = MsgInterested
 		}
-		pr.send(p, Msg{ID: id})
+		pr.send(p, c.meta.flag(id))
 	}
 }
 
-// onRequest serves an upload request if the peer is unchoked.
-func (c *Client) onRequest(p *sim.Proc, pr *peer, m Msg) {
+// onRequest serves an upload request if the peer is unchoked and the
+// request names a block (MetaInfo.blockOf) of a piece the client has.
+func (c *Client) onRequest(p *sim.Proc, pr *peer, m *Msg) {
 	if pr.amChoking {
 		return // stale request racing our choke
 	}
-	if m.Length <= 0 || m.Length > 128*1024 || !c.have.Has(m.Index) {
+	b, ok := c.meta.blockOf(m.Index, m.Begin, m.Length)
+	if !ok || !c.have.Has(m.Index) {
 		return
 	}
-	out := Msg{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Length: m.Length}
+	out := c.meta.block(MsgPiece, m.Index, b)
 	n := int64(m.Length)
 	if c.upLim != nil {
 		// Pace uploads through the token bucket. FIFO: once anything
@@ -726,7 +726,7 @@ func (c *Client) onRequest(p *sim.Proc, pr *peer, m Msg) {
 // pendingUpload is one rate-limited piece message awaiting tokens.
 type pendingUpload struct {
 	pr *peer
-	m  Msg
+	m  *Msg
 	n  int64
 }
 
@@ -777,18 +777,19 @@ func (c *Client) onFillWake(p *sim.Proc) {
 }
 
 // onBlock ingests a downloaded block. A piece message that names no
-// block of the torrent (an index out of range, an offset that is not a
-// block boundary or lies past the piece's end) is dropped before it
-// touches any state: it would otherwise leave a phantom partial piece
-// behind, or index past the picker's tables. A piece completes when
-// its last block arrives; no bytes are modelled, so there is nothing
-// else to check.
-func (c *Client) onBlock(p *sim.Proc, pr *peer, m Msg) {
-	if m.Index < 0 || m.Index >= c.meta.NumPieces() || m.Begin < 0 ||
-		m.Begin%BlockLength != 0 || m.Begin/BlockLength >= c.meta.BlocksIn(m.Index) {
+// block of the torrent (MetaInfo.blockOf: an index out of range, an
+// offset that is not a block boundary or lies past the piece's end, a
+// length that is not the block's) is dropped before it touches any
+// state: it would otherwise leave a phantom partial piece behind, or
+// index past the picker's tables. A piece completes when its last
+// block arrives; no bytes are modelled, so there is nothing else to
+// check.
+func (c *Client) onBlock(p *sim.Proc, pr *peer, m *Msg) {
+	b, ok := c.meta.blockOf(m.Index, m.Begin, m.Length)
+	if !ok {
 		return
 	}
-	pi, b := m.Index, m.Begin/BlockLength
+	pi := m.Index
 	if pr.inflightDel(pi, b) {
 		c.releaseRequest(pi, b)
 	}
@@ -856,7 +857,7 @@ func (c *Client) onPieceDone(p *sim.Proc, piece int) {
 			pr.useful--
 		}
 		if !pr.webseed {
-			pr.send(p, Msg{ID: MsgHave, Index: piece})
+			pr.send(p, c.meta.have(piece))
 		}
 		// Cancel endgame duplicates for this piece, in block order: the
 		// cancels are wire messages, so their send order must not
@@ -871,7 +872,7 @@ func (c *Client) onPieceDone(p *sim.Proc, piece int) {
 		slices.Sort(dups)
 		c.blockScratch = dups[:0]
 		for _, b := range dups {
-			pr.send(p, Msg{ID: MsgCancel, Index: piece, Begin: b * BlockLength, Length: c.meta.BlockSize(piece, b)})
+			pr.send(p, c.meta.block(MsgCancel, piece, b))
 			pr.inflightDel(piece, b)
 		}
 	}
@@ -1072,11 +1073,11 @@ func (c *Client) rechoke(p *sim.Proc) {
 		if want && pr.amChoking {
 			pr.amChoking = false
 			c.om.unchokes.Inc()
-			pr.send(p, Msg{ID: MsgUnchoke})
+			pr.send(p, c.meta.flag(MsgUnchoke))
 		} else if !want && !pr.amChoking {
 			pr.amChoking = true
 			c.om.chokes.Inc()
-			pr.send(p, Msg{ID: MsgChoke})
+			pr.send(p, c.meta.flag(MsgChoke))
 		}
 	}
 }
@@ -1107,7 +1108,7 @@ func (c *Client) fillRequests(p *sim.Proc, pr *peer) {
 		}
 		pr.inflight = append(pr.inflight, inflightEntry{piece: int32(pi), block: int32(b), at: now})
 		c.partials[pi].req[b]++
-		if pr.send(p, Msg{ID: MsgRequest, Index: pi, Begin: b * BlockLength, Length: length}) != nil {
+		if pr.send(p, c.meta.block(MsgRequest, pi, b)) != nil {
 			return
 		}
 	}

@@ -136,3 +136,36 @@ func (c *Client) MaxRequests() int {
 	}
 	return m
 }
+
+// CheckInterned reports the first of the client's torrent's interned
+// messages (see Msg) that differs from its canonical value, rebuilt
+// here from the torrent's shape: a handler that wrote through a
+// received *Msg changed it for every later send of the run.
+func (c *Client) CheckInterned() error {
+	m := c.meta
+	for id := range m.flags {
+		if want := (Msg{ID: MsgID(id)}); m.flags[id] != want {
+			return fmt.Errorf("flag message %d is %#v, want %#v", id, m.flags[id], want)
+		}
+	}
+	for i, ms := range m.msgs {
+		if ms == nil {
+			continue
+		}
+		want := []Msg{{ID: MsgHave, Index: i}}
+		for b := 0; b < m.BlocksIn(i); b++ {
+			for _, id := range []MsgID{MsgRequest, MsgPiece, MsgCancel} {
+				want = append(want, Msg{ID: id, Index: i, Begin: b * BlockLength, Length: m.BlockSize(i, b)})
+			}
+		}
+		if len(ms) != len(want) {
+			return fmt.Errorf("piece %d holds %d messages, want %d", i, len(ms), len(want))
+		}
+		for j := range ms {
+			if ms[j] != want[j] {
+				return fmt.Errorf("piece %d message %d is %#v, want %#v", i, j, ms[j], want[j])
+			}
+		}
+	}
+	return nil
+}

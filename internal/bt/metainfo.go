@@ -16,12 +16,24 @@ const (
 // MetaInfo is what a run needs of a .torrent file: the file's name,
 // length and piece length. No run models bytes (DESIGN decision 4), so
 // there are no per-piece hashes.
+//
+// A MetaInfo also holds the torrent's interned wire messages (see
+// MetaInfo.block). The table fills as pieces are first named, with no
+// lock: one kernel owns a MetaInfo, and runs on other kernels build
+// their own with SyntheticTorrent.
 type MetaInfo struct {
 	Name        string
 	Length      int64
 	PieceLength int
 	pieces      int
 	infoHash    [20]byte
+
+	// flags holds the choke, unchoke, interested and not-interested
+	// messages, indexed by ID.
+	flags [MsgNotInterested + 1]Msg
+	// msgs[i] holds piece i's Have, then the request, piece and cancel
+	// of each of its blocks; nil until a message first names piece i.
+	msgs [][]Msg
 }
 
 // NumPieces returns the piece count.
@@ -68,6 +80,9 @@ func SyntheticTorrent(name string, length int64, pieceLength int) (*MetaInfo, er
 	}
 	m := &MetaInfo{Name: name, Length: length, PieceLength: pieceLength,
 		pieces: int((length + int64(pieceLength) - 1) / int64(pieceLength))}
+	for id := range m.flags {
+		m.flags[id].ID = MsgID(id)
+	}
 	// The name goes last, after two colon-ended integers, so the
 	// encoding is injective.
 	m.infoHash = sha1.Sum(fmt.Appendf(nil, "%d:%d:%s", m.Length, m.PieceLength, m.Name))

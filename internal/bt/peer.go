@@ -34,9 +34,6 @@ type peer struct {
 	// idx is this peer's position in Client.peers (-1 until registered),
 	// so departure does not scan the peer slice.
 	idx int
-	// cl is the owning client, set at admission: send draws message
-	// boxes from its pool.
-	cl *Client
 	// useful counts pieces the peer has that we still need — the
 	// interest predicate maintained incrementally on bitfield/have
 	// arrival and local piece completion, replacing an O(pieces) rescan
@@ -100,12 +97,11 @@ func (pr *peer) inflightDel(pi, b int) bool {
 }
 
 // send transmits a wire message as a vnet value of spec-accurate size;
-// a piece message is charged its block's length. Every bt message,
-// a web seed's replies too, travels in a box from its sender's pool
-// (vnet.Box): passing Msg by value through the `any` metadata boxed
-// ~100 B per send, the dominant allocation at swarm scale.
-func (pr *peer) send(p *sim.Proc, m Msg) error {
-	return pr.conn.SendMeta(p, m.WireSize(), pr.cl.boxes.Get(m))
+// a piece message is charged its block's length. m is the torrent's
+// interned value (see Msg), or a fresh bitfield message: a pointer
+// rides in the `any` metadata as is, so a send allocates nothing.
+func (pr *peer) send(p *sim.Proc, m *Msg) error {
+	return pr.conn.SendMeta(p, m.WireSize(), m)
 }
 
 // sendHandshake transmits the 68-byte handshake. It and

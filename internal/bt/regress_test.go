@@ -143,7 +143,7 @@ func TestSparseStorageManyBlocks(t *testing.T) {
 	if n != 128 {
 		t.Fatalf("BlocksIn = %d, want 128", n)
 	}
-	onBlocks(t, meta, func(c *Client, deliver func(Msg)) {
+	onBlocks(t, meta, func(c *Client, deliver func(*Msg)) {
 		for b := 0; b < n; b++ {
 			if b != 100 {
 				deliver(blockMsg(0, b))

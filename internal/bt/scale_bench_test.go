@@ -69,11 +69,11 @@ func hotHave(tb testing.TB) func() {
 	// nil conn: the steady state below never flips interest, so the
 	// client never sends on this peer.
 	pr.amInterested = true
-	c.onMsg(nil, pr, Msg{ID: MsgBitfield, Bits: Full(hotPieces)})
+	c.onMsg(nil, pr, &Msg{ID: MsgBitfield, Bits: Full(hotPieces)})
 	if !pr.amInterested {
 		tb.Fatal("peer should be interesting (last piece missing)")
 	}
-	msg := Msg{ID: MsgHave, Index: hotPieces / 2} // already set: pure recompute path
+	msg := meta.have(hotPieces / 2) // already set: pure recompute path
 	return func() {
 		c.onMsg(nil, pr, msg)
 		if !pr.amInterested {

@@ -174,11 +174,12 @@ func TestWebSeedColdFill(t *testing.T) {
 	}
 }
 
-// TestSparseWriteBlockRejectsMisaligned feeds onBlock three piece
+// TestSparseWriteBlockRejectsMisaligned feeds onBlock four piece
 // messages that name no block of the torrent: an index past the last
 // piece (which indexed past the picker's tables and panicked), an
 // offset off a block boundary and an offset past the piece's end (each
-// of which left a phantom partial piece behind). None may touch the
+// of which left a phantom partial piece behind), and a length that is
+// not the block's. None may touch the
 // partial pieces, the picker or the request refcounts; an aligned block
 // still goes in.
 func TestSparseWriteBlockRejectsMisaligned(t *testing.T) {
@@ -195,7 +196,7 @@ func TestSparseWriteBlockRejectsMisaligned(t *testing.T) {
 		fmt.Fprint(&b, pk.state, pk.avail, pk.buckets)
 		return b.String()
 	}
-	onBlocks(t, meta, func(c *Client, deliver func(Msg)) {
+	onBlocks(t, meta, func(c *Client, deliver func(*Msg)) {
 		deliver(blockMsg(1, 0)) // a partial piece and a refcount for the checks to keep
 		c.partials[1].req[1] = 1
 		before := state(c)
@@ -203,8 +204,9 @@ func TestSparseWriteBlockRejectsMisaligned(t *testing.T) {
 			{ID: MsgPiece, Index: meta.NumPieces(), Begin: 0, Length: BlockLength},
 			{ID: MsgPiece, Index: 0, Begin: BlockLength / 2, Length: BlockLength},
 			{ID: MsgPiece, Index: 0, Begin: meta.BlocksIn(0) * BlockLength, Length: BlockLength},
+			{ID: MsgPiece, Index: 0, Begin: BlockLength, Length: BlockLength - 1},
 		} {
-			deliver(m)
+			deliver(&m)
 			if got := state(c); got != before {
 				t.Errorf("%v changed client state:\n got %s\nwant %s", m, got, before)
 			}
@@ -235,7 +237,7 @@ func TestOutOfRangeHaveIgnored(t *testing.T) {
 		pr.useful, pr.amInterested = 1, true
 		before := fmt.Sprint(c.picker.avail, c.picker.buckets)
 		for _, i := range []int{n, n, n + 7, -1} {
-			c.onMsg(p, pr, Msg{ID: MsgHave, Index: i})
+			c.onMsg(p, pr, &Msg{ID: MsgHave, Index: i})
 		}
 		if pr.useful != 1 || !pr.amInterested || pr.bits.Count() != 1 {
 			t.Errorf("useful %d, interested %v, peer pieces %d; want 1, true, 1", pr.useful, pr.amInterested, pr.bits.Count())

@@ -21,8 +21,7 @@ const WebSeedPort ip.Port = 8080
 type WebSeed struct {
 	host  *vnet.Host
 	meta  *MetaInfo
-	bytes *obs.Counter      // block bytes served, shared by a network's web seeds
-	boxes vnet.BoxPool[Msg] // its replies' boxes (see peer.send)
+	bytes *obs.Counter // block bytes served, shared by a network's web seeds
 }
 
 // NewWebSeed creates a web seed on host serving every piece of the
@@ -48,8 +47,9 @@ func (w *WebSeed) serve(p *sim.Proc) {
 }
 
 // handle serves one client connection: a loop of block requests, each
-// answered immediately (an HTTP range GET per block). Anything that
-// is not a well-formed request for a piece in range — cancels, stray
+// answered immediately (an HTTP range GET per block) with the
+// torrent's interned piece message. Anything that is not a request for
+// a block of the torrent (MetaInfo.blockOf) — cancels, stray
 // peer-protocol messages — is ignored, like a web server ignoring
 // unknown headers.
 func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
@@ -59,17 +59,16 @@ func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
 		if err != nil {
 			return
 		}
-		b, ok := meta.(*vnet.Box[Msg])
+		m, ok := meta.(*Msg)
+		if !ok || m.ID != MsgRequest {
+			continue
+		}
+		b, ok := w.meta.blockOf(m.Index, m.Begin, m.Length)
 		if !ok {
 			continue
 		}
-		m := b.Take()
-		if m.ID != MsgRequest || m.Length <= 0 || m.Length > 128*1024 ||
-			m.Index < 0 || m.Index >= w.meta.NumPieces() {
-			continue
-		}
-		out := Msg{ID: MsgPiece, Index: m.Index, Begin: m.Begin, Length: m.Length}
-		if err := cn.SendMeta(p, out.WireSize(), w.boxes.Get(out)); err != nil {
+		out := w.meta.block(MsgPiece, m.Index, b)
+		if err := cn.SendMeta(p, out.WireSize(), out); err != nil {
 			return
 		}
 		w.bytes.Add(uint64(m.Length))

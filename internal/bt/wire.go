@@ -37,10 +37,17 @@ type Handshake struct {
 	InfoHash [20]byte
 }
 
-// Msg is one peer wire message. Messages travel as vnet values (the
-// struct as metadata, the spec-accurate size on the wire); a piece
+// Msg is one peer wire message. Messages travel as vnet values (a
+// *Msg as metadata, the spec-accurate size on the wire); a piece
 // message carries its block's length, not its bytes, and a bitfield
 // message a copy of the sender's Bitfield, taken when it is sent.
+//
+// BEP 3 fixes every message but a bitfield by (id, index, begin,
+// length), so a torrent has finitely many of them: the four flags, a
+// Have per piece and a request, piece and cancel per block. Its
+// MetaInfo holds each once (flag, have, block), every send passes a
+// pointer to that one value, and no receiver writes through it. Only a
+// bitfield message is made per send.
 type Msg struct {
 	ID     MsgID
 	Index  int       // have, request, piece, cancel
@@ -84,4 +91,55 @@ func (m Msg) String() string {
 	default:
 		return m.ID.String()
 	}
+}
+
+// flag returns the torrent's choke, unchoke, interested or
+// not-interested message.
+func (m *MetaInfo) flag(id MsgID) *Msg { return &m.flags[id] }
+
+// have returns the torrent's Have message for piece i.
+func (m *MetaInfo) have(i int) *Msg { return &m.piece(i)[0] }
+
+// block returns the torrent's request, piece or cancel message (id) for
+// block b of piece i.
+func (m *MetaInfo) block(id MsgID, i, b int) *Msg {
+	return &m.piece(i)[1+3*b+int(id-MsgRequest)]
+}
+
+// piece returns piece i's messages, made when a message first names
+// the piece: a torrent whose pieces are never sent costs no table.
+func (m *MetaInfo) piece(i int) []Msg {
+	if m.msgs == nil {
+		m.msgs = make([][]Msg, m.pieces)
+	}
+	if ms := m.msgs[i]; ms != nil {
+		return ms
+	}
+	n := m.BlocksIn(i)
+	ms := make([]Msg, 1+3*n)
+	ms[0] = Msg{ID: MsgHave, Index: i}
+	for b := 0; b < n; b++ {
+		begin, length := b*BlockLength, m.BlockSize(i, b)
+		ms[1+3*b] = Msg{ID: MsgRequest, Index: i, Begin: begin, Length: length}
+		ms[2+3*b] = Msg{ID: MsgPiece, Index: i, Begin: begin, Length: length}
+		ms[3+3*b] = Msg{ID: MsgCancel, Index: i, Begin: begin, Length: length}
+	}
+	m.msgs[i] = ms
+	return ms
+}
+
+// blockOf reports whether (index, begin, length) names a block of the
+// torrent, and which: index a piece, begin on the block grid inside it,
+// length that block's size. A request, piece or cancel that names
+// anything else is not a BEP 3 message of this torrent; a client and a
+// web seed answer no such request, and a client drops such a piece.
+func (m *MetaInfo) blockOf(index, begin, length int) (int, bool) {
+	if index < 0 || index >= m.pieces || begin < 0 || begin%BlockLength != 0 {
+		return 0, false
+	}
+	b := begin / BlockLength
+	if b >= m.BlocksIn(index) || length != m.BlockSize(index, b) {
+		return 0, false
+	}
+	return b, true
 }

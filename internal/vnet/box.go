@@ -3,8 +3,8 @@ package vnet
 // Box carries a protocol value of type T as a message's meta behind a
 // pooled pointer: SendMeta takes an `any`, and a struct passed by value
 // is boxed afresh on every send, the dominant allocation of a
-// protocol's hot path (bt's wire messages at swarm scale, chord's RPCs
-// in a DHT sweep). The sender draws a box from its own BoxPool; the
+// protocol's hot path (chord's RPCs and gossip's pushes in an overlay
+// sweep). The sender draws a box from its own BoxPool; the
 // receiver takes the value out, which returns the box to that pool.
 // The return crosses endpoints but never kernels, and one kernel
 // serializes all execution, so a pool needs no lock. A box whose

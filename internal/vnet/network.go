@@ -50,9 +50,15 @@ type Route struct {
 type Fabric interface {
 	// Route appends to path, in order, the pipes a src→dst message
 	// traverses between the source host's up-pipe and the destination
-	// host's down-pipe, and returns the extended path and the route.
+	// host's down-pipe, at most MaxFabricPipes of them, and returns the
+	// extended path and the route.
 	Route(src, dst ip.Addr, path []*netem.Pipe) ([]*netem.Pipe, Route)
 }
+
+// MaxFabricPipes bounds the pipes a Fabric puts on one path: a message
+// carries its path inline (see xfer), and a virt.Cluster adds at most
+// four (two NICs, two CPU pipes).
+const MaxFabricPipes = 4
 
 // TopoFabric is the simplest fabric: inter-group latency from a
 // topology, no extra pipes. It models the paper's emulation model
@@ -404,7 +410,7 @@ func (n *Network) PopulateTopology(t *topo.Topology) ([]*Host, error) {
 // msgKind discriminates wire messages. net.send trace lines print the
 // kind as a number, so the golden digests pin every value: 5 stays
 // unused and the echo kinds stay 6 and 7.
-type msgKind int
+type msgKind uint8
 
 const (
 	kindSyn msgKind = iota
@@ -422,12 +428,12 @@ const (
 // and receiving Conn (a SYN has no receiver yet, an RST needs no
 // sender), an echo its pingWaiter as meta.
 type message struct {
-	kind     msgKind
 	src, dst ip.Endpoint
-	size     int // payload bytes, excluding header overhead
-	meta     any // a connection message's protocol value; an echo's *pingWaiter
-	from, to *Conn
+	kind     msgKind
 	seq      uint32 // per-connection data sequence number
+	size     int    // payload bytes, excluding header overhead
+	meta     any    // a connection message's protocol value; an echo's *pingWaiter
+	from, to *Conn
 }
 
 func (m *message) wireSize() int { return m.size + HeaderBytes }
@@ -486,12 +492,13 @@ func (x *xfer) launch() {
 	if n.tracer != nil {
 		n.tracer.NetSend(n.k.Now(), x.m.src.Addr, x.size, x.m.dst, int(x.m.kind))
 	}
-	x.path = append(x.pathBuf[:0], x.src.up)
+	x.pathBuf[0], x.npath = x.src.up, 1
 	x.latency, x.start = 0, n.k.LoopNow()
 	if n.fabric != nil {
 		x.route()
 	}
-	x.path = append(x.path, x.dst.down)
+	x.pathBuf[x.npath] = x.dst.down
+	x.npath++
 	x.attempt()
 }
 
@@ -503,37 +510,54 @@ func (x *xfer) launch() {
 //p2p:token
 //go:noinline
 func (x *xfer) route() {
-	var r Route
-	x.path, r = x.n.fabric.Route(x.m.src.Addr, x.m.dst.Addr, x.path)
+	path, r := x.n.fabric.Route(x.m.src.Addr, x.m.dst.Addr, x.pathBuf[:1])
+	if len(path) > 1+MaxFabricPipes {
+		panic("vnet: a fabric put more than MaxFabricPipes pipes on a path")
+	}
+	x.npath = uint8(copy(x.pathBuf[:], path))
 	x.latency, x.start = r.Latency, x.start.Add(r.Cost)
 }
 
+// xferPhase names what an xfer's kernel callback does when it fires.
+type xferPhase uint8
+
+const (
+	phaseStep    xferPhase = iota // charge the path on from hop (pipe model)
+	phaseDeliver                  // land the message at its destination
+	phaseRetry                    // start the next transmission attempt
+)
+
 // xfer is the pooled state of one message's journey through the network:
-// the path, the current hop, the retransmission count. Its callbacks
-// (step through a constrained pipe, link-model completion, deliver,
-// retry) are method values bound once at pool entry, so vnet's share of
-// the per-message transmit path schedules with zero allocations in
-// steady state under either link model.
+// the path, the current hop, the retransmission count. It holds two
+// callbacks, method values bound once at pool entry: fire, every event
+// it schedules on the kernel (a step through a constrained pipe, the
+// delivery, a retry), dispatched on phase, and done, the flow model's
+// completion. So vnet's share of the per-message transmit path
+// schedules with zero allocations in steady state under either link
+// model. Every message in flight holds one, so its counters are narrow
+// and its path inline: it stays in the 208 B size class (TestXferSize).
 type xfer struct {
 	n        *Network
 	src, dst *Host
 	m        message
 	latency  time.Duration // the route's fixed one-way latency
+	start    sim.Time      // current attempt's start instant
+	t        sim.Time      // arrival instant at pathBuf[hop] (pipe model)
 	size     int           // wire size, header included
-	tries    int
-	start    sim.Time // current attempt's start instant
+
+	// pathBuf[:npath] is the path: up-link, ≤ MaxFabricPipes fabric
+	// pipes, down-link.
+	pathBuf [2 + MaxFabricPipes]*netem.Pipe
+
+	fireFn func()               // bound x.fire
+	doneFn func(sim.Time, bool) // bound x.done
+	next   *xfer                // free list
+
+	npath    uint8
+	hop      uint8 // next pipe to charge (pipe model)
+	tries    uint8 // retransmissions so far, at most MaxRetransmits
+	phase    xferPhase
 	reliable bool
-
-	path    []*netem.Pipe
-	pathBuf [6]*netem.Pipe // inline storage: up-link, ≤ 4 fabric pipes, down-link
-	hop     int            // next pipe to charge (pipe model)
-	t       sim.Time       // arrival instant at path[hop] (pipe model)
-
-	stepFn    func()               // bound x.step
-	doneFn    func(sim.Time, bool) // bound x.done
-	deliverFn func()               // bound x.deliver
-	retryFn   func()               // bound x.retry
-	next      *xfer                // free list
 }
 
 // acquireXfer takes an xfer off the pool or builds one, binding its
@@ -547,11 +571,32 @@ func (n *Network) acquireXfer() *xfer {
 		return x
 	}
 	x = &xfer{n: n}
-	x.stepFn = x.step
+	x.fireFn = x.fire
 	x.doneFn = x.done
-	x.deliverFn = x.deliver
-	x.retryFn = x.retry
 	return x
+}
+
+// schedule arms x's kernel callback to run phase at instant at. An
+// xfer has at most one event pending: each phase schedules the next.
+//
+//p2p:token
+func (x *xfer) schedule(at sim.Time, phase xferPhase) {
+	x.phase = phase
+	x.n.k.Schedule(at, x.fireFn)
+}
+
+// fire is x's kernel callback: it runs the phase schedule armed.
+//
+//p2p:token
+func (x *xfer) fire() {
+	switch x.phase {
+	case phaseStep:
+		x.step()
+	case phaseDeliver:
+		x.deliver()
+	default:
+		x.retry()
+	}
 }
 
 // releaseXfer returns a finished xfer to the pool, dropping message and
@@ -623,7 +668,7 @@ func (x *xfer) denied() bool {
 //go:noinline
 func (x *xfer) transfer() {
 	n := x.n
-	n.flow.Transfer(x.start, x.size, x.path, n.k.Rand(), x.doneFn)
+	n.flow.Transfer(x.start, x.size, x.pathBuf[:x.npath], n.k.Rand(), x.doneFn)
 }
 
 // step is the pipe model's walk: it charges pipes from x.hop onward,
@@ -638,11 +683,11 @@ func (x *xfer) transfer() {
 func (x *xfer) step() {
 	n := x.n
 	for {
-		if x.hop == len(x.path) {
+		if x.hop == x.npath {
 			x.done(x.t, true)
 			return
 		}
-		exit, ok := x.path[x.hop].ScheduleAt(x.t, x.size, n.k.Rand())
+		exit, ok := x.pathBuf[x.hop].ScheduleAt(x.t, x.size, n.k.Rand())
 		if !ok {
 			x.failed()
 			return
@@ -652,7 +697,7 @@ func (x *xfer) step() {
 			continue // unconstrained pipe: next hop inline
 		}
 		x.t = exit
-		n.k.Schedule(exit, x.stepFn)
+		x.schedule(exit, phaseStep)
 		return
 	}
 }
@@ -667,7 +712,7 @@ func (x *xfer) done(exit sim.Time, ok bool) {
 		x.failed()
 		return
 	}
-	x.n.k.Schedule(exit.Add(x.latency), x.deliverFn)
+	x.schedule(exit.Add(x.latency), phaseDeliver)
 }
 
 // deliver lands the message on the destination host and recycles the
@@ -705,7 +750,7 @@ func (x *xfer) failed() {
 	n := x.n
 	if x.reliable && x.tries < MaxRetransmits {
 		n.stats.Retransmits++
-		n.k.Schedule(x.start.Add(rto*(1<<uint(x.tries))), x.retryFn)
+		x.schedule(x.start.Add(rto*(1<<x.tries)), phaseRetry)
 		return
 	}
 	n.stats.MessagesDropped++

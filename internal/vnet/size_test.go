@@ -3,6 +3,7 @@ package vnet
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -24,6 +25,33 @@ func TestConnSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(sim.Chan[any]{}); got != 56 {
 		t.Errorf("sim.Chan[any] is %d bytes, want 56", got)
+	}
+}
+
+// TestXferSize pins the state every message in flight holds, queued
+// in a pipe or waiting on the kernel: an xfer stays in the 208-byte
+// size class, its message at 64 bytes, and it binds exactly two
+// callbacks (fire, dispatched on the phase byte, and the flow model's
+// done), each a 16-byte closure made once per pooled xfer.
+func TestXferSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(xfer{}); got > 208 {
+		t.Errorf("xfer is %d bytes, want at most 208", got)
+	}
+	if got := unsafe.Sizeof(message{}); got != 64 {
+		t.Errorf("message is %d bytes, want 64", got)
+	}
+	var funcs []string
+	xt := reflect.TypeOf(xfer{})
+	for i := 0; i < xt.NumField(); i++ {
+		if f := xt.Field(i); f.Type.Kind() == reflect.Func {
+			funcs = append(funcs, f.Name)
+		}
+	}
+	if len(funcs) != 2 {
+		t.Errorf("xfer binds callbacks %v, want two (fireFn, doneFn)", funcs)
 	}
 }
 

@@ -117,7 +117,7 @@ func messageAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log, machin
 //     the sender's stack; the nil meta needs no box, and the receiver's
 //     inbox ring is already sized.
 //   - vnet's journey (transmit → xfer.attempt → step/done → deliver):
-//     nothing. The xfer, its four bound method values and the kernel's
+//     nothing. The xfer, its two bound method values and the kernel's
 //     event structs are pooled. transmit builds the path once per
 //     message into xfer.pathBuf, and a fabric's Route appends its pipes
 //     there: a cluster adds at most four (two NICs, two CPU pipes),
