@@ -21,9 +21,11 @@ import (
 
 // TestRPCRoundTripAllocs is the allocation gate of chord's per-RPC
 // path: a warm remote call, served by handle on a second node, costs
-// exactly 6 allocations — the dial's two 128-byte Conns and their
-// 16-byte one-slot rings, 288 B in all (vnet's TestDialAllocs), and
-// the handler task's closure and Proc (sim's TestSpawnedTaskAllocs).
+// exactly 4 allocations — the dial's two 64-byte Conns, 128 B in all
+// (vnet's TestDialAllocs), and the handler task's closure and Proc
+// (sim's TestSpawnedTaskAllocs). The two ends' inboxes and their rings
+// come off the network's pool of receive states; they cost 2 more
+// while each Conn held its own.
 // The request and the reply travel in boxes the two nodes' pools hand
 // back and forth, so neither payload allocates; boxing rpcMsg by value
 // into the sent any cost 2 more, and a fresh task struct and timer
@@ -68,8 +70,8 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := mallocs / measured; got != 6 {
-		t.Errorf("%d allocs per remote call → handle round trip, want 6", got)
+	if got := mallocs / measured; got != 4 {
+		t.Errorf("%d allocs per remote call → handle round trip, want 4", got)
 	}
 }
 
@@ -139,13 +141,13 @@ func callBursts(t *testing.T) (allocs, stack uint64) {
 }
 
 // TestBurstRPCAllocs is TestRPCRoundTripAllocs under concurrency: a
-// warm burst of 256 calls allocates per call what one call does, 6. A
+// warm burst of 256 calls allocates per call what one call does, 4. A
 // task struct that returns keeps its coroutine on the kernel's free
 // list, so each burst's handler tasks run on the coroutines of the one
 // before and make none.
 func TestBurstRPCAllocs(t *testing.T) {
-	if got, _ := callBursts(t); got != 6 {
-		t.Errorf("%d allocs per remote call in a burst of 256, want 6", got)
+	if got, _ := callBursts(t); got != 4 {
+		t.Errorf("%d allocs per remote call in a burst of 256, want 4", got)
 	}
 }
 

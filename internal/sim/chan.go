@@ -28,12 +28,13 @@ var ErrFull = errors.New("sim: channel full")
 // connection per message), which carries one or two messages in its
 // life.
 //
-// The receivers' Cond is a zero-value field, and the counters are
-// int32, so a Chan is 56 bytes and holds no kernel: the zero Chan is an
-// unbounded channel ready to use, and a struct that embeds one by value
-// (vnet's Conn) makes no further object for it. A Chan must not be
-// copied once a task may wait on it: a waiter records its Cond's
-// address.
+// The receivers' Cond is a zero-value field, the counters are int32
+// and the receivers' count a uint16, so a Chan is 56 bytes and holds no
+// kernel: the zero Chan is an unbounded channel ready to use, and a
+// struct that embeds one by value (vnet's pooled receive state) makes
+// no further object for it. A Chan must not be copied once a task may
+// wait on it: a waiter records its Cond's address. Reset hands a
+// drained channel, ring and all, to a new owner.
 //
 // All operations require the execution token (they are only meaningful
 // from simulated goroutines or event callbacks), which is all that
@@ -44,6 +45,9 @@ type Chan[T any] struct {
 	n      int32 // number of buffered elements
 	cap    int32
 	closed bool
+	// recvs counts the tasks inside a receive's wait: parked, or woken
+	// and not yet run again. It fills the padding after closed.
+	recvs uint16
 
 	notEmpty Cond
 }
@@ -137,7 +141,9 @@ func (c *Chan[T]) Recv(p *Proc) (T, error) {
 		if c.closed {
 			return zero, ErrClosed
 		}
+		c.enter()
 		c.notEmpty.Wait(p)
+		c.recvs--
 	}
 }
 
@@ -152,18 +158,29 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool, err error) {
 		if c.closed {
 			return v, false, ErrClosed
 		}
-		if d <= 0 {
-			c.notEmpty.Wait(p)
-			continue
+		var remaining Duration // 0 waits forever
+		if d > 0 {
+			if remaining = deadline.Sub(p.Now()); remaining <= 0 {
+				return v, false, nil
+			}
 		}
-		remaining := deadline.Sub(p.Now())
-		if remaining <= 0 {
-			return v, false, nil
-		}
-		if !c.notEmpty.WaitTimeout(p, remaining) {
+		c.enter()
+		woken := c.notEmpty.WaitTimeout(p, remaining)
+		c.recvs--
+		if !woken {
 			return v, false, nil
 		}
 	}
+}
+
+// enter counts a receiver about to wait on notEmpty; it is uncounted
+// when it runs again. A task killed in the wait never is, so its
+// channel is never Reset.
+func (c *Chan[T]) enter() {
+	if c.recvs == math.MaxUint16 {
+		panic("sim: more than 65535 tasks receive on one Chan")
+	}
+	c.recvs++
 }
 
 // Close marks the channel closed. Buffered items remain receivable;
@@ -178,5 +195,24 @@ func (c *Chan[T]) Close() {
 	c.notEmpty.Broadcast()
 }
 
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }
+// Reset readies a drained channel for a new owner: when it buffers no
+// item and no task is inside a receive on it, Reset reopens it and
+// reports true; otherwise it changes nothing and reports false. A
+// receiver that Close woke and that has not run again still counts, so
+// a channel is never handed on under a task that will read from it.
+// The ring keeps its storage.
+//
+//p2p:token
+func (c *Chan[T]) Reset() bool {
+	if c.n != 0 || c.recvs != 0 {
+		return false
+	}
+	c.closed = false
+	return true
+}
+
+// Idle reports whether the channel is what Reset leaves: open, empty,
+// and with no task inside a receive on it.
+//
+//p2p:token
+func (c *Chan[T]) Idle() bool { return !c.closed && c.n == 0 && c.recvs == 0 }

@@ -121,8 +121,8 @@ func TestChanRingMatchesSlice(t *testing.T) {
 				c.Close()
 				closed = true
 			}
-			if c.Closed() != closed {
-				t.Fatalf("seed %d op %d: Closed %v, model %v", seed, op, c.Closed(), closed)
+			if c.closed != closed {
+				t.Fatalf("seed %d op %d: closed %v, model %v", seed, op, c.closed, closed)
 			}
 			checkRing(t, c, model, deepest)
 		}

@@ -10,9 +10,10 @@ package sim
 // task embeds: two pointers, and the zero value is ready to use. It
 // holds no kernel; Signal reaches the kernel through the task it wakes.
 // A task parks on at most one Cond at a time, so a wait allocates
-// nothing, and chord's and gossip's per-RPC connections, which hold
-// three Conds each, pay only their 16 bytes apiece. A Cond must not be
-// copied once a task may wait on it: the waiter records its address.
+// nothing, and the two Conds of a connection end's receive state (its
+// inbox's and its handshake's), which vnet pools, cost 16 bytes apiece.
+// A Cond must not be copied once a task may wait on it: the waiter
+// records its address.
 //
 // Every Cond operation requires the execution token (a simulated
 // goroutine or an event callback); the waiter list is kernel state
@@ -131,3 +132,8 @@ func (c *Cond) Broadcast() {
 		c.Signal()
 	}
 }
+
+// Idle reports whether no process is parked on c.
+//
+//p2p:token
+func (c *Cond) Idle() bool { return c.head == nil }

@@ -273,3 +273,87 @@ func TestChanRecvTimeoutDelivery(t *testing.T) {
 		t.Fatalf("got (%d,%v), want (42,true)", got, ok)
 	}
 }
+
+// TestChanReset pins what Reset hands on and what it refuses. A
+// channel buffering an item is refused, closed or not; a drained one is
+// reopened, and Idle then holds. A receiver counts from the moment it
+// waits until it runs again: parked, timed, or woken by Close and still
+// queued behind the task that closed the channel, it keeps Reset off,
+// and once it has returned ErrClosed the channel resets.
+func TestChanReset(t *testing.T) {
+	k := New(1)
+	ch := NewChan[int](k, 0)
+	want := func(step string, idle, reset bool) {
+		t.Helper()
+		if ch.Idle() != idle {
+			t.Errorf("%s: Idle %v, want %v", step, !idle, idle)
+		}
+		if ch.Reset() != reset {
+			t.Errorf("%s: Reset %v, want %v", step, !reset, reset)
+		}
+	}
+	want("fresh", true, true)
+	ch.TrySend(1)
+	want("one buffered", false, false)
+	ch.Close()
+	want("closed, one buffered", false, false)
+	ch.TryRecv()
+	want("closed, drained", false, true)
+	want("reset", true, true)
+	if !ch.TrySend(2) {
+		t.Fatal("the reset channel refused a send")
+	}
+	ch.TryRecv()
+
+	var errs []error
+	k.Go("receiver", func(p *Proc) {
+		_, err := ch.Recv(p)
+		errs = append(errs, err)
+	})
+	k.Go("timed", func(p *Proc) {
+		_, ok, err := ch.RecvTimeout(p, time.Second)
+		if ok || err != nil {
+			t.Errorf("RecvTimeout = %v, %v; want a timeout", ok, err)
+		}
+	})
+	k.Go("closer", func(p *Proc) {
+		p.Yield() // both receivers park
+		want("two receivers parked", false, false)
+		p.Sleep(2 * time.Second)
+		want("the timed receiver returned", false, false)
+		ch.Close()
+		want("the receiver woken, not yet run", false, false)
+		p.Yield()
+		if len(errs) != 1 || !errors.Is(errs[0], ErrClosed) {
+			t.Errorf("the woken receiver returned %v, want ErrClosed", errs)
+		}
+		want("the receiver returned", false, true)
+		want("reset again", true, true)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCondIdle: Idle holds while no task is parked on the Cond.
+func TestCondIdle(t *testing.T) {
+	k := New(1)
+	var c Cond
+	k.Go("waiter", func(p *Proc) { c.Wait(p) })
+	k.Go("signaller", func(p *Proc) {
+		p.Yield()
+		if c.Idle() {
+			t.Error("Idle with a task parked")
+		}
+		c.Signal()
+		if !c.Idle() {
+			t.Error("not Idle once the waiter is signalled")
+		}
+	})
+	if !c.Idle() {
+		t.Error("a zero Cond is not Idle")
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -20,26 +20,34 @@ import (
 // from Dial's SYN (or the acceptor's queueing) until Close, a reset or
 // a failed dial deregisters it.
 //
-// chord and gossip dial a connection per message, so a Conn is packed
-// into 128 bytes, its size class (TestConnSize): the inbox and the
-// handshake Cond are zero values held inline, so an endpoint is one
-// allocation; the remote endpoint is the peer's local one, so it is
-// not stored; sequence numbers and the id are 32-bit; the local side
-// is a port, its address being the host's; the flags sit together. A
+// chord and gossip dial a connection per message, so an end is packed
+// into 64 bytes, its size class (TestConnSize), and is one allocation:
+// the remote endpoint is the peer's local one, so it is not stored;
+// sequence numbers and the id are 32-bit; the local side is a port, its
+// address being the host's; the flags sit together. What a task parks
+// on — the inbox and the dialer's handshake Cond — is a recvState that
+// the end borrows from its network's free list while a task may block
+// on it (Network.acquireRecv, Conn.release). An end that has given it
+// back reads as closed: Recv and RecvTimeout return ErrClosed. A
 // connection carries at most 2³²−1 messages: the send that would wrap
 // its sequence fails with ErrSeqExhausted. The id is only a trace
 // label, shared by both ends: a network's 2³²-th dial wraps it to 0,
 // after which labels repeat.
 type Conn struct {
-	h     *Host
-	peer  *Conn // the other end; nil until the SYN-ACK reaches a dialer
-	inbox sim.Chan[any]
-	hs    sim.Cond // the dialer parks here until SYN-ACK or RST
+	h    *Host
+	peer *Conn      // the other end; nil until the SYN-ACK reaches a dialer
+	rs   *recvState // nil once given back
 
 	// TCP-like sequencing: retransmitted messages may arrive out of
 	// order relative to later messages or the FIN, so delivery to the
 	// inbox is reordered by sequence number.
-	pending  map[uint32]any
+	pending map[uint32]any
+
+	// sink, when set, receives messages instead of the inbox, and the
+	// end once (eof clears it). It runs in kernel-callback context and
+	// must not block.
+	sink func(meta any, closed bool)
+
 	sendSeq  uint32
 	recvNext uint32
 	finSeq   uint32
@@ -51,11 +59,61 @@ type Conn struct {
 	refused     bool
 	closed      bool
 	finSeen     bool
+	ended       bool // the receive side has ended (eof)
+}
 
-	// sink, when set, receives messages instead of the inbox, and the
-	// end once (eof clears it). It runs in kernel-callback context and
-	// must not block.
-	sink func(meta any, closed bool)
+// recvState is the part of a Conn a task parks on: the inbox, whose
+// ring keeps its storage from owner to owner, and the dialer's
+// handshake Cond. An end takes one when it is made (Dial, or deliver
+// for an accepted SYN) and gives it back at the first point nothing
+// can park on it or read from it (release); the network keeps a LIFO
+// free list of them that never shrinks, as it does of xfers. 80 bytes
+// (TestConnSize).
+type recvState struct {
+	inbox sim.Chan[any]
+	hs    sim.Cond   // the dialer parks here until SYN-ACK or RST
+	next  *recvState // free list
+}
+
+// idle reports whether rs may go to a new end: its inbox open, empty
+// and read by no task, and no dialer on its handshake.
+//
+//p2p:token
+func (rs *recvState) idle() bool { return rs.inbox.Idle() && rs.hs.Idle() }
+
+// acquireRecv takes a receive state off the free list or builds one.
+//
+//p2p:token
+func (n *Network) acquireRecv() *recvState {
+	rs := n.freeRecv
+	if rs == nil {
+		return new(recvState)
+	}
+	if !rs.idle() {
+		panic("vnet: a pooled receive state is in use")
+	}
+	n.freeRecv, rs.next = rs.next, nil
+	return rs
+}
+
+// release gives c's receive state back to the network's free list: at
+// Close, at a failed dial, at a backlog's refusal (a closing listener's
+// or a full one's) and after SetSink's flush. Arrivals land only on
+// registered ends and a sink takes them from there, so a state given
+// back hears nothing more of c. A state whose inbox still buffers a
+// message, or that a task still waits on — parked, or woken and not
+// yet run — stays with c and goes with it to the collector. A closed
+// inbox is reopened for its next owner.
+//
+//p2p:token
+func (c *Conn) release() {
+	rs := c.rs
+	if rs == nil || !rs.hs.Idle() || !rs.inbox.Reset() {
+		return
+	}
+	c.rs = nil
+	n := c.h.net
+	n.freeRecv, rs.next = rs, n.freeRecv
 }
 
 // register makes c deliverable and counts it in the network's
@@ -100,36 +158,44 @@ func (c *Conn) local() ip.Endpoint { return ip.Endpoint{Addr: c.h.addr, Port: c.
 //p2p:token
 func (c *Conn) SetSink(fn func(meta any, closed bool)) {
 	c.sink = fn
-	for {
-		meta, ok := c.inbox.TryRecv()
-		if !ok {
-			break
+	if rs := c.rs; rs != nil {
+		for {
+			meta, ok := rs.inbox.TryRecv()
+			if !ok {
+				break
+			}
+			c.land(meta)
 		}
-		c.land(meta)
 	}
-	if c.inbox.Closed() {
+	if c.ended {
 		c.eof()
 	}
+	c.release()
 }
 
-// land hands one in-order message to the sink, or else to the inbox.
+// land hands one in-order message to the sink, or else to the inbox;
+// an end whose state went back at SetSink and has no sink any more
+// drops it.
 //
 //p2p:token
 func (c *Conn) land(meta any) {
 	if c.sink != nil {
 		c.sink(meta, false)
-	} else {
-		c.inbox.TrySend(meta)
+	} else if c.rs != nil {
+		c.rs.inbox.TrySend(meta)
 	}
 }
 
-// eof ends the receive side (the FIN reached, or a reset): it closes
-// the inbox and tells the sink, clearing it first, so a sink hears the
-// end once however many ends arrive.
+// eof ends the receive side (the FIN reached, or a reset): it marks c
+// ended, closes the inbox and tells the sink, clearing it first, so a
+// sink hears the end once however many ends arrive.
 //
 //p2p:token
 func (c *Conn) eof() {
-	c.inbox.Close()
+	c.ended = true
+	if rs := c.rs; rs != nil {
+		rs.inbox.Close()
+	}
 	if fn := c.sink; fn != nil {
 		c.sink = nil
 		fn(nil, true)
@@ -227,21 +293,29 @@ func (c *Conn) emit(kind msgKind, size int, meta any) {
 
 // Recv blocks until a message arrives and returns the value its sender
 // passed to SendMeta. It returns ErrClosed once the receive side has
-// ended and the inbox drains.
+// ended and the inbox drains, and at once on an end that has given its
+// receive state back.
 func (c *Conn) Recv(p *sim.Proc) (any, error) {
 	c.h.syscall(p, sysRecv)
-	return c.inbox.Recv(p)
+	if c.rs == nil {
+		return nil, ErrClosed
+	}
+	return c.rs.inbox.Recv(p)
 }
 
 // RecvTimeout is Recv with a virtual-time deadline; ok=false with nil
 // error means the deadline expired.
 func (c *Conn) RecvTimeout(p *sim.Proc, d sim.Duration) (any, bool, error) {
 	c.h.syscall(p, sysRecv)
-	return c.inbox.RecvTimeout(p, d)
+	if c.rs == nil {
+		return nil, false, ErrClosed
+	}
+	return c.rs.inbox.RecvTimeout(p, d)
 }
 
 // Close sends a FIN and closes the local side. Receiving continues to
-// drain buffered data on the peer. Close is idempotent.
+// drain buffered data on the peer; locally, what the inbox buffered
+// stays readable. Close is idempotent.
 func (c *Conn) Close(p *sim.Proc) error {
 	if c.closed {
 		return nil
@@ -252,6 +326,7 @@ func (c *Conn) Close(p *sim.Proc) error {
 		c.emit(kindFin, 20, nil)
 	}
 	c.deregister()
+	c.release()
 	return nil
 }
 
@@ -306,6 +381,7 @@ func (l *Listener) Close() {
 		c.closed = true
 		c.deregister()
 		c.eof()
+		c.release()
 		l.h.net.transmit(l.h, c.peer.h, message{
 			kind: kindRst, src: c.local(), dst: c.peer.local(), size: 20, to: c.peer,
 		}, true)

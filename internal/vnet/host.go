@@ -83,21 +83,24 @@ func (h *Host) Dial(p *sim.Proc, raddr ip.Endpoint) (*Conn, error) {
 		id:    n.nextID,
 		lport: h.allocPort(),
 	}
+	c.rs = n.acquireRecv()
 	c.register()
 	x := n.post(h, n.hosts[raddr.Addr], true)
 	if x == nil {
 		c.deregister()
+		c.release()
 		return nil, dialError(raddr, ErrNetUnreachable)
 	}
 	x.m.kind, x.m.src, x.m.dst, x.m.size, x.m.from = kindSyn, c.local(), raddr, 20, c
 	x.launch()
 	if !c.established && !c.refused {
-		c.hs.WaitTimeout(p, n.cfg.HandshakeTimeout)
+		c.rs.hs.WaitTimeout(p, n.cfg.HandshakeTimeout)
 	}
 	if c.established {
 		return c, nil
 	}
 	c.deregister()
+	c.release()
 	if c.refused {
 		return nil, dialError(raddr, ErrConnRefused)
 	}
@@ -154,8 +157,10 @@ func (h *Host) deliver(m message) {
 			peer:        m.from,
 			lport:       m.dst.Port,
 			established: true,
+			rs:          n.acquireRecv(),
 		}
 		if !l.backlog.TrySend(c) {
+			c.release()
 			n.transmit(h, m.from.h, message{kind: kindRst, src: m.dst, dst: m.src, size: 20, to: m.from}, true)
 			return
 		}
@@ -167,13 +172,13 @@ func (h *Host) deliver(m message) {
 			c.established = true
 			n.connsHalfOpen--
 			n.connsEstablished++
-			c.hs.Broadcast()
+			c.rs.hs.Broadcast()
 		}
 	case kindRst:
 		if c := m.to; c.registered {
 			if !c.established {
 				c.refused = true
-				c.hs.Broadcast()
+				c.rs.hs.Broadcast()
 			} else {
 				// A reset of an established connection (e.g. the peer's
 				// listener closed with this conn still in its backlog)

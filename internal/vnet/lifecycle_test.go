@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -48,18 +49,21 @@ type lcConn struct {
 // to push delivery over three hosts. After every step the two connection
 // gauges must equal the connections registered at that instant — dials
 // in progress are half-open; the held connections still registered and
-// the listeners' unaccepted backlogs are established — and the network
-// must conserve messages: sent = delivered + dropped + in flight. At the
-// end, with every path restored and retransmission given time to finish,
-// each message sent on a connection still open at both ends has arrived,
-// in order, and every other connection has received a prefix of what its
-// peer sent. A switched connection's sink takes over from its reader,
-// which gets nothing more and then sees the inbox close; a sink must
-// hear at most one end, and exactly one once its inbox has closed. The
-// seeds cover a dial to self, a late SYN-ACK reaching a dial that timed
-// out, a listener closed with a backlog, a sender reset when its
-// retransmissions run out, and a switch while messages wait in the
-// reorder buffer and the FIN is in flight.
+// the listeners' unaccepted backlogs are established —, the network
+// must conserve messages: sent = delivered + dropped + in flight, and
+// each receive state on the network's free list must be open, empty,
+// waited on by no task, and held by no Conn the script can reach. At
+// the end, with every path restored and retransmission given time to
+// finish, each message sent on a connection still open at both ends has
+// arrived, in order, and every other connection has received a prefix
+// of what its peer sent. A switched connection's sink takes over from
+// its reader, which gets nothing more and then ErrClosed; a sink must
+// hear at most one end, and exactly one once the receive side has
+// ended. The seeds cover a dial to self, a late SYN-ACK reaching a dial
+// that timed out, a listener closed with a backlog, a sender reset when
+// its retransmissions run out, a switch while messages wait in the
+// reorder buffer and the FIN is in flight, an end closed under its
+// parked reader, and a refused backlog end holding a message.
 func FuzzConnLifecycle(f *testing.F) {
 	f.Add([]byte{})
 	// Dial, accept, a message each way, close both ends.
@@ -86,6 +90,13 @@ func FuzzConnLifecycle(f *testing.F) {
 	// the acceptor switches to push delivery before the retransmissions
 	// land, so its sink gets both messages and then the end.
 	f.Add([]byte{lcListen, 1, lcDial, 0, 1, lcAccept, 1, lcLink, 0, lcSend, 0, lcLink, 0, lcSend, 0, lcLink, 0, lcClose, 0, lcLink, 0, lcSink, 1, lcSleep, 2})
+	// An end is closed while its reader is parked in Recv, so it keeps
+	// its receive state; a second pair is dialed and both of its ends
+	// send, and its readers must get every message.
+	f.Add([]byte{lcListen, 0, lcDial, 1, 0, lcAccept, 0, lcClose, 0, lcDial, 1, 0, lcAccept, 0, lcSend, 2, lcSend, 3, lcSleep, 0})
+	// A listener closes with a dialed end in its backlog that a message
+	// has reached: the refused end keeps its receive state.
+	f.Add([]byte{lcListen, 2, lcDial, 0, 2, lcSend, 0, lcCloseListen, 2, lcDial, 1, 2})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
 			script = script[:256]
@@ -129,10 +140,10 @@ func runLifecycle(t *testing.T, script []byte) {
 			}
 		})
 	}
-	// backlog counts a listener's queued connections, putting them back
-	// in order; nothing waits to send on a backlog, and an Accept woken
-	// for one still finds it.
-	backlog := func(l *Listener) int {
+	// backlog returns a listener's queued connections, putting them
+	// back in order; nothing waits to send on a backlog, and an Accept
+	// woken for one still finds it.
+	backlog := func(l *Listener) []*Conn {
 		var q []*Conn
 		for {
 			c, ok := l.backlog.TryRecv()
@@ -144,9 +155,38 @@ func runLifecycle(t *testing.T, script []byte) {
 		for _, c := range q {
 			l.backlog.TrySend(c)
 		}
-		return len(q)
+		return q
 	}
-	// check reports whether the gauges and the conservation law hold.
+	// pool reports the first receive state on the free list that a new
+	// end must not take: one a task may still park on or read from, or
+	// one a Conn the script can reach (a held or queued end, or its
+	// peer) still holds.
+	pool := func(queued []*Conn) error {
+		inUse := map[*recvState]bool{}
+		for _, c := range queued {
+			inUse[c.rs] = true
+			inUse[c.peer.rs] = true
+		}
+		for _, lc := range held {
+			inUse[lc.c.rs] = true
+			inUse[lc.c.peer.rs] = true
+		}
+		seen := map[*recvState]bool{}
+		for rs := n.freeRecv; rs != nil; rs = rs.next {
+			switch {
+			case seen[rs]:
+				return errors.New("the free list loops")
+			case !rs.idle():
+				return errors.New("a pooled state is closed, holds a message, or has a reader or a dialer")
+			case inUse[rs]:
+				return errors.New("a pooled state is still held by a Conn")
+			}
+			seen[rs] = true
+		}
+		return nil
+	}
+	// check reports whether the gauges, the conservation law and the
+	// receive-state pool hold.
 	check := func(step int) bool {
 		t.Helper()
 		wantEst := 0
@@ -155,10 +195,16 @@ func runLifecycle(t *testing.T, script []byte) {
 				wantEst++
 			}
 		}
+		var queued []*Conn
 		for _, l := range listeners {
 			if l != nil {
-				wantEst += backlog(l)
+				queued = append(queued, backlog(l)...)
 			}
+		}
+		wantEst += len(queued)
+		if err := pool(queued); err != nil {
+			t.Errorf("step %d at %v: %v", step, k.Now(), err)
+			return false
 		}
 		snap := reg.Snapshot()
 		est, half := snap.Total("p2plab_net_conns_established"), snap.Total("p2plab_net_conns_half_open")
@@ -284,9 +330,9 @@ func runLifecycle(t *testing.T, script []byte) {
 	}
 
 	for _, lc := range held {
-		if lc.sunk && (lc.ends > 1 || lc.c.inbox.Closed() != (lc.ends == 1)) {
-			t.Errorf("%v -> %v: the sink heard %d end(s), inbox closed %v",
-				lc.c.RemoteAddr(), lc.c.LocalAddr(), lc.ends, lc.c.inbox.Closed())
+		if lc.sunk && (lc.ends > 1 || lc.c.ended != (lc.ends == 1)) {
+			t.Errorf("%v -> %v: the sink heard %d end(s), receive side ended %v",
+				lc.c.RemoteAddr(), lc.c.LocalAddr(), lc.ends, lc.c.ended)
 		}
 	}
 	if !checkOrder {

@@ -147,6 +147,7 @@ type Network struct {
 	tracer *trace.Log
 
 	freeXfer *xfer
+	freeRecv *recvState // receive states no Conn holds (Conn.release)
 }
 
 // partition is one active administrative split: traffic between the a

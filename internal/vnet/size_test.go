@@ -12,16 +12,21 @@ import (
 )
 
 // TestConnSize pins the per-connection state a per-RPC overlay pays
-// twice per message: a Conn stays in the 128-byte size class, with its
-// inbox Chan at 56 bytes; the inbox ring's slot is the any a sender
-// passed to SendMeta, 16 bytes. A field that pushes one past that fails here rather than
-// silently moving every endpoint into the next class.
+// twice per message: a Conn stays in the 64-byte size class, and the
+// receive state it borrows while a task may park on it (inbox Chan at
+// 56 bytes, handshake Cond, free-list link) in the 80-byte one. The
+// inbox ring's slot is the any a sender passed to SendMeta, 16 bytes. A
+// field that pushes one past its class fails here rather than silently
+// moving every endpoint into the next class.
 func TestConnSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Conn{}); got > 128 {
-		t.Errorf("Conn is %d bytes, want at most 128", got)
+	if got := unsafe.Sizeof(Conn{}); got > 64 {
+		t.Errorf("Conn is %d bytes, want at most 64", got)
+	}
+	if got := unsafe.Sizeof(recvState{}); got > 80 {
+		t.Errorf("recvState is %d bytes, want at most 80", got)
 	}
 	if got := unsafe.Sizeof(sim.Chan[any]{}); got != 56 {
 		t.Errorf("sim.Chan[any] is %d bytes, want 56", got)

@@ -258,32 +258,32 @@ func rpcAllocs(t *testing.T, kind netem.ModelKind, tracer *trace.Log) (allocs, b
 // TestDialAllocs is the allocation gate of a per-connection RPC (one
 // dial, request, reply and close), exact as TestTransmitAllocs is. It
 // was 15 while a Conn pointed at its inbox Chan and its handshake Cond,
-// the Chan at its two Conds, and a ring started at four slots, and 7
-// while a fresh Cond's first Wait appended to a one-slot waiter list.
-// The 4 left, both endpoints counted, under either model:
+// the Chan at its two Conds, and a ring started at four slots, 7 while
+// a fresh Cond's first Wait appended to a one-slot waiter list, and 4
+// while each Conn held its inbox and handshake Cond by value and its
+// inbox grew its own one-slot ring. The 2 left, both endpoints counted,
+// under either model, are the dialer's and the listener's Conn.
 //
-//   - the dialer's and the listener's Conn: 2, one object each, its
-//     inbox Chan and handshake Cond held by value.
-//   - the inbox ring of each: 2, one slot each; each side receives one
-//     message, the request or the reply.
+// It also pins their bytes: 2 × 64 for the Conns (TestConnSize), 128 B
+// an RPC. It was 288 B while a Conn was 128 B and each inbox grew a
+// 16-byte ring, and 384 B while a Conn stored its remote endpoint, a
+// 64-bit id and a Chan with a senders' Cond (160 B), and a ring slot
+// carried the message's size and sender (32 B). Both gates read the
+// smallest of three windows of 2 000 RPCs: one window alone once read
+// 3 B over, another party's allocation during the window.
 //
-// It also pins their bytes: 2 × 128 for the Conns (TestConnSize) and
-// 2 × 16 for the one-slot rings, 288 B an RPC. It was 384 B while a
-// Conn stored its remote endpoint, a 64-bit id and a Chan with a
-// senders' Cond (160 B), and a ring slot carried the message's size
-// and sender (32 B). Both gates read the smallest of three windows of
-// 2 000 RPCs: one window alone once read 291 B, the 3 B over being
-// another party's allocation during the window.
-//
-// The three parks — the dialer on its handshake Cond until the SYN-ACK
-// arrives, each side on its inbox in Recv — link the task's embedded
-// waiter and allocate nothing. Everything else is pooled or warm: the
-// listener's backlog ring, the connection tables, the transmit journey
-// (TestTransmitAllocs), and the dialer's timer callback, bound once per
-// task. Tracing adds no allocation: the journey's records are typed,
-// and they fill chunks of the log, whose bytes the byte gate leaves out.
+// The receive states, inbox ring and handshake Cond, come off the
+// network's free list: each end gives its own back at Close, its inbox
+// empty and no task waiting on it. The three parks — the dialer on its
+// handshake Cond until the SYN-ACK arrives, each side on its inbox in
+// Recv — link the task's embedded waiter and allocate nothing.
+// Everything else is pooled or warm: the listener's backlog ring, the
+// connection tables, the transmit journey (TestTransmitAllocs), and the
+// dialer's timer callback, bound once per task. Tracing adds no
+// allocation: the journey's records are typed, and they fill chunks of
+// the log, whose bytes the byte gate leaves out.
 func TestDialAllocs(t *testing.T) {
-	const wantAllocs, maxBytes = 4, 288
+	const wantAllocs, maxBytes = 2, 128
 	for _, tc := range []struct {
 		name string
 		kind netem.ModelKind

@@ -235,7 +235,7 @@ func TestCloseWindowDelivers(t *testing.T) {
 // TestFinOnClosedConnUnobserved: the dialer closes, and the acceptor,
 // seeing that close, closes too, so its FIN lands on a conn its owner
 // has already closed and deregistered. Nothing the owner can observe
-// changes: its inbox stays open and its sink is not called.
+// changes: its receive side does not end and its sink is not called.
 func TestFinOnClosedConnUnobserved(t *testing.T) {
 	e := newEnv()
 	a, b := e.twoHosts(t)
@@ -274,8 +274,8 @@ func TestFinOnClosedConnUnobserved(t *testing.T) {
 	if c.registered {
 		t.Fatal("the closed conn is still registered")
 	}
-	if sinkCalls != 0 || c.inbox.Closed() {
-		t.Errorf("the FIN reached the closed conn: %d sink call(s), inbox closed %v", sinkCalls, c.inbox.Closed())
+	if sinkCalls != 0 || c.ended {
+		t.Errorf("the FIN reached the closed conn: %d sink call(s), receive side ended %v", sinkCalls, c.ended)
 	}
 }
 
