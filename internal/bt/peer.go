@@ -114,7 +114,9 @@ func sendHandshake(p *sim.Proc, c *vnet.Conn, hs *Handshake) error {
 }
 
 // recvHandshake blocks, with a deadline, for the peer's handshake and
-// reports whether it arrived and is want.
+// reports whether it arrived and is want. It reads by hand, not through
+// vnet.Conn.Answer or Host.Call: a bad handshake closes the connection,
+// and a kept one stays open for the client's sink (admit).
 func recvHandshake(p *sim.Proc, c *vnet.Conn, timeout time.Duration, want *Handshake) bool {
 	meta, ok, err := c.RecvTimeout(p, timeout)
 	if err != nil || !ok {

@@ -147,24 +147,24 @@ func (t *Tracker) serve(p *sim.Proc) {
 	if err != nil {
 		return
 	}
-	l.Serve(p, "tracker-conn", t.handle)
+	l.Serve(p, "tracker-conn", func(p *sim.Proc, c *vnet.Conn) {
+		c.Answer(p, 30*time.Second, t.answer)
+		c.Close(p)
+	})
 }
 
-func (t *Tracker) handle(p *sim.Proc, c *vnet.Conn) {
-	defer c.Close(p)
-	meta, ok, err := c.RecvTimeout(p, 30*time.Second)
-	if err != nil || !ok {
-		return
-	}
-	req, ok := meta.(*announceReq)
+// answer replies to an announce from the host from with the response
+// or the failure; anything else gets no reply.
+func (t *Tracker) answer(_ *sim.Proc, from ip.Endpoint, req any) (int, any) {
+	r, ok := req.(*announceReq)
 	if !ok {
-		return
+		return 0, nil
 	}
-	resp, err := t.announce(req, c.RemoteAddr().Addr)
+	resp, err := t.announce(r, from.Addr)
 	if err != nil {
 		resp = &announceResp{failure: err.Error()}
 	}
-	c.SendMeta(p, resp.size(), resp)
+	return resp.size(), resp
 }
 
 // announce serves one announce and returns the response.
@@ -262,21 +262,20 @@ func (t *Tracker) expire(sw *swarmPeers, now sim.Time) {
 	}
 }
 
-// AnnounceRequest is the client-side helper: it dials the tracker,
-// sends req and returns the peer list and the tracker's re-announce
+// AnnounceRequest is the client-side helper: it calls the tracker
+// with req and returns the peer list and the tracker's re-announce
 // interval (0 when the response carries none). The peer slice is fresh
-// per response and belongs to the caller. The caller builds req, and
-// the connection is closed by hand, not deferred, to keep this frame
-// small: the announcing task dials and sends under it.
+// per response and belongs to the caller.
 func AnnounceRequest(p *sim.Proc, h *vnet.Host, tracker ip.Endpoint, req *announceReq) ([]ip.Endpoint, time.Duration, error) {
-	c, err := h.Dial(p, tracker)
+	var resp *announceResp
+	err := h.Call(p, tracker, req.size(), req, 30*time.Second, func(meta any) {
+		resp, _ = meta.(*announceResp)
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := exchange(p, c, req)
-	c.Close(p)
-	if err != nil {
-		return nil, 0, err
+	if resp == nil {
+		return nil, 0, errors.New("bt: tracker response is not an announce response")
 	}
 	return resp.result()
 }
@@ -291,23 +290,4 @@ func (r *announceResp) result() ([]ip.Endpoint, time.Duration, error) {
 		interval = time.Duration(r.interval) * time.Second
 	}
 	return r.peers, interval, nil
-}
-
-// exchange sends req on c and reads the tracker's response.
-func exchange(p *sim.Proc, c *vnet.Conn, req *announceReq) (*announceResp, error) {
-	if err := c.SendMeta(p, req.size(), req); err != nil {
-		return nil, err
-	}
-	meta, ok, err := c.RecvTimeout(p, 30*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, vnet.ErrTimeout
-	}
-	resp, ok := meta.(*announceResp)
-	if !ok {
-		return nil, errors.New("bt: tracker response is not an announce response")
-	}
-	return resp, nil
 }

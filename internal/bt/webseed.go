@@ -43,34 +43,28 @@ func (w *WebSeed) serve(p *sim.Proc) {
 	if err != nil {
 		return
 	}
-	l.Serve(p, "webseed-conn", w.handle)
+	l.Serve(p, "webseed-conn", func(p *sim.Proc, c *vnet.Conn) {
+		for c.Answer(p, 0, w.answer) {
+		}
+		c.Close(p)
+	})
 }
 
-// handle serves one client connection: a loop of block requests, each
-// answered immediately (an HTTP range GET per block) with the
-// torrent's interned piece message. Anything that is not a request for
-// a block of the torrent (MetaInfo.blockOf) — cancels, stray
-// peer-protocol messages — is ignored, like a web server ignoring
-// unknown headers.
-func (w *WebSeed) handle(p *sim.Proc, cn *vnet.Conn) {
-	defer cn.Close(p)
-	for {
-		meta, err := cn.Recv(p)
-		if err != nil {
-			return
-		}
-		m, ok := meta.(*Msg)
-		if !ok || m.ID != MsgRequest {
-			continue
-		}
-		b, ok := w.meta.blockOf(m.Index, m.Begin, m.Length)
-		if !ok {
-			continue
-		}
-		out := w.meta.block(MsgPiece, m.Index, b)
-		if err := cn.SendMeta(p, out.WireSize(), out); err != nil {
-			return
-		}
-		w.bytes.Add(uint64(m.Length))
+// answer serves one block request (an HTTP range GET per block) with
+// the torrent's interned piece message, counting the block's bytes as
+// served. Anything that is not a request for a block of the torrent
+// (MetaInfo.blockOf) — cancels, stray peer-protocol messages — gets no
+// reply, like a web server ignoring unknown headers.
+func (w *WebSeed) answer(_ *sim.Proc, _ ip.Endpoint, req any) (int, any) {
+	m, ok := req.(*Msg)
+	if !ok || m.ID != MsgRequest {
+		return 0, nil
 	}
+	b, ok := w.meta.blockOf(m.Index, m.Begin, m.Length)
+	if !ok {
+		return 0, nil
+	}
+	w.bytes.Add(uint64(m.Length))
+	out := w.meta.block(MsgPiece, m.Index, b)
+	return out.WireSize(), out
 }

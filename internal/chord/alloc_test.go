@@ -156,8 +156,8 @@ func TestBurstRPCAllocs(t *testing.T) {
 // on a 4 KiB one, and the kernel keeps it. In a fresh process, bursts
 // of 256 calls grow the runtime's stack memory by 2 368 to 2 560 bytes
 // per concurrent task, as a few tasks take the allocator's slow path;
-// with a 640-byte local added to Node.handle, which grows only the
-// handlers, by 3 584 to 3 648. The bound sits between.
+// with a 640-byte local added to Node.answer, which grows only the
+// serving tasks, by 3 456. The bound sits between.
 func TestBurstStacks(t *testing.T) {
 	got := freshStacks(t, "TestBurstStacks", func() uint64 {
 		_, stack := callBursts(t)

@@ -246,34 +246,23 @@ func (n *Node) missingFor(have []uint64) []Update {
 	return missing
 }
 
-// sendAsync delivers one message over a transient connection. The
-// message goes into its box here, so the task captures a pointer and
-// not the message: a per-message task's frames must fit its first
-// 2 KiB stack (DESIGN decision 11).
+// sendAsync delivers one message over a transient connection in a task
+// of its own; a digest waits up to 10 s for its reply, and a failed one
+// is left to later rounds. The message goes into its box here, so the
+// task captures a pointer and not the message: a per-message task's
+// frames must fit its first 2 KiB stack (DESIGN decision 11).
 func (n *Node) sendAsync(p *sim.Proc, to ip.Endpoint, m wireMsg) {
-	size, digest, b := m.wireSize(), m.Kind == kindDigest, n.boxes.Get(m)
+	size, b, wait := m.wireSize(), n.boxes.Get(m), time.Duration(0)
+	if m.Kind == kindDigest {
+		wait = 10 * time.Second
+	}
 	p.Go("gossip-send", func(p *sim.Proc) {
-		c, err := n.h.Dial(p, to)
-		if err != nil {
-			b.Take() // back to the pool unsent
-			return
-		}
-		defer c.Close(p)
-		c.SendMeta(p, size, b)
-		if digest {
-			n.awaitReply(p, c)
-		}
+		n.h.Call(p, to, size, b, wait, n.learnReply)
 	})
 }
 
-// awaitReply learns the updates of a digest's reply. It is the sending
-// task's cold half, in a frame of its own: inline, its copies sat in the
-// task's frame under the dial and the send.
-func (n *Node) awaitReply(p *sim.Proc, c *vnet.Conn) {
-	meta, ok, err := c.RecvTimeout(p, 10*time.Second)
-	if err != nil || !ok {
-		return
-	}
+// learnReply learns the updates of a digest's reply.
+func (n *Node) learnReply(meta any) {
 	if b, isMsg := meta.(*vnet.Box[wireMsg]); isMsg {
 		for _, u := range b.Take().Updates {
 			n.learn(u)
@@ -281,39 +270,31 @@ func (n *Node) awaitReply(p *sim.Proc, c *vnet.Conn) {
 	}
 }
 
-// serve handles inbound pushes and digests.
+// serve answers inbound pushes and digests, one per connection.
 func (n *Node) serve(p *sim.Proc) {
 	l, err := n.h.Listen(p, Port)
 	if err != nil {
 		return
 	}
-	l.Serve(p, "gossip-conn", n.serveConn)
+	l.Serve(p, "gossip-conn", func(p *sim.Proc, c *vnet.Conn) {
+		c.Answer(p, 10*time.Second, n.answer)
+		c.Close(p)
+	})
 }
 
-// serveConn answers one inbound connection: it carries one push or
-// digest, and a digest gets its reply on the same connection.
-func (n *Node) serveConn(p *sim.Proc, c *vnet.Conn) {
-	defer c.Close(p)
-	meta, ok, err := c.RecvTimeout(p, 10*time.Second)
-	if err != nil || !ok {
-		return
-	}
-	if b, isMsg := meta.(*vnet.Box[wireMsg]); isMsg {
-		if r, size := n.handle(b); r != nil {
-			c.SendMeta(p, size, r)
-		}
-	}
-}
-
-// handle takes an inbound message out of its box and acts on it: a
+// answer takes an inbound message out of its box and acts on it: a
 // push's updates are learned, and a digest is answered with the
-// updates its sender lacks, returned boxed with their wire size for the
-// serving task to send. The reply is built here and sent from the task
-// itself, so the digest's frames are gone before the send's begin.
-func (n *Node) handle(b *vnet.Box[wireMsg]) (*vnet.Box[wireMsg], int) {
+// updates its sender lacks, boxed, with their wire size. The reply is
+// built here and sent by Answer, so the digest's frames are gone
+// before the send's begin.
+func (n *Node) answer(_ *sim.Proc, _ ip.Endpoint, req any) (int, any) {
+	b, isMsg := req.(*vnet.Box[wireMsg])
+	if !isMsg {
+		return 0, nil
+	}
 	m := b.Take()
 	if !n.alive {
-		return nil, 0
+		return 0, nil
 	}
 	switch m.Kind {
 	case kindPush:
@@ -324,9 +305,9 @@ func (n *Node) handle(b *vnet.Box[wireMsg]) (*vnet.Box[wireMsg], int) {
 		// Symmetric repair: learn what the peer has that we lack at
 		// the next anti-entropy round (pull-only here).
 		r := wireMsg{Kind: kindDigestReply, Updates: n.missingFor(m.Have)}
-		return n.boxes.Get(r), r.wireSize()
+		return r.wireSize(), n.boxes.Get(r)
 	}
-	return nil, 0
+	return 0, nil
 }
 
 // String describes the node.

@@ -161,7 +161,7 @@ func TestBurstAllocs(t *testing.T) {
 // outgrow a task's first 2 KiB stack: each task of a burst then runs
 // on a 4 KiB one, and the kernel keeps it. In a fresh process, bursts
 // of 256 pushes grow the runtime's stack memory by 2 112 bytes per
-// concurrent task; with a 640-byte local added to Node.serveConn, by
+// concurrent task; with a 640-byte local added to Node.answer, by
 // 4 160. The bound sits between.
 func TestBurstStacks(t *testing.T) {
 	got := freshStacks(t, "TestBurstStacks", func() uint64 {

@@ -235,6 +235,74 @@ func TestOneAcceptLoop(t *testing.T) {
 	}
 }
 
+// exchangeReaders names the only functions outside vnet that read a
+// connection by hand, by the package directory and the function's
+// name. Every other one-shot protocol reads its request through
+// vnet.Conn.Answer and its reply through vnet.Host.Call.
+var exchangeReaders = map[string]bool{
+	// A forwarding hop reads its reply under the serving task's
+	// answer and dispatch; Host.Call's frames would take that task
+	// past its first 2 KiB stack (DESIGN decision 11).
+	"internal/chord.recv": true,
+	// A bad handshake must close the connection, and a kept one stays
+	// open for the client's sink.
+	"internal/bt.recvHandshake": true,
+}
+
+// TestOneExchange: outside vnet, (*vnet.Conn).Recv and RecvTimeout are
+// called only from exchangeReaders (DESIGN decision 10), and each of
+// those still calls one. The examples show the raw socket calls on
+// purpose.
+func TestOneExchange(t *testing.T) {
+	m := repoModule(t)
+	reads := map[string]bool{
+		"(*repro/internal/vnet.Conn).Recv":        true,
+		"(*repro/internal/vnet.Conn).RecvTimeout": true,
+	}
+	seen := make(map[string]bool)
+	for _, p := range m.pkgs {
+		if p.under("internal/vnet") || p.under("examples") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				site := p.rel + "." + declName(decl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if fn, ok := p.info.Uses[id].(*types.Func); ok && reads[fn.FullName()] {
+						if !exchangeReaders[site] {
+							t.Errorf("%s: %s calls %s; serve through vnet.Conn.Answer or call through vnet.Host.Call", m.where(id.Pos()), site, fn.Name())
+						}
+						seen[site] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	for site := range exchangeReaders {
+		if !seen[site] {
+			t.Errorf("%s no longer reads a connection; drop it from exchangeReaders", site)
+		}
+	}
+}
+
+// declName is the name of a function declaration, its receiver type
+// first for a method, and "" for any other declaration.
+func declName(decl ast.Decl) string {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return ""
+	}
+	if fd.Recv != nil {
+		return types.ExprString(fd.Recv.List[0].Type) + "." + fd.Name.Name
+	}
+	return fd.Name.Name
+}
+
 // TestNoUnsafeOutsideTests: a task struct keeps its coroutine whatever
 // its stack grew to (DESIGN decision 11), so nothing in the program
 // reads a stack address, and no program file imports unsafe. Tests may.

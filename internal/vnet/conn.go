@@ -20,6 +20,10 @@ import (
 // from Dial's SYN (or the acceptor's queueing) until Close, a reset or
 // a failed dial deregisters it.
 //
+// A request/response server answers each request through Answer, and
+// its client calls through Host.Call; chord's client and bt's handshake
+// read by hand (chord's Node.call and bt's recvHandshake say why).
+//
 // chord and gossip dial a connection per message, so an end is packed
 // into 64 bytes, its size class (TestConnSize), and is one allocation:
 // the remote endpoint is the peer's local one, so it is not stored;
@@ -328,6 +332,41 @@ func (c *Conn) Close(p *sim.Proc) error {
 	c.deregister()
 	c.release()
 	return nil
+}
+
+// Answer serves one request on c: it reads it within wait (0 waits
+// forever), passes it and its sender's address to answer, and sends the
+// reply unless it is nil. It reports false once the read found c ended
+// or timed out, or the reply failed to send; the caller closes c.
+func (c *Conn) Answer(p *sim.Proc, wait sim.Duration, answer func(p *sim.Proc, from ip.Endpoint, req any) (size int, reply any)) bool {
+	req, ok, err := c.RecvTimeout(p, wait)
+	if err != nil || !ok {
+		return false
+	}
+	size, reply := answer(p, c.RemoteAddr(), req)
+	return reply == nil || c.SendMeta(p, size, reply) == nil
+}
+
+// Call is one request/response exchange from the client's side: it
+// dials to, sends req charged size bytes and, when wait > 0, reads one
+// reply within wait and passes it to reply before it closes. It
+// returns the dial's, the send's or the read's error, and ErrTimeout
+// when wait passes; with wait 0 it sends and closes without reading.
+func (h *Host) Call(p *sim.Proc, to ip.Endpoint, size int, req any, wait sim.Duration, reply func(any)) error {
+	c, err := h.Dial(p, to)
+	if err != nil {
+		return err
+	}
+	if err = c.SendMeta(p, size, req); err == nil && wait > 0 {
+		meta, ok, rerr := c.RecvTimeout(p, wait)
+		if err = rerr; ok {
+			reply(meta)
+		} else if err == nil {
+			err = ErrTimeout
+		}
+	}
+	c.Close(p)
+	return err
 }
 
 // Listener accepts inbound connections on a host port.
